@@ -222,8 +222,8 @@ type StealStats = mr.StealStats
 
 // TunerConfig enables the online adaptive tuner: assign one to
 // Config.Tuner and the RAMR engine runs an elastic combiner pool whose
-// size, consume batch and push backoff are steered each epoch by a
-// deterministic seeded controller reading the telemetry stream. A nil
+// size and consume batch are steered each epoch by a deterministic
+// controller reading the telemetry stream. A nil
 // Config.Tuner keeps the static engine behaviour bit-for-bit.
 type TunerConfig = tuner.Config
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ramrtune -app HG -out hg.json
-//	ramrtune -app WC -size medium -ratios 1,2,4 -caps 256,1024,4096 -batches 100,500,2000
+//	ramrtune -app WC -size medium -ratios 1,2,4 -caps 8192,32768,131072 -batches 100,500,2000
 //	ramrtune -load hg.json
 //
 // -load round-trips a saved profile through mr.Config.ApplyProfile and
@@ -73,7 +73,7 @@ func main() {
 	runs := flag.Int("runs", 3, "measured runs per candidate point (median is kept)")
 	passes := flag.Int("passes", 3, "maximum coordinate-descent passes")
 	ratios := flag.String("ratios", "1,2,3,4", "candidate mapper/combiner ratios")
-	caps := flag.String("caps", "256,1024,4096", "candidate queue capacities")
+	caps := flag.String("caps", "8192,32768,131072", "candidate queue capacities")
 	batches := flag.String("batches", "100,500,2000", "candidate combiner batch sizes")
 	out := flag.String("out", "", "write the winning profile as JSON to this file")
 	load := flag.String("load", "", "load a profile and print the mr.Config it produces (no runs)")

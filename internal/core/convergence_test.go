@@ -115,7 +115,7 @@ func TestTunerConvergence(t *testing.T) {
 	// EpochTicks 8 keeps the epoch length at the default ~4ms.
 	cfg.Telemetry = telemetry.New()
 	cfg.Telemetry.Interval = 500 * time.Microsecond
-	cfg.Tuner = &tuner.Config{Seed: 42, EpochTicks: 8}
+	cfg.Tuner = &tuner.Config{EpochTicks: 8}
 
 	// Final comparison: re-measure the winning static point and the tuned
 	// run strictly interleaved, so slow drift on a shared host hits both
@@ -148,8 +148,8 @@ func TestTunerConvergence(t *testing.T) {
 		t.Fatal("tuned run attached no TunerReport")
 	}
 	for _, d := range res.TunerReport.Epochs {
-		fmt.Printf("  epoch %2d %-8s combiners=%d batch=%-5d backoff=%-8v occ_p90=%.2f failed_push=%.3f short_poll=%.2f rate=%.0f pairs/tick\n",
-			d.Epoch, d.Action, d.Settings.Combiners, d.Settings.Batch, d.Settings.Backoff,
+		fmt.Printf("  epoch %2d %-8s combiners=%d batch=%-5d occ_p90=%.2f failed_push=%.3f short_poll=%.2f rate=%.0f pairs/tick\n",
+			d.Epoch, d.Action, d.Settings.Combiners, d.Settings.Batch,
 			d.Signals.OccP90, d.Signals.FailedPushRate, d.Signals.ShortPollRate,
 			float64(d.Signals.CombinedPairs)/float64(max(d.Signals.Ticks, 1)))
 	}

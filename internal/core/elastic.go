@@ -2,7 +2,7 @@
 // paper's hand-tuned knobs imply but never build. With mr.Config.Tuner
 // set, the combiner pool can grow and shrink while the map phase runs,
 // and a deterministic controller (internal/tuner) re-tunes the consume
-// batch size and the producer sleep backoff from live telemetry deltas.
+// batch size from live telemetry deltas.
 //
 // Correctness rests on one lock discipline: the SPSC queues tolerate
 // exactly one consumer at a time, and the consumer side caches the head
@@ -14,18 +14,21 @@
 // can straddle an ownership change, and the lock ordering publishes A's
 // consumer-side cache to B. Reassignment is rare (once per controller
 // epoch at most), so the RLock is effectively uncontended.
+//
+// An idle slot parks outside the lock, on its own gate; every reassignment
+// bumps the pool's generation and wakes every gate, and a slot about to
+// park re-checks the generation, so no slot sleeps through a change to
+// what it owns.
 package core
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ramr/internal/affinity"
 	"ramr/internal/container"
@@ -40,19 +43,19 @@ import (
 // Slots 0..active-1 share the live queues (contiguous runs of the
 // locality-dense order, like the static QueueAssignment); slots beyond
 // active are parked with no queues. Drained queues retire out of the
-// assignment; when the last one retires, done closes and every slot
-// exits.
+// assignment; when the last one retires, every slot exits.
 type elasticPool[K comparable, V any] struct {
 	queues []*spsc.Queue[pair[K, V]]
+	gates  []*spsc.Gate // per slot
 
-	mu      sync.RWMutex
-	live    []int   // unretired queue indices, locality-dense order
-	slots   [][]int // per slot: owned queue indices
-	active  int
-	frozen  bool          // abort: assignment pinned for the drain
-	change  chan struct{} // closed and replaced on every reassignment
-	done    chan struct{} // closed when every queue has retired
-	retired []bool
+	mu       sync.RWMutex
+	live     []int   // unretired queue indices, locality-dense order
+	slots    [][]int // per slot: owned queue indices
+	active   int
+	frozen   bool          // abort: assignment pinned for the drain
+	finished bool          // every queue has retired
+	gen      atomic.Uint64 // bumped on every reassignment
+	retired  []bool
 
 	// guards are optional per-queue single-consumer tokens, enabled only
 	// for instrumented runs (cfg.Hooks != nil): each consume round CASes
@@ -63,14 +66,13 @@ type elasticPool[K comparable, V any] struct {
 	onViolation func(queue, holder, claimant int)
 }
 
-func newElasticPool[K comparable, V any](queues []*spsc.Queue[pair[K, V]], order []int, slots, active int, guarded bool, onViolation func(queue, holder, claimant int)) *elasticPool[K, V] {
+func newElasticPool[K comparable, V any](queues []*spsc.Queue[pair[K, V]], gates []*spsc.Gate, order []int, active int, guarded bool, onViolation func(queue, holder, claimant int)) *elasticPool[K, V] {
 	p := &elasticPool[K, V]{
 		queues:      queues,
+		gates:       gates,
 		live:        append([]int(nil), order...),
-		slots:       make([][]int, slots),
+		slots:       make([][]int, len(gates)),
 		active:      active,
-		change:      make(chan struct{}),
-		done:        make(chan struct{}),
 		retired:     make([]bool, len(queues)),
 		guarded:     guarded,
 		onViolation: onViolation,
@@ -83,8 +85,9 @@ func newElasticPool[K comparable, V any](queues []*spsc.Queue[pair[K, V]], order
 }
 
 // splitLocked deals the live queues contiguously over the active slots
-// (so each combiner's set stays a dense locality run) and clears the
-// rest. Callers hold the write lock.
+// (so each combiner's set stays a dense locality run), pointing each
+// ring's wake-ups at its new owner's gate, and clears the rest. Callers
+// hold the write lock.
 func (p *elasticPool[K, V]) splitLocked() {
 	for j := range p.slots {
 		p.slots[j] = nil
@@ -104,14 +107,19 @@ func (p *elasticPool[K, V]) splitLocked() {
 			sz++
 		}
 		p.slots[j] = append([]int(nil), p.live[lo:lo+sz]...)
+		for _, qi := range p.slots[j] {
+			p.queues[qi].SetGate(p.gates[j])
+		}
 		lo += sz
 	}
 }
 
 // broadcastLocked wakes every parked slot so it re-reads its assignment.
 func (p *elasticPool[K, V]) broadcastLocked() {
-	close(p.change)
-	p.change = make(chan struct{})
+	p.gen.Add(1)
+	for _, g := range p.gates {
+		g.Wake()
+	}
 }
 
 // Resize sets the active slot count and redistributes the live queues.
@@ -142,11 +150,8 @@ func (p *elasticPool[K, V]) retire(qi int) {
 	}
 	p.live = removeIndex(p.live, qi)
 	if len(p.live) == 0 {
-		select {
-		case <-p.done:
-		default:
-			close(p.done)
-		}
+		p.finished = true
+		p.broadcastLocked()
 	}
 }
 
@@ -173,7 +178,7 @@ func (p *elasticPool[K, V]) drainAbort(j, batch int) {
 	for i, qi := range mine {
 		qs[i] = p.queues[qi]
 	}
-	drainDiscard(qs, batch)
+	spsc.DrainDiscard(p.gates[j], qs, batch)
 	for _, qi := range mine {
 		p.retire(qi)
 	}
@@ -234,6 +239,7 @@ type elasticArgs[K comparable, V any] struct {
 	queues     []*spsc.Queue[pair[K, V]]
 	mirrors    []*telemetry.QueueMirror
 	containers []container.Container[K, V]
+	gates      []*spsc.Gate // one per combiner slot; RunContext's trip wakes them
 	combine    container.Combine[V]
 	plan       Plan
 	order      []int // queue indices, locality-dense
@@ -279,10 +285,12 @@ func resolveTuner(tcfg tuner.Config, mappers, queueCap int) tuner.Config {
 	return tcfg
 }
 
-// tunerDriver adapts telemetry into the controller's Signals and applies
-// its Decisions. It runs on the sampler goroutine via the telemetry
-// observer; stop() fences it so the report can be read race-free.
-type tunerDriver struct {
+// TunerDriver adapts telemetry into the controller's Signals and applies
+// its Decisions; the signals are engine-agnostic, so the batch engine's
+// elastic pool and the resident stream pipeline share it. It runs on the
+// sampler goroutine via the telemetry observer; Stop fences it so the
+// report can be read race-free.
+type TunerDriver struct {
 	mu      sync.Mutex
 	stopped bool
 
@@ -298,10 +306,22 @@ type tunerDriver struct {
 	prev       telemetry.Counters
 }
 
+// StartTunerDriver wires a driver for ctrl into tel's sampler: apply
+// receives every epoch's decision on the sampler goroutine. queueCaps is
+// each registered queue's capacity, indexed like Sample.Depths.
+func StartTunerDriver(ctrl *tuner.Controller, tel *telemetry.Telemetry, queueCaps []int, apply func(tuner.Decision)) *TunerDriver {
+	d := &TunerDriver{ctrl: ctrl, tel: tel, apply: apply, epochTicks: ctrl.EpochTicks()}
+	for _, c := range queueCaps {
+		d.caps = append(d.caps, float64(c))
+	}
+	tel.SetObserver(d.observe)
+	return d
+}
+
 // observe is the telemetry observer: accumulate occupancy, and at each
 // epoch boundary form the Signals delta, advance the controller and apply
 // its decision.
-func (d *tunerDriver) observe(s telemetry.Sample) {
+func (d *TunerDriver) observe(s telemetry.Sample) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.stopped {
@@ -339,15 +359,16 @@ func (d *tunerDriver) observe(s telemetry.Sample) {
 	d.apply(d.ctrl.Advance(sig))
 }
 
-// stop fences the driver: no Advance can be in flight after it returns,
-// so report() is safe from any goroutine.
-func (d *tunerDriver) stop() {
+// Stop fences the driver: no Advance can be in flight after it returns,
+// so Report is safe from any goroutine.
+func (d *TunerDriver) Stop() {
 	d.mu.Lock()
 	d.stopped = true
 	d.mu.Unlock()
 }
 
-func (d *tunerDriver) report() *tuner.Report {
+// Report returns the controller's decision log so far.
+func (d *TunerDriver) Report() *tuner.Report {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.ctrl.Report()
@@ -367,8 +388,7 @@ func p90(vs []float64) float64 {
 // consuming, the rest parked on the resume gate), wires the tuner driver
 // into the telemetry sampler, and returns the driver for the end-of-run
 // report. Combiners are accounted on a.wg like the static pool.
-func startElastic[K comparable, V any](a *elasticArgs[K, V]) *tunerDriver {
-	slots := a.tcfg.MaxCombiners
+func startElastic[K comparable, V any](a *elasticArgs[K, V]) *TunerDriver {
 	capQ := a.queues[0].Cap()
 
 	var pool *elasticPool[K, V]
@@ -377,7 +397,7 @@ func startElastic[K comparable, V any](a *elasticArgs[K, V]) *tunerDriver {
 		a.firstErr.Set(fmt.Errorf("core: single-consumer invariant violated: queue %d consumed by combiner %d while owned by %d", queue, claimant, holder))
 		a.trip()
 	}
-	pool = newElasticPool(a.queues, a.order, slots, a.initial, guarded, onViolation)
+	pool = newElasticPool(a.queues, a.gates, a.order, a.initial, guarded, onViolation)
 
 	// The consume batch is the one knob read on the combiner hot loop, so
 	// it travels through an atomic the driver stores and each round loads.
@@ -397,47 +417,33 @@ func startElastic[K comparable, V any](a *elasticArgs[K, V]) *tunerDriver {
 	ctrl := tuner.NewController(a.tcfg, tuner.Settings{
 		Combiners: a.initial,
 		Batch:     a.batch,
-		Backoff:   spsc.DefaultSleepCap,
 	})
 
 	var tunerShard *trace.Shard
 	if a.cfg.Trace != nil {
 		tunerShard = a.cfg.Trace.Shard("tuner")
 	}
-	curCombiners, curBackoff := a.initial, spsc.DefaultSleepCap
-	driver := &tunerDriver{
-		ctrl:       ctrl,
-		tel:        a.tel,
-		epochTicks: ctrl.EpochTicks(),
-		caps:       make([]float64, len(a.queues)),
-	}
+	curCombiners := a.initial
+	caps := make([]int, len(a.queues))
 	for i, q := range a.queues {
-		driver.caps[i] = float64(q.Cap())
+		caps[i] = q.Cap()
 	}
-	driver.apply = func(d tuner.Decision) {
+	driver := StartTunerDriver(ctrl, a.tel, caps, func(d tuner.Decision) {
 		if d.Settings.Combiners != curCombiners {
 			curCombiners = d.Settings.Combiners
 			pool.Resize(curCombiners)
 		}
 		batchA.Store(int64(d.Settings.Batch))
-		if d.Settings.Backoff != curBackoff {
-			curBackoff = d.Settings.Backoff
-			for _, q := range a.queues {
-				q.SetSleepCap(curBackoff)
-			}
-		}
 		if tunerShard != nil {
 			tunerShard.Span("epoch", map[string]any{
 				"action":    d.Action,
 				"combiners": d.Settings.Combiners,
 				"batch":     d.Settings.Batch,
-				"backoff":   d.Settings.Backoff.String(),
 			})()
 		}
-	}
-	a.tel.SetObserver(driver.observe)
+	})
 
-	for j := 0; j < slots; j++ {
+	for j := range a.gates {
 		a.wg.Add(1)
 		go func(j int) {
 			defer a.wg.Done()
@@ -452,8 +458,9 @@ func startElastic[K comparable, V any](a *elasticArgs[K, V]) *tunerDriver {
 
 // runElasticCombiner is one combiner slot's life: consume rounds over the
 // currently assigned queues under the pool's read lock, park on the
-// resume gate when the assignment is empty, retire drained queues, and
-// discard-drain on abort — the elastic twin of the static combiner loop.
+// slot's gate when a round found nothing (an empty assignment never
+// does), retire drained queues, and discard-drain on abort — the elastic
+// twin of the static combiner loop.
 func runElasticCombiner[K comparable, V any](a *elasticArgs[K, V], pool *elasticPool[K, V], j int, batchNow func() int) {
 	var tw *telemetry.Worker
 	if a.tel != nil {
@@ -512,15 +519,21 @@ func runElasticCombiner[K comparable, V any](a *elasticArgs[K, V], pool *elastic
 	// round runs one polling pass over the slot's assignment while
 	// holding the read lock (the ownership critical section). The
 	// deferred unlock keeps a user-code panic from wedging the pool:
-	// the recover path above takes the write lock to freeze.
-	round := func() (consumed int, toRetire []int, parked bool, change, done chan struct{}) {
+	// the recover path above takes the write lock to freeze. It leaves in
+	// waitOn the rings an idle slot parks on, and returns the assignment
+	// generation that list is valid for.
+	var waitOn []*spsc.Queue[pair[K, V]]
+	b := batchNow()
+	round := func() (consumed int, toRetire []int, gen uint64, finished bool) {
 		pool.mu.RLock()
 		defer pool.mu.RUnlock()
+		gen, finished = pool.gen.Load(), pool.finished
+		waitOn = waitOn[:0]
 		mine := pool.slots[j]
 		if len(mine) == 0 {
-			return 0, nil, true, pool.change, pool.done
+			return
 		}
-		b := batchNow()
+		b = batchNow()
 		var end func()
 		if shard != nil {
 			end = shard.Span("consume", nil)
@@ -540,6 +553,8 @@ func runElasticCombiner[K comparable, V any](a *elasticArgs[K, V], pool *elastic
 			consumed += q.ConsumeBatch(b, closed, apply)
 			if q.Drained() {
 				toRetire = append(toRetire, qi)
+			} else {
+				waitOn = append(waitOn, q)
 			}
 			a.mirrors[qi].StoreConsumer(q.ConsumerStats())
 			pool.release(qi)
@@ -547,10 +562,9 @@ func runElasticCombiner[K comparable, V any](a *elasticArgs[K, V], pool *elastic
 		if end != nil && consumed > 0 {
 			end()
 		}
-		return consumed, toRetire, false, nil, nil
+		return
 	}
 
-	idleRounds := 0
 	for {
 		// Same abort contract as the static path: once any worker
 		// tripped the flag, stop feeding user Combine and discard-drain
@@ -559,34 +573,23 @@ func runElasticCombiner[K comparable, V any](a *elasticArgs[K, V], pool *elastic
 			pool.drainAbort(j, batchNow())
 			return
 		}
-		consumed, toRetire, parked, change, done := round()
-		if parked {
-			setState(telemetry.StateIdle)
-			select {
-			case <-change:
-			case <-done:
-				return
-			}
-			continue
+		consumed, toRetire, gen, finished := round()
+		if finished {
+			return
 		}
 		for _, qi := range toRetire {
 			pool.retire(qi)
 		}
-		if consumed == 0 {
-			idleRounds++
+		switch {
+		case consumed > 0 && draining:
+			setState(telemetry.StateDraining)
+		case consumed > 0:
+			setState(telemetry.StateWorking)
+		case len(toRetire) == 0:
 			setState(telemetry.StateIdle)
-			if idleRounds < 4 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(combinerIdle)
-			}
-		} else {
-			idleRounds = 0
-			if draining {
-				setState(telemetry.StateDraining)
-			} else {
-				setState(telemetry.StateWorking)
-			}
+			spsc.Park(a.gates[j], waitOn, b, func() bool {
+				return a.abort.Load() || pool.gen.Load() != gen
+			})
 		}
 	}
 }

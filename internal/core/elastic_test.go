@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,15 @@ func closedQueues(n int) []*spsc.Queue[pair[int, int]] {
 		qs[i] = q
 	}
 	return qs
+}
+
+// testGates builds one gate per combiner slot.
+func testGates(n int) []*spsc.Gate {
+	gs := make([]*spsc.Gate, n)
+	for i := range gs {
+		gs[i] = spsc.NewGate()
+	}
+	return gs
 }
 
 func ident(n int) []int {
@@ -61,10 +71,10 @@ func checkPartition[K comparable, V any](t *testing.T, p *elasticPool[K, V]) {
 
 // TestElasticPoolPartition: the split, every resize, and every retire
 // must preserve the exactly-one-owner-per-live-queue invariant, and the
-// done gate must close only when the last queue retires.
+// pool must report finished only when the last queue retires.
 func TestElasticPoolPartition(t *testing.T) {
 	qs := closedQueues(7)
-	p := newElasticPool(qs, ident(7), 4, 2, false, nil)
+	p := newElasticPool(qs, testGates(4), ident(7), 2, false, nil)
 	checkPartition(t, p)
 
 	for _, n := range []int{4, 1, 3, 4, 2} {
@@ -83,24 +93,71 @@ func TestElasticPoolPartition(t *testing.T) {
 	}
 
 	// Retire requires Drained: close each queue (empty → drained), then
-	// retire one by one; done must close exactly at the last.
+	// retire one by one; the pool must finish exactly at the last.
 	for i, q := range qs {
 		q.Close()
 		p.retire(i)
 		checkPartition(t, p)
-		select {
-		case <-p.done:
-			if i != len(qs)-1 {
-				t.Fatalf("done closed after %d/%d retires", i+1, len(qs))
-			}
-		default:
-			if i == len(qs)-1 {
-				t.Fatal("done not closed after the last retire")
-			}
+		if last := i == len(qs)-1; p.finished != last {
+			t.Fatalf("finished = %v after %d/%d retires", p.finished, i+1, len(qs))
 		}
 	}
 	// Retire is idempotent.
 	p.retire(0)
+}
+
+// TestElasticPoolResizeMovesWakeUps: a ring's wake-ups must follow it to its
+// new owner at the resize, not when that owner next parks — a saturated
+// owner never does, and until then every batch-completing push would wake
+// the old owner, idle on a gate that no longer owns the ring. Slot 1 loses
+// its ring to slot 0 and idles; the hot ring's pushes must leave it asleep.
+func TestElasticPoolResizeMovesWakeUps(t *testing.T) {
+	qs, gates := closedQueues(2), testGates(2)
+	p := newElasticPool(qs, gates, ident(2), 2, false, nil)
+	var wakes atomic.Int64
+	quit := make(chan struct{})
+	idle := make(chan struct{})
+	go func() { // slot 1's idle loop, as runElasticCombiner parks it
+		defer close(idle)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			p.mu.RLock()
+			gen := p.gen.Load()
+			var waitOn []*spsc.Queue[pair[int, int]]
+			for _, qi := range p.slots[1] {
+				waitOn = append(waitOn, qs[qi])
+			}
+			p.mu.RUnlock()
+			spsc.Park(gates[1], waitOn, 1, func() bool { return p.gen.Load() != gen })
+			wakes.Add(1)
+		}
+	}()
+	settle := func() int64 { // slot 1 is parked again once the count holds still
+		for last := int64(-1); ; {
+			time.Sleep(2 * time.Millisecond)
+			if n := wakes.Load(); n == last {
+				return n
+			} else {
+				last = n
+			}
+		}
+	}
+	p.Resize(1) // ring 1 now belongs to slot 0, which is busy and never parks
+	base := settle()
+	for i := 0; i < 1000; i++ {
+		qs[1].Push(pair[int, int]{K: i, V: 1})
+		qs[1].DiscardBatch(1)
+	}
+	if n := settle() - base; n != 0 {
+		t.Fatalf("%d wake-ups of the previous owner in 1000 pushes to a ring it lost", n)
+	}
+	close(quit)
+	p.Resize(2)
+	<-idle
 }
 
 // TestElasticPoolRetireRequiresDrained: an undrained queue must survive a
@@ -109,7 +166,7 @@ func TestElasticPoolRetireRequiresDrained(t *testing.T) {
 	qs := closedQueues(2)
 	qs[0].Push(pair[int, int]{K: 1, V: 1})
 	qs[0].Close() // closed but non-empty: not drained
-	p := newElasticPool(qs, ident(2), 2, 2, false, nil)
+	p := newElasticPool(qs, testGates(2), ident(2), 2, false, nil)
 	p.retire(0)
 	if p.retired[0] {
 		t.Fatal("undrained queue retired")
@@ -124,7 +181,7 @@ func TestElasticPoolGuards(t *testing.T) {
 	qs := closedQueues(1)
 	var got [3]int
 	fired := 0
-	p := newElasticPool(qs, ident(1), 2, 1, true, func(q, h, c int) {
+	p := newElasticPool(qs, testGates(2), ident(1), 1, true, func(q, h, c int) {
 		got = [3]int{q, h, c}
 		fired++
 	})
@@ -162,7 +219,7 @@ func TestLocalityOrder(t *testing.T) {
 func TestElasticRunCorrectness(t *testing.T) {
 	spec := countSpec(60, 50, 23)
 	cfg := testConfig()
-	cfg.Tuner = &tuner.Config{Seed: 1}
+	cfg.Tuner = &tuner.Config{}
 	res, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -41,11 +40,6 @@ import (
 // It is the container package's KV so a consumed queue batch can be handed
 // to Container.UpdateBatch without repacking.
 type pair[K comparable, V any] = container.KV[K, V]
-
-// combinerIdle is how long a combiner sleeps when one full polling round
-// over its assigned queues consumed nothing; long enough to free the SMT
-// sibling for its mapper, short enough not to add visible latency.
-const combinerIdle = 20 * time.Microsecond
 
 // Run executes the job with the RAMR strategy under cfg. The thread
 // budget is cfg.Mappers map workers plus cfg.NumCombiners() combine
@@ -149,8 +143,12 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		}
 	}
 	containers := make([]container.Container[K, V], maxCombiners)
+	// One gate per combiner: where it parks when none of its rings has a
+	// batch for it.
+	gates := make([]*spsc.Gate, maxCombiners)
 	for j := range containers {
 		containers[j] = spec.NewContainer()
+		gates[j] = spsc.NewGate()
 	}
 	// A batch larger than the ring could never fill while a producer is
 	// blocked on a full queue, deadlocking the pipeline; clamp it.
@@ -200,11 +198,14 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	var mapWG, combWG sync.WaitGroup
 	var firstErr mr.FirstError
 	var abort atomic.Bool
-	// trip raises the abort flag; the OnAbort hook fires only for the
-	// first worker to trip it.
+	// trip raises the abort flag; for the first worker to trip it, the
+	// OnAbort hook fires and every parked combiner is woken to drain.
 	trip := func() {
 		if abort.CompareAndSwap(false, true) {
 			cfg.Hooks.FireOnAbort()
+			for _, g := range gates {
+				g.Wake()
+			}
 		}
 	}
 
@@ -367,7 +368,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 
 	// Combiner pool: the static path when the tuner is off (identical to
 	// every prior release), the elastic pool + controller driver when on.
-	var driver *tunerDriver
+	var driver *TunerDriver
 	if tcfg != nil {
 		driver = startElastic(&elasticArgs[K, V]{
 			ctx:        ctx,
@@ -377,6 +378,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			mirrors:    mirrors,
 			containers: containers,
 			combine:    spec.Combine,
+			gates:      gates,
 			plan:       plan,
 			order:      localityOrder(mapperGroup),
 			initial:    combiners,
@@ -396,6 +398,13 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			labels := pprof.Labels("engine", "ramr", "role", "combiner", "worker", strconv.Itoa(j))
 			pprof.Do(ctx, labels, func(context.Context) {
 				mine := queues[assign[j][0]:assign[j][1]]
+				gate := gates[j]
+				for _, q := range mine {
+					q.SetGate(gate)
+				}
+				// live is each round's undrained subset of mine: what an
+				// idle round parks on.
+				live := make([]*spsc.Queue[pair[K, V]], 0, len(mine))
 				var tw *telemetry.Worker
 				if tel != nil {
 					tw = tel.RegisterWorker("combiner", j)
@@ -410,7 +419,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					}
 					// Keep draining (and discarding) so producers blocked
 					// on full rings can run to completion.
-					drainDiscard(mine, batch)
+					spsc.DrainDiscard(gate, mine, batch)
 				}()
 				if cpu := plan.CombinerCPU[j]; cpu >= 0 && affinity.Supported() {
 					unpin, _ := affinity.PinSelf(cpu)
@@ -453,26 +462,26 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					}
 				}
 				draining := false
-				idleRounds := 0
 				for {
 					// Once another worker tripped abort the run is
 					// doomed: stop feeding user Combine and switch to
 					// drain-and-discard so producers blocked on full
 					// rings unwedge without burning user-code cycles.
 					if abort.Load() {
-						drainDiscard(mine, batch)
+						spsc.DrainDiscard(gate, mine, batch)
 						return
 					}
 					var end func()
 					if shard != nil {
 						end = shard.Span("consume", nil)
 					}
-					consumed, alive := 0, false
+					consumed := 0
+					live = live[:0]
 					for _, q := range mine {
 						if q.Drained() {
 							continue
 						}
-						alive = true
+						live = append(live, q)
 						// While the producer is live, wait for full
 						// blocks; once it closed, force-drain the tail.
 						closed := q.Closed()
@@ -489,19 +498,13 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 							end()
 						}
 					}
-					if !alive {
+					if len(live) == 0 {
 						return
 					}
 					if consumed == 0 {
-						idleRounds++
 						setState(telemetry.StateIdle)
-						if idleRounds < 4 {
-							runtime.Gosched()
-						} else {
-							time.Sleep(combinerIdle)
-						}
+						spsc.Park(gate, live, batch, abort.Load)
 					} else {
-						idleRounds = 0
 						if draining {
 							setState(telemetry.StateDraining)
 						} else {
@@ -524,8 +527,8 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	if driver != nil {
 		// Fence the driver before reading its report (and before any
 		// error return): no controller step can be in flight after stop.
-		driver.stop()
-		res.TunerReport = driver.report()
+		driver.Stop()
+		res.TunerReport = driver.Report()
 	}
 	// The invariant observer and the pre-reduce hook run before the
 	// error checks: a failed run must still report per-queue drain state,
@@ -589,28 +592,6 @@ func validateGrant(machine *topology.Machine, grant []int) error {
 		}
 	}
 	return nil
-}
-
-// drainDiscard empties every queue in qs without touching user code,
-// looping until all are drained. This is the abort path's release valve:
-// a producer blocked on a full ring is freed only by its consumer, so a
-// doomed combiner must keep popping — and discarding — until every one of
-// its producers has finished its in-flight task and closed.
-func drainDiscard[K comparable, V any](qs []*spsc.Queue[pair[K, V]], batch int) {
-	for {
-		done := true
-		for _, q := range qs {
-			if q.Drained() {
-				continue
-			}
-			done = false
-			q.DiscardBatch(batch)
-		}
-		if done {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // mapperGroups assigns each mapper the locality-group index it draws

@@ -64,7 +64,6 @@ func TestGrantCapsElasticCeiling(t *testing.T) {
 	cfg := testConfig() // Mappers 3, Flat(4) machine
 	cfg.CPUGrant = []int{0, 1, 2, 3}
 	cfg.Tuner = &tuner.Config{
-		Seed:       1,
 		EpochTicks: 1,
 		// The schedule keeps asking for 3 combiners; the grant leaves
 		// room for exactly len(grant) - mappers = 1.

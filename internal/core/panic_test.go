@@ -264,8 +264,8 @@ func TestAbortStopsHealthyCombiners(t *testing.T) {
 
 // TestCancelReleasesBlockedProducer proves the WaitSleep liveness contract
 // under cancellation: the hook cancels the context while the mapper is
-// blocked on a full ring (and, under WaitSleep, parked in waitUntil's
-// backoff). A cancelled run must still drain the ring and release the
+// blocked on a full ring (and, under WaitSleep, parked on it). A
+// cancelled run must still drain the ring and release the
 // producer — mappers observe cancellation only at task boundaries, so the
 // combiner is what frees them.
 func TestCancelReleasesBlockedProducer(t *testing.T) {
@@ -296,7 +296,7 @@ func TestCancelReleasesBlockedProducer(t *testing.T) {
 			cancel()
 			// Keep the ring full (ConsumeBatch frees slots only after
 			// this hook's batch applies) long enough for the producer to
-			// exhaust its spin budget and sleep in waitUntil.
+			// run out of yields and park.
 			time.Sleep(5 * time.Millisecond)
 		})
 	}
@@ -312,7 +312,7 @@ func TestCancelReleasesBlockedProducer(t *testing.T) {
 		t.Fatalf("%d queue reports, want 1", len(reports))
 	}
 	if reports[0].Stats.SleepMicros == 0 {
-		t.Fatal("producer never slept: the test did not exercise the blocked-in-waitUntil path")
+		t.Fatal("producer never parked: the test did not exercise the blocked-on-a-full-ring path")
 	}
 	assertClean(t, rec)
 }

@@ -60,7 +60,6 @@ func newChurnScenario(seed int64) churnScenario {
 		sched[i] = 1 + rng.Intn(sc.maxC)
 	}
 	cfg.Tuner = &tuner.Config{
-		Seed:         seed,
 		EpochTicks:   1,
 		MaxCombiners: sc.maxC,
 		Schedule:     sched,

@@ -104,7 +104,7 @@ func TestWorkerStacksFindsQueueWaiter(t *testing.T) {
 	blocked := make(chan struct{})
 	go func() {
 		close(blocked)
-		q.Push(3) // blocks in waitUntil until the consumer pops
+		q.Push(3) // parks until the consumer pops
 	}()
 	<-blocked
 	deadline := time.Now().Add(2 * time.Second)

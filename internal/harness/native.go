@@ -234,7 +234,7 @@ func bestHostRatio(job *workloads.Job) int {
 	return bestR
 }
 
-// QueueDefaults re-exports the tuned queue capacity for reports.
+// QueueDefaults re-exports the default queue capacity for reports.
 const QueueDefaults = spsc.DefaultCapacity
 
 // runTaskSize sweeps the splits-per-task knob on the native engine — the

@@ -73,8 +73,9 @@ type Config struct {
 	Ratio int
 	// TaskSize is the number of input splits grouped into one map task.
 	TaskSize int
-	// QueueCapacity is the per-mapper SPSC ring capacity (§III-A tuned
-	// value: 5000).
+	// QueueCapacity is the per-mapper SPSC ring capacity (the paper's
+	// §III-A tuned 5000 for its C++ ring; the default here is measured,
+	// see spsc.DefaultCapacity).
 	QueueCapacity int
 	// BatchSize is the combiner's batched-consume block size (§IV-C).
 	BatchSize int
@@ -127,9 +128,8 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 	// Tuner, when non-nil, enables the adaptive runtime (RAMR engine
 	// only): the combiner pool becomes elastic and a deterministic
-	// feedback controller adjusts the pool size, the consume batch size
-	// and the producer sleep backoff online from telemetry deltas, one
-	// decision per epoch. The decision log is attached to
+	// feedback controller adjusts the pool size and the consume batch
+	// size online from telemetry deltas, one decision per epoch. The decision log is attached to
 	// Result.TunerReport. nil keeps today's fully static behaviour; the
 	// engine then pays only nil checks. When Telemetry is nil the engine
 	// runs a private sampler for the controller's clock and signals
@@ -157,7 +157,8 @@ const (
 
 // DefaultConfig returns a runnable configuration for the current host:
 // one mapper per physical core's worth of parallelism split between the
-// two pools, paper-tuned queue capacity and batch size, RAMR pinning.
+// two pools, the ring geometry EXPERIMENTS.md's sweep picked ("Handoff
+// waits and ring geometry on Go"), RAMR pinning.
 func DefaultConfig() Config {
 	n := runtime.GOMAXPROCS(0)
 	mappers := n / 2

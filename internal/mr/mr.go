@@ -163,7 +163,7 @@ type QueueStats struct {
 	EmptyPolls  uint64
 	ShortPolls  uint64
 	BatchCalls  uint64
-	SleepMicros uint64
+	SleepMicros uint64 // measured wall time producers spent parked on full rings
 }
 
 // Add folds one queue's counters into the aggregate.
@@ -181,7 +181,7 @@ func (q *QueueStats) Add(s spsc.Stats) {
 // FailedPushRate returns the fraction of push attempts whose first trial
 // found the ring full: FailedPush / (Pushes + FailedPush). It is the
 // backpressure signal behind the paper's sleep-on-failed-push policy
-// (§III-A); zero when no pushes happened.
+// (§III-A; here the producer parks); zero when no pushes happened.
 func (q QueueStats) FailedPushRate() float64 {
 	total := q.Pushes + q.FailedPush
 	if total == 0 {

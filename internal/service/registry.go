@@ -36,7 +36,7 @@ type JobRequest struct {
 	// MinCPUs/MaxCPUs bound the CPU grant; 0 means 1 / whole budget.
 	MinCPUs int `json:"min_cpus,omitempty"`
 	MaxCPUs int `json:"max_cpus,omitempty"`
-	// Seed makes the generated input and the tuner deterministic.
+	// Seed makes the generated input deterministic.
 	Seed int64 `json:"seed,omitempty"`
 	// Tuner enables the adaptive runtime; the decision log is retained
 	// and served from GET /jobs/{id}/result.
@@ -331,7 +331,7 @@ func buildJob(req *JobRequest, m *topology.Machine) (*workloads.Job, mr.Config, 
 		cfg.Steal = st
 	}
 	if req.Tuner {
-		cfg.Tuner = &tuner.Config{Seed: req.Seed}
+		cfg.Tuner = &tuner.Config{}
 	}
 	if req.Stream != nil {
 		if req.Shard != nil {

@@ -312,7 +312,9 @@ func TestGracefulShutdown(t *testing.T) {
 func TestListJobs(t *testing.T) {
 	_, ts, _ := newTestService(t, 0)
 	for i := 0; i < 2; i++ {
-		code, _ := postJob(t, ts, `{"workload":"LR","config":{"pin":"none"}}`)
+		// Distinct seeds: an identical second body is answered from the
+		// memo cache (200, no new execution) if the first job has finished.
+		code, _ := postJob(t, ts, fmt.Sprintf(`{"workload":"LR","seed":%d,"config":{"pin":"none"}}`, i+1))
 		if code != http.StatusCreated {
 			t.Fatalf("POST %d: HTTP %d", i, code)
 		}

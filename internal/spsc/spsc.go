@@ -21,11 +21,17 @@
 //     correctness is preserved while the steady state runs with almost no
 //     cross-core cache-line traffic on the index lines.
 //
-//   - Sleep on failed push: pushes must always succeed eventually
+//   - Park on failed push: pushes must always succeed eventually
 //     (discarding pairs would corrupt the result), so a producer facing a
 //     full ring blocks. Busy-waiting burns the very core its combiner
-//     needs; the paper found sleeping after a failed trial faster. Both
-//     policies are provided so the ablation benchmark can compare them.
+//     needs; the paper found sleeping after a failed trial faster. The
+//     paper slept on a timer (usleep); a Go timer sleep of any length
+//     returns after about a millisecond, some thirty ring-fulls of work,
+//     so here both sides of the handoff wait on events instead (wait.go):
+//     the blocked producer parks and its consumer wakes it once the ring
+//     has drained to half, and a consumer that finds nothing to do parks
+//     on a Gate the next useful push wakes. Busy-waiting is kept so the
+//     ablation benchmark can compare the two.
 //
 //   - Batched transfers in both directions: the consumer pops blocks of
 //     contiguous elements and processes them in place (ConsumeBatch), and
@@ -37,26 +43,25 @@ package spsc
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
-	"time"
 )
 
-// DefaultCapacity is the queue capacity the paper settled on after tuning:
-// "a maximum capacity of five thousand elements achieves near-optimal
-// (within 2%) performance across all test-cases" (§III-A).
-const DefaultCapacity = 5000
-
-// DefaultSleepCap is the producer's default maximum backoff sleep on a
-// full ring; SetSleepCap overrides it at run time.
-const DefaultSleepCap = 128 * time.Microsecond
+// DefaultCapacity is the ring capacity the sweep in EXPERIMENTS.md
+// ("Handoff waits and ring geometry on Go") picked: the smallest one
+// within noise of the best on every ring-bound app. The paper settled on
+// 5000 slots for its C++ ring (§III-A); here half a ring has to outlast a
+// goroutine wake-up and the refill behind it, and the ring is what absorbs
+// the two sides' rate jitter, every dip to empty or full costing a
+// park. 32768 slots are 512 KiB of KV[int,int], 768 KiB of KV[string,int],
+// per mapper.
+const DefaultCapacity = 32768
 
 // WaitPolicy selects how a producer waits for space in a full ring.
 type WaitPolicy int
 
 const (
-	// WaitSleep sleeps with capped exponential backoff after a failed
-	// push — the policy RAMR ships with.
+	// WaitSleep gives the processor up after a failed push — the policy
+	// RAMR ships with. The producer parks and its consumer wakes it.
 	WaitSleep WaitPolicy = iota
 	// WaitBusy spins, yielding the processor between attempts — the
 	// policy the paper originally used and then abandoned; kept for the
@@ -83,15 +88,20 @@ type pad [64]byte
 // Queue is a bounded single-producer/single-consumer queue of T. Exactly
 // one goroutine may call producer methods (TryPush, Push, PushBatch, Close)
 // and exactly one may call consumer methods (TryPop, ConsumeBatch,
-// Drained); the two may run concurrently. The zero value is not usable;
-// call New.
+// DiscardBatch, Drained); the two may run concurrently. The zero value is
+// not usable; call New.
 //
 // The struct is laid out so that everything the consumer writes (head, its
 // tail cache, its counters) and everything the producer writes (tail, its
 // head cache, its counters) live on separate cache-line-padded regions.
+// The last region is read-mostly: done flips once, and the handshake
+// fields change only when a side parks, the producer flushes, or the ring
+// changes owner.
 type Queue[T any] struct {
-	buf  []T
-	mask uint64
+	buf    []T
+	mask   uint64
+	low    uint64 // a parked producer is woken once this few elements remain
+	policy WaitPolicy
 
 	_         pad
 	head      atomic.Uint64 // next slot the consumer will read
@@ -102,16 +112,11 @@ type Queue[T any] struct {
 	headCache uint64        // producer's snapshot of head; <= head always
 	prod      producerCounters
 	_         pad
-	done      atomic.Bool // producer has called Close
+	done      atomic.Bool          // producer has called Close
+	mark      atomic.Uint64        // tail at the producer's last Flush
+	gate      atomic.Pointer[Gate] // where this ring's consumer parks
+	producer  parker               // where this ring's producer parks
 	_         pad
-	// sleepCap is the producer's maximum backoff sleep in microseconds,
-	// adjustable at run time by the online tuner (0 selects the default).
-	// It lives off both hot regions: the producer reads it only on the
-	// slow path (entering a wait), and writers are rare.
-	sleepCap atomic.Int64
-	_        pad
-
-	policy WaitPolicy
 }
 
 // producerCounters are the stats fields only the producer writes.
@@ -119,7 +124,7 @@ type producerCounters struct {
 	pushes      uint64
 	failedPush  uint64
 	spinRounds  uint64
-	sleepMicros uint64
+	parkedNanos uint64
 }
 
 // consumerCounters are the stats fields only the consumer writes.
@@ -141,7 +146,7 @@ type Stats struct {
 	EmptyPolls  uint64 // consume attempts that found the ring empty
 	ShortPolls  uint64 // unforced consume attempts that found fewer than a full batch
 	BatchCalls  uint64 // functor invocations by ConsumeBatch
-	SleepMicros uint64 // total microseconds producers slept
+	SleepMicros uint64 // measured wall time the producer spent parked, in microseconds
 }
 
 // New returns a queue with at least the requested capacity (rounded up to
@@ -155,7 +160,13 @@ func New[T any](capacity int, policy WaitPolicy) (*Queue[T], error) {
 	for n < uint64(capacity) {
 		n <<= 1
 	}
-	return &Queue[T]{buf: make([]T, n), mask: n - 1, policy: policy}, nil
+	return &Queue[T]{
+		buf:      make([]T, n),
+		mask:     n - 1,
+		low:      n / 2,
+		policy:   policy,
+		producer: newParker(),
+	}, nil
 }
 
 // MustNew is New that panics on invalid capacity; for tests and literals.
@@ -205,6 +216,7 @@ func (q *Queue[T]) tryPush(v T) bool {
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
 	q.prod.pushes++
+	q.published(t + 1)
 	return true
 }
 
@@ -224,11 +236,10 @@ func (q *Queue[T]) Push(v T) {
 	if q.done.Load() {
 		panic("spsc: Push after Close")
 	}
-	if q.tryPush(v) {
-		return
+	for !q.tryPush(v) {
+		q.prod.failedPush++
+		q.waitSpace()
 	}
-	q.prod.failedPush++
-	q.waitUntil(func() bool { return q.tryPush(v) })
 }
 
 // tryPushBatch appends as many elements of vs as fit, publishing tail once,
@@ -258,6 +269,7 @@ func (q *Queue[T]) tryPushBatch(vs []T) int {
 	copy(q.buf[:n-run], vs[run:n])
 	q.tail.Store(t + n)
 	q.prod.pushes += n
+	q.published(t + n)
 	return int(n)
 }
 
@@ -278,7 +290,7 @@ func (q *Queue[T]) PushBatch(vs []T) {
 			continue
 		}
 		q.prod.failedPush++
-		q.waitUntil(q.hasSpace)
+		q.waitSpace()
 	}
 }
 
@@ -289,47 +301,14 @@ func (q *Queue[T]) hasSpace() bool {
 	return q.tail.Load()-q.headCache < uint64(len(q.buf))
 }
 
-// waitUntil blocks the producer until try succeeds, following the queue's
-// WaitPolicy. Stats are kept comparable across policies: one FailedPush per
-// wait round that still found the ring full (the caller records the initial
-// failure), plus one SpinRounds per busy round regardless of its outcome —
-// under the old accounting a busy round charged up to 64 FailedPush where a
-// sleep round charged 1, making the ablation numbers incomparable.
-func (q *Queue[T]) waitUntil(try func() bool) {
-	sleep := time.Microsecond
-	maxSleep := DefaultSleepCap
-	if us := q.sleepCap.Load(); us > 0 {
-		maxSleep = time.Duration(us) * time.Microsecond
-	}
-	for {
-		if q.policy == WaitBusy {
-			q.prod.spinRounds++
-			for i := 0; i < 64; i++ {
-				if try() {
-					return
-				}
-			}
-			q.prod.failedPush++
-			// Let the consumer run if we share a core: Gosched yields
-			// the processor, where time.Sleep(0) returns immediately
-			// and leaves a single-CPU consumer waiting for preemption.
-			runtime.Gosched()
-			continue
-		}
-		time.Sleep(sleep)
-		q.prod.sleepMicros += uint64(sleep / time.Microsecond)
-		if try() {
-			return
-		}
-		q.prod.failedPush++
-		if sleep < maxSleep {
-			sleep *= 2
-		}
+// Close marks the end of the stream and wakes a parked consumer, which
+// must force-drain the tail. Producer side; idempotent.
+func (q *Queue[T]) Close() {
+	q.done.Store(true)
+	if g := q.gate.Load(); g != nil {
+		g.wake()
 	}
 }
-
-// Close marks the end of the stream. Producer side; idempotent.
-func (q *Queue[T]) Close() { q.done.Store(true) }
 
 // Closed reports whether the producer has closed the queue. Elements may
 // still be buffered; use Drained to test for full consumption.
@@ -350,6 +329,7 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	q.buf[h&q.mask] = zero // drop the reference for GC
 	q.head.Store(h + 1)
 	q.cons.pops++
+	q.freed(h + 1)
 	return v, true
 }
 
@@ -380,7 +360,11 @@ func (q *Queue[T]) ConsumeBatch(batch int, force bool, f func([]T)) int {
 	take := uint64(batch)
 	if avail < take {
 		if !force {
+			// The consumer is giving up on this ring until more arrives,
+			// so a producer parked above the low-water mark must not be
+			// left waiting for a drain that is not coming.
 			q.cons.shortPolls++
+			q.producer.wake()
 			return 0
 		}
 		take = avail
@@ -403,6 +387,7 @@ func (q *Queue[T]) ConsumeBatch(batch int, force bool, f func([]T)) int {
 	}
 	q.head.Store(h + consumed)
 	q.cons.pops += consumed
+	q.freed(h + consumed)
 	return int(consumed)
 }
 
@@ -410,7 +395,7 @@ func (q *Queue[T]) ConsumeBatch(batch int, force bool, f func([]T)) int {
 // functor and returns how many were dropped. It is the abort path's
 // drain-and-discard primitive: once a run is doomed, consumers stop
 // paying for user code but must keep emptying the ring so a producer
-// blocked in waitUntil is released. Dropped slots are zeroed for GC and
+// parked on it is released. Dropped slots are zeroed for GC and
 // counted as Pops, so the conservation invariant (Pushes == Pops on a
 // drained queue) holds even for runs that die mid-pipeline. Consumer side.
 func (q *Queue[T]) DiscardBatch(batch int) int {
@@ -434,6 +419,7 @@ func (q *Queue[T]) DiscardBatch(batch int) int {
 	}
 	q.head.Store(h + take)
 	q.cons.pops += take
+	q.freed(h + take)
 	return int(take)
 }
 
@@ -441,16 +427,6 @@ func (q *Queue[T]) DiscardBatch(batch int) int {
 // has been consumed — the combiner exit condition.
 func (q *Queue[T]) Drained() bool {
 	return q.done.Load() && q.head.Load() == q.tail.Load()
-}
-
-// SetSleepCap adjusts the producer's maximum backoff sleep on a full
-// ring. Unlike every other queue method it is safe from ANY goroutine —
-// the online tuner calls it from the telemetry sampler while both queue
-// sides run. d <= 0 restores DefaultSleepCap. A producer already inside a
-// wait finishes that wait under the cap it read at entry; the next wait
-// observes the new value.
-func (q *Queue[T]) SetSleepCap(d time.Duration) {
-	q.sleepCap.Store(int64(d / time.Microsecond))
 }
 
 // ConsumerStats returns the consumer-owned counter subset: cumulative
@@ -465,10 +441,10 @@ func (q *Queue[T]) ConsumerStats() (pops, emptyPolls, shortPolls, batchCalls uin
 // ProducerStats returns the producer-owned counter subset. Unlike
 // Snapshot, which reads both sides and therefore requires a quiescent
 // queue, this is safe to call from the producer goroutine at any time —
-// it is how the engines mirror failed-push and sleep totals into the
+// it is how the engines mirror failed-push and parked-time totals into the
 // telemetry layer while the consumer is still running.
 func (q *Queue[T]) ProducerStats() (pushes, failedPush, sleepMicros uint64) {
-	return q.prod.pushes, q.prod.failedPush, q.prod.sleepMicros
+	return q.prod.pushes, q.prod.failedPush, q.prod.parkedNanos / 1000
 }
 
 // Snapshot returns a copy of the event counters.
@@ -481,6 +457,6 @@ func (q *Queue[T]) Snapshot() Stats {
 		EmptyPolls:  q.cons.emptyPolls,
 		ShortPolls:  q.cons.shortPolls,
 		BatchCalls:  q.cons.batchCalls,
-		SleepMicros: q.prod.sleepMicros,
+		SleepMicros: q.prod.parkedNanos / 1000,
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -194,12 +193,13 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	combiners int
 	plan      core.Plan
 	queues    []*spsc.Queue[streamPair[K, V]]
+	gates     []*spsc.Gate // per combiner: where it parks between chunks
 	mirrors   []*telemetry.QueueMirror
 	combs     []*combinerState[K, V]
 	tel       *telemetry.Telemetry
 	ownTel    bool
 	batchA    atomic.Int64
-	driver    *streamTuner
+	driver    *core.TunerDriver
 
 	// OnSeal, when set before Start, is invoked from the sealer
 	// goroutine after each window is published (service wires per-window
@@ -307,6 +307,7 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	}
 	for j := 0; j < combiners; j++ {
 		p.combs = append(p.combs, &combinerState[K, V]{panes: make(map[int64]container.Container[K, V])})
+		p.gates = append(p.gates, spsc.NewGate())
 	}
 	return p, nil
 }
@@ -331,7 +332,7 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		p.mirrors = make([]*telemetry.QueueMirror, len(p.queues)) // nil-safe mirrors
 	}
 	if p.cfg.Tuner != nil {
-		p.driver = startStreamTuner(p.streamTunerArgs())
+		p.driver = p.startTuner()
 	}
 	for i := 0; i < p.mappers; i++ {
 		p.mapWG.Add(1)
@@ -350,7 +351,7 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		p.combWG.Wait()
 		<-p.sealerDone
 		if p.driver != nil {
-			p.driver.stop()
+			p.driver.Stop()
 		}
 		var qs mr.QueueStats
 		for _, q := range p.queues {
@@ -368,12 +369,18 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 }
 
 // fail records the session's first error and trips the abort path:
-// mappers stop taking tasks, combiners switch to discard-draining (so
-// producers blocked on full rings unwedge), the sealer exits.
+// mappers stop taking tasks, combiners (woken if parked) switch to
+// discard-draining so producers blocked on full rings unwedge, the
+// sealer exits.
 func (p *Pipeline[S, K, V, R]) fail(err error) {
 	p.firstErr.Set(err)
 	p.abort.Store(true)
-	p.dieOnce.Do(func() { close(p.dying) })
+	p.dieOnce.Do(func() {
+		close(p.dying)
+		for _, g := range p.gates {
+			g.Wake()
+		}
+	})
 }
 
 // Cancel aborts the session without draining.
@@ -583,6 +590,12 @@ func (p *Pipeline[S, K, V, R]) runMapper(i int) {
 			}
 			p.spec.Map(t.split, emit)
 			flush()
+			// Under sustained load combiners wait for full batches
+			// (§IV-C), but this split's pane cannot seal until its last
+			// pair is folded, and the next full batch may be a long way
+			// off — this mapper may go idle, or be handed a slow or sparse
+			// split. Have the combiner fold what the ring holds now.
+			q.Flush()
 			// Order matters for the seal quiesce check: pairs become
 			// visible (flush, pushed) before the split counts done.
 			ps := p.lookupPane(t.pane)
@@ -619,7 +632,7 @@ func (p *Pipeline[S, K, V, R]) runCombiner(j int, rng [2]int) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.fail(&mr.PanicError{Engine: "stream", Worker: fmt.Sprintf("combine worker %d", j), Value: r})
-			p.discardDrain(rng)
+			p.discardDrain(j, rng)
 		}
 	}()
 	if cpu := p.plan.CombinerCPU[j]; cpu >= 0 && affinity.Supported() {
@@ -628,7 +641,12 @@ func (p *Pipeline[S, K, V, R]) runCombiner(j int, rng [2]int) {
 	}
 
 	cs := p.combs[j]
+	gate := p.gates[j]
 	mine := p.queues[rng[0]:rng[1]]
+	for _, q := range mine {
+		q.SetGate(gate)
+	}
+	live := make([]*spsc.Queue[streamPair[K, V]], 0, len(mine)) // each round's undrained rings
 	scratch := make([]container.KV[K, V], 0, int(p.batchA.Load()))
 	curPane := int64(math.MinInt64)
 	var curC container.Container[K, V]
@@ -664,67 +682,42 @@ func (p *Pipeline[S, K, V, R]) runCombiner(j int, rng [2]int) {
 		tw.AddBatches(1)
 	}
 
-	idleRounds := 0
 	for {
 		if p.abort.Load() {
-			p.discardDrain(rng)
+			p.discardDrain(j, rng)
 			return
 		}
-		consumed, open := 0, 0
+		consumed := 0
 		batch := int(p.batchA.Load())
-		// An idle previous round forces short consumes: under sustained
-		// load combiners wait for full batches (§IV-C), but once input
-		// pauses — end of a window's traffic, pre-seal lull — buffered
-		// pairs must reach their pane containers so the seal quiesce
-		// check can pass.
-		force := idleRounds > 0
+		live = live[:0]
 		for qi, q := range mine {
 			if q.Drained() {
 				continue
 			}
-			open++
-			n := q.ConsumeBatch(batch, force || q.Closed(), apply)
-			consumed += n
+			live = append(live, q)
+			// Wait for full batches within a split; take the tail its
+			// mapper flushed at the split's end, or left on exit.
+			consumed += q.ConsumeBatch(batch, q.Flushing() || q.Closed(), apply)
 			p.mirrors[rng[0]+qi].StoreConsumer(q.ConsumerStats())
 		}
-		if open == 0 {
+		if len(live) == 0 {
 			return
 		}
 		if consumed == 0 {
-			idleRounds++
 			tw.SetState(telemetry.StateIdle)
-			if idleRounds < 4 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(20 * time.Microsecond)
-			}
+			spsc.Park(gate, live, batch, p.abort.Load)
 		} else {
-			idleRounds = 0
 			tw.SetState(telemetry.StateWorking)
 			p.kickSealer()
 		}
 	}
 }
 
-// discardDrain empties the worker's rings without running user code so
+// discardDrain empties combiner j's rings without running user code so
 // producers blocked on full rings can exit, until every ring is closed
 // and drained.
-func (p *Pipeline[S, K, V, R]) discardDrain(rng [2]int) {
-	mine := p.queues[rng[0]:rng[1]]
-	for {
-		alive := false
-		for _, q := range mine {
-			if q.Drained() {
-				continue
-			}
-			alive = true
-			q.DiscardBatch(int(p.batchA.Load()))
-		}
-		if !alive {
-			return
-		}
-		runtime.Gosched()
-	}
+func (p *Pipeline[S, K, V, R]) discardDrain(j int, rng [2]int) {
+	spsc.DrainDiscard(p.gates[j], p.queues[rng[0]:rng[1]], int(p.batchA.Load()))
 }
 
 // sealable returns the highest window index (exclusive) the current

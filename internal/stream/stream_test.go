@@ -405,7 +405,7 @@ func TestMapperPanicAborts(t *testing.T) {
 // resident pipeline and its report is readable after close.
 func TestTunedSession(t *testing.T) {
 	cfg := testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512})
-	cfg.Tuner = &tuner.Config{Seed: 7}
+	cfg.Tuner = &tuner.Config{}
 	p, err := New(countSpec(16), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,63 +1,26 @@
 package stream
 
 import (
-	"sort"
-	"sync"
-	"time"
-
-	"ramr/internal/spsc"
-	"ramr/internal/telemetry"
+	"ramr/internal/core"
 	"ramr/internal/tuner"
 )
 
-// streamTuner adapts the AIMD controller (internal/tuner) to a resident
-// pipeline. Unlike the batch engine's elastic pool, a streaming session
-// cannot hand SPSC rings between combiners mid-flight without an
-// ownership protocol spanning windows, so the pool size is pinned
-// (Min = Max = combiners) and the controller's surviving knobs are the
-// consume batch size and the producer sleep backoff — the two that
-// matter for a pipeline alternating between bursts and lulls. The
-// controller keeps running across windows: its state is never reset at
-// a seal, so tuning learned on window n carries into window n+1 (the
-// ISSUE's "tuner keeps running across windows").
-//
-// Like core's driver it runs on the telemetry sampler goroutine via the
-// observer hook; stop() fences it so the report can be read race-free.
-type streamTuner struct {
-	mu      sync.Mutex
-	stopped bool
-
-	ctrl  *tuner.Controller
-	tel   *telemetry.Telemetry
-	apply func(tuner.Decision)
-
-	epochTicks int
-	ticks      int
-	occ        []float64 // sampled occupancies within the current epoch
-	imb        []float64 // per-tick imbalance ratios within the current epoch
-	caps       []float64 // per-queue capacity, indexed like Sample.Depths
-	prev       telemetry.Counters
-}
-
-// streamTunerArgs carries what the driver needs, type-erased: the
-// generic Pipeline hands over closures instead of its typed queues.
-type streamTunerArgs struct {
-	tcfg        tuner.Config
-	combiners   int
-	batch       int // starting consume batch, pre-clamped
-	capQ        int // per-queue ring capacity
-	caps        []float64
-	tel         *telemetry.Telemetry
-	storeBatch  func(int)
-	setSleepCap func(time.Duration)
-}
-
-// streamTunerArgs bundles the pipeline's tuner inputs.
-func (p *Pipeline[S, K, V, R]) streamTunerArgs() *streamTunerArgs {
+// startTuner adapts the AIMD controller (internal/tuner) to a resident
+// pipeline through the batch engine's driver (core.TunerDriver: the
+// signals are engine-agnostic). Unlike the batch engine's elastic pool, a
+// streaming session cannot hand SPSC rings between combiners mid-flight
+// without an ownership protocol spanning windows, so the pool size is
+// pinned (Min = Max = combiners) and the controller's surviving knob is
+// the consume batch size. The controller keeps running across windows:
+// its state is never reset at a seal, so tuning learned on window n
+// carries into window n+1 (the ISSUE's "tuner keeps running across
+// windows"). The caller guarantees p.tel is non-nil (New allocates a
+// private Telemetry when the config tunes without one).
+func (p *Pipeline[S, K, V, R]) startTuner() *core.TunerDriver {
 	capQ := p.cfg.QueueCapacity
-	caps := make([]float64, len(p.queues))
+	caps := make([]int, len(p.queues))
 	for i, q := range p.queues {
-		caps[i] = float64(q.Cap())
+		caps[i] = q.Cap()
 	}
 	tcfg := *p.cfg.Tuner
 	// Pin the pool: grow/shrink decisions clamp to no-ops.
@@ -72,112 +35,10 @@ func (p *Pipeline[S, K, V, R]) streamTunerArgs() *streamTunerArgs {
 	if tcfg.MinBatch > tcfg.MaxBatch {
 		tcfg.MinBatch = tcfg.MaxBatch
 	}
-	queues := p.queues
-	return &streamTunerArgs{
-		tcfg:      tcfg,
-		combiners: p.combiners,
-		batch:     int(p.batchA.Load()),
-		capQ:      capQ,
-		caps:      caps,
-		tel:       p.tel,
-		storeBatch: func(b int) {
-			if b < 1 {
-				b = 1
-			}
-			if b > capQ {
-				b = capQ
-			}
-			p.batchA.Store(int64(b))
-		},
-		setSleepCap: func(d time.Duration) {
-			for _, q := range queues {
-				q.SetSleepCap(d)
-			}
-		},
-	}
-}
-
-// startStreamTuner wires the driver into the telemetry sampler and
-// returns it for the end-of-session report. The caller guarantees
-// args.tel is non-nil (New allocates a private Telemetry when the
-// config tunes without one).
-func startStreamTuner(args *streamTunerArgs) *streamTuner {
-	ctrl := tuner.NewController(args.tcfg, tuner.Settings{
-		Combiners: args.combiners,
-		Batch:     args.batch,
-		Backoff:   spsc.DefaultSleepCap,
+	ctrl := tuner.NewController(tcfg, tuner.Settings{Combiners: p.combiners, Batch: int(p.batchA.Load())})
+	return core.StartTunerDriver(ctrl, p.tel, caps, func(d tuner.Decision) {
+		p.batchA.Store(int64(min(max(d.Settings.Batch, 1), capQ)))
 	})
-	d := &streamTuner{
-		ctrl:       ctrl,
-		tel:        args.tel,
-		epochTicks: ctrl.EpochTicks(),
-		caps:       args.caps,
-	}
-	curBackoff := spsc.DefaultSleepCap
-	d.apply = func(dec tuner.Decision) {
-		args.storeBatch(dec.Settings.Batch)
-		if dec.Settings.Backoff != curBackoff {
-			curBackoff = dec.Settings.Backoff
-			args.setSleepCap(curBackoff)
-		}
-	}
-	args.tel.SetObserver(d.observe)
-	return d
-}
-
-// observe accumulates occupancy and imbalance; at each epoch boundary it
-// forms the Signals delta, advances the controller and applies the
-// decision. Identical in shape to the batch driver — the signals are
-// engine-agnostic.
-func (d *streamTuner) observe(s telemetry.Sample) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		return
-	}
-	for i, depth := range s.Depths {
-		if i < len(d.caps) && d.caps[i] > 0 {
-			d.occ = append(d.occ, float64(depth)/d.caps[i])
-		}
-	}
-	if len(s.Depths) > 0 {
-		d.imb = append(d.imb, s.Imbalance)
-	}
-	d.ticks++
-	if d.ticks < d.epochTicks {
-		return
-	}
-	now := d.tel.CountersNow()
-	sig := tuner.Signals{
-		OccP90:         streamP90(d.occ),
-		QueueImbalance: streamP90(d.imb),
-		CombinedPairs:  now.Combined - d.prev.Combined,
-		Ticks:          d.ticks,
-	}
-	if dp := (now.Pushes - d.prev.Pushes) + (now.FailedPush - d.prev.FailedPush); dp > 0 {
-		sig.FailedPushRate = float64(now.FailedPush-d.prev.FailedPush) / float64(dp)
-	}
-	if polls := (now.BatchCalls - d.prev.BatchCalls) + (now.EmptyPolls - d.prev.EmptyPolls) + (now.ShortPolls - d.prev.ShortPolls); polls > 0 {
-		sig.ShortPollRate = float64(now.ShortPolls-d.prev.ShortPolls) / float64(polls)
-	}
-	d.prev = now
-	d.ticks = 0
-	d.occ = d.occ[:0]
-	d.imb = d.imb[:0]
-	d.apply(d.ctrl.Advance(sig))
-}
-
-// stop fences the driver: no Advance is in flight after it returns.
-func (d *streamTuner) stop() {
-	d.mu.Lock()
-	d.stopped = true
-	d.mu.Unlock()
-}
-
-func (d *streamTuner) report() *tuner.Report {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ctrl.Report()
 }
 
 // TunerReport returns the controller's decision log, or nil when the
@@ -186,15 +47,5 @@ func (p *Pipeline[S, K, V, R]) TunerReport() *tuner.Report {
 	if p.driver == nil {
 		return nil
 	}
-	return p.driver.report()
-}
-
-// streamP90 returns the 90th percentile of vs (zero when empty),
-// sorting in place.
-func streamP90(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sort.Float64s(vs)
-	return vs[int(0.9*float64(len(vs)-1))]
+	return p.driver.Report()
 }

@@ -165,9 +165,9 @@ func TestEnginesAgreeUnderTelemetry(t *testing.T) {
 // concurrently — the test exists to fail under -race if the probe ever
 // touches non-atomic queue state.
 func TestSamplerRaceCap2(t *testing.T) {
-	// WaitBusy keeps the full-ring path timer-free: with capacity 2 the
-	// producer hits a full ring on almost every push, and WaitSleep's
-	// backoff would serialize the test on kernel timer granularity.
+	// With capacity 2 the producer hits a full ring on almost every push;
+	// WaitBusy keeps it hammering the indices there instead of parked,
+	// which is the traffic the probe must not race with.
 	q := spsc.MustNew[int](2, spsc.WaitBusy)
 	tel := &telemetry.Telemetry{Interval: 20 * time.Microsecond, MaxSamples: 128}
 	tel.BeginRun("race")

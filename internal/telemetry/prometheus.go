@@ -76,7 +76,7 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 		func(w *Worker) uint64 { return w.batches.Load() })
 	counter("ramr_worker_failed_pushes_total", "Push wait rounds that found the ring full.",
 		func(w *Worker) uint64 { return w.failedPush.Load() })
-	counter("ramr_worker_sleep_microseconds_total", "Microseconds slept on a full ring.",
+	counter("ramr_worker_sleep_microseconds_total", "Microseconds producers spent parked on a full ring (measured wall time).",
 		func(w *Worker) uint64 { return w.sleepMicros.Load() })
 	counter("ramr_worker_remote_executed_total", "Stolen map tasks completed by this worker.",
 		func(w *Worker) uint64 { return w.remoteExecuted.Load() })

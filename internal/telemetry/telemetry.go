@@ -430,7 +430,19 @@ func (t *Telemetry) stopLocked() {
 	t.mu.Unlock()
 	<-done
 	t.mu.Lock()
+	// A finished run's gauges need the rings' last readings, not the
+	// rings: a Telemetry outlives its run (the service keeps one per
+	// retained job record), and must not pin every ring buffer with it.
+	for i, q := range t.queues {
+		t.queues[i].probe = frozenProbe{len: q.probe.Len(), cap: q.probe.Cap()}
+	}
 }
+
+// frozenProbe is a stopped run's queue: its final depth and capacity.
+type frozenProbe struct{ len, cap int }
+
+func (p frozenProbe) Len() int { return p.len }
+func (p frozenProbe) Cap() int { return p.cap }
 
 // Stop halts the sampler without building a report. Idempotent; engines
 // defer it so error paths never leak the sampler goroutine.

@@ -366,3 +366,31 @@ func TestServerServesMetricsAndPprof(t *testing.T) {
 		t.Fatal("pprof index not served")
 	}
 }
+
+// TestStopReleasesQueueProbes: once the sampler has stopped, a Telemetry
+// keeps each queue's final depth and capacity for the report and the
+// gauges, but no reference to the queue itself — the service retains one
+// Telemetry per finished job, and each used to pin that job's rings.
+func TestStopReleasesQueueProbes(t *testing.T) {
+	tel := New()
+	tel.BeginRun("test")
+	live := &fakeProbe{depth: 3, cap: 8}
+	tel.RegisterQueue("mapper-0", live)
+	rep := tel.EndRun(nil)
+	if len(rep.Queues) != 1 || rep.Queues[0].Capacity != 8 {
+		t.Fatalf("report lost the queue: %+v", rep.Queues)
+	}
+	live.depth, live.cap = 99, 99 // the ring's later life must not show
+	var buf bytes.Buffer
+	if err := tel.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`ramr_queue_depth{engine="test",queue="mapper-0"} 3`, `ramr_queue_capacity{engine="test",queue="mapper-0"} 8`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition after EndRun lacks %q:\n%s", want, buf.String())
+		}
+	}
+	if _, pinned := tel.queues[0].probe.(*fakeProbe); pinned {
+		t.Fatal("stopped Telemetry still references the live queue")
+	}
+}

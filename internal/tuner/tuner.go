@@ -5,8 +5,7 @@
 //
 // The paper's headline results all rest on hand-tuned settings chosen per
 // workload and per machine by offline sweeps (§IV): the mapper-to-combiner
-// ratio, the consume batch size, the queue capacity and the
-// sleep-on-failed-push backoff. Lu et al.'s Xeon Phi study shows the
+// ratio, the consume batch size and the queue capacity. Lu et al.'s Xeon Phi study shows the
 // optimal point shifts drastically across workloads on one chip, and
 // OS4M-style operation-level schedulers rebalance MapReduce work online;
 // this package is the runtime's equivalent of those results.
@@ -17,10 +16,10 @@
 //     epoch (a fixed number of telemetry sampler ticks). It sizes the
 //     elastic combiner pool from backpressure signals (grow on sustained
 //     high occupancy + failed pushes, shrink when short polls dominate)
-//     and runs an AIMD loop over the consume batch size and the producer
-//     sleep backoff, with hysteresis and a revert rule so a step that
-//     costs throughput is undone. Given a seed and a fixed Signals
-//     series, the decision sequence is reproducible bit for bit.
+//     and runs an AIMD loop over the consume batch size, with hysteresis
+//     and a revert rule so a step that costs throughput is undone. Given
+//     a fixed Signals series, the decision sequence is reproducible bit
+//     for bit.
 //
 //   - Search: the offline mode — seeded coordinate descent over
 //     ratio × queue capacity × batch size with a small evaluation cache
@@ -36,11 +35,7 @@
 // Decisions to its pool and queues.
 package tuner
 
-import (
-	"fmt"
-	"math/rand"
-	"time"
-)
+import "fmt"
 
 // Defaults for Config fields left zero. Epochs are measured in sampler
 // ticks, not wall time, so one epoch at the default telemetry interval
@@ -64,10 +59,6 @@ const (
 	DefaultMaxBatch  = 8192
 	DefaultBatchStep = 64
 
-	DefaultMinBackoff  = 8 * time.Microsecond
-	DefaultMaxBackoff  = 1024 * time.Microsecond
-	DefaultBackoffStep = 32 * time.Microsecond
-
 	// DefaultRevertMargin is the relative throughput drop that makes the
 	// controller undo its previous knob step: hill climbing's "that was
 	// downhill" test, with enough slack to ignore sampling noise.
@@ -79,11 +70,6 @@ const (
 // (the engines then pay only nil checks). The zero value of every field
 // selects a documented default, so &tuner.Config{} is a sensible start.
 type Config struct {
-	// Seed drives the controller's deterministic tie-breaking (which
-	// knob family a mixed epoch adjusts first). Two runs over the same
-	// telemetry series and seed produce identical decision sequences.
-	Seed int64
-
 	// EpochTicks is the controller's epoch length in telemetry sampler
 	// ticks; decisions are made only at epoch boundaries. 0 selects
 	// DefaultEpochTicks.
@@ -129,12 +115,6 @@ type Config struct {
 	MaxBatch  int
 	BatchStep int
 
-	// MinBackoff/MaxBackoff/BackoffStep bound and step the producer
-	// sleep-cap AIMD loop. 0 selects the defaults.
-	MinBackoff  time.Duration
-	MaxBackoff  time.Duration
-	BackoffStep time.Duration
-
 	// RevertMargin is the relative throughput regression that undoes the
 	// previous knob step. 0 selects DefaultRevertMargin.
 	RevertMargin float64
@@ -159,11 +139,6 @@ func (c Config) withDefaults() Config {
 			*v = d
 		}
 	}
-	defd := func(v *time.Duration, d time.Duration) {
-		if *v <= 0 {
-			*v = d
-		}
-	}
 	def(&c.EpochTicks, DefaultEpochTicks)
 	def(&c.Hysteresis, DefaultHysteresis)
 	deff(&c.GrowOccupancy, DefaultGrowOccupancy)
@@ -174,9 +149,6 @@ func (c Config) withDefaults() Config {
 	def(&c.MinBatch, DefaultMinBatch)
 	def(&c.MaxBatch, DefaultMaxBatch)
 	def(&c.BatchStep, DefaultBatchStep)
-	defd(&c.MinBackoff, DefaultMinBackoff)
-	defd(&c.MaxBackoff, DefaultMaxBackoff)
-	defd(&c.BackoffStep, DefaultBackoffStep)
 	deff(&c.RevertMargin, DefaultRevertMargin)
 	return c
 }
@@ -199,10 +171,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("tuner: batch bounds must be >= 0, got [%d, %d]", c.MinBatch, c.MaxBatch)
 	case c.MinBatch > 0 && c.MaxBatch > 0 && c.MinBatch > c.MaxBatch:
 		return fmt.Errorf("tuner: MinBatch %d > MaxBatch %d", c.MinBatch, c.MaxBatch)
-	case c.MinBackoff < 0 || c.MaxBackoff < 0:
-		return fmt.Errorf("tuner: backoff bounds must be >= 0, got [%v, %v]", c.MinBackoff, c.MaxBackoff)
-	case c.MinBackoff > 0 && c.MaxBackoff > 0 && c.MinBackoff > c.MaxBackoff:
-		return fmt.Errorf("tuner: MinBackoff %v > MaxBackoff %v", c.MinBackoff, c.MaxBackoff)
 	case c.RevertMargin < 0 || c.RevertMargin >= 1:
 		return fmt.Errorf("tuner: RevertMargin must be in [0, 1), got %g", c.RevertMargin)
 	case c.GrowImbalance < 0:
@@ -259,8 +227,6 @@ type Settings struct {
 	Combiners int `json:"combiners"`
 	// Batch is the consume batch size.
 	Batch int `json:"batch"`
-	// Backoff is the producer's sleep-on-failed-push cap.
-	Backoff time.Duration `json:"backoff_ns"`
 }
 
 // Decision is one epoch's controller output: the settings now in force,
@@ -273,17 +239,13 @@ type Decision struct {
 	// Settings are the knob values in force after the decision.
 	Settings Settings `json:"settings"`
 	// Action names what changed: "hold", "grow", "shrink",
-	// "batch+", "batch-", "backoff+", "backoff-", "revert", or
-	// "schedule".
+	// "batch+", "batch-", "revert", or "schedule".
 	Action string `json:"action"`
 }
 
 // Report is the inspectable record of one tuned run, attached to
 // mr.Result.TunerReport.
 type Report struct {
-	// Seed is the controller seed (decisions replay from it plus the
-	// signal series).
-	Seed int64 `json:"seed"`
 	// EpochTicks is the epoch length in sampler ticks.
 	EpochTicks int `json:"epoch_ticks"`
 	// Initial and Final bracket the run's knob trajectory.
@@ -296,21 +258,11 @@ type Report struct {
 	Settled bool `json:"settled"`
 }
 
-// knob identifies a knob family for the AIMD loop's bookkeeping.
-type knob int
-
-const (
-	knobNone knob = iota
-	knobBatch
-	knobBackoff
-)
-
 // Controller is the deterministic feedback controller. It is not
 // goroutine-safe: the engine steps it from a single goroutine (the
 // telemetry sampler's).
 type Controller struct {
 	cfg Config
-	rng *rand.Rand
 
 	cur   Settings
 	epoch int
@@ -319,8 +271,7 @@ type Controller struct {
 	shrinkStreak int
 	cooldown     int // epochs to hold after a revert
 
-	lastKnob  knob
-	lastDelta int // batch delta, or backoff delta in microseconds
+	lastDelta int // the previous epoch's batch step; 0 when it made none
 	prevRate  float64
 	havePrev  bool
 
@@ -335,11 +286,9 @@ func NewController(cfg Config, initial Settings) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
 		cur: initial,
 	}
 	c.report = Report{
-		Seed:       cfg.Seed,
 		EpochTicks: cfg.EpochTicks,
 		Initial:    initial,
 		Final:      initial,
@@ -388,34 +337,27 @@ func (c *Controller) Advance(sig Signals) Decision {
 	return d
 }
 
-// maybeRevert undoes the previous knob step when the epoch it governed
+// maybeRevert undoes the previous batch step when the epoch it governed
 // lost more than RevertMargin of throughput — the hill-climber's downhill
 // test. Pool changes are never auto-reverted (their effect is what the
-// hysteresis thresholds measure); only batch/backoff steps are.
+// hysteresis thresholds measure).
 func (c *Controller) maybeRevert(sig Signals) bool {
-	if c.lastKnob == knobNone || !c.havePrev || c.prevRate <= 0 {
+	if c.lastDelta == 0 || !c.havePrev || c.prevRate <= 0 {
 		return false
 	}
 	if sig.rate() >= c.prevRate*(1-c.cfg.RevertMargin) {
 		return false
 	}
-	switch c.lastKnob {
-	case knobBatch:
-		c.cur.Batch = c.clampBatch(c.cur.Batch - c.lastDelta)
-	case knobBackoff:
-		c.cur.Backoff = c.clampBackoff(c.cur.Backoff - time.Duration(c.lastDelta)*time.Microsecond)
-	}
-	c.lastKnob = knobNone
+	c.cur.Batch = c.clampBatch(c.cur.Batch - c.lastDelta)
 	c.lastDelta = 0
 	c.cooldown = c.cfg.Hysteresis
 	return true
 }
 
 // step runs the signal-driven logic: pool sizing first (with hysteresis),
-// then at most one AIMD knob step per epoch so regressions are
+// then at most one AIMD batch step per epoch so regressions are
 // attributable to a single change.
 func (c *Controller) step(sig Signals) string {
-	c.lastKnob = knobNone
 	c.lastDelta = 0
 
 	if c.cooldown > 0 {
@@ -453,59 +395,24 @@ func (c *Controller) step(sig Signals) string {
 		}
 	}
 
-	// --- AIMD knob loop: the seeded coin picks which family to try
-	// first this epoch; the first applicable rule wins.
-	first := knobBatch
-	if c.rng.Intn(2) == 1 {
-		first = knobBackoff
-	}
-	for _, k := range [2]knob{first, other(first)} {
-		switch k {
-		case knobBatch:
-			if sig.ShortPollRate >= c.cfg.ShrinkShortPoll {
-				// Combiners outpace mappers: a full batch rarely
-				// accumulates, so halve toward responsiveness (MD).
-				if b := c.clampBatch(c.cur.Batch / 2); b != c.cur.Batch {
-					c.lastKnob, c.lastDelta = knobBatch, b-c.cur.Batch
-					c.cur.Batch = b
-					return "batch-"
-				}
-			} else if sig.OccP90 >= c.cfg.GrowOccupancy {
-				// Rings run full: bigger blocks amortize more per
-				// wakeup (AI).
-				if b := c.clampBatch(c.cur.Batch + c.cfg.BatchStep); b != c.cur.Batch {
-					c.lastKnob, c.lastDelta = knobBatch, b-c.cur.Batch
-					c.cur.Batch = b
-					return "batch+"
-				}
-			}
-		case knobBackoff:
-			if sig.FailedPushRate >= c.cfg.GrowFailedPush {
-				// Producers keep finding full rings: sleep longer so
-				// the combiner gets the core (AI).
-				if d := c.clampBackoff(c.cur.Backoff + c.cfg.BackoffStep); d != c.cur.Backoff {
-					c.lastKnob, c.lastDelta = knobBackoff, int((d-c.cur.Backoff)/time.Microsecond)
-					c.cur.Backoff = d
-					return "backoff+"
-				}
-			} else if c.cur.Backoff > c.cfg.MinBackoff {
-				// Pressure is gone: decay toward responsiveness (MD).
-				if d := c.clampBackoff(c.cur.Backoff / 2); d != c.cur.Backoff {
-					c.lastKnob, c.lastDelta = knobBackoff, int((d-c.cur.Backoff)/time.Microsecond)
-					c.cur.Backoff = d
-					return "backoff-"
-				}
-			}
+	// --- AIMD batch loop.
+	if sig.ShortPollRate >= c.cfg.ShrinkShortPoll {
+		// Combiners outpace mappers: a full batch rarely accumulates, so
+		// halve toward responsiveness (MD).
+		if b := c.clampBatch(c.cur.Batch / 2); b != c.cur.Batch {
+			c.lastDelta = b - c.cur.Batch
+			c.cur.Batch = b
+			return "batch-"
+		}
+	} else if sig.OccP90 >= c.cfg.GrowOccupancy {
+		// Rings run full: bigger blocks amortize more per wakeup (AI).
+		if b := c.clampBatch(c.cur.Batch + c.cfg.BatchStep); b != c.cur.Batch {
+			c.lastDelta = b - c.cur.Batch
+			c.cur.Batch = b
+			return "batch+"
 		}
 	}
 	return "hold"
-}
-
-func other(k knob) knob {
-	if k == knobBatch {
-		return knobBackoff
-	}
-	return knobBatch
 }
 
 func (c *Controller) clampCombiners(n int) int {
@@ -530,16 +437,6 @@ func (c *Controller) clampBatch(b int) int {
 		b = c.cfg.MaxBatch
 	}
 	return b
-}
-
-func (c *Controller) clampBackoff(d time.Duration) time.Duration {
-	if d < c.cfg.MinBackoff {
-		d = c.cfg.MinBackoff
-	}
-	if d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
-	}
-	return d
 }
 
 // Report returns a copy of the decision log so far. Safe to call after

@@ -3,11 +3,10 @@ package tuner
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 func baseSettings() Settings {
-	return Settings{Combiners: 2, Batch: 1000, Backoff: 128 * time.Microsecond}
+	return Settings{Combiners: 2, Batch: 1000}
 }
 
 // congested is an epoch that should eventually grow the pool: rings near
@@ -22,29 +21,25 @@ func starved() Signals {
 	return Signals{OccP90: 0.02, FailedPushRate: 0.0, ShortPollRate: 0.9, CombinedPairs: 1000, Ticks: 16}
 }
 
-// quiet is an epoch inside the deadband: no rule should fire except the
-// backoff decay.
+// quiet is an epoch inside the deadband: no rule should fire.
 func quiet() Signals {
 	return Signals{OccP90: 0.4, FailedPushRate: 0.0, ShortPollRate: 0.1, CombinedPairs: 1000, Ticks: 16}
 }
 
-// TestDeterminism: two controllers with the same seed fed the same signal
-// series must emit identical decision sequences; a different seed may
-// diverge (and with this series does not have to), but the same-seed pair
-// is the contract the acceptance criteria names.
+// TestDeterminism: two controllers fed the same signal series must emit
+// identical decision sequences — the controller makes no random choice.
 func TestDeterminism(t *testing.T) {
 	series := []Signals{congested(), congested(), starved(), quiet(), congested(), starved(), starved(), quiet(), congested(), congested()}
-	run := func(seed int64) []Decision {
-		c := NewController(Config{Seed: seed, MaxCombiners: 8}, baseSettings())
+	run := func() []Decision {
+		c := NewController(Config{MaxCombiners: 8}, baseSettings())
 		var out []Decision
 		for _, s := range series {
 			out = append(out, c.Advance(s))
 		}
 		return out
 	}
-	a, b := run(7), run(7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed diverged:\n%v\nvs\n%v", a, b)
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("same series diverged:\n%v\nvs\n%v", a, b)
 	}
 }
 
@@ -192,7 +187,7 @@ func TestScheduleReplay(t *testing.T) {
 		if d.Settings.Combiners != w {
 			t.Fatalf("epoch %d: combiners = %d, want %d", i, d.Settings.Combiners, w)
 		}
-		if d.Settings.Batch != 1000 || d.Settings.Backoff != 128*time.Microsecond {
+		if d.Settings.Batch != 1000 {
 			t.Fatalf("schedule mode touched knobs: %+v", d)
 		}
 	}
@@ -218,16 +213,8 @@ func TestReportTrajectory(t *testing.T) {
 	quiet := NewController(Config{MaxCombiners: 2}, baseSettings())
 	quiet.Advance(Signals{})
 	quiet.Advance(Signals{})
-	quiet.Advance(Signals{})
 	if !quiet.Report().Settled {
-		// All-zero signals still decay the backoff until MinBackoff, so
-		// give it a few more epochs to reach the floor.
-		for i := 0; i < 8; i++ {
-			quiet.Advance(Signals{})
-		}
-		if !quiet.Report().Settled {
-			t.Fatalf("quiet controller never settled: %+v", quiet.Report())
-		}
+		t.Fatalf("quiet controller did not settle: %+v", quiet.Report())
 	}
 }
 
@@ -238,7 +225,6 @@ func TestConfigValidate(t *testing.T) {
 		{Hysteresis: -1},
 		{MinCombiners: 4, MaxCombiners: 2},
 		{MinBatch: 100, MaxBatch: 10},
-		{MinBackoff: time.Second, MaxBackoff: time.Millisecond},
 		{RevertMargin: 1.5},
 		{GrowImbalance: -1},
 		{Schedule: []int{2, 0}},
@@ -248,7 +234,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted %+v", i, c)
 		}
 	}
-	good := Config{Seed: 1, EpochTicks: 8, Schedule: []int{1, 2, 1}}
+	good := Config{EpochTicks: 8, Schedule: []int{1, 2, 1}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("Validate rejected good config: %v", err)
 	}
