@@ -97,8 +97,7 @@ func main() {
 		shards         = flag.Int("shards", 0, "data shards per job (0 = one per worker)")
 		retries        = flag.Int("retries", 0, "full passes over a shard's candidate workers before the job fails (0 = 3 default)")
 		backoff        = flag.Duration("backoff", 0, "base delay between dispatch passes, doubled per pass (0 = 100ms default)")
-		pollInterval   = flag.Duration("poll-interval", 0, "pace of result polling on dispatched shards (0 = 25ms default)")
-		requestTimeout = flag.Duration("request-timeout", 0, "per-HTTP-exchange timeout against workers (0 = 10s default)")
+		requestTimeout = flag.Duration("request-timeout", 0, "per-HTTP-exchange timeout against workers; a shard is awaited with result requests waiting half of it (0 = 10s default)")
 		shardTimeout   = flag.Duration("shard-timeout", 0, "per-shard dispatch+execution budget (0 = 5m default)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running dispatches before cancelling")
 		logFormat      = flag.String("log-format", "text", "structured log encoding: text or json")
@@ -130,7 +129,6 @@ func main() {
 		v    time.Duration
 	}{
 		{"-backoff", *backoff},
-		{"-poll-interval", *pollInterval},
 		{"-request-timeout", *requestTimeout},
 		{"-shard-timeout", *shardTimeout},
 	} {
@@ -151,7 +149,6 @@ func main() {
 		Shards:         *shards,
 		Retries:        *retries,
 		Backoff:        *backoff,
-		PollInterval:   *pollInterval,
 		RequestTimeout: *requestTimeout,
 		ShardTimeout:   *shardTimeout,
 		Logger:         lg,

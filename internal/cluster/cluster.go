@@ -40,7 +40,6 @@ import (
 const (
 	DefaultRetries        = 3
 	DefaultBackoff        = 100 * time.Millisecond
-	DefaultPollInterval   = 25 * time.Millisecond
 	DefaultRequestTimeout = 10 * time.Second
 	DefaultShardTimeout   = 5 * time.Minute
 )
@@ -70,17 +69,16 @@ type Config struct {
 	// Backoff is the base delay between dispatch attempts, doubled per
 	// pass; 0 selects DefaultBackoff.
 	Backoff time.Duration
-	// PollInterval paces result polling on a dispatched shard; 0
-	// selects DefaultPollInterval.
-	PollInterval time.Duration
 	// RequestTimeout bounds each HTTP exchange; 0 selects
-	// DefaultRequestTimeout.
+	// DefaultRequestTimeout. A dispatched shard is awaited with result
+	// requests that each ask the worker to wait half of it.
 	RequestTimeout time.Duration
-	// ShardTimeout bounds one shard's dispatch+execution+poll; 0
+	// ShardTimeout bounds one shard's dispatch+execution+wait; 0
 	// selects DefaultShardTimeout.
 	ShardTimeout time.Duration
 	// Client overrides the HTTP client (tests); nil builds one with
-	// RequestTimeout.
+	// RequestTimeout. An override's own timeout must exceed
+	// RequestTimeout/2, the wait each result request asks for.
 	Client *http.Client
 	// Logger receives the coordinator's structured log lines; nil
 	// disables logging.
@@ -155,9 +153,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Backoff == 0 {
 		cfg.Backoff = DefaultBackoff
-	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = DefaultPollInterval
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout

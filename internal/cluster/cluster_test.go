@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,11 +42,10 @@ func newCoordinator(t *testing.T, shards int, urls ...string) *Coordinator {
 		specs = append(specs, WorkerSpec{URL: u})
 	}
 	co, err := New(Config{
-		Workers:      specs,
-		Shards:       shards,
-		Retries:      3,
-		Backoff:      5 * time.Millisecond,
-		PollInterval: 2 * time.Millisecond,
+		Workers: specs,
+		Shards:  shards,
+		Retries: 3,
+		Backoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +281,90 @@ func TestWorkerKilledMidShardReshards(t *testing.T) {
 	}
 	if co.met.reshards.Load() == 0 {
 		t.Error("reshard counter not incremented")
+	}
+}
+
+// impatientWorker fronts a real worker, recording every result request
+// and, for a while after the first one, answering them with an immediate
+// 202 — what a worker (or an intermediary) that does not honour ?wait=
+// looks like.
+type impatientWorker struct {
+	proxy    *httputil.ReverseProxy
+	earlyFor time.Duration
+
+	mu      sync.Mutex
+	first   time.Time // arrival of the first result request
+	waits   []string  // the wait parameter of every result request
+	early   int       // result requests cut short
+	awaited int       // result requests passed on to the worker
+}
+
+func (iw *impatientWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/result") {
+		iw.mu.Lock()
+		if iw.first.IsZero() {
+			iw.first = time.Now()
+		}
+		iw.waits = append(iw.waits, r.URL.Query().Get("wait"))
+		cut := time.Since(iw.first) < iw.earlyFor
+		if cut {
+			iw.early++
+		} else {
+			iw.awaited++
+		}
+		iw.mu.Unlock()
+		if cut {
+			w.Header().Set(service.ProtoHeader, service.ProtoVersion)
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"state":"running"}`)
+			return
+		}
+	}
+	iw.proxy.ServeHTTP(w, r)
+}
+
+// TestShardAwaitedByCompletion pins the coordinator's side of ?wait=:
+// every result request asks the worker to wait (half the per-exchange
+// timeout), a worker that honours it is asked once per shard job, and an
+// early 202 is retried no faster than the turn-around floor — never in a
+// spin.
+func TestShardAwaitedByCompletion(t *testing.T) {
+	backend := newWorker(t)
+	target, err := url.Parse(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const earlyFor = 6 * minResultTurnaround
+	iw := &impatientWorker{proxy: httputil.NewSingleHostReverseProxy(target), earlyFor: earlyFor}
+	front := httptest.NewServer(iw)
+	t.Cleanup(front.Close)
+
+	req := &service.JobRequest{Workload: "WC", Seed: 21, MaxCPUs: 8,
+		Config: service.ConfigOverlay{Pin: "none"}}
+	wantDigest, _ := singleNodeDigest(t, backend.URL, req)
+	co := newCoordinator(t, 1, front.URL)
+	res, err := co.Run(context.Background(), req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest != wantDigest {
+		t.Fatalf("digest %s, single-node %s", res.Digest, wantDigest)
+	}
+
+	iw.mu.Lock()
+	defer iw.mu.Unlock()
+	for i, w := range iw.waits {
+		if w != (DefaultRequestTimeout / 2).String() {
+			t.Fatalf("result request %d carried wait=%q, want %s", i, w, DefaultRequestTimeout/2)
+		}
+	}
+	// One turn of the loop per floor while the 202s last (a spin would
+	// make thousands), then a single request the worker itself answers.
+	if max := int(earlyFor/minResultTurnaround) + 1; iw.early < 1 || iw.early > max {
+		t.Fatalf("%d result requests during %v of early 202s, want 1..%d", iw.early, earlyFor, max)
+	}
+	if iw.awaited != 1 {
+		t.Fatalf("%d result requests reached the worker, want exactly one awaited request", iw.awaited)
 	}
 }
 

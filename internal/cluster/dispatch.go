@@ -351,8 +351,17 @@ func shardBody(req *service.JobRequest, sh workloads.ShardSpec) ([]byte, error) 
 	return body, nil
 }
 
-// runShardOn submits the shard to one worker and polls it to a terminal
-// state. The admitted flag reports whether the worker accepted the shard
+// minResultTurnaround floors one turn of runShardOn's wait loop. A worker
+// honouring ?wait= answers 202 only after the whole wait lapsed, so the
+// floor never bites; it is there so that an early 202 — an intermediary
+// answering for the worker, a worker whose clock jumped — cannot turn the
+// loop into a spin.
+const minResultTurnaround = 25 * time.Millisecond
+
+// runShardOn submits the shard to one worker and waits for its terminal
+// state on the worker's GET /jobs/{id}/result?wait=: the request returns
+// the moment the shard job settles, not on a polling timer. The admitted
+// flag reports whether the worker accepted the shard
 // job — a worker lost after admission is a mid-shard death (a reshard),
 // before admission just a placement miss. Error classes: errSaturated
 // (429 at admission), errWorkerDown (transport failure or 5xx — the
@@ -373,17 +382,18 @@ func (c *Coordinator) runShardOn(ctx context.Context, w *worker, body []byte) (d
 	}
 	id := doc.ID
 	for {
-		select {
-		case <-time.After(c.cfg.PollInterval):
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
+		asked := time.Now()
 		doc, err = c.getResult(ctx, w, id)
 		if err != nil {
 			return nil, true, err
 		}
-		if doc == nil {
-			continue // still running
+		if doc == nil { // still running: the wait lapsed
+			select {
+			case <-time.After(minResultTurnaround - time.Since(asked)):
+			case <-ctx.Done():
+				return nil, true, ctx.Err()
+			}
+			continue
 		}
 		switch doc.State {
 		case "done":
@@ -427,11 +437,15 @@ func (c *Coordinator) postJob(ctx context.Context, w *worker, body []byte) (*wor
 	return &doc, nil
 }
 
-// getResult polls the worker's GET /jobs/{id}/result: (nil, nil) while
-// the job is still queued or running (202).
+// getResult asks the worker's GET /jobs/{id}/result to wait for the job:
+// the terminal document, or (nil, nil) when the wait lapsed with the job
+// still queued or running (202). The wait is half the per-exchange
+// timeout, so a worker that stops answering mid-wait is still noticed
+// within RequestTimeout.
 func (c *Coordinator) getResult(ctx context.Context, w *worker, id int) (*workerDoc, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/jobs/%d/result", w.spec.URL, id), nil)
+		fmt.Sprintf("%s/jobs/%d/result?wait=%s", w.spec.URL, id,
+			(c.cfg.RequestTimeout/2).Truncate(time.Millisecond)), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,8 @@ func NewServer(co *Coordinator, logger *slog.Logger) *Server {
 //	POST   /jobs             submit; dispatched as shards across the cluster
 //	GET    /jobs             list retained cluster jobs
 //	GET    /jobs/{id}        status
-//	GET    /jobs/{id}/result merged result incl. per-shard dispatch records
+//	GET    /jobs/{id}/result merged result incl. per-shard dispatch records;
+//	                         ?wait=5s blocks until the dispatch settles
 //	GET    /jobs/{id}/trace  probe/dispatch/merge spans as Chrome-trace JSON
 //	DELETE /jobs/{id}        cancel a running dispatch
 //	GET    /stats            worker set with health, job counts, capabilities
@@ -321,11 +322,27 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.doc(j, false))
 }
 
+// handleResult serves the merged result; ?wait=<duration> blocks on the
+// dispatch's completion (202 when the wait lapses or the client goes
+// away), exactly like a worker's result endpoint.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, err := s.lookup(r)
 	if err != nil {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
+	}
+	wait, err := service.ParseResultWait(r)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if wait > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+		}
+		cancel()
 	}
 	if state, _, _, _ := j.snapshot(); state == "running" {
 		s.writeJSON(w, http.StatusAccepted, s.doc(j, false))

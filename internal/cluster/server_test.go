@@ -39,7 +39,7 @@ func getDoc(t *testing.T, url string) (int, map[string]any) {
 }
 
 // TestServerEndToEnd drives the ramrc surface the way the CI smoke and
-// the quickstart do: submit, poll the merged result, compare its digest
+// the quickstart do: submit, wait for the merged result, compare its digest
 // to the single-node run, then check /stats and /metrics.
 func TestServerEndToEnd(t *testing.T) {
 	wa, wb := newWorker(t), newWorker(t)
@@ -65,21 +65,13 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	id := int(sub["id"].(float64))
 
-	var res map[string]any
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		code, doc := getDoc(t, fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
-		if code == http.StatusOK {
-			res = doc
-			break
-		}
-		if code != http.StatusAccepted {
-			t.Fatalf("GET result: HTTP %d (%v)", code, doc)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cluster job did not finish in 60s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// One request, no polling loop: ?wait= blocks on the dispatch.
+	if code, doc := getDoc(t, fmt.Sprintf("%s/jobs/%d/result?wait=nonsense", ts.URL, id)); code != http.StatusBadRequest {
+		t.Fatalf("GET result?wait=nonsense: HTTP %d (%v), want 400", code, doc)
+	}
+	code, res := getDoc(t, fmt.Sprintf("%s/jobs/%d/result?wait=30s", ts.URL, id))
+	if code != http.StatusOK {
+		t.Fatalf("GET result?wait=30s: HTTP %d (%v)", code, res)
 	}
 	if res["state"] != "done" {
 		t.Fatalf("cluster job settled %v: %v", res["state"], res["error"])

@@ -336,3 +336,39 @@ func TestFixedHashUpdateBatchOverflowPanics(t *testing.T) {
 	}()
 	h.UpdateBatch([]KV[int, int]{{K: 1, V: 1}, {K: 2, V: 2}, {K: 3, V: 3}}, sum)
 }
+
+// HG's fixed-hash configuration: 768 dense int keys. At the declared size
+// the table must be at most half full, and a steady-state update (every
+// key already present) must stay near the 1.5 probes linear probing costs
+// at that load — the 7/8 sizing rule put these keys in 1024 slots and
+// paid about 2.5.
+func TestFixedHashLoadAtDeclaredSize(t *testing.T) {
+	const keys = 768
+	h := NewFixedHash[int, int](keys, HashInt)
+	if got := len(h.state); got != 2048 {
+		t.Fatalf("768 keys sized to %d slots, want 2048 (next power of two >= 2x)", got)
+	}
+	for _, n := range []int{1, 7, 8, 100, 768, 1024, 5000} {
+		if slots := len(NewFixedHash[int, int](n, HashInt).state); slots < 2*n || slots&(slots-1) != 0 {
+			t.Fatalf("%d keys sized to %d slots, want a power of two >= %d", n, slots, 2*n)
+		}
+	}
+	batch := make([]KV[int, int], keys)
+	for k := range batch {
+		batch[k] = KV[int, int]{K: k, V: 1}
+	}
+	h.UpdateBatch(batch, sum) // inserts
+	before := h.Probes
+	const rounds = 10
+	for r := 0; r < rounds; r++ {
+		h.UpdateBatch(batch, sum)
+	}
+	mean := float64(h.Probes-before) / (rounds * keys)
+	t.Logf("768 dense keys in %d slots: %.3f probes per steady-state update", len(h.state), mean)
+	if mean > 1.6 {
+		t.Fatalf("mean probes per update at the declared size = %.2f, want <= 1.6", mean)
+	}
+	if h.Len() != keys {
+		t.Fatalf("Len = %d, want %d", h.Len(), keys)
+	}
+}

@@ -38,10 +38,10 @@ func mix64(x uint64) uint64 {
 // paper deliberately injects — while avoiding dynamic allocation on the
 // hot path.
 //
-// The table refuses to exceed a 7/8 load factor: inserting more distinct
-// keys than capacity allows panics, because the caller declared the bound.
-// Use NewFixedHash with the expected distinct-key count; it sizes the
-// backing arrays with headroom.
+// Inserting more distinct keys than the declared capacity panics, because
+// the caller declared the bound. Use NewFixedHash with the expected
+// distinct-key count; it sizes the backing arrays so that a table filled
+// to that count is at most half full.
 type FixedHash[K comparable, V any] struct {
 	hash    Hasher[K]
 	keys    []K
@@ -56,8 +56,12 @@ type FixedHash[K comparable, V any] struct {
 }
 
 // NewFixedHash returns a fixed-capacity table able to hold maxKeys
-// distinct keys. The backing store is sized to the next power of two at
-// least 8/7 of maxKeys so the load factor stays below 7/8.
+// distinct keys. The backing store is the next power of two at least
+// twice maxKeys, so the load factor at the declared size stays at or
+// below 1/2: linear probing costs about (1+1/(1-a))/2 probes per hit at
+// load a — 1.5 at 1/2 against 2.5 at the 3/4 that HG's 768 keys reached
+// under the previous 7/8 rule (EXPERIMENTS.md, "Admission before
+// materialisation").
 func NewFixedHash[K comparable, V any](maxKeys int, hash Hasher[K]) *FixedHash[K, V] {
 	if maxKeys <= 0 {
 		panic("container: FixedHash maxKeys must be positive")
@@ -65,9 +69,8 @@ func NewFixedHash[K comparable, V any](maxKeys int, hash Hasher[K]) *FixedHash[K
 	if hash == nil {
 		panic("container: FixedHash requires a hash function")
 	}
-	want := maxKeys + maxKeys/7 + 1
 	cap := uint64(8)
-	for cap < uint64(want) {
+	for cap < 2*uint64(maxKeys) {
 		cap <<= 1
 	}
 	return &FixedHash[K, V]{

@@ -247,7 +247,10 @@ type Job struct {
 	name string
 	prio Priority
 
-	s         *Scheduler
+	s *Scheduler
+	// run and metricsFn are dropped (under mu) when the job turns
+	// terminal: a retained handle must not pin whatever the closures
+	// captured — typically the job's whole input.
 	run       RunFunc
 	metricsFn func() map[string]float64
 	runCtx    context.Context
@@ -695,19 +698,19 @@ func (s *Scheduler) startLocked(j *Job) {
 			"grant", len(grant), "queue_wait", j.started.Sub(j.queuedAt), "alloc", j.allocDur)
 	}
 	s.wg.Add(1)
-	go func() {
+	go func(run RunFunc, metricsFn func() map[string]float64) {
 		defer s.wg.Done()
-		err := runSafe(j.runCtx, grant, j.run)
+		err := runSafe(j.runCtx, grant, run)
 		// Collect final metrics outside the scheduler lock — the
 		// callback may be slow — but hand them to finish, which assigns
 		// j.metrics under mu: Status() reads the field under the same
 		// lock and may run concurrently with this goroutine.
 		var m map[string]float64
-		if j.metricsFn != nil {
-			m = metricsSafe(j.metricsFn)
+		if metricsFn != nil {
+			m = metricsSafe(metricsFn)
 		}
 		s.finish(j, err, m)
-	}()
+	}(j.run, j.metricsFn)
 }
 
 // metricsSafe invokes the metrics callback, swallowing a panic — a bad
@@ -735,6 +738,7 @@ func (s *Scheduler) finish(j *Job, err error, metrics map[string]float64) {
 		s.free[id] = true
 	}
 	delete(s.running, j.id)
+	j.run, j.metricsFn = nil, nil
 	j.metrics = metrics
 	j.state = StateDone
 	j.finished = time.Now()
@@ -765,6 +769,7 @@ func (s *Scheduler) removeQueuedLocked(j *Job, cause error) {
 	if len(q.jobs) == 0 {
 		q.deficit = 0
 	}
+	j.run, j.metricsFn = nil, nil
 	j.state = StateCanceled
 	j.finished = time.Now()
 	if cause == nil {

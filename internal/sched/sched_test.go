@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -655,4 +656,85 @@ func TestReserveID(t *testing.T) {
 	if err := j2.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// collected reports whether the finalizer signalled by ch fires within a
+// few GC cycles.
+func collected(ch <-chan struct{}) bool {
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-ch:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
+}
+
+// A terminal job's handle must not pin what its Run and Metrics closures
+// captured: the service tier retains handles of finished jobs, and the
+// closures typically hold the job's whole input.
+func TestTerminalJobReleasesRunClosure(t *testing.T) {
+	sc, err := New(Config{Machine: testMachine(), Budget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// submit admits a job whose closures capture a fresh 16 MB block and
+	// returns the handle plus a channel closed when the block is freed.
+	// The block is reachable only through the closures.
+	submit := func(run func(ctx context.Context, buf *[16 << 20]byte) error) (*Job, <-chan struct{}) {
+		buf := new([16 << 20]byte)
+		freed := make(chan struct{})
+		runtime.SetFinalizer(buf, func(*[16 << 20]byte) { close(freed) })
+		j, err := sc.Submit(JobSpec{
+			Name: "pinned-input", Priority: PriorityNormal, MinCPUs: 2,
+			Run:     func(ctx context.Context, _ []int) error { return run(ctx, buf) },
+			Metrics: func() map[string]float64 { return map[string]float64{"first": float64(buf[0])} },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, freed
+	}
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	done, doneFreed := submit(func(ctx context.Context, buf *[16 << 20]byte) error {
+		buf[1] = 1
+		close(started)
+		<-release
+		return nil
+	})
+	<-started
+	// The whole budget is taken, so this one stays queued until cancelled.
+	queued, queuedFreed := submit(func(context.Context, *[16 << 20]byte) error {
+		t.Error("a job cancelled while queued ran")
+		return nil
+	})
+	queued.Cancel()
+	if st := queued.Status(); st.State != StateCanceled {
+		t.Fatalf("cancelled queued job is %v", st.State)
+	}
+	if !collected(queuedFreed) {
+		t.Fatal("a job cancelled while queued still pins what its Run closure captured")
+	}
+
+	select {
+	case <-doneFreed:
+		t.Fatal("the running job's input was freed under it")
+	default:
+	}
+	close(release)
+	if err := done.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !collected(doneFreed) {
+		t.Fatal("a finished job still pins what its Run closure captured")
+	}
+	if st := done.Status(); st.State != StateDone || st.Metrics["first"] != 0 {
+		t.Fatalf("finished job status = %+v", st)
+	}
+	runtime.KeepAlive(queued)
+	runtime.KeepAlive(done)
 }

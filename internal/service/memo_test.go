@@ -135,7 +135,8 @@ func TestMemoHitDeterministic(t *testing.T) {
 }
 
 // TestCoalescingExactlyOnce fires N identical submissions concurrently:
-// exactly one scheduler execution may happen; every other caller must be
+// exactly one scheduler execution — and one input build — may happen;
+// every other caller must be
 // answered by coalescing onto the in-flight leader or by the memo cache,
 // and all of them converge to the same finished result.
 func TestCoalescingExactlyOnce(t *testing.T) {
@@ -194,6 +195,9 @@ func TestCoalescingExactlyOnce(t *testing.T) {
 		t.Fatalf("%d executions for %d identical submissions, want 1", got, n)
 	}
 	m := memoSection(t, ts)
+	if got := m["builds"].(float64); got != 1 {
+		t.Fatalf("%v inputs built for %d identical submissions, want 1", got, n)
+	}
 	if got := m["coalesced"].(float64) + m["hits"].(float64); got != n-1 {
 		t.Fatalf("coalesced+hits = %v, want %d", got, n-1)
 	}

@@ -69,9 +69,10 @@ func waitTraceSpan(t *testing.T, ts *httptest.Server, id int, name string) []map
 }
 
 // TestJobTraceLifecycle asserts the tentpole acceptance: a job submitted
-// over HTTP yields a retrievable trace covering receive, build, queue
-// wait, grant allocation (with the CPU set as span args) and the engine
-// execution with its phases, all under a root span naming the job.
+// over HTTP yields a retrievable trace covering receive, queue wait,
+// grant allocation (with the CPU set as span args), the input build
+// inside the grant and the engine execution with its phases, in that
+// order, all under a root span naming the job.
 func TestJobTraceLifecycle(t *testing.T) {
 	_, ts, _ := newTestService(t, 0)
 	code, doc := postJob(t, ts, `{"workload":"WC","seed":1,"config":{"pin":"none"}}`)
@@ -104,6 +105,23 @@ func TestJobTraceLifecycle(t *testing.T) {
 	for _, want := range []string{"job", "receive", "build", "queue-wait", "grant-alloc", "execute"} {
 		if _, ok := spans[want]; !ok {
 			t.Fatalf("trace missing span %q; have %v", want, keys(spans))
+		}
+	}
+	// Spans start in lifecycle order, and the build sits inside the
+	// grant: after the allocation (itself the tail of the queue wait),
+	// before the engine, overlapping neither.
+	order := []string{"receive", "queue-wait", "grant-alloc", "build", "execute"}
+	for i := 1; i < len(order); i++ {
+		prev, next := spans[order[i-1]], spans[order[i]]
+		bound := prev["ts"].(float64)
+		if order[i] != "grant-alloc" {
+			bound += prev["dur"].(float64)
+		}
+		// Chrome-trace times are microseconds with nanosecond
+		// fractions; allow one for rounding.
+		if next["ts"].(float64) < bound-0.001 {
+			t.Fatalf("%s starts at %vus, before %s (%vus + %vus) allows",
+				order[i], next["ts"], order[i-1], prev["ts"], prev["dur"])
 		}
 	}
 	root := spans["job"]
@@ -148,7 +166,7 @@ func keys(m map[string]map[string]any) []string {
 
 // TestMemoHitTraceShort asserts a memo hit serves a short hit-only
 // trace: its own record id, a memo-hit instant naming the executor, a
-// root status of "cached", and no execution or queue-wait spans.
+// root status of "cached", and no build, execution or queue-wait spans.
 func TestMemoHitTraceShort(t *testing.T) {
 	_, ts, _ := newMemoService(t, Config{Seed: 5})
 	body := `{"workload":"WC","seed":9,"config":{"pin":"none"}}`
@@ -169,9 +187,9 @@ func TestMemoHitTraceShort(t *testing.T) {
 		t.Fatalf("trace for hit record %d: HTTP %d", hitID, code)
 	}
 	spans := spanNames(events)
-	for _, absent := range []string{"execute", "queue-wait", "grant-alloc"} {
+	for _, absent := range []string{"build", "execute", "queue-wait", "grant-alloc"} {
 		if _, ok := spans[absent]; ok {
-			t.Fatalf("memo-hit trace contains %q span; hits must not execute", absent)
+			t.Fatalf("memo-hit trace contains %q span; hits must neither build nor execute", absent)
 		}
 	}
 	if args, _ := spans["job"]["args"].(map[string]any); args["status"] != "cached" {
@@ -317,6 +335,9 @@ func TestMetricsStrictAndHistograms(t *testing.T) {
 		`ramr_job_phase_seconds_count{workload="WC",engine="RAMR",priority="normal",phase="map-combine"} 1`,
 		"ramr_build_info{version=",
 		"ramr_service_uptime_seconds",
+		// One executed job, one memo hit: one input built.
+		"# TYPE ramr_service_builds_total counter",
+		"ramr_service_builds_total 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q", want)

@@ -13,8 +13,13 @@ import (
 // differs, so a mixed-version deployment fails loudly at admission
 // instead of corrupting a merge with a partial whose shape it
 // misreads. Bump it on any incompatible change to the shard or partial
-// wire shapes.
-const ProtoVersion = "1"
+// wire shapes, or to what the coordinator relies on a worker to honour.
+//
+// Generation 2: GET /jobs/{id}/result honours ?wait=<duration>. The
+// coordinator waits on it instead of polling on a timer, so a
+// generation-1 worker — which ignores the parameter and answers 202 at
+// once — is refused at the probe.
+const ProtoVersion = "2"
 
 // ProtoHeader is the response header carrying ProtoVersion.
 const ProtoHeader = "X-RAMR-Proto"
@@ -37,7 +42,7 @@ type Capabilities struct {
 func capabilitiesDoc() Capabilities {
 	return Capabilities{
 		Proto:      ProtoVersion,
-		Features:   []string{"jobs", "memo", "partial", "shard", "stream"},
+		Features:   []string{"jobs", "memo", "partial", "result-wait", "shard", "stream"},
 		ShardApps:  workloads.ShardableApps(),
 		StreamApps: []string{"SYNTH", "WC"},
 	}

@@ -60,15 +60,9 @@ type JobRequest struct {
 	// Mutually exclusive with Stream.
 	Shard *workloads.ShardSpec `json:"shard,omitempty"`
 
-	// Parsed during validation.
-	engine   workloads.Engine
-	priority sched.Priority
 	// rec, when set by the HTTP layer, is the lifecycle recorder the
 	// submission's spans land in; Submit creates one when nil.
 	rec *obs.Recorder
-	// synthParams is the fully-resolved SYNTH parameterization (the
-	// streaming path rebuilds the job per grant from it).
-	synthParams synth.Params
 }
 
 // resolveSynthParams overlays the request's synth parameters onto the
@@ -217,88 +211,123 @@ func parseClass(s string) (workloads.SizeClass, error) {
 	}
 }
 
-// buildJob validates req, instantiates the named workload, assembles the
-// base engine config (before the grant overlay applied at dispatch) and
-// renders the request's canonical content digest — the full identity of
-// the computation: workload name, the fully-resolved input parameters
-// (Table I platform/class and container, or SYNTH params after
-// defaulting), engine, seed, tuner flag and the whole config overlay.
-// Scheduling hints (priority, CPU bounds) affect placement, not the
-// computed result, so they are excluded: two requests with equal digests
-// compute the same Result and the memo cache may serve one from the
-// other. Defaulting happens before hashing, so an explicit default value
-// and an omitted field produce the same digest.
-func buildJob(req *JobRequest, m *topology.Machine) (*workloads.Job, mr.Config, string, error) {
-	var cfg mr.Config
+// plan is a resolved submission: everything admission decides from —
+// the canonical content digest, the scheduling class, the base engine
+// config — and the handful of generator parameters materialise needs to
+// build the input later. Nothing in it scales with the input.
+type plan struct {
+	// app is the canonical workload name (upper case).
+	app    string
+	engine workloads.Engine
+	// priority and the CPU bounds are scheduling hints: they shape the
+	// grant, not the result, and stay out of the digest.
+	priority         sched.Priority
+	minCPUs, maxCPUs int
+	// cfg is the base engine config, before the grant overlay.
+	cfg mr.Config
+	// mappers/combiners, when > 0, override the grant-derived split.
+	mappers, combiners int
+	// digest is the canonical content digest (hex).
+	digest string
+
+	seed  int64
+	shard *workloads.ShardSpec
+	// Table I apps: generator parameters and container kind.
+	params workloads.Params
+	kind   container.Kind
+	// SYNTH: the parameterization after defaulting.
+	synth synth.Params
+}
+
+// resolve validates req — everything a build could reject: workload,
+// platform/class, container, engine, priority, shard spec, SYNTH and
+// stream parameters — applies defaults, assembles the base engine config
+// (before the grant overlay applied at dispatch) and renders the request's
+// canonical content digest: the full identity of the computation —
+// workload name, the fully-resolved input parameters (Table I
+// platform/class and container, or SYNTH params after defaulting),
+// engine, seed, tuner flag and the whole config overlay. Scheduling hints
+// (priority, CPU bounds) affect placement, not the computed result, so
+// they are excluded: two requests with equal digests compute the same
+// Result and the memo cache may serve one from the other. Defaulting
+// happens before hashing, so an explicit default value and an omitted
+// field produce the same digest.
+//
+// resolve generates no input: admission (draining, memo lookup,
+// coalescing, queue bound) decides from the plan alone, and only a job
+// the scheduler granted CPUs to pays for materialise.
+func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
+	p := &plan{
+		seed:    req.Seed,
+		minCPUs: req.MinCPUs, maxCPUs: req.MaxCPUs,
+		mappers: req.Config.Mappers, combiners: req.Config.Combiners,
+	}
 
 	switch strings.ToLower(req.Engine) {
 	case "", "ramr":
-		req.engine = workloads.EngineRAMR
+		p.engine = workloads.EngineRAMR
 	case "phoenix", "phoenix++":
-		req.engine = workloads.EnginePhoenix
+		p.engine = workloads.EnginePhoenix
 	default:
-		return nil, cfg, "", fmt.Errorf("unknown engine %q (want ramr|phoenix)", req.Engine)
+		return nil, fmt.Errorf("unknown engine %q (want ramr|phoenix)", req.Engine)
 	}
 	prio, err := sched.ParsePriority(strings.ToLower(req.Priority))
 	if err != nil {
-		return nil, cfg, "", err
+		return nil, err
 	}
-	req.priority = prio
+	p.priority = prio
 
-	app := strings.ToUpper(strings.TrimSpace(req.Workload))
-	var job *workloads.Job
+	p.app = strings.ToUpper(strings.TrimSpace(req.Workload))
 	var inputKey string
-	switch app {
+	switch p.app {
 	case "":
-		return nil, cfg, "", fmt.Errorf("workload is required")
+		return nil, fmt.Errorf("workload is required")
 	case "SYNTH":
-		p, err := resolveSynthParams(req.Synth)
+		sp, err := resolveSynthParams(req.Synth)
 		if err != nil {
-			return nil, cfg, "", err
+			return nil, err
 		}
-		req.synthParams = p
-		if req.Shard != nil {
-			if job, err = synth.NewShardJob(p, req.Seed, *req.Shard); err != nil {
-				return nil, cfg, "", err
-			}
-		} else {
-			job = synth.NewJob(p, req.Seed)
-		}
+		p.synth = sp
 		inputKey = fmt.Sprintf("synth=%d,%d,%d,%d,%d,%d,%g",
-			p.Elements, p.Keys,
-			int(p.MapKernel.Kind), p.MapKernel.Intensity,
-			int(p.CombineKernel.Kind), p.CombineKernel.Intensity,
-			p.Skew)
+			sp.Elements, sp.Keys,
+			int(sp.MapKernel.Kind), sp.MapKernel.Intensity,
+			int(sp.CombineKernel.Kind), sp.CombineKernel.Intensity,
+			sp.Skew)
 	default:
 		platform, err := parsePlatform(req.Platform)
 		if err != nil {
-			return nil, cfg, "", err
+			return nil, err
 		}
 		class, err := parseClass(req.Class)
 		if err != nil {
-			return nil, cfg, "", err
+			return nil, err
 		}
-		in, err := workloads.Input(app, platform, class)
+		in, err := workloads.Input(p.app, platform, class)
 		if err != nil {
-			return nil, cfg, "", err
+			return nil, err
 		}
-		kind := workloads.StressContainer(app)
+		p.params = in.Params
+		p.kind = workloads.StressContainer(p.app)
 		if req.Container != "" {
-			if kind, err = parseContainer(req.Container); err != nil {
-				return nil, cfg, "", err
+			if p.kind, err = parseContainer(req.Container); err != nil {
+				return nil, err
 			}
 		}
-		if req.Shard != nil {
-			if job, err = workloads.NewShardJobParams(app, in.Params, kind, req.Seed, *req.Shard); err != nil {
-				return nil, cfg, "", err
-			}
-		} else if job, err = workloads.NewJobParams(app, in.Params, kind, req.Seed); err != nil {
-			return nil, cfg, "", err
+		inputKey = fmt.Sprintf("input=%d,%d|container=%d", int(platform), int(class), int(p.kind))
+	}
+	if req.Shard != nil {
+		if err := req.Shard.Validate(); err != nil {
+			return nil, fmt.Errorf("shard %s: %v", p.app, err)
 		}
-		inputKey = fmt.Sprintf("input=%d,%d|container=%d", int(platform), int(class), int(kind))
+		if !workloads.Shardable(p.app) {
+			return nil, fmt.Errorf("app %q is not shardable (want one of %v; float-valued apps merge only approximately)",
+				p.app, workloads.ShardableApps())
+		}
+		sh := *req.Shard // materialise runs later: do not alias the caller's request
+		p.shard = &sh
 	}
 
-	cfg = mr.DefaultConfig()
+	cfg := mr.DefaultConfig()
 	cfg.Machine = m
 	ov := req.Config
 	if ov.Ratio > 0 {
@@ -319,14 +348,14 @@ func buildJob(req *JobRequest, m *topology.Machine) (*workloads.Job, mr.Config, 
 	if ov.Pin != "" {
 		pin, err := mr.ParsePinPolicy(ov.Pin)
 		if err != nil {
-			return nil, cfg, "", err
+			return nil, err
 		}
 		cfg.Pin = pin
 	}
 	if ov.Steal != "" {
 		st, err := mr.ParseStealPolicy(ov.Steal)
 		if err != nil {
-			return nil, cfg, "", err
+			return nil, err
 		}
 		cfg.Steal = st
 	}
@@ -335,24 +364,25 @@ func buildJob(req *JobRequest, m *topology.Machine) (*workloads.Job, mr.Config, 
 	}
 	if req.Stream != nil {
 		if req.Shard != nil {
-			return nil, cfg, "", fmt.Errorf("streaming jobs cannot be sharded")
+			return nil, fmt.Errorf("streaming jobs cannot be sharded")
 		}
-		if app != "SYNTH" && app != "WC" {
-			return nil, cfg, "", fmt.Errorf("streaming is supported for the SYNTH and WC workloads only, not %s", app)
+		if p.app != "SYNTH" && p.app != "WC" {
+			return nil, fmt.Errorf("streaming is supported for the SYNTH and WC workloads only, not %s", p.app)
 		}
-		if req.engine != workloads.EngineRAMR {
-			return nil, cfg, "", fmt.Errorf("streaming runs on the ramr engine only")
+		if p.engine != workloads.EngineRAMR {
+			return nil, fmt.Errorf("streaming runs on the ramr engine only")
 		}
 		spec := req.Stream.spec()
 		if err := spec.Validate(); err != nil {
-			return nil, cfg, "", err
+			return nil, err
 		}
 		cfg.Stream = spec
 	}
+	p.cfg = cfg
 
 	h := sha256.New()
 	fmt.Fprintf(h, "app=%s|engine=%d|seed=%d|tuner=%t|%s|cfg=%d,%d,%d,%d,%d,%d,%d,%d,%d",
-		app, int(req.engine), req.Seed, req.Tuner, inputKey,
+		p.app, int(p.engine), req.Seed, req.Tuner, inputKey,
 		ov.Mappers, ov.Combiners, cfg.Ratio, cfg.TaskSize, cfg.QueueCapacity,
 		cfg.BatchSize, cfg.EmitBatch, int(cfg.Pin), int(cfg.Steal))
 	if cfg.Stream != nil {
@@ -365,14 +395,50 @@ func buildJob(req *JobRequest, m *topology.Machine) (*workloads.Job, mr.Config, 
 		r := cfg.Stream.Resolved()
 		fmt.Fprintf(h, "|stream=%d,%d,%d,%d", r.Window, r.Slide, r.Lateness, r.MaxPending)
 	}
-	if req.Shard != nil {
+	if p.shard != nil {
 		// A shard computes a strict subset of the full job's output, so
 		// its digest must differ both from the unsharded request's and
 		// from every other shard's — otherwise the memo cache would serve
 		// one shard's partial for another. Including the spec here is
 		// also what gives a re-dispatched shard (retry, reshard onto
 		// another worker that already ran it) a shard-level memo hit.
-		fmt.Fprintf(h, "|shard=%d/%d", req.Shard.Index, req.Shard.Count)
+		fmt.Fprintf(h, "|shard=%d/%d", p.shard.Index, p.shard.Count)
 	}
-	return job, cfg, hex.EncodeToString(h.Sum(nil)), nil
+	p.digest = hex.EncodeToString(h.Sum(nil))
+	return p, nil
+}
+
+// materialise generates the plan's input and binds it to a runnable job.
+// It is the expensive half of a submission — a Table I corpus is
+// megabytes — and runs as the first step of the scheduled Run closure:
+// under the job's CPU grant, and only for a job that actually executes.
+// resolve already rejected everything the constructors reject, so an
+// error here is a bug, reported as a failed job.
+func (p *plan) materialise() (*workloads.Job, error) {
+	switch {
+	case p.app == "SYNTH" && p.shard != nil:
+		return synth.NewShardJob(p.synth, p.seed, *p.shard)
+	case p.app == "SYNTH":
+		return synth.NewJob(p.synth, p.seed), nil
+	case p.shard != nil:
+		return workloads.NewShardJobParams(p.app, p.params, p.kind, p.seed, *p.shard)
+	default:
+		return workloads.NewJobParams(p.app, p.params, p.kind, p.seed)
+	}
+}
+
+// grantConfig overlays a CPU grant on the plan's base engine config; the
+// request's explicit mapper/combiner counts, when set, override the
+// grant-derived split (the grant still caps pinning and the elastic
+// pool).
+func (p *plan) grantConfig(grant []int) mr.Config {
+	c := p.cfg
+	c.ApplyGrant(grant)
+	if p.mappers > 0 {
+		c.Mappers = p.mappers
+	}
+	if p.combiners > 0 {
+		c.Combiners = p.combiners
+	}
+	return c
 }

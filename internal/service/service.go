@@ -5,7 +5,7 @@
 // daemon (cmd/ramrd) is a thin flag-parsing wrapper around this package.
 //
 // Every submission carries a lifecycle trace (internal/obs): receive,
-// build/digest, memo outcome, queue wait, grant allocation and the
+// memo outcome, queue wait, grant allocation, input build and the
 // engine's phase and worker spans, retrievable as Chrome-trace JSON at
 // GET /jobs/{id}/trace. Scheduler transitions and memo outcomes also
 // land in a bounded ring (GET /debug/events), and job latencies feed the
@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ramr/internal/memo"
@@ -118,6 +119,13 @@ type Service struct {
 	hist    *lifecycleHists
 	stream  *streamMetrics
 	start   time.Time
+	// builds counts materialised batch inputs: one per executed job,
+	// none for a memo hit, a follower, a rejection, a job cancelled
+	// while queued or a streaming session.
+	builds atomic.Uint64
+	// afterBuild, when set (tests only), runs in a batch job's Run
+	// closure between the build and the execution.
+	afterBuild func()
 
 	mu       sync.Mutex
 	entries  map[int]*entry
@@ -137,7 +145,7 @@ type entry struct {
 	id       int
 	workload string
 	engine   workloads.Engine
-	job      *sched.Job // nil for memo-hit records
+	job      *sched.Job           // nil for memo-hit records
 	telem    *telemetry.Telemetry // nil for followers and hits
 	digest   string               // canonical content digest (hex)
 	leader   *entry               // non-nil marks a follower
@@ -280,32 +288,37 @@ func (s *Service) jobLog(e *entry) *slog.Logger {
 // Submit admits one parsed job request. It is the programmatic core of
 // POST /jobs; the HTTP handler only decodes JSON around it.
 //
+// Admission precedes materialisation: the request is resolved to a plan
+// (validation, defaults, content digest — no input generated), and the
+// draining check, the memo lookup, the in-flight coalescer and the
+// scheduler's queue bound all decide from that plan. Only a job the
+// scheduler grants CPUs to builds its input, as the first step of its
+// Run closure.
+//
 // Identical submissions are served without recomputation: the request's
 // canonical content digest (workload + input parameters + engine +
 // config overlay + seed — scheduling hints excluded) is looked up in the
 // memo cache first, and a hit mints a jobless terminal record instantly
 // with Cached set and ExecutedBy naming the original executor — no
-// scheduler admission, no CPU grant, so saturated queues drain under
-// repeat traffic. A concurrent identical submission coalesces onto the
-// in-flight leader instead: the follower gets its own job id and record
-// but attaches a waiter to the leader's execution, observing its
-// completion, error or cancellation.
+// input build, no scheduler admission, no CPU grant, so saturated queues
+// drain under repeat traffic. A concurrent identical submission
+// coalesces onto the in-flight leader instead: the follower gets its own
+// job id and record but attaches a waiter to the leader's execution,
+// observing its completion, error or cancellation.
 func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
 	rec := req.rec
 	if rec == nil {
 		rec = obs.New("job")
 	}
-	endBuild := rec.Span("build", nil)
-	job, cfg, digest, err := buildJob(req, s.machine)
-	endBuild()
+	p, err := resolve(req, s.machine)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	if cfg.Stream != nil {
+	if p.cfg.Stream != nil {
 		// Streaming sessions skip memoization and coalescing entirely:
 		// their result depends on chunks that arrive after admission,
 		// so no content digest can stand in for the computation.
-		return s.submitStream(req, job, cfg, digest, rec)
+		return s.submitStream(p, rec)
 	}
 
 	s.mu.Lock()
@@ -313,17 +326,17 @@ func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
 	if s.closed {
 		return nil, sched.ErrDraining
 	}
-	if v, ok := s.cache.Get(digest); ok {
-		return s.memoHitLocked(req, v.(*cachedRun), digest, rec), nil
+	if v, ok := s.cache.Get(p.digest); ok {
+		return s.memoHitLocked(p, v.(*cachedRun), rec), nil
 	}
-	if leader, ok := s.inflight[digest]; ok {
+	if leader, ok := s.inflight[p.digest]; ok {
 		leader.job.AddWaiter()
 		f := &entry{
 			id:       s.sch.ReserveID(),
 			workload: leader.workload,
 			engine:   leader.engine,
 			job:      leader.job,
-			digest:   digest,
+			digest:   p.digest,
 			leader:   leader,
 			rec:      rec,
 		}
@@ -333,50 +346,26 @@ func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
 		s.cache.NoteCoalesced()
 		s.ring.Append("coalesced", f.id, map[string]any{"leader": leader.id})
 		s.jobLog(f).Info("job coalesced onto in-flight leader", "leader_id", leader.id)
-		go s.watchFollower(f, req.priority.String())
+		go s.watchFollower(f, p.priority.String())
 		doc := resultDoc{entryStatus: s.statusLocked(f)}
 		return &doc, nil
 	}
 
 	e := &entry{
-		workload: job.App,
-		engine:   req.engine,
+		workload: p.app,
+		engine:   p.engine,
 		telem:    telemetry.New(),
-		digest:   digest,
+		digest:   p.digest,
 		rec:      rec,
 	}
-	cfg.Telemetry = e.telem
+	p.cfg.Telemetry = e.telem
 	sj, err := s.sch.Submit(sched.JobSpec{
-		Name:     job.App,
-		Priority: req.priority,
-		MinCPUs:  req.MinCPUs,
-		MaxCPUs:  req.MaxCPUs,
+		Name:     p.app,
+		Priority: p.priority,
+		MinCPUs:  p.minCPUs,
+		MaxCPUs:  p.maxCPUs,
 		Run: func(ctx context.Context, grant []int) error {
-			c := cfg
-			c.ApplyGrant(grant)
-			if req.Config.Mappers > 0 {
-				c.Mappers = req.Config.Mappers
-			}
-			if req.Config.Combiners > 0 {
-				c.Combiners = req.Config.Combiners
-			}
-			// Worker-lane tracing for this run, stitched under the
-			// lifecycle root at export time.
-			col := trace.New()
-			c.Trace = col
-			rec.AttachEngine(col)
-			execStart := time.Now()
-			info, err := job.RunCtx(ctx, req.engine, c)
-			execEnd := time.Now()
-			rec.SpanAt("execute", execStart, execEnd,
-				map[string]any{"cpus": append([]int(nil), grant...)})
-			if info != nil {
-				recordRunDetail(rec, execStart, execEnd, info)
-			}
-			e.mu.Lock()
-			e.info = info
-			e.mu.Unlock()
-			return err
+			return s.runBatch(ctx, grant, e, p)
 		},
 		Metrics: e.finalMetrics,
 	})
@@ -387,28 +376,68 @@ func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
 	e.job = sj
 	rec.SetJob(e.id, e.workload)
 	s.entries[e.id] = e
-	s.inflight[digest] = e
+	s.inflight[p.digest] = e
 	s.multi.Register(strconv.Itoa(e.id), map[string]string{
 		"job": strconv.Itoa(e.id),
 		"app": e.workload,
 	}, e.telem)
 	s.jobLog(e).Info("job admitted", "workload", e.workload,
-		"priority", req.priority.String(), "engine", e.engine.String())
+		"priority", p.priority.String(), "engine", e.engine.String())
 	go s.watch(e)
 	doc := resultDoc{entryStatus: s.statusLocked(e)}
 	return &doc, nil
+}
+
+// runBatch is a batch job's Run closure: materialise the input, then
+// execute it, both under the job's CPU grant. The built job is a local —
+// the scheduler drops the closure when the job turns terminal, so a
+// retained record holds the run's result, never its input.
+func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) error {
+	rec := e.rec
+	endBuild := rec.Span("build", nil)
+	job, err := p.materialise()
+	endBuild()
+	s.builds.Add(1)
+	if err != nil {
+		return err
+	}
+	if s.afterBuild != nil {
+		s.afterBuild()
+	}
+	if err := ctx.Err(); err != nil {
+		// Cancelled while the input was being built: nothing to run.
+		return err
+	}
+	c := p.grantConfig(grant)
+	// Worker-lane tracing for this run, stitched under the
+	// lifecycle root at export time.
+	col := trace.New()
+	c.Trace = col
+	rec.AttachEngine(col)
+	execStart := time.Now()
+	info, err := job.RunCtx(ctx, p.engine, c)
+	execEnd := time.Now()
+	rec.SpanAt("execute", execStart, execEnd,
+		map[string]any{"cpus": append([]int(nil), grant...)})
+	if info != nil {
+		recordRunDetail(rec, execStart, execEnd, info)
+	}
+	e.mu.Lock()
+	e.info = info
+	e.mu.Unlock()
+	return err
 }
 
 // memoHitLocked answers a submission from the memo cache: a jobless
 // terminal record with its own id (so its short hit-only trace stays
 // retrievable at /jobs/{id}/trace) whose ExecutedBy names the job that
 // actually computed the result. Callers hold s.mu.
-func (s *Service) memoHitLocked(req *JobRequest, cv *cachedRun, digest string, rec *obs.Recorder) *resultDoc {
+func (s *Service) memoHitLocked(p *plan, cv *cachedRun, rec *obs.Recorder) *resultDoc {
 	e := &entry{
 		id:       s.sch.ReserveID(),
 		workload: cv.workload,
-		engine:   req.engine,
-		digest:   digest,
+		engine:   p.engine,
+		digest:   p.digest,
 		rec:      rec,
 		execBy:   cv.jobID,
 		hitAt:    time.Now(),
@@ -421,7 +450,7 @@ func (s *Service) memoHitLocked(req *JobRequest, cv *cachedRun, digest string, r
 	s.ring.Append("memo_hit", e.id, map[string]any{"executed_by": cv.jobID})
 	s.jobLog(e).Info("job served from memo cache", "executed_by", cv.jobID)
 	s.hist.e2e.Observe(time.Since(rec.Epoch()).Seconds(),
-		e.workload, e.engine.String(), req.priority.String())
+		e.workload, e.engine.String(), p.priority.String())
 	s.retireLocked()
 	doc := resultDoc{entryStatus: s.statusLocked(e)}
 	doc.fillDetail(cv.info)
@@ -803,7 +832,8 @@ func (s *Service) statusLocked(e *entry) entryStatus {
 //	POST   /jobs             submit (429 when saturated, 503 when draining)
 //	GET    /jobs             list all retained jobs
 //	GET    /jobs/{id}        status: state, grant, phase times, queue stats
-//	GET    /jobs/{id}/result full result incl. telemetry and tuner reports
+//	GET    /jobs/{id}/result full result incl. telemetry and tuner reports;
+//	                         ?wait=5s blocks until the job settles (202 on lapse)
 //	GET    /jobs/{id}/trace  lifecycle + worker-lane Chrome-trace JSON
 //	DELETE /jobs/{id}        cancel (queued, running or streaming)
 //	POST   /jobs/{id}/chunks     streaming: append a chunk (202/429/409)
@@ -957,11 +987,43 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.jobLog(e), http.StatusOK, st)
 }
 
+// MaxResultWait caps the wait query parameter of GET /jobs/{id}/result.
+const MaxResultWait = 30 * time.Second
+
+// ParseResultWait reads the wait query parameter of a result request: a
+// Go duration, capped at MaxResultWait; absent means 0 (answer at once).
+func ParseResultWait(r *http.Request) (time.Duration, error) {
+	v := r.URL.Query().Get("wait")
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("invalid wait %q (want a non-negative duration such as 5s)", v)
+	}
+	return min(d, MaxResultWait), nil
+}
+
+// handleResult implements GET /jobs/{id}/result[?wait=<duration>]: 200
+// with the full result once the job is terminal, 202 with the status
+// while it is not. With wait the handler blocks on the job's completion
+// — not on a timer — and answers 200 the moment it settles, or 202 when
+// the wait lapses or the client goes away.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	e, err := s.lookup(r)
 	if err != nil {
 		writeErr(w, s.log, http.StatusNotFound, err)
 		return
+	}
+	wait, err := ParseResultWait(r)
+	if err != nil {
+		writeErr(w, s.jobLog(e), http.StatusBadRequest, err)
+		return
+	}
+	if wait > 0 && e.job != nil {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		_ = e.job.Wait(ctx)
+		cancel()
 	}
 	s.mu.Lock()
 	st := s.statusLocked(e)
@@ -1062,6 +1124,10 @@ type jobStats struct {
 // memoStats is the /stats memoization-and-retention section.
 type memoStats struct {
 	memo.Stats
+	// Builds counts materialised batch inputs (see Service.builds): with
+	// admission ahead of the build it tracks executed jobs, not
+	// submissions.
+	Builds uint64 `json:"builds"`
 	// RetainedJobs gauges the registry (bounded by the retention
 	// discipline shared with the cache's LRU accounting).
 	RetainedJobs int `json:"retained_jobs"`
@@ -1076,6 +1142,7 @@ func (s *Service) memoStatsDoc() memoStats {
 	s.mu.Unlock()
 	return memoStats{
 		Stats:             s.cache.Stats(),
+		Builds:            s.builds.Load(),
 		RetainedJobs:      retained,
 		RegisteredMetrics: s.multi.Len(),
 	}
@@ -1175,6 +1242,9 @@ ramr_memo_cached_entries %d
 # HELP ramr_memo_max_bytes Configured memo cache byte bound.
 # TYPE ramr_memo_max_bytes gauge
 ramr_memo_max_bytes %d
+# HELP ramr_service_builds_total Batch inputs materialised (one per executed job).
+# TYPE ramr_service_builds_total counter
+ramr_service_builds_total %d
 # HELP ramr_service_jobs_retained Job records retained in the registry.
 # TYPE ramr_service_jobs_retained gauge
 ramr_service_jobs_retained %d
@@ -1190,7 +1260,7 @@ ramr_service_uptime_seconds %g
 `,
 		m.Hits, m.Misses, m.Coalesced, m.Evictions,
 		m.Bytes, m.Entries, m.MaxBytes,
-		m.RetainedJobs, m.RegisteredMetrics,
+		m.Builds, m.RetainedJobs, m.RegisteredMetrics,
 		v, gv, time.Since(s.start).Seconds()); err != nil {
 		return err
 	}

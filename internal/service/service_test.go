@@ -202,10 +202,8 @@ func TestAdmissionControl429(t *testing.T) {
 	_, ts, _ := newTestService(t, 1)
 
 	// Hold the whole budget with a slow synthetic job, fill the 1-deep
-	// queue, then overflow: the third POST must get 429. All three are
-	// SYNTH jobs because their input generation is instant — a heavier
-	// generator inside POST would give the blocker time to finish. The
-	// seeds differ so the requests have distinct content digests — an
+	// queue, then overflow: the third POST must get 429. The seeds
+	// differ so the requests have distinct content digests — an
 	// identical body would coalesce onto the queued job instead of
 	// consuming an admission slot.
 	slow := `{"workload":"SYNTH","min_cpus":56,"max_cpus":56,"config":{"pin":"none"},"synth":{"elements":400000,"map_intensity":300}}`

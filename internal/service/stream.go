@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/sched"
@@ -66,11 +65,7 @@ func newStreamMetrics() *streamMetrics {
 // ready — closed by publish, by fail, or by the watch fallback when the
 // job settles without ever starting (cancelled while queued).
 type streamState struct {
-	spec   mr.StreamSpec // resolved
-	app    string        // SYNTH or WC: selects the session builder
-	kind   container.Kind
-	params synth.Params
-	seed   int64
+	spec mr.StreamSpec // resolved
 
 	// idReady orders the Run closure after Submit assigned the job id
 	// (the closure may fire before sch.Submit returns to the caller).
@@ -136,39 +131,36 @@ func (st *streamState) await(ctx context.Context) (*stream.Session, error) {
 // batch job, but skips the memo lookup and the in-flight coalescer —
 // identical streaming submissions each get their own resident session,
 // and no streaming result is ever inserted into the cache (watch guards
-// on e.stream).
-func (s *Service) submitStream(req *JobRequest, job *workloads.Job, cfg mr.Config, digest string, rec *obs.Recorder) (*resultDoc, error) {
+// on e.stream). A session's input arrives as chunks, so the resolved
+// plan is all it needs: no batch input is ever materialised for it.
+func (s *Service) submitStream(p *plan, rec *obs.Recorder) (*resultDoc, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, sched.ErrDraining
 	}
 	st := &streamState{
-		spec:    cfg.Stream.Resolved(),
-		app:     job.App,
-		kind:    job.Container,
-		params:  req.synthParams,
-		seed:    req.Seed,
+		spec:    p.cfg.Stream.Resolved(),
 		idReady: make(chan struct{}),
 		ready:   make(chan struct{}),
 	}
 	e := &entry{
-		workload: job.App,
-		engine:   req.engine,
+		workload: p.app,
+		engine:   p.engine,
 		telem:    telemetry.New(),
-		digest:   digest,
+		digest:   p.digest,
 		rec:      rec,
 		stream:   st,
 	}
-	cfg.Telemetry = e.telem
+	p.cfg.Telemetry = e.telem
 	sj, err := s.sch.Submit(sched.JobSpec{
-		Name:     job.App,
-		Priority: req.priority,
-		MinCPUs:  req.MinCPUs,
-		MaxCPUs:  req.MaxCPUs,
+		Name:     p.app,
+		Priority: p.priority,
+		MinCPUs:  p.minCPUs,
+		MaxCPUs:  p.maxCPUs,
 		Run: func(ctx context.Context, grant []int) error {
 			<-st.idReady
-			return s.runStream(ctx, grant, e, st, req, cfg)
+			return s.runStream(ctx, grant, e, p)
 		},
 		Metrics: e.finalMetrics,
 	})
@@ -193,7 +185,7 @@ func (s *Service) submitStream(req *JobRequest, job *workloads.Job, cfg mr.Confi
 	})
 	s.jobLog(e).Info("streaming session admitted", "workload", e.workload,
 		"window", st.spec.Window, "slide", st.spec.Slide,
-		"priority", req.priority.String())
+		"priority", p.priority.String())
 	go s.watch(e)
 	doc := resultDoc{entryStatus: s.statusLocked(e)}
 	return &doc, nil
@@ -204,22 +196,16 @@ func (s *Service) submitStream(req *JobRequest, job *workloads.Job, cfg mr.Confi
 // grant until the session drains (Close), is cancelled (DELETE or
 // scheduler drain), or dies. The workers live here across every window;
 // nothing restarts between seals.
-func (s *Service) runStream(ctx context.Context, grant []int, e *entry, st *streamState, req *JobRequest, cfg mr.Config) error {
-	c := cfg
-	c.ApplyGrant(grant)
-	if req.Config.Mappers > 0 {
-		c.Mappers = req.Config.Mappers
-	}
-	if req.Config.Combiners > 0 {
-		c.Combiners = req.Config.Combiners
-	}
+func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *plan) error {
+	st := e.stream
+	c := p.grantConfig(grant)
 	start := time.Now()
 	var sess *stream.Session
 	var err error
-	if st.app == "WC" {
-		sess, err = workloads.NewWordCountStreamSession(st.kind, c)
+	if p.app == "WC" {
+		sess, err = workloads.NewWordCountStreamSession(p.kind, c)
 	} else {
-		sess, err = synth.NewStreamSession(st.params, st.seed, c)
+		sess, err = synth.NewStreamSession(p.synth, p.seed, c)
 	}
 	if err != nil {
 		st.fail(err)

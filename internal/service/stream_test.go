@@ -35,7 +35,13 @@ func postPath(t *testing.T, ts *httptest.Server, path, body string) (int, map[st
 // session to hold its grant (stream.started in the status document).
 func openStream(t *testing.T, ts *httptest.Server, streamSpec string) int {
 	t.Helper()
-	body := fmt.Sprintf(`{"workload":"SYNTH","max_cpus":8,"seed":5,"config":{"pin":"none"},"stream":%s}`, streamSpec)
+	return openStreamApp(t, ts, "SYNTH", streamSpec)
+}
+
+// openStreamApp is openStream for the named streaming workload.
+func openStreamApp(t *testing.T, ts *httptest.Server, app, streamSpec string) int {
+	t.Helper()
+	body := fmt.Sprintf(`{"workload":%q,"max_cpus":8,"seed":5,"config":{"pin":"none"},"stream":%s}`, app, streamSpec)
 	code, doc, _ := postPath(t, ts, "/jobs", body)
 	if code != http.StatusCreated {
 		t.Fatalf("POST /jobs (stream): HTTP %d (%v)", code, doc)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,5 +177,61 @@ func TestSchedulerSaturationAndDrain(t *testing.T) {
 	}
 	if res, err := queued.Wait(ctx); err != nil || res == nil {
 		t.Fatalf("queued job lost in drain: res=%v err=%v", res, err)
+	}
+}
+
+// TestFinishedJobHandleReleasesInput: a finished JobHandle the caller
+// still holds keeps the typed result, not the job's input — the scheduler
+// drops the Run closure (and the Spec it captured) once the job is
+// terminal.
+func TestFinishedJobHandleReleasesInput(t *testing.T) {
+	sc, err := ramr.NewScheduler(ramr.SchedulerConfig{Machine: ramr.HaswellServer(), Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ramr.DefaultConfig()
+	cfg.Pin = ramr.PinNone
+
+	freed := make(chan struct{})
+	// The 16 MB block is reachable only through the submitted Spec.
+	submit := func() *ramr.JobHandle[string, int] {
+		input := new([16 << 20]byte)
+		runtime.SetFinalizer(input, func(*[16 << 20]byte) { close(freed) })
+		spec := wcSpec(8)
+		split := spec.Map
+		spec.Map = func(s string, emit func(string, int)) {
+			if input[len(s)%len(input)] != 0 {
+				panic("input block is not zeroed")
+			}
+			split(s, emit)
+		}
+		h, err := ramr.Submit(sc, spec, cfg, ramr.SubmitOptions{MaxCPUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	h := submit()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := h.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().Before(deadline) {
+				continue
+			}
+			t.Fatal("the finished job's handle still pins its input")
+		}
+		break
+	}
+	if len(res.Pairs) == 0 || h.Status().State.String() != "done" {
+		t.Fatalf("handle lost its result: %d pairs, state %v", len(res.Pairs), h.Status().State)
 	}
 }
