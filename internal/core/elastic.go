@@ -1,8 +1,11 @@
-// Elastic combiner pool + online tuner driver: the adaptive runtime the
-// paper's hand-tuned knobs imply but never build. With mr.Config.Tuner
-// set, the combiner pool can grow and shrink while the map phase runs,
-// and a deterministic controller (internal/tuner) re-tunes the consume
-// batch size from live telemetry deltas.
+// Combiner pool + online tuner driver. The pool answers the one question
+// the kernel's consume loop (kernel.go) never decides itself — which rings
+// does slot j consume this round — for every pipeline: an untuned batch run
+// and a stream session build a pool nobody resizes; with mr.Config.Tuner
+// set the pool grows and shrinks while the map phase runs (the adaptive
+// runtime the paper's hand-tuned knobs imply but never build), and a
+// deterministic controller (internal/tuner) re-tunes the consume batch
+// size from live telemetry deltas.
 //
 // Correctness rests on one lock discipline: the SPSC queues tolerate
 // exactly one consumer at a time, and the consumer side caches the head
@@ -22,30 +25,24 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"ramr/internal/affinity"
-	"ramr/internal/container"
-	"ramr/internal/mr"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 	"ramr/internal/trace"
 	"ramr/internal/tuner"
 )
 
-// elasticPool owns the queue→combiner-slot assignment of a tuned run.
-// Slots 0..active-1 share the live queues (contiguous runs of the
-// locality-dense order, like the static QueueAssignment); slots beyond
-// active are parked with no queues. Drained queues retire out of the
-// assignment; when the last one retires, every slot exits.
-type elasticPool[K comparable, V any] struct {
-	queues []*spsc.Queue[pair[K, V]]
+// elasticPool owns the queue→combiner-slot assignment of a run. Slots
+// 0..active-1 share the live queues (contiguous QueueAssignment runs of
+// the order it was built over, the same rule the pinning plan places
+// combiners by); slots beyond active are parked with no queues. Drained
+// queues retire out of the assignment; when the last one retires, every
+// slot exits. It never looks inside a ring element.
+type elasticPool[E any] struct {
+	queues []*spsc.Queue[E]
 	gates  []*spsc.Gate // per slot
 
 	mu       sync.RWMutex
@@ -66,8 +63,8 @@ type elasticPool[K comparable, V any] struct {
 	onViolation func(queue, holder, claimant int)
 }
 
-func newElasticPool[K comparable, V any](queues []*spsc.Queue[pair[K, V]], gates []*spsc.Gate, order []int, active int, guarded bool, onViolation func(queue, holder, claimant int)) *elasticPool[K, V] {
-	p := &elasticPool[K, V]{
+func newElasticPool[E any](queues []*spsc.Queue[E], gates []*spsc.Gate, order []int, active int, guarded bool, onViolation func(queue, holder, claimant int)) *elasticPool[E] {
+	p := &elasticPool[E]{
 		queues:      queues,
 		gates:       gates,
 		live:        append([]int(nil), order...),
@@ -84,11 +81,12 @@ func newElasticPool[K comparable, V any](queues []*spsc.Queue[pair[K, V]], gates
 	return p
 }
 
-// splitLocked deals the live queues contiguously over the active slots
-// (so each combiner's set stays a dense locality run), pointing each
-// ring's wake-ups at its new owner's gate, and clears the rest. Callers
-// hold the write lock.
-func (p *elasticPool[K, V]) splitLocked() {
+// splitLocked deals the live queues over the active slots by the one
+// split rule, QueueAssignment (so each combiner's set stays a dense run of
+// the order, and an unresized pool consumes exactly what BuildPlanOn pinned
+// next to it), pointing each ring's wake-ups at its new owner's gate, and
+// clears the rest. Callers hold the write lock.
+func (p *elasticPool[E]) splitLocked() {
 	for j := range p.slots {
 		p.slots[j] = nil
 	}
@@ -99,23 +97,16 @@ func (p *elasticPool[K, V]) splitLocked() {
 	if n < 1 {
 		n = 1
 	}
-	base, rem := len(p.live)/n, len(p.live)%n
-	lo := 0
-	for j := 0; j < n; j++ {
-		sz := base
-		if j < rem {
-			sz++
-		}
-		p.slots[j] = append([]int(nil), p.live[lo:lo+sz]...)
+	for j, r := range QueueAssignment(len(p.live), n) {
+		p.slots[j] = append([]int(nil), p.live[r[0]:r[1]]...)
 		for _, qi := range p.slots[j] {
 			p.queues[qi].SetGate(p.gates[j])
 		}
-		lo += sz
 	}
 }
 
 // broadcastLocked wakes every parked slot so it re-reads its assignment.
-func (p *elasticPool[K, V]) broadcastLocked() {
+func (p *elasticPool[E]) broadcastLocked() {
 	p.gen.Add(1)
 	for _, g := range p.gates {
 		g.Wake()
@@ -124,7 +115,7 @@ func (p *elasticPool[K, V]) broadcastLocked() {
 
 // Resize sets the active slot count and redistributes the live queues.
 // No-op once frozen (abort) or when n is unchanged or out of range.
-func (p *elasticPool[K, V]) Resize(n int) {
+func (p *elasticPool[E]) Resize(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.frozen || n == p.active || n < 1 || n > len(p.slots) {
@@ -138,7 +129,7 @@ func (p *elasticPool[K, V]) Resize(n int) {
 // retire removes a drained queue from the assignment. Only the slot that
 // observed Drained calls it, after releasing its read lock. Drained is
 // terminal, so the re-check under the write lock can only confirm it.
-func (p *elasticPool[K, V]) retire(qi int) {
+func (p *elasticPool[E]) retire(qi int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.retired[qi] || !p.queues[qi].Drained() {
@@ -159,7 +150,7 @@ func (p *elasticPool[K, V]) retire(qi int) {
 // queues. The first caller flips the flag and wakes parked slots so they
 // observe the abort; after freeze no Resize can move a queue, so each
 // live queue has exactly one slot responsible for discard-draining it.
-func (p *elasticPool[K, V]) freeze(j int) []int {
+func (p *elasticPool[E]) freeze(j int) []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.frozen {
@@ -169,12 +160,12 @@ func (p *elasticPool[K, V]) freeze(j int) []int {
 	return append([]int(nil), p.slots[j]...)
 }
 
-// drainAbort is the elastic twin of the static path's abort handling:
-// freeze the assignment, discard-drain this slot's queues so producers
-// blocked on full rings can finish, then retire them.
-func (p *elasticPool[K, V]) drainAbort(j, batch int) {
+// drainAbort is the abort path, stated once for every pipeline: freeze the
+// assignment, discard-drain this slot's queues so producers blocked on
+// full rings can finish, then retire them.
+func (p *elasticPool[E]) drainAbort(j, batch int) {
 	mine := p.freeze(j)
-	qs := make([]*spsc.Queue[pair[K, V]], len(mine))
+	qs := make([]*spsc.Queue[E], len(mine))
 	for i, qi := range mine {
 		qs[i] = p.queues[qi]
 	}
@@ -188,7 +179,7 @@ func (p *elasticPool[K, V]) drainAbort(j, batch int) {
 // cost nothing; with guards on a failed CAS means two combiners touched
 // one ring concurrently — the invariant the pool lock must make
 // impossible.
-func (p *elasticPool[K, V]) acquire(qi, j int) bool {
+func (p *elasticPool[E]) acquire(qi, j int) bool {
 	if !p.guarded {
 		return true
 	}
@@ -201,7 +192,7 @@ func (p *elasticPool[K, V]) acquire(qi, j int) bool {
 	return true
 }
 
-func (p *elasticPool[K, V]) release(qi int) {
+func (p *elasticPool[E]) release(qi int) {
 	if p.guarded {
 		p.guards[qi].Store(0)
 	}
@@ -230,33 +221,11 @@ func localityOrder(mapperGroup []int) []int {
 	return order
 }
 
-// elasticArgs bundles what the elastic pool and tuner driver need from
-// RunContext.
-type elasticArgs[K comparable, V any] struct {
-	ctx        context.Context
-	cfg        mr.Config
-	tcfg       tuner.Config // bounds already resolved by resolveTuner
-	queues     []*spsc.Queue[pair[K, V]]
-	mirrors    []*telemetry.QueueMirror
-	containers []container.Container[K, V]
-	gates      []*spsc.Gate // one per combiner slot; RunContext's trip wakes them
-	combine    container.Combine[V]
-	plan       Plan
-	order      []int // queue indices, locality-dense
-	initial    int   // starting pool size
-	batch      int   // starting consume batch (pre-clamped to capacity)
-	tel        *telemetry.Telemetry
-	abort      *atomic.Bool
-	trip       func()
-	firstErr   *mr.FirstError
-	wg         *sync.WaitGroup
-}
-
-// resolveTuner fills the machine-dependent bounds of a user tuner config:
+// ResolveTuner fills the machine-dependent bounds of a user tuner config:
 // the pool is bounded by the mapper count (a ring has at most one
 // consumer, so extra combiners could never own a queue) and the batch by
-// the ring capacity (the same deadlock clamp the static path applies).
-func resolveTuner(tcfg tuner.Config, mappers, queueCap int) tuner.Config {
+// the ring capacity (the deadlock clamp every consume batch gets).
+func ResolveTuner(tcfg tuner.Config, mappers, queueCap int) tuner.Config {
 	if tcfg.MaxCombiners <= 0 || tcfg.MaxCombiners > mappers {
 		tcfg.MaxCombiners = mappers
 	}
@@ -384,212 +353,29 @@ func p90(vs []float64) float64 {
 	return vs[int(0.9*float64(len(vs)-1))]
 }
 
-// startElastic spawns the full complement of combiner slots (active ones
-// consuming, the rest parked on the resume gate), wires the tuner driver
-// into the telemetry sampler, and returns the driver for the end-of-run
-// report. Combiners are accounted on a.wg like the static pool.
-func startElastic[K comparable, V any](a *elasticArgs[K, V]) *TunerDriver {
-	capQ := a.queues[0].Cap()
-
-	var pool *elasticPool[K, V]
-	guarded := a.cfg.Hooks != nil
-	onViolation := func(queue, holder, claimant int) {
-		a.firstErr.Set(fmt.Errorf("core: single-consumer invariant violated: queue %d consumed by combiner %d while owned by %d", queue, claimant, holder))
-		a.trip()
+// StartTuner builds the controller at start, over bounds ResolveTuner
+// already filled, and wires it into tel's sampler. Each epoch's settings go
+// to apply on the sampler goroutine — the batch re-clamped to the ring, the
+// deadlock bound no controller state may cross — and, when the run is
+// traced, onto a "tuner" lane.
+func StartTuner[E any](tcfg tuner.Config, start tuner.Settings, tel *telemetry.Telemetry, tr *trace.Collector, queues []*spsc.Queue[E], apply func(tuner.Settings)) *TunerDriver {
+	var shard *trace.Shard
+	if tr != nil {
+		shard = tr.Shard("tuner")
 	}
-	pool = newElasticPool(a.queues, a.gates, a.order, a.initial, guarded, onViolation)
-
-	// The consume batch is the one knob read on the combiner hot loop, so
-	// it travels through an atomic the driver stores and each round loads.
-	var batchA atomic.Int64
-	batchA.Store(int64(a.batch))
-	batchNow := func() int {
-		b := int(batchA.Load())
-		if b < 1 {
-			b = 1
-		}
-		if b > capQ {
-			b = capQ
-		}
-		return b
-	}
-
-	ctrl := tuner.NewController(a.tcfg, tuner.Settings{
-		Combiners: a.initial,
-		Batch:     a.batch,
-	})
-
-	var tunerShard *trace.Shard
-	if a.cfg.Trace != nil {
-		tunerShard = a.cfg.Trace.Shard("tuner")
-	}
-	curCombiners := a.initial
-	caps := make([]int, len(a.queues))
-	for i, q := range a.queues {
+	caps := make([]int, len(queues))
+	for i, q := range queues {
 		caps[i] = q.Cap()
 	}
-	driver := StartTunerDriver(ctrl, a.tel, caps, func(d tuner.Decision) {
-		if d.Settings.Combiners != curCombiners {
-			curCombiners = d.Settings.Combiners
-			pool.Resize(curCombiners)
-		}
-		batchA.Store(int64(d.Settings.Batch))
-		if tunerShard != nil {
-			tunerShard.Span("epoch", map[string]any{
+	return StartTunerDriver(tuner.NewController(tcfg, start), tel, caps, func(d tuner.Decision) {
+		d.Settings.Batch = min(max(d.Settings.Batch, 1), caps[0])
+		apply(d.Settings)
+		if shard != nil {
+			shard.Span("epoch", map[string]any{
 				"action":    d.Action,
 				"combiners": d.Settings.Combiners,
 				"batch":     d.Settings.Batch,
 			})()
 		}
 	})
-
-	for j := range a.gates {
-		a.wg.Add(1)
-		go func(j int) {
-			defer a.wg.Done()
-			labels := pprof.Labels("engine", "ramr", "role", "combiner", "worker", strconv.Itoa(j))
-			pprof.Do(a.ctx, labels, func(context.Context) {
-				runElasticCombiner(a, pool, j, batchNow)
-			})
-		}(j)
-	}
-	return driver
-}
-
-// runElasticCombiner is one combiner slot's life: consume rounds over the
-// currently assigned queues under the pool's read lock, park on the
-// slot's gate when a round found nothing (an empty assignment never
-// does), retire drained queues, and discard-drain on abort — the elastic
-// twin of the static combiner loop.
-func runElasticCombiner[K comparable, V any](a *elasticArgs[K, V], pool *elasticPool[K, V], j int, batchNow func() int) {
-	var tw *telemetry.Worker
-	if a.tel != nil {
-		tw = a.tel.RegisterWorker("combiner", j)
-	}
-	defer tw.SetState(telemetry.StateDone)
-	defer func() {
-		if r := recover(); r == nil {
-			return
-		} else {
-			a.firstErr.Set(&mr.PanicError{Engine: "ramr", Worker: fmt.Sprintf("combine worker %d", j), Value: r})
-			a.trip()
-		}
-		pool.drainAbort(j, batchNow())
-	}()
-	if cpu := a.plan.CombinerCPU[j]; cpu >= 0 && affinity.Supported() {
-		unpin, _ := affinity.PinSelf(cpu)
-		defer unpin()
-	}
-	var shard *trace.Shard
-	if a.cfg.Trace != nil {
-		shard = a.cfg.Trace.Shard(fmt.Sprintf("combiner-%d", j))
-	}
-	c := a.containers[j]
-	apply := func(batch []pair[K, V]) {
-		c.UpdateBatch(batch, a.combine)
-	}
-	if tw != nil {
-		inner := apply
-		apply = func(batch []pair[K, V]) {
-			tw.AddCombined(len(batch))
-			tw.AddBatches(1)
-			inner(batch)
-		}
-	}
-	var drainHook func(int)
-	if hk := a.cfg.Hooks; hk != nil {
-		drainHook = hk.CombineDrain
-		if hk.CombineBatch != nil {
-			inner := apply
-			apply = func(batch []pair[K, V]) {
-				hk.CombineBatch(j)
-				inner(batch)
-			}
-		}
-	}
-	curState := telemetry.StateIdle
-	setState := func(s telemetry.State) {
-		if s != curState {
-			curState = s
-			tw.SetState(s)
-		}
-	}
-	draining := false
-
-	// round runs one polling pass over the slot's assignment while
-	// holding the read lock (the ownership critical section). The
-	// deferred unlock keeps a user-code panic from wedging the pool:
-	// the recover path above takes the write lock to freeze. It leaves in
-	// waitOn the rings an idle slot parks on, and returns the assignment
-	// generation that list is valid for.
-	var waitOn []*spsc.Queue[pair[K, V]]
-	b := batchNow()
-	round := func() (consumed int, toRetire []int, gen uint64, finished bool) {
-		pool.mu.RLock()
-		defer pool.mu.RUnlock()
-		gen, finished = pool.gen.Load(), pool.finished
-		waitOn = waitOn[:0]
-		mine := pool.slots[j]
-		if len(mine) == 0 {
-			return
-		}
-		b = batchNow()
-		var end func()
-		if shard != nil {
-			end = shard.Span("consume", nil)
-		}
-		for _, qi := range mine {
-			q := a.queues[qi]
-			if !pool.acquire(qi, j) {
-				continue
-			}
-			closed := q.Closed()
-			if closed && !draining {
-				draining = true
-				if drainHook != nil {
-					drainHook(j)
-				}
-			}
-			consumed += q.ConsumeBatch(b, closed, apply)
-			if q.Drained() {
-				toRetire = append(toRetire, qi)
-			} else {
-				waitOn = append(waitOn, q)
-			}
-			a.mirrors[qi].StoreConsumer(q.ConsumerStats())
-			pool.release(qi)
-		}
-		if end != nil && consumed > 0 {
-			end()
-		}
-		return
-	}
-
-	for {
-		// Same abort contract as the static path: once any worker
-		// tripped the flag, stop feeding user Combine and discard-drain
-		// so producers blocked on full rings unwedge.
-		if a.abort.Load() {
-			pool.drainAbort(j, batchNow())
-			return
-		}
-		consumed, toRetire, gen, finished := round()
-		if finished {
-			return
-		}
-		for _, qi := range toRetire {
-			pool.retire(qi)
-		}
-		switch {
-		case consumed > 0 && draining:
-			setState(telemetry.StateDraining)
-		case consumed > 0:
-			setState(telemetry.StateWorking)
-		case len(toRetire) == 0:
-			setState(telemetry.StateIdle)
-			spsc.Park(a.gates[j], waitOn, b, func() bool {
-				return a.abort.Load() || pool.gen.Load() != gen
-			})
-		}
-	}
 }

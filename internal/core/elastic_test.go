@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
+	"ramr/internal/topology"
 	"ramr/internal/tuner"
 )
 
@@ -43,7 +45,7 @@ func ident(n int) []int {
 
 // checkPartition asserts every live queue is owned by exactly one slot
 // and no slot beyond active owns anything.
-func checkPartition[K comparable, V any](t *testing.T, p *elasticPool[K, V]) {
+func checkPartition[E any](t *testing.T, p *elasticPool[E]) {
 	t.Helper()
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -212,6 +214,37 @@ func TestLocalityOrder(t *testing.T) {
 	}
 }
 
+// TestPoolSplitFollowsPlan: there is one split rule. The pool deals rings
+// to slots by QueueAssignment — the rule BuildPlanOn places each combiner
+// next to its mappers by — so combiner j consumes exactly the rings pinned
+// beside it and the plan's worst combiner-to-mapper distance is the one the
+// run really has (§III-B, Fig. 3), remainder and all.
+func TestPoolSplitFollowsPlan(t *testing.T) {
+	m := topology.HaswellServer()
+	for _, mc := range [][2]int{{3, 2}, {7, 3}, {8, 8}} {
+		mappers, combiners := mc[0], mc[1]
+		plan := BuildPlanOn(m, nil, mappers, combiners, mr.PinRAMR)
+		order := localityOrder(mapperGroups(m, plan, mappers, len(m.LocalityGroups())))
+		p := newElasticPool(closedQueues(mappers), testGates(combiners), order, combiners, false, nil)
+		worst := -1
+		for j, rng := range QueueAssignment(mappers, combiners) {
+			var want []int
+			for i := rng[0]; i < rng[1]; i++ {
+				want = append(want, i)
+			}
+			if !slices.Equal(p.slots[j], want) {
+				t.Fatalf("M=%d C=%d: slot %d owns %v, the plan pinned it next to %v", mappers, combiners, j, p.slots[j], want)
+			}
+			for _, qi := range p.slots[j] {
+				worst = max(worst, m.Distance(plan.CombinerCPU[j], plan.MapperCPU[qi]))
+			}
+		}
+		if want := plan.MaxDistance(m); worst != want {
+			t.Fatalf("M=%d C=%d: consumed at distance %d, planned %d", mappers, combiners, worst, want)
+		}
+	}
+}
+
 // TestElasticRunCorrectness: a tuned run (controller active, private
 // telemetry) must produce exactly the static result, attach a
 // TunerReport, and not attach a telemetry report the user never asked
@@ -284,6 +317,26 @@ func TestElasticScheduleChurn(t *testing.T) {
 	}
 	if res.Telemetry == nil {
 		t.Fatal("user-provided telemetry lost its report")
+	}
+}
+
+// TestUntunedRunMirrorsConsumerCounters: the consume loop stores every
+// ring's consumer-side counters into its telemetry mirror whether or not a
+// tuner is reading them, so a live CountersNow is as good on an untuned
+// run as on a tuned one.
+func TestUntunedRunMirrorsConsumerCounters(t *testing.T) {
+	cfg := testConfig()
+	cfg.Telemetry = telemetry.New()
+	res, err := Run(countSpec(40, 50, 11), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cfg.Telemetry.CountersNow()
+	if got.Pops != res.QueueStats.Pops || got.Pops != 40*50 {
+		t.Fatalf("mirrored pops = %d, rings popped %d, want %d", got.Pops, res.QueueStats.Pops, 40*50)
+	}
+	if got.BatchCalls == 0 || got.BatchCalls != res.QueueStats.BatchCalls {
+		t.Fatalf("mirrored batch calls = %d, rings made %d", got.BatchCalls, res.QueueStats.BatchCalls)
 	}
 }
 

@@ -20,13 +20,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ramr/internal/affinity"
 	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
@@ -71,19 +68,20 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	mappers := cfg.Mappers
 	combiners := cfg.NumCombiners()
 	machine := cfg.ResolveMachine()
-	if err := validateGrant(machine, cfg.CPUGrant); err != nil {
+	if err := ValidateGrant(machine, cfg.CPUGrant); err != nil {
 		return nil, err
 	}
 
-	// With the tuner enabled the combiner pool is elastic: the plan and
-	// container set are sized for the pool's ceiling so combiners added
-	// mid-run have a pinned CPU and a private container waiting. With it
-	// nil everything below collapses to the static sizes.
+	// The combiner pool starts at combiners slots. With the tuner on it is
+	// elastic up to maxCombiners: the plan and container set are sized for
+	// that ceiling so combiners added mid-run have a pinned CPU and a
+	// private container waiting. With it off nobody resizes the pool and
+	// the two sizes coincide.
 	tcfg := cfg.Tuner
 	maxCombiners := combiners
 	var tunerCfg tuner.Config
 	if tcfg != nil {
-		tunerCfg = resolveTuner(*tcfg, mappers, cfg.QueueCapacity)
+		tunerCfg = ResolveTuner(*tcfg, mappers, cfg.QueueCapacity)
 		// A CPU grant is a hard worker budget: the elastic pool may
 		// never grow past what the grant can host alongside the mappers,
 		// or a tuned job would spill onto CPUs granted to someone else.
@@ -156,16 +154,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	if c := queues[0].Cap(); batch > c {
 		batch = c
 	}
-	// The emit slab gets the same clamp: PushBatch copies oversized
-	// blocks in chunks anyway, but a slab beyond the ring capacity only
-	// adds latency before the combiner sees anything.
-	emitBatch := cfg.EmitBatch
-	if emitBatch <= 0 {
-		emitBatch = mr.DefaultEmitBatch
-	}
-	if c := queues[0].Cap(); emitBatch > c {
-		emitBatch = c
-	}
 	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, maxCombiners, cfg.Pin)
 	res.Phases.Init = time.Since(t0)
 
@@ -198,9 +186,11 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	var mapWG, combWG sync.WaitGroup
 	var firstErr mr.FirstError
 	var abort atomic.Bool
-	// trip raises the abort flag; for the first worker to trip it, the
-	// OnAbort hook fires and every parked combiner is woken to drain.
-	trip := func() {
+	// fail records a worker's error and raises the abort flag; for the
+	// first worker to raise it, the OnAbort hook fires and every parked
+	// combiner is woken to drain.
+	fail := func(err error) {
+		firstErr.Set(err)
 		if abort.CompareAndSwap(false, true) {
 			cfg.Hooks.FireOnAbort()
 			for _, g := range gates {
@@ -209,106 +199,60 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		}
 	}
 
+	// The combiner pool: the kernel's consume loop on every slot, each
+	// folding into its private container. The consume batch is the one
+	// knob read on that loop, so it travels through an atomic the tuner
+	// stores and each round loads.
+	var batchNow atomic.Int64
+	batchNow.Store(int64(batch))
+	resize := StartCombiners(ctx, &combWG, Combiners[pair[K, V]]{
+		Engine:  "ramr",
+		Queues:  queues,
+		Gates:   gates,
+		Mirrors: mirrors,
+		Order:   localityOrder(mapperGroup),
+		Active:  combiners,
+		CPUs:    plan.CombinerCPU,
+		Tel:     tel,
+		Trace:   cfg.Trace,
+		Hooks:   cfg.Hooks,
+		Batch:   func() int { return int(batchNow.Load()) },
+		Apply: func(j int) func([]pair[K, V]) {
+			c := containers[j]
+			return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
+		},
+		Abort: abort.Load,
+		Fail:  fail,
+	})
+	var driver *TunerDriver
+	if tcfg != nil {
+		start := tuner.Settings{Combiners: combiners, Batch: batch}
+		driver = StartTuner(tunerCfg, start, tel, cfg.Trace, queues, func(s tuner.Settings) {
+			resize(s.Combiners)
+			batchNow.Store(int64(s.Batch))
+		})
+	}
+
+	// The mapper pool: each worker takes task batches from its locality
+	// group's deque (stealing when it runs dry) and maps them into its
+	// lane.
 	for i := 0; i < mappers; i++ {
 		mapWG.Add(1)
-		// pprof.Do labels the goroutine (engine/role/worker) so CPU
-		// profiles segment mapper time from combiner time; the worker
-		// body runs inside the labeled closure so its defers — recover
-		// included — stay in the panicking frame chain.
 		go func(i int) {
 			defer mapWG.Done()
-			labels := pprof.Labels("engine", "ramr", "role", "mapper", "worker", strconv.Itoa(i))
-			pprof.Do(ctx, labels, func(context.Context) {
-				q := queues[i]
-				var tw *telemetry.Worker
-				if tel != nil {
-					tw = tel.RegisterWorker("mapper", i)
-				}
-				// Emitted pairs are staged in a producer-local slab and
-				// published as blocks, so the shared tail index (and the
-				// cross-core traffic on its cache line) is touched once
-				// per slab instead of once per pair. The slab flushes on
-				// fill, at every task boundary, and before the queue
-				// closes; EmitBatch == 1 bypasses the slab entirely and
-				// emits with single-element Push (the ablation baseline).
-				slab := make([]pair[K, V], 0, emitBatch)
-				failed := false
-				var st mr.StealStats
-				defer func() {
-					stealMu.Lock()
-					stealAgg.Add(st)
-					stealMu.Unlock()
-				}()
-				flush := func() {
-					if len(slab) > 0 {
-						q.PushBatch(slab)
-						slab = slab[:0]
-					}
-				}
-				// Deferred LIFO: recover first, then flush, then Close —
-				// the combiner must always be notified, and Push after
-				// Close panics. A panicked Map leaves a half-built slab
-				// whose pairs must never reach Combine (the run is
-				// doomed), so the exit flush is skipped on failure while
-				// Close still runs to release the combiner.
-				defer q.Close()
-				defer func() {
-					if !failed {
-						flush()
-					}
-					if tw != nil {
-						pu, fp, sl := q.ProducerStats()
-						tw.StoreProducer(pu, fp, sl)
-						tw.SetState(telemetry.StateDone)
-					}
-				}()
-				defer func() {
-					if r := recover(); r != nil {
-						failed = true
-						firstErr.Set(&mr.PanicError{Engine: "ramr", Worker: fmt.Sprintf("map worker %d", i), Value: r})
-						trip()
-					}
-				}()
-				if cpu := plan.MapperCPU[i]; cpu >= 0 && affinity.Supported() {
-					unpin, _ := affinity.PinSelf(cpu)
-					defer unpin()
-				}
+			var st mr.StealStats
+			defer func() {
+				stealMu.Lock()
+				stealAgg.Add(st)
+				stealMu.Unlock()
+			}()
+			lane := NewLane(queues[i], cfg.EmitBatch, i, cfg.Hooks)
+			lane.Run(ctx, "ramr", plan.MapperCPU[i], tel, fail, func(tw *telemetry.Worker) {
 				var shard *trace.Shard
 				if cfg.Trace != nil {
 					shard = cfg.Trace.Shard(fmt.Sprintf("mapper-%d", i))
 				}
-				emit := func(k K, v V) {
-					slab = append(slab, pair[K, V]{K: k, V: v})
-					if len(slab) == cap(slab) {
-						flush()
-					}
-				}
-				if emitBatch <= 1 {
-					emit = func(k K, v V) { q.Push(pair[K, V]{K: k, V: v}) }
-				}
-				// The emit counter is a plain local flushed into the
-				// worker's atomic at task boundaries, so per-pair cost
-				// with telemetry on is one non-atomic increment.
-				emitted := 0
-				if tw != nil {
-					inner := emit
-					emit = func(k K, v V) {
-						emitted++
-						inner(k, v)
-					}
-				}
-				var taskHook func(int)
-				if hk := cfg.Hooks; hk != nil {
-					taskHook = hk.MapTask
-					if hk.MapEmit != nil {
-						inner := emit
-						emit = func(k K, v V) {
-							hk.MapEmit(i)
-							inner(k, v)
-						}
-					}
-				}
-				tw.SetState(telemetry.StateWorking)
+				emit := HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
 			takeLoop:
 				for !abort.Load() && ctx.Err() == nil {
 					t0, t1, cls, ok := tq.take(mapperGroup[i])
@@ -332,9 +276,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 							break takeLoop
 						}
 						lo, hi := tq.tasks[t][0], tq.tasks[t][1]
-						if taskHook != nil {
-							taskHook(i)
-						}
+						lane.BeginTask()
 						var end func()
 						if shard != nil {
 							end = shard.Span("task", map[string]any{"splits": hi - lo})
@@ -342,20 +284,13 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 						for s := lo; s < hi; s++ {
 							spec.Map(spec.Splits[s], emit)
 						}
-						flush()
+						lane.EndTask()
 						if end != nil {
 							end()
 						}
 						if stolen {
 							st.RemoteExecuted++
 							tw.AddRemoteExecuted(1)
-						}
-						if tw != nil {
-							tw.AddTasks(1)
-							tw.AddEmitted(emitted)
-							emitted = 0
-							pu, fp, sl := q.ProducerStats()
-							tw.StoreProducer(pu, fp, sl)
 						}
 					}
 					if endSteal != nil {
@@ -364,156 +299,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 				}
 			})
 		}(i)
-	}
-
-	// Combiner pool: the static path when the tuner is off (identical to
-	// every prior release), the elastic pool + controller driver when on.
-	var driver *TunerDriver
-	if tcfg != nil {
-		driver = startElastic(&elasticArgs[K, V]{
-			ctx:        ctx,
-			cfg:        cfg,
-			tcfg:       tunerCfg,
-			queues:     queues,
-			mirrors:    mirrors,
-			containers: containers,
-			combine:    spec.Combine,
-			gates:      gates,
-			plan:       plan,
-			order:      localityOrder(mapperGroup),
-			initial:    combiners,
-			batch:      batch,
-			tel:        tel,
-			abort:      &abort,
-			trip:       trip,
-			firstErr:   &firstErr,
-			wg:         &combWG,
-		})
-	}
-	assign := QueueAssignment(mappers, combiners)
-	for j := 0; tcfg == nil && j < combiners; j++ {
-		combWG.Add(1)
-		go func(j int) {
-			defer combWG.Done()
-			labels := pprof.Labels("engine", "ramr", "role", "combiner", "worker", strconv.Itoa(j))
-			pprof.Do(ctx, labels, func(context.Context) {
-				mine := queues[assign[j][0]:assign[j][1]]
-				gate := gates[j]
-				for _, q := range mine {
-					q.SetGate(gate)
-				}
-				// live is each round's undrained subset of mine: what an
-				// idle round parks on.
-				live := make([]*spsc.Queue[pair[K, V]], 0, len(mine))
-				var tw *telemetry.Worker
-				if tel != nil {
-					tw = tel.RegisterWorker("combiner", j)
-				}
-				defer tw.SetState(telemetry.StateDone)
-				defer func() {
-					if r := recover(); r == nil {
-						return
-					} else {
-						firstErr.Set(&mr.PanicError{Engine: "ramr", Worker: fmt.Sprintf("combine worker %d", j), Value: r})
-						trip()
-					}
-					// Keep draining (and discarding) so producers blocked
-					// on full rings can run to completion.
-					spsc.DrainDiscard(gate, mine, batch)
-				}()
-				if cpu := plan.CombinerCPU[j]; cpu >= 0 && affinity.Supported() {
-					unpin, _ := affinity.PinSelf(cpu)
-					defer unpin()
-				}
-				var shard *trace.Shard
-				if cfg.Trace != nil {
-					shard = cfg.Trace.Shard(fmt.Sprintf("combiner-%d", j))
-				}
-				c := containers[j]
-				apply := func(batch []pair[K, V]) {
-					c.UpdateBatch(batch, spec.Combine)
-				}
-				if tw != nil {
-					inner := apply
-					apply = func(batch []pair[K, V]) {
-						tw.AddCombined(len(batch))
-						tw.AddBatches(1)
-						inner(batch)
-					}
-				}
-				var drainHook func(int)
-				if hk := cfg.Hooks; hk != nil {
-					drainHook = hk.CombineDrain
-					if hk.CombineBatch != nil {
-						inner := apply
-						apply = func(batch []pair[K, V]) {
-							hk.CombineBatch(j)
-							inner(batch)
-						}
-					}
-				}
-				// state stores only on transitions so a polling round
-				// costs no atomic traffic while the state is stable.
-				curState := telemetry.StateIdle
-				setState := func(s telemetry.State) {
-					if s != curState {
-						curState = s
-						tw.SetState(s)
-					}
-				}
-				draining := false
-				for {
-					// Once another worker tripped abort the run is
-					// doomed: stop feeding user Combine and switch to
-					// drain-and-discard so producers blocked on full
-					// rings unwedge without burning user-code cycles.
-					if abort.Load() {
-						spsc.DrainDiscard(gate, mine, batch)
-						return
-					}
-					var end func()
-					if shard != nil {
-						end = shard.Span("consume", nil)
-					}
-					consumed := 0
-					live = live[:0]
-					for _, q := range mine {
-						if q.Drained() {
-							continue
-						}
-						live = append(live, q)
-						// While the producer is live, wait for full
-						// blocks; once it closed, force-drain the tail.
-						closed := q.Closed()
-						if closed && !draining {
-							draining = true
-							if drainHook != nil {
-								drainHook(j)
-							}
-						}
-						consumed += q.ConsumeBatch(batch, closed, apply)
-					}
-					if end != nil {
-						if consumed > 0 {
-							end()
-						}
-					}
-					if len(live) == 0 {
-						return
-					}
-					if consumed == 0 {
-						setState(telemetry.StateIdle)
-						spsc.Park(gate, live, batch, abort.Load)
-					} else {
-						if draining {
-							setState(telemetry.StateDraining)
-						} else {
-							setState(telemetry.StateWorking)
-						}
-					}
-				}
-			})
-		}(j)
 	}
 
 	mapWG.Wait()
@@ -580,11 +365,11 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	return res, nil
 }
 
-// validateGrant checks a CPU grant against the resolved machine: every id
+// ValidateGrant checks a CPU grant against the resolved machine: every id
 // must name an existing logical CPU. Uniqueness and sign were already
 // enforced by Config.Validate; this is the machine-dependent half, checked
-// once per run before any resource is allocated.
-func validateGrant(machine *topology.Machine, grant []int) error {
+// once per run (or stream session) before any resource is allocated.
+func ValidateGrant(machine *topology.Machine, grant []int) error {
 	n := machine.NumCPUs()
 	for _, cpu := range grant {
 		if cpu >= n {

@@ -44,8 +44,8 @@ func CheckQueues(reports []QueueReport) error {
 // package (whose own stack mentions the package) never matches itself.
 var workerSites = []string{
 	"ramr/internal/core.RunContext",
-	"ramr/internal/core.startElastic",
-	"ramr/internal/core.runElasticCombiner",
+	"ramr/internal/core.StartCombiners",
+	"ramr/internal/core.(*Lane",
 	"ramr/internal/phoenix.RunContext",
 	"ramr/internal/sched.(*Scheduler).startLocked",
 	"ramr/internal/sched.runSafe",

@@ -21,10 +21,11 @@ type Hooks struct {
 	// MapEmit runs before each emitted pair is staged or pushed.
 	MapEmit func(worker int)
 	// CombineBatch runs before a combiner folds one consumed segment
-	// into its container (RAMR engine only).
+	// into its container (the RAMR engine and stream sessions: the
+	// pipeline kernel's consume loop).
 	CombineBatch func(worker int)
 	// CombineDrain runs once per combiner when it first observes a
-	// closed queue and enters the force-drain tail (RAMR engine only).
+	// closed queue and enters the force-drain tail (same loop).
 	CombineDrain func(worker int)
 	// PreReduce runs on the coordinating goroutine after the
 	// map-combine barrier, before the run's error checks — a

@@ -432,8 +432,8 @@ func (q *Queue[T]) Drained() bool {
 // ConsumerStats returns the consumer-owned counter subset: cumulative
 // pops, empty polls, unforced short polls and batch functor calls. Like
 // ProducerStats this is safe only from the owning (consumer) goroutine
-// while the queue is live; it is how the elastic combiners mirror
-// consumer-side rates into the telemetry layer mid-run.
+// while the queue is live; it is how the combiners mirror consumer-side
+// rates into the telemetry layer mid-run.
 func (q *Queue[T]) ConsumerStats() (pops, emptyPolls, shortPolls, batchCalls uint64) {
 	return q.cons.pops, q.cons.emptyPolls, q.cons.shortPolls, q.cons.batchCalls
 }

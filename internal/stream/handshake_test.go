@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,6 +154,76 @@ func TestCancelWakesParkedCombiners(t *testing.T) {
 		}
 		if err := p.Err(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err after cancel = %v, want context.Canceled", err)
+		}
+		checkNoLeak(t, before)
+	})
+}
+
+// TestSealerWakesOnQuiescence: the sealer waits for a window to quiesce on
+// the same kick channel that announces new sealable windows, so a kick can
+// be spent inside the wait. Window 1 is folded and quiet before window 0's
+// only batch reaches a slow combiner; the sealer is waiting on window 0
+// when an Append moves the watermark past window 1 and its kick is taken
+// by that wait. When the combiner lets go, both windows must seal with no
+// further input — the sealer has to look again after each window it seals.
+func TestSealerWakesOnQuiescence(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		var armed atomic.Bool
+		var folds atomic.Int64
+		entered, release := make(chan struct{}), make(chan struct{})
+		cfg := testConfig(t, &mr.StreamSpec{Window: 1, Lateness: 1})
+		cfg.Mappers = 1
+		cfg.Hooks = &mr.Hooks{CombineBatch: func(int) {
+			folds.Add(1)
+			if armed.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+		}}
+		p, err := New(countSpec(8), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		appendAt := func(ts int64, splits int) {
+			t.Helper()
+			if _, err := p.Append(chunkOf(ts, splits, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendAt(1, 1) // window 1: folded at once, nothing left to kick for it
+		for folds.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(2 * time.Millisecond) // the fold itself and the kick after it
+		armed.Store(true)
+		appendAt(0, 1) // window 0: held inside the combiner
+		<-entered
+		appendAt(2, 0)                   // watermark 1: the sealer starts waiting on window 0
+		time.Sleep(2 * time.Millisecond) // let it get there
+		appendAt(3, 0)                   // watermark 2: window 1 is due; the wait takes this kick
+		time.Sleep(2 * time.Millisecond)
+		if n := p.SealedCount(); n != 0 {
+			t.Fatalf("%d windows sealed while window 0 was still being folded", n)
+		}
+		close(release)
+		waitSealed(t, p, 2)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := p.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ws := p.Windows()
+		if len(ws) != 2 || ws[0].Index != 0 || ws[1].Index != 1 {
+			t.Fatalf("sealed %d windows, want windows 0 and 1 in order", len(ws))
+		}
+		for _, w := range ws {
+			if w.Elements != 10 {
+				t.Fatalf("window %d holds %d elements, want 10", w.Index, w.Elements)
+			}
 		}
 		checkNoLeak(t, before)
 	})

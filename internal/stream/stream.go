@@ -3,11 +3,13 @@
 // that absorbs input chunks over time and emits per-window snapshot
 // results without ever tearing its workers down.
 //
-// The batch engine's building blocks are reused wholesale — per-mapper
-// SPSC rings with slab emit (internal/spsc), private combiner containers
+// The batch engine's building blocks are reused wholesale — the pipeline
+// kernel itself (core.Lane on every mapper, core.StartCombiners' consume
+// loop on every combiner, over a combiner pool nobody resizes), per-mapper
+// SPSC rings (internal/spsc), private combiner containers
 // (internal/container), the contention-aware pinning plan
-// (core.BuildPlanOn) and the locality queue split (core.QueueAssignment),
-// live telemetry and the AIMD tuner — but the lifecycle inverts: instead
+// (core.BuildPlanOn), live telemetry and the AIMD tuner — but the
+// lifecycle inverts: instead
 // of "partition once, run to drain, merge once", mappers block on a task
 // channel fed by Append, combiners fold into per-pane containers keyed by
 // event time, and a sealer goroutine merges, reduces and publishes each
@@ -31,13 +33,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ramr/internal/affinity"
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
@@ -260,10 +260,8 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 		return nil, errors.New("stream: Config.Stream is required for a resident pipeline")
 	}
 	machine := cfg.ResolveMachine()
-	for _, cpu := range cfg.CPUGrant {
-		if cpu >= machine.NumCPUs() {
-			return nil, fmt.Errorf("stream: CPUGrant cpu %d out of range for %s (%d logical CPUs)", cpu, machine.Name, machine.NumCPUs())
-		}
+	if err := core.ValidateGrant(machine, cfg.CPUGrant); err != nil {
+		return nil, err
 	}
 	win := cfg.Stream.Resolved()
 	mappers := cfg.Mappers
@@ -328,20 +326,37 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		for i, q := range p.queues {
 			p.mirrors[i] = p.tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
 		}
-	} else {
-		p.mirrors = make([]*telemetry.QueueMirror, len(p.queues)) // nil-safe mirrors
 	}
 	if p.cfg.Tuner != nil {
 		p.driver = p.startTuner()
 	}
+	// The combiner pool is the batch engine's, split over the mappers in
+	// index order (what the plan pinned by) and never resized: handing
+	// rings between combiners mid-session would need an ownership protocol
+	// spanning windows.
+	order := make([]int, p.mappers)
+	for i := range order {
+		order[i] = i
+	}
+	core.StartCombiners(context.Background(), &p.combWG, core.Combiners[streamPair[K, V]]{
+		Engine:   "stream",
+		Queues:   p.queues,
+		Gates:    p.gates,
+		Mirrors:  p.mirrors,
+		Order:    order,
+		Active:   p.combiners,
+		CPUs:     p.plan.CombinerCPU,
+		Tel:      p.tel,
+		Hooks:    p.cfg.Hooks,
+		Batch:    func() int { return int(p.batchA.Load()) },
+		Apply:    p.foldInto,
+		Abort:    p.abort.Load,
+		Fail:     p.fail,
+		Progress: p.kickSealer,
+	})
 	for i := 0; i < p.mappers; i++ {
 		p.mapWG.Add(1)
 		go p.runMapper(i)
-	}
-	assign := core.QueueAssignment(p.mappers, p.combiners)
-	for j := 0; j < p.combiners; j++ {
-		p.combWG.Add(1)
-		go p.runCombiner(j, assign[j])
 	}
 	go p.sealLoop()
 	// The janitor turns "every worker exited" into the stopped signal,
@@ -512,153 +527,68 @@ func (p *Pipeline[S, K, V, R]) kickSealer() {
 	}
 }
 
-// runMapper is one resident map worker: take a task, run Map with slab
-// emit into the worker's own SPSC ring (pairs tagged with the task's
-// pane), publish the conservation counts, repeat until the task channel
-// closes (Close) or the session dies.
+// runMapper is one resident map worker: take a task, run Map into the
+// worker's lane (pairs tagged with the task's pane), publish the
+// conservation counts, repeat until the task channel closes (Close) or the
+// session dies.
 func (p *Pipeline[S, K, V, R]) runMapper(i int) {
 	defer p.mapWG.Done()
 	q := p.queues[i]
-	defer q.Close()
-	labels := pprof.Labels("engine", "stream", "role", "mapper", "worker", strconv.Itoa(i))
-	ctx := pprof.WithLabels(context.Background(), labels)
-	pprof.SetGoroutineLabels(ctx)
-	defer pprof.SetGoroutineLabels(context.Background())
-
-	var tw *telemetry.Worker
-	if p.tel != nil {
-		tw = p.tel.RegisterWorker("mapper", i)
-	}
-	defer tw.SetState(telemetry.StateDone)
-	defer func() {
-		if r := recover(); r != nil {
-			p.fail(&mr.PanicError{Engine: "stream", Worker: fmt.Sprintf("map worker %d", i), Value: r})
-		}
-	}()
-	if cpu := p.plan.MapperCPU[i]; cpu >= 0 && affinity.Supported() {
-		unpin, _ := affinity.PinSelf(cpu)
-		defer unpin()
-	}
-
-	emitBatch := p.cfg.EmitBatch
-	if emitBatch <= 0 {
-		emitBatch = mr.DefaultEmitBatch
-	}
-	if emitBatch > q.Cap() {
-		emitBatch = q.Cap()
-	}
-	slab := make([]streamPair[K, V], 0, emitBatch)
-	var curPane int64
-	var emitted uint64
-	flush := func() {
-		if len(slab) > 0 {
-			q.PushBatch(slab)
-			slab = slab[:0]
-		}
-	}
-	emit := func(k K, v V) {
-		slab = append(slab, streamPair[K, V]{pane: curPane, kv: container.KV[K, V]{K: k, V: v}})
-		emitted++
-		if len(slab) == emitBatch {
-			flush()
-		}
-	}
-	var mapHook func(int)
-	if p.cfg.Hooks != nil {
-		mapHook = p.cfg.Hooks.MapTask
-	}
-
-	for {
-		select {
-		case <-p.dying:
-			return
-		case t, ok := <-p.taskCh:
-			if !ok {
+	lane := core.NewLane(q, p.cfg.EmitBatch, i, p.cfg.Hooks)
+	lane.Run(context.Background(), "stream", p.plan.MapperCPU[i], p.tel, p.fail, func(tw *telemetry.Worker) {
+		var pane int64
+		emit := core.HookEmit(lane, func(k K, v V) {
+			core.Emit(lane, streamPair[K, V]{pane: pane, kv: container.KV[K, V]{K: k, V: v}})
+		})
+		for {
+			select {
+			case <-p.dying:
 				return
-			}
-			// An aborting session must not run user code on queued
-			// tasks; combiners are discarding anyway.
-			if p.abort.Load() {
+			case t, ok := <-p.taskCh:
+				if !ok {
+					return
+				}
+				// An aborting session must not run user code on queued
+				// tasks; combiners are discarding anyway.
+				if p.abort.Load() {
+					p.pending.Add(-1)
+					continue
+				}
+				pane = t.pane
+				lane.BeginTask()
+				p.spec.Map(t.split, emit)
+				emitted := lane.EndTask()
+				// Under sustained load combiners wait for full batches
+				// (§IV-C), but this split's pane cannot seal until its last
+				// pair is folded, and the next full batch may be a long way
+				// off — this mapper may go idle, or be handed a slow or sparse
+				// split. Have the combiner fold what the ring holds now.
+				q.Flush()
+				// Order matters for the seal quiesce check: pairs become
+				// visible (EndTask's flush, pushed) before the split counts
+				// done.
+				ps := p.lookupPane(t.pane)
+				ps.pushed.Add(emitted)
+				ps.splitsDone.Add(1)
+				p.elements.Add(emitted)
 				p.pending.Add(-1)
-				continue
+				tw.SetState(telemetry.StateIdle)
+				p.kickSealer()
 			}
-			curPane = t.pane
-			emitted = 0
-			tw.SetState(telemetry.StateWorking)
-			if mapHook != nil {
-				mapHook(i)
-			}
-			p.spec.Map(t.split, emit)
-			flush()
-			// Under sustained load combiners wait for full batches
-			// (§IV-C), but this split's pane cannot seal until its last
-			// pair is folded, and the next full batch may be a long way
-			// off — this mapper may go idle, or be handed a slow or sparse
-			// split. Have the combiner fold what the ring holds now.
-			q.Flush()
-			// Order matters for the seal quiesce check: pairs become
-			// visible (flush, pushed) before the split counts done.
-			ps := p.lookupPane(t.pane)
-			ps.pushed.Add(emitted)
-			ps.splitsDone.Add(1)
-			p.elements.Add(emitted)
-			p.pending.Add(-1)
-			tw.AddEmitted(int(emitted))
-			tw.AddTasks(1)
-			tw.StoreProducer(q.ProducerStats())
-			tw.SetState(telemetry.StateIdle)
-			p.kickSealer()
 		}
-	}
+	})
 }
 
-// runCombiner is one resident combine worker: consume batches from its
-// assigned rings, folding each pane-tagged run into that pane's private
-// container. It exits when every assigned ring is closed and drained
-// (mappers close their rings on exit); on abort it discard-drains so
-// blocked producers unwedge.
-func (p *Pipeline[S, K, V, R]) runCombiner(j int, rng [2]int) {
-	defer p.combWG.Done()
-	labels := pprof.Labels("engine", "stream", "role", "combiner", "worker", strconv.Itoa(j))
-	ctx := pprof.WithLabels(context.Background(), labels)
-	pprof.SetGoroutineLabels(ctx)
-	defer pprof.SetGoroutineLabels(context.Background())
-
-	var tw *telemetry.Worker
-	if p.tel != nil {
-		tw = p.tel.RegisterWorker("combiner", j)
-	}
-	defer tw.SetState(telemetry.StateDone)
-	defer func() {
-		if r := recover(); r != nil {
-			p.fail(&mr.PanicError{Engine: "stream", Worker: fmt.Sprintf("combine worker %d", j), Value: r})
-			p.discardDrain(j, rng)
-		}
-	}()
-	if cpu := p.plan.CombinerCPU[j]; cpu >= 0 && affinity.Supported() {
-		unpin, _ := affinity.PinSelf(cpu)
-		defer unpin()
-	}
-
+// foldInto returns combiner j's fold: each consumed ring segment is split
+// into pane-tagged runs, and each run goes into that pane's private
+// container and onto its folded count.
+func (p *Pipeline[S, K, V, R]) foldInto(j int) func([]streamPair[K, V]) {
 	cs := p.combs[j]
-	gate := p.gates[j]
-	mine := p.queues[rng[0]:rng[1]]
-	for _, q := range mine {
-		q.SetGate(gate)
-	}
-	live := make([]*spsc.Queue[streamPair[K, V]], 0, len(mine)) // each round's undrained rings
 	scratch := make([]container.KV[K, V], 0, int(p.batchA.Load()))
 	curPane := int64(math.MinInt64)
 	var curC container.Container[K, V]
 	var curPS *paneState
-	var combineHook func(int)
-	if p.cfg.Hooks != nil {
-		combineHook = p.cfg.Hooks.CombineBatch
-	}
-	apply := func(seg []streamPair[K, V]) {
-		if combineHook != nil {
-			combineHook(j)
-		}
+	return func(seg []streamPair[K, V]) {
 		for lo := 0; lo < len(seg); {
 			pane := seg[lo].pane
 			hi := lo + 1
@@ -676,48 +606,9 @@ func (p *Pipeline[S, K, V, R]) runCombiner(j int, rng [2]int) {
 			}
 			curC.UpdateBatch(scratch, p.spec.Combine)
 			curPS.folded.Add(uint64(hi - lo))
-			tw.AddCombined(hi - lo)
 			lo = hi
 		}
-		tw.AddBatches(1)
 	}
-
-	for {
-		if p.abort.Load() {
-			p.discardDrain(j, rng)
-			return
-		}
-		consumed := 0
-		batch := int(p.batchA.Load())
-		live = live[:0]
-		for qi, q := range mine {
-			if q.Drained() {
-				continue
-			}
-			live = append(live, q)
-			// Wait for full batches within a split; take the tail its
-			// mapper flushed at the split's end, or left on exit.
-			consumed += q.ConsumeBatch(batch, q.Flushing() || q.Closed(), apply)
-			p.mirrors[rng[0]+qi].StoreConsumer(q.ConsumerStats())
-		}
-		if len(live) == 0 {
-			return
-		}
-		if consumed == 0 {
-			tw.SetState(telemetry.StateIdle)
-			spsc.Park(gate, live, batch, p.abort.Load)
-		} else {
-			tw.SetState(telemetry.StateWorking)
-			p.kickSealer()
-		}
-	}
-}
-
-// discardDrain empties combiner j's rings without running user code so
-// producers blocked on full rings can exit, until every ring is closed
-// and drained.
-func (p *Pipeline[S, K, V, R]) discardDrain(j int, rng [2]int) {
-	spsc.DrainDiscard(p.gates[j], p.queues[rng[0]:rng[1]], int(p.batchA.Load()))
 }
 
 // sealable returns the highest window index (exclusive) the current
@@ -731,19 +622,17 @@ func (p *Pipeline[S, K, V, R]) sealableBefore() int64 {
 	return end + 1
 }
 
-// sealLoop is the watermark-driven sealer: woken by appends and combine
-// progress, it seals every window the watermark has passed, in order;
-// on Close it seals everything that ever held data.
+// sealLoop is the watermark-driven sealer: it seals every window the
+// watermark has passed, in order, and blocks — until an append or combine
+// progress kicks it — only when nothing more is sealable; on Close it seals
+// everything that ever held data. The limit is recomputed after every
+// sealed window, not once per wake-up: sealWindow's quiescence wait takes
+// kicks off sealWake too, so a kick that announced a later window may
+// already be spent.
 func (p *Pipeline[S, K, V, R]) sealLoop() {
 	defer close(p.sealerDone)
 	next := int64(0)
 	for {
-		select {
-		case <-p.dying:
-			return
-		case <-p.sealWake:
-		case <-p.flushCh:
-		}
 		// The flush flag is captured BEFORE the limit: if it flips true
 		// after this read, the pending flushCh wake re-enters the loop
 		// and the final windows seal then — returning on a flag read
@@ -758,13 +647,21 @@ func (p *Pipeline[S, K, V, R]) sealLoop() {
 			limit = p.maxPane + 1
 			p.paneMu.Unlock()
 		}
-		for ; next < limit; next++ {
+		if next < limit {
 			if !p.sealWindow(next) {
 				return // session died while waiting for quiescence
 			}
+			next++
+			continue
 		}
 		if flush {
 			return
+		}
+		select {
+		case <-p.dying:
+			return
+		case <-p.sealWake:
+		case <-p.flushCh:
 		}
 	}
 }
@@ -805,11 +702,15 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 		}
 	}
 	if hasData {
+		// Every counter change that can make the window quiescent is
+		// followed by a kick (mapper after splitsDone, combiner after a
+		// round that folded something), and the kick is buffered, so one
+		// that lands between the check and the wait is not lost.
 		for !p.windowQuiesced(n) {
 			select {
 			case <-p.dying:
 				return false
-			case <-time.After(100 * time.Microsecond):
+			case <-p.sealWake:
 			}
 		}
 		for pane := n; pane < n+k; pane++ {

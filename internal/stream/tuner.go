@@ -17,27 +17,13 @@ import (
 // windows"). The caller guarantees p.tel is non-nil (New allocates a
 // private Telemetry when the config tunes without one).
 func (p *Pipeline[S, K, V, R]) startTuner() *core.TunerDriver {
-	capQ := p.cfg.QueueCapacity
-	caps := make([]int, len(p.queues))
-	for i, q := range p.queues {
-		caps[i] = q.Cap()
-	}
-	tcfg := *p.cfg.Tuner
+	tcfg := core.ResolveTuner(*p.cfg.Tuner, p.mappers, p.cfg.QueueCapacity)
 	// Pin the pool: grow/shrink decisions clamp to no-ops.
 	tcfg.MinCombiners = p.combiners
 	tcfg.MaxCombiners = p.combiners
-	if tcfg.MaxBatch <= 0 || tcfg.MaxBatch > capQ {
-		tcfg.MaxBatch = capQ
-	}
-	if tcfg.MinBatch <= 0 {
-		tcfg.MinBatch = tuner.DefaultMinBatch
-	}
-	if tcfg.MinBatch > tcfg.MaxBatch {
-		tcfg.MinBatch = tcfg.MaxBatch
-	}
-	ctrl := tuner.NewController(tcfg, tuner.Settings{Combiners: p.combiners, Batch: int(p.batchA.Load())})
-	return core.StartTunerDriver(ctrl, p.tel, caps, func(d tuner.Decision) {
-		p.batchA.Store(int64(min(max(d.Settings.Batch, 1), capQ)))
+	start := tuner.Settings{Combiners: p.combiners, Batch: int(p.batchA.Load())}
+	return core.StartTuner(tcfg, start, p.tel, nil, p.queues, func(s tuner.Settings) {
+		p.batchA.Store(int64(s.Batch))
 	})
 }
 

@@ -193,10 +193,11 @@ func (w *Worker) StoreProducer(pushes, failedPush, sleepMicros uint64) {
 
 // QueueMirror holds one queue's consumer-side counter mirrors. The spsc
 // consumer counters are owned by the consuming goroutine and unreadable
-// from anywhere else while the run is live; the elastic combiner stores
-// cumulative ConsumerStats values here once per polling round. Ownership
-// handoffs between combiners are serialized by the pool lock, so the
-// stores never race even as a queue changes consumers; readers (the
+// from anywhere else while the run is live; the pipeline kernel's consume
+// loop stores cumulative ConsumerStats values here once per polling round,
+// for every driver (untuned batch runs and stream sessions included).
+// Ownership handoffs between combiners are serialized by the pool lock, so
+// the stores never race even as a queue changes consumers; readers (the
 // tuner) see cumulative per-queue values that can be summed without
 // double counting. All methods are nil-safe.
 type QueueMirror struct {
