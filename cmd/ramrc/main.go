@@ -26,38 +26,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"ramr/internal/cluster"
+	"ramr/internal/service"
 )
-
-// newLogger builds the daemon's structured logger.
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("invalid -log-level %q: %v", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
-	}
-}
 
 // parseWorkers parses the -workers list: comma-separated base URLs, each
 // with an optional "=cost" suffix (default cost 0).
@@ -77,13 +56,7 @@ func parseWorkers(s string) ([]cluster.WorkerSpec, error) {
 			if err != nil {
 				return nil, fmt.Errorf("invalid worker cost in %q (want url=integer)", part)
 			}
-			if cost < 0 {
-				return nil, fmt.Errorf("worker cost must be >= 0 in %q", part)
-			}
 			spec = cluster.WorkerSpec{URL: part[:i], Cost: cost}
-		}
-		if !strings.HasPrefix(spec.URL, "http://") && !strings.HasPrefix(spec.URL, "https://") {
-			return nil, fmt.Errorf("worker %q must be a base URL starting with http:// or https://", spec.URL)
 		}
 		specs = append(specs, spec)
 	}
@@ -139,7 +112,7 @@ func main() {
 	if *drainTimeout <= 0 {
 		fatalf("-drain-timeout must be > 0, got %v", *drainTimeout)
 	}
-	lg, err := newLogger(*logFormat, *logLevel)
+	lg, err := service.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -163,30 +136,10 @@ func main() {
 		lg.Error("ramrc: listen", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
 	lg.Info("ramrc: serving", "url", "http://"+ln.Addr().String(),
 		"workers", len(specs), "shards", co.Shards(), "log_format", *logFormat)
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		lg.Info("ramrc: draining on signal", "signal", sig.String(), "timeout", *drainTimeout)
-	case err := <-errc:
+	if err := service.Serve("ramrc", ln, srv.Handler(), srv.Shutdown, *drainTimeout, lg); err != nil {
 		lg.Error("ramrc: serve", "err", err)
 		os.Exit(1)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		lg.Warn("ramrc: http shutdown", "err", err)
-	}
-	if err := srv.Shutdown(ctx); err != nil && err != context.DeadlineExceeded {
-		lg.Warn("ramrc: drain", "err", err)
-	}
-	lg.Info("ramrc: bye")
 }

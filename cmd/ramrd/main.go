@@ -39,18 +39,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"ramr/internal/service"
@@ -76,23 +70,6 @@ func parseMachine(s string) (*topology.Machine, error) {
 	}
 }
 
-// newLogger builds the daemon's structured logger.
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("invalid -log-level %q: %v", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
-	}
-}
-
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
@@ -109,7 +86,7 @@ func main() {
 	)
 	flag.Parse()
 
-	lg, err := newLogger(*logFormat, *logLevel)
+	lg, err := service.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ramrd: %v\n", err)
 		os.Exit(1)
@@ -141,34 +118,10 @@ func main() {
 	if err != nil {
 		fatal("ramrd: listen", "addr", *addr, "err", err)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
 	lg.Info("ramrd: serving", "url", "http://"+ln.Addr().String(),
 		"machine", m.Name, "budget_cpus", svc.Scheduler().Budget(),
 		"log_format", *logFormat)
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		lg.Info("ramrd: draining on signal", "signal", sig.String(), "timeout", *drainTimeout)
-	case err := <-errc:
+	if err := service.Serve("ramrd", ln, svc.Handler(), svc.Shutdown, *drainTimeout, lg); err != nil {
 		fatal("ramrd: serve", "err", err)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	// Stop accepting HTTP first, then drain the scheduler: queued jobs
-	// still run, stragglers past the deadline are cancelled but awaited.
-	if err := srv.Shutdown(ctx); err != nil {
-		lg.Warn("ramrd: http shutdown", "err", err)
-	}
-	if err := svc.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		lg.Warn("ramrd: drain", "err", err)
-	} else if err != nil {
-		lg.Warn("ramrd: drain deadline hit, stragglers cancelled")
-	}
-	lg.Info("ramrd: bye")
 }

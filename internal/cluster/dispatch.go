@@ -282,6 +282,11 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 			if admitted {
 				admittedOnce = true
 			}
+			if err != nil && ctx.Err() != nil {
+				// The job was cancelled (or a sibling shard failed) under
+				// the exchange: that says nothing about the worker.
+				return sr, nil, ctx.Err()
+			}
 			switch {
 			case err == nil:
 				sr.Worker = w.spec.URL
@@ -325,9 +330,6 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 				if errors.As(err, &fatal) {
 					return sr, nil, fatal.err
 				}
-				if ctx.Err() != nil {
-					return sr, nil, ctx.Err()
-				}
 				c.log.Warn("cluster: shard attempt failed",
 					"shard", sh.String(), "worker", w.spec.URL, "err", err)
 			}
@@ -365,8 +367,12 @@ const minResultTurnaround = 25 * time.Millisecond
 // job — a worker lost after admission is a mid-shard death (a reshard),
 // before admission just a placement miss. Error classes: errSaturated
 // (429 at admission), errWorkerDown (transport failure or 5xx — the
-// worker, not the shard), fatalShardError (the worker ran the shard and
-// failed it), or a plain error.
+// worker, not the shard — which includes a shard job the worker reports
+// canceled: someone cancelled it there, or the worker drained under it),
+// fatalShardError (the worker ran the shard and failed it), or a plain
+// error. A shard job abandoned because ctx ended — the cluster job was
+// cancelled, a sibling shard failed, the shard timed out — is cancelled on
+// the worker, so it stops holding the worker's CPUs.
 func (c *Coordinator) runShardOn(ctx context.Context, w *worker, body []byte) (doc *workerDoc, admitted bool, err error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
@@ -381,6 +387,11 @@ func (c *Coordinator) runShardOn(ctx context.Context, w *worker, body []byte) (d
 		return doc, true, nil
 	}
 	id := doc.ID
+	defer func() {
+		if ctx.Err() != nil {
+			c.cancelOnWorker(w, id)
+		}
+	}()
 	for {
 		asked := time.Now()
 		doc, err = c.getResult(ctx, w, id)
@@ -435,6 +446,24 @@ func (c *Coordinator) postJob(ctx context.Context, w *worker, body []byte) (*wor
 		return nil, fmt.Errorf("%w: %s: decoding submit response: %v", errWorkerDown, w.spec.URL, err)
 	}
 	return &doc, nil
+}
+
+// cancelOnWorker is the best-effort DELETE of an abandoned shard job. Its
+// caller's context is already over, so it runs under a short one of its
+// own; a failure only means the shard job runs to completion unobserved.
+func (c *Coordinator) cancelOnWorker(w *worker, id int) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, fmt.Sprintf("%s/jobs/%d", w.spec.URL, id), nil)
+	if err != nil {
+		return
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		c.log.Info("cluster: could not cancel abandoned shard job", "worker", w.spec.URL, "job_id", id, "err", err)
+		return
+	}
+	resp.Body.Close()
 }
 
 // getResult asks the worker's GET /jobs/{id}/result to wait for the job:

@@ -59,6 +59,7 @@ type Recorder struct {
 	epoch    time.Time
 	finished time.Time
 	status   string
+	errText  string
 	jobID    int
 	workload string
 	spans    []Span
@@ -159,6 +160,18 @@ func (r *Recorder) Finish(status string) {
 	r.mu.Unlock()
 }
 
+// SetError attaches the error a job ended with to the root span's args,
+// so a failed run's trace tells itself from a clean one whatever status
+// it closes with. No-op on nil or a nil error.
+func (r *Recorder) SetError(err error) {
+	if r == nil || err == nil {
+		return
+	}
+	r.mu.Lock()
+	r.errText = err.Error()
+	r.mu.Unlock()
+}
+
 // Finished reports whether the root span has been closed.
 func (r *Recorder) Finished() bool {
 	if r == nil {
@@ -249,7 +262,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		return errors.New("obs: nil recorder")
 	}
 	r.mu.Lock()
-	name, epoch, finished, status := r.name, r.epoch, r.finished, r.status
+	name, epoch, finished, status, errText := r.name, r.epoch, r.finished, r.status, r.errText
 	jobID, workload := r.jobID, r.workload
 	spans := append([]Span(nil), r.spans...)
 	instants := append([]Instant(nil), r.instants...)
@@ -312,6 +325,9 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	rootArgs := map[string]any{"job_id": jobID, "workload": workload}
 	if status != "" {
 		rootArgs["status"] = status
+	}
+	if errText != "" {
+		rootArgs["error"] = errText
 	}
 	if rootEnd.IsZero() {
 		rootEnd = epoch

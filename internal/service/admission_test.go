@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -51,13 +50,11 @@ var goldenDigests = []struct{ body, digest string }{
 
 func decodeRequest(t *testing.T, body string) *JobRequest {
 	t.Helper()
-	var req JobRequest
-	dec := json.NewDecoder(strings.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeJobRequest(strings.NewReader(body))
+	if err != nil {
 		t.Fatalf("%s: %v", body, err)
 	}
-	return &req
+	return req
 }
 
 // TestResolveDigestGolden: resolve renders, byte for byte, the digest the
@@ -242,41 +239,45 @@ func TestAdmissionBuildsOnlyWhatRuns(t *testing.T) {
 	check("everything settled")
 }
 
+// badRequestBodies is everything the eager build used to reject: each
+// must still draw a 400 at POST (and seeds FuzzJobRequest).
+var badRequestBodies = []string{
+	`{}`,
+	`{"workload":"  "}`,
+	`{"workload":"NOPE"}`,
+	`{"workload":"SM"}`,
+	`{"workload":"WC","platform":"arm"}`,
+	`{"workload":"WC","class":"huge"}`,
+	`{"workload":"HG","container":"btree"}`,
+	`{"workload":"WC","engine":"cuda"}`,
+	`{"workload":"WC","priority":"urgent"}`,
+	`{"workload":"WC","min_cpus":500}`,
+	`{"workload":"WC","min_cpus":8,"max_cpus":2}`,
+	`{"workload":"WC","config":{"pin":"sideways"}}`,
+	`{"workload":"WC","config":{"steal":"sometimes"}}`,
+	`{"workload":"WC","shard":{"index":0,"count":0}}`,
+	`{"workload":"WC","shard":{"index":2,"count":2}}`,
+	`{"workload":"HG","shard":{"index":-1,"count":2}}`,
+	`{"workload":"KM","shard":{"index":0,"count":2}}`,
+	`{"workload":"SYNTH","shard":{"index":3,"count":3}}`,
+	`{"workload":"SYNTH","synth":{"skew":0.5}}`,
+	`{"workload":"SYNTH","synth":{"skew":1}}`,
+	`{"workload":"SYNTH","synth":{"map_kind":"gpu"}}`,
+	`{"workload":"SYNTH","synth":{"combine_kind":"disk","combine_intensity":3}}`,
+	`{"workload":"SYNTH","stream":{"window":0}}`,
+	`{"workload":"SYNTH","stream":{"window":4,"slide":3}}`,
+	`{"workload":"SYNTH","stream":{"window":1,"max_pending":-1}}`,
+	`{"workload":"HG","stream":{"window":1}}`,
+	`{"workload":"WC","engine":"phoenix","stream":{"window":1}}`,
+	`{"workload":"WC","stream":{"window":1},"shard":{"index":0,"count":2}}`,
+}
+
 // TestBadRequestsStillRejectedAtPost: everything the eager build used to
 // reject with a 400 is still rejected with a 400 at POST — nothing may
 // be admitted and surface as a failed job later.
 func TestBadRequestsStillRejectedAtPost(t *testing.T) {
 	_, ts, _ := newMemoService(t, Config{Seed: 1})
-	for _, body := range []string{
-		`{}`,
-		`{"workload":"  "}`,
-		`{"workload":"NOPE"}`,
-		`{"workload":"SM"}`,
-		`{"workload":"WC","platform":"arm"}`,
-		`{"workload":"WC","class":"huge"}`,
-		`{"workload":"HG","container":"btree"}`,
-		`{"workload":"WC","engine":"cuda"}`,
-		`{"workload":"WC","priority":"urgent"}`,
-		`{"workload":"WC","min_cpus":500}`,
-		`{"workload":"WC","min_cpus":8,"max_cpus":2}`,
-		`{"workload":"WC","config":{"pin":"sideways"}}`,
-		`{"workload":"WC","config":{"steal":"sometimes"}}`,
-		`{"workload":"WC","shard":{"index":0,"count":0}}`,
-		`{"workload":"WC","shard":{"index":2,"count":2}}`,
-		`{"workload":"HG","shard":{"index":-1,"count":2}}`,
-		`{"workload":"KM","shard":{"index":0,"count":2}}`,
-		`{"workload":"SYNTH","shard":{"index":3,"count":3}}`,
-		`{"workload":"SYNTH","synth":{"skew":0.5}}`,
-		`{"workload":"SYNTH","synth":{"skew":1}}`,
-		`{"workload":"SYNTH","synth":{"map_kind":"gpu"}}`,
-		`{"workload":"SYNTH","synth":{"combine_kind":"disk","combine_intensity":3}}`,
-		`{"workload":"SYNTH","stream":{"window":0}}`,
-		`{"workload":"SYNTH","stream":{"window":4,"slide":3}}`,
-		`{"workload":"SYNTH","stream":{"window":1,"max_pending":-1}}`,
-		`{"workload":"HG","stream":{"window":1}}`,
-		`{"workload":"WC","engine":"phoenix","stream":{"window":1}}`,
-		`{"workload":"WC","stream":{"window":1},"shard":{"index":0,"count":2}}`,
-	} {
+	for _, body := range badRequestBodies {
 		code, doc := postJob(t, ts, body)
 		if code != http.StatusBadRequest {
 			t.Errorf("POST %s: HTTP %d (%v), want 400", body, code, doc)
@@ -292,10 +293,9 @@ func TestBadRequestsStillRejectedAtPost(t *testing.T) {
 }
 
 // TestCancelBetweenBuildAndExecute: a cancellation that lands after the
-// input was built but before the engine starts settles the job with the
-// cancellation error and no execute span (a *running* job's terminal
-// state is "done" + "context canceled"; "canceled" is queue-only), and
-// leaks no goroutine, CPU grant or registry record.
+// input was built but before the engine starts settles the job canceled,
+// with the cancellation error and no execute span, and leaks no goroutine,
+// CPU grant or registry record.
 func TestCancelBetweenBuildAndExecute(t *testing.T) {
 	svc, ts, _ := newMemoService(t, Config{Seed: 2})
 	// Only the first job to finish its build parks.
@@ -319,27 +319,19 @@ func TestCancelBetweenBuildAndExecute(t *testing.T) {
 	close(cancelled)
 
 	doc = waitDone(t, ts, id)
-	if doc["state"] != "done" || doc["error"] != context.Canceled.Error() {
+	if doc["state"] != "canceled" || doc["error"] != context.Canceled.Error() {
 		t.Fatalf("cancelled job settled state=%v error=%v", doc["state"], doc["error"])
 	}
-	// The watcher closes the root span after the state flips.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, events := fetchTrace(t, ts, id)
-		spans := spanNames(events)
-		if args, _ := spans["job"]["args"].(map[string]any); args["status"] != nil {
-			if _, ok := spans["build"]; !ok {
-				t.Fatal("trace lost the build span")
-			}
-			if _, ok := spans["execute"]; ok {
-				t.Fatal("a job cancelled before its engine started has an execute span")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("trace never closed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	_, events := fetchTrace(t, ts, id)
+	spans := spanNames(events)
+	if args, _ := spans["job"]["args"].(map[string]any); args["status"] != "canceled" {
+		t.Fatalf("terminal job's trace root status = %v, want canceled", args["status"])
+	}
+	if _, ok := spans["build"]; !ok {
+		t.Fatal("trace lost the build span")
+	}
+	if _, ok := spans["execute"]; ok {
+		t.Fatal("a job cancelled before its engine started has an execute span")
 	}
 	if st := svc.Scheduler().Stats(); st.InUse != 0 || st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("scheduler after the cancel: %+v", st)
@@ -386,14 +378,8 @@ func TestRetainedRecordsHoldResultsNotInputs(t *testing.T) {
 		}
 		waitDone(t, ts, int(doc["id"].(float64)))
 	}
-	// The watcher retires the oldest record just after the last job's
-	// state flips.
-	deadline := time.Now().Add(5 * time.Second)
-	for int(memoSection(t, ts)["retained_jobs"].(float64)) > retain {
-		if time.Now().After(deadline) {
-			t.Fatal("registry never fell back to the retention bound")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := int(memoSection(t, ts)["retained_jobs"].(float64)); got > retain {
+		t.Fatalf("%d records retained once the last job reads done, bound is %d", got, retain)
 	}
 	if got := builds(t, ts); got != retain+1 {
 		t.Fatalf("%d inputs built for %d cold jobs", got, retain+1)

@@ -8,7 +8,6 @@ import (
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
-	"ramr/internal/obs"
 	"ramr/internal/sched"
 	"ramr/internal/synth"
 	"ramr/internal/topology"
@@ -59,10 +58,6 @@ type JobRequest struct {
 	// supported for apps with exact integer arithmetic: WC, HG, SYNTH.
 	// Mutually exclusive with Stream.
 	Shard *workloads.ShardSpec `json:"shard,omitempty"`
-
-	// rec, when set by the HTTP layer, is the lifecycle recorder the
-	// submission's spans land in; Submit creates one when nil.
-	rec *obs.Recorder
 }
 
 // resolveSynthParams overlays the request's synth parameters onto the

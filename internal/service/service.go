@@ -1,8 +1,13 @@
-// Package service is the multi-job front end over internal/sched: a JSON
-// HTTP API through which clients submit named workloads, poll status,
-// fetch results and cancel jobs, plus one shared Prometheus endpoint
-// aggregating every job's live telemetry under per-job labels. The ramrd
-// daemon (cmd/ramrd) is a thin flag-parsing wrapper around this package.
+// Package service is the job tier over internal/sched. It holds the job
+// protocol — one HTTP front end (httpapi.go: routes, JSON envelope,
+// error→status table, ?wait=, retention rule, daemon tail) over a small
+// Backend interface — and the scheduler-backed worker backend, Service:
+// named workloads admitted through a content-addressed memo cache and an
+// in-flight coalescer onto scheduler grants, plus one shared Prometheus
+// endpoint aggregating every job's live telemetry under per-job labels.
+// The ramrd daemon (cmd/ramrd) is a thin flag-parsing wrapper around this
+// package; the cluster coordinator (internal/cluster, cmd/ramrc) is the
+// front end's other backend.
 //
 // Every submission carries a lifecycle trace (internal/obs): receive,
 // memo outcome, queue wait, grant allocation, input build and the
@@ -13,7 +18,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -127,9 +131,13 @@ type Service struct {
 	// closure between the build and the execution.
 	afterBuild func()
 
+	// watchers counts the goroutines settling admitted jobs; Shutdown
+	// waits for them, so a drained service has no unsettled record.
+	watchers sync.WaitGroup
+
 	mu       sync.Mutex
 	entries  map[int]*entry
-	inflight map[string]*entry // content digest → live leader entry
+	inflight map[string]*entry // content digest → unsettled leader entry
 	closed   bool
 }
 
@@ -140,8 +148,10 @@ type Service struct {
 // own id, but the leader's sched.Job (one waiter reference each) and the
 // leader's RunInfo — it observes the leader's completion, error and
 // cancellation. A memo hit gets a jobless record (job == nil): its own
-// id, a short hit-only trace, and execBy naming the executor.
+// id, a short hit-only trace, and execBy naming the executor. Until the
+// embedded Settlement settles, the record reads live (see visible).
 type entry struct {
+	Settlement
 	id       int
 	workload string
 	engine   workloads.Engine
@@ -167,6 +177,37 @@ func (e *entry) jobStatus() sched.JobStatus {
 	return sched.JobStatus{ID: e.id, State: sched.StateDone, Finished: e.hitAt}
 }
 
+// terminalState names a settled job's state for every reader: status
+// documents, the trace root, the log line and DELETE's 409 body. A run
+// ended by the cancellation of its context is canceled, like a job pulled
+// from the queue; any other end, failures included, is done plus an error.
+func terminalState(st sched.JobStatus) string {
+	if st.State == sched.StateCanceled || errors.Is(st.Err, context.Canceled) {
+		return "canceled"
+	}
+	return "done"
+}
+
+// visible snapshots the job as clients may see it. An unsettled record is
+// live: the scheduler may already have finished the run, but until the
+// watcher has published everything derived from it the record keeps
+// reading queued or running, with no end time and no error.
+func (e *entry) visible() (js sched.JobStatus, state string, settled bool) {
+	settled = e.IsSettled() // before the snapshot: a settled job's snapshot is terminal
+	js = e.jobStatus()
+	if settled {
+		return js, terminalState(js), true
+	}
+	if js.State == sched.StateDone || js.State == sched.StateCanceled {
+		js.State = sched.StateQueued
+		if !js.Started.IsZero() {
+			js.State = sched.StateRunning
+		}
+		js.Finished, js.Err = time.Time{}, nil
+	}
+	return js, js.State.String(), false
+}
+
 // runInfo returns the entry's retained result, reading through to the
 // leader for followers.
 func (e *entry) runInfo() *workloads.RunInfo {
@@ -184,8 +225,6 @@ func (e *entry) runInfo() *workloads.RunInfo {
 type cachedRun struct {
 	jobID    int // the job that actually executed
 	workload string
-	engine   string
-	finished time.Time
 	info     *workloads.RunInfo
 }
 
@@ -285,8 +324,19 @@ func (s *Service) jobLog(e *entry) *slog.Logger {
 	return s.log.With("job_id", e.id, "content_digest", e.digest)
 }
 
-// Submit admits one parsed job request. It is the programmatic core of
-// POST /jobs; the HTTP handler only decodes JSON around it.
+// Submit admits one parsed job request programmatically and returns its
+// submit document — what POST /jobs answers with.
+func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
+	j, cached, err := s.Admit(req, obs.New("job"))
+	if err != nil {
+		return nil, err
+	}
+	doc := j.(*entry).doc(cached)
+	return &doc, nil
+}
+
+// Admit implements Backend: the core of POST /jobs. rec is the
+// submission's lifecycle recorder, its epoch the receive.
 //
 // Admission precedes materialisation: the request is resolved to a plan
 // (validation, defaults, content digest — no input generated), and the
@@ -305,40 +355,40 @@ func (s *Service) jobLog(e *entry) *slog.Logger {
 // coalesces onto the in-flight leader instead: the follower gets its own
 // job id and record but attaches a waiter to the leader's execution,
 // observing its completion, error or cancellation.
-func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
-	rec := req.rec
-	if rec == nil {
-		rec = obs.New("job")
-	}
+func (s *Service) Admit(req *JobRequest, rec *obs.Recorder) (j Job, cached bool, err error) {
 	p, err := resolve(req, s.machine)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+		return nil, false, fmt.Errorf("bad request: %v", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false, sched.ErrDraining
 	}
 	if p.cfg.Stream != nil {
 		// Streaming sessions skip memoization and coalescing entirely:
 		// their result depends on chunks that arrive after admission,
 		// so no content digest can stand in for the computation.
-		return s.submitStream(p, rec)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, sched.ErrDraining
+		e, err := s.openStreamLocked(p, rec)
+		if err != nil {
+			return nil, false, err
+		}
+		return e, false, nil
 	}
 	if v, ok := s.cache.Get(p.digest); ok {
-		return s.memoHitLocked(p, v.(*cachedRun), rec), nil
+		return s.memoHitLocked(p, v.(*cachedRun), rec), true, nil
 	}
 	if leader, ok := s.inflight[p.digest]; ok {
 		leader.job.AddWaiter()
 		f := &entry{
-			id:       s.sch.ReserveID(),
-			workload: leader.workload,
-			engine:   leader.engine,
-			job:      leader.job,
-			digest:   p.digest,
-			leader:   leader,
-			rec:      rec,
+			Settlement: NewSettlement(),
+			id:         s.sch.ReserveID(),
+			workload:   leader.workload,
+			engine:     leader.engine,
+			job:        leader.job,
+			digest:     p.digest,
+			leader:     leader,
+			rec:        rec,
 		}
 		rec.SetJob(f.id, f.workload)
 		rec.Instant("coalesced", map[string]any{"leader": leader.id})
@@ -346,46 +396,52 @@ func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
 		s.cache.NoteCoalesced()
 		s.ring.Append("coalesced", f.id, map[string]any{"leader": leader.id})
 		s.jobLog(f).Info("job coalesced onto in-flight leader", "leader_id", leader.id)
+		s.watchers.Add(1)
 		go s.watchFollower(f, p.priority.String())
-		doc := resultDoc{entryStatus: s.statusLocked(f)}
-		return &doc, nil
+		return f, false, nil
 	}
 
-	e := &entry{
-		workload: p.app,
-		engine:   p.engine,
-		telem:    telemetry.New(),
-		digest:   p.digest,
-		rec:      rec,
+	e := &entry{workload: p.app, engine: p.engine, digest: p.digest, rec: rec}
+	err = s.launchLocked(e, p, func(ctx context.Context, grant []int) error {
+		return s.runBatch(ctx, grant, e, p)
+	})
+	if err != nil {
+		return nil, false, err
 	}
+	s.inflight[p.digest] = e
+	s.jobLog(e).Info("job admitted", "workload", e.workload,
+		"priority", p.priority.String(), "engine", e.engine.String())
+	return e, false, nil
+}
+
+// launchLocked hands e's execution to the scheduler — run fires under the
+// grant, possibly before this returns — and, once admitted, gives e its
+// id, its registry slot and telemetry registration, and the watcher that
+// will settle it. Callers hold s.mu.
+func (s *Service) launchLocked(e *entry, p *plan, run sched.RunFunc) error {
+	e.Settlement, e.telem = NewSettlement(), telemetry.New()
 	p.cfg.Telemetry = e.telem
 	sj, err := s.sch.Submit(sched.JobSpec{
 		Name:     p.app,
 		Priority: p.priority,
 		MinCPUs:  p.minCPUs,
 		MaxCPUs:  p.maxCPUs,
-		Run: func(ctx context.Context, grant []int) error {
-			return s.runBatch(ctx, grant, e, p)
-		},
-		Metrics: e.finalMetrics,
+		Run:      run,
+		Metrics:  e.finalMetrics,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e.id = sj.ID()
-	e.job = sj
-	rec.SetJob(e.id, e.workload)
+	e.id, e.job = sj.ID(), sj
+	e.rec.SetJob(e.id, e.workload)
 	s.entries[e.id] = e
-	s.inflight[p.digest] = e
 	s.multi.Register(strconv.Itoa(e.id), map[string]string{
 		"job": strconv.Itoa(e.id),
 		"app": e.workload,
 	}, e.telem)
-	s.jobLog(e).Info("job admitted", "workload", e.workload,
-		"priority", p.priority.String(), "engine", e.engine.String())
+	s.watchers.Add(1)
 	go s.watch(e)
-	doc := resultDoc{entryStatus: s.statusLocked(e)}
-	return &doc, nil
+	return nil
 }
 
 // runBatch is a batch job's Run closure: materialise the input, then
@@ -431,17 +487,19 @@ func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) 
 // memoHitLocked answers a submission from the memo cache: a jobless
 // terminal record with its own id (so its short hit-only trace stays
 // retrievable at /jobs/{id}/trace) whose ExecutedBy names the job that
-// actually computed the result. Callers hold s.mu.
-func (s *Service) memoHitLocked(p *plan, cv *cachedRun, rec *obs.Recorder) *resultDoc {
+// actually computed the result. The record is born settled. Callers hold
+// s.mu.
+func (s *Service) memoHitLocked(p *plan, cv *cachedRun, rec *obs.Recorder) *entry {
 	e := &entry{
-		id:       s.sch.ReserveID(),
-		workload: cv.workload,
-		engine:   p.engine,
-		digest:   p.digest,
-		rec:      rec,
-		execBy:   cv.jobID,
-		hitAt:    time.Now(),
-		info:     cv.info,
+		Settlement: NewSettlement(),
+		id:         s.sch.ReserveID(),
+		workload:   cv.workload,
+		engine:     p.engine,
+		digest:     p.digest,
+		rec:        rec,
+		execBy:     cv.jobID,
+		hitAt:      time.Now(),
+		info:       cv.info,
 	}
 	rec.SetJob(e.id, e.workload)
 	rec.Instant("memo-hit", map[string]any{"executed_by": cv.jobID})
@@ -451,10 +509,8 @@ func (s *Service) memoHitLocked(p *plan, cv *cachedRun, rec *obs.Recorder) *resu
 	s.jobLog(e).Info("job served from memo cache", "executed_by", cv.jobID)
 	s.hist.e2e.Observe(time.Since(rec.Epoch()).Seconds(),
 		e.workload, e.engine.String(), p.priority.String())
-	s.retireLocked()
-	doc := resultDoc{entryStatus: s.statusLocked(e)}
-	doc.fillDetail(cv.info)
-	return &doc
+	s.settleLocked(e)
+	return e
 }
 
 // recordRunDetail turns the finished run's measurements into trace
@@ -491,35 +547,20 @@ func recordRunDetail(rec *obs.Recorder, start, end time.Time, info *workloads.Ru
 	}
 }
 
-// terminalStatus maps a settled job to the trace's root-span status.
-func terminalStatus(st sched.JobStatus) string {
-	switch {
-	case st.State == sched.StateCanceled:
-		return "canceled"
-	case st.Err != nil:
-		return "error"
-	default:
-		return "done"
+// traceSchedule derives the scheduler-side spans from the job's settled
+// timestamps: queue wait between admission and start, grant allocation
+// just before the start with the CPU set and its locality groups as args.
+// Recording at completion rather than from the scheduler observer keeps
+// the observer reentrancy-free and covers each interval exactly.
+func (s *Service) traceSchedule(e *entry, st sched.JobStatus) {
+	if st.Started.IsZero() {
+		return
 	}
-}
-
-// finishTrace derives the scheduler-side spans from the job's settled
-// timestamps — queue wait between admission and start, grant allocation
-// just before the start with the CPU set and its locality groups as
-// args — and closes the root span. Recording at completion rather than
-// from the scheduler observer keeps the observer reentrancy-free and
-// covers each interval exactly.
-func (s *Service) finishTrace(e *entry, st sched.JobStatus) string {
-	if !st.Started.IsZero() {
-		e.rec.SpanAt("queue-wait", st.QueuedAt, st.Started, nil)
-		e.rec.SpanAt("grant-alloc", st.Started.Add(-st.AllocDur), st.Started, map[string]any{
-			"cpus":   st.Grant,
-			"groups": localityGroups(s.machine, st.Grant),
-		})
-	}
-	status := terminalStatus(st)
-	e.rec.Finish(status)
-	return status
+	e.rec.SpanAt("queue-wait", st.QueuedAt, st.Started, nil)
+	e.rec.SpanAt("grant-alloc", st.Started.Add(-st.AllocDur), st.Started, map[string]any{
+		"cpus":   st.Grant,
+		"groups": localityGroups(s.machine, st.Grant),
+	})
 }
 
 // localityGroups returns the distinct topology groups a CPU set spans.
@@ -527,10 +568,7 @@ func localityGroups(m *topology.Machine, cpus []int) []int {
 	seen := map[int]bool{}
 	var groups []int
 	for _, id := range cpus {
-		g, ok := m.GroupOf(id)
-		if !ok {
-			g = 0
-		}
+		g, _ := m.GroupOf(id) // group 0 for a CPU the machine does not know
 		if !seen[g] {
 			seen[g] = true
 			groups = append(groups, g)
@@ -555,14 +593,19 @@ func (s *Service) observeLifecycle(e *entry, st sched.JobStatus, info *workloads
 	}
 }
 
-// watch settles a leader once its job reaches a terminal state: the
-// trace is finished, histograms observe the settled timings, and the
-// in-flight slot is released while — atomically with it, under s.mu, so
-// a racing submission either coalesces or hits the cache but never
-// re-executes — a successful result is inserted into the memo cache,
-// byte-accounted by its JSON-encoded size. Failed and cancelled runs are
-// never cached: the next identical submission re-executes.
+// watch settles a leader once the scheduler finished its job: publish,
+// then become terminal. The memo entry is sized, the histograms observe
+// the settled timings and the scheduler-side spans are recorded while the
+// record still reads live; then, in one s.mu critical section — so a
+// racing submission either coalesces or hits the cache but never
+// re-executes — the in-flight slot is released, a successful result enters
+// the memo cache (byte-accounted by its JSON size), the settle span
+// (scheduler finish → now: what publishing the run cost) and the root span
+// close, the record settles and retention runs. So a client that saw done
+// finds a repeat of the body a memo hit, and one that saw a failed or
+// cancelled end (never cached) finds it a fresh execution.
 func (s *Service) watch(e *entry) {
+	defer s.watchers.Done()
 	_ = e.job.Wait(context.Background())
 	st := e.job.Status()
 	if e.stream != nil {
@@ -574,10 +617,20 @@ func (s *Service) watch(e *entry) {
 	e.mu.Lock()
 	info := e.info
 	e.mu.Unlock()
+	// Streaming results are never cached: the digest identifies the
+	// session's shape, not the chunk sequence it ingested.
+	var run *cachedRun
+	var size int64
+	if st.Err == nil && info != nil && e.stream == nil {
+		run = &cachedRun{jobID: e.id, workload: e.workload, info: info}
+		size = resultSize(info)
+	}
 
-	status := s.finishTrace(e, st)
+	state := terminalState(st)
 	s.observeLifecycle(e, st, info, st.Priority.String())
-	lg := s.jobLog(e).With("state", status)
+	s.traceSchedule(e, st)
+	e.rec.SetError(st.Err)
+	lg := s.jobLog(e).With("state", state)
 	if !st.Started.IsZero() {
 		lg = lg.With("wall", st.Finished.Sub(st.Started), "queue_wait", st.Started.Sub(st.QueuedAt))
 	}
@@ -590,32 +643,32 @@ func (s *Service) watch(e *entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.inflight, e.digest)
-	// Streaming results are never cached: the digest identifies the
-	// session's shape, not the chunk sequence it ingested.
-	if st.Err == nil && info != nil && e.stream == nil {
-		s.cache.Put(e.digest, &cachedRun{
-			jobID:    e.id,
-			workload: e.workload,
-			engine:   e.engine.String(),
-			finished: st.Finished,
-			info:     info,
-		}, resultSize(info))
+	if run != nil {
+		s.cache.Put(e.digest, run, size)
 	}
-	s.retireLocked()
+	e.rec.SpanAt("settle", st.Finished, time.Now(), nil)
+	e.rec.Finish(state)
+	s.settleLocked(e)
 }
 
-// watchFollower settles a coalesced follower's trace and end-to-end
-// latency once the shared execution completes. Queue-wait, grant and
-// phase spans belong to the leader's trace; the follower's short trace
-// records the coalesce decision and the terminal outcome.
+// watchFollower settles a coalesced follower once its leader has: the
+// follower reads the leader's result, so it may not turn terminal first.
+// Queue-wait, grant and phase spans belong to the leader's trace; the
+// follower's short trace records the coalesce decision and the terminal
+// outcome.
 func (s *Service) watchFollower(f *entry, priority string) {
-	_ = f.job.Wait(context.Background())
+	defer s.watchers.Done()
+	<-f.leader.Settled()
 	st := f.job.Status()
-	status := terminalStatus(st)
-	f.rec.Finish(status)
+	state := terminalState(st)
+	f.rec.SetError(st.Err)
+	f.rec.Finish(state)
 	s.hist.e2e.Observe(st.Finished.Sub(f.rec.Epoch()).Seconds(),
 		f.workload, f.engine.String(), priority)
-	s.jobLog(f).Info("coalesced job settled", "state", status, "leader_id", f.leader.id)
+	s.jobLog(f).Info("coalesced job settled", "state", state, "leader_id", f.leader.id)
+	s.mu.Lock()
+	s.settleLocked(f)
+	s.mu.Unlock()
 }
 
 // resultSize estimates a retained result's memory footprint as its JSON
@@ -630,36 +683,13 @@ func resultSize(info *workloads.RunInfo) int64 {
 	return int64(len(b)) + overhead
 }
 
-// retireLocked enforces the registry retention bound: when more than
-// s.retain entries are terminal, the oldest-finished are removed along
-// with their telemetry registrations. Live entries are never touched.
-func (s *Service) retireLocked() {
-	if s.retain < 0 {
-		return
-	}
-	type finished struct {
-		e  *entry
-		at time.Time
-	}
-	var done []finished
-	for _, e := range s.entries {
-		js := e.jobStatus()
-		if js.State == sched.StateDone || js.State == sched.StateCanceled {
-			done = append(done, finished{e, js.Finished})
-		}
-	}
-	if len(done) <= s.retain {
-		return
-	}
-	sort.Slice(done, func(i, j int) bool {
-		if !done[i].at.Equal(done[j].at) {
-			return done[i].at.Before(done[j].at)
-		}
-		return done[i].e.id < done[j].e.id
-	})
-	for _, f := range done[:len(done)-s.retain] {
-		s.removeEntryLocked(f.e)
-	}
+// settleLocked turns e terminal — its publications are all in place —
+// and, in the same critical section, enforces the retention bound: past
+// s.retain settled entries the oldest-finished go, with their telemetry
+// registrations. Whoever sees e terminal sees the registry within bounds.
+func (s *Service) settleLocked(e *entry) {
+	e.Settle()
+	Retire(s.entries, s.retain, func(r *entry) time.Time { return r.jobStatus().Finished }, s.removeEntryLocked)
 }
 
 // removeEntryLocked deletes one job record and its telemetry
@@ -676,23 +706,25 @@ func (s *Service) removeEntryLocked(e *entry) {
 
 // Shutdown stops admission and drains the scheduler: queued jobs still
 // run, running jobs finish, and anything unfinished at ctx's deadline is
-// cancelled (but its goroutine is awaited). Results of jobs that did
-// finish remain retrievable from the registry afterwards. /readyz
-// reports 503 from the moment Shutdown is called.
+// cancelled (but its goroutine is awaited). It returns once every
+// accepted job has settled, so drained implies terminal; results of jobs
+// that did finish remain retrievable from the registry afterwards.
+// /readyz reports 503 from the moment Shutdown is called.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.log.Info("service draining")
-	return s.sch.Drain(ctx)
+	err := s.sch.Drain(ctx)
+	s.watchers.Wait()
+	return err
 }
 
-// errBadRequest marks client errors (HTTP 400).
-var errBadRequest = errors.New("bad request")
-
-// entryStatus is the status document for one job, shared by GET /jobs
-// and GET /jobs/{id}.
-type entryStatus struct {
+// resultDoc is one job's document: the status served by GET /jobs, GET
+// /jobs/{id} and POST /jobs, and — with the deep result fields at its end
+// filled — the full result of GET /jobs/{id}/result and of a memo-hit
+// POST.
+type resultDoc struct {
 	ID       int    `json:"id"`
 	Workload string `json:"workload"`
 	Engine   string `json:"engine"`
@@ -733,13 +765,7 @@ type entryStatus struct {
 	// Stream is present on streaming sessions: the resolved window spec
 	// and, once the grant landed, the live ingestion counters.
 	Stream *streamStatusDoc `json:"stream,omitempty"`
-}
-
-// resultDoc is the full result document for GET /jobs/{id}/result, and
-// the POST /jobs response body (Digest/Telemetry/Tuner populated only
-// for cache hits there).
-type resultDoc struct {
-	entryStatus
+	// Deep result fields.
 	Digest    string            `json:"digest,omitempty"`
 	Telemetry *telemetry.Report `json:"telemetry,omitempty"`
 	Tuner     *tunerSummary     `json:"tuner,omitempty"`
@@ -748,26 +774,23 @@ type resultDoc struct {
 	Partial *workloads.Partial `json:"partial,omitempty"`
 }
 
-// fillResult copies a finished run's summary figures into the status.
-func fillResult(st *entryStatus, info *workloads.RunInfo) {
+// fill copies a settled run's figures into the document: the summary
+// always, the deep result fields (output digest, telemetry and tuner
+// reports, shard partial) when detail is set.
+func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	if info == nil {
 		return
 	}
-	st.WallMS = float64(info.Wall) / float64(time.Millisecond)
+	doc.WallMS = float64(info.Wall) / float64(time.Millisecond)
 	ph, q := info.Phases, info.Queue
-	st.Phases, st.Queue = &ph, &q
+	doc.Phases, doc.Queue = &ph, &q
 	steal := info.Steal
-	st.Steal = &steal
-	st.Pairs = info.Pairs
+	doc.Steal = &steal
+	doc.Pairs = info.Pairs
 	if rep := info.Telemetry; rep != nil {
-		st.ImbalanceP90 = rep.Imbalance.P90
+		doc.ImbalanceP90 = rep.Imbalance.P90
 	}
-}
-
-// fillDetail adds the deep result fields (output digest, telemetry and
-// tuner reports) to the document.
-func (doc *resultDoc) fillDetail(info *workloads.RunInfo) {
-	if info == nil {
+	if !detail {
 		return
 	}
 	if info.Digest != 0 {
@@ -796,16 +819,18 @@ func fmtTime(t time.Time) string {
 	return t.UTC().Format(time.RFC3339Nano)
 }
 
-// statusLocked renders e's status; callers hold s.mu. A follower entry
-// reports its own id but the shared execution's state, timings and
-// result; a memo-hit record reports a settled terminal state.
-func (s *Service) statusLocked(e *entry) entryStatus {
-	js := e.jobStatus()
-	st := entryStatus{
+// doc renders e's status document, with the deep result fields when
+// detail is set. A follower entry reports its own id but the shared
+// execution's state, timings and result; a memo-hit record reports a
+// settled terminal state. The result summary appears with the terminal
+// state, not before it.
+func (e *entry) doc(detail bool) resultDoc {
+	js, state, settled := e.visible()
+	doc := resultDoc{
 		ID:            e.id,
 		Workload:      e.workload,
 		Engine:        e.engine.String(),
-		State:         js.State.String(),
+		State:         state,
 		Grant:         js.Grant,
 		QueuedAt:      fmtTime(js.QueuedAt),
 		Started:       fmtTime(js.Started),
@@ -815,247 +840,70 @@ func (s *Service) statusLocked(e *entry) entryStatus {
 		ExecutedBy:    e.execBy,
 		Coalesced:     e.leader != nil,
 		Waiters:       js.Waiters,
+		Stream:        e.streamStatus(),
 	}
 	if e.job != nil {
-		st.Priority = js.Priority.String()
+		doc.Priority = js.Priority.String()
 	}
 	if js.Err != nil {
-		st.Error = js.Err.Error()
+		doc.Error = js.Err.Error()
 	}
-	st.Stream = e.streamStatus()
-	fillResult(&st, e.runInfo())
-	return st
+	if settled {
+		doc.fill(e.runInfo(), detail)
+	}
+	return doc
 }
 
-// Handler returns the HTTP API:
+// The Job half of the front end's contract, on a registry entry.
+func (e *entry) ID() int              { return e.id }
+func (e *entry) Doc(detail bool) any  { return e.doc(detail) }
+func (e *entry) Trace() *obs.Recorder { return e.rec }
+
+// Handler returns the HTTP API: the shared job front end (see API) over
+// this service, plus the worker-only routes registered on the same mux:
 //
-//	POST   /jobs             submit (429 when saturated, 503 when draining)
-//	GET    /jobs             list all retained jobs
-//	GET    /jobs/{id}        status: state, grant, phase times, queue stats
-//	GET    /jobs/{id}/result full result incl. telemetry and tuner reports;
-//	                         ?wait=5s blocks until the job settles (202 on lapse)
-//	GET    /jobs/{id}/trace  lifecycle + worker-lane Chrome-trace JSON
-//	DELETE /jobs/{id}        cancel (queued, running or streaming)
 //	POST   /jobs/{id}/chunks     streaming: append a chunk (202/429/409)
 //	GET    /jobs/{id}/windows    streaming: sealed window summaries
 //	GET    /jobs/{id}/windows/{n} streaming: one sealed window (202 open)
 //	POST   /jobs/{id}/close      streaming: seal final window and settle
-//	GET    /stats            scheduler occupancy, memo, runtime sections
-//	GET    /metrics          aggregated Prometheus exposition, per-job labels
-//	GET    /debug/events     bounded ring of scheduler/memo events
-//	GET    /healthz          liveness
-//	GET    /readyz           readiness (503 while draining)
+//	GET    /debug/events         bounded ring of scheduler/memo events
 func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("GET /jobs", s.handleList)
-	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /jobs/{id}/chunks", s.handleStreamChunk)
-	mux.HandleFunc("GET /jobs/{id}/windows", s.handleStreamWindows)
-	mux.HandleFunc("GET /jobs/{id}/windows/{n}", s.handleStreamWindow)
-	mux.HandleFunc("POST /jobs/{id}/close", s.handleStreamClose)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.Handle("GET /metrics", s.multi.Handler())
-	mux.HandleFunc("GET /debug/events", s.handleEvents)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /readyz", s.handleReady)
-	return withProto(mux)
+	a := NewAPI(s, "job", s.log)
+	a.mux.HandleFunc("POST /jobs/{id}/chunks", s.handleStreamChunk)
+	a.mux.HandleFunc("GET /jobs/{id}/windows", s.handleStreamWindows)
+	a.mux.HandleFunc("GET /jobs/{id}/windows/{n}", s.handleStreamWindow)
+	a.mux.HandleFunc("POST /jobs/{id}/close", s.handleStreamClose)
+	a.mux.HandleFunc("GET /debug/events", s.handleEvents)
+	return a
 }
 
-// handleReady is the readiness probe: 503 from the moment Shutdown
-// starts draining, so load balancers stop routing before the listener
-// closes (the liveness probe /healthz keeps answering 200 throughout).
-func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Write([]byte("ok\n"))
-}
-
-// writeJSON encodes v fully before touching the ResponseWriter: a
-// marshal failure becomes a logged 500 instead of a silently truncated
-// body half-written after a success header. lg carries the caller's
-// correlation attributes (job_id, content_digest) so the error lines
-// stay attributable.
-func writeJSON(w http.ResponseWriter, lg *slog.Logger, code int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		lg.Error("service: encoding response", "type", fmt.Sprintf("%T", v), "err", err)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		io.WriteString(w, `{"error":"internal: response encoding failed"}`+"\n")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if _, err := buf.WriteTo(w); err != nil {
-		// The body was fully rendered; a short write here is the
-		// client hanging up, which is only worth a log line.
-		lg.Warn("service: writing response", "err", err)
-	}
-}
-
-func writeErr(w http.ResponseWriter, lg *slog.Logger, code int, err error) {
-	writeJSON(w, lg, code, map[string]string{"error": err.Error()})
-}
-
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The recorder's epoch is the HTTP receive; the decode rides in the
-	// root span's opening "receive" segment.
-	rec := obs.New("job")
-	endReceive := rec.Span("receive", nil)
-	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	endReceive()
-	if err != nil {
-		writeErr(w, s.log, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	req.rec = rec
-	doc, err := s.Submit(&req)
-	switch {
-	case err == nil && doc.Cached:
-		// Served from the memo cache: no execution was started, so 200
-		// with the finished result, not 201 with a Location.
-		writeJSON(w, s.log.With("job_id", doc.ID), http.StatusOK, doc)
-	case err == nil:
-		w.Header().Set("Location", "/jobs/"+strconv.Itoa(doc.ID))
-		writeJSON(w, s.log.With("job_id", doc.ID), http.StatusCreated, doc)
-	case errors.Is(err, sched.ErrSaturated):
-		s.log.Warn("job rejected: queue saturated", "workload", req.Workload)
-		writeErr(w, s.log, http.StatusTooManyRequests, err)
-	case errors.Is(err, sched.ErrDraining):
-		writeErr(w, s.log, http.StatusServiceUnavailable, err)
-	default:
-		writeErr(w, s.log, http.StatusBadRequest, err)
-	}
-}
-
-// sortByID orders a document slice by job id — stable output for
-// clients and tests.
-func sortByID[T any](xs []T, id func(T) int) {
-	sort.Slice(xs, func(i, j int) bool { return id(xs[i]) < id(xs[j]) })
-}
-
-func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]entryStatus, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, s.statusLocked(e))
-	}
-	s.mu.Unlock()
-	sortByID(out, func(e entryStatus) int { return e.ID })
-	writeJSON(w, s.log, http.StatusOK, map[string]any{"jobs": out})
-}
-
-func (s *Service) lookup(r *http.Request) (*entry, error) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		return nil, fmt.Errorf("invalid job id %q", r.PathValue("id"))
-	}
+// Job, Jobs, Ready and WriteMetrics implement Backend over the registry.
+func (s *Service) Job(id int) (Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("no job %d", id)
+	if e, ok := s.entries[id]; ok {
+		return e, true
 	}
-	return e, nil
+	return nil, false
 }
 
-func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	e, err := s.lookup(r)
-	if err != nil {
-		writeErr(w, s.log, http.StatusNotFound, err)
-		return
-	}
+func (s *Service) Jobs() []Job {
 	s.mu.Lock()
-	st := s.statusLocked(e)
-	s.mu.Unlock()
-	writeJSON(w, s.jobLog(e), http.StatusOK, st)
+	defer s.mu.Unlock()
+	out := make([]Job, 0, len(s.entries))
+	for _, e := range s.entries {
+		out = append(out, e)
+	}
+	return out
 }
 
-// MaxResultWait caps the wait query parameter of GET /jobs/{id}/result.
-const MaxResultWait = 30 * time.Second
-
-// ParseResultWait reads the wait query parameter of a result request: a
-// Go duration, capped at MaxResultWait; absent means 0 (answer at once).
-func ParseResultWait(r *http.Request) (time.Duration, error) {
-	v := r.URL.Query().Get("wait")
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("invalid wait %q (want a non-negative duration such as 5s)", v)
-	}
-	return min(d, MaxResultWait), nil
-}
-
-// handleResult implements GET /jobs/{id}/result[?wait=<duration>]: 200
-// with the full result once the job is terminal, 202 with the status
-// while it is not. With wait the handler blocks on the job's completion
-// — not on a timer — and answers 200 the moment it settles, or 202 when
-// the wait lapses or the client goes away.
-func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	e, err := s.lookup(r)
-	if err != nil {
-		writeErr(w, s.log, http.StatusNotFound, err)
-		return
-	}
-	wait, err := ParseResultWait(r)
-	if err != nil {
-		writeErr(w, s.jobLog(e), http.StatusBadRequest, err)
-		return
-	}
-	if wait > 0 && e.job != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		_ = e.job.Wait(ctx)
-		cancel()
-	}
+func (s *Service) Ready() bool {
 	s.mu.Lock()
-	st := s.statusLocked(e)
-	s.mu.Unlock()
-	if st.State == "queued" || st.State == "running" {
-		writeJSON(w, s.jobLog(e), http.StatusAccepted, st)
-		return
-	}
-	doc := resultDoc{entryStatus: st}
-	doc.fillDetail(e.runInfo())
-	writeJSON(w, s.jobLog(e), http.StatusOK, doc)
+	defer s.mu.Unlock()
+	return !s.closed
 }
 
-// handleTrace serves the job's lifecycle trace as Chrome trace-event
-// JSON (load at ui.perfetto.dev): root span, service-tier spans, and the
-// run's worker lanes stitched below. Live jobs serve the spans recorded
-// so far; terminal jobs serve the full tree.
-func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	e, err := s.lookup(r)
-	if err != nil {
-		writeErr(w, s.log, http.StatusNotFound, err)
-		return
-	}
-	if e.rec == nil {
-		writeErr(w, s.jobLog(e), http.StatusNotFound, fmt.Errorf("no trace recorded for job %d", e.id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := e.rec.WriteChromeTrace(w); err != nil {
-		s.jobLog(e).Warn("service: writing trace", "err", err)
-	}
-}
+func (s *Service) WriteMetrics(w io.Writer) error { return s.multi.WritePrometheus(w) }
 
 // handleEvents serves the bounded event log: scheduler transitions, memo
 // hits and coalesces, oldest first. dropped counts events overwritten by
@@ -1070,46 +918,30 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCancel implements DELETE /jobs/{id} with waiter-aware
-// semantics:
+// Cancel implements Backend's DELETE with waiter-aware semantics:
 //
-//   - finished (done/canceled) job or memo-hit record: nothing to cancel
-//     — the retained record and its telemetry registration are removed,
-//     and 409 Conflict reports the terminal state so the client can tell
-//     a real cancellation from this no-op (204 used to lie here).
+//   - settled job or memo-hit record: nothing to cancel — the retained
+//     record and its telemetry registration are removed and the terminal
+//     state is reported.
 //   - live job with other waiters attached (coalesced duplicates): this
 //     record detaches and is removed; the shared execution keeps running
-//     for the remaining waiters. 204.
+//     for the remaining waiters.
 //   - live job, last waiter: the execution is cancelled (queued jobs
-//     never start, running jobs drain); the record is kept so the
-//     terminal canceled state stays pollable. 204.
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	e, err := s.lookup(r)
-	if err != nil {
-		writeErr(w, s.log, http.StatusNotFound, err)
-		return
-	}
-	js := e.jobStatus()
-	if js.State == sched.StateDone || js.State == sched.StateCanceled {
-		s.mu.Lock()
+//     never start, running jobs drain) — or its run has just ended and is
+//     being settled, and the cancel came too late; either way the record is
+//     kept so the terminal state stays pollable.
+//
+// s.mu is held across the drop and the waiter count so that no submission
+// coalesces onto the execution in between.
+func (s *Service) Cancel(j Job) (state string, wasLive bool) {
+	e := j.(*entry)
+	_, state, settled := e.visible()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if settled || (!e.job.DropWaiter() && e.job.Waiters() > 0) {
 		s.removeEntryLocked(e)
-		s.mu.Unlock()
-		s.jobLog(e).Info("retained record deleted", "state", js.State.String())
-		writeJSON(w, s.jobLog(e), http.StatusConflict, map[string]string{
-			"error": fmt.Sprintf("job %d already %s; retained record deleted", e.id, js.State),
-			"state": js.State.String(),
-		})
-		return
 	}
-	if cancelled := e.job.DropWaiter(); !cancelled {
-		// Detached from a still-live coalesced execution (or lost a race
-		// with its completion): this record is dead either way.
-		s.mu.Lock()
-		s.removeEntryLocked(e)
-		s.mu.Unlock()
-	}
-	s.jobLog(e).Info("job cancel requested")
-	w.WriteHeader(http.StatusNoContent)
+	return state, !settled
 }
 
 // jobStats is one job's balance figures in the /stats document.
@@ -1188,30 +1020,25 @@ func (s *Service) runtimeStatsDoc() runtimeStats {
 	}
 }
 
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
+// Stats implements Backend: scheduler occupancy, memo and retention,
+// process health, the capability advertisement and per-job balance.
+func (s *Service) Stats() any {
 	st := s.sch.Stats()
 	s.mu.Lock()
 	jobs := make([]jobStats, 0, len(s.entries))
 	for _, e := range s.entries {
-		js := jobStats{ID: e.id, Workload: e.workload, State: e.jobStatus().State.String()}
-		if info := e.runInfo(); info != nil {
-			steal := info.Steal
-			js.Steal = &steal
-			if rep := info.Telemetry; rep != nil {
-				js.ImbalanceP90 = rep.Imbalance.P90
-			}
-		}
-		jobs = append(jobs, js)
+		d := e.doc(false)
+		jobs = append(jobs, jobStats{ID: d.ID, Workload: d.Workload, State: d.State, Steal: d.Steal, ImbalanceP90: d.ImbalanceP90})
 	}
 	s.mu.Unlock()
-	sortByID(jobs, func(j jobStats) int { return j.ID })
-	writeJSON(w, s.log, http.StatusOK, map[string]any{
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
+	return map[string]any{
 		"scheduler":    st,
 		"memo":         s.memoStatsDoc(),
 		"runtime":      s.runtimeStatsDoc(),
 		"capabilities": capabilitiesDoc(),
 		"jobs":         jobs,
-	})
+	}
 }
 
 // writeServiceProm is the telemetry.Multi extra writer: service-level

@@ -247,8 +247,8 @@ func TestCancelOverHTTP(t *testing.T) {
 		t.Fatalf("DELETE: HTTP %d", resp.StatusCode)
 	}
 	doc = waitDone(t, ts, id)
-	if doc["error"] == nil {
-		t.Fatalf("cancelled job reports no error: %v", doc)
+	if doc["state"] != "canceled" || doc["error"] == nil {
+		t.Fatalf("cancelled running job settled state=%v error=%v", doc["state"], doc["error"])
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 
 	"ramr/internal/mr"
 	"ramr/internal/obs"
-	"ramr/internal/sched"
 	"ramr/internal/stream"
 	"ramr/internal/synth"
 	"ramr/internal/telemetry"
@@ -126,69 +125,40 @@ func (st *streamState) await(ctx context.Context) (*stream.Session, error) {
 	}
 }
 
-// submitStream is Submit's streaming branch: the entry goes through the
-// same scheduler admission, telemetry registration and retention as a
-// batch job, but skips the memo lookup and the in-flight coalescer —
-// identical streaming submissions each get their own resident session,
-// and no streaming result is ever inserted into the cache (watch guards
-// on e.stream). A session's input arrives as chunks, so the resolved
-// plan is all it needs: no batch input is ever materialised for it.
-func (s *Service) submitStream(p *plan, rec *obs.Recorder) (*resultDoc, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, sched.ErrDraining
-	}
+// openStreamLocked is Admit's streaming branch: the entry goes through the
+// same launch — scheduler admission, telemetry registration, watcher —
+// and retention as a batch job, but skips the memo lookup and the
+// in-flight coalescer: identical streaming submissions each get their own
+// resident session, and no streaming result is ever inserted into the
+// cache (watch guards on e.stream). A session's input arrives as chunks,
+// so the resolved plan is all it needs: no batch input is ever
+// materialised for it. Callers hold s.mu.
+func (s *Service) openStreamLocked(p *plan, rec *obs.Recorder) (*entry, error) {
 	st := &streamState{
 		spec:    p.cfg.Stream.Resolved(),
 		idReady: make(chan struct{}),
 		ready:   make(chan struct{}),
 	}
-	e := &entry{
-		workload: p.app,
-		engine:   p.engine,
-		telem:    telemetry.New(),
-		digest:   p.digest,
-		rec:      rec,
-		stream:   st,
-	}
-	p.cfg.Telemetry = e.telem
-	sj, err := s.sch.Submit(sched.JobSpec{
-		Name:     p.app,
-		Priority: p.priority,
-		MinCPUs:  p.minCPUs,
-		MaxCPUs:  p.maxCPUs,
-		Run: func(ctx context.Context, grant []int) error {
-			<-st.idReady
-			return s.runStream(ctx, grant, e, p)
-		},
-		Metrics: e.finalMetrics,
+	e := &entry{workload: p.app, engine: p.engine, digest: p.digest, rec: rec, stream: st}
+	err := s.launchLocked(e, p, func(ctx context.Context, grant []int) error {
+		<-st.idReady
+		return s.runStream(ctx, grant, e, p)
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.id = sj.ID()
-	e.job = sj
 	close(st.idReady)
-	rec.SetJob(e.id, e.workload)
 	rec.Instant("stream-session", map[string]any{
 		"window": st.spec.Window, "slide": st.spec.Slide,
 		"lateness": st.spec.Lateness, "max_pending": st.spec.MaxPending,
 	})
-	s.entries[e.id] = e
-	s.multi.Register(strconv.Itoa(e.id), map[string]string{
-		"job": strconv.Itoa(e.id),
-		"app": e.workload,
-	}, e.telem)
 	s.ring.Append("stream_open", e.id, map[string]any{
 		"window": st.spec.Window, "slide": st.spec.Slide,
 	})
 	s.jobLog(e).Info("streaming session admitted", "workload", e.workload,
 		"window", st.spec.Window, "slide", st.spec.Slide,
 		"priority", p.priority.String())
-	go s.watch(e)
-	doc := resultDoc{entryStatus: s.statusLocked(e)}
-	return &doc, nil
+	return e, nil
 }
 
 // runStream is the streaming job's Run closure: build the session for
@@ -286,11 +256,11 @@ type chunkResponse struct {
 
 // streamEntry resolves {id} to a live streaming entry.
 func (s *Service) streamEntry(w http.ResponseWriter, r *http.Request) (*entry, bool) {
-	e, err := s.lookup(r)
-	if err != nil {
-		writeErr(w, s.log, http.StatusNotFound, err)
+	j, ok := lookupJob(s, s.log, w, r)
+	if !ok {
 		return nil, false
 	}
+	e := j.(*entry)
 	if e.stream == nil {
 		writeErr(w, s.jobLog(e), http.StatusConflict,
 			fmt.Errorf("job %d is not a streaming session", e.id))

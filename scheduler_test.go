@@ -35,18 +35,37 @@ func TestSchedulerConcurrentJobs(t *testing.T) {
 		}
 	}
 
-	h1, err := ramr.Submit(sc, wcSpec(8), cfg, ramr.SubmitOptions{Priority: ramr.PriorityHigh, MaxCPUs: 8})
+	// The jobs are sub-millisecond: without the gate the first could finish,
+	// and free its CPUs for reuse, before the third is even submitted. Every
+	// map call waits until all three hold their grants.
+	gate := make(chan struct{})
+	gated := func() *ramr.Spec[string, string, int, int] {
+		spec := wcSpec(8)
+		count := spec.Map
+		spec.Map = func(s string, emit func(string, int)) {
+			<-gate
+			count(s, emit)
+		}
+		return spec
+	}
+	h1, err := ramr.Submit(sc, gated(), cfg, ramr.SubmitOptions{Priority: ramr.PriorityHigh, MaxCPUs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := ramr.Submit(sc, wcSpec(8), cfg, ramr.SubmitOptions{Priority: ramr.PriorityNormal, MaxCPUs: 8})
+	h2, err := ramr.Submit(sc, gated(), cfg, ramr.SubmitOptions{Priority: ramr.PriorityNormal, MaxCPUs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, err := ramr.Submit(sc, wcSpec(8), cfg, ramr.SubmitOptions{Priority: ramr.PriorityLow, MaxCPUs: 8, Phoenix: true})
+	h3, err := ramr.Submit(sc, gated(), cfg, ramr.SubmitOptions{Priority: ramr.PriorityLow, MaxCPUs: 8, Phoenix: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, h := range []*ramr.JobHandle[string, int]{h1, h2, h3} {
+		if h.Status().Started.IsZero() {
+			t.Fatalf("job %d not started with the machine far wider than three 8-CPU grants", h.ID())
+		}
+	}
+	close(gate)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
