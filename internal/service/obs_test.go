@@ -416,3 +416,82 @@ func TestServiceLogCorrelation(t *testing.T) {
 		}
 	}
 }
+
+// checkTimeline asserts the shape every trace document has, live or
+// settled: thread-name metadata first, then non-decreasing ts.
+func checkTimeline(t *testing.T, events []map[string]any) {
+	t.Helper()
+	inMeta, lastTs := true, -1.0
+	for i, ev := range events {
+		if ev["ph"] == "M" {
+			if !inMeta {
+				t.Fatalf("event %d: metadata after timeline events", i)
+			}
+			continue
+		}
+		inMeta = false
+		ts := ev["ts"].(float64)
+		if ts < lastTs {
+			t.Fatalf("event %d (%v): ts %v < previous %v", i, ev["name"], ts, lastTs)
+		}
+		lastTs = ts
+	}
+}
+
+// TestLiveTraceRaceFree polls a running job's trace — "live jobs serve the
+// spans recorded so far" — under the race detector: no reader may touch a
+// buffer a worker is still appending to, every document along the way is a
+// well-formed timeline, and publishing lanes at worker exit loses nothing:
+// the settled trace has a lane for every worker that did anything and one
+// task span per task the telemetry counted.
+func TestLiveTraceRaceFree(t *testing.T) {
+	_, ts, _ := newTestService(t, 0)
+	code, doc := postJob(t, ts, `{"workload":"WC","class":"large","config":{"pin":"none"}}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST: HTTP %d (%v)", code, doc)
+	}
+	id := int(doc["id"].(float64))
+	deadline := time.Now().Add(60 * time.Second)
+	for state := any("queued"); state != "done"; {
+		if state == "canceled" || time.Now().After(deadline) {
+			t.Fatalf("job %d reads %v", id, state)
+		}
+		_, events := fetchTrace(t, ts, id)
+		checkTimeline(t, events)
+		_, st := getJSON(t, fmt.Sprintf("%s/jobs/%d", ts.URL, id))
+		state = st["state"]
+	}
+
+	_, events := fetchTrace(t, ts, id)
+	checkTimeline(t, events)
+	lane := map[float64]string{}
+	tasks := map[string]uint64{}
+	for _, ev := range events {
+		switch {
+		case ev["ph"] == "M":
+			lane[ev["tid"].(float64)] = ev["args"].(map[string]any)["name"].(string)
+		case ev["ph"] == "X" && ev["name"] == "task":
+			tasks[lane[ev["tid"].(float64)]]++
+		}
+	}
+	lanes := map[string]bool{}
+	for _, name := range lane {
+		lanes[name] = true
+	}
+	_, res := getJSON(t, fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
+	workers := res["telemetry"].(map[string]any)["workers"].([]any)
+	if len(workers) == 0 {
+		t.Fatal("result carries no telemetry workers")
+	}
+	for _, raw := range workers {
+		w := raw.(map[string]any)
+		name := fmt.Sprintf("%s-%d", w["role"], int(w["id"].(float64)))
+		nTasks, nBatches := uint64(w["tasks"].(float64)), uint64(w["batches"].(float64))
+		if (nTasks > 0 || nBatches > 0) && !lanes[name] {
+			t.Errorf("settled trace has no %s lane (worker ran %d tasks, %d batches); lanes %v", name, nTasks, nBatches, lanes)
+		}
+		if w["role"] == "mapper" && tasks[name] != nTasks {
+			t.Errorf("%s: %d task spans in the settled trace, telemetry counted %d tasks", name, tasks[name], nTasks)
+		}
+	}
+}

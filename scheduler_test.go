@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -160,6 +161,87 @@ func TestJobHandleTrace(t *testing.T) {
 	}
 	if lanes < 2 {
 		t.Fatalf("%d lanes in trace, want lifecycle + worker lanes", lanes)
+	}
+}
+
+// exportTrace renders tr and checks the shape every document has, live or
+// settled: a JSON array, thread-name metadata first, then non-decreasing
+// ts. It returns the lane names and the task spans recorded on each.
+func exportTrace(t *testing.T, tr *ramr.JobTrace) (lanes map[string]bool, tasks map[string]uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	lane := map[float64]string{}
+	lanes, tasks = map[string]bool{}, map[string]uint64{}
+	inMeta, lastTs := true, -1.0
+	for i, ev := range events {
+		if ev["ph"] == "M" {
+			if !inMeta {
+				t.Fatalf("event %d: metadata after timeline events", i)
+			}
+			name := ev["args"].(map[string]any)["name"].(string)
+			lane[ev["tid"].(float64)], lanes[name] = name, true
+			continue
+		}
+		inMeta = false
+		ts := ev["ts"].(float64)
+		if ts < lastTs {
+			t.Fatalf("event %d (%v): ts %v < previous %v", i, ev["name"], ts, lastTs)
+		}
+		lastTs = ts
+		if ev["ph"] == "X" && ev["name"] == "task" {
+			tasks[lane[ev["tid"].(float64)]]++
+		}
+	}
+	return lanes, tasks
+}
+
+// TestJobHandleLiveTrace exports a scheduled job's trace while the job
+// runs — Trace "serves whatever has been recorded so far" — under the race
+// detector, then checks that the settled trace lost nothing: a lane for
+// every worker that did anything, one task span per task the telemetry
+// counted.
+func TestJobHandleLiveTrace(t *testing.T) {
+	sc, err := ramr.NewScheduler(ramr.SchedulerConfig{Machine: ramr.HaswellServer(), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ramr.DefaultConfig()
+	cfg.Pin = ramr.PinNone
+	cfg.Telemetry = ramr.NewTelemetry()
+	h, err := ramr.Submit(sc, wcSpec(4000), cfg, ramr.SubmitOptions{Name: "live", MaxCPUs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for live := true; live; {
+		exportTrace(t, h.Trace())
+		st := h.Status().State.String()
+		live = st != "done" && st != "canceled"
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := h.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes, tasks := exportTrace(t, h.Trace())
+	if !lanes["lifecycle"] {
+		t.Fatalf("no lifecycle lane; lanes %v", lanes)
+	}
+	for _, w := range res.Telemetry.Workers {
+		name := fmt.Sprintf("%s-%d", w.Role, w.ID)
+		if (w.Tasks > 0 || w.Batches > 0) && !lanes[name] {
+			t.Errorf("settled trace has no %s lane (worker ran %d tasks, %d batches); lanes %v", name, w.Tasks, w.Batches, lanes)
+		}
+		if w.Role == "mapper" && tasks[name] != w.Tasks {
+			t.Errorf("%s: %d task spans in the settled trace, telemetry counted %d tasks", name, tasks[name], w.Tasks)
+		}
 	}
 }
 
