@@ -40,7 +40,6 @@ import (
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
-	"ramr/internal/trace"
 	"ramr/internal/tuner"
 )
 
@@ -160,16 +159,18 @@ func TuneRatio[S any, K comparable, V, R any](spec *Spec[S, K, V, R], cfg Config
 
 // TraceCollector records per-worker execution timelines; assign one to
 // Config.Trace, run a job, then export with WriteChromeTrace (view at
-// chrome://tracing) or Summary.
-type TraceCollector = trace.Collector
+// ui.perfetto.dev) or Summary. A worker's lane becomes readable when the
+// worker exits, so the timeline is complete once the run returns.
+type TraceCollector = obs.Recorder
 
-// NewTrace returns a collector ready to assign to Config.Trace.
-func NewTrace() *TraceCollector { return trace.New() }
+// NewTrace returns a collector ready to assign to Config.Trace: a
+// standalone timeline of worker lanes, with no job lifecycle above them.
+func NewTrace() *TraceCollector { return obs.New("") }
 
-// JobTrace is a scheduled job's lifecycle trace: the scheduler-side
-// spans (queue wait, grant allocation) and the run's worker lanes under
-// one root span. Obtain it from JobHandle.Trace after the job finishes
-// and render with WriteChromeTrace (view at ui.perfetto.dev).
+// JobTrace is a scheduled job's trace — the same type as TraceCollector,
+// with a lifecycle lane: the scheduler-side spans (queue wait, grant
+// allocation) above the run's worker lanes, under one root span. Obtain it
+// from JobHandle.Trace and render with WriteChromeTrace.
 type JobTrace = obs.Recorder
 
 // Telemetry is the live observability layer: assign one to

@@ -26,8 +26,8 @@ import (
 	"path/filepath"
 
 	"ramr/internal/harness"
+	"ramr/internal/obs"
 	"ramr/internal/telemetry"
-	"ramr/internal/trace"
 )
 
 // writeFileWith creates path and streams write into it.
@@ -121,7 +121,7 @@ func main() {
 		opt.Telemetry = telemetry.New()
 	}
 	if *traceOut != "" {
-		opt.Trace = trace.New()
+		opt.Trace = obs.New("")
 	}
 	for _, exp := range exps {
 		id := exp.ID

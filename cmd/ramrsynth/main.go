@@ -18,8 +18,8 @@ import (
 	"strings"
 
 	"ramr/internal/mr"
+	"ramr/internal/obs"
 	"ramr/internal/synth"
-	"ramr/internal/trace"
 	"ramr/internal/workloads"
 )
 
@@ -128,9 +128,9 @@ func main() {
 		eng = workloads.EnginePhoenix
 	}
 
-	var collector *trace.Collector
+	var collector *obs.Recorder
 	if *traceOut != "" {
-		collector = trace.New()
+		collector = obs.New("")
 		cfg.Trace = collector
 	}
 

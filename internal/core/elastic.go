@@ -29,9 +29,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ramr/internal/obs"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
-	"ramr/internal/trace"
 	"ramr/internal/tuner"
 )
 
@@ -266,6 +266,7 @@ type TunerDriver struct {
 	ctrl  *tuner.Controller
 	tel   *telemetry.Telemetry
 	apply func(tuner.Decision)
+	track *obs.Track // the "tuner" lane apply records onto; published by Stop
 
 	epochTicks int
 	ticks      int
@@ -329,10 +330,11 @@ func (d *TunerDriver) observe(s telemetry.Sample) {
 }
 
 // Stop fences the driver: no Advance can be in flight after it returns,
-// so Report is safe from any goroutine.
+// so Report is safe from any goroutine and the tuner lane is published.
 func (d *TunerDriver) Stop() {
 	d.mu.Lock()
 	d.stopped = true
+	d.track.Publish()
 	d.mu.Unlock()
 }
 
@@ -358,24 +360,18 @@ func p90(vs []float64) float64 {
 // to apply on the sampler goroutine — the batch re-clamped to the ring, the
 // deadlock bound no controller state may cross — and, when the run is
 // traced, onto a "tuner" lane.
-func StartTuner[E any](tcfg tuner.Config, start tuner.Settings, tel *telemetry.Telemetry, tr *trace.Collector, queues []*spsc.Queue[E], apply func(tuner.Settings)) *TunerDriver {
-	var shard *trace.Shard
-	if tr != nil {
-		shard = tr.Shard("tuner")
-	}
+func StartTuner[E any](tcfg tuner.Config, start tuner.Settings, tel *telemetry.Telemetry, tr *obs.Recorder, queues []*spsc.Queue[E], apply func(tuner.Settings)) *TunerDriver {
+	track := tr.Track("tuner")
 	caps := make([]int, len(queues))
 	for i, q := range queues {
 		caps[i] = q.Cap()
 	}
-	return StartTunerDriver(tuner.NewController(tcfg, start), tel, caps, func(d tuner.Decision) {
+	drv := StartTunerDriver(tuner.NewController(tcfg, start), tel, caps, func(d tuner.Decision) {
 		d.Settings.Batch = min(max(d.Settings.Batch, 1), caps[0])
 		apply(d.Settings)
-		if shard != nil {
-			shard.Span("epoch", map[string]any{
-				"action":    d.Action,
-				"combiners": d.Settings.Combiners,
-				"batch":     d.Settings.Batch,
-			})()
-		}
+		track.Span("epoch", obs.Str("action", d.Action),
+			obs.Int("combiners", d.Settings.Combiners), obs.Int("batch", d.Settings.Batch))()
 	})
+	drv.track = track
+	return drv
 }

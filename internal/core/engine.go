@@ -26,10 +26,10 @@ import (
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
+	"ramr/internal/obs"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
-	"ramr/internal/trace"
 	"ramr/internal/tuner"
 )
 
@@ -248,13 +248,11 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			}()
 			lane := NewLane(queues[i], cfg.EmitBatch, i, cfg.Hooks)
 			lane.Run(ctx, "ramr", plan.MapperCPU[i], tel, fail, func(tw *telemetry.Worker) {
-				var shard *trace.Shard
-				if cfg.Trace != nil {
-					shard = cfg.Trace.Shard(fmt.Sprintf("mapper-%d", i))
-				}
+				track := cfg.Trace.Worker("mapper", i)
+				defer track.Publish()
 				emit := HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
-			takeLoop:
-				for !abort.Load() && ctx.Err() == nil {
+				live := func() bool { return !abort.Load() && ctx.Err() == nil }
+				for live() {
 					t0, t1, cls, ok := tq.take(mapperGroup[i])
 					if !ok {
 						break
@@ -263,37 +261,26 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					tw.AddSteal(int(cls), t1-t0)
 					stolen := cls != topology.StealLocal
 					var endSteal func()
-					if shard != nil && stolen {
-						endSteal = shard.Span("steal", map[string]any{
-							"tasks": t1 - t0, "class": cls.String(),
-						})
+					if stolen {
+						endSteal = track.Span("steal", obs.Int("tasks", t1-t0), obs.Str("class", cls.String()))
 					}
-					for t := t0; t < t1; t++ {
-						if abort.Load() || ctx.Err() != nil {
-							if endSteal != nil {
-								endSteal()
-							}
-							break takeLoop
-						}
+					// An abort mid-batch leaves the rest of the batch
+					// untaken; the outer loop then sees it too.
+					for t := t0; t < t1 && live(); t++ {
 						lo, hi := tq.tasks[t][0], tq.tasks[t][1]
 						lane.BeginTask()
-						var end func()
-						if shard != nil {
-							end = shard.Span("task", map[string]any{"splits": hi - lo})
-						}
+						end := track.Span("task", obs.Int("splits", hi-lo))
 						for s := lo; s < hi; s++ {
 							spec.Map(spec.Splits[s], emit)
 						}
 						lane.EndTask()
-						if end != nil {
-							end()
-						}
+						end()
 						if stolen {
 							st.RemoteExecuted++
 							tw.AddRemoteExecuted(1)
 						}
 					}
-					if endSteal != nil {
+					if stolen {
 						endSteal()
 					}
 				}

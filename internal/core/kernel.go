@@ -18,9 +18,9 @@ import (
 
 	"ramr/internal/affinity"
 	"ramr/internal/mr"
+	"ramr/internal/obs"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
-	"ramr/internal/trace"
 )
 
 // role names a worker pool: label is the pprof/telemetry role, name the
@@ -190,7 +190,7 @@ type Combiners[E any] struct {
 	Active  int
 	CPUs    []int // per slot, -1 = unpinned
 	Tel     *telemetry.Telemetry
-	Trace   *trace.Collector
+	Trace   *obs.Recorder
 	Hooks   *mr.Hooks
 
 	// Batch is the consume batch size, read once per polling round (the
@@ -246,10 +246,8 @@ func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[
 // and discard-drain instead, so producers blocked on full rings unwedge
 // without burning user-code cycles.
 func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.Worker) {
-	var shard *trace.Shard
-	if c.Trace != nil {
-		shard = c.Trace.Shard(fmt.Sprintf("combiner-%d", j))
-	}
+	track := c.Trace.Worker("combiner", j)
+	defer track.Publish()
 	var batchHook, drainHook func(int)
 	if hk := c.Hooks; hk != nil {
 		batchHook, drainHook = hk.CombineBatch, hk.CombineDrain
@@ -302,10 +300,7 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 		if len(mine) == 0 {
 			return
 		}
-		var end func()
-		if shard != nil {
-			end = shard.Span("consume", nil)
-		}
+		end := track.Span("consume")
 		for _, qi := range mine {
 			q := c.Queues[qi]
 			if !pool.acquire(qi, j) {
@@ -331,7 +326,7 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 			pool.release(qi)
 			held = -1
 		}
-		if end != nil && consumed > 0 {
+		if consumed > 0 {
 			end()
 		}
 		return

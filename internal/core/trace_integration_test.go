@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 
-	"ramr/internal/trace"
+	"ramr/internal/obs"
+	"ramr/internal/telemetry"
 )
 
 // TestEngineTracing runs a traced job and validates the recorded timeline:
@@ -14,26 +15,28 @@ import (
 func TestEngineTracing(t *testing.T) {
 	spec := countSpec(64, 100, 13)
 	cfg := testConfig()
-	collector := trace.New()
+	collector := obs.New("")
 	cfg.Trace = collector
-	if _, err := Run(spec, cfg); err != nil {
+	cfg.Telemetry = telemetry.New()
+	res, err := Run(spec, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Every worker published its lane on the way out: the returned run's
+	// timeline has one task span per task the telemetry counted.
 	events := collector.Events()
 	var tasks, consumes int
-	var mapperSeen, combinerSeen bool
 	for _, e := range events {
 		switch e.Name {
 		case "task":
 			tasks++
-			mapperSeen = true
 		case "consume":
 			consumes++
-			combinerSeen = true
 		}
 	}
-	if !mapperSeen || !combinerSeen {
-		t.Fatalf("missing lanes: tasks=%d consumes=%d", tasks, consumes)
+	if tasks == 0 || consumes == 0 || uint64(tasks) != res.Telemetry.Totals.Tasks {
+		t.Fatalf("missing lanes: %d task spans (telemetry counted %d tasks), %d consume spans",
+			tasks, res.Telemetry.Totals.Tasks, consumes)
 	}
 	// The decoupled pipeline must actually overlap: at least one consume
 	// span starts before the last task span ends.

@@ -122,7 +122,8 @@ type Plan struct {
 	Seed int64
 	// Kind is the fault to inject.
 	Kind Kind
-	// Worker is the target worker index for worker-scoped kinds.
+	// Worker is the target worker index for worker-scoped kinds, or
+	// AnyWorker.
 	Worker int
 	// Nth is the 1-based call ordinal that trips a panic or cancel.
 	Nth int64
@@ -131,6 +132,15 @@ type Plan struct {
 	// Delay is the sleep length of delay kinds.
 	Delay time.Duration
 }
+
+// AnyWorker as a Plan's Worker aims a worker-scoped fault at whichever
+// worker reaches the ordinal first. Where the engine, not the test, decides
+// which worker gets the work (the stream session's mappers all pull from one
+// channel), a fixed target may never get Nth calls; some worker always does.
+const AnyWorker = -1
+
+// targets reports whether worker w is one the plan aims at.
+func (p Plan) targets(w int) bool { return p.Worker == AnyWorker || p.Worker == w }
 
 // String renders the plan for failure messages.
 func (p Plan) String() string {
@@ -228,7 +238,7 @@ func (in *Injector) Hooks() *mr.Hooks {
 			return
 		}
 		n := in.tasks[w].Add(1)
-		if p.Kind == PanicMapTask && w == p.Worker && n == p.Nth {
+		if p.Kind == PanicMapTask && p.targets(w) && n == p.Nth {
 			in.fire()
 			panic(InjectedPanic{p})
 		}
@@ -238,7 +248,7 @@ func (in *Injector) Hooks() *mr.Hooks {
 			return
 		}
 		n := in.emits[w].Add(1)
-		if w != p.Worker {
+		if !p.targets(w) {
 			return
 		}
 		switch p.Kind {
@@ -264,7 +274,7 @@ func (in *Injector) Hooks() *mr.Hooks {
 			return
 		}
 		n := in.batches[w].Add(1)
-		if w != p.Worker {
+		if !p.targets(w) {
 			return
 		}
 		switch p.Kind {
@@ -281,7 +291,7 @@ func (in *Injector) Hooks() *mr.Hooks {
 		}
 	}
 	h.CombineDrain = func(w int) {
-		if p.Kind == CancelMidDrain && w == p.Worker {
+		if p.Kind == CancelMidDrain && p.targets(w) {
 			in.fire()
 			in.cancel()
 		}

@@ -44,7 +44,9 @@ type streamScenario struct {
 	plan faultinject.Plan
 	// atDrain moves the plan's panic to the CombineDrain site, which no
 	// Kind targets: a resident combiner reaches it only when Close shuts
-	// the mappers down, behind every watermark-sealed window.
+	// the mappers down, behind the last fold — every element is already in
+	// its pane, so the sealer may have published every window, each exact,
+	// before the panic lands.
 	atDrain  bool
 	capacity int
 }
@@ -52,8 +54,8 @@ type streamScenario struct {
 // runStreamScenario drives one session into its fault and asserts what a
 // doomed session owes its caller: the typed error, nothing published at or
 // after the window the fault landed in (sealing is in order and that
-// window can never quiesce), every window that was published exact, every
-// ring drained, no goroutine left behind.
+// window can never quiesce; a drain-site fault lands in none), every window
+// that was published exact, every ring drained, no goroutine left behind.
 func runStreamScenario(t *testing.T, sc streamScenario) {
 	t.Helper()
 	cfg := mr.DefaultConfig()
@@ -133,8 +135,8 @@ feed:
 	}
 
 	ws := p.Windows()
-	if faulted && len(ws) >= streamChunks {
-		t.Fatalf("%s: all %d windows published by a session that failed", sc.name, len(ws))
+	if faulted && !sc.atDrain && len(ws) >= streamChunks {
+		t.Fatalf("%s: all %d windows published by a session whose fault landed inside one", sc.name, len(ws))
 	}
 	if !faulted && len(ws) != streamChunks {
 		t.Fatalf("%s: %d windows published, want %d", sc.name, len(ws), streamChunks)
@@ -168,14 +170,18 @@ feed:
 // same kernel: a panic mid-emit (half-built slab), mid-fold and at the
 // drain site, and a Cancel in the middle of a split — each on a roomy ring
 // and on rings so small that producers are parked on them when the fault
-// lands.
+// lands. The session's mappers pull splits from one channel, so which of
+// them (and so which combiner) sees how much is the scheduler's call: the
+// worker-scoped plans aim at AnyWorker, and each ordinal is one some worker
+// must reach — a split is 60 emits, and the 2880 elements are at least 23
+// folds over two combiners.
 func TestStreamFaultSweep(t *testing.T) {
 	plans := []streamScenario{
 		{name: "none", plan: faultinject.Plan{Kind: faultinject.None}},
-		{name: "panic-map-emit", plan: faultinject.Plan{Kind: faultinject.PanicMapEmit, Worker: 1, Nth: 40}},
-		{name: "panic-combine-batch", plan: faultinject.Plan{Kind: faultinject.PanicCombineBatch, Worker: 1, Nth: 3}},
+		{name: "panic-map-emit", plan: faultinject.Plan{Kind: faultinject.PanicMapEmit, Worker: faultinject.AnyWorker, Nth: 40}},
+		{name: "panic-combine-batch", plan: faultinject.Plan{Kind: faultinject.PanicCombineBatch, Worker: faultinject.AnyWorker, Nth: 3}},
 		{name: "panic-combine-drain", plan: faultinject.Plan{Kind: faultinject.PanicCombineBatch, Nth: 1 << 40}, atDrain: true},
-		{name: "cancel-mid-split", plan: faultinject.Plan{Kind: faultinject.CancelMidMap, Worker: 2, Nth: 30}},
+		{name: "cancel-mid-split", plan: faultinject.Plan{Kind: faultinject.CancelMidMap, Worker: faultinject.AnyWorker, Nth: 30}},
 	}
 	for _, capacity := range []int{2, 4, 256} {
 		for _, sc := range plans {

@@ -1,11 +1,14 @@
 package faultinject_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +16,7 @@ import (
 	"ramr/internal/core"
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
+	"ramr/internal/obs"
 	"ramr/internal/phoenix"
 	"ramr/internal/spsc"
 	"ramr/internal/topology"
@@ -127,7 +131,16 @@ func runScenario(t *testing.T, seed int64) {
 	spec := sweepSpec(sc.splits, sc.emits)
 	spec.Combine = faultinject.WrapCombine(in, spec.Combine)
 	spec.Reduce = faultinject.WrapReduce(in, spec.Reduce)
-	sc.cfg.Hooks = in.Hooks()
+	hooks := in.Hooks()
+	started := make([]atomic.Int64, mapWorkers) // map tasks begun, per worker
+	planted := hooks.MapTask
+	hooks.MapTask = func(w int) {
+		started[w].Add(1)
+		planted(w)
+	}
+	sc.cfg.Hooks = hooks
+	timeline := obs.New("")
+	sc.cfg.Trace = timeline
 
 	var res *mr.Result[int, int]
 	var err error
@@ -189,6 +202,31 @@ func runScenario(t *testing.T, seed int64) {
 
 	if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
 		t.Fatalf("%s %v: %d leaked worker goroutines:\n%s", sc.engine, plan, len(leaked), leaked[0])
+	}
+
+	// However the run ended, every worker published its lane on the way
+	// out: each map task begun has its span, bar the one per worker a fault
+	// may have cut short, and the document still exports.
+	lane := map[string]string{"ramr": "mapper", "phoenix": "worker"}[sc.engine]
+	spans := map[string]int{}
+	for _, e := range timeline.Events() {
+		if e.Name == "task" {
+			spans[e.Track]++
+		}
+	}
+	for w := range started {
+		n, got := int(started[w].Load()), spans[fmt.Sprintf("%s-%d", lane, w)]
+		if got > n || got < n-1 || (err == nil && got != n) {
+			t.Fatalf("%s %v (err %v): %s-%d began %d tasks, its lane has %d task spans", sc.engine, plan, err, lane, w, n, got)
+		}
+	}
+	var buf bytes.Buffer
+	var doc []map[string]any
+	if werr := timeline.WriteChromeTrace(&buf); werr != nil {
+		t.Fatalf("%s %v: exporting the trace: %v", sc.engine, plan, werr)
+	}
+	if jerr := json.Unmarshal(buf.Bytes(), &doc); jerr != nil {
+		t.Fatalf("%s %v: trace is not a JSON array: %v", sc.engine, plan, jerr)
 	}
 }
 

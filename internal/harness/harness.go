@@ -17,8 +17,8 @@ import (
 	"sort"
 	"strings"
 
+	"ramr/internal/obs"
 	"ramr/internal/telemetry"
-	"ramr/internal/trace"
 )
 
 // Options configures an experiment run.
@@ -32,7 +32,7 @@ type Options struct {
 	Runs int
 	// Trace, when non-nil, collects per-worker spans from every measured
 	// native run into one timeline (ratio probes stay uninstrumented).
-	Trace *trace.Collector
+	Trace *obs.Recorder
 	// Telemetry, when non-nil, instruments every measured native run;
 	// after the experiment, Telemetry.LastReport() describes the final
 	// run performed.

@@ -6,10 +6,10 @@ import (
 	"runtime"
 	"strconv"
 
+	"ramr/internal/obs"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
-	"ramr/internal/trace"
 	"ramr/internal/tuner"
 )
 
@@ -112,10 +112,11 @@ type Config struct {
 	// validation.
 	CPUGrant []int
 	// Trace, when non-nil, records per-worker execution timelines
-	// (task spans for mappers and fused workers, batch spans for
+	// (task spans for mappers and fused workers, consume spans for
 	// combiners) for Chrome-trace export. Tracing costs one slice
-	// append per span on the hot path.
-	Trace *trace.Collector
+	// append per span on the hot path; each worker's lane becomes
+	// readable when that worker exits.
+	Trace *obs.Recorder
 	// Telemetry, when non-nil, enables the live observability layer:
 	// per-worker counters, a background sampler recording every SPSC
 	// ring's occupancy and each worker's state, and Prometheus/JSON

@@ -8,11 +8,15 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"ramr/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// record appends an already-measured span to tr's private buffer, as
+// Track.Span's end function does with the clock's readings.
+func record(tr *Track, name string, start, dur time.Duration, args map[string]any) {
+	tr.events = append(tr.events, Event{Name: name, Track: tr.name, Start: start, Dur: dur, Args: args})
+}
 
 // checkGolden compares got with testdata/name byte for byte.
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -52,12 +56,9 @@ func TestChromeTraceGoldenJob(t *testing.T) {
 		{"job_open.golden.json", false},
 		{"job_done.golden.json", true},
 	} {
-		col := trace.New()
 		r := New("job")
-		r.epoch = col.Epoch()
 		at := func(d time.Duration) time.Time { return r.epoch.Add(d) }
 		r.SetJob(7, "WC")
-		r.AttachEngine(col)
 
 		r.SpanAt("execute", at(3*ms), at(8*ms), map[string]any{"cpus": []int{0, 1}})
 		r.SpanAt("receive", at(0), at(150*us), nil)
@@ -69,16 +70,19 @@ func TestChromeTraceGoldenJob(t *testing.T) {
 		r.InstantAt("memo-miss", at(150*us), nil)
 		r.InstantAt("admitted", at(0), nil)
 
-		m0 := col.Shard("mapper-0")
-		c0 := col.Shard("combiner-0")
-		tn := col.Shard("tuner")
-		m0.Record("task", 3*ms, 2*ms, map[string]any{"splits": 4})
-		m0.Record("steal", 3*ms, 4*ms, map[string]any{"tasks": 2, "class": "socket"})
-		m0.Record("task", 5*ms+500*us, 1*ms, map[string]any{"splits": 1})
-		c0.Record("consume", 3*ms, 1*ms, nil)
-		c0.Record("consume", 3*ms+100, 500*us, nil)
-		c0.Record("consume", 7*ms, 2*ms+500*us, nil)
-		tn.Record("epoch", 0, 0, map[string]any{"action": "hold", "combiners": 1, "batch": 64})
+		m0 := r.Track("mapper-0")
+		c0 := r.Track("combiner-0")
+		tn := r.Track("tuner")
+		record(m0, "task", 3*ms, 2*ms, map[string]any{"splits": 4})
+		record(m0, "steal", 3*ms, 4*ms, map[string]any{"tasks": 2, "class": "socket"})
+		record(m0, "task", 5*ms+500*us, 1*ms, map[string]any{"splits": 1})
+		record(c0, "consume", 3*ms, 1*ms, nil)
+		record(c0, "consume", 3*ms+100, 500*us, nil)
+		record(c0, "consume", 7*ms, 2*ms+500*us, nil)
+		record(tn, "epoch", 0, 0, map[string]any{"action": "hold", "combiners": 1, "batch": 64})
+		m0.Publish()
+		c0.Publish()
+		tn.Publish()
 
 		if tc.finished {
 			r.SetError(errors.New("context canceled"))
@@ -92,4 +96,27 @@ func TestChromeTraceGoldenJob(t *testing.T) {
 		}
 		checkGolden(t, tc.file, buf.Bytes())
 	}
+}
+
+// TestChromeTraceGoldenStandalone pins the document of a recorder with no
+// root name — what Config.Trace, ramrsynth and ramrbench -trace-out write:
+// worker lanes numbered from 1, no lifecycle lane, no root. The same start
+// on two lanes exercises the tie-break by lane name; the args map exercises
+// deterministic key marshaling.
+func TestChromeTraceGoldenStandalone(t *testing.T) {
+	const ms = time.Millisecond
+	r := New("")
+	m0 := r.Track("mapper-0")
+	c0 := r.Track("combiner-0")
+	record(c0, "consume", 2*ms, ms, nil)
+	record(m0, "task", 2*ms, 3*ms, map[string]any{"splits": 4, "idx": 1})
+	record(m0, "task", 7*ms, ms, nil)
+	m0.Publish()
+	c0.Publish()
+
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "standalone.golden.json", buf.Bytes())
 }

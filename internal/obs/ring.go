@@ -5,17 +5,17 @@ import (
 	"time"
 )
 
-// Event is one entry of the service-wide bounded event log: a scheduler
+// LogEvent is one entry of the service-wide bounded event log: a scheduler
 // transition, memo outcome or lifecycle edge, timestamped and tagged
 // with the job it concerns.
-type Event struct {
+type LogEvent struct {
 	// Seq is the monotonically increasing sequence number of the event
 	// across the ring's lifetime; gaps at the front of a snapshot mean
 	// older events were overwritten.
-	Seq  uint64    `json:"seq"`
-	Time time.Time `json:"time"`
-	Job  int       `json:"job,omitempty"`
-	Kind string    `json:"kind"`
+	Seq  uint64         `json:"seq"`
+	Time time.Time      `json:"time"`
+	Job  int            `json:"job,omitempty"`
+	Kind string         `json:"kind"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -25,7 +25,7 @@ type Event struct {
 // methods are safe for concurrent use and no-ops on a nil *Ring.
 type Ring struct {
 	mu  sync.Mutex
-	buf []Event
+	buf []LogEvent
 	// next is the total number of events ever appended; next % cap is
 	// the slot the next event lands in.
 	next uint64
@@ -37,7 +37,7 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Ring{buf: make([]Event, 0, capacity)}
+	return &Ring{buf: make([]LogEvent, 0, capacity)}
 }
 
 // Append records an event stamped now. No-op on nil.
@@ -45,7 +45,7 @@ func (r *Ring) Append(kind string, job int, args map[string]any) {
 	if r == nil {
 		return
 	}
-	e := Event{Time: time.Now(), Job: job, Kind: kind, Args: args}
+	e := LogEvent{Time: time.Now(), Job: job, Kind: kind, Args: args}
 	r.mu.Lock()
 	e.Seq = r.next
 	r.next++
@@ -59,18 +59,18 @@ func (r *Ring) Append(kind string, job int, args map[string]any) {
 
 // Snapshot returns the retained events oldest-first, plus the total
 // number of events ever appended (total - len(events) were overwritten).
-func (r *Ring) Snapshot() (events []Event, total uint64) {
+func (r *Ring) Snapshot() (events []LogEvent, total uint64) {
 	if r == nil {
 		return nil, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.buf) < cap(r.buf) {
-		return append([]Event(nil), r.buf...), r.next
+		return append([]LogEvent(nil), r.buf...), r.next
 	}
 	// Full ring: the oldest entry sits at the next write slot.
 	head := int(r.next) % cap(r.buf)
-	events = make([]Event, 0, len(r.buf))
+	events = make([]LogEvent, 0, len(r.buf))
 	events = append(events, r.buf[head:]...)
 	events = append(events, r.buf[:head]...)
 	return events, r.next

@@ -24,7 +24,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/telemetry"
-	"ramr/internal/trace"
 )
 
 // Run executes the job with the Phoenix++ strategy: cfg.Mappers +
@@ -114,10 +113,8 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 						trip()
 					}
 				}()
-				var shard *trace.Shard
-				if cfg.Trace != nil {
-					shard = cfg.Trace.Shard(fmt.Sprintf("worker-%d", w))
-				}
+				track := cfg.Trace.Worker("worker", w)
+				defer track.Publish()
 				emit := func(k K, v V) { c.Update(k, v, spec.Combine) }
 				// In the fused engine every emitted pair is combined in
 				// place, so one local counter feeds both totals at task
@@ -150,16 +147,11 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					if taskHook != nil {
 						taskHook(w)
 					}
-					var end func()
-					if shard != nil {
-						end = shard.Span("task", nil)
-					}
+					end := track.Span("task")
 					for s := tasks[i][0]; s < tasks[i][1]; s++ {
 						spec.Map(spec.Splits[s], emit)
 					}
-					if end != nil {
-						end()
-					}
+					end()
 					if tw != nil {
 						tw.AddTasks(1)
 						tw.AddEmitted(emitted)

@@ -20,11 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
+	"ramr/internal/obs"
 	"ramr/internal/topology"
 )
 
@@ -305,6 +307,22 @@ type JobStatus struct {
 	// Metrics is the job's final metric map (copy); nil until finished
 	// or when the JobSpec had no Metrics callback.
 	Metrics map[string]float64
+}
+
+// TraceTo records the scheduler-side spans of a settled job on rec, derived
+// from its timestamps: the queue wait between admission and start, and the
+// grant allocation as that wait's tail, carrying the CPU set plus extra.
+// Recording at settlement rather than from the scheduler's observer keeps
+// the observer reentrancy-free and covers each interval exactly. A job that
+// never started has neither span.
+func (st JobStatus) TraceTo(rec *obs.Recorder, extra map[string]any) {
+	if st.Started.IsZero() {
+		return
+	}
+	rec.SpanAt("queue-wait", st.QueuedAt, st.Started, nil)
+	args := map[string]any{"cpus": st.Grant}
+	maps.Copy(args, extra)
+	rec.SpanAt("grant-alloc", st.Started.Add(-st.AllocDur), st.Started, args)
 }
 
 // Stats summarizes scheduler occupancy.

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ramr/internal/sched"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -337,18 +338,56 @@ func TestDeleteUnregistersMetrics(t *testing.T) {
 }
 
 // TestRetentionBound soaks the registry: many distinct finished jobs
-// must not grow the record map or the telemetry aggregator past the
-// configured retention bound.
+// must not grow the record map, the telemetry aggregator or the /metrics
+// exposition past the configured retention bound. The exposition's budget
+// is a plateau: once retain jobs have finished, further jobs replace
+// per-job series one for one and move only values, so the series count
+// after 3 × retain jobs equals the count after the first retain.
 func TestRetentionBound(t *testing.T) {
 	const retain = 3
 	svc, ts, _ := newMemoService(t, Config{Seed: 19, RetainFinished: retain})
-	for seed := 0; seed < 10; seed++ {
+	series := func() int {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.CheckExposition(text); err != nil {
+			t.Fatalf("/metrics fails strict validation: %v", err)
+		}
+		n := 0
+		for _, line := range strings.Split(string(text), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
+	}
+	var firstID, plateau int
+	for seed := 0; seed < 3*retain; seed++ {
 		body := fmt.Sprintf(`{"workload":"SYNTH","seed":%d,"config":{"pin":"none"},"synth":{"elements":1000,"keys":16}}`, seed)
 		code, doc := postJob(t, ts, body)
 		if code != http.StatusCreated {
 			t.Fatalf("POST seed %d: HTTP %d (%v)", seed, code, doc)
 		}
-		waitDone(t, ts, int(doc["id"].(float64)))
+		id := int(doc["id"].(float64))
+		waitDone(t, ts, id)
+		switch seed {
+		case 0:
+			firstID = id
+		case retain - 1:
+			plateau = series()
+		}
+	}
+	if got := series(); got != plateau {
+		t.Fatalf("/metrics has %d series after %d jobs, %d after the first %d: the exposition grows with jobs served", got, 3*retain, plateau, retain)
+	}
+	if code, _ := fetchTrace(t, ts, firstID); code != http.StatusNotFound {
+		t.Fatalf("trace of evicted job %d: HTTP %d, want 404", firstID, code)
 	}
 	code, doc := getJSON(t, ts.URL+"/jobs")
 	if code != http.StatusOK {

@@ -465,18 +465,15 @@ func TestLiveTraceRaceFree(t *testing.T) {
 	_, events := fetchTrace(t, ts, id)
 	checkTimeline(t, events)
 	lane := map[float64]string{}
-	tasks := map[string]uint64{}
+	lanes, tasks := map[string]bool{}, map[string]uint64{}
 	for _, ev := range events {
 		switch {
 		case ev["ph"] == "M":
-			lane[ev["tid"].(float64)] = ev["args"].(map[string]any)["name"].(string)
+			name := ev["args"].(map[string]any)["name"].(string)
+			lane[ev["tid"].(float64)], lanes[name] = name, true
 		case ev["ph"] == "X" && ev["name"] == "task":
 			tasks[lane[ev["tid"].(float64)]]++
 		}
-	}
-	lanes := map[string]bool{}
-	for _, name := range lane {
-		lanes[name] = true
 	}
 	_, res := getJSON(t, fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
 	workers := res["telemetry"].(map[string]any)["workers"].([]any)

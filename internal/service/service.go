@@ -39,7 +39,6 @@ import (
 	"ramr/internal/sched"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
-	"ramr/internal/trace"
 	"ramr/internal/workloads"
 )
 
@@ -465,11 +464,7 @@ func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) 
 		return err
 	}
 	c := p.grantConfig(grant)
-	// Worker-lane tracing for this run, stitched under the
-	// lifecycle root at export time.
-	col := trace.New()
-	c.Trace = col
-	rec.AttachEngine(col)
+	c.Trace = rec // the run's worker lanes land under the job's lifecycle lane
 	execStart := time.Now()
 	info, err := job.RunCtx(ctx, p.engine, c)
 	execEnd := time.Now()
@@ -547,22 +542,6 @@ func recordRunDetail(rec *obs.Recorder, start, end time.Time, info *workloads.Ru
 	}
 }
 
-// traceSchedule derives the scheduler-side spans from the job's settled
-// timestamps: queue wait between admission and start, grant allocation
-// just before the start with the CPU set and its locality groups as args.
-// Recording at completion rather than from the scheduler observer keeps
-// the observer reentrancy-free and covers each interval exactly.
-func (s *Service) traceSchedule(e *entry, st sched.JobStatus) {
-	if st.Started.IsZero() {
-		return
-	}
-	e.rec.SpanAt("queue-wait", st.QueuedAt, st.Started, nil)
-	e.rec.SpanAt("grant-alloc", st.Started.Add(-st.AllocDur), st.Started, map[string]any{
-		"cpus":   st.Grant,
-		"groups": localityGroups(s.machine, st.Grant),
-	})
-}
-
 // localityGroups returns the distinct topology groups a CPU set spans.
 func localityGroups(m *topology.Machine, cpus []int) []int {
 	seen := map[int]bool{}
@@ -628,7 +607,7 @@ func (s *Service) watch(e *entry) {
 
 	state := terminalState(st)
 	s.observeLifecycle(e, st, info, st.Priority.String())
-	s.traceSchedule(e, st)
+	st.TraceTo(e.rec, map[string]any{"groups": localityGroups(s.machine, st.Grant)})
 	e.rec.SetError(st.Err)
 	lg := s.jobLog(e).With("state", state)
 	if !st.Started.IsZero() {

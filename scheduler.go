@@ -9,7 +9,6 @@ import (
 	"ramr/internal/obs"
 	"ramr/internal/phoenix"
 	"ramr/internal/sched"
-	"ramr/internal/trace"
 )
 
 // Priority is a scheduled job's service class; higher classes receive a
@@ -121,13 +120,11 @@ func Submit[S any, K comparable, V, R any](sc *Scheduler, spec *Spec[S, K, V, R]
 		Run: func(ctx context.Context, grant []int) error {
 			rc := c
 			rc.ApplyGrant(grant)
-			// Worker-lane tracing: stitch the run's collector under the
-			// handle's lifecycle trace, creating one when the caller
-			// didn't attach their own.
+			// The run's worker lanes land under the handle's lifecycle
+			// lane, unless the caller asked for them on a trace of their own.
 			if rc.Trace == nil {
-				rc.Trace = trace.New()
+				rc.Trace = h.rec
 			}
-			h.rec.AttachEngine(rc.Trace)
 			execStart := time.Now()
 			var (
 				res *Result[K, R]
@@ -203,11 +200,7 @@ func (h *JobHandle[K, R]) Trace() *JobTrace {
 	st := h.job.Status()
 	if st.State == sched.StateDone || st.State == sched.StateCanceled {
 		h.finished.Do(func() {
-			if !st.Started.IsZero() {
-				h.rec.SpanAt("queue-wait", st.QueuedAt, st.Started, nil)
-				h.rec.SpanAt("grant-alloc", st.Started.Add(-st.AllocDur), st.Started,
-					map[string]any{"cpus": st.Grant})
-			}
+			st.TraceTo(h.rec, nil)
 			status := "done"
 			switch {
 			case st.State == sched.StateCanceled:
