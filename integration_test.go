@@ -37,13 +37,16 @@ func TestNativeExperimentsQuick(t *testing.T) {
 }
 
 // TestFullPipelineKnobMatrix runs one real app through the public API
-// across the knob matrix, validating output stability.
+// across the knob matrix, validating output stability and the pair books:
+// whatever the ring geometry sends through a ring or folds in place, the
+// two add up to the same emitted total, and every ring gives back what it
+// took.
 func TestFullPipelineKnobMatrix(t *testing.T) {
 	job, err := workloads.NewJobParams("HG", workloads.Params{Bytes: 60_000}, workloads.DefaultContainer("HG"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var digest uint64
+	var digest, emitted uint64
 	for _, batch := range []int{1, 100, 5000} {
 		for _, qcap := range []int{64, 5000} {
 			cfg := ramr.DefaultConfig()
@@ -56,9 +59,13 @@ func TestFullPipelineKnobMatrix(t *testing.T) {
 				t.Fatalf("batch=%d cap=%d: %v", batch, qcap, err)
 			}
 			if digest == 0 {
-				digest = info.Digest
+				digest, emitted = info.Digest, info.Queue.Pushes+info.Help.Pairs()
 			} else if info.Digest != digest {
 				t.Fatalf("batch=%d cap=%d changes the result", batch, qcap)
+			}
+			if q := info.Queue; q.Pushes != q.Pops || q.Pushes+info.Help.Pairs() != emitted {
+				t.Fatalf("batch=%d cap=%d: %d pushed, %d popped, %d folded in place; want %d emitted",
+					batch, qcap, q.Pushes, q.Pops, info.Help.Pairs(), emitted)
 			}
 		}
 	}

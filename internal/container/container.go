@@ -15,9 +15,41 @@
 // A container accumulates one value per key under a user combine function
 // and is private to one worker (Phoenix++) or one combiner (RAMR); Merge
 // folds per-worker containers together before the reduce phase.
+//
+// Layout rule. The runtimes build their per-worker containers back to back,
+// so the allocator hands them neighbouring memory, and workers that share
+// nothing by design would still share cache lines: nothing a container
+// writes on every update — its accumulators, its presence marks, its
+// counters — may sit in a line that holds another container's words. The
+// backing arrays are therefore allocated isolated, the counters are fenced
+// inside their struct, and nothing is counted per probe (layout_test.go
+// checks addresses; EXPERIMENTS.md, "Work-conserving pipeline", has what
+// breaking the rule costs).
 package container
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
+
+// line is the cache-line size the layout rule is stated in.
+const line = 64
+
+// fence keeps the fields on its two sides on different cache lines.
+type fence [line]byte
+
+// isolated returns a zeroed slice of n elements, with room for limit, that
+// shares no cache line with any other allocation: it is cut from the middle
+// of a block with a full line of slack at either end.
+func isolated[T any](n, limit int) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	if size == 0 {
+		return make([]T, n, limit)
+	}
+	slack := (line + size - 1) / size
+	return make([]T, limit+2*slack)[slack : slack+n : slack+limit]
+}
 
 // Kind enumerates the container implementations.
 type Kind int

@@ -11,7 +11,9 @@ package container
 type FixedArray[V any] struct {
 	vals    []V
 	present []bool
+	_       fence
 	n       int
+	_       fence
 }
 
 // NewFixedArray returns a container for keys in [0, size). It panics on a
@@ -21,8 +23,8 @@ func NewFixedArray[V any](size int) *FixedArray[V] {
 		panic("container: FixedArray size must be positive")
 	}
 	return &FixedArray[V]{
-		vals:    make([]V, size),
-		present: make([]bool, size),
+		vals:    isolated[V](size, size),
+		present: isolated[bool](size, size),
 	}
 }
 

@@ -48,11 +48,14 @@ type FixedHash[K comparable, V any] struct {
 	vals    []V
 	state   []uint8 // 0 empty, 1 occupied
 	mask    uint64
-	n       int
 	maxKeys int
+	_       fence
+	n       int
 	// Probes counts total probe steps, a proxy for the extra memory
 	// traffic this container generates; the perf model reads it.
+	// UpdateBatch adds a batch's steps in one store.
 	Probes uint64
+	_      fence
 }
 
 // NewFixedHash returns a fixed-capacity table able to hold maxKeys
@@ -76,8 +79,8 @@ func NewFixedHash[K comparable, V any](maxKeys int, hash Hasher[K]) *FixedHash[K
 	return &FixedHash[K, V]{
 		hash:    hash,
 		keys:    make([]K, cap),
-		vals:    make([]V, cap),
-		state:   make([]uint8, cap),
+		vals:    isolated[V](int(cap), int(cap)),
+		state:   isolated[uint8](int(cap), int(cap)),
 		mask:    cap - 1,
 		maxKeys: maxKeys,
 	}
@@ -108,14 +111,19 @@ func (h *FixedHash[K, V]) Update(k K, v V, combine Combine[V]) {
 
 // UpdateBatch folds each pair of kvs into its slot. The probe loop is the
 // same as Update's; batching amortizes the interface dispatch and keeps
-// consecutive probes of one batch temporally adjacent in the table.
+// consecutive probes of one batch temporally adjacent in the table. Probe
+// steps are counted in a local and stored once: a store per step into the
+// struct is a cross-core write per pair to whoever reads the line next
+// door.
 func (h *FixedHash[K, V]) UpdateBatch(kvs []KV[K, V], combine Combine[V]) {
+	probes := uint64(0)
 	for _, p := range kvs {
 		i := h.hash(p.K) & h.mask
 		for {
-			h.Probes++
+			probes++
 			if h.state[i] == 0 {
 				if h.n >= h.maxKeys {
+					h.Probes += probes
 					panic(fmt.Sprintf("container: FixedHash overflow: %d distinct keys exceed declared capacity %d", h.n+1, h.maxKeys))
 				}
 				h.keys[i] = p.K
@@ -131,6 +139,7 @@ func (h *FixedHash[K, V]) UpdateBatch(kvs []KV[K, V], combine Combine[V]) {
 			i = (i + 1) & h.mask
 		}
 	}
+	h.Probes += probes
 }
 
 // Get returns the accumulator for k.

@@ -224,7 +224,7 @@ func TestPoolSplitFollowsPlan(t *testing.T) {
 	for _, mc := range [][2]int{{3, 2}, {7, 3}, {8, 8}} {
 		mappers, combiners := mc[0], mc[1]
 		plan := BuildPlanOn(m, nil, mappers, combiners, mr.PinRAMR)
-		order := localityOrder(mapperGroups(m, plan, mappers, len(m.LocalityGroups())))
+		order := localityOrder(workerGroups(m, plan.MapperCPU, len(m.LocalityGroups())))
 		p := newElasticPool(closedQueues(mappers), testGates(combiners), order, combiners, false, nil)
 		worst := -1
 		for j, rng := range QueueAssignment(mappers, combiners) {
@@ -264,9 +264,7 @@ func TestElasticRunCorrectness(t *testing.T) {
 	if total != 60*50 {
 		t.Fatalf("total = %d, want %d", total, 60*50)
 	}
-	if res.QueueStats.Pushes != uint64(60*50) || res.QueueStats.Pushes != res.QueueStats.Pops {
-		t.Fatalf("queue stats: %+v", res.QueueStats)
-	}
+	conserved(t, res, 60*50)
 	if res.TunerReport == nil {
 		t.Fatal("tuned run attached no TunerReport")
 	}
@@ -325,7 +323,7 @@ func TestElasticScheduleChurn(t *testing.T) {
 // tuner is reading them, so a live CountersNow is as good on an untuned
 // run as on a tuned one.
 func TestUntunedRunMirrorsConsumerCounters(t *testing.T) {
-	cfg := testConfig()
+	cfg := parked(testConfig()) // every pair through a ring
 	cfg.Telemetry = telemetry.New()
 	res, err := Run(countSpec(40, 50, 11), cfg)
 	if err != nil {

@@ -11,6 +11,12 @@
 // ends, combiners drain any remainder and exit; reduce and merge then
 // proceed exactly as in the Phoenix++ baseline.
 //
+// The two pools are fixed but the work is not pinned to them: a combiner
+// whose rings are empty takes a map task and folds what it emits in place,
+// and a mapper whose ring is full folds its slab into a container of its
+// own instead of waiting (DESIGN.md, "Work conservation"). Which of the two
+// happens, and how often, is decided by the pipeline's own back-pressure.
+//
 // The decoupling raises the parallelism degree and lets a memory-intensive
 // combine overlap a compute-intensive map; the contention-aware pinning
 // plan (pinning.go) keeps each combiner on a logical CPU adjacent to its
@@ -155,6 +161,19 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		batch = c
 	}
 	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, maxCombiners, cfg.Pin)
+	// Work conservation needs a CPU under every worker. On a grant too
+	// small for that an idle worker is already lending its CPU to its
+	// partner, and a worker that computes instead of parking takes cycles
+	// from whoever else the host is running (EXPERIMENTS.md,
+	// "Work-conserving pipeline": cold_job_s_p95 on serve_mixed).
+	conserve := len(cfg.CPUGrant) == 0 || len(cfg.CPUGrant) >= mappers+maxCombiners
+	// own[i] is mapper i's private container, created when its ring first
+	// refuses a slab; lanes and helpers keep every lane's fold counts for
+	// the run's books. Each entry is written by its worker only and read
+	// after the pools are joined.
+	own := make([]container.Container[K, V], mappers)
+	lanes := make([]*Lane[pair[K, V]], mappers)
+	helpers := make([]*Lane[pair[K, V]], maxCombiners)
 	res.Phases.Init = time.Since(t0)
 
 	// --- Partition: tasks into per-locality-group deques. The mapper →
@@ -163,12 +182,18 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	t0 = time.Now()
 	tasks := mr.Tasks(len(spec.Splits), cfg.TaskSize)
 	groups := machine.LocalityGroups()
-	mapperGroup := mapperGroups(machine, plan, mappers, len(groups))
+	mapperGroup := workerGroups(machine, plan.MapperCPU, len(groups))
+	combinerGroup := workerGroups(machine, plan.CombinerCPU, len(groups))
 	mappersIn := make([]int, len(groups))
 	for _, g := range mapperGroup {
 		mappersIn[g]++
 	}
 	tq := newTaskQueues(tasks, machine, mappersIn, cfg.Steal)
+	if conserve {
+		for _, g := range combinerGroup {
+			tq.helpersIn[g]++
+		}
+	}
 	res.Phases.Partition = time.Since(t0)
 
 	// Per-mapper steal stats fold into the shared aggregate at worker
@@ -199,12 +224,49 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		}
 	}
 
+	// One map task, on whichever worker took it: a mapper on its lane, or
+	// a combiner slot on its ring-less one.
+	live := func() bool { return !abort.Load() && ctx.Err() == nil }
+	emitInto := func(lane *Lane[pair[K, V]]) func(K, V) {
+		return HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
+	}
+	runTask := func(lane *Lane[pair[K, V]], track *obs.Track, t int, emit func(K, V)) {
+		lo, hi := tq.tasks[t][0], tq.tasks[t][1]
+		lane.BeginTask()
+		end := track.Span("task", obs.Int("splits", hi-lo))
+		for s := lo; s < hi; s++ {
+			spec.Map(spec.Splits[s], emit)
+		}
+		lane.EndTask()
+		end()
+	}
+
 	// The combiner pool: the kernel's consume loop on every slot, each
 	// folding into its private container. The consume batch is the one
 	// knob read on that loop, so it travels through an atomic the tuner
-	// stores and each round loads.
+	// stores and each round loads. A slot with nothing to consume helps:
+	// one task at a time from its own group's deque (further afield only
+	// as the steal policy allows), so it is back at its rings within a
+	// task.
 	var batchNow atomic.Int64
 	batchNow.Store(int64(batch))
+	var help func(int, *Lane[pair[K, V]], *obs.Track) func() bool
+	if conserve {
+		help = func(j int, lane *Lane[pair[K, V]], track *obs.Track) func() bool {
+			helpers[j] = lane
+			emit := emitInto(lane)
+			return func() bool {
+				if !live() {
+					return false
+				}
+				t, _, _, ok := tq.take(combinerGroup[j], true)
+				if ok {
+					runTask(lane, track, t, emit)
+				}
+				return ok
+			}
+		}
+	}
 	resize := StartCombiners(ctx, &combWG, Combiners[pair[K, V]]{
 		Engine:  "ramr",
 		Queues:  queues,
@@ -223,6 +285,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		},
 		Abort: abort.Load,
 		Fail:  fail,
+		Help:  help,
 	})
 	var driver *TunerDriver
 	if tcfg != nil {
@@ -235,7 +298,9 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 
 	// The mapper pool: each worker takes task batches from its locality
 	// group's deque (stealing when it runs dry) and maps them into its
-	// lane.
+	// lane. A slab the ring has no room for is folded into own[i] rather
+	// than waited on: the combiners are behind, and the mapper's CPU is the
+	// one that is free.
 	for i := 0; i < mappers; i++ {
 		mapWG.Add(1)
 		go func(i int) {
@@ -247,13 +312,21 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 				stealMu.Unlock()
 			}()
 			lane := NewLane(queues[i], cfg.EmitBatch, i, cfg.Hooks)
+			lanes[i] = lane
+			if conserve {
+				lane.Fold = func(seg []pair[K, V]) {
+					if own[i] == nil {
+						own[i] = spec.NewContainer()
+					}
+					own[i].UpdateBatch(seg, spec.Combine)
+				}
+			}
 			lane.Run(ctx, "ramr", plan.MapperCPU[i], tel, fail, func(tw *telemetry.Worker) {
 				track := cfg.Trace.Worker("mapper", i)
 				defer track.Publish()
-				emit := HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
-				live := func() bool { return !abort.Load() && ctx.Err() == nil }
+				emit := emitInto(lane)
 				for live() {
-					t0, t1, cls, ok := tq.take(mapperGroup[i])
+					t0, t1, cls, ok := tq.take(mapperGroup[i], false)
 					if !ok {
 						break
 					}
@@ -267,14 +340,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					// An abort mid-batch leaves the rest of the batch
 					// untaken; the outer loop then sees it too.
 					for t := t0; t < t1 && live(); t++ {
-						lo, hi := tq.tasks[t][0], tq.tasks[t][1]
-						lane.BeginTask()
-						end := track.Span("task", obs.Int("splits", hi-lo))
-						for s := lo; s < hi; s++ {
-							spec.Map(spec.Splits[s], emit)
-						}
-						lane.EndTask()
-						end()
+						runTask(lane, track, t, emit)
 						if stolen {
 							st.RemoteExecuted++
 							tw.AddRemoteExecuted(1)
@@ -322,9 +388,26 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	for _, q := range queues {
 		res.QueueStats.Add(q.Snapshot())
 	}
+	for _, l := range lanes {
+		_, folded := l.Stats()
+		res.Help.MapperPairs += folded
+	}
+	for _, l := range helpers {
+		if l != nil {
+			tasks, folded := l.Stats()
+			res.Help.Tasks += tasks
+			res.Help.CombinerPairs += folded
+		}
+	}
 
-	// --- Reduce: identical to the baseline from here on. ---
+	// --- Reduce: identical to the baseline from here on, over the
+	// combiners' containers and whichever mappers grew one. ---
 	t0 = time.Now()
+	for _, c := range own {
+		if c != nil {
+			containers = append(containers, c)
+		}
+	}
 	merged, err := mr.MergeContainers(containers, spec.Combine)
 	if err != nil {
 		return nil, err
@@ -366,17 +449,18 @@ func ValidateGrant(machine *topology.Machine, grant []int) error {
 	return nil
 }
 
-// mapperGroups assigns each mapper the locality-group index it draws
-// tasks from: the group containing its pinned CPU, or round-robin for
-// unpinned mappers. Steering goes through Machine.GroupOf because a CPU's
-// Socket field is an OS label that need not be dense — using it directly
-// as a group index would silently alias through the modulo in
-// taskQueues.next and send mappers to remote groups' task queues.
-func mapperGroups(machine *topology.Machine, plan Plan, mappers, groups int) []int {
-	mg := make([]int, mappers)
+// workerGroups assigns each worker of one pool (cpus is its row of the
+// pinning plan) the locality-group index it draws tasks from: the group
+// containing its pinned CPU, or round-robin for unpinned workers. Steering
+// goes through Machine.GroupOf because a CPU's Socket field is an OS label
+// that need not be dense — using it directly as a group index would
+// silently alias through the modulo in taskQueues.next and send workers to
+// remote groups' task queues.
+func workerGroups(machine *topology.Machine, cpus []int, groups int) []int {
+	mg := make([]int, len(cpus))
 	for i := range mg {
 		mg[i] = i % groups
-		if cpu := plan.MapperCPU[i]; cpu >= 0 {
+		if cpu := cpus[i]; cpu >= 0 {
 			if g, ok := machine.GroupOf(cpu); ok {
 				mg[i] = g
 			}
@@ -410,6 +494,7 @@ type taskQueues struct {
 	class     [][]topology.StealClass // steal class per (thief, victim)
 	tasks     [][2]int
 	mappersIn []int // mappers drawing from each group, for chunk sizing
+	helpersIn []int // combiner slots that may draw from each group too
 	steal     bool
 }
 
@@ -428,6 +513,7 @@ func newTaskQueues(tasks [][2]int, machine *topology.Machine, mappersIn []int, p
 		class:     make([][]topology.StealClass, groups),
 		tasks:     tasks,
 		mappersIn: mappersIn,
+		helpersIn: make([]int, groups),
 		steal:     policy != mr.StealOff,
 	}
 	for g := 0; g < groups; g++ {
@@ -502,16 +588,30 @@ func chunkFor(rem, mappers int) int {
 	return n
 }
 
-// take returns the next batch of task ids [lo, hi) for a mapper in group
-// g, plus the steal class of the source deque. ok is false only at global
-// exhaustion (or local exhaustion under StealOff). Deques never refill, so
-// a single pass over the victim order is a sound termination check: a
-// deque observed empty stays empty.
-func (tq *taskQueues) take(g int) (lo, hi int, class topology.StealClass, ok bool) {
+// take returns the next batch of task ids [lo, hi) for a worker in group
+// g, plus the steal class of the source deque; single makes the batch one
+// task, which is all a helping combiner slot takes, so that it is back at
+// its rings within a task. ok is false only at global exhaustion (or local
+// exhaustion under StealOff). Deques never refill, so a single pass over
+// the victim order is a sound termination check: a deque observed empty
+// stays empty.
+//
+// A deque that slots help drain is drained one task at a time by its
+// mappers too. A guided chunk is private once taken, and its size assumes
+// the group's mappers are all there is: with a slot mapping beside it the
+// mapper would walk off with half the deque — the heavy half, when splits
+// are sorted by size — and leave the slot the crumbs (EXPERIMENTS.md,
+// "Work-conserving pipeline": the skewed SYNTH run halves only with single
+// takes). The lock this gives up amortising is one group's, taken once per
+// task of tens of microseconds.
+func (tq *taskQueues) take(g int, single bool) (lo, hi int, class topology.StealClass, ok bool) {
 	d := &tq.deques[g]
 	d.mu.Lock()
 	if rem := d.tail - d.head; rem > 0 {
-		n := chunkFor(rem, tq.mappersIn[g])
+		n := 1
+		if !single && tq.helpersIn[g] == 0 {
+			n = chunkFor(rem, tq.mappersIn[g])
+		}
 		lo, hi = d.head, d.head+n
 		d.head += n
 		d.mu.Unlock()
@@ -526,6 +626,9 @@ func (tq *taskQueues) take(g int) (lo, hi int, class topology.StealClass, ok boo
 		dv.mu.Lock()
 		if rem := dv.tail - dv.head; rem > 0 {
 			n := (rem + 1) / 2
+			if single {
+				n = 1
+			}
 			lo, hi = dv.tail-n, dv.tail
 			dv.tail -= n
 			dv.mu.Unlock()

@@ -44,6 +44,27 @@ func testConfig() mr.Config {
 	return cfg
 }
 
+// parked returns cfg under a CPU grant too small for its workers. The grant
+// rule then switches work conservation off — lanes get no Fold, slots no
+// Help — so producers park on full rings and combiners on empty ones: what
+// the tests of the handshake, of ring ownership and of the abort drain are
+// about, and the shape every run had before the pipeline conserved work.
+func parked(cfg mr.Config) mr.Config {
+	cfg.CPUGrant = []int{0}
+	return cfg
+}
+
+// conserved asserts the pair books of a finished run that emitted want
+// pairs: each went through a ring or was folded where it was emitted, and
+// every ring gave back what it took.
+func conserved(t *testing.T, res *mr.Result[int, int], want int) {
+	t.Helper()
+	qs := res.QueueStats
+	if qs.Pushes+res.Help.Pairs() != uint64(want) || qs.Pushes != qs.Pops {
+		t.Fatalf("%d pairs emitted; queue stats: %+v, help: %+v", want, qs, res.Help)
+	}
+}
+
 func TestRunCorrectness(t *testing.T) {
 	spec := countSpec(40, 25, 17)
 	res, err := Run(spec, testConfig())
@@ -63,9 +84,7 @@ func TestRunCorrectness(t *testing.T) {
 	if total != 40*25 {
 		t.Fatalf("total = %d, want %d", total, 40*25)
 	}
-	if res.QueueStats.Pushes != uint64(40*25) || res.QueueStats.Pushes != res.QueueStats.Pops {
-		t.Fatalf("queue stats: %+v", res.QueueStats)
-	}
+	conserved(t, res, 40*25)
 	if res.Phases.Total() <= 0 {
 		t.Fatal("phases not recorded")
 	}
@@ -236,7 +255,7 @@ func TestTaskQueuesStealAcrossGroups(t *testing.T) {
 	seen := map[int]bool{}
 	stolen := 0
 	for {
-		lo, hi, cls, ok := tq.take(2)
+		lo, hi, cls, ok := tq.take(2, false)
 		if !ok {
 			break
 		}
@@ -272,7 +291,7 @@ func TestTaskQueuesStealOffStaysLocal(t *testing.T) {
 	counts := make([]int, 3)
 	for g := 0; g < 3; g++ {
 		for {
-			lo, hi, cls, ok := tq.take(g)
+			lo, hi, cls, ok := tq.take(g, false)
 			if !ok {
 				break
 			}
@@ -289,6 +308,47 @@ func TestTaskQueuesStealOffStaysLocal(t *testing.T) {
 	}
 }
 
+// TestTaskQueuesSingleTakes: a single take — a helping combiner slot's —
+// gets one task whatever the guided chunk would have been, from its own
+// deque's head or a victim's tail, and under StealOff never leaves its
+// group; and a deque that slots help drain gives its mappers one task at a
+// time too, while the other groups keep their chunks.
+func TestTaskQueuesSingleTakes(t *testing.T) {
+	tq := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 1}, mr.StealChunked)
+	if lo, hi, cls, ok := tq.take(0, true); !ok || hi-lo != 1 || lo != 0 || cls != topology.StealLocal {
+		t.Fatalf("own deque: took [%d,%d) class %v ok=%v, want task 0 alone, local", lo, hi, cls, ok)
+	}
+	for {
+		if _, _, cls, _ := tq.take(0, false); cls != topology.StealLocal {
+			break // group 0 is drained: that take was a steal
+		}
+	}
+	before := tq.remaining()
+	if lo, hi, cls, ok := tq.take(0, true); !ok || hi-lo != 1 || cls == topology.StealLocal {
+		t.Fatalf("victim deque: took [%d,%d) class %v ok=%v, want one stolen task", lo, hi, cls, ok)
+	}
+	if got := tq.remaining(); got != before-1 {
+		t.Fatalf("capped steal moved %d tasks, want 1", before-got)
+	}
+
+	off := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 0}, mr.StealOff)
+	if _, _, _, ok := off.take(2, true); ok {
+		t.Fatal("StealOff: a slot in a group seeded nothing took another group's task")
+	}
+	if off.remaining() != 12 {
+		t.Fatalf("StealOff: %d tasks left, want all 12", off.remaining())
+	}
+
+	helped := newTaskQueues(mr.Tasks(40, 1), multiSocket(2), []int{1, 1}, mr.StealChunked)
+	helped.helpersIn[0] = 1
+	if lo, hi, _, _ := helped.take(0, false); hi-lo != 1 {
+		t.Fatalf("mapper took %d tasks from a deque a slot helps drain, want 1", hi-lo)
+	}
+	if lo, hi, _, _ := helped.take(1, false); hi-lo != 10 {
+		t.Fatalf("mapper took %d tasks from an unhelped deque of 20, want the guided chunk of 10", hi-lo)
+	}
+}
+
 func TestTaskQueuesConcurrentExactlyOnce(t *testing.T) {
 	tasks := mr.Tasks(500, 1)
 	machine := multiSocket(4)
@@ -300,7 +360,7 @@ func TestTaskQueuesConcurrentExactlyOnce(t *testing.T) {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for {
-				lo, hi, _, ok := tq.take(g)
+				lo, hi, _, ok := tq.take(g, false)
 				if !ok {
 					return
 				}
@@ -364,7 +424,7 @@ func TestSeedSharesGrantFiltered(t *testing.T) {
 	mappers := 3
 	plan := BuildPlanOn(machine, grant, mappers, 1, mr.PinRAMR)
 	groups := machine.LocalityGroups()
-	mg := mapperGroups(machine, plan, mappers, len(groups))
+	mg := workerGroups(machine, plan.MapperCPU, len(groups))
 	mappersIn := make([]int, len(groups))
 	for _, g := range mg {
 		mappersIn[g]++
@@ -391,7 +451,7 @@ func TestTaskQueuesVictimOrderPreferred(t *testing.T) {
 	// Group 1's own seed is [10, 20); once it drains, the first steal
 	// must come from group 2's seed [20, 30) — the ring-order victim.
 	for {
-		lo, hi, cls, ok := tq.take(1)
+		lo, hi, cls, ok := tq.take(1, false)
 		if !ok {
 			t.Fatal("queues exhausted before any steal")
 		}
@@ -443,7 +503,7 @@ func TestMapperGroupsNonDenseSockets(t *testing.T) {
 		t.Fatalf("cpu 2 on socket label %d, want 2", cpu.Socket)
 	}
 	plan := Plan{MapperCPU: []int{-1, 2}, CombinerCPU: []int{-1}}
-	mg := mapperGroups(machine, plan, 2, len(groups))
+	mg := workerGroups(machine, plan.MapperCPU, len(groups))
 	for i, g := range mg {
 		if g < 0 || g >= len(groups) {
 			t.Fatalf("mapper %d steered to group %d, outside [0,%d)", i, g, len(groups))
@@ -540,8 +600,6 @@ func TestEmitBatchSweep(t *testing.T) {
 		if total != 40*25 {
 			t.Fatalf("EmitBatch=%d: total = %d, want %d", eb, total, 40*25)
 		}
-		if res.QueueStats.Pushes != uint64(40*25) || res.QueueStats.Pushes != res.QueueStats.Pops {
-			t.Fatalf("EmitBatch=%d: queue stats: %+v", eb, res.QueueStats)
-		}
+		conserved(t, res, 40*25)
 	}
 }

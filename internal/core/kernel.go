@@ -1,12 +1,15 @@
 // The pipeline kernel: the two hot loops of the paper's decoupled
 // map → SPSC ring → batched-combine pipeline (§III, Fig. 2), written once.
-// A Lane is a mapper's producer side (emit slab → PushBatch); combine is a
-// combiner slot's consume loop (ConsumeBatch → apply, park when idle,
+// A Lane is a mapper's producer side (emit slab → ring); combine is a
+// combiner slot's consume loop (ring → apply, park when idle,
 // drain-and-discard on abort). Both are generic over the ring element E and
-// never look inside one. The batch engine (engine.go), its tuned variant
-// (elastic.go) and the resident stream session (internal/stream) are
-// drivers: they decide where tasks come from and where folded batches go,
-// and run everything else through here.
+// never look inside one. The two work-conserving rules live here too, each
+// behind one optional func of its driver: a slot about to park asks for
+// other work first (Combiners.Help), and a lane whose ring will not take a
+// slab folds it on the spot (Lane.Fold). The batch engine (engine.go), its
+// tuned variant (elastic.go) and the resident stream session
+// (internal/stream) are drivers: they decide where tasks come from and where
+// folded batches go, and run everything else through here.
 package core
 
 import (
@@ -68,19 +71,32 @@ func runWorker(ctx context.Context, engine string, r role, id, cpu int, tel *tel
 // of once per element; the slab flushes when full, at every task boundary
 // and before the ring closes. A slab of one (EmitBatch 1) is the unbatched
 // ablation baseline. A Lane belongs to the goroutine inside Run.
+//
+// A lane with a Fold never waits on its ring: a slab the ring has no room
+// for is folded where it is (the driver decides into what), which is what a
+// back-pressured mapper does instead of parking. A lane with a Fold and no
+// ring at all is a combiner slot's own: the slot maps on it while its rings
+// are empty, and every slab goes to the Fold (see combine).
 type Lane[E any] struct {
-	q        *spsc.Queue[E]
+	// Fold, if the driver sets it before Run, takes the slabs the ring
+	// refuses; nil leaves a full ring to park the producer.
+	Fold func([]E)
+
+	q        *spsc.Queue[E] // nil on a combiner slot's lane
 	slab     []E
 	id       int
 	emitHook func(int) // Hooks.MapEmit
 	taskHook func(int) // Hooks.MapTask
 	tw       *telemetry.Worker
-	pushed   uint64 // q's push count at the last task boundary
+	done     uint64 // elements pushed or folded up to the last task boundary
+	folded   uint64 // elements that went to fold
+	tasks    uint64
 }
 
 // NewLane builds mapper id's lane over q. The slab is clamped to the ring:
 // PushBatch copies oversized blocks in chunks anyway, but a slab beyond the
-// ring capacity only adds latency before the combiner sees anything.
+// ring capacity only adds latency before the combiner sees anything, and
+// could never be offered whole.
 func NewLane[E any](q *spsc.Queue[E], emitBatch, id int, hooks *mr.Hooks) *Lane[E] {
 	if emitBatch <= 0 {
 		emitBatch = mr.DefaultEmitBatch
@@ -88,12 +104,20 @@ func NewLane[E any](q *spsc.Queue[E], emitBatch, id int, hooks *mr.Hooks) *Lane[
 	if c := q.Cap(); emitBatch > c {
 		emitBatch = c
 	}
-	l := &Lane[E]{q: q, slab: make([]E, 0, emitBatch), id: id}
+	return newLane(q, emitBatch, id, hooks)
+}
+
+func newLane[E any](q *spsc.Queue[E], slab, id int, hooks *mr.Hooks) *Lane[E] {
+	l := &Lane[E]{q: q, slab: make([]E, 0, slab), id: id}
 	if hooks != nil {
 		l.emitHook, l.taskHook = hooks.MapEmit, hooks.MapTask
 	}
 	return l
 }
+
+// Stats returns how many tasks ran on l and how many of their elements
+// were folded in place. The lane's goroutine must have finished.
+func (l *Lane[E]) Stats() (tasks, folded uint64) { return l.tasks, l.folded }
 
 // Run executes body as this lane's mapper goroutine under the worker
 // prologue and always ends by closing the ring — the combiner must be
@@ -133,12 +157,26 @@ func Emit[E any](l *Lane[E], e E) {
 	}
 }
 
+// flush publishes the slab: to the ring, waiting for room if it must —
+// unless the lane has a Fold, which then takes what the ring refused (and
+// everything, on a ring-less lane). A Fold that panics leaves the slab
+// staged, and a staged slab is never flushed after a panic.
+//
 //go:noinline
 func (l *Lane[E]) flush() {
-	if len(l.slab) > 0 {
+	n := len(l.slab)
+	switch {
+	case n == 0:
+		return
+	case l.Fold == nil:
 		l.q.PushBatch(l.slab)
-		l.slab = l.slab[:0]
+	case l.q == nil || !l.q.Offer(l.slab):
+		l.Fold(l.slab)
+		l.folded += uint64(n)
+		l.tw.AddCombined(n)
+		l.tw.AddFolded(n)
 	}
+	l.slab = l.slab[:0]
 }
 
 // HookEmit puts the MapEmit hook in front of a driver's emit closure — the
@@ -155,26 +193,36 @@ func HookEmit[E, K, V any](l *Lane[E], emit func(K, V)) func(K, V) {
 	}
 }
 
-// BeginTask marks the start of one map task.
+// BeginTask marks the start of one map task. A combiner slot's lane leaves
+// the worker state to the slot, which is helping, not working.
 func (l *Lane[E]) BeginTask() {
-	l.tw.SetState(telemetry.StateWorking)
+	if l.q != nil {
+		l.tw.SetState(telemetry.StateWorking)
+	}
 	if l.taskHook != nil {
 		l.taskHook(l.id)
 	}
 }
 
 // EndTask publishes what the task emitted: the slab is flushed, so every
-// element is visible to the consumer when it returns, and the worker's
-// task, emitted and producer-side ring counters are stored. It returns the
-// task's element count, taken from the ring's own push counter so the
-// per-pair path carries no second one.
+// element is visible to the consumer (or folded) when it returns, and the
+// worker's task, emitted and producer-side ring counters are stored. It
+// returns the task's element count, taken from the ring's own push counter
+// and the per-slab fold count so the per-pair path carries no counter.
 func (l *Lane[E]) EndTask() (emitted uint64) {
 	l.flush()
-	pushes, failedPush, slept := l.q.ProducerStats()
-	emitted, l.pushed = pushes-l.pushed, pushes
+	done := l.folded
+	if l.q != nil {
+		pushes, failedPush, slept := l.q.ProducerStats()
+		l.tw.StoreProducer(pushes, failedPush, slept)
+		done += pushes
+	} else {
+		l.tw.AddHelped(1)
+	}
+	emitted, l.done = done-l.done, done
+	l.tasks++
 	l.tw.AddTasks(1)
 	l.tw.AddEmitted(int(emitted))
-	l.tw.StoreProducer(pushes, failedPush, slept)
 	return emitted
 }
 
@@ -207,6 +255,16 @@ type Combiners[E any] struct {
 	Fail  func(error)
 	// Progress, if set, runs after every round that consumed something.
 	Progress func()
+	// Help, if set, is asked once per slot for the slot's answer to "my
+	// rings hold nothing for me": a func that runs one unit of other work
+	// on the slot's goroutine and reports whether it found any. A slot that
+	// would park calls it first and parks only on false, which is final —
+	// the slot does not ask again. What help runs is the slot's own: lane
+	// is a ring-less Lane whose slabs go to the slot's Apply fold and whose
+	// tasks and pairs are counted on the slot's telemetry shard, mapping as
+	// worker len(Queues)+slot to the Map hooks; track is the slot's trace
+	// lane. A slot with an empty assignment (an inactive one) never asks.
+	Help func(slot int, lane *Lane[E], track *obs.Track) func() bool
 }
 
 // StartCombiners spawns one goroutine per slot, accounted on wg, and
@@ -240,11 +298,13 @@ func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[
 }
 
 // combine is one combiner slot's life: consume rounds over the rings the
-// pool currently assigns it, under the pool's read lock; park on the
-// slot's gate when a round found nothing (an empty assignment never does);
-// retire drained rings; and once the run is doomed stop feeding user code
-// and discard-drain instead, so producers blocked on full rings unwedge
-// without burning user-code cycles.
+// pool currently assigns it, under the pool's read lock; when a round found
+// nothing (an empty assignment never does), help if the driver has other
+// work and park on the slot's gate if not; retire drained rings; and once
+// the run is doomed stop feeding user code and discard-drain instead, so
+// producers blocked on full rings unwedge without burning user-code cycles.
+// Helping happens outside the lock and outside any ring's single-consumer
+// token: a panic in it unwinds straight to the slot's recovery.
 func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.Worker) {
 	track := c.Trace.Worker("combiner", j)
 	defer track.Publish()
@@ -271,6 +331,14 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 		}
 	}
 	draining := false
+	var help func() bool
+	if c.Help != nil {
+		// The helper's slab is one consume batch: the block size the slot's
+		// container already sees from its rings.
+		lane := newLane[E](nil, c.Batch(), len(c.Queues)+j, c.Hooks)
+		lane.Fold, lane.tw = apply, tw
+		help = c.Help(j, lane, track)
+	}
 
 	// round runs one polling pass over the slot's assignment while holding
 	// the read lock (the ownership critical section). The deferred unlock
@@ -355,6 +423,13 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 				c.Progress()
 			}
 		case len(toRetire) == 0:
+			if help != nil && len(waitOn) > 0 {
+				setState(telemetry.StateHelping)
+				if help() {
+					continue
+				}
+				help = nil
+			}
 			setState(telemetry.StateIdle)
 			spsc.Park(c.Gates[j], waitOn, b, func() bool {
 				return c.Abort() || pool.gen.Load() != gen

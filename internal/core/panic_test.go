@@ -100,10 +100,9 @@ func TestMapPanicBecomesError(t *testing.T) {
 
 func TestCombinePanicBecomesError(t *testing.T) {
 	spec := panicSpec(200, -1) // map never panics
-	calls := 0
+	var calls atomic.Int64     // the mappers fold too, once their rings are full
 	spec.Combine = func(a, b int) int {
-		calls++
-		if calls == 500 {
+		if calls.Add(1) == 500 {
 			panic("combine exploded")
 		}
 		return a + b
@@ -220,7 +219,7 @@ func TestAbortStopsHealthyCombiners(t *testing.T) {
 		Reduce:       mr.IdentityReduce[int, int](),
 		NewContainer: func() container.Container[int, int] { return container.NewFixedArray[int](7) },
 	}
-	cfg := testConfig()
+	cfg := parked(testConfig()) // every pair reaches a combiner's batch hook
 	cfg.Mappers = 2
 	cfg.Combiners = 2 // combiner j owns queue j
 	cfg.TaskSize = 1
@@ -267,7 +266,9 @@ func TestAbortStopsHealthyCombiners(t *testing.T) {
 // blocked on a full ring (and, under WaitSleep, parked on it). A
 // cancelled run must still drain the ring and release the
 // producer — mappers observe cancellation only at task boundaries, so the
-// combiner is what frees them.
+// combiner is what frees them. Only a lane with no Fold can block at all:
+// the run is given a one-CPU grant, which makes its lane the stream
+// session's kind.
 func TestCancelReleasesBlockedProducer(t *testing.T) {
 	const emits = 50_000
 	spec := &mr.Spec[int, int, int, int]{
@@ -282,7 +283,7 @@ func TestCancelReleasesBlockedProducer(t *testing.T) {
 		Reduce:       mr.IdentityReduce[int, int](),
 		NewContainer: func() container.Container[int, int] { return container.NewFixedArray[int](7) },
 	}
-	cfg := testConfig()
+	cfg := parked(testConfig())
 	cfg.Mappers = 1
 	cfg.Combiners = 1
 	cfg.QueueCapacity = 16

@@ -14,7 +14,7 @@ import (
 // paper's Fig. 2 pipeline made observable.
 func TestEngineTracing(t *testing.T) {
 	spec := countSpec(64, 100, 13)
-	cfg := testConfig()
+	cfg := parked(testConfig()) // every pair crosses a ring: the overlap below is the rings'
 	collector := obs.New("")
 	cfg.Trace = collector
 	cfg.Telemetry = telemetry.New()

@@ -120,8 +120,8 @@ func runStealScenario(t *testing.T, seed int64) uint64 {
 		if !res.Steal.Balanced() {
 			t.Fatalf("steal churn %v: steal counters unbalanced: %s", plan, res.Steal.String())
 		}
-		if got := res.Steal.TotalTasks(); got != uint64(sc.splits) {
-			t.Fatalf("steal churn %v: takes cover %d tasks, want %d", plan, got, sc.splits)
+		if got := res.Steal.TotalTasks() + res.Help.Tasks; got != uint64(sc.splits) {
+			t.Fatalf("steal churn %v: takes cover %d tasks (%d by combiner slots), want %d", plan, got, res.Help.Tasks, sc.splits)
 		}
 		stolen = res.Steal.StolenTasks()
 	case plan.Kind.IsPanic() && fired:
@@ -153,8 +153,9 @@ func runStealScenario(t *testing.T, seed int64) uint64 {
 // TestStealChurnSweep drives seeded skewed inputs with chunked stealing
 // on — alone and under injected panics, delays and cancellations — and
 // asserts no element is ever lost or duplicated across a group-boundary
-// steal, steal counters balance exactly on every clean run, and no
-// worker leaks even when a thief dies mid-batch. Across the sweep, some
+// steal, steal counters balance exactly on every clean run (mapper takes
+// plus the tasks combiner slots ran cover the job), and no worker leaks
+// even when a thief dies mid-batch. Across the sweep, some
 // run must actually have stolen (an all-local sweep would be vacuous).
 func TestStealChurnSweep(t *testing.T) {
 	scenarios := int64(48)

@@ -117,12 +117,20 @@ func runScenario(t *testing.T, seed int64) {
 	t.Helper()
 	sc := newScenario(seed)
 
-	mapWorkers := sc.cfg.Mappers
+	// Map-side hooks fire on mappers+combiners workers on both engines:
+	// Phoenix++ runs that many fused workers, and on RAMR a combiner slot
+	// that maps reports as map worker mappers+slot. There the engine, not
+	// the plan, decides who maps what, so map-side faults aim at whichever
+	// worker gets to the ordinal first — a mapper or a helping slot.
 	combWorkers := sc.cfg.NumCombiners()
-	if sc.engine == "phoenix" {
-		mapWorkers = sc.cfg.Mappers + sc.cfg.NumCombiners()
-	}
+	mapWorkers := sc.cfg.Mappers + combWorkers
 	plan := faultinject.NewPlan(seed, mapWorkers, combWorkers)
+	if sc.engine == "ramr" {
+		switch plan.Kind {
+		case faultinject.PanicMapTask, faultinject.PanicMapEmit, faultinject.DelayMap, faultinject.CancelMidMap:
+			plan.Worker = faultinject.AnyWorker
+		}
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -174,6 +182,18 @@ func runScenario(t *testing.T, seed int64) {
 		if want := sc.splits * sc.emits; total != want {
 			t.Fatalf("%s %v: total = %d, want %d", sc.engine, plan, total, want)
 		}
+		// The books of a clean RAMR run: every task taken once, by a
+		// mapper or a helping slot, and every pair through a ring or
+		// folded where it was emitted.
+		if sc.engine == "ramr" {
+			tasks := uint64(len(mr.Tasks(sc.splits, sc.cfg.TaskSize)))
+			if got := res.Steal.TotalTasks() + res.Help.Tasks; got != tasks {
+				t.Fatalf("%s %v: takes cover %d tasks (%d by combiner slots), want %d", sc.engine, plan, got, res.Help.Tasks, tasks)
+			}
+			if got := res.QueueStats.Pushes + res.Help.Pairs(); got != uint64(sc.splits*sc.emits) {
+				t.Fatalf("%s %v: %d pairs pushed or folded in place, want %d", sc.engine, plan, got, sc.splits*sc.emits)
+			}
+		}
 	case plan.Kind.IsPanic() && fired:
 		var pe *mr.PanicError
 		if !errors.As(err, &pe) {
@@ -206,8 +226,17 @@ func runScenario(t *testing.T, seed int64) {
 
 	// However the run ended, every worker published its lane on the way
 	// out: each map task begun has its span, bar the one per worker a fault
-	// may have cut short, and the document still exports.
-	lane := map[string]string{"ramr": "mapper", "phoenix": "worker"}[sc.engine]
+	// may have cut short, and the document still exports. A slot's tasks
+	// are on the slot's own lane.
+	laneOf := func(w int) string {
+		switch {
+		case sc.engine == "phoenix":
+			return fmt.Sprintf("worker-%d", w)
+		case w < sc.cfg.Mappers:
+			return fmt.Sprintf("mapper-%d", w)
+		}
+		return fmt.Sprintf("combiner-%d", w-sc.cfg.Mappers)
+	}
 	spans := map[string]int{}
 	for _, e := range timeline.Events() {
 		if e.Name == "task" {
@@ -215,9 +244,9 @@ func runScenario(t *testing.T, seed int64) {
 		}
 	}
 	for w := range started {
-		n, got := int(started[w].Load()), spans[fmt.Sprintf("%s-%d", lane, w)]
+		n, got := int(started[w].Load()), spans[laneOf(w)]
 		if got > n || got < n-1 || (err == nil && got != n) {
-			t.Fatalf("%s %v (err %v): %s-%d began %d tasks, its lane has %d task spans", sc.engine, plan, err, lane, w, n, got)
+			t.Fatalf("%s %v (err %v): %s began %d tasks, its lane has %d task spans", sc.engine, plan, err, laneOf(w), n, got)
 		}
 	}
 	var buf bytes.Buffer

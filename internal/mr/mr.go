@@ -142,6 +142,10 @@ type Result[K comparable, R any] struct {
 	// class (RAMR engine only; zero when Config.Steal is StealOff and no
 	// local takes happened, which never occurs in a completed run).
 	Steal StealStats
+	// Help counts the work that ran out of place to keep every worker
+	// busy (RAMR engine only; all zero when the CPU grant is too small for
+	// the rule to apply, see HelpStats).
+	Help HelpStats
 	// Telemetry is the structured run report (occupancy time-series,
 	// counter totals, throughput) when Config.Telemetry was set; nil
 	// otherwise.
@@ -151,13 +155,37 @@ type Result[K comparable, R any] struct {
 	TunerReport *tuner.Report
 }
 
+// HelpStats counts what the work-conserving rules moved in one RAMR run: map
+// tasks an idle combiner slot ran itself, folding what they emitted straight
+// into its container, and pairs a mapper folded into a private container
+// because its ring had no room for the slab. With StealStats and QueueStats
+// it closes the run's books exactly: mapper takes + Tasks is the job's task
+// count, and pairs emitted − QueueStats.Pushes is CombinerPairs +
+// MapperPairs. A run whose CPUGrant cannot give every worker a CPU of its
+// own never helps, and neither does a stream session.
+type HelpStats struct {
+	Tasks         uint64 `json:"tasks"`          // map tasks run by combiner slots
+	CombinerPairs uint64 `json:"combiner_pairs"` // pairs those tasks emitted, folded in place
+	MapperPairs   uint64 `json:"mapper_pairs"`   // pairs mappers folded on a full ring
+}
+
+// Pairs returns the pairs folded where they were emitted, by either pool:
+// the ones that never crossed a ring.
+func (h HelpStats) Pairs() uint64 { return h.CombinerPairs + h.MapperPairs }
+
+// String renders the counters on one line for reports.
+func (h HelpStats) String() string {
+	return fmt.Sprintf("%d tasks mapped by combiners (%d pairs folded in place), %d pairs folded by mappers on a full ring",
+		h.Tasks, h.CombinerPairs, h.MapperPairs)
+}
+
 // QueueStats aggregates the SPSC counters across all mapper queues of one
 // RAMR run. See spsc.Stats for field semantics; in particular EmptyPolls
 // counts polls of a truly empty ring while ShortPolls counts unforced
 // polls that found fewer than a full batch buffered.
 type QueueStats struct {
 	Pushes      uint64
-	FailedPush  uint64
+	FailedPush  uint64 // wait rounds on a full ring, plus slabs a mapper folded instead of waiting
 	SpinRounds  uint64
 	Pops        uint64
 	EmptyPolls  uint64

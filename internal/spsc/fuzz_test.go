@@ -11,6 +11,11 @@ import (
 // block, park and wake each other, where whatever the interleaving the
 // consumer must see exactly the pushed sequence. Byte 0 picks the
 // capacity; each following pair is (operation, argument).
+// numOps is how many operations the fuzz bytes select among: 0 TryPush,
+// 1 PushBatch, 2 TryPop, 3 ConsumeBatch, 4 forced ConsumeBatch,
+// 5 DiscardBatch, 6 Close, 7 Flush, 8 Offer.
+const numOps = 9
+
 func FuzzSPSC(f *testing.F) {
 	f.Add([]byte{2, 0, 7, 1, 3, 3, 2, 4, 2, 6, 0})                      // push, batch, short poll, forced drain, close
 	f.Add([]byte{0, 0, 1, 0, 2, 2, 0, 0, 3, 5, 1, 6, 0})                // capacity-1 ring: every push fills it
@@ -18,6 +23,7 @@ func FuzzSPSC(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 6, 0, 0, 9, 1, 2, 4, 1, 4, 1})                // operations after close
 	f.Add([]byte{2, 1, 200, 1, 200, 3, 4, 1, 200, 5, 2, 4, 3, 1, 9, 6}) // blocks far larger than the ring
 	f.Add([]byte{3, 1, 3, 7, 0, 3, 4, 1, 2, 7, 0, 7, 0, 3, 4, 0, 0})    // flushes: a short tail, an empty ring, a push behind the mark
+	f.Add([]byte{2, 8, 3, 8, 3, 3, 4, 8, 9, 8, 0, 4, 4, 8, 2, 6, 0})    // offers: one that fits, one refused short of a batch, one larger than the ring, an empty one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 512 {
 			return
@@ -30,11 +36,14 @@ func FuzzSPSC(f *testing.F) {
 }
 
 // fuzzSequential runs ops on one goroutine, so pushes use only forms that
-// cannot block: TryPush, and PushBatch of at most the free space.
+// cannot block: TryPush, PushBatch of at most the free space, and Offer of
+// any size — which must go in whole exactly when it fits, and otherwise
+// leave the ring as it was but for a flush request and one failed push.
 func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 	q := MustNew[int](capacity, WaitSleep)
 	var model []int
 	next, pushed, popped, mark, closed := 0, 0, 0, 0, false // mark: pushed at the last Flush
+	failed := 0                                             // TryPush and Offer refusals
 	take := func(what string, n int, got []int) {
 		t.Helper()
 		if n != len(got) {
@@ -52,7 +61,7 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 		popped += n
 	}
 	for i := 0; i+1 < len(ops); i += 2 {
-		op, arg := ops[i]%8, int(ops[i+1])
+		op, arg := ops[i]%numOps, int(ops[i+1])
 		switch op {
 		case 0:
 			if closed {
@@ -64,6 +73,8 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 				model = append(model, next)
 				next++
 				pushed++
+			} else {
+				failed++
 			}
 		case 1:
 			if closed {
@@ -111,30 +122,49 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 		case 7:
 			q.Flush()
 			mark = pushed
+		case 8:
+			if closed {
+				continue
+			}
+			block := make([]int, arg%(capacity+2))
+			for j := range block {
+				block[j] = next + j
+			}
+			if ok := q.Offer(block); ok != (len(block) <= capacity-len(model)) {
+				t.Fatalf("Offer(%d) = %v with %d of %d buffered", len(block), ok, len(model), capacity)
+			} else if ok {
+				model = append(model, block...)
+				next += len(block)
+				pushed += len(block)
+			} else {
+				failed++
+				mark = pushed
+			}
 		}
 		if q.Len() != len(model) || q.Closed() != closed || q.Flushing() != (popped < mark) || q.Drained() != (closed && len(model) == 0) {
 			t.Fatalf("after op %d: Len=%d Closed=%v Flushing=%v Drained=%v, model has %d closed=%v popped=%d mark=%d",
 				i/2, q.Len(), q.Closed(), q.Flushing(), q.Drained(), len(model), closed, popped, mark)
 		}
 	}
-	if s := q.Snapshot(); s.Pushes != uint64(pushed) || s.Pops != uint64(popped) {
-		t.Fatalf("counters: %+v, model pushed %d popped %d", s, pushed, popped)
+	if s := q.Snapshot(); s.Pushes != uint64(pushed) || s.Pops != uint64(popped) || s.FailedPush != uint64(failed) {
+		t.Fatalf("counters: %+v, model pushed %d popped %d failed %d", s, pushed, popped, failed)
 	}
 }
 
 // fuzzConcurrent gives the push operations to a producer goroutine (Push
-// and PushBatch of any size, which block on a full ring) and cycles the
-// consume operations on the caller until the ring is drained, parking
-// whenever one consumes nothing.
+// and PushBatch of any size, which block on a full ring; Offer, which does
+// not, followed by a PushBatch of what it refused) and cycles the consume
+// operations on the caller until the ring is drained, parking whenever one
+// consumes nothing.
 func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 	q, g := gated[int](capacity)
 	qs := []*Queue[int]{q}
 	total := 0
 	for i := 0; i+1 < len(ops); i += 2 {
-		switch ops[i] % 8 {
+		switch ops[i] % numOps {
 		case 0:
 			total++
-		case 1:
+		case 1, 8:
 			total += int(ops[i+1])
 		}
 	}
@@ -142,17 +172,19 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 		defer q.Close()
 		next := 0
 		for i := 0; i+1 < len(ops); i += 2 {
-			switch ops[i] % 8 {
+			switch ops[i] % numOps {
 			case 0:
 				q.Push(next)
 				next++
-			case 1:
+			case 1, 8:
 				block := make([]int, ops[i+1])
 				for j := range block {
 					block[j] = next
 					next++
 				}
-				q.PushBatch(block)
+				if ops[i]%numOps == 1 || !q.Offer(block) {
+					q.PushBatch(block)
+				}
 			case 7:
 				q.Flush()
 			}
@@ -168,7 +200,7 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 		}
 	}
 	for i := 0; !q.Drained(); i = (i + 2) % len(ops) {
-		op, need, n := ops[i]%8, 1, 0
+		op, need, n := ops[i]%numOps, 1, 0
 		switch op {
 		case 2:
 			if v, ok := q.TryPop(); ok {

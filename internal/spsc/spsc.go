@@ -86,8 +86,8 @@ func (p WaitPolicy) String() string {
 type pad [64]byte
 
 // Queue is a bounded single-producer/single-consumer queue of T. Exactly
-// one goroutine may call producer methods (TryPush, Push, PushBatch, Close)
-// and exactly one may call consumer methods (TryPop, ConsumeBatch,
+// one goroutine may call producer methods (TryPush, Push, PushBatch, Offer,
+// Close) and exactly one may call consumer methods (TryPop, ConsumeBatch,
 // DiscardBatch, Drained); the two may run concurrently. The zero value is
 // not usable; call New.
 //
@@ -140,7 +140,7 @@ type consumerCounters struct {
 // both sides have finished (or accept approximate values).
 type Stats struct {
 	Pushes      uint64 // elements successfully pushed
-	FailedPush  uint64 // wait rounds in which a producer found the ring full
+	FailedPush  uint64 // wait rounds in which a producer found the ring full, plus Offers refused
 	SpinRounds  uint64 // busy-wait spin rounds executed (WaitBusy only)
 	Pops        uint64 // elements consumed
 	EmptyPolls  uint64 // consume attempts that found the ring empty
@@ -292,6 +292,31 @@ func (q *Queue[T]) PushBatch(vs []T) {
 		q.prod.failedPush++
 		q.waitSpace()
 	}
+}
+
+// Offer appends all of vs or nothing, and never waits: it is the push of a
+// producer that has something better to do with a block the ring will not
+// take than to park on it. A refusal counts one FailedPush, the same signal
+// a waiting producer raises, and leaves a flush request behind: the producer
+// is not going to top the ring up, so its consumer must not sit waiting for
+// what is buffered to grow into a full batch. A block larger than the ring
+// is always refused. Producer side; Offer after Close panics.
+func (q *Queue[T]) Offer(vs []T) bool {
+	if q.done.Load() {
+		panic("spsc: Offer after Close")
+	}
+	n := uint64(len(vs))
+	used := q.tail.Load() - q.headCache
+	if uint64(len(q.buf))-used < n {
+		q.headCache = q.head.Load()
+		if used = q.tail.Load() - q.headCache; uint64(len(q.buf))-used < n {
+			q.prod.failedPush++
+			q.Flush()
+			return false
+		}
+	}
+	q.tryPushBatch(vs) // fits by the head cache, so all of vs goes in
+	return true
 }
 
 // hasSpace refreshes the producer's head cache and reports whether at

@@ -166,6 +166,31 @@ func TestParkedConsumerWokenByFlushWithShortTail(t *testing.T) {
 	})
 }
 
+func TestParkedConsumerWokenByRefusedOffer(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		// A producer that folds what its ring refuses never tops the ring
+		// up: a slab that does not fit beside a short tail leaves that tail
+		// short for good. The refusal itself must bring the consumer back
+		// for it — otherwise the consumer sleeps out the run on a ring that
+		// is never full and never empty, and the pipeline runs on one side.
+		q, g := gated[int](8)
+		done := parkConsumer(t, g, q, 8, nil)
+		if !q.Offer([]int{1, 2, 3}) || !g.armed.Load() {
+			t.Fatal("an offer that fits was refused, or its short tail woke the consumer")
+		}
+		if q.Offer([]int{4, 5, 6, 7, 8, 9}) {
+			t.Fatal("six elements went into five free slots")
+		}
+		released(t, "consumer", done)
+		if n := q.ConsumeBatch(8, q.Flushing(), func([]int) {}); n != 3 {
+			t.Fatalf("consumed %d of the tail the refused offer left, want 3", n)
+		}
+		if s := q.Snapshot(); s.Pushes != 3 || s.FailedPush != 1 {
+			t.Fatalf("counters %+v, want 3 pushed and the refusal as one failed push", s)
+		}
+	})
+}
+
 func TestParkedConsumerFlushSurvivesTheNextPush(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		// A producer kept fed pushes the head of its next task before the

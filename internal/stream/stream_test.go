@@ -12,6 +12,7 @@ import (
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
+	"ramr/internal/telemetry"
 	"ramr/internal/tuner"
 )
 
@@ -89,7 +90,9 @@ func checkNoLeak(t *testing.T, before int) {
 func TestTumblingConservation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const keys = 16
-	p, err := New(countSpec(keys), testConfig(t, &mr.StreamSpec{Window: 1}))
+	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+	cfg.Telemetry = telemetry.New()
+	p, err := New(countSpec(keys), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +148,12 @@ func TestTumblingConservation(t *testing.T) {
 	st := p.Stats()
 	if st.Chunks != 3 || st.Splits != 9 {
 		t.Errorf("stats chunks=%d splits=%d, want 3/9", st.Chunks, st.Splits)
+	}
+	// A session conserves no work: a pair's pane cannot seal on the word of
+	// a mapper's private container, so its lanes have no Fold and its slots
+	// no Help, and every emitted pair crossed a ring.
+	if c := cfg.Telemetry.CountersNow(); c.Emitted != total || c.Pushes != total || c.Pops != total || c.Folded != 0 || c.Helped != 0 {
+		t.Errorf("session counters %+v: want %d pairs emitted, pushed and popped, none folded in place, no task helped", c, total)
 	}
 	checkNoLeak(t, before)
 }

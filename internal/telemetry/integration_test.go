@@ -59,11 +59,20 @@ func testConfig() mr.Config {
 }
 
 // TestConservationRAMR runs WordCount on the decoupled engine and checks
-// the full conservation chain: pairs counted at the emit closure == pairs
-// pushed into the rings == pairs popped == pairs fed to Combine.
+// the full conservation chain: every pair counted at the emit closure was
+// fed to Combine, either through a ring (pushed == popped) or where it was
+// emitted, and the telemetry totals say the same as the run's own books. It
+// runs twice: conserving work, and under a one-CPU grant, where nothing may
+// be folded in place and every pair is a ring's.
 func TestConservationRAMR(t *testing.T) {
+	t.Run("conserving", func(t *testing.T) { conservationRAMR(t, nil) })
+	t.Run("one-cpu-grant", func(t *testing.T) { conservationRAMR(t, []int{0}) })
+}
+
+func conservationRAMR(t *testing.T, grant []int) {
 	spec, emits := wcSpec(400)
 	cfg := testConfig()
+	cfg.CPUGrant = grant
 	cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
 
 	res, err := core.Run(spec, cfg)
@@ -74,21 +83,27 @@ func TestConservationRAMR(t *testing.T) {
 	if rep == nil {
 		t.Fatal("Result.Telemetry is nil with Config.Telemetry set")
 	}
-	qs := res.QueueStats
-	if rep.Totals.Emitted != emits {
-		t.Fatalf("telemetry emitted %d, want %d", rep.Totals.Emitted, emits)
+	qs, help := res.QueueStats, res.Help
+	if rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
+		t.Fatalf("telemetry emitted %d, combined %d, want both %d", rep.Totals.Emitted, rep.Totals.Combined, emits)
 	}
-	if qs.Pushes != emits {
-		t.Fatalf("queue pushes %d, want %d", qs.Pushes, emits)
+	if qs.Pushes+help.Pairs() != emits {
+		t.Fatalf("%d pushed + %d folded in place, want %d emitted", qs.Pushes, help.Pairs(), emits)
 	}
 	if qs.Pops != qs.Pushes {
 		t.Fatalf("pops %d != pushes %d", qs.Pops, qs.Pushes)
 	}
-	if rep.Totals.Combined != qs.Pops {
-		t.Fatalf("telemetry combined %d, want pops %d", rep.Totals.Combined, qs.Pops)
+	if got := (mr.HelpStats{Tasks: rep.Totals.TasksHelped, CombinerPairs: rep.Totals.FoldedByCombiners, MapperPairs: rep.Totals.FoldedByMappers}); got != help {
+		t.Fatalf("telemetry totals %+v, Result.Help %+v", got, help)
 	}
-	if rep.Totals.Batches == 0 || rep.Totals.Batches != qs.BatchCalls {
+	if want := len(mr.Tasks(len(spec.Splits), cfg.TaskSize)); rep.Totals.Tasks != uint64(want) {
+		t.Fatalf("telemetry counted %d tasks, want %d", rep.Totals.Tasks, want)
+	}
+	if rep.Totals.Batches != qs.BatchCalls {
 		t.Fatalf("telemetry batches %d, queue batch calls %d", rep.Totals.Batches, qs.BatchCalls)
+	}
+	if grant != nil && (help != (mr.HelpStats{}) || qs.BatchCalls == 0) {
+		t.Fatalf("one-CPU grant: help %+v, %d batch calls; want no help and every pair through a ring", help, qs.BatchCalls)
 	}
 	if rep.SampleCount == 0 || len(rep.Series) == 0 {
 		t.Fatal("empty occupancy time-series")

@@ -78,6 +78,10 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 		func(w *Worker) uint64 { return w.failedPush.Load() })
 	counter("ramr_worker_sleep_microseconds_total", "Microseconds producers spent parked on a full ring (measured wall time).",
 		func(w *Worker) uint64 { return w.sleepMicros.Load() })
+	counter("ramr_worker_tasks_helped_total", "Map tasks run by a combiner slot whose rings held nothing for it.",
+		func(w *Worker) uint64 { return w.helped.Load() })
+	counter("ramr_worker_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring.",
+		func(w *Worker) uint64 { return w.folded.Load() })
 	counter("ramr_worker_remote_executed_total", "Stolen map tasks completed by this worker.",
 		func(w *Worker) uint64 { return w.remoteExecuted.Load() })
 
@@ -99,7 +103,7 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 	stealCounter("ramr_worker_steal_tasks_total", "Map tasks taken by steal distance class.",
 		func(w *Worker, c int) uint64 { return w.stealTasks[c].Load() })
 
-	fmt.Fprintf(bw, "# HELP ramr_worker_state Worker activity state (0=idle 1=working 2=draining 3=done).\n# TYPE ramr_worker_state gauge\n")
+	fmt.Fprintf(bw, "# HELP ramr_worker_state Worker activity state (0=idle 1=working 2=draining 3=done 4=helping).\n# TYPE ramr_worker_state gauge\n")
 	for _, s := range snaps {
 		for _, wk := range s.workers {
 			fmt.Fprintf(bw, "ramr_worker_state{%sengine=%q,role=%q,worker=\"%d\"} %d\n",

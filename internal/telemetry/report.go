@@ -17,7 +17,8 @@ type QueueReport struct {
 }
 
 // WorkerReport is one worker's counter totals plus its sampled busy
-// fraction (share of samples observed in StateWorking or StateDraining).
+// fraction (share of samples observed in StateWorking, StateDraining or
+// StateHelping).
 type WorkerReport struct {
 	Engine      string `json:"engine"`
 	Role        string `json:"role"`
@@ -31,11 +32,17 @@ type WorkerReport struct {
 	// Steal counters (mapper role only): takes from the worker's own
 	// group, tasks stolen from cache-sharing and cross-interconnect
 	// groups, and stolen tasks this worker completed.
-	LocalTakes     uint64  `json:"steal_local_tasks,omitempty"`
-	SocketSteals   uint64  `json:"steal_socket_tasks,omitempty"`
-	RemoteSteals   uint64  `json:"steal_remote_tasks,omitempty"`
-	RemoteExecuted uint64  `json:"remote_executed,omitempty"`
-	Busy           float64 `json:"busy"`
+	LocalTakes     uint64 `json:"steal_local_tasks,omitempty"`
+	SocketSteals   uint64 `json:"steal_socket_tasks,omitempty"`
+	RemoteSteals   uint64 `json:"steal_remote_tasks,omitempty"`
+	RemoteExecuted uint64 `json:"remote_executed,omitempty"`
+	// Work conservation: map tasks a combiner slot ran, and pairs the
+	// worker folded in place (a helping slot's, or a mapper's on a full
+	// ring); Helping is the share of samples spent in StateHelping.
+	TasksHelped uint64  `json:"tasks_helped,omitempty"`
+	PairsFolded uint64  `json:"pairs_folded,omitempty"`
+	Helping     float64 `json:"helping,omitempty"`
+	Busy        float64 `json:"busy"`
 }
 
 // Totals sums the worker counters across the run.
@@ -50,6 +57,10 @@ type Totals struct {
 	SocketSteals   uint64 `json:"steal_socket_tasks"`
 	RemoteSteals   uint64 `json:"steal_remote_tasks"`
 	RemoteExecuted uint64 `json:"remote_executed"`
+	// The mr.HelpStats of the run, summed from the worker shards.
+	TasksHelped       uint64 `json:"tasks_helped,omitempty"`
+	FoldedByCombiners uint64 `json:"pairs_folded_by_combiners,omitempty"`
+	FoldedByMappers   uint64 `json:"pairs_folded_by_mappers,omitempty"`
 }
 
 // SamplePoint is one time-series entry in the JSON report. Depths index
@@ -119,14 +130,18 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 	}
 
 	for wi, w := range t.workers {
-		busySamples, total := 0, 0
+		busySamples, helpSamples, total := 0, 0, 0
 		for _, s := range samples {
 			if wi >= len(s.States) {
 				continue
 			}
 			total++
-			if st := s.States[wi]; st == StateWorking || st == StateDraining {
+			switch s.States[wi] {
+			case StateWorking, StateDraining:
 				busySamples++
+			case StateHelping:
+				busySamples++
+				helpSamples++
 			}
 		}
 		wr := WorkerReport{
@@ -143,9 +158,12 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 			SocketSteals:   w.stealTasks[1].Load(),
 			RemoteSteals:   w.stealTasks[2].Load(),
 			RemoteExecuted: w.remoteExecuted.Load(),
+			TasksHelped:    w.helped.Load(),
+			PairsFolded:    w.folded.Load(),
 		}
 		if total > 0 {
 			wr.Busy = float64(busySamples) / float64(total)
+			wr.Helping = float64(helpSamples) / float64(total)
 		}
 		rep.Workers = append(rep.Workers, wr)
 		rep.Totals.Emitted += wr.Emitted
@@ -158,6 +176,12 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 		rep.Totals.SocketSteals += wr.SocketSteals
 		rep.Totals.RemoteSteals += wr.RemoteSteals
 		rep.Totals.RemoteExecuted += wr.RemoteExecuted
+		rep.Totals.TasksHelped += wr.TasksHelped
+		if wr.Role == "combiner" {
+			rep.Totals.FoldedByCombiners += wr.PairsFolded
+		} else {
+			rep.Totals.FoldedByMappers += wr.PairsFolded
+		}
 	}
 
 	imb := make([]float64, 0, len(samples))
@@ -212,6 +236,10 @@ func (r *Report) Summary(w io.Writer) error {
 		fmt.Fprintf(w, "steals: %d local tasks, %d socket, %d remote (%d executed remotely); imbalance p50 %.2f p90 %.2f max %.2f\n",
 			r.Totals.LocalTakes, r.Totals.SocketSteals, r.Totals.RemoteSteals,
 			r.Totals.RemoteExecuted, r.Imbalance.P50, r.Imbalance.P90, r.Imbalance.Max)
+	}
+	if folded := r.Totals.FoldedByCombiners + r.Totals.FoldedByMappers; folded > 0 {
+		fmt.Fprintf(w, "helped: %d tasks mapped by combiners (%d pairs folded in place), %d pairs folded by mappers on a full ring\n",
+			r.Totals.TasksHelped, r.Totals.FoldedByCombiners, r.Totals.FoldedByMappers)
 	}
 	for _, name := range sortedKeys(r.Throughput) {
 		fmt.Fprintf(w, "throughput %-8s %.3g pairs/s\n", name, r.Throughput[name])

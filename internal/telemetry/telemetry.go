@@ -72,6 +72,10 @@ const (
 	StateDraining
 	// StateDone: the worker has exited.
 	StateDone
+	// StateHelping: a combiner slot whose rings held nothing for it is
+	// running a map task itself. It is busy time, but not time its rings
+	// kept it busy, so it is kept apart from StateWorking.
+	StateHelping
 )
 
 // String names the state for reports.
@@ -85,6 +89,8 @@ func (s State) String() string {
 		return "draining"
 	case StateDone:
 		return "done"
+	case StateHelping:
+		return "helping"
 	default:
 		return fmt.Sprintf("State(%d)", uint32(s))
 	}
@@ -106,6 +112,12 @@ type Worker struct {
 	combined atomic.Uint64
 	tasks    atomic.Uint64
 	batches  atomic.Uint64
+	// helped counts the map tasks a combiner slot ran (they are in tasks
+	// too); folded the pairs a worker folded where they were emitted — a
+	// helping slot's, or a mapper's whose ring was full (they are in
+	// emitted and in combined too, and never crossed a ring).
+	helped atomic.Uint64
+	folded atomic.Uint64
 	// pushes, failedPush and sleepMicros mirror the producer-owned spsc
 	// counters (absolute values, stored not added) so they stay readable
 	// while the consumer side is still running. pushes exists so the
@@ -153,6 +165,21 @@ func (w *Worker) AddCombined(n int) {
 func (w *Worker) AddTasks(n int) {
 	if w != nil && n > 0 {
 		w.tasks.Add(uint64(n))
+	}
+}
+
+// AddHelped counts n map tasks run by a combiner slot.
+func (w *Worker) AddHelped(n int) {
+	if w != nil && n > 0 {
+		w.helped.Add(uint64(n))
+	}
+}
+
+// AddFolded counts n pairs folded where they were emitted instead of being
+// sent through a ring.
+func (w *Worker) AddFolded(n int) {
+	if w != nil && n > 0 {
+		w.folded.Add(uint64(n))
 	}
 }
 
@@ -389,6 +416,8 @@ type Counters struct {
 	Combined   uint64
 	Pushes     uint64
 	FailedPush uint64
+	Helped     uint64 // map tasks run by combiner slots
+	Folded     uint64 // pairs folded where they were emitted, by either pool
 	// Consumer side (queue mirrors).
 	Pops       uint64
 	EmptyPolls uint64
@@ -409,6 +438,8 @@ func (t *Telemetry) CountersNow() Counters {
 		c.Combined += w.combined.Load()
 		c.Pushes += w.pushes.Load()
 		c.FailedPush += w.failedPush.Load()
+		c.Helped += w.helped.Load()
+		c.Folded += w.folded.Load()
 	}
 	for _, q := range queues {
 		c.Pops += q.mirror.pops.Load()

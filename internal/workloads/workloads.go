@@ -58,6 +58,9 @@ type RunInfo struct {
 	// Steal aggregates the map phase's work-stealing counters by
 	// distance class (RAMR engine only).
 	Steal mr.StealStats
+	// Help counts the map tasks combiner slots ran and the pairs either
+	// pool folded in place (RAMR engine only; see mr.HelpStats).
+	Help mr.HelpStats
 	// Pairs is the number of distinct output keys.
 	Pairs int
 	// Digest is an order-independent hash of the output for
@@ -149,6 +152,7 @@ func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr
 		Phases:    res.Phases,
 		Queue:     res.QueueStats,
 		Steal:     res.Steal,
+		Help:      res.Help,
 		Pairs:     len(res.Pairs),
 		Telemetry: res.Telemetry,
 		Tuner:     res.TunerReport,

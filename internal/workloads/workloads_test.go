@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/phoenix"
 	"ramr/internal/topology"
+	"ramr/internal/tuner"
 )
 
 const seed = 99
@@ -43,35 +45,67 @@ func smallParams(app string) Params {
 	}
 }
 
-// TestEnginesAgreeExact: for integer-valued apps, RAMR and Phoenix must
-// produce identical digests under every container configuration.
+// TestEnginesAgreeExact: RAMR and Phoenix++ must produce identical output
+// for every Table I app under both of its container configurations,
+// whatever the pipeline's back-pressure makes of the run: one or two mappers
+// and combiners, a ring of 64 (every slab beyond the first meets a full
+// ring, so mappers fold most of what they emit) or one no slab ever fills,
+// tuner off and on (slots helping while the pool is resized under them).
+// Digests are order-independent and Combine associative and commutative, so
+// where a pair was folded cannot show in the output; KM's float centroids
+// agree on the key set only. Across the matrix both rules must have fired,
+// and the huge ring must never have refused a slab.
 func TestEnginesAgreeExact(t *testing.T) {
-	for _, app := range []string{"WC", "HG", "LR", "PCA", "MM"} {
-		for _, stress := range []bool{false, true} {
-			kind := DefaultContainer(app)
-			if stress {
-				kind = StressContainer(app)
-			}
+	var helped, foldedTiny, foldedHuge uint64
+	for _, app := range AppNames() {
+		for _, kind := range []container.Kind{DefaultContainer(app), StressContainer(app)} {
 			job, err := NewJobParams(app, smallParams(app), kind, seed)
 			if err != nil {
 				t.Fatal(err)
-			}
-			ra, err := job.Run(EngineRAMR, cfg())
-			if err != nil {
-				t.Fatalf("%s/%v RAMR: %v", app, kind, err)
 			}
 			ph, err := job.Run(EnginePhoenix, cfg())
 			if err != nil {
 				t.Fatalf("%s/%v Phoenix: %v", app, kind, err)
 			}
-			if ra.Pairs != ph.Pairs || ra.Digest != ph.Digest {
-				t.Fatalf("%s/%v: engines disagree: ramr (%d pairs, %x), phoenix (%d pairs, %x)",
-					app, kind, ra.Pairs, ra.Digest, ph.Pairs, ph.Digest)
-			}
-			if ra.Digest == 0 {
+			if app != "KM" && ph.Digest == 0 {
 				t.Fatalf("%s: integer app should produce a digest", app)
 			}
+			for _, mappers := range []int{1, 2} {
+				for _, combiners := range []int{1, 2} {
+					for _, ring := range []int{64, 1 << 20} {
+						for _, tuned := range []bool{false, true} {
+							c := cfg()
+							c.Mappers, c.Combiners, c.QueueCapacity = mappers, combiners, ring
+							if tuned {
+								c.Tuner = &tuner.Config{EpochTicks: 1}
+							}
+							ra, err := job.Run(EngineRAMR, c)
+							name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d tuned=%v", app, kind, mappers, combiners, ring, tuned)
+							if err != nil {
+								t.Fatalf("%s RAMR: %v", name, err)
+							}
+							if ra.Pairs != ph.Pairs || ra.Digest != ph.Digest {
+								t.Fatalf("%s: engines disagree: ramr (%d pairs, %x), phoenix (%d pairs, %x)",
+									name, ra.Pairs, ra.Digest, ph.Pairs, ph.Digest)
+							}
+							if ra.Queue.Pushes != ra.Queue.Pops {
+								t.Fatalf("%s: %d pushed, %d popped", name, ra.Queue.Pushes, ra.Queue.Pops)
+							}
+							helped += ra.Help.Tasks
+							if ring == 64 {
+								foldedTiny += ra.Help.MapperPairs
+							} else {
+								foldedHuge += ra.Help.MapperPairs
+							}
+						}
+					}
+				}
+			}
 		}
+	}
+	if helped == 0 || foldedTiny == 0 || foldedHuge != 0 {
+		t.Fatalf("across the matrix: %d tasks helped, %d pairs folded by mappers on rings of 64 (want both > 0), %d on rings of 1Mi (want 0)",
+			helped, foldedTiny, foldedHuge)
 	}
 }
 
