@@ -12,9 +12,11 @@ import "math"
 // accumulator itself: folding into a key already present — nearly every
 // update — is then one map lookup and a store into the slab, where a
 // map[K]V pays a lookup and an assignment (a second hash and probe, and a
-// write to the map header on every pair).
+// write to the map header on every pair). The keys are kept in a slab of
+// their own, in the same order, so Iterate is a walk over two arrays.
 type Hash[K comparable, V any] struct {
 	index map[K]int32
+	keys  []K // keys[i] is the key whose accumulator is vals[i]
 	vals  []V // isolated; grown by doubling, never by append's own reallocation
 }
 
@@ -27,7 +29,7 @@ func NewHashSized[K comparable, V any](n int) *Hash[K, V] {
 	if n < 0 {
 		n = 0
 	}
-	return &Hash[K, V]{index: make(map[K]int32, n), vals: isolated[V](0, n)}
+	return &Hash[K, V]{index: make(map[K]int32, n), keys: make([]K, 0, n), vals: isolated[V](0, n)}
 }
 
 // insert gives k a fresh accumulator holding v.
@@ -42,6 +44,7 @@ func (h *Hash[K, V]) insert(k K, v V) {
 		h.vals = grown
 	}
 	h.index[k] = int32(n)
+	h.keys = append(h.keys, k)
 	h.vals = append(h.vals, v)
 }
 
@@ -78,22 +81,23 @@ func (h *Hash[K, V]) Get(k K) (V, bool) {
 // Len returns the number of distinct keys stored.
 func (h *Hash[K, V]) Len() int { return len(h.vals) }
 
-// Iterate visits pairs in Go map order (randomized).
+// Iterate visits pairs in the order their keys were first seen.
 func (h *Hash[K, V]) Iterate(f func(K, V) bool) {
-	for k, i := range h.index {
+	for i, k := range h.keys {
 		if !f(k, h.vals[i]) {
 			return
 		}
 	}
 }
 
-// Reset empties the container. The map is cleared in place and the slab
-// truncated (its accumulators zeroed, so they pin nothing), so the buckets
-// and the slab stay allocated.
+// Reset empties the container. The map is cleared in place and the slabs
+// truncated (zeroed first, so they pin nothing), so the buckets and the
+// slabs stay allocated.
 func (h *Hash[K, V]) Reset() {
 	clear(h.index)
+	clear(h.keys)
 	clear(h.vals)
-	h.vals = h.vals[:0]
+	h.keys, h.vals = h.keys[:0], h.vals[:0]
 }
 
 // Kind reports KindHash.

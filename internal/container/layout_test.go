@@ -29,7 +29,7 @@ func fieldSpan[T any](what string, p *T) span {
 
 // layoutOf splits a container's memory into what an update writes and what
 // it reads. The regular hash container's Go map is the runtime's to lay
-// out; what is ours is the slab the accumulators live in.
+// out; what is ours are the slabs the keys and the accumulators live in.
 func layoutOf(c Container[int, int]) (written, read []span) {
 	switch c := c.(type) {
 	case *FixedArray[int]:
@@ -41,7 +41,7 @@ func layoutOf(c Container[int, int]) (written, read []span) {
 			fieldSpan("vals header", &c.vals), fieldSpan("state header", &c.state), fieldSpan("mask", &c.mask)}
 	case *Hash[int, int]:
 		written = []span{spanOf("vals", c.vals[:cap(c.vals)])}
-		read = []span{fieldSpan("index", &c.index), fieldSpan("vals header", &c.vals)}
+		read = []span{spanOf("keys", c.keys), fieldSpan("index", &c.index), fieldSpan("keys header", &c.keys), fieldSpan("vals header", &c.vals)}
 	}
 	return written, read
 }

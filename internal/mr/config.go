@@ -311,8 +311,12 @@ func (c Config) Validate() error {
 // grant becomes CPUGrant and the worker counts are resized so the whole
 // pool fits on it — combiners get roughly 1/(Ratio+1) of the grant (the
 // mapper-to-combiner ratio of §III-B applied to a partial machine), the
-// mappers the rest. A one-CPU grant still runs the minimal 1+1 pipeline
-// (one mapper, one combiner sharing the CPU). An empty grant is a no-op.
+// mappers the rest. A one-CPU grant still runs the minimal 1+1 pipeline:
+// one mapper and one combiner sharing the CPU by taking turns on it — the
+// engine conserves work (an idle combiner maps, a back-pressured mapper
+// folds) only on a grant with a CPU for every worker, so here whichever of
+// the two has nothing to do parks and the other gets the CPU. An empty
+// grant is a no-op.
 func (c *Config) ApplyGrant(cpus []int) {
 	n := len(cpus)
 	if n == 0 {
