@@ -244,6 +244,8 @@ func (e *entry) finalMetrics() map[string]float64 {
 		"steal_remote_tasks":    float64(info.Steal.RemoteTasks),
 		"steal_remote_executed": float64(info.Steal.RemoteExecuted),
 		"steal_rate":            info.Steal.StealRate(),
+		"help_tasks":            float64(info.Help.Tasks),
+		"help_pairs":            float64(info.Help.Pairs()),
 	}
 	if rep := info.Telemetry; rep != nil {
 		m["queue_imbalance_p90"] = rep.Imbalance.P90
@@ -532,12 +534,13 @@ func recordRunDetail(rec *obs.Recorder, start, end time.Time, info *workloads.Ru
 	if info.Tuner != nil {
 		rec.InstantAt("tuner-decisions", end, map[string]any{"epochs": len(info.Tuner.Epochs)})
 	}
-	if st := info.Steal; st.LocalTasks+st.SocketTasks+st.RemoteTasks > 0 {
+	if st := info.Steal; st.TotalTasks()+info.Help.Tasks > 0 {
 		rec.InstantAt("steal-summary", end, map[string]any{
 			"local":           st.LocalTasks,
 			"socket":          st.SocketTasks,
 			"remote":          st.RemoteTasks,
 			"remote_executed": st.RemoteExecuted,
+			"helped":          info.Help.Tasks,
 		})
 	}
 }
@@ -719,6 +722,7 @@ type resultDoc struct {
 	Phases *mr.PhaseTimes `json:"phases,omitempty"`
 	Queue  *mr.QueueStats `json:"queue,omitempty"`
 	Steal  *mr.StealStats `json:"steal,omitempty"`
+	Help   *mr.HelpStats  `json:"help,omitempty"`
 	Pairs  int            `json:"pairs,omitempty"`
 	// ImbalanceP90 is the run's sampled queue occupancy-imbalance ratio
 	// (p90 of max/mean depth per tick); 0 until the job finished with
@@ -763,8 +767,8 @@ func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	doc.WallMS = float64(info.Wall) / float64(time.Millisecond)
 	ph, q := info.Phases, info.Queue
 	doc.Phases, doc.Queue = &ph, &q
-	steal := info.Steal
-	doc.Steal = &steal
+	steal, help := info.Steal, info.Help
+	doc.Steal, doc.Help = &steal, &help
 	doc.Pairs = info.Pairs
 	if rep := info.Telemetry; rep != nil {
 		doc.ImbalanceP90 = rep.Imbalance.P90
@@ -929,6 +933,7 @@ type jobStats struct {
 	Workload     string         `json:"workload"`
 	State        string         `json:"state"`
 	Steal        *mr.StealStats `json:"steal,omitempty"`
+	Help         *mr.HelpStats  `json:"help,omitempty"`
 	ImbalanceP90 float64        `json:"imbalance_p90,omitempty"`
 }
 
@@ -1007,7 +1012,7 @@ func (s *Service) Stats() any {
 	jobs := make([]jobStats, 0, len(s.entries))
 	for _, e := range s.entries {
 		d := e.doc(false)
-		jobs = append(jobs, jobStats{ID: d.ID, Workload: d.Workload, State: d.State, Steal: d.Steal, ImbalanceP90: d.ImbalanceP90})
+		jobs = append(jobs, jobStats{ID: d.ID, Workload: d.Workload, State: d.State, Steal: d.Steal, Help: d.Help, ImbalanceP90: d.ImbalanceP90})
 	}
 	s.mu.Unlock()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })

@@ -371,8 +371,8 @@ func TestStatsExposesJobBalance(t *testing.T) {
 
 // TestSkewAndStealOverlay: the API accepts a zipf skew for SYNTH inputs
 // and a steal-policy overlay; a skewed job under "steal":"off" must
-// finish with zero stolen tasks, and malformed values are rejected at
-// submit.
+// finish with zero stolen tasks — every task a local take or one a combiner
+// slot ran — and malformed values are rejected at submit.
 func TestSkewAndStealOverlay(t *testing.T) {
 	_, ts, _ := newTestService(t, 0)
 
@@ -403,7 +403,11 @@ func TestSkewAndStealOverlay(t *testing.T) {
 			t.Fatalf("steal-off job has %s = %v: %v", k, v, steal)
 		}
 	}
-	if steal["local_tasks"].(float64) == 0 {
-		t.Fatalf("steal-off job recorded no local takes: %v", steal)
+	help, ok := st["help"].(map[string]any)
+	if !ok {
+		t.Fatalf("job status missing help counters: %v", st)
+	}
+	if steal["local_tasks"].(float64)+help["tasks"].(float64) == 0 {
+		t.Fatalf("steal-off job recorded no local takes and no helped tasks: %v %v", steal, help)
 	}
 }

@@ -305,11 +305,10 @@ func (q *Queue[T]) Offer(vs []T) bool {
 	if q.done.Load() {
 		panic("spsc: Offer after Close")
 	}
-	n := uint64(len(vs))
-	used := q.tail.Load() - q.headCache
-	if uint64(len(q.buf))-used < n {
+	n, size, t := uint64(len(vs)), uint64(len(q.buf)), q.tail.Load()
+	if size-(t-q.headCache) < n {
 		q.headCache = q.head.Load()
-		if used = q.tail.Load() - q.headCache; uint64(len(q.buf))-used < n {
+		if size-(t-q.headCache) < n {
 			q.prod.failedPush++
 			q.Flush()
 			return false
