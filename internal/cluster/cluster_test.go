@@ -103,18 +103,26 @@ func singleNodeDigest(t *testing.T, workerURL string, req *service.JobRequest) (
 // TestMergedDigestMatchesSingleNode is the acceptance path: a job
 // sharded across two workers produces a merged result with the same
 // output digest and pair count as the single-node run — for word count
-// and histogram, over real Table I inputs.
+// and histogram over real Table I inputs, and for uniform and skewed SYNTH —
+// and every shard record says how long its worker spent building input.
 func TestMergedDigestMatchesSingleNode(t *testing.T) {
 	wa, wb := newWorker(t), newWorker(t)
 	for _, tc := range []struct {
 		app    string
 		shards int
+		skew   float64
 	}{
-		{"WC", 2},
-		{"WC", 5}, // more shards than workers: round-robin stacking
-		{"HG", 2},
+		{"WC", 2, 0},
+		{"WC", 7, 0}, // more shards than workers: round-robin stacking
+		{"HG", 2, 0},
+		{"HG", 3, 0},
+		{"SYNTH", 2, 0},
+		{"SYNTH", 3, 1.5},
 	} {
 		req := &service.JobRequest{Workload: tc.app, Seed: 7, MaxCPUs: 8}
+		if tc.app == "SYNTH" {
+			req.Synth = service.SynthParams{Elements: 20_000, Keys: 64, Skew: tc.skew}
+		}
 		wantDigest, wantPairs := singleNodeDigest(t, wa.URL, req)
 		co := newCoordinator(t, tc.shards, wa.URL, wb.URL)
 		res, err := co.Run(context.Background(), req, nil)
@@ -130,8 +138,8 @@ func TestMergedDigestMatchesSingleNode(t *testing.T) {
 		}
 		seen := map[string]bool{}
 		for _, sr := range res.PerShard {
-			if sr.Worker == "" || sr.JobID == 0 {
-				t.Fatalf("%s: shard %s has no dispatch record: %+v", tc.app, sr.Shard, sr)
+			if sr.Worker == "" || sr.JobID == 0 || sr.BuildMS <= 0 {
+				t.Fatalf("%s: shard %s has no dispatch record or no build time: %+v", tc.app, sr.Shard, sr)
 			}
 			seen[sr.Worker] = true
 		}
@@ -416,22 +424,45 @@ func TestSaturatedWorkerReplacement(t *testing.T) {
 
 // TestProbeRejectsMismatchedWorker pins the compatibility gate: a worker
 // speaking another protocol generation fails the job with a hard error
-// naming the worker, before any shard is dispatched.
+// naming the worker, before any shard is dispatched. The generation-2 case
+// is the one that matters since the generators became split-addressable: a
+// generation-2 worker derives different bytes from the same seed, and its
+// partial would merge into a plausible, wrong digest.
 func TestProbeRejectsMismatchedWorker(t *testing.T) {
-	healthy := newWorker(t)
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// An old worker: no X-RAMR-Proto header, no capabilities block.
-		fmt.Fprint(w, `{"role":"worker"}`)
-	}))
-	t.Cleanup(old.Close)
+	gen2 := `{"capabilities":{"proto":"2","features":["result-wait"],"shard_apps":["HG","SYNTH","WC"]}}`
+	for _, tc := range []struct {
+		name, header, stats, want string
+	}{
+		{"no header, no capabilities", "", `{"role":"worker"}`, `protocol ""`},
+		{"worker answers proto 2", "2", gen2, `protocol "2"`},
+		{"current header over generation-2 capabilities", service.ProtoVersion, gen2, `capabilities.proto "2"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			healthy := newWorker(t)
+			var posts atomic.Int32
+			old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost {
+					posts.Add(1)
+				}
+				if tc.header != "" {
+					w.Header().Set(service.ProtoHeader, tc.header)
+				}
+				fmt.Fprint(w, tc.stats)
+			}))
+			t.Cleanup(old.Close)
 
-	co := newCoordinator(t, 2, healthy.URL, old.URL)
-	_, err := co.Run(context.Background(), &service.JobRequest{Workload: "WC"}, nil)
-	if err == nil {
-		t.Fatal("dispatch through a protocol-mismatched worker should fail")
-	}
-	if !strings.Contains(err.Error(), old.URL) || !strings.Contains(err.Error(), "protocol") {
-		t.Fatalf("mismatch error should name the worker and the protocol: %v", err)
+			co := newCoordinator(t, 2, healthy.URL, old.URL)
+			_, err := co.Run(context.Background(), &service.JobRequest{Workload: "WC"}, nil)
+			if err == nil {
+				t.Fatal("dispatch through a protocol-mismatched worker should fail")
+			}
+			if !strings.Contains(err.Error(), old.URL) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("mismatch error should name the worker and contain %q: %v", tc.want, err)
+			}
+			if n := posts.Load(); n != 0 {
+				t.Fatalf("%d shard submissions reached the mismatched worker", n)
+			}
+		})
 	}
 }
 

@@ -47,9 +47,11 @@ type ShardResult struct {
 	// JobID is the worker-side job id that produced the partial.
 	JobID int `json:"job_id"`
 	// Cached marks a shard-level memo hit on the worker.
-	Cached bool    `json:"cached,omitempty"`
-	WallMS float64 `json:"wall_ms"`
-	Pairs  int     `json:"pairs"`
+	Cached bool `json:"cached,omitempty"`
+	// WallMS is the worker's engine time, BuildMS its input build before it.
+	WallMS  float64 `json:"wall_ms"`
+	BuildMS float64 `json:"build_ms"`
+	Pairs   int     `json:"pairs"`
 	// Attempts counts dispatch attempts (1 = first try succeeded).
 	Attempts int `json:"attempts"`
 	// Replaced counts 429-driven re-placements onto farther candidates.
@@ -66,6 +68,7 @@ type workerDoc struct {
 	Error   string             `json:"error"`
 	Cached  bool               `json:"cached"`
 	WallMS  float64            `json:"wall_ms"`
+	BuildMS float64            `json:"build_ms"`
 	Pairs   int                `json:"pairs"`
 	Partial *workloads.Partial `json:"partial"`
 }
@@ -292,7 +295,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 				sr.Worker = w.spec.URL
 				sr.JobID = doc.ID
 				sr.Cached = doc.Cached
-				sr.WallMS = doc.WallMS
+				sr.WallMS, sr.BuildMS = doc.WallMS, doc.BuildMS
 				sr.Pairs = doc.Partial.Len()
 				c.met.shards.Add(1)
 				if doc.Cached {
@@ -300,7 +303,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 				}
 				rec.SpanAt("shard-"+sh.String(), dispatchStart, time.Now(), map[string]any{
 					"worker": w.spec.URL, "job_id": doc.ID, "cached": doc.Cached,
-					"attempts": sr.Attempts, "pairs": sr.Pairs,
+					"attempts": sr.Attempts, "pairs": sr.Pairs, "build_ms": sr.BuildMS,
 				})
 				return sr, doc.Partial, nil
 			case errors.Is(err, errSaturated):

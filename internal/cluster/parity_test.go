@@ -99,7 +99,7 @@ func TestWireParity(t *testing.T) {
 	// A dispatch that completes, then the drain.
 	srv, ts := newClusterServer(t, 2, newWorker(t).URL, newWorker(t).URL)
 	call("POST admitted (2 workers)", "POST", ts.URL+"/jobs", `{"workload":"HG","seed":9,"max_cpus":8}`)
-	call("GET result done", "GET", ts.URL+"/jobs/1/result?wait=30s", "")
+	sub("GET result done", call("GET result done", "GET", ts.URL+"/jobs/1/result?wait=30s", ""), "per_shard")
 	call("GET status done", "GET", ts.URL+"/jobs/1", "")
 	stats := call("GET stats", "GET", ts.URL+"/stats", "")
 	sub("GET stats", stats, "jobs")

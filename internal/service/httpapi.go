@@ -30,7 +30,12 @@ import (
 // coordinator waits on it instead of polling on a timer, so a
 // generation-1 worker — which ignores the parameter and answers 202 at
 // once — is refused at the probe.
-const ProtoVersion = "2"
+//
+// Generation 3: the generators became split-addressable (a shard builds
+// only its own splits), which changed the bytes a seed generates; partials
+// from both sides of that change would merge into a plausible digest of an
+// input no single node ever saw.
+const ProtoVersion = "3"
 
 // ProtoHeader is the response header carrying ProtoVersion.
 const ProtoHeader = "X-RAMR-Proto"

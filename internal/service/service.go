@@ -451,9 +451,10 @@ func (s *Service) launchLocked(e *entry, p *plan, run sched.RunFunc) error {
 // retained record holds the run's result, never its input.
 func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) error {
 	rec := e.rec
-	endBuild := rec.Span("build", nil)
+	buildStart := time.Now()
 	job, err := p.materialise()
-	endBuild()
+	buildEnd := time.Now()
+	rec.SpanAt("build", buildStart, buildEnd, nil)
 	s.builds.Add(1)
 	if err != nil {
 		return err
@@ -473,6 +474,7 @@ func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) 
 	rec.SpanAt("execute", execStart, execEnd,
 		map[string]any{"cpus": append([]int(nil), grant...)})
 	if info != nil {
+		info.Build = buildEnd.Sub(buildStart)
 		recordRunDetail(rec, execStart, execEnd, info)
 	}
 	e.mu.Lock()
@@ -717,13 +719,15 @@ type resultDoc struct {
 	Started  string `json:"started,omitempty"`
 	Finished string `json:"finished,omitempty"`
 	Error    string `json:"error,omitempty"`
-	// Result summary, present once the job finished successfully.
-	WallMS float64        `json:"wall_ms,omitempty"`
-	Phases *mr.PhaseTimes `json:"phases,omitempty"`
-	Queue  *mr.QueueStats `json:"queue,omitempty"`
-	Steal  *mr.StealStats `json:"steal,omitempty"`
-	Help   *mr.HelpStats  `json:"help,omitempty"`
-	Pairs  int            `json:"pairs,omitempty"`
+	// Result summary, present once the job finished successfully. WallMS
+	// is the engine's run time alone, BuildMS the input build before it.
+	WallMS  float64        `json:"wall_ms,omitempty"`
+	BuildMS float64        `json:"build_ms,omitempty"`
+	Phases  *mr.PhaseTimes `json:"phases,omitempty"`
+	Queue   *mr.QueueStats `json:"queue,omitempty"`
+	Steal   *mr.StealStats `json:"steal,omitempty"`
+	Help    *mr.HelpStats  `json:"help,omitempty"`
+	Pairs   int            `json:"pairs,omitempty"`
 	// ImbalanceP90 is the run's sampled queue occupancy-imbalance ratio
 	// (p90 of max/mean depth per tick); 0 until the job finished with
 	// telemetry.
@@ -765,6 +769,7 @@ func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 		return
 	}
 	doc.WallMS = float64(info.Wall) / float64(time.Millisecond)
+	doc.BuildMS = float64(info.Build) / float64(time.Millisecond)
 	ph, q := info.Phases, info.Queue
 	doc.Phases, doc.Queue = &ph, &q
 	steal, help := info.Steal, info.Help

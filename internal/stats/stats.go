@@ -115,10 +115,46 @@ func NormalizeTo(xs []float64, base float64) []float64 {
 // stream label, so independent experiment stages draw from independent but
 // reproducible streams.
 func Rng(seed int64, stream string) *rand.Rand {
+	return rand.New(rand.NewSource(int64(streamKey(seed, stream))))
+}
+
+// streamKey folds a stream label into the root seed (FNV-1a over the label).
+func streamKey(seed int64, stream string) uint64 {
 	var h int64 = 1469598103934665603
 	for i := 0; i < len(stream); i++ {
 		h ^= int64(stream[i])
 		h *= 1099511628211
 	}
-	return rand.New(rand.NewSource(seed ^ h))
+	return uint64(seed ^ h)
 }
+
+// Stream is a splitmix64 rand.Source64 over the substreams of one (seed,
+// label) pair. The input generators draw split i from substream i, so a
+// shard can generate just the splits it owns; math/rand's own source fills a
+// 607-word table per seeding, too dear to pay once per split.
+type Stream struct{ key, x uint64 }
+
+// NewStream returns the (seed, stream) family; Seek before drawing.
+func NewStream(seed int64, stream string) *Stream {
+	return &Stream{key: streamKey(seed, stream)}
+}
+
+// Seek moves to the start of substream i, a pure function of (seed, label,
+// i) — itself a splitmix64 output, so neighbouring substreams do not overlap.
+func (s *Stream) Seek(i int) {
+	s.x = s.key + uint64(i)*0xd1342543de82ef95
+	s.x = s.Uint64()
+}
+
+// Uint64 implements rand.Source64.
+func (s *Stream) Uint64() uint64 {
+	s.x += 0x9e3779b97f4a7c15
+	z := s.x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Int63 and Seed complete rand.Source; the generators reposition with Seek.
+func (s *Stream) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *Stream) Seed(seed int64) { s.x = uint64(seed) }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -124,5 +125,51 @@ func TestQuickMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamSubstreams: substream i of a (seed, label) family is a pure
+// function of (seed, label, i) — seeking back replays it, whatever was drawn
+// in between — and distinct substreams, labels and seeds diverge.
+func TestStreamSubstreams(t *testing.T) {
+	draw := func(s *Stream, i int) [4]uint64 {
+		s.Seek(i)
+		return [4]uint64{s.Uint64(), s.Uint64(), s.Uint64(), s.Uint64()}
+	}
+	s := NewStream(7, "a")
+	first := draw(s, 3)
+	for i := 0; i < 100; i++ {
+		s.Uint64()
+	}
+	draw(s, 9)
+	if draw(s, 3) != first || draw(NewStream(7, "a"), 3) != first {
+		t.Fatal("substream 3 is not a function of (seed, label, 3)")
+	}
+	seen := map[[4]uint64]string{first: "7/a/3"}
+	for name, got := range map[string][4]uint64{
+		"7/a/2": draw(s, 2), "7/a/4": draw(s, 4),
+		"7/b/3": draw(NewStream(7, "b"), 3), "8/a/3": draw(NewStream(8, "a"), 3),
+	} {
+		if prev, dup := seen[got]; dup {
+			t.Fatalf("substreams %s and %s coincide", prev, name)
+		}
+		seen[got] = name
+	}
+	// Through math/rand: Int63 stays non-negative, and a Zipf over the
+	// source stays in range and skewed.
+	z := NewZipf(rand.New(s), 1.2, 100)
+	var head int
+	for i := 0; i < 5000; i++ {
+		if s.Int63() < 0 {
+			t.Fatal("Int63 returned a negative value")
+		}
+		if v := z.Next(); v >= 100 {
+			t.Fatalf("zipf out of range: %d", v)
+		} else if v == 0 {
+			head++
+		}
+	}
+	if head < 500 {
+		t.Fatalf("zipf over a Stream is not skewed: rank 0 drawn %d of 5000 times", head)
 	}
 }

@@ -205,41 +205,52 @@ func TestSkewedEnginesAgree(t *testing.T) {
 // and — because the merge digest fold is re-stated in the workloads
 // package (synthPairDigest) while the job digest fold lives here —
 // cross-checks that the two stay in sync: shard partials merged and
-// summarized must reproduce the single-node digest bit for bit.
+// summarized must reproduce the single-node digest bit for bit, on either
+// engine. The skewed row is the one whose shards draw their own key ranges
+// only (and whose uneven splits exercise the shard partition too).
 func TestShardMergeMatchesSingleNode(t *testing.T) {
-	p := smallParams()
-	p.Skew = 1.2 // uneven splits exercise the shard partition too
-	full, err := NewJob(p, int64(7)).Run(workloads.EngineRAMR, cfg(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, count := range []int{1, 2, 3, 4} {
-		parts := make([]*workloads.Partial, count)
-		for i := 0; i < count; i++ {
-			sj, err := NewShardJob(p, int64(7), workloads.ShardSpec{Index: i, Count: count})
+	for _, skew := range []float64{0, 1.5} {
+		p := smallParams()
+		p.Skew = skew
+		full, err := NewJob(p, int64(7)).Run(workloads.EngineRAMR, cfg(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		px, err := NewJob(p, int64(7)).Run(workloads.EnginePhoenix, cfg(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if px.Pairs != full.Pairs || px.Digest != full.Digest {
+			t.Fatalf("skew %g: Phoenix++ (%d pairs, %016x), RAMR (%d pairs, %016x)", skew, px.Pairs, px.Digest, full.Pairs, full.Digest)
+		}
+		for _, count := range []int{1, 2, 3, 7} {
+			parts := make([]*workloads.Partial, count)
+			for i := 0; i < count; i++ {
+				sj, err := NewShardJob(p, int64(7), workloads.ShardSpec{Index: i, Count: count})
+				if err != nil {
+					t.Fatal(err)
+				}
+				si, err := sj.Run(workloads.EngineRAMR, cfg(2))
+				if err != nil {
+					t.Fatalf("skew %g shard %d/%d: %v", skew, i, count, err)
+				}
+				if si.Partial == nil {
+					t.Fatalf("skew %g shard %d/%d exported no partial", skew, i, count)
+				}
+				parts[i] = si.Partial
+			}
+			merged, err := workloads.MergePartials(parts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			si, err := sj.Run(workloads.EngineRAMR, cfg(2))
+			pairs, digest, err := merged.Summary()
 			if err != nil {
-				t.Fatalf("shard %d/%d: %v", i, count, err)
+				t.Fatal(err)
 			}
-			if si.Partial == nil {
-				t.Fatalf("shard %d/%d exported no partial", i, count)
+			if pairs != full.Pairs || digest != full.Digest {
+				t.Fatalf("skew %g sharded %d ways: merged (%d pairs, %016x), single-node (%d pairs, %016x)",
+					skew, count, pairs, digest, full.Pairs, full.Digest)
 			}
-			parts[i] = si.Partial
-		}
-		merged, err := workloads.MergePartials(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs, digest, err := merged.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pairs != full.Pairs || digest != full.Digest {
-			t.Fatalf("sharded %d ways: merged (%d pairs, %016x), single-node (%d pairs, %016x)",
-				count, pairs, digest, full.Pairs, full.Digest)
 		}
 	}
 }

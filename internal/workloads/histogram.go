@@ -3,6 +3,7 @@ package workloads
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
@@ -22,22 +23,25 @@ const hgSplitBytes = 12 << 10
 // differently (sky-ish blue bias) so the histogram is non-uniform like a
 // real bitmap.
 func GeneratePixels(n int, seed int64) [][]byte {
-	rng := stats.Rng(seed, "histogram")
+	return generatePixels(n, seed, ShardSpec{Index: 0, Count: 1})
+}
+
+// generatePixels builds the splits shard sh owns of the n-byte bitmap, in
+// index order; split i is substream i of the seed's "histogram" stream.
+func generatePixels(n int, seed int64, sh ShardSpec) [][]byte {
+	src := stats.NewStream(seed, "histogram")
+	rng := rand.New(src)
 	var splits [][]byte
-	remaining := n - n%3
-	for remaining > 0 {
-		sz := hgSplitBytes
-		if sz > remaining {
-			sz = remaining
-		}
-		b := make([]byte, sz)
-		for i := 0; i+2 < len(b); i += 3 {
-			b[i] = byte(rng.Intn(200))        // R: darker
-			b[i+1] = byte(rng.Intn(256))      // G: uniform
-			b[i+2] = byte(55 + rng.Intn(200)) // B: brighter
+	n -= n % 3
+	for i := sh.Index; i*hgSplitBytes < n; i += sh.Count {
+		src.Seek(i)
+		b := make([]byte, min(hgSplitBytes, n-i*hgSplitBytes))
+		for j := 0; j+2 < len(b); j += 3 {
+			b[j] = byte(rng.Intn(200))        // R: darker
+			b[j+1] = byte(rng.Intn(256))      // G: uniform
+			b[j+2] = byte(55 + rng.Intn(200)) // B: brighter
 		}
 		splits = append(splits, b)
-		remaining -= sz
 	}
 	return splits
 }

@@ -12,14 +12,15 @@ import (
 // This file is the worker half of the cluster tier (internal/cluster):
 // shard jobs and the Partial containers they export.
 //
-// A shard job is a normal Table I job restricted to the splits whose
-// index is congruent to ShardSpec.Index modulo ShardSpec.Count — the
-// union of all Count shards covers the generated input exactly once, so
-// per-key sums merged across shards equal the single-node run's output
-// bit for bit. Each shard run exports its full key→value container as a
-// Partial (the in-node combining of Lee et al.: aggregates cross the
-// network, raw emits never do); the coordinator merges Partials with
-// MergePartials and re-derives the app's order-independent digest with
+// A shard job is a normal Table I job over the splits whose index is
+// congruent to ShardSpec.Index modulo ShardSpec.Count, and it builds only
+// those: split i is a pure function of the seed and i (see generateText),
+// so a worker materialises 1/Count of the input. The Count shards cover
+// the input exactly once, so per-key sums merged across shards equal the
+// single-node run's output bit for bit. Each shard run exports its full
+// key→value container as a Partial (the in-node combining of Lee et al.:
+// a node touches its own share and ships aggregates); the coordinator
+// merges Partials with MergePartials and re-derives the app's digest with
 // Summary, which reuses the exact per-pair folds of the unsharded jobs.
 //
 // Only apps with exact (integer) arithmetic and an associative,
@@ -102,10 +103,10 @@ func emptyShardInfo(part *Partial) *RunInfo {
 }
 
 // NewShardJobParams instantiates shard sh of the named app with explicit
-// generator parameters. The full input is generated (it is a
-// deterministic function of the seed, so every worker derives the same
-// split list) and the job runs over sh's subset, exporting its container
-// as RunInfo.Partial. SYNTH shard jobs are built by synth.NewShardJob.
+// generator parameters. Only sh's splits are generated — any worker
+// derives the same split i from the seed without building the others —
+// and the job runs over them, exporting its container as RunInfo.Partial.
+// SYNTH shard jobs are built by synth.NewShardJob.
 func NewShardJobParams(app string, pr Params, kind container.Kind, seed int64, sh ShardSpec) (*Job, error) {
 	if err := sh.Validate(); err != nil {
 		return nil, fmt.Errorf("workloads: shard %s: %v", app, err)
@@ -124,7 +125,7 @@ func NewShardJobParams(app string, pr Params, kind container.Kind, seed int64, s
 // wordCountShardJob is WordCountJob restricted to one shard, exporting
 // the shard's word→count container.
 func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec) *Job {
-	splits := ShardSplits(GenerateText(nBytes, seed), sh)
+	splits := generateText(nBytes, seed, sh)
 	spec := WordCountSpec(splits, kind)
 	j := &Job{
 		App:       "WC",
@@ -150,7 +151,7 @@ func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec
 // histogramShardJob is HistogramJob restricted to one shard, exporting
 // the shard's bucket→count container.
 func histogramShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec) *Job {
-	splits := ShardSplits(GeneratePixels(nBytes, seed), sh)
+	splits := generatePixels(nBytes, seed, sh)
 	spec := HistogramSpec(splits, kind)
 	j := &Job{
 		App:       "HG",

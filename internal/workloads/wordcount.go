@@ -3,6 +3,7 @@ package workloads
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"ramr/internal/container"
@@ -22,6 +23,14 @@ const wcSplitBytes = 16 << 10
 // GenerateText builds a deterministic synthetic corpus of about n bytes,
 // pre-partitioned into word-aligned splits.
 func GenerateText(n int, seed int64) []string {
+	return generateText(n, seed, ShardSpec{Index: 0, Count: 1})
+}
+
+// generateText builds the splits shard sh owns of the n-byte corpus, in
+// index order. The corpus has ceil(n/wcSplitBytes) splits; split i is words
+// drawn from substream i of the seed's "wordcount" stream until its byte
+// quota is met, so a shard pays for its own only. One vocabulary per seed.
+func generateText(n int, seed int64, sh ShardSpec) []string {
 	rng := stats.Rng(seed, "wordcount")
 	vocab := make([]string, wcVocab)
 	const letters = "abcdefghijklmnopqrstuvwxyz"
@@ -33,23 +42,19 @@ func GenerateText(n int, seed int64) []string {
 		}
 		vocab[i] = string(b)
 	}
-	zipf := stats.NewZipf(rng, 1.2, uint64(wcVocab))
+	src := stats.NewStream(seed, "wordcount")
+	zipf := stats.NewZipf(rand.New(src), 1.2, uint64(wcVocab))
 
 	var splits []string
 	var cur strings.Builder
-	total := 0
-	for total < n {
-		w := vocab[zipf.Next()]
-		cur.WriteString(w)
-		cur.WriteByte(' ')
-		total += len(w) + 1
-		if cur.Len() >= wcSplitBytes {
-			splits = append(splits, cur.String())
-			cur.Reset()
+	for i := sh.Index; i*wcSplitBytes < n; i += sh.Count {
+		src.Seek(i)
+		for quota := min(wcSplitBytes, n-i*wcSplitBytes); cur.Len() < quota; {
+			cur.WriteString(vocab[zipf.Next()])
+			cur.WriteByte(' ')
 		}
-	}
-	if cur.Len() > 0 {
 		splits = append(splits, cur.String())
+		cur.Reset()
 	}
 	return splits
 }

@@ -51,6 +51,9 @@ func (e Engine) String() string {
 type RunInfo struct {
 	// Wall is the end-to-end wall-clock duration of the invocation.
 	Wall time.Duration
+	// Build is the caller's input build before the invocation, when it
+	// measured one (the job service does).
+	Build time.Duration
 	// Phases is the engine's per-phase breakdown.
 	Phases mr.PhaseTimes
 	// Queue aggregates SPSC counters (RAMR engine only).
