@@ -161,12 +161,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		batch = c
 	}
 	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, maxCombiners, cfg.Pin)
-	// Work conservation needs a CPU under every worker. On a grant too
-	// small for that an idle worker is already lending its CPU to its
-	// partner, and a worker that computes instead of parking takes cycles
-	// from whoever else the host is running (EXPERIMENTS.md,
-	// "Work-conserving pipeline": cold_job_s_p95 on serve_mixed).
-	conserve := len(cfg.CPUGrant) == 0 || len(cfg.CPUGrant) >= mappers+maxCombiners
+	conserve := ConservesWork(cfg.CPUGrant, mappers+maxCombiners)
 	// own[i] is mapper i's private container, created when its ring first
 	// refuses a slab; lanes and helpers keep every lane's fold counts for
 	// the run's books. Each entry is written by its worker only and read
@@ -433,6 +428,15 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		}
 	}
 	return res, nil
+}
+
+// ConservesWork is the grant rule of batch runs and stream sessions: work is
+// conserved only when grant (empty: the whole machine) has a CPU per worker.
+// On a smaller grant an idle worker already lends its CPU to its partner, and
+// one that computes instead of parking takes cycles from whoever else the
+// host runs (EXPERIMENTS.md, "Work-conserving pipeline": serve_mixed p95).
+func ConservesWork(grant []int, workers int) bool {
+	return len(grant) == 0 || len(grant) >= workers
 }
 
 // ValidateGrant checks a CPU grant against the resolved machine: every id

@@ -258,12 +258,14 @@ type Combiners[E any] struct {
 	// Help, if set, is asked once per slot for the slot's answer to "my
 	// rings hold nothing for me": a func that runs one unit of other work
 	// on the slot's goroutine and reports whether it found any. A slot that
-	// would park calls it first and parks only on false, which is final —
-	// the slot does not ask again. What help runs is the slot's own: lane
-	// is a ring-less Lane whose slabs go to the slot's Apply fold and whose
-	// tasks and pairs are counted on the slot's telemetry shard, mapping as
-	// worker len(Queues)+slot to the Map hooks; track is the slot's trace
-	// lane. A slot with an empty assignment (an inactive one) never asks.
+	// would park calls it first and parks only on false, which means
+	// "nothing now": the slot asks again before its next park, since a
+	// stream session's next chunk arrives after a slot found none. What
+	// help runs is the slot's own: lane is a ring-less Lane whose slabs go
+	// to the slot's Apply fold and whose tasks and pairs are counted on the
+	// slot's telemetry shard, mapping as worker len(Queues)+slot to the Map
+	// hooks; track is the slot's trace lane. A slot with an empty
+	// assignment (an inactive one) never asks.
 	Help func(slot int, lane *Lane[E], track *obs.Track) func() bool
 }
 
@@ -428,7 +430,6 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 				if help() {
 					continue
 				}
-				help = nil
 			}
 			setState(telemetry.StateIdle)
 			spsc.Park(c.Gates[j], waitOn, b, func() bool {

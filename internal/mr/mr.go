@@ -162,7 +162,7 @@ type Result[K comparable, R any] struct {
 // it closes the run's books exactly: mapper takes + Tasks is the job's task
 // count, and pairs emitted − QueueStats.Pushes is CombinerPairs +
 // MapperPairs. A run whose CPUGrant cannot give every worker a CPU of its
-// own never helps, and neither does a stream session.
+// own never helps, and a stream session's MapperPairs is always 0.
 type HelpStats struct {
 	Tasks         uint64 `json:"tasks"`          // map tasks run by combiner slots
 	CombinerPairs uint64 `json:"combiner_pairs"` // pairs those tasks emitted, folded in place

@@ -142,7 +142,10 @@ func TestWireParity(t *testing.T) {
 
 	code, doc = postJob(t, ts, `{"workload":"SYNTH","max_cpus":8,"config":{"pin":"none"},"stream":{"window":1}}`)
 	record("POST stream", code, doc)
-	code, doc = deleteJob(t, ts, int(doc["id"].(float64)))
+	stream := int(doc["id"].(float64))
+	doc = awaitStarted(t, ts, stream)
+	sub("GET stream started", doc, "stream")
+	code, doc = deleteJob(t, ts, stream)
 	record("DELETE stream", code, doc)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

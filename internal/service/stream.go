@@ -222,6 +222,7 @@ func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *plan)
 	info := &workloads.RunInfo{
 		Wall:      time.Since(start),
 		Queue:     sess.QueueStats(),
+		Help:      sess.HelpStats(),
 		Pairs:     pairs,
 		Telemetry: e.telem.EndRun(nil),
 		Tuner:     sess.TunerReport(),
@@ -455,6 +456,8 @@ type streamStatusDoc struct {
 	// resident workers spawned.
 	Started bool          `json:"started"`
 	Stats   *stream.Stats `json:"stats,omitempty"`
+	// Help counts the splits idle combiner slots mapped so far.
+	Help *mr.HelpStats `json:"help,omitempty"`
 }
 
 // streamStatus renders e's stream section (nil for batch jobs).
@@ -465,8 +468,8 @@ func (e *entry) streamStatus() *streamStatusDoc {
 	doc := &streamStatusDoc{Spec: specDoc(e.stream.spec)}
 	if sess := e.stream.peek(); sess != nil {
 		doc.Started = true
-		st := sess.Stats()
-		doc.Stats = &st
+		st, help := sess.Stats(), sess.HelpStats()
+		doc.Stats, doc.Help = &st, &help
 	}
 	return doc
 }

@@ -53,6 +53,14 @@ func openStreamApp(t *testing.T, ts *httptest.Server, app, streamSpec string) in
 		t.Fatalf("streaming submission status missing stream section: %v", doc)
 	}
 	id := int(doc["id"].(float64))
+	awaitStarted(t, ts, id)
+	return id
+}
+
+// awaitStarted polls stream job id's status until its session holds its
+// grant, and returns that status document.
+func awaitStarted(t *testing.T, ts *httptest.Server, id int) map[string]any {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		code, st := getJSON(t, fmt.Sprintf("%s/jobs/%d", ts.URL, id))
@@ -64,7 +72,7 @@ func openStreamApp(t *testing.T, ts *httptest.Server, app, streamSpec string) in
 			t.Fatalf("stream job %d terminal before starting: %v", id, st)
 		}
 		if sec, ok := st["stream"].(map[string]any); ok && sec["started"] == true {
-			return id
+			return st
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("stream job %d session not started after 30s: %v", id, st)

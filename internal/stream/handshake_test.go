@@ -90,7 +90,10 @@ func TestParkedCombinerFoldsTailWhileMapperStaysBusy(t *testing.T) {
 				emit(e%8, 1)
 			}
 		}
-		cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+		// The busy split must be the mapper's: a helping slot that took it
+		// would hold the only fold for as long as it runs. A grant too small
+		// for conservation keeps the slot on its ring.
+		cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
 		cfg.Mappers = 1
 		cfg.BatchSize = 200
 		p, err := New(spec, cfg)
@@ -172,7 +175,10 @@ func TestSealerWakesOnQuiescence(t *testing.T) {
 		var armed atomic.Bool
 		var folds atomic.Int64
 		entered, release := make(chan struct{}), make(chan struct{})
-		cfg := testConfig(t, &mr.StreamSpec{Window: 1, Lateness: 1})
+		// The held fold is a ring batch, so the one combiner must not map
+		// window 0's split itself: a grant too small for conservation keeps
+		// it off the task channel.
+		cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1, Lateness: 1}))
 		cfg.Mappers = 1
 		cfg.Hooks = &mr.Hooks{CombineBatch: func(int) {
 			folds.Add(1)

@@ -77,6 +77,7 @@ type Session struct {
 	windows    func() []WindowMeta
 	window     func(int64) (WindowMeta, bool)
 	queueStats func() mr.QueueStats
+	helpStats  func() mr.HelpStats
 	tunerRep   func() *tuner.Report
 	setOnSeal  func(func(WindowMeta))
 	spec       mr.StreamSpec
@@ -154,6 +155,7 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 			return meta(w), true
 		},
 		queueStats: p.QueueStats,
+		helpStats:  p.HelpStats,
 		tunerRep:   p.TunerReport,
 		setOnSeal: func(fn func(WindowMeta)) {
 			p.OnSeal = func(w *Window[K, R]) { fn(meta(w)) }
@@ -194,6 +196,9 @@ func (s *Session) Window(n int64) (WindowMeta, bool) { return s.window(n) }
 
 // QueueStats returns the aggregated SPSC counters.
 func (s *Session) QueueStats() mr.QueueStats { return s.queueStats() }
+
+// HelpStats returns the splits combiner slots mapped and pairs they folded.
+func (s *Session) HelpStats() mr.HelpStats { return s.helpStats() }
 
 // TunerReport returns the AIMD controller's decision log, or nil.
 func (s *Session) TunerReport() *tuner.Report { return s.tunerRep() }

@@ -5,7 +5,8 @@
 //
 // The batch engine's building blocks are reused wholesale — the pipeline
 // kernel itself (core.Lane on every mapper, core.StartCombiners' consume
-// loop on every combiner, over a combiner pool nobody resizes), per-mapper
+// loop on every combiner, over a combiner pool nobody resizes, and the
+// first of the batch run's two work-conserving rules), per-mapper
 // SPSC rings (internal/spsc), private combiner containers
 // (internal/container), the contention-aware pinning plan
 // (core.BuildPlanOn), live telemetry and the AIMD tuner — but the
@@ -26,6 +27,11 @@
 // window is merged only after every split routed to its panes has been
 // mapped AND every pair those splits pushed has been folded, tracked by
 // per-pane conservation counters (splits in/done, pairs pushed/folded).
+//
+// Work conservation (DESIGN.md §5.2): a combiner slot whose rings are empty
+// maps one queued split on a ring-less lane folding into its own pane
+// containers, when the grant gives every worker a CPU. A back-pressured
+// mapper does not fold: its container would need a pane dimension.
 package stream
 
 import (
@@ -41,6 +47,7 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
+	"ramr/internal/obs"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 )
@@ -126,10 +133,10 @@ type streamPair[K comparable, V any] struct {
 // paneState tracks one pane's conservation counters. A window is
 // quiescent — safe to merge — once, for every pane it spans,
 // splitsDone == splitsIn and folded == pushed. Ordering guarantees the
-// check is sound: a mapper flushes its emit slab (making the pairs
-// visible to pushed's reader via the ring) and adds to pushed BEFORE
-// adding to splitsDone, and splitsIn for a sealable pane is frozen
-// because Append rejects ticks behind the watermark.
+// check is sound: a split's lane flushes its emit slab (to the ring, or
+// folded by a helping slot) and adds to pushed BEFORE adding to splitsDone,
+// and splitsIn for a sealable pane is frozen because Append rejects ticks
+// behind the watermark.
 type paneState struct {
 	pane        int64
 	splitsIn    atomic.Int64
@@ -227,6 +234,8 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	elements      atomic.Uint64
 	backpressured atomic.Uint64
 	lateRejected  atomic.Uint64
+	helpTasks     atomic.Uint64 // splits mapped by combiner slots
+	helpPairs     atomic.Uint64 // pairs those splits folded in place
 
 	firstErr mr.FirstError
 	abort    atomic.Bool
@@ -338,7 +347,7 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 	for i := range order {
 		order[i] = i
 	}
-	core.StartCombiners(context.Background(), &p.combWG, core.Combiners[streamPair[K, V]]{
+	pool := core.Combiners[streamPair[K, V]]{
 		Engine:   "stream",
 		Queues:   p.queues,
 		Gates:    p.gates,
@@ -353,7 +362,11 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		Abort:    p.abort.Load,
 		Fail:     p.fail,
 		Progress: p.kickSealer,
-	})
+	}
+	if core.ConservesWork(p.cfg.CPUGrant, p.mappers+p.combiners) {
+		pool.Help = p.helper
+	}
+	core.StartCombiners(context.Background(), &p.combWG, pool)
 	for i := 0; i < p.mappers; i++ {
 		p.mapWG.Add(1)
 		go p.runMapper(i)
@@ -527,19 +540,39 @@ func (p *Pipeline[S, K, V, R]) kickSealer() {
 	}
 }
 
-// runMapper is one resident map worker: take a task, run Map into the
-// worker's lane (pairs tagged with the task's pane), publish the
-// conservation counts, repeat until the task channel closes (Close) or the
+// splitRunner returns lane's body for one split, run by a mapper and by a
+// helping combiner slot: Map with pairs tagged by pane, EndTask (to the ring,
+// or folded into the slot's panes), then pushed strictly before splitsDone —
+// the order the seal's quiesce check relies on. It returns the pair count.
+func (p *Pipeline[S, K, V, R]) splitRunner(lane *core.Lane[streamPair[K, V]]) func(task[S]) uint64 {
+	var pane int64
+	emit := core.HookEmit(lane, func(k K, v V) {
+		core.Emit(lane, streamPair[K, V]{pane: pane, kv: container.KV[K, V]{K: k, V: v}})
+	})
+	return func(t task[S]) uint64 {
+		pane = t.pane
+		lane.BeginTask()
+		p.spec.Map(t.split, emit)
+		emitted := lane.EndTask()
+		ps := p.lookupPane(t.pane)
+		ps.pushed.Add(emitted)
+		ps.splitsDone.Add(1)
+		p.elements.Add(emitted)
+		p.pending.Add(-1)
+		p.kickSealer()
+		return emitted
+	}
+}
+
+// runMapper is one resident map worker: take a task, run it on the
+// worker's lane, repeat until the task channel closes (Close) or the
 // session dies.
 func (p *Pipeline[S, K, V, R]) runMapper(i int) {
 	defer p.mapWG.Done()
 	q := p.queues[i]
 	lane := core.NewLane(q, p.cfg.EmitBatch, i, p.cfg.Hooks)
 	lane.Run(context.Background(), "stream", p.plan.MapperCPU[i], p.tel, p.fail, func(tw *telemetry.Worker) {
-		var pane int64
-		emit := core.HookEmit(lane, func(k K, v V) {
-			core.Emit(lane, streamPair[K, V]{pane: pane, kv: container.KV[K, V]{K: k, V: v}})
-		})
+		run := p.splitRunner(lane)
 		for {
 			select {
 			case <-p.dying:
@@ -554,29 +587,47 @@ func (p *Pipeline[S, K, V, R]) runMapper(i int) {
 					p.pending.Add(-1)
 					continue
 				}
-				pane = t.pane
-				lane.BeginTask()
-				p.spec.Map(t.split, emit)
-				emitted := lane.EndTask()
+				run(t)
 				// Under sustained load combiners wait for full batches
 				// (§IV-C), but this split's pane cannot seal until its last
 				// pair is folded, and the next full batch may be a long way
 				// off — this mapper may go idle, or be handed a slow or sparse
 				// split. Have the combiner fold what the ring holds now.
 				q.Flush()
-				// Order matters for the seal quiesce check: pairs become
-				// visible (EndTask's flush, pushed) before the split counts
-				// done.
-				ps := p.lookupPane(t.pane)
-				ps.pushed.Add(emitted)
-				ps.splitsDone.Add(1)
-				p.elements.Add(emitted)
-				p.pending.Add(-1)
 				tw.SetState(telemetry.StateIdle)
-				p.kickSealer()
 			}
 		}
 	})
+}
+
+// helper is a slot's core.Combiners.Help: map one queued split on the slot's
+// ring-less lane, whose slabs foldInto splits by pane. It never waits: a
+// closed or empty task channel, or a doomed session, is "nothing now".
+func (p *Pipeline[S, K, V, R]) helper(_ int, lane *core.Lane[streamPair[K, V]], _ *obs.Track) func() bool {
+	run := p.splitRunner(lane)
+	return func() bool {
+		select {
+		case t, ok := <-p.taskCh:
+			if !ok {
+				return false
+			}
+			if p.abort.Load() {
+				p.pending.Add(-1)
+				return false
+			}
+			p.helpPairs.Add(run(t))
+			p.helpTasks.Add(1)
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// HelpStats counts the splits combiner slots mapped and the pairs they folded
+// in place; a session has no mapper-side fold, so MapperPairs is always 0.
+func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
+	return mr.HelpStats{Tasks: p.helpTasks.Load(), CombinerPairs: p.helpPairs.Load()}
 }
 
 // foldInto returns combiner j's fold: each consumed ring segment is split

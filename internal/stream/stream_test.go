@@ -92,6 +92,12 @@ func TestTumblingConservation(t *testing.T) {
 	const keys = 16
 	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
 	cfg.Telemetry = telemetry.New()
+	var mapperTakes atomic.Uint64
+	cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
+		if w < cfg.Mappers {
+			mapperTakes.Add(1)
+		}
+	}}
 	p, err := New(countSpec(keys), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +155,17 @@ func TestTumblingConservation(t *testing.T) {
 	if st.Chunks != 3 || st.Splits != 9 {
 		t.Errorf("stats chunks=%d splits=%d, want 3/9", st.Chunks, st.Splits)
 	}
-	// A session conserves no work: a pair's pane cannot seal on the word of
-	// a mapper's private container, so its lanes have no Fold and its slots
-	// no Help, and every emitted pair crossed a ring.
-	if c := cfg.Telemetry.CountersNow(); c.Emitted != total || c.Pushes != total || c.Pops != total || c.Folded != 0 || c.Helped != 0 {
-		t.Errorf("session counters %+v: want %d pairs emitted, pushed and popped, none folded in place, no task helped", c, total)
+	// The books of a session that conserves work: every split was taken by
+	// a mapper or mapped by an idle combiner slot, and every pair either
+	// crossed a ring or was folded in place by the slot that emitted it. A
+	// session has no mapper-side fold.
+	h := p.HelpStats()
+	if got := mapperTakes.Load() + h.Tasks; got != uint64(st.Splits) || h.MapperPairs != 0 {
+		t.Errorf("mapper takes %d + helped %d = %d splits, want %d (help %+v)", mapperTakes.Load(), h.Tasks, got, st.Splits, h)
+	}
+	if c := cfg.Telemetry.CountersNow(); c.Emitted != total || c.Pushes+h.CombinerPairs != total || c.Pops != c.Pushes ||
+		c.Helped != h.Tasks || c.Folded != h.CombinerPairs {
+		t.Errorf("session counters %+v, help %+v: want %d pairs emitted = pushed + folded by slots, every push popped", c, h, total)
 	}
 	checkNoLeak(t, before)
 }

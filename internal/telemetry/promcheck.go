@@ -27,10 +27,10 @@ import (
 // the moment a new family is added, instead of when a real Prometheus
 // first scrapes the service.
 func CheckExposition(data []byte) error {
-	types := map[string]string{}  // family -> type
-	helped := map[string]bool{}   // family -> HELP seen
-	sampled := map[string]bool{}  // family -> samples seen
-	series := map[string]int{}    // name + sorted labels -> line no
+	types := map[string]string{} // family -> type
+	helped := map[string]bool{}  // family -> HELP seen
+	sampled := map[string]bool{} // family -> samples seen
+	series := map[string]int{}   // name + sorted labels -> line no
 	type histChild struct {
 		buckets map[float64]float64 // le -> cumulative count
 		sum     *float64
