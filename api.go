@@ -221,18 +221,6 @@ const (
 // class; see Result.Steal and its StolenTasks/StealRate/Balanced helpers.
 type StealStats = mr.StealStats
 
-// TunerConfig enables the online adaptive tuner: assign one to
-// Config.Tuner and the RAMR engine runs an elastic combiner pool whose
-// size and consume batch are steered each epoch by a deterministic
-// controller reading the telemetry stream. A nil
-// Config.Tuner keeps the static engine behaviour bit-for-bit.
-type TunerConfig = tuner.Config
-
-// TunerReport is the tuner's decision log for one run (one Decision per
-// epoch, with the telemetry signals that drove it); read it from
-// Result.TunerReport after a tuned run.
-type TunerReport = tuner.Report
-
 // TunerProfile is an offline-tuned static configuration produced by the
 // ramrtune command's coordinate-descent search; load one from disk with
 // LoadTunerProfile and apply it with Config.ApplyProfile as a warm start.

@@ -132,6 +132,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}{
 		{"malformed", `{`},
 		{"unknown field", `{"workload":"WC","bogus":1}`},
+		{"tuner", `{"workload":"WC","tuner":true}`},
 		{"not shardable", `{"workload":"KM"}`},
 		{"client shard", `{"workload":"WC","shard":{"index":0,"count":2}}`},
 		{"stream", `{"workload":"WC","stream":{"window":1}}`},

@@ -5,22 +5,21 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
-	"ramr/internal/telemetry"
 	"ramr/internal/topology"
-	"ramr/internal/tuner"
 )
 
-// skewedHistogramSpec builds the tuner-convergence workload: a histogram
-// whose keys follow a squared-uniform distribution, so a few hot buckets
-// absorb most of the mass — the shape where combiner provisioning matters
-// (hot keys make combine cheap per pair, so a statically oversized pool
-// mostly starves).
+// skewedHistogramSpec builds the pool-sizing workload: a histogram whose
+// keys follow a squared-uniform distribution, so a few hot buckets absorb
+// most of the mass — the shape where combiner provisioning matters (hot
+// keys make combine cheap per pair, so a statically oversized pool mostly
+// starves).
 func skewedHistogramSpec(splits, perSplit, keys int) *mr.Spec[int64, int, int, int] {
 	seeds := make([]int64, splits)
 	for i := range seeds {
@@ -52,35 +51,19 @@ func skewedHistogramSpec(splits, perSplit, keys int) *mr.Spec[int64, int, int, i
 	}
 }
 
-// medianRun executes the spec five times and returns the median wall time.
-func medianRun(t *testing.T, spec *mr.Spec[int64, int, int, int], cfg mr.Config) (time.Duration, *mr.Result[int, int]) {
-	t.Helper()
-	var last *mr.Result[int, int]
-	times := make([]time.Duration, 5)
-	for i := range times {
-		start := time.Now()
-		res, err := Run(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		times[i] = time.Since(start)
-		last = res
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[2], last
-}
-
-// TestTunerConvergence is the EXPERIMENTS.md "tuner convergence" recipe:
-// it sweeps the static combiner count on a skewed histogram, then runs the
-// online tuner from the worst static configuration and reports how close
-// the tuned run lands to the best static one, with the full epoch log.
-// Gated behind an env var because it is a measurement, not a correctness
-// check:
+// TestStaticPoolSweep is the EXPERIMENTS.md "Static pool sizing under work
+// conservation" recipe: ten interleaved rounds over combiner counts 1..4 on
+// a skewed histogram, every run listed, then the per-count medians and the
+// worst/best median ratio. Because a round runs the four counts back to
+// back, it also prints each count's median of its within-round ratio to the
+// round's fastest run, which a host changing clock speed between rounds
+// does not move. Gated behind an env var because it is a measurement, not a
+// correctness check:
 //
-//	RAMR_CONVERGENCE=1 go test -run TestTunerConvergence -v ./internal/core/
-func TestTunerConvergence(t *testing.T) {
+//	RAMR_CONVERGENCE=1 go test -count=1 -run TestStaticPoolSweep -v ./internal/core/
+func TestStaticPoolSweep(t *testing.T) {
 	if os.Getenv("RAMR_CONVERGENCE") == "" {
-		t.Skip("set RAMR_CONVERGENCE=1 to run the tuner-convergence measurement")
+		t.Skip("set RAMR_CONVERGENCE=1 to run the static pool-sizing sweep")
 	}
 	spec := skewedHistogramSpec(64, 60_000, 256)
 	base := mr.DefaultConfig()
@@ -90,67 +73,43 @@ func TestTunerConvergence(t *testing.T) {
 	base.Machine = topology.Flat(4)
 	base.Pin = mr.PinNone
 
-	type point struct {
-		combiners int
-		wall      time.Duration
+	const rounds = 10
+	walls := make([][]time.Duration, base.Mappers+1)
+	for r := 0; r < rounds; r++ {
+		for c := 1; c <= base.Mappers; c++ {
+			cfg := base
+			cfg.Combiners = c
+			start := time.Now()
+			if _, err := Run(spec, cfg); err != nil {
+				t.Fatal(err)
+			}
+			walls[c] = append(walls[c], time.Since(start))
+		}
 	}
-	var best, worst point
+	median := func(vs []float64) float64 {
+		vs = slices.Clone(vs)
+		sort.Float64s(vs)
+		return (vs[len(vs)/2-1] + vs[len(vs)/2]) / 2
+	}
+	fastest := make([]time.Duration, rounds)
+	for r := range fastest {
+		fastest[r] = walls[1][r]
+		for c := 2; c <= base.Mappers; c++ {
+			fastest[r] = min(fastest[r], walls[c][r])
+		}
+	}
+	best, worst := math.Inf(1), 0.0
 	for c := 1; c <= base.Mappers; c++ {
-		cfg := base
-		cfg.Combiners = c
-		wall, _ := medianRun(t, spec, cfg)
-		fmt.Printf("static combiners=%d: %v\n", c, wall)
-		if best.wall == 0 || wall < best.wall {
-			best = point{c, wall}
+		ms, rel := make([]float64, rounds), make([]float64, rounds)
+		fmt.Printf("combiners=%d runs:", c)
+		for r, w := range walls[c] {
+			ms[r] = float64(w) / float64(time.Millisecond)
+			rel[r] = float64(w) / float64(fastest[r])
+			fmt.Printf(" %.1f", ms[r])
 		}
-		if wall > worst.wall {
-			worst = point{c, wall}
-		}
+		med := median(ms)
+		fmt.Printf("  median %.1f ms, within-round %.3f\n", med, median(rel))
+		best, worst = min(best, med), max(worst, med)
 	}
-
-	cfg := base
-	cfg.Combiners = worst.combiners
-	// A 500µs sampling interval keeps the controller clock cheap on small
-	// hosts (the default 200µs steals noticeable time on one core);
-	// EpochTicks 8 keeps the epoch length at the default ~4ms.
-	cfg.Telemetry = telemetry.New()
-	cfg.Telemetry.Interval = 500 * time.Microsecond
-	cfg.Tuner = &tuner.Config{EpochTicks: 8}
-
-	// Final comparison: re-measure the winning static point and the tuned
-	// run strictly interleaved, so slow drift on a shared host hits both
-	// sides equally instead of whichever phase ran later.
-	bestCfg := base
-	bestCfg.Combiners = best.combiners
-	staticTimes := make([]time.Duration, 5)
-	tunedTimes := make([]time.Duration, 5)
-	var res *mr.Result[int, int]
-	for i := range staticTimes {
-		start := time.Now()
-		if _, err := Run(spec, bestCfg); err != nil {
-			t.Fatal(err)
-		}
-		staticTimes[i] = time.Since(start)
-		start = time.Now()
-		r, err := Run(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tunedTimes[i] = time.Since(start)
-		res = r
-	}
-	sort.Slice(staticTimes, func(i, j int) bool { return staticTimes[i] < staticTimes[j] })
-	sort.Slice(tunedTimes, func(i, j int) bool { return tunedTimes[i] < tunedTimes[j] })
-	wall, bestWall := tunedTimes[2], staticTimes[2]
-	fmt.Printf("tuned (start combiners=%d, seed 42): %v  (best static %v with combiners=%d, ratio %.2f)\n",
-		worst.combiners, wall, bestWall, best.combiners, float64(wall)/float64(bestWall))
-	if res.TunerReport == nil {
-		t.Fatal("tuned run attached no TunerReport")
-	}
-	for _, d := range res.TunerReport.Epochs {
-		fmt.Printf("  epoch %2d %-8s combiners=%d batch=%-5d occ_p90=%.2f failed_push=%.3f short_poll=%.2f rate=%.0f pairs/tick\n",
-			d.Epoch, d.Action, d.Settings.Combiners, d.Settings.Batch,
-			d.Signals.OccP90, d.Signals.FailedPushRate, d.Signals.ShortPollRate,
-			float64(d.Signals.CombinedPairs)/float64(max(d.Signals.Ticks, 1)))
-	}
+	fmt.Printf("worst/best median ratio %.3f\n", worst/best)
 }

@@ -26,6 +26,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +37,6 @@ import (
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
-	"ramr/internal/tuner"
 )
 
 // pair is one intermediate key-value element flowing through the queues.
@@ -78,52 +78,12 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		return nil, err
 	}
 
-	// The combiner pool starts at combiners slots. With the tuner on it is
-	// elastic up to maxCombiners: the plan and container set are sized for
-	// that ceiling so combiners added mid-run have a pinned CPU and a
-	// private container waiting. With it off nobody resizes the pool and
-	// the two sizes coincide.
-	tcfg := cfg.Tuner
-	maxCombiners := combiners
-	var tunerCfg tuner.Config
-	if tcfg != nil {
-		tunerCfg = ResolveTuner(*tcfg, mappers, cfg.QueueCapacity)
-		// A CPU grant is a hard worker budget: the elastic pool may
-		// never grow past what the grant can host alongside the mappers,
-		// or a tuned job would spill onto CPUs granted to someone else.
-		if g := len(cfg.CPUGrant); g > 0 {
-			ceil := g - mappers
-			if ceil < 1 {
-				ceil = 1
-			}
-			if tunerCfg.MaxCombiners > ceil {
-				tunerCfg.MaxCombiners = ceil
-			}
-			if tunerCfg.MinCombiners > tunerCfg.MaxCombiners {
-				tunerCfg.MinCombiners = tunerCfg.MaxCombiners
-			}
-		}
-		maxCombiners = tunerCfg.MaxCombiners
-		if combiners > tunerCfg.MaxCombiners {
-			combiners = tunerCfg.MaxCombiners
-		}
-		if combiners < tunerCfg.MinCombiners {
-			combiners = tunerCfg.MinCombiners
-		}
-	}
-
 	res := &mr.Result[K, R]{}
 
 	// The telemetry layer is captured into a local once (like Hooks) so
 	// the nil check never sits on a hot path; Stop is deferred so error
-	// returns can never leak the sampler goroutine. The tuner needs the
-	// sampler as its epoch clock and signal source, so it brings a
-	// private telemetry when the user configured none (no report is
-	// attached then).
+	// returns can never leak the sampler goroutine.
 	tel := cfg.Telemetry
-	if tel == nil && tcfg != nil {
-		tel = telemetry.New()
-	}
 	if tel != nil {
 		tel.BeginRun("ramr")
 		defer tel.Stop()
@@ -146,10 +106,10 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			mirrors[i] = tel.RegisterQueue(fmt.Sprintf("mapper-%d", i), q)
 		}
 	}
-	containers := make([]container.Container[K, V], maxCombiners)
+	containers := make([]container.Container[K, V], combiners)
 	// One gate per combiner: where it parks when none of its rings has a
 	// batch for it.
-	gates := make([]*spsc.Gate, maxCombiners)
+	gates := make([]*spsc.Gate, combiners)
 	for j := range containers {
 		containers[j] = spec.NewContainer()
 		gates[j] = spsc.NewGate()
@@ -160,15 +120,15 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	if c := queues[0].Cap(); batch > c {
 		batch = c
 	}
-	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, maxCombiners, cfg.Pin)
-	conserve := ConservesWork(cfg.CPUGrant, mappers+maxCombiners)
+	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
+	conserve := ConservesWork(cfg.CPUGrant, mappers+combiners)
 	// own[i] is mapper i's private container, created when its ring first
 	// refuses a slab; lanes and helpers keep every lane's fold counts for
 	// the run's books. Each entry is written by its worker only and read
 	// after the pools are joined.
 	own := make([]container.Container[K, V], mappers)
 	lanes := make([]*Lane[pair[K, V]], mappers)
-	helpers := make([]*Lane[pair[K, V]], maxCombiners)
+	helpers := make([]*Lane[pair[K, V]], combiners)
 	res.Phases.Init = time.Since(t0)
 
 	// --- Partition: tasks into per-locality-group deques. The mapper →
@@ -237,14 +197,10 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	}
 
 	// The combiner pool: the kernel's consume loop on every slot, each
-	// folding into its private container. The consume batch is the one
-	// knob read on that loop, so it travels through an atomic the tuner
-	// stores and each round loads. A slot with nothing to consume helps:
-	// one task at a time from its own group's deque (further afield only
-	// as the steal policy allows), so it is back at its rings within a
+	// folding into its private container. A slot with nothing to consume
+	// helps: one task at a time from its own group's deque (further afield
+	// only as the steal policy allows), so it is back at its rings within a
 	// task.
-	var batchNow atomic.Int64
-	batchNow.Store(int64(batch))
 	var help func(int, *Lane[pair[K, V]], *obs.Track) func() bool
 	if conserve {
 		help = func(j int, lane *Lane[pair[K, V]], track *obs.Track) func() bool {
@@ -262,18 +218,17 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			}
 		}
 	}
-	resize := StartCombiners(ctx, &combWG, Combiners[pair[K, V]]{
+	StartCombiners(ctx, &combWG, Combiners[pair[K, V]]{
 		Engine:  "ramr",
 		Queues:  queues,
 		Gates:   gates,
 		Mirrors: mirrors,
 		Order:   localityOrder(mapperGroup),
-		Active:  combiners,
 		CPUs:    plan.CombinerCPU,
 		Tel:     tel,
 		Trace:   cfg.Trace,
 		Hooks:   cfg.Hooks,
-		Batch:   func() int { return int(batchNow.Load()) },
+		Batch:   batch,
 		Apply: func(j int) func([]pair[K, V]) {
 			c := containers[j]
 			return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
@@ -282,14 +237,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		Fail:  fail,
 		Help:  help,
 	})
-	var driver *TunerDriver
-	if tcfg != nil {
-		start := tuner.Settings{Combiners: combiners, Batch: batch}
-		driver = StartTuner(tunerCfg, start, tel, cfg.Trace, queues, func(s tuner.Settings) {
-			resize(s.Combiners)
-			batchNow.Store(int64(s.Batch))
-		})
-	}
 
 	// The mapper pool: each worker takes task batches from its locality
 	// group's deque (stealing when it runs dry) and maps them into its
@@ -357,12 +304,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	stealMu.Lock()
 	res.Steal = stealAgg
 	stealMu.Unlock()
-	if driver != nil {
-		// Fence the driver before reading its report (and before any
-		// error return): no controller step can be in flight after stop.
-		driver.Stop()
-		res.TunerReport = driver.Report()
-	}
 	// The invariant observer and the pre-reduce hook run before the
 	// error checks: a failed run must still report per-queue drain state,
 	// and a cancellation injected at the pre-reduce point must still be
@@ -420,12 +361,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 
 	res.Pairs = pairs
 	if tel != nil {
-		rep := tel.EndRun(res.Phases.SecondsByPhase())
-		// A tuner-private telemetry is a clock, not a report the user
-		// asked for; attach only when the user configured one.
-		if cfg.Telemetry != nil {
-			res.Telemetry = rep
-		}
+		res.Telemetry = tel.EndRun(res.Phases.SecondsByPhase())
 	}
 	return res, nil
 }
@@ -451,6 +387,20 @@ func ValidateGrant(machine *topology.Machine, grant []int) error {
 		}
 	}
 	return nil
+}
+
+// localityOrder returns the queue (= mapper) indices sorted by locality
+// group, stable within a group, so a contiguous split hands each combiner
+// a dense group run.
+func localityOrder(mapperGroup []int) []int {
+	order := make([]int, len(mapperGroup))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		return mapperGroup[order[x]] < mapperGroup[order[y]]
+	})
+	return order
 }
 
 // workerGroups assigns each worker of one pool (cpus is its row of the

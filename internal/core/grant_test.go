@@ -5,7 +5,6 @@ import (
 
 	"ramr/internal/mr"
 	"ramr/internal/topology"
-	"ramr/internal/tuner"
 )
 
 // TestBuildPlanOnStaysInGrant: under every pinning policy, a granted plan
@@ -51,46 +50,6 @@ func TestBuildPlanOnForeignGrantUnpinned(t *testing.T) {
 	for _, cpu := range append(append([]int{}, plan.MapperCPU...), plan.CombinerCPU...) {
 		if cpu != -1 {
 			t.Fatalf("foreign grant produced pinned cpu %d", cpu)
-		}
-	}
-}
-
-// TestGrantCapsElasticCeiling: a CPU grant is a hard worker budget — the
-// tuner's elastic combiner pool may never grow past grant size minus the
-// mappers, even when a scripted schedule asks for more. The cap must be
-// visible in the decision log the run attaches.
-func TestGrantCapsElasticCeiling(t *testing.T) {
-	spec := countSpec(48, 100, 17)
-	cfg := testConfig() // Mappers 3, Flat(4) machine
-	cfg.CPUGrant = []int{0, 1, 2, 3}
-	cfg.Tuner = &tuner.Config{
-		EpochTicks: 1,
-		// The schedule keeps asking for 3 combiners; the grant leaves
-		// room for exactly len(grant) - mappers = 1.
-		Schedule: []int{3, 3, 3, 3},
-	}
-	res, err := Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, p := range res.Pairs {
-		total += p.Value
-	}
-	if total != 48*100 {
-		t.Fatalf("total = %d, want %d", total, 48*100)
-	}
-	if res.TunerReport == nil {
-		t.Fatal("tuned run attached no TunerReport")
-	}
-	ceil := len(cfg.CPUGrant) - cfg.Mappers
-	if got := res.TunerReport.Final.Combiners; got > ceil {
-		t.Fatalf("final combiners = %d, exceeds grant ceiling %d", got, ceil)
-	}
-	for _, d := range res.TunerReport.Epochs {
-		if d.Settings.Combiners > ceil {
-			t.Fatalf("epoch %d ran %d combiners, exceeds grant ceiling %d",
-				d.Epoch, d.Settings.Combiners, ceil)
 		}
 	}
 }

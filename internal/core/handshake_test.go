@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"ramr/internal/mr"
 	"ramr/internal/topology"
-	"ramr/internal/tuner"
 )
 
 // atProcs runs f at GOMAXPROCS 1 and 2: on one processor the two sides of
@@ -36,72 +34,42 @@ func sumValues(pairs []mr.Pair[int, int]) int {
 // both sides wait almost every step — producers park on full rings,
 // combiners park on empty ones — with single-element batches and slabs
 // that do not divide the ring. Totals must stay exact and every ring
-// must conserve its elements. The static pool runs under a grant too small
-// to conserve work, so both sides really do park. The elastic pool cannot
-// (a grant that small also pins it at one combiner): it is resized while
-// its slots are mapping and its mappers are folding what the rings refuse,
-// and what must hold there is the books.
+// must conserve its elements. The runs are under a grant too small to
+// conserve work, so both sides really do park.
 func TestHandshakeTinyRings(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		for _, capacity := range []int{2, 4} {
 			for _, emit := range []int{1, 3} {
-				for _, elastic := range []bool{false, true} {
-					splits, emits := 32, 120
-					if elastic {
-						splits, emits = 48, 1500
-					}
-					spec := countSpec(splits, emits, 13)
-					cfg := testConfig()
-					if !elastic {
-						cfg = parked(cfg)
-					}
-					cfg.Mappers = 4
-					cfg.Combiners = 2
-					cfg.TaskSize = 1
-					cfg.QueueCapacity = capacity
-					cfg.BatchSize = 1 + capacity/2
-					cfg.EmitBatch = emit
-					if elastic {
-						cfg.Tuner = &tuner.Config{EpochTicks: 1, MaxCombiners: 4, Schedule: []int{4, 1, 3, 1, 4, 2}}
-					}
-					rec := recordQueues(&cfg)
-					if elastic {
-						// Nobody waits on a ring here, so the run has to be
-						// held open for the resizes some other way.
-						cfg.Hooks.MapTask = func(int) { time.Sleep(200 * time.Microsecond) }
-					}
-					var res *mr.Result[int, int]
-					err := runWithTimeout(t, func() (err error) {
-						res, err = Run(spec, cfg)
-						return err
-					})
-					if err != nil {
-						t.Fatalf("cap=%d emit=%d elastic=%v: %v", capacity, emit, elastic, err)
-					}
-					want := splits * emits
-					if got := sumValues(res.Pairs); got != want {
-						t.Fatalf("cap=%d emit=%d elastic=%v: total %d, want %d", capacity, emit, elastic, got, want)
-					}
-					conserved(t, res, want)
-					if !elastic && res.Help != (mr.HelpStats{}) {
-						t.Fatalf("cap=%d emit=%d: work was conserved under a one-CPU grant: %+v", capacity, emit, res.Help)
-					}
-					if res.QueueStats.FailedPush == 0 {
-						t.Fatalf("cap=%d emit=%d elastic=%v: no producer ever found its ring full", capacity, emit, elastic)
-					}
-					if elastic {
-						resizes := 0
-						for _, d := range res.TunerReport.Epochs {
-							if d.Action == "schedule" {
-								resizes++
-							}
-						}
-						if resizes < 2 {
-							t.Fatalf("cap=%d emit=%d: only %d resizes landed mid-run", capacity, emit, resizes)
-						}
-					}
-					assertClean(t, rec)
+				splits, emits := 32, 120
+				spec := countSpec(splits, emits, 13)
+				cfg := parked(testConfig())
+				cfg.Mappers = 4
+				cfg.Combiners = 2
+				cfg.TaskSize = 1
+				cfg.QueueCapacity = capacity
+				cfg.BatchSize = 1 + capacity/2
+				cfg.EmitBatch = emit
+				rec := recordQueues(&cfg)
+				var res *mr.Result[int, int]
+				err := runWithTimeout(t, func() (err error) {
+					res, err = Run(spec, cfg)
+					return err
+				})
+				if err != nil {
+					t.Fatalf("cap=%d emit=%d: %v", capacity, emit, err)
 				}
+				want := splits * emits
+				if got := sumValues(res.Pairs); got != want {
+					t.Fatalf("cap=%d emit=%d: total %d, want %d", capacity, emit, got, want)
+				}
+				conserved(t, res, want)
+				if res.Help != (mr.HelpStats{}) {
+					t.Fatalf("cap=%d emit=%d: work was conserved under a one-CPU grant: %+v", capacity, emit, res.Help)
+				}
+				if res.QueueStats.FailedPush == 0 {
+					t.Fatalf("cap=%d emit=%d: no producer ever found its ring full", capacity, emit)
+				}
+				assertClean(t, rec)
 			}
 		}
 	})

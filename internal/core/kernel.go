@@ -6,16 +6,17 @@
 // never look inside one. The two work-conserving rules live here too, each
 // behind one optional func of its driver: a slot about to park asks for
 // other work first (Combiners.Help), and a lane whose ring will not take a
-// slab folds it on the spot (Lane.Fold). The batch engine (engine.go), its
-// tuned variant (elastic.go) and the resident stream session
-// (internal/stream) are drivers: they decide where tasks come from and where
-// folded batches go, and run everything else through here.
+// slab folds it on the spot (Lane.Fold). The batch engine (engine.go) and
+// the resident stream session (internal/stream) are drivers: they decide
+// where tasks come from and where folded batches go, and run everything else
+// through here.
 package core
 
 import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -227,25 +228,24 @@ func (l *Lane[E]) EndTask() (emitted uint64) {
 }
 
 // Combiners describes one combiner pool over a set of rings: len(Gates)
-// slots, the first Active of which share the rings (see elasticPool). The
-// funcs are the whole interface between the consume loop and its driver.
+// slots, each owning a fixed run of the rings for the whole run (see
+// splitRings). The funcs are the whole interface between the consume loop
+// and its driver.
 type Combiners[E any] struct {
 	Engine  string // pprof label and PanicError.Engine
 	Queues  []*spsc.Queue[E]
 	Gates   []*spsc.Gate             // one per slot; the driver's abort path wakes them
 	Mirrors []*telemetry.QueueMirror // per ring; nil when telemetry is off
 	Order   []int                    // ring indices in the order the slots split them
-	Active  int
-	CPUs    []int // per slot, -1 = unpinned
+	CPUs    []int                    // per slot, -1 = unpinned
 	Tel     *telemetry.Telemetry
 	Trace   *obs.Recorder
 	Hooks   *mr.Hooks
 
-	// Batch is the consume batch size, read once per polling round (the
-	// tuner moves it mid-run); it must stay within [1, ring capacity] — a
-	// batch larger than the ring could never fill while a producer is
-	// blocked on a full queue, deadlocking the pipeline.
-	Batch func() int
+	// Batch is the consume batch size; it must stay within [1, ring
+	// capacity] — a batch larger than the ring could never fill while a
+	// producer is blocked on a full queue, deadlocking the pipeline.
+	Batch int
 	// Apply returns slot's fold: it receives each consumed ring segment
 	// and owns where the elements go.
 	Apply func(slot int) func([]E)
@@ -264,50 +264,69 @@ type Combiners[E any] struct {
 	// help runs is the slot's own: lane is a ring-less Lane whose slabs go
 	// to the slot's Apply fold and whose tasks and pairs are counted on the
 	// slot's telemetry shard, mapping as worker len(Queues)+slot to the Map
-	// hooks; track is the slot's trace lane. A slot with an empty
-	// assignment (an inactive one) never asks.
+	// hooks; track is the slot's trace lane. A slot that owns no ring
+	// exits at once and never asks.
 	Help func(slot int, lane *Lane[E], track *obs.Track) func() bool
 }
 
-// StartCombiners spawns one goroutine per slot, accounted on wg, and
-// returns the pool's resize control; a caller that drops it has a pool of
-// Active slots that nobody resizes. The slots exit once every ring is
-// closed and drained.
-func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[E]) (resize func(active int)) {
+// splitRings deals the rings, in order, over slots by the one split rule,
+// QueueAssignment: each slot gets a dense run of the order, so a pool over
+// the order BuildPlanOn pinned by consumes exactly the rings placed next to
+// each combiner. The split is fixed for the run; nothing ever moves a ring
+// to another slot, which is what makes every ring single-consumer.
+func splitRings(order []int, slots int) [][]int {
+	own := make([][]int, slots)
+	for j, r := range QueueAssignment(len(order), slots) {
+		own[j] = slices.Clone(order[r[0]:r[1]])
+	}
+	return own
+}
+
+// StartCombiners spawns one goroutine per slot, accounted on wg, each over
+// its own run of the rings (whose wake-ups it points at the slot's gate).
+// A slot exits once every ring it owns is closed and drained.
+func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[E]) {
 	if c.Mirrors == nil {
 		c.Mirrors = make([]*telemetry.QueueMirror, len(c.Queues)) // nil mirrors drop their stores
 	}
-	// Instrumented runs (Hooks set) also check the one-consumer-per-ring
-	// invariant the pool lock must make impossible to violate.
-	pool := newElasticPool(c.Queues, c.Gates, c.Order, c.Active, c.Hooks != nil, func(queue, holder, claimant int) {
-		c.Fail(fmt.Errorf("core: single-consumer invariant violated: queue %d consumed by combiner %d while owned by %d", queue, claimant, holder))
-	})
-	for j := range c.Gates {
+	for j, own := range splitRings(c.Order, len(c.Gates)) {
+		for _, qi := range own {
+			c.Queues[qi].SetGate(c.Gates[j])
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			runWorker(ctx, c.Engine, combinerRole, j, c.CPUs[j], c.Tel, func(tw *telemetry.Worker) {
-				combine(&c, pool, j, tw)
+				combine(&c, j, own, tw)
 			}, func(pe *mr.PanicError) {
 				// A failed combiner keeps draining (and discarding) so
 				// producers blocked on full rings can run to completion.
 				c.Fail(pe)
-				pool.drainAbort(j, c.Batch())
+				c.drainAbort(j, own)
 			})
 		}()
 	}
-	return pool.Resize
 }
 
-// combine is one combiner slot's life: consume rounds over the rings the
-// pool currently assigns it, under the pool's read lock; when a round found
-// nothing (an empty assignment never does), help if the driver has other
-// work and park on the slot's gate if not; retire drained rings; and once
-// the run is doomed stop feeding user code and discard-drain instead, so
-// producers blocked on full rings unwedge without burning user-code cycles.
-// Helping happens outside the lock and outside any ring's single-consumer
-// token: a panic in it unwinds straight to the slot's recovery.
-func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.Worker) {
+// drainAbort is the abort path, stated once for every pipeline: slot j
+// discard-drains the rings it owns so producers blocked on full rings can
+// finish. Rings it already retired are drained, and skipped.
+func (c *Combiners[E]) drainAbort(j int, own []int) {
+	qs := make([]*spsc.Queue[E], len(own))
+	for i, qi := range own {
+		qs[i] = c.Queues[qi]
+	}
+	spsc.DrainDiscard(c.Gates[j], qs, c.Batch)
+}
+
+// combine is one combiner slot's life: consume rounds over the rings it
+// owns, retiring each as it drains; when a round found nothing, help if the
+// driver has other work and park on the slot's gate if not; and once the run
+// is doomed stop feeding user code and discard-drain instead, so producers
+// blocked on full rings unwedge without burning user-code cycles. A round
+// takes no lock: no other goroutine ever consumes these rings. A panic in a
+// fold or in help unwinds straight to the slot's recovery.
+func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 	track := c.Trace.Worker("combiner", j)
 	defer track.Publish()
 	var batchHook, drainHook func(int)
@@ -337,46 +356,25 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 	if c.Help != nil {
 		// The helper's slab is one consume batch: the block size the slot's
 		// container already sees from its rings.
-		lane := newLane[E](nil, c.Batch(), len(c.Queues)+j, c.Hooks)
+		lane := newLane[E](nil, c.Batch, len(c.Queues)+j, c.Hooks)
 		lane.Fold, lane.tw = apply, tw
 		help = c.Help(j, lane, track)
 	}
 
-	// round runs one polling pass over the slot's assignment while holding
-	// the read lock (the ownership critical section). The deferred unlock
-	// keeps a user-code panic from wedging the pool: the recovery takes
-	// the write lock to freeze. A fold that panics also gives back the
-	// ring's single-consumer token before the lock goes — otherwise a
-	// resize landing before the freeze hands the ring to a slot that finds
-	// the token taken, and that false violation can beat the panic to the
-	// run's error. It leaves in waitOn the rings an idle slot parks on and
-	// in b the batch it polled with, and returns the assignment generation
-	// that list is valid for.
-	var waitOn []*spsc.Queue[E]
-	var b int
-	round := func() (consumed int, toRetire []int, gen uint64, finished bool) {
-		pool.mu.RLock()
-		held := -1
-		defer func() {
-			if held >= 0 {
-				pool.release(held)
-			}
-			pool.mu.RUnlock()
-		}()
-		gen, finished = pool.gen.Load(), pool.finished
-		b = c.Batch()
-		waitOn = waitOn[:0]
-		mine := pool.slots[j]
-		if len(mine) == 0 {
+	// live is the slot's undrained rings, by index; waitOn the same rings,
+	// which an idle slot parks on.
+	live := slices.Clone(own)
+	waitOn := make([]*spsc.Queue[E], 0, len(live))
+	for len(live) > 0 {
+		if c.Abort() {
+			c.drainAbort(j, own)
 			return
 		}
+		consumed, kept := 0, live[:0]
+		waitOn = waitOn[:0]
 		end := track.Span("consume")
-		for _, qi := range mine {
+		for _, qi := range live {
 			q := c.Queues[qi]
-			if !pool.acquire(qi, j) {
-				continue
-			}
-			held = qi
 			closed := q.Closed()
 			if closed && !draining {
 				draining = true
@@ -386,36 +384,18 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 			}
 			// While the producer is live, wait for full blocks (§IV-C);
 			// take short what it flushed, or left behind when it closed.
-			consumed += q.ConsumeBatch(b, closed || q.Flushing(), fold)
-			if q.Drained() {
-				toRetire = append(toRetire, qi)
-			} else {
+			consumed += q.ConsumeBatch(c.Batch, closed || q.Flushing(), fold)
+			c.Mirrors[qi].StoreConsumer(q.ConsumerStats())
+			if !q.Drained() {
+				kept = append(kept, qi)
 				waitOn = append(waitOn, q)
 			}
-			c.Mirrors[qi].StoreConsumer(q.ConsumerStats())
-			pool.release(qi)
-			held = -1
 		}
-		if consumed > 0 {
-			end()
-		}
-		return
-	}
-
-	for {
-		if c.Abort() {
-			pool.drainAbort(j, c.Batch())
-			return
-		}
-		consumed, toRetire, gen, finished := round()
-		if finished {
-			return
-		}
-		for _, qi := range toRetire {
-			pool.retire(qi)
-		}
+		retired := len(live) - len(kept)
+		live = kept
 		switch {
 		case consumed > 0:
+			end()
 			if draining {
 				setState(telemetry.StateDraining)
 			} else {
@@ -424,17 +404,15 @@ func combine[E any](c *Combiners[E], pool *elasticPool[E], j int, tw *telemetry.
 			if c.Progress != nil {
 				c.Progress()
 			}
-		case len(toRetire) == 0:
-			if help != nil && len(waitOn) > 0 {
+		case retired == 0:
+			if help != nil {
 				setState(telemetry.StateHelping)
 				if help() {
 					continue
 				}
 			}
 			setState(telemetry.StateIdle)
-			spsc.Park(c.Gates[j], waitOn, b, func() bool {
-				return c.Abort() || pool.gen.Load() != gen
-			})
+			spsc.Park(c.Gates[j], waitOn, c.Batch, c.Abort)
 		}
 	}
 }

@@ -3,86 +3,112 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ramr/internal/faultinject"
 	"ramr/internal/mr"
 )
 
-// TestPanickedFoldReleasesRingToken: a fold that panics is holding its
-// ring's single-consumer token, and unwinds past the release. If the token
-// stayed taken, a resize landing before the failed slot freezes the pool
-// would hand the ring to a slot that finds it "owned", and that false
-// violation could beat the panic to the run's error. Here the resize is
-// made to land in exactly that gap — from inside Fail, which runs after the
-// panicked round let go of the pool lock and before the freeze — and the
-// new owner must simply consume the ring.
-func TestPanickedFoldReleasesRingToken(t *testing.T) {
-	qs := closedQueues(1)
-	gates := testGates(2)
-	qs[0].Push(pair[int, int]{K: 1, V: 1})
-	qs[0].Push(pair[int, int]{K: 2, V: 1})
-	qs[0].Flush() // short of a batch: consume it anyway
+// TestEachRingHasOneConsumer: every ring is consumed by the one slot the
+// split gave it, for the whole run and across an abort. Producers push
+// elements tagged with their ring into rings small enough that they park
+// on them; the injector panics slot 0 at its third fold, and from there
+// each slot discard-drains the rings it owns, which must free every parked
+// producer. No slot folds a ring it does not own, the panic is the only
+// error, and every ring ends drained with pushes == pops. Run it under
+// -race too: a second consumer on a ring, folding or discarding, races on
+// the ring's consumer-side counters.
+func TestEachRingHasOneConsumer(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		const rings, slots = 4, 2
+		qs, gates := testQueues(rings), testGates(slots)
+		plan := faultinject.Plan{Kind: faultinject.PanicCombineBatch, Worker: 0, Nth: 3}
+		in := faultinject.NewInjector(plan, rings, slots, nil)
+		hooks := in.Hooks()
 
-	var (
-		abort  atomic.Bool
-		mu     sync.Mutex
-		errs   []error
-		wg     sync.WaitGroup
-		resize = make(chan func(int), 1) // StartCombiners' result, handed to fail
-		moved  = make(chan struct{})
-	)
-	fail := func(err error) {
-		mu.Lock()
-		errs = append(errs, err)
-		first := len(errs) == 1
-		mu.Unlock()
-		if !first {
-			return
-		}
-		(<-resize)(2) // one ring over two slots: QueueAssignment gives it to slot 1
-		select {
-		case <-moved:
-		case <-time.After(5 * time.Second):
-		}
-		abort.Store(true)
-		for _, g := range gates {
-			g.Wake()
-		}
-		qs[0].Close()
-	}
-	resize <- StartCombiners(context.Background(), &wg, Combiners[pair[int, int]]{
-		Engine: "test",
-		Queues: qs,
-		Gates:  gates,
-		Order:  ident(1),
-		Active: 1,
-		CPUs:   []int{-1, -1},
-		Hooks:  &mr.Hooks{}, // arms the single-consumer guards
-		Batch:  func() int { return 4 },
-		Apply: func(slot int) func([]pair[int, int]) {
-			if slot == 0 {
-				return func([]pair[int, int]) { panic("fold exploded") }
+		var (
+			abort  atomic.Bool
+			mu     sync.Mutex
+			errs   []error
+			folder = make([]atomic.Int32, rings) // 1 + the slot that folded ring r; 0 = none yet
+			wg     sync.WaitGroup
+			prodWG sync.WaitGroup
+		)
+		fail := func(err error) {
+			mu.Lock()
+			errs = append(errs, err)
+			mu.Unlock()
+			if abort.CompareAndSwap(false, true) {
+				for _, g := range gates {
+					g.Wake()
+				}
 			}
-			return func([]pair[int, int]) { close(moved) }
-		},
-		Abort: abort.Load,
-		Fail:  fail,
-	})
-	wg.Wait()
+		}
+		StartCombiners(context.Background(), &wg, Combiners[pair[int, int]]{
+			Engine: "test",
+			Queues: qs,
+			Gates:  gates,
+			Order:  ident(rings),
+			CPUs:   []int{-1, -1},
+			Hooks:  hooks,
+			Batch:  2,
+			Apply: func(slot int) func([]pair[int, int]) {
+				return func(seg []pair[int, int]) {
+					for _, e := range seg {
+						if prev := folder[e.K].Swap(int32(slot) + 1); prev != 0 && prev != int32(slot)+1 {
+							fail(fmt.Errorf("ring %d folded by slots %d and %d", e.K, prev-1, slot))
+						}
+					}
+				}
+			},
+			Abort: abort.Load,
+			Fail:  fail,
+		})
+		for r, q := range qs {
+			prodWG.Add(1)
+			go func() {
+				defer prodWG.Done()
+				defer q.Close()
+				for i := 0; i < 10_000 && !abort.Load(); i++ {
+					q.Push(pair[int, int]{K: r, V: i})
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() {
+			prodWG.Wait()
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("pool wedged after the abort")
+		}
 
-	var pe *mr.PanicError
-	if len(errs) != 1 || !errors.As(errs[0], &pe) {
-		t.Fatalf("run errors = %v, want only the fold's *mr.PanicError", errs)
-	}
-	select {
-	case <-moved:
-	default:
-		t.Fatal("the ring's new owner never consumed it")
-	}
-	if !qs[0].Drained() {
-		t.Fatal("ring not drained")
-	}
+		var pe *mr.PanicError
+		if len(errs) != 1 || !errors.As(errs[0], &pe) {
+			t.Fatalf("run errors = %v, want only the injected *mr.PanicError", errs)
+		}
+		for j, own := range splitRings(ident(rings), slots) {
+			for _, r := range own {
+				if f := folder[r].Load(); f != 0 && f != int32(j)+1 {
+					t.Fatalf("ring %d, owned by slot %d, was folded by slot %d", r, j, f-1)
+				}
+			}
+		}
+		for r, q := range qs {
+			hooks.QueueObserver(r, q.Drained(), q.Snapshot())
+		}
+		if err := faultinject.CheckQueues(in.QueueReports()); err != nil {
+			t.Fatal(err)
+		}
+		if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
+			t.Fatalf("%d leaked worker goroutines:\n%s", len(leaked), leaked[0])
+		}
+	})
 }

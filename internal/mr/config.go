@@ -102,8 +102,8 @@ type Config struct {
 	// logical CPU ids instead of assuming it owns the whole machine: the
 	// pinning plan is laid out over exactly these CPUs (in the machine's
 	// compact order, so the contention-aware placement stays valid inside
-	// the grant) and the elastic combiner pool treats the grant as a hard
-	// ceiling on its worker count. The multi-job scheduler
+	// the grant) and work is conserved only when the grant has a CPU per
+	// worker (core.ConservesWork). The multi-job scheduler
 	// (internal/sched) hands each admitted job a disjoint grant so
 	// concurrent runs never contend for the same logical CPUs. Ids must
 	// be unique, non-negative, and valid for the resolved Machine. Empty
@@ -127,15 +127,6 @@ type Config struct {
 	// only local (per-worker, uncontended) atomic increments amortized
 	// over slabs, batches and tasks.
 	Telemetry *telemetry.Telemetry
-	// Tuner, when non-nil, enables the adaptive runtime (RAMR engine
-	// only): the combiner pool becomes elastic and a deterministic
-	// feedback controller adjusts the pool size and the consume batch
-	// size online from telemetry deltas, one decision per epoch. The decision log is attached to
-	// Result.TunerReport. nil keeps today's fully static behaviour; the
-	// engine then pays only nil checks. When Telemetry is nil the engine
-	// runs a private sampler for the controller's clock and signals
-	// without attaching a report.
-	Tuner *tuner.Config
 	// Hooks is the test-only fault-injection surface (see Hooks). It
 	// must be nil outside tests; engines never touch a nil Hooks on the
 	// hot path.
@@ -297,9 +288,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("mr: CPUGrant contains duplicate cpu id %d", cpu)
 		}
 		seen[cpu] = true
-	}
-	if err := c.Tuner.Validate(); err != nil {
-		return err
 	}
 	if err := c.Stream.Validate(); err != nil {
 		return err

@@ -20,7 +20,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
-	"ramr/internal/tuner"
 )
 
 // Pair is one key-value element of a job's final output.
@@ -150,9 +149,6 @@ type Result[K comparable, R any] struct {
 	// counter totals, throughput) when Config.Telemetry was set; nil
 	// otherwise.
 	Telemetry *telemetry.Report
-	// TunerReport is the online tuner's per-epoch decision log when
-	// Config.Tuner was set (RAMR engine only); nil otherwise.
-	TunerReport *tuner.Report
 }
 
 // HelpStats counts what the work-conserving rules moved in one RAMR run: map

@@ -2,7 +2,7 @@
 // a job's journey through the stack — HTTP receive, memo outcome, scheduler
 // queue wait, grant allocation, engine phases — on its lifecycle lane, and
 // hands every pipeline worker a private Track for its high-frequency spans
-// (map tasks, consume rounds, steals, tuner epochs). All events share the
+// (map tasks, consume rounds, steals). All events share the
 // recorder's clock, and one exporter writes them as a Chrome trace-event
 // JSON document (load it at https://ui.perfetto.dev): the lifecycle lane
 // above the worker lanes of the same run — the paper's Fig. 2 made
@@ -110,7 +110,7 @@ func (r *Recorder) SpanAt(name string, start, end time.Time, args map[string]any
 	r.mu.Unlock()
 }
 
-// Instant records a lifecycle point event (memo hit, coalesce, tuner
+// Instant records a lifecycle point event (memo hit, coalesce, steal
 // summary) now. No-op on nil.
 func (r *Recorder) Instant(name string, args map[string]any) {
 	if r == nil {

@@ -129,8 +129,8 @@ var (
 
 // RunFunc executes a job on its CPU grant. The grant is disjoint from
 // every other concurrently running job's grant; implementations pass it
-// to mr.Config.ApplyGrant so pinning and the elastic combiner pool stay
-// inside it. The context is cancelled by Job.Cancel and by Drain's
+// to mr.Config.ApplyGrant so pinning and both worker pools stay inside
+// it. The context is cancelled by Job.Cancel and by Drain's
 // deadline; implementations must return promptly once it fires.
 type RunFunc func(ctx context.Context, grant []int) error
 

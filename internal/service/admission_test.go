@@ -30,7 +30,6 @@ var goldenDigests = []struct{ body, digest string }{
 	{`{"workload":"HG","class":"large","container":"fixedarray"}`, "97e762ea17b6cea6837cd2af19f6ea8b0743ee6e0912bb078bc32f120676052f"},
 	{`{"workload":"LR","seed":3}`, "be34bac2ded933a9f20bac1137c8734a7aeefe097fa48d8d8cbc3dc9f535ccb4"},
 	{`{"workload":"KM","engine":"phoenix"}`, "b543506c617b4e5badd5d86a28bd59a47aec934139ecf4b8635865e7fbb38e5d"},
-	{`{"workload":"PCA","tuner":true}`, "575adebb5fa26ab4d5144460db3091c50d987429751758f20df26b59074f226c"},
 	{`{"workload":"MM","seed":-5}`, "9585dc758b001a478c218a8a1cbac4b76c9033f6032ada5111aeae002a61a6d0"},
 	{`{"workload":"WC","seed":7,"shard":{"index":0,"count":2}}`, "b2795df7c04e45b3271d4b24720dd939ee38720122d9c9c380534f14cd39062a"},
 	{`{"workload":"WC","seed":7,"shard":{"index":1,"count":2}}`, "ab56959ca49442aaa575b458f750b17547bd49dfe6b89c61e1fc70d478ef68bb"},
@@ -270,6 +269,7 @@ var badRequestBodies = []string{
 	`{"workload":"HG","stream":{"window":1}}`,
 	`{"workload":"WC","engine":"phoenix","stream":{"window":1}}`,
 	`{"workload":"WC","stream":{"window":1},"shard":{"index":0,"count":2}}`,
+	`{"workload":"PCA","tuner":true}`, // not a request field
 }
 
 // TestBadRequestsStillRejectedAtPost: everything the eager build used to

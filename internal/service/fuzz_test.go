@@ -31,7 +31,7 @@ func canonicalForm(req *JobRequest, p *plan) string {
 	if p.shard != nil {
 		shard = p.shard.String()
 	}
-	return fmt.Sprint(p.app, p.engine, p.seed, c.Tuner != nil, input, shard, stream,
+	return fmt.Sprint(p.app, p.engine, p.seed, input, shard, stream,
 		p.mappers, p.combiners, c.Ratio, c.TaskSize, c.QueueCapacity, c.BatchSize, c.EmitBatch, c.Pin, c.Steal)
 }
 

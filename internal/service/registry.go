@@ -11,7 +11,6 @@ import (
 	"ramr/internal/sched"
 	"ramr/internal/synth"
 	"ramr/internal/topology"
-	"ramr/internal/tuner"
 	"ramr/internal/workloads"
 )
 
@@ -37,12 +36,9 @@ type JobRequest struct {
 	MaxCPUs int `json:"max_cpus,omitempty"`
 	// Seed makes the generated input deterministic.
 	Seed int64 `json:"seed,omitempty"`
-	// Tuner enables the adaptive runtime; the decision log is retained
-	// and served from GET /jobs/{id}/result.
-	Tuner bool `json:"tuner,omitempty"`
 	// Config overlays engine knobs on mr.DefaultConfig. Mappers and
 	// Combiners, when set, override the grant-derived worker split (the
-	// grant still caps pinning and the elastic pool).
+	// grant still bounds pinning).
 	Config ConfigOverlay `json:"config,omitempty"`
 	// Synth parameterizes the SYNTH workload; ignored otherwise.
 	Synth SynthParams `json:"synth,omitempty"`
@@ -241,7 +237,7 @@ type plan struct {
 // canonical content digest: the full identity of the computation —
 // workload name, the fully-resolved input parameters (Table I
 // platform/class and container, or SYNTH params after defaulting),
-// engine, seed, tuner flag and the whole config overlay. Scheduling hints
+// engine, seed and the whole config overlay. Scheduling hints
 // (priority, CPU bounds) affect placement, not the computed result, so
 // they are excluded: two requests with equal digests compute the same
 // Result and the memo cache may serve one from the other. Defaulting
@@ -354,9 +350,6 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 		}
 		cfg.Steal = st
 	}
-	if req.Tuner {
-		cfg.Tuner = &tuner.Config{}
-	}
 	if req.Stream != nil {
 		if req.Shard != nil {
 			return nil, fmt.Errorf("streaming jobs cannot be sharded")
@@ -376,8 +369,10 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 	p.cfg = cfg
 
 	h := sha256.New()
-	fmt.Fprintf(h, "app=%s|engine=%d|seed=%d|tuner=%t|%s|cfg=%d,%d,%d,%d,%d,%d,%d,%d,%d",
-		p.app, int(p.engine), req.Seed, req.Tuner, inputKey,
+	// "tuner=false" is a constant since the online tuner went: keeping it
+	// keeps every digest, and so every memo key, what it was before.
+	fmt.Fprintf(h, "app=%s|engine=%d|seed=%d|tuner=false|%s|cfg=%d,%d,%d,%d,%d,%d,%d,%d,%d",
+		p.app, int(p.engine), req.Seed, inputKey,
 		ov.Mappers, ov.Combiners, cfg.Ratio, cfg.TaskSize, cfg.QueueCapacity,
 		cfg.BatchSize, cfg.EmitBatch, int(cfg.Pin), int(cfg.Steal))
 	if cfg.Stream != nil {
@@ -424,8 +419,7 @@ func (p *plan) materialise() (*workloads.Job, error) {
 
 // grantConfig overlays a CPU grant on the plan's base engine config; the
 // request's explicit mapper/combiner counts, when set, override the
-// grant-derived split (the grant still caps pinning and the elastic
-// pool).
+// grant-derived split (the grant still bounds pinning).
 func (p *plan) grantConfig(grant []int) mr.Config {
 	c := p.cfg
 	c.ApplyGrant(grant)

@@ -141,7 +141,7 @@ type Service struct {
 }
 
 // entry is one submitted job's retained state. The RunInfo (phase times,
-// queue stats, telemetry and tuner reports) is kept until the job is
+// queue stats, telemetry report) is kept until the job is
 // deleted or the retention bound evicts it, so results survive the run
 // itself. A coalesced duplicate submission gets a follower entry: its
 // own id, but the leader's sched.Job (one waiter reference each) and the
@@ -514,7 +514,7 @@ func (s *Service) memoHitLocked(p *plan, cv *cachedRun, rec *obs.Recorder) *entr
 
 // recordRunDetail turns the finished run's measurements into trace
 // events: the sequential engine phases laid end-to-end from the
-// execution start, plus tuner and steal summaries as instants.
+// execution start, plus a steal summary as an instant.
 func recordRunDetail(rec *obs.Recorder, start, end time.Time, info *workloads.RunInfo) {
 	t := start
 	for _, p := range []struct {
@@ -532,9 +532,6 @@ func recordRunDetail(rec *obs.Recorder, start, end time.Time, info *workloads.Ru
 		}
 		rec.SpanAt(p.name, t, t.Add(p.d), nil)
 		t = t.Add(p.d)
-	}
-	if info.Tuner != nil {
-		rec.InstantAt("tuner-decisions", end, map[string]any{"epochs": len(info.Tuner.Epochs)})
 	}
 	if st := info.Steal; st.TotalTasks()+info.Help.Tasks > 0 {
 		rec.InstantAt("steal-summary", end, map[string]any{
@@ -755,15 +752,14 @@ type resultDoc struct {
 	// Deep result fields.
 	Digest    string            `json:"digest,omitempty"`
 	Telemetry *telemetry.Report `json:"telemetry,omitempty"`
-	Tuner     *tunerSummary     `json:"tuner,omitempty"`
 	// Partial is a shard job's exported key→value container (the cluster
 	// coordinator's merge input); absent for unsharded runs.
 	Partial *workloads.Partial `json:"partial,omitempty"`
 }
 
 // fill copies a settled run's figures into the document: the summary
-// always, the deep result fields (output digest, telemetry and tuner
-// reports, shard partial) when detail is set.
+// always, the deep result fields (output digest, telemetry report, shard
+// partial) when detail is set.
 func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	if info == nil {
 		return
@@ -786,18 +782,6 @@ func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	}
 	doc.Telemetry = info.Telemetry
 	doc.Partial = info.Partial
-	if info.Tuner != nil {
-		doc.Tuner = &tunerSummary{
-			Epochs: len(info.Tuner.Epochs),
-			Report: info.Tuner,
-		}
-	}
-}
-
-// tunerSummary is the retained per-job tuner report, flattened for JSON.
-type tunerSummary struct {
-	Epochs int `json:"epochs"`
-	Report any `json:"report"`
 }
 
 func fmtTime(t time.Time) string {

@@ -225,7 +225,6 @@ func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *plan)
 		Help:      sess.HelpStats(),
 		Pairs:     pairs,
 		Telemetry: e.telem.EndRun(nil),
-		Tuner:     sess.TunerReport(),
 	}
 	e.mu.Lock()
 	e.info = info

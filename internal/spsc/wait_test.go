@@ -272,8 +272,8 @@ func TestParkedProducerReleasedByDrainDiscard(t *testing.T) {
 
 func TestParkWakeFollowsRingOwnership(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		// The elastic pool hands a ring from combiner A to combiner B
-		// while its producer is parked on it: B's drain must release the
+		// A ring handed from consumer A to consumer B while its
+		// producer is parked on it: B's drain must release the
 		// producer, and from the hand-over on pushes wake B's gate and
 		// leave A's alone — whether or not B has parked yet.
 		q, gA := gated[int](8)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ramr/internal/mr"
-	"ramr/internal/tuner"
 )
 
 // RawChunk is the workload-neutral chunk payload the service tier
@@ -78,7 +77,6 @@ type Session struct {
 	window     func(int64) (WindowMeta, bool)
 	queueStats func() mr.QueueStats
 	helpStats  func() mr.HelpStats
-	tunerRep   func() *tuner.Report
 	setOnSeal  func(func(WindowMeta))
 	spec       mr.StreamSpec
 }
@@ -156,7 +154,6 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 		},
 		queueStats: p.QueueStats,
 		helpStats:  p.HelpStats,
-		tunerRep:   p.TunerReport,
 		setOnSeal: func(fn func(WindowMeta)) {
 			p.OnSeal = func(w *Window[K, R]) { fn(meta(w)) }
 		},
@@ -199,9 +196,6 @@ func (s *Session) QueueStats() mr.QueueStats { return s.queueStats() }
 
 // HelpStats returns the splits combiner slots mapped and pairs they folded.
 func (s *Session) HelpStats() mr.HelpStats { return s.helpStats() }
-
-// TunerReport returns the AIMD controller's decision log, or nil.
-func (s *Session) TunerReport() *tuner.Report { return s.tunerRep() }
 
 // SetOnSeal installs the per-window callback; call before Start.
 func (s *Session) SetOnSeal(fn func(WindowMeta)) { s.setOnSeal(fn) }

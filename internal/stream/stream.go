@@ -5,12 +5,11 @@
 //
 // The batch engine's building blocks are reused wholesale — the pipeline
 // kernel itself (core.Lane on every mapper, core.StartCombiners' consume
-// loop on every combiner, over a combiner pool nobody resizes, and the
-// first of the batch run's two work-conserving rules), per-mapper
-// SPSC rings (internal/spsc), private combiner containers
-// (internal/container), the contention-aware pinning plan
-// (core.BuildPlanOn), live telemetry and the AIMD tuner — but the
-// lifecycle inverts: instead
+// loop on every combiner, and the first of the batch run's two
+// work-conserving rules), per-mapper SPSC rings (internal/spsc), private
+// combiner containers (internal/container), the contention-aware pinning
+// plan (core.BuildPlanOn) and live telemetry — but the lifecycle inverts:
+// instead
 // of "partition once, run to drain, merge once", mappers block on a task
 // channel fed by Append, combiners fold into per-pane containers keyed by
 // event time, and a sealer goroutine merges, reduces and publishes each
@@ -204,9 +203,7 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	mirrors   []*telemetry.QueueMirror
 	combs     []*combinerState[K, V]
 	tel       *telemetry.Telemetry
-	ownTel    bool
-	batchA    atomic.Int64
-	driver    *core.TunerDriver
+	batch     int // consume batch, clamped to the ring
 
 	// OnSeal, when set before Start, is invoked from the sealer
 	// goroutine after each window is published (service wires per-window
@@ -294,17 +291,7 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	}
 	p.maxTs.Store(-1)
 	p.maxPane = -1
-	batch := cfg.BatchSize
-	if batch > cfg.QueueCapacity {
-		batch = cfg.QueueCapacity
-	}
-	p.batchA.Store(int64(batch))
-	if p.tel == nil && cfg.Tuner != nil {
-		// The tuner needs the sampler as its epoch clock even when the
-		// caller wants no report.
-		p.tel = telemetry.New()
-		p.ownTel = true
-	}
+	p.batch = min(cfg.BatchSize, cfg.QueueCapacity)
 	for i := 0; i < mappers; i++ {
 		q, err := spsc.New[streamPair[K, V]](cfg.QueueCapacity, cfg.Wait)
 		if err != nil {
@@ -336,13 +323,8 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 			p.mirrors[i] = p.tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
 		}
 	}
-	if p.cfg.Tuner != nil {
-		p.driver = p.startTuner()
-	}
 	// The combiner pool is the batch engine's, split over the mappers in
-	// index order (what the plan pinned by) and never resized: handing
-	// rings between combiners mid-session would need an ownership protocol
-	// spanning windows.
+	// index order (what the plan pinned by).
 	order := make([]int, p.mappers)
 	for i := range order {
 		order[i] = i
@@ -353,11 +335,10 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		Gates:    p.gates,
 		Mirrors:  p.mirrors,
 		Order:    order,
-		Active:   p.combiners,
 		CPUs:     p.plan.CombinerCPU,
 		Tel:      p.tel,
 		Hooks:    p.cfg.Hooks,
-		Batch:    func() int { return int(p.batchA.Load()) },
+		Batch:    p.batch,
 		Apply:    p.foldInto,
 		Abort:    p.abort.Load,
 		Fail:     p.fail,
@@ -378,9 +359,6 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		p.mapWG.Wait()
 		p.combWG.Wait()
 		<-p.sealerDone
-		if p.driver != nil {
-			p.driver.Stop()
-		}
 		var qs mr.QueueStats
 		for _, q := range p.queues {
 			qs.Add(q.Snapshot())
@@ -635,7 +613,7 @@ func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
 // container and onto its folded count.
 func (p *Pipeline[S, K, V, R]) foldInto(j int) func([]streamPair[K, V]) {
 	cs := p.combs[j]
-	scratch := make([]container.KV[K, V], 0, int(p.batchA.Load()))
+	scratch := make([]container.KV[K, V], 0, p.batch)
 	curPane := int64(math.MinInt64)
 	var curC container.Container[K, V]
 	var curPS *paneState

@@ -13,7 +13,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/telemetry"
-	"ramr/internal/tuner"
 )
 
 // countSpec is a counting job: a split is an element count, Map emits
@@ -420,37 +419,6 @@ func TestMapperPanicAborts(t *testing.T) {
 		t.Fatalf("panic error lost the cause: %v", pe)
 	}
 	checkNoLeak(t, before)
-}
-
-// TestTunedSession checks the AIMD controller runs across windows on a
-// resident pipeline and its report is readable after close.
-func TestTunedSession(t *testing.T) {
-	cfg := testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512})
-	cfg.Tuner = &tuner.Config{}
-	p, err := New(countSpec(16), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := p.Append(chunkOf(int64(i), 4, 500)); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(2 * time.Millisecond) // let the sampler tick between windows
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := p.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if p.SealedCount() < 5 {
-		t.Fatalf("sealed %d windows, want >= 5", p.SealedCount())
-	}
-	if rep := p.TunerReport(); rep == nil {
-		t.Fatal("tuned session returned nil tuner report")
-	}
 }
 
 // TestStreamConfigRejectedByBatchEngines checks the batch/stream fence:

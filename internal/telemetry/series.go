@@ -15,8 +15,8 @@ type Sample struct {
 	// Imbalance is the occupancy-imbalance ratio across the registered
 	// queues at this tick: max depth over mean depth, 1.0 when depths are
 	// uniform (including the all-empty case) and up to len(Depths) when a
-	// single queue holds everything. The tuner reads it as the
-	// operation-level skew signal.
+	// single queue holds everything: the operation-level skew signal
+	// Report.Imbalance and the service's imbalance_p90 summarise.
 	Imbalance float64
 }
 

@@ -120,8 +120,8 @@ type Worker struct {
 	folded atomic.Uint64
 	// pushes, failedPush and sleepMicros mirror the producer-owned spsc
 	// counters (absolute values, stored not added) so they stay readable
-	// while the consumer side is still running. pushes exists so the
-	// online tuner can form a failed-push *rate* from live mirrors.
+	// while the consumer side is still running. pushes exists so a live
+	// reader can form a failed-push *rate* from the mirrors.
 	pushes      atomic.Uint64
 	failedPush  atomic.Uint64
 	sleepMicros atomic.Uint64
@@ -222,11 +222,10 @@ func (w *Worker) StoreProducer(pushes, failedPush, sleepMicros uint64) {
 // consumer counters are owned by the consuming goroutine and unreadable
 // from anywhere else while the run is live; the pipeline kernel's consume
 // loop stores cumulative ConsumerStats values here once per polling round,
-// for every driver (untuned batch runs and stream sessions included).
-// Ownership handoffs between combiners are serialized by the pool lock, so
-// the stores never race even as a queue changes consumers; readers (the
-// tuner) see cumulative per-queue values that can be summed without
-// double counting. All methods are nil-safe.
+// for every driver (batch runs and stream sessions alike). A queue has one
+// consumer for the whole run, so only that slot ever stores here; readers
+// (CountersNow, the service's /stats) see cumulative per-queue values that
+// can be summed without double counting. All methods are nil-safe.
 type QueueMirror struct {
 	pops       atomic.Uint64
 	emptyPolls atomic.Uint64
@@ -274,7 +273,6 @@ type Telemetry struct {
 	workers       []*Worker
 	queues        []registeredQueue
 	series        *series
-	observer      func(Sample)
 	stop          chan struct{}
 	done          chan struct{}
 	last          *Report
@@ -294,7 +292,6 @@ func (t *Telemetry) BeginRun(engine string) {
 	t.start = time.Now()
 	t.workers = nil
 	t.queues = nil
-	t.observer = nil
 	interval := t.Interval
 	if interval <= 0 {
 		interval = DefaultInterval
@@ -334,16 +331,6 @@ func (t *Telemetry) RegisterQueue(name string, p Probe) *QueueMirror {
 	return m
 }
 
-// SetObserver registers fn to be called with every regular sampler tick's
-// Sample, from the sampler goroutine, outside the telemetry lock. The
-// online tuner driver uses it as its epoch clock. Pass nil to remove the
-// observer; BeginRun also clears it.
-func (t *Telemetry) SetObserver(fn func(Sample)) {
-	t.mu.Lock()
-	t.observer = fn
-	t.mu.Unlock()
-}
-
 // sampleLoop drives the sampler until stop closes.
 func (t *Telemetry) sampleLoop(interval time.Duration, stop, done chan struct{}) {
 	defer close(done)
@@ -360,8 +347,7 @@ func (t *Telemetry) sampleLoop(interval time.Duration, stop, done chan struct{})
 }
 
 // sample takes one snapshot of every queue depth and worker state. force
-// bypasses the series' stride decimation (used for the final sample) and
-// skips the observer, so observers see exactly the regular tick cadence.
+// bypasses the series' stride decimation (used for the final sample).
 func (t *Telemetry) sample(force bool) {
 	t.mu.Lock()
 	if t.series == nil {
@@ -399,17 +385,13 @@ func (t *Telemetry) sample(force bool) {
 	} else {
 		t.series.add(s)
 	}
-	fn := t.observer
 	t.mu.Unlock()
-	if fn != nil && !force {
-		fn(s)
-	}
 }
 
 // Counters is a point-in-time aggregate of the live counter mirrors: the
 // producer side summed over worker shards, the consumer side summed over
-// queue mirrors. Values are cumulative since BeginRun; the tuner forms
-// per-epoch rates by differencing two snapshots.
+// queue mirrors. Values are cumulative since BeginRun; a reader forms
+// rates by differencing two snapshots.
 type Counters struct {
 	// Producer side (worker shards).
 	Emitted    uint64

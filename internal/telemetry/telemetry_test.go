@@ -145,33 +145,6 @@ func TestSeriesForceBypassesStride(t *testing.T) {
 	}
 }
 
-func TestObserverSeesRegularTicks(t *testing.T) {
-	tel := &Telemetry{Interval: time.Millisecond}
-	tel.BeginRun("ramr")
-	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 3, cap: 8})
-	ticks := make(chan Sample, 64)
-	tel.SetObserver(func(s Sample) { ticks <- s })
-	select {
-	case s := <-ticks:
-		if len(s.Depths) != 1 || s.Depths[0] != 3 {
-			t.Fatalf("observer sample depths = %v, want [3]", s.Depths)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("observer never called")
-	}
-	tel.EndRun(nil)
-	// A later BeginRun must not inherit the observer.
-	tel.BeginRun("ramr")
-	for len(ticks) > 0 {
-		<-ticks
-	}
-	time.Sleep(5 * time.Millisecond)
-	tel.Stop()
-	if len(ticks) != 0 {
-		t.Fatal("observer survived BeginRun")
-	}
-}
-
 func TestCountersNowAggregates(t *testing.T) {
 	tel := &Telemetry{Interval: time.Hour}
 	tel.BeginRun("ramr")

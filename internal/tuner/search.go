@@ -1,3 +1,23 @@
+// Package tuner is the offline half of the paper's hand tuning (§III-B,
+// §IV): the paper picks the mapper-to-combiner ratio, the consume batch size
+// and the queue capacity per workload and per machine by sweeping them, and
+// Lu et al.'s Xeon Phi study shows the best point moves across workloads on
+// one chip. This package automates that sweep and keeps its answer.
+//
+// Two pieces:
+//
+//   - Search: seeded coordinate descent over ratio × queue capacity ×
+//     batch size with a small evaluation cache and early stopping, the
+//     automated version of the paper's manual sweeps (cmd/ramrtune).
+//
+//   - Profile: the JSON artifact a search emits, loadable as a warm
+//     start (mr.Config.ApplyProfile).
+//
+// There is no online controller: the combiner pool is static for a run, and
+// the pipeline's work-conserving rules (an idle combiner maps, a
+// back-pressured mapper folds) absorb a badly sized split (DESIGN.md §9).
+// The package depends on nothing but the standard library so mr and the
+// commands can import it without cycles.
 package tuner
 
 import (

@@ -21,7 +21,6 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/phoenix"
 	"ramr/internal/telemetry"
-	"ramr/internal/tuner"
 )
 
 // Engine selects which runtime executes a job.
@@ -74,10 +73,6 @@ type RunInfo struct {
 	// Telemetry is the structured run report when the Config carried a
 	// Telemetry; nil otherwise.
 	Telemetry *telemetry.Report
-	// Tuner is the online tuner's decision log when the Config carried a
-	// tuner (RAMR engine only); nil otherwise. The job service retains
-	// it per job.
-	Tuner *tuner.Report
 	// Partial is the exported partial result container of a shard job
 	// (see shard.go): the full key→value map of this run, in a
 	// JSON-serializable shape a cluster coordinator can merge with other
@@ -158,7 +153,6 @@ func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr
 		Help:      res.Help,
 		Pairs:     len(res.Pairs),
 		Telemetry: res.Telemetry,
-		Tuner:     res.TunerReport,
 	}
 	if digest != nil {
 		var d uint64

@@ -11,7 +11,6 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/phoenix"
 	"ramr/internal/topology"
-	"ramr/internal/tuner"
 )
 
 const seed = 99
@@ -49,8 +48,7 @@ func smallParams(app string) Params {
 // for every Table I app under both of its container configurations,
 // whatever the pipeline's back-pressure makes of the run: one or two mappers
 // and combiners, a ring of 64 (every slab beyond the first meets a full
-// ring, so mappers fold most of what they emit) or one no slab ever fills,
-// tuner off and on (slots helping while the pool is resized under them).
+// ring, so mappers fold most of what they emit) or one no slab ever fills.
 // Digests are order-independent and Combine associative and commutative, so
 // where a pair was folded cannot show in the output; KM's float centroids
 // agree on the key set only. Across the matrix both rules must have fired,
@@ -73,30 +71,25 @@ func TestEnginesAgreeExact(t *testing.T) {
 			for _, mappers := range []int{1, 2} {
 				for _, combiners := range []int{1, 2} {
 					for _, ring := range []int{64, 1 << 20} {
-						for _, tuned := range []bool{false, true} {
-							c := cfg()
-							c.Mappers, c.Combiners, c.QueueCapacity = mappers, combiners, ring
-							if tuned {
-								c.Tuner = &tuner.Config{EpochTicks: 1}
-							}
-							ra, err := job.Run(EngineRAMR, c)
-							name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d tuned=%v", app, kind, mappers, combiners, ring, tuned)
-							if err != nil {
-								t.Fatalf("%s RAMR: %v", name, err)
-							}
-							if ra.Pairs != ph.Pairs || ra.Digest != ph.Digest {
-								t.Fatalf("%s: engines disagree: ramr (%d pairs, %x), phoenix (%d pairs, %x)",
-									name, ra.Pairs, ra.Digest, ph.Pairs, ph.Digest)
-							}
-							if ra.Queue.Pushes != ra.Queue.Pops {
-								t.Fatalf("%s: %d pushed, %d popped", name, ra.Queue.Pushes, ra.Queue.Pops)
-							}
-							helped += ra.Help.Tasks
-							if ring == 64 {
-								foldedTiny += ra.Help.MapperPairs
-							} else {
-								foldedHuge += ra.Help.MapperPairs
-							}
+						c := cfg()
+						c.Mappers, c.Combiners, c.QueueCapacity = mappers, combiners, ring
+						ra, err := job.Run(EngineRAMR, c)
+						name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d", app, kind, mappers, combiners, ring)
+						if err != nil {
+							t.Fatalf("%s RAMR: %v", name, err)
+						}
+						if ra.Pairs != ph.Pairs || ra.Digest != ph.Digest {
+							t.Fatalf("%s: engines disagree: ramr (%d pairs, %x), phoenix (%d pairs, %x)",
+								name, ra.Pairs, ra.Digest, ph.Pairs, ph.Digest)
+						}
+						if ra.Queue.Pushes != ra.Queue.Pops {
+							t.Fatalf("%s: %d pushed, %d popped", name, ra.Queue.Pushes, ra.Queue.Pops)
+						}
+						helped += ra.Help.Tasks
+						if ring == 64 {
+							foldedTiny += ra.Help.MapperPairs
+						} else {
+							foldedHuge += ra.Help.MapperPairs
 						}
 					}
 				}

@@ -98,9 +98,9 @@ type JobHandle[K comparable, R any] struct {
 // Submit admits spec for execution under sc's budget. The engine config
 // is derived from cfg with the CPU grant overlaid at dispatch time:
 // worker counts follow the grant size and cfg.Ratio, pinning is laid out
-// over exactly the granted CPUs, and the elastic combiner pool (when
-// cfg.Tuner is set) treats the grant as a hard ceiling. Submit fails
-// fast with ErrSaturated when the admission queue is full.
+// over exactly the granted CPUs, and work is conserved only when the
+// grant has a CPU for every worker. Submit fails fast with ErrSaturated
+// when the admission queue is full.
 //
 // Submit is a free function because Go methods cannot introduce type
 // parameters.
