@@ -492,3 +492,32 @@ func TestLiveTraceRaceFree(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildSpanCarriesWidth: a job builds its input on its grant — the
+// build span's cpus arg is the grant the execute span reports, so a
+// max_cpus 1 job builds on one CPU and a 2-CPU grant on two.
+func TestBuildSpanCarriesWidth(t *testing.T) {
+	_, ts, _ := newTestService(t, 0)
+	for _, width := range []int{1, 2} {
+		body := fmt.Sprintf(`{"workload":"WC","seed":%d,"min_cpus":%d,"max_cpus":%d,"config":{"pin":"none"}}`,
+			40+width, width, width)
+		code, doc := postJob(t, ts, body)
+		if code != http.StatusCreated {
+			t.Fatalf("POST %s: HTTP %d (%v)", body, code, doc)
+		}
+		id := int(doc["id"].(float64))
+		if st := waitDone(t, ts, id); st["state"] != "done" {
+			t.Fatalf("job %d settled %v", id, st)
+		}
+		_, events := fetchTrace(t, ts, id)
+		spans := spanNames(events)
+		ba, _ := spans["build"]["args"].(map[string]any)
+		ea, _ := spans["execute"]["args"].(map[string]any)
+		built, _ := ba["cpus"].([]any)
+		ran, _ := ea["cpus"].([]any)
+		if len(built) != width || fmt.Sprint(built) != fmt.Sprint(ran) {
+			t.Fatalf("max_cpus %d: build span cpus %v, execute span cpus %v, want %d CPUs both",
+				width, ba["cpus"], ea["cpus"], width)
+		}
+	}
+}

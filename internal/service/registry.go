@@ -401,20 +401,14 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 // materialise generates the plan's input and binds it to a runnable job.
 // It is the expensive half of a submission — a Table I corpus is
 // megabytes — and runs as the first step of the scheduled Run closure:
-// under the job's CPU grant, and only for a job that actually executes.
-// resolve already rejected everything the constructors reject, so an
-// error here is a bug, reported as a failed job.
-func (p *plan) materialise() (*workloads.Job, error) {
-	switch {
-	case p.app == "SYNTH" && p.shard != nil:
-		return synth.NewShardJob(p.synth, p.seed, *p.shard)
-	case p.app == "SYNTH":
-		return synth.NewJob(p.synth, p.seed), nil
-	case p.shard != nil:
-		return workloads.NewShardJobParams(p.app, p.params, p.kind, p.seed, *p.shard)
-	default:
-		return workloads.NewJobParams(p.app, p.params, p.kind, p.seed)
+// under the job's CPU grant, on width = len(grant) goroutines, and only for
+// a job that actually executes. resolve already rejected everything the
+// constructors reject, so an error here is a bug, reported as a failed job.
+func (p *plan) materialise(width int) (*workloads.Job, error) {
+	if p.app == "SYNTH" {
+		return synth.Build(p.synth, p.seed, p.shard, width)
 	}
+	return workloads.Build(p.app, p.params, p.kind, p.seed, p.shard, width)
 }
 
 // grantConfig overlays a CPU grant on the plan's base engine config; the

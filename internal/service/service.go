@@ -452,9 +452,10 @@ func (s *Service) launchLocked(e *entry, p *plan, run sched.RunFunc) error {
 func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) error {
 	rec := e.rec
 	buildStart := time.Now()
-	job, err := p.materialise()
+	job, err := p.materialise(len(grant))
 	buildEnd := time.Now()
-	rec.SpanAt("build", buildStart, buildEnd, nil)
+	rec.SpanAt("build", buildStart, buildEnd,
+		map[string]any{"cpus": append([]int(nil), grant...)})
 	s.builds.Add(1)
 	if err != nil {
 		return err

@@ -142,13 +142,14 @@ func DefaultParams() Params {
 	}
 }
 
-// NewJob builds the synthetic job. The value flowing through the pipeline
-// carries the kernels' checksums so no work is optimizable away; the final
-// digest is deterministic for a fixed seed *and engine* (combine order
-// differs across engines, but the value algebra is associative and
-// commutative — uint64 addition — so outputs agree exactly).
+// NewJob builds the synthetic job, its skew key table on GOMAXPROCS
+// goroutines. The value flowing through the pipeline carries the kernels'
+// checksums so no work is optimizable away; the final digest is
+// deterministic for a fixed seed *and engine* (combine order differs across
+// engines, but the value algebra is associative and commutative — uint64
+// addition — so outputs agree exactly).
 func NewJob(p Params, seed int64) *workloads.Job {
-	return newJob(p, seed, nil)
+	return newJob(p, seed, nil, 0)
 }
 
 // NewShardJob builds one shard of the synthetic job: the split ranges are
@@ -156,13 +157,22 @@ func NewJob(p Params, seed int64) *workloads.Job {
 // the shard's subset only, and the job runs over it, exporting its key→sum
 // container as RunInfo.Partial for the cluster coordinator to merge.
 func NewShardJob(p Params, seed int64, sh workloads.ShardSpec) (*workloads.Job, error) {
-	if err := sh.Validate(); err != nil {
-		return nil, fmt.Errorf("synth: shard: %v", err)
-	}
-	return newJob(p, seed, &sh), nil
+	return Build(p, seed, &sh, 0)
 }
 
-func newJob(p Params, seed int64, sh *workloads.ShardSpec) *workloads.Job {
+// Build is NewJob — NewShardJob when sh is non-nil — drawing the skew key
+// table on width goroutines (width < 1: GOMAXPROCS; see
+// workloads.FillSplits).
+func Build(p Params, seed int64, sh *workloads.ShardSpec, width int) (*workloads.Job, error) {
+	if sh != nil {
+		if err := sh.Validate(); err != nil {
+			return nil, fmt.Errorf("synth: shard: %v", err)
+		}
+	}
+	return newJob(p, seed, sh, width), nil
+}
+
+func newJob(p Params, seed int64, sh *workloads.ShardSpec, width int) *workloads.Job {
 	if p.SplitElements < 1 {
 		p.SplitElements = 512
 	}
@@ -187,23 +197,9 @@ func newJob(p Params, seed int64, sh *workloads.ShardSpec) *workloads.Job {
 	mk, ck := p.MapKernel, p.CombineKernel
 	keys := p.Keys
 	s64 := uint64(seed)
-	// Under skew the per-element key is a precomputed Zipf draw; the
-	// table is built once at job construction, so Map stays pure and
-	// both engines see identical emissions for a fixed seed. A split's
-	// keys come from the "synth-keys" substream its first element names,
-	// whatever shard it lands in, so a shard draws the keys of its own
-	// ranges only (the rest of the table stays zero and is never read).
 	var keyTab []int32
 	if p.Skew > 1 {
-		src := stats.NewStream(seed, "synth-keys")
-		z := stats.NewZipf(rand.New(src), p.Skew, uint64(keys))
-		keyTab = make([]int32, p.Elements)
-		for _, r := range splits {
-			src.Seek(r[0])
-			for e := r[0]; e < r[1]; e++ {
-				keyTab[e] = int32(z.Next())
-			}
-		}
+		keyTab = keyTable(p, seed, splits, width)
 	}
 	keyOf := func(e int) int {
 		if keyTab != nil {
@@ -271,6 +267,32 @@ func newJob(p Params, seed int64, sh *workloads.ShardSpec) *workloads.Job {
 		}
 		return info, err
 	})
+}
+
+// keyTable draws the skewed job's per-element keys for the given splits
+// (ascending, as skewedSplits and ShardSplits leave them) on width
+// goroutines. The table is built once at job construction, so Map stays
+// pure and both engines see identical emissions for a fixed seed. A
+// split's keys come from the "synth-keys" substream its first element
+// names, whatever shard or run it lands in, so a shard draws the keys of
+// its own ranges only (the rest of the table stays zero and is never read)
+// and every width draws the same keys. The runs cut the element range, not
+// the split list: the heavy splits sit at the front, so equal split counts
+// would hand one goroutine nearly all the draws.
+func keyTable(p Params, seed int64, splits [][2]int, width int) []int32 {
+	keyTab := make([]int32, p.Elements)
+	workloads.FillSplits(p.Elements, width, func(lo, hi int) {
+		src := stats.NewStream(seed, "synth-keys")
+		z := stats.NewZipf(rand.New(src), p.Skew, uint64(p.Keys))
+		k := sort.Search(len(splits), func(k int) bool { return splits[k][0] >= lo })
+		for ; k < len(splits) && splits[k][0] < hi; k++ {
+			src.Seek(splits[k][0])
+			for e := splits[k][0]; e < splits[k][1]; e++ {
+				keyTab[e] = int32(z.Next())
+			}
+		}
+	})
+	return keyTab
 }
 
 // skewedSplits partitions [0, Elements) into splits whose sizes follow a

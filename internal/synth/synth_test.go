@@ -260,3 +260,51 @@ func TestShardJobValidates(t *testing.T) {
 		t.Error("out-of-range shard should fail")
 	}
 }
+
+// TestSplitAddressable: the skewed job's key table is split-addressable —
+// whatever the shard count and build width, the keys a shard draws for its
+// own ranges are the serially built unsharded table's, and a job built on
+// any width computes the serial build's digest.
+func TestSplitAddressable(t *testing.T) {
+	p := smallParams()
+	p.SplitElements = 64
+	p.Skew = 1.5
+	splits := skewedSplits(p, 7)
+	full := keyTable(p, 7, splits, 1)
+	serial, err := Build(p, 7, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serial.Run(workloads.EngineRAMR, cfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 2, 3, 7} {
+		for _, count := range []int{1, 2, 3, 7, len(splits) + 5} {
+			for k := 0; k < count; k++ {
+				own := workloads.ShardSplits(splits, workloads.ShardSpec{Index: k, Count: count})
+				tab := keyTable(p, 7, own, width)
+				for _, r := range own {
+					for e := r[0]; e < r[1]; e++ {
+						if tab[e] != full[e] {
+							t.Fatalf("width %d shard %d/%d: key of element %d is %d, the serial table's %d",
+								width, k, count, e, tab[e], full[e])
+						}
+					}
+				}
+			}
+		}
+		job, err := Build(p, 7, nil, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := job.Run(workloads.EngineRAMR, cfg(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Digest != want.Digest || got.Pairs != want.Pairs {
+			t.Fatalf("width %d: (%d pairs, %016x), serial build (%d pairs, %016x)",
+				width, got.Pairs, got.Digest, want.Pairs, want.Digest)
+		}
+	}
+}

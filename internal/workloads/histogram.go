@@ -23,26 +23,30 @@ const hgSplitBytes = 12 << 10
 // differently (sky-ish blue bias) so the histogram is non-uniform like a
 // real bitmap.
 func GeneratePixels(n int, seed int64) [][]byte {
-	return generatePixels(n, seed, ShardSpec{Index: 0, Count: 1})
+	return generatePixels(n, seed, ShardSpec{Index: 0, Count: 1}, 0)
 }
 
 // generatePixels builds the splits shard sh owns of the n-byte bitmap, in
-// index order; split i is substream i of the seed's "histogram" stream.
-func generatePixels(n int, seed int64, sh ShardSpec) [][]byte {
-	src := stats.NewStream(seed, "histogram")
-	rng := rand.New(src)
-	var splits [][]byte
+// index order, on width goroutines; split i is substream i of the seed's
+// "histogram" stream.
+func generatePixels(n int, seed int64, sh ShardSpec, width int) [][]byte {
 	n -= n % 3
-	for i := sh.Index; i*hgSplitBytes < n; i += sh.Count {
-		src.Seek(i)
-		b := make([]byte, min(hgSplitBytes, n-i*hgSplitBytes))
-		for j := 0; j+2 < len(b); j += 3 {
-			b[j] = byte(rng.Intn(200))        // R: darker
-			b[j+1] = byte(rng.Intn(256))      // G: uniform
-			b[j+2] = byte(55 + rng.Intn(200)) // B: brighter
+	splits := make([][]byte, sh.Owned((n+hgSplitBytes-1)/hgSplitBytes))
+	FillSplits(len(splits), width, func(lo, hi int) {
+		src := stats.NewStream(seed, "histogram")
+		rng := rand.New(src)
+		for k := lo; k < hi; k++ {
+			i := sh.Index + k*sh.Count
+			src.Seek(i)
+			b := make([]byte, min(hgSplitBytes, n-i*hgSplitBytes))
+			for j := 0; j+2 < len(b); j += 3 {
+				b[j] = byte(rng.Intn(200))        // R: darker
+				b[j+1] = byte(rng.Intn(256))      // G: uniform
+				b[j+2] = byte(55 + rng.Intn(200)) // B: brighter
+			}
+			splits[k] = b
 		}
-		splits = append(splits, b)
-	}
+	})
 	return splits
 }
 
@@ -78,13 +82,14 @@ func HistogramSpec(splits [][]byte, kind container.Kind) *mr.Spec[[]byte, int, i
 	}
 }
 
-// HistogramJob instantiates Histogram over ~nBytes of synthetic pixels.
-// Histogram is the image-processing app and, with LR, one of the two
-// "light" workloads (lowest instructions-per-byte): three emissions per
-// pixel with almost no computation, which is why the paper finds it
-// unsuited to RAMR with default containers (queue overhead dominates).
-func HistogramJob(nBytes int, kind container.Kind, seed int64) *Job {
-	splits := GeneratePixels(nBytes, seed)
+// HistogramJob instantiates Histogram over ~nBytes of synthetic pixels,
+// built on width goroutines. Histogram is the image-processing app and,
+// with LR, one of the two "light" workloads (lowest instructions-per-byte):
+// three emissions per pixel with almost no computation, which is why the
+// paper finds it unsuited to RAMR with default containers (queue overhead
+// dominates).
+func HistogramJob(nBytes int, kind container.Kind, seed int64, width int) *Job {
+	splits := generatePixels(nBytes, seed, ShardSpec{Index: 0, Count: 1}, width)
 	spec := HistogramSpec(splits, kind)
 	j := &Job{
 		App:       "HG",

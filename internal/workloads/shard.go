@@ -3,6 +3,9 @@ package workloads
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"time"
 
 	"ramr/internal/container"
@@ -96,6 +99,33 @@ func ShardSplits[T any](splits []T, sh ShardSpec) []T {
 	return out
 }
 
+// Owned is the number of splits sh owns of an input of total splits; its
+// k-th is split Index+k*Count.
+func (sh ShardSpec) Owned(total int) int { return (total - sh.Index + sh.Count - 1) / sh.Count }
+
+// FillSplits builds a pre-sized input of n items — a shard's splits, or a
+// key table's elements — on width goroutines (width < 1: GOMAXPROCS), the
+// caller's among them. Each calls fill once with a contiguous run [lo, hi)
+// and makes its own generator state — stats.Stream, rand.Rand, Zipf —
+// inside it. Split i is a pure function of (seed, stream, i), so the bytes
+// are the serial build's for every width and every shard.
+func FillSplits(n, width int, fill func(lo, hi int)) {
+	if width < 1 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	width = max(1, min(width, n))
+	var wg sync.WaitGroup
+	for w := 1; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(n*w/width, n*(w+1)/width)
+		}()
+	}
+	fill(0, n/width)
+	wg.Wait()
+}
+
 // emptyShardInfo is the result of a shard with no splits (more shards
 // than the input has splits): an instantly-complete empty run.
 func emptyShardInfo(part *Partial) *RunInfo {
@@ -103,29 +133,19 @@ func emptyShardInfo(part *Partial) *RunInfo {
 }
 
 // NewShardJobParams instantiates shard sh of the named app with explicit
-// generator parameters. Only sh's splits are generated — any worker
-// derives the same split i from the seed without building the others —
-// and the job runs over them, exporting its container as RunInfo.Partial.
-// SYNTH shard jobs are built by synth.NewShardJob.
+// generator parameters, building its input on GOMAXPROCS goroutines. Only
+// sh's splits are generated — any worker derives the same split i from the
+// seed without building the others — and the job runs over them, exporting
+// its container as RunInfo.Partial. SYNTH shard jobs are built by
+// synth.NewShardJob.
 func NewShardJobParams(app string, pr Params, kind container.Kind, seed int64, sh ShardSpec) (*Job, error) {
-	if err := sh.Validate(); err != nil {
-		return nil, fmt.Errorf("workloads: shard %s: %v", app, err)
-	}
-	switch app {
-	case "WC":
-		return wordCountShardJob(pr.Bytes, kind, seed, sh), nil
-	case "HG":
-		return histogramShardJob(pr.Bytes, kind, seed, sh), nil
-	default:
-		return nil, fmt.Errorf("workloads: app %q is not shardable (want one of %v; float-valued apps merge only approximately)",
-			app, ShardableApps())
-	}
+	return Build(app, pr, kind, seed, &sh, 0)
 }
 
 // wordCountShardJob is WordCountJob restricted to one shard, exporting
 // the shard's word→count container.
-func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec) *Job {
-	splits := generateText(nBytes, seed, sh)
+func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec, width int) *Job {
+	splits := generateText(nBytes, seed, sh, width)
 	spec := WordCountSpec(splits, kind)
 	j := &Job{
 		App:       "WC",
@@ -139,7 +159,10 @@ func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec
 			return emptyShardInfo(part), nil
 		}
 		info, err := RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, func(k string, v int) {
-			part.Str[k] = int64(v)
+			// A word is a slice of the text it was mapped from, and the
+			// partial outlives the job (memo cache, retained records):
+			// copied, it keeps its own bytes and none of the input's.
+			part.Str[strings.Clone(k)] = int64(v)
 		})
 		if info != nil {
 			info.Partial = part
@@ -150,8 +173,8 @@ func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec
 
 // histogramShardJob is HistogramJob restricted to one shard, exporting
 // the shard's bucket→count container.
-func histogramShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec) *Job {
-	splits := generatePixels(nBytes, seed, sh)
+func histogramShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec, width int) *Job {
+	splits := generatePixels(nBytes, seed, sh, width)
 	spec := HistogramSpec(splits, kind)
 	j := &Job{
 		App:       "HG",

@@ -106,70 +106,103 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// buildWidths are the goroutine counts the split-addressable tests build
+// at: serial, the common grants, and more goroutines than some shards own
+// splits.
+var buildWidths = []int{1, 2, 3, 7}
+
 // checkSplitAddressable is TestSplitAddressable for one generator: whatever
-// the shard count, shard k's j-th split is split k+j*count of the unsharded
-// input, element for element, and the shards together hold every split once.
-func checkSplitAddressable[T any](t *testing.T, app string, splitBytes int, gen func(n int, sh ShardSpec) []T, equal func(a, b T) bool) {
+// the shard count and build width, shard k's j-th split is split k+j*count
+// of the serially built unsharded input, element for element, and the
+// shards together hold every split once.
+func checkSplitAddressable[T any](t *testing.T, app string, splitBytes int, gen func(n int, sh ShardSpec, width int) []T, equal func(a, b T) bool) {
 	t.Helper()
 	in, err := Input(app, HWL, Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, splitBytes - 1, splitBytes, in.Params.Bytes} {
-		full := gen(n, ShardSpec{Index: 0, Count: 1})
+		full := gen(n, ShardSpec{Index: 0, Count: 1}, 1)
 		// The split count is known before any split exists (HG first drops
 		// a trailing partial pixel, which moves the count at none of these
 		// sizes).
 		if want := (n + splitBytes - 1) / splitBytes; len(full) != want {
 			t.Fatalf("%s n=%d: %d splits, want %d", app, n, len(full), want)
 		}
-		for _, count := range []int{1, 2, 3, 7, len(full) + 5} {
-			total := 0
-			for k := 0; k < count; k++ {
-				sh := ShardSpec{Index: k, Count: count}
-				own := gen(n, sh)
-				total += len(own)
-				for j, s := range own {
-					if i := k + j*count; i >= len(full) || !equal(s, full[i]) {
-						t.Fatalf("%s n=%d shard %s: split %d is not split %d of the unsharded input", app, n, sh, j, i)
+		for _, width := range buildWidths {
+			for _, count := range []int{1, 2, 3, 7, len(full) + 5} {
+				total := 0
+				for k := 0; k < count; k++ {
+					sh := ShardSpec{Index: k, Count: count}
+					own := gen(n, sh, width)
+					total += len(own)
+					for j, s := range own {
+						if i := k + j*count; i >= len(full) || !equal(s, full[i]) {
+							t.Fatalf("%s n=%d width %d shard %s: split %d is not split %d of the unsharded input", app, n, width, sh, j, i)
+						}
+					}
+					if len(own) > 0 {
+						continue
+					}
+					// A shard that owns nothing still settles: an instant,
+					// empty run with an empty partial to merge.
+					job, err := NewShardJobParams(app, Params{Bytes: n}, DefaultContainer(app), seed, sh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					info, err := job.Run(EngineRAMR, cfg())
+					if err != nil || info.Wall != 0 || info.Pairs != 0 || info.Partial == nil || info.Partial.Len() != 0 {
+						t.Fatalf("%s n=%d empty shard %s settled as %+v, %v", app, n, sh, info, err)
 					}
 				}
-				if len(own) > 0 {
-					continue
+				if total != len(full) {
+					t.Fatalf("%s n=%d width %d: %d shards hold %d splits, the input has %d", app, n, width, count, total, len(full))
 				}
-				// A shard that owns nothing still settles: an instant,
-				// empty run with an empty partial to merge.
-				job, err := NewShardJobParams(app, Params{Bytes: n}, DefaultContainer(app), seed, sh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				info, err := job.Run(EngineRAMR, cfg())
-				if err != nil || info.Wall != 0 || info.Pairs != 0 || info.Partial == nil || info.Partial.Len() != 0 {
-					t.Fatalf("%s n=%d empty shard %s settled as %+v, %v", app, n, sh, info, err)
-				}
-			}
-			if total != len(full) {
-				t.Fatalf("%s n=%d: %d shards hold %d splits, the input has %d", app, n, count, total, len(full))
 			}
 		}
 	}
 }
 
-// TestSplitAddressable pins the property a shard's build rests on: split i
-// of a generated input is a function of (seed, app, i) alone, so the splits
-// a shard generates for itself are the ones the unsharded job maps.
+// TestSplitAddressable pins the property a shard's build and a parallel
+// build rest on: split i of a generated input is a function of (seed, app,
+// i) alone, so the splits a shard generates for itself, on any number of
+// goroutines, are the ones the serially built unsharded job maps.
 func TestSplitAddressable(t *testing.T) {
 	checkSplitAddressable(t, "WC", wcSplitBytes,
-		func(n int, sh ShardSpec) []string { return generateText(n, seed, sh) },
+		func(n int, sh ShardSpec, width int) []string { return generateText(n, seed, sh, width) },
 		func(a, b string) bool { return a == b })
 	checkSplitAddressable(t, "HG", hgSplitBytes,
-		func(n int, sh ShardSpec) [][]byte { return generatePixels(n, seed, sh) },
+		func(n int, sh ShardSpec, width int) [][]byte { return generatePixels(n, seed, sh, width) },
 		bytes.Equal)
-	if a, b := GenerateText(40_000, seed), generateText(40_000, seed, ShardSpec{Index: 0, Count: 1}); !reflect.DeepEqual(a, b) {
-		t.Fatal("GenerateText is not the 0/1 shard")
+	if a, b := GenerateText(40_000, seed), generateText(40_000, seed, ShardSpec{Index: 0, Count: 1}, 1); !reflect.DeepEqual(a, b) {
+		t.Fatal("GenerateText is not the serial 0/1 shard")
 	}
-	if a, b := GeneratePixels(40_000, seed), generatePixels(40_000, seed, ShardSpec{Index: 0, Count: 1}); !reflect.DeepEqual(a, b) {
-		t.Fatal("GeneratePixels is not the 0/1 shard")
+	if a, b := GeneratePixels(40_000, seed), generatePixels(40_000, seed, ShardSpec{Index: 0, Count: 1}, 1); !reflect.DeepEqual(a, b) {
+		t.Fatal("GeneratePixels is not the serial 0/1 shard")
+	}
+}
+
+// TestTextSplitsAreExactSize: a WC-Large build allocates at most 1.05x its
+// bytes — the splits take no slack beyond a word per split, and a parallel
+// build no more than a serial one. Counted in TotalAlloc bytes, not timed.
+func TestTextSplitsAreExactSize(t *testing.T) {
+	in, err := Input("WC", HWL, Large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range buildWidths {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		splits := generateText(in.Params.Bytes, seed, ShardSpec{Index: 0, Count: 1}, width)
+		runtime.ReadMemStats(&after)
+		size := 0
+		for _, s := range splits {
+			size += len(s)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.05*float64(size) {
+			t.Errorf("width %d: building %d bytes of text allocated %d (%.3fx, want <= 1.05x)",
+				width, size, alloc, float64(alloc)/float64(size))
+		}
 	}
 }
 
@@ -320,4 +353,41 @@ func FuzzMergePartials(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShardPartialDoesNotPinInput: a shard's partial outlives its job — the
+// memo cache and the retained records keep it — so it must hold its own
+// words, not slices of the text they were mapped from. With the job gone
+// and only its RunInfo alive, the live heap is a vocabulary, not a corpus.
+func TestShardPartialDoesNotPinInput(t *testing.T) {
+	in, err := Input("WC", HWL, Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	info := func() *RunInfo {
+		job, err := NewShardJobParams("WC", in.Params, DefaultContainer("WC"), seed, ShardSpec{Index: 0, Count: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := job.Run(EngineRAMR, cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}()
+	after := live()
+	if info.Partial.Len() == 0 {
+		t.Fatal("shard exported an empty partial")
+	}
+	if held := int64(after) - int64(before); held > int64(in.Params.Bytes)/8 {
+		t.Errorf("a WC partial of %d words holds %d bytes live, input was %d bytes", info.Partial.Len(), held, in.Params.Bytes)
+	}
 }

@@ -179,13 +179,35 @@ func NewJob(app string, p Platform, c SizeClass, kind container.Kind, seed int64
 }
 
 // NewJobParams instantiates the named app with explicit generator
-// parameters.
+// parameters, building its input on GOMAXPROCS goroutines.
 func NewJobParams(app string, pr Params, kind container.Kind, seed int64) (*Job, error) {
+	return Build(app, pr, kind, seed, nil, 0)
+}
+
+// Build instantiates the named app with explicit generator parameters —
+// shard sh of it when sh is non-nil — generating the split-addressable
+// inputs (WC text, HG pixels) on width goroutines (width < 1: GOMAXPROCS;
+// see FillSplits). The other apps build theirs serially.
+func Build(app string, pr Params, kind container.Kind, seed int64, sh *ShardSpec, width int) (*Job, error) {
+	if sh != nil {
+		if err := sh.Validate(); err != nil {
+			return nil, fmt.Errorf("workloads: shard %s: %v", app, err)
+		}
+		switch app {
+		case "WC":
+			return wordCountShardJob(pr.Bytes, kind, seed, *sh, width), nil
+		case "HG":
+			return histogramShardJob(pr.Bytes, kind, seed, *sh, width), nil
+		default:
+			return nil, fmt.Errorf("workloads: app %q is not shardable (want one of %v; float-valued apps merge only approximately)",
+				app, ShardableApps())
+		}
+	}
 	switch app {
 	case "WC":
-		return WordCountJob(pr.Bytes, kind, seed), nil
+		return WordCountJob(pr.Bytes, kind, seed, width), nil
 	case "HG":
-		return HistogramJob(pr.Bytes, kind, seed), nil
+		return HistogramJob(pr.Bytes, kind, seed, width), nil
 	case "LR":
 		return LinRegJob(pr.Points, kind, seed), nil
 	case "KM":

@@ -23,16 +23,18 @@ const wcSplitBytes = 16 << 10
 // GenerateText builds a deterministic synthetic corpus of about n bytes,
 // pre-partitioned into word-aligned splits.
 func GenerateText(n int, seed int64) []string {
-	return generateText(n, seed, ShardSpec{Index: 0, Count: 1})
+	return generateText(n, seed, ShardSpec{Index: 0, Count: 1}, 0)
 }
 
 // generateText builds the splits shard sh owns of the n-byte corpus, in
-// index order. The corpus has ceil(n/wcSplitBytes) splits; split i is words
-// drawn from substream i of the seed's "wordcount" stream until its byte
-// quota is met, so a shard pays for its own only. One vocabulary per seed.
-func generateText(n int, seed int64, sh ShardSpec) []string {
+// index order, on width goroutines. The corpus has ceil(n/wcSplitBytes)
+// splits; split i is words drawn from substream i of the seed's "wordcount"
+// stream until its byte quota is met, so a shard pays for its own only. One
+// vocabulary per seed.
+func generateText(n int, seed int64, sh ShardSpec, width int) []string {
 	rng := stats.Rng(seed, "wordcount")
 	vocab := make([]string, wcVocab)
+	longest := 0
 	const letters = "abcdefghijklmnopqrstuvwxyz"
 	for i := range vocab {
 		l := 3 + rng.Intn(10)
@@ -41,21 +43,28 @@ func generateText(n int, seed int64, sh ShardSpec) []string {
 			b[j] = letters[rng.Intn(len(letters))]
 		}
 		vocab[i] = string(b)
+		longest = max(longest, l)
 	}
-	src := stats.NewStream(seed, "wordcount")
-	zipf := stats.NewZipf(rand.New(src), 1.2, uint64(wcVocab))
-
-	var splits []string
-	var cur strings.Builder
-	for i := sh.Index; i*wcSplitBytes < n; i += sh.Count {
-		src.Seek(i)
-		for quota := min(wcSplitBytes, n-i*wcSplitBytes); cur.Len() < quota; {
-			cur.WriteString(vocab[zipf.Next()])
-			cur.WriteByte(' ')
+	splits := make([]string, sh.Owned((n+wcSplitBytes-1)/wcSplitBytes))
+	FillSplits(len(splits), width, func(lo, hi int) {
+		src := stats.NewStream(seed, "wordcount")
+		zipf := stats.NewZipf(rand.New(src), 1.2, uint64(wcVocab))
+		// A split's last word starts below its quota, so the split ends
+		// within quota+longest bytes: a buffer of that much per split holds
+		// the whole run without regrowing, and each split is a slice of it.
+		var buf strings.Builder
+		buf.Grow((hi - lo) * (wcSplitBytes + longest))
+		for k := lo; k < hi; k++ {
+			i := sh.Index + k*sh.Count
+			src.Seek(i)
+			start := buf.Len()
+			for quota := start + min(wcSplitBytes, n-i*wcSplitBytes); buf.Len() < quota; {
+				buf.WriteString(vocab[zipf.Next()])
+				buf.WriteByte(' ')
+			}
+			splits[k] = buf.String()[start:]
 		}
-		splits = append(splits, cur.String())
-		cur.Reset()
-	}
+	})
 	return splits
 }
 
@@ -98,11 +107,11 @@ func WordCountSpec(splits []string, kind container.Kind) *mr.Spec[string, string
 	}
 }
 
-// WordCountJob instantiates Word Count over ~nBytes of synthetic text.
-// Word Count is the enterprise-domain app of the suite: per-word emission
-// into a hash container, arbitrary key set.
-func WordCountJob(nBytes int, kind container.Kind, seed int64) *Job {
-	splits := GenerateText(nBytes, seed)
+// WordCountJob instantiates Word Count over ~nBytes of synthetic text,
+// built on width goroutines. Word Count is the enterprise-domain app of the
+// suite: per-word emission into a hash container, arbitrary key set.
+func WordCountJob(nBytes int, kind container.Kind, seed int64, width int) *Job {
+	splits := generateText(nBytes, seed, ShardSpec{Index: 0, Count: 1}, width)
 	spec := WordCountSpec(splits, kind)
 	j := &Job{
 		App:       "WC",

@@ -401,7 +401,7 @@ func TestEngineString(t *testing.T) {
 }
 
 func TestRunTypedUnknownEngine(t *testing.T) {
-	job := HistogramJob(3000, container.KindFixedArray, seed)
+	job := HistogramJob(3000, container.KindFixedArray, seed, 0)
 	if _, err := job.Run(Engine(42), cfg()); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
