@@ -173,11 +173,11 @@ func NewTrace() *TraceCollector { return obs.New("") }
 // from JobHandle.Trace and render with WriteChromeTrace.
 type JobTrace = obs.Recorder
 
-// Telemetry is the live observability layer: assign one to
-// Config.Telemetry and the engines record per-worker counters and sample
-// every SPSC ring's occupancy into a bounded time-series while the job
-// runs. Export live via WritePrometheus/NewTelemetryServer, or read the
-// structured report from Result.Telemetry after the run.
+// Telemetry is the optional reader of a run's always-on counter ledger:
+// assign one to Config.Telemetry and the engines also sample every SPSC
+// ring's occupancy and each worker's state into a bounded time-series
+// while the job runs. Export live via WritePrometheus/NewTelemetryServer,
+// or read the structured report from Result.Telemetry after the run.
 type Telemetry = telemetry.Telemetry
 
 // TelemetryReport is the structured result of one instrumented run:

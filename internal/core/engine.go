@@ -56,7 +56,7 @@ func Run[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 // taking tasks after their current one, the pipeline drains, and the
 // context's error is returned. Cancellation latency is bounded by one map
 // task plus the drain, never a hung queue.
-func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (*mr.Result[K, R], error) {
+func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (_ *mr.Result[K, R], err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -79,32 +79,30 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	}
 
 	res := &mr.Result[K, R]{}
-
-	// The telemetry layer is captured into a local once (like Hooks) so
-	// the nil check never sits on a hot path; Stop is deferred so error
-	// returns can never leak the sampler goroutine.
-	tel := cfg.Telemetry
-	if tel != nil {
-		tel.BeginRun("ramr")
-		defer tel.Stop()
-	}
+	// The run's books: every worker below registers a shard here, and the
+	// result's statistics are read from it once the pools are joined.
+	ledger := telemetry.NewLedger("ramr")
 
 	// --- Init: pools, queues, containers, pinning plan (Fig. 2 top). ---
 	t0 := time.Now()
 	queues := make([]*spsc.Queue[pair[K, V]], mappers)
-	var mirrors []*telemetry.QueueMirror
-	if tel != nil {
-		mirrors = make([]*telemetry.QueueMirror, mappers)
-	}
 	for i := range queues {
-		q, err := spsc.New[pair[K, V]](cfg.QueueCapacity, cfg.Wait)
-		if err != nil {
+		if queues[i], err = spsc.New[pair[K, V]](cfg.QueueCapacity, cfg.Wait); err != nil {
 			return nil, err
 		}
-		queues[i] = q
-		if tel != nil {
-			mirrors[i] = tel.RegisterQueue(fmt.Sprintf("mapper-%d", i), q)
+	}
+	// The sampler is the ledger's one optional reader. Its report is
+	// built on the way out, so no return can leak its goroutine.
+	if tel := cfg.Telemetry; tel != nil {
+		tel.BeginRun(ledger)
+		for i, q := range queues {
+			tel.RegisterQueue(fmt.Sprintf("mapper-%d", i), q)
 		}
+		defer func() {
+			if rep := tel.EndRun(res.Phases.SecondsByPhase()); err == nil {
+				res.Telemetry = rep
+			}
+		}()
 	}
 	containers := make([]container.Container[K, V], combiners)
 	// One gate per combiner: where it parks when none of its rings has a
@@ -123,12 +121,9 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
 	conserve := ConservesWork(cfg.CPUGrant, mappers+combiners)
 	// own[i] is mapper i's private container, created when its ring first
-	// refuses a slab; lanes and helpers keep every lane's fold counts for
-	// the run's books. Each entry is written by its worker only and read
+	// refuses a slab. Each entry is written by its worker only and read
 	// after the pools are joined.
 	own := make([]container.Container[K, V], mappers)
-	lanes := make([]*Lane[pair[K, V]], mappers)
-	helpers := make([]*Lane[pair[K, V]], combiners)
 	res.Phases.Init = time.Since(t0)
 
 	// --- Partition: tasks into per-locality-group deques. The mapper →
@@ -150,11 +145,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		}
 	}
 	res.Phases.Partition = time.Since(t0)
-
-	// Per-mapper steal stats fold into the shared aggregate at worker
-	// exit (under stealMu), so the hot path only touches mapper-locals.
-	var stealMu sync.Mutex
-	var stealAgg mr.StealStats
 
 	// --- Map-combine: the decoupled, overlapped phase (Fig. 2). ---
 	// User code (Map, Combine) may panic; workers convert the first
@@ -204,7 +194,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	var help func(int, *Lane[pair[K, V]], *obs.Track) func() bool
 	if conserve {
 		help = func(j int, lane *Lane[pair[K, V]], track *obs.Track) func() bool {
-			helpers[j] = lane
 			emit := emitInto(lane)
 			return func() bool {
 				if !live() {
@@ -219,16 +208,15 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		}
 	}
 	StartCombiners(ctx, &combWG, Combiners[pair[K, V]]{
-		Engine:  "ramr",
-		Queues:  queues,
-		Gates:   gates,
-		Mirrors: mirrors,
-		Order:   localityOrder(mapperGroup),
-		CPUs:    plan.CombinerCPU,
-		Tel:     tel,
-		Trace:   cfg.Trace,
-		Hooks:   cfg.Hooks,
-		Batch:   batch,
+		Engine: "ramr",
+		Queues: queues,
+		Gates:  gates,
+		Order:  localityOrder(mapperGroup),
+		CPUs:   plan.CombinerCPU,
+		Ledger: ledger,
+		Trace:  cfg.Trace,
+		Hooks:  cfg.Hooks,
+		Batch:  batch,
 		Apply: func(j int) func([]pair[K, V]) {
 			c := containers[j]
 			return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
@@ -247,14 +235,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		mapWG.Add(1)
 		go func(i int) {
 			defer mapWG.Done()
-			var st mr.StealStats
-			defer func() {
-				stealMu.Lock()
-				stealAgg.Add(st)
-				stealMu.Unlock()
-			}()
 			lane := NewLane(queues[i], cfg.EmitBatch, i, cfg.Hooks)
-			lanes[i] = lane
 			if conserve {
 				lane.Fold = func(seg []pair[K, V]) {
 					if own[i] == nil {
@@ -263,7 +244,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					own[i].UpdateBatch(seg, spec.Combine)
 				}
 			}
-			lane.Run(ctx, "ramr", plan.MapperCPU[i], tel, fail, func(tw *telemetry.Worker) {
+			lane.Run(ctx, "ramr", plan.MapperCPU[i], ledger, fail, func(tw *telemetry.Worker) {
 				track := cfg.Trace.Worker("mapper", i)
 				defer track.Publish()
 				emit := emitInto(lane)
@@ -272,8 +253,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					if !ok {
 						break
 					}
-					st.AddClass(cls, uint64(t1-t0))
-					tw.AddSteal(int(cls), t1-t0)
+					tw.AddSteal(int(cls), uint64(t1-t0))
 					stolen := cls != topology.StealLocal
 					var endSteal func()
 					if stolen {
@@ -284,8 +264,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					for t := t0; t < t1 && live(); t++ {
 						runTask(lane, track, t, emit)
 						if stolen {
-							st.RemoteExecuted++
-							tw.AddRemoteExecuted(1)
+							tw.AddRemoteExecuted()
 						}
 					}
 					if stolen {
@@ -299,11 +278,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	mapWG.Wait()
 	combWG.Wait()
 	res.Phases.MapCombine = time.Since(t0)
-	// Every mapper's fold happened-before mapWG.Wait returned, so the
-	// aggregate is stable here without further synchronization.
-	stealMu.Lock()
-	res.Steal = stealAgg
-	stealMu.Unlock()
 	// The invariant observer and the pre-reduce hook run before the
 	// error checks: a failed run must still report per-queue drain state,
 	// and a cancellation injected at the pre-reduce point must still be
@@ -321,20 +295,8 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		return nil, err
 	}
 
-	for _, q := range queues {
-		res.QueueStats.Add(q.Snapshot())
-	}
-	for _, l := range lanes {
-		_, folded := l.Stats()
-		res.Help.MapperPairs += folded
-	}
-	for _, l := range helpers {
-		if l != nil {
-			tasks, folded := l.Stats()
-			res.Help.Tasks += tasks
-			res.Help.CombinerPairs += folded
-		}
-	}
+	// Every worker booked its last counts before its pool was joined.
+	res.QueueStats, res.Steal, res.Help = Books(ledger.Totals())
 
 	// --- Reduce: identical to the baseline from here on, over the
 	// combiners' containers and whichever mappers grew one. ---
@@ -360,9 +322,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	res.Phases.Merge = time.Since(t0)
 
 	res.Pairs = pairs
-	if tel != nil {
-		res.Telemetry = tel.EndRun(res.Phases.SecondsByPhase())
-	}
 	return res, nil
 }
 

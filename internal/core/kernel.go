@@ -38,19 +38,15 @@ var (
 
 // runWorker is the prologue every pipeline goroutine runs under. It labels
 // the goroutine (engine/role/worker, so CPU profiles segment mapper time
-// from combiner time), registers its telemetry shard, pins it to cpu
-// (cpu < 0 leaves it to the OS) and runs body; body runs inside the
-// labelled closure so the recover stays in the panicking frame chain. A
-// panic in body — user code or an injected fault — is handed to recovered
-// as the run's typed error after the goroutine has been unpinned; the
-// shard is marked done last, whatever happened.
-func runWorker(ctx context.Context, engine string, r role, id, cpu int, tel *telemetry.Telemetry, body func(*telemetry.Worker), recovered func(*mr.PanicError)) {
+// from combiner time), pins it to cpu (cpu < 0 leaves it to the OS) and
+// runs body; body runs inside the labelled closure so the recover stays in
+// the panicking frame chain. A panic in body — user code or an injected
+// fault — is handed to recovered as the run's typed error after the
+// goroutine has been unpinned; the worker's ledger shard tw is marked done
+// last, whatever happened.
+func runWorker(ctx context.Context, engine string, r role, id, cpu int, tw *telemetry.Worker, body func(), recovered func(*mr.PanicError)) {
 	labels := pprof.Labels("engine", engine, "role", r.label, "worker", strconv.Itoa(id))
 	pprof.Do(ctx, labels, func(context.Context) {
-		var tw *telemetry.Worker
-		if tel != nil {
-			tw = tel.RegisterWorker(r.label, id)
-		}
 		defer tw.SetState(telemetry.StateDone)
 		defer func() {
 			if v := recover(); v != nil {
@@ -61,17 +57,19 @@ func runWorker(ctx context.Context, engine string, r role, id, cpu int, tel *tel
 			unpin, _ := affinity.PinSelf(cpu)
 			defer unpin()
 		}
-		body(tw)
+		body()
 	})
 }
 
 // Lane is one mapper's producer side: its ring, the emit slab in front of
-// it and the worker's telemetry stores. Emitted elements are staged in the
-// slab and published as blocks, so the ring's shared tail index (and the
-// cross-core traffic on its cache line) is touched once per slab instead
-// of once per element; the slab flushes when full, at every task boundary
-// and before the ring closes. A slab of one (EmitBatch 1) is the unbatched
-// ablation baseline. A Lane belongs to the goroutine inside Run.
+// it and the worker's ledger shard, on which it books its ring's producer
+// counters and its fold count at every task end. Emitted elements are
+// staged in the slab and published as blocks, so the ring's shared tail
+// index (and the cross-core traffic on its cache line) is touched once per
+// slab instead of once per element; the slab flushes when full, at every
+// task boundary and before the ring closes. A slab of one (EmitBatch 1) is
+// the unbatched ablation baseline. A Lane belongs to the goroutine inside
+// Run.
 //
 // A lane with a Fold never waits on its ring: a slab the ring has no room
 // for is folded where it is (the driver decides into what), which is what a
@@ -90,8 +88,7 @@ type Lane[E any] struct {
 	taskHook func(int) // Hooks.MapTask
 	tw       *telemetry.Worker
 	done     uint64 // elements pushed or folded up to the last task boundary
-	folded   uint64 // elements that went to fold
-	tasks    uint64
+	folded   uint64 // elements that went to Fold
 }
 
 // NewLane builds mapper id's lane over q. The slab is clamped to the ring:
@@ -116,27 +113,24 @@ func newLane[E any](q *spsc.Queue[E], slab, id int, hooks *mr.Hooks) *Lane[E] {
 	return l
 }
 
-// Stats returns how many tasks ran on l and how many of their elements
-// were folded in place. The lane's goroutine must have finished.
-func (l *Lane[E]) Stats() (tasks, folded uint64) { return l.tasks, l.folded }
-
-// Run executes body as this lane's mapper goroutine under the worker
-// prologue and always ends by closing the ring — the combiner must be
-// notified however the mapper ends, and a push after Close panics. A
-// panicked Map leaves a half-built slab whose elements must never reach
-// Combine (the run is doomed), so after a panic the error goes to fail
-// first and the exit flush is skipped.
-func (l *Lane[E]) Run(ctx context.Context, engine string, cpu int, tel *telemetry.Telemetry, fail func(error), body func(*telemetry.Worker)) {
+// Run executes body as this lane's mapper goroutine, on a shard it
+// registers in ledger, under the worker prologue, and always ends by
+// booking the lane and closing the ring — the combiner must be notified
+// however the mapper ends, and a push after Close panics. A panicked Map
+// leaves a half-built slab whose elements must never reach Combine (the
+// run is doomed), so after a panic the error goes to fail first and the
+// exit flush is skipped.
+func (l *Lane[E]) Run(ctx context.Context, engine string, cpu int, ledger *telemetry.Ledger, fail func(error), body func(*telemetry.Worker)) {
+	l.tw = ledger.Register(mapperRole.label, l.id)
 	exit := func(failed bool) {
 		if !failed {
 			l.flush()
 		}
-		l.tw.StoreProducer(l.q.ProducerStats())
+		l.book()
 		l.q.Close()
 	}
-	runWorker(ctx, engine, mapperRole, l.id, cpu, tel, func(tw *telemetry.Worker) {
-		l.tw = tw
-		body(tw)
+	runWorker(ctx, engine, mapperRole, l.id, cpu, l.tw, func() {
+		body(l.tw)
 		exit(false)
 	}, func(pe *mr.PanicError) {
 		fail(pe)
@@ -174,8 +168,6 @@ func (l *Lane[E]) flush() {
 	case l.q == nil || !l.q.Offer(l.slab):
 		l.Fold(l.slab)
 		l.folded += uint64(n)
-		l.tw.AddCombined(n)
-		l.tw.AddFolded(n)
 	}
 	l.slab = l.slab[:0]
 }
@@ -207,24 +199,59 @@ func (l *Lane[E]) BeginTask() {
 
 // EndTask publishes what the task emitted: the slab is flushed, so every
 // element is visible to the consumer (or folded) when it returns, and the
-// worker's task, emitted and producer-side ring counters are stored. It
-// returns the task's element count, taken from the ring's own push counter
-// and the per-slab fold count so the per-pair path carries no counter.
+// task is booked on the worker's shard. It returns the task's element
+// count, taken from the ring's own push counter and the per-slab fold count
+// so the per-pair path carries no counter.
 func (l *Lane[E]) EndTask() (emitted uint64) {
 	l.flush()
-	done := l.folded
-	if l.q != nil {
-		pushes, failedPush, slept := l.q.ProducerStats()
-		l.tw.StoreProducer(pushes, failedPush, slept)
-		done += pushes
-	} else {
-		l.tw.AddHelped(1)
+	done := l.book()
+	if l.q == nil {
+		l.tw.AddHelped()
 	}
 	emitted, l.done = done-l.done, done
-	l.tasks++
-	l.tw.AddTasks(1)
-	l.tw.AddEmitted(int(emitted))
+	l.tw.AddTask(emitted)
 	return emitted
+}
+
+// book stores the lane's plain counters on its shard — the pairs it folded
+// and its ring's producer side — and returns the elements it has published
+// so far, pushed or folded.
+func (l *Lane[E]) book() (published uint64) {
+	l.tw.StoreFolded(l.folded)
+	if l.q == nil {
+		return l.folded
+	}
+	pushes, failedPush, spinRounds, slept := l.q.ProducerStats()
+	l.tw.StoreProducer(pushes, failedPush, spinRounds, slept)
+	return pushes + l.folded
+}
+
+// Books converts a ledger's totals into the statistics batch runs and
+// stream sessions report: their rings' counters, their steal takes and what
+// work conservation moved. It is the one place they are formed.
+func Books(t telemetry.Totals) (mr.QueueStats, mr.StealStats, mr.HelpStats) {
+	return mr.QueueStats{
+			Pushes:      t.Pushes,
+			FailedPush:  t.FailedPush,
+			SpinRounds:  t.SpinRounds,
+			Pops:        t.Pops,
+			EmptyPolls:  t.EmptyPolls,
+			ShortPolls:  t.ShortPolls,
+			BatchCalls:  t.Batches,
+			SleepMicros: t.SleepMicros,
+		}, mr.StealStats{
+			LocalBatches:   t.LocalBatches,
+			LocalTasks:     t.LocalTakes,
+			SocketBatches:  t.SocketBatches,
+			SocketTasks:    t.SocketSteals,
+			RemoteBatches:  t.RemoteBatches,
+			RemoteTasks:    t.RemoteSteals,
+			RemoteExecuted: t.RemoteExecuted,
+		}, mr.HelpStats{
+			Tasks:         t.TasksHelped,
+			CombinerPairs: t.FoldedByCombiners,
+			MapperPairs:   t.FoldedByMappers,
+		}
 }
 
 // Combiners describes one combiner pool over a set of rings: len(Gates)
@@ -232,15 +259,14 @@ func (l *Lane[E]) EndTask() (emitted uint64) {
 // splitRings). The funcs are the whole interface between the consume loop
 // and its driver.
 type Combiners[E any] struct {
-	Engine  string // pprof label and PanicError.Engine
-	Queues  []*spsc.Queue[E]
-	Gates   []*spsc.Gate             // one per slot; the driver's abort path wakes them
-	Mirrors []*telemetry.QueueMirror // per ring; nil when telemetry is off
-	Order   []int                    // ring indices in the order the slots split them
-	CPUs    []int                    // per slot, -1 = unpinned
-	Tel     *telemetry.Telemetry
-	Trace   *obs.Recorder
-	Hooks   *mr.Hooks
+	Engine string // pprof label and PanicError.Engine
+	Queues []*spsc.Queue[E]
+	Gates  []*spsc.Gate // one per slot; the run's abort path wakes them
+	Order  []int        // ring indices in the order the slots split them
+	CPUs   []int        // per slot, -1 = unpinned
+	Ledger *telemetry.Ledger
+	Trace  *obs.Recorder
+	Hooks  *mr.Hooks
 
 	// Batch is the consume batch size; it must stay within [1, ring
 	// capacity] — a batch larger than the ring could never fill while a
@@ -262,8 +288,8 @@ type Combiners[E any] struct {
 	// "nothing now": the slot asks again before its next park, since a
 	// stream session's next chunk arrives after a slot found none. What
 	// help runs is the slot's own: lane is a ring-less Lane whose slabs go
-	// to the slot's Apply fold and whose tasks and pairs are counted on the
-	// slot's telemetry shard, mapping as worker len(Queues)+slot to the Map
+	// to the slot's Apply fold and whose tasks and pairs are booked on the
+	// slot's ledger shard, mapping as worker len(Queues)+slot to the Map
 	// hooks; track is the slot's trace lane. A slot that owns no ring
 	// exits at once and never asks.
 	Help func(slot int, lane *Lane[E], track *obs.Track) func() bool
@@ -283,12 +309,10 @@ func splitRings(order []int, slots int) [][]int {
 }
 
 // StartCombiners spawns one goroutine per slot, accounted on wg, each over
-// its own run of the rings (whose wake-ups it points at the slot's gate).
-// A slot exits once every ring it owns is closed and drained.
+// its own run of the rings (whose wake-ups it points at the slot's gate)
+// and on a shard it registers in c.Ledger. A slot exits once every ring it
+// owns is closed and drained.
 func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[E]) {
-	if c.Mirrors == nil {
-		c.Mirrors = make([]*telemetry.QueueMirror, len(c.Queues)) // nil mirrors drop their stores
-	}
 	for j, own := range splitRings(c.Order, len(c.Gates)) {
 		for _, qi := range own {
 			c.Queues[qi].SetGate(c.Gates[j])
@@ -296,13 +320,14 @@ func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runWorker(ctx, c.Engine, combinerRole, j, c.CPUs[j], c.Tel, func(tw *telemetry.Worker) {
+			tw := c.Ledger.Register(combinerRole.label, j)
+			runWorker(ctx, c.Engine, combinerRole, j, c.CPUs[j], tw, func() {
 				combine(&c, j, own, tw)
 			}, func(pe *mr.PanicError) {
 				// A failed combiner keeps draining (and discarding) so
 				// producers blocked on full rings can run to completion.
 				c.Fail(pe)
-				c.drainAbort(j, own)
+				c.drainAbort(j, own, tw)
 			})
 		}()
 	}
@@ -310,93 +335,126 @@ func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[
 
 // drainAbort is the abort path, stated once for every pipeline: slot j
 // discard-drains the rings it owns so producers blocked on full rings can
-// finish. Rings it already retired are drained, and skipped.
-func (c *Combiners[E]) drainAbort(j int, own []int) {
+// finish, and books them, since a discard counts as a pop. Rings it already
+// retired are drained, and skipped.
+func (c *Combiners[E]) drainAbort(j int, own []int, tw *telemetry.Worker) {
 	qs := make([]*spsc.Queue[E], len(own))
 	for i, qi := range own {
 		qs[i] = c.Queues[qi]
 	}
 	spsc.DrainDiscard(c.Gates[j], qs, c.Batch)
+	c.book(own, tw)
+}
+
+// book stores the consumer side of the rings a slot owns, summed, on its
+// shard. The slot is their only consumer, so it may read their counters.
+func (c *Combiners[E]) book(own []int, tw *telemetry.Worker) {
+	var pops, emptyPolls, shortPolls, batchCalls uint64
+	for _, qi := range own {
+		p, e, s, b := c.Queues[qi].ConsumerStats()
+		pops, emptyPolls, shortPolls, batchCalls = pops+p, emptyPolls+e, shortPolls+s, batchCalls+b
+	}
+	tw.StoreConsumer(pops, emptyPolls, shortPolls, batchCalls)
+}
+
+// slot is one combiner slot's consume state: the rings it owns, the ones
+// not yet drained, and its fold.
+type slot[E any] struct {
+	c         *Combiners[E]
+	j         int
+	own       []int
+	live      []int            // the undrained rings, by index
+	waitOn    []*spsc.Queue[E] // the same rings, which an idle slot parks on
+	tw        *telemetry.Worker
+	apply     func([]E) // Apply's fold for this slot
+	fold      func([]E) // apply behind the CombineBatch hook
+	drainHook func(int)
+	draining  bool
+}
+
+// newSlot builds slot j's state over the rings it owns.
+func newSlot[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) *slot[E] {
+	s := &slot[E]{c: c, j: j, own: own, live: slices.Clone(own), waitOn: make([]*spsc.Queue[E], 0, len(own)), tw: tw}
+	s.apply = c.Apply(j)
+	s.fold = s.apply
+	if hk := c.Hooks; hk != nil {
+		s.drainHook = hk.CombineDrain
+		if hk.CombineBatch != nil {
+			s.fold = func(seg []E) {
+				hk.CombineBatch(j)
+				s.apply(seg)
+			}
+		}
+	}
+	return s
+}
+
+// round polls each live ring once — while its producer is live it waits
+// for full blocks (§IV-C), and takes short what the producer flushed, or
+// left behind when it closed — retires the drained ones, and books the
+// slot's rings. It takes no lock: no other goroutine ever consumes them.
+func (s *slot[E]) round() (consumed, retired int) {
+	kept := s.live[:0]
+	s.waitOn = s.waitOn[:0]
+	for _, qi := range s.live {
+		q := s.c.Queues[qi]
+		closed := q.Closed()
+		if closed && !s.draining {
+			s.draining = true
+			if s.drainHook != nil {
+				s.drainHook(s.j)
+			}
+		}
+		consumed += q.ConsumeBatch(s.c.Batch, closed || q.Flushing(), s.fold)
+		if !q.Drained() {
+			kept = append(kept, qi)
+			s.waitOn = append(s.waitOn, q)
+		}
+	}
+	retired = len(s.live) - len(kept)
+	s.live = kept
+	s.c.book(s.own, s.tw)
+	return consumed, retired
 }
 
 // combine is one combiner slot's life: consume rounds over the rings it
 // owns, retiring each as it drains; when a round found nothing, help if the
 // driver has other work and park on the slot's gate if not; and once the run
 // is doomed stop feeding user code and discard-drain instead, so producers
-// blocked on full rings unwedge without burning user-code cycles. A round
-// takes no lock: no other goroutine ever consumes these rings. A panic in a
-// fold or in help unwinds straight to the slot's recovery.
+// blocked on full rings unwedge without burning user-code cycles. A panic in
+// a fold or in help unwinds straight to the slot's recovery.
 func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 	track := c.Trace.Worker("combiner", j)
 	defer track.Publish()
-	var batchHook, drainHook func(int)
-	if hk := c.Hooks; hk != nil {
-		batchHook, drainHook = hk.CombineBatch, hk.CombineDrain
-	}
-	apply := c.Apply(j)
-	fold := func(seg []E) {
-		if batchHook != nil {
-			batchHook(j)
-		}
-		tw.AddCombined(len(seg))
-		tw.AddBatches(1)
-		apply(seg)
-	}
-	// state stores only on transitions so a polling round costs no atomic
-	// traffic while the state is stable.
+	s := newSlot(c, j, own, tw)
+	// state stores only on transitions, not once per round.
 	curState := telemetry.StateIdle
-	setState := func(s telemetry.State) {
-		if s != curState {
-			curState = s
-			tw.SetState(s)
+	setState := func(st telemetry.State) {
+		if st != curState {
+			curState = st
+			tw.SetState(st)
 		}
 	}
-	draining := false
 	var help func() bool
 	if c.Help != nil {
 		// The helper's slab is one consume batch: the block size the slot's
 		// container already sees from its rings.
 		lane := newLane[E](nil, c.Batch, len(c.Queues)+j, c.Hooks)
-		lane.Fold, lane.tw = apply, tw
+		lane.Fold, lane.tw = s.apply, tw
 		help = c.Help(j, lane, track)
 	}
 
-	// live is the slot's undrained rings, by index; waitOn the same rings,
-	// which an idle slot parks on.
-	live := slices.Clone(own)
-	waitOn := make([]*spsc.Queue[E], 0, len(live))
-	for len(live) > 0 {
+	for len(s.live) > 0 {
 		if c.Abort() {
-			c.drainAbort(j, own)
+			c.drainAbort(j, own, tw)
 			return
 		}
-		consumed, kept := 0, live[:0]
-		waitOn = waitOn[:0]
 		end := track.Span("consume")
-		for _, qi := range live {
-			q := c.Queues[qi]
-			closed := q.Closed()
-			if closed && !draining {
-				draining = true
-				if drainHook != nil {
-					drainHook(j)
-				}
-			}
-			// While the producer is live, wait for full blocks (§IV-C);
-			// take short what it flushed, or left behind when it closed.
-			consumed += q.ConsumeBatch(c.Batch, closed || q.Flushing(), fold)
-			c.Mirrors[qi].StoreConsumer(q.ConsumerStats())
-			if !q.Drained() {
-				kept = append(kept, qi)
-				waitOn = append(waitOn, q)
-			}
-		}
-		retired := len(live) - len(kept)
-		live = kept
+		consumed, retired := s.round()
 		switch {
 		case consumed > 0:
 			end()
-			if draining {
+			if s.draining {
 				setState(telemetry.StateDraining)
 			} else {
 				setState(telemetry.StateWorking)
@@ -412,7 +470,7 @@ func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 				}
 			}
 			setState(telemetry.StateIdle)
-			spsc.Park(c.Gates[j], waitOn, c.Batch, c.Abort)
+			spsc.Park(c.Gates[j], s.waitOn, c.Batch, c.Abort)
 		}
 	}
 }

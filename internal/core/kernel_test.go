@@ -11,6 +11,8 @@ import (
 
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
+	"ramr/internal/spsc"
+	"ramr/internal/telemetry"
 )
 
 // TestEachRingHasOneConsumer: every ring is consumed by the one slot the
@@ -54,6 +56,7 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 			Gates:  gates,
 			Order:  ident(rings),
 			CPUs:   []int{-1, -1},
+			Ledger: telemetry.NewLedger("test"),
 			Hooks:  hooks,
 			Batch:  2,
 			Apply: func(slot int) func([]pair[int, int]) {
@@ -111,4 +114,45 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 			t.Fatalf("%d leaked worker goroutines:\n%s", len(leaked), leaked[0])
 		}
 	})
+}
+
+// TestLedgerCostsNoAllocation: the ledger is always on, so its cost is
+// asserted, not described. With a shard registered, a steady-state lane
+// task (whole slabs emitted, then EndTask) and one consume round allocate
+// nothing; what they pay is a handful of uncontended atomic stores.
+func TestLedgerCostsNoAllocation(t *testing.T) {
+	ledger := telemetry.NewLedger("test")
+	q := spsc.MustNew[pair[int, int]](64, spsc.WaitSleep)
+	q.SetGate(spsc.NewGate())
+	lane := NewLane(q, 8, 0, nil)
+	lane.tw = ledger.Register("mapper", 0)
+	c := Combiners[pair[int, int]]{
+		Queues: []*spsc.Queue[pair[int, int]]{q},
+		Batch:  8,
+		Apply:  func(int) func([]pair[int, int]) { return func([]pair[int, int]) {} },
+	}
+	s := newSlot(&c, 0, []int{0}, ledger.Register("combiner", 0))
+
+	discard := func([]pair[int, int]) {}
+	if n := testing.AllocsPerRun(100, func() {
+		lane.BeginTask()
+		for i := range 32 {
+			Emit(lane, pair[int, int]{K: i, V: 1})
+		}
+		lane.EndTask()
+		for q.ConsumeBatch(64, true, discard) > 0 {
+		}
+	}); n != 0 {
+		t.Fatalf("a lane task allocates %.1f times", n)
+	}
+	slab := make([]pair[int, int], 8)
+	if n := testing.AllocsPerRun(100, func() {
+		q.PushBatch(slab)
+		s.round()
+	}); n != 0 {
+		t.Fatalf("a consume round allocates %.1f times", n)
+	}
+	if tot := ledger.Totals(); tot.Tasks != 101 || tot.Emitted != 101*32 || tot.Pops != q.Snapshot().Pops {
+		t.Fatalf("books %+v, ring %+v: want 101 tasks of 32 pairs and the ring's pops", tot, q.Snapshot())
+	}
 }

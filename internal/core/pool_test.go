@@ -84,6 +84,7 @@ func TestElasticPoolRetireRequiresDrained(t *testing.T) {
 		Gates:  testGates(1),
 		Order:  ident(2),
 		CPUs:   []int{-1},
+		Ledger: telemetry.NewLedger("test"),
 		Batch:  4,
 		Apply: func(int) func([]pair[int, int]) {
 			return func(seg []pair[int, int]) { folded += len(seg) }
@@ -139,21 +140,23 @@ func TestPoolSplitFollowsPlan(t *testing.T) {
 	}
 }
 
-// TestUntunedRunMirrorsConsumerCounters: the consume loop stores every
-// ring's consumer-side counters into its telemetry mirror on every run, so
-// a live CountersNow agrees with the rings' own books.
+// TestUntunedRunMirrorsConsumerCounters: every slot books its rings'
+// consumer-side counters on its ledger shard on every run, sampled or not,
+// so the result's queue stats equal the rings' own counters.
 func TestUntunedRunMirrorsConsumerCounters(t *testing.T) {
 	cfg := parked(testConfig()) // every pair through a ring
-	cfg.Telemetry = telemetry.New()
+	var mu sync.Mutex
+	var rings mr.QueueStats
+	cfg.Hooks = &mr.Hooks{QueueObserver: func(_ int, _ bool, s spsc.Stats) {
+		mu.Lock()
+		rings.Add(s)
+		mu.Unlock()
+	}}
 	res, err := Run(countSpec(40, 50, 11), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cfg.Telemetry.CountersNow()
-	if got.Pops != res.QueueStats.Pops || got.Pops != 40*50 {
-		t.Fatalf("mirrored pops = %d, rings popped %d, want %d", got.Pops, res.QueueStats.Pops, 40*50)
-	}
-	if got.BatchCalls == 0 || got.BatchCalls != res.QueueStats.BatchCalls {
-		t.Fatalf("mirrored batch calls = %d, rings made %d", got.BatchCalls, res.QueueStats.BatchCalls)
+	if got := res.QueueStats; got != rings || got.Pops != 40*50 || got.BatchCalls == 0 {
+		t.Fatalf("ledger queue stats %+v, rings counted %+v; want %d pops in some batch calls", got, rings, 40*50)
 	}
 }

@@ -219,7 +219,7 @@ func (in *Injector) Plan() Plan { return in.plan }
 func (in *Injector) Fired() bool { return in.fired.Load() }
 
 // QueueReports returns the per-queue drain/stats reports recorded through
-// the QueueObserver hook (RAMR runs only).
+// the QueueObserver hook (RAMR runs and stream sessions).
 func (in *Injector) QueueReports() []QueueReport { return in.rec.Reports() }
 
 // fire marks the fault as triggered.

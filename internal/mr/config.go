@@ -117,15 +117,14 @@ type Config struct {
 	// append per span on the hot path; each worker's lane becomes
 	// readable when that worker exits.
 	Trace *obs.Recorder
-	// Telemetry, when non-nil, enables the live observability layer:
-	// per-worker counters, a background sampler recording every SPSC
-	// ring's occupancy and each worker's state, and Prometheus/JSON
-	// export. The engines register their queues and workers at run start
-	// and attach the resulting report to Result.Telemetry. Like Hooks,
-	// the field is nil-checked once per worker outside the hot loops;
-	// with it nil the engines pay nothing, with it set the hot path pays
-	// only local (per-worker, uncontended) atomic increments amortized
-	// over slabs, batches and tasks.
+	// Telemetry, when non-nil, samples the run: a background goroutine
+	// records every SPSC ring's occupancy and each worker's state, and the
+	// run's ledger and samples are exported to Prometheus/JSON, with the
+	// report attached to Result.Telemetry. The ledger itself is always on:
+	// every worker books its counters on its own shard, with uncontended
+	// atomics at task ends and consume rounds, never per pair and without
+	// allocating, whether or not this is set. Setting it adds the sampler
+	// goroutine and, on the Phoenix++ engine only, a per-pair emit count.
 	Telemetry *telemetry.Telemetry
 	// Hooks is the test-only fault-injection surface (see Hooks). It
 	// must be nil outside tests; engines never touch a nil Hooks on the

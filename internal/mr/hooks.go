@@ -34,9 +34,10 @@ type Hooks struct {
 	// OnAbort runs once, when the first worker trips the abort flag.
 	OnAbort func()
 	// QueueObserver runs after the pipeline has shut down, once per
-	// mapper queue, error or not (RAMR engine only). It is the
-	// invariant checker's window into drain state and conservation
-	// counters for runs that die mid-pipeline and return no Result.
+	// mapper queue, error or not (the RAMR engine and stream sessions).
+	// It is the invariant checker's window into drain state and the
+	// rings' own counters, for runs that die mid-pipeline and return no
+	// Result, and the ground truth a run's ledger is checked against.
 	QueueObserver func(queue int, drained bool, stats spsc.Stats)
 }
 

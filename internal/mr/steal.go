@@ -1,10 +1,6 @@
 package mr
 
-import (
-	"fmt"
-
-	"ramr/internal/topology"
-)
+import "fmt"
 
 // StealPolicy selects how idle mappers obtain work once their locality
 // group's task deque drains (§III task steering, extended with OS4M-style
@@ -48,13 +44,14 @@ func ParseStealPolicy(s string) (StealPolicy, error) {
 }
 
 // StealStats aggregates the map phase's task-steering counters across all
-// mappers of one RAMR run, bucketed by topology.StealClass. "Local" takes
-// are ordinary dequeues from the mapper's own group; "socket" and "remote"
-// count true steals, split by whether a shared cache level still spans
-// thief and victim. Counted at take time; RemoteExecuted is counted at
-// task completion, so for an uncancelled run
-// RemoteExecuted == SocketTasks + RemoteTasks exactly (a stolen batch is
-// executed privately by the thief and never re-enqueued).
+// mappers of one RAMR run, bucketed by topology.StealClass, as core.Books
+// reads them off the run's ledger. "Local" takes are ordinary dequeues
+// from the mapper's own group; "socket" and "remote" count true steals,
+// split by whether a shared cache level still spans thief and victim.
+// Counted at take time; RemoteExecuted is counted at task completion, so
+// for an uncancelled run RemoteExecuted == SocketTasks + RemoteTasks
+// exactly (a stolen batch is executed privately by the thief and never
+// re-enqueued).
 type StealStats struct {
 	LocalBatches   uint64 `json:"local_batches"`
 	LocalTasks     uint64 `json:"local_tasks"`
@@ -65,22 +62,7 @@ type StealStats struct {
 	RemoteExecuted uint64 `json:"remote_executed"`
 }
 
-// AddClass folds one take of n tasks in the given class into the stats.
-func (s *StealStats) AddClass(c topology.StealClass, tasks uint64) {
-	switch c {
-	case topology.StealLocal:
-		s.LocalBatches++
-		s.LocalTasks += tasks
-	case topology.StealSocket:
-		s.SocketBatches++
-		s.SocketTasks += tasks
-	case topology.StealRemote:
-		s.RemoteBatches++
-		s.RemoteTasks += tasks
-	}
-}
-
-// Add folds another run's (or worker's) stats into the aggregate.
+// Add folds another run's stats into the aggregate.
 func (s *StealStats) Add(o StealStats) {
 	s.LocalBatches += o.LocalBatches
 	s.LocalTasks += o.LocalTasks
@@ -93,9 +75,6 @@ func (s *StealStats) Add(o StealStats) {
 
 // StolenTasks returns the tasks moved out of their seeded group.
 func (s StealStats) StolenTasks() uint64 { return s.SocketTasks + s.RemoteTasks }
-
-// StolenBatches returns the number of successful steal operations.
-func (s StealStats) StolenBatches() uint64 { return s.SocketBatches + s.RemoteBatches }
 
 // TotalTasks returns all tasks taken, local and stolen.
 func (s StealStats) TotalTasks() uint64 { return s.LocalTasks + s.StolenTasks() }

@@ -37,7 +37,7 @@ func Run[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 // RunContext is Run with cancellation: workers stop taking tasks after
 // their current one once ctx is cancelled, and the context's error is
 // returned.
-func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (*mr.Result[K, R], error) {
+func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (_ *mr.Result[K, R], err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,14 +56,20 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 
 	res := &mr.Result[K, R]{}
 
-	// Telemetry is captured into a local once (like Hooks); Stop is
-	// deferred so error returns never leak the sampler goroutine. The
-	// fused engine has no queues to probe, but its counters and worker
-	// utilization curves make the two engines directly comparable.
+	// Every worker books its tasks on a shard of the run's ledger, like
+	// RAMR's. The sampler, its optional reader, has no queues to probe
+	// here, but the counters and worker utilization curves make the two
+	// engines directly comparable. Its report is built on the way out, so
+	// no return can leak its goroutine.
+	ledger := telemetry.NewLedger("phoenix")
 	tel := cfg.Telemetry
 	if tel != nil {
-		tel.BeginRun("phoenix")
-		defer tel.Stop()
+		tel.BeginRun(ledger)
+		defer func() {
+			if rep := tel.EndRun(res.Phases.SecondsByPhase()); err == nil {
+				res.Telemetry = rep
+			}
+		}()
 	}
 
 	// --- Init: allocate per-worker containers. ---
@@ -102,10 +108,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			defer wg.Done()
 			labels := pprof.Labels("engine", "phoenix", "role", "worker", "worker", strconv.Itoa(w))
 			pprof.Do(ctx, labels, func(context.Context) {
-				var tw *telemetry.Worker
-				if tel != nil {
-					tw = tel.RegisterWorker("worker", w)
-				}
+				tw := ledger.Register("worker", w)
 				defer tw.SetState(telemetry.StateDone)
 				defer func() {
 					if r := recover(); r != nil {
@@ -116,11 +119,12 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 				track := cfg.Trace.Worker("worker", w)
 				defer track.Publish()
 				emit := func(k K, v V) { c.Update(k, v, spec.Combine) }
-				// In the fused engine every emitted pair is combined in
+				// In the fused engine every emitted pair is folded in
 				// place, so one local counter feeds both totals at task
-				// boundaries.
-				emitted := 0
-				if tw != nil {
+				// boundaries. It is the repo's only per-pair counter, so
+				// only a sampled run pays for it.
+				var emitted, folded uint64
+				if tel != nil {
 					inner := emit
 					emit = func(k K, v V) {
 						emitted++
@@ -152,12 +156,10 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 						spec.Map(spec.Splits[s], emit)
 					}
 					end()
-					if tw != nil {
-						tw.AddTasks(1)
-						tw.AddEmitted(emitted)
-						tw.AddCombined(emitted)
-						emitted = 0
-					}
+					folded += emitted
+					tw.AddTask(emitted)
+					tw.StoreFolded(folded)
+					emitted = 0
 				}
 			})
 		}(w, containers[w])
@@ -192,8 +194,5 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	res.Phases.Merge = time.Since(t0)
 
 	res.Pairs = pairs
-	if tel != nil {
-		res.Telemetry = tel.EndRun(res.Phases.SecondsByPhase())
-	}
 	return res, nil
 }

@@ -456,8 +456,8 @@ func (q *Queue[T]) Drained() bool {
 // ConsumerStats returns the consumer-owned counter subset: cumulative
 // pops, empty polls, unforced short polls and batch functor calls. Like
 // ProducerStats this is safe only from the owning (consumer) goroutine
-// while the queue is live; it is how the combiners mirror consumer-side
-// rates into the telemetry layer mid-run.
+// while the queue is live; it is how a combiner slot books its rings on
+// its ledger shard mid-run.
 func (q *Queue[T]) ConsumerStats() (pops, emptyPolls, shortPolls, batchCalls uint64) {
 	return q.cons.pops, q.cons.emptyPolls, q.cons.shortPolls, q.cons.batchCalls
 }
@@ -465,10 +465,10 @@ func (q *Queue[T]) ConsumerStats() (pops, emptyPolls, shortPolls, batchCalls uin
 // ProducerStats returns the producer-owned counter subset. Unlike
 // Snapshot, which reads both sides and therefore requires a quiescent
 // queue, this is safe to call from the producer goroutine at any time —
-// it is how the engines mirror failed-push and parked-time totals into the
-// telemetry layer while the consumer is still running.
-func (q *Queue[T]) ProducerStats() (pushes, failedPush, sleepMicros uint64) {
-	return q.prod.pushes, q.prod.failedPush, q.prod.parkedNanos / 1000
+// it is how a mapper books its ring on its ledger shard while the
+// consumer is still running.
+func (q *Queue[T]) ProducerStats() (pushes, failedPush, spinRounds, sleepMicros uint64) {
+	return q.prod.pushes, q.prod.failedPush, q.prod.spinRounds, q.prod.parkedNanos / 1000
 }
 
 // Snapshot returns a copy of the event counters.

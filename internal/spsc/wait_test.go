@@ -310,7 +310,7 @@ func TestSleepMicrosIsMeasuredParkTime(t *testing.T) {
 	if us := q.Snapshot().SleepMicros; us < 10_000 {
 		t.Fatalf("SleepMicros = %d after a >= 20 ms park", us)
 	}
-	if _, _, us := q.ProducerStats(); us != q.Snapshot().SleepMicros {
+	if _, _, _, us := q.ProducerStats(); us != q.Snapshot().SleepMicros {
 		t.Fatalf("ProducerStats sleep %d != Snapshot %d", us, q.Snapshot().SleepMicros)
 	}
 }

@@ -45,7 +45,6 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
-	cfg.Telemetry = telemetry.New()
 	p, err := New(countSpec(16), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +66,8 @@ func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
 	if h := p.HelpStats(); h != (mr.HelpStats{}) {
 		t.Errorf("help %+v under a one-CPU grant, want none", h)
 	}
-	if c := cfg.Telemetry.CountersNow(); c.Emitted != total || c.Pushes != total || c.Pops != total || c.Folded != 0 || c.Helped != 0 {
-		t.Errorf("session counters %+v: want %d pairs emitted, pushed and popped, none folded in place, no task helped", c, total)
+	if qs, el := p.QueueStats(), p.Stats().Elements; el != total || qs.Pushes != total || qs.Pops != total {
+		t.Errorf("%d elements, queue %+v: want %d pairs emitted, pushed and popped", el, qs, total)
 	}
 	checkNoLeak(t, before)
 }
@@ -184,8 +183,8 @@ func TestConserveMapBoundSession(t *testing.T) {
 		if qs.Pushes+h.CombinerPairs != total || qs.Pops != qs.Pushes {
 			t.Errorf("queue %+v, help %+v: want %d pairs = pushed + folded by slots, every push popped", qs, h, total)
 		}
-		if c := cfg.Telemetry.CountersNow(); c.Emitted != total || c.Helped != h.Tasks || c.Folded != h.CombinerPairs {
-			t.Errorf("telemetry %+v disagrees with help %+v over %d pairs", c, h, total)
+		if el := p.Stats().Elements; el != total {
+			t.Errorf("%d elements emitted, windows folded %d", el, total)
 		}
 		checkNoLeak(t, before)
 	})
@@ -271,4 +270,47 @@ func TestConserveSealWaitsForHelpingSlot(t *testing.T) {
 		}
 		checkNoLeak(t, before)
 	})
+}
+
+// TestUninstrumentedSessionReadsLive: a session started without a Telemetry
+// keeps the same books as a sampled one, and they are live — what its rings
+// and its helping slot have done shows in QueueStats and HelpStats while the
+// session still runs, not only once it has stopped.
+func TestUninstrumentedSessionReadsLive(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var fast atomic.Bool
+	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+	cfg.Mappers = 1
+	cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
+	p, err := New(mixSpec(16, &fast), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for ts, c := range [][]int{{120, 36, 80}, {44, 100, 8, 60}} {
+		if _, err := p.Append(Chunk[int]{Ts: int64(ts), Splits: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var qs mr.QueueStats
+	var h mr.HelpStats
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		qs, h = p.QueueStats(), p.HelpStats()
+		if qs.Pushes > 0 && qs.Pops > 0 && h.Tasks > 0 && h.CombinerPairs > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("live session reads queue %+v, help %+v: want pushes, pops and help before Close", qs, h)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	fast.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := p.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkNoLeak(t, before)
 }

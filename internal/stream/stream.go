@@ -8,9 +8,9 @@
 // loop on every combiner, and the first of the batch run's two
 // work-conserving rules), per-mapper SPSC rings (internal/spsc), private
 // combiner containers (internal/container), the contention-aware pinning
-// plan (core.BuildPlanOn) and live telemetry — but the lifecycle inverts:
-// instead
-// of "partition once, run to drain, merge once", mappers block on a task
+// plan (core.BuildPlanOn) and the run's ledger with its statistics
+// (core.Books) — but the lifecycle inverts: instead of "partition once,
+// run to drain, merge once", mappers block on a task
 // channel fed by Append, combiners fold into per-pane containers keyed by
 // event time, and a sealer goroutine merges, reduces and publishes each
 // window the moment the watermark passes it. In-node combining is what
@@ -200,8 +200,8 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	plan      core.Plan
 	queues    []*spsc.Queue[streamPair[K, V]]
 	gates     []*spsc.Gate // per combiner: where it parks between chunks
-	mirrors   []*telemetry.QueueMirror
 	combs     []*combinerState[K, V]
+	ledger    *telemetry.Ledger // the session's books: a shard per worker
 	tel       *telemetry.Telemetry
 	batch     int // consume batch, clamped to the ring
 
@@ -228,11 +228,8 @@ type Pipeline[S any, K comparable, V, R any] struct {
 
 	chunks        atomic.Int64
 	splits        atomic.Int64
-	elements      atomic.Uint64
 	backpressured atomic.Uint64
 	lateRejected  atomic.Uint64
-	helpTasks     atomic.Uint64 // splits mapped by combiner slots
-	helpPairs     atomic.Uint64 // pairs those splits folded in place
 
 	firstErr mr.FirstError
 	abort    atomic.Bool
@@ -247,9 +244,6 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	stopped    chan struct{} // closed when every goroutine has exited
 	started    bool
 	startAt    time.Time
-
-	finalMu    sync.Mutex
-	finalQueue mr.QueueStats
 }
 
 // New validates the spec and config and builds an unstarted pipeline.
@@ -279,6 +273,7 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 		mappers:    mappers,
 		combiners:  combiners,
 		plan:       core.BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin),
+		ledger:     telemetry.NewLedger("stream"),
 		tel:        cfg.Telemetry,
 		taskCh:     make(chan task[S], win.MaxPending),
 		panes:      make(map[int64]*paneState),
@@ -316,12 +311,15 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 	}
 	p.started = true
 	p.startAt = time.Now()
+	// The sampler is the ledger's one optional reader; it stops with the
+	// session's last worker.
+	stopSampler := func() {}
 	if p.tel != nil {
-		p.tel.BeginRun("stream")
-		p.mirrors = make([]*telemetry.QueueMirror, len(p.queues))
+		p.tel.BeginRun(p.ledger)
 		for i, q := range p.queues {
-			p.mirrors[i] = p.tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
+			p.tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
 		}
+		stopSampler = p.tel.Stop
 	}
 	// The combiner pool is the batch engine's, split over the mappers in
 	// index order (what the plan pinned by).
@@ -333,10 +331,9 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		Engine:   "stream",
 		Queues:   p.queues,
 		Gates:    p.gates,
-		Mirrors:  p.mirrors,
 		Order:    order,
 		CPUs:     p.plan.CombinerCPU,
-		Tel:      p.tel,
+		Ledger:   p.ledger,
 		Hooks:    p.cfg.Hooks,
 		Batch:    p.batch,
 		Apply:    p.foldInto,
@@ -359,16 +356,12 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		p.mapWG.Wait()
 		p.combWG.Wait()
 		<-p.sealerDone
-		var qs mr.QueueStats
-		for _, q := range p.queues {
-			qs.Add(q.Snapshot())
+		if hk := p.cfg.Hooks; hk != nil && hk.QueueObserver != nil {
+			for i, q := range p.queues {
+				hk.QueueObserver(i, q.Drained(), q.Snapshot())
+			}
 		}
-		p.finalMu.Lock()
-		p.finalQueue = qs
-		p.finalMu.Unlock()
-		if p.tel != nil {
-			p.tel.Stop()
-		}
+		stopSampler()
 		close(p.stopped)
 	}()
 	return nil
@@ -471,13 +464,7 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 // already sleeping on full rings drain slower), clamped to [50ms, 2s].
 func (p *Pipeline[S, K, V, R]) retryAfter(pending int) time.Duration {
 	frac := float64(pending) / float64(p.win.MaxPending)
-	d := time.Duration(frac * float64(500*time.Millisecond))
-	if p.tel != nil {
-		c := p.tel.CountersNow()
-		if tot := c.Pushes + c.FailedPush; tot > 0 {
-			d += time.Duration(float64(c.FailedPush) / float64(tot) * float64(500*time.Millisecond))
-		}
-	}
+	d := time.Duration((frac + p.QueueStats().FailedPushRate()) * float64(500*time.Millisecond))
 	if d < 50*time.Millisecond {
 		d = 50 * time.Millisecond
 	}
@@ -521,13 +508,13 @@ func (p *Pipeline[S, K, V, R]) kickSealer() {
 // splitRunner returns lane's body for one split, run by a mapper and by a
 // helping combiner slot: Map with pairs tagged by pane, EndTask (to the ring,
 // or folded into the slot's panes), then pushed strictly before splitsDone —
-// the order the seal's quiesce check relies on. It returns the pair count.
-func (p *Pipeline[S, K, V, R]) splitRunner(lane *core.Lane[streamPair[K, V]]) func(task[S]) uint64 {
+// the order the seal's quiesce check relies on.
+func (p *Pipeline[S, K, V, R]) splitRunner(lane *core.Lane[streamPair[K, V]]) func(task[S]) {
 	var pane int64
 	emit := core.HookEmit(lane, func(k K, v V) {
 		core.Emit(lane, streamPair[K, V]{pane: pane, kv: container.KV[K, V]{K: k, V: v}})
 	})
-	return func(t task[S]) uint64 {
+	return func(t task[S]) {
 		pane = t.pane
 		lane.BeginTask()
 		p.spec.Map(t.split, emit)
@@ -535,10 +522,8 @@ func (p *Pipeline[S, K, V, R]) splitRunner(lane *core.Lane[streamPair[K, V]]) fu
 		ps := p.lookupPane(t.pane)
 		ps.pushed.Add(emitted)
 		ps.splitsDone.Add(1)
-		p.elements.Add(emitted)
 		p.pending.Add(-1)
 		p.kickSealer()
-		return emitted
 	}
 }
 
@@ -549,7 +534,7 @@ func (p *Pipeline[S, K, V, R]) runMapper(i int) {
 	defer p.mapWG.Done()
 	q := p.queues[i]
 	lane := core.NewLane(q, p.cfg.EmitBatch, i, p.cfg.Hooks)
-	lane.Run(context.Background(), "stream", p.plan.MapperCPU[i], p.tel, p.fail, func(tw *telemetry.Worker) {
+	lane.Run(context.Background(), "stream", p.plan.MapperCPU[i], p.ledger, p.fail, func(tw *telemetry.Worker) {
 		run := p.splitRunner(lane)
 		for {
 			select {
@@ -593,8 +578,7 @@ func (p *Pipeline[S, K, V, R]) helper(_ int, lane *core.Lane[streamPair[K, V]], 
 				p.pending.Add(-1)
 				return false
 			}
-			p.helpPairs.Add(run(t))
-			p.helpTasks.Add(1)
+			run(t)
 			return true
 		default:
 			return false
@@ -604,8 +588,10 @@ func (p *Pipeline[S, K, V, R]) helper(_ int, lane *core.Lane[streamPair[K, V]], 
 
 // HelpStats counts the splits combiner slots mapped and the pairs they folded
 // in place; a session has no mapper-side fold, so MapperPairs is always 0.
+// Like QueueStats it is read from the session's ledger, live or stopped.
 func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
-	return mr.HelpStats{Tasks: p.helpTasks.Load(), CombinerPairs: p.helpPairs.Load()}
+	_, _, help := core.Books(p.ledger.Totals())
+	return help
 }
 
 // foldInto returns combiner j's fold: each consumed ring segment is split
@@ -879,7 +865,7 @@ func (p *Pipeline[S, K, V, R]) Stats() Stats {
 	st := Stats{
 		Chunks:        p.chunks.Load(),
 		Splits:        p.splits.Load(),
-		Elements:      p.elements.Load(),
+		Elements:      p.ledger.Totals().Emitted,
 		Pending:       p.pending.Load(),
 		MaxPending:    p.win.MaxPending,
 		MaxTs:         p.maxTs.Load(),
@@ -906,27 +892,11 @@ func (p *Pipeline[S, K, V, R]) Stats() Stats {
 	return st
 }
 
-// QueueStats returns the aggregated SPSC counters. Exact after the
-// session stopped; while live it approximates from telemetry mirrors
-// (zero without telemetry).
+// QueueStats returns the SPSC counters summed over the session's rings,
+// read from its ledger: live while it runs (each side as of its worker's
+// last task end or consume round), exact once it has stopped.
 func (p *Pipeline[S, K, V, R]) QueueStats() mr.QueueStats {
-	select {
-	case <-p.stopped:
-		p.finalMu.Lock()
-		defer p.finalMu.Unlock()
-		return p.finalQueue
-	default:
-	}
-	var qs mr.QueueStats
-	if p.tel != nil {
-		c := p.tel.CountersNow()
-		qs.Pushes = c.Pushes
-		qs.FailedPush = c.FailedPush
-		qs.Pops = c.Pops
-		qs.EmptyPolls = c.EmptyPolls
-		qs.ShortPolls = c.ShortPolls
-		qs.BatchCalls = c.BatchCalls
-	}
+	qs, _, _ := core.Books(p.ledger.Totals())
 	return qs
 }
 

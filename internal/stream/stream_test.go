@@ -162,9 +162,8 @@ func TestTumblingConservation(t *testing.T) {
 	if got := mapperTakes.Load() + h.Tasks; got != uint64(st.Splits) || h.MapperPairs != 0 {
 		t.Errorf("mapper takes %d + helped %d = %d splits, want %d (help %+v)", mapperTakes.Load(), h.Tasks, got, st.Splits, h)
 	}
-	if c := cfg.Telemetry.CountersNow(); c.Emitted != total || c.Pushes+h.CombinerPairs != total || c.Pops != c.Pushes ||
-		c.Helped != h.Tasks || c.Folded != h.CombinerPairs {
-		t.Errorf("session counters %+v, help %+v: want %d pairs emitted = pushed + folded by slots, every push popped", c, h, total)
+	if qs := p.QueueStats(); st.Elements != total || qs.Pushes+h.CombinerPairs != total || qs.Pops != qs.Pushes {
+		t.Errorf("%d elements, queue %+v, help %+v: want %d pairs emitted = pushed + folded by slots, every push popped", st.Elements, qs, h, total)
 	}
 	checkNoLeak(t, before)
 }

@@ -150,8 +150,8 @@ func TestCheckExpositionCatchesDefects(t *testing.T) {
 
 func TestCheckExpositionAcceptsRealExposition(t *testing.T) {
 	tm := New()
-	tm.BeginRun("RAMR")
-	tm.RegisterWorker("mapper", 0).AddEmitted(10)
+	l := begin(tm, "RAMR")
+	l.Register("mapper", 0).AddTask(10)
 	var buf bytes.Buffer
 	if err := tm.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -2,10 +2,13 @@ package telemetry_test
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/phoenix"
 	"ramr/internal/spsc"
+	"ramr/internal/stream"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
@@ -58,12 +62,28 @@ func testConfig() mr.Config {
 	return cfg
 }
 
+// ringTruth sums the rings' own counters as Hooks.QueueObserver hands them
+// over once the pipeline has shut down: the ground truth the ledger's view
+// of a run must equal.
+type ringTruth struct {
+	mu    sync.Mutex
+	stats mr.QueueStats
+	rings int
+}
+
+func (r *ringTruth) observe(_ int, _ bool, s spsc.Stats) {
+	r.mu.Lock()
+	r.stats.Add(s)
+	r.rings++
+	r.mu.Unlock()
+}
+
 // TestConservationRAMR runs WordCount on the decoupled engine and checks
-// the full conservation chain: every pair counted at the emit closure was
-// fed to Combine, either through a ring (pushed == popped) or where it was
-// emitted, and the telemetry totals say the same as the run's own books. It
-// runs twice: conserving work, and under a one-CPU grant, where nothing may
-// be folded in place and every pair is a ring's.
+// the full conservation chain against the rings' own counters: every pair
+// counted at the emit closure was fed to Combine, either through a ring
+// (pushed == popped) or where it was emitted. It runs twice: conserving
+// work, and under a one-CPU grant, where nothing may be folded in place and
+// every pair is a ring's.
 func TestConservationRAMR(t *testing.T) {
 	t.Run("conserving", func(t *testing.T) { conservationRAMR(t, nil) })
 	t.Run("one-cpu-grant", func(t *testing.T) { conservationRAMR(t, []int{0}) })
@@ -74,6 +94,8 @@ func conservationRAMR(t *testing.T, grant []int) {
 	cfg := testConfig()
 	cfg.CPUGrant = grant
 	cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
+	var truth ringTruth
+	cfg.Hooks = &mr.Hooks{QueueObserver: truth.observe}
 
 	res, err := core.Run(spec, cfg)
 	if err != nil {
@@ -84,6 +106,9 @@ func conservationRAMR(t *testing.T, grant []int) {
 		t.Fatal("Result.Telemetry is nil with Config.Telemetry set")
 	}
 	qs, help := res.QueueStats, res.Help
+	if qs != truth.stats || truth.rings != cfg.Mappers {
+		t.Fatalf("queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
+	}
 	if rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
 		t.Fatalf("telemetry emitted %d, combined %d, want both %d", rep.Totals.Emitted, rep.Totals.Combined, emits)
 	}
@@ -93,14 +118,8 @@ func conservationRAMR(t *testing.T, grant []int) {
 	if qs.Pops != qs.Pushes {
 		t.Fatalf("pops %d != pushes %d", qs.Pops, qs.Pushes)
 	}
-	if got := (mr.HelpStats{Tasks: rep.Totals.TasksHelped, CombinerPairs: rep.Totals.FoldedByCombiners, MapperPairs: rep.Totals.FoldedByMappers}); got != help {
-		t.Fatalf("telemetry totals %+v, Result.Help %+v", got, help)
-	}
 	if want := len(mr.Tasks(len(spec.Splits), cfg.TaskSize)); rep.Totals.Tasks != uint64(want) {
 		t.Fatalf("telemetry counted %d tasks, want %d", rep.Totals.Tasks, want)
-	}
-	if rep.Totals.Batches != qs.BatchCalls {
-		t.Fatalf("telemetry batches %d, queue batch calls %d", rep.Totals.Batches, qs.BatchCalls)
 	}
 	if grant != nil && (help != (mr.HelpStats{}) || qs.BatchCalls == 0) {
 		t.Fatalf("one-CPU grant: help %+v, %d batch calls; want no help and every pair through a ring", help, qs.BatchCalls)
@@ -111,7 +130,7 @@ func conservationRAMR(t *testing.T, grant []int) {
 	if len(rep.Queues) != cfg.Mappers {
 		t.Fatalf("%d queue reports, want %d", len(rep.Queues), cfg.Mappers)
 	}
-	// Mapper failed-push/sleep mirrors must agree with the queue totals.
+	// The mappers' shards hold their rings' producer side.
 	var fp, sl uint64
 	for _, w := range rep.Workers {
 		if w.Role == "mapper" {
@@ -119,8 +138,127 @@ func conservationRAMR(t *testing.T, grant []int) {
 			sl += w.SleepMicros
 		}
 	}
-	if fp != qs.FailedPush || sl != qs.SleepMicros {
-		t.Fatalf("producer mirror: fp %d/%d, sleep %d/%d", fp, qs.FailedPush, sl, qs.SleepMicros)
+	if fp != truth.stats.FailedPush || sl != truth.stats.SleepMicros {
+		t.Fatalf("mapper shards: fp %d/%d, sleep %d/%d", fp, truth.stats.FailedPush, sl, truth.stats.SleepMicros)
+	}
+}
+
+// TestLedgerIdentity: a batch run's and a stream session's statistics are
+// views of one ledger, and the ledger is exact. Each runs conserving work
+// and under a one-CPU grant, each with and without a Telemetry, on tiny
+// rings (16 slots, slabs of 3) so every wait and fold path is taken. In
+// every case the queue stats equal the sum of the rings' own snapshots on
+// all eight fields, emitted equals the pairs the input holds, and mapper
+// takes plus helped tasks equal the task count.
+func TestLedgerIdentity(t *testing.T) {
+	for _, grant := range []struct {
+		name string
+		cpus []int
+	}{{"conserving", nil}, {"one-cpu-grant", []int{0}}} {
+		for _, sampled := range []bool{false, true} {
+			name := fmt.Sprintf("%s/telemetry=%v", grant.name, sampled)
+			t.Run("batch/"+name, func(t *testing.T) { ledgerIdentityBatch(t, grant.cpus, sampled) })
+			t.Run("stream/"+name, func(t *testing.T) { ledgerIdentityStream(t, grant.cpus, sampled) })
+		}
+	}
+}
+
+// identityConfig is the tiny-ring configuration of TestLedgerIdentity,
+// counting map tasks by the pool that ran them and collecting the rings'
+// ground truth.
+func identityConfig(grant []int, sampled bool, truth *ringTruth, mapperTasks, slotTasks *atomic.Uint64) mr.Config {
+	cfg := testConfig()
+	cfg.CPUGrant = grant
+	cfg.QueueCapacity, cfg.EmitBatch, cfg.BatchSize = 16, 3, 4
+	if sampled {
+		cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
+	}
+	cfg.Hooks = &mr.Hooks{
+		QueueObserver: truth.observe,
+		MapTask: func(w int) {
+			if w < cfg.Mappers {
+				mapperTasks.Add(1)
+			} else {
+				slotTasks.Add(1)
+			}
+		},
+	}
+	return cfg
+}
+
+func ledgerIdentityBatch(t *testing.T, grant []int, sampled bool) {
+	spec, emits := wcSpec(120)
+	var truth ringTruth
+	var mapperTasks, slotTasks atomic.Uint64
+	cfg := identityConfig(grant, sampled, &truth, &mapperTasks, &slotTasks)
+	res, err := core.Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, help := res.QueueStats, res.Help
+	if qs != truth.stats || truth.rings != cfg.Mappers {
+		t.Fatalf("ledger queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
+	}
+	if qs.Pushes+help.Pairs() != emits || qs.Pops != qs.Pushes {
+		t.Fatalf("%d pushed (%d popped) + %d folded in place, want %d emitted", qs.Pushes, qs.Pops, help.Pairs(), emits)
+	}
+	tasks := uint64(len(mr.Tasks(len(spec.Splits), cfg.TaskSize)))
+	if res.Steal.TotalTasks() != mapperTasks.Load() || help.Tasks != slotTasks.Load() || res.Steal.TotalTasks()+help.Tasks != tasks {
+		t.Fatalf("mapper takes %d (ran %d) + helped %d (ran %d), want %d tasks",
+			res.Steal.TotalTasks(), mapperTasks.Load(), help.Tasks, slotTasks.Load(), tasks)
+	}
+	if grant != nil && help != (mr.HelpStats{}) {
+		t.Fatalf("one-CPU grant helped: %+v", help)
+	}
+	if rep := res.Telemetry; sampled && (rep == nil || rep.Totals.Emitted != emits || rep.Totals.Combined != emits) {
+		t.Fatalf("report %+v, want %d pairs emitted and combined", rep, emits)
+	}
+}
+
+func ledgerIdentityStream(t *testing.T, grant []int, sampled bool) {
+	spec, emits := wcSpec(120)
+	var truth ringTruth
+	var mapperTasks, slotTasks atomic.Uint64
+	cfg := identityConfig(grant, sampled, &truth, &mapperTasks, &slotTasks)
+	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: len(spec.Splits)}
+	p, err := stream.New(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const chunks = 4
+	per := len(spec.Splits) / chunks
+	for c := 0; c < chunks; c++ {
+		if _, err := p.Append(stream.Chunk[string]{Ts: int64(c), Splits: spec.Splits[c*per : (c+1)*per]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := p.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	qs, help := p.QueueStats(), p.HelpStats()
+	if qs != truth.stats || truth.rings != cfg.Mappers {
+		t.Fatalf("ledger queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
+	}
+	if got := p.Stats().Elements; got != emits || qs.Pushes+help.Pairs() != emits || qs.Pops != qs.Pushes {
+		t.Fatalf("%d elements, %d pushed (%d popped) + %d folded in place, want %d emitted", got, qs.Pushes, qs.Pops, help.Pairs(), emits)
+	}
+	if mapperTasks.Load()+help.Tasks != uint64(len(spec.Splits)) || help.Tasks != slotTasks.Load() || help.MapperPairs != 0 {
+		t.Fatalf("mapper takes %d + helped %d (ran %d), want %d splits; help %+v",
+			mapperTasks.Load(), help.Tasks, slotTasks.Load(), len(spec.Splits), help)
+	}
+	if grant != nil && help != (mr.HelpStats{}) {
+		t.Fatalf("one-CPU grant helped: %+v", help)
+	}
+	if !sampled {
+		return
+	}
+	if rep := cfg.Telemetry.EndRun(nil); rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
+		t.Fatalf("report totals %+v, want %d pairs emitted and combined", rep.Totals, emits)
 	}
 }
 
@@ -185,7 +323,7 @@ func TestSamplerRaceCap2(t *testing.T) {
 	// which is the traffic the probe must not race with.
 	q := spsc.MustNew[int](2, spsc.WaitBusy)
 	tel := &telemetry.Telemetry{Interval: 20 * time.Microsecond, MaxSamples: 128}
-	tel.BeginRun("race")
+	tel.BeginRun(telemetry.NewLedger("race"))
 	tel.RegisterQueue("cap2", q)
 	defer tel.Stop()
 

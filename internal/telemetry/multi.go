@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"sync"
 )
@@ -109,14 +108,4 @@ func (m *Multi) WritePrometheus(w io.Writer) error {
 		return extra(w)
 	}
 	return nil
-}
-
-// Handler returns an http.Handler serving the aggregate exposition, for
-// services that mount /metrics on their own mux.
-func (m *Multi) Handler() http.Handler { return metricsHandler(m.WritePrometheus) }
-
-// NewMultiServer starts a Server (metrics + pprof) for the aggregator on
-// addr (":0" picks a free port — see Server.Addr).
-func NewMultiServer(m *Multi, addr string) (*Server, error) {
-	return newServer(m.WritePrometheus, addr)
 }

@@ -14,9 +14,9 @@ import (
 func newRun(t *testing.T, workerEmitted int, depth int) *Telemetry {
 	t.Helper()
 	tel := &Telemetry{Interval: time.Millisecond}
-	tel.BeginRun("ramr")
+	l := begin(tel, "ramr")
 	tel.RegisterQueue("mapper-0", &fakeProbe{depth: depth, cap: 8})
-	tel.RegisterWorker("mapper", 0).AddEmitted(workerEmitted)
+	l.Register("mapper", 0).AddTask(uint64(workerEmitted))
 	t.Cleanup(tel.Stop)
 	return tel
 }

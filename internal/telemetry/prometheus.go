@@ -31,10 +31,12 @@ func (t *Telemetry) snap(labels string) promSnap {
 	defer t.mu.Unlock()
 	s := promSnap{
 		labels:    labels,
-		engine:    t.engine,
-		workers:   append([]*Worker(nil), t.workers...),
+		workers:   t.workersLocked(),
 		queues:    append([]registeredQueue(nil), t.queues...),
 		imbalance: t.lastImbalance,
+	}
+	if t.ledger != nil {
+		s.engine = t.ledger.engine
 	}
 	if !t.start.IsZero() {
 		s.elapsed = time.Since(t.start)
@@ -69,12 +71,12 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 	counter("ramr_worker_pairs_emitted_total", "Intermediate pairs emitted by Map.",
 		func(w *Worker) uint64 { return w.emitted.Load() })
 	counter("ramr_worker_pairs_combined_total", "Intermediate pairs folded by Combine.",
-		func(w *Worker) uint64 { return w.combined.Load() })
+		(*Worker).combined)
 	counter("ramr_worker_tasks_total", "Completed map tasks.",
 		func(w *Worker) uint64 { return w.tasks.Load() })
 	counter("ramr_worker_batches_total", "Consumed queue segments.",
-		func(w *Worker) uint64 { return w.batches.Load() })
-	counter("ramr_worker_failed_pushes_total", "Push wait rounds that found the ring full.",
+		func(w *Worker) uint64 { return w.batchCalls.Load() })
+	counter("ramr_worker_failed_pushes_total", "Push wait rounds that found the ring full, plus slabs the ring refused and the mapper folded.",
 		func(w *Worker) uint64 { return w.failedPush.Load() })
 	counter("ramr_worker_sleep_microseconds_total", "Microseconds producers spent parked on a full ring (measured wall time).",
 		func(w *Worker) uint64 { return w.sleepMicros.Load() })

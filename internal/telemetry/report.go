@@ -45,22 +45,35 @@ type WorkerReport struct {
 	Busy        float64 `json:"busy"`
 }
 
-// Totals sums the worker counters across the run.
+// Totals is a Ledger's sum over its shards: the run's books.
+// mr.Result's QueueStats, Steal and Help are converted from it
+// (core.Books), and a Report carries it as is.
 type Totals struct {
 	Emitted        uint64 `json:"pairs_emitted"`
-	Combined       uint64 `json:"pairs_combined"`
+	Combined       uint64 `json:"pairs_combined"` // popped from a ring, or folded where emitted
 	Tasks          uint64 `json:"tasks"`
-	Batches        uint64 `json:"batches"`
+	Batches        uint64 `json:"batches"` // consume batch calls
 	FailedPush     uint64 `json:"failed_pushes"`
 	SleepMicros    uint64 `json:"sleep_micros"`
 	LocalTakes     uint64 `json:"steal_local_tasks"`
 	SocketSteals   uint64 `json:"steal_socket_tasks"`
 	RemoteSteals   uint64 `json:"steal_remote_tasks"`
 	RemoteExecuted uint64 `json:"remote_executed"`
-	// The mr.HelpStats of the run, summed from the worker shards.
+	// The mr.HelpStats of the run.
 	TasksHelped       uint64 `json:"tasks_helped,omitempty"`
 	FoldedByCombiners uint64 `json:"pairs_folded_by_combiners,omitempty"`
 	FoldedByMappers   uint64 `json:"pairs_folded_by_mappers,omitempty"`
+	// The rest of the ring and steal counters. A job document carries
+	// them under its queue and steal sections, so the report's JSON
+	// leaves them out.
+	Pushes        uint64 `json:"-"`
+	SpinRounds    uint64 `json:"-"`
+	Pops          uint64 `json:"-"`
+	EmptyPolls    uint64 `json:"-"`
+	ShortPolls    uint64 `json:"-"`
+	LocalBatches  uint64 `json:"-"`
+	SocketBatches uint64 `json:"-"`
+	RemoteBatches uint64 `json:"-"`
 }
 
 // SamplePoint is one time-series entry in the JSON report. Depths index
@@ -97,7 +110,6 @@ type Report struct {
 // t.mu is held and the sampler is stopped.
 func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 	rep := &Report{
-		Engine:         t.engine,
 		DurationMicros: time.Since(t.start).Microseconds(),
 		PhaseSeconds:   phases,
 	}
@@ -129,7 +141,7 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 		})
 	}
 
-	for wi, w := range t.workers {
+	for wi, w := range t.workersLocked() {
 		busySamples, helpSamples, total := 0, 0, 0
 		for _, s := range samples {
 			if wi >= len(s.States) {
@@ -149,9 +161,9 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 			Role:           w.role,
 			ID:             w.id,
 			Emitted:        w.emitted.Load(),
-			Combined:       w.combined.Load(),
+			Combined:       w.combined(),
 			Tasks:          w.tasks.Load(),
-			Batches:        w.batches.Load(),
+			Batches:        w.batchCalls.Load(),
 			FailedPush:     w.failedPush.Load(),
 			SleepMicros:    w.sleepMicros.Load(),
 			LocalTakes:     w.stealTasks[0].Load(),
@@ -166,22 +178,9 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 			wr.Helping = float64(helpSamples) / float64(total)
 		}
 		rep.Workers = append(rep.Workers, wr)
-		rep.Totals.Emitted += wr.Emitted
-		rep.Totals.Combined += wr.Combined
-		rep.Totals.Tasks += wr.Tasks
-		rep.Totals.Batches += wr.Batches
-		rep.Totals.FailedPush += wr.FailedPush
-		rep.Totals.SleepMicros += wr.SleepMicros
-		rep.Totals.LocalTakes += wr.LocalTakes
-		rep.Totals.SocketSteals += wr.SocketSteals
-		rep.Totals.RemoteSteals += wr.RemoteSteals
-		rep.Totals.RemoteExecuted += wr.RemoteExecuted
-		rep.Totals.TasksHelped += wr.TasksHelped
-		if wr.Role == "combiner" {
-			rep.Totals.FoldedByCombiners += wr.PairsFolded
-		} else {
-			rep.Totals.FoldedByMappers += wr.PairsFolded
-		}
+	}
+	if t.ledger != nil {
+		rep.Engine, rep.Totals = t.ledger.engine, t.ledger.Totals()
 	}
 
 	imb := make([]float64, 0, len(samples))

@@ -10,7 +10,7 @@ import (
 // 1.0 for uniform (and all-empty) depths.
 func TestSampleImbalance(t *testing.T) {
 	tel := &Telemetry{Interval: time.Hour} // only the forced EndRun sample
-	tel.BeginRun("ramr")
+	begin(tel, "ramr")
 	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 30, cap: 100})
 	tel.RegisterQueue("mapper-1", &fakeProbe{depth: 10, cap: 100})
 	tel.RegisterQueue("mapper-2", &fakeProbe{depth: 20, cap: 100})
@@ -24,7 +24,7 @@ func TestSampleImbalance(t *testing.T) {
 	}
 
 	tel2 := &Telemetry{Interval: time.Hour}
-	tel2.BeginRun("ramr")
+	begin(tel2, "ramr")
 	tel2.RegisterQueue("mapper-0", &fakeProbe{depth: 0, cap: 100})
 	tel2.RegisterQueue("mapper-1", &fakeProbe{depth: 0, cap: 100})
 	rep2 := tel2.EndRun(nil)
@@ -37,19 +37,21 @@ func TestSampleImbalance(t *testing.T) {
 // accumulates, and the report totals fold all workers.
 func TestWorkerStealCounters(t *testing.T) {
 	tel := &Telemetry{Interval: time.Hour}
-	tel.BeginRun("ramr")
-	w0 := tel.RegisterWorker("mapper", 0)
-	w1 := tel.RegisterWorker("mapper", 1)
+	l := begin(tel, "ramr")
+	w0 := l.Register("mapper", 0)
+	w1 := l.Register("mapper", 1)
 	w0.AddSteal(0, 5) // local
 	w0.AddSteal(2, 3) // remote
-	w0.AddRemoteExecuted(3)
+	for range 3 {
+		w0.AddRemoteExecuted()
+	}
 	w1.AddSteal(1, 2) // socket
-	w1.AddRemoteExecuted(2)
-	w1.AddSteal(99, 7) // out of range: dropped
-	w1.AddSteal(1, 0)  // zero tasks: dropped
+	w1.AddRemoteExecuted()
+	w1.AddRemoteExecuted()
 	rep := tel.EndRun(nil)
 	tot := rep.Totals
-	if tot.LocalTakes != 5 || tot.SocketSteals != 2 || tot.RemoteSteals != 3 || tot.RemoteExecuted != 5 {
+	if tot.LocalTakes != 5 || tot.SocketSteals != 2 || tot.RemoteSteals != 3 || tot.RemoteExecuted != 5 ||
+		tot.LocalBatches != 1 || tot.SocketBatches != 1 || tot.RemoteBatches != 1 {
 		t.Fatalf("steal totals: %+v", tot)
 	}
 	if rep.Workers[0].RemoteSteals != 3 || rep.Workers[1].SocketSteals != 2 {
@@ -57,24 +59,18 @@ func TestWorkerStealCounters(t *testing.T) {
 	}
 }
 
-// TestWorkerStealNilSafe: nil receivers no-op like every other Worker
-// method.
-func TestWorkerStealNilSafe(t *testing.T) {
-	var w *Worker
-	w.AddSteal(1, 3)
-	w.AddRemoteExecuted(2)
-}
-
 // TestPrometheusStealFamilies: the exposition carries the per-class steal
 // counters and the imbalance gauge.
 func TestPrometheusStealFamilies(t *testing.T) {
 	tel := &Telemetry{Interval: time.Hour}
-	tel.BeginRun("ramr")
+	l := begin(tel, "ramr")
 	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 8, cap: 16})
 	tel.RegisterQueue("mapper-1", &fakeProbe{depth: 0, cap: 16})
-	w := tel.RegisterWorker("mapper", 0)
+	w := l.Register("mapper", 0)
 	w.AddSteal(2, 4)
-	w.AddRemoteExecuted(4)
+	for range 4 {
+		w.AddRemoteExecuted()
+	}
 	tel.EndRun(nil)
 
 	var sb strings.Builder

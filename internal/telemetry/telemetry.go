@@ -4,35 +4,31 @@
 // class stays (§III-B's mapper/combiner ratio) — into data any run can
 // produce, while a job is still executing.
 //
-// Three pieces:
+// Two layers:
 //
-//   - Per-worker sharded counters. Each worker goroutine owns a Worker
-//     record of atomic counters (pairs emitted/combined, tasks, batches,
-//     failed pushes, sleep time) plus a state word. Workers only ever touch
-//     their own record, so with telemetry enabled the hot path pays local,
-//     uncontended atomic increments — amortized further by the engines,
-//     which add per slab/batch/task rather than per pair. With
-//     Config.Telemetry nil the engines skip registration entirely and pay
-//     nothing.
+//   - The ledger, always on. Each pipeline goroutine owns a Worker shard of
+//     its run's Ledger (tasks, emitted, folded and helped counts, its
+//     rings' producer or consumer counters, steal takes) plus a state word.
+//     The worker is its only writer and writes at task ends, consume rounds
+//     and worker exit, never per pair, with uncontended atomics. Every run
+//     statistic — mr.Result's queue/steal/help counts, a stream session's
+//     live stats, a Report's Totals, the Prometheus counters — is a view
+//     of Ledger.Totals or of the shards.
 //
-//   - A background sampler. At a configurable interval it snapshots every
-//     registered queue's depth (via the non-invasive Probe — spsc.Queue's
-//     Len/Cap satisfy it) and every worker's state into a bounded
-//     time-series, yielding queue-occupancy-over-time and worker
-//     utilization curves per run. The series decimates itself when full
-//     (drop every other sample, double the stride), so it always spans the
-//     whole run in bounded memory.
+//   - The optional Telemetry, a reader of the ledger. A background sampler
+//     snapshots every registered queue's depth (via the non-invasive Probe
+//     — spsc.Queue's Len/Cap satisfy it) and every worker's state into a
+//     bounded, self-decimating time-series, yielding occupancy-over-time
+//     and utilization curves; exporters turn ledger and series into
+//     Prometheus text (WritePrometheus, served by Server or Multi), a
+//     structured JSON Report (attached to mr.Result, dumpable from
+//     cmd/ramrbench via -metrics-out) and a human-readable Summary.
 //
-//   - Exporters. Prometheus text-format exposition (WritePrometheus,
-//     optionally served live together with net/http/pprof by Server), a
-//     structured JSON run report (Report, attached to mr.Result and
-//     dumpable from cmd/ramrbench via -metrics-out), and a human-readable
-//     summary (Report.Summary).
-//
-// A Telemetry records one run at a time: BeginRun resets the registries
-// and starts the sampler, EndRun stops it and builds the Report. Reusing
-// one Telemetry across sequential runs is fine (the bench harness does);
-// sharing one across concurrent runs is not.
+// A Telemetry records one run at a time: BeginRun attaches the run's
+// ledger, resets the queue registry and starts the sampler, EndRun stops
+// it and builds the Report. Reusing one Telemetry across sequential runs
+// is fine (the bench harness does); sharing one across concurrent runs is
+// not.
 package telemetry
 
 import (
@@ -96,41 +92,49 @@ func (s State) String() string {
 	}
 }
 
-// Worker is one worker goroutine's private counter shard. All methods are
-// safe on a nil receiver (no-ops), so engine code can hold a nil *Worker
-// when telemetry is disabled and call unconditionally off the innermost
-// loops. Counters are atomics because the sampler and exporters read them
-// concurrently; only the owning worker writes them, so the adds never
-// contend.
+// Worker is one pipeline goroutine's shard of its run's Ledger. Only the
+// owning goroutine writes it, and only at coarse boundaries: the engine's
+// worker loop adds tasks, emitted pairs, helped tasks and steal takes per
+// task, and stores the plain counters it keeps itself — its ring's
+// producer side and its lane's fold count at task end and lane exit, the
+// consumer side of a slot's rings once per consume round. Counters are
+// atomics because the sampler, exporters and live stats read them
+// concurrently; the writes never contend.
 type Worker struct {
 	engine string
 	role   string
 	id     int
 
-	state    atomic.Uint32
-	emitted  atomic.Uint64
-	combined atomic.Uint64
-	tasks    atomic.Uint64
-	batches  atomic.Uint64
+	state   atomic.Uint32
+	emitted atomic.Uint64
+	tasks   atomic.Uint64
 	// helped counts the map tasks a combiner slot ran (they are in tasks
 	// too); folded the pairs a worker folded where they were emitted — a
-	// helping slot's, or a mapper's whose ring was full (they are in
-	// emitted and in combined too, and never crossed a ring).
+	// helping slot's, a mapper's whose ring was full, or every pair of a
+	// fused Phoenix++ worker. They are in emitted and never crossed a ring.
 	helped atomic.Uint64
 	folded atomic.Uint64
-	// pushes, failedPush and sleepMicros mirror the producer-owned spsc
-	// counters (absolute values, stored not added) so they stay readable
-	// while the consumer side is still running. pushes exists so a live
-	// reader can form a failed-push *rate* from the mirrors.
+	// The producer side of a mapper's ring and the consumer side of a
+	// slot's rings, summed over the rings it owns: absolute values, stored
+	// not added. A ring has one producer and one consumer for the whole
+	// run, so the shards sum to the rings' totals without double counting.
 	pushes      atomic.Uint64
 	failedPush  atomic.Uint64
+	spinRounds  atomic.Uint64
 	sleepMicros atomic.Uint64
+	pops        atomic.Uint64
+	emptyPolls  atomic.Uint64
+	shortPolls  atomic.Uint64
+	batchCalls  atomic.Uint64
 	// Work-stealing counters, indexed by steal class (0 local take,
 	// 1 socket steal, 2 remote steal — topology.StealClass values; the
 	// int indexing keeps telemetry free of a topology dependency).
 	stealBatches   [NumStealClasses]atomic.Uint64
 	stealTasks     [NumStealClasses]atomic.Uint64
 	remoteExecuted atomic.Uint64
+	// A cache line of padding keeps the next shard's counters, written by
+	// another worker, off this shard's last line.
+	_ [64]byte
 }
 
 // Steal class indices and labels, mirroring topology.StealClass.
@@ -140,120 +144,129 @@ const NumStealClasses = 3
 var StealClassNames = [NumStealClasses]string{"local", "socket", "remote"}
 
 // SetState publishes the worker's activity phase for the sampler.
-func (w *Worker) SetState(s State) {
-	if w != nil {
-		w.state.Store(uint32(s))
-	}
+func (w *Worker) SetState(s State) { w.state.Store(uint32(s)) }
+
+// AddTask books one finished map task and the pairs it emitted.
+func (w *Worker) AddTask(emitted uint64) {
+	w.tasks.Add(1)
+	w.emitted.Add(emitted)
 }
 
-// AddEmitted counts n intermediate pairs emitted by this worker's Map.
-func (w *Worker) AddEmitted(n int) {
-	if w != nil && n > 0 {
-		w.emitted.Add(uint64(n))
-	}
-}
+// AddHelped counts one map task run by a combiner slot.
+func (w *Worker) AddHelped() { w.helped.Add(1) }
 
-// AddCombined counts n intermediate pairs folded into this worker's
-// container by Combine.
-func (w *Worker) AddCombined(n int) {
-	if w != nil && n > 0 {
-		w.combined.Add(uint64(n))
-	}
-}
-
-// AddTasks counts n completed map tasks.
-func (w *Worker) AddTasks(n int) {
-	if w != nil && n > 0 {
-		w.tasks.Add(uint64(n))
-	}
-}
-
-// AddHelped counts n map tasks run by a combiner slot.
-func (w *Worker) AddHelped(n int) {
-	if w != nil && n > 0 {
-		w.helped.Add(uint64(n))
-	}
-}
-
-// AddFolded counts n pairs folded where they were emitted instead of being
-// sent through a ring.
-func (w *Worker) AddFolded(n int) {
-	if w != nil && n > 0 {
-		w.folded.Add(uint64(n))
-	}
-}
+// StoreFolded stores the pairs the worker has folded where they were
+// emitted so far.
+func (w *Worker) StoreFolded(n uint64) { w.folded.Store(n) }
 
 // AddSteal counts one take of n tasks in the given steal class (a
-// topology.StealClass value); out-of-range classes are dropped.
-func (w *Worker) AddSteal(class int, n int) {
-	if w != nil && class >= 0 && class < NumStealClasses && n > 0 {
-		w.stealBatches[class].Add(1)
-		w.stealTasks[class].Add(uint64(n))
-	}
+// topology.StealClass value).
+func (w *Worker) AddSteal(class int, n uint64) {
+	w.stealBatches[class].Add(1)
+	w.stealTasks[class].Add(n)
 }
 
-// AddRemoteExecuted counts n completed map tasks that this worker stole
+// AddRemoteExecuted counts one completed map task that this worker stole
 // from another locality group's deque.
-func (w *Worker) AddRemoteExecuted(n int) {
-	if w != nil && n > 0 {
-		w.remoteExecuted.Add(uint64(n))
+func (w *Worker) AddRemoteExecuted() { w.remoteExecuted.Add(1) }
+
+// StoreProducer stores the producer side of the worker's ring, as
+// spsc.Queue.ProducerStats returns it.
+func (w *Worker) StoreProducer(pushes, failedPush, spinRounds, sleepMicros uint64) {
+	w.pushes.Store(pushes)
+	w.failedPush.Store(failedPush)
+	w.spinRounds.Store(spinRounds)
+	w.sleepMicros.Store(sleepMicros)
+}
+
+// StoreConsumer stores the consumer side of the worker's rings, summed over
+// them from spsc.Queue.ConsumerStats.
+func (w *Worker) StoreConsumer(pops, emptyPolls, shortPolls, batchCalls uint64) {
+	w.pops.Store(pops)
+	w.emptyPolls.Store(emptyPolls)
+	w.shortPolls.Store(shortPolls)
+	w.batchCalls.Store(batchCalls)
+}
+
+// combined is the pairs the worker fed to Combine: popped from its rings,
+// or folded where they were emitted.
+func (w *Worker) combined() uint64 { return w.pops.Load() + w.folded.Load() }
+
+// Ledger is one run's set of books: a Worker shard per pipeline goroutine,
+// registered whether or not a Telemetry samples the run. Every statistic a
+// run reports — its queue, steal and help counts, a stream session's live
+// stats, a Report's Totals, the Prometheus counters — is a view of it.
+type Ledger struct {
+	engine  string
+	mu      sync.Mutex
+	workers []*Worker
+}
+
+// NewLedger returns an empty ledger for one run of engine.
+func NewLedger(engine string) *Ledger { return &Ledger{engine: engine} }
+
+// Register adds a shard for worker id of role and returns it. Safe to
+// call concurrently from worker goroutines.
+func (l *Ledger) Register(role string, id int) *Worker {
+	w := &Worker{engine: l.engine, role: role, id: id}
+	l.mu.Lock()
+	l.workers = append(l.workers, w)
+	l.mu.Unlock()
+	return w
+}
+
+// shards returns the registered shards. The slice is only ever appended
+// to, so a reader may range over it without the lock.
+func (l *Ledger) shards() []*Worker {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.workers
+}
+
+// Totals sums the shards: the run's books at this instant, exact once its
+// workers have exited. Safe to call while the run is live.
+func (l *Ledger) Totals() Totals {
+	var t Totals
+	for _, w := range l.shards() {
+		t.Emitted += w.emitted.Load()
+		t.Combined += w.combined()
+		t.Tasks += w.tasks.Load()
+		t.Pushes += w.pushes.Load()
+		t.FailedPush += w.failedPush.Load()
+		t.SpinRounds += w.spinRounds.Load()
+		t.SleepMicros += w.sleepMicros.Load()
+		t.Pops += w.pops.Load()
+		t.EmptyPolls += w.emptyPolls.Load()
+		t.ShortPolls += w.shortPolls.Load()
+		t.Batches += w.batchCalls.Load()
+		t.LocalBatches += w.stealBatches[0].Load()
+		t.SocketBatches += w.stealBatches[1].Load()
+		t.RemoteBatches += w.stealBatches[2].Load()
+		t.LocalTakes += w.stealTasks[0].Load()
+		t.SocketSteals += w.stealTasks[1].Load()
+		t.RemoteSteals += w.stealTasks[2].Load()
+		t.RemoteExecuted += w.remoteExecuted.Load()
+		t.TasksHelped += w.helped.Load()
+		switch w.role {
+		case "combiner":
+			t.FoldedByCombiners += w.folded.Load()
+		case "mapper":
+			t.FoldedByMappers += w.folded.Load()
+		}
 	}
+	return t
 }
 
-// AddBatches counts n consumed queue segments (combiner side).
-func (w *Worker) AddBatches(n int) {
-	if w != nil && n > 0 {
-		w.batches.Add(uint64(n))
-	}
-}
-
-// StoreProducer mirrors the producer-owned queue counters (cumulative
-// pushes, failed pushes and microseconds slept on a full ring). Call from
-// the producer goroutine with spsc.Queue.ProducerStats values.
-func (w *Worker) StoreProducer(pushes, failedPush, sleepMicros uint64) {
-	if w != nil {
-		w.pushes.Store(pushes)
-		w.failedPush.Store(failedPush)
-		w.sleepMicros.Store(sleepMicros)
-	}
-}
-
-// QueueMirror holds one queue's consumer-side counter mirrors. The spsc
-// consumer counters are owned by the consuming goroutine and unreadable
-// from anywhere else while the run is live; the pipeline kernel's consume
-// loop stores cumulative ConsumerStats values here once per polling round,
-// for every driver (batch runs and stream sessions alike). A queue has one
-// consumer for the whole run, so only that slot ever stores here; readers
-// (CountersNow, the service's /stats) see cumulative per-queue values that
-// can be summed without double counting. All methods are nil-safe.
-type QueueMirror struct {
-	pops       atomic.Uint64
-	emptyPolls atomic.Uint64
-	shortPolls atomic.Uint64
-	batchCalls atomic.Uint64
-}
-
-// StoreConsumer mirrors spsc.Queue.ConsumerStats values. Call from the
-// queue's current consumer goroutine.
-func (m *QueueMirror) StoreConsumer(pops, emptyPolls, shortPolls, batchCalls uint64) {
-	if m != nil {
-		m.pops.Store(pops)
-		m.emptyPolls.Store(emptyPolls)
-		m.shortPolls.Store(shortPolls)
-		m.batchCalls.Store(batchCalls)
-	}
-}
-
-// registeredQueue pairs a probe with its report label and consumer
-// mirror.
+// registeredQueue pairs a probe with its report label.
 type registeredQueue struct {
-	name   string
-	probe  Probe
-	mirror *QueueMirror
+	name  string
+	probe Probe
 }
 
-// Telemetry collects one run's live metrics. The zero value is usable:
-// unset knobs take the Default* values at BeginRun.
+// Telemetry is the optional reader of one run's Ledger: it samples ring
+// depths and worker states over time, builds the occupancy/busy/imbalance
+// Report and exports it all to Prometheus and JSON. The zero value is
+// usable: unset knobs take the Default* values at BeginRun.
 type Telemetry struct {
 	// Interval is the sampling period; 0 selects DefaultInterval.
 	Interval time.Duration
@@ -261,16 +274,10 @@ type Telemetry struct {
 	// reached the series decimates (halves resolution) so it still spans
 	// the whole run. 0 selects DefaultMaxSamples.
 	MaxSamples int
-	// Addr is the listen address a Server should use when one is started
-	// for this Telemetry ("" means no server); see NewServer. The field
-	// exists so the whole observability setup can travel inside
-	// mr.Config.
-	Addr string
 
 	mu            sync.Mutex
-	engine        string
+	ledger        *Ledger
 	start         time.Time
-	workers       []*Worker
 	queues        []registeredQueue
 	series        *series
 	stop          chan struct{}
@@ -282,15 +289,14 @@ type Telemetry struct {
 // New returns a Telemetry with default knobs, ready for mr.Config.
 func New() *Telemetry { return &Telemetry{} }
 
-// BeginRun clears any previous run's registrations and starts the
-// background sampler. Engines call it once at run start when
-// Config.Telemetry is non-nil.
-func (t *Telemetry) BeginRun(engine string) {
+// BeginRun clears any previous run's registrations, attaches the run's
+// ledger and starts the background sampler. Engines call it once at run
+// start when Config.Telemetry is non-nil.
+func (t *Telemetry) BeginRun(l *Ledger) {
 	t.mu.Lock()
 	t.stopLocked()
-	t.engine = engine
+	t.ledger = l
 	t.start = time.Now()
-	t.workers = nil
 	t.queues = nil
 	interval := t.Interval
 	if interval <= 0 {
@@ -310,25 +316,20 @@ func (t *Telemetry) BeginRun(engine string) {
 	go t.sampleLoop(interval, stop, done)
 }
 
-// RegisterWorker adds a worker shard for the current run and returns it.
-// Safe to call concurrently from worker goroutines.
-func (t *Telemetry) RegisterWorker(role string, id int) *Worker {
+// RegisterQueue adds a queue depth probe for the current run.
+func (t *Telemetry) RegisterQueue(name string, p Probe) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := &Worker{engine: t.engine, role: role, id: id}
-	t.workers = append(t.workers, w)
-	return w
+	t.queues = append(t.queues, registeredQueue{name: name, probe: p})
 }
 
-// RegisterQueue adds a queue depth probe for the current run and returns
-// the queue's consumer mirror (callers that do not mirror may discard
-// it).
-func (t *Telemetry) RegisterQueue(name string, p Probe) *QueueMirror {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := &QueueMirror{}
-	t.queues = append(t.queues, registeredQueue{name: name, probe: p, mirror: m})
-	return m
+// workersLocked returns the attached ledger's shards (none before the
+// first BeginRun); t.mu is held.
+func (t *Telemetry) workersLocked() []*Worker {
+	if t.ledger == nil {
+		return nil
+	}
+	return t.ledger.shards()
 }
 
 // sampleLoop drives the sampler until stop closes.
@@ -374,9 +375,9 @@ func (t *Telemetry) sample(force bool) {
 		}
 		t.lastImbalance = s.Imbalance
 	}
-	if len(t.workers) > 0 {
-		s.States = make([]State, len(t.workers))
-		for i, w := range t.workers {
+	if workers := t.workersLocked(); len(workers) > 0 {
+		s.States = make([]State, len(workers))
+		for i, w := range workers {
 			s.States[i] = State(w.state.Load())
 		}
 	}
@@ -386,50 +387,6 @@ func (t *Telemetry) sample(force bool) {
 		t.series.add(s)
 	}
 	t.mu.Unlock()
-}
-
-// Counters is a point-in-time aggregate of the live counter mirrors: the
-// producer side summed over worker shards, the consumer side summed over
-// queue mirrors. Values are cumulative since BeginRun; a reader forms
-// rates by differencing two snapshots.
-type Counters struct {
-	// Producer side (worker shards).
-	Emitted    uint64
-	Combined   uint64
-	Pushes     uint64
-	FailedPush uint64
-	Helped     uint64 // map tasks run by combiner slots
-	Folded     uint64 // pairs folded where they were emitted, by either pool
-	// Consumer side (queue mirrors).
-	Pops       uint64
-	EmptyPolls uint64
-	ShortPolls uint64
-	BatchCalls uint64
-}
-
-// CountersNow snapshots the aggregate counters for the current run. Safe
-// to call concurrently with the run.
-func (t *Telemetry) CountersNow() Counters {
-	t.mu.Lock()
-	workers := t.workers
-	queues := t.queues
-	t.mu.Unlock()
-	var c Counters
-	for _, w := range workers {
-		c.Emitted += w.emitted.Load()
-		c.Combined += w.combined.Load()
-		c.Pushes += w.pushes.Load()
-		c.FailedPush += w.failedPush.Load()
-		c.Helped += w.helped.Load()
-		c.Folded += w.folded.Load()
-	}
-	for _, q := range queues {
-		c.Pops += q.mirror.pops.Load()
-		c.EmptyPolls += q.mirror.emptyPolls.Load()
-		c.ShortPolls += q.mirror.shortPolls.Load()
-		c.BatchCalls += q.mirror.batchCalls.Load()
-	}
-	return c
 }
 
 // stopLocked halts the sampler; callers hold t.mu. The lock is released

@@ -21,6 +21,13 @@ type fakeProbe struct {
 func (p *fakeProbe) Len() int { return p.depth }
 func (p *fakeProbe) Cap() int { return p.cap }
 
+// begin starts tel's run on a fresh ledger and returns the ledger.
+func begin(tel *Telemetry, engine string) *Ledger {
+	l := NewLedger(engine)
+	tel.BeginRun(l)
+	return l
+}
+
 func TestSeriesDecimates(t *testing.T) {
 	s := newSeries(8)
 	for i := 0; i < 100; i++ {
@@ -68,17 +75,16 @@ func TestPercentiles(t *testing.T) {
 
 func TestEndRunBuildsReport(t *testing.T) {
 	tel := &Telemetry{Interval: time.Millisecond, MaxSamples: 64}
-	tel.BeginRun("ramr")
+	l := begin(tel, "ramr")
 	q := &fakeProbe{depth: 250, cap: 1000}
 	tel.RegisterQueue("mapper-0", q)
-	w := tel.RegisterWorker("mapper", 0)
+	w := l.Register("mapper", 0)
 	w.SetState(StateWorking)
-	w.AddEmitted(100)
-	w.AddTasks(2)
-	w.StoreProducer(100, 7, 13)
-	cw := tel.RegisterWorker("combiner", 0)
-	cw.AddCombined(100)
-	cw.AddBatches(4)
+	w.AddTask(60)
+	w.AddTask(40)
+	w.StoreProducer(100, 7, 0, 13)
+	cw := l.Register("combiner", 0)
+	cw.StoreConsumer(100, 0, 0, 4)
 	time.Sleep(5 * time.Millisecond)
 	rep := tel.EndRun(map[string]float64{"map-combine": 0.5})
 
@@ -118,7 +124,7 @@ func TestEndRunForcesASampleOnShortRuns(t *testing.T) {
 	// A run far shorter than the sampling interval must still produce a
 	// non-empty series (EndRun takes one final forced sample).
 	tel := &Telemetry{Interval: time.Hour}
-	tel.BeginRun("ramr")
+	begin(tel, "ramr")
 	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 1, cap: 2})
 	rep := tel.EndRun(nil)
 	if rep.SampleCount == 0 {
@@ -145,40 +151,42 @@ func TestSeriesForceBypassesStride(t *testing.T) {
 	}
 }
 
-func TestCountersNowAggregates(t *testing.T) {
-	tel := &Telemetry{Interval: time.Hour}
-	tel.BeginRun("ramr")
-	defer tel.Stop()
-	w0 := tel.RegisterWorker("mapper", 0)
-	w0.AddEmitted(10)
-	w0.StoreProducer(10, 2, 5)
-	w1 := tel.RegisterWorker("mapper", 1)
-	w1.AddEmitted(4)
-	w1.StoreProducer(4, 1, 0)
-	cw := tel.RegisterWorker("combiner", 0)
-	cw.AddCombined(14)
-	m0 := tel.RegisterQueue("mapper-0", &fakeProbe{cap: 8})
-	m0.StoreConsumer(10, 3, 2, 1)
-	m1 := tel.RegisterQueue("mapper-1", &fakeProbe{cap: 8})
-	m1.StoreConsumer(4, 1, 1, 1)
+// TestLedgerTotalsAggregates: a ledger's totals sum its shards, with no
+// Telemetry attached: the producer side over mappers, the consumer side
+// over slots, and the folds split by the role that made them.
+func TestLedgerTotalsAggregates(t *testing.T) {
+	l := NewLedger("ramr")
+	w0 := l.Register("mapper", 0)
+	w0.AddTask(10)
+	w0.StoreProducer(8, 2, 6, 5)
+	w0.StoreFolded(2)
+	w1 := l.Register("mapper", 1)
+	w1.AddTask(4)
+	w1.StoreProducer(4, 1, 0, 0)
+	cw := l.Register("combiner", 0)
+	cw.StoreConsumer(12, 4, 3, 2)
+	cw.AddTask(3)
+	cw.AddHelped()
+	cw.StoreFolded(3)
 
-	got := tel.CountersNow()
-	want := Counters{
-		Emitted: 14, Combined: 14, Pushes: 14, FailedPush: 3,
-		Pops: 14, EmptyPolls: 4, ShortPolls: 3, BatchCalls: 2,
+	got := l.Totals()
+	want := Totals{
+		Emitted: 17, Combined: 17, Tasks: 3, Pushes: 12, FailedPush: 3, SpinRounds: 6, SleepMicros: 5,
+		Pops: 12, EmptyPolls: 4, ShortPolls: 3, Batches: 2,
+		TasksHelped: 1, FoldedByCombiners: 3, FoldedByMappers: 2,
 	}
 	if got != want {
-		t.Fatalf("CountersNow = %+v, want %+v", got, want)
+		t.Fatalf("Totals = %+v, want %+v", got, want)
 	}
 }
 
 func TestStopIdempotentAndReusable(t *testing.T) {
 	tel := New()
 	tel.Stop() // never started: no-op
-	tel.BeginRun("ramr")
+	begin(tel, "ramr")
 	tel.Stop()
 	tel.Stop()
-	tel.BeginRun("phoenix")
+	begin(tel, "phoenix")
 	rep := tel.EndRun(nil)
 	if rep.Engine != "phoenix" {
 		t.Fatalf("reuse: engine %q", rep.Engine)
@@ -186,24 +194,12 @@ func TestStopIdempotentAndReusable(t *testing.T) {
 	tel.Stop()
 }
 
-func TestWorkerNilReceiverSafe(t *testing.T) {
-	var w *Worker
-	w.SetState(StateWorking)
-	w.AddEmitted(1)
-	w.AddCombined(1)
-	w.AddTasks(1)
-	w.AddBatches(1)
-	w.StoreProducer(1, 2, 3)
-	var m *QueueMirror
-	m.StoreConsumer(1, 2, 3, 4)
-}
-
 func TestReportJSONAndSummary(t *testing.T) {
 	tel := &Telemetry{Interval: time.Millisecond}
-	tel.BeginRun("ramr")
+	l := begin(tel, "ramr")
 	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 5, cap: 8})
-	w := tel.RegisterWorker("mapper", 0)
-	w.AddEmitted(42)
+	w := l.Register("mapper", 0)
+	w.AddTask(42)
 	rep := tel.EndRun(map[string]float64{"map-combine": 1})
 
 	var buf bytes.Buffer
@@ -279,10 +275,10 @@ func checkPromText(t *testing.T, r io.Reader) (samples int) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	tel := &Telemetry{Interval: time.Millisecond}
-	tel.BeginRun("ramr")
+	l := begin(tel, "ramr")
 	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 3, cap: 8})
-	w := tel.RegisterWorker("mapper", 0)
-	w.AddEmitted(10)
+	w := l.Register("mapper", 0)
+	w.AddTask(10)
 	defer tel.Stop()
 
 	var buf bytes.Buffer
@@ -306,8 +302,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestServerServesMetricsAndPprof(t *testing.T) {
 	tel := &Telemetry{Interval: time.Millisecond}
-	tel.BeginRun("ramr")
-	tel.RegisterWorker("mapper", 0).AddEmitted(5)
+	l := begin(tel, "ramr")
+	l.Register("mapper", 0).AddTask(5)
 	defer tel.Stop()
 
 	srv, err := NewServer(tel, "127.0.0.1:0")
@@ -346,7 +342,7 @@ func TestServerServesMetricsAndPprof(t *testing.T) {
 // Telemetry per finished job, and each used to pin that job's rings.
 func TestStopReleasesQueueProbes(t *testing.T) {
 	tel := New()
-	tel.BeginRun("test")
+	begin(tel, "test")
 	live := &fakeProbe{depth: 3, cap: 8}
 	tel.RegisterQueue("mapper-0", live)
 	rep := tel.EndRun(nil)
