@@ -37,7 +37,6 @@ import (
 	"ramr/internal/memo"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
-	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 	"ramr/internal/tuner"
@@ -73,15 +72,6 @@ const (
 	PinRAMR       = mr.PinRAMR
 	PinRoundRobin = mr.PinRoundRobin
 	PinNone       = mr.PinNone
-)
-
-// WaitPolicy selects the producer's full-queue behaviour.
-type WaitPolicy = spsc.WaitPolicy
-
-// Wait policies, re-exported from the queue package.
-const (
-	WaitSleep = spsc.WaitSleep
-	WaitBusy  = spsc.WaitBusy
 )
 
 // Machine describes a processor topology for pinning decisions.

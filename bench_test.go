@@ -33,20 +33,7 @@ const benchSeed = 42
 // benchConfig returns a host configuration with the given ratio.
 func benchConfig(ratio int) mr.Config {
 	cfg := mr.DefaultConfig()
-	total := runtime.GOMAXPROCS(0)
-	if total < 2 {
-		total = 2
-	}
-	c := total / (ratio + 1)
-	if c < 1 {
-		c = 1
-	}
-	m := total - c
-	if m < 1 {
-		m = 1
-	}
-	cfg.Mappers = m
-	cfg.Combiners = c
+	cfg.Mappers, cfg.Combiners = mr.SplitWorkers(max(runtime.GOMAXPROCS(0), 2), ratio)
 	return cfg
 }
 
@@ -229,19 +216,63 @@ func BenchmarkFig10Suitability(b *testing.B) {
 
 // BenchmarkAblationPushPolicy compares the two things a producer can do at
 // a full ring: give the processor up and be woken by its consumer (park,
-// the default; the paper slept on a timer, §III-A "sleep on failed push")
-// or busy-wait, the policy the paper abandoned.
+// what PushBatch does; the paper slept on a timer, §III-A "sleep on failed
+// push") or busy-wait, the policy the paper abandoned, written here as a
+// spin on Offer. It runs at ring level, against a consumer slower than its
+// producer, so the ring is full and the policy runs: inside an engine run
+// on a grant with a CPU per worker a mapper folds what its ring refuses and
+// never waits at all. failed/op counts the producer's looks at a full ring
+// (a spin's rounds), parked-us/op the time it spent parked.
 func BenchmarkAblationPushPolicy(b *testing.B) {
-	job := benchJob(b, "LR", false)
+	const n, slab = 1 << 16, mr.DefaultEmitBatch
 	for _, tc := range []struct {
 		name string
-		wait spsc.WaitPolicy
-	}{{"park", spsc.WaitSleep}, {"busy-wait", spsc.WaitBusy}} {
+		push func(q *spsc.Queue[int], vs []int)
+	}{
+		{"park", (*spsc.Queue[int]).PushBatch},
+		{"busy-wait", func(q *spsc.Queue[int], vs []int) {
+			for !q.Offer(vs) {
+				runtime.Gosched()
+			}
+		}},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := benchConfig(1)
-			cfg.Wait = tc.wait
-			cfg.QueueCapacity = 256 // small ring so pushes actually block
-			runJob(b, job, workloads.EngineRAMR, cfg)
+			var failed, parked uint64
+			for i := 0; i < b.N; i++ {
+				q := spsc.MustNew[int](4096, spsc.WaitSleep)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					sum := 0
+					slow := func(seg []int) {
+						for _, v := range seg {
+							for k := 0; k < 16; k++ { // a combine costlier than the emit
+								sum += v ^ k
+							}
+						}
+					}
+					for !q.Drained() {
+						if q.ConsumeBatch(512, q.Closed(), slow) == 0 {
+							runtime.Gosched()
+						}
+					}
+					_ = sum
+				}()
+				vs := make([]int, slab)
+				for v := 0; v < n; v += slab {
+					for j := range vs {
+						vs[j] = v + j
+					}
+					tc.push(q, vs)
+				}
+				q.Close()
+				<-done
+				s := q.Snapshot()
+				failed += s.FailedPush
+				parked += s.SleepMicros
+			}
+			b.ReportMetric(float64(failed)/float64(b.N), "failed/op")
+			b.ReportMetric(float64(parked)/float64(b.N), "parked-us/op")
 		})
 	}
 }
@@ -383,6 +414,7 @@ func BenchmarkAblationTaskQueue(b *testing.B) {
 func BenchmarkAblationQueueKind(b *testing.B) {
 	const n = 1 << 16
 	b.Run("spsc", func(b *testing.B) {
+		one := make([]int, 1)
 		for i := 0; i < b.N; i++ {
 			q := spsc.MustNew[int](4096, spsc.WaitSleep)
 			done := make(chan struct{})
@@ -402,7 +434,8 @@ func BenchmarkAblationQueueKind(b *testing.B) {
 				_ = sum
 			}()
 			for v := 0; v < n; v++ {
-				q.Push(v)
+				one[0] = v
+				q.PushBatch(one)
 			}
 			q.Close()
 			<-done
@@ -424,53 +457,6 @@ func BenchmarkAblationQueueKind(b *testing.B) {
 				ch <- v
 			}
 			close(ch)
-			<-done
-		}
-	})
-}
-
-// BenchmarkAblationQueueGrowth reproduces §III-A's fixed-vs-dynamic queue
-// argument: the fixed ring reuses its storage, the dynamic queue pays the
-// allocator on every segment (watch the allocs/op column).
-func BenchmarkAblationQueueGrowth(b *testing.B) {
-	const n = 1 << 15
-	b.Run("fixed-ring", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := spsc.MustNew[int](4096, spsc.WaitSleep)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for !q.Drained() {
-					if q.ConsumeBatch(512, q.Closed(), func([]int) {}) == 0 {
-						runtime.Gosched()
-					}
-				}
-			}()
-			for v := 0; v < n; v++ {
-				q.Push(v)
-			}
-			q.Close()
-			<-done
-		}
-	})
-	b.Run("dynamic-segments", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q := spsc.NewDynamic[int](4096)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for !q.Drained() {
-					if q.ConsumeBatch(512, true, func([]int) {}) == 0 {
-						runtime.Gosched()
-					}
-				}
-			}()
-			for v := 0; v < n; v++ {
-				q.Push(v)
-			}
-			q.Close()
 			<-done
 		}
 	})
@@ -521,8 +507,8 @@ func BenchmarkSimulators(b *testing.B) {
 // uncachedRef preserves the seed's queue construction — the atomic head
 // consulted on every push, the atomic tail on every consume attempt, no
 // index caches, no batch publish — as the reference baseline the
-// cached-index ring is measured against. Kept minimal: TryPush + batched
-// consume, int elements.
+// cached-index ring is measured against. Kept minimal: a single-element
+// tryPush + batched consume, int elements.
 type uncachedRef struct {
 	buf  []int
 	mask uint64
@@ -594,8 +580,8 @@ func reportPairsPerSec(b *testing.B, moved int) {
 }
 
 // BenchmarkSPSCPush compares single-element producer throughput of the
-// seed's uncached ring against the cached-index ring, with an identical
-// 512-element batched consumer.
+// seed's uncached ring against the cached-index ring's PushBatch of one
+// element, with an identical 512-element batched consumer.
 func BenchmarkSPSCPush(b *testing.B) {
 	b.Run("uncached-ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -620,8 +606,9 @@ func BenchmarkSPSCPush(b *testing.B) {
 		reportPairsPerSec(b, spscBenchN)
 	})
 	b.Run("cached", func(b *testing.B) {
+		one := make([]int, 1)
 		for i := 0; i < b.N; i++ {
-			q := spsc.MustNew[int](4096, spsc.WaitBusy)
+			q := spsc.MustNew[int](4096, spsc.WaitSleep)
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -632,7 +619,8 @@ func BenchmarkSPSCPush(b *testing.B) {
 				}
 			}()
 			for v := 0; v < spscBenchN; v++ {
-				q.Push(v)
+				one[0] = v
+				q.PushBatch(one)
 			}
 			q.Close()
 			<-done
@@ -649,7 +637,7 @@ func BenchmarkSPSCPushBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("b=%d", size), func(b *testing.B) {
 			block := make([]int, size)
 			for i := 0; i < b.N; i++ {
-				q := spsc.MustNew[int](4096, spsc.WaitBusy)
+				q := spsc.MustNew[int](4096, spsc.WaitSleep)
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
@@ -786,7 +774,7 @@ func BenchmarkObsLifecycle(b *testing.B) {
 
 // BenchmarkSPSCEmitBatch is the engine-level before/after of producer-side
 // batching on the two queue-heaviest apps: EmitBatch=1 is the seed's
-// per-pair Push path, EmitBatch=64 the batched default.
+// per-pair publish, EmitBatch=64 the batched default.
 func BenchmarkSPSCEmitBatch(b *testing.B) {
 	for _, app := range []string{"WC", "HG"} {
 		job := benchJob(b, app, false)

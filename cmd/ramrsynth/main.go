@@ -14,33 +14,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/synth"
 	"ramr/internal/workloads"
 )
-
-func parseKernel(s string) (synth.Kernel, error) {
-	kind, intensity, ok := strings.Cut(s, ":")
-	if !ok {
-		return synth.Kernel{}, fmt.Errorf("want kind:intensity (e.g. cpu:60), got %q", s)
-	}
-	n, err := strconv.Atoi(intensity)
-	if err != nil || n < 0 {
-		return synth.Kernel{}, fmt.Errorf("bad intensity %q", intensity)
-	}
-	switch kind {
-	case "cpu":
-		return synth.Kernel{Kind: synth.CPU, Intensity: n}, nil
-	case "memory", "mem":
-		return synth.Kernel{Kind: synth.Memory, Intensity: n}, nil
-	default:
-		return synth.Kernel{}, fmt.Errorf("unknown kernel kind %q (want cpu|memory)", kind)
-	}
-}
 
 func main() {
 	mapK := flag.String("map", "cpu:60", "map kernel as kind:intensity")
@@ -80,15 +59,16 @@ func main() {
 	if *skew != 0 && *skew <= 1 {
 		fatalf("-skew must be 0 (uniform) or > 1 (zipf exponent), got %g", *skew)
 	}
-	if *engine != "ramr" && *engine != "phoenix" {
-		fatalf("unknown engine %q (want ramr|phoenix)", *engine)
+	eng, err := workloads.ParseEngine(*engine)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	mk, err := parseKernel(*mapK)
+	mk, err := synth.ParseKernel(*mapK)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ramrsynth: -map:", err)
 		os.Exit(2)
 	}
-	ck, err := parseKernel(*combK)
+	ck, err := synth.ParseKernel(*combK)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ramrsynth: -combine:", err)
 		os.Exit(2)
@@ -103,30 +83,15 @@ func main() {
 	job := synth.NewJob(params, *seed)
 
 	// Start from the environment so RAMR_* knobs (RAMR_STEAL=off for the
-	// static-steering baseline, RAMR_PIN, RAMR_WAIT, ...) apply; the
+	// static-steering baseline, RAMR_PIN, RAMR_QUEUE_CAP, ...) apply; the
 	// worker split below is derived from -ratio and overrides any
 	// RAMR_MAPPERS/RAMR_COMBINERS setting.
 	cfg, err := mr.FromEnv()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	total := runtime.GOMAXPROCS(0)
-	c := total / (*ratio + 1)
-	if c < 1 {
-		c = 1
-	}
-	m := total - c
-	if m < 1 {
-		m = 1
-	}
-	cfg.Mappers = m
-	cfg.Combiners = c
+	cfg.Mappers, cfg.Combiners = mr.SplitWorkers(runtime.GOMAXPROCS(0), *ratio)
 	cfg.BatchSize = *batch
-
-	eng := workloads.EngineRAMR
-	if *engine == "phoenix" {
-		eng = workloads.EnginePhoenix
-	}
 
 	var collector *obs.Recorder
 	if *traceOut != "" {

@@ -43,18 +43,6 @@ func parseInts(name, s string) ([]int, error) {
 	return out, nil
 }
 
-func parseSize(s string) (workloads.SizeClass, error) {
-	switch strings.ToLower(s) {
-	case "small":
-		return workloads.Small, nil
-	case "medium":
-		return workloads.Medium, nil
-	case "large":
-		return workloads.Large, nil
-	}
-	return 0, fmt.Errorf("-size: want small|medium|large, got %q", s)
-}
-
 // median of measured seconds; mutates vs.
 func median(vs []float64) float64 {
 	sort.Float64s(vs)
@@ -107,9 +95,9 @@ func main() {
 	if *passes < 1 {
 		fail(2, "-passes must be >= 1, got %d", *passes)
 	}
-	sz, err := parseSize(*size)
+	sz, err := workloads.ParseSizeClass(*size)
 	if err != nil {
-		fail(2, "%v", err)
+		fail(2, "-size: %v", err)
 	}
 	space := tuner.Space{}
 	if space.Ratios, err = parseInts("-ratios", *ratios); err != nil {

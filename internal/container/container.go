@@ -29,6 +29,7 @@ package container
 
 import (
 	"fmt"
+	"strings"
 	"unsafe"
 )
 
@@ -74,6 +75,20 @@ func (k Kind) String() string {
 		return "hash"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+}
+
+// ParseKind maps a container name, case-insensitively, to its kind.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "fixedarray", "fixed-array", "array":
+		return KindFixedArray, nil
+	case "fixedhash", "fixed-hash":
+		return KindFixedHash, nil
+	case "hash":
+		return KindHash, nil
+	default:
+		return 0, fmt.Errorf("unknown container %q (want fixedarray|fixedhash|hash)", s)
 	}
 }
 

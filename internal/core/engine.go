@@ -87,7 +87,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	t0 := time.Now()
 	queues := make([]*spsc.Queue[pair[K, V]], mappers)
 	for i := range queues {
-		if queues[i], err = spsc.New[pair[K, V]](cfg.QueueCapacity, cfg.Wait); err != nil {
+		if queues[i], err = spsc.New[pair[K, V]](cfg.QueueCapacity, spsc.WaitSleep); err != nil {
 			return nil, err
 		}
 	}

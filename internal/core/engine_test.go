@@ -7,7 +7,6 @@ import (
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
-	"ramr/internal/spsc"
 	"ramr/internal/topology"
 )
 
@@ -194,22 +193,33 @@ func TestAllPinPoliciesProduceSameResult(t *testing.T) {
 	}
 }
 
+// TestWaitPolicies covers the kernel's two answers to a full ring. On a
+// grant with a CPU per worker a mapper folds the slab its ring refused; on
+// a smaller grant it parks until its combiner has drained the ring, and
+// folds nothing. Both keep the result exact and the books balanced.
 func TestWaitPolicies(t *testing.T) {
-	for _, wait := range []spsc.WaitPolicy{spsc.WaitSleep, spsc.WaitBusy} {
+	for _, tc := range []struct {
+		name string
+		cfg  mr.Config
+		park bool
+	}{{"fold", testConfig(), false}, {"park", parked(testConfig()), true}} {
 		spec := countSpec(10, 100, 5)
-		cfg := testConfig()
-		cfg.Wait = wait
-		cfg.QueueCapacity = 16 // force blocked pushes
+		cfg := tc.cfg
+		cfg.QueueCapacity = 16 // force full rings
 		res, err := Run(spec, cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", wait, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		total := 0
 		for _, p := range res.Pairs {
 			total += p.Value
 		}
 		if total != 1000 {
-			t.Fatalf("%v: total = %d", wait, total)
+			t.Fatalf("%s: total = %d", tc.name, total)
+		}
+		conserved(t, res, 1000)
+		if tc.park && res.Help.MapperPairs != 0 {
+			t.Fatalf("park: mappers folded %d pairs on a grant that parks them", res.Help.MapperPairs)
 		}
 	}
 }
@@ -581,7 +591,7 @@ func TestResultDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestEmitBatchSweep pins that every emit-slab size — including 1 (the
-// single-Push ablation path), an oversize value clamped to the ring, and
+// per-pair publish of the ablation), an oversize value clamped to the ring, and
 // the derived default — yields the identical result and element-exact
 // queue accounting.
 func TestEmitBatchSweep(t *testing.T) {

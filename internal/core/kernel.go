@@ -221,8 +221,8 @@ func (l *Lane[E]) book() (published uint64) {
 	if l.q == nil {
 		return l.folded
 	}
-	pushes, failedPush, spinRounds, slept := l.q.ProducerStats()
-	l.tw.StoreProducer(pushes, failedPush, spinRounds, slept)
+	pushes, failedPush, slept := l.q.ProducerStats()
+	l.tw.StoreProducer(pushes, failedPush, slept)
 	return pushes + l.folded
 }
 
@@ -233,7 +233,6 @@ func Books(t telemetry.Totals) (mr.QueueStats, mr.StealStats, mr.HelpStats) {
 	return mr.QueueStats{
 			Pushes:      t.Pushes,
 			FailedPush:  t.FailedPush,
-			SpinRounds:  t.SpinRounds,
 			Pops:        t.Pops,
 			EmptyPolls:  t.EmptyPolls,
 			ShortPolls:  t.ShortPolls,

@@ -77,7 +77,7 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 				defer prodWG.Done()
 				defer q.Close()
 				for i := 0; i < 10_000 && !abort.Load(); i++ {
-					q.Push(pair[int, int]{K: r, V: i})
+					q.PushBatch([]pair[int, int]{{K: r, V: i}})
 				}
 			}()
 		}

@@ -12,7 +12,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
-	"ramr/internal/spsc"
 	"ramr/internal/topology"
 )
 
@@ -287,7 +286,6 @@ func TestCancelReleasesBlockedProducer(t *testing.T) {
 	cfg.Mappers = 1
 	cfg.Combiners = 1
 	cfg.QueueCapacity = 16
-	cfg.Wait = spsc.WaitSleep
 	rec := recordQueues(&cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -72,7 +72,7 @@ func TestElasticPoolRetireRequiresDrained(t *testing.T) {
 	const held = 6 // a batch of 4 and a remainder of 2
 	qs := testQueues(2)
 	for i := range held {
-		qs[0].Push(pair[int, int]{K: i, V: 1})
+		qs[0].PushBatch([]pair[int, int]{{K: i, V: 1}})
 	}
 	qs[0].Close() // closed but non-empty: not drained
 	qs[1].Close()

@@ -99,12 +99,11 @@ func TestCheckQueues(t *testing.T) {
 
 func TestWorkerStacksFindsQueueWaiter(t *testing.T) {
 	q := spsc.MustNew[int](2, spsc.WaitSleep)
-	q.Push(1)
-	q.Push(2)
+	q.PushBatch([]int{1, 2})
 	blocked := make(chan struct{})
 	go func() {
 		close(blocked)
-		q.Push(3) // parks until the consumer pops
+		q.PushBatch([]int{3}) // parks until the consumer pops
 	}()
 	<-blocked
 	deadline := time.Now().Add(2 * time.Second)
@@ -114,9 +113,7 @@ func TestWorkerStacksFindsQueueWaiter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	q.TryPop() // release the producer
-	q.TryPop()
-	q.TryPop()
+	q.DiscardBatch(2) // release the producer
 	if leaked := AwaitNoWorkers(5 * time.Second); len(leaked) > 0 {
 		t.Fatalf("worker still reported after release:\n%s", leaked[0])
 	}

@@ -12,7 +12,6 @@ import (
 	"ramr/internal/core"
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
-	"ramr/internal/spsc"
 	"ramr/internal/topology"
 )
 
@@ -40,7 +39,6 @@ func newStealScenario(seed int64) stealScenario {
 	cfg.BatchSize = []int{4, 16, 64}[rng.Intn(3)]
 	cfg.EmitBatch = []int{1, 8}[rng.Intn(2)]
 	cfg.TaskSize = 1
-	cfg.Wait = []spsc.WaitPolicy{spsc.WaitSleep, spsc.WaitBusy}[rng.Intn(2)]
 	if rng.Intn(2) == 0 {
 		cfg.Machine = topology.Fig3Example()
 	} else {

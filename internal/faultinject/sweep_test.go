@@ -18,7 +18,6 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/phoenix"
-	"ramr/internal/spsc"
 	"ramr/internal/topology"
 )
 
@@ -90,7 +89,6 @@ func newScenario(seed int64) scenario {
 	cfg.BatchSize = []int{4, 16, 64}[rng.Intn(3)]
 	cfg.EmitBatch = []int{1, 8, 64}[rng.Intn(3)]
 	cfg.TaskSize = 1 + rng.Intn(4)
-	cfg.Wait = []spsc.WaitPolicy{spsc.WaitSleep, spsc.WaitBusy}[rng.Intn(2)]
 	switch rng.Intn(3) {
 	case 0:
 		cfg.Machine = topology.Flat(4)

@@ -50,11 +50,8 @@ func bestRAMRSim(m *topology.Machine, w simarch.Workload, threads int, pin mr.Pi
 	var best simarch.Estimate
 	bestR := 0
 	for _, r := range ratios {
-		c := threads / (r + 1)
-		if c < 1 {
-			c = 1
-		}
-		cfg := simarch.Config{Mappers: threads - c, Combiners: c, Pin: pin, BatchSize: batch, QueueCap: 5000}
+		mappers, combiners := mr.SplitWorkers(threads, r)
+		cfg := simarch.Config{Mappers: mappers, Combiners: combiners, Pin: pin, BatchSize: batch, QueueCap: 5000}
 		est, err := simarch.SimulateRAMR(m, w, cfg)
 		if err != nil {
 			return simarch.Estimate{}, 0, err

@@ -35,20 +35,7 @@ func (o Options) hostConfig(ratio int) mr.Config {
 // bareHostConfig is hostConfig without instrumentation.
 func bareHostConfig(ratio int) mr.Config {
 	cfg := mr.DefaultConfig()
-	total := runtime.GOMAXPROCS(0)
-	if total < 2 {
-		total = 2
-	}
-	c := total / (ratio + 1)
-	if c < 1 {
-		c = 1
-	}
-	m := total - c
-	if m < 1 {
-		m = 1
-	}
-	cfg.Mappers = m
-	cfg.Combiners = c
+	cfg.Mappers, cfg.Combiners = mr.SplitWorkers(max(runtime.GOMAXPROCS(0), 2), ratio)
 	return cfg
 }
 

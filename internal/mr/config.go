@@ -83,12 +83,10 @@ type Config struct {
 	// many emitted pairs locally and publishes them with one PushBatch,
 	// so the queue's shared tail index is touched once per slab instead
 	// of once per pair. 1 disables producer-side batching (each emit is
-	// a single Push — the pre-batching behaviour, kept for ablation);
+	// published alone — the pre-batching behaviour, kept for ablation);
 	// 0 selects DefaultEmitBatch. Like BatchSize, the engine clamps it
 	// to the queue capacity.
 	EmitBatch int
-	// Wait selects the producer's full-queue policy.
-	Wait spsc.WaitPolicy
 	// Pin selects the thread placement policy.
 	Pin PinPolicy
 	// Steal selects the map-phase task steering policy (RAMR only). The
@@ -163,7 +161,6 @@ func DefaultConfig() Config {
 		QueueCapacity: spsc.DefaultCapacity,
 		BatchSize:     DefaultBatchSize,
 		EmitBatch:     DefaultEmitBatch,
-		Wait:          spsc.WaitSleep,
 		Pin:           PinRAMR,
 	}
 }
@@ -180,7 +177,6 @@ const (
 	EnvBatchSize = "RAMR_BATCH_SIZE"
 	EnvEmitBatch = "RAMR_EMIT_BATCH"
 	EnvPin       = "RAMR_PIN"
-	EnvWait      = "RAMR_WAIT"
 	EnvSteal     = "RAMR_STEAL"
 )
 
@@ -225,16 +221,6 @@ func FromEnv() (Config, error) {
 		}
 		c.Steal = p
 	}
-	if s, ok := os.LookupEnv(EnvWait); ok {
-		switch s {
-		case "sleep":
-			c.Wait = spsc.WaitSleep
-		case "busy", "busy-wait":
-			c.Wait = spsc.WaitBusy
-		default:
-			return Config{}, fmt.Errorf("mr: %s=%q: want sleep|busy", EnvWait, s)
-		}
-	}
 	return c, nil
 }
 
@@ -277,6 +263,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mr: EmitBatch must be >= 0 (0 selects the default), got %d", c.EmitBatch)
 	case c.Steal != StealChunked && c.Steal != StealOff:
 		return fmt.Errorf("mr: unknown Steal policy %d", int(c.Steal))
+	case c.Pin != PinRAMR && c.Pin != PinRoundRobin && c.Pin != PinNone:
+		return fmt.Errorf("mr: unknown Pin policy %d", int(c.Pin))
 	}
 	seen := make(map[int]bool, len(c.CPUGrant))
 	for _, cpu := range c.CPUGrant {
@@ -294,36 +282,28 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// SplitWorkers divides n CPUs between the two pools at a mapper-to-combiner
+// ratio (§III-B): combiners get n/(ratio+1), the mappers the rest, and each
+// pool at least one worker. A ratio below 1 counts as 1.
+func SplitWorkers(n, ratio int) (mappers, combiners int) {
+	combiners = max(n/(max(ratio, 1)+1), 1)
+	return max(n-combiners, 1), combiners
+}
+
 // ApplyGrant configures the run for an externally granted CPU set: the
 // grant becomes CPUGrant and the worker counts are resized so the whole
-// pool fits on it — combiners get roughly 1/(Ratio+1) of the grant (the
-// mapper-to-combiner ratio of §III-B applied to a partial machine), the
-// mappers the rest. A one-CPU grant still runs the minimal 1+1 pipeline:
-// one mapper and one combiner sharing the CPU by taking turns on it — the
-// engine conserves work (an idle combiner maps, a back-pressured mapper
-// folds) only on a grant with a CPU for every worker, so here whichever of
-// the two has nothing to do parks and the other gets the CPU. An empty
-// grant is a no-op.
+// pool fits on it (SplitWorkers at the configured Ratio). A one-CPU grant
+// still runs the minimal 1+1 pipeline: one mapper and one combiner sharing
+// the CPU by taking turns on it — the engine conserves work (an idle
+// combiner maps, a back-pressured mapper folds) only on a grant with a CPU
+// for every worker, so here whichever of the two has nothing to do parks
+// and the other gets the CPU. An empty grant is a no-op.
 func (c *Config) ApplyGrant(cpus []int) {
-	n := len(cpus)
-	if n == 0 {
+	if len(cpus) == 0 {
 		return
 	}
 	c.CPUGrant = append([]int(nil), cpus...)
-	r := c.Ratio
-	if r < 1 {
-		r = 1
-	}
-	combiners := n / (r + 1)
-	if combiners < 1 {
-		combiners = 1
-	}
-	mappers := n - combiners
-	if mappers < 1 {
-		mappers = 1
-	}
-	c.Mappers = mappers
-	c.Combiners = combiners
+	c.Mappers, c.Combiners = SplitWorkers(len(cpus), c.Ratio)
 }
 
 // ApplyProfile overwrites the searchable knobs (ratio, queue capacity,

@@ -182,7 +182,6 @@ func (h HelpStats) String() string {
 type QueueStats struct {
 	Pushes      uint64
 	FailedPush  uint64 // wait rounds on a full ring, plus slabs a mapper folded instead of waiting
-	SpinRounds  uint64
 	Pops        uint64
 	EmptyPolls  uint64
 	ShortPolls  uint64
@@ -194,7 +193,6 @@ type QueueStats struct {
 func (q *QueueStats) Add(s spsc.Stats) {
 	q.Pushes += s.Pushes
 	q.FailedPush += s.FailedPush
-	q.SpinRounds += s.SpinRounds
 	q.Pops += s.Pops
 	q.EmptyPolls += s.EmptyPolls
 	q.ShortPolls += s.ShortPolls
@@ -227,10 +225,10 @@ func (q QueueStats) ShortPollRate() float64 {
 	return float64(q.ShortPolls) / float64(total)
 }
 
-// String renders all eight counters plus the derived rates on one line,
+// String renders all seven counters plus the derived rates on one line,
 // the canonical formatting every report path shares.
 func (q QueueStats) String() string {
-	return fmt.Sprintf("%d pushed (%.1f%% failed), %d spin rounds, %d popped, %d batch calls, %d empty polls, %d short polls (%.1f%%), %dus slept",
-		q.Pushes, q.FailedPushRate()*100, q.SpinRounds, q.Pops, q.BatchCalls,
+	return fmt.Sprintf("%d pushed (%.1f%% failed), %d popped, %d batch calls, %d empty polls, %d short polls (%.1f%%), %dus slept",
+		q.Pushes, q.FailedPushRate()*100, q.Pops, q.BatchCalls,
 		q.EmptyPolls, q.ShortPolls, q.ShortPollRate()*100, q.SleepMicros)
 }

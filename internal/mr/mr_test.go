@@ -73,10 +73,37 @@ func TestConfigValidate(t *testing.T) {
 		{Mappers: 1, Ratio: 1, TaskSize: 1, QueueCapacity: 0, BatchSize: 1},
 		{Mappers: 1, Ratio: 1, TaskSize: 1, QueueCapacity: 1, BatchSize: 0},
 		{Mappers: 1, Ratio: 1, TaskSize: 1, QueueCapacity: 1, BatchSize: 1, EmitBatch: -1},
+		{Mappers: 1, Ratio: 1, TaskSize: 1, QueueCapacity: 1, BatchSize: 1, Pin: PinPolicy(7)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestSplitWorkers pins the one worker-split rule to the formula each
+// caller used to write out for itself: combiners get n/(r+1) but at least
+// one, mappers the rest but at least one.
+func TestSplitWorkers(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		for r := 1; r <= 32; r++ {
+			c := n / (r + 1)
+			if c < 1 {
+				c = 1
+			}
+			m := n - c
+			if m < 1 {
+				m = 1
+			}
+			if gm, gc := SplitWorkers(n, r); gm != m || gc != c {
+				t.Fatalf("SplitWorkers(%d, %d) = %d+%d, want %d+%d", n, r, gm, gc, m, c)
+			}
+			cfg := Config{Ratio: r}
+			cfg.ApplyGrant(make([]int, n))
+			if cfg.Mappers != m || cfg.Combiners != c {
+				t.Fatalf("ApplyGrant(%d CPUs) at ratio %d = %d+%d, want %d+%d", n, r, cfg.Mappers, cfg.Combiners, m, c)
+			}
 		}
 	}
 }
@@ -109,7 +136,6 @@ func TestFromEnv(t *testing.T) {
 	t.Setenv(EnvBatchSize, "55")
 	t.Setenv(EnvEmitBatch, "17")
 	t.Setenv(EnvPin, "rr")
-	t.Setenv(EnvWait, "busy")
 	c, err := FromEnv()
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +143,8 @@ func TestFromEnv(t *testing.T) {
 	if c.Mappers != 7 || c.Ratio != 3 || c.TaskSize != 9 || c.QueueCapacity != 123 || c.BatchSize != 55 || c.EmitBatch != 17 {
 		t.Fatalf("env not applied: %+v", c)
 	}
-	if c.Pin != PinRoundRobin || c.Wait != spsc.WaitBusy {
-		t.Fatalf("pin/wait not applied: %+v", c)
+	if c.Pin != PinRoundRobin {
+		t.Fatalf("pin not applied: %+v", c)
 	}
 }
 
@@ -129,7 +155,6 @@ func TestFromEnvRejectsGarbage(t *testing.T) {
 		EnvBatchSize: "-3",
 		EnvEmitBatch: "0",
 		EnvPin:       "sideways",
-		EnvWait:      "spin",
 	} {
 		t.Run(env, func(t *testing.T) {
 			t.Setenv(env, val)
@@ -292,10 +317,10 @@ func TestMergeContainersPanicReported(t *testing.T) {
 
 func TestQueueStatsAdd(t *testing.T) {
 	var agg QueueStats
-	agg.Add(spsc.Stats{Pushes: 10, FailedPush: 1, SpinRounds: 2, Pops: 10,
+	agg.Add(spsc.Stats{Pushes: 10, FailedPush: 1, Pops: 10,
 		EmptyPolls: 3, ShortPolls: 4, BatchCalls: 5, SleepMicros: 6})
 	agg.Add(spsc.Stats{Pushes: 5, FailedPush: 1, Pops: 5, BatchCalls: 1})
-	want := QueueStats{Pushes: 15, FailedPush: 2, SpinRounds: 2, Pops: 15,
+	want := QueueStats{Pushes: 15, FailedPush: 2, Pops: 15,
 		EmptyPolls: 3, ShortPolls: 4, BatchCalls: 6, SleepMicros: 6}
 	if agg != want {
 		t.Fatalf("Add: got %+v, want %+v", agg, want)
@@ -317,10 +342,10 @@ func TestQueueStatsRates(t *testing.T) {
 }
 
 func TestQueueStatsString(t *testing.T) {
-	q := QueueStats{Pushes: 75, FailedPush: 25, SpinRounds: 7, Pops: 75,
+	q := QueueStats{Pushes: 75, FailedPush: 25, Pops: 75,
 		BatchCalls: 50, EmptyPolls: 30, ShortPolls: 20, SleepMicros: 99}
 	s := q.String()
-	for _, want := range []string{"75 pushed", "25.0% failed", "7 spin rounds",
+	for _, want := range []string{"75 pushed", "25.0% failed",
 		"75 popped", "50 batch calls", "30 empty polls", "20 short polls", "99us slept"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q, missing %q", s, want)

@@ -7,6 +7,7 @@ import (
 
 	"ramr/internal/mr"
 	"ramr/internal/topology"
+	"ramr/internal/workloads"
 )
 
 // canonicalForm renders everything a resolved request's computation
@@ -19,8 +20,8 @@ func canonicalForm(req *JobRequest, p *plan) string {
 	c := p.cfg
 	input := fmt.Sprintf("%+v", p.synth)
 	if p.app != "SYNTH" {
-		platform, _ := parsePlatform(req.Platform)
-		class, _ := parseClass(req.Class)
+		platform, _ := workloads.ParsePlatform(req.Platform)
+		class, _ := workloads.ParseSizeClass(req.Class)
 		input = fmt.Sprint(platform, class, p.kind)
 	}
 	var stream mr.StreamSpec

@@ -67,7 +67,7 @@ func resolveSynthParams(sp SynthParams) (synth.Params, error) {
 		p.Keys = sp.Keys
 	}
 	if sp.MapKind != "" || sp.MapIntensity > 0 {
-		k, err := parseKernelKind(sp.MapKind)
+		k, err := synth.ParseKind(sp.MapKind)
 		if err != nil {
 			return p, err
 		}
@@ -77,7 +77,7 @@ func resolveSynthParams(sp SynthParams) (synth.Params, error) {
 		}
 	}
 	if sp.CombineKind != "" || sp.CombineIntensity > 0 {
-		k, err := parseKernelKind(sp.CombineKind)
+		k, err := synth.ParseKind(sp.CombineKind)
 		if err != nil {
 			return p, err
 		}
@@ -154,54 +154,6 @@ type SynthParams struct {
 	Skew float64 `json:"skew,omitempty"`
 }
 
-func parseContainer(s string) (container.Kind, error) {
-	switch strings.ToLower(s) {
-	case "fixedarray", "fixed-array", "array":
-		return container.KindFixedArray, nil
-	case "fixedhash", "fixed-hash":
-		return container.KindFixedHash, nil
-	case "hash":
-		return container.KindHash, nil
-	default:
-		return 0, fmt.Errorf("unknown container %q (want fixedarray|fixedhash|hash)", s)
-	}
-}
-
-func parseKernelKind(s string) (synth.Kind, error) {
-	switch strings.ToLower(s) {
-	case "", "cpu":
-		return synth.CPU, nil
-	case "memory", "mem":
-		return synth.Memory, nil
-	default:
-		return 0, fmt.Errorf("unknown kernel kind %q (want cpu|memory)", s)
-	}
-}
-
-func parsePlatform(s string) (workloads.Platform, error) {
-	switch strings.ToLower(s) {
-	case "", "hwl", "haswell":
-		return workloads.HWL, nil
-	case "phi", "xeon-phi":
-		return workloads.PHI, nil
-	default:
-		return 0, fmt.Errorf("unknown platform %q (want hwl|phi)", s)
-	}
-}
-
-func parseClass(s string) (workloads.SizeClass, error) {
-	switch strings.ToLower(s) {
-	case "", "small":
-		return workloads.Small, nil
-	case "medium":
-		return workloads.Medium, nil
-	case "large":
-		return workloads.Large, nil
-	default:
-		return 0, fmt.Errorf("unknown size class %q (want small|medium|large)", s)
-	}
-}
-
 // plan is a resolved submission: everything admission decides from —
 // the canonical content digest, the scheduling class, the base engine
 // config — and the handful of generator parameters materialise needs to
@@ -254,14 +206,11 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 		mappers: req.Config.Mappers, combiners: req.Config.Combiners,
 	}
 
-	switch strings.ToLower(req.Engine) {
-	case "", "ramr":
-		p.engine = workloads.EngineRAMR
-	case "phoenix", "phoenix++":
-		p.engine = workloads.EnginePhoenix
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want ramr|phoenix)", req.Engine)
+	engine, err := workloads.ParseEngine(req.Engine)
+	if err != nil {
+		return nil, err
 	}
+	p.engine = engine
 	prio, err := sched.ParsePriority(strings.ToLower(req.Priority))
 	if err != nil {
 		return nil, err
@@ -285,11 +234,11 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 			int(sp.CombineKernel.Kind), sp.CombineKernel.Intensity,
 			sp.Skew)
 	default:
-		platform, err := parsePlatform(req.Platform)
+		platform, err := workloads.ParsePlatform(req.Platform)
 		if err != nil {
 			return nil, err
 		}
-		class, err := parseClass(req.Class)
+		class, err := workloads.ParseSizeClass(req.Class)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +249,7 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 		p.params = in.Params
 		p.kind = workloads.StressContainer(p.app)
 		if req.Container != "" {
-			if p.kind, err = parseContainer(req.Container); err != nil {
+			if p.kind, err = container.ParseKind(req.Container); err != nil {
 				return nil, err
 			}
 		}

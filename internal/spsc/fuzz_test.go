@@ -11,8 +11,9 @@ import (
 // block, park and wake each other, where whatever the interleaving the
 // consumer must see exactly the pushed sequence. Byte 0 picks the
 // capacity; each following pair is (operation, argument).
-// numOps is how many operations the fuzz bytes select among: 0 TryPush,
-// 1 PushBatch, 2 TryPop, 3 ConsumeBatch, 4 forced ConsumeBatch,
+// numOps is how many operations the fuzz bytes select among: 0 a single
+// push (an Offer of one element), 1 PushBatch, 2 a single pop (a forced
+// ConsumeBatch of one element), 3 ConsumeBatch, 4 forced ConsumeBatch,
 // 5 DiscardBatch, 6 Close, 7 Flush, 8 Offer.
 const numOps = 9
 
@@ -36,14 +37,15 @@ func FuzzSPSC(f *testing.F) {
 }
 
 // fuzzSequential runs ops on one goroutine, so pushes use only forms that
-// cannot block: TryPush, PushBatch of at most the free space, and Offer of
-// any size — which must go in whole exactly when it fits, and otherwise
-// leave the ring as it was but for a flush request and one failed push.
+// cannot block: PushBatch of at most the free space, and Offer of one
+// element or of any size — which must go in whole exactly when it fits, and
+// otherwise leave the ring as it was but for a flush request and one failed
+// push.
 func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 	q := MustNew[int](capacity, WaitSleep)
 	var model []int
 	next, pushed, popped, mark, closed := 0, 0, 0, 0, false // mark: pushed at the last Flush
-	failed := 0                                             // TryPush and Offer refusals
+	failed := 0                                             // Offer refusals
 	take := func(what string, n int, got []int) {
 		t.Helper()
 		if n != len(got) {
@@ -67,14 +69,15 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 			if closed {
 				continue
 			}
-			if ok := q.TryPush(next); ok != (len(model) < capacity) {
-				t.Fatalf("TryPush = %v with %d of %d buffered", ok, len(model), capacity)
+			if ok := q.Offer([]int{next}); ok != (len(model) < capacity) {
+				t.Fatalf("single push = %v with %d of %d buffered", ok, len(model), capacity)
 			} else if ok {
 				model = append(model, next)
 				next++
 				pushed++
 			} else {
 				failed++
+				mark = pushed
 			}
 		case 1:
 			if closed {
@@ -89,11 +92,12 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 			model = append(model, block...)
 			pushed += len(block)
 		case 2:
-			if v, ok := q.TryPop(); ok != (len(model) > 0) {
-				t.Fatalf("TryPop ok = %v with %d buffered", ok, len(model))
-			} else if ok {
-				take("TryPop", 1, []int{v})
+			var got []int
+			n := q.ConsumeBatch(1, true, func(seg []int) { got = append(got, seg...) })
+			if ok := n == 1; ok != (len(model) > 0) {
+				t.Fatalf("single pop ok = %v with %d buffered", ok, len(model))
 			}
+			take("single pop", n, got)
 		case 3, 4:
 			batch, force := arg%5, op == 4
 			want := max(batch, 1) // non-positive batches are coerced to 1
@@ -151,11 +155,11 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 	}
 }
 
-// fuzzConcurrent gives the push operations to a producer goroutine (Push
-// and PushBatch of any size, which block on a full ring; Offer, which does
-// not, followed by a PushBatch of what it refused) and cycles the consume
-// operations on the caller until the ring is drained, parking whenever one
-// consumes nothing.
+// fuzzConcurrent gives the push operations to a producer goroutine
+// (PushBatch of one element and of any size, which block on a full ring;
+// Offer, which does not, followed by a PushBatch of what it refused) and
+// cycles the consume operations on the caller until the ring is drained,
+// parking whenever one consumes nothing.
 func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 	q, g := gated[int](capacity)
 	qs := []*Queue[int]{q}
@@ -174,7 +178,7 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 		for i := 0; i+1 < len(ops); i += 2 {
 			switch ops[i] % numOps {
 			case 0:
-				q.Push(next)
+				q.PushBatch([]int{next})
 				next++
 			case 1, 8:
 				block := make([]int, ops[i+1])
@@ -202,11 +206,6 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 	for i := 0; !q.Drained(); i = (i + 2) % len(ops) {
 		op, need, n := ops[i]%numOps, 1, 0
 		switch op {
-		case 2:
-			if v, ok := q.TryPop(); ok {
-				check([]int{v})
-				n = 1
-			}
 		case 3, 4:
 			// As in the engines: a batch above the capacity could never
 			// fill, and a closed or flushing ring is force-drained.
@@ -221,7 +220,7 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 			n = q.DiscardBatch(int(ops[i+1]) % 5)
 			expect += n
 		default:
-			// Producer-side bytes: a forced single-element consume, so a
+			// A single pop, and for producer-side bytes the same, so a
 			// sequence with no consumer operation still drains.
 			n = q.ConsumeBatch(1, true, check)
 		}

@@ -6,9 +6,10 @@ import (
 )
 
 // TestRaceMixedProducerConsumer hammers every producer entry point
-// (Push, PushBatch of varying block sizes) against every consumer entry
-// point (TryPop, ConsumeBatch of varying batch sizes, forced and unforced)
-// on wrap-around-sized rings. Run under -race (CI does) it exercises the
+// (PushBatch of one element and of varying block sizes, Offer falling back
+// to PushBatch when refused) against every consumer mode (ConsumeBatch of
+// one element and of varying batch sizes, forced and unforced) on
+// wrap-around-sized rings. Run under -race (CI does) it exercises the
 // cached-index paths for data races; in any mode it asserts the
 // exactly-once, in-order contract — no element lost, duplicated, or
 // reordered. Two of the four consumer modes force-consume partial batches
@@ -17,75 +18,69 @@ import (
 func TestRaceMixedProducerConsumer(t *testing.T) {
 	const n = 5_000
 	for _, capacity := range []int{2, 4} {
-		for _, policy := range []WaitPolicy{WaitSleep, WaitBusy} {
-			q := MustNew[int](capacity, policy)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				expect := 0
-				check := func(b []int) {
-					for _, v := range b {
-						if v != expect {
-							t.Errorf("cap=%d policy=%v: got %d, want %d", capacity, policy, v, expect)
-							return
-						}
-						expect++
+		q := MustNew[int](capacity, WaitSleep)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			expect := 0
+			check := func(b []int) {
+				for _, v := range b {
+					if v != expect {
+						t.Errorf("cap=%d: got %d, want %d", capacity, v, expect)
+						return
 					}
+					expect++
 				}
-				mode := 0
-				for !q.Drained() {
-					consumed := 0
-					switch mode % 4 {
-					case 0:
-						if v, ok := q.TryPop(); ok {
-							check([]int{v})
-							consumed = 1
-						}
-					case 1:
-						consumed = q.ConsumeBatch(2, true, check)
-					case 2:
-						// Unforced: fires only on a full block.
-						consumed = q.ConsumeBatch(2, q.Closed(), check)
-					case 3:
-						consumed = q.ConsumeBatch(3, true, check)
-					}
-					mode++
-					if consumed == 0 {
-						runtime.Gosched()
-					}
-				}
-				if expect != n {
-					t.Errorf("cap=%d policy=%v: consumed %d of %d elements", capacity, policy, expect, n)
-				}
-			}()
-			// Rotate producer modes: single pushes and batches of 1..5
-			// elements, all at least as large as the smallest ring.
-			block := make([]int, 0, 5)
-			v := 0
-			for v < n {
-				switch (v / 7) % 3 {
+			}
+			mode := 0
+			for !q.Drained() {
+				consumed := 0
+				switch mode % 4 {
 				case 0:
-					q.Push(v)
-					v++
-				default:
-					size := 1 + v%5
-					if size > n-v {
-						size = n - v
-					}
-					block = block[:0]
-					for i := 0; i < size; i++ {
-						block = append(block, v+i)
-					}
-					q.PushBatch(block)
-					v += size
+					consumed = q.ConsumeBatch(1, true, check)
+				case 1:
+					consumed = q.ConsumeBatch(2, true, check)
+				case 2:
+					// Unforced: fires only on a full block.
+					consumed = q.ConsumeBatch(2, q.Closed(), check)
+				case 3:
+					consumed = q.ConsumeBatch(3, true, check)
+				}
+				mode++
+				if consumed == 0 {
+					runtime.Gosched()
 				}
 			}
-			q.Close()
-			<-done
-			s := q.Snapshot()
-			if s.Pushes != n || s.Pops != n {
-				t.Fatalf("cap=%d policy=%v: stats pushes=%d pops=%d, want %d", capacity, policy, s.Pushes, s.Pops, n)
+			if expect != n {
+				t.Errorf("cap=%d: consumed %d of %d elements", capacity, expect, n)
 			}
+		}()
+		// Rotate producer modes: single-element pushes, and blocks of 1..5
+		// elements either pushed or offered (a refused offer is pushed).
+		block := make([]int, 0, 5)
+		v := 0
+		for v < n {
+			mode := (v / 7) % 3
+			if mode == 0 {
+				push(q, v)
+				v++
+				continue
+			}
+			size := min(1+v%5, n-v)
+			block = block[:0]
+			for i := 0; i < size; i++ {
+				block = append(block, v+i)
+			}
+			if mode == 1 || !q.Offer(block) {
+				q.PushBatch(block)
+			}
+			v += size
+		}
+		q.Close()
+		<-done
+		s := q.Snapshot()
+		if s.Pushes != n || s.Pops != n {
+			t.Fatalf("cap=%d: stats pushes=%d pops=%d, want %d", capacity, s.Pushes, s.Pops, n)
 		}
 	}
 }

@@ -30,8 +30,9 @@
 //     so here both sides of the handoff wait on events instead (wait.go):
 //     the blocked producer parks and its consumer wakes it once the ring
 //     has drained to half, and a consumer that finds nothing to do parks
-//     on a Gate the next useful push wakes. Busy-waiting is kept so the
-//     ablation benchmark can compare the two.
+//     on a Gate the next useful push wakes. That is the one full-ring
+//     policy; the push-policy ablation benchmark spins on Offer in its own
+//     code to compare it against busy-waiting.
 //
 //   - Batched transfers in both directions: the consumer pops blocks of
 //     contiguous elements and processes them in place (ConsumeBatch), and
@@ -56,40 +57,26 @@ import (
 // per mapper.
 const DefaultCapacity = 32768
 
-// WaitPolicy selects how a producer waits for space in a full ring.
+// WaitPolicy names what a producer does at a full ring. There is one
+// policy, WaitSleep: the producer parks and its consumer wakes it. The type
+// and New's parameter remain only because the benchmark module
+// (bench/probes.go) names them and is changed on its own; New ignores the
+// value.
 type WaitPolicy int
 
-const (
-	// WaitSleep gives the processor up after a failed push — the policy
-	// RAMR ships with. The producer parks and its consumer wakes it.
-	WaitSleep WaitPolicy = iota
-	// WaitBusy spins, yielding the processor between attempts — the
-	// policy the paper originally used and then abandoned; kept for the
-	// ablation study.
-	WaitBusy
-)
-
-// String names the policy for reports.
-func (p WaitPolicy) String() string {
-	switch p {
-	case WaitSleep:
-		return "sleep"
-	case WaitBusy:
-		return "busy-wait"
-	default:
-		return fmt.Sprintf("WaitPolicy(%d)", int(p))
-	}
-}
+// WaitSleep gives the processor up after a failed push: the producer parks
+// and its consumer wakes it.
+const WaitSleep WaitPolicy = 0
 
 // pad keeps the producer and consumer indices on distinct cache lines so
 // the two sides do not false-share.
 type pad [64]byte
 
 // Queue is a bounded single-producer/single-consumer queue of T. Exactly
-// one goroutine may call producer methods (TryPush, Push, PushBatch, Offer,
-// Close) and exactly one may call consumer methods (TryPop, ConsumeBatch,
-// DiscardBatch, Drained); the two may run concurrently. The zero value is
-// not usable; call New.
+// one goroutine may call producer methods (PushBatch, Offer, Flush, Close)
+// and exactly one may call consumer methods (ConsumeBatch, DiscardBatch,
+// Drained); the two may run concurrently. The zero value is not usable;
+// call New.
 //
 // The struct is laid out so that everything the consumer writes (head, its
 // tail cache, its counters) and everything the producer writes (tail, its
@@ -98,10 +85,9 @@ type pad [64]byte
 // fields change only when a side parks, the producer flushes, or the ring
 // changes owner.
 type Queue[T any] struct {
-	buf    []T
-	mask   uint64
-	low    uint64 // a parked producer is woken once this few elements remain
-	policy WaitPolicy
+	buf  []T
+	mask uint64
+	low  uint64 // a parked producer is woken once this few elements remain
 
 	_         pad
 	head      atomic.Uint64 // next slot the consumer will read
@@ -123,7 +109,6 @@ type Queue[T any] struct {
 type producerCounters struct {
 	pushes      uint64
 	failedPush  uint64
-	spinRounds  uint64
 	parkedNanos uint64
 }
 
@@ -141,7 +126,6 @@ type consumerCounters struct {
 type Stats struct {
 	Pushes      uint64 // elements successfully pushed
 	FailedPush  uint64 // wait rounds in which a producer found the ring full, plus Offers refused
-	SpinRounds  uint64 // busy-wait spin rounds executed (WaitBusy only)
 	Pops        uint64 // elements consumed
 	EmptyPolls  uint64 // consume attempts that found the ring empty
 	ShortPolls  uint64 // unforced consume attempts that found fewer than a full batch
@@ -151,8 +135,8 @@ type Stats struct {
 
 // New returns a queue with at least the requested capacity (rounded up to
 // the next power of two, as the index arithmetic requires). capacity must
-// be positive.
-func New[T any](capacity int, policy WaitPolicy) (*Queue[T], error) {
+// be positive. The WaitPolicy is ignored (see WaitPolicy).
+func New[T any](capacity int, _ WaitPolicy) (*Queue[T], error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("spsc: capacity must be positive, got %d", capacity)
 	}
@@ -164,7 +148,6 @@ func New[T any](capacity int, policy WaitPolicy) (*Queue[T], error) {
 		buf:      make([]T, n),
 		mask:     n - 1,
 		low:      n / 2,
-		policy:   policy,
 		producer: newParker(),
 	}, nil
 }
@@ -202,46 +185,6 @@ func (q *Queue[T]) Len() int {
 	return int(n)
 }
 
-// tryPush is the stat-free single-element fast path: it consults only the
-// producer's cached head and refreshes the cache from the atomic index
-// exactly when the ring appears full.
-func (q *Queue[T]) tryPush(v T) bool {
-	t := q.tail.Load()
-	if t-q.headCache == uint64(len(q.buf)) {
-		q.headCache = q.head.Load()
-		if t-q.headCache == uint64(len(q.buf)) {
-			return false
-		}
-	}
-	q.buf[t&q.mask] = v
-	q.tail.Store(t + 1)
-	q.prod.pushes++
-	q.published(t + 1)
-	return true
-}
-
-// TryPush appends v if space is available, reporting success. Producer side.
-func (q *Queue[T]) TryPush(v T) bool {
-	if !q.tryPush(v) {
-		q.prod.failedPush++
-		return false
-	}
-	return true
-}
-
-// Push appends v, waiting for space according to the queue's WaitPolicy.
-// Producer side. Push after Close panics: the producer owns Close, so this
-// is always a caller bug.
-func (q *Queue[T]) Push(v T) {
-	if q.done.Load() {
-		panic("spsc: Push after Close")
-	}
-	for !q.tryPush(v) {
-		q.prod.failedPush++
-		q.waitSpace()
-	}
-}
-
 // tryPushBatch appends as many elements of vs as fit, publishing tail once,
 // and returns how many were copied. The copy runs in at most two contiguous
 // segments when the block wraps the ring. Producer side, stat-free on
@@ -273,11 +216,12 @@ func (q *Queue[T]) tryPushBatch(vs []T) int {
 	return int(n)
 }
 
-// PushBatch appends every element of vs in order, waiting for space
-// according to the queue's WaitPolicy whenever the ring fills. The tail
-// index is published once per contiguous block copied rather than once per
-// element, so a block of b elements costs the consumer-visible store (and
-// any cross-core traffic it triggers) 1/b times as often as b Push calls.
+// PushBatch appends every element of vs in order, parking whenever the ring
+// fills until its consumer has drained it to half. The tail index is
+// published once per contiguous block copied rather than once per element,
+// so a block of b elements costs the consumer-visible store (and any
+// cross-core traffic it triggers) 1/b times as often as b one-element
+// blocks.
 // Blocks larger than the ring are copied in capacity-sized chunks.
 // Producer side; PushBatch after Close panics.
 func (q *Queue[T]) PushBatch(vs []T) {
@@ -337,25 +281,6 @@ func (q *Queue[T]) Close() {
 // Closed reports whether the producer has closed the queue. Elements may
 // still be buffered; use Drained to test for full consumption.
 func (q *Queue[T]) Closed() bool { return q.done.Load() }
-
-// TryPop removes and returns the oldest element. Consumer side.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	h := q.head.Load()
-	if h == q.tailCache {
-		q.tailCache = q.tail.Load()
-		if h == q.tailCache {
-			q.cons.emptyPolls++
-			return zero, false
-		}
-	}
-	v := q.buf[h&q.mask]
-	q.buf[h&q.mask] = zero // drop the reference for GC
-	q.head.Store(h + 1)
-	q.cons.pops++
-	q.freed(h + 1)
-	return v, true
-}
 
 // ConsumeBatch applies f to up to batch buffered elements and returns how
 // many were consumed. Consumer side.
@@ -467,8 +392,8 @@ func (q *Queue[T]) ConsumerStats() (pops, emptyPolls, shortPolls, batchCalls uin
 // queue, this is safe to call from the producer goroutine at any time —
 // it is how a mapper books its ring on its ledger shard while the
 // consumer is still running.
-func (q *Queue[T]) ProducerStats() (pushes, failedPush, spinRounds, sleepMicros uint64) {
-	return q.prod.pushes, q.prod.failedPush, q.prod.spinRounds, q.prod.parkedNanos / 1000
+func (q *Queue[T]) ProducerStats() (pushes, failedPush, sleepMicros uint64) {
+	return q.prod.pushes, q.prod.failedPush, q.prod.parkedNanos / 1000
 }
 
 // Snapshot returns a copy of the event counters.
@@ -476,7 +401,6 @@ func (q *Queue[T]) Snapshot() Stats {
 	return Stats{
 		Pushes:      q.prod.pushes,
 		FailedPush:  q.prod.failedPush,
-		SpinRounds:  q.prod.spinRounds,
 		Pops:        q.cons.pops,
 		EmptyPolls:  q.cons.emptyPolls,
 		ShortPolls:  q.cons.shortPolls,

@@ -8,6 +8,21 @@ import (
 	"time"
 )
 
+// push appends one element, parking while the ring is full: a one-element
+// PushBatch.
+func push[T any](q *Queue[T], v T) { q.PushBatch([]T{v}) }
+
+// offer appends one element if the ring has room for it: a one-element
+// Offer.
+func offer[T any](q *Queue[T], v T) bool { return q.Offer([]T{v}) }
+
+// pop removes the oldest element, if there is one: a forced one-element
+// ConsumeBatch.
+func pop[T any](q *Queue[T]) (v T, ok bool) {
+	ok = q.ConsumeBatch(1, true, func(seg []T) { v = seg[0] }) == 1
+	return v, ok
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New[int](0, WaitSleep); err == nil {
 		t.Fatal("capacity 0 should be rejected")
@@ -36,23 +51,23 @@ func TestMustNewPanics(t *testing.T) {
 func TestFIFOSequential(t *testing.T) {
 	q := MustNew[int](8, WaitSleep)
 	for i := 0; i < 8; i++ {
-		if !q.TryPush(i) {
+		if !offer(q, i) {
 			t.Fatalf("push %d failed on non-full ring", i)
 		}
 	}
-	if q.TryPush(99) {
+	if offer(q, 99) {
 		t.Fatal("push succeeded on full ring")
 	}
 	if q.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", q.Len())
 	}
 	for i := 0; i < 8; i++ {
-		v, ok := q.TryPop()
+		v, ok := pop(q)
 		if !ok || v != i {
 			t.Fatalf("pop %d: got (%d,%v)", i, v, ok)
 		}
 	}
-	if _, ok := q.TryPop(); ok {
+	if _, ok := pop(q); ok {
 		t.Fatal("pop succeeded on empty ring")
 	}
 }
@@ -62,10 +77,10 @@ func TestWrapAround(t *testing.T) {
 	next := 0
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 3; i++ {
-			q.Push(next + i)
+			push(q, next+i)
 		}
 		for i := 0; i < 3; i++ {
-			v, ok := q.TryPop()
+			v, ok := pop(q)
 			if !ok || v != next+i {
 				t.Fatalf("round %d: got (%d,%v), want %d", round, v, ok, next+i)
 			}
@@ -76,8 +91,8 @@ func TestWrapAround(t *testing.T) {
 
 func TestCloseAndDrain(t *testing.T) {
 	q := MustNew[int](8, WaitSleep)
-	q.Push(1)
-	q.Push(2)
+	push(q, 1)
+	push(q, 2)
 	q.Close()
 	if !q.Closed() {
 		t.Fatal("Closed() false after Close")
@@ -85,8 +100,8 @@ func TestCloseAndDrain(t *testing.T) {
 	if q.Drained() {
 		t.Fatal("Drained() true with buffered elements")
 	}
-	q.TryPop()
-	q.TryPop()
+	pop(q)
+	pop(q)
 	if !q.Drained() {
 		t.Fatal("Drained() false after consuming everything")
 	}
@@ -97,16 +112,16 @@ func TestPushAfterClosePanics(t *testing.T) {
 	q.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Push after Close should panic")
+			t.Fatal("Offer after Close should panic")
 		}
 	}()
-	q.Push(1)
+	offer(q, 1)
 }
 
 func TestConsumeBatchWaitsForFullBlocks(t *testing.T) {
 	q := MustNew[int](16, WaitSleep)
 	for i := 0; i < 5; i++ {
-		q.Push(i)
+		push(q, i)
 	}
 	// Not forced and fewer than batch elements: nothing consumed.
 	if n := q.ConsumeBatch(8, false, func([]int) {}); n != 0 {
@@ -128,11 +143,11 @@ func TestConsumeBatchWrapsInOrder(t *testing.T) {
 	q := MustNew[int](8, WaitSleep)
 	// Advance the ring so a batch spans the wrap point.
 	for i := 0; i < 6; i++ {
-		q.Push(i)
-		q.TryPop()
+		push(q, i)
+		pop(q)
 	}
 	for i := 0; i < 8; i++ {
-		q.Push(100 + i)
+		push(q, 100+i)
 	}
 	var got []int
 	n := q.ConsumeBatch(8, false, func(b []int) { got = append(got, b...) })
@@ -148,7 +163,7 @@ func TestConsumeBatchWrapsInOrder(t *testing.T) {
 
 func TestConsumeBatchZeroOrNegativeBatch(t *testing.T) {
 	q := MustNew[int](8, WaitSleep)
-	q.Push(7)
+	push(q, 7)
 	var got []int
 	if n := q.ConsumeBatch(0, false, func(b []int) { got = append(got, b...) }); n != 1 {
 		t.Fatalf("batch=0 should behave as 1; consumed %d", n)
@@ -161,55 +176,53 @@ func TestConsumeBatchZeroOrNegativeBatch(t *testing.T) {
 // TestConcurrentNoLossNoDup is the core SPSC safety property: a concurrent
 // producer/consumer pair sees every element exactly once, in order.
 func TestConcurrentNoLossNoDup(t *testing.T) {
-	for _, policy := range []WaitPolicy{WaitSleep, WaitBusy} {
-		for _, batch := range []int{1, 7, 64} {
-			q := MustNew[int](64, policy)
-			// Modest on purpose: this runs on 1-CPU CI hosts where a
-			// blocked producer only progresses on scheduler yields.
-			const n = 8_000
-			var wg sync.WaitGroup
-			wg.Add(1)
-			errs := make(chan string, 1)
-			go func() {
-				defer wg.Done()
-				expect := 0
-				for !q.Drained() {
-					consumed := q.ConsumeBatch(batch, q.Closed(), func(b []int) {
-						for _, v := range b {
-							if v != expect {
-								select {
-								case errs <- "out of order":
-								default:
-								}
+	for _, batch := range []int{1, 7, 64} {
+		q := MustNew[int](64, WaitSleep)
+		// Modest on purpose: this runs on 1-CPU CI hosts where a
+		// blocked producer only progresses on scheduler yields.
+		const n = 8_000
+		var wg sync.WaitGroup
+		wg.Add(1)
+		errs := make(chan string, 1)
+		go func() {
+			defer wg.Done()
+			expect := 0
+			for !q.Drained() {
+				consumed := q.ConsumeBatch(batch, q.Closed(), func(b []int) {
+					for _, v := range b {
+						if v != expect {
+							select {
+							case errs <- "out of order":
+							default:
 							}
-							expect++
 						}
-					})
-					if consumed == 0 {
-						runtime.Gosched()
+						expect++
 					}
+				})
+				if consumed == 0 {
+					runtime.Gosched()
 				}
-				if expect != n {
-					select {
-					case errs <- "lost elements":
-					default:
-					}
+			}
+			if expect != n {
+				select {
+				case errs <- "lost elements":
+				default:
 				}
-			}()
-			for i := 0; i < n; i++ {
-				q.Push(i)
 			}
-			q.Close()
-			wg.Wait()
-			select {
-			case msg := <-errs:
-				t.Fatalf("policy=%v batch=%d: %s", policy, batch, msg)
-			default:
-			}
-			s := q.Snapshot()
-			if s.Pushes != n || s.Pops != n {
-				t.Fatalf("stats: pushes=%d pops=%d want %d", s.Pushes, s.Pops, n)
-			}
+		}()
+		for i := 0; i < n; i++ {
+			push(q, i)
+		}
+		q.Close()
+		wg.Wait()
+		select {
+		case msg := <-errs:
+			t.Fatalf("batch=%d: %s", batch, msg)
+		default:
+		}
+		s := q.Snapshot()
+		if s.Pushes != n || s.Pops != n {
+			t.Fatalf("stats: pushes=%d pops=%d want %d", s.Pushes, s.Pops, n)
 		}
 	}
 }
@@ -226,14 +239,14 @@ func TestQuickPushPopRoundTrip(t *testing.T) {
 				if vi >= len(vals) {
 					break
 				}
-				if q.TryPush(vals[vi]) {
+				if offer(q, vals[vi]) {
 					model = append(model, vals[vi])
 				} else if len(model) != q.Cap() {
 					return false // push failed but ring not full
 				}
 				vi++
 			} else {
-				v, ok := q.TryPop()
+				v, ok := pop(q)
 				if ok {
 					if len(model) == 0 || model[0] != v {
 						return false
@@ -255,8 +268,8 @@ func TestQuickPushPopRoundTrip(t *testing.T) {
 func TestGCReferencesDropped(t *testing.T) {
 	q := MustNew[*int](4, WaitSleep)
 	v := new(int)
-	q.Push(v)
-	q.TryPop()
+	push(q, v)
+	pop(q)
 	// The slot should be zeroed; push/pop again and inspect via Len only
 	// (the real check is that the buffer slot is nil — peek internally).
 	if q.buf[0] != nil {
@@ -264,33 +277,22 @@ func TestGCReferencesDropped(t *testing.T) {
 	}
 }
 
-func TestWaitPolicyString(t *testing.T) {
-	if WaitSleep.String() != "sleep" || WaitBusy.String() != "busy-wait" {
-		t.Fatal("WaitPolicy String broken")
-	}
-	if WaitPolicy(9).String() == "" {
-		t.Fatal("unknown policy should still render")
-	}
-}
-
 func TestBlockingPushUnblocks(t *testing.T) {
-	for _, policy := range []WaitPolicy{WaitSleep, WaitBusy} {
-		q := MustNew[int](2, policy)
-		q.Push(1)
-		q.Push(2)
-		done := make(chan struct{})
-		go func() {
-			q.Push(3) // blocks until the consumer frees a slot
-			close(done)
-		}()
-		runtime.Gosched()
-		if _, ok := q.TryPop(); !ok {
-			t.Fatal("pop failed")
-		}
-		<-done
-		if q.Len() != 2 {
-			t.Fatalf("Len = %d, want 2", q.Len())
-		}
+	q := MustNew[int](2, WaitSleep)
+	push(q, 1)
+	push(q, 2)
+	done := make(chan struct{})
+	go func() {
+		push(q, 3) // parks until the consumer frees a slot
+		close(done)
+	}()
+	runtime.Gosched()
+	if _, ok := pop(q); !ok {
+		t.Fatal("pop failed")
+	}
+	<-done
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", q.Len())
 	}
 }
 
@@ -300,7 +302,7 @@ func TestPushBatchSequential(t *testing.T) {
 	q.PushBatch(nil) // empty block is a no-op
 	q.PushBatch([]int{3, 4})
 	for i := 0; i < 5; i++ {
-		v, ok := q.TryPop()
+		v, ok := pop(q)
 		if !ok || v != i {
 			t.Fatalf("pop %d: got (%d,%v)", i, v, ok)
 		}
@@ -316,8 +318,8 @@ func TestPushBatchWrapsInOrder(t *testing.T) {
 	// Advance the indices so the next block spans the wrap point and
 	// exercises the two-run copy.
 	for i := 0; i < 6; i++ {
-		q.Push(i)
-		q.TryPop()
+		push(q, i)
+		pop(q)
 	}
 	block := []int{100, 101, 102, 103, 104, 105, 106, 107}
 	q.PushBatch(block)
@@ -384,8 +386,8 @@ func TestShortPollsSeparatedFromEmptyPolls(t *testing.T) {
 	if q.ConsumeBatch(4, false, func([]int) {}) != 0 {
 		t.Fatal("consumed from empty ring")
 	}
-	q.Push(1)
-	q.Push(2)
+	push(q, 1)
+	push(q, 2)
 	if q.ConsumeBatch(4, false, func([]int) {}) != 0 {
 		t.Fatal("unforced consume fired below a full batch")
 	}
@@ -393,47 +395,13 @@ func TestShortPollsSeparatedFromEmptyPolls(t *testing.T) {
 	if s.EmptyPolls != 1 || s.ShortPolls != 1 {
 		t.Fatalf("EmptyPolls=%d ShortPolls=%d, want 1 and 1", s.EmptyPolls, s.ShortPolls)
 	}
-	// TryPop on empty also counts an empty poll.
+	// A single pop of an empty ring also counts an empty poll.
 	q.ConsumeBatch(2, true, func([]int) {})
-	if _, ok := q.TryPop(); ok {
+	if _, ok := pop(q); ok {
 		t.Fatal("pop from drained ring")
 	}
 	if s := q.Snapshot(); s.EmptyPolls != 2 || s.ShortPolls != 1 {
 		t.Fatalf("after drain: EmptyPolls=%d ShortPolls=%d, want 2 and 1", s.EmptyPolls, s.ShortPolls)
-	}
-}
-
-// TestBusyWaitStatsPerRound pins the satellite fix: a blocked busy-wait
-// push charges FailedPush once per failed round (not once per spin) and
-// counts its rounds in SpinRounds, keeping sleep-vs-busy numbers
-// comparable.
-func TestBusyWaitStatsPerRound(t *testing.T) {
-	q := MustNew[int](2, WaitBusy)
-	q.Push(1)
-	q.Push(2)
-	started := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		close(started)
-		q.Push(3) // blocks until the consumer frees a slot
-		close(done)
-	}()
-	<-started
-	// Let the blocked producer accumulate spin rounds; stats must not be
-	// read while it runs (they are unsynchronized by contract).
-	time.Sleep(2 * time.Millisecond)
-	if _, ok := q.TryPop(); !ok {
-		t.Fatal("pop failed")
-	}
-	<-done
-	s := q.Snapshot()
-	if s.SpinRounds == 0 {
-		t.Fatal("SpinRounds not counted under WaitBusy")
-	}
-	// One initial failure plus at most one per completed spin round —
-	// the old accounting charged up to 64 per round.
-	if s.FailedPush > s.SpinRounds+1 {
-		t.Fatalf("FailedPush=%d exceeds rounds+1 (SpinRounds=%d): per-spin accounting is back", s.FailedPush, s.SpinRounds)
 	}
 }
 
@@ -445,14 +413,14 @@ func TestCachedIndexStaleness(t *testing.T) {
 	q := MustNew[int](4, WaitSleep)
 	next, expect := 0, 0
 	for round := 0; round < 50; round++ {
-		for q.TryPush(next) {
+		for offer(q, next) {
 			next++
 		}
 		if q.Len() != q.Cap() {
-			t.Fatalf("round %d: ring not full after TryPush run", round)
+			t.Fatalf("round %d: ring not full after a run of single offers", round)
 		}
 		for {
-			v, ok := q.TryPop()
+			v, ok := pop(q)
 			if !ok {
 				break
 			}
@@ -474,7 +442,7 @@ func TestDiscardBatch(t *testing.T) {
 	q := MustNew[*int](8, WaitSleep)
 	for i := 0; i < 6; i++ {
 		v := i
-		q.Push(&v)
+		push(q, &v)
 	}
 	if n := q.DiscardBatch(4); n != 4 {
 		t.Fatalf("discarded %d, want 4", n)
@@ -510,11 +478,11 @@ func TestDiscardBatch(t *testing.T) {
 func TestDiscardBatchUnblocksProducer(t *testing.T) {
 	q := MustNew[int](4, WaitSleep)
 	for i := 0; i < 4; i++ {
-		q.Push(i)
+		push(q, i)
 	}
 	done := make(chan struct{})
 	go func() {
-		q.Push(99) // blocks until a slot frees
+		push(q, 99) // blocks until a slot frees
 		close(done)
 	}()
 	select {

@@ -148,25 +148,13 @@ func (q *Queue[T]) freed(h uint64) {
 	}
 }
 
-// waitSpace blocks the producer until the ring may have a free slot,
-// following the queue's WaitPolicy; callers retry and call again on
-// failure. Stats are kept comparable across policies: one FailedPush per
-// round that still found the ring full (the caller records the initial
-// failure), plus one SpinRounds per busy round regardless of its outcome.
+// waitSpace blocks the producer until the ring may have a free slot;
+// callers retry and call again on failure. It yields a few times, then
+// parks until its consumer drains the ring to the low-water mark or goes
+// idle. Each look that still found the ring full counts one FailedPush
+// (the caller records the initial failure), and the parked wall time is
+// measured.
 func (q *Queue[T]) waitSpace() {
-	if q.policy == WaitBusy {
-		for {
-			q.prod.spinRounds++
-			for i := 0; i < 64; i++ {
-				if q.hasSpace() {
-					return
-				}
-			}
-			q.prod.failedPush++
-			// Let the consumer run if we share a core.
-			runtime.Gosched()
-		}
-	}
 	for i := 0; i < yields; i++ {
 		runtime.Gosched()
 		if q.hasSpace() {

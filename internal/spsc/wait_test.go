@@ -65,19 +65,19 @@ func parkConsumer(t *testing.T, g *Gate, q *Queue[int], need int, stop func() bo
 	return done
 }
 
-// parkProducer fills q, then starts a goroutine whose Push must park;
-// done closes when that Push returns.
+// parkProducer fills q, then starts a goroutine whose one-element push must
+// park; done closes when that push returns.
 func parkProducer(t *testing.T, q *Queue[int]) <-chan struct{} {
 	t.Helper()
 	for i := 0; i < q.Cap(); i++ {
-		if !q.TryPush(i) {
+		if !offer(q, i) {
 			t.Fatalf("fill: push %d of %d failed", i, q.Cap())
 		}
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		q.Push(q.Cap())
+		push(q, q.Cap())
 	}()
 	until(t, "producer to park", q.producer.armed.Load)
 	return done
@@ -93,7 +93,7 @@ func TestParkedConsumerWokenByBatchWorthPush(t *testing.T) {
 		if !g.armed.Load() {
 			t.Fatal("consumer woken by a push short of its batch")
 		}
-		q.Push(8)
+		push(q, 8)
 		released(t, "consumer", done)
 	})
 }
@@ -201,7 +201,7 @@ func TestParkedConsumerFlushSurvivesTheNextPush(t *testing.T) {
 		done := parkConsumer(t, g, q, 8, nil)
 		q.PushBatch([]int{1, 2, 3})
 		q.Flush()
-		q.Push(4)
+		push(q, 4)
 		released(t, "consumer", done)
 		late := make(chan struct{})
 		go func() {
@@ -310,7 +310,7 @@ func TestSleepMicrosIsMeasuredParkTime(t *testing.T) {
 	if us := q.Snapshot().SleepMicros; us < 10_000 {
 		t.Fatalf("SleepMicros = %d after a >= 20 ms park", us)
 	}
-	if _, _, _, us := q.ProducerStats(); us != q.Snapshot().SleepMicros {
+	if _, _, us := q.ProducerStats(); us != q.Snapshot().SleepMicros {
 		t.Fatalf("ProducerStats sleep %d != Snapshot %d", us, q.Snapshot().SleepMicros)
 	}
 }
@@ -347,7 +347,7 @@ func BenchmarkHandoffLatency(b *testing.B) {
 			// number wanted is the cold wake-up, futex included.
 			for t0 := time.Now(); time.Since(t0) < 100*time.Microsecond; {
 			}
-			q.Push(time.Now().UnixNano())
+			push(q, time.Now().UnixNano())
 			<-ack
 		}
 		q.Close()

@@ -288,7 +288,7 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	p.maxPane = -1
 	p.batch = min(cfg.BatchSize, cfg.QueueCapacity)
 	for i := 0; i < mappers; i++ {
-		q, err := spsc.New[streamPair[K, V]](cfg.QueueCapacity, cfg.Wait)
+		q, err := spsc.New[streamPair[K, V]](cfg.QueueCapacity, spsc.WaitSleep)
 		if err != nil {
 			return nil, err
 		}

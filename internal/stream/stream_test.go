@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ramr/internal/container"
+	"ramr/internal/core"
 	"ramr/internal/mr"
 	"ramr/internal/telemetry"
 )
@@ -431,5 +432,23 @@ func TestStreamRequiresSpec(t *testing.T) {
 	bad := testConfig(t, &mr.StreamSpec{Window: 3, Slide: 2})
 	if _, err := New(countSpec(4), bad); err == nil {
 		t.Fatal("New accepted Slide that does not divide Window")
+	}
+}
+
+// TestUnknownPinRejected: a Pin value outside the three policies is a
+// configuration error, returned by both the batch engine and a stream
+// session before anything runs, not a panic on the caller's goroutine
+// when the pinning plan is laid out.
+func TestUnknownPinRejected(t *testing.T) {
+	spec := countSpec(4)
+	spec.Splits = []int{8}
+	cfg := testConfig(t, nil)
+	cfg.Pin = mr.PinPolicy(7)
+	if _, err := core.Run(spec, cfg); err == nil {
+		t.Fatal("core.Run accepted Pin 7")
+	}
+	cfg.Stream = &mr.StreamSpec{Window: 1}
+	if _, err := New(spec, cfg); err == nil {
+		t.Fatal("stream.New accepted Pin 7")
 	}
 }

@@ -17,6 +17,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
@@ -42,6 +44,36 @@ func (k Kind) String() string {
 		return "cpu"
 	}
 	return "memory"
+}
+
+// ParseKind maps a kernel kind name, case-insensitively, to its kind; the
+// empty name is CPU.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "", "cpu":
+		return CPU, nil
+	case "memory", "mem":
+		return Memory, nil
+	default:
+		return 0, fmt.Errorf("unknown kernel kind %q (want cpu|memory)", s)
+	}
+}
+
+// ParseKernel maps "kind:intensity" (e.g. cpu:60) to a kernel.
+func ParseKernel(s string) (Kernel, error) {
+	kind, intensity, ok := strings.Cut(s, ":")
+	if !ok {
+		return Kernel{}, fmt.Errorf("want kind:intensity (e.g. cpu:60), got %q", s)
+	}
+	n, err := strconv.Atoi(intensity)
+	if err != nil || n < 0 {
+		return Kernel{}, fmt.Errorf("bad intensity %q", intensity)
+	}
+	k, err := ParseKind(kind)
+	if err != nil {
+		return Kernel{}, err
+	}
+	return Kernel{Kind: k, Intensity: n}, nil
 }
 
 // Kernel is one configurable workload: its kind and its intensity in

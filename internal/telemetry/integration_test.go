@@ -319,9 +319,9 @@ func TestEnginesAgreeUnderTelemetry(t *testing.T) {
 // touches non-atomic queue state.
 func TestSamplerRaceCap2(t *testing.T) {
 	// With capacity 2 the producer hits a full ring on almost every push;
-	// WaitBusy keeps it hammering the indices there instead of parked,
-	// which is the traffic the probe must not race with.
-	q := spsc.MustNew[int](2, spsc.WaitBusy)
+	// spinning on Offer keeps it hammering the indices there instead of
+	// parked, which is the traffic the probe must not race with.
+	q := spsc.MustNew[int](2, spsc.WaitSleep)
 	tel := &telemetry.Telemetry{Interval: 20 * time.Microsecond, MaxSamples: 128}
 	tel.BeginRun(telemetry.NewLedger("race"))
 	tel.RegisterQueue("cap2", q)
@@ -333,14 +333,16 @@ func TestSamplerRaceCap2(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			q.Push(i)
+			for !q.Offer([]int{i}) {
+				runtime.Gosched()
+			}
 		}
 		q.Close()
 	}()
 	go func() {
 		defer wg.Done()
 		for !q.Drained() {
-			if _, ok := q.TryPop(); !ok {
+			if q.ConsumeBatch(1, true, func([]int) {}) == 0 {
 				// On a single-CPU box a non-yielding spin holds the
 				// processor for a whole preemption slice per empty poll.
 				runtime.Gosched()

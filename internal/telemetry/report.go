@@ -67,7 +67,6 @@ type Totals struct {
 	// them under its queue and steal sections, so the report's JSON
 	// leaves them out.
 	Pushes        uint64 `json:"-"`
-	SpinRounds    uint64 `json:"-"`
 	Pops          uint64 `json:"-"`
 	EmptyPolls    uint64 `json:"-"`
 	ShortPolls    uint64 `json:"-"`

@@ -120,7 +120,6 @@ type Worker struct {
 	// run, so the shards sum to the rings' totals without double counting.
 	pushes      atomic.Uint64
 	failedPush  atomic.Uint64
-	spinRounds  atomic.Uint64
 	sleepMicros atomic.Uint64
 	pops        atomic.Uint64
 	emptyPolls  atomic.Uint64
@@ -172,10 +171,9 @@ func (w *Worker) AddRemoteExecuted() { w.remoteExecuted.Add(1) }
 
 // StoreProducer stores the producer side of the worker's ring, as
 // spsc.Queue.ProducerStats returns it.
-func (w *Worker) StoreProducer(pushes, failedPush, spinRounds, sleepMicros uint64) {
+func (w *Worker) StoreProducer(pushes, failedPush, sleepMicros uint64) {
 	w.pushes.Store(pushes)
 	w.failedPush.Store(failedPush)
-	w.spinRounds.Store(spinRounds)
 	w.sleepMicros.Store(sleepMicros)
 }
 
@@ -233,7 +231,6 @@ func (l *Ledger) Totals() Totals {
 		t.Tasks += w.tasks.Load()
 		t.Pushes += w.pushes.Load()
 		t.FailedPush += w.failedPush.Load()
-		t.SpinRounds += w.spinRounds.Load()
 		t.SleepMicros += w.sleepMicros.Load()
 		t.Pops += w.pops.Load()
 		t.EmptyPolls += w.emptyPolls.Load()

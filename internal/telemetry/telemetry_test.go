@@ -82,7 +82,7 @@ func TestEndRunBuildsReport(t *testing.T) {
 	w.SetState(StateWorking)
 	w.AddTask(60)
 	w.AddTask(40)
-	w.StoreProducer(100, 7, 0, 13)
+	w.StoreProducer(100, 7, 13)
 	cw := l.Register("combiner", 0)
 	cw.StoreConsumer(100, 0, 0, 4)
 	time.Sleep(5 * time.Millisecond)
@@ -158,11 +158,11 @@ func TestLedgerTotalsAggregates(t *testing.T) {
 	l := NewLedger("ramr")
 	w0 := l.Register("mapper", 0)
 	w0.AddTask(10)
-	w0.StoreProducer(8, 2, 6, 5)
+	w0.StoreProducer(8, 2, 5)
 	w0.StoreFolded(2)
 	w1 := l.Register("mapper", 1)
 	w1.AddTask(4)
-	w1.StoreProducer(4, 1, 0, 0)
+	w1.StoreProducer(4, 1, 0)
 	cw := l.Register("combiner", 0)
 	cw.StoreConsumer(12, 4, 3, 2)
 	cw.AddTask(3)
@@ -171,7 +171,7 @@ func TestLedgerTotalsAggregates(t *testing.T) {
 
 	got := l.Totals()
 	want := Totals{
-		Emitted: 17, Combined: 17, Tasks: 3, Pushes: 12, FailedPush: 3, SpinRounds: 6, SleepMicros: 5,
+		Emitted: 17, Combined: 17, Tasks: 3, Pushes: 12, FailedPush: 3, SleepMicros: 5,
 		Pops: 12, EmptyPolls: 4, ShortPolls: 3, Batches: 2,
 		TasksHelped: 1, FoldedByCombiners: 3, FoldedByMappers: 2,
 	}

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"ramr/internal/container"
 )
@@ -25,6 +26,19 @@ func (p Platform) String() string {
 	return "PHI"
 }
 
+// ParsePlatform maps a platform name, case-insensitively, to its Table I
+// column; the empty name is HWL.
+func ParsePlatform(s string) (Platform, error) {
+	switch strings.ToLower(s) {
+	case "", "hwl", "haswell":
+		return HWL, nil
+	case "phi", "xeon-phi":
+		return PHI, nil
+	default:
+		return 0, fmt.Errorf("unknown platform %q (want hwl|phi)", s)
+	}
+}
+
 // SizeClass is the input flavor of Table I.
 type SizeClass int
 
@@ -46,6 +60,21 @@ func (s SizeClass) String() string {
 		return "Medium"
 	default:
 		return "Large"
+	}
+}
+
+// ParseSizeClass maps a size class name, case-insensitively, to its
+// flavor; the empty name is Small.
+func ParseSizeClass(s string) (SizeClass, error) {
+	switch strings.ToLower(s) {
+	case "", "small":
+		return Small, nil
+	case "medium":
+		return Medium, nil
+	case "large":
+		return Large, nil
+	default:
+		return 0, fmt.Errorf("unknown size class %q (want small|medium|large)", s)
 	}
 }
 

@@ -14,6 +14,7 @@ package workloads
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"ramr/internal/container"
@@ -43,6 +44,19 @@ func (e Engine) String() string {
 		return "Phoenix++"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
+	}
+}
+
+// ParseEngine maps an engine name, case-insensitively, to its engine; the
+// empty name is RAMR.
+func ParseEngine(s string) (Engine, error) {
+	switch strings.ToLower(s) {
+	case "", "ramr":
+		return EngineRAMR, nil
+	case "phoenix", "phoenix++":
+		return EnginePhoenix, nil
+	default:
+		return 0, fmt.Errorf("unknown engine %q (want ramr|phoenix)", s)
 	}
 }
 
