@@ -37,6 +37,16 @@ func benchConfig(ratio int) mr.Config {
 	return cfg
 }
 
+// pipelined keeps cfg on the paper's map → ring → combine pipeline, for the
+// benchmarks that measure the ring: with a CPU per worker a run folds every
+// pair where it is emitted and its ring knobs time nothing
+// (core.ConservesWork). A one-CPU grant switches that off; the plan is left
+// unpinned so the grant does not also stack every worker on CPU 0.
+func pipelined(cfg mr.Config) mr.Config {
+	cfg.CPUGrant, cfg.Pin = []int{0}, mr.PinNone
+	return cfg
+}
+
 // benchJob builds one app at PHI/Small scale (the smallest Table I cell).
 func benchJob(b *testing.B, app string, stress bool) *workloads.Job {
 	b.Helper()
@@ -130,24 +140,25 @@ func BenchmarkFig5PinningPolicy(b *testing.B) {
 }
 
 // BenchmarkFig6BatchedConsume compares single-element against batched
-// consume on the native engine (Fig. 6).
+// consume on the native engine's pipeline (Fig. 6).
 func BenchmarkFig6BatchedConsume(b *testing.B) {
 	job := benchJob(b, "HG", false)
 	for _, batch := range []int{1, mr.DefaultBatchSize} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			cfg := benchConfig(1)
+			cfg := pipelined(benchConfig(1))
 			cfg.BatchSize = batch
 			runJob(b, job, workloads.EngineRAMR, cfg)
 		})
 	}
 }
 
-// BenchmarkFig7BatchSize sweeps the consume batch size (Fig. 7).
+// BenchmarkFig7BatchSize sweeps the consume batch size (Fig. 7) on the
+// pipeline.
 func BenchmarkFig7BatchSize(b *testing.B) {
 	job := benchJob(b, "WC", false)
 	for _, batch := range []int{1, 20, 100, 500, 1000, 5000} {
 		b.Run(fmt.Sprintf("b=%d", batch), func(b *testing.B) {
-			cfg := benchConfig(1)
+			cfg := pipelined(benchConfig(1))
 			cfg.BatchSize = batch
 			runJob(b, job, workloads.EngineRAMR, cfg)
 		})
@@ -220,9 +231,9 @@ func BenchmarkFig10Suitability(b *testing.B) {
 // push") or busy-wait, the policy the paper abandoned, written here as a
 // spin on Offer. It runs at ring level, against a consumer slower than its
 // producer, so the ring is full and the policy runs: inside an engine run
-// on a grant with a CPU per worker a mapper folds what its ring refuses and
-// never waits at all. failed/op counts the producer's looks at a full ring
-// (a spin's rounds), parked-us/op the time it spent parked.
+// on a grant with a CPU per worker a mapper folds every pair where it emits
+// it and never touches its ring. failed/op counts the producer's looks at a
+// full ring (a spin's rounds), parked-us/op the time it spent parked.
 func BenchmarkAblationPushPolicy(b *testing.B) {
 	const n, slab = 1 << 16, mr.DefaultEmitBatch
 	for _, tc := range []struct {
@@ -279,8 +290,8 @@ func BenchmarkAblationPushPolicy(b *testing.B) {
 
 // BenchmarkAblationQueueCap sweeps the ring capacity around the default on
 // a ring-bound app (HG) and a map-bound one (WC), at the size the
-// repository benchmark runs them: below 16384 slots half a ring drains
-// faster than a parked producer can be woken and refill it.
+// repository benchmark runs them, on the pipeline: below 16384 slots half a
+// ring drains faster than a parked producer can be woken and refill it.
 func BenchmarkAblationQueueCap(b *testing.B) {
 	for _, app := range []string{"HG", "WC"} {
 		job, err := workloads.NewJob(app, workloads.HWL, workloads.Large, workloads.DefaultContainer(app), benchSeed)
@@ -289,8 +300,7 @@ func BenchmarkAblationQueueCap(b *testing.B) {
 		}
 		for _, cap := range []int{4096, 8192, 16384, 32768, 65536} {
 			b.Run(fmt.Sprintf("%s/cap=%d", app, cap), func(b *testing.B) {
-				cfg := benchConfig(1)
-				cfg.Pin = mr.PinNone
+				cfg := pipelined(benchConfig(1))
 				cfg.QueueCapacity = cap
 				runJob(b, job, workloads.EngineRAMR, cfg)
 			})
@@ -302,7 +312,8 @@ func BenchmarkAblationQueueCap(b *testing.B) {
 // is read from (EXPERIMENTS.md "Handoff waits and ring geometry on Go"):
 // ring capacity x emit slab x consume batch over the repository
 // benchmark's batch_combine app list, plus the old and new default points
-// on its batch_map list, which must not care. It reports the median run,
+// on its batch_map list, which must not care. Every cell runs the pipeline,
+// where the geometry acts (see pipelined). It reports the median run,
 // because this host's clock speed flips between two modes from one second
 // to the next; run it with a fixed count, e.g. -benchtime 9x.
 func BenchmarkHandoffGeometry(b *testing.B) {
@@ -331,8 +342,7 @@ func BenchmarkHandoffGeometry(b *testing.B) {
 	}
 	cell := func(e entry, job *workloads.Job, cap, emit, batch int) {
 		b.Run(fmt.Sprintf("%s/cap=%d/emit=%d/batch=%d", e.name, cap, emit, batch), func(b *testing.B) {
-			cfg := mr.DefaultConfig()
-			cfg.Pin = mr.PinNone
+			cfg := pipelined(mr.DefaultConfig())
 			cfg.QueueCapacity, cfg.EmitBatch, cfg.BatchSize = cap, emit, batch
 			runs := make([]float64, 0, b.N)
 			for i := 0; i < b.N; i++ {
@@ -773,14 +783,14 @@ func BenchmarkObsLifecycle(b *testing.B) {
 }
 
 // BenchmarkSPSCEmitBatch is the engine-level before/after of producer-side
-// batching on the two queue-heaviest apps: EmitBatch=1 is the seed's
-// per-pair publish, EmitBatch=64 the batched default.
+// batching on the two queue-heaviest apps, on the pipeline: EmitBatch=1 is
+// the seed's per-pair publish, EmitBatch=64 the batched default.
 func BenchmarkSPSCEmitBatch(b *testing.B) {
 	for _, app := range []string{"WC", "HG"} {
 		job := benchJob(b, app, false)
 		for _, eb := range []int{1, mr.DefaultEmitBatch} {
 			b.Run(fmt.Sprintf("%s/emit=%d", app, eb), func(b *testing.B) {
-				cfg := benchConfig(1)
+				cfg := pipelined(benchConfig(1))
 				cfg.EmitBatch = eb
 				runJob(b, job, workloads.EngineRAMR, cfg)
 			})

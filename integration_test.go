@@ -40,7 +40,9 @@ func TestNativeExperimentsQuick(t *testing.T) {
 // across the knob matrix, validating output stability and the pair books:
 // whatever the ring geometry sends through a ring or folds in place, the
 // two add up to the same emitted total, and every ring gives back what it
-// took.
+// took. The ring knobs act only on the pipeline, so every cell also runs
+// under a one-CPU grant, where every pair crosses a ring; with a CPU per
+// worker every pair is folded where it is emitted.
 func TestFullPipelineKnobMatrix(t *testing.T) {
 	job, err := workloads.NewJobParams("HG", workloads.Params{Bytes: 60_000}, workloads.DefaultContainer("HG"), 3)
 	if err != nil {
@@ -49,23 +51,31 @@ func TestFullPipelineKnobMatrix(t *testing.T) {
 	var digest, emitted uint64
 	for _, batch := range []int{1, 100, 5000} {
 		for _, qcap := range []int{64, 5000} {
-			cfg := ramr.DefaultConfig()
-			cfg.Mappers = 2
-			cfg.Combiners = 2
-			cfg.BatchSize = batch
-			cfg.QueueCapacity = qcap
-			info, err := job.Run(workloads.EngineRAMR, cfg)
-			if err != nil {
-				t.Fatalf("batch=%d cap=%d: %v", batch, qcap, err)
-			}
-			if digest == 0 {
-				digest, emitted = info.Digest, info.Queue.Pushes+info.Help.Pairs()
-			} else if info.Digest != digest {
-				t.Fatalf("batch=%d cap=%d changes the result", batch, qcap)
-			}
-			if q := info.Queue; q.Pushes != q.Pops || q.Pushes+info.Help.Pairs() != emitted {
-				t.Fatalf("batch=%d cap=%d: %d pushed, %d popped, %d folded in place; want %d emitted",
-					batch, qcap, q.Pushes, q.Pops, info.Help.Pairs(), emitted)
+			for _, grant := range [][]int{nil, {0}} {
+				cfg := ramr.DefaultConfig()
+				cfg.Mappers = 2
+				cfg.Combiners = 2
+				cfg.BatchSize = batch
+				cfg.QueueCapacity = qcap
+				cfg.CPUGrant = grant
+				info, err := job.Run(workloads.EngineRAMR, cfg)
+				if err != nil {
+					t.Fatalf("batch=%d cap=%d grant=%v: %v", batch, qcap, grant, err)
+				}
+				if digest == 0 {
+					digest, emitted = info.Digest, info.Queue.Pushes+info.Help.Pairs()
+				} else if info.Digest != digest {
+					t.Fatalf("batch=%d cap=%d grant=%v changes the result", batch, qcap, grant)
+				}
+				q := info.Queue
+				if q.Pushes != q.Pops || q.Pushes+info.Help.Pairs() != emitted {
+					t.Fatalf("batch=%d cap=%d grant=%v: %d pushed, %d popped, %d folded in place; want %d emitted",
+						batch, qcap, grant, q.Pushes, q.Pops, info.Help.Pairs(), emitted)
+				}
+				if (grant == nil) != (q.Pushes == 0) {
+					t.Fatalf("batch=%d cap=%d grant=%v: %d pushed; want none on the whole machine and all on one CPU",
+						batch, qcap, grant, q.Pushes)
+				}
 			}
 		}
 	}

@@ -56,12 +56,14 @@ func TestConserveMapBound(t *testing.T) {
 	}
 }
 
-// TestConserveCombineBound: a job whose Combine is all the work fills its
-// ring at once. The mapper must never wait on it — it folds the slabs the
-// ring refuses into a container of its own — and the result must still be
-// exact. The slot's first helped task is held back until the mapper has
-// taken its first chunk, so that on one processor the slot, which starts
-// first and never has to yield, cannot simply map the whole job itself.
+// TestConserveCombineBound: a job whose Combine is all the work would fill
+// its ring at once. Conserving work, nothing goes through the ring at all:
+// the mapper folds every pair it emits into a container of its own, so it
+// never meets a full ring or parks, and the result must still be exact. The
+// slot's first helped task is held back until the mapper has taken its first
+// chunk, so that on one processor the slot, which starts first and never has
+// to yield, cannot simply map the whole job itself. Under a one-CPU grant
+// the same job is the paper's pipeline: every pair crosses the ring.
 func TestConserveCombineBound(t *testing.T) {
 	const splits, emits, keys = 200, 500, 13
 	spec := countSpec(splits, emits, keys)
@@ -94,19 +96,31 @@ func TestConserveCombineBound(t *testing.T) {
 		case <-time.After(10 * time.Second):
 		}
 	}}
-	res, err := Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sumValues(res.Pairs); got != splits*emits {
-		t.Fatalf("total %d, want %d", got, splits*emits)
-	}
-	conserved(t, res, splits*emits)
-	if res.QueueStats.SleepMicros != 0 {
-		t.Fatalf("the mapper was parked %d us on a full ring; it has a fold", res.QueueStats.SleepMicros)
-	}
-	if res.Help.MapperPairs == 0 || res.QueueStats.FailedPush == 0 {
-		t.Fatalf("%d pairs folded by the mapper, %d refused slabs counted as failed pushes; want both > 0 (%+v)",
-			res.Help.MapperPairs, res.QueueStats.FailedPush, res.QueueStats)
+	for _, conserving := range []bool{true, false} {
+		run := cfg
+		if !conserving {
+			run = parked(cfg)
+		}
+		res, err := Run(spec, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sumValues(res.Pairs); got != splits*emits {
+			t.Fatalf("conserving=%v: total %d, want %d", conserving, got, splits*emits)
+		}
+		conserved(t, res, splits*emits)
+		qs := res.QueueStats
+		if !conserving {
+			if res.Help != (mr.HelpStats{}) || qs.Pushes != splits*emits {
+				t.Fatalf("one-CPU grant: %d pushed, help %+v; want every pair through the ring", qs.Pushes, res.Help)
+			}
+			continue
+		}
+		if qs.Pushes != 0 || qs.FailedPush != 0 || qs.SleepMicros != 0 {
+			t.Fatalf("conserving: the mapper used its ring: %+v", qs)
+		}
+		if res.Help.MapperPairs == 0 {
+			t.Fatalf("conserving: the mapper folded nothing where it emitted (%+v)", res.Help)
+		}
 	}
 }

@@ -11,11 +11,11 @@
 // ends, combiners drain any remainder and exit; reduce and merge then
 // proceed exactly as in the Phoenix++ baseline.
 //
-// The two pools are fixed but the work is not pinned to them: a combiner
-// whose rings are empty takes a map task and folds what it emits in place,
-// and a mapper whose ring is full folds its slab into a container of its
-// own instead of waiting (DESIGN.md, "Work conservation"). Which of the two
-// happens, and how often, is decided by the pipeline's own back-pressure.
+// The two pools are fixed but the work is not pinned to them. When every
+// worker has a CPU (ConservesWork), a slot whose rings are empty maps, and
+// every pair is folded where it is emitted, into its worker's own container:
+// shipping it buys no CPU then (DESIGN.md §5.2). On a smaller grant the run
+// is the paper's pipeline, and a full ring parks its mapper.
 //
 // The decoupling raises the parallelism degree and lets a memory-intensive
 // combine overlap a compute-intensive map; the contention-aware pinning
@@ -104,12 +104,22 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			}
 		}()
 	}
-	containers := make([]container.Container[K, V], combiners)
+	// One container per combiner slot and, when the run conserves work, one
+	// per mapper after them (DESIGN.md §5.2): each is written by its worker
+	// only and merged once the pools are joined.
+	conserve := ConservesWork(cfg.CPUGrant, mappers+combiners)
+	owners := combiners
+	if conserve {
+		owners += mappers
+	}
+	containers := make([]container.Container[K, V], owners)
+	for j := range containers {
+		containers[j] = spec.NewContainer()
+	}
 	// One gate per combiner: where it parks when none of its rings has a
 	// batch for it.
 	gates := make([]*spsc.Gate, combiners)
-	for j := range containers {
-		containers[j] = spec.NewContainer()
+	for j := range gates {
 		gates[j] = spsc.NewGate()
 	}
 	// A batch larger than the ring could never fill while a producer is
@@ -119,11 +129,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 		batch = c
 	}
 	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
-	conserve := ConservesWork(cfg.CPUGrant, mappers+combiners)
-	// own[i] is mapper i's private container, created when its ring first
-	// refuses a slab. Each entry is written by its worker only and read
-	// after the pools are joined.
-	own := make([]container.Container[K, V], mappers)
 	res.Phases.Init = time.Since(t0)
 
 	// --- Partition: tasks into per-locality-group deques. The mapper →
@@ -172,9 +177,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// One map task, on whichever worker took it: a mapper on its lane, or
 	// a combiner slot on its ring-less one.
 	live := func() bool { return !abort.Load() && ctx.Err() == nil }
-	emitInto := func(lane *Lane[pair[K, V]]) func(K, V) {
-		return HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
-	}
 	runTask := func(lane *Lane[pair[K, V]], track *obs.Track, t int, emit func(K, V)) {
 		lo, hi := tq.tasks[t][0], tq.tasks[t][1]
 		lane.BeginTask()
@@ -187,14 +189,14 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	}
 
 	// The combiner pool: the kernel's consume loop on every slot, each
-	// folding into its private container. A slot with nothing to consume
-	// helps: one task at a time from its own group's deque (further afield
-	// only as the steal policy allows), so it is back at its rings within a
-	// task.
+	// folding into its private container. On a conserving run a slot with
+	// nothing to consume helps: one task at a time from its own group's deque
+	// (further afield only as the steal policy allows), fused into the same
+	// container, so it is back at its rings within a task.
 	var help func(int, *Lane[pair[K, V]], *obs.Track) func() bool
 	if conserve {
 		help = func(j int, lane *Lane[pair[K, V]], track *obs.Track) func() bool {
-			emit := emitInto(lane)
+			emit := Fuse(lane, containers[j], spec.Combine)
 			return func() bool {
 				if !live() {
 					return false
@@ -228,26 +230,22 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 
 	// The mapper pool: each worker takes task batches from its locality
 	// group's deque (stealing when it runs dry) and maps them into its
-	// lane. A slab the ring has no room for is folded into own[i] rather
-	// than waited on: the combiners are behind, and the mapper's CPU is the
-	// one that is free.
+	// lane: fused into its own container on a conserving run, through its
+	// ring to the combiners otherwise.
 	for i := 0; i < mappers; i++ {
 		mapWG.Add(1)
 		go func(i int) {
 			defer mapWG.Done()
 			lane := NewLane(queues[i], cfg.EmitBatch, i, cfg.Hooks)
-			if conserve {
-				lane.Fold = func(seg []pair[K, V]) {
-					if own[i] == nil {
-						own[i] = spec.NewContainer()
-					}
-					own[i].UpdateBatch(seg, spec.Combine)
-				}
-			}
 			lane.Run(ctx, "ramr", plan.MapperCPU[i], ledger, fail, func(tw *telemetry.Worker) {
 				track := cfg.Trace.Worker("mapper", i)
 				defer track.Publish()
-				emit := emitInto(lane)
+				var emit func(K, V)
+				if conserve {
+					emit = Fuse(lane, containers[combiners+i], spec.Combine)
+				} else {
+					emit = HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
+				}
 				for live() {
 					t0, t1, cls, ok := tq.take(mapperGroup[i], false)
 					if !ok {
@@ -299,13 +297,8 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	res.QueueStats, res.Steal, res.Help = Books(ledger.Totals())
 
 	// --- Reduce: identical to the baseline from here on, over the
-	// combiners' containers and whichever mappers grew one. ---
+	// combiners' containers and, on a conserving run, the mappers'. ---
 	t0 = time.Now()
-	for _, c := range own {
-		if c != nil {
-			containers = append(containers, c)
-		}
-	}
 	merged, err := mr.MergeContainers(containers, spec.Combine)
 	if err != nil {
 		return nil, err

@@ -44,8 +44,9 @@ func testConfig() mr.Config {
 }
 
 // parked returns cfg under a CPU grant too small for its workers. The grant
-// rule then switches work conservation off — lanes get no Fold, slots no
-// Help — so producers park on full rings and combiners on empty ones: what
+// rule then switches work conservation off — mappers ship every pair
+// through their rings, slots get no Help — so producers park on full rings
+// and combiners on empty ones: what
 // the tests of the handshake, of ring ownership and of the abort drain are
 // about, and the shape every run had before the pipeline conserved work.
 func parked(cfg mr.Config) mr.Config {
@@ -193,10 +194,12 @@ func TestAllPinPoliciesProduceSameResult(t *testing.T) {
 	}
 }
 
-// TestWaitPolicies covers the kernel's two answers to a full ring. On a
-// grant with a CPU per worker a mapper folds the slab its ring refused; on
-// a smaller grant it parks until its combiner has drained the ring, and
-// folds nothing. Both keep the result exact and the books balanced.
+// TestWaitPolicies covers the kernel's two answers to a ring too small for
+// the job. On a grant with a CPU per worker a mapper never meets it: it
+// folds every pair where it emits it and pushes nothing. On a smaller grant
+// every pair crosses the ring, the mapper parks whenever it is full until
+// its combiner has drained it, and nothing is folded in place. Both keep
+// the result exact and the books balanced.
 func TestWaitPolicies(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -218,8 +221,11 @@ func TestWaitPolicies(t *testing.T) {
 			t.Fatalf("%s: total = %d", tc.name, total)
 		}
 		conserved(t, res, 1000)
-		if tc.park && res.Help.MapperPairs != 0 {
-			t.Fatalf("park: mappers folded %d pairs on a grant that parks them", res.Help.MapperPairs)
+		if tc.park && (res.Help != (mr.HelpStats{}) || res.QueueStats.Pushes != 1000) {
+			t.Fatalf("park: %d pushed, help %+v on a grant that parks the mapper", res.QueueStats.Pushes, res.Help)
+		}
+		if !tc.park && (res.QueueStats.Pushes != 0 || res.Help.Pairs() != 1000) {
+			t.Fatalf("fold: %d pushed, help %+v; want every pair folded where it was emitted", res.QueueStats.Pushes, res.Help)
 		}
 	}
 }

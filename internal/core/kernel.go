@@ -3,13 +3,13 @@
 // A Lane is a mapper's producer side (emit slab → ring); combine is a
 // combiner slot's consume loop (ring → apply, park when idle,
 // drain-and-discard on abort). Both are generic over the ring element E and
-// never look inside one. The two work-conserving rules live here too, each
-// behind one optional func of its driver: a slot about to park asks for
-// other work first (Combiners.Help), and a lane whose ring will not take a
-// slab folds it on the spot (Lane.Fold). The batch engine (engine.go) and
-// the resident stream session (internal/stream) are drivers: they decide
-// where tasks come from and where folded batches go, and run everything else
-// through here.
+// never look inside one. Work conservation lives here too: a slot about to
+// park asks its driver for other work first (Combiners.Help), and a lane can
+// fold each pair where it is made instead of shipping it (Fuse), which is
+// what a batch run does once every worker has a CPU of its own. The batch
+// engine (engine.go) and the resident stream session (internal/stream) are
+// drivers: they decide where tasks come from and where folded batches go,
+// and run everything else through here.
 package core
 
 import (
@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"ramr/internal/affinity"
+	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/spsc"
@@ -71,42 +72,33 @@ func runWorker(ctx context.Context, engine string, r role, id, cpu int, tw *tele
 // the unbatched ablation baseline. A Lane belongs to the goroutine inside
 // Run.
 //
-// A lane with a Fold never waits on its ring: a slab the ring has no room
-// for is folded where it is (the driver decides into what), which is what a
-// back-pressured mapper does instead of parking. A lane with a Fold and no
-// ring at all is a combiner slot's own: the slot maps on it while its rings
-// are empty, and every slab goes to the Fold (see combine).
+// A lane with no ring is a combiner slot's own: the slot maps on it while
+// its rings are empty, and every slab goes to the slot's fold (see combine).
+// A lane whose driver emits through Fuse stages nothing at all.
 type Lane[E any] struct {
-	// Fold, if the driver sets it before Run, takes the slabs the ring
-	// refuses; nil leaves a full ring to park the producer.
-	Fold func([]E)
-
 	q        *spsc.Queue[E] // nil on a combiner slot's lane
+	fold     func([]E)      // a ring-less lane's slabs: the slot's fold
 	slab     []E
 	id       int
 	emitHook func(int) // Hooks.MapEmit
 	taskHook func(int) // Hooks.MapTask
 	tw       *telemetry.Worker
 	done     uint64 // elements pushed or folded up to the last task boundary
-	folded   uint64 // elements that went to Fold
+	folded   uint64 // elements folded where they were made
 }
 
-// NewLane builds mapper id's lane over q. The slab is clamped to the ring:
-// PushBatch copies oversized blocks in chunks anyway, but a slab beyond the
-// ring capacity only adds latency before the combiner sees anything, and
-// could never be offered whole.
+// NewLane builds mapper id's lane over q (nil: a slot's ring-less lane). The
+// slab is clamped to the ring: PushBatch copies oversized blocks in chunks
+// anyway, but a slab beyond the ring capacity only adds latency before the
+// combiner sees anything.
 func NewLane[E any](q *spsc.Queue[E], emitBatch, id int, hooks *mr.Hooks) *Lane[E] {
 	if emitBatch <= 0 {
 		emitBatch = mr.DefaultEmitBatch
 	}
-	if c := q.Cap(); emitBatch > c {
-		emitBatch = c
+	if q != nil {
+		emitBatch = min(emitBatch, q.Cap())
 	}
-	return newLane(q, emitBatch, id, hooks)
-}
-
-func newLane[E any](q *spsc.Queue[E], slab, id int, hooks *mr.Hooks) *Lane[E] {
-	l := &Lane[E]{q: q, slab: make([]E, 0, slab), id: id}
+	l := &Lane[E]{q: q, slab: make([]E, 0, emitBatch), id: id}
 	if hooks != nil {
 		l.emitHook, l.taskHook = hooks.MapEmit, hooks.MapTask
 	}
@@ -152,10 +144,9 @@ func Emit[E any](l *Lane[E], e E) {
 	}
 }
 
-// flush publishes the slab: to the ring, waiting for room if it must —
-// unless the lane has a Fold, which then takes what the ring refused (and
-// everything, on a ring-less lane). A Fold that panics leaves the slab
-// staged, and a staged slab is never flushed after a panic.
+// flush publishes the slab: to the ring, waiting for room if it must, or
+// to the slot's fold on a ring-less lane. A fold that panics leaves the
+// slab staged, and a staged slab is never flushed after a panic.
 //
 //go:noinline
 func (l *Lane[E]) flush() {
@@ -163,11 +154,11 @@ func (l *Lane[E]) flush() {
 	switch {
 	case n == 0:
 		return
-	case l.Fold == nil:
-		l.q.PushBatch(l.slab)
-	case l.q == nil || !l.q.Offer(l.slab):
-		l.Fold(l.slab)
+	case l.q == nil:
+		l.fold(l.slab)
 		l.folded += uint64(n)
+	default:
+		l.q.PushBatch(l.slab)
 	}
 	l.slab = l.slab[:0]
 }
@@ -186,6 +177,17 @@ func HookEmit[E, K, V any](l *Lane[E], emit func(K, V)) func(K, V) {
 	}
 }
 
+// Fuse returns l's emit closure for a run that folds each pair where it is
+// made: one c.Update into the worker's own container, booked on l as folded
+// as it is handed over — no slab, no ring (DESIGN.md §5.2). It is Phoenix++'s
+// fused step; build it once per worker, not per task.
+func Fuse[K comparable, V any](l *Lane[pair[K, V]], c container.Container[K, V], combine container.Combine[V]) func(K, V) {
+	return HookEmit(l, func(k K, v V) {
+		l.folded++
+		c.Update(k, v, combine)
+	})
+}
+
 // BeginTask marks the start of one map task. A combiner slot's lane leaves
 // the worker state to the slot, which is helping, not working.
 func (l *Lane[E]) BeginTask() {
@@ -200,8 +202,8 @@ func (l *Lane[E]) BeginTask() {
 // EndTask publishes what the task emitted: the slab is flushed, so every
 // element is visible to the consumer (or folded) when it returns, and the
 // task is booked on the worker's shard. It returns the task's element
-// count, taken from the ring's own push counter and the per-slab fold count
-// so the per-pair path carries no counter.
+// count, taken from the ring's own push counter and the lane's fold count;
+// only a fused lane counts per pair.
 func (l *Lane[E]) EndTask() (emitted uint64) {
 	l.flush()
 	done := l.book()
@@ -287,10 +289,10 @@ type Combiners[E any] struct {
 	// "nothing now": the slot asks again before its next park, since a
 	// stream session's next chunk arrives after a slot found none. What
 	// help runs is the slot's own: lane is a ring-less Lane whose slabs go
-	// to the slot's Apply fold and whose tasks and pairs are booked on the
-	// slot's ledger shard, mapping as worker len(Queues)+slot to the Map
-	// hooks; track is the slot's trace lane. A slot that owns no ring
-	// exits at once and never asks.
+	// to the slot's Apply fold (unless the driver Fuses) and whose tasks and
+	// pairs are booked on the slot's ledger shard, mapping as worker
+	// len(Queues)+slot to the Map hooks; track is the slot's trace lane. A
+	// slot that owns no ring exits at once and never asks.
 	Help func(slot int, lane *Lane[E], track *obs.Track) func() bool
 }
 
@@ -438,8 +440,8 @@ func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 	if c.Help != nil {
 		// The helper's slab is one consume batch: the block size the slot's
 		// container already sees from its rings.
-		lane := newLane[E](nil, c.Batch, len(c.Queues)+j, c.Hooks)
-		lane.Fold, lane.tw = s.apply, tw
+		lane := NewLane[E](nil, c.Batch, len(c.Queues)+j, c.Hooks)
+		lane.fold, lane.tw = s.apply, tw
 		help = c.Help(j, lane, track)
 	}
 

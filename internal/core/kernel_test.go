@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ramr/internal/container"
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
@@ -118,8 +119,10 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 
 // TestLedgerCostsNoAllocation: the ledger is always on, so its cost is
 // asserted, not described. With a shard registered, a steady-state lane
-// task (whole slabs emitted, then EndTask) and one consume round allocate
-// nothing; what they pay is a handful of uncontended atomic stores.
+// task (whole slabs emitted, then EndTask), one consume round, and one fused
+// task on a mapper's lane and on a slot's allocate nothing; what they pay is
+// a handful of uncontended atomic stores. The fused emit closures are built
+// once, outside the measured runs, as the engine builds one per worker.
 func TestLedgerCostsNoAllocation(t *testing.T) {
 	ledger := telemetry.NewLedger("test")
 	q := spsc.MustNew[pair[int, int]](64, spsc.WaitSleep)
@@ -154,5 +157,26 @@ func TestLedgerCostsNoAllocation(t *testing.T) {
 	}
 	if tot := ledger.Totals(); tot.Tasks != 101 || tot.Emitted != 101*32 || tot.Pops != q.Snapshot().Pops {
 		t.Fatalf("books %+v, ring %+v: want 101 tasks of 32 pairs and the ring's pops", tot, q.Snapshot())
+	}
+
+	add := func(a, b int) int { return a + b }
+	fusedMapper := NewLane(spsc.MustNew[pair[int, int]](64, spsc.WaitSleep), 8, 1, nil)
+	fusedMapper.tw = ledger.Register("mapper", 1)
+	slotLane := NewLane[pair[int, int]](nil, 8, 2, nil)
+	slotLane.fold, slotLane.tw = discard, ledger.Register("combiner", 1)
+	for _, fused := range []*Lane[pair[int, int]]{fusedMapper, slotLane} {
+		emit := Fuse(fused, container.NewFixedArray[int](32), add)
+		if n := testing.AllocsPerRun(100, func() {
+			fused.BeginTask()
+			for i := range 32 {
+				emit(i, 1)
+			}
+			fused.EndTask()
+		}); n != 0 {
+			t.Fatalf("a fused task on lane %d allocates %.1f times", fused.id, n)
+		}
+	}
+	if tot := ledger.Totals(); tot.Tasks != 3*101 || tot.FoldedByMappers != 101*32 || tot.FoldedByCombiners != 101*32 || tot.TasksHelped != 101 {
+		t.Fatalf("books %+v: want 101 fused tasks of 32 pairs on each lane, the slot's helped", tot)
 	}
 }

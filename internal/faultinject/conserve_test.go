@@ -17,7 +17,7 @@ import (
 
 // The work-conserving pipeline runs user code in two places it did not
 // before: Map on a combiner slot's goroutine (an idle slot takes a task) and
-// Combine on a mapper's (a slab its ring refused is folded in place). The
+// Combine on a mapper's (every pair it emits is folded where it is made). The
 // scenarios below land a fault in each, and a cancellation and another
 // worker's abort in the middle of a helped task. Every one must end the way
 // any fault does: the typed error, every ring closed, drained and
@@ -89,15 +89,17 @@ func holdMapper(cfg *mr.Config, release <-chan struct{}) {
 }
 
 // TestConserveMapPanicOnCombinerSlot: Map panics in the middle of a task a
-// combiner slot is running, with pairs staged in the slot's slab. The panic
-// must surface as the slot's *mr.PanicError, the staged slab must never be
-// folded (no Combine call sees its pairs), and the slot must still drain the
-// ring its mapper goes on to fill.
+// combiner slot is running. The slot folds each pair as it emits it, so the
+// four pairs before the panic are in its container and nothing after them
+// is. The panic must surface as the slot's *mr.PanicError, and the slot must
+// still retire the ring its mapper closes. The mapper, held in its first
+// task until the run is doomed, finishes that task as any worker finishes
+// the one it is in, and takes no other.
 func TestConserveMapPanicOnCombinerSlot(t *testing.T) {
 	cfg, rec := conserveConfig()
-	var combines atomic.Int64
-	// 8 pairs a task, all on one key: under every slab and well under the
-	// ring, and folding any two of them is a Combine call.
+	var combines, atAbort, mapperTasks atomic.Int64
+	// 8 pairs a task, all on one key: folding any pair after a task's first
+	// is a Combine call.
 	spec := sweepSpec(40, 8)
 	spec.Map = func(_ int, emit func(int, int)) {
 		for e := 0; e < 8; e++ {
@@ -109,10 +111,18 @@ func TestConserveMapPanicOnCombinerSlot(t *testing.T) {
 		return a + b
 	}
 	aborted := make(chan struct{})
-	cfg.Hooks.OnAbort = func() { close(aborted) }
-	// The mapper waits in its first task until the run is doomed; what it
-	// then emits is discard-drained, never combined.
+	cfg.Hooks.OnAbort = func() {
+		atAbort.Store(combines.Load())
+		close(aborted)
+	}
 	holdMapper(&cfg, aborted)
+	held := cfg.Hooks.MapTask
+	cfg.Hooks.MapTask = func(w int) {
+		if w < cfg.Mappers {
+			mapperTasks.Add(1)
+		}
+		held(w)
+	}
 	var slotEmits atomic.Int64
 	cfg.Hooks.MapEmit = func(w int) {
 		if w >= cfg.Mappers && slotEmits.Add(1) == 5 {
@@ -124,28 +134,25 @@ func TestConserveMapPanicOnCombinerSlot(t *testing.T) {
 	if !errors.As(err, &pe) || !strings.HasPrefix(pe.Worker, "combine worker") {
 		t.Fatalf("err = %v, want the combiner slot's *mr.PanicError", err)
 	}
-	if n := combines.Load(); n != 0 {
-		t.Fatalf("%d Combine calls: the slot's half-built slab was folded, or the doomed run kept combining", n)
+	if n := atAbort.Load(); n != 3 {
+		t.Fatalf("%d Combine calls when the run was doomed; want 3, the slot's four pairs before the panic", n)
+	}
+	if n, m := combines.Load(), mapperTasks.Load(); m > 1 || n != 3+7*m {
+		t.Fatalf("%d Combine calls with %d mapper tasks begun; want 3 and the held task's 7, if the mapper had taken it", n, m)
 	}
 }
 
-// TestConserveCombinePanicOnMapper: Combine panics inside a fold a mapper
-// runs because its ring is full. The combiner slot is held until the run is
-// doomed wherever it goes first — before its first batch's fold, or at the
-// start of a task it took to help — so the 16-slot ring stays full, the
-// mapper folds everything else it emits, and every Combine call up to the
-// panic is the mapper's. The panic must surface as the mapper's
-// *mr.PanicError and the mapper must still close its ring.
+// TestConserveCombinePanicOnMapper: Combine panics inside the mapper's
+// fused fold. The combiner slot is held at the start of every task it takes
+// to help until the run is doomed, so every Combine call up to the panic is
+// the mapper's, folding what it emits where it emits it. The panic must
+// surface as the mapper's *mr.PanicError and the mapper must still close its
+// ring.
 func TestConserveCombinePanicOnMapper(t *testing.T) {
 	cfg, rec := conserveConfig()
-	cfg.QueueCapacity = 16
-	cfg.BatchSize = 4
-	cfg.EmitBatch = 4
-	spec := sweepSpec(4, 400) // 400 pairs over 350 keys: 34 folds onto a key already held, a task
+	spec := sweepSpec(4, 400) // 400 pairs over 350 keys: 50 folds onto a key already held, a task
 	aborted := make(chan struct{})
 	cfg.Hooks.OnAbort = func() { close(aborted) }
-	var held sync.Once
-	cfg.Hooks.CombineBatch = func(int) { held.Do(func() { within(aborted) }) }
 	cfg.Hooks.MapTask = func(w int) {
 		if w >= cfg.Mappers {
 			within(aborted)

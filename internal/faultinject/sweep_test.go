@@ -105,13 +105,21 @@ func newScenario(seed int64) scenario {
 	sc.cfg = cfg
 	sc.splits = 4 + rng.Intn(13)
 	sc.emits = 100 + rng.Intn(300)
+	// Half the runs get one CPU for all their workers (drawn last, so every
+	// other dimension is what it was for the seed). Only then does a RAMR
+	// run ship pairs through its rings and fold batches, which is where
+	// the combiner-side faults land; on the whole machine it folds every
+	// pair where it is emitted. Phoenix++ ignores the grant.
+	if rng.Intn(2) == 0 {
+		sc.cfg.CPUGrant = []int{0}
+	}
 	return sc
 }
 
 // runScenario executes one seeded scenario and asserts every lifecycle
 // invariant. Any violation is reported with the plan so the seed alone
-// reproduces it.
-func runScenario(t *testing.T, seed int64) {
+// reproduces it. It reports whether a fault fired in a RAMR batch fold.
+func runScenario(t *testing.T, seed int64) (batchFault bool) {
 	t.Helper()
 	sc := newScenario(seed)
 
@@ -255,23 +263,33 @@ func runScenario(t *testing.T, seed int64) {
 	if jerr := json.Unmarshal(buf.Bytes(), &doc); jerr != nil {
 		t.Fatalf("%s %v: trace is not a JSON array: %v", sc.engine, plan, jerr)
 	}
+	return sc.engine == "ramr" && fired && (plan.Kind == faultinject.PanicCombineBatch || plan.Kind == faultinject.DelayCombine)
 }
 
 // TestFaultSweep drives hundreds of seeded panic/delay/cancel scenarios
 // through both engines and asserts, after every run: the fault surfaced
 // as an ordinary error (never a process panic), every queue drained with
-// Pushes == Pops, and no worker goroutine leaked. A failing seed
-// reproduces standalone via TestFaultSeed (RAMR_FAULT_SEED).
+// Pushes == Pops, and no worker goroutine leaked. Across the sweep some
+// fault must have landed in a RAMR batch fold, which only the one-CPU
+// grants run. A failing seed reproduces standalone via TestFaultSeed
+// (RAMR_FAULT_SEED).
 func TestFaultSweep(t *testing.T) {
 	scenarios := int64(240)
 	if testing.Short() {
 		scenarios = 40
 	}
+	batchFaults := 0
 	for seed := int64(0); seed < scenarios; seed++ {
-		runScenario(t, seed)
+		if runScenario(t, seed) {
+			batchFaults++
+		}
 		if t.Failed() {
 			return
 		}
+	}
+	t.Logf("%d of %d scenarios fired a fault in a RAMR batch fold", batchFaults, scenarios)
+	if batchFaults == 0 {
+		t.Fatal("no fault fired in a RAMR batch fold across the whole sweep")
 	}
 }
 

@@ -295,8 +295,8 @@ func SplitWorkers(n, ratio int) (mappers, combiners int) {
 // pool fits on it (SplitWorkers at the configured Ratio). A one-CPU grant
 // still runs the minimal 1+1 pipeline: one mapper and one combiner sharing
 // the CPU by taking turns on it — the engine conserves work (an idle
-// combiner maps, a back-pressured mapper folds) only on a grant with a CPU
-// for every worker, so here whichever of the two has nothing to do parks
+// combiner maps, every pair is folded where it is made) only on a grant with
+// a CPU for every worker, so here whichever of the two has nothing to do parks
 // and the other gets the CPU. An empty grant is a no-op.
 func (c *Config) ApplyGrant(cpus []int) {
 	if len(cpus) == 0 {

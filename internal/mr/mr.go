@@ -151,18 +151,18 @@ type Result[K comparable, R any] struct {
 	Telemetry *telemetry.Report
 }
 
-// HelpStats counts what the work-conserving rules moved in one RAMR run: map
-// tasks an idle combiner slot ran itself, folding what they emitted straight
-// into its container, and pairs a mapper folded into a private container
-// because its ring had no room for the slab. With StealStats and QueueStats
-// it closes the run's books exactly: mapper takes + Tasks is the job's task
-// count, and pairs emitted − QueueStats.Pushes is CombinerPairs +
-// MapperPairs. A run whose CPUGrant cannot give every worker a CPU of its
-// own never helps, and a stream session's MapperPairs is always 0.
+// HelpStats counts what work conservation moved in one RAMR run: map tasks
+// an idle combiner slot ran itself, and the pairs slots and mappers folded
+// where they emitted them instead of shipping them. A batch run whose
+// CPUGrant gives every worker a CPU folds every pair in place (it pushes
+// none); one whose grant is smaller never helps and folds none in place.
+// With StealStats and QueueStats it closes the run's books exactly: mapper
+// takes + Tasks is the job's task count, and pairs emitted − Pushes is
+// Pairs(). A stream session's mappers always ship: its MapperPairs is 0.
 type HelpStats struct {
 	Tasks         uint64 `json:"tasks"`          // map tasks run by combiner slots
 	CombinerPairs uint64 `json:"combiner_pairs"` // pairs those tasks emitted, folded in place
-	MapperPairs   uint64 `json:"mapper_pairs"`   // pairs mappers folded on a full ring
+	MapperPairs   uint64 `json:"mapper_pairs"`   // pairs mappers emitted, folded in place
 }
 
 // Pairs returns the pairs folded where they were emitted, by either pool:
@@ -171,7 +171,7 @@ func (h HelpStats) Pairs() uint64 { return h.CombinerPairs + h.MapperPairs }
 
 // String renders the counters on one line for reports.
 func (h HelpStats) String() string {
-	return fmt.Sprintf("%d tasks mapped by combiners (%d pairs folded in place), %d pairs folded by mappers on a full ring",
+	return fmt.Sprintf("%d tasks mapped by combiners (%d pairs folded in place), %d pairs folded in place by mappers",
 		h.Tasks, h.CombinerPairs, h.MapperPairs)
 }
 
@@ -181,7 +181,7 @@ func (h HelpStats) String() string {
 // polls that found fewer than a full batch buffered.
 type QueueStats struct {
 	Pushes      uint64
-	FailedPush  uint64 // wait rounds on a full ring, plus slabs a mapper folded instead of waiting
+	FailedPush  uint64 // wait rounds a mapper spent on a full ring
 	Pops        uint64
 	EmptyPolls  uint64
 	ShortPolls  uint64

@@ -238,13 +238,13 @@ func (q *Queue[T]) PushBatch(vs []T) {
 	}
 }
 
-// Offer appends all of vs or nothing, and never waits: it is the push of a
-// producer that has something better to do with a block the ring will not
-// take than to park on it. A refusal counts one FailedPush, the same signal
-// a waiting producer raises, and leaves a flush request behind: the producer
-// is not going to top the ring up, so its consumer must not sit waiting for
-// what is buffered to grow into a full batch. A block larger than the ring
-// is always refused. Producer side; Offer after Close panics.
+// Offer appends all of vs or nothing, and never waits. The runtime never
+// offers; Offer stays for the ring's tests and the spinning producer of the
+// push-policy ablation. A refusal counts one FailedPush, as a wait does, and
+// leaves a flush request behind: a producer that does not wait will not top
+// the ring up, so its consumer must not wait for a full batch. A block
+// larger than the ring is always refused. Producer side; Offer after Close
+// panics.
 func (q *Queue[T]) Offer(vs []T) bool {
 	if q.done.Load() {
 		panic("spsc: Offer after Close")

@@ -29,8 +29,8 @@
 //
 // Work conservation (DESIGN.md §5.2): a combiner slot whose rings are empty
 // maps one queued split on a ring-less lane folding into its own pane
-// containers, when the grant gives every worker a CPU. A back-pressured
-// mapper does not fold: its container would need a pane dimension.
+// containers, when the grant gives every worker a CPU. A mapper always ships
+// its pairs: a mapper-side fold would need a pane dimension.
 package stream
 
 import (

@@ -149,7 +149,9 @@ func conservationRAMR(t *testing.T, grant []int) {
 // rings (16 slots, slabs of 3) so every wait and fold path is taken. In
 // every case the queue stats equal the sum of the rings' own snapshots on
 // all eight fields, emitted equals the pairs the input holds, and mapper
-// takes plus helped tasks equal the task count.
+// takes plus helped tasks equal the task count. A conserving batch run
+// folds every pair where it is emitted, so its rings stay empty; a one-CPU
+// grant folds none.
 func TestLedgerIdentity(t *testing.T) {
 	for _, grant := range []struct {
 		name string
@@ -209,6 +211,9 @@ func ledgerIdentityBatch(t *testing.T, grant []int, sampled bool) {
 	}
 	if grant != nil && help != (mr.HelpStats{}) {
 		t.Fatalf("one-CPU grant helped: %+v", help)
+	}
+	if grant == nil && (qs.Pushes != 0 || help.Pairs() != emits) {
+		t.Fatalf("conserving run pushed %d pairs and folded %d in place, want 0 and %d", qs.Pushes, help.Pairs(), emits)
 	}
 	if rep := res.Telemetry; sampled && (rep == nil || rep.Totals.Emitted != emits || rep.Totals.Combined != emits) {
 		t.Fatalf("report %+v, want %d pairs emitted and combined", rep, emits)

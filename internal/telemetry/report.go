@@ -37,8 +37,8 @@ type WorkerReport struct {
 	RemoteSteals   uint64 `json:"steal_remote_tasks,omitempty"`
 	RemoteExecuted uint64 `json:"remote_executed,omitempty"`
 	// Work conservation: map tasks a combiner slot ran, and pairs the
-	// worker folded in place (a helping slot's, or a mapper's on a full
-	// ring); Helping is the share of samples spent in StateHelping.
+	// worker folded where it emitted them; Helping is the share of samples
+	// spent in StateHelping.
 	TasksHelped uint64  `json:"tasks_helped,omitempty"`
 	PairsFolded uint64  `json:"pairs_folded,omitempty"`
 	Helping     float64 `json:"helping,omitempty"`
@@ -236,7 +236,7 @@ func (r *Report) Summary(w io.Writer) error {
 			r.Totals.RemoteExecuted, r.Imbalance.P50, r.Imbalance.P90, r.Imbalance.Max)
 	}
 	if folded := r.Totals.FoldedByCombiners + r.Totals.FoldedByMappers; folded > 0 {
-		fmt.Fprintf(w, "helped: %d tasks mapped by combiners (%d pairs folded in place), %d pairs folded by mappers on a full ring\n",
+		fmt.Fprintf(w, "helped: %d tasks mapped by combiners (%d pairs folded in place), %d pairs folded in place by mappers\n",
 			r.Totals.TasksHelped, r.Totals.FoldedByCombiners, r.Totals.FoldedByMappers)
 	}
 	for _, name := range sortedKeys(r.Throughput) {

@@ -110,8 +110,8 @@ type Worker struct {
 	tasks   atomic.Uint64
 	// helped counts the map tasks a combiner slot ran (they are in tasks
 	// too); folded the pairs a worker folded where they were emitted — a
-	// helping slot's, a mapper's whose ring was full, or every pair of a
-	// fused Phoenix++ worker. They are in emitted and never crossed a ring.
+	// helping slot's, a conserving RAMR mapper's, a Phoenix++ worker's.
+	// They are in emitted and never crossed a ring.
 	helped atomic.Uint64
 	folded atomic.Uint64
 	// The producer side of a mapper's ring and the consumer side of a

@@ -45,16 +45,19 @@ func smallParams(app string) Params {
 }
 
 // TestEnginesAgreeExact: RAMR and Phoenix++ must produce identical output
-// for every Table I app under both of its container configurations,
-// whatever the pipeline's back-pressure makes of the run: one or two mappers
-// and combiners, a ring of 64 (every slab beyond the first meets a full
-// ring, so mappers fold most of what they emit) or one no slab ever fills.
-// Digests are order-independent and Combine associative and commutative, so
-// where a pair was folded cannot show in the output; KM's float centroids
-// agree on the key set only. Across the matrix both rules must have fired,
-// and the huge ring must never have refused a slab.
+// for every Table I app under both of its container configurations, on both
+// of RAMR's paths and whatever the pipeline's back-pressure makes of the
+// run: one or two mappers and combiners, a ring of 64 (every slab beyond the
+// first meets a full ring) or one no slab ever fills, and a grant of the
+// whole machine (every pair folded where it is emitted) or of one CPU for
+// all the workers (every pair through a ring). Digests are order-independent
+// and Combine associative and commutative, so where a pair was folded cannot
+// show in the output; KM's float centroids agree on the key set only. The
+// books must show which path ran: a one-CPU run helps nothing and pops every
+// pair it pushed; a conserving run pushes nothing and folds in place exactly
+// the pairs the one-CPU run pushed. Across the matrix slots must have helped.
 func TestEnginesAgreeExact(t *testing.T) {
-	var helped, foldedTiny, foldedHuge uint64
+	var helped uint64
 	for _, app := range AppNames() {
 		for _, kind := range []container.Kind{DefaultContainer(app), StressContainer(app)} {
 			job, err := NewJobParams(app, smallParams(app), kind, seed)
@@ -71,34 +74,40 @@ func TestEnginesAgreeExact(t *testing.T) {
 			for _, mappers := range []int{1, 2} {
 				for _, combiners := range []int{1, 2} {
 					for _, ring := range []int{64, 1 << 20} {
-						c := cfg()
-						c.Mappers, c.Combiners, c.QueueCapacity = mappers, combiners, ring
-						ra, err := job.Run(EngineRAMR, c)
-						name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d", app, kind, mappers, combiners, ring)
-						if err != nil {
-							t.Fatalf("%s RAMR: %v", name, err)
-						}
-						if ra.Pairs != ph.Pairs || ra.Digest != ph.Digest {
-							t.Fatalf("%s: engines disagree: ramr (%d pairs, %x), phoenix (%d pairs, %x)",
-								name, ra.Pairs, ra.Digest, ph.Pairs, ph.Digest)
-						}
-						if ra.Queue.Pushes != ra.Queue.Pops {
-							t.Fatalf("%s: %d pushed, %d popped", name, ra.Queue.Pushes, ra.Queue.Pops)
-						}
-						helped += ra.Help.Tasks
-						if ring == 64 {
-							foldedTiny += ra.Help.MapperPairs
-						} else {
-							foldedHuge += ra.Help.MapperPairs
+						var emitted uint64 // pushed by the one-CPU arm, which runs first
+						for _, grant := range [][]int{{0}, nil} {
+							c := cfg()
+							c.Mappers, c.Combiners, c.QueueCapacity, c.CPUGrant = mappers, combiners, ring, grant
+							ra, err := job.Run(EngineRAMR, c)
+							name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d grant=%v", app, kind, mappers, combiners, ring, grant)
+							if err != nil {
+								t.Fatalf("%s RAMR: %v", name, err)
+							}
+							if ra.Pairs != ph.Pairs || ra.Digest != ph.Digest {
+								t.Fatalf("%s: engines disagree: ramr (%d pairs, %x), phoenix (%d pairs, %x)",
+									name, ra.Pairs, ra.Digest, ph.Pairs, ph.Digest)
+							}
+							if grant != nil {
+								if ra.Help != (mr.HelpStats{}) || ra.Queue.Pushes == 0 || ra.Queue.Pushes != ra.Queue.Pops {
+									t.Fatalf("%s: one-CPU grant: help %+v, %d pushed, %d popped; want no help and every pair through a ring",
+										name, ra.Help, ra.Queue.Pushes, ra.Queue.Pops)
+								}
+								emitted = ra.Queue.Pushes
+								continue
+							}
+							if ra.Queue.Pushes != 0 || ra.Help.Pairs() != emitted {
+								t.Fatalf("%s: conserving: %d pushed, %d folded in place (%+v); want none pushed and all %d folded",
+									name, ra.Queue.Pushes, ra.Help.Pairs(), ra.Help, emitted)
+							}
+							helped += ra.Help.Tasks
 						}
 					}
 				}
 			}
 		}
 	}
-	if helped == 0 || foldedTiny == 0 || foldedHuge != 0 {
-		t.Fatalf("across the matrix: %d tasks helped, %d pairs folded by mappers on rings of 64 (want both > 0), %d on rings of 1Mi (want 0)",
-			helped, foldedTiny, foldedHuge)
+	if helped == 0 {
+		t.Fatal("across the matrix no combiner slot helped on a conserving run")
 	}
 }
 
