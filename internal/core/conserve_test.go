@@ -1,11 +1,14 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
+	"ramr/internal/spsc"
+	"ramr/internal/telemetry"
 )
 
 // oneAndOne is the minimal pipeline, the shape every 2-CPU grant runs: one
@@ -19,11 +22,11 @@ func oneAndOne() mr.Config {
 
 // TestConserveMapBound: a job whose Map is all the work (each task waits a
 // millisecond and emits one pair) leaves the combiner with nothing to
-// consume. Conserving work, the combiner maps tasks itself and the run takes
-// about half as long; under a grant of one CPU for the two workers the rule
-// is off — the combiner maps nothing, folds nothing in place, and the run
-// takes the mapper's time alone. The wait is a sleep, so the two arms
-// differ by the same factor on one processor as on two.
+// consume. Conserving work, the combine worker maps tasks itself and the
+// run takes about half as long; under a grant of one CPU for the two
+// workers the rule is off — the combiner maps nothing, folds nothing in
+// place, and the run takes the mapper's time alone. The wait is a sleep, so
+// the two arms differ by the same factor on one processor as on two.
 func TestConserveMapBound(t *testing.T) {
 	const tasks, wait = 60, time.Millisecond
 	spec := skewedSpec(tasks, tasks, wait) // every split is a heavy one
@@ -37,7 +40,7 @@ func TestConserveMapBound(t *testing.T) {
 		if got := sumValues(res.Pairs); got != tasks {
 			t.Fatalf("total %d, want %d", got, tasks)
 		}
-		if got := res.Steal.TotalTasks() + res.Help.Tasks; got != tasks {
+		if got := res.Steal.TotalTasks(); got != tasks {
 			t.Fatalf("takes cover %d tasks (%d by the combiner), want %d", got, res.Help.Tasks, tasks)
 		}
 		return res, time.Since(t0)
@@ -57,13 +60,13 @@ func TestConserveMapBound(t *testing.T) {
 }
 
 // TestConserveCombineBound: a job whose Combine is all the work would fill
-// its ring at once. Conserving work, nothing goes through the ring at all:
-// the mapper folds every pair it emits into a container of its own, so it
-// never meets a full ring or parks, and the result must still be exact. The
-// slot's first helped task is held back until the mapper has taken its first
-// chunk, so that on one processor the slot, which starts first and never has
-// to yield, cannot simply map the whole job itself. Under a one-CPU grant
-// the same job is the paper's pipeline: every pair crosses the ring.
+// its ring at once. Conserving work, there is no ring: the mapper folds
+// every pair it emits into a container of its own, so it never parks, and
+// the result must still be exact. The combine worker's first task is held
+// back until the mapper has taken its first, so that on one processor the
+// combine worker, which may start first and never has to yield, cannot
+// simply map the whole job itself. Under a one-CPU grant the same job is
+// the paper's pipeline: every pair crosses the ring.
 func TestConserveCombineBound(t *testing.T) {
 	const splits, emits, keys = 200, 500, 13
 	spec := countSpec(splits, emits, keys)
@@ -122,5 +125,60 @@ func TestConserveCombineBound(t *testing.T) {
 		if res.Help.MapperPairs == 0 {
 			t.Fatalf("conserving: the mapper folded nothing where it emitted (%+v)", res.Help)
 		}
+	}
+}
+
+// TestConserveBuildsNoRing: a conserving run is one pool of fused workers
+// and builds nothing else. No ring is made, so the queue observer never
+// fires and every queue counter is zero; the ledger holds exactly one
+// mapper shard per mapper and one combiner shard per combiner; the Map hooks
+// see worker ids 0..M+C-1; and the books close: every take booked, every
+// pair folded where it was emitted, and the helped tasks are exactly the
+// tasks the combiner shards ran.
+func TestConserveBuildsNoRing(t *testing.T) {
+	const splits, emits, keys = 60, 50, 7
+	cfg := testConfig()
+	cfg.TaskSize = 1
+	cfg.Telemetry = telemetry.New()
+	observed := 0
+	var mu sync.Mutex
+	seen := map[int]bool{}
+	cfg.Hooks = &mr.Hooks{
+		QueueObserver: func(int, bool, spsc.Stats) { observed++ },
+		MapTask: func(w int) {
+			mu.Lock()
+			seen[w] = true
+			mu.Unlock()
+			time.Sleep(100 * time.Microsecond) // let every worker take a task
+		},
+	}
+	res, err := Run(countSpec(splits, emits, keys), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sumValues(res.Pairs); got != splits*emits {
+		t.Fatalf("total %d, want %d", got, splits*emits)
+	}
+	if observed != 0 || res.QueueStats != (mr.QueueStats{}) || len(res.Telemetry.Queues) != 0 {
+		t.Fatalf("a conserving run built rings: %d observed, stats %+v, %d sampled", observed, res.QueueStats, len(res.Telemetry.Queues))
+	}
+	roles := map[string]int{}
+	var helped uint64
+	for _, w := range res.Telemetry.Workers {
+		roles[w.Role]++
+		if w.Role == "combiner" {
+			helped += w.Tasks
+		}
+	}
+	if roles["mapper"] != cfg.Mappers || roles["combiner"] != cfg.Combiners || len(roles) != 2 {
+		t.Fatalf("ledger shards by role %v, want %d mappers and %d combiners", roles, cfg.Mappers, cfg.Combiners)
+	}
+	for w := range seen {
+		if w < 0 || w >= cfg.Mappers+cfg.Combiners {
+			t.Fatalf("MapTask saw worker %d of %d", w, cfg.Mappers+cfg.Combiners)
+		}
+	}
+	if res.Steal.TotalTasks() != splits || res.Help.Pairs() != splits*emits || res.Help.Tasks != helped {
+		t.Fatalf("books: steal %s, help %+v, combiner shards ran %d tasks", res.Steal.String(), res.Help, helped)
 	}
 }

@@ -11,11 +11,12 @@
 // ends, combiners drain any remainder and exit; reduce and merge then
 // proceed exactly as in the Phoenix++ baseline.
 //
-// The two pools are fixed but the work is not pinned to them. When every
-// worker has a CPU (ConservesWork), a slot whose rings are empty maps, and
-// every pair is folded where it is emitted, into its worker's own container:
-// shipping it buys no CPU then (DESIGN.md §5.2). On a smaller grant the run
-// is the paper's pipeline, and a full ring parks its mapper.
+// The pipeline only pays when a combiner has a CPU that would otherwise
+// idle. When every worker has a CPU of its own (ConservesWork), shipping a
+// pair buys nothing, so the run is one pool of mappers+combiners identical
+// fused workers, each mapping tasks and folding every pair it emits into its
+// own container, and no ring is built (DESIGN.md §5.2). On a smaller grant
+// the run is the paper's pipeline, and a full ring parks its mapper.
 //
 // The decoupling raises the parallelism degree and lets a memory-intensive
 // combine overlap a compute-intensive map; the contention-aware pinning
@@ -26,6 +27,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,11 +86,30 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	ledger := telemetry.NewLedger("ramr")
 
 	// --- Init: pools, queues, containers, pinning plan (Fig. 2 top). ---
+	// A run that conserves work ships nothing (DESIGN.md §5.2): it is one
+	// pool of mappers+combiners fused workers, each folding what it maps
+	// into a container of its own, and no ring, gate or consume loop is
+	// built. Otherwise it is the paper's pipeline: a ring per mapper and a
+	// container per combiner slot, each written by its worker only and
+	// merged once the pools are joined.
 	t0 := time.Now()
-	queues := make([]*spsc.Queue[pair[K, V]], mappers)
-	for i := range queues {
-		if queues[i], err = spsc.New[pair[K, V]](cfg.QueueCapacity, spsc.WaitSleep); err != nil {
-			return nil, err
+	conserve := ConservesWork(cfg.CPUGrant, mappers+combiners)
+	workers, owners := mappers+combiners, mappers+combiners
+	var queues []*spsc.Queue[pair[K, V]]
+	var gates []*spsc.Gate
+	if !conserve {
+		workers, owners = mappers, combiners
+		queues = make([]*spsc.Queue[pair[K, V]], mappers)
+		for i := range queues {
+			if queues[i], err = spsc.New[pair[K, V]](cfg.QueueCapacity, spsc.WaitSleep); err != nil {
+				return nil, err
+			}
+		}
+		// One gate per combiner: where it parks when none of its rings
+		// has a batch for it.
+		gates = make([]*spsc.Gate, combiners)
+		for j := range gates {
+			gates[j] = spsc.NewGate()
 		}
 	}
 	// The sampler is the ledger's one optional reader. Its report is
@@ -104,61 +125,37 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			}
 		}()
 	}
-	// One container per combiner slot and, when the run conserves work, one
-	// per mapper after them (DESIGN.md §5.2): each is written by its worker
-	// only and merged once the pools are joined.
-	conserve := ConservesWork(cfg.CPUGrant, mappers+combiners)
-	owners := combiners
-	if conserve {
-		owners += mappers
-	}
 	containers := make([]container.Container[K, V], owners)
 	for j := range containers {
 		containers[j] = spec.NewContainer()
 	}
-	// One gate per combiner: where it parks when none of its rings has a
-	// batch for it.
-	gates := make([]*spsc.Gate, combiners)
-	for j := range gates {
-		gates[j] = spsc.NewGate()
-	}
-	// A batch larger than the ring could never fill while a producer is
-	// blocked on a full queue, deadlocking the pipeline; clamp it.
-	batch := cfg.BatchSize
-	if c := queues[0].Cap(); batch > c {
-		batch = c
-	}
 	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
 	res.Phases.Init = time.Since(t0)
 
-	// --- Partition: tasks into per-locality-group deques. The mapper →
+	// --- Partition: tasks into per-locality-group deques. The worker →
 	// group assignment is computed first because the deques are seeded
-	// proportionally to the mappers each group actually holds. ---
+	// proportionally to the task-taking workers each group actually holds:
+	// the mappers, or on a conserving run every worker. ---
 	t0 = time.Now()
 	tasks := mr.Tasks(len(spec.Splits), cfg.TaskSize)
 	groups := machine.LocalityGroups()
-	mapperGroup := workerGroups(machine, plan.MapperCPU, len(groups))
-	combinerGroup := workerGroups(machine, plan.CombinerCPU, len(groups))
-	mappersIn := make([]int, len(groups))
-	for _, g := range mapperGroup {
-		mappersIn[g]++
+	cpus := append(slices.Clone(plan.MapperCPU), plan.CombinerCPU...)[:workers]
+	workerGroup := workerGroups(machine, cpus, len(groups))
+	workersIn := make([]int, len(groups))
+	for _, g := range workerGroup {
+		workersIn[g]++
 	}
-	tq := newTaskQueues(tasks, machine, mappersIn, cfg.Steal)
-	if conserve {
-		for _, g := range combinerGroup {
-			tq.helpersIn[g]++
-		}
-	}
+	tq := newTaskQueues(tasks, machine, workersIn, cfg.Steal, conserve)
 	res.Phases.Partition = time.Since(t0)
 
 	// --- Map-combine: the decoupled, overlapped phase (Fig. 2). ---
 	// User code (Map, Combine) may panic; workers convert the first
-	// panic into an error and shut the pipeline down cleanly: a failed
-	// mapper still closes its queue, a failed combiner keeps draining
-	// its queues (discarding) so blocked producers can finish, and the
-	// abort flag stops further task dispatch.
+	// panic into an error and shut the run down cleanly: a failed
+	// mapper still closes its queue, if it has one, a failed combiner
+	// keeps draining its queues (discarding) so blocked producers can
+	// finish, and the abort flag stops further task dispatch.
 	t0 = time.Now()
-	var mapWG, combWG sync.WaitGroup
+	var wg sync.WaitGroup
 	var firstErr mr.FirstError
 	var abort atomic.Bool
 	// fail records a worker's error and raises the abort flag; for the
@@ -173,81 +170,62 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 			}
 		}
 	}
-
-	// One map task, on whichever worker took it: a mapper on its lane, or
-	// a combiner slot on its ring-less one.
 	live := func() bool { return !abort.Load() && ctx.Err() == nil }
-	runTask := func(lane *Lane[pair[K, V]], track *obs.Track, t int, emit func(K, V)) {
-		lo, hi := tq.tasks[t][0], tq.tasks[t][1]
-		lane.BeginTask()
-		end := track.Span("task", obs.Int("splits", hi-lo))
-		for s := lo; s < hi; s++ {
-			spec.Map(spec.Splits[s], emit)
-		}
-		lane.EndTask()
-		end()
+
+	// The combiner pool, on the paper's pipeline only: the kernel's consume
+	// loop on every slot, each folding into its private container. A batch
+	// larger than the ring could never fill while a producer is blocked on
+	// a full queue, deadlocking the pipeline, so it is clamped.
+	if !conserve {
+		StartCombiners(ctx, &wg, Combiners[pair[K, V]]{
+			Engine: "ramr",
+			Queues: queues,
+			Gates:  gates,
+			Order:  localityOrder(workerGroup),
+			CPUs:   plan.CombinerCPU,
+			Ledger: ledger,
+			Trace:  cfg.Trace,
+			Hooks:  cfg.Hooks,
+			Batch:  min(cfg.BatchSize, queues[0].Cap()),
+			Apply: func(j int) func([]pair[K, V]) {
+				c := containers[j]
+				return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
+			},
+			Abort: abort.Load,
+			Fail:  fail,
+		})
 	}
 
-	// The combiner pool: the kernel's consume loop on every slot, each
-	// folding into its private container. On a conserving run a slot with
-	// nothing to consume helps: one task at a time from its own group's deque
-	// (further afield only as the steal policy allows), fused into the same
-	// container, so it is back at its rings within a task.
-	var help func(int, *Lane[pair[K, V]], *obs.Track) func() bool
-	if conserve {
-		help = func(j int, lane *Lane[pair[K, V]], track *obs.Track) func() bool {
-			emit := Fuse(lane, containers[j], spec.Combine)
-			return func() bool {
-				if !live() {
-					return false
-				}
-				t, _, _, ok := tq.take(combinerGroup[j], true)
-				if ok {
-					runTask(lane, track, t, emit)
-				}
-				return ok
+	// The task-taking pool: the mappers, and on a conserving run the
+	// combine workers after them, mapping as worker w to the Map hooks.
+	// Each takes task batches from its locality group's deque (stealing
+	// when it runs dry) and maps them into its lane: fused into its own
+	// container on a conserving run, through its ring to the combiners
+	// otherwise.
+	for w := 0; w < workers; w++ {
+		r, id := mapperRole, w
+		if w >= mappers {
+			r, id = combinerRole, w-mappers
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var q *spsc.Queue[pair[K, V]]
+			if !conserve {
+				q = queues[w]
 			}
-		}
-	}
-	StartCombiners(ctx, &combWG, Combiners[pair[K, V]]{
-		Engine: "ramr",
-		Queues: queues,
-		Gates:  gates,
-		Order:  localityOrder(mapperGroup),
-		CPUs:   plan.CombinerCPU,
-		Ledger: ledger,
-		Trace:  cfg.Trace,
-		Hooks:  cfg.Hooks,
-		Batch:  batch,
-		Apply: func(j int) func([]pair[K, V]) {
-			c := containers[j]
-			return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
-		},
-		Abort: abort.Load,
-		Fail:  fail,
-		Help:  help,
-	})
-
-	// The mapper pool: each worker takes task batches from its locality
-	// group's deque (stealing when it runs dry) and maps them into its
-	// lane: fused into its own container on a conserving run, through its
-	// ring to the combiners otherwise.
-	for i := 0; i < mappers; i++ {
-		mapWG.Add(1)
-		go func(i int) {
-			defer mapWG.Done()
-			lane := NewLane(queues[i], cfg.EmitBatch, i, cfg.Hooks)
-			lane.Run(ctx, "ramr", plan.MapperCPU[i], ledger, fail, func(tw *telemetry.Worker) {
-				track := cfg.Trace.Worker("mapper", i)
+			lane := NewLane(q, cfg.EmitBatch, w, cfg.Hooks)
+			lane.run(ctx, "ramr", r, id, cpus[w], ledger, fail, func(tw *telemetry.Worker) {
+				track := cfg.Trace.Worker(r.label, id)
 				defer track.Publish()
 				var emit func(K, V)
 				if conserve {
-					emit = Fuse(lane, containers[combiners+i], spec.Combine)
+					emit = Fuse(lane, containers[w], spec.Combine)
 				} else {
 					emit = HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
 				}
 				for live() {
-					t0, t1, cls, ok := tq.take(mapperGroup[i], false)
+					t0, t1, cls, ok := tq.take(workerGroup[w])
 					if !ok {
 						break
 					}
@@ -260,7 +238,14 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					// An abort mid-batch leaves the rest of the batch
 					// untaken; the outer loop then sees it too.
 					for t := t0; t < t1 && live(); t++ {
-						runTask(lane, track, t, emit)
+						lo, hi := tq.tasks[t][0], tq.tasks[t][1]
+						lane.BeginTask()
+						end := track.Span("task", obs.Int("splits", hi-lo))
+						for s := lo; s < hi; s++ {
+							spec.Map(spec.Splits[s], emit)
+						}
+						lane.EndTask()
+						end()
 						if stolen {
 							tw.AddRemoteExecuted()
 						}
@@ -270,11 +255,10 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 					}
 				}
 			})
-		}(i)
+		}()
 	}
 
-	mapWG.Wait()
-	combWG.Wait()
+	wg.Wait()
 	res.Phases.MapCombine = time.Since(t0)
 	// The invariant observer and the pre-reduce hook run before the
 	// error checks: a failed run must still report per-queue drain state,
@@ -297,7 +281,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	res.QueueStats, res.Steal, res.Help = Books(ledger.Totals())
 
 	// --- Reduce: identical to the baseline from here on, over the
-	// combiners' containers and, on a conserving run, the mappers'. ---
+	// combiners' containers or, on a conserving run, every worker's. ---
 	t0 = time.Now()
 	merged, err := mr.MergeContainers(containers, spec.Combine)
 	if err != nil {
@@ -319,10 +303,12 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 }
 
 // ConservesWork is the grant rule of batch runs and stream sessions: work is
-// conserved only when grant (empty: the whole machine) has a CPU per worker.
-// On a smaller grant an idle worker already lends its CPU to its partner, and
-// one that computes instead of parking takes cycles from whoever else the
-// host runs (EXPERIMENTS.md, "Work-conserving pipeline": serve_mixed p95).
+// conserved when the run has no grant, or a grant with a CPU per worker. A
+// run with no grant is a library run: it owns the machine, however few CPUs
+// that has for its workers, and has nobody to yield to. On a smaller grant an
+// idle worker already lends its CPU to its partner, and one that computes
+// instead of parking takes cycles from whoever else the host runs
+// (EXPERIMENTS.md, "Work-conserving pipeline": serve_mixed p95).
 func ConservesWork(grant []int, workers int) bool {
 	return len(grant) == 0 || len(grant) >= workers
 }
@@ -399,28 +385,28 @@ type taskQueues struct {
 	victims   [][]int                 // probe order per thief group
 	class     [][]topology.StealClass // steal class per (thief, victim)
 	tasks     [][2]int
-	mappersIn []int // mappers drawing from each group, for chunk sizing
-	helpersIn []int // combiner slots that may draw from each group too
+	workersIn []int // workers drawing from each group, for chunk sizing
 	steal     bool
+	single    bool // every take is one task (a conserving run's)
 }
 
 // newTaskQueues seeds one deque per locality group with a contiguous block
-// of tasks proportional to the mappers actually drawing from that group
+// of tasks proportional to the workers actually drawing from that group
 // (largest-remainder rounding), not round-robin: under an asymmetric CPU
-// grant a group holding one mapper gets one mapper's share of tasks, and a
+// grant a group holding one worker gets one worker's share of tasks, and a
 // group holding none gets nothing — so the StealOff baseline terminates
 // and the stealing path starts balanced instead of relying on steals to
-// undo a skewed seed.
-func newTaskQueues(tasks [][2]int, machine *topology.Machine, mappersIn []int, policy mr.StealPolicy) *taskQueues {
-	groups := len(mappersIn)
+// undo a skewed seed. single makes every take, local or stolen, one task.
+func newTaskQueues(tasks [][2]int, machine *topology.Machine, workersIn []int, policy mr.StealPolicy, single bool) *taskQueues {
+	groups := len(workersIn)
 	tq := &taskQueues{
 		deques:    make([]groupDeque, groups),
 		victims:   machine.VictimOrder(),
 		class:     make([][]topology.StealClass, groups),
 		tasks:     tasks,
-		mappersIn: mappersIn,
-		helpersIn: make([]int, groups),
+		workersIn: workersIn,
 		steal:     policy != mr.StealOff,
+		single:    single,
 	}
 	for g := 0; g < groups; g++ {
 		tq.class[g] = make([]topology.StealClass, groups)
@@ -428,7 +414,7 @@ func newTaskQueues(tasks [][2]int, machine *topology.Machine, mappersIn []int, p
 			tq.class[g][v] = machine.GroupStealClass(g, v)
 		}
 	}
-	shares := seedShares(len(tasks), mappersIn)
+	shares := seedShares(len(tasks), workersIn)
 	off := 0
 	for g := range tq.deques {
 		tq.deques[g].head = off
@@ -448,7 +434,7 @@ func seedShares(total int, weights []int) []int {
 		sumW += w
 	}
 	if sumW == 0 {
-		// No mapper draws from any group (impossible for a validated
+		// No worker draws from any group (impossible for a validated
 		// config, which has >= 1 mapper); park everything in group 0.
 		if len(shares) > 0 {
 			shares[0] = total
@@ -495,28 +481,19 @@ func chunkFor(rem, mappers int) int {
 }
 
 // take returns the next batch of task ids [lo, hi) for a worker in group
-// g, plus the steal class of the source deque; single makes the batch one
-// task, which is all a helping combiner slot takes, so that it is back at
-// its rings within a task. ok is false only at global exhaustion (or local
-// exhaustion under StealOff). Deques never refill, so a single pass over
-// the victim order is a sound termination check: a deque observed empty
-// stays empty.
-//
-// A deque that slots help drain is drained one task at a time by its
-// mappers too. A guided chunk is private once taken, and its size assumes
-// the group's mappers are all there is: with a slot mapping beside it the
-// mapper would walk off with half the deque — the heavy half, when splits
-// are sorted by size — and leave the slot the crumbs (EXPERIMENTS.md,
-// "Work-conserving pipeline": the skewed SYNTH run halves only with single
-// takes). The lock this gives up amortising is one group's, taken once per
-// task of tens of microseconds.
-func (tq *taskQueues) take(g int, single bool) (lo, hi int, class topology.StealClass, ok bool) {
+// g, plus the steal class of the source deque. ok is false only at global
+// exhaustion (or local exhaustion under StealOff). Deques never refill, so
+// a single pass over the victim order is a sound termination check: a
+// deque observed empty stays empty. A conserving run takes one task at a
+// time: the skewed SYNTH run halves only with single takes (EXPERIMENTS.md,
+// "Work-conserving pipeline"), for the price of one group lock per task.
+func (tq *taskQueues) take(g int) (lo, hi int, class topology.StealClass, ok bool) {
 	d := &tq.deques[g]
 	d.mu.Lock()
 	if rem := d.tail - d.head; rem > 0 {
 		n := 1
-		if !single && tq.helpersIn[g] == 0 {
-			n = chunkFor(rem, tq.mappersIn[g])
+		if !tq.single {
+			n = chunkFor(rem, tq.workersIn[g])
 		}
 		lo, hi = d.head, d.head+n
 		d.head += n
@@ -532,7 +509,7 @@ func (tq *taskQueues) take(g int, single bool) (lo, hi int, class topology.Steal
 		dv.mu.Lock()
 		if rem := dv.tail - dv.head; rem > 0 {
 			n := (rem + 1) / 2
-			if single {
+			if tq.single {
 				n = 1
 			}
 			lo, hi = dv.tail-n, dv.tail

@@ -104,12 +104,13 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestBatchLargerThanQueue is the deadlock regression: a consume batch
-// exceeding the ring capacity must be clamped, or a blocked producer and a
-// batch-starved consumer wait on each other forever.
+// TestBatchLargerThanQueue is the deadlock regression:a consume batch larger than the ring is clamped
+// to it. Unclamped it could never fill while its producer is parked on the
+// full ring, and the pipeline deadlocks; a run that ships nothing never
+// meets it, so the run is given a one-CPU grant.
 func TestBatchLargerThanQueue(t *testing.T) {
 	spec := countSpec(20, 200, 7)
-	cfg := testConfig()
+	cfg := parked(testConfig())
 	cfg.QueueCapacity = 32
 	cfg.BatchSize = 100_000
 	res, err := Run(spec, cfg)
@@ -123,6 +124,7 @@ func TestBatchLargerThanQueue(t *testing.T) {
 	if total != 20*200 {
 		t.Fatalf("total = %d", total)
 	}
+	conserved(t, res, 20*200)
 }
 
 func TestEmptyInput(t *testing.T) {
@@ -267,11 +269,11 @@ func TestTaskQueuesStealAcrossGroups(t *testing.T) {
 	// One mapper per group seeds every group tasks, but only group 2's
 	// mapper runs: it must drain the whole set, stealing the other
 	// groups' shares, and classify those takes as remote.
-	tq := newTaskQueues(tasks, multiSocket(3), []int{1, 1, 1}, mr.StealChunked)
+	tq := newTaskQueues(tasks, multiSocket(3), []int{1, 1, 1}, mr.StealChunked, false)
 	seen := map[int]bool{}
 	stolen := 0
 	for {
-		lo, hi, cls, ok := tq.take(2, false)
+		lo, hi, cls, ok := tq.take(2)
 		if !ok {
 			break
 		}
@@ -303,11 +305,11 @@ func TestTaskQueuesStealAcrossGroups(t *testing.T) {
 // own group's seed, and the other groups' mappers can still drain theirs.
 func TestTaskQueuesStealOffStaysLocal(t *testing.T) {
 	tasks := mr.Tasks(12, 1)
-	tq := newTaskQueues(tasks, multiSocket(3), []int{1, 1, 1}, mr.StealOff)
+	tq := newTaskQueues(tasks, multiSocket(3), []int{1, 1, 1}, mr.StealOff, false)
 	counts := make([]int, 3)
 	for g := 0; g < 3; g++ {
 		for {
-			lo, hi, cls, ok := tq.take(g, false)
+			lo, hi, cls, ok := tq.take(g)
 			if !ok {
 				break
 			}
@@ -324,44 +326,36 @@ func TestTaskQueuesStealOffStaysLocal(t *testing.T) {
 	}
 }
 
-// TestTaskQueuesSingleTakes: a single take — a helping combiner slot's —
-// gets one task whatever the guided chunk would have been, from its own
-// deque's head or a victim's tail, and under StealOff never leaves its
-// group; and a deque that slots help drain gives its mappers one task at a
-// time too, while the other groups keep their chunks.
+// TestTaskQueuesSingleTakes: a conserving run's queues give every take one
+// task whatever the guided chunk would have been, from the taker's own
+// deque's head or a victim's tail, and under StealOff never leave the
+// taker's group; the pipeline's queues keep their guided chunks.
 func TestTaskQueuesSingleTakes(t *testing.T) {
-	tq := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 1}, mr.StealChunked)
-	if lo, hi, cls, ok := tq.take(0, true); !ok || hi-lo != 1 || lo != 0 || cls != topology.StealLocal {
+	tq := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 1}, mr.StealChunked, true)
+	if lo, hi, cls, ok := tq.take(0); !ok || hi-lo != 1 || lo != 0 || cls != topology.StealLocal {
 		t.Fatalf("own deque: took [%d,%d) class %v ok=%v, want task 0 alone, local", lo, hi, cls, ok)
 	}
 	for {
-		if _, _, cls, _ := tq.take(0, false); cls != topology.StealLocal {
-			break // group 0 is drained: that take was a steal
+		lo, hi, cls, _ := tq.take(0)
+		if hi-lo != 1 {
+			t.Fatalf("took [%d,%d), want one task", lo, hi)
+		}
+		if cls != topology.StealLocal {
+			break // group 0 is drained: that take was a one-task steal
 		}
 	}
-	before := tq.remaining()
-	if lo, hi, cls, ok := tq.take(0, true); !ok || hi-lo != 1 || cls == topology.StealLocal {
-		t.Fatalf("victim deque: took [%d,%d) class %v ok=%v, want one stolen task", lo, hi, cls, ok)
-	}
-	if got := tq.remaining(); got != before-1 {
-		t.Fatalf("capped steal moved %d tasks, want 1", before-got)
-	}
 
-	off := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 0}, mr.StealOff)
-	if _, _, _, ok := off.take(2, true); ok {
-		t.Fatal("StealOff: a slot in a group seeded nothing took another group's task")
+	off := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 0}, mr.StealOff, true)
+	if _, _, _, ok := off.take(2); ok {
+		t.Fatal("StealOff: a worker in a group seeded nothing took another group's task")
 	}
 	if off.remaining() != 12 {
 		t.Fatalf("StealOff: %d tasks left, want all 12", off.remaining())
 	}
 
-	helped := newTaskQueues(mr.Tasks(40, 1), multiSocket(2), []int{1, 1}, mr.StealChunked)
-	helped.helpersIn[0] = 1
-	if lo, hi, _, _ := helped.take(0, false); hi-lo != 1 {
-		t.Fatalf("mapper took %d tasks from a deque a slot helps drain, want 1", hi-lo)
-	}
-	if lo, hi, _, _ := helped.take(1, false); hi-lo != 10 {
-		t.Fatalf("mapper took %d tasks from an unhelped deque of 20, want the guided chunk of 10", hi-lo)
+	guided := newTaskQueues(mr.Tasks(40, 1), multiSocket(2), []int{1, 1}, mr.StealChunked, false)
+	if lo, hi, _, _ := guided.take(1); hi-lo != 10 {
+		t.Fatalf("mapper took %d tasks from a deque of 20, want the guided chunk of 10", hi-lo)
 	}
 }
 
@@ -369,14 +363,14 @@ func TestTaskQueuesConcurrentExactlyOnce(t *testing.T) {
 	tasks := mr.Tasks(500, 1)
 	machine := multiSocket(4)
 	// 8 workers, 2 per group, matching the mappersIn weights.
-	tq := newTaskQueues(tasks, machine, []int{2, 2, 2, 2}, mr.StealChunked)
+	tq := newTaskQueues(tasks, machine, []int{2, 2, 2, 2}, mr.StealChunked, false)
 	var claimed [500]atomic.Int32
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for {
-				lo, hi, _, ok := tq.take(g, false)
+				lo, hi, _, ok := tq.take(g)
 				if !ok {
 					return
 				}
@@ -449,7 +443,7 @@ func TestSeedSharesGrantFiltered(t *testing.T) {
 		t.Fatalf("grant-filtered mappers per group = %v, want [%d 0]", mappersIn, mappers)
 	}
 	tasks := mr.Tasks(40, 1)
-	tq := newTaskQueues(tasks, machine, mappersIn, mr.StealOff)
+	tq := newTaskQueues(tasks, machine, mappersIn, mr.StealOff, false)
 	if got := tq.deques[0].tail - tq.deques[0].head; got != 40 {
 		t.Fatalf("group 0 seeded %d tasks, want all 40", got)
 	}
@@ -463,11 +457,11 @@ func TestSeedSharesGrantFiltered(t *testing.T) {
 // order), not group 0.
 func TestTaskQueuesVictimOrderPreferred(t *testing.T) {
 	tasks := mr.Tasks(40, 1)
-	tq := newTaskQueues(tasks, multiSocket(4), []int{1, 1, 1, 1}, mr.StealChunked)
+	tq := newTaskQueues(tasks, multiSocket(4), []int{1, 1, 1, 1}, mr.StealChunked, false)
 	// Group 1's own seed is [10, 20); once it drains, the first steal
 	// must come from group 2's seed [20, 30) — the ring-order victim.
 	for {
-		lo, hi, cls, ok := tq.take(1, false)
+		lo, hi, cls, ok := tq.take(1)
 		if !ok {
 			t.Fatal("queues exhausted before any steal")
 		}
@@ -603,7 +597,7 @@ func TestResultDeterministicAcrossRuns(t *testing.T) {
 func TestEmitBatchSweep(t *testing.T) {
 	spec := countSpec(40, 25, 17)
 	for _, eb := range []int{0, 1, 3, 64, 100_000} {
-		cfg := testConfig()
+		cfg := parked(testConfig()) // a fused lane stages nothing to batch
 		cfg.EmitBatch = eb
 		res, err := Run(spec, cfg)
 		if err != nil {
@@ -617,5 +611,8 @@ func TestEmitBatchSweep(t *testing.T) {
 			t.Fatalf("EmitBatch=%d: total = %d, want %d", eb, total, 40*25)
 		}
 		conserved(t, res, 40*25)
+		if res.QueueStats.Pushes != 40*25 {
+			t.Fatalf("EmitBatch=%d: %d pairs pushed, want every one", eb, res.QueueStats.Pushes)
+		}
 	}
 }

@@ -7,6 +7,29 @@ import (
 	"ramr/internal/topology"
 )
 
+// TestConservesWork is the grant rule: a granted run conserves work when
+// its grant has a CPU per worker, and a library run (no grant) always does,
+// however few CPUs the machine has for its workers: it owns the machine and
+// has nobody to yield to.
+func TestConservesWork(t *testing.T) {
+	for _, tc := range []struct {
+		grant   []int
+		workers int
+		want    bool
+	}{
+		{nil, 2, true},
+		{nil, 64, true}, // more workers than any test host has CPUs
+		{[]int{0}, 2, false},
+		{[]int{0, 1}, 2, true},
+		{[]int{0, 1, 2}, 4, false},
+		{[]int{0, 1, 2, 3, 4}, 4, true},
+	} {
+		if got := ConservesWork(tc.grant, tc.workers); got != tc.want {
+			t.Errorf("ConservesWork(%v, %d) = %v, want %v", tc.grant, tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestBuildPlanOnStaysInGrant: under every pinning policy, a granted plan
 // never places a thread outside the grant — the property the multi-job
 // scheduler relies on for isolation between concurrent jobs.

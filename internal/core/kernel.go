@@ -3,13 +3,13 @@
 // A Lane is a mapper's producer side (emit slab → ring); combine is a
 // combiner slot's consume loop (ring → apply, park when idle,
 // drain-and-discard on abort). Both are generic over the ring element E and
-// never look inside one. Work conservation lives here too: a slot about to
-// park asks its driver for other work first (Combiners.Help), and a lane can
-// fold each pair where it is made instead of shipping it (Fuse), which is
-// what a batch run does once every worker has a CPU of its own. The batch
-// engine (engine.go) and the resident stream session (internal/stream) are
-// drivers: they decide where tasks come from and where folded batches go,
-// and run everything else through here.
+// never look inside one. Work conservation lives here too: a lane can fold
+// each pair where it is made instead of shipping it (Fuse), which is all a
+// batch run's workers do once every one has a CPU of its own, and a stream
+// session's slot about to park asks its driver for a split to map first
+// (Combiners.Help). The batch engine (engine.go) and the resident stream
+// session (internal/stream) are drivers: they decide where tasks come from
+// and where folded batches go, and run everything else through here.
 package core
 
 import (
@@ -72,12 +72,13 @@ func runWorker(ctx context.Context, engine string, r role, id, cpu int, tw *tele
 // the unbatched ablation baseline. A Lane belongs to the goroutine inside
 // Run.
 //
-// A lane with no ring is a combiner slot's own: the slot maps on it while
-// its rings are empty, and every slab goes to the slot's fold (see combine).
-// A lane whose driver emits through Fuse stages nothing at all.
+// A lane with a fold is a stream session's combiner slot's own: the slot
+// maps on it while its rings are empty, and every slab goes to the slot's
+// fold (see combine). A lane with neither is a fused worker's: its driver
+// emits through Fuse, so it stages nothing at all.
 type Lane[E any] struct {
-	q        *spsc.Queue[E] // nil on a combiner slot's lane
-	fold     func([]E)      // a ring-less lane's slabs: the slot's fold
+	q        *spsc.Queue[E] // nil on a slot's or a fused worker's lane
+	fold     func([]E)      // a slot's lane's slabs: the slot's fold
 	slab     []E
 	id       int
 	emitHook func(int) // Hooks.MapEmit
@@ -87,10 +88,10 @@ type Lane[E any] struct {
 	folded   uint64 // elements folded where they were made
 }
 
-// NewLane builds mapper id's lane over q (nil: a slot's ring-less lane). The
-// slab is clamped to the ring: PushBatch copies oversized blocks in chunks
-// anyway, but a slab beyond the ring capacity only adds latency before the
-// combiner sees anything.
+// NewLane builds worker id's lane over q (nil: no ring). The slab is
+// clamped to the ring: PushBatch copies oversized blocks in chunks anyway,
+// but a slab beyond the ring capacity only adds latency before the combiner
+// sees anything.
 func NewLane[E any](q *spsc.Queue[E], emitBatch, id int, hooks *mr.Hooks) *Lane[E] {
 	if emitBatch <= 0 {
 		emitBatch = mr.DefaultEmitBatch
@@ -107,21 +108,29 @@ func NewLane[E any](q *spsc.Queue[E], emitBatch, id int, hooks *mr.Hooks) *Lane[
 
 // Run executes body as this lane's mapper goroutine, on a shard it
 // registers in ledger, under the worker prologue, and always ends by
-// booking the lane and closing the ring — the combiner must be notified
-// however the mapper ends, and a push after Close panics. A panicked Map
-// leaves a half-built slab whose elements must never reach Combine (the
-// run is doomed), so after a panic the error goes to fail first and the
-// exit flush is skipped.
+// booking the lane and closing its ring, if it has one — the combiner must
+// be notified however the mapper ends, and a push after Close panics. A
+// panicked Map leaves a half-built slab whose elements must never reach
+// Combine (the run is doomed), so after a panic the error goes to fail
+// first and the exit flush is skipped.
 func (l *Lane[E]) Run(ctx context.Context, engine string, cpu int, ledger *telemetry.Ledger, fail func(error), body func(*telemetry.Worker)) {
-	l.tw = ledger.Register(mapperRole.label, l.id)
+	l.run(ctx, engine, mapperRole, l.id, cpu, ledger, fail, body)
+}
+
+// run is Run as worker id of pool r: a conserving batch run's combine
+// workers are fused workers too, booked and labelled as combiners.
+func (l *Lane[E]) run(ctx context.Context, engine string, r role, id, cpu int, ledger *telemetry.Ledger, fail func(error), body func(*telemetry.Worker)) {
+	l.tw = ledger.Register(r.label, id)
 	exit := func(failed bool) {
 		if !failed {
 			l.flush()
 		}
 		l.book()
-		l.q.Close()
+		if l.q != nil {
+			l.q.Close()
+		}
 	}
-	runWorker(ctx, engine, mapperRole, l.id, cpu, l.tw, func() {
+	runWorker(ctx, engine, r, id, cpu, l.tw, func() {
 		body(l.tw)
 		exit(false)
 	}, func(pe *mr.PanicError) {
@@ -145,8 +154,8 @@ func Emit[E any](l *Lane[E], e E) {
 }
 
 // flush publishes the slab: to the ring, waiting for room if it must, or
-// to the slot's fold on a ring-less lane. A fold that panics leaves the
-// slab staged, and a staged slab is never flushed after a panic.
+// to a slot's lane's fold. A fold that panics leaves the slab staged, and a
+// staged slab is never flushed after a panic.
 //
 //go:noinline
 func (l *Lane[E]) flush() {
@@ -154,7 +163,7 @@ func (l *Lane[E]) flush() {
 	switch {
 	case n == 0:
 		return
-	case l.q == nil:
+	case l.fold != nil:
 		l.fold(l.slab)
 		l.folded += uint64(n)
 	default:
@@ -188,10 +197,10 @@ func Fuse[K comparable, V any](l *Lane[pair[K, V]], c container.Container[K, V],
 	})
 }
 
-// BeginTask marks the start of one map task. A combiner slot's lane leaves
-// the worker state to the slot, which is helping, not working.
+// BeginTask marks the start of one map task. A slot's lane leaves the
+// worker state to the slot, which is helping, not working.
 func (l *Lane[E]) BeginTask() {
-	if l.q != nil {
+	if l.fold == nil {
 		l.tw.SetState(telemetry.StateWorking)
 	}
 	if l.taskHook != nil {
@@ -207,9 +216,6 @@ func (l *Lane[E]) BeginTask() {
 func (l *Lane[E]) EndTask() (emitted uint64) {
 	l.flush()
 	done := l.book()
-	if l.q == nil {
-		l.tw.AddHelped()
-	}
 	emitted, l.done = done-l.done, done
 	l.tw.AddTask(emitted)
 	return emitted
@@ -284,15 +290,16 @@ type Combiners[E any] struct {
 	Progress func()
 	// Help, if set, is asked once per slot for the slot's answer to "my
 	// rings hold nothing for me": a func that runs one unit of other work
-	// on the slot's goroutine and reports whether it found any. A slot that
-	// would park calls it first and parks only on false, which means
-	// "nothing now": the slot asks again before its next park, since a
-	// stream session's next chunk arrives after a slot found none. What
-	// help runs is the slot's own: lane is a ring-less Lane whose slabs go
-	// to the slot's Apply fold (unless the driver Fuses) and whose tasks and
-	// pairs are booked on the slot's ledger shard, mapping as worker
-	// len(Queues)+slot to the Map hooks; track is the slot's trace lane. A
-	// slot that owns no ring exits at once and never asks.
+	// on the slot's goroutine and reports whether it found any. Only a
+	// stream session sets it; a batch run that conserves work has no
+	// combiner pool. A slot that would park calls it first and parks only
+	// on false, which means "nothing now": the slot asks again before its
+	// next park, since the session's next chunk arrives after a slot found
+	// none. What help runs is the slot's own: lane is a Lane whose slabs go
+	// to the slot's Apply fold and whose tasks and pairs are booked on the
+	// slot's ledger shard, mapping as worker len(Queues)+slot to the Map
+	// hooks; track is the slot's trace lane. A slot that owns no ring exits
+	// at once and never asks.
 	Help func(slot int, lane *Lane[E], track *obs.Track) func() bool
 }
 

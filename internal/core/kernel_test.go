@@ -159,12 +159,16 @@ func TestLedgerCostsNoAllocation(t *testing.T) {
 		t.Fatalf("books %+v, ring %+v: want 101 tasks of 32 pairs and the ring's pops", tot, q.Snapshot())
 	}
 
+	// A conserving batch run's two kinds of worker, which have no ring, and
+	// a stream slot's lane, which folds its slabs.
 	add := func(a, b int) int { return a + b }
-	fusedMapper := NewLane(spsc.MustNew[pair[int, int]](64, spsc.WaitSleep), 8, 1, nil)
+	fusedMapper := NewLane[pair[int, int]](nil, 8, 1, nil)
 	fusedMapper.tw = ledger.Register("mapper", 1)
-	slotLane := NewLane[pair[int, int]](nil, 8, 2, nil)
-	slotLane.fold, slotLane.tw = discard, ledger.Register("combiner", 1)
-	for _, fused := range []*Lane[pair[int, int]]{fusedMapper, slotLane} {
+	fusedCombiner := NewLane[pair[int, int]](nil, 8, 2, nil)
+	fusedCombiner.tw = ledger.Register("combiner", 1)
+	slotLane := NewLane[pair[int, int]](nil, 8, 3, nil)
+	slotLane.fold, slotLane.tw = discard, ledger.Register("combiner", 2)
+	for _, fused := range []*Lane[pair[int, int]]{fusedMapper, fusedCombiner, slotLane} {
 		emit := Fuse(fused, container.NewFixedArray[int](32), add)
 		if n := testing.AllocsPerRun(100, func() {
 			fused.BeginTask()
@@ -176,7 +180,7 @@ func TestLedgerCostsNoAllocation(t *testing.T) {
 			t.Fatalf("a fused task on lane %d allocates %.1f times", fused.id, n)
 		}
 	}
-	if tot := ledger.Totals(); tot.Tasks != 3*101 || tot.FoldedByMappers != 101*32 || tot.FoldedByCombiners != 101*32 || tot.TasksHelped != 101 {
-		t.Fatalf("books %+v: want 101 fused tasks of 32 pairs on each lane, the slot's helped", tot)
+	if tot := ledger.Totals(); tot.Tasks != 4*101 || tot.FoldedByMappers != 101*32 || tot.FoldedByCombiners != 2*101*32 || tot.TasksHelped != 2*101 {
+		t.Fatalf("books %+v: want 101 fused tasks of 32 pairs on each lane, the combiners' helped", tot)
 	}
 }

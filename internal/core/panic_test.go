@@ -99,14 +99,14 @@ func TestMapPanicBecomesError(t *testing.T) {
 
 func TestCombinePanicBecomesError(t *testing.T) {
 	spec := panicSpec(200, -1) // map never panics
-	var calls atomic.Int64     // the mappers fold too, once their rings are full
+	var calls atomic.Int64
 	spec.Combine = func(a, b int) int {
 		if calls.Add(1) == 500 {
 			panic("combine exploded")
 		}
 		return a + b
 	}
-	cfg := testConfig()
+	cfg := parked(testConfig()) // every pair reaches the combiner
 	cfg.Mappers = 2
 	cfg.Combiners = 1 // the single combiner owns all queues; its recovery must drain them
 	cfg.QueueCapacity = 16
@@ -115,8 +115,12 @@ func TestCombinePanicBecomesError(t *testing.T) {
 		_, err := Run(spec, cfg)
 		return err
 	})
-	if err == nil {
-		t.Fatal("combine panic not reported")
+	var pe *mr.PanicError
+	if !errors.As(err, &pe) || pe.Worker != "combine worker 0" {
+		t.Fatalf("err = %v, want the combiner's *mr.PanicError", err)
+	}
+	if len(rec.Reports()) != 2 {
+		t.Fatalf("%d queue reports, want 2", len(rec.Reports()))
 	}
 	assertClean(t, rec)
 }
@@ -156,7 +160,8 @@ func TestPanicWithPinnedWorkers(t *testing.T) {
 // and the mapper's exit path must NOT publish them — the run is doomed and
 // those pairs must never reach user Combine. With one split emitting fewer
 // pairs than the slab size, nothing legitimately flushes, so any push at
-// all is the bug.
+// all is the bug. Only a lane with a ring stages pairs, so the run is given
+// a one-CPU grant.
 func TestMapPanicDiscardsStagedSlab(t *testing.T) {
 	spec := &mr.Spec[int, int, int, int]{
 		Name:   "slab-panic",
@@ -171,7 +176,7 @@ func TestMapPanicDiscardsStagedSlab(t *testing.T) {
 		Reduce:       mr.IdentityReduce[int, int](),
 		NewContainer: func() container.Container[int, int] { return container.NewFixedArray[int](8) },
 	}
-	cfg := testConfig()
+	cfg := parked(testConfig())
 	cfg.Mappers = 1
 	cfg.Combiners = 1
 	cfg.EmitBatch = 64 // slab far larger than the 5 staged pairs

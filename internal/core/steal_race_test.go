@@ -46,32 +46,38 @@ func stealCfg(m *topology.Machine) mr.Config {
 	return cfg
 }
 
-// runSkewed executes the skewed job and checks the conservation
-// invariants every successful run must satisfy: no element lost or
-// duplicated, steal counters balanced exactly (tasks stolen == tasks
-// executed remotely), and every task taken exactly once — by a mapper, or
-// by a combiner slot that had nothing to consume.
-func runSkewed(t *testing.T, m *topology.Machine) mr.StealStats {
+// runSkewed executes the skewed job on both grant arms — the fused pool
+// that ships nothing, and the pipeline under a one-CPU grant — and checks
+// the conservation invariants every successful run must satisfy: no
+// element lost or duplicated, steal counters balanced exactly (tasks stolen
+// == tasks executed remotely), every task taken exactly once by a worker
+// that booked the take, and every pair either folded where it was emitted
+// or shipped, as the arm says. It returns each arm's steal stats.
+func runSkewed(t *testing.T, m *topology.Machine) []mr.StealStats {
 	t.Helper()
 	const splits, heavy = 120, 30
-	res, err := Run(skewedSpec(splits, heavy, 500*time.Microsecond), stealCfg(m))
-	if err != nil {
-		t.Fatal(err)
+	var arms []mr.StealStats
+	for _, cfg := range []mr.Config{stealCfg(m), parked(stealCfg(m))} {
+		res, err := Run(skewedSpec(splits, heavy, 500*time.Microsecond), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sumValues(res.Pairs); got != splits {
+			t.Fatalf("conservation: %d elements out, want %d", got, splits)
+		}
+		if !res.Steal.Balanced() {
+			t.Fatalf("steal counters unbalanced: %s", res.Steal.String())
+		}
+		if got := res.Steal.TotalTasks(); got != splits {
+			t.Fatalf("take accounting covers %d tasks, want %d", got, splits)
+		}
+		conserved(t, res, splits)
+		if fused := len(cfg.CPUGrant) == 0; fused != (res.QueueStats == mr.QueueStats{}) {
+			t.Fatalf("fused=%v: queue stats %+v, help %+v", fused, res.QueueStats, res.Help)
+		}
+		arms = append(arms, res.Steal)
 	}
-	total := 0
-	for _, p := range res.Pairs {
-		total += p.Value
-	}
-	if total != splits {
-		t.Fatalf("conservation: %d elements out, want %d", total, splits)
-	}
-	if !res.Steal.Balanced() {
-		t.Fatalf("steal counters unbalanced: %s", res.Steal.String())
-	}
-	if got := res.Steal.TotalTasks() + res.Help.Tasks; got != splits {
-		t.Fatalf("take accounting covers %d tasks (%d of them by combiner slots), want %d", got, res.Help.Tasks, splits)
-	}
-	return res.Steal
+	return arms
 }
 
 // TestStealConservationSkewed: under the race detector, chunked stealing
@@ -79,14 +85,15 @@ func runSkewed(t *testing.T, m *topology.Machine) mr.StealStats {
 // task, and the skewed input actually provokes steals (a run where
 // nothing was stolen would make the balance assertion vacuous).
 func TestStealConservationSkewed(t *testing.T) {
-	st := runSkewed(t, topology.Fig3Example())
-	if st.StolenTasks() == 0 {
-		t.Fatalf("skewed input provoked no steals: %s", st.String())
-	}
-	// Fig3Example has per-socket LLCs, so every cross-group steal is
-	// remote-class.
-	if st.SocketTasks != 0 {
-		t.Fatalf("per-socket-LLC machine produced socket-class steals: %s", st.String())
+	for _, st := range runSkewed(t, topology.Fig3Example()) {
+		if st.StolenTasks() == 0 {
+			t.Fatalf("skewed input provoked no steals: %s", st.String())
+		}
+		// Fig3Example has per-socket LLCs, so every cross-group steal is
+		// remote-class.
+		if st.SocketTasks != 0 {
+			t.Fatalf("per-socket-LLC machine produced socket-class steals: %s", st.String())
+		}
 	}
 }
 
@@ -97,12 +104,13 @@ func TestStealConservationSkewed(t *testing.T) {
 // Xeon Phi preset (its one locality group has no victims).
 func TestStealClassByTopology(t *testing.T) {
 	t.Run("haswell", func(t *testing.T) {
-		st := runSkewed(t, topology.HaswellServer())
-		if st.StolenTasks() == 0 {
-			t.Fatalf("no steals on the Haswell server: %s", st.String())
-		}
-		if st.SocketTasks != 0 {
-			t.Fatalf("cross-socket steals misclassified as socket-class: %s", st.String())
+		for _, st := range runSkewed(t, topology.HaswellServer()) {
+			if st.StolenTasks() == 0 {
+				t.Fatalf("no steals on the Haswell server: %s", st.String())
+			}
+			if st.SocketTasks != 0 {
+				t.Fatalf("cross-socket steals misclassified as socket-class: %s", st.String())
+			}
 		}
 	})
 	t.Run("phi-style-global-llc", func(t *testing.T) {
@@ -120,48 +128,49 @@ func TestStealClassByTopology(t *testing.T) {
 			},
 			MemLatencyCycles: 300,
 		}
-		st := runSkewed(t, m)
-		if st.StolenTasks() == 0 {
-			t.Fatalf("no steals on the global-LLC machine: %s", st.String())
-		}
-		if st.RemoteTasks != 0 {
-			t.Fatalf("global-LLC steals misclassified as remote: %s", st.String())
+		for _, st := range runSkewed(t, m) {
+			if st.StolenTasks() == 0 {
+				t.Fatalf("no steals on the global-LLC machine: %s", st.String())
+			}
+			if st.RemoteTasks != 0 {
+				t.Fatalf("global-LLC steals misclassified as remote: %s", st.String())
+			}
 		}
 	})
 	t.Run("xeon-phi", func(t *testing.T) {
 		// One package, one locality group: everything is a local take.
-		st := runSkewed(t, topology.XeonPhi())
-		if st.StolenTasks() != 0 || st.RemoteExecuted != 0 {
-			t.Fatalf("single-group machine stole: %s", st.String())
+		for _, st := range runSkewed(t, topology.XeonPhi()) {
+			if st.StolenTasks() != 0 || st.RemoteExecuted != 0 {
+				t.Fatalf("single-group machine stole: %s", st.String())
+			}
 		}
 	})
 }
 
 // TestStealOffStaysStatic: with the steal policy off, the same skewed
 // input finishes with zero steals — the static steering baseline the
-// BenchmarkSkewSteal sweep compares against. A combiner slot may still map
-// tasks of its own group's deque (TestTaskQueuesSingleTakes pins that it
-// cannot reach another's), so the local takes and the helped tasks together
-// cover the job.
+// BenchmarkSkewSteal sweep compares against. On a conserving run the
+// combine workers take tasks too, each from its own group's deque
+// (TestTaskQueuesSingleTakes pins that it cannot reach another's), so on
+// both grant arms the local takes alone cover the job.
 func TestStealOffStaysStatic(t *testing.T) {
 	const splits, heavy = 120, 30
 	cfg := stealCfg(topology.Fig3Example())
 	cfg.Steal = mr.StealOff
-	res, err := Run(skewedSpec(splits, heavy, 100*time.Microsecond), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, p := range res.Pairs {
-		total += p.Value
-	}
-	if total != splits {
-		t.Fatalf("conservation: %d elements out, want %d", total, splits)
-	}
-	if res.Steal.StolenTasks() != 0 || res.Steal.RemoteExecuted != 0 {
-		t.Fatalf("StealOff run stole: %s", res.Steal.String())
-	}
-	if got := res.Steal.LocalTasks + res.Help.Tasks; got != splits {
-		t.Fatalf("StealOff local takes and helped tasks cover %d tasks, want %d", got, splits)
+	for _, cfg := range []mr.Config{cfg, parked(cfg)} {
+		res, err := Run(skewedSpec(splits, heavy, 100*time.Microsecond), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sumValues(res.Pairs); got != splits {
+			t.Fatalf("conservation: %d elements out, want %d", got, splits)
+		}
+		if res.Steal.StolenTasks() != 0 || res.Steal.RemoteExecuted != 0 {
+			t.Fatalf("StealOff run stole: %s", res.Steal.String())
+		}
+		if got := res.Steal.LocalTasks; got != splits {
+			t.Fatalf("StealOff local takes cover %d tasks, want %d", got, splits)
+		}
+		conserved(t, res, splits)
 	}
 }

@@ -3,7 +3,7 @@ package faultinject_test
 import (
 	"context"
 	"errors"
-	"strings"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,19 +15,19 @@ import (
 	"ramr/internal/topology"
 )
 
-// The work-conserving pipeline runs user code in two places it did not
-// before: Map on a combiner slot's goroutine (an idle slot takes a task) and
-// Combine on a mapper's (every pair it emits is folded where it is made). The
-// scenarios below land a fault in each, and a cancellation and another
-// worker's abort in the middle of a helped task. Every one must end the way
-// any fault does: the typed error, every ring closed, drained and
-// conserving, no worker goroutine left. They are built on 1+1 workers and
-// steered with hooks and channels, not timing, so the fault lands where it
-// is aimed on one processor and on two.
+// A run that conserves work runs user code in two places the paper's
+// pipeline does not: Map on a combine worker's goroutine (every worker
+// maps) and Combine on a mapper's (every pair is folded where it is made).
+// The scenarios below land a fault in each, and a cancellation and another
+// worker's abort in the middle of a combine worker's task. Every one must
+// end the way any fault does: the typed error, no worker goroutine left,
+// and, since such a run builds no ring, no queue to report. They are built
+// on 1+1 workers and steered with hooks and channels, not timing, so the
+// fault lands where it is aimed on one processor and on two.
 
-// conserveConfig is a 1+1 pipeline on one locality group, with a recorder
-// for the queue reports. Map worker 0 is the mapper; a task the combiner
-// slot runs reports as map worker 1.
+// conserveConfig is a 1+1 run on one locality group, with a recorder for
+// the queue reports. Map worker 0 is the mapper; a task the combine worker
+// runs reports as map worker 1.
 func conserveConfig() (mr.Config, *faultinject.Recorder) {
 	cfg := mr.DefaultConfig()
 	cfg.Mappers, cfg.Combiners = 1, 1
@@ -48,6 +48,51 @@ func within(ch <-chan struct{}) {
 	}
 }
 
+// rings is the number of rings a RAMR run under cfg builds: one per mapper
+// on the paper's pipeline, none when the run conserves work.
+func rings(cfg mr.Config) int {
+	if core.ConservesWork(cfg.CPUGrant, cfg.Mappers+cfg.NumCombiners()) {
+		return 0
+	}
+	return cfg.Mappers
+}
+
+// checkBooks checks a clean RAMR run's books: every task's take booked,
+// every pair through a ring or folded where it was emitted, and nothing of
+// the other arm's: a run without rings ships nothing, a pipeline run folds
+// nothing in place.
+func checkBooks(res *mr.Result[int, int], cfg mr.Config, tasks, pairs int) error {
+	qs, help := res.QueueStats, res.Help
+	switch {
+	case res.Steal.TotalTasks() != uint64(tasks):
+		return fmt.Errorf("takes cover %d tasks, want %d", res.Steal.TotalTasks(), tasks)
+	case qs.Pushes+help.Pairs() != uint64(pairs) || qs.Pushes != qs.Pops:
+		return fmt.Errorf("%d pairs emitted; queue stats %+v, help %+v", pairs, qs, help)
+	case rings(cfg) == 0 && qs != (mr.QueueStats{}):
+		return fmt.Errorf("a run without rings booked ring traffic: %+v", qs)
+	case rings(cfg) > 0 && help != (mr.HelpStats{}):
+		return fmt.Errorf("a pipeline run conserved work: %+v", help)
+	}
+	return nil
+}
+
+// checkWorker checks that a RAMR worker's panic names a worker of the run:
+// "map worker i" for a mapper, "combine worker j" for a combiner. A panic in
+// the merge or reduce phase is the phase's, not a worker's.
+func checkWorker(pe *mr.PanicError, cfg mr.Config) error {
+	if pe.Engine == "mr" {
+		return nil
+	}
+	var i int
+	if _, err := fmt.Sscanf(pe.Worker, "map worker %d", &i); err == nil && i >= 0 && i < cfg.Mappers {
+		return nil
+	}
+	if _, err := fmt.Sscanf(pe.Worker, "combine worker %d", &i); err == nil && i >= 0 && i < cfg.NumCombiners() {
+		return nil
+	}
+	return fmt.Errorf("panic from %q, not a worker of %d+%d", pe.Worker, cfg.Mappers, cfg.NumCombiners())
+}
+
 // runConserve runs spec and asserts the lifecycle contract every ending
 // shares; it returns the run's error for the scenario to judge.
 func runConserve(t *testing.T, ctx context.Context, spec *mr.Spec[int, int, int, int], cfg mr.Config, rec *faultinject.Recorder) error {
@@ -63,12 +108,14 @@ func runConserve(t *testing.T, ctx context.Context, spec *mr.Spec[int, int, int,
 	case <-time.After(60 * time.Second):
 		t.Fatal("run wedged")
 	}
-	reports := rec.Reports()
-	if len(reports) != cfg.Mappers {
-		t.Fatalf("%d queue reports, want %d", len(reports), cfg.Mappers)
+	if reports := rec.Reports(); len(reports) != 0 {
+		t.Fatalf("%d queue reports from a run that builds no ring", len(reports))
 	}
-	if qerr := faultinject.CheckQueues(reports); qerr != nil {
-		t.Fatal(qerr)
+	var pe *mr.PanicError
+	if errors.As(err, &pe) {
+		if werr := checkWorker(pe, cfg); werr != nil {
+			t.Fatal(werr)
+		}
 	}
 	if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
 		t.Fatalf("%d leaked worker goroutines:\n%s", len(leaked), leaked[0])
@@ -77,8 +124,8 @@ func runConserve(t *testing.T, ctx context.Context, spec *mr.Spec[int, int, int,
 }
 
 // holdMapper makes the mapper's first task wait (inside its MapTask hook)
-// until release is closed: the mapper holds its first chunk, emits nothing,
-// and the rest of the deque is the slot's.
+// until release is closed: the mapper holds its first task, emits nothing,
+// and the rest of the deque is the combine worker's.
 func holdMapper(cfg *mr.Config, release <-chan struct{}) {
 	var once sync.Once
 	cfg.Hooks.MapTask = func(w int) {
@@ -89,12 +136,11 @@ func holdMapper(cfg *mr.Config, release <-chan struct{}) {
 }
 
 // TestConserveMapPanicOnCombinerSlot: Map panics in the middle of a task a
-// combiner slot is running. The slot folds each pair as it emits it, so the
-// four pairs before the panic are in its container and nothing after them
-// is. The panic must surface as the slot's *mr.PanicError, and the slot must
-// still retire the ring its mapper closes. The mapper, held in its first
-// task until the run is doomed, finishes that task as any worker finishes
-// the one it is in, and takes no other.
+// combine worker is running. The worker folds each pair as it emits it, so
+// the four pairs before the panic are in its container and nothing after
+// them is. The panic must surface as the combine worker's *mr.PanicError.
+// The mapper, held in its first task until the run is doomed, finishes that
+// task as any worker finishes the one it is in, and takes no other.
 func TestConserveMapPanicOnCombinerSlot(t *testing.T) {
 	cfg, rec := conserveConfig()
 	var combines, atAbort, mapperTasks atomic.Int64
@@ -126,16 +172,16 @@ func TestConserveMapPanicOnCombinerSlot(t *testing.T) {
 	var slotEmits atomic.Int64
 	cfg.Hooks.MapEmit = func(w int) {
 		if w >= cfg.Mappers && slotEmits.Add(1) == 5 {
-			panic("map exploded on the combiner slot")
+			panic("map exploded on the combine worker")
 		}
 	}
 	err := runConserve(t, context.Background(), spec, cfg, rec)
 	var pe *mr.PanicError
-	if !errors.As(err, &pe) || !strings.HasPrefix(pe.Worker, "combine worker") {
-		t.Fatalf("err = %v, want the combiner slot's *mr.PanicError", err)
+	if !errors.As(err, &pe) || pe.Worker != "combine worker 0" {
+		t.Fatalf("err = %v, want the combine worker's *mr.PanicError", err)
 	}
 	if n := atAbort.Load(); n != 3 {
-		t.Fatalf("%d Combine calls when the run was doomed; want 3, the slot's four pairs before the panic", n)
+		t.Fatalf("%d Combine calls when the run was doomed; want 3, the combine worker's four pairs before the panic", n)
 	}
 	if n, m := combines.Load(), mapperTasks.Load(); m > 1 || n != 3+7*m {
 		t.Fatalf("%d Combine calls with %d mapper tasks begun; want 3 and the held task's 7, if the mapper had taken it", n, m)
@@ -143,11 +189,10 @@ func TestConserveMapPanicOnCombinerSlot(t *testing.T) {
 }
 
 // TestConserveCombinePanicOnMapper: Combine panics inside the mapper's
-// fused fold. The combiner slot is held at the start of every task it takes
-// to help until the run is doomed, so every Combine call up to the panic is
+// fused fold. The combine worker is held at the start of every task it
+// takes until the run is doomed, so every Combine call up to the panic is
 // the mapper's, folding what it emits where it emits it. The panic must
-// surface as the mapper's *mr.PanicError and the mapper must still close its
-// ring.
+// surface as the mapper's *mr.PanicError.
 func TestConserveCombinePanicOnMapper(t *testing.T) {
 	cfg, rec := conserveConfig()
 	spec := sweepSpec(4, 400) // 400 pairs over 350 keys: 50 folds onto a key already held, a task
@@ -167,14 +212,14 @@ func TestConserveCombinePanicOnMapper(t *testing.T) {
 	}
 	err := runConserve(t, context.Background(), spec, cfg, rec)
 	var pe *mr.PanicError
-	if !errors.As(err, &pe) || !strings.HasPrefix(pe.Worker, "map worker") {
+	if !errors.As(err, &pe) || pe.Worker != "map worker 0" {
 		t.Fatalf("err = %v, want the mapper's *mr.PanicError", err)
 	}
 }
 
 // TestConserveCancelMidHelp: the context is cancelled from inside a task a
-// combiner slot is running. The slot finishes that task, takes no other,
-// goes back to its rings and drains them; the run ends in ctx.Err().
+// combine worker is running. The worker finishes that task and takes no
+// other; the run ends in ctx.Err().
 func TestConserveCancelMidHelp(t *testing.T) {
 	cfg, rec := conserveConfig()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -203,14 +248,13 @@ func TestConserveCancelMidHelp(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := slotTasks.Load(); n != 1 {
-		t.Fatalf("the slot began %d tasks; want the one it was in when the cancel landed", n)
+		t.Fatalf("the combine worker began %d tasks; want the one it was in when the cancel landed", n)
 	}
 }
 
-// TestConserveAbortMidHelp: the mapper panics while the combiner slot is in
-// the middle of a helped task. The slot learns of the abort at the end of
-// that task — it is not parked, so no wake-up reaches it — and must then
-// discard-drain instead of helping on; the error is the mapper's.
+// TestConserveAbortMidHelp: the mapper panics while the combine worker is
+// in the middle of a task. The worker learns of the abort at the end of
+// that task and must then take no other; the error is the mapper's.
 func TestConserveAbortMidHelp(t *testing.T) {
 	cfg, rec := conserveConfig()
 	aborted, slotBusy := make(chan struct{}), make(chan struct{})
@@ -219,7 +263,7 @@ func TestConserveAbortMidHelp(t *testing.T) {
 	cfg.Hooks.MapTask = func(w int) {
 		if w < cfg.Mappers {
 			within(slotBusy) // panic only once the slot is inside a task
-			panic("mapper exploded while the slot was helping")
+			panic("mapper exploded while the combine worker was mapping")
 		}
 		if slotTasks.Add(1) == 1 {
 			close(slotBusy)
@@ -228,10 +272,10 @@ func TestConserveAbortMidHelp(t *testing.T) {
 	}
 	err := runConserve(t, context.Background(), sweepSpec(40, 100), cfg, rec)
 	var pe *mr.PanicError
-	if !errors.As(err, &pe) || !strings.HasPrefix(pe.Worker, "map worker") {
+	if !errors.As(err, &pe) || pe.Worker != "map worker 0" {
 		t.Fatalf("err = %v, want the mapper's *mr.PanicError", err)
 	}
 	if n := slotTasks.Load(); n != 1 {
-		t.Fatalf("the slot began %d tasks; want only the one the abort found it in", n)
+		t.Fatalf("the combine worker began %d tasks; want only the one the abort found it in", n)
 	}
 }

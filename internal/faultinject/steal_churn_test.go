@@ -124,14 +124,17 @@ func runStealScenario(t *testing.T, seed int64) uint64 {
 		if !res.Steal.Balanced() {
 			t.Fatalf("steal churn %v: steal counters unbalanced: %s", plan, res.Steal.String())
 		}
-		if got := res.Steal.TotalTasks() + res.Help.Tasks; got != uint64(sc.splits) {
-			t.Fatalf("steal churn %v: takes cover %d tasks (%d by combiner slots), want %d", plan, got, res.Help.Tasks, sc.splits)
+		if berr := checkBooks(res, sc.cfg, sc.splits, sc.splits*sc.emits); berr != nil {
+			t.Fatalf("steal churn %v: %v", plan, berr)
 		}
 		stolen = res.Steal.StolenTasks()
 	case plan.Kind.IsPanic() && fired:
 		var pe *mr.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("steal churn %v: injected panic surfaced as %T (%v)", plan, err, err)
+		}
+		if werr := checkWorker(pe, sc.cfg); werr != nil {
+			t.Fatalf("steal churn %v: %v", plan, werr)
 		}
 	case plan.Kind.IsCancel() && fired:
 		if !errors.Is(err, context.Canceled) {
@@ -142,8 +145,8 @@ func runStealScenario(t *testing.T, seed int64) uint64 {
 	}
 
 	reports := in.QueueReports()
-	if len(reports) != sc.cfg.Mappers {
-		t.Fatalf("steal churn %v: %d queue reports, want %d", plan, len(reports), sc.cfg.Mappers)
+	if len(reports) != rings(sc.cfg) {
+		t.Fatalf("steal churn %v: %d queue reports, want %d", plan, len(reports), rings(sc.cfg))
 	}
 	if qerr := faultinject.CheckQueues(reports); qerr != nil {
 		t.Fatalf("steal churn %v: %v", plan, qerr)
@@ -157,8 +160,8 @@ func runStealScenario(t *testing.T, seed int64) uint64 {
 // TestStealChurnSweep drives seeded skewed inputs with chunked stealing
 // on — alone and under injected panics, delays and cancellations — and
 // asserts no element is ever lost or duplicated across a group-boundary
-// steal, steal counters balance exactly on every clean run (mapper takes
-// plus the tasks combiner slots ran cover the job), and no worker leaks
+// steal, steal counters balance exactly on every clean run (the booked
+// takes cover the job), and no worker leaks
 // even when a thief dies mid-batch. Across the sweep, some
 // run must actually have stolen (an all-local sweep would be vacuous).
 func TestStealChurnSweep(t *testing.T) {

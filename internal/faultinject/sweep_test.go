@@ -124,10 +124,10 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 	sc := newScenario(seed)
 
 	// Map-side hooks fire on mappers+combiners workers on both engines:
-	// Phoenix++ runs that many fused workers, and on RAMR a combiner slot
-	// that maps reports as map worker mappers+slot. There the engine, not
-	// the plan, decides who maps what, so map-side faults aim at whichever
-	// worker gets to the ordinal first — a mapper or a helping slot.
+	// Phoenix++ runs that many fused workers, and so does a RAMR run that
+	// conserves work, whose combine worker j maps as worker mappers+j. There
+	// the engine, not the plan, decides who maps what, so map-side faults
+	// aim at whichever worker gets to the ordinal first.
 	combWorkers := sc.cfg.NumCombiners()
 	mapWorkers := sc.cfg.Mappers + combWorkers
 	plan := faultinject.NewPlan(seed, mapWorkers, combWorkers)
@@ -188,22 +188,22 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 		if want := sc.splits * sc.emits; total != want {
 			t.Fatalf("%s %v: total = %d, want %d", sc.engine, plan, total, want)
 		}
-		// The books of a clean RAMR run: every task taken once, by a
-		// mapper or a helping slot, and every pair through a ring or
-		// folded where it was emitted.
+		// The books of a clean RAMR run: every task's take booked, and
+		// every pair through a ring or folded where it was emitted.
 		if sc.engine == "ramr" {
-			tasks := uint64(len(mr.Tasks(sc.splits, sc.cfg.TaskSize)))
-			if got := res.Steal.TotalTasks() + res.Help.Tasks; got != tasks {
-				t.Fatalf("%s %v: takes cover %d tasks (%d by combiner slots), want %d", sc.engine, plan, got, res.Help.Tasks, tasks)
-			}
-			if got := res.QueueStats.Pushes + res.Help.Pairs(); got != uint64(sc.splits*sc.emits) {
-				t.Fatalf("%s %v: %d pairs pushed or folded in place, want %d", sc.engine, plan, got, sc.splits*sc.emits)
+			if berr := checkBooks(res, sc.cfg, len(mr.Tasks(sc.splits, sc.cfg.TaskSize)), sc.splits*sc.emits); berr != nil {
+				t.Fatalf("%s %v: %v", sc.engine, plan, berr)
 			}
 		}
 	case plan.Kind.IsPanic() && fired:
 		var pe *mr.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("%s %v: injected panic surfaced as %T (%v), want *mr.PanicError", sc.engine, plan, err, err)
+		}
+		if sc.engine == "ramr" {
+			if werr := checkWorker(pe, sc.cfg); werr != nil {
+				t.Fatalf("%s %v: %v", sc.engine, plan, werr)
+			}
 		}
 	case plan.Kind.IsCancel() && fired:
 		if !errors.Is(err, context.Canceled) {
@@ -218,8 +218,8 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 
 	if sc.engine == "ramr" {
 		reports := in.QueueReports()
-		if len(reports) != sc.cfg.Mappers {
-			t.Fatalf("%s %v: %d queue reports, want %d", sc.engine, plan, len(reports), sc.cfg.Mappers)
+		if len(reports) != rings(sc.cfg) {
+			t.Fatalf("%s %v: %d queue reports, want %d", sc.engine, plan, len(reports), rings(sc.cfg))
 		}
 		if qerr := faultinject.CheckQueues(reports); qerr != nil {
 			t.Fatalf("%s %v: %v", sc.engine, plan, qerr)
@@ -232,8 +232,8 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 
 	// However the run ended, every worker published its lane on the way
 	// out: each map task begun has its span, bar the one per worker a fault
-	// may have cut short, and the document still exports. A slot's tasks
-	// are on the slot's own lane.
+	// may have cut short, and the document still exports. A combine
+	// worker's tasks are on its own lane.
 	laneOf := func(w int) string {
 		switch {
 		case sc.engine == "phoenix":

@@ -105,9 +105,10 @@ type Config struct {
 	// (internal/sched) hands each admitted job a disjoint grant so
 	// concurrent runs never contend for the same logical CPUs. Ids must
 	// be unique, non-negative, and valid for the resolved Machine. Empty
-	// means the historical single-job behaviour: the full machine. The
-	// Phoenix++ baseline engine does not pin and ignores the field beyond
-	// validation.
+	// means the historical single-job behaviour: the run owns the full
+	// machine, has nobody to yield to and always conserves work, however
+	// many workers it has per CPU. The Phoenix++ baseline engine does not
+	// pin and ignores the field beyond validation.
 	CPUGrant []int
 	// Trace, when non-nil, records per-worker execution timelines
 	// (task spans for mappers and fused workers, consume spans for

@@ -152,15 +152,17 @@ type Result[K comparable, R any] struct {
 }
 
 // HelpStats counts what work conservation moved in one RAMR run: map tasks
-// an idle combiner slot ran itself, and the pairs slots and mappers folded
-// where they emitted them instead of shipping them. A batch run whose
-// CPUGrant gives every worker a CPU folds every pair in place (it pushes
-// none); one whose grant is smaller never helps and folds none in place.
-// With StealStats and QueueStats it closes the run's books exactly: mapper
-// takes + Tasks is the job's task count, and pairs emitted − Pushes is
-// Pairs(). A stream session's mappers always ship: its MapperPairs is 0.
+// the combiner pool ran, and the pairs combiners and mappers folded where
+// they emitted them instead of shipping them. A batch run that conserves
+// work (no CPUGrant, or one with a CPU per worker) is one pool of fused
+// workers: it folds every pair in place and pushes none, and Tasks is the
+// share its combine workers ran. One whose grant is smaller never helps and
+// folds none in place. With StealStats and QueueStats it closes the run's
+// books exactly: a batch run's takes are the job's task count, and pairs
+// emitted − Pushes is Pairs(). A stream session's mapper takes + Tasks is
+// its split count, and its mappers always ship: its MapperPairs is 0.
 type HelpStats struct {
-	Tasks         uint64 `json:"tasks"`          // map tasks run by combiner slots
+	Tasks         uint64 `json:"tasks"`          // map tasks run by the combiner pool
 	CombinerPairs uint64 `json:"combiner_pairs"` // pairs those tasks emitted, folded in place
 	MapperPairs   uint64 `json:"mapper_pairs"`   // pairs mappers emitted, folded in place
 }

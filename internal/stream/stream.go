@@ -5,9 +5,9 @@
 //
 // The batch engine's building blocks are reused wholesale — the pipeline
 // kernel itself (core.Lane on every mapper, core.StartCombiners' consume
-// loop on every combiner, and the first of the batch run's two
-// work-conserving rules), per-mapper SPSC rings (internal/spsc), private
-// combiner containers (internal/container), the contention-aware pinning
+// loop on every combiner, with its slot-side work-conserving rule),
+// per-mapper SPSC rings (internal/spsc), private combiner containers
+// (internal/container), the contention-aware pinning
 // plan (core.BuildPlanOn) and the run's ledger with its statistics
 // (core.Books) — but the lifecycle inverts: instead of "partition once,
 // run to drain, merge once", mappers block on a task

@@ -82,8 +82,9 @@ func (r *ringTruth) observe(_ int, _ bool, s spsc.Stats) {
 // the full conservation chain against the rings' own counters: every pair
 // counted at the emit closure was fed to Combine, either through a ring
 // (pushed == popped) or where it was emitted. It runs twice: conserving
-// work, and under a one-CPU grant, where nothing may be folded in place and
-// every pair is a ring's.
+// work, where no ring is built and every pair is folded in place, and under
+// a one-CPU grant, where nothing may be folded in place and every pair is a
+// ring's.
 func TestConservationRAMR(t *testing.T) {
 	t.Run("conserving", func(t *testing.T) { conservationRAMR(t, nil) })
 	t.Run("one-cpu-grant", func(t *testing.T) { conservationRAMR(t, []int{0}) })
@@ -106,7 +107,7 @@ func conservationRAMR(t *testing.T, grant []int) {
 		t.Fatal("Result.Telemetry is nil with Config.Telemetry set")
 	}
 	qs, help := res.QueueStats, res.Help
-	if qs != truth.stats || truth.rings != cfg.Mappers {
+	if qs != truth.stats {
 		t.Fatalf("queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
 	}
 	if rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
@@ -121,14 +122,18 @@ func conservationRAMR(t *testing.T, grant []int) {
 	if want := len(mr.Tasks(len(spec.Splits), cfg.TaskSize)); rep.Totals.Tasks != uint64(want) {
 		t.Fatalf("telemetry counted %d tasks, want %d", rep.Totals.Tasks, want)
 	}
-	if grant != nil && (help != (mr.HelpStats{}) || qs.BatchCalls == 0) {
-		t.Fatalf("one-CPU grant: help %+v, %d batch calls; want no help and every pair through a ring", help, qs.BatchCalls)
+	if grant != nil && (help != (mr.HelpStats{}) || qs.BatchCalls == 0 || truth.rings != cfg.Mappers) {
+		t.Fatalf("one-CPU grant: help %+v, %d batch calls, %d rings; want no help, every pair through a ring and a ring per mapper",
+			help, qs.BatchCalls, truth.rings)
+	}
+	if grant == nil && (qs != (mr.QueueStats{}) || help.Pairs() != emits || truth.rings != 0) {
+		t.Fatalf("conserving: queue stats %+v, help %+v, %d rings; want no ring and every pair folded in place", qs, help, truth.rings)
 	}
 	if rep.SampleCount == 0 || len(rep.Series) == 0 {
 		t.Fatal("empty occupancy time-series")
 	}
-	if len(rep.Queues) != cfg.Mappers {
-		t.Fatalf("%d queue reports, want %d", len(rep.Queues), cfg.Mappers)
+	if len(rep.Queues) != truth.rings {
+		t.Fatalf("%d queue reports, want one per ring (%d)", len(rep.Queues), truth.rings)
 	}
 	// The mappers' shards hold their rings' producer side.
 	var fp, sl uint64
@@ -148,10 +153,11 @@ func conservationRAMR(t *testing.T, grant []int) {
 // and under a one-CPU grant, each with and without a Telemetry, on tiny
 // rings (16 slots, slabs of 3) so every wait and fold path is taken. In
 // every case the queue stats equal the sum of the rings' own snapshots on
-// all eight fields, emitted equals the pairs the input holds, and mapper
-// takes plus helped tasks equal the task count. A conserving batch run
-// folds every pair where it is emitted, so its rings stay empty; a one-CPU
-// grant folds none.
+// all eight fields, emitted equals the pairs the input holds, and the
+// helped tasks are the ones combiners ran. A batch run books every take, so
+// its takes equal the task count; a stream session's mapper takes plus
+// helped tasks equal the split count. A conserving batch run folds every
+// pair where it is emitted and builds no ring; a one-CPU grant folds none.
 func TestLedgerIdentity(t *testing.T) {
 	for _, grant := range []struct {
 		name string
@@ -198,22 +204,23 @@ func ledgerIdentityBatch(t *testing.T, grant []int, sampled bool) {
 		t.Fatal(err)
 	}
 	qs, help := res.QueueStats, res.Help
-	if qs != truth.stats || truth.rings != cfg.Mappers {
+	if qs != truth.stats {
 		t.Fatalf("ledger queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
 	}
 	if qs.Pushes+help.Pairs() != emits || qs.Pops != qs.Pushes {
 		t.Fatalf("%d pushed (%d popped) + %d folded in place, want %d emitted", qs.Pushes, qs.Pops, help.Pairs(), emits)
 	}
 	tasks := uint64(len(mr.Tasks(len(spec.Splits), cfg.TaskSize)))
-	if res.Steal.TotalTasks() != mapperTasks.Load() || help.Tasks != slotTasks.Load() || res.Steal.TotalTasks()+help.Tasks != tasks {
-		t.Fatalf("mapper takes %d (ran %d) + helped %d (ran %d), want %d tasks",
-			res.Steal.TotalTasks(), mapperTasks.Load(), help.Tasks, slotTasks.Load(), tasks)
+	if res.Steal.TotalTasks() != tasks || help.Tasks != slotTasks.Load() || mapperTasks.Load()+slotTasks.Load() != tasks {
+		t.Fatalf("takes %d, mappers ran %d, combiners ran %d (helped %d), want %d tasks",
+			res.Steal.TotalTasks(), mapperTasks.Load(), slotTasks.Load(), help.Tasks, tasks)
 	}
-	if grant != nil && help != (mr.HelpStats{}) {
-		t.Fatalf("one-CPU grant helped: %+v", help)
+	if grant != nil && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
+		t.Fatalf("one-CPU grant helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
 	}
-	if grant == nil && (qs.Pushes != 0 || help.Pairs() != emits) {
-		t.Fatalf("conserving run pushed %d pairs and folded %d in place, want 0 and %d", qs.Pushes, help.Pairs(), emits)
+	if grant == nil && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
+		t.Fatalf("conserving run pushed %d pairs, folded %d in place over %d rings, want 0, %d and no ring",
+			qs.Pushes, help.Pairs(), truth.rings, emits)
 	}
 	if rep := res.Telemetry; sampled && (rep == nil || rep.Totals.Emitted != emits || rep.Totals.Combined != emits) {
 		t.Fatalf("report %+v, want %d pairs emitted and combined", rep, emits)

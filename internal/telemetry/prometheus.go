@@ -80,9 +80,9 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 		func(w *Worker) uint64 { return w.failedPush.Load() })
 	counter("ramr_worker_sleep_microseconds_total", "Microseconds producers spent parked on a full ring (measured wall time).",
 		func(w *Worker) uint64 { return w.sleepMicros.Load() })
-	counter("ramr_worker_tasks_helped_total", "Map tasks run by a combiner slot whose rings held nothing for it.",
-		func(w *Worker) uint64 { return w.helped.Load() })
-	counter("ramr_worker_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring: a helping combiner slot's, a RAMR mapper's when every worker has a CPU, a fused Phoenix++ worker's.",
+	counter("ramr_worker_tasks_helped_total", "Map tasks run by a combiner: a stream slot whose rings were empty, or a combine worker of a batch run that ships nothing.",
+		(*Worker).combinerTasks)
+	counter("ramr_worker_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring: a helping combiner slot's, a RAMR worker's when every worker has a CPU, a fused Phoenix++ worker's.",
 		func(w *Worker) uint64 { return w.folded.Load() })
 	counter("ramr_worker_remote_executed_total", "Stolen map tasks completed by this worker.",
 		func(w *Worker) uint64 { return w.remoteExecuted.Load() })

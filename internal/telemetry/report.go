@@ -29,15 +29,15 @@ type WorkerReport struct {
 	Batches     uint64 `json:"batches"`
 	FailedPush  uint64 `json:"failed_pushes"`
 	SleepMicros uint64 `json:"sleep_micros"`
-	// Steal counters (mapper role only): takes from the worker's own
-	// group, tasks stolen from cache-sharing and cross-interconnect
+	// Steal counters (task-taking workers only): takes from the worker's
+	// own group, tasks stolen from cache-sharing and cross-interconnect
 	// groups, and stolen tasks this worker completed.
 	LocalTakes     uint64 `json:"steal_local_tasks,omitempty"`
 	SocketSteals   uint64 `json:"steal_socket_tasks,omitempty"`
 	RemoteSteals   uint64 `json:"steal_remote_tasks,omitempty"`
 	RemoteExecuted uint64 `json:"remote_executed,omitempty"`
-	// Work conservation: map tasks a combiner slot ran, and pairs the
-	// worker folded where it emitted them; Helping is the share of samples
+	// Work conservation: map tasks run on a combiner's shard, and pairs
+	// the worker folded where it emitted them; Helping is the share of samples
 	// spent in StateHelping.
 	TasksHelped uint64  `json:"tasks_helped,omitempty"`
 	PairsFolded uint64  `json:"pairs_folded,omitempty"`
@@ -169,7 +169,7 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 			SocketSteals:   w.stealTasks[1].Load(),
 			RemoteSteals:   w.stealTasks[2].Load(),
 			RemoteExecuted: w.remoteExecuted.Load(),
-			TasksHelped:    w.helped.Load(),
+			TasksHelped:    w.combinerTasks(),
 			PairsFolded:    w.folded.Load(),
 		}
 		if total > 0 {

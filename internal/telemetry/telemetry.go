@@ -7,7 +7,7 @@
 // Two layers:
 //
 //   - The ledger, always on. Each pipeline goroutine owns a Worker shard of
-//     its run's Ledger (tasks, emitted, folded and helped counts, its
+//     its run's Ledger (tasks, emitted and folded counts, its
 //     rings' producer or consumer counters, steal takes) plus a state word.
 //     The worker is its only writer and writes at task ends, consume rounds
 //     and worker exit, never per pair, with uncontended atomics. Every run
@@ -94,7 +94,7 @@ func (s State) String() string {
 
 // Worker is one pipeline goroutine's shard of its run's Ledger. Only the
 // owning goroutine writes it, and only at coarse boundaries: the engine's
-// worker loop adds tasks, emitted pairs, helped tasks and steal takes per
+// worker loop adds tasks, emitted pairs and steal takes per
 // task, and stores the plain counters it keeps itself — its ring's
 // producer side and its lane's fold count at task end and lane exit, the
 // consumer side of a slot's rings once per consume round. Counters are
@@ -108,11 +108,9 @@ type Worker struct {
 	state   atomic.Uint32
 	emitted atomic.Uint64
 	tasks   atomic.Uint64
-	// helped counts the map tasks a combiner slot ran (they are in tasks
-	// too); folded the pairs a worker folded where they were emitted — a
-	// helping slot's, a conserving RAMR mapper's, a Phoenix++ worker's.
+	// folded counts the pairs a worker folded where they were emitted — a
+	// helping slot's, a conserving RAMR worker's, a Phoenix++ worker's.
 	// They are in emitted and never crossed a ring.
-	helped atomic.Uint64
 	folded atomic.Uint64
 	// The producer side of a mapper's ring and the consumer side of a
 	// slot's rings, summed over the rings it owns: absolute values, stored
@@ -151,9 +149,6 @@ func (w *Worker) AddTask(emitted uint64) {
 	w.emitted.Add(emitted)
 }
 
-// AddHelped counts one map task run by a combiner slot.
-func (w *Worker) AddHelped() { w.helped.Add(1) }
-
 // StoreFolded stores the pairs the worker has folded where they were
 // emitted so far.
 func (w *Worker) StoreFolded(n uint64) { w.folded.Store(n) }
@@ -189,6 +184,16 @@ func (w *Worker) StoreConsumer(pops, emptyPolls, shortPolls, batchCalls uint64) 
 // combined is the pairs the worker fed to Combine: popped from its rings,
 // or folded where they were emitted.
 func (w *Worker) combined() uint64 { return w.pops.Load() + w.folded.Load() }
+
+// combinerTasks is the map tasks the worker ran if it is a combiner: a
+// stream slot's whose rings held nothing for it, or a conserving batch run's
+// combine worker's. Only those run tasks on a combiner's shard.
+func (w *Worker) combinerTasks() uint64 {
+	if w.role != "combiner" {
+		return 0
+	}
+	return w.tasks.Load()
+}
 
 // Ledger is one run's set of books: a Worker shard per pipeline goroutine,
 // registered whether or not a Telemetry samples the run. Every statistic a
@@ -243,7 +248,7 @@ func (l *Ledger) Totals() Totals {
 		t.SocketSteals += w.stealTasks[1].Load()
 		t.RemoteSteals += w.stealTasks[2].Load()
 		t.RemoteExecuted += w.remoteExecuted.Load()
-		t.TasksHelped += w.helped.Load()
+		t.TasksHelped += w.combinerTasks()
 		switch w.role {
 		case "combiner":
 			t.FoldedByCombiners += w.folded.Load()

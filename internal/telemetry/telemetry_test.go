@@ -165,8 +165,7 @@ func TestLedgerTotalsAggregates(t *testing.T) {
 	w1.StoreProducer(4, 1, 0)
 	cw := l.Register("combiner", 0)
 	cw.StoreConsumer(12, 4, 3, 2)
-	cw.AddTask(3)
-	cw.AddHelped()
+	cw.AddTask(3) // a task on a combiner's shard is a helped one
 	cw.StoreFolded(3)
 
 	got := l.Totals()
