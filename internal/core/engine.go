@@ -12,11 +12,13 @@
 // proceed exactly as in the Phoenix++ baseline.
 //
 // The pipeline only pays when a combiner has a CPU that would otherwise
-// idle. When every worker has a CPU of its own (ConservesWork), shipping a
-// pair buys nothing, so the run is one pool of mappers+combiners identical
-// fused workers, each mapping tasks and folding every pair it emits into its
-// own container, and no ring is built (DESIGN.md §5.2). On a smaller grant
-// the run is the paper's pipeline, and a full ring parks its mapper.
+// idle, so rings exist only on a grant too small for a CPU per worker.
+// When every worker has a CPU of its own (ConservesWork), shipping a pair
+// buys nothing, so the run is one pool of mappers+combiners identical fused
+// workers, each mapping tasks and folding every pair it emits into its own
+// container, and no ring is built (DESIGN.md §5.2); a stream session
+// (internal/stream) follows the same rule. On a smaller grant the run is
+// the paper's pipeline, and a full ring parks its mapper.
 //
 // The decoupling raises the parallelism degree and lets a memory-intensive
 // combine overlap a compute-intensive map; the contention-aware pinning
@@ -76,7 +78,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	mappers := cfg.Mappers
 	combiners := cfg.NumCombiners()
 	machine := cfg.ResolveMachine()
-	if err := ValidateGrant(machine, cfg.CPUGrant); err != nil {
+	if err := cfg.ValidateGrant(machine); err != nil {
 		return nil, err
 	}
 
@@ -203,10 +205,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// container on a conserving run, through its ring to the combiners
 	// otherwise.
 	for w := 0; w < workers; w++ {
-		r, id := mapperRole, w
-		if w >= mappers {
-			r, id = combinerRole, w-mappers
-		}
+		r, id := workerRole(w, mappers)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -215,12 +214,12 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 				q = queues[w]
 			}
 			lane := NewLane(q, cfg.EmitBatch, w, cfg.Hooks)
-			lane.run(ctx, "ramr", r, id, cpus[w], ledger, fail, func(tw *telemetry.Worker) {
+			lane.Run(ctx, "ramr", mappers, cpus[w], ledger, fail, func(tw *telemetry.Worker) {
 				track := cfg.Trace.Worker(r.label, id)
 				defer track.Publish()
 				var emit func(K, V)
 				if conserve {
-					emit = Fuse(lane, containers[w], spec.Combine)
+					emit = Fuse(lane, &containers[w], spec.Combine)
 				} else {
 					emit = HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
 				}
@@ -311,20 +310,6 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 // (EXPERIMENTS.md, "Work-conserving pipeline": serve_mixed p95).
 func ConservesWork(grant []int, workers int) bool {
 	return len(grant) == 0 || len(grant) >= workers
-}
-
-// ValidateGrant checks a CPU grant against the resolved machine: every id
-// must name an existing logical CPU. Uniqueness and sign were already
-// enforced by Config.Validate; this is the machine-dependent half, checked
-// once per run (or stream session) before any resource is allocated.
-func ValidateGrant(machine *topology.Machine, grant []int) error {
-	n := machine.NumCPUs()
-	for _, cpu := range grant {
-		if cpu >= n {
-			return fmt.Errorf("core: CPUGrant cpu %d out of range for %s (%d logical CPUs)", cpu, machine.Name, n)
-		}
-	}
-	return nil
 }
 
 // localityOrder returns the queue (= mapper) indices sorted by locality

@@ -3,13 +3,12 @@
 // A Lane is a mapper's producer side (emit slab → ring); combine is a
 // combiner slot's consume loop (ring → apply, park when idle,
 // drain-and-discard on abort). Both are generic over the ring element E and
-// never look inside one. Work conservation lives here too: a lane can fold
-// each pair where it is made instead of shipping it (Fuse), which is all a
-// batch run's workers do once every one has a CPU of its own, and a stream
-// session's slot about to park asks its driver for a split to map first
-// (Combiners.Help). The batch engine (engine.go) and the resident stream
-// session (internal/stream) are drivers: they decide where tasks come from
-// and where folded batches go, and run everything else through here.
+// never look inside one. Work conservation lives here too: a lane with no
+// ring folds each pair where it is made (Fuse), which is all a run's workers
+// do once every one has a CPU of its own, batch run or stream session alike.
+// The batch engine (engine.go) and the resident stream session
+// (internal/stream) are drivers: they decide where tasks come from and where
+// folded batches go, and run everything else through here.
 package core
 
 import (
@@ -72,13 +71,10 @@ func runWorker(ctx context.Context, engine string, r role, id, cpu int, tw *tele
 // the unbatched ablation baseline. A Lane belongs to the goroutine inside
 // Run.
 //
-// A lane with a fold is a stream session's combiner slot's own: the slot
-// maps on it while its rings are empty, and every slab goes to the slot's
-// fold (see combine). A lane with neither is a fused worker's: its driver
-// emits through Fuse, so it stages nothing at all.
+// A lane with no ring is a fused worker's: its driver emits through Fuse,
+// so it stages nothing at all.
 type Lane[E any] struct {
-	q        *spsc.Queue[E] // nil on a slot's or a fused worker's lane
-	fold     func([]E)      // a slot's lane's slabs: the slot's fold
+	q        *spsc.Queue[E] // nil on a fused worker's lane
 	slab     []E
 	id       int
 	emitHook func(int) // Hooks.MapEmit
@@ -106,20 +102,26 @@ func NewLane[E any](q *spsc.Queue[E], emitBatch, id int, hooks *mr.Hooks) *Lane[
 	return l
 }
 
-// Run executes body as this lane's mapper goroutine, on a shard it
-// registers in ledger, under the worker prologue, and always ends by
-// booking the lane and closing its ring, if it has one — the combiner must
-// be notified however the mapper ends, and a push after Close panics. A
-// panicked Map leaves a half-built slab whose elements must never reach
-// Combine (the run is doomed), so after a panic the error goes to fail
-// first and the exit flush is skipped.
-func (l *Lane[E]) Run(ctx context.Context, engine string, cpu int, ledger *telemetry.Ledger, fail func(error), body func(*telemetry.Worker)) {
-	l.run(ctx, engine, mapperRole, l.id, cpu, ledger, fail, body)
+// workerRole names worker w of a task-taking pool whose first mappers
+// workers are its mappers: w itself, or on a fused pool, where every worker
+// maps, combine worker w-mappers.
+func workerRole(w, mappers int) (role, int) {
+	if w < mappers {
+		return mapperRole, w
+	}
+	return combinerRole, w - mappers
 }
 
-// run is Run as worker id of pool r: a conserving batch run's combine
-// workers are fused workers too, booked and labelled as combiners.
-func (l *Lane[E]) run(ctx context.Context, engine string, r role, id, cpu int, ledger *telemetry.Ledger, fail func(error), body func(*telemetry.Worker)) {
+// Run executes body as worker l.id of a task-taking pool whose first
+// mappers workers are its mappers (workerRole), on a shard it registers in
+// ledger, under the worker prologue, and always ends by booking the lane
+// and closing its ring, if it has one — the combiner must be notified
+// however the mapper ends, and a push after Close panics. A panicked Map
+// leaves a half-built slab whose elements must never reach Combine (the run
+// is doomed), so after a panic the error goes to fail first and the exit
+// flush is skipped.
+func (l *Lane[E]) Run(ctx context.Context, engine string, mappers, cpu int, ledger *telemetry.Ledger, fail func(error), body func(*telemetry.Worker)) {
+	r, id := workerRole(l.id, mappers)
 	l.tw = ledger.Register(r.label, id)
 	exit := func(failed bool) {
 		if !failed {
@@ -153,22 +155,14 @@ func Emit[E any](l *Lane[E], e E) {
 	}
 }
 
-// flush publishes the slab: to the ring, waiting for room if it must, or
-// to a slot's lane's fold. A fold that panics leaves the slab staged, and a
-// staged slab is never flushed after a panic.
+// flush publishes the slab to the ring, waiting for room if it must.
 //
 //go:noinline
 func (l *Lane[E]) flush() {
-	n := len(l.slab)
-	switch {
-	case n == 0:
+	if len(l.slab) == 0 {
 		return
-	case l.fold != nil:
-		l.fold(l.slab)
-		l.folded += uint64(n)
-	default:
-		l.q.PushBatch(l.slab)
 	}
+	l.q.PushBatch(l.slab)
 	l.slab = l.slab[:0]
 }
 
@@ -187,32 +181,31 @@ func HookEmit[E, K, V any](l *Lane[E], emit func(K, V)) func(K, V) {
 }
 
 // Fuse returns l's emit closure for a run that folds each pair where it is
-// made: one c.Update into the worker's own container, booked on l as folded
-// as it is handed over — no slab, no ring (DESIGN.md §5.2). It is Phoenix++'s
-// fused step; build it once per worker, not per task.
-func Fuse[K comparable, V any](l *Lane[pair[K, V]], c container.Container[K, V], combine container.Combine[V]) func(K, V) {
+// made: one Update into the container *c, booked on l as folded as it is
+// handed over — no slab, no ring (DESIGN.md §5.2). It is Phoenix++'s fused
+// step; build it once per worker, not per task. *c is the worker's own
+// container, which its driver may repoint between tasks (a stream session's
+// worker picks the task's pane's), never during one.
+func Fuse[E any, K comparable, V any](l *Lane[E], c *container.Container[K, V], combine container.Combine[V]) func(K, V) {
 	return HookEmit(l, func(k K, v V) {
 		l.folded++
-		c.Update(k, v, combine)
+		(*c).Update(k, v, combine)
 	})
 }
 
-// BeginTask marks the start of one map task. A slot's lane leaves the
-// worker state to the slot, which is helping, not working.
+// BeginTask marks the start of one map task.
 func (l *Lane[E]) BeginTask() {
-	if l.fold == nil {
-		l.tw.SetState(telemetry.StateWorking)
-	}
+	l.tw.SetState(telemetry.StateWorking)
 	if l.taskHook != nil {
 		l.taskHook(l.id)
 	}
 }
 
 // EndTask publishes what the task emitted: the slab is flushed, so every
-// element is visible to the consumer (or folded) when it returns, and the
-// task is booked on the worker's shard. It returns the task's element
-// count, taken from the ring's own push counter and the lane's fold count;
-// only a fused lane counts per pair.
+// element is visible to the consumer when it returns (a fused lane's were
+// folded as they were made), and the task is booked on the worker's shard.
+// It returns the task's element count, taken from the ring's own push
+// counter and the lane's fold count; only a fused lane counts per pair.
 func (l *Lane[E]) EndTask() (emitted uint64) {
 	l.flush()
 	done := l.book()
@@ -288,19 +281,6 @@ type Combiners[E any] struct {
 	Fail  func(error)
 	// Progress, if set, runs after every round that consumed something.
 	Progress func()
-	// Help, if set, is asked once per slot for the slot's answer to "my
-	// rings hold nothing for me": a func that runs one unit of other work
-	// on the slot's goroutine and reports whether it found any. Only a
-	// stream session sets it; a batch run that conserves work has no
-	// combiner pool. A slot that would park calls it first and parks only
-	// on false, which means "nothing now": the slot asks again before its
-	// next park, since the session's next chunk arrives after a slot found
-	// none. What help runs is the slot's own: lane is a Lane whose slabs go
-	// to the slot's Apply fold and whose tasks and pairs are booked on the
-	// slot's ledger shard, mapping as worker len(Queues)+slot to the Map
-	// hooks; track is the slot's trace lane. A slot that owns no ring exits
-	// at once and never asks.
-	Help func(slot int, lane *Lane[E], track *obs.Track) func() bool
 }
 
 // splitRings deals the rings, in order, over slots by the one split rule,
@@ -374,8 +354,7 @@ type slot[E any] struct {
 	live      []int            // the undrained rings, by index
 	waitOn    []*spsc.Queue[E] // the same rings, which an idle slot parks on
 	tw        *telemetry.Worker
-	apply     func([]E) // Apply's fold for this slot
-	fold      func([]E) // apply behind the CombineBatch hook
+	fold      func([]E) // Apply's fold for this slot, behind the CombineBatch hook
 	drainHook func(int)
 	draining  bool
 }
@@ -383,14 +362,13 @@ type slot[E any] struct {
 // newSlot builds slot j's state over the rings it owns.
 func newSlot[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) *slot[E] {
 	s := &slot[E]{c: c, j: j, own: own, live: slices.Clone(own), waitOn: make([]*spsc.Queue[E], 0, len(own)), tw: tw}
-	s.apply = c.Apply(j)
-	s.fold = s.apply
+	s.fold = c.Apply(j)
 	if hk := c.Hooks; hk != nil {
 		s.drainHook = hk.CombineDrain
-		if hk.CombineBatch != nil {
+		if apply := s.fold; hk.CombineBatch != nil {
 			s.fold = func(seg []E) {
 				hk.CombineBatch(j)
-				s.apply(seg)
+				apply(seg)
 			}
 		}
 	}
@@ -426,11 +404,11 @@ func (s *slot[E]) round() (consumed, retired int) {
 }
 
 // combine is one combiner slot's life: consume rounds over the rings it
-// owns, retiring each as it drains; when a round found nothing, help if the
-// driver has other work and park on the slot's gate if not; and once the run
-// is doomed stop feeding user code and discard-drain instead, so producers
-// blocked on full rings unwedge without burning user-code cycles. A panic in
-// a fold or in help unwinds straight to the slot's recovery.
+// owns, retiring each as it drains; when a round found nothing, park on the
+// slot's gate; and once the run is doomed stop feeding user code and
+// discard-drain instead, so producers blocked on full rings unwedge without
+// burning user-code cycles. A panic in a fold unwinds straight to the slot's
+// recovery.
 func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 	track := c.Trace.Worker("combiner", j)
 	defer track.Publish()
@@ -443,15 +421,6 @@ func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 			tw.SetState(st)
 		}
 	}
-	var help func() bool
-	if c.Help != nil {
-		// The helper's slab is one consume batch: the block size the slot's
-		// container already sees from its rings.
-		lane := NewLane[E](nil, c.Batch, len(c.Queues)+j, c.Hooks)
-		lane.fold, lane.tw = s.apply, tw
-		help = c.Help(j, lane, track)
-	}
-
 	for len(s.live) > 0 {
 		if c.Abort() {
 			c.drainAbort(j, own, tw)
@@ -471,12 +440,6 @@ func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 				c.Progress()
 			}
 		case retired == 0:
-			if help != nil {
-				setState(telemetry.StateHelping)
-				if help() {
-					continue
-				}
-			}
 			setState(telemetry.StateIdle)
 			spsc.Park(c.Gates[j], s.waitOn, c.Batch, c.Abort)
 		}

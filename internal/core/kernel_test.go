@@ -120,9 +120,12 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 // TestLedgerCostsNoAllocation: the ledger is always on, so its cost is
 // asserted, not described. With a shard registered, a steady-state lane
 // task (whole slabs emitted, then EndTask), one consume round, and one fused
-// task on a mapper's lane and on a slot's allocate nothing; what they pay is
-// a handful of uncontended atomic stores. The fused emit closures are built
-// once, outside the measured runs, as the engine builds one per worker.
+// task on a worker of each role allocate nothing; what they pay is a handful
+// of uncontended atomic stores. A fused task is stepped as a batch run steps
+// it, into the worker's one container, and as a stream session does, which
+// first repoints the worker's container at the task's pane: the switch costs
+// no allocation either. The fused emit closures are built once, outside the
+// measured runs, as the drivers build one per worker.
 func TestLedgerCostsNoAllocation(t *testing.T) {
 	ledger := telemetry.NewLedger("test")
 	q := spsc.MustNew[pair[int, int]](64, spsc.WaitSleep)
@@ -159,28 +162,32 @@ func TestLedgerCostsNoAllocation(t *testing.T) {
 		t.Fatalf("books %+v, ring %+v: want 101 tasks of 32 pairs and the ring's pops", tot, q.Snapshot())
 	}
 
-	// A conserving batch run's two kinds of worker, which have no ring, and
-	// a stream slot's lane, which folds its slabs.
+	// A fused worker of each role, which has no ring: stepped as a batch
+	// run's, always into the same container, and as a session's, into the
+	// container of the task's pane (two panes, taken in turn).
 	add := func(a, b int) int { return a + b }
-	fusedMapper := NewLane[pair[int, int]](nil, 8, 1, nil)
-	fusedMapper.tw = ledger.Register("mapper", 1)
-	fusedCombiner := NewLane[pair[int, int]](nil, 8, 2, nil)
-	fusedCombiner.tw = ledger.Register("combiner", 1)
-	slotLane := NewLane[pair[int, int]](nil, 8, 3, nil)
-	slotLane.fold, slotLane.tw = discard, ledger.Register("combiner", 2)
-	for _, fused := range []*Lane[pair[int, int]]{fusedMapper, fusedCombiner, slotLane} {
-		emit := Fuse(fused, container.NewFixedArray[int](32), add)
+	for i, role := range []string{"mapper", "combiner", "mapper", "combiner"} {
+		session := i >= 2
+		fused := NewLane[pair[int, int]](nil, 8, i+1, nil)
+		fused.tw = ledger.Register(role, i+1)
+		panes := []container.Container[int, int]{container.NewFixedArray[int](32), container.NewFixedArray[int](32)}
+		cur, task := panes[0], 0
+		emit := Fuse(fused, &cur, add)
 		if n := testing.AllocsPerRun(100, func() {
+			if session {
+				cur = panes[task%2]
+				task++
+			}
 			fused.BeginTask()
-			for i := range 32 {
-				emit(i, 1)
+			for k := range 32 {
+				emit(k, 1)
 			}
 			fused.EndTask()
 		}); n != 0 {
-			t.Fatalf("a fused task on lane %d allocates %.1f times", fused.id, n)
+			t.Fatalf("a fused %s task (session step %v) allocates %.1f times", role, session, n)
 		}
 	}
-	if tot := ledger.Totals(); tot.Tasks != 4*101 || tot.FoldedByMappers != 101*32 || tot.FoldedByCombiners != 2*101*32 || tot.TasksHelped != 2*101 {
+	if tot := ledger.Totals(); tot.Tasks != 5*101 || tot.FoldedByMappers != 2*101*32 || tot.FoldedByCombiners != 2*101*32 || tot.TasksHelped != 2*101 {
 		t.Fatalf("books %+v: want 101 fused tasks of 32 pairs on each lane, the combiners' helped", tot)
 	}
 }

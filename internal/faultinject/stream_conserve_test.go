@@ -3,8 +3,8 @@ package faultinject_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,40 +14,64 @@ import (
 	"ramr/internal/topology"
 )
 
-// A work-conserving session runs Map on a combiner slot's goroutine: an idle
-// slot takes one queued split and folds what it emits into its own pane
-// containers. The two scenarios below land a panic and a cancellation inside
-// such a split. Both are built on 1+1 workers and steered with hooks: the
-// mapper pushes two slabs of its first split — which wakes the parked slot,
-// whose next empty round takes a split — and then waits inside that split
-// until the session is doomed, so the slot's fault is the session's first.
+// A session runs Map on every worker it has: on a grant with a CPU per
+// worker it is one pool of fused workers, so a combine worker maps splits
+// and folds what it emits into its own pane containers; on a smaller grant
+// only mappers map, and they ship through rings. The two scenarios below
+// land a panic and a cancellation inside a split on each arm. Both are
+// steered with hooks: worker 0 stops at its ninth pair until the session is
+// doomed, so the fault in worker 1's split — a combine worker's on the
+// fused arm, a second mapper's on the ring arm — is the session's first.
 
-// streamConserve is the 1+1 session both scenarios run, on a machine with a
-// CPU for each worker so the slot helps, and the mapper's hold: a MapEmit
-// hook for the mapper that stops at its ninth pair until the session is
-// doomed. slotHook is the slot's MapEmit hook, given the session and
-// the slot's pair count so far.
-func streamConserve(t *testing.T, slotHook func(*stream.Pipeline[int, int, uint64, uint64], int64)) *stream.Pipeline[int, int, uint64, uint64] {
+// streamArm is one grant arm of the scenarios: the session's workers and
+// grant, on a machine with a CPU for each, and the name worker 1's panic
+// carries.
+type streamArm struct {
+	name               string
+	mappers, combiners int
+	grant              []int
+	worker1            string
+}
+
+var streamArms = []streamArm{
+	{name: "fused", mappers: 1, combiners: 1, worker1: "combine worker 0"},
+	{name: "ring", mappers: 2, combiners: 1, grant: []int{0}, worker1: "map worker 1"},
+}
+
+// streamConserve starts arm's session with one chunk queued and worker 0's
+// hold in place. worker1 is worker 1's MapEmit hook, given the session and
+// the worker's pair count so far; worker1Tasks counts the splits worker 1
+// began.
+func streamConserve(t *testing.T, arm streamArm, worker1 func(*stream.Pipeline[int, int, uint64, uint64], int64), worker1Tasks *atomic.Int64) *stream.Pipeline[int, int, uint64, uint64] {
 	t.Helper()
 	cfg := mr.DefaultConfig()
-	cfg.Mappers, cfg.Combiners = 1, 1
+	cfg.Mappers, cfg.Combiners = arm.mappers, arm.combiners
+	cfg.CPUGrant = arm.grant
 	cfg.Machine = topology.Flat(4)
 	cfg.Pin = mr.PinNone
 	cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 16, 4, 4
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: 2 * streamSplits}
 	var p *stream.Pipeline[int, int, uint64, uint64]
-	var mapperEmits, slotEmits int64
+	var emits0, emits1 int64
 	var hold sync.Once
-	cfg.Hooks = &mr.Hooks{MapEmit: func(w int) {
-		if w >= cfg.Mappers {
-			slotEmits++ // the slot's goroutine only
-			slotHook(p, slotEmits)
-			return
-		}
-		if mapperEmits++; mapperEmits == 9 {
-			hold.Do(func() { untilDoomed(p) })
-		}
-	}}
+	cfg.Hooks = &mr.Hooks{
+		MapTask: func(w int) {
+			if w == 1 {
+				worker1Tasks.Add(1)
+			}
+		},
+		MapEmit: func(w int) {
+			switch w {
+			case 0:
+				if emits0++; emits0 == 9 {
+					hold.Do(func() { untilDoomed(p) })
+				}
+			case 1:
+				emits1++ // worker 1's goroutine only
+				worker1(p, emits1)
+			}
+		},
+	}
 	p, err := stream.New(streamSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,78 +97,93 @@ func untilDoomed(p *stream.Pipeline[int, int, uint64, uint64]) {
 }
 
 // endStream asserts what every doomed session owes its caller once it has
-// stopped: the rings drained and no worker goroutine left.
-func endStream(t *testing.T, p *stream.Pipeline[int, int, uint64, uint64]) {
+// stopped: the rings drained (a fused session has none to book), and no
+// worker goroutine left.
+func endStream(t *testing.T, arm streamArm, p *stream.Pipeline[int, int, uint64, uint64]) {
 	t.Helper()
 	select {
 	case <-p.Done():
 	case <-time.After(30 * time.Second):
 		t.Fatal("session wedged")
 	}
-	if qs := p.QueueStats(); qs.Pushes != qs.Pops {
-		t.Fatalf("rings not drained: %d pushed, %d popped", qs.Pushes, qs.Pops)
+	if qs := p.QueueStats(); qs.Pushes != qs.Pops || (arm.grant == nil && qs != (mr.QueueStats{})) {
+		t.Fatalf("rings not drained, or a fused session booked ring traffic: %+v", qs)
 	}
 	if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
 		t.Fatalf("%d leaked worker goroutines:\n%s", len(leaked), leaked[0])
 	}
 }
 
-// TestConserveStreamMapPanicOnHelpingSlot: Map panics in the middle of a
-// split a combiner slot took from the session's task channel. The panic must
-// fail the session with the slot's *mr.PanicError — the mapper is still held
-// inside its own split — and the slot must still drain the ring its mapper
-// goes on to fill.
-func TestConserveStreamMapPanicOnHelpingSlot(t *testing.T) {
-	p := streamConserve(t, func(_ *stream.Pipeline[int, int, uint64, uint64], n int64) {
-		if n == 5 {
-			panic(faultinject.InjectedPanic{})
-		}
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	err := p.Close(ctx)
-	var pe *mr.PanicError
-	if !errors.As(err, &pe) || pe.Engine != "stream" || !strings.HasPrefix(pe.Worker, "combine worker") {
-		t.Fatalf("err = %v, want the helping slot's *mr.PanicError", err)
-	}
-	if _, ok := pe.Value.(faultinject.InjectedPanic); !ok {
-		t.Fatalf("panic value %v is not the injected one", pe.Value)
-	}
-	endStream(t, p)
-	if n := p.SealedCount(); n != 0 {
-		t.Fatalf("%d windows published by a session whose only window lost a split", n)
+// TestConserveStreamMapPanicMidSplit: Map panics in the middle of a split
+// worker 1 took from the session's task channel. The panic must fail the
+// session with worker 1's *mr.PanicError — worker 0 is still held inside its
+// own split — and, on the ring arm, the combiner must still drain the rings
+// the mappers go on to fill.
+func TestConserveStreamMapPanicMidSplit(t *testing.T) {
+	for _, arm := range streamArms {
+		t.Run(arm.name, func(t *testing.T) {
+			var tasks atomic.Int64
+			p := streamConserve(t, arm, func(_ *stream.Pipeline[int, int, uint64, uint64], n int64) {
+				if n == 5 {
+					panic(faultinject.InjectedPanic{})
+				}
+			}, &tasks)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			err := p.Close(ctx)
+			var pe *mr.PanicError
+			if !errors.As(err, &pe) || pe.Engine != "stream" || pe.Worker != arm.worker1 {
+				t.Fatalf("err = %v, want %s's *mr.PanicError", err, arm.worker1)
+			}
+			if _, ok := pe.Value.(faultinject.InjectedPanic); !ok {
+				t.Fatalf("panic value %v is not the injected one", pe.Value)
+			}
+			endStream(t, arm, p)
+			if n := p.SealedCount(); n != 0 {
+				t.Fatalf("%d windows published by a session whose only window lost a split", n)
+			}
+		})
 	}
 }
 
-// TestConserveStreamCancelMidHelp: the session is cancelled while a combiner
-// slot is inside a split it took. CancelWait must return — the slot finishes
-// that split, takes no other, and discard-drains its ring — and the session
-// ends in context.Canceled.
+// TestConserveStreamCancelMidHelp: the session is cancelled while worker 1
+// is inside a split it took. CancelWait must return — the worker finishes
+// that split and takes no other, and on the ring arm the combiner
+// discard-drains the rings — and the session ends in context.Canceled. On
+// the fused arm the split is a combine worker's, booked as its one task.
 func TestConserveStreamCancelMidHelp(t *testing.T) {
-	inside := make(chan struct{})
-	var once sync.Once
-	p := streamConserve(t, func(p *stream.Pipeline[int, int, uint64, uint64], _ int64) {
-		once.Do(func() {
-			close(inside)
-			untilDoomed(p)
+	for _, arm := range streamArms {
+		t.Run(arm.name, func(t *testing.T) {
+			inside := make(chan struct{})
+			var once sync.Once
+			var tasks atomic.Int64
+			p := streamConserve(t, arm, func(p *stream.Pipeline[int, int, uint64, uint64], _ int64) {
+				once.Do(func() {
+					close(inside)
+					untilDoomed(p)
+				})
+			}, &tasks)
+			within(inside)
+			returned := make(chan struct{})
+			go func() {
+				defer close(returned)
+				p.CancelWait()
+			}()
+			select {
+			case <-returned:
+			case <-time.After(30 * time.Second):
+				t.Fatal("CancelWait did not return")
+			}
+			if err := p.Err(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if n := tasks.Load(); n != 1 {
+				t.Fatalf("worker 1 began %d splits; want the one the cancel found it in", n)
+			}
+			if h := p.HelpStats(); arm.grant == nil && h.Tasks != 1 {
+				t.Fatalf("help %+v: want the combine worker's one split booked", h)
+			}
+			endStream(t, arm, p)
 		})
-	})
-	within(inside)
-	returned := make(chan struct{})
-	go func() {
-		defer close(returned)
-		p.CancelWait()
-	}()
-	select {
-	case <-returned:
-	case <-time.After(30 * time.Second):
-		t.Fatal("CancelWait did not return")
 	}
-	if err := p.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if h := p.HelpStats(); h.Tasks != 1 {
-		t.Fatalf("help %+v: want the one split the cancel found the slot in", h)
-	}
-	endStream(t, p)
 }

@@ -38,7 +38,8 @@ func streamSpec() *mr.Spec[int, int, uint64, uint64] {
 	}
 }
 
-// streamScenario is one fault plan against one ring geometry.
+// streamScenario is one fault plan against one ring geometry and one grant
+// arm.
 type streamScenario struct {
 	name string
 	plan faultinject.Plan
@@ -49,6 +50,10 @@ type streamScenario struct {
 	// before the panic lands.
 	atDrain  bool
 	capacity int
+	// grant is the session's CPU grant: nil gives every worker a CPU, so
+	// the session is one pool of fused workers and builds no ring; a
+	// one-CPU grant runs the ring pipeline.
+	grant []int
 }
 
 // runStreamScenario drives one session into its fault and asserts what a
@@ -66,9 +71,12 @@ func runStreamScenario(t *testing.T, sc streamScenario) {
 	cfg.BatchSize = 1 + sc.capacity/2
 	cfg.EmitBatch = 3 // does not divide the tiny rings
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: 2 * streamSplits}
+	cfg.CPUGrant = sc.grant
 
+	// Every worker maps on the fused arm: combine worker j as worker
+	// Mappers+j.
 	var p *stream.Pipeline[int, int, uint64, uint64]
-	in := faultinject.NewInjector(sc.plan, cfg.Mappers, cfg.Combiners, func() { p.Cancel() })
+	in := faultinject.NewInjector(sc.plan, cfg.Mappers+cfg.Combiners, cfg.Combiners, func() { p.Cancel() })
 	cfg.Hooks = in.Hooks()
 	if sc.atDrain {
 		cfg.Hooks.CombineDrain = func(int) { panic(faultinject.InjectedPanic{Plan: sc.plan}) }
@@ -127,6 +135,9 @@ feed:
 		if _, ok := pe.Value.(faultinject.InjectedPanic); !ok {
 			t.Fatalf("%s: panic value %v is not the injected one", sc.name, pe.Value)
 		}
+		if werr := checkWorker(pe, cfg); werr != nil {
+			t.Fatalf("%s: %v", sc.name, werr)
+		}
 	}
 	if faulted {
 		if _, aerr := p.Append(chunk); !errors.Is(aerr, err) {
@@ -156,9 +167,14 @@ feed:
 		t.Fatalf("%s: a stopped session published %d more windows", sc.name, n-len(ws))
 	}
 	// Mappers have exited, so every ring is closed; pops never exceed
-	// pushes on any one ring, so equal sums mean each ring is drained.
-	if qs := p.QueueStats(); qs.Pushes != qs.Pops {
-		t.Fatalf("%s: rings not drained: %d pushed, %d popped", sc.name, qs.Pushes, qs.Pops)
+	// pushes on any one ring, so equal sums mean each ring is drained. A
+	// fused session has no ring to report or book.
+	rings := len(in.QueueReports())
+	if qs := p.QueueStats(); qs.Pushes != qs.Pops || (sc.grant == nil) != (rings == 0) || (sc.grant == nil && qs != (mr.QueueStats{})) {
+		t.Fatalf("%s: %d rings reported, %d pushed, %d popped", sc.name, rings, qs.Pushes, qs.Pops)
+	}
+	if err := faultinject.CheckQueues(in.QueueReports()); err != nil {
+		t.Fatalf("%s: %v", sc.name, err)
 	}
 	if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
 		t.Fatalf("%s: %d leaked worker goroutines:\n%s", sc.name, len(leaked), leaked[0])
@@ -170,11 +186,18 @@ feed:
 // same kernel: a panic mid-emit (half-built slab), mid-fold and at the
 // drain site, and a Cancel in the middle of a split — each on a roomy ring
 // and on rings so small that producers are parked on them when the fault
-// lands. The session's mappers pull splits from one channel, so which of
+// lands. The session's workers pull splits from one channel, so which of
 // them (and so which combiner) sees how much is the scheduler's call: the
 // worker-scoped plans aim at AnyWorker, and each ordinal is one some worker
 // must reach — a split is 60 emits, and the 2880 elements are at least 23
 // folds over two combiners.
+//
+// Each scenario's grant arm follows from its plan and ring size: the
+// combiner-site plans (mid-fold and drain) and every plan on the smallest
+// ring run under a one-CPU grant, the ring pipeline, because only that has
+// combiners to fault and producers to park; the other six run on the whole
+// machine, as one pool of fused workers whose map-side faults land on map
+// and combine workers alike.
 func TestStreamFaultSweep(t *testing.T) {
 	plans := []streamScenario{
 		{name: "none", plan: faultinject.Plan{Kind: faultinject.None}},
@@ -186,6 +209,9 @@ func TestStreamFaultSweep(t *testing.T) {
 	for _, capacity := range []int{2, 4, 256} {
 		for _, sc := range plans {
 			sc.capacity = capacity
+			if capacity == 2 || sc.atDrain || sc.plan.Kind == faultinject.PanicCombineBatch {
+				sc.grant = []int{0}
+			}
 			sc.name = fmt.Sprintf("%s/cap=%d", sc.name, capacity)
 			t.Run(sc.name, func(t *testing.T) { runStreamScenario(t, sc) })
 		}

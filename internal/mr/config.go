@@ -295,9 +295,9 @@ func SplitWorkers(n, ratio int) (mappers, combiners int) {
 // grant becomes CPUGrant and the worker counts are resized so the whole
 // pool fits on it (SplitWorkers at the configured Ratio). A one-CPU grant
 // still runs the minimal 1+1 pipeline: one mapper and one combiner sharing
-// the CPU by taking turns on it — the engine conserves work (an idle
-// combiner maps, every pair is folded where it is made) only on a grant with
-// a CPU for every worker, so here whichever of the two has nothing to do parks
+// the CPU by taking turns on it — the engine conserves work (one pool of
+// fused workers, every pair folded where it is made) only on a grant with a
+// CPU for every worker, so here whichever of the two has nothing to do parks
 // and the other gets the CPU. An empty grant is a no-op.
 func (c *Config) ApplyGrant(cpus []int) {
 	if len(cpus) == 0 {
@@ -319,6 +319,20 @@ func (c *Config) ApplyProfile(p *tuner.Profile) error {
 	c.Combiners = 0
 	c.QueueCapacity = p.Best.QueueCapacity
 	c.BatchSize = p.Best.BatchSize
+	return nil
+}
+
+// ValidateGrant checks CPUGrant against the resolved machine: every id must
+// name one of its logical CPUs. Uniqueness and sign were already enforced by
+// Validate; this is the machine-dependent half, checked once per run (or
+// stream session) by every engine before any resource is allocated.
+func (c Config) ValidateGrant(machine *topology.Machine) error {
+	n := machine.NumCPUs()
+	for _, cpu := range c.CPUGrant {
+		if cpu >= n {
+			return fmt.Errorf("mr: CPUGrant cpu %d out of range for %s (%d logical CPUs)", cpu, machine.Name, n)
+		}
+	}
 	return nil
 }
 

@@ -141,9 +141,9 @@ type Result[K comparable, R any] struct {
 	// class (RAMR engine only; zero when Config.Steal is StealOff and no
 	// local takes happened, which never occurs in a completed run).
 	Steal StealStats
-	// Help counts the work that ran out of place to keep every worker
-	// busy (RAMR engine only; all zero when the CPU grant is too small for
-	// the rule to apply, see HelpStats).
+	// Help counts the work a fused pool's workers did in place (RAMR
+	// engine only; all zero when the CPU grant is too small for the rule
+	// to apply, see HelpStats).
 	Help HelpStats
 	// Telemetry is the structured run report (occupancy time-series,
 	// counter totals, throughput) when Config.Telemetry was set; nil
@@ -151,18 +151,18 @@ type Result[K comparable, R any] struct {
 	Telemetry *telemetry.Report
 }
 
-// HelpStats counts what work conservation moved in one RAMR run: map tasks
-// the combiner pool ran, and the pairs combiners and mappers folded where
-// they emitted them instead of shipping them. A batch run that conserves
-// work (no CPUGrant, or one with a CPU per worker) is one pool of fused
-// workers: it folds every pair in place and pushes none, and Tasks is the
-// share its combine workers ran. One whose grant is smaller never helps and
-// folds none in place. With StealStats and QueueStats it closes the run's
-// books exactly: a batch run's takes are the job's task count, and pairs
-// emitted − Pushes is Pairs(). A stream session's mapper takes + Tasks is
-// its split count, and its mappers always ship: its MapperPairs is 0.
+// HelpStats counts what work conservation moved in one RAMR run or stream
+// session: map tasks the combine workers ran, and the pairs combine and map
+// workers folded where they emitted them instead of shipping them. A run or
+// session that conserves work (no CPUGrant, or one with a CPU per worker) is
+// one pool of fused workers: it folds every pair in place and pushes none,
+// and Tasks is the share its combine workers ran. One whose grant is smaller
+// never helps and folds none in place. With StealStats and QueueStats it
+// closes the books exactly: a batch run's takes are the job's task count, a
+// session's map-worker takes + Tasks is its split count, and pairs emitted −
+// Pushes is Pairs().
 type HelpStats struct {
-	Tasks         uint64 `json:"tasks"`          // map tasks run by the combiner pool
+	Tasks         uint64 `json:"tasks"`          // map tasks run by combine workers
 	CombinerPairs uint64 `json:"combiner_pairs"` // pairs those tasks emitted, folded in place
 	MapperPairs   uint64 `json:"mapper_pairs"`   // pairs mappers emitted, folded in place
 }

@@ -47,6 +47,13 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	if cfg.Stream != nil {
 		return nil, fmt.Errorf("phoenix: Config.Stream is set; streaming runs go through internal/stream, not the batch engine")
 	}
+	// Phoenix++ pins nothing, but a grant names CPUs of the machine here as
+	// it does for RAMR; the machine is resolved only to check one.
+	if len(cfg.CPUGrant) > 0 {
+		if err := cfg.ValidateGrant(cfg.ResolveMachine()); err != nil {
+			return nil, err
+		}
+	}
 	// A context that is already dead must fail fast: no worker or sampler
 	// is ever created for a run that cannot make progress.
 	if err := ctx.Err(); err != nil {

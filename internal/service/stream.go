@@ -455,7 +455,8 @@ type streamStatusDoc struct {
 	// resident workers spawned.
 	Started bool          `json:"started"`
 	Stats   *stream.Stats `json:"stats,omitempty"`
-	// Help counts the splits idle combiner slots mapped so far.
+	// Help counts what the session's fused workers folded in place so far,
+	// and the splits its combine workers ran (see mr.HelpStats).
 	Help *mr.HelpStats `json:"help,omitempty"`
 }
 

@@ -8,25 +8,36 @@ import (
 	"testing"
 	"time"
 
+	"ramr/internal/core"
 	"ramr/internal/mr"
 	"ramr/internal/phoenix"
+	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 )
 
-// A session conserves work the way a batch run does with its combiner
-// slots: a slot whose rings hold nothing maps one queued split on a
-// ring-less lane, folding what it emits straight into its own pane
-// containers. The tests below pin the books that keeps, the seal's
-// exactness around a split a slot is still mapping, and the grant rule that
-// switches it off.
+// A session conserves work the way a batch run does: when the grant gives
+// every worker a CPU (core.ConservesWork) it is one pool of mappers+combiners
+// fused workers, each folding what it maps into its own pane containers, and
+// it builds no ring; on a smaller grant it is the paper's pipeline. The
+// tests below pin the books each arm keeps, the seal's exactness around a
+// split a worker is still mapping, and the grant rule that picks the arm.
 
 // parked returns cfg under a CPU grant too small for its workers, which
-// switches work conservation off (core.ConservesWork): a slot parks on
-// empty rings instead of mapping, and every pair crosses a ring.
+// switches work conservation off (core.ConservesWork): the session runs the
+// ring pipeline, its combiner slots park on empty rings, and every pair
+// crosses a ring.
 func parked(cfg mr.Config) mr.Config {
 	cfg.CPUGrant = []int{0}
 	return cfg
 }
+
+// grantArms are the two shapes a session takes: no grant, so every worker
+// has a CPU and the session is one pool of fused workers, and a one-CPU
+// grant, which runs the ring pipeline.
+var grantArms = []struct {
+	name  string
+	grant []int
+}{{"fused", nil}, {"ring", []int{0}}}
 
 // await bounds a wait on a channel a correct session always closes, so a
 // broken one fails its assertions instead of hanging the test binary.
@@ -39,9 +50,29 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
+// checkBooks checks a stopped session's books against the pairs its windows
+// hold (total) and the splits map workers took (mapperTakes): every split
+// was run once, by a map worker or a combine worker, and every pair was
+// either folded where it was made, on the fused arm, or pushed and popped,
+// on the ring arm — never some of each.
+func checkBooks[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], mapperTakes, total uint64) {
+	t.Helper()
+	h, qs, st := p.HelpStats(), p.QueueStats(), p.Stats()
+	if mapperTakes+h.Tasks != uint64(st.Splits) || st.Elements != total {
+		t.Errorf("map workers took %d + combine workers ran %d splits, want %d; %d elements emitted, windows hold %d",
+			mapperTakes, h.Tasks, st.Splits, st.Elements, total)
+	}
+	if p.fused && (qs != (mr.QueueStats{}) || h.Pairs() != total) {
+		t.Errorf("fused session: queue %+v, help %+v; want no ring traffic and all %d pairs folded where made", qs, h, total)
+	}
+	if !p.fused && (h != (mr.HelpStats{}) || qs.Pushes != total || qs.Pops != total) {
+		t.Errorf("ring session: queue %+v, help %+v; want all %d pairs pushed and popped, none folded where made", qs, h, total)
+	}
+}
+
 // TestConserveGrantTooSmallHelpsNothing: a session whose grant cannot put a
-// CPU under every worker runs exactly as sessions did before they conserved
-// work — no split mapped by a slot, every pair emitted, pushed and popped.
+// CPU under every worker runs the paper's pipeline — no split mapped by a
+// combine worker, every pair emitted, pushed and popped.
 func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
@@ -74,9 +105,8 @@ func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
 
 // mixSpec is countSpec with values that differ per element, so two runs
 // agree on a window only if they folded the same multiset of pairs. Map
-// emits slowly, one slab at a time, until slowUntil fires: each slab wakes
-// the slot, which then finds queued splits to map — the map-bound shape
-// conservation is for.
+// emits slowly, one slab at a time, until slowUntil fires: the map-bound
+// shape conservation is for.
 func mixSpec(keys int, slowUntil *atomic.Bool) *mr.Spec[int, int, uint64, uint64] {
 	spec := countSpec(keys)
 	spec.Map = func(n int, emit func(int, uint64)) {
@@ -90,227 +120,346 @@ func mixSpec(keys int, slowUntil *atomic.Bool) *mr.Spec[int, int, uint64, uint64
 	return spec
 }
 
-// TestConserveMapBoundSession: one mapper and one slot, splits queued far
-// faster than the mapper takes them. The slot maps some of them, also after
-// a lull in which it found the task channel empty, and the session's books
-// still close exactly: per window against a Phoenix++ batch run over the
-// same splits, and across the session against the ring and help counters.
+// phoenixWindow is a Phoenix++ batch run of mixSpec over one window's
+// splits: what the window must hold.
+func phoenixWindow(t *testing.T, keys int, splits []int) string {
+	t.Helper()
+	cfg := mr.DefaultConfig()
+	cfg.Mappers, cfg.Combiners, cfg.Pin = 2, 1, mr.PinNone
+	spec := mixSpec(keys, &atomic.Bool{})
+	spec.Splits = splits
+	res, err := phoenix.Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(res.Pairs)
+}
+
+// TestConserveMapBoundSession: one map worker and one combine worker,
+// splits queued far faster than they are mapped. On the fused arm the
+// combine worker maps some of them, also after a lull in which it found the
+// task channel empty; on the ring arm it only folds. Either way each window
+// equals a Phoenix++ batch run over the same splits, and the session's books
+// close exactly.
 func TestConserveMapBoundSession(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		before := runtime.NumGoroutine()
-		const keys = 16
-		var helped atomic.Bool
-		cfg := testConfig(t, &mr.StreamSpec{Window: 1})
-		cfg.Mappers = 1
-		cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
-		cfg.Telemetry = telemetry.New()
-		var mapperTakes atomic.Uint64
-		cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
+		for _, arm := range grantArms {
+			t.Run(arm.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				const keys = 16
+				var helped atomic.Bool
+				cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+				cfg.CPUGrant = arm.grant
+				cfg.Mappers = 1
+				cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
+				cfg.Telemetry = telemetry.New()
+				var mapperTakes atomic.Uint64
+				cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
+					if w < cfg.Mappers {
+						mapperTakes.Add(1)
+					} else {
+						helped.Store(true)
+					}
+				}}
+				p, err := New(mixSpec(keys, &helped), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Start(); err != nil {
+					t.Fatal(err)
+				}
+				chunks := [][]int{{120, 36, 80}, {44, 100, 8, 60}, {96, 12}, {64, 64, 64}}
+				for ts, c := range chunks {
+					if _, err := p.Append(Chunk[int]{Ts: int64(ts), Splits: c}); err != nil {
+						t.Fatal(err)
+					}
+					if ts > 0 {
+						continue
+					}
+					// A lull after the first chunk: every worker finds the
+					// channel empty. The combine worker must map again once
+					// more chunks are queued.
+					for deadline := time.Now().Add(10 * time.Second); p.Stats().Pending != 0; {
+						if time.Now().After(deadline) {
+							t.Fatal("first chunk never drained")
+						}
+						time.Sleep(100 * time.Microsecond)
+					}
+					time.Sleep(5 * time.Millisecond)
+					helped.Store(false)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				if err := p.Close(ctx); err != nil {
+					t.Fatal(err)
+				}
+
+				ws := p.Windows()
+				if len(ws) != len(chunks) {
+					t.Fatalf("%d windows sealed, want %d", len(ws), len(chunks))
+				}
+				var total uint64
+				for i, w := range ws {
+					var want uint64
+					for _, n := range chunks[i] {
+						want += uint64(n)
+					}
+					if w.Index != int64(i) || w.Elements != want {
+						t.Errorf("window %d (sealed %d-th) holds %d elements, want %d", w.Index, i, w.Elements, want)
+					}
+					total += w.Elements
+					if got, want := fmt.Sprint(w.Pairs), phoenixWindow(t, keys, chunks[i]); got != want {
+						t.Errorf("window %d pairs %s, Phoenix++ over the same splits %s", w.Index, got, want)
+					}
+				}
+				if helped.Load() != p.fused {
+					t.Fatalf("combine worker mapped after the lull: %v, want %v (help %+v)", helped.Load(), p.fused, p.HelpStats())
+				}
+				checkBooks(t, p, mapperTakes.Load(), total)
+				checkNoLeak(t, before)
+			})
+		}
+	})
+}
+
+// TestConserveSealWaitsForWorkerMidSplit: the seal's quiesce check must
+// count a split a worker is still mapping. Window 0 gets two splits on two
+// workers; the one mapping the long split stops in the middle of it, after
+// the other split is done (and, on the ring arm, folded). Then the
+// watermark passes window 0 — and the window must stay unsealed until the
+// paused worker resumes, then seal with both splits. On the fused arm the
+// paused worker may be a combine worker, whose pairs are already in its own
+// pane container; the seal must wait all the same.
+func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		for _, arm := range grantArms {
+			t.Run(arm.name, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				longIn, paused, resume := make(chan struct{}), make(chan struct{}), make(chan struct{})
+				spec := countSpec(8)
+				spec.Map = func(n int, emit func(int, uint64)) {
+					if n == 4 { // the short split: begin once another worker has the long one
+						select {
+						case <-longIn:
+						case <-time.After(10 * time.Second):
+						}
+					} else {
+						close(longIn)
+					}
+					for e := 0; e < n; e++ {
+						emit(e%8, 1)
+						if n == 20 && e == 2 {
+							close(paused)
+							<-resume
+						}
+					}
+				}
+				cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+				cfg.CPUGrant = arm.grant
+				cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
+				var mapperTakes atomic.Uint64
+				cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
+					if w < cfg.Mappers {
+						mapperTakes.Add(1)
+					}
+				}}
+				p, err := New(spec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Start(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Append(Chunk[int]{Ts: 0, Splits: []int{4, 20}}); err != nil {
+					t.Fatal(err)
+				}
+				await(t, paused, "a worker to stop mid-split")
+				for deadline := time.Now().Add(10 * time.Second); p.Stats().Pending != 1; {
+					if time.Now().After(deadline) {
+						t.Fatalf("pending = %d, want only the paused split", p.Stats().Pending)
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				if _, err := p.Append(Chunk[int]{Ts: 1}); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(5 * time.Millisecond)
+				if n := p.SealedCount(); n != 0 {
+					t.Fatalf("%d windows sealed while a worker was still mapping window 0", n)
+				}
+				close(resume)
+				waitSealed(t, p, 1)
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if err := p.Close(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if ws := p.Windows(); len(ws) != 1 || ws[0].Elements != 24 {
+					t.Fatalf("windows %+v, want window 0 alone with 24 elements", ws)
+				}
+				checkBooks(t, p, mapperTakes.Load(), 24)
+				checkNoLeak(t, before)
+			})
+		}
+	})
+}
+
+// TestConserveSessionBuildsNoRing: on a grant with a CPU per worker a
+// session is mappers+combiners fused workers and nothing else. No ring is
+// built, so the queue observer never fires and the queue stats stay zero;
+// the ledger has one shard per worker, M of them mappers and C combiners;
+// the Map hooks see ids in [0, M+C); and every window equals a Phoenix++
+// batch run over the same splits.
+func TestConserveSessionBuildsNoRing(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const keys = 16
+	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+	cfg.Mappers, cfg.Combiners = 3, 2
+	cfg.Telemetry = telemetry.New()
+	var observed, outside, mapperTakes atomic.Uint64
+	cfg.Hooks = &mr.Hooks{
+		QueueObserver: func(int, bool, spsc.Stats) { observed.Add(1) },
+		MapTask: func(w int) {
+			if w < 0 || w >= cfg.Mappers+cfg.Combiners {
+				outside.Add(1)
+			}
 			if w < cfg.Mappers {
 				mapperTakes.Add(1)
-			} else {
-				helped.Store(true)
 			}
-		}}
-		p, err := New(mixSpec(keys, &helped), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Start(); err != nil {
-			t.Fatal(err)
-		}
-		chunks := [][]int{{120, 36, 80}, {44, 100, 8, 60}, {96, 12}, {64, 64, 64}}
-		for ts, c := range chunks {
-			if _, err := p.Append(Chunk[int]{Ts: int64(ts), Splits: c}); err != nil {
-				t.Fatal(err)
+		},
+		MapEmit: func(w int) {
+			if w < 0 || w >= cfg.Mappers+cfg.Combiners {
+				outside.Add(1)
 			}
-			if ts > 0 {
-				continue
-			}
-			// A lull after the first chunk: the slot folds its tail and asks
-			// for a split while the channel is empty. That "no" is for now
-			// only — the slot must help again once more chunks are queued.
-			for deadline := time.Now().Add(10 * time.Second); p.Stats().Pending != 0; {
-				if time.Now().After(deadline) {
-					t.Fatal("first chunk never drained")
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-			time.Sleep(5 * time.Millisecond)
-			helped.Store(false)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		if err := p.Close(ctx); err != nil {
-			t.Fatal(err)
-		}
-
-		ws := p.Windows()
-		if len(ws) != len(chunks) {
-			t.Fatalf("%d windows sealed, want %d", len(ws), len(chunks))
-		}
-		var total uint64
-		for i, w := range ws {
-			var want uint64
-			for _, n := range chunks[i] {
-				want += uint64(n)
-			}
-			if w.Index != int64(i) || w.Elements != want {
-				t.Errorf("window %d (sealed %d-th) holds %d elements, want %d", w.Index, i, w.Elements, want)
-			}
-			total += w.Elements
-			bcfg := mr.DefaultConfig()
-			bcfg.Mappers, bcfg.Combiners, bcfg.Pin = 2, 1, mr.PinNone
-			bspec := mixSpec(keys, &atomic.Bool{})
-			bspec.Splits = chunks[i]
-			res, err := phoenix.Run(bspec, bcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := fmt.Sprint(w.Pairs), fmt.Sprint(res.Pairs); got != want {
-				t.Errorf("window %d pairs %s, Phoenix++ over the same splits %s", w.Index, got, want)
-			}
-		}
-
-		h := p.HelpStats()
-		if !helped.Load() {
-			t.Fatalf("no split mapped by the slot after the lull (help %+v)", h)
-		}
-		if got := mapperTakes.Load() + h.Tasks; got != uint64(p.Stats().Splits) || h.MapperPairs != 0 {
-			t.Errorf("mapper takes %d + helped %d = %d splits, want %d (help %+v)", mapperTakes.Load(), h.Tasks, got, p.Stats().Splits, h)
-		}
-		qs := p.QueueStats()
-		if qs.Pushes+h.CombinerPairs != total || qs.Pops != qs.Pushes {
-			t.Errorf("queue %+v, help %+v: want %d pairs = pushed + folded by slots, every push popped", qs, h, total)
-		}
-		if el := p.Stats().Elements; el != total {
-			t.Errorf("%d elements emitted, windows folded %d", el, total)
-		}
-		checkNoLeak(t, before)
-	})
-}
-
-// TestConserveSealWaitsForHelpingSlot: the seal's quiesce check must count a
-// split a slot is mapping. The mapper emits one slab of window 0's first
-// split and waits inside it until the slot, woken by that slab, has taken
-// the second split; the slot then stops mid-split. Once the mapper's split
-// is done and folded, the watermark passes window 0 — and the window must
-// stay unsealed until the slot resumes, then seal with both splits.
-func TestConserveSealWaitsForHelpingSlot(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		before := runtime.NumGoroutine()
-		slotIn, paused, resume := make(chan struct{}), make(chan struct{}), make(chan struct{})
-		var slotTasks, slotEmits atomic.Int64
-		spec := countSpec(8)
-		spec.Map = func(n int, emit func(int, uint64)) {
-			for e := 0; e < n; e++ {
-				emit(e%8, 1)
-			}
-			if n == 4 { // the mapper's split: hold until the slot took the other
-				select {
-				case <-slotIn:
-				case <-time.After(10 * time.Second):
-				}
-			}
-		}
-		cfg := testConfig(t, &mr.StreamSpec{Window: 1})
-		cfg.Mappers = 1
-		cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
-		cfg.Hooks = &mr.Hooks{
-			MapTask: func(w int) {
-				if w >= cfg.Mappers && slotTasks.Add(1) == 1 {
-					close(slotIn)
-				}
-			},
-			MapEmit: func(w int) {
-				if w >= cfg.Mappers && slotEmits.Add(1) == 3 {
-					close(paused)
-					<-resume
-				}
-			},
-		}
-		p, err := New(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Append(Chunk[int]{Ts: 0, Splits: []int{4, 20}}); err != nil {
-			t.Fatal(err)
-		}
-		await(t, paused, "the slot to stop mid-split")
-		// Whichever split the slot took, the other one finishes on the
-		// mapper; wait for it, then move the watermark past window 0.
-		for deadline := time.Now().Add(10 * time.Second); p.Stats().Pending != 1; {
-			if time.Now().After(deadline) {
-				t.Fatalf("pending = %d, want only the slot's split", p.Stats().Pending)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		if _, err := p.Append(Chunk[int]{Ts: 1}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(5 * time.Millisecond)
-		if n := p.SealedCount(); n != 0 {
-			t.Fatalf("%d windows sealed while a slot was still mapping window 0", n)
-		}
-		close(resume)
-		waitSealed(t, p, 1)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := p.Close(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if ws := p.Windows(); len(ws) != 1 || ws[0].Elements != 24 {
-			t.Fatalf("windows %+v, want window 0 alone with 24 elements", ws)
-		}
-		if h := p.HelpStats(); h.Tasks != 1 {
-			t.Fatalf("help %+v, want the one split the slot was paused in", h)
-		}
-		checkNoLeak(t, before)
-	})
-}
-
-// TestUninstrumentedSessionReadsLive: a session started without a Telemetry
-// keeps the same books as a sampled one, and they are live — what its rings
-// and its helping slot have done shows in QueueStats and HelpStats while the
-// session still runs, not only once it has stopped.
-func TestUninstrumentedSessionReadsLive(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var fast atomic.Bool
-	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
-	cfg.Mappers = 1
-	cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
-	p, err := New(mixSpec(16, &fast), cfg)
+		},
+	}
+	fast := &atomic.Bool{}
+	fast.Store(true)
+	p, err := New(mixSpec(keys, fast), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for ts, c := range [][]int{{120, 36, 80}, {44, 100, 8, 60}} {
+	chunks := [][]int{{120, 36, 80, 7}, {44, 100, 8, 60, 3}, {96, 12}}
+	for ts, c := range chunks {
 		if _, err := p.Append(Chunk[int]{Ts: int64(ts), Splits: c}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var qs mr.QueueStats
-	var h mr.HelpStats
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		qs, h = p.QueueStats(), p.HelpStats()
-		if qs.Pushes > 0 && qs.Pops > 0 && h.Tasks > 0 && h.CombinerPairs > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("live session reads queue %+v, help %+v: want pushes, pops and help before Close", qs, h)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	fast.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if n := observed.Load(); n != 0 || len(p.queues) != 0 || len(p.gates) != 0 {
+		t.Fatalf("queue observer fired %d times, %d rings and %d gates built; want none", n, len(p.queues), len(p.gates))
+	}
+	if qs := p.QueueStats(); qs != (mr.QueueStats{}) {
+		t.Fatalf("queue stats %+v, want zero", qs)
+	}
+	if n := outside.Load(); n != 0 {
+		t.Fatalf("%d hook calls from a worker id outside [0, %d)", n, cfg.Mappers+cfg.Combiners)
+	}
+	rep := cfg.Telemetry.EndRun(nil)
+	roles := map[string]int{}
+	for _, w := range rep.Workers {
+		roles[w.Role]++
+	}
+	if len(rep.Workers) != cfg.Mappers+cfg.Combiners || roles["mapper"] != cfg.Mappers || roles["combiner"] != cfg.Combiners || len(rep.Queues) != 0 {
+		t.Fatalf("ledger shards by role %v, %d queue reports; want %d mappers, %d combiners and no queue", roles, len(rep.Queues), cfg.Mappers, cfg.Combiners)
+	}
+	ws := p.Windows()
+	if len(ws) != len(chunks) {
+		t.Fatalf("%d windows sealed, want %d", len(ws), len(chunks))
+	}
+	var total uint64
+	for i, w := range ws {
+		total += w.Elements
+		if got, want := fmt.Sprint(w.Pairs), phoenixWindow(t, keys, chunks[i]); got != want {
+			t.Errorf("window %d pairs %s, Phoenix++ over the same splits %s", w.Index, got, want)
+		}
+	}
+	checkBooks(t, p, mapperTakes.Load(), total)
 	checkNoLeak(t, before)
+}
+
+// TestConserveSessionStepAllocatesNothing: a fused worker's step on a split
+// — point its container at the split's pane, map, book the pane — allocates
+// nothing once the pane's container exists, on a worker of each role, with
+// the pane changing on every step.
+func TestConserveSessionStepAllocatesNothing(t *testing.T) {
+	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+	p, err := New(countSpec(8), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pane := int64(0); pane < 2; pane++ {
+		p.paneFor(pane).splitsIn.Add(1000)
+	}
+	for _, w := range []int{0, cfg.Mappers} {
+		lane := core.NewLane[streamPair[int, uint64]](nil, cfg.EmitBatch, w, nil)
+		lane.Run(context.Background(), "stream", cfg.Mappers, -1, p.ledger, func(err error) { t.Fatal(err) }, func(*telemetry.Worker) {
+			step, n := p.taskStep(w, lane), 0
+			if allocs := testing.AllocsPerRun(100, func() {
+				step(task[int]{split: 32, pane: int64(n % 2)})
+				n++
+			}); allocs != 0 {
+				t.Errorf("worker %d's step allocates %.1f times", w, allocs)
+			}
+		})
+	}
+	if h := p.HelpStats(); h.Tasks != 101 || h.CombinerPairs != 101*32 || h.MapperPairs != 101*32 {
+		t.Fatalf("help %+v: want 101 steps of 32 pairs on each worker", h)
+	}
+}
+
+// TestUninstrumentedSessionReadsLive: a session started without a Telemetry
+// keeps the same books as a sampled one, and they are live — what its rings
+// carried (ring arm) or its combine worker folded (fused arm) shows in
+// QueueStats and HelpStats while the session still runs, not only once it
+// has stopped.
+func TestUninstrumentedSessionReadsLive(t *testing.T) {
+	for _, arm := range grantArms {
+		t.Run(arm.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var fast atomic.Bool
+			cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+			cfg.CPUGrant = arm.grant
+			cfg.Mappers = 1
+			cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
+			p, err := New(mixSpec(16, &fast), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for ts, c := range [][]int{{120, 36, 80}, {44, 100, 8, 60}} {
+				if _, err := p.Append(Chunk[int]{Ts: int64(ts), Splits: c}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := func(qs mr.QueueStats, h mr.HelpStats) bool {
+				if p.fused {
+					return h.Tasks > 0 && h.CombinerPairs > 0
+				}
+				return qs.Pushes > 0 && qs.Pops > 0
+			}
+			for deadline := time.Now().Add(10 * time.Second); !live(p.QueueStats(), p.HelpStats()); {
+				if time.Now().After(deadline) {
+					t.Fatalf("live session reads queue %+v, help %+v: want its traffic before Close", p.QueueStats(), p.HelpStats())
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			fast.Store(true)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := p.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			checkNoLeak(t, before)
+		})
+	}
 }

@@ -28,11 +28,12 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 // resident combiners run out of work and park. Each window can seal only
 // if the mappers flush their rings at the end of each split and that
 // wakes the parked combiners to fold the short tail; a lost wake-up
-// leaves a window unsealed for ever.
+// leaves a window unsealed for ever. A session has combiners to park only
+// on a grant too small for conservation.
 func TestParkedCombinersFoldEveryChunkAfterIdle(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+		cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
 		cfg.BatchSize = 200 // a chunk below is 20 pairs
 		p, err := New(countSpec(8), cfg)
 		if err != nil {
@@ -90,9 +91,9 @@ func TestParkedCombinerFoldsTailWhileMapperStaysBusy(t *testing.T) {
 				emit(e%8, 1)
 			}
 		}
-		// The busy split must be the mapper's: a helping slot that took it
-		// would hold the only fold for as long as it runs. A grant too small
-		// for conservation keeps the slot on its ring.
+		// A session has a combiner to fold the tail only on a grant too
+		// small for conservation; on a larger one every worker folds what it
+		// maps.
 		cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
 		cfg.Mappers = 1
 		cfg.BatchSize = 200
@@ -130,11 +131,12 @@ func TestParkedCombinerFoldsTailWhileMapperStaysBusy(t *testing.T) {
 }
 
 // TestCancelWakesParkedCombiners: cancelling an idle session, whose
-// combiners are parked with no push ever coming, must still stop it.
+// combiners are parked with no push ever coming, must still stop it. Only a
+// grant too small for conservation has combiners to park.
 func TestCancelWakesParkedCombiners(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		p, err := New(countSpec(8), testConfig(t, &mr.StreamSpec{Window: 1}))
+		p, err := New(countSpec(8), parked(testConfig(t, &mr.StreamSpec{Window: 1})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,9 +177,8 @@ func TestSealerWakesOnQuiescence(t *testing.T) {
 		var armed atomic.Bool
 		var folds atomic.Int64
 		entered, release := make(chan struct{}), make(chan struct{})
-		// The held fold is a ring batch, so the one combiner must not map
-		// window 0's split itself: a grant too small for conservation keeps
-		// it off the task channel.
+		// The held fold is a ring batch, and only a grant too small for
+		// conservation ships pairs through rings.
 		cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1, Lateness: 1}))
 		cfg.Mappers = 1
 		cfg.Hooks = &mr.Hooks{CombineBatch: func(int) {

@@ -194,7 +194,8 @@ func (s *Session) Window(n int64) (WindowMeta, bool) { return s.window(n) }
 // QueueStats returns the aggregated SPSC counters.
 func (s *Session) QueueStats() mr.QueueStats { return s.queueStats() }
 
-// HelpStats returns the splits combiner slots mapped and pairs they folded.
+// HelpStats returns what the session's fused workers folded in place, and
+// the splits its combine workers ran.
 func (s *Session) HelpStats() mr.HelpStats { return s.helpStats() }
 
 // SetOnSeal installs the per-window callback; call before Start.

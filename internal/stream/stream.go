@@ -4,19 +4,18 @@
 // results without ever tearing its workers down.
 //
 // The batch engine's building blocks are reused wholesale — the pipeline
-// kernel itself (core.Lane on every mapper, core.StartCombiners' consume
-// loop on every combiner, with its slot-side work-conserving rule),
-// per-mapper SPSC rings (internal/spsc), private combiner containers
-// (internal/container), the contention-aware pinning
-// plan (core.BuildPlanOn) and the run's ledger with its statistics
-// (core.Books) — but the lifecycle inverts: instead of "partition once,
-// run to drain, merge once", mappers block on a task
-// channel fed by Append, combiners fold into per-pane containers keyed by
-// event time, and a sealer goroutine merges, reduces and publishes each
-// window the moment the watermark passes it. In-node combining is what
-// makes this cheap: the combiner container already is an incremental
-// cache of the window's state, so a seal only merges C small containers,
-// never replays input.
+// kernel itself (core.Lane on every task-taking worker, core.Fuse on a fused
+// one, core.StartCombiners' consume loop on every combiner), per-mapper SPSC
+// rings (internal/spsc), private containers (internal/container), the
+// contention-aware pinning plan (core.BuildPlanOn) and the run's ledger with
+// its statistics (core.Books) — but the lifecycle inverts: instead of
+// "partition once, run to drain, merge once", workers block on a task
+// channel fed by Append, fold into per-pane containers keyed by event time,
+// and a sealer goroutine merges, reduces and publishes each window the
+// moment the watermark passes it. In-node combining is what makes this
+// cheap: a container already is an incremental cache of the window's state,
+// so a seal only merges a few small containers per pane, never replays
+// input.
 //
 // Windowing model (see DESIGN.md §14): every chunk carries an event-time
 // tick; window n covers ticks [n*Slide, n*Slide+Window); state is sliced
@@ -24,13 +23,19 @@
 // duplicating folds; the watermark is maxTick-Lateness and window n seals
 // once n*Slide+Window <= watermark. Sealing is exact, not best-effort: a
 // window is merged only after every split routed to its panes has been
-// mapped AND every pair those splits pushed has been folded, tracked by
-// per-pane conservation counters (splits in/done, pairs pushed/folded).
+// mapped AND every pair those splits pushed to a ring has been folded,
+// tracked by per-pane conservation counters (splits in/done, pairs not yet
+// folded).
 //
-// Work conservation (DESIGN.md §5.2): a combiner slot whose rings are empty
-// maps one queued split on a ring-less lane folding into its own pane
-// containers, when the grant gives every worker a CPU. A mapper always ships
-// its pairs: a mapper-side fold would need a pane dimension.
+// Work conservation (DESIGN.md §5.2) follows the batch engine's grant rule
+// (core.ConservesWork): when every worker has a CPU of its own, a session is
+// one pool of mappers+combiners identical fused workers and builds no ring,
+// gate or combiner slot. Each takes a split, points its container at the
+// split's pane — its own per-pane containers, picked once per task — and
+// folds every pair there as it is made, so a pane quiesces once its splits
+// are done. On a smaller grant the session is the paper's pipeline: mappers
+// ship pane-tagged pairs through rings, and combiner slots fold them or
+// park.
 package stream
 
 import (
@@ -38,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,7 +52,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/obs"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 )
@@ -116,7 +121,7 @@ type Window[K comparable, R any] struct {
 	SealedAt time.Time
 }
 
-// task is one split routed to a pane, flowing coordinator → mapper.
+// task is one split routed to a pane, flowing Append → worker.
 type task[S any] struct {
 	split S
 	pane  int64
@@ -131,33 +136,34 @@ type streamPair[K comparable, V any] struct {
 
 // paneState tracks one pane's conservation counters. A window is
 // quiescent — safe to merge — once, for every pane it spans,
-// splitsDone == splitsIn and folded == pushed. Ordering guarantees the
-// check is sound: a split's lane flushes its emit slab (to the ring, or
-// folded by a helping slot) and adds to pushed BEFORE adding to splitsDone,
-// and splitsIn for a sealable pane is frozen because Append rejects ticks
-// behind the watermark.
+// splitsDone == splitsIn and unfolded == 0. Ordering guarantees the check
+// is sound: a split's lane flushes its emit slab and the split adds what it
+// pushed to unfolded BEFORE adding to splitsDone, and splitsIn for a
+// sealable pane is frozen because Append rejects ticks behind the
+// watermark. A fused worker folds every pair as it is made, so on a
+// conserving grant unfolded stays 0 and the splits alone decide.
 type paneState struct {
 	pane        int64
 	splitsIn    atomic.Int64
 	splitsDone  atomic.Int64
-	pushed      atomic.Uint64
-	folded      atomic.Uint64
+	elements    atomic.Uint64 // pairs the pane's done splits emitted
+	unfolded    atomic.Int64  // of those, pushed to a ring and not yet folded
 	chunks      atomic.Int64
 	firstAppend time.Time
 }
 
-// combinerState is one combiner's private per-pane container map. The
-// combiner goroutine is the only writer of the containers; the mutex
-// serializes map access (pane creation, and the sealer's merge walk)
-// and is taken only when switching panes or sealing, never per pair.
-type combinerState[K comparable, V any] struct {
+// paneSet is one container owner's private per-pane container map: a
+// combiner slot's, or on a conserving grant a fused worker's. The owner's
+// goroutine is the only writer of the containers; the mutex serializes map
+// access (pane creation, and the sealer's merge walk) and is taken only
+// when switching panes or sealing, never per pair.
+type paneSet[K comparable, V any] struct {
 	mu    sync.Mutex
 	panes map[int64]container.Container[K, V]
 }
 
-// container returns (creating if needed) the combiner's container for a
-// pane.
-func (cs *combinerState[K, V]) container(pane int64, newC container.Factory[K, V]) container.Container[K, V] {
+// container returns (creating if needed) the owner's container for a pane.
+func (cs *paneSet[K, V]) container(pane int64, newC container.Factory[K, V]) container.Container[K, V] {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	c, ok := cs.panes[pane]
@@ -188,8 +194,8 @@ type Stats struct {
 
 // Pipeline is one resident streaming session over a typed job spec. New
 // builds it, Start spawns the worker pools, Append feeds it, Close
-// drains and seals everything; the mapper and combiner goroutines live
-// for the whole session, across every window.
+// drains and seals everything; the worker goroutines live for the whole
+// session, across every window.
 type Pipeline[S any, K comparable, V, R any] struct {
 	spec *mr.Spec[S, K, V, R]
 	cfg  mr.Config
@@ -197,11 +203,12 @@ type Pipeline[S any, K comparable, V, R any] struct {
 
 	mappers   int
 	combiners int
+	fused     bool // the grant conserves work: fused workers, no ring
 	plan      core.Plan
-	queues    []*spsc.Queue[streamPair[K, V]]
-	gates     []*spsc.Gate // per combiner: where it parks between chunks
-	combs     []*combinerState[K, V]
-	ledger    *telemetry.Ledger // the session's books: a shard per worker
+	queues    []*spsc.Queue[streamPair[K, V]] // per mapper, unless fused
+	gates     []*spsc.Gate                    // per combiner, unless fused: where it parks between chunks
+	owners    []*paneSet[K, V]                // per combiner slot, or per fused worker
+	ledger    *telemetry.Ledger               // the session's books: a shard per worker
 	tel       *telemetry.Telemetry
 	batch     int // consume batch, clamped to the ring
 
@@ -238,8 +245,8 @@ type Pipeline[S any, K comparable, V, R any] struct {
 
 	flushing   atomic.Bool
 	flushCh    chan struct{}
-	mapWG      sync.WaitGroup
-	combWG     sync.WaitGroup
+	mapWG      sync.WaitGroup // the task-taking workers
+	combWG     sync.WaitGroup // the combiner slots, unless fused
 	sealerDone chan struct{}
 	stopped    chan struct{} // closed when every goroutine has exited
 	started    bool
@@ -260,7 +267,7 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 		return nil, errors.New("stream: Config.Stream is required for a resident pipeline")
 	}
 	machine := cfg.ResolveMachine()
-	if err := core.ValidateGrant(machine, cfg.CPUGrant); err != nil {
+	if err := cfg.ValidateGrant(machine); err != nil {
 		return nil, err
 	}
 	win := cfg.Stream.Resolved()
@@ -286,23 +293,35 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	}
 	p.maxTs.Store(-1)
 	p.maxPane = -1
-	p.batch = min(cfg.BatchSize, cfg.QueueCapacity)
-	for i := 0; i < mappers; i++ {
-		q, err := spsc.New[streamPair[K, V]](cfg.QueueCapacity, spsc.WaitSleep)
-		if err != nil {
-			return nil, err
+	// A conserving session ships nothing: each of its mappers+combiners
+	// workers owns per-pane containers, and no ring or gate is built.
+	// Otherwise a ring per mapper feeds combiner slots that own the
+	// containers.
+	p.fused = core.ConservesWork(cfg.CPUGrant, mappers+combiners)
+	owners := mappers + combiners
+	if !p.fused {
+		owners = combiners
+		p.batch = min(cfg.BatchSize, cfg.QueueCapacity)
+		for i := 0; i < mappers; i++ {
+			q, err := spsc.New[streamPair[K, V]](cfg.QueueCapacity, spsc.WaitSleep)
+			if err != nil {
+				return nil, err
+			}
+			p.queues = append(p.queues, q)
 		}
-		p.queues = append(p.queues, q)
+		for j := 0; j < combiners; j++ {
+			p.gates = append(p.gates, spsc.NewGate())
+		}
 	}
-	for j := 0; j < combiners; j++ {
-		p.combs = append(p.combs, &combinerState[K, V]{panes: make(map[int64]container.Container[K, V])})
-		p.gates = append(p.gates, spsc.NewGate())
+	for range owners {
+		p.owners = append(p.owners, &paneSet[K, V]{panes: make(map[int64]container.Container[K, V])})
 	}
 	return p, nil
 }
 
-// Start spawns the resident mapper and combiner pools and the sealer.
-// The workers live until Close or Cancel; no per-window restarts.
+// Start spawns the resident workers and the sealer: on a conserving grant
+// mappers+combiners fused workers, otherwise the mappers and the combiner
+// pool. The workers live until Close or Cancel; no per-window restarts.
 func (p *Pipeline[S, K, V, R]) Start() error {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
@@ -321,33 +340,34 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		}
 		stopSampler = p.tel.Stop
 	}
-	// The combiner pool is the batch engine's, split over the mappers in
-	// index order (what the plan pinned by).
-	order := make([]int, p.mappers)
-	for i := range order {
-		order[i] = i
+	workers := p.mappers + p.combiners
+	if !p.fused {
+		// The combiner pool is the batch engine's, split over the mappers
+		// in index order (what the plan pinned by).
+		workers = p.mappers
+		order := make([]int, p.mappers)
+		for i := range order {
+			order[i] = i
+		}
+		core.StartCombiners(context.Background(), &p.combWG, core.Combiners[streamPair[K, V]]{
+			Engine:   "stream",
+			Queues:   p.queues,
+			Gates:    p.gates,
+			Order:    order,
+			CPUs:     p.plan.CombinerCPU,
+			Ledger:   p.ledger,
+			Hooks:    p.cfg.Hooks,
+			Batch:    p.batch,
+			Apply:    p.foldInto,
+			Abort:    p.abort.Load,
+			Fail:     p.fail,
+			Progress: p.kickSealer,
+		})
 	}
-	pool := core.Combiners[streamPair[K, V]]{
-		Engine:   "stream",
-		Queues:   p.queues,
-		Gates:    p.gates,
-		Order:    order,
-		CPUs:     p.plan.CombinerCPU,
-		Ledger:   p.ledger,
-		Hooks:    p.cfg.Hooks,
-		Batch:    p.batch,
-		Apply:    p.foldInto,
-		Abort:    p.abort.Load,
-		Fail:     p.fail,
-		Progress: p.kickSealer,
-	}
-	if core.ConservesWork(p.cfg.CPUGrant, p.mappers+p.combiners) {
-		pool.Help = p.helper
-	}
-	core.StartCombiners(context.Background(), &p.combWG, pool)
-	for i := 0; i < p.mappers; i++ {
+	cpus := append(slices.Clone(p.plan.MapperCPU), p.plan.CombinerCPU...)
+	for w := 0; w < workers; w++ {
 		p.mapWG.Add(1)
-		go p.runMapper(i)
+		go p.runWorker(w, cpus[w])
 	}
 	go p.sealLoop()
 	// The janitor turns "every worker exited" into the stopped signal,
@@ -368,7 +388,7 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 }
 
 // fail records the session's first error and trips the abort path:
-// mappers stop taking tasks, combiners (woken if parked) switch to
+// workers stop taking tasks, combiners (woken if parked) switch to
 // discard-draining so producers blocked on full rings unwedge, the
 // sealer exits.
 func (p *Pipeline[S, K, V, R]) fail(err error) {
@@ -405,7 +425,7 @@ func (p *Pipeline[S, K, V, R]) watermark() int64 {
 }
 
 // Append admits one chunk: its splits are routed to the pane of its
-// tick and queued for the resident mappers. It returns the tick the
+// tick and queued for the resident workers. It returns the tick the
 // chunk was assigned. Errors: BackpressureError when the pending bound
 // is hit, LateChunkError for ticks behind the watermark, ErrClosed
 // after Close, or the session's fatal error.
@@ -505,37 +525,56 @@ func (p *Pipeline[S, K, V, R]) kickSealer() {
 	}
 }
 
-// splitRunner returns lane's body for one split, run by a mapper and by a
-// helping combiner slot: Map with pairs tagged by pane, EndTask (to the ring,
-// or folded into the slot's panes), then pushed strictly before splitsDone —
-// the order the seal's quiesce check relies on.
-func (p *Pipeline[S, K, V, R]) splitRunner(lane *core.Lane[streamPair[K, V]]) func(task[S]) {
+// taskStep returns worker w's step for one split, on the worker's lane: on
+// a conserving grant the worker's container is pointed at the split's pane
+// once, and every pair is folded into it as it is made; otherwise pairs are
+// tagged with the pane and shipped through the lane's ring. Either way the
+// split is then booked on its pane — what it emitted, and what of that it
+// pushed, strictly before splitsDone: the order the seal's quiesce check
+// relies on.
+func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]) func(task[S]) {
 	var pane int64
-	emit := core.HookEmit(lane, func(k K, v V) {
-		core.Emit(lane, streamPair[K, V]{pane: pane, kv: container.KV[K, V]{K: k, V: v}})
-	})
+	var cur container.Container[K, V]
+	var emit func(K, V)
+	if p.fused {
+		emit = core.Fuse(lane, &cur, p.spec.Combine)
+	} else {
+		emit = core.HookEmit(lane, func(k K, v V) {
+			core.Emit(lane, streamPair[K, V]{pane: pane, kv: container.KV[K, V]{K: k, V: v}})
+		})
+	}
 	return func(t task[S]) {
 		pane = t.pane
+		if p.fused {
+			cur = p.owners[w].container(pane, p.spec.NewContainer)
+		}
 		lane.BeginTask()
 		p.spec.Map(t.split, emit)
 		emitted := lane.EndTask()
-		ps := p.lookupPane(t.pane)
-		ps.pushed.Add(emitted)
+		ps := p.lookupPane(pane)
+		ps.elements.Add(emitted)
+		if !p.fused {
+			ps.unfolded.Add(int64(emitted))
+		}
 		ps.splitsDone.Add(1)
 		p.pending.Add(-1)
 		p.kickSealer()
 	}
 }
 
-// runMapper is one resident map worker: take a task, run it on the
-// worker's lane, repeat until the task channel closes (Close) or the
-// session dies.
-func (p *Pipeline[S, K, V, R]) runMapper(i int) {
+// runWorker is resident worker w, pinned to cpu: take a split, step it,
+// repeat until the task channel closes (Close) or the session dies. Worker
+// w < mappers is map worker w; on a conserving grant the rest are combine
+// workers, fused like every other.
+func (p *Pipeline[S, K, V, R]) runWorker(w, cpu int) {
 	defer p.mapWG.Done()
-	q := p.queues[i]
-	lane := core.NewLane(q, p.cfg.EmitBatch, i, p.cfg.Hooks)
-	lane.Run(context.Background(), "stream", p.plan.MapperCPU[i], p.ledger, p.fail, func(tw *telemetry.Worker) {
-		run := p.splitRunner(lane)
+	var q *spsc.Queue[streamPair[K, V]]
+	if !p.fused {
+		q = p.queues[w]
+	}
+	lane := core.NewLane(q, p.cfg.EmitBatch, w, p.cfg.Hooks)
+	lane.Run(context.Background(), "stream", p.mappers, cpu, p.ledger, p.fail, func(tw *telemetry.Worker) {
+		step := p.taskStep(w, lane)
 		for {
 			select {
 			case <-p.dying:
@@ -550,44 +589,26 @@ func (p *Pipeline[S, K, V, R]) runMapper(i int) {
 					p.pending.Add(-1)
 					continue
 				}
-				run(t)
-				// Under sustained load combiners wait for full batches
-				// (§IV-C), but this split's pane cannot seal until its last
-				// pair is folded, and the next full batch may be a long way
-				// off — this mapper may go idle, or be handed a slow or sparse
-				// split. Have the combiner fold what the ring holds now.
-				q.Flush()
+				step(t)
+				if q != nil {
+					// Under sustained load combiners wait for full batches
+					// (§IV-C), but this split's pane cannot seal until its
+					// last pair is folded, and the next full batch may be a
+					// long way off — this mapper may go idle, or be handed a
+					// slow or sparse split. Have the combiner fold what the
+					// ring holds now.
+					q.Flush()
+				}
 				tw.SetState(telemetry.StateIdle)
 			}
 		}
 	})
 }
 
-// helper is a slot's core.Combiners.Help: map one queued split on the slot's
-// ring-less lane, whose slabs foldInto splits by pane. It never waits: a
-// closed or empty task channel, or a doomed session, is "nothing now".
-func (p *Pipeline[S, K, V, R]) helper(_ int, lane *core.Lane[streamPair[K, V]], _ *obs.Track) func() bool {
-	run := p.splitRunner(lane)
-	return func() bool {
-		select {
-		case t, ok := <-p.taskCh:
-			if !ok {
-				return false
-			}
-			if p.abort.Load() {
-				p.pending.Add(-1)
-				return false
-			}
-			run(t)
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// HelpStats counts the splits combiner slots mapped and the pairs they folded
-// in place; a session has no mapper-side fold, so MapperPairs is always 0.
+// HelpStats counts what the session's fused workers folded where they made
+// it, by role: the splits combine workers ran (Tasks) and the pairs combine
+// and map workers folded. Every pair of a session on a conserving grant is
+// in it, and none of one on a smaller grant, whose pairs all cross a ring.
 // Like QueueStats it is read from the session's ledger, live or stopped.
 func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
 	_, _, help := core.Books(p.ledger.Totals())
@@ -596,9 +617,9 @@ func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
 
 // foldInto returns combiner j's fold: each consumed ring segment is split
 // into pane-tagged runs, and each run goes into that pane's private
-// container and onto its folded count.
+// container and off its unfolded count.
 func (p *Pipeline[S, K, V, R]) foldInto(j int) func([]streamPair[K, V]) {
-	cs := p.combs[j]
+	cs := p.owners[j]
 	scratch := make([]container.KV[K, V], 0, p.batch)
 	curPane := int64(math.MinInt64)
 	var curC container.Container[K, V]
@@ -620,7 +641,7 @@ func (p *Pipeline[S, K, V, R]) foldInto(j int) func([]streamPair[K, V]) {
 				scratch = append(scratch, e.kv)
 			}
 			curC.UpdateBatch(scratch, p.spec.Combine)
-			curPS.folded.Add(uint64(hi - lo))
+			curPS.unfolded.Add(-int64(hi - lo))
 			lo = hi
 		}
 	}
@@ -689,15 +710,15 @@ func (p *Pipeline[S, K, V, R]) windowQuiesced(n int64) bool {
 		if ps == nil {
 			continue
 		}
-		if ps.splitsDone.Load() != ps.splitsIn.Load() || ps.folded.Load() != ps.pushed.Load() {
+		if ps.splitsDone.Load() != ps.splitsIn.Load() || ps.unfolded.Load() != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// sealWindow waits for window n's panes to quiesce, merges the
-// combiners' pane containers, reduces, sorts and publishes the
+// sealWindow waits for window n's panes to quiesce, merges every owner's
+// pane containers, reduces, sorts and publishes the
 // snapshot. Empty windows (no pane ever held data) are skipped without
 // publishing. Returns false if the session died while waiting.
 func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
@@ -718,7 +739,7 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	}
 	if hasData {
 		// Every counter change that can make the window quiescent is
-		// followed by a kick (mapper after splitsDone, combiner after a
+		// followed by a kick (a worker after splitsDone, a combiner after a
 		// round that folded something), and the kick is buffered, so one
 		// that lands between the check and the wait is not lost.
 		for !p.windowQuiesced(n) {
@@ -732,19 +753,20 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 			if ps := p.lookupPane(pane); ps != nil {
 				splitsN += ps.splitsIn.Load()
 				chunksN += ps.chunks.Load()
-				elements += ps.folded.Load()
+				elements += ps.elements.Load()
 			}
 		}
 	}
 
 	if hasData {
-		// Merge every combiner's containers for the window's panes. The
-		// per-combiner lock orders the walk against concurrent pane
+		// Merge every owner's containers for the window's panes: the
+		// combiner slots', or on a conserving grant every fused worker's.
+		// The per-owner lock orders the walk against concurrent pane
 		// creation; the containers themselves are quiescent (counters
 		// balanced above, and panes below the watermark receive no new
 		// input).
 		out := p.spec.NewContainer()
-		for _, cs := range p.combs {
+		for _, cs := range p.owners {
 			cs.mu.Lock()
 			for pane := n; pane < n+k; pane++ {
 				if src, ok := cs.panes[pane]; ok {
@@ -783,7 +805,7 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	p.paneMu.Lock()
 	delete(p.panes, n)
 	p.paneMu.Unlock()
-	for _, cs := range p.combs {
+	for _, cs := range p.owners {
 		cs.mu.Lock()
 		delete(cs.panes, n)
 		cs.mu.Unlock()
@@ -791,7 +813,7 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	return true
 }
 
-// Close seals the session: no more appends, mappers drain the task
+// Close seals the session: no more appends, workers drain the task
 // channel and exit, combiners drain the rings and exit, and the sealer
 // flushes every remaining window (the final, watermark-incomplete
 // windows included). It returns the session's error state; ctx bounds

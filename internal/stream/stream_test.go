@@ -13,7 +13,9 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
+	"ramr/internal/phoenix"
 	"ramr/internal/telemetry"
+	"ramr/internal/topology"
 )
 
 // countSpec is a counting job: a split is an element count, Map emits
@@ -156,16 +158,9 @@ func TestTumblingConservation(t *testing.T) {
 		t.Errorf("stats chunks=%d splits=%d, want 3/9", st.Chunks, st.Splits)
 	}
 	// The books of a session that conserves work: every split was taken by
-	// a mapper or mapped by an idle combiner slot, and every pair either
-	// crossed a ring or was folded in place by the slot that emitted it. A
-	// session has no mapper-side fold.
-	h := p.HelpStats()
-	if got := mapperTakes.Load() + h.Tasks; got != uint64(st.Splits) || h.MapperPairs != 0 {
-		t.Errorf("mapper takes %d + helped %d = %d splits, want %d (help %+v)", mapperTakes.Load(), h.Tasks, got, st.Splits, h)
-	}
-	if qs := p.QueueStats(); st.Elements != total || qs.Pushes+h.CombinerPairs != total || qs.Pops != qs.Pushes {
-		t.Errorf("%d elements, queue %+v, help %+v: want %d pairs emitted = pushed + folded by slots, every push popped", st.Elements, qs, h, total)
-	}
+	// a map worker or a combine worker, and every pair was folded where it
+	// was made, none shipped.
+	checkBooks(t, p, mapperTakes.Load(), total)
 	checkNoLeak(t, before)
 }
 
@@ -450,5 +445,33 @@ func TestUnknownPinRejected(t *testing.T) {
 	cfg.Stream = &mr.StreamSpec{Window: 1}
 	if _, err := New(spec, cfg); err == nil {
 		t.Fatal("stream.New accepted Pin 7")
+	}
+}
+
+// TestGrantOutOfRangeRejected: a CPUGrant naming a CPU the machine lacks is
+// a configuration error for every engine — the RAMR batch engine, Phoenix++
+// and a stream session alike — returned before anything runs.
+func TestGrantOutOfRangeRejected(t *testing.T) {
+	spec := countSpec(4)
+	spec.Splits = []int{8}
+	cfg := testConfig(t, nil)
+	cfg.Machine = topology.Flat(4)
+	cfg.CPUGrant = []int{99}
+	for _, engine := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ramr", func() error { _, err := core.Run(spec, cfg); return err }},
+		{"phoenix++", func() error { _, err := phoenix.Run(spec, cfg); return err }},
+		{"stream", func() error {
+			scfg := cfg
+			scfg.Stream = &mr.StreamSpec{Window: 1}
+			_, err := New(spec, scfg)
+			return err
+		}},
+	} {
+		if err := engine.run(); err == nil || !strings.Contains(err.Error(), "cpu 99 out of range") {
+			t.Errorf("%s with CPUGrant [99] on %s: err = %v, want the grant rejected", engine.name, cfg.Machine.Name, err)
+		}
 	}
 }

@@ -156,7 +156,7 @@ func conservationRAMR(t *testing.T, grant []int) {
 // all eight fields, emitted equals the pairs the input holds, and the
 // helped tasks are the ones combiners ran. A batch run books every take, so
 // its takes equal the task count; a stream session's mapper takes plus
-// helped tasks equal the split count. A conserving batch run folds every
+// helped tasks equal the split count. Conserving, either driver folds every
 // pair where it is emitted and builds no ring; a one-CPU grant folds none.
 func TestLedgerIdentity(t *testing.T) {
 	for _, grant := range []struct {
@@ -253,18 +253,22 @@ func ledgerIdentityStream(t *testing.T, grant []int, sampled bool) {
 		t.Fatal(err)
 	}
 	qs, help := p.QueueStats(), p.HelpStats()
-	if qs != truth.stats || truth.rings != cfg.Mappers {
+	if qs != truth.stats {
 		t.Fatalf("ledger queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
 	}
 	if got := p.Stats().Elements; got != emits || qs.Pushes+help.Pairs() != emits || qs.Pops != qs.Pushes {
 		t.Fatalf("%d elements, %d pushed (%d popped) + %d folded in place, want %d emitted", got, qs.Pushes, qs.Pops, help.Pairs(), emits)
 	}
-	if mapperTasks.Load()+help.Tasks != uint64(len(spec.Splits)) || help.Tasks != slotTasks.Load() || help.MapperPairs != 0 {
+	if mapperTasks.Load()+help.Tasks != uint64(len(spec.Splits)) || help.Tasks != slotTasks.Load() {
 		t.Fatalf("mapper takes %d + helped %d (ran %d), want %d splits; help %+v",
 			mapperTasks.Load(), help.Tasks, slotTasks.Load(), len(spec.Splits), help)
 	}
-	if grant != nil && help != (mr.HelpStats{}) {
-		t.Fatalf("one-CPU grant helped: %+v", help)
+	if grant != nil && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
+		t.Fatalf("one-CPU grant helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
+	}
+	if grant == nil && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
+		t.Fatalf("conserving session pushed %d pairs, folded %d in place over %d rings, want 0, %d and no ring",
+			qs.Pushes, help.Pairs(), truth.rings, emits)
 	}
 	if !sampled {
 		return

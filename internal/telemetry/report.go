@@ -17,8 +17,7 @@ type QueueReport struct {
 }
 
 // WorkerReport is one worker's counter totals plus its sampled busy
-// fraction (share of samples observed in StateWorking, StateDraining or
-// StateHelping).
+// fraction (share of samples observed in StateWorking or StateDraining).
 type WorkerReport struct {
 	Engine      string `json:"engine"`
 	Role        string `json:"role"`
@@ -37,11 +36,9 @@ type WorkerReport struct {
 	RemoteSteals   uint64 `json:"steal_remote_tasks,omitempty"`
 	RemoteExecuted uint64 `json:"remote_executed,omitempty"`
 	// Work conservation: map tasks run on a combiner's shard, and pairs
-	// the worker folded where it emitted them; Helping is the share of samples
-	// spent in StateHelping.
+	// the worker folded where it emitted them.
 	TasksHelped uint64  `json:"tasks_helped,omitempty"`
 	PairsFolded uint64  `json:"pairs_folded,omitempty"`
-	Helping     float64 `json:"helping,omitempty"`
 	Busy        float64 `json:"busy"`
 }
 
@@ -141,18 +138,14 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 	}
 
 	for wi, w := range t.workersLocked() {
-		busySamples, helpSamples, total := 0, 0, 0
+		busySamples, total := 0, 0
 		for _, s := range samples {
 			if wi >= len(s.States) {
 				continue
 			}
 			total++
-			switch s.States[wi] {
-			case StateWorking, StateDraining:
+			if st := s.States[wi]; st == StateWorking || st == StateDraining {
 				busySamples++
-			case StateHelping:
-				busySamples++
-				helpSamples++
 			}
 		}
 		wr := WorkerReport{
@@ -174,7 +167,6 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 		}
 		if total > 0 {
 			wr.Busy = float64(busySamples) / float64(total)
-			wr.Helping = float64(helpSamples) / float64(total)
 		}
 		rep.Workers = append(rep.Workers, wr)
 	}

@@ -68,10 +68,6 @@ const (
 	StateDraining
 	// StateDone: the worker has exited.
 	StateDone
-	// StateHelping: a combiner slot whose rings held nothing for it is
-	// running a map task itself. It is busy time, but not time its rings
-	// kept it busy, so it is kept apart from StateWorking.
-	StateHelping
 )
 
 // String names the state for reports.
@@ -85,8 +81,6 @@ func (s State) String() string {
 		return "draining"
 	case StateDone:
 		return "done"
-	case StateHelping:
-		return "helping"
 	default:
 		return fmt.Sprintf("State(%d)", uint32(s))
 	}
@@ -109,8 +103,8 @@ type Worker struct {
 	emitted atomic.Uint64
 	tasks   atomic.Uint64
 	// folded counts the pairs a worker folded where they were emitted — a
-	// helping slot's, a conserving RAMR worker's, a Phoenix++ worker's.
-	// They are in emitted and never crossed a ring.
+	// fused worker's: a conserving RAMR run's or stream session's, a
+	// Phoenix++ worker's. They are in emitted and never crossed a ring.
 	folded atomic.Uint64
 	// The producer side of a mapper's ring and the consumer side of a
 	// slot's rings, summed over the rings it owns: absolute values, stored
@@ -186,8 +180,8 @@ func (w *Worker) StoreConsumer(pops, emptyPolls, shortPolls, batchCalls uint64) 
 func (w *Worker) combined() uint64 { return w.pops.Load() + w.folded.Load() }
 
 // combinerTasks is the map tasks the worker ran if it is a combiner: a
-// stream slot's whose rings held nothing for it, or a conserving batch run's
-// combine worker's. Only those run tasks on a combiner's shard.
+// fused pool's combine worker's, in a conserving batch run or stream
+// session. Only those run tasks on a combiner's shard.
 func (w *Worker) combinerTasks() uint64 {
 	if w.role != "combiner" {
 		return 0

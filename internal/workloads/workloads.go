@@ -74,8 +74,8 @@ type RunInfo struct {
 	// Steal aggregates the map phase's work-stealing counters by
 	// distance class (RAMR engine only).
 	Steal mr.StealStats
-	// Help counts the map tasks combiner slots ran and the pairs either
-	// pool folded in place (RAMR engine only; see mr.HelpStats).
+	// Help counts the map tasks combine workers ran and the pairs either
+	// role folded in place (RAMR engine only; see mr.HelpStats).
 	Help mr.HelpStats
 	// Pairs is the number of distinct output keys.
 	Pairs int

@@ -55,7 +55,8 @@ func smallParams(app string) Params {
 // show in the output; KM's float centroids agree on the key set only. The
 // books must show which path ran: a one-CPU run helps nothing and pops every
 // pair it pushed; a conserving run pushes nothing and folds in place exactly
-// the pairs the one-CPU run pushed. Across the matrix slots must have helped.
+// the pairs the one-CPU run pushed. Across the matrix some conserving run's
+// combine workers must have run tasks.
 func TestEnginesAgreeExact(t *testing.T) {
 	var helped uint64
 	for _, app := range AppNames() {
@@ -107,7 +108,7 @@ func TestEnginesAgreeExact(t *testing.T) {
 		}
 	}
 	if helped == 0 {
-		t.Fatal("across the matrix no combiner slot helped on a conserving run")
+		t.Fatal("across the matrix no conserving run's combine worker ran a task")
 	}
 }
 
