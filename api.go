@@ -94,9 +94,9 @@ func Run[S any, K comparable, V, R any](spec *Spec[S, K, V, R], cfg Config) (*Re
 }
 
 // RunPhoenix executes the job with the Phoenix++-style baseline engine
-// (fused map+combine per worker).
+// (fused map+combine per worker, unpinned, one shared task deque).
 func RunPhoenix[S any, K comparable, V, R any](spec *Spec[S, K, V, R], cfg Config) (*Result[K, R], error) {
-	return phoenixRun(spec, cfg)
+	return core.RunPhoenixContext(context.Background(), spec, cfg)
 }
 
 // IdentityReduce returns a pass-through Reduce for jobs whose combined
@@ -259,5 +259,5 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *Spec[S
 
 // RunPhoenixContext is RunPhoenix with cancellation.
 func RunPhoenixContext[S any, K comparable, V, R any](ctx context.Context, spec *Spec[S, K, V, R], cfg Config) (*Result[K, R], error) {
-	return phoenixRunContext(ctx, spec, cfg)
+	return core.RunPhoenixContext(ctx, spec, cfg)
 }

@@ -24,6 +24,13 @@
 // combine overlap a compute-intensive map; the contention-aware pinning
 // plan (pinning.go) keeps each combiner on a logical CPU adjacent to its
 // mappers so the queue traffic stays in the closest shared cache.
+//
+// The Phoenix++ baseline (Talbot, Yoo, Kozyrakis, MapReduce '11) is the same
+// fused pool under another dispatch policy: whatever the grant, M+C unpinned
+// workers take single tasks from one shared deque, with no locality groups
+// and no stealing (RunPhoenixContext). Splits, tasks, containers, reduce and
+// merge are one code path for both engines, so comparing them isolates what
+// the resource-aware dispatch and placement add (DESIGN.md §5).
 package core
 
 import (
@@ -60,7 +67,22 @@ func Run[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 // taking tasks after their current one, the pipeline drains, and the
 // context's error is returned. Cancellation latency is bounded by one map
 // task plus the drain, never a hung queue.
-func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (_ *mr.Result[K, R], err error) {
+func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (*mr.Result[K, R], error) {
+	return run(ctx, spec, cfg, false)
+}
+
+// RunPhoenixContext executes the job with the Phoenix++ strategy: the same
+// budget of cfg.Mappers + cfg.NumCombiners() workers, each fusing map and
+// combine into a private container whatever the grant, unpinned, taking one
+// task at a time from a single shared deque. A grant is still checked
+// against the machine. Cancellation behaves as in RunContext.
+func RunPhoenixContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (*mr.Result[K, R], error) {
+	return run(ctx, spec, cfg, true)
+}
+
+// run is the one batch body behind both engines; phoenix selects the
+// Phoenix++ dispatch policy.
+func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config, phoenix bool) (_ *mr.Result[K, R], err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,6 +97,10 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	engine, pin, steal := "ramr", cfg.Pin, cfg.Steal
+	if phoenix {
+		engine, pin, steal = "phoenix", mr.PinNone, mr.StealOff
+	}
 	mappers := cfg.Mappers
 	combiners := cfg.NumCombiners()
 	machine := cfg.ResolveMachine()
@@ -85,7 +111,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	res := &mr.Result[K, R]{}
 	// The run's books: every worker below registers a shard here, and the
 	// result's statistics are read from it once the pools are joined.
-	ledger := telemetry.NewLedger("ramr")
+	ledger := telemetry.NewLedger(engine)
 
 	// --- Init: pools, queues, containers, pinning plan (Fig. 2 top). ---
 	// A run that conserves work ships nothing (DESIGN.md §5.2): it is one
@@ -95,7 +121,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// container per combiner slot, each written by its worker only and
 	// merged once the pools are joined.
 	t0 := time.Now()
-	conserve := ConservesWork(cfg.CPUGrant, mappers+combiners)
+	conserve := phoenix || ConservesWork(cfg.CPUGrant, mappers+combiners)
 	workers, owners := mappers+combiners, mappers+combiners
 	var queues []*spsc.Queue[pair[K, V]]
 	var gates []*spsc.Gate
@@ -131,23 +157,27 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	for j := range containers {
 		containers[j] = spec.NewContainer()
 	}
-	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
+	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, pin)
 	res.Phases.Init = time.Since(t0)
 
 	// --- Partition: tasks into per-locality-group deques. The worker →
 	// group assignment is computed first because the deques are seeded
 	// proportionally to the task-taking workers each group actually holds:
-	// the mappers, or on a conserving run every worker. ---
+	// the mappers, or on a conserving run every worker. Phoenix++ has one
+	// group: its unpinned workers all draw from a single deque. ---
 	t0 = time.Now()
 	tasks := mr.Tasks(len(spec.Splits), cfg.TaskSize)
-	groups := machine.LocalityGroups()
+	groups := len(machine.LocalityGroups())
+	if phoenix {
+		groups = 1
+	}
 	cpus := append(slices.Clone(plan.MapperCPU), plan.CombinerCPU...)[:workers]
-	workerGroup := workerGroups(machine, cpus, len(groups))
-	workersIn := make([]int, len(groups))
+	workerGroup := workerGroups(machine, cpus, groups)
+	workersIn := make([]int, groups)
 	for _, g := range workerGroup {
 		workersIn[g]++
 	}
-	tq := newTaskQueues(tasks, machine, workersIn, cfg.Steal, conserve)
+	tq := newTaskQueues(tasks, machine, workersIn, steal, conserve)
 	res.Phases.Partition = time.Since(t0)
 
 	// --- Map-combine: the decoupled, overlapped phase (Fig. 2). ---
@@ -180,7 +210,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 	// a full queue, deadlocking the pipeline, so it is clamped.
 	if !conserve {
 		StartCombiners(ctx, &wg, Combiners[pair[K, V]]{
-			Engine: "ramr",
+			Engine: engine,
 			Queues: queues,
 			Gates:  gates,
 			Order:  localityOrder(workerGroup),
@@ -214,7 +244,7 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 				q = queues[w]
 			}
 			lane := NewLane(q, cfg.EmitBatch, w, cfg.Hooks)
-			lane.Run(ctx, "ramr", mappers, cpus[w], ledger, fail, func(tw *telemetry.Worker) {
+			lane.Run(ctx, engine, mappers, cpus[w], ledger, fail, func(tw *telemetry.Worker) {
 				track := cfg.Trace.Worker(r.label, id)
 				defer track.Publish()
 				var emit func(K, V)
@@ -294,7 +324,9 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 
 	// --- Merge: parallel sort over the general-purpose pool. ---
 	t0 = time.Now()
-	mr.SortPairsParallel(pairs, spec.Less, mappers+combiners)
+	if err := mr.SortPairsParallel(pairs, spec.Less, mappers+combiners); err != nil {
+		return nil, err
+	}
 	res.Phases.Merge = time.Since(t0)
 
 	res.Pairs = pairs

@@ -33,6 +33,12 @@ func assertClean(t *testing.T, rec *faultinject.Recorder) {
 	if err := faultinject.CheckQueues(rec.Reports()); err != nil {
 		t.Fatal(err)
 	}
+	assertNoWorkers(t)
+}
+
+// assertNoWorkers asserts that no worker goroutine outlives the run.
+func assertNoWorkers(t *testing.T) {
+	t.Helper()
 	if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
 		t.Fatalf("%d leaked worker goroutines:\n%s", len(leaked), leaked[0])
 	}
@@ -138,6 +144,28 @@ func TestReducePanicBecomesError(t *testing.T) {
 		t.Fatalf("reduce panic not reported: %v", err)
 	}
 	assertClean(t, rec)
+}
+
+// TestLessPanicBecomesError: a panicking Less in the final sort is the
+// run's *mr.PanicError on both engines, whether the output is small enough
+// to sort on the caller's goroutine or large enough to sort and merge on
+// goroutines of its own.
+func TestLessPanicBecomesError(t *testing.T) {
+	for _, keys := range []int{20, 20_000} {
+		for _, phoenix := range []bool{false, true} {
+			spec := countSpec(keys/10, 10, keys)
+			spec.Less = func(a, b int) bool { panic("less exploded") }
+			err := runWithTimeout(t, func() error {
+				_, err := run(context.Background(), spec, testConfig(), phoenix)
+				return err
+			})
+			var pe *mr.PanicError
+			if !errors.As(err, &pe) || pe.Engine != "mr" || pe.Worker != "merge" {
+				t.Fatalf("keys=%d phoenix=%v: err = %#v, want the merge's *mr.PanicError", keys, phoenix, err)
+			}
+			assertNoWorkers(t)
+		}
+	}
 }
 
 func TestPanicWithPinnedWorkers(t *testing.T) {

@@ -46,7 +46,6 @@ var workerSites = []string{
 	"ramr/internal/core.RunContext",
 	"ramr/internal/core.StartCombiners",
 	"ramr/internal/core.(*Lane",
-	"ramr/internal/phoenix.RunContext",
 	"ramr/internal/sched.(*Scheduler).startLocked",
 	"ramr/internal/sched.runSafe",
 	"ramr/internal/stream.(",

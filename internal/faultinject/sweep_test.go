@@ -17,7 +17,6 @@ import (
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
-	"ramr/internal/phoenix"
 	"ramr/internal/topology"
 )
 
@@ -164,7 +163,7 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 		if sc.engine == "ramr" {
 			res, err = core.RunContext(ctx, spec, sc.cfg)
 		} else {
-			res, err = phoenix.RunContext(ctx, spec, sc.cfg)
+			res, err = core.RunPhoenixContext(ctx, spec, sc.cfg)
 		}
 	}()
 	select {
@@ -235,10 +234,7 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 	// may have cut short, and the document still exports. A combine
 	// worker's tasks are on its own lane.
 	laneOf := func(w int) string {
-		switch {
-		case sc.engine == "phoenix":
-			return fmt.Sprintf("worker-%d", w)
-		case w < sc.cfg.Mappers:
+		if w < sc.cfg.Mappers {
 			return fmt.Sprintf("mapper-%d", w)
 		}
 		return fmt.Sprintf("combiner-%d", w-sc.cfg.Mappers)

@@ -123,7 +123,7 @@ type Config struct {
 	// every worker books its counters on its own shard, with uncontended
 	// atomics at task ends and consume rounds, never per pair and without
 	// allocating, whether or not this is set. Setting it adds the sampler
-	// goroutine and, on the Phoenix++ engine only, a per-pair emit count.
+	// goroutine.
 	Telemetry *telemetry.Telemetry
 	// Hooks is the test-only fault-injection surface (see Hooks). It
 	// must be nil outside tests; engines never touch a nil Hooks on the

@@ -1,15 +1,18 @@
 // Package mr defines the MapReduce job model shared by the two execution
-// engines in this repository: the Phoenix++-style baseline
-// (internal/phoenix) and the decoupled RAMR runtime (internal/core).
+// engines in this repository, both run by internal/core: the decoupled RAMR
+// runtime and the Phoenix++-style baseline.
 //
 // The workflow follows the shared-memory MapReduce lineage the paper builds
 // on (Phoenix → Phoenix Rebirth → Phoenix++): the input is partitioned into
 // splits, map tasks emit intermediate key-value pairs, a combine function
 // folds pairs with equal keys into per-worker containers, a reduce function
-// finalizes each key, and a merge produces the ordered output. The two
-// engines differ only in *where* the combine runs — fused into the mapper
-// (Phoenix++) or decoupled onto concurrent combiner threads fed by SPSC
-// queues (RAMR).
+// finalizes each key, and a merge produces the ordered output. The engines
+// share one batch body and differ in task dispatch and placement: RAMR's
+// workers take tasks from locality-group deques with stealing and are
+// pinned by its plan, and on a grant too small for a CPU per worker its
+// combine runs on separate combiner threads fed by SPSC queues; Phoenix++'s
+// unpinned workers take tasks from one shared deque and always fold where
+// they map. Reference is the serial oracle both are checked against.
 package mr
 
 import (
@@ -55,8 +58,8 @@ type Spec[S any, K comparable, V, R any] struct {
 	// Reduce; use IdentityReduce for pass-through jobs).
 	Reduce func(k K, acc V) R
 
-	// NewContainer allocates one intermediate container. Each worker
-	// (Phoenix) or combiner (RAMR) gets a private instance.
+	// NewContainer allocates one intermediate container. Each worker that
+	// folds pairs, fused or combiner, gets a private instance.
 	NewContainer container.Factory[K, V]
 
 	// Less orders the final output by key when non-nil; otherwise the
@@ -135,15 +138,15 @@ type Result[K comparable, R any] struct {
 	Pairs []Pair[K, R]
 	// Phases is the per-phase timing profile.
 	Phases PhaseTimes
-	// QueueStats aggregates SPSC queue counters (RAMR engine only).
+	// QueueStats aggregates SPSC queue counters (zero unless the run
+	// shipped pairs through rings, which only RAMR does).
 	QueueStats QueueStats
-	// Steal aggregates map-phase work-stealing counters by distance
-	// class (RAMR engine only; zero when Config.Steal is StealOff and no
-	// local takes happened, which never occurs in a completed run).
+	// Steal aggregates map-phase task takes by distance class: every
+	// take of a completed run is booked, and Phoenix++'s are all local.
 	Steal StealStats
-	// Help counts the work a fused pool's workers did in place (RAMR
-	// engine only; all zero when the CPU grant is too small for the rule
-	// to apply, see HelpStats).
+	// Help counts the work a fused pool's workers did in place (all zero
+	// when a RAMR run's CPU grant is too small for the rule to apply, see
+	// HelpStats).
 	Help HelpStats
 	// Telemetry is the structured run report (occupancy time-series,
 	// counter totals, throughput) when Config.Telemetry was set; nil

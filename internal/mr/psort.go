@@ -15,14 +15,24 @@ const psortThreshold = 4096
 // `workers` goroutines; the merge phase of both engines calls it so a
 // large final output doesn't serialize on one core. Falls back to the
 // sequential sort for small outputs or a single worker. A nil less is a
-// no-op, matching SortPairs.
-func SortPairsParallel[K comparable, R any](pairs []Pair[K, R], less func(a, b K) bool, workers int) {
+// no-op, matching SortPairs. A panicking less is returned as a
+// *PanicError, whichever goroutine it panicked on.
+func SortPairsParallel[K comparable, R any](pairs []Pair[K, R], less func(a, b K) bool, workers int) error {
 	if less == nil {
-		return
+		return nil
+	}
+	var firstErr FirstError
+	guard := func(sort func()) {
+		defer func() {
+			if r := recover(); r != nil {
+				firstErr.Set(&PanicError{Engine: "mr", Worker: "merge", Value: r})
+			}
+		}()
+		sort()
 	}
 	if workers < 2 || len(pairs) < psortThreshold {
-		SortPairs(pairs, less)
-		return
+		guard(func() { SortPairs(pairs, less) })
+		return firstErr.Get()
 	}
 	if workers > len(pairs)/psortThreshold+1 {
 		workers = len(pairs)/psortThreshold + 1
@@ -43,10 +53,13 @@ func SortPairsParallel[K comparable, R any](pairs []Pair[K, R], less func(a, b K
 		wg.Add(1)
 		go func(s []Pair[K, R]) {
 			defer wg.Done()
-			sort.Slice(s, func(i, j int) bool { return less(s[i].Key, s[j].Key) })
+			guard(func() { sort.Slice(s, func(i, j int) bool { return less(s[i].Key, s[j].Key) }) })
 		}(pairs[lo:hi])
 	}
 	wg.Wait()
+	if err := firstErr.Get(); err != nil {
+		return err
+	}
 
 	// ...then merge runs pairwise in parallel rounds.
 	runs := make([][2]int, 0, workers)
@@ -66,7 +79,7 @@ func SortPairsParallel[K comparable, R any](pairs []Pair[K, R], less func(a, b K
 			mwg.Add(1)
 			go func(a, b [2]int) {
 				defer mwg.Done()
-				mergeRuns(dst[a[0]:b[1]], src[a[0]:a[1]], src[b[0]:b[1]], less)
+				guard(func() { mergeRuns(dst[a[0]:b[1]], src[a[0]:a[1]], src[b[0]:b[1]], less) })
 			}(a, b)
 		}
 		if len(runs)%2 == 1 {
@@ -79,12 +92,16 @@ func SortPairsParallel[K comparable, R any](pairs []Pair[K, R], less func(a, b K
 			}(last)
 		}
 		mwg.Wait()
+		if err := firstErr.Get(); err != nil {
+			return err
+		}
 		runs = next
 		src, dst = dst, src
 	}
 	if &src[0] != &pairs[0] {
 		copy(pairs, src)
 	}
+	return nil
 }
 
 // mergeRuns merges two sorted runs into out (len(out) == len(a)+len(b)).

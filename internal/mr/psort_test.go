@@ -1,8 +1,10 @@
 package mr
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -87,5 +89,40 @@ func TestMergeRuns(t *testing.T) {
 	// Stability across runs: equal keys keep a-before-b order.
 	if out[2].Value != 0 || out[3].Value != 1 {
 		t.Fatal("merge not stable for equal keys")
+	}
+}
+
+// TestSortPairsParallelLessPanic: a panicking less comes back as the
+// merge's *PanicError, not as a crash, whether it fires on the caller's
+// goroutine (small output), on a run sorter or in the final merge round.
+func TestSortPairsParallelLessPanic(t *testing.T) {
+	input := func(n int) []Pair[int, int] {
+		rng := rand.New(rand.NewSource(int64(n)))
+		a := make([]Pair[int, int], n)
+		for i := range a {
+			a[i].Key = rng.Int()
+		}
+		return a
+	}
+	// calls counts the comparisons of a clean parallel sort of 20,000
+	// keys; the last one is made by the final merge round.
+	var calls atomic.Int64
+	SortPairsParallel(input(20_000), func(a, b int) bool { calls.Add(1); return a < b }, 4)
+	for _, tc := range []struct {
+		n  int
+		at int64
+	}{{20, 1}, {20_000, 1}, {20_000, calls.Load()}} {
+		var made atomic.Int64
+		less := func(a, b int) bool {
+			if made.Add(1) == tc.at {
+				panic("less exploded")
+			}
+			return a < b
+		}
+		err := SortPairsParallel(input(tc.n), less, 4)
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Engine != "mr" || pe.Worker != "merge" {
+			t.Fatalf("n=%d, panic at call %d: err = %v, want the merge's *PanicError", tc.n, tc.at, err)
+		}
 	}
 }

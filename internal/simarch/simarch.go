@@ -2,7 +2,7 @@
 // execution strategies on a modeled machine — the substitute for the
 // paper's two physical testbeds (see DESIGN.md's substitution table).
 //
-// The native engines in internal/core and internal/phoenix really run, but
+// The native engines (both run by internal/core) really run, but
 // only on whatever host executes the tests; the paper's platform-dependent
 // results (a 56-thread NUMA Haswell, a 228-thread Xeon Phi) cannot be
 // measured here. This package therefore models the map-combine phase as a

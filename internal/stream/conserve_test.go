@@ -10,7 +10,6 @@ import (
 
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/phoenix"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 )
@@ -120,26 +119,19 @@ func mixSpec(keys int, slowUntil *atomic.Bool) *mr.Spec[int, int, uint64, uint64
 	return spec
 }
 
-// phoenixWindow is a Phoenix++ batch run of mixSpec over one window's
+// referenceWindow is the serial reference over mixSpec on one window's
 // splits: what the window must hold.
-func phoenixWindow(t *testing.T, keys int, splits []int) string {
-	t.Helper()
-	cfg := mr.DefaultConfig()
-	cfg.Mappers, cfg.Combiners, cfg.Pin = 2, 1, mr.PinNone
+func referenceWindow(keys int, splits []int) string {
 	spec := mixSpec(keys, &atomic.Bool{})
 	spec.Splits = splits
-	res, err := phoenix.Run(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprint(res.Pairs)
+	return fmt.Sprint(mr.Reference(spec))
 }
 
 // TestConserveMapBoundSession: one map worker and one combine worker,
 // splits queued far faster than they are mapped. On the fused arm the
 // combine worker maps some of them, also after a lull in which it found the
 // task channel empty; on the ring arm it only folds. Either way each window
-// equals a Phoenix++ batch run over the same splits, and the session's books
+// equals the serial reference over the same splits, and the session's books
 // close exactly.
 func TestConserveMapBoundSession(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
@@ -208,8 +200,8 @@ func TestConserveMapBoundSession(t *testing.T) {
 						t.Errorf("window %d (sealed %d-th) holds %d elements, want %d", w.Index, i, w.Elements, want)
 					}
 					total += w.Elements
-					if got, want := fmt.Sprint(w.Pairs), phoenixWindow(t, keys, chunks[i]); got != want {
-						t.Errorf("window %d pairs %s, Phoenix++ over the same splits %s", w.Index, got, want)
+					if got, want := fmt.Sprint(w.Pairs), referenceWindow(keys, chunks[i]); got != want {
+						t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
 					}
 				}
 				if helped.Load() != p.fused {
@@ -308,8 +300,8 @@ func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
 // session is mappers+combiners fused workers and nothing else. No ring is
 // built, so the queue observer never fires and the queue stats stay zero;
 // the ledger has one shard per worker, M of them mappers and C combiners;
-// the Map hooks see ids in [0, M+C); and every window equals a Phoenix++
-// batch run over the same splits.
+// the Map hooks see ids in [0, M+C); and every window equals the serial
+// reference over the same splits.
 func TestConserveSessionBuildsNoRing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const keys = 16
@@ -377,8 +369,8 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 	var total uint64
 	for i, w := range ws {
 		total += w.Elements
-		if got, want := fmt.Sprint(w.Pairs), phoenixWindow(t, keys, chunks[i]); got != want {
-			t.Errorf("window %d pairs %s, Phoenix++ over the same splits %s", w.Index, got, want)
+		if got, want := fmt.Sprint(w.Pairs), referenceWindow(keys, chunks[i]); got != want {
+			t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
 		}
 	}
 	checkBooks(t, p, mapperTakes.Load(), total)

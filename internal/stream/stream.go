@@ -759,28 +759,11 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	}
 
 	if hasData {
-		// Merge every owner's containers for the window's panes: the
-		// combiner slots', or on a conserving grant every fused worker's.
-		// The per-owner lock orders the walk against concurrent pane
-		// creation; the containers themselves are quiescent (counters
-		// balanced above, and panes below the watermark receive no new
-		// input).
-		out := p.spec.NewContainer()
-		for _, cs := range p.owners {
-			cs.mu.Lock()
-			for pane := n; pane < n+k; pane++ {
-				if src, ok := cs.panes[pane]; ok {
-					container.Merge(out, src, p.spec.Combine)
-				}
-			}
-			cs.mu.Unlock()
-		}
-		pairs, err := mr.ReduceAll(out, p.spec.Reduce, p.mappers)
+		pairs, err := p.windowPairs(n, k)
 		if err != nil {
 			p.fail(err)
 			return false
 		}
-		mr.SortPairs(pairs, p.spec.Less)
 		w := &Window[K, R]{
 			Index:    n,
 			Start:    n * p.win.Slide,
@@ -811,6 +794,38 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 		cs.mu.Unlock()
 	}
 	return true
+}
+
+// windowPairs merges every owner's containers for window n's k panes (the
+// combiner slots', or on a conserving grant every fused worker's), reduces
+// and sorts them. The per-owner lock orders the walk against concurrent
+// pane creation; the containers themselves are quiescent (counters balanced
+// by the caller, and panes below the watermark receive no new input). A
+// panic in the user's Combine or Less is returned as a *mr.PanicError, so
+// it fails the session instead of the process.
+func (p *Pipeline[S, K, V, R]) windowPairs(n, k int64) (pairs []mr.Pair[K, R], err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &mr.PanicError{Engine: "stream", Worker: "sealer", Value: v}
+		}
+	}()
+	out := p.spec.NewContainer()
+	for _, cs := range p.owners {
+		func() {
+			cs.mu.Lock()
+			defer cs.mu.Unlock()
+			for pane := n; pane < n+k; pane++ {
+				if src, ok := cs.panes[pane]; ok {
+					container.Merge(out, src, p.spec.Combine)
+				}
+			}
+		}()
+	}
+	if pairs, err = mr.ReduceAll(out, p.spec.Reduce, p.mappers); err != nil {
+		return nil, err
+	}
+	mr.SortPairs(pairs, p.spec.Less)
+	return pairs, nil
 }
 
 // Close seals the session: no more appends, workers drain the task

@@ -13,7 +13,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/phoenix"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
@@ -416,6 +415,42 @@ func TestMapperPanicAborts(t *testing.T) {
 	checkNoLeak(t, before)
 }
 
+// TestSealerPanicFailsSession: a Less that panics while the sealer sorts a
+// window fails the session with the sealer's *mr.PanicError, on both grant
+// arms, instead of taking the process down, and every session goroutine
+// still exits.
+func TestSealerPanicFailsSession(t *testing.T) {
+	for _, grant := range [][]int{nil, {0}} {
+		before := runtime.NumGoroutine()
+		cfg := testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512})
+		cfg.CPUGrant = grant
+		spec := countSpec(8)
+		spec.Less = func(a, b int) bool { panic("less exploded") }
+		p, err := New(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for ts := int64(0); ts < 2; ts++ { // the second chunk's watermark seals window 0
+			if _, err := p.Append(chunkOf(ts, 4, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case <-p.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("grant %v: session did not stop after the sealer's panic", grant)
+		}
+		var pe *mr.PanicError
+		if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
+			t.Fatalf("grant %v: err = %v, want the sealer's *mr.PanicError", grant, err)
+		}
+		checkNoLeak(t, before)
+	}
+}
+
 // TestStreamConfigRejectedByBatchEngines checks the batch/stream fence:
 // a Config with Stream set cannot reach the one-shot engines.
 func TestStreamRequiresSpec(t *testing.T) {
@@ -462,7 +497,7 @@ func TestGrantOutOfRangeRejected(t *testing.T) {
 		run  func() error
 	}{
 		{"ramr", func() error { _, err := core.Run(spec, cfg); return err }},
-		{"phoenix++", func() error { _, err := phoenix.Run(spec, cfg); return err }},
+		{"phoenix++", func() error { _, err := core.RunPhoenixContext(context.Background(), spec, cfg); return err }},
 		{"stream", func() error {
 			scfg := cfg
 			scfg.Stream = &mr.StreamSpec{Window: 1}

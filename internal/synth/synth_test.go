@@ -30,8 +30,8 @@ func smallParams() Params {
 }
 
 // TestEnginesAgree: the synthetic job's uint64-sum algebra is exactly
-// associative/commutative, so digests must match across engines, ratios
-// and kernel mixes.
+// associative/commutative, so both engines' digests must equal the serial
+// reference's across ratios and kernel mixes.
 func TestEnginesAgree(t *testing.T) {
 	for _, mix := range []struct{ m, c Kernel }{
 		{Kernel{CPU, 5}, Kernel{Memory, 3}},
@@ -49,8 +49,12 @@ func TestEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ra.Digest != ph.Digest || ra.Pairs != ph.Pairs {
-			t.Fatalf("mix %+v: engines disagree (%x vs %x)", mix, ra.Digest, ph.Digest)
+		ref, err := job.Run(workloads.EngineReference, cfg(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Digest != ref.Digest || ra.Pairs != ref.Pairs || ph.Digest != ref.Digest || ph.Pairs != ref.Pairs {
+			t.Fatalf("mix %+v: RAMR %x, Phoenix++ %x, reference %x", mix, ra.Digest, ph.Digest, ref.Digest)
 		}
 		if ra.Pairs != p.Keys {
 			t.Fatalf("pairs = %d, want %d", ra.Pairs, p.Keys)
@@ -183,8 +187,14 @@ func TestSkewedEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra.Digest != ph.Digest || ra.Pairs != ph.Pairs {
-		t.Fatalf("skewed engines disagree (%x/%d vs %x/%d)", ra.Digest, ra.Pairs, ph.Digest, ph.Pairs)
+	ref, err := job.Run(workloads.EngineReference, cfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*workloads.RunInfo{ra, ph} {
+		if got.Digest != ref.Digest || got.Pairs != ref.Pairs {
+			t.Fatalf("skewed run disagrees with the reference (%x/%d vs %x/%d)", got.Digest, got.Pairs, ref.Digest, ref.Pairs)
+		}
 	}
 	// Zipf keys concentrate on a prefix of the range, so the output key
 	// count drops well below the full width the uniform input fills.
@@ -216,12 +226,12 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		px, err := NewJob(p, int64(7)).Run(workloads.EnginePhoenix, cfg(2))
+		ref, err := NewJob(p, int64(7)).Run(workloads.EngineReference, cfg(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if px.Pairs != full.Pairs || px.Digest != full.Digest {
-			t.Fatalf("skew %g: Phoenix++ (%d pairs, %016x), RAMR (%d pairs, %016x)", skew, px.Pairs, px.Digest, full.Pairs, full.Digest)
+		if ref.Pairs != full.Pairs || ref.Digest != full.Digest {
+			t.Fatalf("skew %g: reference (%d pairs, %016x), RAMR (%d pairs, %016x)", skew, ref.Pairs, ref.Digest, full.Pairs, full.Digest)
 		}
 		for _, count := range []int{1, 2, 3, 7} {
 			parts := make([]*workloads.Partial, count)

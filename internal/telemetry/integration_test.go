@@ -15,7 +15,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/phoenix"
 	"ramr/internal/spsc"
 	"ramr/internal/stream"
 	"ramr/internal/telemetry"
@@ -285,7 +284,7 @@ func TestConservationPhoenix(t *testing.T) {
 	cfg := testConfig()
 	cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
 
-	res, err := phoenix.Run(spec, cfg)
+	res, err := core.RunPhoenixContext(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,7 @@ func TestEnginesAgreeUnderTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := phoenix.Run(spec, cfg)
+	b, err := core.RunPhoenixContext(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +419,7 @@ func TestWorkerGoroutinesCarryPprofLabels(t *testing.T) {
 		once.Do(func() { _ = pprof.Lookup("goroutine").WriteTo(&profile, 1) })
 		inner2(line, emit)
 	}
-	if _, err := phoenix.Run(spec2, cfg); err != nil {
+	if _, err := core.RunPhoenixContext(context.Background(), spec2, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if out := profile.String(); !strings.Contains(out, `"engine":"phoenix"`) {

@@ -66,12 +66,12 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pi, err := full.Run(EnginePhoenix, cfg())
+		ref, err := full.Run(EngineReference, cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pi.Pairs != fi.Pairs || pi.Digest != fi.Digest {
-			t.Fatalf("%s: Phoenix++ (%d pairs, %016x), RAMR (%d pairs, %016x)", app, pi.Pairs, pi.Digest, fi.Pairs, fi.Digest)
+		if ref.Pairs != fi.Pairs || ref.Digest != fi.Digest {
+			t.Fatalf("%s: reference (%d pairs, %016x), RAMR (%d pairs, %016x)", app, ref.Pairs, ref.Digest, fi.Pairs, fi.Digest)
 		}
 		for _, count := range []int{1, 2, 3, 7} {
 			parts := make([]*Partial, count)

@@ -22,12 +22,12 @@ func TestStringMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := job.Run(EnginePhoenix, cfg())
+	ref, err := job.Run(EngineReference, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ra.Digest != ph.Digest {
-		t.Fatal("engines disagree on SM")
+	if ra.Digest != ref.Digest {
+		t.Fatal("RAMR disagrees with the serial reference on SM")
 	}
 	if ra.Pairs != len(want) {
 		t.Fatalf("%d patterns matched, want %d", ra.Pairs, len(want))

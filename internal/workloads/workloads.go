@@ -20,7 +20,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/phoenix"
 	"ramr/internal/telemetry"
 )
 
@@ -33,6 +32,10 @@ const (
 	EngineRAMR Engine = iota
 	// EnginePhoenix is the fused Phoenix++-style baseline.
 	EnginePhoenix
+	// EngineReference is mr.Reference, the serial oracle tests check both
+	// engines against. It is never parsed from a name, so it cannot reach
+	// the wire; its RunInfo carries only the output and the wall time.
+	EngineReference
 )
 
 // String names the engine for reports.
@@ -42,6 +45,8 @@ func (e Engine) String() string {
 		return "RAMR"
 	case EnginePhoenix:
 		return "Phoenix++"
+	case EngineReference:
+		return "reference"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
@@ -69,13 +74,12 @@ type RunInfo struct {
 	Build time.Duration
 	// Phases is the engine's per-phase breakdown.
 	Phases mr.PhaseTimes
-	// Queue aggregates SPSC counters (RAMR engine only).
+	// Queue aggregates SPSC counters (zero unless RAMR shipped pairs).
 	Queue mr.QueueStats
-	// Steal aggregates the map phase's work-stealing counters by
-	// distance class (RAMR engine only).
+	// Steal aggregates the map phase's task takes by distance class.
 	Steal mr.StealStats
 	// Help counts the map tasks combine workers ran and the pairs either
-	// role folded in place (RAMR engine only; see mr.HelpStats).
+	// role folded in place (see mr.HelpStats).
 	Help mr.HelpStats
 	// Pairs is the number of distinct output keys.
 	Pairs int
@@ -152,7 +156,9 @@ func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr
 	case EngineRAMR:
 		res, err = core.RunContext(ctx, spec, cfg)
 	case EnginePhoenix:
-		res, err = phoenix.RunContext(ctx, spec, cfg)
+		res, err = core.RunPhoenixContext(ctx, spec, cfg)
+	case EngineReference:
+		res = &mr.Result[K, R]{Pairs: mr.Reference(spec)}
 	default:
 		return nil, fmt.Errorf("workloads: unknown engine %v", eng)
 	}

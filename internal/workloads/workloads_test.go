@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/phoenix"
 	"ramr/internal/topology"
 )
 
@@ -44,19 +44,21 @@ func smallParams(app string) Params {
 	}
 }
 
-// TestEnginesAgreeExact: RAMR and Phoenix++ must produce identical output
-// for every Table I app under both of its container configurations, on both
-// of RAMR's paths and whatever the pipeline's back-pressure makes of the
-// run: one or two mappers and combiners, a ring of 64 (every slab beyond the
-// first meets a full ring) or one no slab ever fills, and a grant of the
-// whole machine (every pair folded where it is emitted) or of one CPU for
-// all the workers (every pair through a ring). Digests are order-independent
-// and Combine associative and commutative, so where a pair was folded cannot
-// show in the output; KM's float centroids agree on the key set only. The
-// books must show which path ran: a one-CPU run helps nothing and pops every
-// pair it pushed; a conserving run pushes nothing and folds in place exactly
-// the pairs the one-CPU run pushed. Across the matrix some conserving run's
-// combine workers must have run tasks.
+// TestEnginesAgreeExact: RAMR and Phoenix++ must each produce exactly the
+// serial reference's output (mr.Reference, which shares no code with the
+// engines' batch body) for every Table I app under both of its container
+// configurations, on both of RAMR's paths and whatever the pipeline's
+// back-pressure makes of the run: one or two mappers and combiners, a ring
+// of 64 (every slab beyond the first meets a full ring) or one no slab ever
+// fills, and a grant of the whole machine (every pair folded where it is
+// emitted) or of one CPU for all the workers (every pair through a ring).
+// Digests are order-independent and Combine associative and commutative,
+// so where a pair was folded cannot show in the output; KM's float
+// centroids agree on the key set only. The books must show which path ran:
+// a one-CPU run helps nothing and pops every pair it pushed; a conserving
+// run pushes nothing and folds in place exactly the pairs the one-CPU run
+// pushed. Across the matrix some conserving run's combine workers must have
+// run tasks.
 func TestEnginesAgreeExact(t *testing.T) {
 	var helped uint64
 	for _, app := range AppNames() {
@@ -65,13 +67,25 @@ func TestEnginesAgreeExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ph, err := job.Run(EnginePhoenix, cfg())
+			ref, err := job.Run(EngineReference, cfg())
 			if err != nil {
-				t.Fatalf("%s/%v Phoenix: %v", app, kind, err)
+				t.Fatalf("%s/%v reference: %v", app, kind, err)
 			}
-			if app != "KM" && ph.Digest == 0 {
+			if app != "KM" && ref.Digest == 0 {
 				t.Fatalf("%s: integer app should produce a digest", app)
 			}
+			agree := func(name string, eng Engine, c mr.Config) *RunInfo {
+				got, err := job.Run(eng, c)
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, eng, err)
+				}
+				if got.Pairs != ref.Pairs || got.Digest != ref.Digest {
+					t.Fatalf("%s: %v (%d pairs, %x) disagrees with the reference (%d pairs, %x)",
+						name, eng, got.Pairs, got.Digest, ref.Pairs, ref.Digest)
+				}
+				return got
+			}
+			agree(fmt.Sprintf("%s/%v", app, kind), EnginePhoenix, cfg())
 			for _, mappers := range []int{1, 2} {
 				for _, combiners := range []int{1, 2} {
 					for _, ring := range []int{64, 1 << 20} {
@@ -79,15 +93,8 @@ func TestEnginesAgreeExact(t *testing.T) {
 						for _, grant := range [][]int{{0}, nil} {
 							c := cfg()
 							c.Mappers, c.Combiners, c.QueueCapacity, c.CPUGrant = mappers, combiners, ring, grant
-							ra, err := job.Run(EngineRAMR, c)
 							name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d grant=%v", app, kind, mappers, combiners, ring, grant)
-							if err != nil {
-								t.Fatalf("%s RAMR: %v", name, err)
-							}
-							if ra.Pairs != ph.Pairs || ra.Digest != ph.Digest {
-								t.Fatalf("%s: engines disagree: ramr (%d pairs, %x), phoenix (%d pairs, %x)",
-									name, ra.Pairs, ra.Digest, ph.Pairs, ph.Digest)
-							}
+							ra := agree(name, EngineRAMR, c)
 							if grant != nil {
 								if ra.Help != (mr.HelpStats{}) || ra.Queue.Pushes == 0 || ra.Queue.Pushes != ra.Queue.Pops {
 									t.Fatalf("%s: one-CPU grant: help %+v, %d pushed, %d popped; want no help and every pair through a ring",
@@ -156,7 +163,7 @@ func TestHistogramReference(t *testing.T) {
 		}
 	}
 	spec := HistogramSpec(splits, container.KindFixedArray)
-	res, err := phoenix.Run(spec, cfg())
+	res, err := core.RunPhoenixContext(context.Background(), spec, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +275,7 @@ func TestKMeansEnginesAgreeApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph, err := phoenix.Run(spec, cfg())
+	ph, err := core.RunPhoenixContext(context.Background(), spec, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +317,7 @@ func TestMatMulReference(t *testing.T) {
 func TestPCAReference(t *testing.T) {
 	in := GeneratePCA(24, seed)
 	spec := PCASpec(in, container.KindFixedArray)
-	res, err := phoenix.Run(spec, cfg())
+	res, err := core.RunPhoenixContext(context.Background(), spec, cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +414,21 @@ func TestEngineString(t *testing.T) {
 	}
 	if Engine(9).String() == "" {
 		t.Fatal("unknown engine should render")
+	}
+}
+
+// TestParseEngine: both engines' wire names parse, and the serial
+// reference has none, so it can never be requested from outside a test.
+func TestParseEngine(t *testing.T) {
+	for name, want := range map[string]Engine{"": EngineRAMR, "RAMR": EngineRAMR, "phoenix": EnginePhoenix, "Phoenix++": EnginePhoenix} {
+		if got, err := ParseEngine(name); err != nil || got != want {
+			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"reference", EngineReference.String(), "mr"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Fatalf("ParseEngine(%q) accepted", name)
+		}
 	}
 }
 

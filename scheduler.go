@@ -7,7 +7,6 @@ import (
 
 	"ramr/internal/core"
 	"ramr/internal/obs"
-	"ramr/internal/phoenix"
 	"ramr/internal/sched"
 )
 
@@ -131,7 +130,7 @@ func Submit[S any, K comparable, V, R any](sc *Scheduler, spec *Spec[S, K, V, R]
 				err error
 			)
 			if opts.Phoenix {
-				res, err = phoenix.RunContext(ctx, spec, rc)
+				res, err = core.RunPhoenixContext(ctx, spec, rc)
 			} else {
 				res, err = core.RunContext(ctx, spec, rc)
 			}
