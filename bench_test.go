@@ -38,12 +38,12 @@ func benchConfig(ratio int) mr.Config {
 }
 
 // pipelined keeps cfg on the paper's map → ring → combine pipeline, for the
-// benchmarks that measure the ring: with a CPU per worker a run folds every
-// pair where it is emitted and its ring knobs time nothing
-// (core.ConservesWork). A one-CPU grant switches that off; the plan is left
-// unpinned so the grant does not also stack every worker on CPU 0.
+// benchmarks that measure the ring: a run whose plan puts no combiner on an
+// SMT sibling of its mappers folds every pair where it is emitted, and its
+// ring knobs time nothing (core.Plan.ShipsPairs). The paper's pinning on the
+// Haswell server preset ships; a pin on a CPU the host lacks is ignored.
 func pipelined(cfg mr.Config) mr.Config {
-	cfg.CPUGrant, cfg.Pin = []int{0}, mr.PinNone
+	cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.HaswellServer(), mr.PinRAMR, nil
 	return cfg
 }
 

@@ -1,5 +1,6 @@
 // Command ramrtopo inspects machine topologies and the RAMR pinning plans
-// derived from them.
+// derived from them, and says whether a run on the plan ships pairs through
+// rings (core.Plan.ShipsPairs) or is one fused pool.
 //
 // Usage:
 //
@@ -80,5 +81,10 @@ func main() {
 	fmt.Print(plan)
 	if d := plan.MaxDistance(m); d >= 0 {
 		fmt.Printf("worst combiner-mapper distance: %d\n", d)
+	}
+	if j, i, ok := plan.SiblingPair(m); ok {
+		fmt.Printf("ships pairs: yes (combiner %d on an SMT sibling of mapper %d)\n", j, i)
+	} else {
+		fmt.Printf("ships pairs: no — one fused pool of %d workers\n", len(plan.FusedPool(nil)))
 	}
 }

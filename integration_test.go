@@ -7,6 +7,7 @@ import (
 
 	"ramr"
 	"ramr/internal/harness"
+	"ramr/internal/topology"
 	"ramr/internal/workloads"
 )
 
@@ -40,9 +41,10 @@ func TestNativeExperimentsQuick(t *testing.T) {
 // across the knob matrix, validating output stability and the pair books:
 // whatever the ring geometry sends through a ring or folds in place, the
 // two add up to the same emitted total, and every ring gives back what it
-// took. The ring knobs act only on the pipeline, so every cell also runs
-// under a one-CPU grant, where every pair crosses a ring; with a CPU per
-// worker every pair is folded where it is emitted.
+// took. The ring knobs act only on the pipeline, so every cell also runs on
+// the Haswell server preset under the paper's pinning, whose combiners sit
+// on SMT siblings of their mappers and every pair crosses a ring; on a
+// machine without SMT every pair is folded where it is emitted.
 func TestFullPipelineKnobMatrix(t *testing.T) {
 	job, err := workloads.NewJobParams("HG", workloads.Params{Bytes: 60_000}, workloads.DefaultContainer("HG"), 3)
 	if err != nil {
@@ -51,30 +53,30 @@ func TestFullPipelineKnobMatrix(t *testing.T) {
 	var digest, emitted uint64
 	for _, batch := range []int{1, 100, 5000} {
 		for _, qcap := range []int{64, 5000} {
-			for _, grant := range [][]int{nil, {0}} {
+			for _, machine := range []*topology.Machine{topology.Flat(4), topology.HaswellServer()} {
 				cfg := ramr.DefaultConfig()
 				cfg.Mappers = 2
 				cfg.Combiners = 2
 				cfg.BatchSize = batch
 				cfg.QueueCapacity = qcap
-				cfg.CPUGrant = grant
+				cfg.Machine = machine
 				info, err := job.Run(workloads.EngineRAMR, cfg)
 				if err != nil {
-					t.Fatalf("batch=%d cap=%d grant=%v: %v", batch, qcap, grant, err)
+					t.Fatalf("batch=%d cap=%d %s: %v", batch, qcap, machine.Name, err)
 				}
 				if digest == 0 {
 					digest, emitted = info.Digest, info.Queue.Pushes+info.Help.Pairs()
 				} else if info.Digest != digest {
-					t.Fatalf("batch=%d cap=%d grant=%v changes the result", batch, qcap, grant)
+					t.Fatalf("batch=%d cap=%d %s changes the result", batch, qcap, machine.Name)
 				}
 				q := info.Queue
 				if q.Pushes != q.Pops || q.Pushes+info.Help.Pairs() != emitted {
-					t.Fatalf("batch=%d cap=%d grant=%v: %d pushed, %d popped, %d folded in place; want %d emitted",
-						batch, qcap, grant, q.Pushes, q.Pops, info.Help.Pairs(), emitted)
+					t.Fatalf("batch=%d cap=%d %s: %d pushed, %d popped, %d folded in place; want %d emitted",
+						batch, qcap, machine.Name, q.Pushes, q.Pops, info.Help.Pairs(), emitted)
 				}
-				if (grant == nil) != (q.Pushes == 0) {
-					t.Fatalf("batch=%d cap=%d grant=%v: %d pushed; want none on the whole machine and all on one CPU",
-						batch, qcap, grant, q.Pushes)
+				if (machine.ThreadsPerCore == 1) != (q.Pushes == 0) {
+					t.Fatalf("batch=%d cap=%d %s: %d pushed; want none without SMT and all on a sibling plan",
+						batch, qcap, machine.Name, q.Pushes)
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,9 +11,10 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
+	"ramr/internal/topology"
 )
 
-// oneAndOne is the minimal pipeline, the shape every 2-CPU grant runs: one
+// oneAndOne is the minimal pool, the shape every 2-CPU grant runs: one
 // mapper, one combiner, nothing for a ratio to balance.
 func oneAndOne() mr.Config {
 	cfg := testConfig()
@@ -23,9 +26,9 @@ func oneAndOne() mr.Config {
 // TestConserveMapBound: a job whose Map is all the work (each task waits a
 // millisecond and emits one pair) leaves the combiner with nothing to
 // consume. Conserving work, the combine worker maps tasks itself and the
-// run takes about half as long; under a grant of one CPU for the two
-// workers the rule is off — the combiner maps nothing, folds nothing in
-// place, and the run takes the mapper's time alone. The wait is a sleep, so
+// run takes about half as long; on a plan that ships pairs (parked) the
+// combiner maps nothing, folds nothing in place, and the run takes the
+// mapper's time alone. The wait is a sleep, so
 // the two arms differ by the same factor on one processor as on two.
 func TestConserveMapBound(t *testing.T) {
 	const tasks, wait = 60, time.Millisecond
@@ -47,7 +50,7 @@ func TestConserveMapBound(t *testing.T) {
 	}
 	alone, aloneTook := run(parked(oneAndOne()))
 	if alone.Help != (mr.HelpStats{}) {
-		t.Fatalf("one CPU granted to 1+1 workers, and work was conserved: %+v", alone.Help)
+		t.Fatalf("1+1 workers on a sibling plan, and work was conserved: %+v", alone.Help)
 	}
 	helped, helpedTook := run(oneAndOne())
 	if helped.Help.Tasks == 0 || helped.Help.CombinerPairs != helped.Help.Tasks {
@@ -65,8 +68,8 @@ func TestConserveMapBound(t *testing.T) {
 // the result must still be exact. The combine worker's first task is held
 // back until the mapper has taken its first, so that on one processor the
 // combine worker, which may start first and never has to yield, cannot
-// simply map the whole job itself. Under a one-CPU grant the same job is
-// the paper's pipeline: every pair crosses the ring.
+// simply map the whole job itself. On a plan that ships pairs the same job
+// is the paper's pipeline: every pair crosses the ring.
 func TestConserveCombineBound(t *testing.T) {
 	const splits, emits, keys = 200, 500, 13
 	spec := countSpec(splits, emits, keys)
@@ -115,7 +118,7 @@ func TestConserveCombineBound(t *testing.T) {
 		qs := res.QueueStats
 		if !conserving {
 			if res.Help != (mr.HelpStats{}) || qs.Pushes != splits*emits {
-				t.Fatalf("one-CPU grant: %d pushed, help %+v; want every pair through the ring", qs.Pushes, res.Help)
+				t.Fatalf("sibling plan: %d pushed, help %+v; want every pair through the ring", qs.Pushes, res.Help)
 			}
 			continue
 		}
@@ -180,5 +183,56 @@ func TestConserveBuildsNoRing(t *testing.T) {
 	}
 	if res.Steal.TotalTasks() != splits || res.Help.Pairs() != splits*emits || res.Help.Tasks != helped {
 		t.Fatalf("books: steal %s, help %+v, combiner shards ran %d tasks", res.Steal.String(), res.Help, helped)
+	}
+}
+
+// TestFusedPoolFitsGrant: a fused pool never has more workers than its grant
+// has CPUs. A one-CPU grant with explicit counts of four mappers and two
+// combiners runs exactly one worker under both dispatch policies, even on an
+// SMT machine under the paper's pinning: the ledger holds one shard, the Map
+// hooks see only worker 0, no ring is built, and the output is the serial
+// reference's.
+func TestFusedPoolFitsGrant(t *testing.T) {
+	const splits, emits, keys = 40, 25, 17
+	spec := countSpec(splits, emits, keys)
+	want := mr.Reference(spec)
+	for _, engine := range []struct {
+		name string
+		run  func(context.Context, *mr.Spec[int, int, int, int], mr.Config) (*mr.Result[int, int], error)
+	}{{"ramr", RunContext[int, int, int, int]}, {"phoenix", RunPhoenixContext[int, int, int, int]}} {
+		cfg := testConfig()
+		cfg.Mappers, cfg.Combiners = 4, 2
+		cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.HaswellServer(), mr.PinRAMR, []int{0}
+		cfg.Telemetry = telemetry.New()
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		observed := 0
+		cfg.Hooks = &mr.Hooks{
+			QueueObserver: func(int, bool, spsc.Stats) { observed++ },
+			MapTask: func(w int) {
+				mu.Lock()
+				seen[w] = true
+				mu.Unlock()
+			},
+		}
+		res, err := engine.run(context.Background(), spec, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", engine.name, err)
+		}
+		if !slices.Equal(res.Pairs, want) {
+			t.Fatalf("%s: output disagrees with the reference", engine.name)
+		}
+		if n := len(res.Telemetry.Workers); n != 1 {
+			t.Fatalf("%s: %d ledger shards on a one-CPU grant, want 1", engine.name, n)
+		}
+		for w := range seen {
+			if w != 0 {
+				t.Fatalf("%s: MapTask saw worker %d on a one-CPU grant", engine.name, w)
+			}
+		}
+		if observed != 0 || res.QueueStats != (mr.QueueStats{}) || res.Help.MapperPairs != splits*emits {
+			t.Fatalf("%s: %d rings observed, queue stats %+v, help %+v; want no ring and every pair folded by the one worker",
+				engine.name, observed, res.QueueStats, res.Help)
+		}
 	}
 }

@@ -11,32 +11,34 @@
 // ends, combiners drain any remainder and exit; reduce and merge then
 // proceed exactly as in the Phoenix++ baseline.
 //
-// The pipeline only pays when a combiner has a CPU that would otherwise
-// idle, so rings exist only on a grant too small for a CPU per worker.
-// When every worker has a CPU of its own (ConservesWork), shipping a pair
-// buys nothing, so the run is one pool of mappers+combiners identical fused
-// workers, each mapping tasks and folding every pair it emits into its own
-// container, and no ring is built (DESIGN.md §5.2); a stream session
-// (internal/stream) follows the same rule. On a smaller grant the run is
-// the paper's pipeline, and a full ring parks its mapper.
+// The pipeline only pays where the contention-aware pinning plan
+// (pinning.go) puts a combiner on an SMT sibling of its mappers, so that a
+// compute-bound map and a memory-bound combine share one core's L1/L2
+// (Plan.ShipsPairs). Every other run ships nothing: it is one pool of
+// identical fused workers, each mapping tasks and folding every pair it
+// emits into its own container, with no ring built. The pool has a worker
+// per mapper and combiner, but never more than its grant has CPUs
+// (Plan.FusedPool, DESIGN.md §5.2). A stream session (internal/stream)
+// follows the same rule. On a sibling plan the run is the paper's
+// pipeline, and a full ring parks its mapper.
 //
 // The decoupling raises the parallelism degree and lets a memory-intensive
-// combine overlap a compute-intensive map; the contention-aware pinning
-// plan (pinning.go) keeps each combiner on a logical CPU adjacent to its
-// mappers so the queue traffic stays in the closest shared cache.
+// combine overlap a compute-intensive map; the pinning plan keeps each
+// combiner on a logical CPU adjacent to its mappers so the queue traffic
+// stays in the closest shared cache.
 //
 // The Phoenix++ baseline (Talbot, Yoo, Kozyrakis, MapReduce '11) is the same
-// fused pool under another dispatch policy: whatever the grant, M+C unpinned
-// workers take single tasks from one shared deque, with no locality groups
-// and no stealing (RunPhoenixContext). Splits, tasks, containers, reduce and
-// merge are one code path for both engines, so comparing them isolates what
-// the resource-aware dispatch and placement add (DESIGN.md §5).
+// fused pool under another dispatch policy: its unpinned workers, as many
+// as a RAMR run's fused pool, take single tasks from one shared deque, with
+// no locality groups and no stealing (RunPhoenixContext). Splits, tasks,
+// containers, reduce and merge are one code path for both engines, so
+// comparing them isolates what the resource-aware dispatch and placement
+// add (DESIGN.md §5).
 package core
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,8 +59,9 @@ type pair[K comparable, V any] = container.KV[K, V]
 
 // Run executes the job with the RAMR strategy under cfg. The thread
 // budget is cfg.Mappers map workers plus cfg.NumCombiners() combine
-// workers; reduce and merge reuse the general-purpose (mapper) pool as in
-// Fig. 2.
+// workers, fused into one pool no larger than cfg.CPUGrant unless the
+// pinning plan ships pairs (Plan.ShipsPairs); reduce and merge run at the
+// width of the pools.
 func Run[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config) (*mr.Result[K, R], error) {
 	return RunContext(context.Background(), spec, cfg)
 }
@@ -72,10 +75,10 @@ func RunContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spe
 }
 
 // RunPhoenixContext executes the job with the Phoenix++ strategy: the same
-// budget of cfg.Mappers + cfg.NumCombiners() workers, each fusing map and
-// combine into a private container whatever the grant, unpinned, taking one
-// task at a time from a single shared deque. A grant is still checked
-// against the machine. Cancellation behaves as in RunContext.
+// fused pool as a RAMR run that ships nothing, cfg.Mappers +
+// cfg.NumCombiners() workers capped at the grant's CPUs, each fusing map
+// and combine into a private container, unpinned, taking one task at a time
+// from a single shared deque. Cancellation behaves as in RunContext.
 func RunPhoenixContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config) (*mr.Result[K, R], error) {
 	return run(ctx, spec, cfg, true)
 }
@@ -113,20 +116,24 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	// result's statistics are read from it once the pools are joined.
 	ledger := telemetry.NewLedger(engine)
 
-	// --- Init: pools, queues, containers, pinning plan (Fig. 2 top). ---
-	// A run that conserves work ships nothing (DESIGN.md §5.2): it is one
-	// pool of mappers+combiners fused workers, each folding what it maps
-	// into a container of its own, and no ring, gate or consume loop is
-	// built. Otherwise it is the paper's pipeline: a ring per mapper and a
-	// container per combiner slot, each written by its worker only and
-	// merged once the pools are joined.
+	// --- Init: pinning plan, pools, queues, containers (Fig. 2 top). ---
+	// The plan comes first: it decides whether the run ships pairs at all
+	// (DESIGN.md §5.2). A plan with no combiner on an SMT sibling of its
+	// mappers ships nothing: the run is one fused pool sized to its grant,
+	// each worker folding what it maps into a container of its own, and no
+	// ring, gate or consume loop is built. Otherwise it is the paper's
+	// pipeline: a ring per mapper and a container per combiner slot, each
+	// written by its worker only and merged once the pools are joined.
+	// Reduce and merge run at the width of the pools.
 	t0 := time.Now()
-	conserve := phoenix || ConservesWork(cfg.CPUGrant, mappers+combiners)
-	workers, owners := mappers+combiners, mappers+combiners
+	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, pin)
+	ship := plan.ShipsPairs(machine)
+	cpus := plan.FusedPool(cfg.CPUGrant) // one per task-taking worker
+	owners, width := len(cpus), len(cpus)
 	var queues []*spsc.Queue[pair[K, V]]
 	var gates []*spsc.Gate
-	if !conserve {
-		workers, owners = mappers, combiners
+	if ship {
+		cpus, owners, width = plan.MapperCPU, combiners, mappers+combiners
 		queues = make([]*spsc.Queue[pair[K, V]], mappers)
 		for i := range queues {
 			if queues[i], err = spsc.New[pair[K, V]](cfg.QueueCapacity, spsc.WaitSleep); err != nil {
@@ -157,13 +164,12 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	for j := range containers {
 		containers[j] = spec.NewContainer()
 	}
-	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, pin)
 	res.Phases.Init = time.Since(t0)
 
 	// --- Partition: tasks into per-locality-group deques. The worker →
 	// group assignment is computed first because the deques are seeded
 	// proportionally to the task-taking workers each group actually holds:
-	// the mappers, or on a conserving run every worker. Phoenix++ has one
+	// the mappers, or on a fused run every worker. Phoenix++ has one
 	// group: its unpinned workers all draw from a single deque. ---
 	t0 = time.Now()
 	tasks := mr.Tasks(len(spec.Splits), cfg.TaskSize)
@@ -171,13 +177,12 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	if phoenix {
 		groups = 1
 	}
-	cpus := append(slices.Clone(plan.MapperCPU), plan.CombinerCPU...)[:workers]
 	workerGroup := workerGroups(machine, cpus, groups)
 	workersIn := make([]int, groups)
 	for _, g := range workerGroup {
 		workersIn[g]++
 	}
-	tq := newTaskQueues(tasks, machine, workersIn, steal, conserve)
+	tq := newTaskQueues(tasks, machine, workersIn, steal, !ship)
 	res.Phases.Partition = time.Since(t0)
 
 	// --- Map-combine: the decoupled, overlapped phase (Fig. 2). ---
@@ -208,7 +213,7 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	// loop on every slot, each folding into its private container. A batch
 	// larger than the ring could never fill while a producer is blocked on
 	// a full queue, deadlocking the pipeline, so it is clamped.
-	if !conserve {
+	if ship {
 		StartCombiners(ctx, &wg, Combiners[pair[K, V]]{
 			Engine: engine,
 			Queues: queues,
@@ -228,30 +233,30 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 		})
 	}
 
-	// The task-taking pool: the mappers, and on a conserving run the
-	// combine workers after them, mapping as worker w to the Map hooks.
-	// Each takes task batches from its locality group's deque (stealing
-	// when it runs dry) and maps them into its lane: fused into its own
-	// container on a conserving run, through its ring to the combiners
-	// otherwise.
-	for w := 0; w < workers; w++ {
+	// The task-taking pool: the mappers, or on a fused run every worker of
+	// the pool (combine workers after the mappers, as far as the grant
+	// reaches), mapping as worker w to the Map hooks. Each takes task
+	// batches from its locality group's deque (stealing when it runs dry)
+	// and maps them into its lane: fused into its own container on a fused
+	// run, through its ring to the combiners otherwise.
+	for w, cpu := range cpus {
 		r, id := workerRole(w, mappers)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var q *spsc.Queue[pair[K, V]]
-			if !conserve {
+			if ship {
 				q = queues[w]
 			}
 			lane := NewLane(q, cfg.EmitBatch, w, cfg.Hooks)
-			lane.Run(ctx, engine, mappers, cpus[w], ledger, fail, func(tw *telemetry.Worker) {
+			lane.Run(ctx, engine, mappers, cpu, ledger, fail, func(tw *telemetry.Worker) {
 				track := cfg.Trace.Worker(r.label, id)
 				defer track.Publish()
 				var emit func(K, V)
-				if conserve {
-					emit = Fuse(lane, &containers[w], spec.Combine)
-				} else {
+				if ship {
 					emit = HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
+				} else {
+					emit = Fuse(lane, &containers[w], spec.Combine)
 				}
 				for live() {
 					t0, t1, cls, ok := tq.take(workerGroup[w])
@@ -310,38 +315,27 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	res.QueueStats, res.Steal, res.Help = Books(ledger.Totals())
 
 	// --- Reduce: identical to the baseline from here on, over the
-	// combiners' containers or, on a conserving run, every worker's. ---
+	// combiners' containers or, on a fused run, every worker's. ---
 	t0 = time.Now()
 	merged, err := mr.MergeContainers(containers, spec.Combine)
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := mr.ReduceAll(merged, spec.Reduce, mappers+combiners)
+	pairs, err := mr.ReduceAll(merged, spec.Reduce, width)
 	if err != nil {
 		return nil, err
 	}
 	res.Phases.Reduce = time.Since(t0)
 
-	// --- Merge: parallel sort over the general-purpose pool. ---
+	// --- Merge: parallel sort, no wider than the pools. ---
 	t0 = time.Now()
-	if err := mr.SortPairsParallel(pairs, spec.Less, mappers+combiners); err != nil {
+	if err := mr.SortPairsParallel(pairs, spec.Less, width); err != nil {
 		return nil, err
 	}
 	res.Phases.Merge = time.Since(t0)
 
 	res.Pairs = pairs
 	return res, nil
-}
-
-// ConservesWork is the grant rule of batch runs and stream sessions: work is
-// conserved when the run has no grant, or a grant with a CPU per worker. A
-// run with no grant is a library run: it owns the machine, however few CPUs
-// that has for its workers, and has nobody to yield to. On a smaller grant an
-// idle worker already lends its CPU to its partner, and one that computes
-// instead of parking takes cycles from whoever else the host runs
-// (EXPERIMENTS.md, "Work-conserving pipeline": serve_mixed p95).
-func ConservesWork(grant []int, workers int) bool {
-	return len(grant) == 0 || len(grant) >= workers
 }
 
 // localityOrder returns the queue (= mapper) indices sorted by locality

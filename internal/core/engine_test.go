@@ -43,15 +43,38 @@ func testConfig() mr.Config {
 	return cfg
 }
 
-// parked returns cfg under a CPU grant too small for its workers. The grant
-// rule then switches work conservation off — mappers ship every pair
-// through their rings, slots get no Help — so producers park on full rings
-// and combiners on empty ones: what
-// the tests of the handshake, of ring ownership and of the abort drain are
+// parked returns cfg on a plan that ships pairs: the paper's pinning over
+// the first core of each socket (firstCores) of cfg's machine, or of the
+// Haswell server preset when that machine has no SMT. Combiner 0 then shares
+// a core with mapper 0 (a pin on a CPU the host lacks is ignored), so
+// mappers ship every pair through their rings and slots get no Help:
+// producers park on full rings and combiners on empty ones. That is what the
+// tests of the handshake, of ring ownership and of the abort drain are
 // about, and the shape every run had before the pipeline conserved work.
 func parked(cfg mr.Config) mr.Config {
-	cfg.CPUGrant = []int{0}
+	m := cfg.ResolveMachine()
+	if m.ThreadsPerCore < 2 {
+		m = topology.HaswellServer()
+	}
+	cfg.Machine, cfg.Pin, cfg.CPUGrant = m, mr.PinRAMR, firstCores(m)
 	return cfg
+}
+
+// firstCores returns every SMT thread of the first core of each of m's
+// sockets: a grant that spans every locality group, and on which the
+// paper's pinning puts combiner 0 on a sibling of mapper 0.
+func firstCores(m *topology.Machine) []int {
+	first := map[int]int{} // socket -> its first core
+	var grant []int
+	for _, c := range m.CPUs() {
+		if _, ok := first[c.Socket]; !ok {
+			first[c.Socket] = c.Core
+		}
+		if first[c.Socket] == c.Core {
+			grant = append(grant, c.ID)
+		}
+	}
+	return grant
 }
 
 // conserved asserts the pair books of a finished run that emitted want
@@ -104,10 +127,11 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestBatchLargerThanQueue is the deadlock regression:a consume batch larger than the ring is clamped
-// to it. Unclamped it could never fill while its producer is parked on the
-// full ring, and the pipeline deadlocks; a run that ships nothing never
-// meets it, so the run is given a one-CPU grant.
+// TestBatchLargerThanQueue is the deadlock regression: a consume batch
+// larger than the ring is clamped to it. Unclamped it could never fill
+// while its producer is parked on the full ring, and the pipeline
+// deadlocks; a run that ships nothing never meets it, so the run is on a
+// plan that ships pairs.
 func TestBatchLargerThanQueue(t *testing.T) {
 	spec := countSpec(20, 200, 7)
 	cfg := parked(testConfig())
@@ -125,6 +149,9 @@ func TestBatchLargerThanQueue(t *testing.T) {
 		t.Fatalf("total = %d", total)
 	}
 	conserved(t, res, 20*200)
+	if res.QueueStats.Pushes != 20*200 {
+		t.Fatalf("%d pairs pushed, want every one through a ring", res.QueueStats.Pushes)
+	}
 }
 
 func TestEmptyInput(t *testing.T) {
@@ -197,9 +224,9 @@ func TestAllPinPoliciesProduceSameResult(t *testing.T) {
 }
 
 // TestWaitPolicies covers the kernel's two answers to a ring too small for
-// the job. On a grant with a CPU per worker a mapper never meets it: it
-// folds every pair where it emits it and pushes nothing. On a smaller grant
-// every pair crosses the ring, the mapper parks whenever it is full until
+// the job. On a plan that ships nothing a mapper never meets it: it folds
+// every pair where it emits it and pushes nothing. On a sibling plan every
+// pair crosses the ring, the mapper parks whenever it is full until
 // its combiner has drained it, and nothing is folded in place. Both keep
 // the result exact and the books balanced.
 func TestWaitPolicies(t *testing.T) {
@@ -224,7 +251,7 @@ func TestWaitPolicies(t *testing.T) {
 		}
 		conserved(t, res, 1000)
 		if tc.park && (res.Help != (mr.HelpStats{}) || res.QueueStats.Pushes != 1000) {
-			t.Fatalf("park: %d pushed, help %+v on a grant that parks the mapper", res.QueueStats.Pushes, res.Help)
+			t.Fatalf("park: %d pushed, help %+v on a plan that parks the mapper", res.QueueStats.Pushes, res.Help)
 		}
 		if !tc.park && (res.QueueStats.Pushes != 0 || res.Help.Pairs() != 1000) {
 			t.Fatalf("fold: %d pushed, help %+v; want every pair folded where it was emitted", res.QueueStats.Pushes, res.Help)

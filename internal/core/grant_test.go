@@ -1,31 +1,70 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ramr/internal/mr"
 	"ramr/internal/topology"
 )
 
-// TestConservesWork is the grant rule: a granted run conserves work when
-// its grant has a CPU per worker, and a library run (no grant) always does,
-// however few CPUs the machine has for its workers: it owns the machine and
-// has nobody to yield to.
-func TestConservesWork(t *testing.T) {
+// TestShipsPairs is the placement rule: a plan ships pairs only when it puts
+// some combiner on an SMT sibling of a mapper it consumes. A machine without
+// SMT, an unpinned plan, a one-CPU grant and a grant of distinct cores never
+// ship; the paper's pinning on either SMT preset, or on a sibling grant, does.
+// Round-robin pinning ships on the compact-numbered Phi, where consecutive
+// ids are siblings, and not on the SMT-last Haswell server, where they are
+// distinct cores.
+func TestShipsPairs(t *testing.T) {
 	for _, tc := range []struct {
-		grant   []int
-		workers int
-		want    bool
+		name  string
+		m     *topology.Machine
+		grant []int
+		pin   mr.PinPolicy
+		want  bool
 	}{
-		{nil, 2, true},
-		{nil, 64, true}, // more workers than any test host has CPUs
-		{[]int{0}, 2, false},
-		{[]int{0, 1}, 2, true},
-		{[]int{0, 1, 2}, 4, false},
-		{[]int{0, 1, 2, 3, 4}, 4, true},
+		{"flat/ramr", topology.Flat(8), nil, mr.PinRAMR, false},
+		{"flat/round-robin", topology.Flat(8), nil, mr.PinRoundRobin, false},
+		{"haswell/ramr", topology.HaswellServer(), nil, mr.PinRAMR, true},
+		{"haswell/round-robin", topology.HaswellServer(), nil, mr.PinRoundRobin, false},
+		{"haswell/none", topology.HaswellServer(), nil, mr.PinNone, false},
+		{"phi/ramr", topology.XeonPhi(), nil, mr.PinRAMR, true},
+		{"phi/round-robin", topology.XeonPhi(), nil, mr.PinRoundRobin, true},
+		{"phi/none", topology.XeonPhi(), nil, mr.PinNone, false},
+		{"haswell/one-cpu", topology.HaswellServer(), []int{0}, mr.PinRAMR, false},
+		{"phi/one-cpu", topology.XeonPhi(), []int{5}, mr.PinRAMR, false},
+		{"haswell/sibling-grant", topology.HaswellServer(), []int{0, 28}, mr.PinRAMR, true},
+		{"haswell/same-socket-grant", topology.HaswellServer(), []int{0, 1}, mr.PinRAMR, false},
+		{"haswell/same-socket-grant/round-robin", topology.HaswellServer(), []int{0, 1, 2, 3}, mr.PinRoundRobin, false},
 	} {
-		if got := ConservesWork(tc.grant, tc.workers); got != tc.want {
-			t.Errorf("ConservesWork(%v, %d) = %v, want %v", tc.grant, tc.workers, got, tc.want)
+		plan := BuildPlanOn(tc.m, tc.grant, 2, 2, tc.pin)
+		if got := plan.ShipsPairs(tc.m); got != tc.want {
+			t.Errorf("%s: ShipsPairs = %v, want %v\n%s", tc.name, got, tc.want, plan)
+		}
+	}
+}
+
+// TestFusedPool is the width rule: a fused pool has a worker per mapper and
+// combiner, but never more than its grant has CPUs, and a pool cut to its
+// grant pins each granted CPU once.
+func TestFusedPool(t *testing.T) {
+	m := topology.Flat(8)
+	for _, tc := range []struct {
+		grant []int
+		pin   mr.PinPolicy
+		want  []int
+	}{
+		{nil, mr.PinRAMR, []int{1, 2, 4, 5, 0, 3}},
+		{nil, mr.PinNone, []int{-1, -1, -1, -1, -1, -1}},
+		{[]int{3}, mr.PinRAMR, []int{3}},
+		{[]int{3}, mr.PinNone, []int{-1}},
+		{[]int{2, 5, 6}, mr.PinRAMR, []int{5, 6, 2}},
+		{[]int{2, 5, 6}, mr.PinRoundRobin, []int{5, 6, 2}},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7}, mr.PinRAMR, []int{1, 2, 4, 5, 0, 3}},
+	} {
+		got := BuildPlanOn(m, tc.grant, 4, 2, tc.pin).FusedPool(tc.grant)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("grant %v, %s: FusedPool = %v, want %v", tc.grant, tc.pin, got, tc.want)
 		}
 	}
 }

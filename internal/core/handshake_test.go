@@ -34,8 +34,8 @@ func sumValues(pairs []mr.Pair[int, int]) int {
 // both sides wait almost every step — producers park on full rings,
 // combiners park on empty ones — with single-element batches and slabs
 // that do not divide the ring. Totals must stay exact and every ring
-// must conserve its elements. The runs are under a grant too small to
-// conserve work, so both sides really do park.
+// must conserve its elements. The runs are on a plan that ships pairs, so
+// both sides really do park.
 func TestHandshakeTinyRings(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		for _, capacity := range []int{2, 4} {
@@ -64,7 +64,7 @@ func TestHandshakeTinyRings(t *testing.T) {
 				}
 				conserved(t, res, want)
 				if res.Help != (mr.HelpStats{}) {
-					t.Fatalf("cap=%d emit=%d: work was conserved under a one-CPU grant: %+v", capacity, emit, res.Help)
+					t.Fatalf("cap=%d emit=%d: work was conserved on a sibling plan: %+v", capacity, emit, res.Help)
 				}
 				if res.QueueStats.FailedPush == 0 {
 					t.Fatalf("cap=%d emit=%d: no producer ever found its ring full", capacity, emit)
@@ -94,13 +94,14 @@ func TestHandshakeAbortWhileCombinersParked(t *testing.T) {
 			}
 			inner(s, emit)
 		}
-		cfg := parked(testConfig())
+		cfg := testConfig()
 		cfg.Mappers = 2
 		cfg.Combiners = 2 // combiner j owns queue j
 		cfg.TaskSize = 1
-		// Two locality groups: with PinNone mapper i draws from group i
-		// and task t lands in group t%2, so split 1 goes to mapper 1.
+		// Two locality groups: parked pins mapper i to a core of socket i,
+		// and task t lands in group t, so split 1 goes to mapper 1.
 		cfg.Machine = topology.Fig3Example()
+		cfg = parked(cfg)
 		cfg.Steal = mr.StealOff
 		rec := recordQueues(&cfg)
 		cfg.Hooks.OnAbort = func() { close(aborted) }
@@ -111,6 +112,9 @@ func TestHandshakeAbortWhileCombinersParked(t *testing.T) {
 		var pe *mr.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("err = %v, want *mr.PanicError", err)
+		}
+		if n := len(rec.Reports()); n != cfg.Mappers {
+			t.Fatalf("%d rings reported, want one per mapper", n)
 		}
 		assertClean(t, rec)
 	})

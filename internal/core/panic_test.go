@@ -188,8 +188,8 @@ func TestPanicWithPinnedWorkers(t *testing.T) {
 // and the mapper's exit path must NOT publish them — the run is doomed and
 // those pairs must never reach user Combine. With one split emitting fewer
 // pairs than the slab size, nothing legitimately flushes, so any push at
-// all is the bug. Only a lane with a ring stages pairs, so the run is given
-// a one-CPU grant.
+// all is the bug. Only a lane with a ring stages pairs, so the run is on a
+// plan that ships pairs.
 func TestMapPanicDiscardsStagedSlab(t *testing.T) {
 	spec := &mr.Spec[int, int, int, int]{
 		Name:   "slab-panic",
@@ -251,16 +251,17 @@ func TestAbortStopsHealthyCombiners(t *testing.T) {
 		Reduce:       mr.IdentityReduce[int, int](),
 		NewContainer: func() container.Container[int, int] { return container.NewFixedArray[int](7) },
 	}
-	cfg := parked(testConfig()) // every pair reaches a combiner's batch hook
+	cfg := testConfig()
 	cfg.Mappers = 2
 	cfg.Combiners = 2 // combiner j owns queue j
 	cfg.TaskSize = 1
 	cfg.QueueCapacity = 128
 	cfg.BatchSize = 64
-	// Two locality groups: with PinNone, mapper i draws from group i, and
-	// task t lands in group t%2 — each mapper deterministically feeds its
-	// own combiner.
+	// Two locality groups: parked pins mapper i to a core of socket i, and
+	// task t lands in group t — each mapper deterministically feeds its own
+	// combiner.
 	cfg.Machine = topology.Fig3Example()
+	cfg = parked(cfg) // every pair reaches a combiner's batch hook
 	rec := recordQueues(&cfg)
 	aborted := make(chan struct{})
 	cfg.Hooks.OnAbort = func() { close(aborted) }
@@ -299,7 +300,7 @@ func TestAbortStopsHealthyCombiners(t *testing.T) {
 // cancelled run must still drain the ring and release the
 // producer — mappers observe cancellation only at task boundaries, so the
 // combiner is what frees them. Only a lane with no Fold can block at all:
-// the run is given a one-CPU grant, which makes its lane the stream
+// the run is on a plan that ships pairs, which makes its lane the stream
 // session's kind.
 func TestCancelReleasesBlockedProducer(t *testing.T) {
 	const emits = 50_000

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -167,6 +168,58 @@ func (p Plan) MaxDistance(m *topology.Machine) int {
 		}
 	}
 	return worst
+}
+
+// ShipsPairs is the placement rule of batch runs and stream sessions: it
+// reports whether the plan puts some combiner on an SMT sibling (distance 1)
+// of a mapper whose ring it consumes. That is the one placement where
+// shipping a pair pays (§III-B, Fig. 3): a compute-bound map and a
+// memory-bound combine then share one core's L1/L2. Only such a run builds
+// rings; every other run is one fused pool (FusedPool, DESIGN.md §5.2). An
+// unpinned plan never ships, and neither does a one-CPU grant, whose mapper
+// and combiner share CPU 0 (distance 0).
+func (p Plan) ShipsPairs(m *topology.Machine) bool {
+	_, _, ok := p.SiblingPair(m)
+	return ok
+}
+
+// SiblingPair returns the first combiner j and mapper i it consumes that
+// the plan puts on SMT siblings: the witness behind ShipsPairs.
+func (p Plan) SiblingPair(m *topology.Machine) (j, i int, ok bool) {
+	for j, rng := range QueueAssignment(len(p.MapperCPU), len(p.CombinerCPU)) {
+		c := p.CombinerCPU[j]
+		if c < 0 {
+			continue
+		}
+		for i := rng[0]; i < rng[1]; i++ {
+			if cpu := p.MapperCPU[i]; cpu >= 0 && m.Distance(c, cpu) == 1 {
+				return j, i, true
+			}
+		}
+	}
+	return -1, -1, false
+}
+
+// FusedPool returns the CPU of each worker of the fused pool that a run on
+// this plan and grant is when it ships no pair; its length is the pool's
+// width. The pool has a worker per mapper and combiner, but never more
+// workers than the grant has CPUs, so a job does not take its neighbours'
+// cycles; a library run (no grant) owns the machine. The workers take the
+// plan's rows, mappers first. A pool cut to its grant takes each CPU those
+// rows name once, so no two of its workers share a CPU while a granted one
+// idles.
+func (p Plan) FusedPool(grant []int) []int {
+	cpus := append(slices.Clone(p.MapperCPU), p.CombinerCPU...)
+	if len(grant) == 0 || len(grant) >= len(cpus) {
+		return cpus
+	}
+	pool := make([]int, 0, len(grant))
+	for _, cpu := range cpus {
+		if len(pool) < len(grant) && (cpu < 0 || !slices.Contains(pool, cpu)) {
+			pool = append(pool, cpu)
+		}
+	}
+	return pool
 }
 
 // String renders the plan for ramrtopo and debugging.

@@ -46,18 +46,23 @@ func stealCfg(m *topology.Machine) mr.Config {
 	return cfg
 }
 
-// runSkewed executes the skewed job on both grant arms — the fused pool
-// that ships nothing, and the pipeline under a one-CPU grant — and checks
-// the conservation invariants every successful run must satisfy: no
-// element lost or duplicated, steal counters balanced exactly (tasks stolen
-// == tasks executed remotely), every task taken exactly once by a worker
-// that booked the take, and every pair either folded where it was emitted
-// or shipped, as the arm says. It returns each arm's steal stats.
+// runSkewed executes the skewed job on both placement arms — the fused pool
+// that ships nothing, and, on a machine with SMT, the pipeline on a sibling
+// plan spanning its sockets (parked) — and checks the conservation
+// invariants every successful run must satisfy: no element lost or
+// duplicated, steal counters balanced exactly (tasks stolen == tasks
+// executed remotely), every task taken exactly once by a worker that booked
+// the take, and every pair either folded where it was emitted or shipped,
+// as the arm says. It returns each arm's steal stats.
 func runSkewed(t *testing.T, m *topology.Machine) []mr.StealStats {
 	t.Helper()
 	const splits, heavy = 120, 30
-	var arms []mr.StealStats
-	for _, cfg := range []mr.Config{stealCfg(m), parked(stealCfg(m))} {
+	var stats []mr.StealStats
+	cfgs := []mr.Config{stealCfg(m)}
+	if m.ThreadsPerCore > 1 {
+		cfgs = append(cfgs, parked(stealCfg(m)))
+	}
+	for _, cfg := range cfgs {
 		res, err := Run(skewedSpec(splits, heavy, 500*time.Microsecond), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -72,12 +77,12 @@ func runSkewed(t *testing.T, m *topology.Machine) []mr.StealStats {
 			t.Fatalf("take accounting covers %d tasks, want %d", got, splits)
 		}
 		conserved(t, res, splits)
-		if fused := len(cfg.CPUGrant) == 0; fused != (res.QueueStats == mr.QueueStats{}) {
+		if fused := cfg.Pin == mr.PinNone; fused != (res.QueueStats == mr.QueueStats{}) {
 			t.Fatalf("fused=%v: queue stats %+v, help %+v", fused, res.QueueStats, res.Help)
 		}
-		arms = append(arms, res.Steal)
+		stats = append(stats, res.Steal)
 	}
-	return arms
+	return stats
 }
 
 // TestStealConservationSkewed: under the race detector, chunked stealing
@@ -152,7 +157,7 @@ func TestStealClassByTopology(t *testing.T) {
 // BenchmarkSkewSteal sweep compares against. On a conserving run the
 // combine workers take tasks too, each from its own group's deque
 // (TestTaskQueuesSingleTakes pins that it cannot reach another's), so on
-// both grant arms the local takes alone cover the job.
+// both placement arms the local takes alone cover the job.
 func TestStealOffStaysStatic(t *testing.T) {
 	const splits, heavy = 120, 30
 	cfg := stealCfg(topology.Fig3Example())

@@ -49,12 +49,30 @@ func within(ch <-chan struct{}) {
 }
 
 // rings is the number of rings a RAMR run under cfg builds: one per mapper
-// on the paper's pipeline, none when the run conserves work.
+// when its plan puts a combiner on an SMT sibling of one of its mappers, and
+// none otherwise. It reads the plan's cores itself rather than asking the
+// engine's predicate, so a run that picks the wrong arm fails the sweeps.
 func rings(cfg mr.Config) int {
-	if core.ConservesWork(cfg.CPUGrant, cfg.Mappers+cfg.NumCombiners()) {
-		return 0
+	m := cfg.ResolveMachine()
+	plan := core.BuildPlanOn(m, cfg.CPUGrant, cfg.Mappers, cfg.NumCombiners(), cfg.Pin)
+	cpus := m.CPUs()
+	for j, rng := range core.QueueAssignment(cfg.Mappers, cfg.NumCombiners()) {
+		for _, mc := range plan.MapperCPU[rng[0]:rng[1]] {
+			if c := plan.CombinerCPU[j]; c >= 0 && mc >= 0 && c != mc && cpus[c].Core == cpus[mc].Core {
+				return cfg.Mappers
+			}
+		}
 	}
-	return cfg.Mappers
+	return 0
+}
+
+// shipping moves cfg onto a plan that ships pairs: the paper's pinning over
+// both SMT threads of the first core of each socket of the Fig. 3 machine,
+// so combiner 0 shares a core with mapper 0 and the run is the paper's
+// pipeline on any host (a pin on a CPU the host lacks is ignored).
+func shipping(cfg mr.Config) mr.Config {
+	cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.Fig3Example(), mr.PinRAMR, []int{0, 8, 4, 12}
+	return cfg
 }
 
 // checkBooks checks a clean RAMR run's books: every task's take booked,

@@ -27,25 +27,30 @@ func parkInMap(once *sync.Once, parked chan<- struct{}, release <-chan struct{})
 
 // TestWorkerStacksSeeEveryEngine: the leak checker is only as good as its
 // list of worker sites, so each way the runtime runs Map must show up in
-// WorkerStacks while a worker is parked inside it: a RAMR run with no grant
-// (fused workers), a RAMR run on one CPU (ring mappers, and the combiner
-// slot they feed), Phoenix++, and a stream session on each grant arm. Once
-// released, each run ends and leaves no worker behind.
+// WorkerStacks while a worker is parked inside it: a RAMR run that ships
+// nothing (fused workers), a RAMR run on a plan that ships pairs (ring
+// mappers, and the combiner slot they feed), Phoenix++, and a stream
+// session on each placement arm. Once released, each run ends and leaves no
+// worker behind.
 func TestWorkerStacksSeeEveryEngine(t *testing.T) {
-	batch := func(run func(context.Context, *mr.Spec[int, int, int, int], mr.Config) (*mr.Result[int, int], error), grant []int) func(mr.Config, func(int, func(int, int))) error {
+	batch := func(run func(context.Context, *mr.Spec[int, int, int, int], mr.Config) (*mr.Result[int, int], error), ship bool) func(mr.Config, func(int, func(int, int))) error {
 		return func(cfg mr.Config, mapFn func(int, func(int, int))) error {
 			spec := sweepSpec(8, 50)
 			spec.Map = mapFn
-			cfg.CPUGrant = grant
+			if ship {
+				cfg = shipping(cfg)
+			}
 			_, err := run(context.Background(), spec, cfg)
 			return err
 		}
 	}
-	session := func(grant []int) func(mr.Config, func(int, func(int, int))) error {
+	session := func(ship bool) func(mr.Config, func(int, func(int, int))) error {
 		return func(cfg mr.Config, mapFn func(int, func(int, int))) error {
 			spec := sweepSpec(0, 0)
 			spec.Map = mapFn
-			cfg.CPUGrant = grant
+			if ship {
+				cfg = shipping(cfg)
+			}
 			cfg.Stream = &mr.StreamSpec{Window: 1}
 			p, err := stream.New(spec, cfg)
 			if err != nil {
@@ -66,11 +71,11 @@ func TestWorkerStacksSeeEveryEngine(t *testing.T) {
 		// also names a frame some other worker's stack must show.
 		also string
 	}{
-		{"ramr/fused", batch(core.RunContext[int, int, int, int], nil), ""},
-		{"ramr/one-cpu", batch(core.RunContext[int, int, int, int], []int{0}), "ramr/internal/core.StartCombiners"},
-		{"phoenix", batch(core.RunPhoenixContext[int, int, int, int], nil), ""},
-		{"stream/fused", session(nil), ""},
-		{"stream/one-cpu", session([]int{0}), "ramr/internal/core.StartCombiners"},
+		{"ramr/fused", batch(core.RunContext[int, int, int, int], false), ""},
+		{"ramr/sibling", batch(core.RunContext[int, int, int, int], true), "ramr/internal/core.StartCombiners"},
+		{"phoenix", batch(core.RunPhoenixContext[int, int, int, int], false), ""},
+		{"stream/fused", session(false), ""},
+		{"stream/sibling", session(true), "ramr/internal/core.StartCombiners"},
 	} {
 		cfg := mr.DefaultConfig()
 		cfg.Mappers, cfg.Combiners = 2, 1

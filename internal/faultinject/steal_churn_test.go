@@ -50,11 +50,12 @@ func newStealScenario(seed int64) stealScenario {
 	sc.splits = 24 + rng.Intn(17)
 	sc.emits = 50 + rng.Intn(150)
 	sc.drag = time.Duration(200+rng.Intn(300)) * time.Microsecond
-	// Half the runs get one CPU for all their workers (drawn last, so every
-	// other dimension is what it was for the seed): their pairs cross the
-	// rings, so the combiner-side faults have batch folds to land in.
+	// Half the runs move to a plan that ships pairs (drawn last, so every
+	// other draw is what it was for the seed): their pairs cross the rings,
+	// so the combiner-side faults have batch folds to land in. Its grant
+	// spans both sockets, so stealing still crosses a group boundary.
 	if rng.Intn(2) == 0 {
-		sc.cfg.CPUGrant = []int{0}
+		sc.cfg = shipping(sc.cfg)
 	}
 	return sc
 }

@@ -14,28 +14,28 @@ import (
 	"ramr/internal/topology"
 )
 
-// A session runs Map on every worker it has: on a grant with a CPU per
-// worker it is one pool of fused workers, so a combine worker maps splits
-// and folds what it emits into its own pane containers; on a smaller grant
+// A session runs Map on every worker it has: when its plan ships nothing it
+// is one pool of fused workers, so a combine worker maps splits and folds
+// what it emits into its own pane containers; on a plan that ships pairs
 // only mappers map, and they ship through rings. The two scenarios below
 // land a panic and a cancellation inside a split on each arm. Both are
 // steered with hooks: worker 0 stops at its ninth pair until the session is
 // doomed, so the fault in worker 1's split — a combine worker's on the
 // fused arm, a second mapper's on the ring arm — is the session's first.
 
-// streamArm is one grant arm of the scenarios: the session's workers and
-// grant, on a machine with a CPU for each, and the name worker 1's panic
-// carries.
+// streamArm is one placement arm of the scenarios: the session's workers,
+// whether it runs on a plan that ships pairs (shipping) or unpinned on a
+// machine with a CPU for each, and the name worker 1's panic carries.
 type streamArm struct {
 	name               string
 	mappers, combiners int
-	grant              []int
+	ship               bool
 	worker1            string
 }
 
 var streamArms = []streamArm{
 	{name: "fused", mappers: 1, combiners: 1, worker1: "combine worker 0"},
-	{name: "ring", mappers: 2, combiners: 1, grant: []int{0}, worker1: "map worker 1"},
+	{name: "ring", mappers: 2, combiners: 1, ship: true, worker1: "map worker 1"},
 }
 
 // streamConserve starts arm's session with one chunk queued and worker 0's
@@ -46,9 +46,11 @@ func streamConserve(t *testing.T, arm streamArm, worker1 func(*stream.Pipeline[i
 	t.Helper()
 	cfg := mr.DefaultConfig()
 	cfg.Mappers, cfg.Combiners = arm.mappers, arm.combiners
-	cfg.CPUGrant = arm.grant
 	cfg.Machine = topology.Flat(4)
 	cfg.Pin = mr.PinNone
+	if arm.ship {
+		cfg = shipping(cfg)
+	}
 	cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 16, 4, 4
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: 2 * streamSplits}
 	var p *stream.Pipeline[int, int, uint64, uint64]
@@ -106,7 +108,7 @@ func endStream(t *testing.T, arm streamArm, p *stream.Pipeline[int, int, uint64,
 	case <-time.After(30 * time.Second):
 		t.Fatal("session wedged")
 	}
-	if qs := p.QueueStats(); qs.Pushes != qs.Pops || (arm.grant == nil && qs != (mr.QueueStats{})) {
+	if qs := p.QueueStats(); qs.Pushes != qs.Pops || (!arm.ship && qs != (mr.QueueStats{})) {
 		t.Fatalf("rings not drained, or a fused session booked ring traffic: %+v", qs)
 	}
 	if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
@@ -180,7 +182,7 @@ func TestConserveStreamCancelMidHelp(t *testing.T) {
 			if n := tasks.Load(); n != 1 {
 				t.Fatalf("worker 1 began %d splits; want the one the cancel found it in", n)
 			}
-			if h := p.HelpStats(); arm.grant == nil && h.Tasks != 1 {
+			if h := p.HelpStats(); !arm.ship && h.Tasks != 1 {
 				t.Fatalf("help %+v: want the combine worker's one split booked", h)
 			}
 			endStream(t, arm, p)

@@ -38,8 +38,8 @@ func streamSpec() *mr.Spec[int, int, uint64, uint64] {
 	}
 }
 
-// streamScenario is one fault plan against one ring geometry and one grant
-// arm.
+// streamScenario is one fault plan against one ring geometry and one
+// placement arm.
 type streamScenario struct {
 	name string
 	plan faultinject.Plan
@@ -50,10 +50,10 @@ type streamScenario struct {
 	// before the panic lands.
 	atDrain  bool
 	capacity int
-	// grant is the session's CPU grant: nil gives every worker a CPU, so
-	// the session is one pool of fused workers and builds no ring; a
-	// one-CPU grant runs the ring pipeline.
-	grant []int
+	// ship runs the session on a plan that ships pairs (shipping): the
+	// ring pipeline. Otherwise it is unpinned, one pool of fused workers,
+	// and builds no ring.
+	ship bool
 }
 
 // runStreamScenario drives one session into its fault and asserts what a
@@ -71,7 +71,9 @@ func runStreamScenario(t *testing.T, sc streamScenario) {
 	cfg.BatchSize = 1 + sc.capacity/2
 	cfg.EmitBatch = 3 // does not divide the tiny rings
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: 2 * streamSplits}
-	cfg.CPUGrant = sc.grant
+	if sc.ship {
+		cfg = shipping(cfg)
+	}
 
 	// Every worker maps on the fused arm: combine worker j as worker
 	// Mappers+j.
@@ -170,7 +172,7 @@ feed:
 	// pushes on any one ring, so equal sums mean each ring is drained. A
 	// fused session has no ring to report or book.
 	rings := len(in.QueueReports())
-	if qs := p.QueueStats(); qs.Pushes != qs.Pops || (sc.grant == nil) != (rings == 0) || (sc.grant == nil && qs != (mr.QueueStats{})) {
+	if qs := p.QueueStats(); qs.Pushes != qs.Pops || sc.ship == (rings == 0) || (!sc.ship && qs != (mr.QueueStats{})) {
 		t.Fatalf("%s: %d rings reported, %d pushed, %d popped", sc.name, rings, qs.Pushes, qs.Pops)
 	}
 	if err := faultinject.CheckQueues(in.QueueReports()); err != nil {
@@ -192,12 +194,12 @@ feed:
 // must reach — a split is 60 emits, and the 2880 elements are at least 23
 // folds over two combiners.
 //
-// Each scenario's grant arm follows from its plan and ring size: the
+// Each scenario's placement arm follows from its plan and ring size: the
 // combiner-site plans (mid-fold and drain) and every plan on the smallest
-// ring run under a one-CPU grant, the ring pipeline, because only that has
-// combiners to fault and producers to park; the other six run on the whole
-// machine, as one pool of fused workers whose map-side faults land on map
-// and combine workers alike.
+// ring run on a plan that ships pairs, the ring pipeline, because only that
+// has combiners to fault and producers to park; the other six run unpinned,
+// as one pool of fused workers whose map-side faults land on map and
+// combine workers alike.
 func TestStreamFaultSweep(t *testing.T) {
 	plans := []streamScenario{
 		{name: "none", plan: faultinject.Plan{Kind: faultinject.None}},
@@ -210,7 +212,7 @@ func TestStreamFaultSweep(t *testing.T) {
 		for _, sc := range plans {
 			sc.capacity = capacity
 			if capacity == 2 || sc.atDrain || sc.plan.Kind == faultinject.PanicCombineBatch {
-				sc.grant = []int{0}
+				sc.ship = true
 			}
 			sc.name = fmt.Sprintf("%s/cap=%d", sc.name, capacity)
 			t.Run(sc.name, func(t *testing.T) { runStreamScenario(t, sc) })

@@ -104,13 +104,13 @@ func newScenario(seed int64) scenario {
 	sc.cfg = cfg
 	sc.splits = 4 + rng.Intn(13)
 	sc.emits = 100 + rng.Intn(300)
-	// Half the runs get one CPU for all their workers (drawn last, so every
-	// other dimension is what it was for the seed). Only then does a RAMR
-	// run ship pairs through its rings and fold batches, which is where
-	// the combiner-side faults land; on the whole machine it folds every
-	// pair where it is emitted. Phoenix++ ignores the grant.
+	// Half the runs move to a plan that ships pairs (drawn last, so every
+	// other draw is what it was for the seed). Only there does a RAMR run
+	// ship pairs through its rings and fold batches, which is where the
+	// combiner-side faults land; elsewhere it folds every pair where it is
+	// emitted. Phoenix++ never ships: it runs a fused pool on the grant.
 	if rng.Intn(2) == 0 {
-		sc.cfg.CPUGrant = []int{0}
+		sc.cfg = shipping(sc.cfg)
 	}
 	return sc
 }
@@ -122,11 +122,12 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 	t.Helper()
 	sc := newScenario(seed)
 
-	// Map-side hooks fire on mappers+combiners workers on both engines:
-	// Phoenix++ runs that many fused workers, and so does a RAMR run that
-	// conserves work, whose combine worker j maps as worker mappers+j. There
-	// the engine, not the plan, decides who maps what, so map-side faults
-	// aim at whichever worker gets to the ordinal first.
+	// Map-side hooks fire on up to mappers+combiners workers on both
+	// engines: Phoenix++ runs that many fused workers, as far as its grant
+	// reaches, and so does a RAMR run that ships nothing, whose combine
+	// worker j maps as worker mappers+j. There the engine, not the plan,
+	// decides who maps what, so map-side faults aim at whichever worker
+	// gets to the ordinal first.
 	combWorkers := sc.cfg.NumCombiners()
 	mapWorkers := sc.cfg.Mappers + combWorkers
 	plan := faultinject.NewPlan(seed, mapWorkers, combWorkers)
@@ -266,8 +267,8 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 // through both engines and asserts, after every run: the fault surfaced
 // as an ordinary error (never a process panic), every queue drained with
 // Pushes == Pops, and no worker goroutine leaked. Across the sweep some
-// fault must have landed in a RAMR batch fold, which only the one-CPU
-// grants run. A failing seed reproduces standalone via TestFaultSeed
+// fault must have landed in a RAMR batch fold, which only the runs on a
+// plan that ships pairs do. A failing seed reproduces standalone via TestFaultSeed
 // (RAMR_FAULT_SEED).
 func TestFaultSweep(t *testing.T) {
 	scenarios := int64(240)

@@ -100,15 +100,18 @@ type Config struct {
 	// logical CPU ids instead of assuming it owns the whole machine: the
 	// pinning plan is laid out over exactly these CPUs (in the machine's
 	// compact order, so the contention-aware placement stays valid inside
-	// the grant) and work is conserved only when the grant has a CPU per
-	// worker (core.ConservesWork). The multi-job scheduler
-	// (internal/sched) hands each admitted job a disjoint grant so
-	// concurrent runs never contend for the same logical CPUs. Ids must
-	// be unique, non-negative, and valid for the resolved Machine. Empty
-	// means the historical single-job behaviour: the run owns the full
-	// machine, has nobody to yield to and always conserves work, however
-	// many workers it has per CPU. The Phoenix++ baseline engine does not
-	// pin and ignores the field beyond validation.
+	// the grant). The run ships pairs through rings only when that plan puts
+	// a combiner on an SMT sibling of its mappers (core.Plan.ShipsPairs);
+	// otherwise it is one fused pool of at most len(CPUGrant) workers,
+	// however many Mappers and Combiners ask for, and its reduce and sort
+	// run no wider. The multi-job scheduler (internal/sched) hands each
+	// admitted job a disjoint grant so concurrent runs never contend for the
+	// same logical CPUs. Ids must be unique, non-negative, and valid for the
+	// resolved Machine. Empty means the historical single-job behaviour: the
+	// run owns the full machine and its fused pool has Mappers+Combiners
+	// workers, however many CPUs that is per worker. The Phoenix++ baseline
+	// engine does not pin, so it never ships, and sizes its pool the same
+	// way.
 	CPUGrant []int
 	// Trace, when non-nil, records per-worker execution timelines
 	// (task spans for mappers and fused workers, consume spans for
@@ -294,11 +297,10 @@ func SplitWorkers(n, ratio int) (mappers, combiners int) {
 // ApplyGrant configures the run for an externally granted CPU set: the
 // grant becomes CPUGrant and the worker counts are resized so the whole
 // pool fits on it (SplitWorkers at the configured Ratio). A one-CPU grant
-// still runs the minimal 1+1 pipeline: one mapper and one combiner sharing
-// the CPU by taking turns on it — the engine conserves work (one pool of
-// fused workers, every pair folded where it is made) only on a grant with a
-// CPU for every worker, so here whichever of the two has nothing to do parks
-// and the other gets the CPU. An empty grant is a no-op.
+// gets one mapper and one combiner, and the engine runs them as one fused
+// worker: a plan on one CPU has no SMT sibling to ship pairs to, and a
+// fused pool never has more workers than its grant has CPUs. An empty grant
+// is a no-op.
 func (c *Config) ApplyGrant(cpus []int) {
 	if len(cpus) == 0 {
 		return

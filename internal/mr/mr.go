@@ -9,8 +9,9 @@
 // finalizes each key, and a merge produces the ordered output. The engines
 // share one batch body and differ in task dispatch and placement: RAMR's
 // workers take tasks from locality-group deques with stealing and are
-// pinned by its plan, and on a grant too small for a CPU per worker its
-// combine runs on separate combiner threads fed by SPSC queues; Phoenix++'s
+// pinned by its plan, and where that plan puts a combiner on an SMT sibling
+// of its mappers its combine runs on separate combiner threads fed by SPSC
+// queues; Phoenix++'s
 // unpinned workers take tasks from one shared deque and always fold where
 // they map. Reference is the serial oracle both are checked against.
 package mr
@@ -157,10 +158,11 @@ type Result[K comparable, R any] struct {
 // HelpStats counts what work conservation moved in one RAMR run or stream
 // session: map tasks the combine workers ran, and the pairs combine and map
 // workers folded where they emitted them instead of shipping them. A run or
-// session that conserves work (no CPUGrant, or one with a CPU per worker) is
-// one pool of fused workers: it folds every pair in place and pushes none,
-// and Tasks is the share its combine workers ran. One whose grant is smaller
-// never helps and folds none in place. With StealStats and QueueStats it
+// session whose pinning plan puts no combiner on an SMT sibling of its
+// mappers is one pool of fused workers: it folds every pair in place and
+// pushes none, and Tasks is the share its combine workers ran (none when its
+// grant leaves room only for map workers). One on a sibling plan never helps
+// and folds none in place. With StealStats and QueueStats it
 // closes the books exactly: a batch run's takes are the job's task count, a
 // session's map-worker takes + Tasks is its split count, and pairs emitted −
 // Pushes is Pairs().

@@ -37,8 +37,8 @@ type JobRequest struct {
 	// Seed makes the generated input deterministic.
 	Seed int64 `json:"seed,omitempty"`
 	// Config overlays engine knobs on mr.DefaultConfig. Mappers and
-	// Combiners, when set, override the grant-derived worker split (the
-	// grant still bounds pinning).
+	// Combiners, when set, override the grant-derived worker split; the
+	// grant still bounds pinning and caps a fused pool (grantConfig).
 	Config ConfigOverlay `json:"config,omitempty"`
 	// Synth parameterizes the SYNTH workload; ignored otherwise.
 	Synth SynthParams `json:"synth,omitempty"`
@@ -362,7 +362,10 @@ func (p *plan) materialise(width int) (*workloads.Job, error) {
 
 // grantConfig overlays a CPU grant on the plan's base engine config; the
 // request's explicit mapper/combiner counts, when set, override the
-// grant-derived split (the grant still bounds pinning).
+// grant-derived split. The grant still bounds pinning, and it caps the
+// workers: unless the plan puts a combiner on an SMT sibling of its mappers,
+// the job is one fused pool of at most len(grant) workers, so explicit
+// counts never put more fused workers than CPUs on a grant.
 func (p *plan) grantConfig(grant []int) mr.Config {
 	c := p.cfg
 	c.ApplyGrant(grant)

@@ -12,31 +12,42 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
+	"ramr/internal/topology"
 )
 
-// A session conserves work the way a batch run does: when the grant gives
-// every worker a CPU (core.ConservesWork) it is one pool of mappers+combiners
-// fused workers, each folding what it maps into its own pane containers, and
-// it builds no ring; on a smaller grant it is the paper's pipeline. The
-// tests below pin the books each arm keeps, the seal's exactness around a
-// split a worker is still mapping, and the grant rule that picks the arm.
+// A session is placed the way a batch run is: when its plan puts no
+// combiner on an SMT sibling of its mappers (core.Plan.ShipsPairs) it is one
+// pool of fused workers, sized to its grant, each folding what it maps into
+// its own pane containers, and it builds no ring; on a sibling plan it is
+// the paper's pipeline. The tests below pin the books each arm keeps, the
+// seal's exactness around a split a worker is still mapping, and the rule
+// that picks the arm.
 
-// parked returns cfg under a CPU grant too small for its workers, which
-// switches work conservation off (core.ConservesWork): the session runs the
-// ring pipeline, its combiner slots park on empty rings, and every pair
+// parked returns cfg on a plan that ships pairs: the paper's pinning on the
+// Haswell server preset, which puts each combiner on an SMT sibling of its
+// first mapper (a pin on a CPU the host lacks is ignored). The session runs
+// the ring pipeline, its combiner slots park on empty rings, and every pair
 // crosses a ring.
 func parked(cfg mr.Config) mr.Config {
-	cfg.CPUGrant = []int{0}
+	cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.HaswellServer(), mr.PinRAMR, nil
 	return cfg
 }
 
-// grantArms are the two shapes a session takes: no grant, so every worker
-// has a CPU and the session is one pool of fused workers, and a one-CPU
-// grant, which runs the ring pipeline.
-var grantArms = []struct {
-	name  string
-	grant []int
-}{{"fused", nil}, {"ring", []int{0}}}
+// placementArms are the two shapes a session takes: testConfig's machine
+// without SMT, so the session is one pool of fused workers, and a sibling
+// plan (parked), which runs the ring pipeline.
+var placementArms = []struct {
+	name string
+	ship bool
+}{{"fused", false}, {"ring", true}}
+
+// place returns cfg on arm's placement.
+func place(cfg mr.Config, ship bool) mr.Config {
+	if ship {
+		return parked(cfg)
+	}
+	return cfg
+}
 
 // await bounds a wait on a channel a correct session always closes, so a
 // broken one fails its assertions instead of hanging the test binary.
@@ -49,29 +60,40 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// checkBooks checks a stopped session's books against the pairs its windows
-// hold (total) and the splits map workers took (mapperTakes): every split
-// was run once, by a map worker or a combine worker, and every pair was
-// either folded where it was made, on the fused arm, or pushed and popped,
-// on the ring arm — never some of each.
-func checkBooks[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], mapperTakes, total uint64) {
+// checkArm fails the test unless p took the placement arm the test put it
+// on: the ring pipeline on a sibling plan (ship), and otherwise one pool of
+// fused workers with no ring.
+func checkArm[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], ship bool) {
 	t.Helper()
+	if p.fused == ship || (len(p.queues) > 0) != ship {
+		t.Fatalf("ship=%v: the session is fused=%v with %d rings", ship, p.fused, len(p.queues))
+	}
+}
+
+// checkBooks checks a stopped session's books against its arm, the pairs
+// its windows hold (total) and the splits map workers took (mapperTakes):
+// every split was run once, by a map worker or a combine worker, and every
+// pair was either folded where it was made, on the fused arm, or pushed and
+// popped, on the ring arm — never some of each.
+func checkBooks[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], ship bool, mapperTakes, total uint64) {
+	t.Helper()
+	checkArm(t, p, ship)
 	h, qs, st := p.HelpStats(), p.QueueStats(), p.Stats()
 	if mapperTakes+h.Tasks != uint64(st.Splits) || st.Elements != total {
 		t.Errorf("map workers took %d + combine workers ran %d splits, want %d; %d elements emitted, windows hold %d",
 			mapperTakes, h.Tasks, st.Splits, st.Elements, total)
 	}
-	if p.fused && (qs != (mr.QueueStats{}) || h.Pairs() != total) {
+	if !ship && (qs != (mr.QueueStats{}) || h.Pairs() != total) {
 		t.Errorf("fused session: queue %+v, help %+v; want no ring traffic and all %d pairs folded where made", qs, h, total)
 	}
-	if !p.fused && (h != (mr.HelpStats{}) || qs.Pushes != total || qs.Pops != total) {
+	if ship && (h != (mr.HelpStats{}) || qs.Pushes != total || qs.Pops != total) {
 		t.Errorf("ring session: queue %+v, help %+v; want all %d pairs pushed and popped, none folded where made", qs, h, total)
 	}
 }
 
-// TestConserveGrantTooSmallHelpsNothing: a session whose grant cannot put a
-// CPU under every worker runs the paper's pipeline — no split mapped by a
-// combine worker, every pair emitted, pushed and popped.
+// TestConserveGrantTooSmallHelpsNothing: a session whose plan puts a
+// combiner on an SMT sibling of its mappers runs the paper's pipeline — no
+// split mapped by a combine worker, every pair emitted, pushed and popped.
 func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
@@ -94,7 +116,7 @@ func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
 	}
 	const total = 3 * 4 * 100
 	if h := p.HelpStats(); h != (mr.HelpStats{}) {
-		t.Errorf("help %+v under a one-CPU grant, want none", h)
+		t.Errorf("help %+v on a sibling plan, want none", h)
 	}
 	if qs, el := p.QueueStats(), p.Stats().Elements; el != total || qs.Pushes != total || qs.Pops != total {
 		t.Errorf("%d elements, queue %+v: want %d pairs emitted, pushed and popped", el, qs, total)
@@ -135,13 +157,12 @@ func referenceWindow(keys int, splits []int) string {
 // close exactly.
 func TestConserveMapBoundSession(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		for _, arm := range grantArms {
+		for _, arm := range placementArms {
 			t.Run(arm.name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				const keys = 16
 				var helped atomic.Bool
-				cfg := testConfig(t, &mr.StreamSpec{Window: 1})
-				cfg.CPUGrant = arm.grant
+				cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship)
 				cfg.Mappers = 1
 				cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
 				cfg.Telemetry = telemetry.New()
@@ -207,7 +228,7 @@ func TestConserveMapBoundSession(t *testing.T) {
 				if helped.Load() != p.fused {
 					t.Fatalf("combine worker mapped after the lull: %v, want %v (help %+v)", helped.Load(), p.fused, p.HelpStats())
 				}
-				checkBooks(t, p, mapperTakes.Load(), total)
+				checkBooks(t, p, arm.ship, mapperTakes.Load(), total)
 				checkNoLeak(t, before)
 			})
 		}
@@ -224,7 +245,7 @@ func TestConserveMapBoundSession(t *testing.T) {
 // pane container; the seal must wait all the same.
 func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		for _, arm := range grantArms {
+		for _, arm := range placementArms {
 			t.Run(arm.name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				longIn, paused, resume := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -246,8 +267,7 @@ func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
 						}
 					}
 				}
-				cfg := testConfig(t, &mr.StreamSpec{Window: 1})
-				cfg.CPUGrant = arm.grant
+				cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship)
 				cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
 				var mapperTakes atomic.Uint64
 				cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
@@ -289,15 +309,15 @@ func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
 				if ws := p.Windows(); len(ws) != 1 || ws[0].Elements != 24 {
 					t.Fatalf("windows %+v, want window 0 alone with 24 elements", ws)
 				}
-				checkBooks(t, p, mapperTakes.Load(), 24)
+				checkBooks(t, p, arm.ship, mapperTakes.Load(), 24)
 				checkNoLeak(t, before)
 			})
 		}
 	})
 }
 
-// TestConserveSessionBuildsNoRing: on a grant with a CPU per worker a
-// session is mappers+combiners fused workers and nothing else. No ring is
+// TestConserveSessionBuildsNoRing: on a plan that ships nothing, with no
+// grant, a session is mappers+combiners fused workers and nothing else. No ring is
 // built, so the queue observer never fires and the queue stats stay zero;
 // the ledger has one shard per worker, M of them mappers and C combiners;
 // the Map hooks see ids in [0, M+C); and every window equals the serial
@@ -373,7 +393,71 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 			t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
 		}
 	}
-	checkBooks(t, p, mapperTakes.Load(), total)
+	checkBooks(t, p, false, mapperTakes.Load(), total)
+	checkNoLeak(t, before)
+}
+
+// TestFusedPoolFitsGrant: a fused session never has more workers than its
+// grant has CPUs. A one-CPU grant with explicit counts of four mappers and
+// two combiners runs exactly one worker, even on an SMT machine under the
+// paper's pinning: the ledger holds one shard, the Map hooks see only
+// worker 0, no ring is built, the sealer reduces on one goroutine, and
+// every window equals the serial reference over the same splits.
+func TestFusedPoolFitsGrant(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const keys = 16
+	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+	cfg.Mappers, cfg.Combiners = 4, 2
+	cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.HaswellServer(), mr.PinRAMR, []int{0}
+	cfg.Telemetry = telemetry.New()
+	var observed, outside atomic.Uint64
+	cfg.Hooks = &mr.Hooks{
+		QueueObserver: func(int, bool, spsc.Stats) { observed.Add(1) },
+		MapTask: func(w int) {
+			if w != 0 {
+				outside.Add(1)
+			}
+		},
+	}
+	p, err := New(mixSpec(keys, &atomic.Bool{}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.fused || len(p.cpus) != 1 || p.width != 1 {
+		t.Fatalf("fused %v, %d workers, reduce width %d; want one fused worker", p.fused, len(p.cpus), p.width)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	chunks := [][]int{{120, 36, 80, 7}, {44, 100, 8}}
+	for ts, c := range chunks {
+		if _, err := p.Append(Chunk[int]{Ts: int64(ts), Splits: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := p.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := observed.Load(); n != 0 || len(p.queues) != 0 || p.QueueStats() != (mr.QueueStats{}) {
+		t.Fatalf("queue observer fired %d times, %d rings built, queue stats %+v; want no ring", n, len(p.queues), p.QueueStats())
+	}
+	if n := outside.Load(); n != 0 {
+		t.Fatalf("%d splits mapped by a worker other than 0", n)
+	}
+	if rep := cfg.Telemetry.EndRun(nil); len(rep.Workers) != 1 {
+		t.Fatalf("%d ledger shards on a one-CPU grant, want 1", len(rep.Workers))
+	}
+	ws := p.Windows()
+	if len(ws) != len(chunks) {
+		t.Fatalf("%d windows sealed, want %d", len(ws), len(chunks))
+	}
+	for i, w := range ws {
+		if got, want := fmt.Sprint(w.Pairs), referenceWindow(keys, chunks[i]); got != want {
+			t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
+		}
+	}
 	checkNoLeak(t, before)
 }
 
@@ -413,18 +497,18 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 // QueueStats and HelpStats while the session still runs, not only once it
 // has stopped.
 func TestUninstrumentedSessionReadsLive(t *testing.T) {
-	for _, arm := range grantArms {
+	for _, arm := range placementArms {
 		t.Run(arm.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			var fast atomic.Bool
-			cfg := testConfig(t, &mr.StreamSpec{Window: 1})
-			cfg.CPUGrant = arm.grant
+			cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship)
 			cfg.Mappers = 1
 			cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
 			p, err := New(mixSpec(16, &fast), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkArm(t, p, arm.ship)
 			if err := p.Start(); err != nil {
 				t.Fatal(err)
 			}

@@ -11,18 +11,18 @@ import (
 )
 
 // FuzzStreamChunks feeds a session arbitrary chunks — tick order,
-// lateness, split counts and sizes, and the grant arm, all drawn from the
+// lateness, split counts and sizes, and the placement arm, all drawn from the
 // input — and checks the windowing contract against a ledger of what Append
 // admitted: every admitted element lands in exactly one tumbling window, the
 // window of its chunk's tick, and each window's Elements is what was
 // admitted at that tick. Rejected chunks (late, or past the pending bound)
-// must leave no trace, and the books close on the arm the grant picked. On
+// must leave no trace, and the books close on the arm the plan picked. On
 // the ring arm the rings are tiny, so producers park and combiners fold
 // short tails in the same run; on the fused arm workers switch panes from
 // one split to the next.
 //
 // Input layout: byte 0 is the lateness (mod 4) and, in bit 2, the arm (set:
-// a one-CPU grant, the ring arm); then three bytes a chunk — tick (mod 16),
+// a sibling plan, the ring arm); then three bytes a chunk — tick (mod 16),
 // split count (mod 5) and elements per split (mod 64).
 func FuzzStreamChunks(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 10, 1, 3, 20, 2, 1, 5})
@@ -37,7 +37,8 @@ func FuzzStreamChunks(f *testing.F) {
 		}
 		const keys = 8
 		cfg := testConfig(t, &mr.StreamSpec{Window: 1, Lateness: int64(data[0] % 4), MaxPending: 8})
-		if data[0]&4 != 0 {
+		ship := data[0]&4 != 0
+		if ship {
 			cfg = parked(cfg)
 		}
 		cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 4, 2, 3
@@ -102,6 +103,6 @@ func FuzzStreamChunks(f *testing.F) {
 			}
 			delete(admitted, w.Index)
 		}
-		checkBooks(t, p, mapperTakes.Load(), total)
+		checkBooks(t, p, ship, mapperTakes.Load(), total)
 	})
 }

@@ -29,7 +29,7 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 // if the mappers flush their rings at the end of each split and that
 // wakes the parked combiners to fold the short tail; a lost wake-up
 // leaves a window unsealed for ever. A session has combiners to park only
-// on a grant too small for conservation.
+// on a plan that ships pairs.
 func TestParkedCombinersFoldEveryChunkAfterIdle(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		before := runtime.NumGoroutine()
@@ -39,6 +39,7 @@ func TestParkedCombinersFoldEveryChunkAfterIdle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkArm(t, p, true)
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -91,9 +92,8 @@ func TestParkedCombinerFoldsTailWhileMapperStaysBusy(t *testing.T) {
 				emit(e%8, 1)
 			}
 		}
-		// A session has a combiner to fold the tail only on a grant too
-		// small for conservation; on a larger one every worker folds what it
-		// maps.
+		// A session has a combiner to fold the tail only on a plan that
+		// ships pairs; on any other every worker folds what it maps.
 		cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
 		cfg.Mappers = 1
 		cfg.BatchSize = 200
@@ -101,6 +101,7 @@ func TestParkedCombinerFoldsTailWhileMapperStaysBusy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkArm(t, p, true)
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestParkedCombinerFoldsTailWhileMapperStaysBusy(t *testing.T) {
 
 // TestCancelWakesParkedCombiners: cancelling an idle session, whose
 // combiners are parked with no push ever coming, must still stop it. Only a
-// grant too small for conservation has combiners to park.
+// plan that ships pairs has combiners to park.
 func TestCancelWakesParkedCombiners(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		before := runtime.NumGoroutine()
@@ -140,6 +141,7 @@ func TestCancelWakesParkedCombiners(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkArm(t, p, true)
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +179,8 @@ func TestSealerWakesOnQuiescence(t *testing.T) {
 		var armed atomic.Bool
 		var folds atomic.Int64
 		entered, release := make(chan struct{}), make(chan struct{})
-		// The held fold is a ring batch, and only a grant too small for
-		// conservation ships pairs through rings.
+		// The held fold is a ring batch, and only a sibling plan ships
+		// pairs through rings.
 		cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1, Lateness: 1}))
 		cfg.Mappers = 1
 		cfg.Hooks = &mr.Hooks{CombineBatch: func(int) {
@@ -192,6 +194,7 @@ func TestSealerWakesOnQuiescence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkArm(t, p, true)
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}

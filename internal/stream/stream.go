@@ -27,13 +27,15 @@
 // tracked by per-pane conservation counters (splits in/done, pairs not yet
 // folded).
 //
-// Work conservation (DESIGN.md §5.2) follows the batch engine's grant rule
-// (core.ConservesWork): when every worker has a CPU of its own, a session is
-// one pool of mappers+combiners identical fused workers and builds no ring,
+// Placement (DESIGN.md §5.2) follows the batch engine's rule
+// (core.Plan.ShipsPairs): a session ships pairs only when its pinning plan
+// puts some combiner on an SMT sibling of its mappers. Every other session is
+// one pool of identical fused workers, one per mapper and combiner but never
+// more than its grant has CPUs (core.Plan.FusedPool), and builds no ring,
 // gate or combiner slot. Each takes a split, points its container at the
 // split's pane — its own per-pane containers, picked once per task — and
 // folds every pair there as it is made, so a pane quiesces once its splits
-// are done. On a smaller grant the session is the paper's pipeline: mappers
+// are done. On a sibling plan the session is the paper's pipeline: mappers
 // ship pane-tagged pairs through rings, and combiner slots fold them or
 // park.
 package stream
@@ -43,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -140,8 +141,8 @@ type streamPair[K comparable, V any] struct {
 // is sound: a split's lane flushes its emit slab and the split adds what it
 // pushed to unfolded BEFORE adding to splitsDone, and splitsIn for a
 // sealable pane is frozen because Append rejects ticks behind the
-// watermark. A fused worker folds every pair as it is made, so on a
-// conserving grant unfolded stays 0 and the splits alone decide.
+// watermark. A fused worker folds every pair as it is made, so in a fused
+// session unfolded stays 0 and the splits alone decide.
 type paneState struct {
 	pane        int64
 	splitsIn    atomic.Int64
@@ -153,7 +154,7 @@ type paneState struct {
 }
 
 // paneSet is one container owner's private per-pane container map: a
-// combiner slot's, or on a conserving grant a fused worker's. The owner's
+// combiner slot's, or in a fused session a fused worker's. The owner's
 // goroutine is the only writer of the containers; the mutex serializes map
 // access (pane creation, and the sealer's merge walk) and is taken only
 // when switching panes or sealing, never per pair.
@@ -203,8 +204,10 @@ type Pipeline[S any, K comparable, V, R any] struct {
 
 	mappers   int
 	combiners int
-	fused     bool // the grant conserves work: fused workers, no ring
+	fused     bool // the plan ships no pair: fused workers, no ring
 	plan      core.Plan
+	cpus      []int                           // per task-taking worker: the fused pool, or the mappers
+	width     int                             // the pools' width, and the sealer's reduce width
 	queues    []*spsc.Queue[streamPair[K, V]] // per mapper, unless fused
 	gates     []*spsc.Gate                    // per combiner, unless fused: where it parks between chunks
 	owners    []*paneSet[K, V]                // per combiner slot, or per fused worker
@@ -279,7 +282,6 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 		win:        win,
 		mappers:    mappers,
 		combiners:  combiners,
-		plan:       core.BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin),
 		ledger:     telemetry.NewLedger("stream"),
 		tel:        cfg.Telemetry,
 		taskCh:     make(chan task[S], win.MaxPending),
@@ -293,13 +295,17 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	}
 	p.maxTs.Store(-1)
 	p.maxPane = -1
-	// A conserving session ships nothing: each of its mappers+combiners
-	// workers owns per-pane containers, and no ring or gate is built.
-	// Otherwise a ring per mapper feeds combiner slots that own the
+	// A session whose plan ships nothing is one fused pool sized to its
+	// grant: each worker owns per-pane containers, and no ring or gate is
+	// built. Otherwise a ring per mapper feeds combiner slots that own the
 	// containers.
-	p.fused = core.ConservesWork(cfg.CPUGrant, mappers+combiners)
-	owners := mappers + combiners
+	p.plan = core.BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
+	p.fused = !p.plan.ShipsPairs(machine)
+	p.cpus = p.plan.FusedPool(cfg.CPUGrant)
+	owners := len(p.cpus)
+	p.width = owners
 	if !p.fused {
+		p.cpus, p.width = p.plan.MapperCPU, mappers+combiners
 		owners = combiners
 		p.batch = min(cfg.BatchSize, cfg.QueueCapacity)
 		for i := 0; i < mappers; i++ {
@@ -319,9 +325,9 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	return p, nil
 }
 
-// Start spawns the resident workers and the sealer: on a conserving grant
-// mappers+combiners fused workers, otherwise the mappers and the combiner
-// pool. The workers live until Close or Cancel; no per-window restarts.
+// Start spawns the resident workers and the sealer: the fused pool, or on a
+// sibling plan the mappers and the combiner pool. The workers live until
+// Close or Cancel; no per-window restarts.
 func (p *Pipeline[S, K, V, R]) Start() error {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
@@ -340,11 +346,9 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		}
 		stopSampler = p.tel.Stop
 	}
-	workers := p.mappers + p.combiners
 	if !p.fused {
 		// The combiner pool is the batch engine's, split over the mappers
 		// in index order (what the plan pinned by).
-		workers = p.mappers
 		order := make([]int, p.mappers)
 		for i := range order {
 			order[i] = i
@@ -364,10 +368,9 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 			Progress: p.kickSealer,
 		})
 	}
-	cpus := append(slices.Clone(p.plan.MapperCPU), p.plan.CombinerCPU...)
-	for w := 0; w < workers; w++ {
+	for w, cpu := range p.cpus {
 		p.mapWG.Add(1)
-		go p.runWorker(w, cpus[w])
+		go p.runWorker(w, cpu)
 	}
 	go p.sealLoop()
 	// The janitor turns "every worker exited" into the stopped signal,
@@ -525,8 +528,8 @@ func (p *Pipeline[S, K, V, R]) kickSealer() {
 	}
 }
 
-// taskStep returns worker w's step for one split, on the worker's lane: on
-// a conserving grant the worker's container is pointed at the split's pane
+// taskStep returns worker w's step for one split, on the worker's lane: in
+// a fused session the worker's container is pointed at the split's pane
 // once, and every pair is folded into it as it is made; otherwise pairs are
 // tagged with the pane and shipped through the lane's ring. Either way the
 // split is then booked on its pane — what it emitted, and what of that it
@@ -564,7 +567,7 @@ func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]
 
 // runWorker is resident worker w, pinned to cpu: take a split, step it,
 // repeat until the task channel closes (Close) or the session dies. Worker
-// w < mappers is map worker w; on a conserving grant the rest are combine
+// w < mappers is map worker w; in a fused session the rest are combine
 // workers, fused like every other.
 func (p *Pipeline[S, K, V, R]) runWorker(w, cpu int) {
 	defer p.mapWG.Done()
@@ -607,8 +610,8 @@ func (p *Pipeline[S, K, V, R]) runWorker(w, cpu int) {
 
 // HelpStats counts what the session's fused workers folded where they made
 // it, by role: the splits combine workers ran (Tasks) and the pairs combine
-// and map workers folded. Every pair of a session on a conserving grant is
-// in it, and none of one on a smaller grant, whose pairs all cross a ring.
+// and map workers folded. Every pair of a fused session is in it, and none
+// of one on a sibling plan, whose pairs all cross a ring.
 // Like QueueStats it is read from the session's ledger, live or stopped.
 func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
 	_, _, help := core.Books(p.ledger.Totals())
@@ -797,7 +800,7 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 }
 
 // windowPairs merges every owner's containers for window n's k panes (the
-// combiner slots', or on a conserving grant every fused worker's), reduces
+// combiner slots', or in a fused session every fused worker's), reduces
 // and sorts them. The per-owner lock orders the walk against concurrent
 // pane creation; the containers themselves are quiescent (counters balanced
 // by the caller, and panes below the watermark receive no new input). A
@@ -821,7 +824,7 @@ func (p *Pipeline[S, K, V, R]) windowPairs(n, k int64) (pairs []mr.Pair[K, R], e
 			}
 		}()
 	}
-	if pairs, err = mr.ReduceAll(out, p.spec.Reduce, p.mappers); err != nil {
+	if pairs, err = mr.ReduceAll(out, p.spec.Reduce, p.width); err != nil {
 		return nil, err
 	}
 	mr.SortPairs(pairs, p.spec.Less)

@@ -42,6 +42,8 @@ func testConfig(t *testing.T, spec *mr.StreamSpec) mr.Config {
 	cfg.Mappers = 2
 	cfg.Combiners = 1
 	cfg.QueueCapacity = 256
+	// A machine without SMT: the session ships nothing on any host.
+	cfg.Machine = topology.Flat(2)
 	cfg.Stream = spec
 	return cfg
 }
@@ -159,7 +161,7 @@ func TestTumblingConservation(t *testing.T) {
 	// The books of a session that conserves work: every split was taken by
 	// a map worker or a combine worker, and every pair was folded where it
 	// was made, none shipped.
-	checkBooks(t, p, mapperTakes.Load(), total)
+	checkBooks(t, p, false, mapperTakes.Load(), total)
 	checkNoLeak(t, before)
 }
 
@@ -416,20 +418,20 @@ func TestMapperPanicAborts(t *testing.T) {
 }
 
 // TestSealerPanicFailsSession: a Less that panics while the sealer sorts a
-// window fails the session with the sealer's *mr.PanicError, on both grant
-// arms, instead of taking the process down, and every session goroutine
-// still exits.
+// window fails the session with the sealer's *mr.PanicError, on both
+// placement arms, instead of taking the process down, and every session
+// goroutine still exits.
 func TestSealerPanicFailsSession(t *testing.T) {
-	for _, grant := range [][]int{nil, {0}} {
+	for _, arm := range placementArms {
 		before := runtime.NumGoroutine()
-		cfg := testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512})
-		cfg.CPUGrant = grant
+		cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.ship)
 		spec := countSpec(8)
 		spec.Less = func(a, b int) bool { panic("less exploded") }
 		p, err := New(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkArm(t, p, arm.ship)
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -441,11 +443,11 @@ func TestSealerPanicFailsSession(t *testing.T) {
 		select {
 		case <-p.Done():
 		case <-time.After(10 * time.Second):
-			t.Fatalf("grant %v: session did not stop after the sealer's panic", grant)
+			t.Fatalf("%s: session did not stop after the sealer's panic", arm.name)
 		}
 		var pe *mr.PanicError
 		if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
-			t.Fatalf("grant %v: err = %v, want the sealer's *mr.PanicError", grant, err)
+			t.Fatalf("%s: err = %v, want the sealer's *mr.PanicError", arm.name, err)
 		}
 		checkNoLeak(t, before)
 	}

@@ -61,6 +61,19 @@ func testConfig() mr.Config {
 	return cfg
 }
 
+// shipping moves cfg onto a plan that ships pairs: the paper's pinning on
+// the Haswell server preset puts each combiner on an SMT sibling of its
+// first mapper (a pin on a CPU the host lacks is ignored), so the run is the
+// ring pipeline. The arms named "one-cpu-grant" run on it; the name predates
+// the placement rule, under which a one-CPU grant is a fused pool of one
+// worker.
+func shipping(cfg mr.Config, ship bool) mr.Config {
+	if ship {
+		cfg.Machine, cfg.Pin = topology.HaswellServer(), mr.PinRAMR
+	}
+	return cfg
+}
+
 // ringTruth sums the rings' own counters as Hooks.QueueObserver hands them
 // over once the pipeline has shut down: the ground truth the ledger's view
 // of a run must equal.
@@ -81,18 +94,17 @@ func (r *ringTruth) observe(_ int, _ bool, s spsc.Stats) {
 // the full conservation chain against the rings' own counters: every pair
 // counted at the emit closure was fed to Combine, either through a ring
 // (pushed == popped) or where it was emitted. It runs twice: conserving
-// work, where no ring is built and every pair is folded in place, and under
-// a one-CPU grant, where nothing may be folded in place and every pair is a
-// ring's.
+// work, where no ring is built and every pair is folded in place, and on a
+// plan that ships pairs (shipping), where nothing may be folded in place
+// and every pair is a ring's.
 func TestConservationRAMR(t *testing.T) {
-	t.Run("conserving", func(t *testing.T) { conservationRAMR(t, nil) })
-	t.Run("one-cpu-grant", func(t *testing.T) { conservationRAMR(t, []int{0}) })
+	t.Run("conserving", func(t *testing.T) { conservationRAMR(t, false) })
+	t.Run("one-cpu-grant", func(t *testing.T) { conservationRAMR(t, true) })
 }
 
-func conservationRAMR(t *testing.T, grant []int) {
+func conservationRAMR(t *testing.T, ship bool) {
 	spec, emits := wcSpec(400)
-	cfg := testConfig()
-	cfg.CPUGrant = grant
+	cfg := shipping(testConfig(), ship)
 	cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
 	var truth ringTruth
 	cfg.Hooks = &mr.Hooks{QueueObserver: truth.observe}
@@ -121,11 +133,11 @@ func conservationRAMR(t *testing.T, grant []int) {
 	if want := len(mr.Tasks(len(spec.Splits), cfg.TaskSize)); rep.Totals.Tasks != uint64(want) {
 		t.Fatalf("telemetry counted %d tasks, want %d", rep.Totals.Tasks, want)
 	}
-	if grant != nil && (help != (mr.HelpStats{}) || qs.BatchCalls == 0 || truth.rings != cfg.Mappers) {
-		t.Fatalf("one-CPU grant: help %+v, %d batch calls, %d rings; want no help, every pair through a ring and a ring per mapper",
+	if ship && (help != (mr.HelpStats{}) || qs.BatchCalls == 0 || truth.rings != cfg.Mappers) {
+		t.Fatalf("sibling plan: help %+v, %d batch calls, %d rings; want no help, every pair through a ring and a ring per mapper",
 			help, qs.BatchCalls, truth.rings)
 	}
-	if grant == nil && (qs != (mr.QueueStats{}) || help.Pairs() != emits || truth.rings != 0) {
+	if !ship && (qs != (mr.QueueStats{}) || help.Pairs() != emits || truth.rings != 0) {
 		t.Fatalf("conserving: queue stats %+v, help %+v, %d rings; want no ring and every pair folded in place", qs, help, truth.rings)
 	}
 	if rep.SampleCount == 0 || len(rep.Series) == 0 {
@@ -149,23 +161,23 @@ func conservationRAMR(t *testing.T, grant []int) {
 
 // TestLedgerIdentity: a batch run's and a stream session's statistics are
 // views of one ledger, and the ledger is exact. Each runs conserving work
-// and under a one-CPU grant, each with and without a Telemetry, on tiny
+// and on a plan that ships pairs, each with and without a Telemetry, on tiny
 // rings (16 slots, slabs of 3) so every wait and fold path is taken. In
 // every case the queue stats equal the sum of the rings' own snapshots on
 // all eight fields, emitted equals the pairs the input holds, and the
 // helped tasks are the ones combiners ran. A batch run books every take, so
 // its takes equal the task count; a stream session's mapper takes plus
 // helped tasks equal the split count. Conserving, either driver folds every
-// pair where it is emitted and builds no ring; a one-CPU grant folds none.
+// pair where it is emitted and builds no ring; a sibling plan folds none.
 func TestLedgerIdentity(t *testing.T) {
-	for _, grant := range []struct {
+	for _, arm := range []struct {
 		name string
-		cpus []int
-	}{{"conserving", nil}, {"one-cpu-grant", []int{0}}} {
+		ship bool
+	}{{"conserving", false}, {"one-cpu-grant", true}} {
 		for _, sampled := range []bool{false, true} {
-			name := fmt.Sprintf("%s/telemetry=%v", grant.name, sampled)
-			t.Run("batch/"+name, func(t *testing.T) { ledgerIdentityBatch(t, grant.cpus, sampled) })
-			t.Run("stream/"+name, func(t *testing.T) { ledgerIdentityStream(t, grant.cpus, sampled) })
+			name := fmt.Sprintf("%s/telemetry=%v", arm.name, sampled)
+			t.Run("batch/"+name, func(t *testing.T) { ledgerIdentityBatch(t, arm.ship, sampled) })
+			t.Run("stream/"+name, func(t *testing.T) { ledgerIdentityStream(t, arm.ship, sampled) })
 		}
 	}
 }
@@ -173,9 +185,8 @@ func TestLedgerIdentity(t *testing.T) {
 // identityConfig is the tiny-ring configuration of TestLedgerIdentity,
 // counting map tasks by the pool that ran them and collecting the rings'
 // ground truth.
-func identityConfig(grant []int, sampled bool, truth *ringTruth, mapperTasks, slotTasks *atomic.Uint64) mr.Config {
-	cfg := testConfig()
-	cfg.CPUGrant = grant
+func identityConfig(ship, sampled bool, truth *ringTruth, mapperTasks, slotTasks *atomic.Uint64) mr.Config {
+	cfg := shipping(testConfig(), ship)
 	cfg.QueueCapacity, cfg.EmitBatch, cfg.BatchSize = 16, 3, 4
 	if sampled {
 		cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
@@ -193,11 +204,11 @@ func identityConfig(grant []int, sampled bool, truth *ringTruth, mapperTasks, sl
 	return cfg
 }
 
-func ledgerIdentityBatch(t *testing.T, grant []int, sampled bool) {
+func ledgerIdentityBatch(t *testing.T, ship, sampled bool) {
 	spec, emits := wcSpec(120)
 	var truth ringTruth
 	var mapperTasks, slotTasks atomic.Uint64
-	cfg := identityConfig(grant, sampled, &truth, &mapperTasks, &slotTasks)
+	cfg := identityConfig(ship, sampled, &truth, &mapperTasks, &slotTasks)
 	res, err := core.Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,10 +225,10 @@ func ledgerIdentityBatch(t *testing.T, grant []int, sampled bool) {
 		t.Fatalf("takes %d, mappers ran %d, combiners ran %d (helped %d), want %d tasks",
 			res.Steal.TotalTasks(), mapperTasks.Load(), slotTasks.Load(), help.Tasks, tasks)
 	}
-	if grant != nil && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
-		t.Fatalf("one-CPU grant helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
+	if ship && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
+		t.Fatalf("sibling plan helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
 	}
-	if grant == nil && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
+	if !ship && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
 		t.Fatalf("conserving run pushed %d pairs, folded %d in place over %d rings, want 0, %d and no ring",
 			qs.Pushes, help.Pairs(), truth.rings, emits)
 	}
@@ -226,11 +237,11 @@ func ledgerIdentityBatch(t *testing.T, grant []int, sampled bool) {
 	}
 }
 
-func ledgerIdentityStream(t *testing.T, grant []int, sampled bool) {
+func ledgerIdentityStream(t *testing.T, ship, sampled bool) {
 	spec, emits := wcSpec(120)
 	var truth ringTruth
 	var mapperTasks, slotTasks atomic.Uint64
-	cfg := identityConfig(grant, sampled, &truth, &mapperTasks, &slotTasks)
+	cfg := identityConfig(ship, sampled, &truth, &mapperTasks, &slotTasks)
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: len(spec.Splits)}
 	p, err := stream.New(spec, cfg)
 	if err != nil {
@@ -262,10 +273,10 @@ func ledgerIdentityStream(t *testing.T, grant []int, sampled bool) {
 		t.Fatalf("mapper takes %d + helped %d (ran %d), want %d splits; help %+v",
 			mapperTasks.Load(), help.Tasks, slotTasks.Load(), len(spec.Splits), help)
 	}
-	if grant != nil && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
-		t.Fatalf("one-CPU grant helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
+	if ship && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
+		t.Fatalf("sibling plan helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
 	}
-	if grant == nil && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
+	if !ship && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
 		t.Fatalf("conserving session pushed %d pairs, folded %d in place over %d rings, want 0, %d and no ring",
 			qs.Pushes, help.Pairs(), truth.rings, emits)
 	}

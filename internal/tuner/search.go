@@ -14,8 +14,8 @@
 //     start (mr.Config.ApplyProfile).
 //
 // There is no online controller: the combiner pool is static for a run, and
-// the pipeline's work conservation (with a CPU per worker every worker maps
-// and folds each pair where it is made) absorbs a badly sized split
+// the pipeline's work conservation (in a fused pool every worker maps and
+// folds each pair where it is made) absorbs a badly sized split
 // (DESIGN.md §9).
 // The package depends on nothing but the standard library so mr and the
 // commands can import it without cycles.

@@ -50,14 +50,15 @@ func smallParams(app string) Params {
 // configurations, on both of RAMR's paths and whatever the pipeline's
 // back-pressure makes of the run: one or two mappers and combiners, a ring
 // of 64 (every slab beyond the first meets a full ring) or one no slab ever
-// fills, and a grant of the whole machine (every pair folded where it is
-// emitted) or of one CPU for all the workers (every pair through a ring).
-// Digests are order-independent and Combine associative and commutative,
-// so where a pair was folded cannot show in the output; KM's float
-// centroids agree on the key set only. The books must show which path ran:
-// a one-CPU run helps nothing and pops every pair it pushed; a conserving
-// run pushes nothing and folds in place exactly the pairs the one-CPU run
-// pushed. Across the matrix some conserving run's combine workers must have
+// fills, and a plan that ships nothing (every pair folded where it is
+// emitted) or the paper's pinning on the Haswell server preset, whose
+// combiners sit on SMT siblings of their mappers (every pair through a
+// ring). Digests are order-independent and Combine associative and
+// commutative, so where a pair was folded cannot show in the output; KM's
+// float centroids agree on the key set only. The books must show which path
+// ran: a shipping run helps nothing and pops every pair it pushed; a
+// conserving run pushes nothing and folds in place exactly the pairs the
+// shipping run pushed. Across the matrix some conserving run's combine workers must have
 // run tasks.
 func TestEnginesAgreeExact(t *testing.T) {
 	var helped uint64
@@ -89,15 +90,18 @@ func TestEnginesAgreeExact(t *testing.T) {
 			for _, mappers := range []int{1, 2} {
 				for _, combiners := range []int{1, 2} {
 					for _, ring := range []int{64, 1 << 20} {
-						var emitted uint64 // pushed by the one-CPU arm, which runs first
-						for _, grant := range [][]int{{0}, nil} {
+						var emitted uint64 // pushed by the shipping arm, which runs first
+						for _, ship := range []bool{true, false} {
 							c := cfg()
-							c.Mappers, c.Combiners, c.QueueCapacity, c.CPUGrant = mappers, combiners, ring, grant
-							name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d grant=%v", app, kind, mappers, combiners, ring, grant)
+							c.Mappers, c.Combiners, c.QueueCapacity = mappers, combiners, ring
+							if ship {
+								c.Machine, c.Pin = topology.HaswellServer(), mr.PinRAMR
+							}
+							name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d ship=%v", app, kind, mappers, combiners, ring, ship)
 							ra := agree(name, EngineRAMR, c)
-							if grant != nil {
+							if ship {
 								if ra.Help != (mr.HelpStats{}) || ra.Queue.Pushes == 0 || ra.Queue.Pushes != ra.Queue.Pops {
-									t.Fatalf("%s: one-CPU grant: help %+v, %d pushed, %d popped; want no help and every pair through a ring",
+									t.Fatalf("%s: sibling plan: help %+v, %d pushed, %d popped; want no help and every pair through a ring",
 										name, ra.Help, ra.Queue.Pushes, ra.Queue.Pops)
 								}
 								emitted = ra.Queue.Pushes

@@ -97,9 +97,10 @@ type JobHandle[K comparable, R any] struct {
 // Submit admits spec for execution under sc's budget. The engine config
 // is derived from cfg with the CPU grant overlaid at dispatch time:
 // worker counts follow the grant size and cfg.Ratio, pinning is laid out
-// over exactly the granted CPUs, and work is conserved only when the
-// grant has a CPU for every worker. Submit fails fast with ErrSaturated
-// when the admission queue is full.
+// over exactly the granted CPUs, and pairs are shipped through rings only
+// when that plan puts a combiner on an SMT sibling of its mappers; any
+// other job is one fused pool of at most one worker per granted CPU.
+// Submit fails fast with ErrSaturated when the admission queue is full.
 //
 // Submit is a free function because Go methods cannot introduce type
 // parameters.
