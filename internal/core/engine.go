@@ -18,9 +18,10 @@
 // identical fused workers, each mapping tasks and folding every pair it
 // emits into its own container, with no ring built. The pool has a worker
 // per mapper and combiner, but never more than its grant has CPUs
-// (Plan.FusedPool, DESIGN.md §5.2). A stream session (internal/stream)
-// follows the same rule. On a sibling plan the run is the paper's
-// pipeline, and a full ring parks its mapper.
+// (Plan.FusedPool, DESIGN.md §5.2). On a sibling plan the run is the
+// paper's pipeline, and a full ring parks its mapper. The decision is made
+// once, by Pool (pool.go), for batch runs and stream sessions
+// (internal/stream) alike.
 //
 // The decoupling raises the parallelism degree and lets a memory-intensive
 // combine overlap a compute-intensive map; the pinning plan keeps each
@@ -39,15 +40,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
-	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
@@ -104,63 +102,21 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	if phoenix {
 		engine, pin, steal = "phoenix", mr.PinNone, mr.StealOff
 	}
-	mappers := cfg.Mappers
-	combiners := cfg.NumCombiners()
-	machine := cfg.ResolveMachine()
-	if err := cfg.ValidateGrant(machine); err != nil {
+	res := &mr.Result[K, R]{}
+
+	// --- Init: the pool and its containers (Fig. 2 top). ---
+	// The pool makes the placement decision (DESIGN.md §5.2): one fused pool
+	// sized to the grant, each worker folding what it maps into a container
+	// of its own, unless the plan puts a combiner on an SMT sibling of its
+	// mappers; then it is the paper's pipeline, with a container per
+	// combiner slot. Each container is written by its owner only and merged
+	// once the pool is joined.
+	t0 := time.Now()
+	pool, err := NewPool[pair[K, V]](cfg, pin, engine)
+	if err != nil {
 		return nil, err
 	}
-
-	res := &mr.Result[K, R]{}
-	// The run's books: every worker below registers a shard here, and the
-	// result's statistics are read from it once the pools are joined.
-	ledger := telemetry.NewLedger(engine)
-
-	// --- Init: pinning plan, pools, queues, containers (Fig. 2 top). ---
-	// The plan comes first: it decides whether the run ships pairs at all
-	// (DESIGN.md §5.2). A plan with no combiner on an SMT sibling of its
-	// mappers ships nothing: the run is one fused pool sized to its grant,
-	// each worker folding what it maps into a container of its own, and no
-	// ring, gate or consume loop is built. Otherwise it is the paper's
-	// pipeline: a ring per mapper and a container per combiner slot, each
-	// written by its worker only and merged once the pools are joined.
-	// Reduce and merge run at the width of the pools.
-	t0 := time.Now()
-	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, pin)
-	ship := plan.ShipsPairs(machine)
-	cpus := plan.FusedPool(cfg.CPUGrant) // one per task-taking worker
-	owners, width := len(cpus), len(cpus)
-	var queues []*spsc.Queue[pair[K, V]]
-	var gates []*spsc.Gate
-	if ship {
-		cpus, owners, width = plan.MapperCPU, combiners, mappers+combiners
-		queues = make([]*spsc.Queue[pair[K, V]], mappers)
-		for i := range queues {
-			if queues[i], err = spsc.New[pair[K, V]](cfg.QueueCapacity, spsc.WaitSleep); err != nil {
-				return nil, err
-			}
-		}
-		// One gate per combiner: where it parks when none of its rings
-		// has a batch for it.
-		gates = make([]*spsc.Gate, combiners)
-		for j := range gates {
-			gates[j] = spsc.NewGate()
-		}
-	}
-	// The sampler is the ledger's one optional reader. Its report is
-	// built on the way out, so no return can leak its goroutine.
-	if tel := cfg.Telemetry; tel != nil {
-		tel.BeginRun(ledger)
-		for i, q := range queues {
-			tel.RegisterQueue(fmt.Sprintf("mapper-%d", i), q)
-		}
-		defer func() {
-			if rep := tel.EndRun(res.Phases.SecondsByPhase()); err == nil {
-				res.Telemetry = rep
-			}
-		}()
-	}
-	containers := make([]container.Container[K, V], owners)
+	containers := make([]container.Container[K, V], pool.Owners)
 	for j := range containers {
 		containers[j] = spec.NewContainer()
 	}
@@ -173,138 +129,87 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	// group: its unpinned workers all draw from a single deque. ---
 	t0 = time.Now()
 	tasks := mr.Tasks(len(spec.Splits), cfg.TaskSize)
-	groups := len(machine.LocalityGroups())
+	groups := len(pool.Machine.LocalityGroups())
 	if phoenix {
 		groups = 1
 	}
-	workerGroup := workerGroups(machine, cpus, groups)
+	workerGroup := workerGroups(pool.Machine, pool.CPUs, groups)
 	workersIn := make([]int, groups)
 	for _, g := range workerGroup {
 		workersIn[g]++
 	}
-	tq := newTaskQueues(tasks, machine, workersIn, steal, !ship)
+	tq := newTaskQueues(tasks, pool.Machine, workersIn, steal, !pool.Ship)
 	res.Phases.Partition = time.Since(t0)
 
 	// --- Map-combine: the decoupled, overlapped phase (Fig. 2). ---
-	// User code (Map, Combine) may panic; workers convert the first
-	// panic into an error and shut the run down cleanly: a failed
-	// mapper still closes its queue, if it has one, a failed combiner
-	// keeps draining its queues (discarding) so blocked producers can
-	// finish, and the abort flag stops further task dispatch.
+	// User code (Map, Combine) may panic; the pool turns the first panic
+	// into the run's error and shuts the run down cleanly. Every task-taking
+	// worker takes task batches from its locality group's deque (stealing
+	// when it runs dry) and maps them into its lane: fused into its own
+	// container on a fused run, through its ring to the combiner slots
+	// otherwise, which fold into theirs.
 	t0 = time.Now()
-	var wg sync.WaitGroup
-	var firstErr mr.FirstError
-	var abort atomic.Bool
-	// fail records a worker's error and raises the abort flag; for the
-	// first worker to raise it, the OnAbort hook fires and every parked
-	// combiner is woken to drain.
-	fail := func(err error) {
-		firstErr.Set(err)
-		if abort.CompareAndSwap(false, true) {
-			cfg.Hooks.FireOnAbort()
-			for _, g := range gates {
-				g.Wake()
+	live := func() bool { return !pool.Aborted() && ctx.Err() == nil }
+	pool.Start(ctx, func(w int, lane *Lane[pair[K, V]], tw *telemetry.Worker) {
+		r, id := workerRole(w, cfg.Mappers)
+		track := cfg.Trace.Worker(r.label, id)
+		defer track.Publish()
+		var emit func(K, V)
+		if pool.Ship {
+			emit = HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
+		} else {
+			emit = Fuse(lane, &containers[w], spec.Combine)
+		}
+		for live() {
+			t0, t1, cls, ok := tq.take(workerGroup[w])
+			if !ok {
+				break
+			}
+			tw.AddSteal(int(cls), uint64(t1-t0))
+			stolen := cls != topology.StealLocal
+			var endSteal func()
+			if stolen {
+				endSteal = track.Span("steal", obs.Int("tasks", t1-t0), obs.Str("class", cls.String()))
+			}
+			// An abort mid-batch leaves the rest of the batch untaken;
+			// the outer loop then sees it too.
+			for t := t0; t < t1 && live(); t++ {
+				lo, hi := tq.tasks[t][0], tq.tasks[t][1]
+				lane.BeginTask()
+				end := track.Span("task", obs.Int("splits", hi-lo))
+				for s := lo; s < hi; s++ {
+					spec.Map(spec.Splits[s], emit)
+				}
+				lane.EndTask()
+				end()
+				if stolen {
+					tw.AddRemoteExecuted()
+				}
+			}
+			if stolen {
+				endSteal()
 			}
 		}
-	}
-	live := func() bool { return !abort.Load() && ctx.Err() == nil }
-
-	// The combiner pool, on the paper's pipeline only: the kernel's consume
-	// loop on every slot, each folding into its private container. A batch
-	// larger than the ring could never fill while a producer is blocked on
-	// a full queue, deadlocking the pipeline, so it is clamped.
-	if ship {
-		StartCombiners(ctx, &wg, Combiners[pair[K, V]]{
-			Engine: engine,
-			Queues: queues,
-			Gates:  gates,
-			Order:  localityOrder(workerGroup),
-			CPUs:   plan.CombinerCPU,
-			Ledger: ledger,
-			Trace:  cfg.Trace,
-			Hooks:  cfg.Hooks,
-			Batch:  min(cfg.BatchSize, queues[0].Cap()),
-			Apply: func(j int) func([]pair[K, V]) {
-				c := containers[j]
-				return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
-			},
-			Abort: abort.Load,
-			Fail:  fail,
-		})
-	}
-
-	// The task-taking pool: the mappers, or on a fused run every worker of
-	// the pool (combine workers after the mappers, as far as the grant
-	// reaches), mapping as worker w to the Map hooks. Each takes task
-	// batches from its locality group's deque (stealing when it runs dry)
-	// and maps them into its lane: fused into its own container on a fused
-	// run, through its ring to the combiners otherwise.
-	for w, cpu := range cpus {
-		r, id := workerRole(w, mappers)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var q *spsc.Queue[pair[K, V]]
-			if ship {
-				q = queues[w]
+	}, func(j int) func([]pair[K, V]) {
+		c := containers[j]
+		return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
+	}, nil)
+	// The sampler is the ledger's one optional reader. Its report is
+	// built on the way out, so no return can leak its goroutine.
+	if tel := cfg.Telemetry; tel != nil {
+		defer func() {
+			if rep := tel.EndRun(res.Phases.SecondsByPhase()); err == nil {
+				res.Telemetry = rep
 			}
-			lane := NewLane(q, cfg.EmitBatch, w, cfg.Hooks)
-			lane.Run(ctx, engine, mappers, cpu, ledger, fail, func(tw *telemetry.Worker) {
-				track := cfg.Trace.Worker(r.label, id)
-				defer track.Publish()
-				var emit func(K, V)
-				if ship {
-					emit = HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
-				} else {
-					emit = Fuse(lane, &containers[w], spec.Combine)
-				}
-				for live() {
-					t0, t1, cls, ok := tq.take(workerGroup[w])
-					if !ok {
-						break
-					}
-					tw.AddSteal(int(cls), uint64(t1-t0))
-					stolen := cls != topology.StealLocal
-					var endSteal func()
-					if stolen {
-						endSteal = track.Span("steal", obs.Int("tasks", t1-t0), obs.Str("class", cls.String()))
-					}
-					// An abort mid-batch leaves the rest of the batch
-					// untaken; the outer loop then sees it too.
-					for t := t0; t < t1 && live(); t++ {
-						lo, hi := tq.tasks[t][0], tq.tasks[t][1]
-						lane.BeginTask()
-						end := track.Span("task", obs.Int("splits", hi-lo))
-						for s := lo; s < hi; s++ {
-							spec.Map(spec.Splits[s], emit)
-						}
-						lane.EndTask()
-						end()
-						if stolen {
-							tw.AddRemoteExecuted()
-						}
-					}
-					if stolen {
-						endSteal()
-					}
-				}
-			})
 		}()
 	}
-
-	wg.Wait()
+	pool.Wait()
 	res.Phases.MapCombine = time.Since(t0)
-	// The invariant observer and the pre-reduce hook run before the
-	// error checks: a failed run must still report per-queue drain state,
-	// and a cancellation injected at the pre-reduce point must still be
-	// honored by the ctx check below.
-	if hk := cfg.Hooks; hk != nil && hk.QueueObserver != nil {
-		for i, q := range queues {
-			hk.QueueObserver(i, q.Drained(), q.Snapshot())
-		}
-	}
+	// The pre-reduce hook runs before the error checks: a cancellation
+	// injected at the pre-reduce point must still be honored by the ctx
+	// check below.
 	cfg.Hooks.FirePreReduce()
-	if err := firstErr.Get(); err != nil {
+	if err := pool.Err(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -312,7 +217,7 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	}
 
 	// Every worker booked its last counts before its pool was joined.
-	res.QueueStats, res.Steal, res.Help = Books(ledger.Totals())
+	res.QueueStats, res.Steal, res.Help = Books(pool.Ledger.Totals())
 
 	// --- Reduce: identical to the baseline from here on, over the
 	// combiners' containers or, on a fused run, every worker's. ---
@@ -321,7 +226,7 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := mr.ReduceAll(merged, spec.Reduce, width)
+	pairs, err := mr.ReduceAll(merged, spec.Reduce, pool.Width)
 	if err != nil {
 		return nil, err
 	}
@@ -329,27 +234,13 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 
 	// --- Merge: parallel sort, no wider than the pools. ---
 	t0 = time.Now()
-	if err := mr.SortPairsParallel(pairs, spec.Less, width); err != nil {
+	if err := mr.SortPairsParallel(pairs, spec.Less, pool.Width); err != nil {
 		return nil, err
 	}
 	res.Phases.Merge = time.Since(t0)
 
 	res.Pairs = pairs
 	return res, nil
-}
-
-// localityOrder returns the queue (= mapper) indices sorted by locality
-// group, stable within a group, so a contiguous split hands each combiner
-// a dense group run.
-func localityOrder(mapperGroup []int) []int {
-	order := make([]int, len(mapperGroup))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		return mapperGroup[order[x]] < mapperGroup[order[y]]
-	})
-	return order
 }
 
 // workerGroups assigns each worker of one pool (cpus is its row of the
@@ -398,7 +289,7 @@ type taskQueues struct {
 	tasks     [][2]int
 	workersIn []int // workers drawing from each group, for chunk sizing
 	steal     bool
-	single    bool // every take is one task (a conserving run's)
+	single    bool // every take is one task (a fused pool's)
 }
 
 // newTaskQueues seeds one deque per locality group with a contiguous block
@@ -495,7 +386,7 @@ func chunkFor(rem, mappers int) int {
 // g, plus the steal class of the source deque. ok is false only at global
 // exhaustion (or local exhaustion under StealOff). Deques never refill, so
 // a single pass over the victim order is a sound termination check: a
-// deque observed empty stays empty. A conserving run takes one task at a
+// deque observed empty stays empty. A fused pool takes one task at a
 // time: the skewed SYNTH run halves only with single takes (EXPERIMENTS.md,
 // "Work-conserving pipeline"), for the price of one group lock per task.
 func (tq *taskQueues) take(g int) (lo, hi int, class topology.StealClass, ok bool) {

@@ -1,14 +1,13 @@
 // The pipeline kernel: the two hot loops of the paper's decoupled
 // map → SPSC ring → batched-combine pipeline (§III, Fig. 2), written once.
-// A Lane is a mapper's producer side (emit slab → ring); combine is a
-// combiner slot's consume loop (ring → apply, park when idle,
+// A Lane is a task-taking worker's producer side (emit slab → ring); combine
+// is a combiner slot's consume loop (ring → apply, park when idle,
 // drain-and-discard on abort). Both are generic over the ring element E and
-// never look inside one. Work conservation lives here too: a lane with no
-// ring folds each pair where it is made (Fuse), which is all a run's workers
-// do once every one has a CPU of its own, batch run or stream session alike.
-// The batch engine (engine.go) and the resident stream session
-// (internal/stream) are drivers: they decide where tasks come from and where
-// folded batches go, and run everything else through here.
+// never look inside one. A lane with no ring folds each pair where it is made
+// (Fuse): that is every worker of a pool whose plan ships no pair (Pool,
+// DESIGN.md §5.2). The batch engine (engine.go) and the resident stream
+// session (internal/stream) are drivers: they decide where tasks come from
+// and where folded batches go, and run everything else through here.
 package core
 
 import (
@@ -17,12 +16,10 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strconv"
-	"sync"
 
 	"ramr/internal/affinity"
 	"ramr/internal/container"
 	"ramr/internal/mr"
-	"ramr/internal/obs"
 	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 )
@@ -69,7 +66,7 @@ func runWorker(ctx context.Context, engine string, r role, id, cpu int, tw *tele
 // slab instead of once per element; the slab flushes when full, at every
 // task boundary and before the ring closes. A slab of one (EmitBatch 1) is
 // the unbatched ablation baseline. A Lane belongs to the goroutine inside
-// Run.
+// Pool.RunWorker.
 //
 // A lane with no ring is a fused worker's: its driver emits through Fuse,
 // so it stages nothing at all.
@@ -110,35 +107,6 @@ func workerRole(w, mappers int) (role, int) {
 		return mapperRole, w
 	}
 	return combinerRole, w - mappers
-}
-
-// Run executes body as worker l.id of a task-taking pool whose first
-// mappers workers are its mappers (workerRole), on a shard it registers in
-// ledger, under the worker prologue, and always ends by booking the lane
-// and closing its ring, if it has one — the combiner must be notified
-// however the mapper ends, and a push after Close panics. A panicked Map
-// leaves a half-built slab whose elements must never reach Combine (the run
-// is doomed), so after a panic the error goes to fail first and the exit
-// flush is skipped.
-func (l *Lane[E]) Run(ctx context.Context, engine string, mappers, cpu int, ledger *telemetry.Ledger, fail func(error), body func(*telemetry.Worker)) {
-	r, id := workerRole(l.id, mappers)
-	l.tw = ledger.Register(r.label, id)
-	exit := func(failed bool) {
-		if !failed {
-			l.flush()
-		}
-		l.book()
-		if l.q != nil {
-			l.q.Close()
-		}
-	}
-	runWorker(ctx, engine, r, id, cpu, l.tw, func() {
-		body(l.tw)
-		exit(false)
-	}, func(pe *mr.PanicError) {
-		fail(pe)
-		exit(true)
-	})
 }
 
 // Emit stages one element on l; a full slab is published to the ring.
@@ -214,6 +182,14 @@ func (l *Lane[E]) EndTask() (emitted uint64) {
 	return emitted
 }
 
+// FlushRing asks the lane's consumer to fold everything published so far
+// without waiting for a full batch. A fused lane has no consumer.
+func (l *Lane[E]) FlushRing() {
+	if l.q != nil {
+		l.q.Flush()
+	}
+}
+
 // book stores the lane's plain counters on its shard — the pairs it folded
 // and its ring's producer side — and returns the elements it has published
 // so far, pushed or folded.
@@ -254,68 +230,30 @@ func Books(t telemetry.Totals) (mr.QueueStats, mr.StealStats, mr.HelpStats) {
 		}
 }
 
-// Combiners describes one combiner pool over a set of rings: len(Gates)
-// slots, each owning a fixed run of the rings for the whole run (see
-// splitRings). The funcs are the whole interface between the consume loop
-// and its driver.
-type Combiners[E any] struct {
-	Engine string // pprof label and PanicError.Engine
-	Queues []*spsc.Queue[E]
-	Gates  []*spsc.Gate // one per slot; the run's abort path wakes them
-	Order  []int        // ring indices in the order the slots split them
-	CPUs   []int        // per slot, -1 = unpinned
-	Ledger *telemetry.Ledger
-	Trace  *obs.Recorder
-	Hooks  *mr.Hooks
-
-	// Batch is the consume batch size; it must stay within [1, ring
-	// capacity] — a batch larger than the ring could never fill while a
-	// producer is blocked on a full queue, deadlocking the pipeline.
-	Batch int
-	// Apply returns slot's fold: it receives each consumed ring segment
-	// and owns where the elements go.
-	Apply func(slot int) func([]E)
-	// Abort reports whether the run is doomed; Fail records an error and
-	// dooms it (and must wake Gates).
-	Abort func() bool
-	Fail  func(error)
-	// Progress, if set, runs after every round that consumed something.
-	Progress func()
-}
-
-// splitRings deals the rings, in order, over slots by the one split rule,
-// QueueAssignment: each slot gets a dense run of the order, so a pool over
-// the order BuildPlanOn pinned by consumes exactly the rings placed next to
-// each combiner. The split is fixed for the run; nothing ever moves a ring
-// to another slot, which is what makes every ring single-consumer.
-func splitRings(order []int, slots int) [][]int {
-	own := make([][]int, slots)
-	for j, r := range QueueAssignment(len(order), slots) {
-		own[j] = slices.Clone(order[r[0]:r[1]])
-	}
-	return own
-}
-
-// StartCombiners spawns one goroutine per slot, accounted on wg, each over
-// its own run of the rings (whose wake-ups it points at the slot's gate)
-// and on a shard it registers in c.Ledger. A slot exits once every ring it
-// owns is closed and drained.
-func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[E]) {
-	for j, own := range splitRings(c.Order, len(c.Gates)) {
-		for _, qi := range own {
-			c.Queues[qi].SetGate(c.Gates[j])
+// startSlots spawns, on a sibling plan, one goroutine per combiner slot,
+// each on a shard it registers in the ledger and over the run of rings
+// QueueAssignment gives it — the rings of the mappers the plan placed beside
+// it (§III-B, Fig. 3), whose wake-ups it points at the slot's gate. Nothing
+// ever moves a ring to another slot, which is what makes every ring
+// single-consumer. A slot exits once every ring it owns is closed and
+// drained.
+func (p *Pool[E]) startSlots(ctx context.Context, fold func(int) func([]E)) {
+	for j, r := range QueueAssignment(len(p.queues), len(p.gates)) {
+		own := p.queues[r[0]:r[1]:r[1]]
+		for _, q := range own {
+			q.SetGate(p.gates[j])
 		}
-		wg.Add(1)
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			tw := c.Ledger.Register(combinerRole.label, j)
-			runWorker(ctx, c.Engine, combinerRole, j, c.CPUs[j], tw, func() {
-				combine(&c, j, own, tw)
+			defer p.wg.Done()
+			tw := p.Ledger.Register(combinerRole.label, j)
+			runWorker(ctx, p.engine, combinerRole, j, p.plan.CombinerCPU[j], tw, func() {
+				p.combine(p.newSlot(j, own, fold(j), tw))
 			}, func(pe *mr.PanicError) {
-				// A failed combiner keeps draining (and discarding) so
+				// A failed slot keeps draining (and discarding) so
 				// producers blocked on full rings can run to completion.
-				c.Fail(pe)
-				c.drainAbort(j, own, tw)
+				p.Fail(pe)
+				p.drainAbort(j, own, tw)
 			})
 		}()
 	}
@@ -325,21 +263,17 @@ func StartCombiners[E any](ctx context.Context, wg *sync.WaitGroup, c Combiners[
 // discard-drains the rings it owns so producers blocked on full rings can
 // finish, and books them, since a discard counts as a pop. Rings it already
 // retired are drained, and skipped.
-func (c *Combiners[E]) drainAbort(j int, own []int, tw *telemetry.Worker) {
-	qs := make([]*spsc.Queue[E], len(own))
-	for i, qi := range own {
-		qs[i] = c.Queues[qi]
-	}
-	spsc.DrainDiscard(c.Gates[j], qs, c.Batch)
-	c.book(own, tw)
+func (p *Pool[E]) drainAbort(j int, own []*spsc.Queue[E], tw *telemetry.Worker) {
+	spsc.DrainDiscard(p.gates[j], own, p.batch)
+	bookRings(own, tw)
 }
 
-// book stores the consumer side of the rings a slot owns, summed, on its
+// bookRings stores the consumer side of the rings a slot owns, summed, on its
 // shard. The slot is their only consumer, so it may read their counters.
-func (c *Combiners[E]) book(own []int, tw *telemetry.Worker) {
+func bookRings[E any](own []*spsc.Queue[E], tw *telemetry.Worker) {
 	var pops, emptyPolls, shortPolls, batchCalls uint64
-	for _, qi := range own {
-		p, e, s, b := c.Queues[qi].ConsumerStats()
+	for _, q := range own {
+		p, e, s, b := q.ConsumerStats()
 		pops, emptyPolls, shortPolls, batchCalls = pops+p, emptyPolls+e, shortPolls+s, batchCalls+b
 	}
 	tw.StoreConsumer(pops, emptyPolls, shortPolls, batchCalls)
@@ -348,27 +282,25 @@ func (c *Combiners[E]) book(own []int, tw *telemetry.Worker) {
 // slot is one combiner slot's consume state: the rings it owns, the ones
 // not yet drained, and its fold.
 type slot[E any] struct {
-	c         *Combiners[E]
+	p         *Pool[E]
 	j         int
-	own       []int
-	live      []int            // the undrained rings, by index
-	waitOn    []*spsc.Queue[E] // the same rings, which an idle slot parks on
+	own       []*spsc.Queue[E]
+	live      []*spsc.Queue[E] // the undrained rings, which an idle slot parks on
 	tw        *telemetry.Worker
-	fold      func([]E) // Apply's fold for this slot, behind the CombineBatch hook
+	fold      func([]E) // the driver's fold for this slot, behind the CombineBatch hook
 	drainHook func(int)
 	draining  bool
 }
 
 // newSlot builds slot j's state over the rings it owns.
-func newSlot[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) *slot[E] {
-	s := &slot[E]{c: c, j: j, own: own, live: slices.Clone(own), waitOn: make([]*spsc.Queue[E], 0, len(own)), tw: tw}
-	s.fold = c.Apply(j)
-	if hk := c.Hooks; hk != nil {
+func (p *Pool[E]) newSlot(j int, own []*spsc.Queue[E], fold func([]E), tw *telemetry.Worker) *slot[E] {
+	s := &slot[E]{p: p, j: j, own: own, live: slices.Clone(own), tw: tw, fold: fold}
+	if hk := p.cfg.Hooks; hk != nil {
 		s.drainHook = hk.CombineDrain
-		if apply := s.fold; hk.CombineBatch != nil {
+		if hk.CombineBatch != nil {
 			s.fold = func(seg []E) {
 				hk.CombineBatch(j)
-				apply(seg)
+				fold(seg)
 			}
 		}
 	}
@@ -381,9 +313,7 @@ func newSlot[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) *sl
 // slot's rings. It takes no lock: no other goroutine ever consumes them.
 func (s *slot[E]) round() (consumed, retired int) {
 	kept := s.live[:0]
-	s.waitOn = s.waitOn[:0]
-	for _, qi := range s.live {
-		q := s.c.Queues[qi]
+	for _, q := range s.live {
 		closed := q.Closed()
 		if closed && !s.draining {
 			s.draining = true
@@ -391,15 +321,14 @@ func (s *slot[E]) round() (consumed, retired int) {
 				s.drainHook(s.j)
 			}
 		}
-		consumed += q.ConsumeBatch(s.c.Batch, closed || q.Flushing(), s.fold)
+		consumed += q.ConsumeBatch(s.p.batch, closed || q.Flushing(), s.fold)
 		if !q.Drained() {
-			kept = append(kept, qi)
-			s.waitOn = append(s.waitOn, q)
+			kept = append(kept, q)
 		}
 	}
 	retired = len(s.live) - len(kept)
 	s.live = kept
-	s.c.book(s.own, s.tw)
+	bookRings(s.own, s.tw)
 	return consumed, retired
 }
 
@@ -409,21 +338,20 @@ func (s *slot[E]) round() (consumed, retired int) {
 // discard-drain instead, so producers blocked on full rings unwedge without
 // burning user-code cycles. A panic in a fold unwinds straight to the slot's
 // recovery.
-func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
-	track := c.Trace.Worker("combiner", j)
+func (p *Pool[E]) combine(s *slot[E]) {
+	track := p.cfg.Trace.Worker("combiner", s.j)
 	defer track.Publish()
-	s := newSlot(c, j, own, tw)
 	// state stores only on transitions, not once per round.
 	curState := telemetry.StateIdle
 	setState := func(st telemetry.State) {
 		if st != curState {
 			curState = st
-			tw.SetState(st)
+			s.tw.SetState(st)
 		}
 	}
 	for len(s.live) > 0 {
-		if c.Abort() {
-			c.drainAbort(j, own, tw)
+		if p.abort.Load() {
+			p.drainAbort(s.j, s.own, s.tw)
 			return
 		}
 		end := track.Span("consume")
@@ -436,12 +364,12 @@ func combine[E any](c *Combiners[E], j int, own []int, tw *telemetry.Worker) {
 			} else {
 				setState(telemetry.StateWorking)
 			}
-			if c.Progress != nil {
-				c.Progress()
+			if p.progress != nil {
+				p.progress()
 			}
 		case retired == 0:
 			setState(telemetry.StateIdle)
-			spsc.Park(c.Gates[j], s.waitOn, c.Batch, c.Abort)
+			spsc.Park(p.gates[s.j], s.live, p.batch, p.abort.Load)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
-	"ramr/internal/telemetry"
 )
 
 // TestEachRingHasOneConsumer: every ring is consumed by the one slot the
@@ -28,56 +26,30 @@ import (
 func TestEachRingHasOneConsumer(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		const rings, slots = 4, 2
-		qs, gates := testQueues(rings), testGates(slots)
 		plan := faultinject.Plan{Kind: faultinject.PanicCombineBatch, Worker: 0, Nth: 3}
 		in := faultinject.NewInjector(plan, rings, slots, nil)
-		hooks := in.Hooks()
+		p := shipPool(t, rings, slots, 8, 2, in.Hooks())
 
 		var (
-			abort  atomic.Bool
-			mu     sync.Mutex
-			errs   []error
 			folder = make([]atomic.Int32, rings) // 1 + the slot that folded ring r; 0 = none yet
-			wg     sync.WaitGroup
+			twice  atomic.Int32                  // folds of a ring by a second slot
 			prodWG sync.WaitGroup
 		)
-		fail := func(err error) {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-			if abort.CompareAndSwap(false, true) {
-				for _, g := range gates {
-					g.Wake()
-				}
-			}
-		}
-		StartCombiners(context.Background(), &wg, Combiners[pair[int, int]]{
-			Engine: "test",
-			Queues: qs,
-			Gates:  gates,
-			Order:  ident(rings),
-			CPUs:   []int{-1, -1},
-			Ledger: telemetry.NewLedger("test"),
-			Hooks:  hooks,
-			Batch:  2,
-			Apply: func(slot int) func([]pair[int, int]) {
-				return func(seg []pair[int, int]) {
-					for _, e := range seg {
-						if prev := folder[e.K].Swap(int32(slot) + 1); prev != 0 && prev != int32(slot)+1 {
-							fail(fmt.Errorf("ring %d folded by slots %d and %d", e.K, prev-1, slot))
-						}
+		p.startSlots(context.Background(), func(slot int) func([]pair[int, int]) {
+			return func(seg []pair[int, int]) {
+				for _, e := range seg {
+					if prev := folder[e.K].Swap(int32(slot) + 1); prev != 0 && prev != int32(slot)+1 {
+						twice.Add(1)
 					}
 				}
-			},
-			Abort: abort.Load,
-			Fail:  fail,
+			}
 		})
-		for r, q := range qs {
+		for r, q := range p.queues {
 			prodWG.Add(1)
 			go func() {
 				defer prodWG.Done()
 				defer q.Close()
-				for i := 0; i < 10_000 && !abort.Load(); i++ {
+				for i := 0; i < 10_000 && !p.Aborted(); i++ {
 					q.PushBatch([]pair[int, int]{{K: r, V: i}})
 				}
 			}()
@@ -85,7 +57,7 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			prodWG.Wait()
-			wg.Wait()
+			p.Wait() // reports every ring to the injector's QueueObserver
 			close(done)
 		}()
 		select {
@@ -95,18 +67,15 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 		}
 
 		var pe *mr.PanicError
-		if len(errs) != 1 || !errors.As(errs[0], &pe) {
-			t.Fatalf("run errors = %v, want only the injected *mr.PanicError", errs)
+		if !errors.As(p.Err(), &pe) || twice.Load() != 0 {
+			t.Fatalf("run error %v and %d folds by a second slot; want only the injected *mr.PanicError", p.Err(), twice.Load())
 		}
-		for j, own := range splitRings(ident(rings), slots) {
-			for _, r := range own {
+		for j, rng := range QueueAssignment(rings, slots) {
+			for r := rng[0]; r < rng[1]; r++ {
 				if f := folder[r].Load(); f != 0 && f != int32(j)+1 {
 					t.Fatalf("ring %d, owned by slot %d, was folded by slot %d", r, j, f-1)
 				}
 			}
-		}
-		for r, q := range qs {
-			hooks.QueueObserver(r, q.Drained(), q.Snapshot())
 		}
 		if err := faultinject.CheckQueues(in.QueueReports()); err != nil {
 			t.Fatal(err)
@@ -127,17 +96,12 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 // no allocation either. The fused emit closures are built once, outside the
 // measured runs, as the drivers build one per worker.
 func TestLedgerCostsNoAllocation(t *testing.T) {
-	ledger := telemetry.NewLedger("test")
-	q := spsc.MustNew[pair[int, int]](64, spsc.WaitSleep)
+	p := shipPool(t, 1, 1, 64, 8, nil)
+	ledger, q := p.Ledger, p.queues[0]
 	q.SetGate(spsc.NewGate())
 	lane := NewLane(q, 8, 0, nil)
 	lane.tw = ledger.Register("mapper", 0)
-	c := Combiners[pair[int, int]]{
-		Queues: []*spsc.Queue[pair[int, int]]{q},
-		Batch:  8,
-		Apply:  func(int) func([]pair[int, int]) { return func([]pair[int, int]) {} },
-	}
-	s := newSlot(&c, 0, []int{0}, ledger.Register("combiner", 0))
+	s := p.newSlot(0, p.queues, func([]pair[int, int]) {}, ledger.Register("combiner", 0))
 
 	discard := func([]pair[int, int]) {}
 	if n := testing.AllocsPerRun(100, func() {

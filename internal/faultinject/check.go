@@ -44,8 +44,7 @@ func CheckQueues(reports []QueueReport) error {
 // package (whose own stack mentions the package) never matches itself.
 var workerSites = []string{
 	"ramr/internal/core.RunContext",
-	"ramr/internal/core.StartCombiners",
-	"ramr/internal/core.(*Lane",
+	"ramr/internal/core.(*Pool[",
 	"ramr/internal/sched.(*Scheduler).startLocked",
 	"ramr/internal/sched.runSafe",
 	"ramr/internal/stream.(",

@@ -72,10 +72,10 @@ func TestWorkerStacksSeeEveryEngine(t *testing.T) {
 		also string
 	}{
 		{"ramr/fused", batch(core.RunContext[int, int, int, int], false), ""},
-		{"ramr/sibling", batch(core.RunContext[int, int, int, int], true), "ramr/internal/core.StartCombiners"},
+		{"ramr/sibling", batch(core.RunContext[int, int, int, int], true), "ramr/internal/core.(*Pool[...]).startSlots"},
 		{"phoenix", batch(core.RunPhoenixContext[int, int, int, int], false), ""},
 		{"stream/fused", session(false), ""},
-		{"stream/sibling", session(true), "ramr/internal/core.StartCombiners"},
+		{"stream/sibling", session(true), "ramr/internal/core.(*Pool[...]).startSlots"},
 	} {
 		cfg := mr.DefaultConfig()
 		cfg.Mappers, cfg.Combiners = 2, 1

@@ -61,11 +61,15 @@ func ParsePinPolicy(s string) (PinPolicy, error) {
 // Config carries every tuning knob of the runtimes. The zero value is not
 // runnable; start from DefaultConfig (or FromEnv) and override fields.
 type Config struct {
-	// Mappers is the number of map workers (also the reduce/merge
-	// worker count, as both pools reuse the general-purpose pool).
+	// Mappers is the number of map workers. With Combiners it sizes the
+	// run's pool: the paper's pipeline when the pinning plan ships pairs
+	// (core.Plan.ShipsPairs), else one fused pool of Mappers+Combiners
+	// workers, capped at CPUGrant's size. Reduce and sort run as wide as
+	// the pool.
 	Mappers int
-	// Combiners is the number of combine workers (RAMR only). When 0,
-	// it is derived as Mappers/Ratio.
+	// Combiners is the number of combine workers, in both engines: on a
+	// fused pool each is one more worker that maps and folds. When 0, it
+	// is derived as Mappers/Ratio.
 	Combiners int
 	// Ratio is the mapper-to-combiner ratio used when Combiners is 0.
 	// §III-B: "according to the ratio of mapper-to-combiner threads, a

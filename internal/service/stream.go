@@ -273,7 +273,8 @@ func (s *Service) streamEntry(w http.ResponseWriter, r *http.Request) (*entry, b
 // with the assigned tick, 429 with Retry-After under backpressure
 // (derived from the pending backlog and the SPSC failed-push rate), 409
 // for late chunks, closed sessions and dead sessions, 400 for malformed
-// payloads.
+// payloads and for ticks out of range (negative, or with a window ending
+// past the largest int64).
 func (s *Service) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.streamEntry(w, r)
 	if !ok {
@@ -285,6 +286,10 @@ func (s *Service) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, lg, http.StatusBadRequest, fmt.Errorf("decoding chunk: %w", err))
+		return
+	}
+	if req.Ts != nil && *req.Ts < 0 {
+		writeErr(w, lg, http.StatusBadRequest, fmt.Errorf("chunk tick %d is negative; omit ts to auto-assign one", *req.Ts))
 		return
 	}
 	sess, err := e.stream.await(r.Context())

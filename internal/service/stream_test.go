@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -217,6 +218,29 @@ func TestStreamBackpressure429(t *testing.T) {
 	}
 	if code, doc, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/close", id), `{}`); code != http.StatusOK {
 		t.Fatalf("close after backpressure: HTTP %d (%v)", code, doc)
+	}
+	waitDone(t, ts, id)
+	checkNoWorkerLeak(t)
+}
+
+// TestStreamChunkTickOutOfRange400: an explicit tick must name a window the
+// session can seal. A negative ts is a client error, not an omitted one (an
+// omitted ts is auto-assigned), and so is a tick whose window would end
+// past the largest int64; both draw 400 and leave the session open.
+func TestStreamChunkTickOutOfRange400(t *testing.T) {
+	_, ts, _ := newTestService(t, 0)
+	id := openStream(t, ts, `{"window":1}`)
+	for _, tick := range []int64{-7, -1, math.MaxInt64} {
+		if code, doc, _ := postChunk(t, ts, id, tick, 512); code != http.StatusBadRequest {
+			t.Fatalf("chunk at tick %d: HTTP %d (%v), want 400", tick, code, doc)
+		}
+	}
+	code, doc, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/chunks", id), `{"elements":512}`)
+	if code != http.StatusAccepted || doc["ts"].(float64) != 0 {
+		t.Fatalf("chunk with ts omitted: HTTP %d (%v), want 202 at tick 0", code, doc)
+	}
+	if code, doc, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/close", id), `{}`); code != http.StatusOK {
+		t.Fatalf("close: HTTP %d (%v)", code, doc)
 	}
 	waitDone(t, ts, id)
 	checkNoWorkerLeak(t)

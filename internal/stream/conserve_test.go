@@ -65,8 +65,8 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 // fused workers with no ring.
 func checkArm[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], ship bool) {
 	t.Helper()
-	if p.fused == ship || (len(p.queues) > 0) != ship {
-		t.Fatalf("ship=%v: the session is fused=%v with %d rings", ship, p.fused, len(p.queues))
+	if p.pool.Ship != ship {
+		t.Fatalf("ship=%v: the session's pool ships=%v", ship, p.pool.Ship)
 	}
 }
 
@@ -225,8 +225,8 @@ func TestConserveMapBoundSession(t *testing.T) {
 						t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
 					}
 				}
-				if helped.Load() != p.fused {
-					t.Fatalf("combine worker mapped after the lull: %v, want %v (help %+v)", helped.Load(), p.fused, p.HelpStats())
+				if helped.Load() == p.pool.Ship {
+					t.Fatalf("combine worker mapped after the lull: %v, want %v (help %+v)", helped.Load(), !p.pool.Ship, p.HelpStats())
 				}
 				checkBooks(t, p, arm.ship, mapperTakes.Load(), total)
 				checkNoLeak(t, before)
@@ -365,8 +365,8 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := observed.Load(); n != 0 || len(p.queues) != 0 || len(p.gates) != 0 {
-		t.Fatalf("queue observer fired %d times, %d rings and %d gates built; want none", n, len(p.queues), len(p.gates))
+	if n := observed.Load(); n != 0 || p.pool.Ship {
+		t.Fatalf("queue observer fired %d times, ships=%v; want no ring", n, p.pool.Ship)
 	}
 	if qs := p.QueueStats(); qs != (mr.QueueStats{}) {
 		t.Fatalf("queue stats %+v, want zero", qs)
@@ -423,8 +423,8 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.fused || len(p.cpus) != 1 || p.width != 1 {
-		t.Fatalf("fused %v, %d workers, reduce width %d; want one fused worker", p.fused, len(p.cpus), p.width)
+	if p.pool.Ship || len(p.pool.CPUs) != 1 || p.pool.Width != 1 {
+		t.Fatalf("ships %v, %d workers, reduce width %d; want one fused worker", p.pool.Ship, len(p.pool.CPUs), p.pool.Width)
 	}
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
@@ -440,8 +440,8 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := observed.Load(); n != 0 || len(p.queues) != 0 || p.QueueStats() != (mr.QueueStats{}) {
-		t.Fatalf("queue observer fired %d times, %d rings built, queue stats %+v; want no ring", n, len(p.queues), p.QueueStats())
+	if n := observed.Load(); n != 0 || p.pool.Ship || p.QueueStats() != (mr.QueueStats{}) {
+		t.Fatalf("queue observer fired %d times, ships=%v, queue stats %+v; want no ring", n, p.pool.Ship, p.QueueStats())
 	}
 	if n := outside.Load(); n != 0 {
 		t.Fatalf("%d splits mapped by a worker other than 0", n)
@@ -475,8 +475,7 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 		p.paneFor(pane).splitsIn.Add(1000)
 	}
 	for _, w := range []int{0, cfg.Mappers} {
-		lane := core.NewLane[streamPair[int, uint64]](nil, cfg.EmitBatch, w, nil)
-		lane.Run(context.Background(), "stream", cfg.Mappers, -1, p.ledger, func(err error) { t.Fatal(err) }, func(*telemetry.Worker) {
+		p.pool.RunWorker(context.Background(), w, func(w int, lane *core.Lane[streamPair[int, uint64]], _ *telemetry.Worker) {
 			step, n := p.taskStep(w, lane), 0
 			if allocs := testing.AllocsPerRun(100, func() {
 				step(task[int]{split: 32, pane: int64(n % 2)})
@@ -485,6 +484,9 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 				t.Errorf("worker %d's step allocates %.1f times", w, allocs)
 			}
 		})
+	}
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if h := p.HelpStats(); h.Tasks != 101 || h.CombinerPairs != 101*32 || h.MapperPairs != 101*32 {
 		t.Fatalf("help %+v: want 101 steps of 32 pairs on each worker", h)
@@ -518,7 +520,7 @@ func TestUninstrumentedSessionReadsLive(t *testing.T) {
 				}
 			}
 			live := func(qs mr.QueueStats, h mr.HelpStats) bool {
-				if p.fused {
+				if !p.pool.Ship {
 					return h.Tasks > 0 && h.CombinerPairs > 0
 				}
 				return qs.Pushes > 0 && qs.Pops > 0

@@ -3,12 +3,12 @@
 // that absorbs input chunks over time and emits per-window snapshot
 // results without ever tearing its workers down.
 //
-// The batch engine's building blocks are reused wholesale — the pipeline
-// kernel itself (core.Lane on every task-taking worker, core.Fuse on a fused
-// one, core.StartCombiners' consume loop on every combiner), per-mapper SPSC
-// rings (internal/spsc), private containers (internal/container), the
-// contention-aware pinning plan (core.BuildPlanOn) and the run's ledger with
-// its statistics (core.Books) — but the lifecycle inverts: instead of
+// The batch engine's building blocks are reused wholesale — its pool of
+// workers placed once (core.Pool: the pinning plan, the rings and combiner
+// slots, the failure latch and the ledger), the pipeline kernel (core.Lane on
+// every task-taking worker, core.Fuse on a fused one), private containers
+// (internal/container) and the run's statistics (core.Books) — but the
+// lifecycle inverts: instead of
 // "partition once, run to drain, merge once", workers block on a task
 // channel fed by Append, fold into per-pane containers keyed by event time,
 // and a sealer goroutine merges, reduces and publishes each window the
@@ -27,17 +27,15 @@
 // tracked by per-pane conservation counters (splits in/done, pairs not yet
 // folded).
 //
-// Placement (DESIGN.md §5.2) follows the batch engine's rule
-// (core.Plan.ShipsPairs): a session ships pairs only when its pinning plan
-// puts some combiner on an SMT sibling of its mappers. Every other session is
-// one pool of identical fused workers, one per mapper and combiner but never
-// more than its grant has CPUs (core.Plan.FusedPool), and builds no ring,
-// gate or combiner slot. Each takes a split, points its container at the
-// split's pane — its own per-pane containers, picked once per task — and
-// folds every pair there as it is made, so a pane quiesces once its splits
-// are done. On a sibling plan the session is the paper's pipeline: mappers
-// ship pane-tagged pairs through rings, and combiner slots fold them or
-// park.
+// Placement (DESIGN.md §5.2) is the batch engine's, made by the same
+// core.Pool: a session ships pairs only when its pinning plan puts some
+// combiner on an SMT sibling of its mappers. Every other session is one pool
+// of identical fused workers sized to its grant. Each takes a split, points
+// its container at the split's pane — its own per-pane containers, picked
+// once per task — and folds every pair there as it is made, so a pane
+// quiesces once its splits are done. On a sibling plan the session is the
+// paper's pipeline: mappers ship pane-tagged pairs through rings, and
+// combiner slots fold them or park.
 package stream
 
 import (
@@ -45,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +50,6 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/spsc"
 	"ramr/internal/telemetry"
 )
 
@@ -198,22 +194,11 @@ type Stats struct {
 // drains and seals everything; the worker goroutines live for the whole
 // session, across every window.
 type Pipeline[S any, K comparable, V, R any] struct {
-	spec *mr.Spec[S, K, V, R]
-	cfg  mr.Config
-	win  mr.StreamSpec // resolved
-
-	mappers   int
-	combiners int
-	fused     bool // the plan ships no pair: fused workers, no ring
-	plan      core.Plan
-	cpus      []int                           // per task-taking worker: the fused pool, or the mappers
-	width     int                             // the pools' width, and the sealer's reduce width
-	queues    []*spsc.Queue[streamPair[K, V]] // per mapper, unless fused
-	gates     []*spsc.Gate                    // per combiner, unless fused: where it parks between chunks
-	owners    []*paneSet[K, V]                // per combiner slot, or per fused worker
-	ledger    *telemetry.Ledger               // the session's books: a shard per worker
-	tel       *telemetry.Telemetry
-	batch     int // consume batch, clamped to the ring
+	spec   *mr.Spec[S, K, V, R]
+	cfg    mr.Config
+	win    mr.StreamSpec // resolved
+	pool   *core.Pool[streamPair[K, V]]
+	owners []*paneSet[K, V] // per container owner of the pool
 
 	// OnSeal, when set before Start, is invoked from the sealer
 	// goroutine after each window is published (service wires per-window
@@ -241,15 +226,7 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	backpressured atomic.Uint64
 	lateRejected  atomic.Uint64
 
-	firstErr mr.FirstError
-	abort    atomic.Bool
-	dying    chan struct{} // closed on first failure/cancel
-	dieOnce  sync.Once
-
-	flushing   atomic.Bool
-	flushCh    chan struct{}
-	mapWG      sync.WaitGroup // the task-taking workers
-	combWG     sync.WaitGroup // the combiner slots, unless fused
+	flushCh    chan struct{} // closed once the session is closed and its pool joined
 	sealerDone chan struct{}
 	stopped    chan struct{} // closed when every goroutine has exited
 	started    bool
@@ -269,57 +246,27 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	if cfg.Stream == nil {
 		return nil, errors.New("stream: Config.Stream is required for a resident pipeline")
 	}
-	machine := cfg.ResolveMachine()
-	if err := cfg.ValidateGrant(machine); err != nil {
+	pool, err := core.NewPool[streamPair[K, V]](cfg, cfg.Pin, "stream")
+	if err != nil {
 		return nil, err
 	}
 	win := cfg.Stream.Resolved()
-	mappers := cfg.Mappers
-	combiners := cfg.NumCombiners()
 	p := &Pipeline[S, K, V, R]{
 		spec:       spec,
 		cfg:        cfg,
 		win:        win,
-		mappers:    mappers,
-		combiners:  combiners,
-		ledger:     telemetry.NewLedger("stream"),
-		tel:        cfg.Telemetry,
+		pool:       pool,
 		taskCh:     make(chan task[S], win.MaxPending),
 		panes:      make(map[int64]*paneState),
 		windows:    make(map[int64]*Window[K, R]),
 		sealWake:   make(chan struct{}, 1),
 		flushCh:    make(chan struct{}),
-		dying:      make(chan struct{}),
 		sealerDone: make(chan struct{}),
 		stopped:    make(chan struct{}),
 	}
 	p.maxTs.Store(-1)
 	p.maxPane = -1
-	// A session whose plan ships nothing is one fused pool sized to its
-	// grant: each worker owns per-pane containers, and no ring or gate is
-	// built. Otherwise a ring per mapper feeds combiner slots that own the
-	// containers.
-	p.plan = core.BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
-	p.fused = !p.plan.ShipsPairs(machine)
-	p.cpus = p.plan.FusedPool(cfg.CPUGrant)
-	owners := len(p.cpus)
-	p.width = owners
-	if !p.fused {
-		p.cpus, p.width = p.plan.MapperCPU, mappers+combiners
-		owners = combiners
-		p.batch = min(cfg.BatchSize, cfg.QueueCapacity)
-		for i := 0; i < mappers; i++ {
-			q, err := spsc.New[streamPair[K, V]](cfg.QueueCapacity, spsc.WaitSleep)
-			if err != nil {
-				return nil, err
-			}
-			p.queues = append(p.queues, q)
-		}
-		for j := 0; j < combiners; j++ {
-			p.gates = append(p.gates, spsc.NewGate())
-		}
-	}
-	for range owners {
+	for range pool.Owners {
 		p.owners = append(p.owners, &paneSet[K, V]{panes: make(map[int64]container.Container[K, V])})
 	}
 	return p, nil
@@ -336,77 +283,31 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 	}
 	p.started = true
 	p.startAt = time.Now()
-	// The sampler is the ledger's one optional reader; it stops with the
-	// session's last worker.
-	stopSampler := func() {}
-	if p.tel != nil {
-		p.tel.BeginRun(p.ledger)
-		for i, q := range p.queues {
-			p.tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
-		}
-		stopSampler = p.tel.Stop
-	}
-	if !p.fused {
-		// The combiner pool is the batch engine's, split over the mappers
-		// in index order (what the plan pinned by).
-		order := make([]int, p.mappers)
-		for i := range order {
-			order[i] = i
-		}
-		core.StartCombiners(context.Background(), &p.combWG, core.Combiners[streamPair[K, V]]{
-			Engine:   "stream",
-			Queues:   p.queues,
-			Gates:    p.gates,
-			Order:    order,
-			CPUs:     p.plan.CombinerCPU,
-			Ledger:   p.ledger,
-			Hooks:    p.cfg.Hooks,
-			Batch:    p.batch,
-			Apply:    p.foldInto,
-			Abort:    p.abort.Load,
-			Fail:     p.fail,
-			Progress: p.kickSealer,
-		})
-	}
-	for w, cpu := range p.cpus {
-		p.mapWG.Add(1)
-		go p.runWorker(w, cpu)
-	}
+	p.pool.Start(context.Background(), p.work, p.foldInto, p.kickSealer)
 	go p.sealLoop()
-	// The janitor turns "every worker exited" into the stopped signal,
-	// for both the orderly Close path and the Cancel/failure path.
+	// The janitor turns "every worker exited" into the flush signal, once
+	// the session is closed (the sealer treats flush mode as "everything is
+	// quiescent"), and then into the stopped signal, for both the orderly
+	// Close path and the Cancel/failure path.
 	go func() {
-		p.mapWG.Wait()
-		p.combWG.Wait()
-		<-p.sealerDone
-		if hk := p.cfg.Hooks; hk != nil && hk.QueueObserver != nil {
-			for i, q := range p.queues {
-				hk.QueueObserver(i, q.Drained(), q.Snapshot())
-			}
+		p.pool.Wait()
+		p.appendMu.Lock()
+		closed := p.closed
+		p.appendMu.Unlock()
+		if closed {
+			close(p.flushCh)
 		}
-		stopSampler()
+		<-p.sealerDone
+		if tel := p.cfg.Telemetry; tel != nil {
+			tel.Stop() // the sampler, which the pool started
+		}
 		close(p.stopped)
 	}()
 	return nil
 }
 
-// fail records the session's first error and trips the abort path:
-// workers stop taking tasks, combiners (woken if parked) switch to
-// discard-draining so producers blocked on full rings unwedge, the
-// sealer exits.
-func (p *Pipeline[S, K, V, R]) fail(err error) {
-	p.firstErr.Set(err)
-	p.abort.Store(true)
-	p.dieOnce.Do(func() {
-		close(p.dying)
-		for _, g := range p.gates {
-			g.Wake()
-		}
-	})
-}
-
 // Cancel aborts the session without draining.
-func (p *Pipeline[S, K, V, R]) Cancel() { p.fail(context.Canceled) }
+func (p *Pipeline[S, K, V, R]) Cancel() { p.pool.Fail(context.Canceled) }
 
 // CancelWait is Cancel plus waiting for every worker to exit.
 func (p *Pipeline[S, K, V, R]) CancelWait() {
@@ -420,7 +321,7 @@ func (p *Pipeline[S, K, V, R]) Done() <-chan struct{} { return p.stopped }
 
 // Err returns the session's first error: nil after a clean Close,
 // context.Canceled after Cancel, the mr.PanicError after a worker panic.
-func (p *Pipeline[S, K, V, R]) Err() error { return p.firstErr.Get() }
+func (p *Pipeline[S, K, V, R]) Err() error { return p.pool.Err() }
 
 // watermark returns maxTs - Lateness (negative before enough ticks).
 func (p *Pipeline[S, K, V, R]) watermark() int64 {
@@ -435,7 +336,7 @@ func (p *Pipeline[S, K, V, R]) watermark() int64 {
 func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
-	if err := p.firstErr.Get(); err != nil {
+	if err := p.pool.Err(); err != nil {
 		return 0, err
 	}
 	if p.closed || !p.started {
@@ -447,6 +348,10 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 	ts := c.Ts
 	if ts < 0 {
 		ts = p.maxTs.Load() + 1
+	}
+	pane := ts / p.win.Slide
+	if pane > (math.MaxInt64-p.win.Window)/p.win.Slide {
+		return 0, fmt.Errorf("stream: chunk tick %d is out of range: its window would end past the largest tick", ts)
 	}
 	if wm := p.watermark(); ts < wm {
 		p.lateRejected.Add(1)
@@ -461,7 +366,6 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 			Limit:      p.win.MaxPending,
 		}
 	}
-	pane := ts / p.win.Slide
 	if n > 0 {
 		ps := p.paneFor(pane)
 		ps.splitsIn.Add(int64(n))
@@ -512,6 +416,18 @@ func (p *Pipeline[S, K, V, R]) paneFor(pane int64) *paneState {
 	return ps
 }
 
+// firstPane returns the lowest pane holding data, or math.MaxInt64 if none
+// does.
+func (p *Pipeline[S, K, V, R]) firstPane() int64 {
+	p.paneMu.Lock()
+	defer p.paneMu.Unlock()
+	first := int64(math.MaxInt64)
+	for pane := range p.panes {
+		first = min(first, pane)
+	}
+	return first
+}
+
 // lookupPane returns the pane's state without creating it.
 func (p *Pipeline[S, K, V, R]) lookupPane(pane int64) *paneState {
 	p.paneMu.Lock()
@@ -539,7 +455,7 @@ func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]
 	var pane int64
 	var cur container.Container[K, V]
 	var emit func(K, V)
-	if p.fused {
+	if !p.pool.Ship {
 		emit = core.Fuse(lane, &cur, p.spec.Combine)
 	} else {
 		emit = core.HookEmit(lane, func(k K, v V) {
@@ -548,7 +464,7 @@ func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]
 	}
 	return func(t task[S]) {
 		pane = t.pane
-		if p.fused {
+		if !p.pool.Ship {
 			cur = p.owners[w].container(pane, p.spec.NewContainer)
 		}
 		lane.BeginTask()
@@ -556,7 +472,7 @@ func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]
 		emitted := lane.EndTask()
 		ps := p.lookupPane(pane)
 		ps.elements.Add(emitted)
-		if !p.fused {
+		if p.pool.Ship {
 			ps.unfolded.Add(int64(emitted))
 		}
 		ps.splitsDone.Add(1)
@@ -565,47 +481,35 @@ func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]
 	}
 }
 
-// runWorker is resident worker w, pinned to cpu: take a split, step it,
-// repeat until the task channel closes (Close) or the session dies. Worker
-// w < mappers is map worker w; in a fused session the rest are combine
-// workers, fused like every other.
-func (p *Pipeline[S, K, V, R]) runWorker(w, cpu int) {
-	defer p.mapWG.Done()
-	var q *spsc.Queue[streamPair[K, V]]
-	if !p.fused {
-		q = p.queues[w]
-	}
-	lane := core.NewLane(q, p.cfg.EmitBatch, w, p.cfg.Hooks)
-	lane.Run(context.Background(), "stream", p.mappers, cpu, p.ledger, p.fail, func(tw *telemetry.Worker) {
-		step := p.taskStep(w, lane)
-		for {
-			select {
-			case <-p.dying:
+// work is resident worker w's body: take a split, step it, repeat until the
+// task channel closes (Close) or the session dies.
+func (p *Pipeline[S, K, V, R]) work(w int, lane *core.Lane[streamPair[K, V]], tw *telemetry.Worker) {
+	step := p.taskStep(w, lane)
+	for {
+		select {
+		case <-p.pool.Dying():
+			return
+		case t, ok := <-p.taskCh:
+			if !ok {
 				return
-			case t, ok := <-p.taskCh:
-				if !ok {
-					return
-				}
-				// An aborting session must not run user code on queued
-				// tasks; combiners are discarding anyway.
-				if p.abort.Load() {
-					p.pending.Add(-1)
-					continue
-				}
-				step(t)
-				if q != nil {
-					// Under sustained load combiners wait for full batches
-					// (§IV-C), but this split's pane cannot seal until its
-					// last pair is folded, and the next full batch may be a
-					// long way off — this mapper may go idle, or be handed a
-					// slow or sparse split. Have the combiner fold what the
-					// ring holds now.
-					q.Flush()
-				}
-				tw.SetState(telemetry.StateIdle)
 			}
+			// An aborting session must not run user code on queued
+			// tasks; combiners are discarding anyway.
+			if p.pool.Aborted() {
+				p.pending.Add(-1)
+				continue
+			}
+			step(t)
+			// Under sustained load combiners wait for full batches
+			// (§IV-C), but this split's pane cannot seal until its last
+			// pair is folded, and the next full batch may be a long way
+			// off — this mapper may go idle, or be handed a slow or
+			// sparse split. Have the combiner fold what the ring holds
+			// now.
+			lane.FlushRing()
+			tw.SetState(telemetry.StateIdle)
 		}
-	})
+	}
 }
 
 // HelpStats counts what the session's fused workers folded where they made
@@ -614,7 +518,7 @@ func (p *Pipeline[S, K, V, R]) runWorker(w, cpu int) {
 // of one on a sibling plan, whose pairs all cross a ring.
 // Like QueueStats it is read from the session's ledger, live or stopped.
 func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
-	_, _, help := core.Books(p.ledger.Totals())
+	_, _, help := core.Books(p.pool.Ledger.Totals())
 	return help
 }
 
@@ -623,7 +527,7 @@ func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
 // container and off its unfolded count.
 func (p *Pipeline[S, K, V, R]) foldInto(j int) func([]streamPair[K, V]) {
 	cs := p.owners[j]
-	scratch := make([]container.KV[K, V], 0, p.batch)
+	var scratch []container.KV[K, V]
 	curPane := int64(math.MinInt64)
 	var curC container.Container[K, V]
 	var curPS *paneState
@@ -672,11 +576,16 @@ func (p *Pipeline[S, K, V, R]) sealLoop() {
 	defer close(p.sealerDone)
 	next := int64(0)
 	for {
-		// The flush flag is captured BEFORE the limit: if it flips true
-		// after this read, the pending flushCh wake re-enters the loop
-		// and the final windows seal then — returning on a flag read
-		// after a stale limit would drop them.
-		flush := p.flushing.Load()
+		// The flush signal is read BEFORE the limit: if it fires after
+		// this read, the pending flushCh wake re-enters the loop and the
+		// final windows seal then — returning on a signal read after a
+		// stale limit would drop them.
+		flush := false
+		select {
+		case <-p.flushCh:
+			flush = true
+		default:
+		}
 		limit := p.sealableBefore()
 		if flush {
 			// Final flush: every pane with data belongs to some window
@@ -687,6 +596,13 @@ func (p *Pipeline[S, K, V, R]) sealLoop() {
 			p.paneMu.Unlock()
 		}
 		if next < limit {
+			// The windows before the first pane holding data are empty:
+			// skip them in one step, so sealing costs what the panes with
+			// data cost, however far apart their ticks lie.
+			if first := p.firstPane() - p.win.PanesPerWindow() + 1; first > next {
+				next = min(first, limit)
+				continue
+			}
 			if !p.sealWindow(next) {
 				return // session died while waiting for quiescence
 			}
@@ -697,7 +613,7 @@ func (p *Pipeline[S, K, V, R]) sealLoop() {
 			return
 		}
 		select {
-		case <-p.dying:
+		case <-p.pool.Dying():
 			return
 		case <-p.sealWake:
 		case <-p.flushCh:
@@ -747,7 +663,7 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 		// that lands between the check and the wait is not lost.
 		for !p.windowQuiesced(n) {
 			select {
-			case <-p.dying:
+			case <-p.pool.Dying():
 				return false
 			case <-p.sealWake:
 			}
@@ -764,7 +680,7 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	if hasData {
 		pairs, err := p.windowPairs(n, k)
 		if err != nil {
-			p.fail(err)
+			p.pool.Fail(err)
 			return false
 		}
 		w := &Window[K, R]{
@@ -824,7 +740,7 @@ func (p *Pipeline[S, K, V, R]) windowPairs(n, k int64) (pairs []mr.Pair[K, R], e
 			}
 		}()
 	}
-	if pairs, err = mr.ReduceAll(out, p.spec.Reduce, p.width); err != nil {
+	if pairs, err = mr.ReduceAll(out, p.spec.Reduce, p.pool.Width); err != nil {
 		return nil, err
 	}
 	mr.SortPairs(pairs, p.spec.Less)
@@ -843,22 +759,11 @@ func (p *Pipeline[S, K, V, R]) Close(ctx context.Context) error {
 		p.appendMu.Unlock()
 		return errors.New("stream: pipeline not started")
 	}
-	alreadyClosed := p.closed
 	if !p.closed {
 		p.closed = true
 		close(p.taskCh)
 	}
 	p.appendMu.Unlock()
-	if !alreadyClosed {
-		go func() {
-			// The flush signal must wait for the worker pools: the
-			// sealer treats flush mode as "everything is quiescent".
-			p.mapWG.Wait()
-			p.combWG.Wait()
-			p.flushing.Store(true)
-			close(p.flushCh)
-		}()
-	}
 	select {
 	case <-p.stopped:
 		return p.Err()
@@ -905,7 +810,7 @@ func (p *Pipeline[S, K, V, R]) Stats() Stats {
 	st := Stats{
 		Chunks:        p.chunks.Load(),
 		Splits:        p.splits.Load(),
-		Elements:      p.ledger.Totals().Emitted,
+		Elements:      p.pool.Ledger.Totals().Emitted,
 		Pending:       p.pending.Load(),
 		MaxPending:    p.win.MaxPending,
 		MaxTs:         p.maxTs.Load(),
@@ -936,7 +841,7 @@ func (p *Pipeline[S, K, V, R]) Stats() Stats {
 // read from its ledger: live while it runs (each side as of its worker's
 // last task end or consume round), exact once it has stopped.
 func (p *Pipeline[S, K, V, R]) QueueStats() mr.QueueStats {
-	qs, _, _ := core.Books(p.ledger.Totals())
+	qs, _, _ := core.Books(p.pool.Ledger.Totals())
 	return qs
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -293,6 +294,45 @@ func TestLateChunkRejected(t *testing.T) {
 	}
 }
 
+// TestSealSkipsEmptyWindows: sealing costs what the panes holding data
+// cost, not the distance between their ticks. After a chunk at tick 0, one
+// at tick 10^15 lets window 0 seal and Close seal the far one, on both
+// placement arms, without stepping through the empty windows between them.
+// A tick whose window would end past the largest int64 is rejected.
+func TestSealSkipsEmptyWindows(t *testing.T) {
+	const far = int64(1e15)
+	for _, arm := range placementArms {
+		t.Run(arm.name, func(t *testing.T) {
+			p, err := New(countSpec(4), place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkArm(t, p, arm.ship)
+			if err := p.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for _, ts := range []int64{0, far} {
+				if _, err := p.Append(chunkOf(ts, 2, 10)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := p.Append(chunkOf(math.MaxInt64, 1, 10)); err == nil {
+				t.Fatal("a tick whose window ends past the largest int64 was admitted")
+			}
+			start := time.Now()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := p.Close(ctx); err != nil {
+				t.Fatalf("close after %s: %v", time.Since(start), err)
+			}
+			ws := p.Windows()
+			if len(ws) != 2 || ws[0].Index != 0 || ws[1].Index != far || ws[0].Elements != 20 || ws[1].Elements != 20 {
+				t.Fatalf("sealed %d windows %v, want windows 0 and %d of 20 elements each", len(ws), ws, far)
+			}
+		})
+	}
+}
+
 // TestConcurrentProducers hammers Append from several goroutines (with
 // per-producer retry on backpressure) and checks global conservation
 // across the sealed windows under -race.
@@ -381,16 +421,18 @@ func TestCancelMidStream(t *testing.T) {
 
 // TestMapperPanicAborts is the faultinject scenario: a mapper panic
 // mid-window must abort the whole session cleanly — Err reports the
-// panic, appends fail, all workers exit.
+// panic, appends fail, all workers exit — and fire the OnAbort hook once,
+// as a batch run's abort does.
 func TestMapperPanicAborts(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512})
 	var fired atomic.Bool
+	var aborts atomic.Int32
 	cfg.Hooks = &mr.Hooks{MapTask: func(int) {
 		if fired.CompareAndSwap(false, true) {
 			panic("injected mapper fault")
 		}
-	}}
+	}, OnAbort: func() { aborts.Add(1) }}
 	p, err := New(countSpec(8), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -413,6 +455,9 @@ func TestMapperPanicAborts(t *testing.T) {
 		t.Fatalf("err = %v, want PanicError", err)
 	} else if !strings.Contains(pe.Error(), "injected mapper fault") {
 		t.Fatalf("panic error lost the cause: %v", pe)
+	}
+	if n := aborts.Load(); n != 1 {
+		t.Fatalf("OnAbort fired %d times, want once", n)
 	}
 	checkNoLeak(t, before)
 }
