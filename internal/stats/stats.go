@@ -158,3 +158,19 @@ func (s *Stream) Uint64() uint64 {
 // Int63 and Seed complete rand.Source; the generators reposition with Seek.
 func (s *Stream) Int63() int64    { return int64(s.Uint64() >> 1) }
 func (s *Stream) Seed(seed int64) { s.x = uint64(seed) }
+
+// Int31n is rand.New(s).Int31n(n) for n > 0: the same value from the same
+// draws. Inlined at a call with a constant n, the rejection bound and the
+// modulus are constants too, where rand.Rand divides by a variable twice.
+func (s *Stream) Int31n(n int32) int32 {
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	for {
+		v := int32(s.Uint64() >> 33) // rand.New(s).Int31()
+		if n&(n-1) == 0 {
+			return v & (n - 1)
+		}
+		if v <= max {
+			return v % n
+		}
+	}
+}

@@ -211,28 +211,10 @@ func newJob(p Params, seed int64, sh *workloads.ShardSpec, width int) *workloads
 	if p.Keys < 1 {
 		p.Keys = 1
 	}
-	var splits [][2]int
-	if p.Skew > 1 {
-		splits = skewedSplits(p, seed)
-	} else {
-		for lo := 0; lo < p.Elements; lo += p.SplitElements {
-			hi := lo + p.SplitElements
-			if hi > p.Elements {
-				hi = p.Elements
-			}
-			splits = append(splits, [2]int{lo, hi})
-		}
-	}
-	if sh != nil {
-		splits = workloads.ShardSplits(splits, *sh)
-	}
+	splits, keyTab := input(p, seed, sh, width)
 	mk, ck := p.MapKernel, p.CombineKernel
 	keys := p.Keys
 	s64 := uint64(seed)
-	var keyTab []int32
-	if p.Skew > 1 {
-		keyTab = keyTable(p, seed, splits, width)
-	}
 	keyOf := func(e int) int {
 		if keyTab != nil {
 			return int(keyTab[e])
@@ -299,6 +281,27 @@ func newJob(p Params, seed int64, sh *workloads.ShardSpec, width int) *workloads
 		}
 		return info, err
 	})
+}
+
+// input is the job's generated input: the split ranges shard sh owns (all
+// of them when sh is nil) and, for a skewed job, the per-element key table
+// drawn on width goroutines (nil for a uniform job, whose keys are e%Keys).
+func input(p Params, seed int64, sh *workloads.ShardSpec, width int) ([][2]int, []int32) {
+	var splits [][2]int
+	if p.Skew > 1 {
+		splits = skewedSplits(p, seed)
+	} else {
+		for lo := 0; lo < p.Elements; lo += p.SplitElements {
+			splits = append(splits, [2]int{lo, min(lo+p.SplitElements, p.Elements)})
+		}
+	}
+	if sh != nil {
+		splits = workloads.ShardSplits(splits, *sh)
+	}
+	if p.Skew <= 1 {
+		return splits, nil
+	}
+	return splits, keyTable(p, seed, splits, width)
 }
 
 // keyTable draws the skewed job's per-element keys for the given splits

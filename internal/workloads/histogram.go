@@ -3,7 +3,6 @@ package workloads
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
@@ -33,16 +32,16 @@ func generatePixels(n int, seed int64, sh ShardSpec, width int) [][]byte {
 	n -= n % 3
 	splits := make([][]byte, sh.Owned((n+hgSplitBytes-1)/hgSplitBytes))
 	FillSplits(len(splits), width, func(lo, hi int) {
+		// src.Int31n(c) is rand.New(src).Intn(c), inlined with c constant.
 		src := stats.NewStream(seed, "histogram")
-		rng := rand.New(src)
 		for k := lo; k < hi; k++ {
 			i := sh.Index + k*sh.Count
 			src.Seek(i)
 			b := make([]byte, min(hgSplitBytes, n-i*hgSplitBytes))
 			for j := 0; j+2 < len(b); j += 3 {
-				b[j] = byte(rng.Intn(200))        // R: darker
-				b[j+1] = byte(rng.Intn(256))      // G: uniform
-				b[j+2] = byte(55 + rng.Intn(200)) // B: brighter
+				b[j] = byte(src.Int31n(200))        // R: darker
+				b[j+1] = byte(src.Int31n(256))      // G: uniform
+				b[j+2] = byte(55 + src.Int31n(200)) // B: brighter
 			}
 			splits[k] = b
 		}

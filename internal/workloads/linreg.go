@@ -29,6 +29,9 @@ type LRPoint struct {
 // lrSplitPoints is the number of points per split.
 const lrSplitPoints = 4096
 
+// lrNoiseMax is rand.Int31n's rejection bound for the 21 noise values.
+const lrNoiseMax = (1<<31 - 1) - (1<<31)%21
+
 // GenerateLRPoints builds n deterministic points around the line
 // y = 0.7x + 30 with noise, pre-partitioned into splits.
 func GenerateLRPoints(n int, seed int64) [][]LRPoint {
@@ -41,8 +44,14 @@ func GenerateLRPoints(n int, seed int64) [][]LRPoint {
 		}
 		pts := make([]LRPoint, sz)
 		for i := range pts {
-			x := rng.Intn(256)
-			y := int(0.7*float64(x)) + 30 + rng.Intn(21) - 10
+			// rng.Intn(256) and rng.Intn(21), spelled out over Int31 so
+			// the bound and the modulus are constants.
+			x := int(rng.Int31() & 255)
+			noise := rng.Int31()
+			for noise > lrNoiseMax {
+				noise = rng.Int31()
+			}
+			y := int(0.7*float64(x)) + 30 + int(noise%21) - 10
 			if y < 0 {
 				y = 0
 			}
