@@ -20,8 +20,8 @@
 // per mapper and combiner, but never more than its grant has CPUs
 // (Plan.FusedPool, DESIGN.md §5.2). On a sibling plan the run is the
 // paper's pipeline, and a full ring parks its mapper. The decision is made
-// once, by Pool (pool.go), for batch runs and stream sessions
-// (internal/stream) alike.
+// once, by Pool (pool.go); a stream session (internal/stream) asks the same
+// Pool for a fused pool whatever its plan.
 //
 // The decoupling raises the parallelism degree and lets a memory-intensive
 // combine overlap a compute-intensive map; the pinning plan keeps each
@@ -108,11 +108,11 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	// The pool makes the placement decision (DESIGN.md §5.2): one fused pool
 	// sized to the grant, each worker folding what it maps into a container
 	// of its own, unless the plan puts a combiner on an SMT sibling of its
-	// mappers; then it is the paper's pipeline, with a container per
+	// mappers; then a RAMR run is the paper's pipeline, with a container per
 	// combiner slot. Each container is written by its owner only and merged
 	// once the pool is joined.
 	t0 := time.Now()
-	pool, err := NewPool[pair[K, V]](cfg, pin, engine)
+	pool, err := NewPool[pair[K, V]](cfg, pin, engine, !phoenix)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	}, func(j int) func([]pair[K, V]) {
 		c := containers[j]
 		return func(seg []pair[K, V]) { c.UpdateBatch(seg, spec.Combine) }
-	}, nil)
+	})
 	// The sampler is the ledger's one optional reader. Its report is
 	// built on the way out, so no return can leak its goroutine.
 	if tel := cfg.Telemetry; tel != nil {

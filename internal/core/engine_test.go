@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -642,4 +644,30 @@ func TestEmitBatchSweep(t *testing.T) {
 			t.Fatalf("EmitBatch=%d: %d pairs pushed, want every one", eb, res.QueueStats.Pushes)
 		}
 	}
+}
+
+// TestFusedRunIgnoresHugeEmitBatch: a fused lane never stages a pair, so it
+// builds no emit slab, and an EmitBatch far beyond memory (one a request may
+// carry) costs a fused run nothing: it completes with the reference's
+// result, on a batch run and on one worker driven directly.
+func TestFusedRunIgnoresHugeEmitBatch(t *testing.T) {
+	spec := countSpec(40, 25, 17)
+	cfg := testConfig()
+	cfg.EmitBatch = 1 << 40
+	res, err := Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(res.Pairs), fmt.Sprint(mr.Reference(spec)); got != want {
+		t.Fatalf("pairs %s, the reference %s", got, want)
+	}
+	p, err := NewPool[pair[int, int]](cfg, cfg.Pin, "test", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunWorker(context.Background(), 0, func(_ int, lane *Lane[pair[int, int]], _ *telemetry.Worker) {
+		if p.Ship || cap(lane.slab) != 0 {
+			t.Errorf("ships %v, slab of %d on a fused lane; want none", p.Ship, cap(lane.slab))
+		}
+	})
 }

@@ -4,10 +4,11 @@
 // is a combiner slot's consume loop (ring → apply, park when idle,
 // drain-and-discard on abort). Both are generic over the ring element E and
 // never look inside one. A lane with no ring folds each pair where it is made
-// (Fuse): that is every worker of a pool whose plan ships no pair (Pool,
-// DESIGN.md §5.2). The batch engine (engine.go) and the resident stream
-// session (internal/stream) are drivers: they decide where tasks come from
-// and where folded batches go, and run everything else through here.
+// (Fuse): that is every worker of a pool that ships no pair (Pool, DESIGN.md
+// §5.2), and so every worker of a resident stream session. The batch engine
+// (engine.go) and the stream session (internal/stream) are drivers: they
+// decide where tasks come from and where folded batches go, and run
+// everything else through here.
 package core
 
 import (
@@ -69,7 +70,7 @@ func runWorker(ctx context.Context, engine string, r role, id, cpu int, tw *tele
 // Pool.RunWorker.
 //
 // A lane with no ring is a fused worker's: its driver emits through Fuse,
-// so it stages nothing at all.
+// so it stages nothing at all and has no slab.
 type Lane[E any] struct {
 	q        *spsc.Queue[E] // nil on a fused worker's lane
 	slab     []E
@@ -81,18 +82,18 @@ type Lane[E any] struct {
 	folded   uint64 // elements folded where they were made
 }
 
-// NewLane builds worker id's lane over q (nil: no ring). The slab is
-// clamped to the ring: PushBatch copies oversized blocks in chunks anyway,
-// but a slab beyond the ring capacity only adds latency before the combiner
-// sees anything.
+// NewLane builds worker id's lane over q (nil: no ring, and no slab). The
+// slab is clamped to the ring: PushBatch copies oversized blocks in chunks
+// anyway, but a slab beyond the ring capacity only adds latency before the
+// combiner sees anything.
 func NewLane[E any](q *spsc.Queue[E], emitBatch, id int, hooks *mr.Hooks) *Lane[E] {
-	if emitBatch <= 0 {
-		emitBatch = mr.DefaultEmitBatch
-	}
+	l := &Lane[E]{q: q, id: id}
 	if q != nil {
-		emitBatch = min(emitBatch, q.Cap())
+		if emitBatch <= 0 {
+			emitBatch = mr.DefaultEmitBatch
+		}
+		l.slab = make([]E, 0, min(emitBatch, q.Cap()))
 	}
-	l := &Lane[E]{q: q, slab: make([]E, 0, emitBatch), id: id}
 	if hooks != nil {
 		l.emitHook, l.taskHook = hooks.MapEmit, hooks.MapTask
 	}
@@ -182,14 +183,6 @@ func (l *Lane[E]) EndTask() (emitted uint64) {
 	return emitted
 }
 
-// FlushRing asks the lane's consumer to fold everything published so far
-// without waiting for a full batch. A fused lane has no consumer.
-func (l *Lane[E]) FlushRing() {
-	if l.q != nil {
-		l.q.Flush()
-	}
-}
-
 // book stores the lane's plain counters on its shard — the pairs it folded
 // and its ring's producer side — and returns the elements it has published
 // so far, pushed or folded.
@@ -204,7 +197,7 @@ func (l *Lane[E]) book() (published uint64) {
 }
 
 // Books converts a ledger's totals into the statistics batch runs and
-// stream sessions report: their rings' counters, their steal takes and what
+// stream sessions report: a run's rings' counters, its steal takes and what
 // work conservation moved. It is the one place they are formed.
 func Books(t telemetry.Totals) (mr.QueueStats, mr.StealStats, mr.HelpStats) {
 	return mr.QueueStats{
@@ -308,9 +301,9 @@ func (p *Pool[E]) newSlot(j int, own []*spsc.Queue[E], fold func([]E), tw *telem
 }
 
 // round polls each live ring once — while its producer is live it waits
-// for full blocks (§IV-C), and takes short what the producer flushed, or
-// left behind when it closed — retires the drained ones, and books the
-// slot's rings. It takes no lock: no other goroutine ever consumes them.
+// for full blocks (§IV-C), and takes short what the producer left behind
+// when it closed — retires the drained ones, and books the slot's rings.
+// It takes no lock: no other goroutine ever consumes them.
 func (s *slot[E]) round() (consumed, retired int) {
 	kept := s.live[:0]
 	for _, q := range s.live {
@@ -321,7 +314,7 @@ func (s *slot[E]) round() (consumed, retired int) {
 				s.drainHook(s.j)
 			}
 		}
-		consumed += q.ConsumeBatch(s.p.batch, closed || q.Flushing(), s.fold)
+		consumed += q.ConsumeBatch(s.p.batch, closed, s.fold)
 		if !q.Drained() {
 			kept = append(kept, q)
 		}
@@ -363,9 +356,6 @@ func (p *Pool[E]) combine(s *slot[E]) {
 				setState(telemetry.StateDraining)
 			} else {
 				setState(telemetry.StateWorking)
-			}
-			if p.progress != nil {
-				p.progress()
 			}
 		case retired == 0:
 			setState(telemetry.StateIdle)

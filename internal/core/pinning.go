@@ -170,7 +170,7 @@ func (p Plan) MaxDistance(m *topology.Machine) int {
 	return worst
 }
 
-// ShipsPairs is the placement rule of batch runs and stream sessions: it
+// ShipsPairs is the placement rule of RAMR batch runs: it
 // reports whether the plan puts some combiner on an SMT sibling (distance 1)
 // of a mapper whose ring it consumes. That is the one placement where
 // shipping a pair pays (§III-B, Fig. 3): a compute-bound map and a

@@ -13,20 +13,22 @@ import (
 )
 
 // Pool is one run's workers, placed once: the placement decision of §III-B
-// (Fig. 3) and everything that follows from it, for batch runs and stream
-// sessions alike (DESIGN.md §5.2). NewPool builds the pinning plan and asks
-// it whether pairs ship (Plan.ShipsPairs). If not, the pool is
-// Plan.FusedPool's workers, each folding what it maps into containers of its
-// own, and no ring, gate or combiner slot is built. If so, it is the paper's
-// pipeline: a ring per mapper, and combiner slot j consuming, for the whole
-// run, the rings of the mappers QueueAssignment placed beside it. The pool
+// (Fig. 3) and everything that follows from it (DESIGN.md §5.2). NewPool
+// builds the pinning plan and, if its caller lets the run ship, asks the plan
+// whether pairs ship (Plan.ShipsPairs). If not, the pool is Plan.FusedPool's
+// workers, each folding what it maps into containers of its own, and no
+// ring, gate or combiner slot is built. If so, it is the paper's pipeline: a
+// ring per mapper, and combiner slot j consuming, for the whole run, the
+// rings of the mappers QueueAssignment placed beside it. Only the batch
+// body lets a run ship; a stream session is always one fused pool. The pool
 // also keeps the run's ledger and its failure latch. A driver supplies only
 // where tasks come from, the per-pair emit, where folds go, and what follows
 // the join.
 type Pool[E any] struct {
 	Machine *topology.Machine
-	// Ship reports that the plan puts a combiner on an SMT sibling of its
-	// mappers: only then are rings and combiner slots built.
+	// Ship reports that the run may ship and its plan puts a combiner on an
+	// SMT sibling of its mappers: only then are rings and combiner slots
+	// built.
 	Ship bool
 	// CPUs has one entry per task-taking worker (-1 = unpinned): the fused
 	// pool's, or on a sibling plan the mappers'.
@@ -39,14 +41,13 @@ type Pool[E any] struct {
 	// Ledger holds the run's books: a shard per worker.
 	Ledger *telemetry.Ledger
 
-	engine   string
-	cfg      mr.Config
-	plan     Plan
-	queues   []*spsc.Queue[E] // per mapper, on a sibling plan
-	gates    []*spsc.Gate     // per combiner slot: where it parks when idle
-	batch    int              // the consume batch, within [1, ring capacity]
-	progress func()           // after every slot round that consumed something
-	wg       sync.WaitGroup
+	engine string
+	cfg    mr.Config
+	plan   Plan
+	queues []*spsc.Queue[E] // per mapper, on a sibling plan
+	gates  []*spsc.Gate     // per combiner slot: where it parks when idle
+	batch  int              // the consume batch, within [1, ring capacity]
+	wg     sync.WaitGroup
 
 	firstErr mr.FirstError
 	abort    atomic.Bool
@@ -55,8 +56,9 @@ type Pool[E any] struct {
 
 // NewPool validates cfg's grant against its resolved machine and places the
 // run's workers on it under pin; engine names the run in pprof labels,
-// PanicError and the ledger.
-func NewPool[E any](cfg mr.Config, pin mr.PinPolicy, engine string) (*Pool[E], error) {
+// PanicError and the ledger. mayShip is the caller's permission to build the
+// pipeline: without it the pool is fused whatever the plan.
+func NewPool[E any](cfg mr.Config, pin mr.PinPolicy, engine string, mayShip bool) (*Pool[E], error) {
 	machine := cfg.ResolveMachine()
 	if err := cfg.ValidateGrant(machine); err != nil {
 		return nil, err
@@ -65,7 +67,7 @@ func NewPool[E any](cfg mr.Config, pin mr.PinPolicy, engine string) (*Pool[E], e
 	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, pin)
 	p := &Pool[E]{
 		Machine: machine,
-		Ship:    plan.ShipsPairs(machine),
+		Ship:    mayShip && plan.ShipsPairs(machine),
 		CPUs:    plan.FusedPool(cfg.CPUGrant),
 		Ledger:  telemetry.NewLedger(engine),
 		engine:  engine,
@@ -96,19 +98,17 @@ func NewPool[E any](cfg mr.Config, pin mr.PinPolicy, engine string) (*Pool[E], e
 	return p, nil
 }
 
-// Start starts the run: the sampler, if cfg.Telemetry is set; on a sibling
-// plan the combiner slots, slot j folding each consumed ring segment through
-// fold(j) and calling progress (if set) after every round that consumed
-// something; and a goroutine per task-taking worker running work (see
-// RunWorker). Wait joins them.
-func (p *Pool[E]) Start(ctx context.Context, work func(w int, lane *Lane[E], tw *telemetry.Worker), fold func(slot int) func([]E), progress func()) {
+// Start starts the run: the sampler, if cfg.Telemetry is set; on a shipping
+// pool the combiner slots, slot j folding each consumed ring segment through
+// fold(j) (a fused pool never calls fold); and a goroutine per task-taking
+// worker running work (see RunWorker). Wait joins them.
+func (p *Pool[E]) Start(ctx context.Context, work func(w int, lane *Lane[E], tw *telemetry.Worker), fold func(slot int) func([]E)) {
 	if tel := p.cfg.Telemetry; tel != nil {
 		tel.BeginRun(p.Ledger)
 		for i, q := range p.queues {
 			tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
 		}
 	}
-	p.progress = progress
 	p.startSlots(ctx, fold)
 	for w := range p.CPUs {
 		p.wg.Add(1)

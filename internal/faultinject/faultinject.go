@@ -135,7 +135,7 @@ type Plan struct {
 
 // AnyWorker as a Plan's Worker aims a worker-scoped fault at whichever
 // worker reaches the ordinal first. Where the engine, not the test, decides
-// which worker gets the work (the stream session's mappers all pull from one
+// which worker gets the work (the stream session's workers all pull from one
 // channel), a fixed target may never get Nth calls; some worker always does.
 const AnyWorker = -1
 
@@ -219,7 +219,7 @@ func (in *Injector) Plan() Plan { return in.plan }
 func (in *Injector) Fired() bool { return in.fired.Load() }
 
 // QueueReports returns the per-queue drain/stats reports recorded through
-// the QueueObserver hook (RAMR runs and stream sessions).
+// the QueueObserver hook (RAMR runs that ship pairs).
 func (in *Injector) QueueReports() []QueueReport { return in.rec.Reports() }
 
 // fire marks the fault as triggered.

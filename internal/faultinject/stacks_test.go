@@ -30,8 +30,8 @@ func parkInMap(once *sync.Once, parked chan<- struct{}, release <-chan struct{})
 // WorkerStacks while a worker is parked inside it: a RAMR run that ships
 // nothing (fused workers), a RAMR run on a plan that ships pairs (ring
 // mappers, and the combiner slot they feed), Phoenix++, and a stream
-// session on each placement arm. Once released, each run ends and leaves no
-// worker behind.
+// session (fused workers). Once released, each run ends and leaves no worker
+// behind.
 func TestWorkerStacksSeeEveryEngine(t *testing.T) {
 	batch := func(run func(context.Context, *mr.Spec[int, int, int, int], mr.Config) (*mr.Result[int, int], error), ship bool) func(mr.Config, func(int, func(int, int))) error {
 		return func(cfg mr.Config, mapFn func(int, func(int, int))) error {
@@ -44,26 +44,21 @@ func TestWorkerStacksSeeEveryEngine(t *testing.T) {
 			return err
 		}
 	}
-	session := func(ship bool) func(mr.Config, func(int, func(int, int))) error {
-		return func(cfg mr.Config, mapFn func(int, func(int, int))) error {
-			spec := sweepSpec(0, 0)
-			spec.Map = mapFn
-			if ship {
-				cfg = shipping(cfg)
-			}
-			cfg.Stream = &mr.StreamSpec{Window: 1}
-			p, err := stream.New(spec, cfg)
-			if err != nil {
-				return err
-			}
-			if err := p.Start(); err != nil {
-				return err
-			}
-			if _, err := p.Append(stream.Chunk[int]{Ts: 0, Splits: []int{0, 1, 2, 3}}); err != nil {
-				return err
-			}
-			return p.Close(context.Background())
+	session := func(cfg mr.Config, mapFn func(int, func(int, int))) error {
+		spec := sweepSpec(0, 0)
+		spec.Map = mapFn
+		cfg.Stream = &mr.StreamSpec{Window: 1}
+		p, err := stream.New(spec, cfg)
+		if err != nil {
+			return err
 		}
+		if err := p.Start(); err != nil {
+			return err
+		}
+		if _, err := p.Append(stream.Chunk[int]{Ts: 0, Splits: []int{0, 1, 2, 3}}); err != nil {
+			return err
+		}
+		return p.Close(context.Background())
 	}
 	for _, row := range []struct {
 		name string
@@ -74,8 +69,7 @@ func TestWorkerStacksSeeEveryEngine(t *testing.T) {
 		{"ramr/fused", batch(core.RunContext[int, int, int, int], false), ""},
 		{"ramr/sibling", batch(core.RunContext[int, int, int, int], true), "ramr/internal/core.(*Pool[...]).startSlots"},
 		{"phoenix", batch(core.RunPhoenixContext[int, int, int, int], false), ""},
-		{"stream/fused", session(false), ""},
-		{"stream/sibling", session(true), "ramr/internal/core.(*Pool[...]).startSlots"},
+		{"stream", session, ""},
 	} {
 		cfg := mr.DefaultConfig()
 		cfg.Mappers, cfg.Combiners = 2, 1

@@ -14,44 +14,35 @@ import (
 	"ramr/internal/topology"
 )
 
-// A session runs Map on every worker it has: when its plan ships nothing it
-// is one pool of fused workers, so a combine worker maps splits and folds
-// what it emits into its own pane containers; on a plan that ships pairs
-// only mappers map, and they ship through rings. The two scenarios below
-// land a panic and a cancellation inside a split on each arm. Both are
+// A session runs Map on every worker it has: it is one pool of fused
+// workers, also on a plan where a batch run would ship pairs, so a combine
+// worker maps splits and folds what it emits into its own pane containers.
+// The two scenarios below land a panic and a cancellation inside a split on
+// each plan, in a session of one map worker and one combine worker. Both are
 // steered with hooks: worker 0 stops at its ninth pair until the session is
-// doomed, so the fault in worker 1's split — a combine worker's on the
-// fused arm, a second mapper's on the ring arm — is the session's first.
+// doomed, so the fault in worker 1's split — the combine worker's — is the
+// session's first.
 
-// streamArm is one placement arm of the scenarios: the session's workers,
-// whether it runs on a plan that ships pairs (shipping) or unpinned on a
-// machine with a CPU for each, and the name worker 1's panic carries.
-type streamArm struct {
-	name               string
-	mappers, combiners int
-	ship               bool
-	worker1            string
-}
+// streamArms are the plans of the scenarios: unpinned on a machine with a
+// CPU for each worker, and a plan whose batch run ships pairs (shipping).
+var streamArms = []struct {
+	name    string
+	sibling bool
+}{{"fused", false}, {"sibling", true}}
 
-var streamArms = []streamArm{
-	{name: "fused", mappers: 1, combiners: 1, worker1: "combine worker 0"},
-	{name: "ring", mappers: 2, combiners: 1, ship: true, worker1: "map worker 1"},
-}
-
-// streamConserve starts arm's session with one chunk queued and worker 0's
-// hold in place. worker1 is worker 1's MapEmit hook, given the session and
+// streamConserve starts a session, on a sibling plan or unpinned, with one
+// chunk queued and worker 0's hold in place. worker1 is worker 1's MapEmit hook, given the session and
 // the worker's pair count so far; worker1Tasks counts the splits worker 1
 // began.
-func streamConserve(t *testing.T, arm streamArm, worker1 func(*stream.Pipeline[int, int, uint64, uint64], int64), worker1Tasks *atomic.Int64) *stream.Pipeline[int, int, uint64, uint64] {
+func streamConserve(t *testing.T, sibling bool, worker1 func(*stream.Pipeline[int, int, uint64, uint64], int64), worker1Tasks *atomic.Int64) *stream.Pipeline[int, int, uint64, uint64] {
 	t.Helper()
 	cfg := mr.DefaultConfig()
-	cfg.Mappers, cfg.Combiners = arm.mappers, arm.combiners
+	cfg.Mappers, cfg.Combiners = 1, 1
 	cfg.Machine = topology.Flat(4)
 	cfg.Pin = mr.PinNone
-	if arm.ship {
+	if sibling {
 		cfg = shipping(cfg)
 	}
-	cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 16, 4, 4
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: 2 * streamSplits}
 	var p *stream.Pipeline[int, int, uint64, uint64]
 	var emits0, emits1 int64
@@ -99,17 +90,13 @@ func untilDoomed(p *stream.Pipeline[int, int, uint64, uint64]) {
 }
 
 // endStream asserts what every doomed session owes its caller once it has
-// stopped: the rings drained (a fused session has none to book), and no
-// worker goroutine left.
-func endStream(t *testing.T, arm streamArm, p *stream.Pipeline[int, int, uint64, uint64]) {
+// stopped: no worker goroutine left.
+func endStream(t *testing.T, p *stream.Pipeline[int, int, uint64, uint64]) {
 	t.Helper()
 	select {
 	case <-p.Done():
 	case <-time.After(30 * time.Second):
 		t.Fatal("session wedged")
-	}
-	if qs := p.QueueStats(); qs.Pushes != qs.Pops || (!arm.ship && qs != (mr.QueueStats{})) {
-		t.Fatalf("rings not drained, or a fused session booked ring traffic: %+v", qs)
 	}
 	if leaked := faultinject.AwaitNoWorkers(10 * time.Second); len(leaked) > 0 {
 		t.Fatalf("%d leaked worker goroutines:\n%s", len(leaked), leaked[0])
@@ -119,13 +106,12 @@ func endStream(t *testing.T, arm streamArm, p *stream.Pipeline[int, int, uint64,
 // TestConserveStreamMapPanicMidSplit: Map panics in the middle of a split
 // worker 1 took from the session's task channel. The panic must fail the
 // session with worker 1's *mr.PanicError — worker 0 is still held inside its
-// own split — and, on the ring arm, the combiner must still drain the rings
-// the mappers go on to fill.
+// own split.
 func TestConserveStreamMapPanicMidSplit(t *testing.T) {
 	for _, arm := range streamArms {
 		t.Run(arm.name, func(t *testing.T) {
 			var tasks atomic.Int64
-			p := streamConserve(t, arm, func(_ *stream.Pipeline[int, int, uint64, uint64], n int64) {
+			p := streamConserve(t, arm.sibling, func(_ *stream.Pipeline[int, int, uint64, uint64], n int64) {
 				if n == 5 {
 					panic(faultinject.InjectedPanic{})
 				}
@@ -134,13 +120,13 @@ func TestConserveStreamMapPanicMidSplit(t *testing.T) {
 			defer cancel()
 			err := p.Close(ctx)
 			var pe *mr.PanicError
-			if !errors.As(err, &pe) || pe.Engine != "stream" || pe.Worker != arm.worker1 {
-				t.Fatalf("err = %v, want %s's *mr.PanicError", err, arm.worker1)
+			if !errors.As(err, &pe) || pe.Engine != "stream" || pe.Worker != "combine worker 0" {
+				t.Fatalf("err = %v, want combine worker 0's *mr.PanicError", err)
 			}
 			if _, ok := pe.Value.(faultinject.InjectedPanic); !ok {
 				t.Fatalf("panic value %v is not the injected one", pe.Value)
 			}
-			endStream(t, arm, p)
+			endStream(t, p)
 			if n := p.SealedCount(); n != 0 {
 				t.Fatalf("%d windows published by a session whose only window lost a split", n)
 			}
@@ -150,16 +136,15 @@ func TestConserveStreamMapPanicMidSplit(t *testing.T) {
 
 // TestConserveStreamCancelMidHelp: the session is cancelled while worker 1
 // is inside a split it took. CancelWait must return — the worker finishes
-// that split and takes no other, and on the ring arm the combiner
-// discard-drains the rings — and the session ends in context.Canceled. On
-// the fused arm the split is a combine worker's, booked as its one task.
+// that split and takes no other — and the session ends in context.Canceled.
+// The split is the combine worker's, booked as its one task.
 func TestConserveStreamCancelMidHelp(t *testing.T) {
 	for _, arm := range streamArms {
 		t.Run(arm.name, func(t *testing.T) {
 			inside := make(chan struct{})
 			var once sync.Once
 			var tasks atomic.Int64
-			p := streamConserve(t, arm, func(p *stream.Pipeline[int, int, uint64, uint64], _ int64) {
+			p := streamConserve(t, arm.sibling, func(p *stream.Pipeline[int, int, uint64, uint64], _ int64) {
 				once.Do(func() {
 					close(inside)
 					untilDoomed(p)
@@ -182,10 +167,10 @@ func TestConserveStreamCancelMidHelp(t *testing.T) {
 			if n := tasks.Load(); n != 1 {
 				t.Fatalf("worker 1 began %d splits; want the one the cancel found it in", n)
 			}
-			if h := p.HelpStats(); !arm.ship && h.Tasks != 1 {
+			if h := p.HelpStats(); h.Tasks != 1 {
 				t.Fatalf("help %+v: want the combine worker's one split booked", h)
 			}
-			endStream(t, arm, p)
+			endStream(t, p)
 		})
 	}
 }

@@ -21,8 +21,8 @@ type Hooks struct {
 	// MapEmit runs before each emitted pair is staged or pushed.
 	MapEmit func(worker int)
 	// CombineBatch runs before a combiner folds one consumed segment
-	// into its container (the RAMR engine and stream sessions: the
-	// pipeline kernel's consume loop).
+	// into its container (a RAMR run that ships pairs: the pipeline
+	// kernel's consume loop).
 	CombineBatch func(worker int)
 	// CombineDrain runs once per combiner when it first observes a
 	// closed queue and enters the force-drain tail (same loop).
@@ -34,7 +34,8 @@ type Hooks struct {
 	// OnAbort runs once, when the first worker trips the abort flag.
 	OnAbort func()
 	// QueueObserver runs after the pipeline has shut down, once per
-	// mapper queue, error or not (the RAMR engine and stream sessions).
+	// mapper queue, error or not (a RAMR run that ships pairs; a stream
+	// session builds no queue).
 	// It is the invariant checker's window into drain state and the
 	// rings' own counters, for runs that die mid-pipeline and return no
 	// Result, and the ground truth a run's ledger is checked against.

@@ -157,12 +157,12 @@ type Result[K comparable, R any] struct {
 
 // HelpStats counts what work conservation moved in one RAMR run or stream
 // session: map tasks the combine workers ran, and the pairs combine and map
-// workers folded where they emitted them instead of shipping them. A run or
-// session whose pinning plan puts no combiner on an SMT sibling of its
-// mappers is one pool of fused workers: it folds every pair in place and
-// pushes none, and Tasks is the share its combine workers ran (none when its
-// grant leaves room only for map workers). One on a sibling plan never helps
-// and folds none in place. With StealStats and QueueStats it
+// workers folded where they emitted them instead of shipping them. A stream
+// session, and a run whose pinning plan puts no combiner on an SMT sibling
+// of its mappers, is one pool of fused workers: it folds every pair in place
+// and pushes none, and Tasks is the share its combine workers ran (none when
+// its grant leaves room only for map workers). A run on a sibling plan never
+// helps and folds none in place. With StealStats and QueueStats it
 // closes the books exactly: a batch run's takes are the job's task count, a
 // session's map-worker takes + Tasks is its split count, and pairs emitted −
 // Pushes is Pairs().

@@ -465,3 +465,41 @@ func TestResultWait(t *testing.T) {
 		t.Fatalf("wait on a settled record took %v", d)
 	}
 }
+
+// TestSizedFieldsBounded400: a request field that sizes an allocation up
+// front — a ring's slots, a session's task channel — is refused with a 400
+// above maxSized, before anything is allocated: at 4e9 it was a fatal out
+// of memory. A value at the bound still resolves.
+func TestSizedFieldsBounded400(t *testing.T) {
+	_, ts, _ := newMemoService(t, Config{Seed: 1})
+	for _, row := range []struct {
+		field string
+		body  func(n int) string
+	}{
+		{"config.queue_capacity", func(n int) string {
+			return fmt.Sprintf(`{"workload":"SYNTH","config":{"pin":"none","queue_capacity":%d}}`, n)
+		}},
+		{"stream.max_pending", func(n int) string {
+			return fmt.Sprintf(`{"workload":"SYNTH","config":{"pin":"none"},"stream":{"window":1,"max_pending":%d}}`, n)
+		}},
+	} {
+		t.Run(row.field, func(t *testing.T) {
+			for _, n := range []int{maxSized + 1, 4e9} {
+				if code, doc := postJob(t, ts, row.body(n)); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(doc), row.field) {
+					t.Fatalf("%s=%d: HTTP %d (%v), want 400 naming the field", row.field, n, code, doc)
+				}
+			}
+			req, err := decodeJobRequest(strings.NewReader(row.body(maxSized)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := resolve(req, topology.HaswellServer()); err != nil {
+				t.Fatalf("%s at the bound: %v", row.field, err)
+			}
+		})
+	}
+	_, list := getJSON(t, ts.URL+"/jobs")
+	if jobs, _ := list["jobs"].([]any); len(jobs) != 0 {
+		t.Fatalf("%d job records after rejected submissions: %v", len(jobs), jobs)
+	}
+}

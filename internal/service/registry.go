@@ -95,6 +95,12 @@ func resolveSynthParams(sp SynthParams) (synth.Params, error) {
 	return p, nil
 }
 
+// maxSized bounds the request fields that size an allocation up front — a
+// ring's slots, a session's task channel — so a request cannot ask for more
+// memory than the process has. It is a fixed ceiling far above any default,
+// not a knob.
+const maxSized = 1 << 20
+
 // ConfigOverlay is the subset of mr.Config settable over the API.
 type ConfigOverlay struct {
 	Mappers       int    `json:"mappers,omitempty"`
@@ -276,6 +282,9 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 	if ov.TaskSize > 0 {
 		cfg.TaskSize = ov.TaskSize
 	}
+	if ov.QueueCapacity > maxSized {
+		return nil, fmt.Errorf("config.queue_capacity %d is above the bound %d", ov.QueueCapacity, maxSized)
+	}
 	if ov.QueueCapacity > 0 {
 		cfg.QueueCapacity = ov.QueueCapacity
 	}
@@ -308,6 +317,9 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 		}
 		if p.engine != workloads.EngineRAMR {
 			return nil, fmt.Errorf("streaming runs on the ramr engine only")
+		}
+		if req.Stream.MaxPending > maxSized {
+			return nil, fmt.Errorf("stream.max_pending %d is above the bound %d", req.Stream.MaxPending, maxSized)
 		}
 		spec := req.Stream.spec()
 		if err := spec.Validate(); err != nil {

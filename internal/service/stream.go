@@ -221,7 +221,6 @@ func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *plan)
 	}
 	info := &workloads.RunInfo{
 		Wall:      time.Since(start),
-		Queue:     sess.QueueStats(),
 		Help:      sess.HelpStats(),
 		Pairs:     pairs,
 		Telemetry: e.telem.EndRun(nil),
@@ -271,7 +270,7 @@ func (s *Service) streamEntry(w http.ResponseWriter, r *http.Request) (*entry, b
 
 // handleStreamChunk implements POST /jobs/{id}/chunks: 202 on admission
 // with the assigned tick, 429 with Retry-After under backpressure
-// (derived from the pending backlog and the SPSC failed-push rate), 409
+// (derived from the pending backlog), 409
 // for late chunks, closed sessions and dead sessions, 400 for malformed
 // payloads and for ticks out of range (negative, or with a window ending
 // past the largest int64).

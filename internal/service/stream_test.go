@@ -246,6 +246,47 @@ func TestStreamChunkTickOutOfRange400(t *testing.T) {
 	checkNoWorkerLeak(t)
 }
 
+// TestStreamHugeLatenessLosesNothing: "stream.lateness" may be as large as
+// an int64 goes, and then the watermark never passes a window. At the
+// largest Lateness the watermark minus the window once wrapped round:
+// window 0 sealed on its first chunk, a second chunk inside it was admitted
+// with 202, and the published window lacked its elements. Window 0 must
+// stay open (202) until close, then hold both chunks.
+func TestStreamHugeLatenessLosesNothing(t *testing.T) {
+	_, ts, _ := newTestService(t, 0)
+	id := openStream(t, ts, fmt.Sprintf(`{"window":10,"lateness":%d}`, int64(math.MaxInt64)))
+	if code, doc, _ := postChunk(t, ts, id, 0, 512); code != http.StatusAccepted {
+		t.Fatalf("chunk at tick 0: HTTP %d (%v)", code, doc)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		_, doc := getJSON(t, fmt.Sprintf("%s/jobs/%d/windows", ts.URL, id))
+		if st, _ := doc["stats"].(map[string]any); st != nil && st["pending"] == 0.0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first chunk was never mapped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // the kick after the split
+	if code, w0 := getJSON(t, fmt.Sprintf("%s/jobs/%d/windows/0", ts.URL, id)); code != http.StatusAccepted {
+		t.Fatalf("GET window 0 before close: HTTP %d (%v), want 202", code, w0)
+	}
+	if code, doc, _ := postChunk(t, ts, id, 5, 512); code != http.StatusAccepted {
+		t.Fatalf("chunk at tick 5: HTTP %d (%v)", code, doc)
+	}
+	code, final, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/close", id), `{}`)
+	if code != http.StatusOK {
+		t.Fatalf("close: HTTP %d (%v)", code, final)
+	}
+	ws, _ := final["windows"].([]any)
+	if len(ws) != 1 || ws[0].(map[string]any)["elements"] != 1024.0 {
+		t.Fatalf("windows %v, want window 0 alone with all 1024 elements", ws)
+	}
+	waitDone(t, ts, id)
+	checkNoWorkerLeak(t)
+}
+
 // TestStreamDeleteCancelsResident covers DELETE on an open session: the
 // resident pipeline is torn down, the CPU grant returns to the budget
 // promptly, and no worker goroutine survives.

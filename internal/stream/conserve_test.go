@@ -15,36 +15,34 @@ import (
 	"ramr/internal/topology"
 )
 
-// A session is placed the way a batch run is: when its plan puts no
-// combiner on an SMT sibling of its mappers (core.Plan.ShipsPairs) it is one
-// pool of fused workers, sized to its grant, each folding what it maps into
-// its own pane containers, and it builds no ring; on a sibling plan it is
-// the paper's pipeline. The tests below pin the books each arm keeps, the
-// seal's exactness around a split a worker is still mapping, and the rule
-// that picks the arm.
+// A session is always one pool of fused workers, sized to its grant, each
+// folding what it maps into its own pane containers, and it builds no ring —
+// also on a plan that puts a combiner on an SMT sibling of its mappers
+// (core.Plan.ShipsPairs), where a batch run ships. The tests below pin the
+// books a session keeps, the seal's exactness around a split a worker is
+// still mapping, and the rule that keeps sessions fused.
 
-// parked returns cfg on a plan that ships pairs: the paper's pinning on the
-// Haswell server preset, which puts each combiner on an SMT sibling of its
-// first mapper (a pin on a CPU the host lacks is ignored). The session runs
-// the ring pipeline, its combiner slots park on empty rings, and every pair
-// crosses a ring.
-func parked(cfg mr.Config) mr.Config {
-	cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.HaswellServer(), mr.PinRAMR, nil
+// siblingPlan returns cfg on a plan whose batch run ships pairs: the paper's
+// pinning on the Haswell server preset, granted CPU 0 and its SMT sibling
+// 28, so the plan puts the combiner beside its mapper (a pin on a CPU the
+// host lacks is ignored). A session on it is one fused pool all the same.
+func siblingPlan(cfg mr.Config) mr.Config {
+	cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.HaswellServer(), mr.PinRAMR, []int{0, 28}
 	return cfg
 }
 
-// placementArms are the two shapes a session takes: testConfig's machine
-// without SMT, so the session is one pool of fused workers, and a sibling
-// plan (parked), which runs the ring pipeline.
+// placementArms are the two plans a session is put on: testConfig's machine
+// without SMT, and a sibling plan, on which a batch run would ship. Both run
+// one pool of fused workers.
 var placementArms = []struct {
-	name string
-	ship bool
-}{{"fused", false}, {"ring", true}}
+	name    string
+	sibling bool
+}{{"fused", false}, {"sibling", true}}
 
-// place returns cfg on arm's placement.
-func place(cfg mr.Config, ship bool) mr.Config {
-	if ship {
-		return parked(cfg)
+// place returns cfg on arm's plan.
+func place(cfg mr.Config, sibling bool) mr.Config {
+	if sibling {
+		return siblingPlan(cfg)
 	}
 	return cfg
 }
@@ -60,52 +58,64 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 	}
 }
 
-// checkArm fails the test unless p took the placement arm the test put it
-// on: the ring pipeline on a sibling plan (ship), and otherwise one pool of
-// fused workers with no ring.
-func checkArm[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], ship bool) {
+// checkFused fails the test unless p is one pool of fused workers.
+func checkFused[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R]) {
 	t.Helper()
-	if p.pool.Ship != ship {
-		t.Fatalf("ship=%v: the session's pool ships=%v", ship, p.pool.Ship)
+	if p.pool.Ship {
+		t.Fatal("the session's pool ships pairs; a session is always fused")
 	}
 }
 
-// checkBooks checks a stopped session's books against its arm, the pairs
-// its windows hold (total) and the splits map workers took (mapperTakes):
-// every split was run once, by a map worker or a combine worker, and every
-// pair was either folded where it was made, on the fused arm, or pushed and
-// popped, on the ring arm — never some of each.
-func checkBooks[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], ship bool, mapperTakes, total uint64) {
+// checkBooks checks a stopped session's books against the pairs its windows
+// hold (total) and the splits map workers took (mapperTakes): every split
+// was run once, by a map worker or a combine worker, every pair was folded
+// where it was made, and no ring traffic was booked.
+func checkBooks[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], mapperTakes, total uint64) {
 	t.Helper()
-	checkArm(t, p, ship)
-	h, qs, st := p.HelpStats(), p.QueueStats(), p.Stats()
+	checkFused(t, p)
+	qs, _, h := core.Books(p.pool.Ledger.Totals())
+	st := p.Stats()
 	if mapperTakes+h.Tasks != uint64(st.Splits) || st.Elements != total {
 		t.Errorf("map workers took %d + combine workers ran %d splits, want %d; %d elements emitted, windows hold %d",
 			mapperTakes, h.Tasks, st.Splits, st.Elements, total)
 	}
-	if !ship && (qs != (mr.QueueStats{}) || h.Pairs() != total) {
-		t.Errorf("fused session: queue %+v, help %+v; want no ring traffic and all %d pairs folded where made", qs, h, total)
-	}
-	if ship && (h != (mr.HelpStats{}) || qs.Pushes != total || qs.Pops != total) {
-		t.Errorf("ring session: queue %+v, help %+v; want all %d pairs pushed and popped, none folded where made", qs, h, total)
+	if qs != (mr.QueueStats{}) || h.Pairs() != total {
+		t.Errorf("queue %+v, help %+v; want no ring traffic and all %d pairs folded where made", qs, h, total)
 	}
 }
 
-// TestConserveGrantTooSmallHelpsNothing: a session whose plan puts a
-// combiner on an SMT sibling of its mappers runs the paper's pipeline — no
-// split mapped by a combine worker, every pair emitted, pushed and popped.
-func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
+// TestConserveSiblingPlanSessionFuses: on a plan that puts a combiner on an
+// SMT sibling of its mapper, a batch run ships every pair through a ring,
+// but a session on the same plan builds no ring: its pool does not ship, the
+// queue observer never fires, every pair is folded where it is made, and
+// every window equals the serial reference over the same splits.
+func TestConserveSiblingPlanSessionFuses(t *testing.T) {
 	before := runtime.NumGoroutine()
-	cfg := parked(testConfig(t, &mr.StreamSpec{Window: 1}))
-	p, err := New(countSpec(16), cfg)
+	const keys = 16
+	cfg := siblingPlan(testConfig(t, &mr.StreamSpec{Window: 1}))
+	var observed, mapperTakes atomic.Uint64
+	cfg.Hooks = &mr.Hooks{
+		QueueObserver: func(int, bool, spsc.Stats) { observed.Add(1) },
+		MapTask: func(w int) {
+			if w < cfg.Mappers {
+				mapperTakes.Add(1)
+			}
+		},
+	}
+	fast := &atomic.Bool{}
+	fast.Store(true)
+	spec := mixSpec(keys, fast)
+	p, err := New(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFused(t, p)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for ts := int64(0); ts < 3; ts++ {
-		if _, err := p.Append(chunkOf(ts, 4, 100)); err != nil {
+	chunks := [][]int{{120, 36, 80, 7}, {44, 100, 8, 60, 3}, {96, 12}}
+	for ts, c := range chunks {
+		if _, err := p.Append(Chunk[int]{Ts: int64(ts), Splits: c}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,14 +124,36 @@ func TestConserveGrantTooSmallHelpsNothing(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	const total = 3 * 4 * 100
-	if h := p.HelpStats(); h != (mr.HelpStats{}) {
-		t.Errorf("help %+v on a sibling plan, want none", h)
+	if n := observed.Load(); n != 0 {
+		t.Fatalf("queue observer fired %d times for a session; want no ring", n)
 	}
-	if qs, el := p.QueueStats(), p.Stats().Elements; el != total || qs.Pushes != total || qs.Pops != total {
-		t.Errorf("%d elements, queue %+v: want %d pairs emitted, pushed and popped", el, qs, total)
+	ws := p.Windows()
+	if len(ws) != len(chunks) {
+		t.Fatalf("%d windows sealed, want %d", len(ws), len(chunks))
 	}
+	var total uint64
+	for i, w := range ws {
+		total += w.Elements
+		if got, want := fmt.Sprint(w.Pairs), referenceWindow(keys, chunks[i]); got != want {
+			t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
+		}
+	}
+	checkBooks(t, p, mapperTakes.Load(), total)
 	checkNoLeak(t, before)
+
+	// The batch body on the same plan is the paper's pipeline.
+	cfg.Stream = nil
+	for _, c := range chunks {
+		spec.Splits = append(spec.Splits, c...)
+	}
+	res, err := core.Run(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs := res.QueueStats; observed.Load() == 0 || qs.Pushes != total || qs.Pops != total || res.Help.Pairs() != 0 {
+		t.Fatalf("batch run on the sibling plan: %d rings observed, queue %+v, help %+v; want all %d pairs shipped",
+			observed.Load(), qs, res.Help, total)
+	}
 }
 
 // mixSpec is countSpec with values that differ per element, so two runs
@@ -150,11 +182,10 @@ func referenceWindow(keys int, splits []int) string {
 }
 
 // TestConserveMapBoundSession: one map worker and one combine worker,
-// splits queued far faster than they are mapped. On the fused arm the
-// combine worker maps some of them, also after a lull in which it found the
-// task channel empty; on the ring arm it only folds. Either way each window
-// equals the serial reference over the same splits, and the session's books
-// close exactly.
+// splits queued far faster than they are mapped. On either plan the combine
+// worker maps some of them, also after a lull in which it found the task
+// channel empty; each window equals the serial reference over the same
+// splits, and the session's books close exactly.
 func TestConserveMapBoundSession(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		for _, arm := range placementArms {
@@ -162,9 +193,8 @@ func TestConserveMapBoundSession(t *testing.T) {
 				before := runtime.NumGoroutine()
 				const keys = 16
 				var helped atomic.Bool
-				cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship)
+				cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.sibling)
 				cfg.Mappers = 1
-				cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
 				cfg.Telemetry = telemetry.New()
 				var mapperTakes atomic.Uint64
 				cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
@@ -225,10 +255,10 @@ func TestConserveMapBoundSession(t *testing.T) {
 						t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
 					}
 				}
-				if helped.Load() == p.pool.Ship {
-					t.Fatalf("combine worker mapped after the lull: %v, want %v (help %+v)", helped.Load(), !p.pool.Ship, p.HelpStats())
+				if !helped.Load() {
+					t.Fatalf("the combine worker mapped nothing after the lull (help %+v)", p.HelpStats())
 				}
-				checkBooks(t, p, arm.ship, mapperTakes.Load(), total)
+				checkBooks(t, p, mapperTakes.Load(), total)
 				checkNoLeak(t, before)
 			})
 		}
@@ -238,11 +268,10 @@ func TestConserveMapBoundSession(t *testing.T) {
 // TestConserveSealWaitsForWorkerMidSplit: the seal's quiesce check must
 // count a split a worker is still mapping. Window 0 gets two splits on two
 // workers; the one mapping the long split stops in the middle of it, after
-// the other split is done (and, on the ring arm, folded). Then the
-// watermark passes window 0 — and the window must stay unsealed until the
-// paused worker resumes, then seal with both splits. On the fused arm the
-// paused worker may be a combine worker, whose pairs are already in its own
-// pane container; the seal must wait all the same.
+// the other split is done. Then the watermark passes window 0 — and the
+// window must stay unsealed until the paused worker resumes, then seal with
+// both splits. The paused worker may be a combine worker, whose pairs are
+// already in its own pane container; the seal must wait all the same.
 func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		for _, arm := range placementArms {
@@ -267,8 +296,7 @@ func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
 						}
 					}
 				}
-				cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship)
-				cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
+				cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.sibling)
 				var mapperTakes atomic.Uint64
 				cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
 					if w < cfg.Mappers {
@@ -309,16 +337,16 @@ func TestConserveSealWaitsForWorkerMidSplit(t *testing.T) {
 				if ws := p.Windows(); len(ws) != 1 || ws[0].Elements != 24 {
 					t.Fatalf("windows %+v, want window 0 alone with 24 elements", ws)
 				}
-				checkBooks(t, p, arm.ship, mapperTakes.Load(), 24)
+				checkBooks(t, p, mapperTakes.Load(), 24)
 				checkNoLeak(t, before)
 			})
 		}
 	})
 }
 
-// TestConserveSessionBuildsNoRing: on a plan that ships nothing, with no
-// grant, a session is mappers+combiners fused workers and nothing else. No ring is
-// built, so the queue observer never fires and the queue stats stay zero;
+// TestConserveSessionBuildsNoRing: with no grant, a session is
+// mappers+combiners fused workers and nothing else. No ring is built, so the
+// queue observer never fires and no ring traffic is booked;
 // the ledger has one shard per worker, M of them mappers and C combiners;
 // the Map hooks see ids in [0, M+C); and every window equals the serial
 // reference over the same splits.
@@ -368,9 +396,6 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 	if n := observed.Load(); n != 0 || p.pool.Ship {
 		t.Fatalf("queue observer fired %d times, ships=%v; want no ring", n, p.pool.Ship)
 	}
-	if qs := p.QueueStats(); qs != (mr.QueueStats{}) {
-		t.Fatalf("queue stats %+v, want zero", qs)
-	}
 	if n := outside.Load(); n != 0 {
 		t.Fatalf("%d hook calls from a worker id outside [0, %d)", n, cfg.Mappers+cfg.Combiners)
 	}
@@ -393,7 +418,7 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 			t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
 		}
 	}
-	checkBooks(t, p, false, mapperTakes.Load(), total)
+	checkBooks(t, p, mapperTakes.Load(), total)
 	checkNoLeak(t, before)
 }
 
@@ -440,8 +465,8 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := observed.Load(); n != 0 || p.pool.Ship || p.QueueStats() != (mr.QueueStats{}) {
-		t.Fatalf("queue observer fired %d times, ships=%v, queue stats %+v; want no ring", n, p.pool.Ship, p.QueueStats())
+	if n := observed.Load(); n != 0 || p.pool.Ship {
+		t.Fatalf("queue observer fired %d times, ships=%v; want no ring", n, p.pool.Ship)
 	}
 	if n := outside.Load(); n != 0 {
 		t.Fatalf("%d splits mapped by a worker other than 0", n)
@@ -475,7 +500,7 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 		p.paneFor(pane).splitsIn.Add(1000)
 	}
 	for _, w := range []int{0, cfg.Mappers} {
-		p.pool.RunWorker(context.Background(), w, func(w int, lane *core.Lane[streamPair[int, uint64]], _ *telemetry.Worker) {
+		p.pool.RunWorker(context.Background(), w, func(w int, lane *core.Lane[struct{}], _ *telemetry.Worker) {
 			step, n := p.taskStep(w, lane), 0
 			if allocs := testing.AllocsPerRun(100, func() {
 				step(task[int]{split: 32, pane: int64(n % 2)})
@@ -494,23 +519,21 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 }
 
 // TestUninstrumentedSessionReadsLive: a session started without a Telemetry
-// keeps the same books as a sampled one, and they are live — what its rings
-// carried (ring arm) or its combine worker folded (fused arm) shows in
-// QueueStats and HelpStats while the session still runs, not only once it
-// has stopped.
+// keeps the same books as a sampled one, and they are live — what its
+// combine worker folded shows in HelpStats while the session still runs,
+// not only once it has stopped.
 func TestUninstrumentedSessionReadsLive(t *testing.T) {
 	for _, arm := range placementArms {
 		t.Run(arm.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			var fast atomic.Bool
-			cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship)
+			cfg := place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.sibling)
 			cfg.Mappers = 1
-			cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 64, 4, 4
 			p, err := New(mixSpec(16, &fast), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkArm(t, p, arm.ship)
+			checkFused(t, p)
 			if err := p.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -519,15 +542,10 @@ func TestUninstrumentedSessionReadsLive(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			live := func(qs mr.QueueStats, h mr.HelpStats) bool {
-				if !p.pool.Ship {
-					return h.Tasks > 0 && h.CombinerPairs > 0
-				}
-				return qs.Pushes > 0 && qs.Pops > 0
-			}
-			for deadline := time.Now().Add(10 * time.Second); !live(p.QueueStats(), p.HelpStats()); {
+			live := func(h mr.HelpStats) bool { return h.Tasks > 0 && h.CombinerPairs > 0 }
+			for deadline := time.Now().Add(10 * time.Second); !live(p.HelpStats()); {
 				if time.Now().After(deadline) {
-					t.Fatalf("live session reads queue %+v, help %+v: want its traffic before Close", p.QueueStats(), p.HelpStats())
+					t.Fatalf("live session reads help %+v: want its folds before Close", p.HelpStats())
 				}
 				time.Sleep(100 * time.Microsecond)
 			}

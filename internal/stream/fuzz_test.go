@@ -11,19 +11,18 @@ import (
 )
 
 // FuzzStreamChunks feeds a session arbitrary chunks — tick order,
-// lateness, split counts and sizes, and the placement arm, all drawn from the
-// input — and checks the windowing contract against a ledger of what Append
+// lateness, split counts and sizes, and the plan, all drawn from the input —
+// and checks the windowing contract against a ledger of what Append
 // admitted: every admitted element lands in exactly one tumbling window, the
 // window of its chunk's tick, and each window's Elements is what was
 // admitted at that tick. Rejected chunks (late, or past the pending bound)
-// must leave no trace, and the books close on the arm the plan picked. On
-// the ring arm the rings are tiny, so producers park and combiners fold
-// short tails in the same run; on the fused arm workers switch panes from
-// one split to the next.
+// must leave no trace, and the books close with every pair folded where it
+// was made, on either plan, while workers switch panes from one split to the
+// next.
 //
-// Input layout: byte 0 is the lateness (mod 4) and, in bit 2, the arm (set:
-// a sibling plan, the ring arm); then three bytes a chunk — tick (mod 16),
-// split count (mod 5) and elements per split (mod 64).
+// Input layout: byte 0 is the lateness (mod 4) and, in bit 2, the plan (set:
+// a sibling plan, on which a batch run would ship); then three bytes a chunk
+// — tick (mod 16), split count (mod 5) and elements per split (mod 64).
 func FuzzStreamChunks(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 10, 1, 3, 20, 2, 1, 5})
 	f.Add([]byte{2, 5, 4, 63, 3, 1, 7, 4, 2, 0, 9, 4, 40, 1, 0, 0})
@@ -37,11 +36,7 @@ func FuzzStreamChunks(f *testing.F) {
 		}
 		const keys = 8
 		cfg := testConfig(t, &mr.StreamSpec{Window: 1, Lateness: int64(data[0] % 4), MaxPending: 8})
-		ship := data[0]&4 != 0
-		if ship {
-			cfg = parked(cfg)
-		}
-		cfg.QueueCapacity, cfg.BatchSize, cfg.EmitBatch = 4, 2, 3
+		cfg = place(cfg, data[0]&4 != 0)
 		var mapperTakes atomic.Uint64
 		cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
 			if w < cfg.Mappers {
@@ -103,6 +98,6 @@ func FuzzStreamChunks(f *testing.F) {
 			}
 			delete(admitted, w.Index)
 		}
-		checkBooks(t, p, ship, mapperTakes.Load(), total)
+		checkBooks(t, p, mapperTakes.Load(), total)
 	})
 }

@@ -75,7 +75,6 @@ type Session struct {
 	stats      func() Stats
 	windows    func() []WindowMeta
 	window     func(int64) (WindowMeta, bool)
-	queueStats func() mr.QueueStats
 	helpStats  func() mr.HelpStats
 	setOnSeal  func(func(WindowMeta))
 	spec       mr.StreamSpec
@@ -152,8 +151,7 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 			}
 			return meta(w), true
 		},
-		queueStats: p.QueueStats,
-		helpStats:  p.HelpStats,
+		helpStats: p.HelpStats,
 		setOnSeal: func(fn func(WindowMeta)) {
 			p.OnSeal = func(w *Window[K, R]) { fn(meta(w)) }
 		},
@@ -190,9 +188,6 @@ func (s *Session) Windows() []WindowMeta { return s.windows() }
 
 // Window returns sealed window n's summary, if sealed.
 func (s *Session) Window(n int64) (WindowMeta, bool) { return s.window(n) }
-
-// QueueStats returns the aggregated SPSC counters.
-func (s *Session) QueueStats() mr.QueueStats { return s.queueStats() }
 
 // HelpStats returns what the session's fused workers folded in place, and
 // the splits its combine workers ran.

@@ -4,9 +4,8 @@
 // results without ever tearing its workers down.
 //
 // The batch engine's building blocks are reused wholesale — its pool of
-// workers placed once (core.Pool: the pinning plan, the rings and combiner
-// slots, the failure latch and the ledger), the pipeline kernel (core.Lane on
-// every task-taking worker, core.Fuse on a fused one), private containers
+// workers placed once (core.Pool: the pinning plan, the failure latch and the
+// ledger), the fused step (core.Lane and core.Fuse), private containers
 // (internal/container) and the run's statistics (core.Books) — but the
 // lifecycle inverts: instead of
 // "partition once, run to drain, merge once", workers block on a task
@@ -23,19 +22,15 @@
 // duplicating folds; the watermark is maxTick-Lateness and window n seals
 // once n*Slide+Window <= watermark. Sealing is exact, not best-effort: a
 // window is merged only after every split routed to its panes has been
-// mapped AND every pair those splits pushed to a ring has been folded,
-// tracked by per-pane conservation counters (splits in/done, pairs not yet
-// folded).
+// mapped, tracked by per-pane conservation counters (splits in/done).
 //
-// Placement (DESIGN.md §5.2) is the batch engine's, made by the same
-// core.Pool: a session ships pairs only when its pinning plan puts some
-// combiner on an SMT sibling of its mappers. Every other session is one pool
-// of identical fused workers sized to its grant. Each takes a split, points
-// its container at the split's pane — its own per-pane containers, picked
-// once per task — and folds every pair there as it is made, so a pane
-// quiesces once its splits are done. On a sibling plan the session is the
-// paper's pipeline: mappers ship pane-tagged pairs through rings, and
-// combiner slots fold them or park.
+// Placement (DESIGN.md §5.2): a session is always one pool of identical
+// fused workers sized to its grant — core.NewPool without leave to ship,
+// whatever its pinning plan; the paper's ring pipeline is a batch mechanism.
+// Each worker takes a split, points its container at the split's pane — its
+// own per-pane containers, picked once per task — and folds every pair there
+// as it is made (in-node combining), so a pane quiesces once its splits are
+// done.
 package stream
 
 import (
@@ -62,9 +57,7 @@ var ErrClosed = errors.New("stream: session closed to new input")
 
 // BackpressureError rejects an Append that would exceed the pending
 // bound. RetryAfter is the suggested client backoff, derived from how
-// deep the backlog runs and from the SPSC failed-push rate (mappers
-// sleeping on full rings mean the combiners are the bottleneck, so
-// draining will take longer).
+// deep the backlog runs.
 type BackpressureError struct {
 	RetryAfter time.Duration
 	Pending    int
@@ -124,42 +117,31 @@ type task[S any] struct {
 	pane  int64
 }
 
-// streamPair is an intermediate pair tagged with its destination pane,
-// flowing mapper → combiner through the SPSC rings.
-type streamPair[K comparable, V any] struct {
-	pane int64
-	kv   container.KV[K, V]
-}
-
 // paneState tracks one pane's conservation counters. A window is
-// quiescent — safe to merge — once, for every pane it spans,
-// splitsDone == splitsIn and unfolded == 0. Ordering guarantees the check
-// is sound: a split's lane flushes its emit slab and the split adds what it
-// pushed to unfolded BEFORE adding to splitsDone, and splitsIn for a
-// sealable pane is frozen because Append rejects ticks behind the
-// watermark. A fused worker folds every pair as it is made, so in a fused
-// session unfolded stays 0 and the splits alone decide.
+// quiescent — safe to merge — once, for every pane it spans, splitsDone ==
+// splitsIn. A worker folds every pair of a split as it is made, before the
+// split adds to splitsDone, and splitsIn for a sealable pane is frozen
+// because Append rejects ticks behind the watermark: so the splits alone
+// decide.
 type paneState struct {
 	pane        int64
 	splitsIn    atomic.Int64
 	splitsDone  atomic.Int64
 	elements    atomic.Uint64 // pairs the pane's done splits emitted
-	unfolded    atomic.Int64  // of those, pushed to a ring and not yet folded
 	chunks      atomic.Int64
 	firstAppend time.Time
 }
 
-// paneSet is one container owner's private per-pane container map: a
-// combiner slot's, or in a fused session a fused worker's. The owner's
-// goroutine is the only writer of the containers; the mutex serializes map
-// access (pane creation, and the sealer's merge walk) and is taken only
-// when switching panes or sealing, never per pair.
+// paneSet is one fused worker's private per-pane container map. The
+// worker's goroutine is the only writer of the containers; the mutex
+// serializes map access (pane creation, and the sealer's merge walk) and is
+// taken only when switching panes or sealing, never per pair.
 type paneSet[K comparable, V any] struct {
 	mu    sync.Mutex
 	panes map[int64]container.Container[K, V]
 }
 
-// container returns (creating if needed) the owner's container for a pane.
+// container returns (creating if needed) the worker's container for a pane.
 func (cs *paneSet[K, V]) container(pane int64, newC container.Factory[K, V]) container.Container[K, V] {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -196,9 +178,9 @@ type Stats struct {
 type Pipeline[S any, K comparable, V, R any] struct {
 	spec   *mr.Spec[S, K, V, R]
 	cfg    mr.Config
-	win    mr.StreamSpec // resolved
-	pool   *core.Pool[streamPair[K, V]]
-	owners []*paneSet[K, V] // per container owner of the pool
+	win    mr.StreamSpec        // resolved
+	pool   *core.Pool[struct{}] // fused: its lanes never stage a pair
+	owners []*paneSet[K, V]     // per worker of the pool
 
 	// OnSeal, when set before Start, is invoked from the sealer
 	// goroutine after each window is published (service wires per-window
@@ -246,7 +228,7 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	if cfg.Stream == nil {
 		return nil, errors.New("stream: Config.Stream is required for a resident pipeline")
 	}
-	pool, err := core.NewPool[streamPair[K, V]](cfg, cfg.Pin, "stream")
+	pool, err := core.NewPool[struct{}](cfg, cfg.Pin, "stream", false)
 	if err != nil {
 		return nil, err
 	}
@@ -272,9 +254,8 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	return p, nil
 }
 
-// Start spawns the resident workers and the sealer: the fused pool, or on a
-// sibling plan the mappers and the combiner pool. The workers live until
-// Close or Cancel; no per-window restarts.
+// Start spawns the resident fused workers and the sealer. The workers live
+// until Close or Cancel; no per-window restarts.
 func (p *Pipeline[S, K, V, R]) Start() error {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
@@ -283,7 +264,7 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 	}
 	p.started = true
 	p.startAt = time.Now()
-	p.pool.Start(context.Background(), p.work, p.foldInto, p.kickSealer)
+	p.pool.Start(context.Background(), p.work, nil)
 	go p.sealLoop()
 	// The janitor turns "every worker exited" into the flush signal, once
 	// the session is closed (the sealer treats flush mode as "everything is
@@ -386,12 +367,11 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 	return ts, nil
 }
 
-// retryAfter derives the backpressure hint: a base term growing with the
-// backlog fraction, plus a term for the SPSC failed-push rate (producers
-// already sleeping on full rings drain slower), clamped to [50ms, 2s].
+// retryAfter derives the backpressure hint: a term growing with the
+// backlog fraction, clamped to [50ms, 2s].
 func (p *Pipeline[S, K, V, R]) retryAfter(pending int) time.Duration {
 	frac := float64(pending) / float64(p.win.MaxPending)
-	d := time.Duration((frac + p.QueueStats().FailedPushRate()) * float64(500*time.Millisecond))
+	d := time.Duration(frac * float64(500*time.Millisecond))
 	if d < 50*time.Millisecond {
 		d = 50 * time.Millisecond
 	}
@@ -444,37 +424,21 @@ func (p *Pipeline[S, K, V, R]) kickSealer() {
 	}
 }
 
-// taskStep returns worker w's step for one split, on the worker's lane: in
-// a fused session the worker's container is pointed at the split's pane
-// once, and every pair is folded into it as it is made; otherwise pairs are
-// tagged with the pane and shipped through the lane's ring. Either way the
-// split is then booked on its pane — what it emitted, and what of that it
-// pushed, strictly before splitsDone: the order the seal's quiesce check
+// taskStep returns worker w's step for one split, on the worker's lane: the
+// worker's container is pointed at the split's pane once, and every pair is
+// folded into it as it is made. The split is then booked on its pane — what
+// it emitted, strictly before splitsDone: the order the seal's quiesce check
 // relies on.
-func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]) func(task[S]) {
-	var pane int64
+func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[struct{}]) func(task[S]) {
 	var cur container.Container[K, V]
-	var emit func(K, V)
-	if !p.pool.Ship {
-		emit = core.Fuse(lane, &cur, p.spec.Combine)
-	} else {
-		emit = core.HookEmit(lane, func(k K, v V) {
-			core.Emit(lane, streamPair[K, V]{pane: pane, kv: container.KV[K, V]{K: k, V: v}})
-		})
-	}
+	emit := core.Fuse(lane, &cur, p.spec.Combine)
 	return func(t task[S]) {
-		pane = t.pane
-		if !p.pool.Ship {
-			cur = p.owners[w].container(pane, p.spec.NewContainer)
-		}
+		cur = p.owners[w].container(t.pane, p.spec.NewContainer)
 		lane.BeginTask()
 		p.spec.Map(t.split, emit)
 		emitted := lane.EndTask()
-		ps := p.lookupPane(pane)
+		ps := p.lookupPane(t.pane)
 		ps.elements.Add(emitted)
-		if p.pool.Ship {
-			ps.unfolded.Add(int64(emitted))
-		}
 		ps.splitsDone.Add(1)
 		p.pending.Add(-1)
 		p.kickSealer()
@@ -483,7 +447,7 @@ func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[streamPair[K, V]]
 
 // work is resident worker w's body: take a split, step it, repeat until the
 // task channel closes (Close) or the session dies.
-func (p *Pipeline[S, K, V, R]) work(w int, lane *core.Lane[streamPair[K, V]], tw *telemetry.Worker) {
+func (p *Pipeline[S, K, V, R]) work(w int, lane *core.Lane[struct{}], tw *telemetry.Worker) {
 	step := p.taskStep(w, lane)
 	for {
 		select {
@@ -494,19 +458,12 @@ func (p *Pipeline[S, K, V, R]) work(w int, lane *core.Lane[streamPair[K, V]], tw
 				return
 			}
 			// An aborting session must not run user code on queued
-			// tasks; combiners are discarding anyway.
+			// tasks.
 			if p.pool.Aborted() {
 				p.pending.Add(-1)
 				continue
 			}
 			step(t)
-			// Under sustained load combiners wait for full batches
-			// (§IV-C), but this split's pane cannot seal until its last
-			// pair is folded, and the next full batch may be a long way
-			// off — this mapper may go idle, or be handed a slow or
-			// sparse split. Have the combiner fold what the ring holds
-			// now.
-			lane.FlushRing()
 			tw.SetState(telemetry.StateIdle)
 		}
 	}
@@ -514,60 +471,27 @@ func (p *Pipeline[S, K, V, R]) work(w int, lane *core.Lane[streamPair[K, V]], tw
 
 // HelpStats counts what the session's fused workers folded where they made
 // it, by role: the splits combine workers ran (Tasks) and the pairs combine
-// and map workers folded. Every pair of a fused session is in it, and none
-// of one on a sibling plan, whose pairs all cross a ring.
-// Like QueueStats it is read from the session's ledger, live or stopped.
+// and map workers folded — every pair of the session. It is read from the
+// session's ledger, live or stopped.
 func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
 	_, _, help := core.Books(p.pool.Ledger.Totals())
 	return help
 }
 
-// foldInto returns combiner j's fold: each consumed ring segment is split
-// into pane-tagged runs, and each run goes into that pane's private
-// container and off its unfolded count.
-func (p *Pipeline[S, K, V, R]) foldInto(j int) func([]streamPair[K, V]) {
-	cs := p.owners[j]
-	var scratch []container.KV[K, V]
-	curPane := int64(math.MinInt64)
-	var curC container.Container[K, V]
-	var curPS *paneState
-	return func(seg []streamPair[K, V]) {
-		for lo := 0; lo < len(seg); {
-			pane := seg[lo].pane
-			hi := lo + 1
-			for hi < len(seg) && seg[hi].pane == pane {
-				hi++
-			}
-			if pane != curPane || curC == nil {
-				curC = cs.container(pane, p.spec.NewContainer)
-				curPS = p.paneFor(pane)
-				curPane = pane
-			}
-			scratch = scratch[:0]
-			for _, e := range seg[lo:hi] {
-				scratch = append(scratch, e.kv)
-			}
-			curC.UpdateBatch(scratch, p.spec.Combine)
-			curPS.unfolded.Add(-int64(hi - lo))
-			lo = hi
-		}
-	}
-}
-
-// sealable returns the highest window index (exclusive) the current
-// watermark allows sealing: every window n with n*Slide+Window <= wm.
+// sealableBefore returns the highest window index (exclusive) the current
+// watermark allows sealing: every window n with n*Slide+Window <= wm. The
+// comparison comes first: at a Lateness near MaxInt64, wm-Window would wrap.
 func (p *Pipeline[S, K, V, R]) sealableBefore() int64 {
 	wm := p.watermark()
-	end := (wm - p.win.Window) / p.win.Slide
-	if wm-p.win.Window < 0 {
+	if wm < p.win.Window {
 		return 0
 	}
-	return end + 1
+	return (wm-p.win.Window)/p.win.Slide + 1
 }
 
 // sealLoop is the watermark-driven sealer: it seals every window the
-// watermark has passed, in order, and blocks — until an append or combine
-// progress kicks it — only when nothing more is sealable; on Close it seals
+// watermark has passed, in order, and blocks — until an append or a finished
+// split kicks it — only when nothing more is sealable; on Close it seals
 // everything that ever held data. The limit is recomputed after every
 // sealed window, not once per wake-up: sealWindow's quiescence wait takes
 // kicks off sealWake too, so a kick that announced a later window may
@@ -621,25 +545,23 @@ func (p *Pipeline[S, K, V, R]) sealLoop() {
 	}
 }
 
-// windowQuiesced reports whether every pane of window n is fully folded.
+// windowQuiesced reports whether every split routed to window n's panes is
+// done, and so folded.
 func (p *Pipeline[S, K, V, R]) windowQuiesced(n int64) bool {
 	k := p.win.PanesPerWindow()
 	for pane := n; pane < n+k; pane++ {
 		ps := p.lookupPane(pane)
-		if ps == nil {
-			continue
-		}
-		if ps.splitsDone.Load() != ps.splitsIn.Load() || ps.unfolded.Load() != 0 {
+		if ps != nil && ps.splitsDone.Load() != ps.splitsIn.Load() {
 			return false
 		}
 	}
 	return true
 }
 
-// sealWindow waits for window n's panes to quiesce, merges every owner's
-// pane containers, reduces, sorts and publishes the
-// snapshot. Empty windows (no pane ever held data) are skipped without
-// publishing. Returns false if the session died while waiting.
+// sealWindow waits for window n's panes to quiesce, merges every worker's
+// pane containers, reduces, sorts and publishes the snapshot. Empty windows
+// (no pane ever held data) are skipped without publishing. Returns false if
+// the session died while waiting.
 func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	k := p.win.PanesPerWindow()
 	hasData := false
@@ -658,9 +580,9 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	}
 	if hasData {
 		// Every counter change that can make the window quiescent is
-		// followed by a kick (a worker after splitsDone, a combiner after a
-		// round that folded something), and the kick is buffered, so one
-		// that lands between the check and the wait is not lost.
+		// followed by a kick (a worker after splitsDone), and the kick is
+		// buffered, so one that lands between the check and the wait is not
+		// lost.
 		for !p.windowQuiesced(n) {
 			select {
 			case <-p.pool.Dying():
@@ -715,13 +637,12 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	return true
 }
 
-// windowPairs merges every owner's containers for window n's k panes (the
-// combiner slots', or in a fused session every fused worker's), reduces
-// and sorts them. The per-owner lock orders the walk against concurrent
-// pane creation; the containers themselves are quiescent (counters balanced
-// by the caller, and panes below the watermark receive no new input). A
-// panic in the user's Combine or Less is returned as a *mr.PanicError, so
-// it fails the session instead of the process.
+// windowPairs merges every worker's containers for window n's k panes,
+// reduces and sorts them. The per-worker lock orders the walk against
+// concurrent pane creation; the containers themselves are quiescent
+// (counters balanced by the caller, and panes below the watermark receive no
+// new input). A panic in the user's Combine or Less is returned as a
+// *mr.PanicError, so it fails the session instead of the process.
 func (p *Pipeline[S, K, V, R]) windowPairs(n, k int64) (pairs []mr.Pair[K, R], err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -748,11 +669,10 @@ func (p *Pipeline[S, K, V, R]) windowPairs(n, k int64) (pairs []mr.Pair[K, R], e
 }
 
 // Close seals the session: no more appends, workers drain the task
-// channel and exit, combiners drain the rings and exit, and the sealer
-// flushes every remaining window (the final, watermark-incomplete
-// windows included). It returns the session's error state; ctx bounds
-// the wait — on expiry the session is cancelled and ctx's error
-// returned.
+// channel and exit, and the sealer flushes every remaining window (the
+// final, watermark-incomplete windows included). It returns the session's
+// error state; ctx bounds the wait — on expiry the session is cancelled and
+// ctx's error returned.
 func (p *Pipeline[S, K, V, R]) Close(ctx context.Context) error {
 	p.appendMu.Lock()
 	if !p.started {
@@ -835,14 +755,6 @@ func (p *Pipeline[S, K, V, R]) Stats() Stats {
 		st.WatermarkLag = time.Since(oldest)
 	}
 	return st
-}
-
-// QueueStats returns the SPSC counters summed over the session's rings,
-// read from its ledger: live while it runs (each side as of its worker's
-// last task end or consume round), exact once it has stopped.
-func (p *Pipeline[S, K, V, R]) QueueStats() mr.QueueStats {
-	qs, _, _ := core.Books(p.pool.Ledger.Totals())
-	return qs
 }
 
 // Uptime returns how long the session has been running.

@@ -42,8 +42,7 @@ func testConfig(t *testing.T, spec *mr.StreamSpec) mr.Config {
 	cfg := mr.DefaultConfig()
 	cfg.Mappers = 2
 	cfg.Combiners = 1
-	cfg.QueueCapacity = 256
-	// A machine without SMT: the session ships nothing on any host.
+	// A machine without SMT: no plan on it puts a combiner beside a mapper.
 	cfg.Machine = topology.Flat(2)
 	cfg.Stream = spec
 	return cfg
@@ -159,10 +158,9 @@ func TestTumblingConservation(t *testing.T) {
 	if st.Chunks != 3 || st.Splits != 9 {
 		t.Errorf("stats chunks=%d splits=%d, want 3/9", st.Chunks, st.Splits)
 	}
-	// The books of a session that conserves work: every split was taken by
-	// a map worker or a combine worker, and every pair was folded where it
-	// was made, none shipped.
-	checkBooks(t, p, false, mapperTakes.Load(), total)
+	// The books of a fused session: every split was taken by a map worker
+	// or a combine worker, and every pair was folded where it was made.
+	checkBooks(t, p, mapperTakes.Load(), total)
 	checkNoLeak(t, before)
 }
 
@@ -297,17 +295,17 @@ func TestLateChunkRejected(t *testing.T) {
 // TestSealSkipsEmptyWindows: sealing costs what the panes holding data
 // cost, not the distance between their ticks. After a chunk at tick 0, one
 // at tick 10^15 lets window 0 seal and Close seal the far one, on both
-// placement arms, without stepping through the empty windows between them.
+// plans, without stepping through the empty windows between them.
 // A tick whose window would end past the largest int64 is rejected.
 func TestSealSkipsEmptyWindows(t *testing.T) {
 	const far = int64(1e15)
 	for _, arm := range placementArms {
 		t.Run(arm.name, func(t *testing.T) {
-			p, err := New(countSpec(4), place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.ship))
+			p, err := New(countSpec(4), place(testConfig(t, &mr.StreamSpec{Window: 1}), arm.sibling))
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkArm(t, p, arm.ship)
+			checkFused(t, p)
 			if err := p.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -331,6 +329,47 @@ func TestSealSkipsEmptyWindows(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHugeLatenessKeepsWindowsOpen: a watermark far below zero seals
+// nothing. At a Lateness near the largest int64 the watermark minus the
+// window width wraps round, which once sealed window 0 on its first chunk
+// and then dropped a later chunk at a tick inside it. Window 0 must stay
+// open until Close and then hold both chunks.
+func TestHugeLatenessKeepsWindowsOpen(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p, err := New(countSpec(4), testConfig(t, &mr.StreamSpec{Window: 10, Lateness: math.MaxInt64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Append(chunkOf(0, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); p.Stats().Pending != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first chunk was never mapped")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(5 * time.Millisecond) // the kick after the split
+	if n := p.SealedCount(); n != 0 {
+		t.Fatalf("%d windows sealed at watermark %d", n, p.Stats().Watermark)
+	}
+	if _, err := p.Append(chunkOf(5, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ws := p.Windows(); len(ws) != 1 || ws[0].Index != 0 || ws[0].Elements != 16 {
+		t.Fatalf("windows %+v, want window 0 alone with all 16 elements", ws)
+	}
+	checkNoLeak(t, before)
 }
 
 // TestConcurrentProducers hammers Append from several goroutines (with
@@ -464,19 +503,19 @@ func TestMapperPanicAborts(t *testing.T) {
 
 // TestSealerPanicFailsSession: a Less that panics while the sealer sorts a
 // window fails the session with the sealer's *mr.PanicError, on both
-// placement arms, instead of taking the process down, and every session
+// plans, instead of taking the process down, and every session
 // goroutine still exits.
 func TestSealerPanicFailsSession(t *testing.T) {
 	for _, arm := range placementArms {
 		before := runtime.NumGoroutine()
-		cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.ship)
+		cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.sibling)
 		spec := countSpec(8)
 		spec.Less = func(a, b int) bool { panic("less exploded") }
 		p, err := New(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkArm(t, p, arm.ship)
+		checkFused(t, p)
 		if err := p.Start(); err != nil {
 			t.Fatal(err)
 		}

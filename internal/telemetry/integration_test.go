@@ -161,14 +161,16 @@ func conservationRAMR(t *testing.T, ship bool) {
 
 // TestLedgerIdentity: a batch run's and a stream session's statistics are
 // views of one ledger, and the ledger is exact. Each runs conserving work
-// and on a plan that ships pairs, each with and without a Telemetry, on tiny
-// rings (16 slots, slabs of 3) so every wait and fold path is taken. In
-// every case the queue stats equal the sum of the rings' own snapshots on
-// all eight fields, emitted equals the pairs the input holds, and the
-// helped tasks are the ones combiners ran. A batch run books every take, so
-// its takes equal the task count; a stream session's mapper takes plus
-// helped tasks equal the split count. Conserving, either driver folds every
-// pair where it is emitted and builds no ring; a sibling plan folds none.
+// and on a plan where a batch run ships pairs, each with and without a
+// Telemetry, on tiny rings (16 slots, slabs of 3) so every wait and fold
+// path is taken. In every case emitted equals the pairs the input holds and
+// the helped tasks are the ones combiners ran. A batch run books every
+// take, so its takes equal the task count, and its queue stats equal the sum
+// of the rings' own snapshots on all eight fields: conserving it folds every
+// pair where it is emitted and builds no ring, on a sibling plan it folds
+// none. A stream session's mapper takes plus helped tasks equal the split
+// count, and on either plan it builds no ring and folds every pair where it
+// is emitted.
 func TestLedgerIdentity(t *testing.T) {
 	for _, arm := range []struct {
 		name string
@@ -262,23 +264,14 @@ func ledgerIdentityStream(t *testing.T, ship, sampled bool) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	qs, help := p.QueueStats(), p.HelpStats()
-	if qs != truth.stats {
-		t.Fatalf("ledger queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
-	}
-	if got := p.Stats().Elements; got != emits || qs.Pushes+help.Pairs() != emits || qs.Pops != qs.Pushes {
-		t.Fatalf("%d elements, %d pushed (%d popped) + %d folded in place, want %d emitted", got, qs.Pushes, qs.Pops, help.Pairs(), emits)
+	help := p.HelpStats()
+	if got := p.Stats().Elements; got != emits || help.Pairs() != emits || truth.rings != 0 {
+		t.Fatalf("%d elements, %d folded in place over %d rings, want %d emitted, all folded in place, no ring",
+			got, help.Pairs(), truth.rings, emits)
 	}
 	if mapperTasks.Load()+help.Tasks != uint64(len(spec.Splits)) || help.Tasks != slotTasks.Load() {
 		t.Fatalf("mapper takes %d + helped %d (ran %d), want %d splits; help %+v",
 			mapperTasks.Load(), help.Tasks, slotTasks.Load(), len(spec.Splits), help)
-	}
-	if ship && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
-		t.Fatalf("sibling plan helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
-	}
-	if !ship && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
-		t.Fatalf("conserving session pushed %d pairs, folded %d in place over %d rings, want 0, %d and no ring",
-			qs.Pushes, help.Pairs(), truth.rings, emits)
 	}
 	if !sampled {
 		return

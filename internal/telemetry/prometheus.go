@@ -80,9 +80,9 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 		func(w *Worker) uint64 { return w.failedPush.Load() })
 	counter("ramr_worker_sleep_microseconds_total", "Microseconds producers spent parked on a full ring (measured wall time).",
 		func(w *Worker) uint64 { return w.sleepMicros.Load() })
-	counter("ramr_worker_tasks_helped_total", "Map tasks run by a combiner: a combine worker of a fused pool, in Phoenix++ or in a RAMR run or stream session that ships nothing.",
+	counter("ramr_worker_tasks_helped_total", "Map tasks run by a combiner: a combine worker of a fused pool, in Phoenix++, a stream session or a RAMR run that ships nothing.",
 		(*Worker).combinerTasks)
-	counter("ramr_worker_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring: a fused worker's, in a RAMR run or stream session whose pinning plan ships no pair, and in Phoenix++.",
+	counter("ramr_worker_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring: a fused worker's, in a RAMR run whose pinning plan ships no pair, a stream session, and Phoenix++.",
 		func(w *Worker) uint64 { return w.folded.Load() })
 	counter("ramr_worker_remote_executed_total", "Stolen map tasks completed by this worker.",
 		func(w *Worker) uint64 { return w.remoteExecuted.Load() })

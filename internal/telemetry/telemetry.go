@@ -103,8 +103,8 @@ type Worker struct {
 	emitted atomic.Uint64
 	tasks   atomic.Uint64
 	// folded counts the pairs a worker folded where they were emitted — a
-	// fused worker's: in a RAMR run or stream session whose plan ships no
-	// pair, and in Phoenix++. They are in emitted and never crossed a ring.
+	// fused worker's: in a RAMR run whose plan ships no pair, a stream
+	// session, and Phoenix++. They are in emitted and never crossed a ring.
 	folded atomic.Uint64
 	// The producer side of a mapper's ring and the consumer side of a
 	// slot's rings, summed over the rings it owns: absolute values, stored
@@ -180,7 +180,7 @@ func (w *Worker) StoreConsumer(pops, emptyPolls, shortPolls, batchCalls uint64) 
 func (w *Worker) combined() uint64 { return w.pops.Load() + w.folded.Load() }
 
 // combinerTasks is the map tasks the worker ran if it is a combiner: a
-// fused pool's combine worker's, in a batch run or stream session whose
+// fused pool's combine worker's, in a stream session or a batch run whose
 // plan ships no pair. Only those run tasks on a combiner's shard.
 func (w *Worker) combinerTasks() uint64 {
 	if w.role != "combiner" {
