@@ -1,0 +1,124 @@
+package core
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"ramr/internal/mr"
+	"ramr/internal/telemetry"
+	"ramr/internal/topology"
+)
+
+// TestStepAllocatesNothing: the one step on a batch task — a run of
+// splits — allocates nothing once its pane's container exists, on a worker
+// of each role, with the pane changing on every step. A session's split
+// goes through the same step (stream's
+// TestConserveSessionStepAllocatesNothing).
+func TestStepAllocatesNothing(t *testing.T) {
+	spec, cfg := countSpec(4, 8, 16), testConfig()
+	d, err := newDriver(spec, cfg, "ramr", true, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Ship {
+		t.Fatal("a plan without SMT ships pairs")
+	}
+	for _, w := range []int{0, cfg.Mappers} {
+		d.RunWorker(context.Background(), w, func(w int, lane *Lane[pair[int, int]], _ *telemetry.Worker) {
+			step, n := d.Step(w, lane, nil), 0
+			if allocs := testing.AllocsPerRun(100, func() {
+				step(Task[int]{Splits: spec.Splits, Pane: int64(n % 2)})
+				n++
+			}); allocs != 0 {
+				t.Errorf("worker %d's step allocates %.1f times", w, allocs)
+			}
+		})
+	}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, h := Books(d.Ledger.Totals()); h.Tasks != 101 || h.CombinerPairs != 101*4*8 || h.MapperPairs != 101*4*8 {
+		t.Fatalf("help %+v: want 101 steps of 32 pairs on each worker", h)
+	}
+}
+
+// TestTaskSourceAppendsDealsAndParks: an open source deals appended splits
+// to the groups in proportion to their workers — none to a group without
+// one — and reuses its slots in FIFO order. A worker that finds nothing
+// parks until an append, the close or the run's death.
+func TestTaskSourceAppendsDealsAndParks(t *testing.T) {
+	dying := make(chan struct{})
+	tq := newTaskQueues[int](nil, multiSocket(3), []int{2, 1, 0}, mr.StealOff, true, dying)
+	splits := make([]int, 60)
+	for i := range splits {
+		splits[i] = i
+	}
+	tq.Append(7, splits[:30])
+	got := [3][]int{}
+	for g := 0; g < 2; g++ {
+		for tq.deques[g].tail > tq.deques[g].head {
+			tasks, _, _ := tq.take(g, nil)
+			if tasks[0].Pane != 7 {
+				t.Fatalf("task in pane %d, want 7", tasks[0].Pane)
+			}
+			got[g] = append(got[g], tasks[0].Splits[0])
+		}
+	}
+	if len(got[0]) != 20 || len(got[1]) != 10 || tq.deques[2].tail != 0 {
+		t.Fatalf("dealt %d/%d/%d splits, want 20/10/0 for 2/1/0 workers", len(got[0]), len(got[1]), tq.deques[2].tail)
+	}
+	// A second round through the same ring slots comes out in order.
+	tq.Append(8, splits[30:])
+	for i := 0; tq.deques[1].tail > tq.deques[1].head; i++ {
+		tasks, _, _ := tq.take(1, nil)
+		if s := tasks[0].Splits[0]; s != 32+3*i {
+			t.Fatalf("group 1's take %d is split %d, want %d", i, s, 32+3*i)
+		}
+	}
+
+	parked := func(g int) chan bool {
+		out := make(chan bool, 1)
+		go func() {
+			_, _, ok := tq.take(g, nil)
+			out <- ok
+		}()
+		select {
+		case ok := <-out:
+			t.Fatalf("group %d's take returned %v on an empty open source, want it parked", g, ok)
+		case <-time.After(20 * time.Millisecond):
+		}
+		return out
+	}
+	woken := func(out chan bool, want bool, what string) {
+		select {
+		case ok := <-out:
+			if ok != want {
+				t.Fatalf("%s: take returned %v, want %v", what, ok, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the parked take never woke", what)
+		}
+	}
+	out := parked(1)
+	tq.Append(9, splits[:3])
+	woken(out, true, "append")
+	out = parked(2) // a group without a worker is dealt nothing
+	tq.Close()
+	woken(out, false, "close")
+	for tq.deques[0].tail > tq.deques[0].head {
+		tq.take(0, nil)
+	}
+	if _, _, ok := tq.take(0, nil); ok {
+		t.Fatal("took a task from a closed, drained source")
+	}
+
+	open := newTaskQueues[int](nil, topology.Flat(2), []int{2}, mr.StealChunked, true, dying)
+	out = make(chan bool, 1)
+	go func() {
+		_, _, ok := open.take(0, nil)
+		out <- ok
+	}()
+	close(dying)
+	woken(out, false, "abort")
+}

@@ -293,16 +293,53 @@ func multiSocket(n int) *topology.Machine {
 	}
 }
 
+// seeded returns a source of n one-split tasks over the splits 0..n-1, so a
+// task's split is its id, seeded and closed as a batch run's is.
+func seeded(n int, machine *topology.Machine, workersIn []int, policy mr.StealPolicy, single bool) *taskQueues[int] {
+	splits, tasks := make([]int, n), make([]Task[int], n)
+	for i := range splits {
+		splits[i] = i
+		tasks[i].Splits = splits[i : i+1]
+	}
+	tq := newTaskQueues(tasks, machine, workersIn, policy, single, nil)
+	tq.Close()
+	return tq
+}
+
+// take is one take by a worker in group g, as the range of task ids [lo, hi)
+// it got, which must be contiguous.
+func take(t *testing.T, tq *taskQueues[int], g int) (lo, hi int, cls topology.StealClass, ok bool) {
+	t.Helper()
+	tasks, cls, ok := tq.take(g, nil)
+	if !ok {
+		return 0, 0, cls, false
+	}
+	lo, hi = tasks[0].Splits[0], tasks[len(tasks)-1].Splits[0]+1
+	if hi-lo != len(tasks) {
+		t.Fatalf("took %d tasks %v, not a contiguous range", len(tasks), tasks)
+	}
+	return lo, hi, cls, true
+}
+
+// drained fails the test unless no worker of any group can take a task.
+func drained(t *testing.T, tq *taskQueues[int]) {
+	t.Helper()
+	for g := range tq.deques {
+		if lo, hi, _, ok := take(t, tq, g); ok {
+			t.Fatalf("group %d took [%d,%d) after exhaustion", g, lo, hi)
+		}
+	}
+}
+
 func TestTaskQueuesStealAcrossGroups(t *testing.T) {
-	tasks := mr.Tasks(10, 1)
 	// One mapper per group seeds every group tasks, but only group 2's
 	// mapper runs: it must drain the whole set, stealing the other
 	// groups' shares, and classify those takes as remote.
-	tq := newTaskQueues(tasks, multiSocket(3), []int{1, 1, 1}, mr.StealChunked, false)
+	tq := seeded(10, multiSocket(3), []int{1, 1, 1}, mr.StealChunked, false)
 	seen := map[int]bool{}
 	stolen := 0
 	for {
-		lo, hi, cls, ok := tq.take(2)
+		lo, hi, cls, ok := take(t, tq, 2)
 		if !ok {
 			break
 		}
@@ -325,20 +362,17 @@ func TestTaskQueuesStealAcrossGroups(t *testing.T) {
 	if stolen == 0 {
 		t.Fatal("lone mapper drained three seeded groups without a single steal")
 	}
-	if tq.remaining() != 0 {
-		t.Fatalf("%d tasks still queued after exhaustion", tq.remaining())
-	}
+	drained(t, tq)
 }
 
 // TestTaskQueuesStealOffStaysLocal: under StealOff a mapper sees only its
 // own group's seed, and the other groups' mappers can still drain theirs.
 func TestTaskQueuesStealOffStaysLocal(t *testing.T) {
-	tasks := mr.Tasks(12, 1)
-	tq := newTaskQueues(tasks, multiSocket(3), []int{1, 1, 1}, mr.StealOff, false)
+	tq := seeded(12, multiSocket(3), []int{1, 1, 1}, mr.StealOff, false)
 	counts := make([]int, 3)
 	for g := 0; g < 3; g++ {
 		for {
-			lo, hi, cls, ok := tq.take(g)
+			lo, hi, cls, ok := take(t, tq, g)
 			if !ok {
 				break
 			}
@@ -360,12 +394,12 @@ func TestTaskQueuesStealOffStaysLocal(t *testing.T) {
 // deque's head or a victim's tail, and under StealOff never leave the
 // taker's group; the pipeline's queues keep their guided chunks.
 func TestTaskQueuesSingleTakes(t *testing.T) {
-	tq := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 1}, mr.StealChunked, true)
-	if lo, hi, cls, ok := tq.take(0); !ok || hi-lo != 1 || lo != 0 || cls != topology.StealLocal {
+	tq := seeded(12, multiSocket(3), []int{1, 1, 1}, mr.StealChunked, true)
+	if lo, hi, cls, ok := take(t, tq, 0); !ok || hi-lo != 1 || lo != 0 || cls != topology.StealLocal {
 		t.Fatalf("own deque: took [%d,%d) class %v ok=%v, want task 0 alone, local", lo, hi, cls, ok)
 	}
 	for {
-		lo, hi, cls, _ := tq.take(0)
+		lo, hi, cls, _ := take(t, tq, 0)
 		if hi-lo != 1 {
 			t.Fatalf("took [%d,%d), want one task", lo, hi)
 		}
@@ -374,37 +408,41 @@ func TestTaskQueuesSingleTakes(t *testing.T) {
 		}
 	}
 
-	off := newTaskQueues(mr.Tasks(12, 1), multiSocket(3), []int{1, 1, 0}, mr.StealOff, true)
-	if _, _, _, ok := off.take(2); ok {
+	off := seeded(12, multiSocket(3), []int{1, 1, 0}, mr.StealOff, true)
+	if _, _, _, ok := take(t, off, 2); ok {
 		t.Fatal("StealOff: a worker in a group seeded nothing took another group's task")
 	}
-	if off.remaining() != 12 {
-		t.Fatalf("StealOff: %d tasks left, want all 12", off.remaining())
+	left := 0
+	for g := 0; g < 2; g++ {
+		for _, _, _, ok := take(t, off, g); ok; _, _, _, ok = take(t, off, g) {
+			left++
+		}
+	}
+	if left != 12 {
+		t.Fatalf("StealOff: %d tasks left for the groups with workers, want all 12", left)
 	}
 
-	guided := newTaskQueues(mr.Tasks(40, 1), multiSocket(2), []int{1, 1}, mr.StealChunked, false)
-	if lo, hi, _, _ := guided.take(1); hi-lo != 10 {
+	guided := seeded(40, multiSocket(2), []int{1, 1}, mr.StealChunked, false)
+	if lo, hi, _, _ := take(t, guided, 1); hi-lo != 10 {
 		t.Fatalf("mapper took %d tasks from a deque of 20, want the guided chunk of 10", hi-lo)
 	}
 }
 
 func TestTaskQueuesConcurrentExactlyOnce(t *testing.T) {
-	tasks := mr.Tasks(500, 1)
-	machine := multiSocket(4)
 	// 8 workers, 2 per group, matching the mappersIn weights.
-	tq := newTaskQueues(tasks, machine, []int{2, 2, 2, 2}, mr.StealChunked, false)
+	tq := seeded(500, multiSocket(4), []int{2, 2, 2, 2}, mr.StealChunked, false)
 	var claimed [500]atomic.Int32
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for {
-				lo, hi, _, ok := tq.take(g)
+				tasks, _, ok := tq.take(g, nil)
 				if !ok {
 					return
 				}
-				for task := lo; task < hi; task++ {
-					claimed[task].Add(1)
+				for _, task := range tasks {
+					claimed[task.Splits[0]].Add(1)
 				}
 			}
 		}(w % 4)
@@ -417,9 +455,7 @@ func TestTaskQueuesConcurrentExactlyOnce(t *testing.T) {
 			t.Fatalf("task %d claimed %d times", i, n)
 		}
 	}
-	if tq.remaining() != 0 {
-		t.Fatalf("%d tasks left after global exhaustion", tq.remaining())
-	}
+	drained(t, tq)
 }
 
 // TestSeedSharesProportional is the partitioning bugfix regression: shares
@@ -471,8 +507,7 @@ func TestSeedSharesGrantFiltered(t *testing.T) {
 	if mappersIn[0] != mappers || mappersIn[1] != 0 {
 		t.Fatalf("grant-filtered mappers per group = %v, want [%d 0]", mappersIn, mappers)
 	}
-	tasks := mr.Tasks(40, 1)
-	tq := newTaskQueues(tasks, machine, mappersIn, mr.StealOff, false)
+	tq := seeded(40, machine, mappersIn, mr.StealOff, false)
 	if got := tq.deques[0].tail - tq.deques[0].head; got != 40 {
 		t.Fatalf("group 0 seeded %d tasks, want all 40", got)
 	}
@@ -485,12 +520,11 @@ func TestSeedSharesGrantFiltered(t *testing.T) {
 // cross-node cost, a thief in group 1 must steal from group 2 first (ring
 // order), not group 0.
 func TestTaskQueuesVictimOrderPreferred(t *testing.T) {
-	tasks := mr.Tasks(40, 1)
-	tq := newTaskQueues(tasks, multiSocket(4), []int{1, 1, 1, 1}, mr.StealChunked, false)
+	tq := seeded(40, multiSocket(4), []int{1, 1, 1, 1}, mr.StealChunked, false)
 	// Group 1's own seed is [10, 20); once it drains, the first steal
 	// must come from group 2's seed [20, 30) — the ring-order victim.
 	for {
-		lo, hi, cls, ok := tq.take(1)
+		lo, hi, cls, ok := take(t, tq, 1)
 		if !ok {
 			t.Fatal("queues exhausted before any steal")
 		}
@@ -661,7 +695,7 @@ func TestFusedRunIgnoresHugeEmitBatch(t *testing.T) {
 	if got, want := fmt.Sprint(res.Pairs), fmt.Sprint(mr.Reference(spec)); got != want {
 		t.Fatalf("pairs %s, the reference %s", got, want)
 	}
-	p, err := NewPool[pair[int, int]](cfg, cfg.Pin, "test", true)
+	p, err := NewPool[pair[int, int]](cfg, "test", true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@
 // drain-and-discard on abort). Both are generic over the ring element E and
 // never look inside one. A lane with no ring folds each pair where it is made
 // (Fuse): that is every worker of a pool that ships no pair (Pool, DESIGN.md
-// §5.2), and so every worker of a resident stream session. The batch engine
-// (engine.go) and the stream session (internal/stream) are drivers: they
-// decide where tasks come from and where folded batches go, and run
-// everything else through here.
+// §5.2), and so every worker of a resident stream session. The one driver
+// (Driver, engine.go), behind batch runs and stream sessions alike, decides
+// where tasks come from and where folded batches go, and runs everything
+// else through here.
 package core
 
 import (
@@ -153,8 +153,8 @@ func HookEmit[E, K, V any](l *Lane[E], emit func(K, V)) func(K, V) {
 // made: one Update into the container *c, booked on l as folded as it is
 // handed over — no slab, no ring (DESIGN.md §5.2). It is Phoenix++'s fused
 // step; build it once per worker, not per task. *c is the worker's own
-// container, which its driver may repoint between tasks (a stream session's
-// worker picks the task's pane's), never during one.
+// container, which the driver's step repoints between tasks, at the task's
+// pane's, never during one.
 func Fuse[E any, K comparable, V any](l *Lane[E], c *container.Container[K, V], combine container.Combine[V]) func(K, V) {
 	return HookEmit(l, func(k K, v V) {
 		l.folded++

@@ -21,9 +21,9 @@ import (
 // ring per mapper, and combiner slot j consuming, for the whole run, the
 // rings of the mappers QueueAssignment placed beside it. Only the batch
 // body lets a run ship; a stream session is always one fused pool. The pool
-// also keeps the run's ledger and its failure latch. A driver supplies only
-// where tasks come from, the per-pair emit, where folds go, and what follows
-// the join.
+// also keeps the run's ledger and its failure latch. The one driver
+// (Driver, engine.go) supplies the task source, the per-task step, the
+// folds and the finish.
 type Pool[E any] struct {
 	Machine *topology.Machine
 	// Ship reports that the run may ship and its plan puts a combiner on an
@@ -55,16 +55,16 @@ type Pool[E any] struct {
 }
 
 // NewPool validates cfg's grant against its resolved machine and places the
-// run's workers on it under pin; engine names the run in pprof labels,
+// run's workers on it under cfg.Pin; engine names the run in pprof labels,
 // PanicError and the ledger. mayShip is the caller's permission to build the
 // pipeline: without it the pool is fused whatever the plan.
-func NewPool[E any](cfg mr.Config, pin mr.PinPolicy, engine string, mayShip bool) (*Pool[E], error) {
+func NewPool[E any](cfg mr.Config, engine string, mayShip bool) (*Pool[E], error) {
 	machine := cfg.ResolveMachine()
 	if err := cfg.ValidateGrant(machine); err != nil {
 		return nil, err
 	}
 	mappers, combiners := cfg.Mappers, cfg.NumCombiners()
-	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, pin)
+	plan := BuildPlanOn(machine, cfg.CPUGrant, mappers, combiners, cfg.Pin)
 	p := &Pool[E]{
 		Machine: machine,
 		Ship:    mayShip && plan.ShipsPairs(machine),

@@ -23,7 +23,7 @@ func shipPool(t *testing.T, rings, slots, capacity, batch int, hooks *mr.Hooks) 
 	cfg.Mappers, cfg.Combiners = rings, slots
 	cfg.QueueCapacity, cfg.BatchSize = capacity, batch
 	cfg.Machine, cfg.Pin, cfg.Hooks = topology.HaswellServer(), mr.PinRAMR, hooks
-	p, err := NewPool[pair[int, int]](cfg, cfg.Pin, "test", true)
+	p, err := NewPool[pair[int, int]](cfg, "test", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPoolSplitFollowsPlan(t *testing.T) {
 		cfg := mr.DefaultConfig()
 		cfg.Mappers, cfg.Combiners = tc.mappers, tc.combiners
 		cfg.Machine, cfg.Pin, cfg.CPUGrant = m, mr.PinRAMR, tc.grant
-		p, err := NewPool[pair[int, int]](cfg, cfg.Pin, "test", true)
+		p, err := NewPool[pair[int, int]](cfg, "test", true)
 		if err != nil {
 			t.Fatal(err)
 		}

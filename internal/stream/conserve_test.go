@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
 	"ramr/internal/spsc"
@@ -61,7 +62,7 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 // checkFused fails the test unless p is one pool of fused workers.
 func checkFused[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R]) {
 	t.Helper()
-	if p.pool.Ship {
+	if p.drv.Ship {
 		t.Fatal("the session's pool ships pairs; a session is always fused")
 	}
 }
@@ -73,7 +74,7 @@ func checkFused[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V
 func checkBooks[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], mapperTakes, total uint64) {
 	t.Helper()
 	checkFused(t, p)
-	qs, _, h := core.Books(p.pool.Ledger.Totals())
+	qs, _, h := core.Books(p.drv.Ledger.Totals())
 	st := p.Stats()
 	if mapperTakes+h.Tasks != uint64(st.Splits) || st.Elements != total {
 		t.Errorf("map workers took %d + combine workers ran %d splits, want %d; %d elements emitted, windows hold %d",
@@ -393,8 +394,8 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := observed.Load(); n != 0 || p.pool.Ship {
-		t.Fatalf("queue observer fired %d times, ships=%v; want no ring", n, p.pool.Ship)
+	if n := observed.Load(); n != 0 || p.drv.Ship {
+		t.Fatalf("queue observer fired %d times, ships=%v; want no ring", n, p.drv.Ship)
 	}
 	if n := outside.Load(); n != 0 {
 		t.Fatalf("%d hook calls from a worker id outside [0, %d)", n, cfg.Mappers+cfg.Combiners)
@@ -448,8 +449,8 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.pool.Ship || len(p.pool.CPUs) != 1 || p.pool.Width != 1 {
-		t.Fatalf("ships %v, %d workers, reduce width %d; want one fused worker", p.pool.Ship, len(p.pool.CPUs), p.pool.Width)
+	if p.drv.Ship || len(p.drv.CPUs) != 1 || p.drv.Width != 1 {
+		t.Fatalf("ships %v, %d workers, reduce width %d; want one fused worker", p.drv.Ship, len(p.drv.CPUs), p.drv.Width)
 	}
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
@@ -465,8 +466,8 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := observed.Load(); n != 0 || p.pool.Ship {
-		t.Fatalf("queue observer fired %d times, ships=%v; want no ring", n, p.pool.Ship)
+	if n := observed.Load(); n != 0 || p.drv.Ship {
+		t.Fatalf("queue observer fired %d times, ships=%v; want no ring", n, p.drv.Ship)
 	}
 	if n := outside.Load(); n != 0 {
 		t.Fatalf("%d splits mapped by a worker other than 0", n)
@@ -487,9 +488,10 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 }
 
 // TestConserveSessionStepAllocatesNothing: a fused worker's step on a split
-// — point its container at the split's pane, map, book the pane — allocates
-// nothing once the pane's container exists, on a worker of each role, with
-// the pane changing on every step.
+// — core's one step: point its container at the split's pane, map, and the
+// session's booking of the pane — allocates nothing once the pane's
+// container exists, on a worker of each role, with the pane changing on
+// every step.
 func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
 	p, err := New(countSpec(8), cfg)
@@ -499,11 +501,12 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 	for pane := int64(0); pane < 2; pane++ {
 		p.paneFor(pane).splitsIn.Add(1000)
 	}
+	split := []int{32}
 	for _, w := range []int{0, cfg.Mappers} {
-		p.pool.RunWorker(context.Background(), w, func(w int, lane *core.Lane[struct{}], _ *telemetry.Worker) {
-			step, n := p.taskStep(w, lane), 0
+		p.drv.RunWorker(context.Background(), w, func(w int, lane *core.Lane[container.KV[int, uint64]], _ *telemetry.Worker) {
+			step, n := p.drv.Step(w, lane, p.book), 0
 			if allocs := testing.AllocsPerRun(100, func() {
-				step(task[int]{split: 32, pane: int64(n % 2)})
+				step(core.Task[int]{Splits: split, Pane: int64(n % 2)})
 				n++
 			}); allocs != 0 {
 				t.Errorf("worker %d's step allocates %.1f times", w, allocs)

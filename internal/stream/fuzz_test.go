@@ -10,19 +10,24 @@ import (
 	"ramr/internal/mr"
 )
 
+// windowShapes are the (Window, Slide) pairs FuzzStreamChunks draws; the
+// first is the tumbling window of one tick.
+var windowShapes = [8][2]int64{{1, 1}, {2, 1}, {3, 1}, {4, 2}, {2, 2}, {4, 1}, {6, 3}, {6, 2}}
+
 // FuzzStreamChunks feeds a session arbitrary chunks — tick order,
-// lateness, split counts and sizes, and the plan, all drawn from the input —
-// and checks the windowing contract against a ledger of what Append
-// admitted: every admitted element lands in exactly one tumbling window, the
-// window of its chunk's tick, and each window's Elements is what was
-// admitted at that tick. Rejected chunks (late, or past the pending bound)
-// must leave no trace, and the books close with every pair folded where it
-// was made, on either plan, while workers switch panes from one split to the
-// next.
+// lateness, split counts and sizes, the window shape and the plan, all drawn
+// from the input — and checks the windowing contract against a ledger of
+// what Append admitted: exactly the windows covering a tick that admitted
+// splits seal, and each window's Elements and the sum of its pairs are what
+// was admitted at the ticks it covers — on sliding windows too, where panes
+// are shared. Rejected chunks (late, or past the pending bound) must leave
+// no trace, and the books close with every pair folded where it was made,
+// on either plan, while workers switch panes from one split to the next.
 //
-// Input layout: byte 0 is the lateness (mod 4) and, in bit 2, the plan (set:
-// a sibling plan, on which a batch run would ship); then three bytes a chunk
-// — tick (mod 16), split count (mod 5) and elements per split (mod 64).
+// Input layout: byte 0 is the lateness (mod 4), in bit 2 the plan (set: a
+// sibling plan, on which a batch run would ship) and in bits 3-5 the window
+// shape (windowShapes); then three bytes a chunk — tick (mod 16), split
+// count (mod 5) and elements per split (mod 64).
 func FuzzStreamChunks(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 10, 1, 3, 20, 2, 1, 5})
 	f.Add([]byte{2, 5, 4, 63, 3, 1, 7, 4, 2, 0, 9, 4, 40, 1, 0, 0})
@@ -34,8 +39,9 @@ func FuzzStreamChunks(f *testing.F) {
 		if len(data) == 0 || len(data) > 1+3*64 {
 			return
 		}
-		const keys = 8
-		cfg := testConfig(t, &mr.StreamSpec{Window: 1, Lateness: int64(data[0] % 4), MaxPending: 8})
+		const keys, ticks = 8, 16
+		shape := windowShapes[data[0]>>3&7]
+		cfg := testConfig(t, &mr.StreamSpec{Window: shape[0], Slide: shape[1], Lateness: int64(data[0] % 4), MaxPending: 8})
 		cfg = place(cfg, data[0]&4 != 0)
 		var mapperTakes atomic.Uint64
 		cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
@@ -52,7 +58,7 @@ func FuzzStreamChunks(f *testing.F) {
 		}
 		admitted := map[int64]uint64{} // tick -> elements; present once a split landed
 		for b := data[1:]; len(b) >= 3; b = b[3:] {
-			ts, splits, elems := int64(b[0]%16), int(b[1]%5), int(b[2]%64)
+			ts, splits, elems := int64(b[0]%ticks), int(b[1]%5), int(b[2]%64)
 			c := chunkOf(ts, splits, elems)
 			var late *LateChunkError
 			for {
@@ -76,27 +82,39 @@ func FuzzStreamChunks(f *testing.F) {
 		if err := p.Close(ctx); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		ws := p.Windows()
 		var total uint64
-		for _, w := range ws {
-			total += w.Elements
+		for _, e := range admitted {
+			total += e
 		}
-		if len(ws) != len(admitted) {
-			t.Fatalf("%d windows sealed, want one per tick that admitted splits (%d): %v", len(ws), len(admitted), admitted)
-		}
-		for _, w := range ws {
-			want, ok := admitted[w.Index]
-			if !ok {
-				t.Fatalf("window %d sealed with no admitted split in it", w.Index)
+		covered := 0
+		for n := int64(0); n*shape[1] < ticks; n++ {
+			var want uint64
+			hit := false
+			for ts := n * shape[1]; ts < n*shape[1]+shape[0]; ts++ {
+				e, ok := admitted[ts]
+				want, hit = want+e, hit || ok
+			}
+			w, sealed := p.Window(n)
+			if !hit {
+				if sealed {
+					t.Fatalf("window %d sealed with no admitted split in it", n)
+				}
+				continue
+			}
+			covered++
+			if !sealed {
+				t.Fatalf("window %d never sealed, want %d elements of ticks [%d,%d): %v", n, want, n*shape[1], n*shape[1]+shape[0], admitted)
 			}
 			var sum uint64
 			for _, pr := range w.Pairs {
 				sum += pr.Value
 			}
 			if w.Elements != want || sum != want {
-				t.Fatalf("window %d holds %d elements summing to %d, want %d admitted", w.Index, w.Elements, sum, want)
+				t.Fatalf("window %d holds %d elements summing to %d, want %d admitted at ticks [%d,%d)", n, w.Elements, sum, want, w.Start, w.End)
 			}
-			delete(admitted, w.Index)
+		}
+		if n := len(p.Windows()); n != covered {
+			t.Fatalf("%d windows sealed, want the %d that cover a tick with admitted splits", n, covered)
 		}
 		checkBooks(t, p, mapperTakes.Load(), total)
 	})

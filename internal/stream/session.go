@@ -65,19 +65,25 @@ type EraseOpts[S any, K comparable, R any] struct {
 // Start/Append/Close/Cancel and reads windows without the job's type
 // parameters. Build one with Erase.
 type Session struct {
-	start      func() error
-	append     func(RawChunk) (int64, error)
-	close      func(context.Context) error
-	cancel     func()
-	cancelWait func()
-	done       func() <-chan struct{}
-	err        func() error
-	stats      func() Stats
-	windows    func() []WindowMeta
-	window     func(int64) (WindowMeta, bool)
-	helpStats  func() mr.HelpStats
-	setOnSeal  func(func(WindowMeta))
-	spec       mr.StreamSpec
+	lifecycle
+	append    func(RawChunk) (int64, error)
+	windows   func() []WindowMeta
+	window    func(int64) (WindowMeta, bool)
+	setOnSeal func(func(WindowMeta))
+	spec      mr.StreamSpec
+}
+
+// lifecycle is what a Session forwards to its Pipeline unchanged: the
+// Pipeline methods of the same names, which carry no type parameter.
+type lifecycle interface {
+	Start() error
+	Close(ctx context.Context) error
+	Cancel()
+	CancelWait()
+	Done() <-chan struct{}
+	Err() error
+	Stats() Stats
+	HelpStats() mr.HelpStats
 }
 
 // Erase wraps a typed pipeline in a Session. Call before Start.
@@ -122,7 +128,7 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 		return m
 	}
 	return &Session{
-		start: p.Start,
+		lifecycle: p,
 		append: func(rc RawChunk) (int64, error) {
 			splits, err := opts.Decode(rc)
 			if err != nil {
@@ -130,12 +136,6 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 			}
 			return p.Append(Chunk[S]{Ts: rc.Ts, Splits: splits})
 		},
-		close:      p.Close,
-		cancel:     p.Cancel,
-		cancelWait: p.CancelWait,
-		done:       p.Done,
-		err:        p.Err,
-		stats:      p.Stats,
 		windows: func() []WindowMeta {
 			ws := p.Windows()
 			out := make([]WindowMeta, len(ws))
@@ -151,7 +151,6 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 			}
 			return meta(w), true
 		},
-		helpStats: p.HelpStats,
 		setOnSeal: func(fn func(WindowMeta)) {
 			p.OnSeal = func(w *Window[K, R]) { fn(meta(w)) }
 		},
@@ -159,39 +158,14 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 	}, nil
 }
 
-// Start spawns the resident workers.
-func (s *Session) Start() error { return s.start() }
-
 // Append admits one raw chunk and returns its assigned tick.
 func (s *Session) Append(rc RawChunk) (int64, error) { return s.append(rc) }
-
-// Close seals the session and flushes the final windows.
-func (s *Session) Close(ctx context.Context) error { return s.close(ctx) }
-
-// Cancel aborts the session without draining.
-func (s *Session) Cancel() { s.cancel() }
-
-// CancelWait aborts and waits for every worker to exit.
-func (s *Session) CancelWait() { s.cancelWait() }
-
-// Done is closed once every session goroutine has exited.
-func (s *Session) Done() <-chan struct{} { return s.done() }
-
-// Err returns the session's first error.
-func (s *Session) Err() error { return s.err() }
-
-// Stats snapshots the session's live counters.
-func (s *Session) Stats() Stats { return s.stats() }
 
 // Windows returns the sealed windows' summaries in seal order.
 func (s *Session) Windows() []WindowMeta { return s.windows() }
 
 // Window returns sealed window n's summary, if sealed.
 func (s *Session) Window(n int64) (WindowMeta, bool) { return s.window(n) }
-
-// HelpStats returns what the session's fused workers folded in place, and
-// the splits its combine workers ran.
-func (s *Session) HelpStats() mr.HelpStats { return s.helpStats() }
 
 // SetOnSeal installs the per-window callback; call before Start.
 func (s *Session) SetOnSeal(fn func(WindowMeta)) { s.setOnSeal(fn) }

@@ -3,18 +3,17 @@
 // that absorbs input chunks over time and emits per-window snapshot
 // results without ever tearing its workers down.
 //
-// The batch engine's building blocks are reused wholesale — its pool of
+// A session runs the batch engine's one driver (core.Driver): its pool of
 // workers placed once (core.Pool: the pinning plan, the failure latch and the
-// ledger), the fused step (core.Lane and core.Fuse), private containers
-// (internal/container) and the run's statistics (core.Books) — but the
-// lifecycle inverts: instead of
-// "partition once, run to drain, merge once", workers block on a task
-// channel fed by Append, fold into per-pane containers keyed by event time,
-// and a sealer goroutine merges, reduces and publishes each window the
-// moment the watermark passes it. In-node combining is what makes this
-// cheap: a container already is an incremental cache of the window's state,
-// so a seal only merges a few small containers per pane, never replays
-// input.
+// ledger), its task source, its per-task step and its finish. A batch run is
+// a closed session; a session keeps its source open instead: Append deals
+// each admitted split to the locality groups' deques, where the workers
+// take, steal and park; each worker folds into per-pane containers keyed by
+// event time, and a sealer goroutine runs the finish — merge, reduce, sort —
+// and publishes each window the moment the watermark passes it. In-node
+// combining is what makes this cheap: a container already is an incremental
+// cache of the window's state, so a seal only merges a few small containers
+// per pane, never replays input.
 //
 // Windowing model (see DESIGN.md §14): every chunk carries an event-time
 // tick; window n covers ticks [n*Slide, n*Slide+Window); state is sliced
@@ -25,12 +24,11 @@
 // mapped, tracked by per-pane conservation counters (splits in/done).
 //
 // Placement (DESIGN.md §5.2): a session is always one pool of identical
-// fused workers sized to its grant — core.NewPool without leave to ship,
+// fused workers sized to its grant — core.NewSession, without leave to ship,
 // whatever its pinning plan; the paper's ring pipeline is a batch mechanism.
 // Each worker takes a split, points its container at the split's pane — its
-// own per-pane containers, picked once per task — and folds every pair there
-// as it is made (in-node combining), so a pane quiesces once its splits are
-// done.
+// own per-pane containers — and folds every pair there as it is made
+// (in-node combining), so a pane quiesces once its splits are done.
 package stream
 
 import (
@@ -42,10 +40,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
-	"ramr/internal/telemetry"
 )
 
 // TsAuto asks Append to assign the next tick after the highest seen.
@@ -85,7 +81,9 @@ func (e *LateChunkError) Error() string {
 type Chunk[S any] struct {
 	// Ts is the chunk's event-time tick; TsAuto assigns maxTick+1.
 	Ts int64
-	// Splits carry the payload, mapped by the resident mapper pool.
+	// Splits carry the payload, mapped by the resident workers. The session
+	// reads the slice until its splits are mapped: do not modify it after
+	// Append.
 	Splits []S
 }
 
@@ -111,12 +109,6 @@ type Window[K comparable, R any] struct {
 	SealedAt time.Time
 }
 
-// task is one split routed to a pane, flowing Append → worker.
-type task[S any] struct {
-	split S
-	pane  int64
-}
-
 // paneState tracks one pane's conservation counters. A window is
 // quiescent — safe to merge — once, for every pane it spans, splitsDone ==
 // splitsIn. A worker folds every pair of a split as it is made, before the
@@ -124,33 +116,11 @@ type task[S any] struct {
 // because Append rejects ticks behind the watermark: so the splits alone
 // decide.
 type paneState struct {
-	pane        int64
 	splitsIn    atomic.Int64
 	splitsDone  atomic.Int64
 	elements    atomic.Uint64 // pairs the pane's done splits emitted
 	chunks      atomic.Int64
 	firstAppend time.Time
-}
-
-// paneSet is one fused worker's private per-pane container map. The
-// worker's goroutine is the only writer of the containers; the mutex
-// serializes map access (pane creation, and the sealer's merge walk) and is
-// taken only when switching panes or sealing, never per pair.
-type paneSet[K comparable, V any] struct {
-	mu    sync.Mutex
-	panes map[int64]container.Container[K, V]
-}
-
-// container returns (creating if needed) the worker's container for a pane.
-func (cs *paneSet[K, V]) container(pane int64, newC container.Factory[K, V]) container.Container[K, V] {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	c, ok := cs.panes[pane]
-	if !ok {
-		c = newC()
-		cs.panes[pane] = c
-	}
-	return c
 }
 
 // Stats is a point-in-time snapshot of a live pipeline.
@@ -172,22 +142,19 @@ type Stats struct {
 }
 
 // Pipeline is one resident streaming session over a typed job spec. New
-// builds it, Start spawns the worker pools, Append feeds it, Close
+// builds it, Start spawns the worker pool, Append feeds it, Close
 // drains and seals everything; the worker goroutines live for the whole
 // session, across every window.
 type Pipeline[S any, K comparable, V, R any] struct {
-	spec   *mr.Spec[S, K, V, R]
-	cfg    mr.Config
-	win    mr.StreamSpec        // resolved
-	pool   *core.Pool[struct{}] // fused: its lanes never stage a pair
-	owners []*paneSet[K, V]     // per worker of the pool
+	cfg mr.Config
+	win mr.StreamSpec            // resolved
+	drv *core.Driver[S, K, V, R] // fused: its lanes never stage a pair
 
 	// OnSeal, when set before Start, is invoked from the sealer
 	// goroutine after each window is published (service wires per-window
 	// trace spans and metrics through it).
 	OnSeal func(*Window[K, R])
 
-	taskCh  chan task[S]
 	pending atomic.Int64
 	maxTs   atomic.Int64 // highest tick seen; -1 before the first chunk
 
@@ -212,7 +179,6 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	sealerDone chan struct{}
 	stopped    chan struct{} // closed when every goroutine has exited
 	started    bool
-	startAt    time.Time
 }
 
 // New validates the spec and config and builds an unstarted pipeline.
@@ -228,17 +194,14 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	if cfg.Stream == nil {
 		return nil, errors.New("stream: Config.Stream is required for a resident pipeline")
 	}
-	pool, err := core.NewPool[struct{}](cfg, cfg.Pin, "stream", false)
+	drv, err := core.NewSession(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
-	win := cfg.Stream.Resolved()
 	p := &Pipeline[S, K, V, R]{
-		spec:       spec,
 		cfg:        cfg,
-		win:        win,
-		pool:       pool,
-		taskCh:     make(chan task[S], win.MaxPending),
+		win:        cfg.Stream.Resolved(),
+		drv:        drv,
 		panes:      make(map[int64]*paneState),
 		windows:    make(map[int64]*Window[K, R]),
 		sealWake:   make(chan struct{}, 1),
@@ -248,9 +211,6 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 	}
 	p.maxTs.Store(-1)
 	p.maxPane = -1
-	for range pool.Owners {
-		p.owners = append(p.owners, &paneSet[K, V]{panes: make(map[int64]container.Container[K, V])})
-	}
 	return p, nil
 }
 
@@ -263,15 +223,14 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 		return errors.New("stream: pipeline already started")
 	}
 	p.started = true
-	p.startAt = time.Now()
-	p.pool.Start(context.Background(), p.work, nil)
+	p.drv.Start(context.Background(), nil, p.book)
 	go p.sealLoop()
 	// The janitor turns "every worker exited" into the flush signal, once
 	// the session is closed (the sealer treats flush mode as "everything is
 	// quiescent"), and then into the stopped signal, for both the orderly
 	// Close path and the Cancel/failure path.
 	go func() {
-		p.pool.Wait()
+		p.drv.Wait()
 		p.appendMu.Lock()
 		closed := p.closed
 		p.appendMu.Unlock()
@@ -288,7 +247,7 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 }
 
 // Cancel aborts the session without draining.
-func (p *Pipeline[S, K, V, R]) Cancel() { p.pool.Fail(context.Canceled) }
+func (p *Pipeline[S, K, V, R]) Cancel() { p.drv.Fail(context.Canceled) }
 
 // CancelWait is Cancel plus waiting for every worker to exit.
 func (p *Pipeline[S, K, V, R]) CancelWait() {
@@ -302,7 +261,7 @@ func (p *Pipeline[S, K, V, R]) Done() <-chan struct{} { return p.stopped }
 
 // Err returns the session's first error: nil after a clean Close,
 // context.Canceled after Cancel, the mr.PanicError after a worker panic.
-func (p *Pipeline[S, K, V, R]) Err() error { return p.pool.Err() }
+func (p *Pipeline[S, K, V, R]) Err() error { return p.drv.Err() }
 
 // watermark returns maxTs - Lateness (negative before enough ticks).
 func (p *Pipeline[S, K, V, R]) watermark() int64 {
@@ -317,7 +276,7 @@ func (p *Pipeline[S, K, V, R]) watermark() int64 {
 func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
-	if err := p.pool.Err(); err != nil {
+	if err := p.drv.Err(); err != nil {
 		return 0, err
 	}
 	if p.closed || !p.started {
@@ -358,11 +317,9 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 	if ts > p.maxTs.Load() {
 		p.maxTs.Store(ts)
 	}
-	// The channel's capacity is MaxPending and the pending reservation
-	// above bounds in-flight tasks by it, so these sends cannot block.
-	for _, s := range c.Splits {
-		p.taskCh <- task[S]{split: s, pane: pane}
-	}
+	// The pending reservation above bounds the queued tasks by MaxPending,
+	// and so each group's deque.
+	p.drv.Append(pane, c.Splits)
 	p.kickSealer()
 	return ts, nil
 }
@@ -387,7 +344,7 @@ func (p *Pipeline[S, K, V, R]) paneFor(pane int64) *paneState {
 	defer p.paneMu.Unlock()
 	ps, ok := p.panes[pane]
 	if !ok {
-		ps = &paneState{pane: pane, firstAppend: time.Now()}
+		ps = &paneState{firstAppend: time.Now()}
 		p.panes[pane] = ps
 		if pane > p.maxPane {
 			p.maxPane = pane
@@ -424,49 +381,15 @@ func (p *Pipeline[S, K, V, R]) kickSealer() {
 	}
 }
 
-// taskStep returns worker w's step for one split, on the worker's lane: the
-// worker's container is pointed at the split's pane once, and every pair is
-// folded into it as it is made. The split is then booked on its pane — what
-// it emitted, strictly before splitsDone: the order the seal's quiesce check
-// relies on.
-func (p *Pipeline[S, K, V, R]) taskStep(w int, lane *core.Lane[struct{}]) func(task[S]) {
-	var cur container.Container[K, V]
-	emit := core.Fuse(lane, &cur, p.spec.Combine)
-	return func(t task[S]) {
-		cur = p.owners[w].container(t.pane, p.spec.NewContainer)
-		lane.BeginTask()
-		p.spec.Map(t.split, emit)
-		emitted := lane.EndTask()
-		ps := p.lookupPane(t.pane)
-		ps.elements.Add(emitted)
-		ps.splitsDone.Add(1)
-		p.pending.Add(-1)
-		p.kickSealer()
-	}
-}
-
-// work is resident worker w's body: take a split, step it, repeat until the
-// task channel closes (Close) or the session dies.
-func (p *Pipeline[S, K, V, R]) work(w int, lane *core.Lane[struct{}], tw *telemetry.Worker) {
-	step := p.taskStep(w, lane)
-	for {
-		select {
-		case <-p.pool.Dying():
-			return
-		case t, ok := <-p.taskCh:
-			if !ok {
-				return
-			}
-			// An aborting session must not run user code on queued
-			// tasks.
-			if p.pool.Aborted() {
-				p.pending.Add(-1)
-				continue
-			}
-			step(t)
-			tw.SetState(telemetry.StateIdle)
-		}
-	}
+// book is the step's per-task callback: a split is booked on its pane —
+// what it emitted, strictly before splitsDone: the order the seal's quiesce
+// check relies on.
+func (p *Pipeline[S, K, V, R]) book(t core.Task[S], emitted uint64) {
+	ps := p.lookupPane(t.Pane)
+	ps.elements.Add(emitted)
+	ps.splitsDone.Add(int64(len(t.Splits)))
+	p.pending.Add(-int64(len(t.Splits)))
+	p.kickSealer()
 }
 
 // HelpStats counts what the session's fused workers folded where they made
@@ -474,7 +397,7 @@ func (p *Pipeline[S, K, V, R]) work(w int, lane *core.Lane[struct{}], tw *teleme
 // and map workers folded — every pair of the session. It is read from the
 // session's ledger, live or stopped.
 func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
-	_, _, help := core.Books(p.pool.Ledger.Totals())
+	_, _, help := core.Books(p.drv.Ledger.Totals())
 	return help
 }
 
@@ -537,7 +460,7 @@ func (p *Pipeline[S, K, V, R]) sealLoop() {
 			return
 		}
 		select {
-		case <-p.pool.Dying():
+		case <-p.drv.Dying():
 			return
 		case <-p.sealWake:
 		case <-p.flushCh:
@@ -558,64 +481,49 @@ func (p *Pipeline[S, K, V, R]) windowQuiesced(n int64) bool {
 	return true
 }
 
-// sealWindow waits for window n's panes to quiesce, merges every worker's
-// pane containers, reduces, sorts and publishes the snapshot. Empty windows
-// (no pane ever held data) are skipped without publishing. Returns false if
-// the session died while waiting.
+// sealWindow waits for window n's panes to quiesce, runs the finish over
+// them — every worker's pane containers merged, reduced and sorted — and
+// publishes the snapshot. Empty windows (no pane ever held data) are skipped
+// without publishing. Returns false if the session died while waiting.
 func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	k := p.win.PanesPerWindow()
-	hasData := false
-	var opened time.Time
-	var splitsN, chunksN int64
-	var elements uint64
+	var opened time.Time // zero while no pane of the window holds data
 	for pane := n; pane < n+k; pane++ {
-		ps := p.lookupPane(pane)
-		if ps == nil || ps.splitsIn.Load() == 0 {
-			continue
-		}
-		hasData = true
-		if opened.IsZero() || ps.firstAppend.Before(opened) {
+		if ps := p.lookupPane(pane); ps != nil && ps.splitsIn.Load() > 0 && (opened.IsZero() || ps.firstAppend.Before(opened)) {
 			opened = ps.firstAppend
 		}
 	}
-	if hasData {
+	if !opened.IsZero() {
 		// Every counter change that can make the window quiescent is
 		// followed by a kick (a worker after splitsDone), and the kick is
 		// buffered, so one that lands between the check and the wait is not
 		// lost.
 		for !p.windowQuiesced(n) {
 			select {
-			case <-p.pool.Dying():
+			case <-p.drv.Dying():
 				return false
 			case <-p.sealWake:
 			}
 		}
+		w := &Window[K, R]{Index: n, Start: n * p.win.Slide, End: n*p.win.Slide + p.win.Window, OpenedAt: opened}
 		for pane := n; pane < n+k; pane++ {
 			if ps := p.lookupPane(pane); ps != nil {
-				splitsN += ps.splitsIn.Load()
-				chunksN += ps.chunks.Load()
-				elements += ps.elements.Load()
+				w.Splits += ps.splitsIn.Load()
+				w.Chunks += ps.chunks.Load()
+				w.Elements += ps.elements.Load()
 			}
 		}
-	}
-
-	if hasData {
-		pairs, err := p.windowPairs(n, k)
+		// A panic in user code fails the session as the sealer's, instead
+		// of the process.
+		pairs, err := p.drv.Finish(n, k, new(mr.PhaseTimes))
 		if err != nil {
-			p.pool.Fail(err)
+			if pe, ok := err.(*mr.PanicError); ok {
+				err = &mr.PanicError{Engine: "stream", Worker: "sealer", Value: pe.Value}
+			}
+			p.drv.Fail(err)
 			return false
 		}
-		w := &Window[K, R]{
-			Index:    n,
-			Start:    n * p.win.Slide,
-			End:      n*p.win.Slide + p.win.Window,
-			Pairs:    pairs,
-			Elements: elements,
-			Splits:   splitsN,
-			Chunks:   chunksN,
-			OpenedAt: opened,
-			SealedAt: time.Now(),
-		}
+		w.Pairs, w.SealedAt = pairs, time.Now()
 		p.winMu.Lock()
 		p.windows[n] = w
 		p.order = append(p.order, n)
@@ -625,51 +533,15 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 		}
 	}
 	// Pane n (the window's lowest) can never be read again: window n+1
-	// starts at pane n+1. Drop its state and containers.
+	// starts at pane n+1. Drop its state; the finish took its containers.
 	p.paneMu.Lock()
 	delete(p.panes, n)
 	p.paneMu.Unlock()
-	for _, cs := range p.owners {
-		cs.mu.Lock()
-		delete(cs.panes, n)
-		cs.mu.Unlock()
-	}
 	return true
 }
 
-// windowPairs merges every worker's containers for window n's k panes,
-// reduces and sorts them. The per-worker lock orders the walk against
-// concurrent pane creation; the containers themselves are quiescent
-// (counters balanced by the caller, and panes below the watermark receive no
-// new input). A panic in the user's Combine or Less is returned as a
-// *mr.PanicError, so it fails the session instead of the process.
-func (p *Pipeline[S, K, V, R]) windowPairs(n, k int64) (pairs []mr.Pair[K, R], err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &mr.PanicError{Engine: "stream", Worker: "sealer", Value: v}
-		}
-	}()
-	out := p.spec.NewContainer()
-	for _, cs := range p.owners {
-		func() {
-			cs.mu.Lock()
-			defer cs.mu.Unlock()
-			for pane := n; pane < n+k; pane++ {
-				if src, ok := cs.panes[pane]; ok {
-					container.Merge(out, src, p.spec.Combine)
-				}
-			}
-		}()
-	}
-	if pairs, err = mr.ReduceAll(out, p.spec.Reduce, p.pool.Width); err != nil {
-		return nil, err
-	}
-	mr.SortPairs(pairs, p.spec.Less)
-	return pairs, nil
-}
-
 // Close seals the session: no more appends, workers drain the task
-// channel and exit, and the sealer flushes every remaining window (the
+// source and exit, and the sealer flushes every remaining window (the
 // final, watermark-incomplete windows included). It returns the session's
 // error state; ctx bounds the wait — on expiry the session is cancelled and
 // ctx's error returned.
@@ -681,7 +553,7 @@ func (p *Pipeline[S, K, V, R]) Close(ctx context.Context) error {
 	}
 	if !p.closed {
 		p.closed = true
-		close(p.taskCh)
+		p.drv.Close()
 	}
 	p.appendMu.Unlock()
 	select {
@@ -730,7 +602,7 @@ func (p *Pipeline[S, K, V, R]) Stats() Stats {
 	st := Stats{
 		Chunks:        p.chunks.Load(),
 		Splits:        p.splits.Load(),
-		Elements:      p.pool.Ledger.Totals().Emitted,
+		Elements:      p.drv.Ledger.Totals().Emitted,
 		Pending:       p.pending.Load(),
 		MaxPending:    p.win.MaxPending,
 		MaxTs:         p.maxTs.Load(),
@@ -755,12 +627,4 @@ func (p *Pipeline[S, K, V, R]) Stats() Stats {
 		st.WatermarkLag = time.Since(oldest)
 	}
 	return st
-}
-
-// Uptime returns how long the session has been running.
-func (p *Pipeline[S, K, V, R]) Uptime() time.Duration {
-	if p.startAt.IsZero() {
-		return 0
-	}
-	return time.Since(p.startAt)
 }

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
@@ -90,11 +91,12 @@ type Kernel struct {
 // load misses.
 const wideWords = 1 << 22
 
-// wide is the shared read-only array for the memory kernel. Read-only
-// sharing across workers is deliberate: it maximizes cache pressure
-// without write contention, like the lookup tables of real combine-heavy
-// workloads.
-var wide = func() []int64 {
+// wide is the shared read-only array for the memory kernel, built on first
+// use: a process that never runs the kernel, like every one that only links
+// the package, never holds its 32 MB. Read-only sharing across workers is
+// deliberate: it maximizes cache pressure without write contention, like
+// the lookup tables of real combine-heavy workloads.
+var wide = sync.OnceValue(func() []int64 {
 	w := make([]int64, wideWords)
 	var h uint64 = 0x9e3779b97f4a7c15
 	for i := range w {
@@ -102,7 +104,7 @@ var wide = func() []int64 {
 		w[i] = int64(h)
 	}
 	return w
-}()
+})
 
 // runCPU burns iters iterations of trig/exp arithmetic seeded by x and
 // returns a value dependent on all of it, so nothing dead-code eliminates.
@@ -117,11 +119,11 @@ func runCPU(x float64, iters int) float64 {
 // runMemory performs iters dependent pseudo-random loads over the wide
 // array, returning a checksum the caller must consume.
 func runMemory(start uint64, iters int) uint64 {
-	h := start | 1
+	h, w := start|1, wide()
 	var s uint64
 	for i := 0; i < iters; i++ {
 		h = h*6364136223846793005 + 1442695040888963407
-		s += uint64(wide[(h>>17)&(wideWords-1)])
+		s += uint64(w[(h>>17)&(wideWords-1)])
 	}
 	return s
 }
