@@ -163,20 +163,20 @@ func NewTrace() *TraceCollector { return obs.New("") }
 // from JobHandle.Trace and render with WriteChromeTrace.
 type JobTrace = obs.Recorder
 
-// Telemetry is the optional reader of a run's always-on counter ledger:
-// assign one to Config.Telemetry and the engines also sample every SPSC
-// ring's occupancy and each worker's state into a bounded time-series
-// while the job runs. Export live via WritePrometheus/NewTelemetryServer,
-// or read the structured report from Result.Telemetry after the run.
+// Telemetry is a handle on a run's always-on counter ledger: assign one to
+// Config.Telemetry and the engines attach the run's ledger to it. It starts
+// no goroutine and samples nothing; export the live books via
+// WritePrometheus/NewTelemetryServer, or read the structured report from
+// Result.Telemetry after the run. Exact per-worker busy time is the
+// worker's lane in a trace (Config.Trace).
 type Telemetry = telemetry.Telemetry
 
-// TelemetryReport is the structured result of one instrumented run:
-// counter totals, occupancy percentiles per queue, per-phase throughput
-// and the sampled time-series. Dump with WriteJSON or Summary.
+// TelemetryReport is the structured result of one instrumented run, read
+// from its ledger when the run ends: per-worker counters, their totals and
+// per-phase throughput. Dump with WriteJSON or Summary.
 type TelemetryReport = telemetry.Report
 
-// NewTelemetry returns a Telemetry with default sampling knobs, ready to
-// assign to Config.Telemetry.
+// NewTelemetry returns a Telemetry, ready to assign to Config.Telemetry.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // TelemetryServer serves /metrics (Prometheus text format) and the

@@ -241,19 +241,20 @@ func (c *Coordinator) shardSpecs() []workloads.ShardSpec {
 
 // validateRequest checks a client submission for cluster dispatch.
 func validateRequest(req *service.JobRequest) error {
-	app := strings.ToUpper(strings.TrimSpace(req.Workload))
-	if app == "" {
-		return fmt.Errorf("workload is required")
-	}
-	if !workloads.Shardable(app) {
-		return fmt.Errorf("workload %s is not shardable (cluster dispatch supports %v: exact integer arithmetic with an associative, commutative merge)",
-			app, workloads.ShardableApps())
-	}
 	if req.Stream != nil {
 		return fmt.Errorf("streaming jobs cannot be dispatched across a cluster")
 	}
 	if req.Shard != nil {
 		return fmt.Errorf("shard is coordinator-assigned; clients submit whole jobs")
+	}
+	// Every check a worker makes that does not read its machine, with the
+	// worker's own words: a body every worker would refuse is refused here.
+	if _, err := service.Resolve(req); err != nil {
+		return err
+	}
+	if app := strings.ToUpper(strings.TrimSpace(req.Workload)); !workloads.Shardable(app) {
+		return fmt.Errorf("workload %s is not shardable (cluster dispatch supports %v: exact integer arithmetic with an associative, commutative merge)",
+			app, workloads.ShardableApps())
 	}
 	return nil
 }

@@ -152,6 +152,42 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServerRefusesWhatWorkersRefuse: a body every worker would refuse is
+// refused by the coordinator at admission, with the worker's own 400 text —
+// here an unknown pin policy and a ring above the bound on sized requests.
+// Admitting it would answer 201 and fail the job at dispatch.
+func TestServerRefusesWhatWorkersRefuse(t *testing.T) {
+	w := newWorker(t)
+	_, ts := newClusterServer(t, 1, w.URL)
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, doc.Error
+	}
+	for _, body := range []string{
+		`{"workload":"WC","config":{"pin":"sometimes"}}`,
+		`{"workload":"WC","config":{"queue_capacity":1048577}}`,
+	} {
+		wantCode, want := post(w.URL, body)
+		if wantCode != http.StatusBadRequest || want == "" {
+			t.Fatalf("%s: the worker answered HTTP %d %q, want 400 with a reason", body, wantCode, want)
+		}
+		if code, got := post(ts.URL, body); code != http.StatusBadRequest || got != want {
+			t.Errorf("%s: the coordinator answered HTTP %d %q, want the worker's 400 %q", body, code, got, want)
+		}
+	}
+}
+
 // TestServerCancelAndDrain pins DELETE on a running dispatch and the
 // drain path: cancel settles the job as canceled, and Shutdown refuses
 // new admissions.

@@ -162,8 +162,8 @@ func TestConserveBuildsNoRing(t *testing.T) {
 	if got := sumValues(res.Pairs); got != splits*emits {
 		t.Fatalf("total %d, want %d", got, splits*emits)
 	}
-	if observed != 0 || res.QueueStats != (mr.QueueStats{}) || len(res.Telemetry.Queues) != 0 {
-		t.Fatalf("a conserving run built rings: %d observed, stats %+v, %d sampled", observed, res.QueueStats, len(res.Telemetry.Queues))
+	if observed != 0 || res.QueueStats != (mr.QueueStats{}) || res.Telemetry.Totals.Pushes != 0 {
+		t.Fatalf("a conserving run built rings: %d observed, stats %+v, report totals %+v", observed, res.QueueStats, res.Telemetry.Totals)
 	}
 	roles := map[string]int{}
 	var helped uint64

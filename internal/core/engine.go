@@ -92,7 +92,7 @@ func RunPhoenixContext[S any, K comparable, V, R any](ctx context.Context, spec 
 // Phoenix++ dispatch policy. A batch run is a closed session: its source is
 // seeded with every task and closed before the pool starts, and it finishes
 // one window, pane 0.
-func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config, phoenix bool) (_ *mr.Result[K, R], err error) {
+func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], cfg mr.Config, phoenix bool) (*mr.Result[K, R], error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,8 +102,8 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	if cfg.Stream != nil {
 		return nil, fmt.Errorf("core: Config.Stream is set; streaming runs go through internal/stream, not the batch engine")
 	}
-	// A context that is already dead must fail fast: no queue, worker or
-	// sampler is ever created for a run that cannot make progress.
+	// A context that is already dead must fail fast: no queue or worker is
+	// ever created for a run that cannot make progress.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -142,15 +142,6 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	// into the run's error and shuts the run down cleanly.
 	t0 = time.Now()
 	d.Start(ctx, cfg.Trace, nil)
-	// The sampler is the ledger's one optional reader. Its report is
-	// built on the way out, so no return can leak its goroutine.
-	if tel := cfg.Telemetry; tel != nil {
-		defer func() {
-			if rep := tel.EndRun(res.Phases.SecondsByPhase()); err == nil {
-				res.Telemetry = rep
-			}
-		}()
-	}
 	d.Wait()
 	res.Phases.MapCombine = time.Since(t0)
 	// The pre-reduce hook runs before the error checks: a cancellation
@@ -171,6 +162,9 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	// containers or, on a fused run, every worker's. ---
 	if res.Pairs, err = d.Finish(0, 1, &res.Phases); err != nil {
 		return nil, err
+	}
+	if tel := cfg.Telemetry; tel != nil {
+		res.Telemetry = tel.EndRun(res.Phases.SecondsByPhase())
 	}
 	return res, nil
 }

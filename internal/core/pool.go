@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -98,16 +97,14 @@ func NewPool[E any](cfg mr.Config, engine string, mayShip bool) (*Pool[E], error
 	return p, nil
 }
 
-// Start starts the run: the sampler, if cfg.Telemetry is set; on a shipping
-// pool the combiner slots, slot j folding each consumed ring segment through
-// fold(j) (a fused pool never calls fold); and a goroutine per task-taking
-// worker running work (see RunWorker). Wait joins them.
+// Start starts the run: it hands the ledger to cfg.Telemetry, if set; on a
+// shipping pool it starts the combiner slots, slot j folding each consumed
+// ring segment through fold(j) (a fused pool never calls fold); and it
+// starts a goroutine per task-taking worker running work (see RunWorker).
+// Wait joins them.
 func (p *Pool[E]) Start(ctx context.Context, work func(w int, lane *Lane[E], tw *telemetry.Worker), fold func(slot int) func([]E)) {
 	if tel := p.cfg.Telemetry; tel != nil {
 		tel.BeginRun(p.Ledger)
-		for i, q := range p.queues {
-			tel.RegisterQueue("mapper-"+strconv.Itoa(i), q)
-		}
 	}
 	p.startSlots(ctx, fold)
 	for w := range p.CPUs {

@@ -225,8 +225,8 @@ func TestPoolSplitFollowsPlanInARun(t *testing.T) {
 }
 
 // TestUntunedRunMirrorsConsumerCounters: every slot books its rings'
-// consumer-side counters on its ledger shard on every run, sampled or not,
-// so the result's queue stats equal the rings' own counters.
+// consumer-side counters on its ledger shard on every run, with a Telemetry
+// or not, so the result's queue stats equal the rings' own counters.
 func TestUntunedRunMirrorsConsumerCounters(t *testing.T) {
 	cfg := parked(testConfig()) // every pair through a ring
 	var mu sync.Mutex

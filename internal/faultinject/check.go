@@ -57,7 +57,11 @@ var workerSites = []string{
 
 // WorkerStacks returns the stack blocks of live goroutines that are
 // running inside, or were created by, the runtime's worker machinery.
-func WorkerStacks() []string {
+func WorkerStacks() []string { return StacksWith(workerSites...) }
+
+// StacksWith returns the stack blocks of live goroutines that mention any
+// of sites in a frame or in their "created by" line.
+func StacksWith(sites ...string) []string {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	for n == len(buf) {
@@ -66,7 +70,7 @@ func WorkerStacks() []string {
 	}
 	var out []string
 	for _, block := range strings.Split(string(buf[:n]), "\n\n") {
-		for _, site := range workerSites {
+		for _, site := range sites {
 			if strings.Contains(block, site) {
 				out = append(out, block)
 				break

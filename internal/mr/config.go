@@ -123,14 +123,12 @@ type Config struct {
 	// append per span on the hot path; each worker's lane becomes
 	// readable when that worker exits.
 	Trace *obs.Recorder
-	// Telemetry, when non-nil, samples the run: a background goroutine
-	// records every SPSC ring's occupancy and each worker's state, and the
-	// run's ledger and samples are exported to Prometheus/JSON, with the
-	// report attached to Result.Telemetry. The ledger itself is always on:
-	// every worker books its counters on its own shard, with uncontended
-	// atomics at task ends and consume rounds, never per pair and without
-	// allocating, whether or not this is set. Setting it adds the sampler
-	// goroutine.
+	// Telemetry, when non-nil, is handed the run's ledger: its books are
+	// exported to Prometheus live and as a JSON report attached to
+	// Result.Telemetry. The ledger itself is always on: every worker books
+	// its counters on its own shard, with uncontended atomics at task ends
+	// and consume rounds, never per pair and without allocating, whether or
+	// not this is set. Setting it starts nothing.
 	Telemetry *telemetry.Telemetry
 	// Hooks is the test-only fault-injection surface (see Hooks). It
 	// must be nil outside tests; engines never touch a nil Hooks on the

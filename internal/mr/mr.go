@@ -149,9 +149,9 @@ type Result[K comparable, R any] struct {
 	// when a RAMR run's CPU grant is too small for the rule to apply, see
 	// HelpStats).
 	Help HelpStats
-	// Telemetry is the structured run report (occupancy time-series,
-	// counter totals, throughput) when Config.Telemetry was set; nil
-	// otherwise.
+	// Telemetry is the structured run report (the ledger's per-worker
+	// counters, their totals, throughput) when Config.Telemetry was set;
+	// nil otherwise.
 	Telemetry *telemetry.Report
 }
 

@@ -153,7 +153,7 @@ type JobSpec struct {
 	Run RunFunc
 	// Metrics, when non-nil, is invoked once after Run returns to
 	// collect the job's final operation-level metrics (steal counts,
-	// queue imbalance, ...). The map rides on the EventFinished observer
+	// help counts, ...). The map rides on the EventFinished observer
 	// event and in JobStatus, so telemetry taps see per-job balance
 	// figures without reaching into the workload layer. The callback
 	// runs outside the scheduler lock; a panic inside it is swallowed.

@@ -16,7 +16,7 @@ import (
 // apps are identified by their parsed platform/class/container, SYNTH by
 // its defaulted parameters; scheduling hints are left out, as they are
 // from the digest.
-func canonicalForm(req *JobRequest, p *plan) string {
+func canonicalForm(req *JobRequest, p *Plan) string {
 	c := p.cfg
 	input := fmt.Sprintf("%+v", p.synth)
 	if p.app != "SYNTH" {
@@ -54,7 +54,7 @@ func FuzzJobRequest(f *testing.F) {
 		f.Add([]byte(body), []byte(seeds[(i+1)%len(seeds)]))
 	}
 	m := topology.HaswellServer()
-	resolved := func(body []byte) (*JobRequest, *plan) {
+	resolved := func(body []byte) (*JobRequest, *Plan) {
 		req, err := decodeJobRequest(bytes.NewReader(body))
 		if err != nil {
 			return nil, nil

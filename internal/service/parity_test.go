@@ -20,15 +20,12 @@ type wireShape struct {
 	Keys  []string `json:"keys"`
 }
 
-// shapeOf reduces a response to its wireShape. imbalance_p90 is left out:
-// it is omitted when the run was too short for the sampler to see a queue.
+// shapeOf reduces a response to its wireShape.
 func shapeOf(code int, doc map[string]any) wireShape {
 	sh := wireShape{Code: code, Keys: []string{}}
 	sh.State, _ = doc["state"].(string)
 	for k := range doc {
-		if k != "imbalance_p90" {
-			sh.Keys = append(sh.Keys, k)
-		}
+		sh.Keys = append(sh.Keys, k)
 	}
 	sort.Strings(sh.Keys)
 	return sh

@@ -160,11 +160,11 @@ type SynthParams struct {
 	Skew float64 `json:"skew,omitempty"`
 }
 
-// plan is a resolved submission: everything admission decides from —
+// Plan is a resolved submission: everything admission decides from —
 // the canonical content digest, the scheduling class, the base engine
 // config — and the handful of generator parameters materialise needs to
 // build the input later. Nothing in it scales with the input.
-type plan struct {
+type Plan struct {
 	// app is the canonical workload name (upper case).
 	app    string
 	engine workloads.Engine
@@ -188,25 +188,26 @@ type plan struct {
 	synth synth.Params
 }
 
-// resolve validates req — everything a build could reject: workload,
-// platform/class, container, engine, priority, shard spec, SYNTH and
-// stream parameters — applies defaults, assembles the base engine config
-// (before the grant overlay applied at dispatch) and renders the request's
-// canonical content digest: the full identity of the computation —
-// workload name, the fully-resolved input parameters (Table I
-// platform/class and container, or SYNTH params after defaulting),
-// engine, seed and the whole config overlay. Scheduling hints
+// Resolve validates req — everything a build could reject: workload,
+// platform/class, container, engine, priority, the config overlay, shard
+// spec, SYNTH and stream parameters — applies defaults, assembles the base
+// engine config (before the machine and the grant overlay applied at
+// dispatch) and renders the request's canonical content digest: the full
+// identity of the computation — workload name, the fully-resolved input
+// parameters (Table I platform/class and container, or SYNTH params after
+// defaulting), engine, seed and the whole config overlay. Scheduling hints
 // (priority, CPU bounds) affect placement, not the computed result, so
 // they are excluded: two requests with equal digests compute the same
 // Result and the memo cache may serve one from the other. Defaulting
 // happens before hashing, so an explicit default value and an omitted
 // field produce the same digest.
 //
-// resolve generates no input: admission (draining, memo lookup,
-// coalescing, queue bound) decides from the plan alone, and only a job
-// the scheduler granted CPUs to pays for materialise.
-func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
-	p := &plan{
+// Resolve generates no input and reads nothing of the host: admission
+// (draining, memo lookup, coalescing, queue bound) decides from the plan
+// alone, only a job the scheduler granted CPUs to pays for materialise, and
+// a cluster coordinator calls it to refuse what every worker would refuse.
+func Resolve(req *JobRequest) (*Plan, error) {
+	p := &Plan{
 		seed:    req.Seed,
 		minCPUs: req.MinCPUs, maxCPUs: req.MaxCPUs,
 		mappers: req.Config.Mappers, combiners: req.Config.Combiners,
@@ -274,7 +275,6 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 	}
 
 	cfg := mr.DefaultConfig()
-	cfg.Machine = m
 	ov := req.Config
 	if ov.Ratio > 0 {
 		cfg.Ratio = ov.Ratio
@@ -359,13 +359,23 @@ func resolve(req *JobRequest, m *topology.Machine) (*plan, error) {
 	return p, nil
 }
 
+// resolve is Resolve for a run on machine m.
+func resolve(req *JobRequest, m *topology.Machine) (*Plan, error) {
+	p, err := Resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	p.cfg.Machine = m
+	return p, nil
+}
+
 // materialise generates the plan's input and binds it to a runnable job.
 // It is the expensive half of a submission — a Table I corpus is
 // megabytes — and runs as the first step of the scheduled Run closure:
 // under the job's CPU grant, on width = len(grant) goroutines, and only for
 // a job that actually executes. resolve already rejected everything the
 // constructors reject, so an error here is a bug, reported as a failed job.
-func (p *plan) materialise(width int) (*workloads.Job, error) {
+func (p *Plan) materialise(width int) (*workloads.Job, error) {
 	if p.app == "SYNTH" {
 		return synth.Build(p.synth, p.seed, p.shard, width)
 	}
@@ -378,7 +388,7 @@ func (p *plan) materialise(width int) (*workloads.Job, error) {
 // workers: unless the plan puts a combiner on an SMT sibling of its mappers,
 // the job is one fused pool of at most len(grant) workers, so explicit
 // counts never put more fused workers than CPUs on a grant.
-func (p *plan) grantConfig(grant []int) mr.Config {
+func (p *Plan) grantConfig(grant []int) mr.Config {
 	c := p.cfg
 	c.ApplyGrant(grant)
 	if p.mappers > 0 {

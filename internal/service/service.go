@@ -228,9 +228,9 @@ type cachedRun struct {
 }
 
 // finalMetrics flattens the retained RunInfo into the scheduler's metric
-// map: work-stealing counters by distance class and the sampled queue
-// imbalance. It is the JobSpec.Metrics callback, invoked once when the
-// job finishes, and feeds EventFinished observers and JobStatus.
+// map: work-stealing counters by distance class and the help counts. It is
+// the JobSpec.Metrics callback, invoked once when the job finishes, and
+// feeds EventFinished observers and JobStatus.
 func (e *entry) finalMetrics() map[string]float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -238,7 +238,7 @@ func (e *entry) finalMetrics() map[string]float64 {
 	if info == nil {
 		return nil
 	}
-	m := map[string]float64{
+	return map[string]float64{
 		"steal_local_tasks":     float64(info.Steal.LocalTasks),
 		"steal_socket_tasks":    float64(info.Steal.SocketTasks),
 		"steal_remote_tasks":    float64(info.Steal.RemoteTasks),
@@ -247,11 +247,6 @@ func (e *entry) finalMetrics() map[string]float64 {
 		"help_tasks":            float64(info.Help.Tasks),
 		"help_pairs":            float64(info.Help.Pairs()),
 	}
-	if rep := info.Telemetry; rep != nil {
-		m["queue_imbalance_p90"] = rep.Imbalance.P90
-		m["queue_imbalance_max"] = rep.Imbalance.Max
-	}
-	return m
 }
 
 // New builds a Service.
@@ -359,7 +354,7 @@ func (s *Service) Submit(req *JobRequest) (*resultDoc, error) {
 func (s *Service) Admit(req *JobRequest, rec *obs.Recorder) (j Job, cached bool, err error) {
 	p, err := resolve(req, s.machine)
 	if err != nil {
-		return nil, false, fmt.Errorf("bad request: %v", err)
+		return nil, false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -419,7 +414,7 @@ func (s *Service) Admit(req *JobRequest, rec *obs.Recorder) (j Job, cached bool,
 // grant, possibly before this returns — and, once admitted, gives e its
 // id, its registry slot and telemetry registration, and the watcher that
 // will settle it. Callers hold s.mu.
-func (s *Service) launchLocked(e *entry, p *plan, run sched.RunFunc) error {
+func (s *Service) launchLocked(e *entry, p *Plan, run sched.RunFunc) error {
 	e.Settlement, e.telem = NewSettlement(), telemetry.New()
 	p.cfg.Telemetry = e.telem
 	sj, err := s.sch.Submit(sched.JobSpec{
@@ -449,7 +444,7 @@ func (s *Service) launchLocked(e *entry, p *plan, run sched.RunFunc) error {
 // execute it, both under the job's CPU grant. The built job is a local —
 // the scheduler drops the closure when the job turns terminal, so a
 // retained record holds the run's result, never its input.
-func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) error {
+func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *Plan) error {
 	rec := e.rec
 	buildStart := time.Now()
 	job, err := p.materialise(len(grant))
@@ -489,7 +484,7 @@ func (s *Service) runBatch(ctx context.Context, grant []int, e *entry, p *plan) 
 // retrievable at /jobs/{id}/trace) whose ExecutedBy names the job that
 // actually computed the result. The record is born settled. Callers hold
 // s.mu.
-func (s *Service) memoHitLocked(p *plan, cv *cachedRun, rec *obs.Recorder) *entry {
+func (s *Service) memoHitLocked(p *Plan, cv *cachedRun, rec *obs.Recorder) *entry {
 	e := &entry{
 		Settlement: NewSettlement(),
 		id:         s.sch.ReserveID(),
@@ -726,10 +721,6 @@ type resultDoc struct {
 	Steal   *mr.StealStats `json:"steal,omitempty"`
 	Help    *mr.HelpStats  `json:"help,omitempty"`
 	Pairs   int            `json:"pairs,omitempty"`
-	// ImbalanceP90 is the run's sampled queue occupancy-imbalance ratio
-	// (p90 of max/mean depth per tick); 0 until the job finished with
-	// telemetry.
-	ImbalanceP90 float64 `json:"imbalance_p90,omitempty"`
 	// ContentDigest is the canonical identity of the computation (the
 	// memo cache key); two submissions with equal digests compute the
 	// same result.
@@ -772,9 +763,6 @@ func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	steal, help := info.Steal, info.Help
 	doc.Steal, doc.Help = &steal, &help
 	doc.Pairs = info.Pairs
-	if rep := info.Telemetry; rep != nil {
-		doc.ImbalanceP90 = rep.Imbalance.P90
-	}
 	if !detail {
 		return
 	}
@@ -919,12 +907,11 @@ func (s *Service) Cancel(j Job) (state string, wasLive bool) {
 
 // jobStats is one job's balance figures in the /stats document.
 type jobStats struct {
-	ID           int            `json:"id"`
-	Workload     string         `json:"workload"`
-	State        string         `json:"state"`
-	Steal        *mr.StealStats `json:"steal,omitempty"`
-	Help         *mr.HelpStats  `json:"help,omitempty"`
-	ImbalanceP90 float64        `json:"imbalance_p90,omitempty"`
+	ID       int            `json:"id"`
+	Workload string         `json:"workload"`
+	State    string         `json:"state"`
+	Steal    *mr.StealStats `json:"steal,omitempty"`
+	Help     *mr.HelpStats  `json:"help,omitempty"`
 }
 
 // memoStats is the /stats memoization-and-retention section.
@@ -1002,7 +989,7 @@ func (s *Service) Stats() any {
 	jobs := make([]jobStats, 0, len(s.entries))
 	for _, e := range s.entries {
 		d := e.doc(false)
-		jobs = append(jobs, jobStats{ID: d.ID, Workload: d.Workload, State: d.State, Steal: d.Steal, Help: d.Help, ImbalanceP90: d.ImbalanceP90})
+		jobs = append(jobs, jobStats{ID: d.ID, Workload: d.Workload, State: d.State, Steal: d.Steal, Help: d.Help})
 	}
 	s.mu.Unlock()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })

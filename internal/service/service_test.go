@@ -331,8 +331,8 @@ func TestListJobs(t *testing.T) {
 }
 
 // TestStatsExposesJobBalance: /stats carries the scheduler occupancy
-// document plus a per-job section with work-stealing counters (and the
-// imbalance ratio when telemetry sampled any) once a job finished.
+// document plus a per-job section with work-stealing counters once a job
+// finished.
 func TestStatsExposesJobBalance(t *testing.T) {
 	_, ts, _ := newTestService(t, 0)
 	code, doc := postJob(t, ts, `{"workload":"WC","config":{"pin":"none"}}`)

@@ -133,7 +133,7 @@ func (st *streamState) await(ctx context.Context) (*stream.Session, error) {
 // cache (watch guards on e.stream). A session's input arrives as chunks,
 // so the resolved plan is all it needs: no batch input is ever
 // materialised for it. Callers hold s.mu.
-func (s *Service) openStreamLocked(p *plan, rec *obs.Recorder) (*entry, error) {
+func (s *Service) openStreamLocked(p *Plan, rec *obs.Recorder) (*entry, error) {
 	st := &streamState{
 		spec:    p.cfg.Stream.Resolved(),
 		idReady: make(chan struct{}),
@@ -166,7 +166,7 @@ func (s *Service) openStreamLocked(p *plan, rec *obs.Recorder) (*entry, error) {
 // grant until the session drains (Close), is cancelled (DELETE or
 // scheduler drain), or dies. The workers live here across every window;
 // nothing restarts between seals.
-func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *plan) error {
+func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *Plan) error {
 	st := e.stream
 	c := p.grantConfig(grant)
 	start := time.Now()

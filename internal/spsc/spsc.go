@@ -166,8 +166,7 @@ func (q *Queue[T]) Cap() int { return len(q.buf) }
 
 // Len returns the number of buffered elements. It is exact only when the
 // queue is quiescent; under concurrency it is a point-in-time snapshot,
-// safe to call from any goroutine — this is the non-invasive depth probe
-// the telemetry sampler uses for its queue-occupancy time-series.
+// safe to call from any goroutine.
 //
 // head is loaded before tail: head never passes tail, so a tail read
 // *after* the head read is always >= the head value read, keeping the

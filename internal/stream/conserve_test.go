@@ -405,8 +405,8 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 	for _, w := range rep.Workers {
 		roles[w.Role]++
 	}
-	if len(rep.Workers) != cfg.Mappers+cfg.Combiners || roles["mapper"] != cfg.Mappers || roles["combiner"] != cfg.Combiners || len(rep.Queues) != 0 {
-		t.Fatalf("ledger shards by role %v, %d queue reports; want %d mappers, %d combiners and no queue", roles, len(rep.Queues), cfg.Mappers, cfg.Combiners)
+	if len(rep.Workers) != cfg.Mappers+cfg.Combiners || roles["mapper"] != cfg.Mappers || roles["combiner"] != cfg.Combiners || rep.Totals.Pushes+rep.Totals.Pops != 0 {
+		t.Fatalf("ledger shards by role %v, %d pushed, %d popped; want %d mappers, %d combiners and no ring", roles, rep.Totals.Pushes, rep.Totals.Pops, cfg.Mappers, cfg.Combiners)
 	}
 	ws := p.Windows()
 	if len(ws) != len(chunks) {
@@ -522,7 +522,7 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 }
 
 // TestUninstrumentedSessionReadsLive: a session started without a Telemetry
-// keeps the same books as a sampled one, and they are live — what its
+// keeps the same books as one with a Telemetry, and they are live — what its
 // combine worker folded shows in HelpStats while the session still runs,
 // not only once it has stopped.
 func TestUninstrumentedSessionReadsLive(t *testing.T) {

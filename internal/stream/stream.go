@@ -238,9 +238,6 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 			close(p.flushCh)
 		}
 		<-p.sealerDone
-		if tel := p.cfg.Telemetry; tel != nil {
-			tel.Stop() // the sampler, which the pool started
-		}
 		close(p.stopped)
 	}()
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -105,7 +106,7 @@ func TestConservationRAMR(t *testing.T) {
 func conservationRAMR(t *testing.T, ship bool) {
 	spec, emits := wcSpec(400)
 	cfg := shipping(testConfig(), ship)
-	cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
+	cfg.Telemetry = telemetry.New()
 	var truth ringTruth
 	cfg.Hooks = &mr.Hooks{QueueObserver: truth.observe}
 
@@ -140,12 +141,6 @@ func conservationRAMR(t *testing.T, ship bool) {
 	if !ship && (qs != (mr.QueueStats{}) || help.Pairs() != emits || truth.rings != 0) {
 		t.Fatalf("conserving: queue stats %+v, help %+v, %d rings; want no ring and every pair folded in place", qs, help, truth.rings)
 	}
-	if rep.SampleCount == 0 || len(rep.Series) == 0 {
-		t.Fatal("empty occupancy time-series")
-	}
-	if len(rep.Queues) != truth.rings {
-		t.Fatalf("%d queue reports, want one per ring (%d)", len(rep.Queues), truth.rings)
-	}
 	// The mappers' shards hold their rings' producer side.
 	var fp, sl uint64
 	for _, w := range rep.Workers {
@@ -159,39 +154,80 @@ func conservationRAMR(t *testing.T, ship bool) {
 	}
 }
 
-// TestLedgerIdentity: a batch run's and a stream session's statistics are
-// views of one ledger, and the ledger is exact. Each runs conserving work
-// and on a plan where a batch run ships pairs, each with and without a
-// Telemetry, on tiny rings (16 slots, slabs of 3) so every wait and fold
-// path is taken. In every case emitted equals the pairs the input holds and
-// the helped tasks are the ones combiners ran. A batch run books every
-// take, so its takes equal the task count, and its queue stats equal the sum
-// of the rings' own snapshots on all eight fields: conserving it folds every
-// pair where it is emitted and builds no ring, on a sibling plan it folds
-// none. A stream session's mapper takes plus helped tasks equal the split
-// count, and on either plan it builds no ring and folds every pair where it
-// is emitted.
+// TestLedgerIdentity: a RAMR run's, a Phoenix++ run's and a stream
+// session's statistics are views of one ledger, and the ledger is exact.
+// Each runs conserving work and on a plan where a RAMR batch run ships
+// pairs, each with and without a Telemetry, on tiny rings (16 slots, slabs
+// of 3) so every wait and fold path is taken. In every case emitted equals
+// the pairs the input holds and the helped tasks are the ones combiners
+// ran. A batch run books every take, so its takes equal the task count, and
+// its queue stats equal the sum of the rings' own snapshots on all eight
+// fields: conserving it folds every pair where it is emitted and builds no
+// ring, on a sibling plan RAMR folds none (Phoenix++ never ships). A stream
+// session's mapper takes plus helped tasks equal the split count, and on
+// either plan it builds no ring and folds every pair where it is emitted.
+// With a Telemetry, the report is exactly a view of the ledger
+// (reportIsLedger).
 func TestLedgerIdentity(t *testing.T) {
 	for _, arm := range []struct {
 		name string
 		ship bool
 	}{{"conserving", false}, {"one-cpu-grant", true}} {
-		for _, sampled := range []bool{false, true} {
-			name := fmt.Sprintf("%s/telemetry=%v", arm.name, sampled)
-			t.Run("batch/"+name, func(t *testing.T) { ledgerIdentityBatch(t, arm.ship, sampled) })
-			t.Run("stream/"+name, func(t *testing.T) { ledgerIdentityStream(t, arm.ship, sampled) })
+		for _, instrumented := range []bool{false, true} {
+			name := fmt.Sprintf("%s/telemetry=%v", arm.name, instrumented)
+			t.Run("batch/"+name, func(t *testing.T) { ledgerIdentityBatch(t, false, arm.ship, instrumented) })
+			t.Run("phoenix/"+name, func(t *testing.T) { ledgerIdentityBatch(t, true, arm.ship, instrumented) })
+			t.Run("stream/"+name, func(t *testing.T) { ledgerIdentityStream(t, arm.ship, instrumented) })
 		}
+	}
+}
+
+// reportIsLedger checks that a report is exactly a view of its run's
+// ledger: its totals are the ledger's, and its per-worker counters sum to
+// them on every field a worker entry carries.
+func reportIsLedger(t *testing.T, tel *telemetry.Telemetry, rep *telemetry.Report) {
+	t.Helper()
+	want := telemetry.LedgerOf(tel).Totals()
+	if rep.Totals != want {
+		t.Fatalf("report totals %+v, ledger totals %+v", rep.Totals, want)
+	}
+	var sum telemetry.Totals
+	for _, w := range rep.Workers {
+		sum.Emitted += w.Emitted
+		sum.Combined += w.Combined
+		sum.Tasks += w.Tasks
+		sum.Batches += w.Batches
+		sum.FailedPush += w.FailedPush
+		sum.SleepMicros += w.SleepMicros
+		sum.LocalTakes += w.LocalTakes
+		sum.SocketSteals += w.SocketSteals
+		sum.RemoteSteals += w.RemoteSteals
+		sum.RemoteExecuted += w.RemoteExecuted
+		sum.TasksHelped += w.TasksHelped
+		switch w.Role {
+		case "combiner":
+			sum.FoldedByCombiners += w.PairsFolded
+		case "mapper":
+			sum.FoldedByMappers += w.PairsFolded
+		}
+	}
+	// A worker entry leaves out the ring and steal-batch counters the
+	// report's JSON leaves out of its totals too.
+	want.Pushes, want.Pops, want.EmptyPolls, want.ShortPolls = 0, 0, 0, 0
+	want.LocalBatches, want.SocketBatches, want.RemoteBatches = 0, 0, 0
+	if sum != want {
+		t.Fatalf("%d worker entries sum to %+v, ledger totals %+v", len(rep.Workers), sum, want)
 	}
 }
 
 // identityConfig is the tiny-ring configuration of TestLedgerIdentity,
 // counting map tasks by the pool that ran them and collecting the rings'
 // ground truth.
-func identityConfig(ship, sampled bool, truth *ringTruth, mapperTasks, slotTasks *atomic.Uint64) mr.Config {
+func identityConfig(ship, instrumented bool, truth *ringTruth, mapperTasks, slotTasks *atomic.Uint64) mr.Config {
 	cfg := shipping(testConfig(), ship)
 	cfg.QueueCapacity, cfg.EmitBatch, cfg.BatchSize = 16, 3, 4
-	if sampled {
-		cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
+	if instrumented {
+		cfg.Telemetry = telemetry.New()
 	}
 	cfg.Hooks = &mr.Hooks{
 		QueueObserver: truth.observe,
@@ -206,12 +242,16 @@ func identityConfig(ship, sampled bool, truth *ringTruth, mapperTasks, slotTasks
 	return cfg
 }
 
-func ledgerIdentityBatch(t *testing.T, ship, sampled bool) {
+func ledgerIdentityBatch(t *testing.T, phoenix, ship, instrumented bool) {
 	spec, emits := wcSpec(120)
 	var truth ringTruth
 	var mapperTasks, slotTasks atomic.Uint64
-	cfg := identityConfig(ship, sampled, &truth, &mapperTasks, &slotTasks)
-	res, err := core.Run(spec, cfg)
+	cfg := identityConfig(ship, instrumented, &truth, &mapperTasks, &slotTasks)
+	run := core.RunContext[string, string, int, int]
+	if phoenix {
+		run, ship = core.RunPhoenixContext[string, string, int, int], false
+	}
+	res, err := run(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +274,20 @@ func ledgerIdentityBatch(t *testing.T, ship, sampled bool) {
 		t.Fatalf("conserving run pushed %d pairs, folded %d in place over %d rings, want 0, %d and no ring",
 			qs.Pushes, help.Pairs(), truth.rings, emits)
 	}
-	if rep := res.Telemetry; sampled && (rep == nil || rep.Totals.Emitted != emits || rep.Totals.Combined != emits) {
+	if !instrumented {
+		return
+	}
+	if rep := res.Telemetry; rep == nil || rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
 		t.Fatalf("report %+v, want %d pairs emitted and combined", rep, emits)
 	}
+	reportIsLedger(t, cfg.Telemetry, res.Telemetry)
 }
 
-func ledgerIdentityStream(t *testing.T, ship, sampled bool) {
+func ledgerIdentityStream(t *testing.T, ship, instrumented bool) {
 	spec, emits := wcSpec(120)
 	var truth ringTruth
 	var mapperTasks, slotTasks atomic.Uint64
-	cfg := identityConfig(ship, sampled, &truth, &mapperTasks, &slotTasks)
+	cfg := identityConfig(ship, instrumented, &truth, &mapperTasks, &slotTasks)
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: len(spec.Splits)}
 	p, err := stream.New(spec, cfg)
 	if err != nil {
@@ -273,12 +317,14 @@ func ledgerIdentityStream(t *testing.T, ship, sampled bool) {
 		t.Fatalf("mapper takes %d + helped %d (ran %d), want %d splits; help %+v",
 			mapperTasks.Load(), help.Tasks, slotTasks.Load(), len(spec.Splits), help)
 	}
-	if !sampled {
+	if !instrumented {
 		return
 	}
-	if rep := cfg.Telemetry.EndRun(nil); rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
+	rep := cfg.Telemetry.EndRun(nil)
+	if rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
 		t.Fatalf("report totals %+v, want %d pairs emitted and combined", rep.Totals, emits)
 	}
+	reportIsLedger(t, cfg.Telemetry, rep)
 }
 
 // TestConservationPhoenix runs the same job on the fused engine, where
@@ -286,7 +332,7 @@ func ledgerIdentityStream(t *testing.T, ship, sampled bool) {
 func TestConservationPhoenix(t *testing.T) {
 	spec, emits := wcSpec(400)
 	cfg := testConfig()
-	cfg.Telemetry = &telemetry.Telemetry{Interval: 100 * time.Microsecond}
+	cfg.Telemetry = telemetry.New()
 
 	res, err := core.RunPhoenixContext(context.Background(), spec, cfg)
 	if err != nil {
@@ -332,57 +378,52 @@ func TestEnginesAgreeUnderTelemetry(t *testing.T) {
 	}
 }
 
-// TestSamplerRaceCap2 hammers a capacity-2 ring from both sides while the
-// sampler probes its depth at the highest rate and scrapes run
-// concurrently — the test exists to fail under -race if the probe ever
-// touches non-atomic queue state.
+// TestSamplerRaceCap2: a live scrape is the one sampler of a run's books
+// left, and it reads the shards while their owners write them. The run
+// ships every pair through capacity-2 rings in slabs of one, so producers
+// meet a full ring on almost every push and book the failed pushes and
+// parked time as they go, while scrapes run from a map hook and from a
+// goroutine of their own; the test exists to fail under -race if a scrape
+// ever touches a counter non-atomically.
 func TestSamplerRaceCap2(t *testing.T) {
-	// With capacity 2 the producer hits a full ring on almost every push;
-	// spinning on Offer keeps it hammering the indices there instead of
-	// parked, which is the traffic the probe must not race with.
-	q := spsc.MustNew[int](2, spsc.WaitSleep)
-	tel := &telemetry.Telemetry{Interval: 20 * time.Microsecond, MaxSamples: 128}
-	tel.BeginRun(telemetry.NewLedger("race"))
-	tel.RegisterQueue("cap2", q)
-	defer tel.Stop()
-
-	const n = 20000
+	spec, emits := wcSpec(200)
+	cfg := shipping(testConfig(), true)
+	cfg.QueueCapacity, cfg.EmitBatch, cfg.BatchSize = 2, 1, 1
+	tel := telemetry.New()
+	cfg.Telemetry = tel
+	scrape := func() {
+		if err := tel.WritePrometheus(io.Discard); err != nil {
+			t.Error(err)
+		}
+	}
+	cfg.Hooks = &mr.Hooks{MapTask: func(int) { scrape() }}
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < n; i++ {
-			for !q.Offer([]int{i}) {
-				runtime.Gosched()
-			}
-		}
-		q.Close()
-	}()
-	go func() {
-		defer wg.Done()
-		for !q.Drained() {
-			if q.ConsumeBatch(1, true, func([]int) {}) == 0 {
-				// On a single-CPU box a non-yielding spin holds the
-				// processor for a whole preemption slice per empty poll.
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				scrape()
+				// On a single-CPU box a non-yielding loop holds the
+				// processor for a whole preemption slice per scrape.
 				runtime.Gosched()
 			}
 		}
 	}()
-	// Concurrent scrapes exercise the exporter path against live pushes.
-	for i := 0; i < 10; i++ {
-		if err := tel.WritePrometheus(&bytes.Buffer{}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	res, err := core.Run(spec, cfg)
+	close(stop)
 	wg.Wait()
-	rep := tel.EndRun(nil)
-	if rep.SampleCount == 0 {
-		t.Fatal("sampler recorded nothing")
+	if err != nil {
+		t.Fatal(err)
 	}
-	occ := rep.Queues[0].Occupancy
-	if occ.Max < 0 || occ.Max > 1 {
-		t.Fatalf("occupancy out of range: %+v", occ)
+	if qs := res.QueueStats; qs.Pushes != emits || qs.Pops != emits {
+		t.Fatalf("queue stats %+v, want all %d pairs pushed and popped", qs, emits)
 	}
+	reportIsLedger(t, tel, res.Telemetry)
 }
 
 // TestWorkerGoroutinesCarryPprofLabels captures a goroutine profile from
@@ -432,7 +473,7 @@ func TestWorkerGoroutinesCarryPprofLabels(t *testing.T) {
 }
 
 // TestTelemetryDisabledLeavesResultBare double-checks the nil path: no
-// report, no sampler, no labels cost assertions — just absence.
+// report, no labels cost assertions — just absence.
 func TestTelemetryDisabledLeavesResultBare(t *testing.T) {
 	spec, _ := wcSpec(50)
 	res, err := core.Run(spec, testConfig())
@@ -445,12 +486,12 @@ func TestTelemetryDisabledLeavesResultBare(t *testing.T) {
 }
 
 // TestPrometheusDuringLiveRun scrapes the exporter mid-run through the
-// hooks' pre-reduce point, validating the text format while counters and
-// probes are hot.
+// hooks' pre-reduce point, validating the text format while the books are
+// live.
 func TestPrometheusDuringLiveRun(t *testing.T) {
 	spec, _ := wcSpec(200)
 	cfg := testConfig()
-	tel := &telemetry.Telemetry{Interval: 50 * time.Microsecond}
+	tel := telemetry.New()
 	cfg.Telemetry = tel
 	var scraped bytes.Buffer
 	cfg.Hooks = &mr.Hooks{PreReduce: func() {

@@ -33,7 +33,7 @@ func NewMulti() *Multi { return &Multi{} }
 
 // Register adds t under key with the given extra labels (rendered in
 // sorted key order). Label names must be valid Prometheus label names and
-// must not collide with the exporter's own (engine, role, worker, queue);
+// must not collide with the exporter's own (engine, role, worker, class);
 // the caller guarantees both. Registering an existing key replaces it.
 func (m *Multi) Register(key string, labels map[string]string, t *Telemetry) {
 	names := make([]string, 0, len(labels))
@@ -89,7 +89,7 @@ func (m *Multi) Len() int {
 
 // WritePrometheus emits one well-formed exposition covering every
 // registered run: each metric family appears once, with one sample per
-// worker/queue per run, labelled by the run's registration labels.
+// worker per run, labelled by the run's registration labels.
 func (m *Multi) WritePrometheus(w io.Writer) error {
 	m.mu.Lock()
 	entries := append([]multiEntry(nil), m.entries...)

@@ -7,24 +7,22 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
 
-// newRun builds a live Telemetry with one worker and one queue probe.
-func newRun(t *testing.T, workerEmitted int, depth int) *Telemetry {
+// newRun builds a live Telemetry with one worker in state st.
+func newRun(t *testing.T, workerEmitted int, st State) *Telemetry {
 	t.Helper()
-	tel := &Telemetry{Interval: time.Millisecond}
-	l := begin(tel, "ramr")
-	tel.RegisterQueue("mapper-0", &fakeProbe{depth: depth, cap: 8})
-	l.Register("mapper", 0).AddTask(uint64(workerEmitted))
-	t.Cleanup(tel.Stop)
+	tel := New()
+	w := begin(tel, "ramr").Register("mapper", 0)
+	w.AddTask(uint64(workerEmitted))
+	w.SetState(st)
 	return tel
 }
 
 func TestMultiAggregatesWithLabels(t *testing.T) {
 	m := NewMulti()
 	m.Register("1", map[string]string{"job": "1", "app": "WC"}, newRun(t, 10, 3))
-	m.Register("2", map[string]string{"job": "2", "app": "KM"}, newRun(t, 20, 5))
+	m.Register("2", map[string]string{"job": "2", "app": "KM"}, newRun(t, 20, 2))
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m.Len())
 	}
@@ -42,8 +40,8 @@ func TestMultiAggregatesWithLabels(t *testing.T) {
 	for _, want := range []string{
 		`ramr_worker_pairs_emitted_total{app="WC",job="1",engine="ramr",role="mapper",worker="0"} 10`,
 		`ramr_worker_pairs_emitted_total{app="KM",job="2",engine="ramr",role="mapper",worker="0"} 20`,
-		`ramr_queue_depth{app="WC",job="1",engine="ramr",queue="mapper-0"} 3`,
-		`ramr_queue_depth{app="KM",job="2",engine="ramr",queue="mapper-0"} 5`,
+		`ramr_worker_state{app="WC",job="1",engine="ramr",role="mapper",worker="0"} 3`,
+		`ramr_worker_state{app="KM",job="2",engine="ramr",role="mapper",worker="0"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("aggregate output missing %q:\n%s", want, text)
@@ -51,7 +49,7 @@ func TestMultiAggregatesWithLabels(t *testing.T) {
 	}
 	// One exposition, not a concatenation: each family's TYPE header
 	// appears exactly once even with two registered runs.
-	for _, family := range []string{"ramr_worker_pairs_emitted_total", "ramr_queue_depth"} {
+	for _, family := range []string{"ramr_worker_pairs_emitted_total", "ramr_worker_state"} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Fatalf("family %s has %d TYPE headers, want 1:\n%s", family, n, text)
 		}

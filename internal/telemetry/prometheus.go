@@ -16,33 +16,18 @@ import (
 // into every sample's label set, or "" for the historical single-run
 // exposition.
 type promSnap struct {
-	labels    string
-	engine    string
-	workers   []*Worker
-	queues    []registeredQueue
-	elapsed   time.Duration
-	samples   int
-	imbalance float64
+	labels  string
+	workers []*Worker
+	elapsed time.Duration
 }
 
 // snap captures the export state of the current run.
 func (t *Telemetry) snap(labels string) promSnap {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := promSnap{
-		labels:    labels,
-		workers:   t.workersLocked(),
-		queues:    append([]registeredQueue(nil), t.queues...),
-		imbalance: t.lastImbalance,
-	}
-	if t.ledger != nil {
-		s.engine = t.ledger.engine
-	}
+	s := promSnap{labels: labels, workers: t.workersLocked()}
 	if !t.start.IsZero() {
 		s.elapsed = time.Since(t.start)
-	}
-	if t.series != nil {
-		s.samples = len(t.series.samples)
 	}
 	return s
 }
@@ -113,45 +98,23 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 		}
 	}
 
-	fmt.Fprintf(bw, "# HELP ramr_queue_depth Buffered elements in the SPSC ring.\n# TYPE ramr_queue_depth gauge\n")
+	fmt.Fprintf(bw, "# HELP ramr_run_duration_seconds Elapsed time of the current run.\n# TYPE ramr_run_duration_seconds gauge\n")
 	for _, s := range snaps {
-		for _, q := range s.queues {
-			fmt.Fprintf(bw, "ramr_queue_depth{%sengine=%q,queue=%q} %d\n", s.labels, s.engine, q.name, q.probe.Len())
+		if s.labels == "" {
+			fmt.Fprintf(bw, "ramr_run_duration_seconds %g\n", s.elapsed.Seconds())
+		} else {
+			// Trim the label prefix's trailing comma: it is the whole
+			// label set.
+			fmt.Fprintf(bw, "ramr_run_duration_seconds{%s} %g\n", s.labels[:len(s.labels)-1], s.elapsed.Seconds())
 		}
 	}
-	fmt.Fprintf(bw, "# HELP ramr_queue_capacity SPSC ring capacity.\n# TYPE ramr_queue_capacity gauge\n")
-	for _, s := range snaps {
-		for _, q := range s.queues {
-			fmt.Fprintf(bw, "ramr_queue_capacity{%sengine=%q,queue=%q} %d\n", s.labels, s.engine, q.name, q.probe.Cap())
-		}
-	}
-
-	gauge := func(name, help string, value func(promSnap) string) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for _, s := range snaps {
-			if s.labels == "" {
-				fmt.Fprintf(bw, "%s %s\n", name, value(s))
-			} else {
-				// Trim the label prefix's trailing comma when it is
-				// the whole label set.
-				fmt.Fprintf(bw, "%s{%s} %s\n", name, s.labels[:len(s.labels)-1], value(s))
-			}
-		}
-	}
-	gauge("ramr_run_duration_seconds", "Elapsed time of the current run.",
-		func(s promSnap) string { return fmt.Sprintf("%g", s.elapsed.Seconds()) })
-	gauge("ramr_samples_total", "Samples retained in the occupancy time-series.",
-		func(s promSnap) string { return fmt.Sprintf("%d", s.samples) })
-	gauge("ramr_queue_imbalance", "Latest sampled occupancy-imbalance ratio (max/mean queue depth).",
-		func(s promSnap) string { return fmt.Sprintf("%g", s.imbalance) })
 	return bw.Flush()
 }
 
-// WritePrometheus emits the current counters and queue gauges in the
-// Prometheus text exposition format (version 0.0.4). Safe to call while a
-// run is in progress: worker counters are atomics and queue probes are
-// point-in-time snapshots, so a live scrape sees a consistent-enough view
-// without touching the hot path.
+// WritePrometheus emits the ledger's counters and worker-state gauges in
+// the Prometheus text exposition format (version 0.0.4). Safe to call while
+// a run is in progress: the shards are atomics, so a live scrape reads the
+// books without touching the hot path.
 func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	return writePromSnaps(w, []promSnap{t.snap("")})
 }

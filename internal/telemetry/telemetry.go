@@ -1,34 +1,24 @@
-// Package telemetry is the live observability layer of the runtime: it
-// turns the backpressure dynamics the paper reasons about — how full the
-// SPSC rings run (§III-A's queue-capacity tuning), how busy each worker
-// class stays (§III-B's mapper/combiner ratio) — into data any run can
-// produce, while a job is still executing.
+// Package telemetry is the observability layer of the runtime: it turns
+// the counts the paper explains its results with — how often producers met
+// a full ring and consumers an empty one (§III-A's offline capacity
+// tuning), how the map tasks were taken and where each pair was folded —
+// into data any run can produce, while a job is still executing.
 //
-// Two layers:
+// Each pipeline goroutine owns a Worker shard of its run's Ledger (tasks,
+// emitted and folded counts, its rings' producer or consumer counters,
+// steal takes) plus a state word. The worker is its only writer and writes
+// at task ends, consume rounds and worker exit, never per pair, with
+// uncontended atomics. The ledger is always on, and it is the one set of
+// books: mr.Result's queue/steal/help counts, a stream session's live
+// stats, a Report and the Prometheus families are all views of it, read
+// when asked for, never sampled.
 //
-//   - The ledger, always on. Each pipeline goroutine owns a Worker shard of
-//     its run's Ledger (tasks, emitted and folded counts, its
-//     rings' producer or consumer counters, steal takes) plus a state word.
-//     The worker is its only writer and writes at task ends, consume rounds
-//     and worker exit, never per pair, with uncontended atomics. Every run
-//     statistic — mr.Result's queue/steal/help counts, a stream session's
-//     live stats, a Report's Totals, the Prometheus counters — is a view
-//     of Ledger.Totals or of the shards.
-//
-//   - The optional Telemetry, a reader of the ledger. A background sampler
-//     snapshots every registered queue's depth (via the non-invasive Probe
-//     — spsc.Queue's Len/Cap satisfy it) and every worker's state into a
-//     bounded, self-decimating time-series, yielding occupancy-over-time
-//     and utilization curves; exporters turn ledger and series into
-//     Prometheus text (WritePrometheus, served by Server or Multi), a
-//     structured JSON Report (attached to mr.Result, dumpable from
-//     cmd/ramrbench via -metrics-out) and a human-readable Summary.
-//
-// A Telemetry records one run at a time: BeginRun attaches the run's
-// ledger, resets the queue registry and starts the sampler, EndRun stops
-// it and builds the Report. Reusing one Telemetry across sequential runs
-// is fine (the bench harness does); sharing one across concurrent runs is
-// not.
+// The optional Telemetry is a plain handle on the live run's ledger:
+// BeginRun attaches it, EndRun builds the Report from it, and
+// WritePrometheus (served by Server or Multi) exports it. It starts no
+// goroutine. A Telemetry records one run at a time; reusing one across
+// sequential runs is fine (the bench harness does), sharing one across
+// concurrent runs is not.
 package telemetry
 
 import (
@@ -38,22 +28,8 @@ import (
 	"time"
 )
 
-// Defaults for the sampler knobs; see the corresponding Telemetry fields.
-const (
-	DefaultInterval   = 200 * time.Microsecond
-	DefaultMaxSamples = 4096
-)
-
-// Probe exposes a queue's instantaneous depth and capacity. spsc.Queue
-// satisfies it; Len is a point-in-time snapshot safe to call from any
-// goroutine while the two queue sides run.
-type Probe interface {
-	Len() int
-	Cap() int
-}
-
-// State is a worker's coarse activity phase, sampled for the utilization
-// curves.
+// State is a worker's coarse activity phase, read live by the
+// ramr_worker_state gauge.
 type State uint32
 
 const (
@@ -92,8 +68,8 @@ func (s State) String() string {
 // task, and stores the plain counters it keeps itself — its ring's
 // producer side and its lane's fold count at task end and lane exit, the
 // consumer side of a slot's rings once per consume round. Counters are
-// atomics because the sampler, exporters and live stats read them
-// concurrently; the writes never contend.
+// atomics because the exporters and live stats read them concurrently; the
+// writes never contend.
 type Worker struct {
 	engine string
 	role   string
@@ -134,7 +110,7 @@ const NumStealClasses = 3
 // StealClassNames are the metric label values, indexed by class.
 var StealClassNames = [NumStealClasses]string{"local", "socket", "remote"}
 
-// SetState publishes the worker's activity phase for the sampler.
+// SetState publishes the worker's activity phase for the state gauge.
 func (w *Worker) SetState(s State) { w.state.Store(uint32(s)) }
 
 // AddTask books one finished map task and the pairs it emitted.
@@ -190,7 +166,7 @@ func (w *Worker) combinerTasks() uint64 {
 }
 
 // Ledger is one run's set of books: a Worker shard per pipeline goroutine,
-// registered whether or not a Telemetry samples the run. Every statistic a
+// registered whether or not a Telemetry reads the run. Every statistic a
 // run reports — its queue, steal and help counts, a stream session's live
 // stats, a Report's Totals, the Prometheus counters — is a view of it.
 type Ledger struct {
@@ -253,70 +229,25 @@ func (l *Ledger) Totals() Totals {
 	return t
 }
 
-// registeredQueue pairs a probe with its report label.
-type registeredQueue struct {
-	name  string
-	probe Probe
-}
-
-// Telemetry is the optional reader of one run's Ledger: it samples ring
-// depths and worker states over time, builds the occupancy/busy/imbalance
-// Report and exports it all to Prometheus and JSON. The zero value is
-// usable: unset knobs take the Default* values at BeginRun.
+// Telemetry is the optional handle on one run's Ledger: it builds the
+// run's Report and exports the ledger to Prometheus and JSON. The zero
+// value is usable.
 type Telemetry struct {
-	// Interval is the sampling period; 0 selects DefaultInterval.
-	Interval time.Duration
-	// MaxSamples bounds the in-memory time-series; when the bound is
-	// reached the series decimates (halves resolution) so it still spans
-	// the whole run. 0 selects DefaultMaxSamples.
-	MaxSamples int
-
-	mu            sync.Mutex
-	ledger        *Ledger
-	start         time.Time
-	queues        []registeredQueue
-	series        *series
-	stop          chan struct{}
-	done          chan struct{}
-	last          *Report
-	lastImbalance float64
+	mu     sync.Mutex
+	ledger *Ledger
+	start  time.Time
+	last   *Report
 }
 
-// New returns a Telemetry with default knobs, ready for mr.Config.
+// New returns a Telemetry, ready for mr.Config.
 func New() *Telemetry { return &Telemetry{} }
 
-// BeginRun clears any previous run's registrations, attaches the run's
-// ledger and starts the background sampler. Engines call it once at run
-// start when Config.Telemetry is non-nil.
+// BeginRun attaches the run's ledger, replacing any previous run's. Engines
+// call it once at run start when Config.Telemetry is non-nil.
 func (t *Telemetry) BeginRun(l *Ledger) {
 	t.mu.Lock()
-	t.stopLocked()
-	t.ledger = l
-	t.start = time.Now()
-	t.queues = nil
-	interval := t.Interval
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	max := t.MaxSamples
-	if max <= 0 {
-		max = DefaultMaxSamples
-	}
-	t.series = newSeries(max)
-	t.lastImbalance = 0
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	t.stop, t.done = stop, done
+	t.ledger, t.start = l, time.Now()
 	t.mu.Unlock()
-
-	go t.sampleLoop(interval, stop, done)
-}
-
-// RegisterQueue adds a queue depth probe for the current run.
-func (t *Telemetry) RegisterQueue(name string, p Probe) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.queues = append(t.queues, registeredQueue{name: name, probe: p})
 }
 
 // workersLocked returns the attached ledger's shards (none before the
@@ -328,107 +259,12 @@ func (t *Telemetry) workersLocked() []*Worker {
 	return t.ledger.shards()
 }
 
-// sampleLoop drives the sampler until stop closes.
-func (t *Telemetry) sampleLoop(interval time.Duration, stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			t.sample(false)
-		}
-	}
-}
-
-// sample takes one snapshot of every queue depth and worker state. force
-// bypasses the series' stride decimation (used for the final sample).
-func (t *Telemetry) sample(force bool) {
-	t.mu.Lock()
-	if t.series == nil {
-		t.mu.Unlock()
-		return
-	}
-	s := Sample{T: time.Since(t.start)}
-	if len(t.queues) > 0 {
-		s.Depths = make([]int, len(t.queues))
-		sum, max := 0, 0
-		for i, q := range t.queues {
-			d := q.probe.Len()
-			s.Depths[i] = d
-			sum += d
-			if d > max {
-				max = d
-			}
-		}
-		// Imbalance = max/mean; an all-empty tick is balanced (1.0), not
-		// undefined, so epochs of pure idleness never read as skew.
-		s.Imbalance = 1.0
-		if sum > 0 {
-			s.Imbalance = float64(max) * float64(len(t.queues)) / float64(sum)
-		}
-		t.lastImbalance = s.Imbalance
-	}
-	if workers := t.workersLocked(); len(workers) > 0 {
-		s.States = make([]State, len(workers))
-		for i, w := range workers {
-			s.States[i] = State(w.state.Load())
-		}
-	}
-	if force {
-		t.series.force(s)
-	} else {
-		t.series.add(s)
-	}
-	t.mu.Unlock()
-}
-
-// stopLocked halts the sampler; callers hold t.mu. The lock is released
-// around the wait so an in-flight sample() can finish.
-func (t *Telemetry) stopLocked() {
-	if t.stop == nil {
-		return
-	}
-	stop, done := t.stop, t.done
-	t.stop, t.done = nil, nil
-	close(stop)
-	t.mu.Unlock()
-	<-done
-	t.mu.Lock()
-	// A finished run's gauges need the rings' last readings, not the
-	// rings: a Telemetry outlives its run (the service keeps one per
-	// retained job record), and must not pin every ring buffer with it.
-	for i, q := range t.queues {
-		t.queues[i].probe = frozenProbe{len: q.probe.Len(), cap: q.probe.Cap()}
-	}
-}
-
-// frozenProbe is a stopped run's queue: its final depth and capacity.
-type frozenProbe struct{ len, cap int }
-
-func (p frozenProbe) Len() int { return p.len }
-func (p frozenProbe) Cap() int { return p.cap }
-
-// Stop halts the sampler without building a report. Idempotent; engines
-// defer it so error paths never leak the sampler goroutine.
-func (t *Telemetry) Stop() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stopLocked()
-}
-
-// EndRun takes one final forced sample (so even sub-interval runs yield a
-// non-empty series), stops the sampler and builds the run Report. phases
-// carries per-phase wall-clock seconds keyed by phase name ("map-combine",
-// ...); pass nil when unknown. The report is also retained for LastReport
-// and the Prometheus exporter.
+// EndRun builds the run's Report from the ledger. phases carries per-phase
+// wall-clock seconds keyed by phase name ("map-combine", ...); pass nil
+// when unknown. The report is also retained for LastReport.
 func (t *Telemetry) EndRun(phases map[string]float64) *Report {
-	t.sample(true)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.stopLocked()
 	rep := t.buildReportLocked(phases)
 	t.last = rep
 	return rep

@@ -9,17 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
-
-// fakeProbe is a settable Probe for sampler tests.
-type fakeProbe struct {
-	depth int
-	cap   int
-}
-
-func (p *fakeProbe) Len() int { return p.depth }
-func (p *fakeProbe) Cap() int { return p.cap }
 
 // begin starts tel's run on a fresh ledger and returns the ledger.
 func begin(tel *Telemetry, engine string) *Ledger {
@@ -28,56 +18,12 @@ func begin(tel *Telemetry, engine string) *Ledger {
 	return l
 }
 
-func TestSeriesDecimates(t *testing.T) {
-	s := newSeries(8)
-	for i := 0; i < 100; i++ {
-		s.add(Sample{T: time.Duration(i) * time.Millisecond})
-	}
-	if len(s.samples) > 8 {
-		t.Fatalf("series exceeded bound: %d samples", len(s.samples))
-	}
-	if s.stride < 8 {
-		t.Fatalf("stride %d: expected decimation after 100 offers into 8 slots", s.stride)
-	}
-	// The retained samples must span the run, oldest first.
-	if s.samples[0].T != 0 {
-		t.Fatalf("first retained sample at %v, want the run's start", s.samples[0].T)
-	}
-	for i := 1; i < len(s.samples); i++ {
-		if s.samples[i].T <= s.samples[i-1].T {
-			t.Fatalf("samples out of order at %d: %v <= %v", i, s.samples[i].T, s.samples[i-1].T)
-		}
-	}
-	if last := s.samples[len(s.samples)-1].T; last < 50*time.Millisecond {
-		t.Fatalf("decimated series ends at %v: lost the tail of the run", last)
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	if p := percentiles(nil); p != (Percentiles{}) {
-		t.Fatalf("empty percentiles = %+v", p)
-	}
-	vs := make([]float64, 100)
-	for i := range vs {
-		vs[i] = float64(i + 1) // 1..100
-	}
-	p := percentiles(vs)
-	if p.Min != 1 || p.Max != 100 {
-		t.Fatalf("min/max: %+v", p)
-	}
-	if p.P50 < 49 || p.P50 > 52 || p.P90 < 89 || p.P90 > 92 || p.P99 < 98 {
-		t.Fatalf("percentiles off: %+v", p)
-	}
-	if p.Mean != 50.5 {
-		t.Fatalf("mean %v, want 50.5", p.Mean)
-	}
-}
-
+// TestEndRunBuildsReport: a report is the attached ledger, read at EndRun —
+// its totals, one entry per shard, throughput over the map-combine phase —
+// and a Telemetry reused for a later run reports that run's ledger.
 func TestEndRunBuildsReport(t *testing.T) {
-	tel := &Telemetry{Interval: time.Millisecond, MaxSamples: 64}
+	tel := New()
 	l := begin(tel, "ramr")
-	q := &fakeProbe{depth: 250, cap: 1000}
-	tel.RegisterQueue("mapper-0", q)
 	w := l.Register("mapper", 0)
 	w.SetState(StateWorking)
 	w.AddTask(60)
@@ -85,69 +31,33 @@ func TestEndRunBuildsReport(t *testing.T) {
 	w.StoreProducer(100, 7, 13)
 	cw := l.Register("combiner", 0)
 	cw.StoreConsumer(100, 0, 0, 4)
-	time.Sleep(5 * time.Millisecond)
 	rep := tel.EndRun(map[string]float64{"map-combine": 0.5})
 
 	if rep.Engine != "ramr" {
 		t.Fatalf("engine %q", rep.Engine)
 	}
-	if rep.SampleCount == 0 || len(rep.Series) != rep.SampleCount {
-		t.Fatalf("series: count=%d len=%d", rep.SampleCount, len(rep.Series))
-	}
-	if len(rep.Queues) != 1 || rep.Queues[0].Capacity != 1000 {
-		t.Fatalf("queues: %+v", rep.Queues)
-	}
-	if occ := rep.Queues[0].Occupancy; occ.Max != 0.25 || occ.Min != 0.25 {
-		t.Fatalf("constant-depth queue should sample 25%% occupancy, got %+v", occ)
+	if rep.Totals != l.Totals() {
+		t.Fatalf("report totals %+v, ledger totals %+v", rep.Totals, l.Totals())
 	}
 	if rep.Totals.Emitted != 100 || rep.Totals.Combined != 100 ||
 		rep.Totals.Tasks != 2 || rep.Totals.Batches != 4 ||
 		rep.Totals.FailedPush != 7 || rep.Totals.SleepMicros != 13 {
 		t.Fatalf("totals: %+v", rep.Totals)
 	}
+	if len(rep.Workers) != 2 || rep.Workers[0].Role != "mapper" || rep.Workers[0].Emitted != 100 || rep.Workers[1].Combined != 100 {
+		t.Fatalf("workers: %+v", rep.Workers)
+	}
 	if rep.Throughput["map"] != 200 || rep.Throughput["combine"] != 200 {
 		t.Fatalf("throughput: %+v", rep.Throughput)
 	}
-	// The mapper was StateWorking the whole run, the combiner idle.
-	if rep.Workers[0].Busy != 1 {
-		t.Fatalf("mapper busy = %v, want 1", rep.Workers[0].Busy)
+	if tel.LastReport() != rep || LedgerOf(tel) != l {
+		t.Fatal("LastReport or Ledger does not return the run's")
 	}
-	if rep.Workers[1].Busy != 0 {
-		t.Fatalf("combiner busy = %v, want 0", rep.Workers[1].Busy)
-	}
-	if tel.LastReport() != rep {
-		t.Fatal("LastReport does not return the EndRun report")
-	}
-}
 
-func TestEndRunForcesASampleOnShortRuns(t *testing.T) {
-	// A run far shorter than the sampling interval must still produce a
-	// non-empty series (EndRun takes one final forced sample).
-	tel := &Telemetry{Interval: time.Hour}
-	begin(tel, "ramr")
-	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 1, cap: 2})
-	rep := tel.EndRun(nil)
-	if rep.SampleCount == 0 {
-		t.Fatal("short run produced an empty time-series")
-	}
-}
-
-func TestSeriesForceBypassesStride(t *testing.T) {
-	// Once decimation has raised the stride, a plain add drops most
-	// offers; force must record regardless, so EndRun's final sample is
-	// never lost.
-	s := newSeries(8)
-	for i := 0; i < 100; i++ {
-		s.add(Sample{T: time.Duration(i) * time.Millisecond})
-	}
-	if s.stride < 2 {
-		t.Fatalf("setup: stride %d, want decimation", s.stride)
-	}
-	final := Sample{T: time.Hour}
-	s.add(final) // skipped==0 after the reset, so the stride drops this
-	s.force(final)
-	if got := s.samples[len(s.samples)-1].T; got != time.Hour {
-		t.Fatalf("forced sample not recorded: last T = %v", got)
+	next := begin(tel, "phoenix")
+	next.Register("mapper", 0).AddTask(5)
+	if rep := tel.EndRun(nil); rep.Engine != "phoenix" || rep.Totals.Emitted != 5 || len(rep.Workers) != 1 {
+		t.Fatalf("reused Telemetry reported %+v, want the second run's ledger", rep)
 	}
 }
 
@@ -179,43 +89,33 @@ func TestLedgerTotalsAggregates(t *testing.T) {
 	}
 }
 
-func TestStopIdempotentAndReusable(t *testing.T) {
-	tel := New()
-	tel.Stop() // never started: no-op
-	begin(tel, "ramr")
-	tel.Stop()
-	tel.Stop()
-	begin(tel, "phoenix")
-	rep := tel.EndRun(nil)
-	if rep.Engine != "phoenix" {
-		t.Fatalf("reuse: engine %q", rep.Engine)
-	}
-	tel.Stop()
-}
-
 func TestReportJSONAndSummary(t *testing.T) {
-	tel := &Telemetry{Interval: time.Millisecond}
+	tel := New()
 	l := begin(tel, "ramr")
-	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 5, cap: 8})
 	w := l.Register("mapper", 0)
 	w.AddTask(42)
+	w.StoreProducer(42, 3, 9)
+	l.Register("combiner", 0).StoreConsumer(42, 5, 2, 11)
 	rep := tel.EndRun(map[string]float64{"map-combine": 1})
 
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"engine": "ramr"`, `"series"`, `"t_us"`, `"pairs_emitted": 42`} {
+	for _, want := range []string{`"engine": "ramr"`, `"pairs_emitted": 42`, `"failed_pushes": 3`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("JSON missing %q:\n%s", want, buf.String())
 		}
+	}
+	if strings.Contains(buf.String(), `"series"`) {
+		t.Fatalf("JSON carries a series:\n%s", buf.String())
 	}
 
 	buf.Reset()
 	if err := rep.Summary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"telemetry [ramr]", "42 emitted", "queue mapper-0", "workers mapper"} {
+	for _, want := range []string{"telemetry [ramr]", "42 emitted", "rings: 42 pushed, 42 popped; 5 empty polls, 2 short polls", "throughput map"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("summary missing %q:\n%s", want, buf.String())
 		}
@@ -273,12 +173,11 @@ func checkPromText(t *testing.T, r io.Reader) (samples int) {
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
-	tel := &Telemetry{Interval: time.Millisecond}
+	tel := New()
 	l := begin(tel, "ramr")
-	tel.RegisterQueue("mapper-0", &fakeProbe{depth: 3, cap: 8})
 	w := l.Register("mapper", 0)
 	w.AddTask(10)
-	defer tel.Stop()
+	w.SetState(StateWorking)
 
 	var buf bytes.Buffer
 	if err := tel.WritePrometheus(&buf); err != nil {
@@ -290,20 +189,24 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 	for _, want := range []string{
 		`ramr_worker_pairs_emitted_total{engine="ramr",role="mapper",worker="0"} 10`,
-		`ramr_queue_depth{engine="ramr",queue="mapper-0"} 3`,
-		`ramr_queue_capacity{engine="ramr",queue="mapper-0"} 8`,
+		`ramr_worker_state{engine="ramr",role="mapper",worker="0"} 1`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, buf.String())
 		}
 	}
+	// The exposition is the ledger: no sampled gauge is left.
+	for _, gone := range []string{"ramr_queue_depth", "ramr_queue_capacity", "ramr_samples_total", "ramr_queue_imbalance"} {
+		if strings.Contains(buf.String(), gone) {
+			t.Fatalf("prometheus output still carries %s:\n%s", gone, buf.String())
+		}
+	}
 }
 
 func TestServerServesMetricsAndPprof(t *testing.T) {
-	tel := &Telemetry{Interval: time.Millisecond}
+	tel := New()
 	l := begin(tel, "ramr")
 	l.Register("mapper", 0).AddTask(5)
-	defer tel.Stop()
 
 	srv, err := NewServer(tel, "127.0.0.1:0")
 	if err != nil {
@@ -332,33 +235,5 @@ func TestServerServesMetricsAndPprof(t *testing.T) {
 	}
 	if !strings.Contains(get("/debug/pprof/"), "profile") {
 		t.Fatal("pprof index not served")
-	}
-}
-
-// TestStopReleasesQueueProbes: once the sampler has stopped, a Telemetry
-// keeps each queue's final depth and capacity for the report and the
-// gauges, but no reference to the queue itself — the service retains one
-// Telemetry per finished job, and each used to pin that job's rings.
-func TestStopReleasesQueueProbes(t *testing.T) {
-	tel := New()
-	begin(tel, "test")
-	live := &fakeProbe{depth: 3, cap: 8}
-	tel.RegisterQueue("mapper-0", live)
-	rep := tel.EndRun(nil)
-	if len(rep.Queues) != 1 || rep.Queues[0].Capacity != 8 {
-		t.Fatalf("report lost the queue: %+v", rep.Queues)
-	}
-	live.depth, live.cap = 99, 99 // the ring's later life must not show
-	var buf bytes.Buffer
-	if err := tel.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`ramr_queue_depth{engine="test",queue="mapper-0"} 3`, `ramr_queue_capacity{engine="test",queue="mapper-0"} 8`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("exposition after EndRun lacks %q:\n%s", want, buf.String())
-		}
-	}
-	if _, pinned := tel.queues[0].probe.(*fakeProbe); pinned {
-		t.Fatal("stopped Telemetry still references the live queue")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,8 +255,19 @@ func TestSchedulerSaturationAndDrain(t *testing.T) {
 	cfg.Pin = ramr.PinNone
 
 	// One job wide enough to hold the whole budget, then fill the
-	// 1-deep queue, then overflow it.
-	wide, err := ramr.Submit(sc, wcSpec(64), cfg, ramr.SubmitOptions{MinCPUs: sc.Budget(), MaxCPUs: sc.Budget()})
+	// 1-deep queue, then overflow it. The wide job's Map waits until the
+	// overflow was refused: a job that finished first would free its grant
+	// and admit the queued one, leaving room for the third.
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	spec := wcSpec(64)
+	inner := spec.Map
+	spec.Map = func(s string, emit func(string, int)) {
+		<-hold
+		inner(s, emit)
+	}
+	wide, err := ramr.Submit(sc, spec, cfg, ramr.SubmitOptions{MinCPUs: sc.Budget(), MaxCPUs: sc.Budget()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +278,7 @@ func TestSchedulerSaturationAndDrain(t *testing.T) {
 	if _, err := ramr.Submit(sc, wcSpec(4), cfg, ramr.SubmitOptions{}); !errors.Is(err, ramr.ErrSaturated) {
 		t.Fatalf("overflow submit err = %v, want ErrSaturated", err)
 	}
+	release()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
