@@ -164,26 +164,6 @@ func MustNew[T any](capacity int, policy WaitPolicy) *Queue[T] {
 // Cap returns the usable capacity of the ring.
 func (q *Queue[T]) Cap() int { return len(q.buf) }
 
-// Len returns the number of buffered elements. It is exact only when the
-// queue is quiescent; under concurrency it is a point-in-time snapshot,
-// safe to call from any goroutine.
-//
-// head is loaded before tail: head never passes tail, so a tail read
-// *after* the head read is always >= the head value read, keeping the
-// difference non-negative (the reverse order could go negative when the
-// consumer advances between the two loads). The result is clamped to the
-// capacity because the consumer may also advance head after we read it,
-// inflating the stale difference.
-func (q *Queue[T]) Len() int {
-	h := q.head.Load()
-	t := q.tail.Load()
-	n := t - h
-	if n > uint64(len(q.buf)) {
-		n = uint64(len(q.buf))
-	}
-	return int(n)
-}
-
 // tryPushBatch appends as many elements of vs as fit, publishing tail once,
 // and returns how many were copied. The copy runs in at most two contiguous
 // segments when the block wraps the ring. Producer side, stat-free on

@@ -211,8 +211,7 @@ func reportIsLedger(t *testing.T, tel *telemetry.Telemetry, rep *telemetry.Repor
 			sum.FoldedByMappers += w.PairsFolded
 		}
 	}
-	// A worker entry leaves out the ring and steal-batch counters the
-	// report's JSON leaves out of its totals too.
+	// A worker entry carries no ring or steal-batch counters.
 	want.Pushes, want.Pops, want.EmptyPolls, want.ShortPolls = 0, 0, 0, 0
 	want.LocalBatches, want.SocketBatches, want.RemoteBatches = 0, 0, 0
 	if sum != want {
@@ -325,6 +324,64 @@ func ledgerIdentityStream(t *testing.T, ship, instrumented bool) {
 		t.Fatalf("report totals %+v, want %d pairs emitted and combined", rep.Totals, emits)
 	}
 	reportIsLedger(t, cfg.Telemetry, rep)
+}
+
+// TestReportMarshalsRingCounters: a run that ships pairs (a sibling plan:
+// Haswell preset, the paper's pinning, grant {0, 28}) writes the four ring
+// counters into its report's JSON, and a fused run writes none of them; the
+// ring shares are computed from them. The shipping run has two mappers, one
+// combiner, slabs of one pair and consume batches of 32 over two map tasks:
+// the first pushes 5 pairs and then holds its ring open, the second waits
+// and then pushes 40. The combiner polls the second ring empty before its
+// first push and the first ring short when the second wakes it. A poll has
+// no hook to wait on, so the two tasks are staggered by sleeps, 60 ms
+// apart.
+func TestReportMarshalsRingCounters(t *testing.T) {
+	var calls atomic.Int32
+	spec := &mr.Spec[int, int, int, int]{
+		Name:   "ringcounters",
+		Splits: []int{0, 1},
+		Map: func(_ int, emit func(int, int)) {
+			n := 5
+			if calls.Add(1) == 2 {
+				time.Sleep(60 * time.Millisecond)
+				n = 40
+			}
+			for i := range n {
+				emit(i, 1)
+			}
+			if n == 5 {
+				time.Sleep(120 * time.Millisecond)
+			}
+		},
+		Combine:      func(a, b int) int { return a + b },
+		Reduce:       mr.IdentityReduce[int, int](),
+		NewContainer: func() container.Container[int, int] { return container.NewHash[int, int]() },
+		Less:         func(a, b int) bool { return a < b },
+	}
+	for _, ship := range []bool{true, false} {
+		calls.Store(0)
+		cfg := testConfig()
+		if ship {
+			cfg.Machine, cfg.Pin, cfg.CPUGrant = topology.HaswellServer(), mr.PinRAMR, []int{0, 28}
+			cfg.Mappers, cfg.Combiners, cfg.TaskSize, cfg.EmitBatch, cfg.BatchSize = 2, 1, 1, 1, 32
+		}
+		cfg.Telemetry = telemetry.New()
+		res, err := core.Run(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := res.Telemetry.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{`"pushes"`, `"pops"`, `"empty_polls"`, `"short_polls"`} {
+			if strings.Contains(b.String(), k) != ship {
+				t.Fatalf("ships=%v (queue stats %+v): report JSON has %s: %v, want %v\n%s",
+					ship, res.QueueStats, k, !ship, ship, b.String())
+			}
+		}
+	}
 }
 
 // TestConservationPhoenix runs the same job on the fused engine, where

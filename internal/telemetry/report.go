@@ -52,13 +52,15 @@ type Totals struct {
 	TasksHelped       uint64 `json:"tasks_helped,omitempty"`
 	FoldedByCombiners uint64 `json:"pairs_folded_by_combiners,omitempty"`
 	FoldedByMappers   uint64 `json:"pairs_folded_by_mappers,omitempty"`
-	// The rest of the ring and steal counters. A job document carries
-	// them under its queue and steal sections, so the report's JSON
-	// leaves them out.
-	Pushes        uint64 `json:"-"`
-	Pops          uint64 `json:"-"`
-	EmptyPolls    uint64 `json:"-"`
-	ShortPolls    uint64 `json:"-"`
+	// The ring counters, from which the ring shares are computed. Only a
+	// run that ships pairs books them, so a fused run's JSON leaves them
+	// out.
+	Pushes     uint64 `json:"pushes,omitempty"`
+	Pops       uint64 `json:"pops,omitempty"`
+	EmptyPolls uint64 `json:"empty_polls,omitempty"`
+	ShortPolls uint64 `json:"short_polls,omitempty"`
+	// The steal batches. A job document carries them under its steal
+	// section, so the report's JSON leaves them out.
 	LocalBatches  uint64 `json:"-"`
 	SocketBatches uint64 `json:"-"`
 	RemoteBatches uint64 `json:"-"`

@@ -17,6 +17,18 @@ import (
 // blocking is what gives MM a genuinely heavy combine phase — each output
 // cell is combined mmKBlocks times — making MM, with KM, the paper's
 // strongest RAMR case.
+//
+// The map kernel streams B by rows. A per-cell dot product walks B down a
+// column, one new cache line per multiply (a 2 KB stride at HWL-Large), and
+// measures a memory-bound map the paper does not describe. Instead, for
+// each group of mmRowGroup rows of the tile and each block of mmColBlock
+// output columns, the kernel clears a stack accumulator, then for every k
+// of the tile's k-block loads the group's A[i][k] once and adds A[i][k] x
+// B[k][j] across the accumulator rows while reading B[k][jlo:jhi]
+// sequentially, and finally emits each row's sums in ascending key order.
+// This is the shape perfmodel's mmTrace describes. Integer sums are exact in
+// any order, so the tile emits exactly the pairs of the textbook loop; the
+// kernel allocates nothing.
 
 // MMInput is a generated Matrix Multiply problem instance.
 type MMInput struct {
@@ -39,6 +51,12 @@ const (
 	// mmKBlocks is how many blocks the inner dimension splits into —
 	// i.e. how many partials are combined per output cell.
 	mmKBlocks = 4
+	// mmRowGroup rows of A share each pass over a row of B in the map
+	// kernel; the four multipliers sit in registers.
+	mmRowGroup = 4
+	// mmColBlock output columns per accumulator row: 4 x 256 int64 partials
+	// are 8 KB, resident in L1 while the k loop streams B.
+	mmColBlock = 256
 )
 
 // GenerateMM builds deterministic random matrices and the tile list.
@@ -93,14 +111,38 @@ func MatMulSpec(in *MMInput, kind container.Kind) *mr.Spec[MMTile, int, int64, i
 		Name:   "MM",
 		Splits: in.Splits,
 		Map: func(t MMTile, emit func(int, int64)) {
-			for i := t.RowLo; i < t.RowHi; i++ {
-				arow := in.A[i*inner : (i+1)*inner]
-				for j := 0; j < cols; j++ {
-					var s int64
+			var acc [mmRowGroup][mmColBlock]int64
+			for i := t.RowLo; i < t.RowHi; i += mmRowGroup {
+				// A short last group repeats the tile's last row in its
+				// missing slots and emits only its real rows.
+				var a [mmRowGroup][]int32
+				for q := range a {
+					r := min(i+q, t.RowHi-1)
+					a[q] = in.A[r*inner : (r+1)*inner]
+				}
+				for jlo := 0; jlo < cols; jlo += mmColBlock {
+					w := min(mmColBlock, cols-jlo)
+					c0, c1, c2, c3 := acc[0][:w], acc[1][:w], acc[2][:w], acc[3][:w]
+					clear(c0)
+					clear(c1)
+					clear(c2)
+					clear(c3)
 					for k := t.KLo; k < t.KHi; k++ {
-						s += int64(arow[k]) * int64(in.B[k*cols+j])
+						x0, x1, x2, x3 := int64(a[0][k]), int64(a[1][k]), int64(a[2][k]), int64(a[3][k])
+						for j, b := range in.B[k*cols+jlo:][:w] {
+							bv := int64(b)
+							c0[j] += x0 * bv
+							c1[j] += x1 * bv
+							c2[j] += x2 * bv
+							c3[j] += x3 * bv
+						}
 					}
-					emit(i*cols+j, s)
+					for q := range min(mmRowGroup, t.RowHi-i) {
+						key := (i+q)*cols + jlo
+						for j, s := range acc[q][:w] {
+							emit(key+j, s)
+						}
+					}
 				}
 			}
 		},

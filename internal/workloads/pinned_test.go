@@ -129,14 +129,20 @@ func currentInputs(t *testing.T) map[string]string {
 // mismatch prints the whole current map (paste it only for an intended
 // change of the inputs).
 func TestInputBytesPinned(t *testing.T) {
-	got := currentInputs(t)
+	requirePinned(t, "generated inputs", pinnedInputs, currentInputs(t))
+}
+
+// requirePinned fails unless got holds exactly the pinned entries, printing
+// the whole current map on a mismatch.
+func requirePinned(t *testing.T, what string, pinned, got map[string]string) {
+	t.Helper()
 	var bad []string
 	for k, v := range got {
-		if pinnedInputs[k] != v {
+		if pinned[k] != v {
 			bad = append(bad, k)
 		}
 	}
-	if len(bad) == 0 && len(got) == len(pinnedInputs) {
+	if len(bad) == 0 && len(got) == len(pinned) {
 		return
 	}
 	sort.Strings(bad)
@@ -149,8 +155,8 @@ func TestInputBytesPinned(t *testing.T) {
 	for _, k := range keys {
 		fmt.Fprintf(&b, "\t%q: %q,\n", k, got[k])
 	}
-	t.Fatalf("generated inputs differ from the pinned bytes at %v (%d pinned, %d generated); current map:\n%s",
-		bad, len(pinnedInputs), len(got), b.String())
+	t.Fatalf("%s differ from the pinned digests at %v (%d pinned, %d now); current map:\n%s",
+		what, bad, len(pinned), len(got), b.String())
 }
 
 // TestBoundedDrawsMatchIntn: HG's and LR's constant-divisor draws are the
@@ -204,4 +210,34 @@ func BenchmarkGenerate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// pinnedOutputs are MM's output digests and key counts at HWL-Small and
+// HWL-Large, seeds 1 and 2, computed with the per-cell dot-product kernel
+// the row-streaming kernel replaced. Integer sums are exact in any order, so
+// any MM kernel must produce these digests and key counts.
+var pinnedOutputs = map[string]string{
+	"MM/Large/seed1": "9ffaa6756d6b1a89/262144",
+	"MM/Large/seed2": "024d9e7b7e3102ad/262144",
+	"MM/Small/seed1": "ba0b8c59d1ae549c/65536",
+	"MM/Small/seed2": "fc32b7edc150ef08/65536",
+}
+
+// TestOutputDigestPinned: MM's RAMR output hashes to the pinned digests.
+func TestOutputDigestPinned(t *testing.T) {
+	got := map[string]string{}
+	for _, c := range []SizeClass{Small, Large} {
+		for _, s := range []int64{1, 2} {
+			job, err := NewJob("MM", HWL, c, DefaultContainer("MM"), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ri, err := job.Run(EngineRAMR, cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[fmt.Sprintf("MM/%v/seed%d", c, s)] = fmt.Sprintf("%016x/%d", ri.Digest, ri.Pairs)
+		}
+	}
+	requirePinned(t, "MM outputs", pinnedOutputs, got)
 }
