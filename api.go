@@ -128,7 +128,9 @@ func FixedHashFactory[K comparable, V any](maxKeys int, hash func(K) uint64) con
 // HashString is a ready-made FNV-1a string hasher for FixedHashFactory.
 func HashString(s string) uint64 { return container.HashString(s) }
 
-// HashInt is a ready-made int hasher for FixedHashFactory.
+// HashInt is a ready-made int hasher for FixedHashFactory. It returns k
+// itself: the fixed-hash container spreads keys over its slots (Fibonacci
+// hashing), so an int hasher needs no mixing of its own.
 func HashInt(k int) uint64 { return container.HashInt(k) }
 
 // HaswellServer returns the paper's dual-socket Haswell topology preset.

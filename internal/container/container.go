@@ -110,10 +110,12 @@ type KV[K comparable, V any] struct {
 // exactly as the paper prescribes ("a separate container is allocated to
 // each combiner").
 type Container[K comparable, V any] interface {
-	// Update folds v into the accumulator for k using combine.
-	Update(k K, v V, combine Combine[V])
+	// Fold returns the container's per-pair fold, a fused worker's emit
+	// (core.Fuse): each call folds v into k's accumulator as Update does
+	// and counts the pair in *n. Build it once per container.
+	Fold(combine Combine[V], n *uint64) func(K, V)
 	// UpdateBatch folds every pair of kvs into the container, equivalent
-	// to calling Update once per element in order. Implementations
+	// to folding them one by one in order. Implementations
 	// specialize the loop so the combiner's hot path pays one interface
 	// dispatch per batch instead of one per pair.
 	UpdateBatch(kvs []KV[K, V], combine Combine[V])

@@ -1,6 +1,9 @@
 package container
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -8,10 +11,17 @@ import (
 
 var sum = func(a, b int) int { return a + b }
 
+// updatable is a container with its one-pair Update, which every
+// implementation keeps and the runtimes no longer call through Container.
+type updatable[K comparable, V any] interface {
+	Container[K, V]
+	Update(k K, v V, combine Combine[V])
+}
+
 // eachKind builds one container of every implementation for int keys.
-func eachKind(t *testing.T, keyRange int) map[Kind]Container[int, int] {
+func eachKind(t *testing.T, keyRange int) map[Kind]updatable[int, int] {
 	t.Helper()
-	return map[Kind]Container[int, int]{
+	return map[Kind]updatable[int, int]{
 		KindFixedArray: NewFixedArray[int](keyRange),
 		KindFixedHash:  NewFixedHash[int, int](keyRange, HashInt),
 		KindHash:       NewHash[int, int](),
@@ -84,11 +94,7 @@ func TestIterateVisitsAll(t *testing.T) {
 func TestQuickAgainstMapModel(t *testing.T) {
 	const keyRange = 50
 	f := func(keys []uint8, vals []int8) bool {
-		cs := map[Kind]Container[int, int]{
-			KindFixedArray: NewFixedArray[int](keyRange),
-			KindFixedHash:  NewFixedHash[int, int](keyRange, HashInt),
-			KindHash:       NewHash[int, int](),
-		}
+		cs := eachKind(t, keyRange)
 		model := map[int]int{}
 		for i, kb := range keys {
 			if i >= len(vals) {
@@ -125,7 +131,7 @@ func TestQuickAgainstMapModel(t *testing.T) {
 
 func TestMergeEquivalence(t *testing.T) {
 	for kind := range eachKind(t, 32) {
-		mk := func() Container[int, int] { return eachKind(t, 32)[kind] }
+		mk := func() updatable[int, int] { return eachKind(t, 32)[kind] }
 		a, b := mk(), mk()
 		for k := 0; k < 32; k++ {
 			if k%2 == 0 {
@@ -209,9 +215,6 @@ func TestFixedHashStringKeys(t *testing.T) {
 	if h.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", h.Len())
 	}
-	if h.Probes == 0 {
-		t.Fatal("probe counter did not advance")
-	}
 }
 
 func TestFixedHashValidation(t *testing.T) {
@@ -230,29 +233,33 @@ func TestFixedHashValidation(t *testing.T) {
 	}
 }
 
+// TestHashersDisperse: the int hashers are the identity and the table
+// spreads their keys (Fibonacci hashing), so dense, strided and
+// power-of-two-strided int keys all fill a table's home slots evenly: a
+// table masking the identity's low bits would put every multiple of 1024 in
+// one slot. HashString tells near strings apart.
 func TestHashersDisperse(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[HashInt(i)] = true
+	if HashInt(12345) != 12345 || HashUint64(1<<40) != 1<<40 {
+		t.Fatal("the int hashers are not the identity")
 	}
-	if len(seen) != 1000 {
-		t.Fatalf("HashInt collisions on 1000 consecutive ints: %d distinct", len(seen))
+	const keys = 1024
+	for _, stride := range []int{1, 3, 64, 1024, 1 << 20} {
+		h := NewFixedHash[int, int](keys, HashInt) // 2048 slots
+		load := map[uint64]int{}
+		for i := range keys {
+			load[h.home(i*stride)/64]++ // 32 runs of 64 slots
+		}
+		for run, n := range load {
+			if n > 2*keys/32 {
+				t.Fatalf("stride %d: %d of %d keys have their home slot in run %d of 32", stride, n, keys, run)
+			}
+		}
+		if len(load) != 32 {
+			t.Fatalf("stride %d: home slots cover %d of 32 runs", stride, len(load))
+		}
 	}
 	if HashString("abc") == HashString("abd") {
 		t.Fatal("HashString collision on near strings")
-	}
-	if HashUint64(1) == HashUint64(2) {
-		t.Fatal("HashUint64 collision")
-	}
-	// Low-bit dispersion matters because tables mask, not mod.
-	low := map[uint64]int{}
-	for i := 0; i < 4096; i++ {
-		low[HashInt(i)&63]++
-	}
-	for b, n := range low {
-		if n > 4096/64*3 {
-			t.Fatalf("bucket %d badly overloaded: %d", b, n)
-		}
 	}
 }
 
@@ -309,6 +316,73 @@ func TestUpdateBatchEquivalence(t *testing.T) {
 	}
 }
 
+// contents is what Iterate visits, as a map.
+func contents[K comparable, V any](c Container[K, V]) map[K]V {
+	m := map[K]V{}
+	c.Iterate(func(k K, v V) bool { m[k] = v; return true })
+	return m
+}
+
+// panicText runs f and returns what it panicked with, or "" if it did not.
+func panicText(f func()) (text string) {
+	defer func() {
+		if v := recover(); v != nil {
+			text = fmt.Sprint(v)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestFoldMatchesUpdate: a container's fold is its Update. Seeded random
+// streams folded through Fold leave the state Update leaves on a twin — the
+// same Len and the same Iterate set, under a combine whose result depends on
+// the order it sees values in — and every pair is counted; past the
+// declared bound both paths panic with the same text, the pair counted.
+func TestFoldMatchesUpdate(t *testing.T) {
+	ordered := func(acc, v int) int { return acc*31 + v }
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keyRange, pairs := 1+rng.Intn(300), rng.Intn(5000)
+		folded, updated := eachKind(t, keyRange), eachKind(t, keyRange)
+		for kind, c := range folded {
+			var n uint64
+			fold, twin := c.Fold(ordered, &n), updated[kind]
+			r := rand.New(rand.NewSource(seed))
+			for range pairs {
+				k, v := r.Intn(keyRange), r.Intn(1000)-500
+				fold(k, v)
+				twin.Update(k, v, ordered)
+			}
+			if n != uint64(pairs) {
+				t.Fatalf("seed %d, %v: fold counted %d pairs, want %d", seed, kind, n, pairs)
+			}
+			if c.Len() != twin.Len() || !maps.Equal(contents[int, int](c), contents[int, int](twin)) {
+				t.Fatalf("seed %d, %v: fold left %d keys %v, Update %d keys %v", seed, kind, c.Len(), contents[int, int](c), twin.Len(), contents[int, int](twin))
+			}
+		}
+	}
+	for name, mk := range map[string]func() updatable[int, int]{
+		"fixed-hash past its declared keys": func() updatable[int, int] { return NewFixedHash[int, int](4, HashInt) },
+		"fixed-array past its key range":    func() updatable[int, int] { return NewFixedArray[int](4) },
+	} {
+		c, twin := mk(), mk()
+		var n uint64
+		fold := c.Fold(sum, &n)
+		for k := range 4 {
+			fold(k, 1)
+			twin.Update(k, 1, sum)
+		}
+		got, want := panicText(func() { fold(99, 1) }), panicText(func() { twin.Update(99, 1, sum) })
+		if got == "" || got != want {
+			t.Fatalf("%s: fold panicked %q, Update %q", name, got, want)
+		}
+		if n != 5 || c.Len() != 4 {
+			t.Fatalf("%s: fold counted %d pairs into %d keys, want 5 into 4", name, n, c.Len())
+		}
+	}
+}
+
 // TestUpdateBatchNonCommutative checks that batched folding preserves
 // element order within and across batches (combine need only be
 // associative, not commutative).
@@ -338,10 +412,11 @@ func TestFixedHashUpdateBatchOverflowPanics(t *testing.T) {
 }
 
 // HG's fixed-hash configuration: 768 dense int keys. At the declared size
-// the table must be at most half full, and a steady-state update (every
-// key already present) must stay near the 1.5 probes linear probing costs
-// at that load — the 7/8 sizing rule put these keys in 1024 slots and
-// paid about 2.5.
+// the table must be at most half full, and every key must sit on its home
+// slot or next to it: at most 1.05 probes per steady-state update, where
+// random slots at that load cost about 1.5 and the splitmix64 mix the
+// identity HashInt replaced paid 1.31. The suite's other key sets are
+// checked in suite_test.go.
 func TestFixedHashLoadAtDeclaredSize(t *testing.T) {
 	const keys = 768
 	h := NewFixedHash[int, int](keys, HashInt)
@@ -357,16 +432,11 @@ func TestFixedHashLoadAtDeclaredSize(t *testing.T) {
 	for k := range batch {
 		batch[k] = KV[int, int]{K: k, V: 1}
 	}
-	h.UpdateBatch(batch, sum) // inserts
-	before := h.Probes
-	const rounds = 10
-	for r := 0; r < rounds; r++ {
-		h.UpdateBatch(batch, sum)
-	}
-	mean := float64(h.Probes-before) / (rounds * keys)
+	h.UpdateBatch(batch, sum)
+	mean := ProbesPerUpdate(h)
 	t.Logf("768 dense keys in %d slots: %.3f probes per steady-state update", len(h.state), mean)
-	if mean > 1.6 {
-		t.Fatalf("mean probes per update at the declared size = %.2f, want <= 1.6", mean)
+	if mean > 1.05 {
+		t.Fatalf("mean probes per update at the declared size = %.2f, want <= 1.05", mean)
 	}
 	if h.Len() != keys {
 		t.Fatalf("Len = %d, want %d", h.Len(), keys)

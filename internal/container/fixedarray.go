@@ -42,6 +42,21 @@ func (a *FixedArray[V]) Update(k int, v V, combine Combine[V]) {
 	a.n++
 }
 
+// Fold returns the per-pair fold into a: Update's body over the backing
+// arrays it captures, which Reset keeps, counting each pair in *n.
+func (a *FixedArray[V]) Fold(combine Combine[V], n *uint64) func(int, V) {
+	vals, present := a.vals, a.present
+	return func(k int, v V) {
+		*n++
+		if present[k] {
+			vals[k] = combine(vals[k], v)
+			return
+		}
+		vals[k], present[k] = v, true
+		a.n++
+	}
+}
+
 // UpdateBatch folds each pair of kvs into its accumulator. The loop runs
 // over the dense backing arrays directly, so a batch of b pairs costs one
 // interface dispatch plus b indexed accesses.

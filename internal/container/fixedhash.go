@@ -1,18 +1,22 @@
 package container
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Hasher maps a key to a 64-bit hash. FixedHash takes the hash function
-// explicitly so any comparable key type works without reflection.
+// explicitly so any comparable key type works without reflection. The table
+// spreads the hash over its slots itself, so a hasher need not mix: it only
+// has to tell keys apart.
 type Hasher[K comparable] func(K) uint64
 
-// HashInt hashes an int with a 64-bit finalizer (splitmix64), giving good
-// dispersion even for the small consecutive key ranges the benchmark apps
-// emit.
-func HashInt(k int) uint64 { return mix64(uint64(k)) }
+// HashInt returns k, as libstdc++'s std::hash<int> does: FixedHash spreads
+// the key over its slots, so dense or strided int keys need no mixing.
+func HashInt(k int) uint64 { return uint64(k) }
 
-// HashUint64 hashes a uint64 with the same finalizer.
-func HashUint64(k uint64) uint64 { return mix64(k) }
+// HashUint64 returns k, as HashInt does.
+func HashUint64(k uint64) uint64 { return k }
 
 // HashString hashes a string with FNV-1a.
 func HashString(s string) uint64 {
@@ -24,12 +28,10 @@ func HashString(s string) uint64 {
 	return h
 }
 
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// fib is 2^64 over the golden ratio, Knuth's multiplier for Fibonacci
+// hashing: a key's home slot is the top bits of hash·fib, which spread any
+// arithmetic progression of hashes evenly over the table.
+const fib = 0x9e3779b97f4a7c15
 
 // FixedHash is an open-addressing (linear probing) hash container with a
 // capacity fixed at construction, matching the "fixed-size hash table"
@@ -48,23 +50,22 @@ type FixedHash[K comparable, V any] struct {
 	vals    []V
 	state   []uint8 // 0 empty, 1 occupied
 	mask    uint64
+	shift   uint // 64 − log2(slots): the home slot is hash·fib >> shift
 	maxKeys int
 	_       fence
 	n       int
-	// Probes counts total probe steps, a proxy for the extra memory
-	// traffic this container generates; the perf model reads it.
-	// UpdateBatch adds a batch's steps in one store.
-	Probes uint64
-	_      fence
+	_       fence
 }
 
 // NewFixedHash returns a fixed-capacity table able to hold maxKeys
 // distinct keys. The backing store is the next power of two at least
 // twice maxKeys, so the load factor at the declared size stays at or
 // below 1/2: linear probing costs about (1+1/(1-a))/2 probes per hit at
-// load a — 1.5 at 1/2 against 2.5 at the 3/4 that HG's 768 keys reached
-// under the previous 7/8 rule (EXPERIMENTS.md, "Admission before
-// materialisation").
+// load a on random slots — 1.5 at 1/2 against 2.5 at the 3/4 that HG's 768
+// keys reached under the previous 7/8 rule (EXPERIMENTS.md, "Admission
+// before materialisation"). Fibonacci slots do better than random on the
+// suite's int keys: every key set lands on its home slot, one probe per
+// update (EXPERIMENTS.md, "A folded pair costs one call").
 func NewFixedHash[K comparable, V any](maxKeys int, hash Hasher[K]) *FixedHash[K, V] {
 	if maxKeys <= 0 {
 		panic("container: FixedHash maxKeys must be positive")
@@ -82,79 +83,85 @@ func NewFixedHash[K comparable, V any](maxKeys int, hash Hasher[K]) *FixedHash[K
 		vals:    isolated[V](int(cap), int(cap)),
 		state:   isolated[uint8](int(cap), int(cap)),
 		mask:    cap - 1,
+		shift:   uint(64 - bits.TrailingZeros64(cap)),
 		maxKeys: maxKeys,
 	}
 }
 
-// Update folds v into the slot for k, inserting if absent.
-func (h *FixedHash[K, V]) Update(k K, v V, combine Combine[V]) {
-	i := h.hash(k) & h.mask
-	for {
-		h.Probes++
+// home returns k's home slot, where its probe sequence starts.
+func (h *FixedHash[K, V]) home(k K) uint64 { return h.hash(k) * fib >> h.shift }
+
+// find probes linearly from k's home slot: it returns k's slot and true,
+// or the empty slot where k belongs and false.
+func (h *FixedHash[K, V]) find(k K) (uint64, bool) {
+	for i := h.home(k); ; i = (i + 1) & h.mask {
 		if h.state[i] == 0 {
-			if h.n >= h.maxKeys {
-				panic(fmt.Sprintf("container: FixedHash overflow: %d distinct keys exceed declared capacity %d", h.n+1, h.maxKeys))
-			}
-			h.keys[i] = k
-			h.vals[i] = v
-			h.state[i] = 1
-			h.n++
-			return
+			return i, false
 		}
 		if h.keys[i] == k {
-			h.vals[i] = combine(h.vals[i], v)
-			return
+			return i, true
 		}
-		i = (i + 1) & h.mask
 	}
 }
 
-// UpdateBatch folds each pair of kvs into its slot. The probe loop is the
-// same as Update's; batching amortizes the interface dispatch and keeps
-// consecutive probes of one batch temporally adjacent in the table. Probe
-// steps are counted in a local and stored once: a store per step into the
-// struct is a cross-core write per pair to whoever reads the line next
-// door.
-func (h *FixedHash[K, V]) UpdateBatch(kvs []KV[K, V], combine Combine[V]) {
-	probes := uint64(0)
-	for _, p := range kvs {
-		i := h.hash(p.K) & h.mask
-		for {
-			probes++
-			if h.state[i] == 0 {
-				if h.n >= h.maxKeys {
-					h.Probes += probes
-					panic(fmt.Sprintf("container: FixedHash overflow: %d distinct keys exceed declared capacity %d", h.n+1, h.maxKeys))
-				}
-				h.keys[i] = p.K
-				h.vals[i] = p.V
-				h.state[i] = 1
-				h.n++
-				break
+// put gives k, absent, the empty slot i holding v. A key beyond the
+// declared capacity panics, because the caller declared the bound.
+func (h *FixedHash[K, V]) put(i uint64, k K, v V) {
+	if h.n >= h.maxKeys {
+		panic(fmt.Sprintf("container: FixedHash overflow: %d distinct keys exceed declared capacity %d", h.n+1, h.maxKeys))
+	}
+	h.keys[i], h.vals[i], h.state[i] = k, v, 1
+	h.n++
+}
+
+// Update folds v into the slot for k, inserting if absent.
+func (h *FixedHash[K, V]) Update(k K, v V, combine Combine[V]) {
+	if i, ok := h.find(k); ok {
+		h.vals[i] = combine(h.vals[i], v)
+	} else {
+		h.put(i, k, v)
+	}
+}
+
+// Fold returns the per-pair fold into h: Update's probe loop, written out
+// over the backing arrays it captures, which never change, counting each
+// pair in *n.
+func (h *FixedHash[K, V]) Fold(combine Combine[V], n *uint64) func(K, V) {
+	hash, keys, vals, state, mask, shift := h.hash, h.keys, h.vals, h.state, h.mask, h.shift
+	return func(k K, v V) {
+		*n++
+		for i := hash(k) * fib >> shift; ; i = (i + 1) & mask {
+			if state[i] == 0 {
+				h.put(i, k, v)
+				return
 			}
-			if h.keys[i] == p.K {
-				h.vals[i] = combine(h.vals[i], p.V)
-				break
+			if keys[i] == k {
+				vals[i] = combine(vals[i], v)
+				return
 			}
-			i = (i + 1) & h.mask
 		}
 	}
-	h.Probes += probes
+}
+
+// UpdateBatch folds each pair of kvs into its slot, as Update does; the
+// batch costs one interface dispatch.
+func (h *FixedHash[K, V]) UpdateBatch(kvs []KV[K, V], combine Combine[V]) {
+	for _, p := range kvs {
+		if i, ok := h.find(p.K); ok {
+			h.vals[i] = combine(h.vals[i], p.V)
+		} else {
+			h.put(i, p.K, p.V)
+		}
+	}
 }
 
 // Get returns the accumulator for k.
 func (h *FixedHash[K, V]) Get(k K) (V, bool) {
-	var zero V
-	i := h.hash(k) & h.mask
-	for {
-		if h.state[i] == 0 {
-			return zero, false
-		}
-		if h.keys[i] == k {
-			return h.vals[i], true
-		}
-		i = (i + 1) & h.mask
+	if i, ok := h.find(k); ok {
+		return h.vals[i], true
 	}
+	var zero V
+	return zero, false
 }
 
 // Len returns the number of distinct keys stored.
@@ -181,7 +188,6 @@ func (h *FixedHash[K, V]) Reset() {
 		}
 	}
 	h.n = 0
-	h.Probes = 0
 }
 
 // Kind reports KindFixedHash.

@@ -57,6 +57,19 @@ func (h *Hash[K, V]) Update(k K, v V, combine Combine[V]) {
 	h.insert(k, v)
 }
 
+// Fold returns the per-pair fold into h: Update's body, counting each pair
+// in *n. It reaches the slab through h, because insert regrows it.
+func (h *Hash[K, V]) Fold(combine Combine[V], n *uint64) func(K, V) {
+	return func(k K, v V) {
+		*n++
+		if i, ok := h.index[k]; ok {
+			h.vals[i] = combine(h.vals[i], v)
+			return
+		}
+		h.insert(k, v)
+	}
+}
+
 // UpdateBatch folds each pair of kvs into its accumulator, touching the
 // map directly so a batch costs one interface dispatch.
 func (h *Hash[K, V]) UpdateBatch(kvs []KV[K, V], combine Combine[V]) {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
@@ -40,6 +42,102 @@ func TestStepAllocatesNothing(t *testing.T) {
 	}
 	if _, _, h := Books(d.Ledger.Totals()); h.Tasks != 101 || h.CombinerPairs != 101*4*8 || h.MapperPairs != 101*4*8 {
 		t.Fatalf("help %+v: want 101 steps of 32 pairs on each worker", h)
+	}
+}
+
+// TestFusedStepHandsMapTheFold: a hook-free fused step hands Map the
+// container's own fold — the closure Container.Fold built, with nothing in
+// front of it — so a folded pair costs one call into the container plus
+// combine. With a MapEmit hook set, Map gets the hook's wrapper instead.
+func TestFusedStepHandsMapTheFold(t *testing.T) {
+	for _, hooked := range []bool{false, true} {
+		spec, cfg := countSpec(1, 8, 16), testConfig()
+		if hooked {
+			cfg.Hooks = &mr.Hooks{MapEmit: func(int) {}}
+		}
+		var handed uintptr
+		mapPairs := spec.Map
+		spec.Map = func(s int, emit func(int, int)) {
+			handed = reflect.ValueOf(emit).Pointer()
+			mapPairs(s, emit)
+		}
+		d, err := newDriver(spec, cfg, "ramr", true, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.RunWorker(context.Background(), 0, func(w int, lane *Lane[pair[int, int]], _ *telemetry.Worker) {
+			d.Step(w, lane, nil)(Task[int]{Splits: spec.Splits})
+		})
+		var n uint64
+		fold := reflect.ValueOf(spec.NewContainer().Fold(spec.Combine, &n)).Pointer()
+		if (handed == fold) == hooked {
+			t.Fatalf("hooked %v: Map was handed code %#x, the container's fold is %#x", hooked, handed, fold)
+		}
+		if _, _, h := Books(d.Ledger.Totals()); h.MapperPairs != 8 {
+			t.Fatalf("hooked %v: %d pairs folded, want 8", hooked, h.MapperPairs)
+		}
+	}
+}
+
+// TestSessionHoldsOneFoldPerOpenPane: over 1,200 sliding windows of three
+// panes, each fused worker holds, once a window is finished, exactly the
+// panes still open — each with its container and its fold, built once with
+// the container — and no fold of a finished pane. Every window holds what
+// its panes' tasks emitted.
+func TestSessionHoldsOneFoldPerOpenPane(t *testing.T) {
+	const windows, k, splits, emits = 1200, 3, 2, 5
+	spec := countSpec(splits, emits, 16)
+	var built int
+	newContainer := spec.NewContainer
+	spec.NewContainer = func() container.Container[int, int] {
+		built++
+		return newContainer()
+	}
+	d, err := NewSession(spec, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]func(Task[int]), len(d.CPUs))
+	for w := range steps {
+		lane := NewLane[pair[int, int]](nil, 8, w, nil)
+		lane.tw = d.Ledger.Register("mapper", w)
+		steps[w] = d.Step(w, lane, nil)
+	}
+	stepPane := func(pane int64) {
+		for _, step := range steps {
+			step(Task[int]{Splits: spec.Splits, Pane: pane})
+		}
+	}
+	for pane := range int64(k - 1) {
+		stepPane(pane)
+	}
+	var ph mr.PhaseTimes
+	for n := range int64(windows) {
+		stepPane(n + k - 1)
+		pairs, err := d.Finish(n, k, &ph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, p := range pairs {
+			total += p.Value
+		}
+		if want := k * len(steps) * splits * emits; total != want {
+			t.Fatalf("window %d holds %d pairs, want %d", n, total, want)
+		}
+		for w, m := range d.panes {
+			if len(m) != k-1 {
+				t.Fatalf("after window %d worker %d holds %d panes, want the %d open ones", n, w, len(m), k-1)
+			}
+			for pane := n + 1; pane < n+k; pane++ {
+				if o, ok := m[pane]; !ok || o.c == nil || o.emit == nil {
+					t.Fatalf("after window %d worker %d's open pane %d is %+v", n, w, pane, o)
+				}
+			}
+		}
+	}
+	if want := len(steps) * (windows + k - 1); built != want {
+		t.Fatalf("%d containers built, want one per worker and pane: %d", built, want)
 	}
 }
 

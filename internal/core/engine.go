@@ -177,25 +177,37 @@ type Driver[S any, K comparable, V, R any] struct {
 	spec  *mr.Spec[S, K, V, R]
 	group []int // each task-taking worker's locality group
 	// panes maps each container owner's panes to its containers: a fused
-	// worker's, or on a sibling plan a combiner slot's (pane 0). An owner is
-	// the only writer of its containers; mu guards the maps, never a pair.
+	// worker's, with its fold into each, or on a sibling plan a combiner
+	// slot's (pane 0). An owner is the only writer of its containers; mu
+	// guards the maps, never a pair.
 	mu    sync.Mutex
-	panes []map[int64]container.Container[K, V]
+	panes []map[int64]owned[K, V]
 }
 
-// container returns (creating if needed) owner j's container for a pane.
-// Only the owner creates its containers, so it may make one unlocked.
-func (d *Driver[S, K, V, R]) container(j int, pane int64) container.Container[K, V] {
+// owned is one owner's container of one pane and, on a fused worker, the
+// worker's emit into it (Fuse): built with the container, dropped with it.
+type owned[K comparable, V any] struct {
+	c    container.Container[K, V]
+	emit func(K, V)
+}
+
+// pane returns (creating if needed) owner j's container for a pane and,
+// if lane is set, the fused worker's emit into it. Only the owner creates
+// its containers, so it may make one unlocked.
+func (d *Driver[S, K, V, R]) pane(j int, pane int64, lane *Lane[pair[K, V]]) owned[K, V] {
 	d.mu.Lock()
-	c, ok := d.panes[j][pane]
+	o, ok := d.panes[j][pane]
 	d.mu.Unlock()
 	if !ok {
-		c = d.spec.NewContainer()
+		o.c = d.spec.NewContainer()
+		if lane != nil {
+			o.emit = Fuse(lane, o.c, d.spec.Combine)
+		}
 		d.mu.Lock()
-		d.panes[j][pane] = c
+		d.panes[j][pane] = o
 		d.mu.Unlock()
 	}
-	return c
+	return o
 }
 
 // newDriver places the run's pool (NewPool; mayShip lets it ship), its
@@ -206,9 +218,9 @@ func newDriver[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.
 	if err != nil {
 		return nil, err
 	}
-	d := &Driver[S, K, V, R]{Pool: pool, spec: spec, panes: make([]map[int64]container.Container[K, V], pool.Owners)}
+	d := &Driver[S, K, V, R]{Pool: pool, spec: spec, panes: make([]map[int64]owned[K, V], pool.Owners)}
 	for j := range d.panes {
-		d.panes[j] = make(map[int64]container.Container[K, V])
+		d.panes[j] = make(map[int64]owned[K, V])
 	}
 	groups := len(pool.Machine.LocalityGroups())
 	if oneGroup {
@@ -276,29 +288,26 @@ func (d *Driver[S, K, V, R]) Start(ctx context.Context, trace *obs.Recorder, don
 			tw.SetState(telemetry.StateIdle)
 		}
 	}, func(j int) func([]pair[K, V]) {
-		c := d.container(j, 0)
+		c := d.pane(j, 0, nil).c
 		return func(seg []pair[K, V]) { c.UpdateBatch(seg, d.spec.Combine) }
 	})
 }
 
-// Step returns worker w's step, built once per worker: on a fused pool the
-// worker's container is pointed at the task's pane — a map lookup only when
-// the pane changes, then one pointer store — and every pair is folded there
-// as it is made (Fuse); on a sibling plan every pair goes through the
-// worker's ring. done, if set, books the task with what it emitted, after
-// every pair is folded or published.
+// Step returns worker w's step, built once per worker: on a fused pool
+// every pair is folded as it is made, through the worker's emit into the
+// container of the task's pane (Fuse) — a map lookup only when the pane
+// changes; on a sibling plan every pair goes through the worker's ring.
+// done, if set, books the task with what it emitted, after every pair is
+// folded or published.
 func (d *Driver[S, K, V, R]) Step(w int, lane *Lane[pair[K, V]], done func(Task[S], uint64)) func(Task[S]) {
-	var cur container.Container[K, V]
-	var pane int64
 	var emit func(K, V)
+	var pane int64
 	if d.Ship {
 		emit = HookEmit(lane, func(k K, v V) { Emit(lane, pair[K, V]{K: k, V: v}) })
-	} else {
-		emit = Fuse(lane, &cur, d.spec.Combine)
 	}
 	return func(t Task[S]) {
-		if !d.Ship && (cur == nil || t.Pane != pane) {
-			cur, pane = d.container(w, t.Pane), t.Pane
+		if !d.Ship && (emit == nil || t.Pane != pane) {
+			emit, pane = d.pane(w, t.Pane, lane).emit, t.Pane
 		}
 		lane.BeginTask()
 		for _, s := range t.Splits {
@@ -317,7 +326,8 @@ func (d *Driver[S, K, V, R]) Step(w int, lane *Lane[pair[K, V]], done func(Task[
 // the window's lowest and no later window reads it, so each owner's pane-n
 // container — created if absent — is the destination its panes n+1…n+k−1
 // fold into, and the owners' destinations go to the tree merge: nothing here
-// writes a container a later window reads. Pane n then leaves every owner.
+// writes a container a later window reads. Pane n then leaves every owner,
+// with the fused workers' folds into it.
 // ph gets the merge-and-reduce and sort times. A panic in user code is
 // returned as a *mr.PanicError.
 func (d *Driver[S, K, V, R]) Finish(n, k int64, ph *mr.PhaseTimes) (pairs []mr.Pair[K, R], err error) {
@@ -330,11 +340,11 @@ func (d *Driver[S, K, V, R]) Finish(n, k int64, ph *mr.PhaseTimes) (pairs []mr.P
 	dsts := make([]container.Container[K, V], 0, len(d.panes))
 	for _, m := range d.panes {
 		d.mu.Lock()
-		dst, srcs := m[n], make([]container.Container[K, V], 0, k-1)
+		dst, srcs := m[n].c, make([]container.Container[K, V], 0, k-1)
 		delete(m, n)
 		for pane := n + 1; pane < n+k; pane++ {
-			if c, ok := m[pane]; ok {
-				srcs = append(srcs, c)
+			if o, ok := m[pane]; ok {
+				srcs = append(srcs, o.c)
 			}
 		}
 		d.mu.Unlock()

@@ -150,16 +150,13 @@ func HookEmit[E, K, V any](l *Lane[E], emit func(K, V)) func(K, V) {
 }
 
 // Fuse returns l's emit closure for a run that folds each pair where it is
-// made: one Update into the container *c, booked on l as folded as it is
-// handed over — no slab, no ring (DESIGN.md §5.2). It is Phoenix++'s fused
-// step; build it once per worker, not per task. *c is the worker's own
-// container, which the driver's step repoints between tasks, at the task's
-// pane's, never during one.
-func Fuse[E any, K comparable, V any](l *Lane[E], c *container.Container[K, V], combine container.Combine[V]) func(K, V) {
-	return HookEmit(l, func(k K, v V) {
-		l.folded++
-		(*c).Update(k, v, combine)
-	})
+// made: c's own fold (Container.Fold), which counts each pair on l as folded
+// as it is handed over — no slab, no ring (DESIGN.md §5.2). It is Phoenix++'s
+// fused step; the driver builds one per container a worker owns, so a pair
+// costs one call into the container and combine's, and a pane switch
+// between tasks is a lookup.
+func Fuse[E any, K comparable, V any](l *Lane[E], c container.Container[K, V], combine container.Combine[V]) func(K, V) {
+	return HookEmit(l, c.Fold(combine, &l.folded))
 }
 
 // BeginTask marks the start of one map task.

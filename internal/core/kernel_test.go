@@ -92,9 +92,9 @@ func TestEachRingHasOneConsumer(t *testing.T) {
 // task on a worker of each role allocate nothing; what they pay is a handful
 // of uncontended atomic stores. A fused task is stepped as a batch run steps
 // it, into the worker's one container, and as a stream session does, which
-// first repoints the worker's container at the task's pane: the switch costs
-// no allocation either. The fused emit closures are built once, outside the
-// measured runs, as the drivers build one per worker.
+// first switches to the fold of the task's pane: the switch costs no
+// allocation either. The fused emit closures are built once, outside the
+// measured runs, as the driver builds one per container.
 func TestLedgerCostsNoAllocation(t *testing.T) {
 	p := shipPool(t, 1, 1, 64, 8, nil)
 	ledger, q := p.Ledger, p.queues[0]
@@ -134,12 +134,14 @@ func TestLedgerCostsNoAllocation(t *testing.T) {
 		session := i >= 2
 		fused := NewLane[pair[int, int]](nil, 8, i+1, nil)
 		fused.tw = ledger.Register(role, i+1)
-		panes := []container.Container[int, int]{container.NewFixedArray[int](32), container.NewFixedArray[int](32)}
-		cur, task := panes[0], 0
-		emit := Fuse(fused, &cur, add)
+		panes := []func(int, int){
+			Fuse(fused, container.NewFixedArray[int](32), add),
+			Fuse(fused, container.NewFixedArray[int](32), add),
+		}
+		emit, task := panes[0], 0
 		if n := testing.AllocsPerRun(100, func() {
 			if session {
-				cur = panes[task%2]
+				emit = panes[task%2]
 				task++
 			}
 			fused.BeginTask()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,6 +130,35 @@ func TestCombinePanicBecomesError(t *testing.T) {
 		t.Fatalf("%d queue reports, want 2", len(rec.Reports()))
 	}
 	assertClean(t, rec)
+}
+
+// TestFixedHashOverflowBecomesError: a fixed-hash container folded past
+// its declared keys panics where the pair is folded — in a fused worker's
+// fold, or in a combiner slot's batch on a sibling plan — and the run
+// returns that worker's *mr.PanicError, carrying the overflow, on RAMR and
+// on Phoenix++.
+func TestFixedHashOverflowBecomesError(t *testing.T) {
+	spec := countSpec(20, 50, 64) // 50 distinct keys a task, 16 declared
+	spec.NewContainer = func() container.Container[int, int] { return container.NewFixedHash[int, int](16, container.HashInt) }
+	for _, tc := range []struct {
+		name    string
+		cfg     mr.Config
+		phoenix bool
+	}{
+		{"ramr", testConfig(), false},
+		{"ramr-sibling-plan", parked(testConfig()), false},
+		{"phoenix", testConfig(), true},
+	} {
+		err := runWithTimeout(t, func() error {
+			_, err := run(context.Background(), spec, tc.cfg, tc.phoenix)
+			return err
+		})
+		var pe *mr.PanicError
+		if !errors.As(err, &pe) || pe.Engine == "mr" || !strings.Contains(fmt.Sprint(pe.Value), "FixedHash overflow") {
+			t.Fatalf("%s: err = %#v, want a worker's *mr.PanicError on the overflow", tc.name, err)
+		}
+		assertNoWorkers(t)
+	}
 }
 
 func TestReducePanicBecomesError(t *testing.T) {

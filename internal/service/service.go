@@ -751,7 +751,8 @@ type resultDoc struct {
 
 // fill copies a settled run's figures into the document: the summary
 // always, the deep result fields (output digest, telemetry report, shard
-// partial) when detail is set.
+// partial) when detail is set. The ring counters are the summary's queue
+// section, so the document's report leaves them out of its totals.
 func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	if info == nil {
 		return
@@ -769,7 +770,11 @@ func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	if info.Digest != 0 {
 		doc.Digest = fmt.Sprintf("%016x", info.Digest)
 	}
-	doc.Telemetry = info.Telemetry
+	if rep := info.Telemetry; rep != nil {
+		r := *rep
+		r.Totals.Pushes, r.Totals.Pops, r.Totals.EmptyPolls, r.Totals.ShortPolls = 0, 0, 0, 0
+		doc.Telemetry = &r
+	}
 	doc.Partial = info.Partial
 }
 

@@ -411,3 +411,33 @@ func TestSkewAndStealOverlay(t *testing.T) {
 		t.Fatalf("steal-off job recorded no local takes and no helped tasks: %v %v", steal, help)
 	}
 }
+
+// TestShippingResultStatesRingCountersOnce: a WC job granted one core's two
+// threads on the Haswell preset, {0, 28}, ships every pair through a ring,
+// and its result document states each ring counter once — in its queue
+// section, which the telemetry report's totals do not repeat.
+func TestShippingResultStatesRingCountersOnce(t *testing.T) {
+	_, ts, _ := newTestService(t, 4)
+	code, doc := postJob(t, ts, `{"workload":"WC","seed":7,"min_cpus":2,"max_cpus":2}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST: HTTP %d (%v)", code, doc)
+	}
+	res := awaitResult(t, ts, int(doc["id"].(float64)))
+	if res["state"] != "done" || fmt.Sprint(res["grant"]) != "[0 28]" {
+		t.Fatalf("job %v on grant %v, want done on [0 28]", res["state"], res["grant"])
+	}
+	queue, _ := res["queue"].(map[string]any)
+	tel, _ := res["telemetry"].(map[string]any)
+	totals, _ := tel["totals"].(map[string]any)
+	if queue == nil || totals == nil {
+		t.Fatalf("result has queue %v and telemetry totals %v", queue, totals)
+	}
+	if pushes, _ := queue["Pushes"].(float64); pushes == 0 || pushes != totals["pairs_emitted"] {
+		t.Fatalf("queue pushes %v, pairs emitted %v: want every pair shipped", queue["Pushes"], totals["pairs_emitted"])
+	}
+	for _, ring := range []string{"pushes", "pops", "empty_polls", "short_polls"} {
+		if v, ok := totals[ring]; ok {
+			t.Errorf("telemetry totals repeat the queue section's %s: %v", ring, v)
+		}
+	}
+}

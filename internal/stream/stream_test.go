@@ -501,6 +501,37 @@ func TestMapperPanicAborts(t *testing.T) {
 	checkNoLeak(t, before)
 }
 
+// TestFixedHashOverflowFailsSession: a fused worker folding past its
+// fixed-hash container's declared keys fails the session with its
+// *mr.PanicError, carrying the overflow, and every session goroutine exits.
+func TestFixedHashOverflowFailsSession(t *testing.T) {
+	before := runtime.NumGoroutine()
+	spec := countSpec(64)
+	spec.NewContainer = func() container.Container[int, uint64] {
+		return container.NewFixedHash[int, uint64](16, container.HashInt)
+	}
+	p, err := New(spec, testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Append(chunkOf(0, 4, 100)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("session did not stop after the overflow")
+	}
+	var pe *mr.PanicError
+	if err := p.Err(); !errors.As(err, &pe) || !strings.Contains(pe.Error(), "FixedHash overflow") {
+		t.Fatalf("err = %v, want the worker's *mr.PanicError on the overflow", err)
+	}
+	checkNoLeak(t, before)
+}
+
 // TestSealerPanicFailsSession: a Less that panics while the sealer sorts a
 // window fails the session with the sealer's *mr.PanicError, on both
 // plans, instead of taking the process down, and every session
