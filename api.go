@@ -125,7 +125,9 @@ func FixedHashFactory[K comparable, V any](maxKeys int, hash func(K) uint64) con
 	return func() Container[K, V] { return container.NewFixedHash[K, V](maxKeys, hash) }
 }
 
-// HashString is a ready-made FNV-1a string hasher for FixedHashFactory.
+// HashString is a ready-made string hasher for FixedHashFactory. It reads
+// a key a word at a time; its values are a table's business, not a format
+// to store.
 func HashString(s string) uint64 { return container.HashString(s) }
 
 // HashInt is a ready-made int hasher for FixedHashFactory. It returns k

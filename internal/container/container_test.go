@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"ramr/internal/stats"
 )
 
 var sum = func(a, b int) int { return a + b }
@@ -237,7 +239,8 @@ func TestFixedHashValidation(t *testing.T) {
 // spreads their keys (Fibonacci hashing), so dense, strided and
 // power-of-two-strided int keys all fill a table's home slots evenly: a
 // table masking the identity's low bits would put every multiple of 1024 in
-// one slot. HashString tells near strings apart.
+// one slot. HashString tells near strings apart on every branch of its
+// length switch, and every word of WC's vocabulary apart.
 func TestHashersDisperse(t *testing.T) {
 	if HashInt(12345) != 12345 || HashUint64(1<<40) != 1<<40 {
 		t.Fatal("the int hashers are not the identity")
@@ -260,6 +263,52 @@ func TestHashersDisperse(t *testing.T) {
 	}
 	if HashString("abc") == HashString("abd") {
 		t.Fatal("HashString collision on near strings")
+	}
+	// For each length 0-40 — the 0, 1-3, 4-7, 8-16 and looping branches —
+	// the 256 strings that differ from a base in one byte at one position
+	// hash apart, on two bases; and runs of zero bytes of every length do.
+	byLen := map[uint64]int{}
+	for n := 0; n <= 40; n++ {
+		byLen[HashString(string(make([]byte, n)))] = n
+		for _, base := range []byte{0, 'a'} {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = base + byte(i%26)
+			}
+			for i := range b {
+				seen := map[uint64]byte{}
+				for c := range 256 {
+					b[i] = byte(c)
+					h := HashString(string(b))
+					if prev, ok := seen[h]; ok {
+						t.Fatalf("length %d, byte %d: %#x and %#x hash alike", n, i, prev, c)
+					}
+					seen[h] = byte(c)
+				}
+				b[i] = base + byte(i%26)
+			}
+		}
+	}
+	if len(byLen) != 41 {
+		t.Fatalf("runs of 0-40 zero bytes have %d distinct hashes, want 41", len(byLen))
+	}
+	// WC's vocabulary: 5,000 words of 3-12 lower-case letters, drawn as
+	// workloads.generateText draws them (its bytes are pinned by
+	// TestInputBytesPinned), seeds 1 and 2.
+	for _, seed := range []int64{1, 2} {
+		rng := stats.Rng(seed, "wordcount")
+		seen := map[uint64]string{}
+		for range 5000 {
+			b := make([]byte, 3+rng.Intn(10))
+			for j := range b {
+				b[j] = "abcdefghijklmnopqrstuvwxyz"[rng.Intn(26)]
+			}
+			w := string(b)
+			if prev, ok := seen[HashString(w)]; ok && prev != w {
+				t.Fatalf("seed %d: WC words %q and %q hash alike", seed, prev, w)
+			}
+			seen[HashString(w)] = w
+		}
 	}
 }
 

@@ -18,14 +18,57 @@ func HashInt(k int) uint64 { return uint64(k) }
 // HashUint64 returns k, as HashInt does.
 func HashUint64(k uint64) uint64 { return k }
 
-// HashString hashes a string with FNV-1a.
+// HashString hashes a string a word at a time, in the shape of wyhash's
+// short-input path (github.com/wangyi-fudan/wyhash): a key of 4-16 bytes
+// is two overlapping little-endian loads of 4 or 8 bytes, one of 1-3 bytes
+// its first, middle and last bytes, and a longer one folds 16 bytes per
+// step before its last 16 take the short path; one 64×64→128-bit multiply
+// with the length finishes the hash. No key costs a byte loop. It is a
+// table hash, not a format: nothing may store or compare its values across
+// builds.
 func HashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+	n := len(s)
+	seed := uint64(wyp0)
+	var a, b uint64
+	switch {
+	case n > 16:
+		for p := s; len(p) > 16; p = p[16:] {
+			seed = wymix(le64(p)^wyp1, le64(p[8:])^seed)
+		}
+		a, b = le64(s[n-16:]), le64(s[n-8:])
+	case n >= 8:
+		a, b = le64(s), le64(s[n-8:])
+	case n >= 4:
+		a, b = le32(s), le32(s[n-4:])
+	case n > 0:
+		a = uint64(s[0])<<16 | uint64(s[n>>1])<<8 | uint64(s[n-1])
 	}
-	return h
+	return wymix(a^wyp1, b^seed^uint64(n))
+}
+
+// wyp0 and wyp1 are wyhash's first two default secrets.
+const (
+	wyp0 = 0xa0761d6478bd642f
+	wyp1 = 0xe7037ed1a0b428db
+)
+
+// wymix folds the 128-bit product of a and b into 64 bits.
+func wymix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// le64 loads s's first 8 bytes little-endian; the compiler makes it one load.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// le32 loads s's first 4 bytes little-endian.
+func le32(s string) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
 }
 
 // fib is 2^64 over the golden ratio, Knuth's multiplier for Fibonacci

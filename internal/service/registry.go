@@ -25,7 +25,8 @@ type JobRequest struct {
 	Platform string `json:"platform,omitempty"`
 	Class    string `json:"class,omitempty"`
 	// Container overrides the intermediate container: "fixedarray",
-	// "fixedhash", "hash". Default: the app's stress configuration.
+	// "fixedhash", "hash". Default: the app's stress configuration, or
+	// for a stream, whose vocabulary is the client's, its default one.
 	Container string `json:"container,omitempty"`
 	// Engine is "ramr" (default) or "phoenix".
 	Engine string `json:"engine,omitempty"`
@@ -254,7 +255,12 @@ func Resolve(req *JobRequest) (*Plan, error) {
 			return nil, err
 		}
 		p.params = in.Params
+		// The fixed-size tables of Figs. 8b/9b are sized for a generated
+		// vocabulary; a stream's is the client's text.
 		p.kind = workloads.StressContainer(p.app)
+		if req.Stream != nil {
+			p.kind = workloads.DefaultContainer(p.app)
+		}
 		if req.Container != "" {
 			if p.kind, err = container.ParseKind(req.Container); err != nil {
 				return nil, err

@@ -591,3 +591,43 @@ func TestWordCountStreamOverHTTP(t *testing.T) {
 	tr.check(t, svc.Scheduler().Budget())
 	checkNoWorkerLeak(t)
 }
+
+// TestWordCountStreamVocabularyUnbounded: a WC stream without a container
+// counts any vocabulary. The client's text, not a generator, decides how
+// many distinct words a window sees, so one chunk of 10,001 distinct words
+// — one more than WC's fixed-size table holds — seals into one window of
+// 10,001 pairs.
+func TestWordCountStreamVocabularyUnbounded(t *testing.T) {
+	svc, ts, tr := newTestService(t, 0)
+	id := openStreamApp(t, ts, "WC", `{"window":1}`)
+
+	const distinct = 10_001
+	words := make([]string, distinct)
+	for i := range words {
+		words[i] = fmt.Sprintf("w%d", i)
+	}
+	line, err := json.Marshal([]string{strings.Join(words, " ")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, doc, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/chunks", id), fmt.Sprintf(`{"ts":0,"lines":%s}`, line)); code != http.StatusAccepted {
+		t.Fatalf("chunk: HTTP %d (%v)", code, doc)
+	}
+	code, final, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/close", id), `{}`)
+	if code != http.StatusOK {
+		t.Fatalf("close: HTTP %d (%v)", code, final)
+	}
+	ws, _ := final["windows"].([]any)
+	if len(ws) != 1 {
+		t.Fatalf("closed session sealed %d windows, want 1 (%v)", len(ws), final)
+	}
+	if got := ws[0].(map[string]any)["pairs"].(float64); got != distinct {
+		t.Fatalf("window 0 has %.0f pairs, want %d", got, distinct)
+	}
+	if doc := waitDone(t, ts, id); doc["state"] != "done" || doc["error"] != nil {
+		t.Fatalf("session settled %v (err %v)", doc["state"], doc["error"])
+	}
+
+	tr.check(t, svc.Scheduler().Budget())
+	checkNoWorkerLeak(t)
+}

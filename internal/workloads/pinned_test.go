@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ramr/internal/container"
 	"ramr/internal/stats"
 )
 
@@ -212,32 +213,63 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// pinnedOutputs are MM's output digests and key counts at HWL-Small and
-// HWL-Large, seeds 1 and 2, computed with the per-cell dot-product kernel
-// the row-streaming kernel replaced. Integer sums are exact in any order, so
-// any MM kernel must produce these digests and key counts.
+// pinnedOutputs are output digests and key counts at HWL-Small and
+// HWL-Large, seeds 1 and 2. MM's were computed with the per-cell
+// dot-product kernel the row-streaming kernel replaced: integer sums are
+// exact in any order, so any MM kernel must produce them. WC's (on both of
+// its containers) and SM's were computed while the table hasher was still
+// the digest's FNV-1a: the digest is a wire format, and a faster table hash
+// or tokeniser must leave it byte-identical.
 var pinnedOutputs = map[string]string{
 	"MM/Large/seed1": "9ffaa6756d6b1a89/262144",
 	"MM/Large/seed2": "024d9e7b7e3102ad/262144",
 	"MM/Small/seed1": "ba0b8c59d1ae549c/65536",
 	"MM/Small/seed2": "fc32b7edc150ef08/65536",
+
+	"SM/Large/seed1":            "c10b3311f6efbec7/2",
+	"SM/Large/seed2":            "3be9d7009d6d1fce/2",
+	"SM/Small/seed1":            "a0936615e30c5bbf/2",
+	"SM/Small/seed2":            "c1231922b45b5651/2",
+	"WC/fixed-hash/Large/seed1": "64c3aa5a93f4bfbf/4995",
+	"WC/fixed-hash/Large/seed2": "97e1146216e8d424/4991",
+	"WC/fixed-hash/Small/seed1": "7b1bdd1f12670a90/4987",
+	"WC/fixed-hash/Small/seed2": "8ccbabb92defd264/4978",
+	"WC/hash/Large/seed1":       "64c3aa5a93f4bfbf/4995",
+	"WC/hash/Large/seed2":       "97e1146216e8d424/4991",
+	"WC/hash/Small/seed1":       "7b1bdd1f12670a90/4987",
+	"WC/hash/Small/seed2":       "8ccbabb92defd264/4978",
 }
 
-// TestOutputDigestPinned: MM's RAMR output hashes to the pinned digests.
+// TestOutputDigestPinned: MM's, WC's and SM's RAMR outputs hash to the
+// pinned digests.
 func TestOutputDigestPinned(t *testing.T) {
 	got := map[string]string{}
 	for _, c := range []SizeClass{Small, Large} {
 		for _, s := range []int64{1, 2} {
-			job, err := NewJob("MM", HWL, c, DefaultContainer("MM"), s)
-			if err != nil {
-				t.Fatal(err)
+			for _, r := range []struct {
+				name, app, input string
+				kind             container.Kind
+			}{
+				{"MM", "MM", "MM", DefaultContainer("MM")},
+				{"WC/hash", "WC", "WC", container.KindHash},
+				{"WC/fixed-hash", "WC", "WC", container.KindFixedHash},
+				{"SM", "SM", "WC", container.KindHash}, // SM has no Table I row; it runs on WC's bytes
+			} {
+				in, err := Input(r.input, HWL, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				job, err := NewJobParams(r.app, in.Params, r.kind, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ri, err := job.Run(EngineRAMR, cfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[fmt.Sprintf("%s/%v/seed%d", r.name, c, s)] = fmt.Sprintf("%016x/%d", ri.Digest, ri.Pairs)
 			}
-			ri, err := job.Run(EngineRAMR, cfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[fmt.Sprintf("MM/%v/seed%d", c, s)] = fmt.Sprintf("%016x/%d", ri.Digest, ri.Pairs)
 		}
 	}
-	requirePinned(t, "MM outputs", pinnedOutputs, got)
+	requirePinned(t, "outputs", pinnedOutputs, got)
 }

@@ -75,8 +75,6 @@ func StringMatchJob(nBytes int, seed int64) *Job {
 		InputDesc: fmt.Sprintf("%d bytes, %d patterns", nBytes, len(SMPatterns)),
 	}
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedContext(ctx, spec, eng, cfg, func(k string, v int) uint64 {
-			return mix(container.HashString(k) ^ mix(uint64(v)))
-		})
+		return RunTypedContext(ctx, spec, eng, cfg, wcPairDigest) // string counts, as WC's
 	})
 }

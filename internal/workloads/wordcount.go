@@ -85,19 +85,19 @@ func WordCountSpec(splits []string, kind container.Kind) *mr.Spec[string, string
 	return &mr.Spec[string, string, int, int]{
 		Name:   "WC",
 		Splits: splits,
+		// Map emits each run of non-space bytes, uncopied: the words of
+		// strings.Split(s, " ") with the empty ones dropped, in order.
 		Map: func(s string, emit func(string, int)) {
-			start := -1
-			for i := 0; i <= len(s); i++ {
-				if i < len(s) && s[i] != ' ' {
-					if start < 0 {
-						start = i
-					}
-					continue
+			for len(s) > 0 {
+				i := strings.IndexByte(s, ' ')
+				if i < 0 {
+					emit(s, 1)
+					return
 				}
-				if start >= 0 {
-					emit(s[start:i], 1)
-					start = -1
+				if i > 0 {
+					emit(s[:i], 1)
 				}
+				s = s[i+1:]
 			}
 		},
 		Combine:      func(a, b int) int { return a + b },
@@ -129,5 +129,5 @@ func WordCountJob(nBytes int, kind container.Kind, seed int64, width int) *Job {
 // merged container, so a sharded run's final digest is byte-identical to
 // the single-node run's.
 func wcPairDigest(k string, v int) uint64 {
-	return mix(container.HashString(k) ^ mix(uint64(v)))
+	return mix(fnv1a(k) ^ mix(uint64(v)))
 }

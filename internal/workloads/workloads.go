@@ -197,5 +197,17 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// fnv1a hashes a string key for a digest, with FNV-1a. A digest is a wire
+// format — memo keys, shard partials and goldens rest on it — so its string
+// hash is fixed here, apart from whatever hash the tables probe with.
+func fnv1a(s string) uint64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // AppNames lists the suite in the paper's presentation order.
 func AppNames() []string { return []string{"HG", "KM", "LR", "MM", "PCA", "WC"} }

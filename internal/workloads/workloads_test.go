@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,6 +153,33 @@ func TestWordCountReference(t *testing.T) {
 	if total != words {
 		t.Fatalf("total %d, want %d", total, words)
 	}
+}
+
+// FuzzWordCountMap: WC's Map emits exactly the words of
+// strings.Split(s, " ") with the empty strings dropped, in order. Only the
+// space separates words: tabs, newlines and invalid UTF-8 are word bytes.
+func FuzzWordCountMap(f *testing.F) {
+	for _, s := range []string{"", "    ", " lead", "trail ", "dou  bled", "  a  b  ", "tab\tand\nnewline words", "bad \xff\xfe utf8 \xc3"} {
+		f.Add(s)
+	}
+	mapWords := WordCountSpec(nil, container.KindHash).Map
+	f.Fuzz(func(t *testing.T, s string) {
+		var want, got []string
+		for _, w := range strings.Split(s, " ") {
+			if w != "" {
+				want = append(want, w)
+			}
+		}
+		mapWords(s, func(w string, n int) {
+			if n != 1 {
+				t.Fatalf("%q: emitted %q with count %d, want 1", s, w, n)
+			}
+			got = append(got, w)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("%q: Map emitted %q, want %q", s, got, want)
+		}
+	})
 }
 
 func TestHistogramReference(t *testing.T) {
