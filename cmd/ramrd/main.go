@@ -1,7 +1,9 @@
 // Command ramrd is the RAMR job service daemon: an HTTP front end over
 // the multi-job scheduler (internal/sched) through which clients submit
 // named workloads, poll status, fetch results, cancel jobs, and scrape
-// one aggregated Prometheus /metrics endpoint with per-job labels.
+// Prometheus /metrics. Process numbers are on /metrics (counters per
+// workload, engine and priority, never per job), job numbers in
+// /jobs/{id}.
 //
 // Quickstart:
 //

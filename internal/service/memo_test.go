@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -295,11 +296,61 @@ func TestEvictionBoundOverHTTP(t *testing.T) {
 	}
 }
 
-// TestDeleteUnregistersMetrics is the leak regression test: once a
-// finished job's record is deleted, its labels must disappear from
-// /metrics while the service-level memo families remain.
+// readMetrics GETs /metrics, checks the exposition strictly, and returns
+// its text and its samples keyed by series (name plus label set).
+func readMetrics(url string) (string, map[string]float64, error) {
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		return "", nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return "", nil, err
+	}
+	if err := telemetry.CheckExposition(body); err != nil {
+		return "", nil, fmt.Errorf("/metrics fails strict validation: %w", err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return "", nil, fmt.Errorf("sample %q: %w", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return string(body), samples, nil
+}
+
+func scrapeMetrics(t *testing.T, ts *httptest.Server) (string, map[string]float64) {
+	t.Helper()
+	text, samples, err := readMetrics(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text, samples
+}
+
+// noJobLabel fails on any series labelled by job: /metrics states process
+// numbers, and a job's own are in its document.
+func noJobLabel(t *testing.T, samples map[string]float64) {
+	t.Helper()
+	for series := range samples {
+		if strings.Contains(series, "{job=") || strings.Contains(series, ",job=") {
+			t.Fatalf("/metrics carries a job label: %s", series)
+		}
+	}
+}
+
+// TestDeleteUnregistersMetrics is the leak regression test: /metrics has
+// no per-job series to leak, and deleting a finished job's record leaves
+// its workload's counters and the service-level families as they were.
 func TestDeleteUnregistersMetrics(t *testing.T) {
-	svc, ts, _ := newMemoService(t, Config{Seed: 17})
+	_, ts, _ := newMemoService(t, Config{Seed: 17})
 	code, doc := postJob(t, ts, `{"workload":"SYNTH","config":{"pin":"none"},"synth":{"elements":1000,"keys":16}}`)
 	if code != http.StatusCreated {
 		t.Fatalf("POST: HTTP %d", code)
@@ -307,85 +358,133 @@ func TestDeleteUnregistersMetrics(t *testing.T) {
 	id := int(doc["id"].(float64))
 	waitDone(t, ts, id)
 
-	scrape := func() string {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return string(b)
-	}
-	label := fmt.Sprintf("job=%q", fmt.Sprint(id))
-	if text := scrape(); !strings.Contains(text, label) {
-		t.Fatalf("/metrics missing %s before delete:\n%.400s", label, text)
+	tasks := `ramr_job_tasks_total{workload="SYNTH",engine="RAMR",priority="normal"}`
+	_, before := scrapeMetrics(t, ts)
+	noJobLabel(t, before)
+	if before[tasks] == 0 {
+		t.Fatalf("/metrics has no %s after a SYNTH job", tasks)
 	}
 	if code, _ := deleteJob(t, ts, id); code != http.StatusConflict {
 		t.Fatalf("DELETE finished job: HTTP %d", code)
 	}
-	text := scrape()
-	if strings.Contains(text, label) {
-		t.Fatalf("deleted job's labels still exposed:\n%.400s", text)
+	text, after := scrapeMetrics(t, ts)
+	noJobLabel(t, after)
+	if after[tasks] != before[tasks] {
+		t.Fatalf("%s = %v after delete, %v before: the record took its counts along", tasks, after[tasks], before[tasks])
 	}
 	for _, family := range []string{"ramr_memo_hits_total", "ramr_memo_cached_bytes", "ramr_service_jobs_retained"} {
 		if !strings.Contains(text, family) {
 			t.Fatalf("/metrics missing service family %s after delete", family)
 		}
 	}
-	if svc.Multi().Len() != 0 {
-		t.Fatalf("%d telemetry registrations leaked", svc.Multi().Len())
+}
+
+// jobCounterSums adds a job document's counts, section by section, under
+// the ramr_job_*_total series they feed.
+func jobCounterSums(sum map[string]float64, res map[string]any) {
+	tel := res["telemetry"].(map[string]any)["totals"].(map[string]any)
+	queue := res["queue"].(map[string]any)
+	steal := res["steal"].(map[string]any)
+	help := res["help"].(map[string]any)
+	for family, v := range map[string]any{
+		"pairs_emitted":       tel["pairs_emitted"],
+		"pairs_combined":      tel["pairs_combined"],
+		"tasks":               tel["tasks"],
+		"batches":             queue["BatchCalls"],
+		"failed_pushes":       queue["FailedPush"],
+		"sleep_microseconds":  queue["SleepMicros"],
+		"tasks_helped":        help["tasks"],
+		"pairs_folded":        help["combiner_pairs"].(float64) + help["mapper_pairs"].(float64),
+		"remote_executed":     steal["remote_executed"],
+		"steal_batches_local": steal["local_batches"], "steal_tasks_local": steal["local_tasks"],
+		"steal_batches_socket": steal["socket_batches"], "steal_tasks_socket": steal["socket_tasks"],
+		"steal_batches_remote": steal["remote_batches"], "steal_tasks_remote": steal["remote_tasks"],
+	} {
+		sum[family] += v.(float64)
 	}
 }
 
-// TestRetentionBound soaks the registry: many distinct finished jobs
-// must not grow the record map, the telemetry aggregator or the /metrics
-// exposition past the configured retention bound. The exposition's budget
-// is a plateau: once retain jobs have finished, further jobs replace
-// per-job series one for one and move only values, so the series count
-// after 3 × retain jobs equals the count after the first retain.
+// TestRetentionBound soaks the registry: many distinct finished jobs must
+// not grow the record map or the /metrics exposition. The exposition is
+// bounded by label sets, not jobs: the series count after the first job
+// equals the count after 3 × retain jobs of the same label set. A scraper
+// runs through the soak: every exposition passes the strict checker and
+// no counter ever falls, not when a live ledger settles into its label
+// set's books; at the end the counters equal the sum of the settled
+// documents, retired ones included.
 func TestRetentionBound(t *testing.T) {
 	const retain = 3
-	svc, ts, _ := newMemoService(t, Config{Seed: 19, RetainFinished: retain})
-	series := func() int {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		text, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := telemetry.CheckExposition(text); err != nil {
-			t.Fatalf("/metrics fails strict validation: %v", err)
-		}
-		n := 0
-		for _, line := range strings.Split(string(text), "\n") {
-			if line != "" && !strings.HasPrefix(line, "#") {
-				n++
+	_, ts, _ := newMemoService(t, Config{Seed: 19, RetainFinished: retain})
+
+	stop, scraped := make(chan struct{}), make(chan error, 1)
+	go func() {
+		prev := map[string]float64{}
+		for n := 0; ; n++ {
+			_, samples, err := readMetrics(ts.URL)
+			for series, v := range samples {
+				if strings.HasPrefix(series, "ramr_job_") && strings.Contains(series, "_total{") && v < prev[series] {
+					err = fmt.Errorf("scrape %d: %s fell from %v to %v", n, series, prev[series], v)
+				}
+			}
+			if err != nil {
+				scraped <- err
+				return
+			}
+			prev = samples
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
 			}
 		}
-		return n
-	}
-	var firstID, plateau int
+	}()
+
+	want := map[string]float64{}
+	var firstID, first int
 	for seed := 0; seed < 3*retain; seed++ {
-		body := fmt.Sprintf(`{"workload":"SYNTH","seed":%d,"config":{"pin":"none"},"synth":{"elements":1000,"keys":16}}`, seed)
+		body := fmt.Sprintf(`{"workload":"SYNTH","seed":%d,"config":{"pin":"none"},"synth":{"elements":20000,"keys":16}}`, seed)
 		code, doc := postJob(t, ts, body)
 		if code != http.StatusCreated {
 			t.Fatalf("POST seed %d: HTTP %d (%v)", seed, code, doc)
 		}
 		id := int(doc["id"].(float64))
-		waitDone(t, ts, id)
-		switch seed {
-		case 0:
+		jobCounterSums(want, awaitResult(t, ts, id))
+		if seed == 0 {
 			firstID = id
-		case retain - 1:
-			plateau = series()
+			_, samples := scrapeMetrics(t, ts)
+			first = len(samples)
 		}
 	}
-	if got := series(); got != plateau {
-		t.Fatalf("/metrics has %d series after %d jobs, %d after the first %d: the exposition grows with jobs served", got, 3*retain, plateau, retain)
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
 	}
+	_, samples := scrapeMetrics(t, ts)
+	noJobLabel(t, samples)
+	if len(samples) != first {
+		t.Fatalf("/metrics has %d series after %d jobs, %d after the first: the exposition grows with jobs served", len(samples), 3*retain, first)
+	}
+	got := map[string]float64{}
+	for series, v := range samples {
+		name, labels, _ := strings.Cut(series, "{")
+		family, job := strings.CutPrefix(name, "ramr_job_")
+		family, total := strings.CutSuffix(family, "_total")
+		if !job || !total {
+			continue
+		}
+		if _, class, ok := strings.Cut(labels, `class="`); ok {
+			family += "_" + strings.TrimSuffix(class, `"}`)
+		}
+		got[family] += v
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ramr_job_*_total counters\n  %v\nwant the settled documents' sums\n  %v", got, want)
+	}
+	if got["tasks"] == 0 || got["pairs_emitted"] == 0 {
+		t.Fatalf("counters read no work: %v", got)
+	}
+
 	if code, _ := fetchTrace(t, ts, firstID); code != http.StatusNotFound {
 		t.Fatalf("trace of evicted job %d: HTTP %d, want 404", firstID, code)
 	}
@@ -393,12 +492,8 @@ func TestRetentionBound(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /jobs: HTTP %d", code)
 	}
-	jobs := doc["jobs"].([]any)
-	if len(jobs) > retain {
+	if jobs := doc["jobs"].([]any); len(jobs) > retain {
 		t.Fatalf("%d records retained, bound is %d", len(jobs), retain)
-	}
-	if n := svc.Multi().Len(); n > retain {
-		t.Fatalf("%d telemetry registrations retained, bound is %d", n, retain)
 	}
 	m := memoSection(t, ts)
 	if got := int(m["retained_jobs"].(float64)); got > retain {

@@ -3,8 +3,10 @@
 // error→status table, ?wait=, retention rule, daemon tail) over a small
 // Backend interface — and the scheduler-backed worker backend, Service:
 // named workloads admitted through a content-addressed memo cache and an
-// in-flight coalescer onto scheduler grants, plus one shared Prometheus
-// endpoint aggregating every job's live telemetry under per-job labels.
+// in-flight coalescer onto scheduler grants. Its Prometheus endpoint states
+// process numbers — counters per {workload, engine, priority} summed from
+// the runs' ledgers, latency histograms, memo and stream families — and a
+// job's own numbers are in its document, GET /jobs/{id}, alone.
 // The ramrd daemon (cmd/ramrd) is a thin flag-parsing wrapper around this
 // package; the cluster coordinator (internal/cluster, cmd/ramrc) is the
 // front end's other backend.
@@ -18,17 +20,19 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,9 +48,9 @@ import (
 
 // DefaultRetainFinished bounds the number of finished job records the
 // registry keeps when Config.RetainFinished is 0. Past the bound the
-// oldest finished entries (and their telemetry registrations) are
-// evicted — the registry shares the memo cache's bounded-retention
-// discipline, so a long-lived daemon's memory stays flat.
+// oldest finished entries are evicted — the registry shares the memo
+// cache's bounded-retention discipline, so a long-lived daemon's memory
+// stays flat.
 const DefaultRetainFinished = 128
 
 // DefaultEventLog bounds the /debug/events ring when Config.EventLog
@@ -109,18 +113,17 @@ func newLifecycleHists() *lifecycleHists {
 	}
 }
 
-// Service owns a scheduler, the job registry, the shared telemetry
-// aggregator and the content-addressed result memo cache.
+// Service owns a scheduler, the job registry, the per-workload counters
+// and the content-addressed result memo cache.
 type Service struct {
 	machine *topology.Machine
 	sch     *sched.Scheduler
-	multi   *telemetry.Multi
 	cache   *memo.Cache
 	retain  int
 	log     *slog.Logger
 	ring    *obs.Ring
 	hist    *lifecycleHists
-	stream  *streamMetrics
+	stream  streamMetrics
 	start   time.Time
 	// builds counts materialised batch inputs: one per executed job,
 	// none for a memo hit, a follower, a rejection, a job cancelled
@@ -138,6 +141,13 @@ type Service struct {
 	entries  map[int]*entry
 	inflight map[string]*entry // content digest → unsettled leader entry
 	closed   bool
+	// settled holds the books of every settled run per rendered label set
+	// (workload, engine, priority: the lifecycle histograms' labels), live
+	// the unsettled leaders whose ledgers a scrape adds on top; settleLocked
+	// moves a run from one to the other, so the ramr_job_*_total counters
+	// never fall and outlive the records.
+	settled map[string]telemetry.Totals
+	live    map[*entry]string
 }
 
 // entry is one submitted job's retained state. The RunInfo (phase times,
@@ -269,16 +279,16 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		machine:  m,
-		multi:    telemetry.NewMulti(),
 		cache:    memo.NewCache(cfg.CacheMaxBytes),
 		retain:   retain,
 		log:      logger,
 		ring:     obs.NewRing(evCap),
 		hist:     newLifecycleHists(),
-		stream:   newStreamMetrics(),
 		start:    time.Now(),
 		entries:  make(map[int]*entry),
 		inflight: make(map[string]*entry),
+		settled:  make(map[string]telemetry.Totals),
+		live:     make(map[*entry]string),
 	}
 	sc, err := sched.New(sched.Config{
 		Machine:   m,
@@ -301,15 +311,11 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s.sch = sc
-	s.multi.SetExtra(s.writeServiceProm)
 	return s, nil
 }
 
 // Scheduler exposes the underlying scheduler (tests and embedders).
 func (s *Service) Scheduler() *sched.Scheduler { return s.sch }
-
-// Multi exposes the shared telemetry aggregator backing /metrics.
-func (s *Service) Multi() *telemetry.Multi { return s.multi }
 
 // Cache exposes the result memo cache (tests and embedders).
 func (s *Service) Cache() *memo.Cache { return s.cache }
@@ -412,8 +418,8 @@ func (s *Service) Admit(req *JobRequest, rec *obs.Recorder) (j Job, cached bool,
 
 // launchLocked hands e's execution to the scheduler — run fires under the
 // grant, possibly before this returns — and, once admitted, gives e its
-// id, its registry slot and telemetry registration, and the watcher that
-// will settle it. Callers hold s.mu.
+// id, its registry slot, its place among the live ledgers /metrics reads,
+// and the watcher that will settle it. Callers hold s.mu.
 func (s *Service) launchLocked(e *entry, p *Plan, run sched.RunFunc) error {
 	e.Settlement, e.telem = NewSettlement(), telemetry.New()
 	p.cfg.Telemetry = e.telem
@@ -431,10 +437,9 @@ func (s *Service) launchLocked(e *entry, p *Plan, run sched.RunFunc) error {
 	e.id, e.job = sj.ID(), sj
 	e.rec.SetJob(e.id, e.workload)
 	s.entries[e.id] = e
-	s.multi.Register(strconv.Itoa(e.id), map[string]string{
-		"job": strconv.Itoa(e.id),
-		"app": e.workload,
-	}, e.telem)
+	lbl := fmt.Sprintf("workload=%q,engine=%q,priority=%q", e.workload, e.engine, p.priority)
+	s.settled[lbl] = s.settled[lbl] // the label set is scraped from admission on
+	s.live[e] = lbl
 	s.watchers.Add(1)
 	go s.watch(e)
 	return nil
@@ -661,25 +666,24 @@ func resultSize(info *workloads.RunInfo) int64 {
 }
 
 // settleLocked turns e terminal — its publications are all in place —
-// and, in the same critical section, enforces the retention bound: past
-// s.retain settled entries the oldest-finished go, with their telemetry
-// registrations. Whoever sees e terminal sees the registry within bounds.
+// and, in the same critical section, folds a leader's final books into its
+// label set's settled totals and enforces the retention bound: past
+// s.retain settled entries the oldest-finished go. Whoever sees e terminal
+// sees the registry within bounds.
 func (s *Service) settleLocked(e *entry) {
+	if lbl, ok := s.live[e]; ok {
+		t := s.settled[lbl]
+		t.Add(e.telem.Totals())
+		s.settled[lbl] = t
+		delete(s.live, e)
+	}
 	e.Settle()
 	Retire(s.entries, s.retain, func(r *entry) time.Time { return r.jobStatus().Finished }, s.removeEntryLocked)
 }
 
-// removeEntryLocked deletes one job record and its telemetry
-// registration, so the /metrics exposition drops the job's labels.
-func (s *Service) removeEntryLocked(e *entry) {
-	delete(s.entries, e.id)
-	if e.telem != nil {
-		s.multi.Unregister(strconv.Itoa(e.id))
-	}
-	if e.stream != nil {
-		s.stream.lag.Delete(strconv.Itoa(e.id))
-	}
-}
+// removeEntryLocked deletes one job record. Its counts stay in /metrics:
+// they are its label set's, not its own.
+func (s *Service) removeEntryLocked(e *entry) { delete(s.entries, e.id) }
 
 // Shutdown stops admission and drains the scheduler: queued jobs still
 // run, running jobs finish, and anything unfinished at ctx's deadline is
@@ -742,17 +746,28 @@ type resultDoc struct {
 	// and, once the grant landed, the live ingestion counters.
 	Stream *streamStatusDoc `json:"stream,omitempty"`
 	// Deep result fields.
-	Digest    string            `json:"digest,omitempty"`
-	Telemetry *telemetry.Report `json:"telemetry,omitempty"`
+	Digest    string     `json:"digest,omitempty"`
+	Telemetry *docReport `json:"telemetry,omitempty"`
 	// Partial is a shard job's exported key→value container (the cluster
 	// coordinator's merge input); absent for unsharded runs.
 	Partial *workloads.Partial `json:"partial,omitempty"`
 }
 
+// docReport is the document's telemetry report: the run's Report with its
+// totals cut to what the summary's queue, steal and help sections do not
+// already state.
+type docReport struct {
+	telemetry.Report
+	Totals struct {
+		Emitted  uint64 `json:"pairs_emitted"`
+		Combined uint64 `json:"pairs_combined"`
+		Tasks    uint64 `json:"tasks"`
+	} `json:"totals"`
+}
+
 // fill copies a settled run's figures into the document: the summary
 // always, the deep result fields (output digest, telemetry report, shard
-// partial) when detail is set. The ring counters are the summary's queue
-// section, so the document's report leaves them out of its totals.
+// partial) when detail is set.
 func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	if info == nil {
 		return
@@ -771,9 +786,9 @@ func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 		doc.Digest = fmt.Sprintf("%016x", info.Digest)
 	}
 	if rep := info.Telemetry; rep != nil {
-		r := *rep
-		r.Totals.Pushes, r.Totals.Pops, r.Totals.EmptyPolls, r.Totals.ShortPolls = 0, 0, 0, 0
-		doc.Telemetry = &r
+		r := &docReport{Report: *rep}
+		r.Totals.Emitted, r.Totals.Combined, r.Totals.Tasks = rep.Totals.Emitted, rep.Totals.Combined, rep.Totals.Tasks
+		doc.Telemetry = r
 	}
 	doc.Partial = info.Partial
 }
@@ -869,7 +884,7 @@ func (s *Service) Ready() bool {
 	return !s.closed
 }
 
-func (s *Service) WriteMetrics(w io.Writer) error { return s.multi.WritePrometheus(w) }
+func (s *Service) WriteMetrics(w io.Writer) error { return s.writeServiceProm(w) }
 
 // handleEvents serves the bounded event log: scheduler transitions, memo
 // hits and coalesces, oldest first. dropped counts events overwritten by
@@ -887,8 +902,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 // Cancel implements Backend's DELETE with waiter-aware semantics:
 //
 //   - settled job or memo-hit record: nothing to cancel — the retained
-//     record and its telemetry registration are removed and the terminal
-//     state is reported.
+//     record is removed and the terminal state is reported.
 //   - live job with other waiters attached (coalesced duplicates): this
 //     record detaches and is removed; the shared execution keeps running
 //     for the remaining waiters.
@@ -910,15 +924,6 @@ func (s *Service) Cancel(j Job) (state string, wasLive bool) {
 	return state, !settled
 }
 
-// jobStats is one job's balance figures in the /stats document.
-type jobStats struct {
-	ID       int            `json:"id"`
-	Workload string         `json:"workload"`
-	State    string         `json:"state"`
-	Steal    *mr.StealStats `json:"steal,omitempty"`
-	Help     *mr.HelpStats  `json:"help,omitempty"`
-}
-
 // memoStats is the /stats memoization-and-retention section.
 type memoStats struct {
 	memo.Stats
@@ -929,9 +934,6 @@ type memoStats struct {
 	// RetainedJobs gauges the registry (bounded by the retention
 	// discipline shared with the cache's LRU accounting).
 	RetainedJobs int `json:"retained_jobs"`
-	// RegisteredMetrics gauges live telemetry registrations — one per
-	// retained leader; bounded cardinality is the leak regression check.
-	RegisteredMetrics int `json:"registered_metrics"`
 }
 
 func (s *Service) memoStatsDoc() memoStats {
@@ -939,10 +941,9 @@ func (s *Service) memoStatsDoc() memoStats {
 	retained := len(s.entries)
 	s.mu.Unlock()
 	return memoStats{
-		Stats:             s.cache.Stats(),
-		Builds:            s.builds.Load(),
-		RetainedJobs:      retained,
-		RegisteredMetrics: s.multi.Len(),
+		Stats:        s.cache.Stats(),
+		Builds:       s.builds.Load(),
+		RetainedJobs: retained,
 	}
 }
 
@@ -987,30 +988,96 @@ func (s *Service) runtimeStatsDoc() runtimeStats {
 }
 
 // Stats implements Backend: scheduler occupancy, memo and retention,
-// process health, the capability advertisement and per-job balance.
+// process health and the capability advertisement. A job's balance is in
+// its own document.
 func (s *Service) Stats() any {
-	st := s.sch.Stats()
-	s.mu.Lock()
-	jobs := make([]jobStats, 0, len(s.entries))
-	for _, e := range s.entries {
-		d := e.doc(false)
-		jobs = append(jobs, jobStats{ID: d.ID, Workload: d.Workload, State: d.State, Steal: d.Steal, Help: d.Help})
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
 	return map[string]any{
-		"scheduler":    st,
+		"scheduler":    s.sch.Stats(),
 		"memo":         s.memoStatsDoc(),
 		"runtime":      s.runtimeStatsDoc(),
 		"capabilities": capabilitiesDoc(),
-		"jobs":         jobs,
 	}
 }
 
-// writeServiceProm is the telemetry.Multi extra writer: service-level
-// families appended after the per-job exposition, so memo, retention and
-// lifecycle-latency series stay scrapeable even when every job record
-// has been deleted.
+// jobCounterFamilies are the ramr_job_*_total counters: a label set's
+// books, the ledger's Totals summed over its runs.
+var jobCounterFamilies = []struct {
+	name, help string
+	value      func(telemetry.Totals) uint64
+}{
+	{"ramr_job_pairs_emitted_total", "Intermediate pairs emitted by Map.",
+		func(t telemetry.Totals) uint64 { return t.Emitted }},
+	{"ramr_job_pairs_combined_total", "Intermediate pairs folded by Combine.",
+		func(t telemetry.Totals) uint64 { return t.Combined }},
+	{"ramr_job_tasks_total", "Completed map tasks.",
+		func(t telemetry.Totals) uint64 { return t.Tasks }},
+	{"ramr_job_batches_total", "Consumed queue segments.",
+		func(t telemetry.Totals) uint64 { return t.Batches }},
+	{"ramr_job_failed_pushes_total", "Push wait rounds that found the ring full.",
+		func(t telemetry.Totals) uint64 { return t.FailedPush }},
+	{"ramr_job_sleep_microseconds_total", "Microseconds producers spent parked on a full ring.",
+		func(t telemetry.Totals) uint64 { return t.SleepMicros }},
+	{"ramr_job_tasks_helped_total", "Map tasks run by combine workers.",
+		func(t telemetry.Totals) uint64 { return t.TasksHelped }},
+	{"ramr_job_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring.",
+		func(t telemetry.Totals) uint64 { return t.FoldedByCombiners + t.FoldedByMappers }},
+	{"ramr_job_remote_executed_total", "Stolen map tasks completed by a worker of another locality group.",
+		func(t telemetry.Totals) uint64 { return t.RemoteExecuted }},
+}
+
+// jobStealFamilies are the steal counters, one series per class.
+var jobStealFamilies = []struct {
+	name, help string
+	value      func(telemetry.Totals) [telemetry.NumStealClasses]uint64
+}{
+	{"ramr_job_steal_batches_total", "Task-deque takes by steal distance class.",
+		func(t telemetry.Totals) [telemetry.NumStealClasses]uint64 {
+			return [...]uint64{t.LocalBatches, t.SocketBatches, t.RemoteBatches}
+		}},
+	{"ramr_job_steal_tasks_total", "Map tasks taken by steal distance class.",
+		func(t telemetry.Totals) [telemetry.NumStealClasses]uint64 {
+			return [...]uint64{t.LocalTakes, t.SocketSteals, t.RemoteSteals}
+		}},
+}
+
+// writeJobCounters emits the ramr_job_*_total families: per label set, the
+// settled books plus the live ledgers of the unsettled leaders, read in one
+// s.mu critical section with settleLocked's fold, so no counter falls
+// between scrapes.
+func (s *Service) writeJobCounters(w io.Writer) error {
+	s.mu.Lock()
+	sums := maps.Clone(s.settled)
+	for e, lbl := range s.live {
+		t := sums[lbl]
+		t.Add(e.telem.Totals())
+		sums[lbl] = t
+	}
+	s.mu.Unlock()
+	if len(sums) == 0 {
+		return nil // no job admitted yet: no headers without samples
+	}
+	keys := slices.Sorted(maps.Keys(sums))
+	bw := bufio.NewWriter(w)
+	for _, f := range jobCounterFamilies {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name)
+		for _, lbl := range keys {
+			fmt.Fprintf(bw, "%s{%s} %d\n", f.name, lbl, f.value(sums[lbl]))
+		}
+	}
+	for _, f := range jobStealFamilies {
+		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name)
+		for _, lbl := range keys {
+			for cls, v := range f.value(sums[lbl]) {
+				fmt.Fprintf(bw, "%s{%s,class=%q} %d\n", f.name, lbl, telemetry.StealClassNames[cls], v)
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+// writeServiceProm renders /metrics: process-level families only, so every
+// series outlives the job records and the label sets stay bounded by the
+// workloads, engines and priorities served.
 func (s *Service) writeServiceProm(w io.Writer) error {
 	m := s.memoStatsDoc()
 	v, gv := buildInfo()
@@ -1041,9 +1108,6 @@ ramr_service_builds_total %d
 # HELP ramr_service_jobs_retained Job records retained in the registry.
 # TYPE ramr_service_jobs_retained gauge
 ramr_service_jobs_retained %d
-# HELP ramr_service_metrics_registered Live per-job telemetry registrations.
-# TYPE ramr_service_metrics_registered gauge
-ramr_service_metrics_registered %d
 # HELP ramr_build_info Build metadata; value is always 1.
 # TYPE ramr_build_info gauge
 ramr_build_info{version=%q,go_version=%q} 1
@@ -1053,8 +1117,11 @@ ramr_service_uptime_seconds %g
 `,
 		m.Hits, m.Misses, m.Coalesced, m.Evictions,
 		m.Bytes, m.Entries, m.MaxBytes,
-		m.Builds, m.RetainedJobs, m.RegisteredMetrics,
+		m.Builds, m.RetainedJobs,
 		v, gv, time.Since(s.start).Seconds()); err != nil {
+		return err
+	}
+	if err := s.writeJobCounters(w); err != nil {
 		return err
 	}
 	for _, h := range []*telemetry.HistogramVec{

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -176,20 +175,11 @@ func TestConcurrentJobsOverHTTP(t *testing.T) {
 		}
 	}
 
-	// The RAMR jobs carried live telemetry; /metrics aggregates them
-	// under per-job labels.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
-	if !strings.Contains(text, `job="`+fmt.Sprint(ids[0])+`"`) {
-		t.Fatalf("/metrics missing per-job labels:\n%.800s", text)
-	}
-	if strings.Count(text, "# TYPE ramr_workers") > 1 {
-		t.Fatal("/metrics repeats metric family headers across jobs")
+	// /metrics sums the jobs' ledgers per workload, never per job.
+	text, samples := scrapeMetrics(t, ts)
+	noJobLabel(t, samples)
+	if !strings.Contains(text, `ramr_job_tasks_total{workload="WC",`) {
+		t.Fatalf("/metrics missing the per-workload counters:\n%.800s", text)
 	}
 
 	tr.check(t, svc.Scheduler().Budget())
@@ -331,8 +321,8 @@ func TestListJobs(t *testing.T) {
 }
 
 // TestStatsExposesJobBalance: /stats carries the scheduler occupancy
-// document plus a per-job section with work-stealing counters once a job
-// finished.
+// document, and a finished job's work-stealing counters are in its own
+// document alone.
 func TestStatsExposesJobBalance(t *testing.T) {
 	_, ts, _ := newTestService(t, 0)
 	code, doc := postJob(t, ts, `{"workload":"WC","config":{"pin":"none"}}`)
@@ -350,19 +340,9 @@ func TestStatsExposesJobBalance(t *testing.T) {
 	if !ok || schedDoc["Budget"] == nil {
 		t.Fatalf("/stats missing scheduler document: %v", stats)
 	}
-	jobs, ok := stats["jobs"].([]any)
-	if !ok || len(jobs) != 1 {
-		t.Fatalf("/stats jobs = %v, want one entry", stats["jobs"])
+	if jobs, ok := stats["jobs"]; ok {
+		t.Fatalf("/stats repeats the job documents: %v", jobs)
 	}
-	j := jobs[0].(map[string]any)
-	if int(j["id"].(float64)) != id || j["state"] != "done" {
-		t.Fatalf("/stats job entry: %v", j)
-	}
-	if _, ok := j["steal"].(map[string]any); !ok {
-		t.Fatalf("/stats job entry missing steal counters: %v", j)
-	}
-
-	// The finished job's status document carries the same counters.
 	_, st := getJSON(t, fmt.Sprintf("%s/jobs/%d", ts.URL, id))
 	if _, ok := st["steal"].(map[string]any); !ok {
 		t.Fatalf("job status missing steal counters: %v", st)
@@ -412,32 +392,56 @@ func TestSkewAndStealOverlay(t *testing.T) {
 	}
 }
 
-// TestShippingResultStatesRingCountersOnce: a WC job granted one core's two
-// threads on the Haswell preset, {0, 28}, ships every pair through a ring,
-// and its result document states each ring counter once — in its queue
-// section, which the telemetry report's totals do not repeat.
+// TestShippingResultStatesRingCountersOnce: a job document states each
+// count once. Its telemetry report's totals keep only the pair and task
+// counts, and leave the rest to the summary's queue, steal and help
+// sections. This holds on a WC job granted one core's two threads on the
+// Haswell preset, {0, 28}, which ships every pair through a ring. It also
+// holds on a fused run under pin none, which folds every pair where it was
+// emitted.
 func TestShippingResultStatesRingCountersOnce(t *testing.T) {
 	_, ts, _ := newTestService(t, 4)
-	code, doc := postJob(t, ts, `{"workload":"WC","seed":7,"min_cpus":2,"max_cpus":2}`)
-	if code != http.StatusCreated {
-		t.Fatalf("POST: HTTP %d (%v)", code, doc)
-	}
-	res := awaitResult(t, ts, int(doc["id"].(float64)))
-	if res["state"] != "done" || fmt.Sprint(res["grant"]) != "[0 28]" {
-		t.Fatalf("job %v on grant %v, want done on [0 28]", res["state"], res["grant"])
-	}
-	queue, _ := res["queue"].(map[string]any)
-	tel, _ := res["telemetry"].(map[string]any)
-	totals, _ := tel["totals"].(map[string]any)
-	if queue == nil || totals == nil {
-		t.Fatalf("result has queue %v and telemetry totals %v", queue, totals)
-	}
-	if pushes, _ := queue["Pushes"].(float64); pushes == 0 || pushes != totals["pairs_emitted"] {
-		t.Fatalf("queue pushes %v, pairs emitted %v: want every pair shipped", queue["Pushes"], totals["pairs_emitted"])
-	}
-	for _, ring := range []string{"pushes", "pops", "empty_polls", "short_polls"} {
-		if v, ok := totals[ring]; ok {
-			t.Errorf("telemetry totals repeat the queue section's %s: %v", ring, v)
+	for _, run := range []struct {
+		name, body, grant string
+		ships             bool
+	}{
+		{"shipping", `{"workload":"WC","seed":7,"min_cpus":2,"max_cpus":2}`, "[0 28]", true},
+		{"fused", `{"workload":"WC","seed":7,"max_cpus":2,"config":{"pin":"none"}}`, "", false},
+	} {
+		code, doc := postJob(t, ts, run.body)
+		if code != http.StatusCreated {
+			t.Fatalf("%s: POST: HTTP %d (%v)", run.name, code, doc)
+		}
+		res := awaitResult(t, ts, int(doc["id"].(float64)))
+		if res["state"] != "done" || (run.grant != "" && fmt.Sprint(res["grant"]) != run.grant) {
+			t.Fatalf("%s: job %v on grant %v, want done on %s", run.name, res["state"], res["grant"], run.grant)
+		}
+		queue, _ := res["queue"].(map[string]any)
+		steal, _ := res["steal"].(map[string]any)
+		help, _ := res["help"].(map[string]any)
+		tel, _ := res["telemetry"].(map[string]any)
+		totals, _ := tel["totals"].(map[string]any)
+		if queue == nil || steal == nil || help == nil || totals == nil {
+			t.Fatalf("%s: result has queue %v, steal %v, help %v and telemetry totals %v", run.name, queue, steal, help, totals)
+		}
+		emitted := totals["pairs_emitted"].(float64)
+		shipped := queue["Pushes"].(float64)
+		folded := help["combiner_pairs"].(float64) + help["mapper_pairs"].(float64)
+		if emitted == 0 || shipped+folded != emitted || (shipped == emitted) != run.ships {
+			t.Fatalf("%s: %v pairs emitted, %v shipped, %v folded in place", run.name, emitted, shipped, folded)
+		}
+		for _, key := range []string{
+			"pushes", "pops", "empty_polls", "short_polls", // queue
+			"batches", "failed_pushes", "sleep_micros", // queue
+			"steal_local_tasks", "steal_socket_tasks", "steal_remote_tasks", "remote_executed", // steal
+			"tasks_helped", "pairs_folded_by_combiners", "pairs_folded_by_mappers", // help
+		} {
+			if v, ok := totals[key]; ok {
+				t.Errorf("%s: telemetry totals repeat the summary's %s: %v", run.name, key, v)
+			}
+		}
+		if len(totals) != 3 || totals["tasks"] == nil || totals["pairs_combined"] == nil {
+			t.Errorf("%s: telemetry totals %v, want pairs_emitted, pairs_combined and tasks", run.name, totals)
 		}
 	}
 }

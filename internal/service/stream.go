@@ -23,11 +23,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ramr/internal/core"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/stream"
 	"ramr/internal/synth"
-	"ramr/internal/telemetry"
 	"ramr/internal/workloads"
 )
 
@@ -44,18 +44,6 @@ type streamMetrics struct {
 	backpressure atomic.Uint64
 	late         atomic.Uint64
 	open         atomic.Int64
-	// lag is ramr_stream_watermark_lag_seconds{job="..."}: wall-clock
-	// age of each live session's oldest unsealed data, refreshed at
-	// scrape time and deleted with the job record.
-	lag *telemetry.GaugeVec
-}
-
-func newStreamMetrics() *streamMetrics {
-	return &streamMetrics{
-		lag: telemetry.NewGaugeVec("ramr_stream_watermark_lag_seconds",
-			"Wall-clock age of the oldest unsealed data per streaming session.",
-			[]string{"job"}),
-	}
 }
 
 // streamState is one streaming session's service-side handle. The
@@ -126,7 +114,7 @@ func (st *streamState) await(ctx context.Context) (*stream.Session, error) {
 }
 
 // openStreamLocked is Admit's streaming branch: the entry goes through the
-// same launch — scheduler admission, telemetry registration, watcher —
+// same launch — scheduler admission, live ledger, watcher —
 // and retention as a batch job, but skips the memo lookup and the
 // in-flight coalescer: identical streaming submissions each get their own
 // resident session, and no streaming result is ever inserted into the
@@ -219,11 +207,14 @@ func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *Plan)
 	for _, w := range sess.Windows() {
 		pairs += w.Pairs
 	}
+	rep := e.telem.EndRun(nil)
+	_, steal, help := core.Books(rep.Totals)
 	info := &workloads.RunInfo{
 		Wall:      time.Since(start),
-		Help:      sess.HelpStats(),
+		Steal:     steal,
+		Help:      help,
 		Pairs:     pairs,
-		Telemetry: e.telem.EndRun(nil),
+		Telemetry: rep,
 	}
 	e.mu.Lock()
 	e.info = info
@@ -479,20 +470,21 @@ func (e *entry) streamStatus() *streamStatusDoc {
 }
 
 // writeStreamProm appends the ramr_stream_* families: service-total
-// counters plus the per-session watermark-lag gauge, refreshed from the
-// live sessions at scrape time.
+// counters plus the watermark lag, the largest over the live sessions read
+// at scrape time (each session's own is in its status document).
 func (s *Service) writeStreamProm(w io.Writer) error {
+	var lag time.Duration
 	s.mu.Lock()
-	for _, e := range s.entries {
+	for e := range s.live {
 		if e.stream == nil {
 			continue
 		}
 		if sess := e.stream.peek(); sess != nil {
-			s.stream.lag.Set(sess.Stats().WatermarkLag.Seconds(), strconv.Itoa(e.id))
+			lag = max(lag, sess.Stats().WatermarkLag)
 		}
 	}
 	s.mu.Unlock()
-	if _, err := fmt.Fprintf(w, `# HELP ramr_stream_chunks_total Chunks admitted into streaming sessions.
+	_, err := fmt.Fprintf(w, `# HELP ramr_stream_chunks_total Chunks admitted into streaming sessions.
 # TYPE ramr_stream_chunks_total counter
 ramr_stream_chunks_total %d
 # HELP ramr_stream_windows_sealed_total Windows sealed across streaming sessions.
@@ -507,11 +499,12 @@ ramr_stream_late_chunks_total %d
 # HELP ramr_stream_sessions_open Streaming sessions currently holding a grant.
 # TYPE ramr_stream_sessions_open gauge
 ramr_stream_sessions_open %d
+# HELP ramr_stream_watermark_lag_seconds Wall-clock age of the oldest unsealed data, the largest over live streaming sessions.
+# TYPE ramr_stream_watermark_lag_seconds gauge
+ramr_stream_watermark_lag_seconds %g
 `,
 		s.stream.chunks.Load(), s.stream.sealed.Load(),
 		s.stream.backpressure.Load(), s.stream.late.Load(),
-		s.stream.open.Load()); err != nil {
-		return err
-	}
-	return s.stream.lag.WritePrometheus(w)
+		s.stream.open.Load(), lag.Seconds())
+	return err
 }

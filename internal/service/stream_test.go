@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ramr/internal/faultinject"
-	"ramr/internal/telemetry"
 )
 
 // postPath POSTs a JSON body to ts.URL+path and decodes the response.
@@ -184,6 +183,13 @@ func TestStreamingSessionOverHTTP(t *testing.T) {
 	code, res := getJSON(t, fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
 	if code != http.StatusOK || res["pairs"] == nil || res["pairs"].(float64) <= 0 {
 		t.Fatalf("stream result: HTTP %d (%v)", code, res)
+	}
+	// The document is the one place the session's counts appear, so its
+	// steal section books every task the session took.
+	steal := res["steal"].(map[string]any)
+	takes := steal["local_tasks"].(float64) + steal["socket_tasks"].(float64) + steal["remote_tasks"].(float64)
+	if tasks := res["telemetry"].(map[string]any)["totals"].(map[string]any)["tasks"]; takes == 0 || takes != tasks {
+		t.Fatalf("stream result's steal section books %v takes, its totals %v tasks", takes, tasks)
 	}
 
 	tr.check(t, svc.Scheduler().Budget())
@@ -435,8 +441,11 @@ func TestStreamConcurrentProducersOverHTTP(t *testing.T) {
 // TestStreamMetricsExposition scrapes /metrics with a live streaming
 // session: the ramr_stream_* families must be present, carry the
 // session's traffic, and the whole exposition must satisfy the strict
-// format checker. The per-session watermark-lag series disappears with
-// the job record.
+// format checker. The watermark lag is one unlabelled gauge, the largest
+// over the live sessions: it reads the open session's lag, each session's
+// own lag is in its status document, and it reads 0 once none is open.
+// The workload's counters read the open session's live ledger and do not
+// fall when it settles.
 func TestStreamMetricsExposition(t *testing.T) {
 	_, ts, _ := newTestService(t, 0)
 	id := openStream(t, ts, `{"window":1,"max_pending":2}`)
@@ -450,51 +459,42 @@ func TestStreamMetricsExposition(t *testing.T) {
 	}
 	sealedWindows(t, ts, id, 1)
 
-	scrape := func() string {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	text := scrape()
-	if err := telemetry.CheckExposition([]byte(text)); err != nil {
-		t.Fatalf("/metrics fails strict validation with streaming families: %v", err)
-	}
+	const lagGauge = "ramr_stream_watermark_lag_seconds"
+	text, samples := scrapeMetrics(t, ts)
+	noJobLabel(t, samples)
 	for _, want := range []string{
 		"ramr_stream_chunks_total 2",
 		"ramr_stream_backpressure_total 1",
 		"ramr_stream_sessions_open 1",
 		"# TYPE ramr_stream_windows_sealed_total counter",
-		fmt.Sprintf(`ramr_stream_watermark_lag_seconds{job="%d"}`, id),
+		"\n" + lagGauge + " ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%.1200s", want, text)
 		}
+	}
+	_, st := getJSON(t, fmt.Sprintf("%s/jobs/%d", ts.URL, id))
+	own := st["stream"].(map[string]any)["stats"].(map[string]any)["watermark_lag"].(float64)
+	_, later := scrapeMetrics(t, ts)
+	if lag := later[lagGauge]; lag <= 0 || lag*1e9 < own {
+		t.Fatalf("%s = %vs with one session open, its document read %vns before", lagGauge, lag, own)
+	}
+	const tasks = `ramr_job_tasks_total{workload="SYNTH",engine="RAMR",priority="normal"}`
+	live := later[tasks]
+	if live == 0 {
+		t.Fatalf("%s reads 0 with a live session that sealed a window", tasks)
 	}
 
 	if code, doc, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/close", id), `{}`); code != http.StatusOK {
 		t.Fatalf("close: HTTP %d (%v)", code, doc)
 	}
 	waitDone(t, ts, id)
-	// Deleting the settled record drops its lag series from the scrape.
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", ts.URL, id), nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	_, samples = scrapeMetrics(t, ts)
+	if samples[lagGauge] != 0 {
+		t.Fatalf("%s = %v with no session open", lagGauge, samples[lagGauge])
 	}
-	resp.Body.Close()
-	text = scrape()
-	if strings.Contains(text, fmt.Sprintf(`ramr_stream_watermark_lag_seconds{job="%d"}`, id)) {
-		t.Fatalf("lag series survived record deletion:\n%.1200s", text)
-	}
-	if err := telemetry.CheckExposition([]byte(text)); err != nil {
-		t.Fatalf("/metrics fails validation after session end: %v", err)
+	if samples[tasks] < live {
+		t.Fatalf("%s fell from %v to %v when the session settled", tasks, live, samples[tasks])
 	}
 	checkNoWorkerLeak(t)
 }

@@ -7,50 +7,24 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
-// promSnap is one Telemetry's point-in-time export state, captured under
-// its lock so the emitter below can run lock-free. labels is an extra
-// label prefix (`job="3",workload="WC",` — note the trailing comma) merged
-// into every sample's label set, or "" for the historical single-run
-// exposition.
-type promSnap struct {
-	labels  string
-	workers []*Worker
-	elapsed time.Duration
-}
-
-// snap captures the export state of the current run.
-func (t *Telemetry) snap(labels string) promSnap {
+// WritePrometheus emits the run's ledger as per-worker counters and
+// state gauges, plus the run's duration, in the Prometheus text exposition
+// format (version 0.0.4). Safe to call while a run is in progress: the
+// shards are atomics, so a live scrape reads the books without touching
+// the hot path.
+func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := promSnap{labels: labels, workers: t.workersLocked()}
-	if !t.start.IsZero() {
-		s.elapsed = time.Since(t.start)
-	}
-	return s
-}
-
-// writePromSnaps emits the snapshots in the Prometheus text exposition
-// format (version 0.0.4). Each metric family is written exactly once —
-// HELP/TYPE header first, then every snapshot's samples — so aggregating
-// several live runs still yields a single well-formed exposition.
-func writePromSnaps(w io.Writer, snaps []promSnap) error {
-	if len(snaps) == 0 {
-		// No registered runs: an empty exposition, not a list of
-		// sample-less family headers.
-		return nil
-	}
+	workers, elapsed := t.workersLocked(), t.elapsedLocked()
+	t.mu.Unlock()
 	bw := bufio.NewWriter(w)
 
 	counter := func(name, help string, value func(*Worker) uint64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, s := range snaps {
-			for _, wk := range s.workers {
-				fmt.Fprintf(bw, "%s{%sengine=%q,role=%q,worker=\"%d\"} %d\n",
-					name, s.labels, wk.engine, wk.role, wk.id, value(wk))
-			}
+		for _, wk := range workers {
+			fmt.Fprintf(bw, "%s{engine=%q,role=%q,worker=\"%d\"} %d\n",
+				name, wk.engine, wk.role, wk.id, value(wk))
 		}
 	}
 	counter("ramr_worker_pairs_emitted_total", "Intermediate pairs emitted by Map.",
@@ -76,12 +50,10 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 	// they get their own emitter instead of the fixed-label helper above.
 	stealCounter := func(name, help string, value func(*Worker, int) uint64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, s := range snaps {
-			for _, wk := range s.workers {
-				for cls, label := range StealClassNames {
-					fmt.Fprintf(bw, "%s{%sengine=%q,role=%q,worker=\"%d\",class=%q} %d\n",
-						name, s.labels, wk.engine, wk.role, wk.id, label, value(wk, cls))
-				}
+		for _, wk := range workers {
+			for cls, label := range StealClassNames {
+				fmt.Fprintf(bw, "%s{engine=%q,role=%q,worker=\"%d\",class=%q} %d\n",
+					name, wk.engine, wk.role, wk.id, label, value(wk, cls))
 			}
 		}
 	}
@@ -91,32 +63,13 @@ func writePromSnaps(w io.Writer, snaps []promSnap) error {
 		func(w *Worker, c int) uint64 { return w.stealTasks[c].Load() })
 
 	fmt.Fprintf(bw, "# HELP ramr_worker_state Worker activity state (0=idle 1=working 2=draining 3=done).\n# TYPE ramr_worker_state gauge\n")
-	for _, s := range snaps {
-		for _, wk := range s.workers {
-			fmt.Fprintf(bw, "ramr_worker_state{%sengine=%q,role=%q,worker=\"%d\"} %d\n",
-				s.labels, wk.engine, wk.role, wk.id, wk.state.Load())
-		}
+	for _, wk := range workers {
+		fmt.Fprintf(bw, "ramr_worker_state{engine=%q,role=%q,worker=\"%d\"} %d\n",
+			wk.engine, wk.role, wk.id, wk.state.Load())
 	}
-
-	fmt.Fprintf(bw, "# HELP ramr_run_duration_seconds Elapsed time of the current run.\n# TYPE ramr_run_duration_seconds gauge\n")
-	for _, s := range snaps {
-		if s.labels == "" {
-			fmt.Fprintf(bw, "ramr_run_duration_seconds %g\n", s.elapsed.Seconds())
-		} else {
-			// Trim the label prefix's trailing comma: it is the whole
-			// label set.
-			fmt.Fprintf(bw, "ramr_run_duration_seconds{%s} %g\n", s.labels[:len(s.labels)-1], s.elapsed.Seconds())
-		}
-	}
+	fmt.Fprintf(bw, "# HELP ramr_run_duration_seconds Elapsed time of the current run, frozen at its end.\n# TYPE ramr_run_duration_seconds gauge\nramr_run_duration_seconds %g\n",
+		elapsed.Seconds())
 	return bw.Flush()
-}
-
-// WritePrometheus emits the ledger's counters and worker-state gauges in
-// the Prometheus text exposition format (version 0.0.4). Safe to call while
-// a run is in progress: the shards are atomics, so a live scrape reads the
-// books without touching the hot path.
-func (t *Telemetry) WritePrometheus(w io.Writer) error {
-	return writePromSnaps(w, []promSnap{t.snap("")})
 }
 
 // Server serves /metrics (Prometheus text format) plus the net/http/pprof
@@ -130,18 +83,15 @@ type Server struct {
 // NewServer starts an HTTP server for t on addr (e.g. "127.0.0.1:9090";
 // ":0" picks a free port — see Addr). Close releases the listener.
 func NewServer(t *Telemetry, addr string) (*Server, error) {
-	return newServer(t.WritePrometheus, addr)
-}
-
-// newServer is the shared server constructor: write renders the /metrics
-// body (a single Telemetry's exposition, or a Multi's aggregate).
-func newServer(write func(io.Writer) error, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", metricsHandler(write))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = t.WritePrometheus(w)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -150,16 +100,6 @@ func newServer(write func(io.Writer) error, addr string) (*Server, error) {
 	s := &Server{srv: &http.Server{Handler: mux}, ln: ln}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
-}
-
-// metricsHandler adapts an exposition writer into an HTTP handler, shared
-// between the standalone Server and embedding services (cmd/ramrd mounts
-// it on its own mux).
-func metricsHandler(write func(io.Writer) error) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = write(w)
-	})
 }
 
 // Addr returns the bound listen address (useful with ":0").

@@ -66,6 +66,30 @@ type Totals struct {
 	RemoteBatches uint64 `json:"-"`
 }
 
+// Add folds another run's books into t.
+func (t *Totals) Add(o Totals) {
+	t.Emitted += o.Emitted
+	t.Combined += o.Combined
+	t.Tasks += o.Tasks
+	t.Batches += o.Batches
+	t.FailedPush += o.FailedPush
+	t.SleepMicros += o.SleepMicros
+	t.LocalTakes += o.LocalTakes
+	t.SocketSteals += o.SocketSteals
+	t.RemoteSteals += o.RemoteSteals
+	t.RemoteExecuted += o.RemoteExecuted
+	t.TasksHelped += o.TasksHelped
+	t.FoldedByCombiners += o.FoldedByCombiners
+	t.FoldedByMappers += o.FoldedByMappers
+	t.Pushes += o.Pushes
+	t.Pops += o.Pops
+	t.EmptyPolls += o.EmptyPolls
+	t.ShortPolls += o.ShortPolls
+	t.LocalBatches += o.LocalBatches
+	t.SocketBatches += o.SocketBatches
+	t.RemoteBatches += o.RemoteBatches
+}
+
 // Report is the structured result of one instrumented run, read from its
 // ledger when the run ends: the shards, their totals and per-phase
 // throughput.
@@ -84,7 +108,7 @@ type Report struct {
 // held.
 func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 	rep := &Report{
-		DurationMicros: time.Since(t.start).Microseconds(),
+		DurationMicros: t.elapsedLocked().Microseconds(),
 		PhaseSeconds:   phases,
 	}
 	for _, w := range t.workersLocked() {

@@ -15,8 +15,7 @@
 //
 // The optional Telemetry is a plain handle on the live run's ledger:
 // BeginRun attaches it, EndRun builds the Report from it, and
-// WritePrometheus (served by Server or Multi) exports it. It starts no
-// goroutine. A Telemetry records one run at a time; reusing one across
+// WritePrometheus (served by Server) exports it. It starts no goroutine. A Telemetry records one run at a time; reusing one across
 // sequential runs is fine (the bench harness does), sharing one across
 // concurrent runs is not.
 package telemetry
@@ -233,10 +232,10 @@ func (l *Ledger) Totals() Totals {
 // run's Report and exports the ledger to Prometheus and JSON. The zero
 // value is usable.
 type Telemetry struct {
-	mu     sync.Mutex
-	ledger *Ledger
-	start  time.Time
-	last   *Report
+	mu         sync.Mutex
+	ledger     *Ledger
+	start, end time.Time // end is zero while the run is live
+	last       *Report
 }
 
 // New returns a Telemetry, ready for mr.Config.
@@ -246,8 +245,32 @@ func New() *Telemetry { return &Telemetry{} }
 // call it once at run start when Config.Telemetry is non-nil.
 func (t *Telemetry) BeginRun(l *Ledger) {
 	t.mu.Lock()
-	t.ledger, t.start = l, time.Now()
+	t.ledger, t.start, t.end = l, time.Now(), time.Time{}
 	t.mu.Unlock()
+}
+
+// Totals returns the attached ledger's books at this instant (zero before
+// the first BeginRun).
+func (t *Telemetry) Totals() Totals {
+	t.mu.Lock()
+	l := t.ledger
+	t.mu.Unlock()
+	if l == nil {
+		return Totals{}
+	}
+	return l.Totals()
+}
+
+// elapsedLocked is the run's duration: live until EndRun, then frozen at
+// the report's; t.mu is held.
+func (t *Telemetry) elapsedLocked() time.Duration {
+	switch {
+	case t.start.IsZero():
+		return 0
+	case t.end.IsZero():
+		return time.Since(t.start)
+	}
+	return t.end.Sub(t.start)
 }
 
 // workersLocked returns the attached ledger's shards (none before the
@@ -265,6 +288,7 @@ func (t *Telemetry) workersLocked() []*Worker {
 func (t *Telemetry) EndRun(phases map[string]float64) *Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.end = time.Now()
 	rep := t.buildReportLocked(phases)
 	t.last = rep
 	return rep

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // begin starts tel's run on a fresh ledger and returns the ledger.
@@ -200,6 +202,48 @@ func TestWritePrometheusFormat(t *testing.T) {
 		if strings.Contains(buf.String(), gone) {
 			t.Fatalf("prometheus output still carries %s:\n%s", gone, buf.String())
 		}
+	}
+}
+
+// TestRunDurationFrozenAtEnd: ramr_run_duration_seconds runs with the
+// clock while the run is live and stops at EndRun, reading the report's
+// duration on every later scrape; the next BeginRun starts it again.
+func TestRunDurationFrozenAtEnd(t *testing.T) {
+	tel := New()
+	begin(tel, "ramr")
+	duration := func() float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tel.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		m := regexp.MustCompile(`(?m)^ramr_run_duration_seconds (\S+)$`).FindStringSubmatch(buf.String())
+		if m == nil {
+			t.Fatalf("no ramr_run_duration_seconds sample:\n%s", buf.String())
+		}
+		var v float64
+		if _, err := fmt.Sscan(m[1], &v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	time.Sleep(5 * time.Millisecond)
+	if live := duration(); live < 0.005 {
+		t.Fatalf("live run reads %vs after 5ms", live)
+	}
+	rep := tel.EndRun(nil)
+	time.Sleep(20 * time.Millisecond)
+	want := float64(rep.DurationMicros) / 1e6
+	for i := 0; i < 2; i++ {
+		if got := duration(); math.Abs(got-want) > 1e-6+1e-5*want {
+			t.Fatalf("scrape %d after EndRun reads %vs, the report %vs", i, got, want)
+		}
+	}
+	begin(tel, "ramr")
+	a := duration()
+	time.Sleep(5 * time.Millisecond)
+	if b := duration(); b < a+0.005 {
+		t.Fatalf("the next run reads %vs, then %vs 5ms later: its clock is stopped", a, b)
 	}
 }
 
