@@ -12,7 +12,7 @@
 //		Name:         "wordcount",
 //		Splits:       chunks,
 //		Map:          mapWords,
-//		Combine:      func(a, b int) int { return a + b },
+//		Combine:      ramr.Sum[int](),
 //		Reduce:       ramr.IdentityReduce[string, int](),
 //		NewContainer: ramr.HashFactory[string, int](),
 //	}
@@ -105,6 +105,13 @@ func IdentityReduce[K comparable, V any]() func(K, V) V {
 	return mr.IdentityReduce[K, V]()
 }
 
+// Sum returns the additive combine, a + b. Use Sum when the combine is
+// addition; containers fold it inline, where any other combine costs a
+// call per pair.
+func Sum[V container.Number]() func(a, b V) V {
+	return mr.Sum[V]()
+}
+
 // HashFactory returns a container factory producing regular (dynamically
 // growing) hash containers — the default Word Count container.
 func HashFactory[K comparable, V any]() container.Factory[K, V] {
@@ -132,8 +139,10 @@ func HashString(s string) uint64 { return container.HashString(s) }
 
 // HashInt is a ready-made int hasher for FixedHashFactory. It returns k
 // itself: the fixed-hash container spreads keys over its slots (Fibonacci
-// hashing), so an int hasher needs no mixing of its own.
-func HashInt(k int) uint64 { return container.HashInt(k) }
+// hashing), so an int hasher needs no mixing of its own. It is
+// container.HashInt itself, which the fixed-hash container recognises and
+// probes without calling.
+var HashInt = container.HashInt
 
 // HaswellServer returns the paper's dual-socket Haswell topology preset.
 func HaswellServer() *Machine { return topology.HaswellServer() }

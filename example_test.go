@@ -17,7 +17,7 @@ func ExampleRun() {
 				emit(w, 1)
 			}
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      ramr.Sum[int](),
 		Reduce:       ramr.IdentityReduce[string, int](),
 		NewContainer: ramr.HashFactory[string, int](),
 		Less:         func(a, b string) bool { return a < b },
@@ -47,7 +47,7 @@ func ExampleRunPhoenix() {
 		Map: func(s int, emit func(int, int)) {
 			emit(s%2, s)
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      ramr.Sum[int](),
 		Reduce:       ramr.IdentityReduce[int, int](),
 		NewContainer: ramr.FixedArrayFactory[int](2),
 		Less:         func(a, b int) bool { return a < b },
@@ -79,7 +79,7 @@ func ExampleTuneRatio() {
 				emit(w, 1)
 			}
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      ramr.Sum[int](),
 		Reduce:       ramr.IdentityReduce[string, int](),
 		NewContainer: ramr.HashFactory[string, int](),
 	}

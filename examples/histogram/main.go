@@ -104,7 +104,7 @@ func main() {
 				emit(512+int(b[i+2]), 1)
 			}
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      ramr.Sum[int](),
 		Reduce:       ramr.IdentityReduce[int, int](),
 		NewContainer: ramr.FixedArrayFactory[int](buckets),
 		Less:         func(a, b int) bool { return a < b },

@@ -82,7 +82,7 @@ func main() {
 				emit(base+d, 1)
 			}
 		},
-		Combine:      func(a, b float64) float64 { return a + b },
+		Combine:      ramr.Sum[float64](),
 		Reduce:       ramr.IdentityReduce[int, float64](),
 		NewContainer: ramr.FixedArrayFactory[float64](kk * stride),
 	}

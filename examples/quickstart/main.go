@@ -27,7 +27,7 @@ func main() {
 				emit(w, 1)
 			}
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      ramr.Sum[int](),
 		Reduce:       ramr.IdentityReduce[string, int](),
 		NewContainer: ramr.HashFactory[string, int](),
 		Less:         func(a, b string) bool { return a < b },

@@ -77,7 +77,7 @@ func buildSpec(splits []string, containerKind string) (*ramr.Spec[string, string
 				emit(w, 1)
 			}
 		},
-		Combine: func(a, b int) int { return a + b },
+		Combine: ramr.Sum[int](),
 		Reduce:  ramr.IdentityReduce[string, int](),
 		Less:    func(a, b string) bool { return a < b },
 	}

@@ -20,18 +20,18 @@ type updatable[K comparable, V any] interface {
 	Update(k K, v V, combine Combine[V])
 }
 
-// eachKind builds one container of every implementation for int keys.
-func eachKind(t *testing.T, keyRange int) map[Kind]updatable[int, int] {
-	t.Helper()
-	return map[Kind]updatable[int, int]{
-		KindFixedArray: NewFixedArray[int](keyRange),
-		KindFixedHash:  NewFixedHash[int, int](keyRange, HashInt),
-		KindHash:       NewHash[int, int](),
+// kindsOf builds one container of every implementation for int keys and V
+// values, the fixed-hash one hashed by HashInt.
+func kindsOf[V any](keyRange int) map[Kind]updatable[int, V] {
+	return map[Kind]updatable[int, V]{
+		KindFixedArray: NewFixedArray[V](keyRange),
+		KindFixedHash:  NewFixedHash[int, V](keyRange, HashInt),
+		KindHash:       NewHash[int, V](),
 	}
 }
 
 func TestUpdateGetAcrossKinds(t *testing.T) {
-	for kind, c := range eachKind(t, 100) {
+	for kind, c := range kindsOf[int](100) {
 		if c.Kind() != kind {
 			t.Fatalf("%v reports kind %v", kind, c.Kind())
 		}
@@ -63,7 +63,7 @@ func TestUpdateGetAcrossKinds(t *testing.T) {
 }
 
 func TestIterateVisitsAll(t *testing.T) {
-	for kind, c := range eachKind(t, 64) {
+	for kind, c := range kindsOf[int](64) {
 		want := map[int]int{}
 		for k := 0; k < 64; k += 3 {
 			c.Update(k, k*10, sum)
@@ -96,7 +96,7 @@ func TestIterateVisitsAll(t *testing.T) {
 func TestQuickAgainstMapModel(t *testing.T) {
 	const keyRange = 50
 	f := func(keys []uint8, vals []int8) bool {
-		cs := eachKind(t, keyRange)
+		cs := kindsOf[int](keyRange)
 		model := map[int]int{}
 		for i, kb := range keys {
 			if i >= len(vals) {
@@ -132,8 +132,8 @@ func TestQuickAgainstMapModel(t *testing.T) {
 }
 
 func TestMergeEquivalence(t *testing.T) {
-	for kind := range eachKind(t, 32) {
-		mk := func() updatable[int, int] { return eachKind(t, 32)[kind] }
+	for kind := range kindsOf[int](32) {
+		mk := func() updatable[int, int] { return kindsOf[int](32)[kind] }
 		a, b := mk(), mk()
 		for k := 0; k < 32; k++ {
 			if k%2 == 0 {
@@ -343,8 +343,8 @@ func TestUpdateBatchEquivalence(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		kvs = append(kvs, KV[int, int]{K: (i * 7) % 40, V: i})
 	}
-	batched := eachKind(t, 64)
-	single := eachKind(t, 64)
+	batched := kindsOf[int](64)
+	single := kindsOf[int](64)
 	for kind := range batched {
 		b, s := batched[kind], single[kind]
 		b.UpdateBatch(nil, sum) // empty batch is a no-op
@@ -388,12 +388,18 @@ func panicText(f func()) (text string) {
 // same Len and the same Iterate set, under a combine whose result depends on
 // the order it sees values in — and every pair is counted; past the
 // declared bound both paths panic with the same text, the pair counted.
+// Under Sum, each container's add fold does the same as Update under a
+// plain a + b closure, for every value type it covers (sumFoldMatches).
 func TestFoldMatchesUpdate(t *testing.T) {
+	t.Run("sum/int", func(t *testing.T) { sumFoldMatches(t, func(r *rand.Rand) int { return r.Intn(1000) - 500 }) })
+	t.Run("sum/int64", func(t *testing.T) { sumFoldMatches(t, func(r *rand.Rand) int64 { return r.Int63() - 1<<62 }) })
+	t.Run("sum/uint64", func(t *testing.T) { sumFoldMatches(t, func(r *rand.Rand) uint64 { return r.Uint64() }) })
+	t.Run("sum/float64", func(t *testing.T) { sumFoldMatches(t, func(r *rand.Rand) float64 { return r.NormFloat64() * 1e3 }) })
 	ordered := func(acc, v int) int { return acc*31 + v }
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		keyRange, pairs := 1+rng.Intn(300), rng.Intn(5000)
-		folded, updated := eachKind(t, keyRange), eachKind(t, keyRange)
+		folded, updated := kindsOf[int](keyRange), kindsOf[int](keyRange)
 		for kind, c := range folded {
 			var n uint64
 			fold, twin := c.Fold(ordered, &n), updated[kind]
@@ -428,6 +434,79 @@ func TestFoldMatchesUpdate(t *testing.T) {
 		}
 		if n != 5 || c.Len() != 4 {
 			t.Fatalf("%s: fold counted %d pairs into %d keys, want 5 into 4", name, n, c.Len())
+		}
+	}
+}
+
+// sumFoldMatches checks the add folds for V values drawn by value: on
+// every container kind with int keys (the fixed-hash one under HashInt,
+// probing from the key inline), and on fixed-hash tables with uint64 keys
+// under HashUint64 and string keys under HashString (the hasher called),
+// the fold Fold builds under Sum is not the generic fold, and it leaves the
+// bit-identical state Update leaves under a plain a + b closure, counting
+// every pair; past a declared bound both panic with the same text.
+func sumFoldMatches[V Number](t *testing.T, value func(*rand.Rand) V) {
+	plus := func(a, b V) V { return a + b }
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keyRange, pairs := 1+rng.Intn(300), rng.Intn(5000)
+		draw := func() (int, V) { return rng.Intn(keyRange), value(rng) }
+		folded, updated := kindsOf[V](keyRange), kindsOf[V](keyRange)
+		for kind, c := range folded {
+			addFoldMatches(t, fmt.Sprintf("seed %d, %v", seed, kind), c, updated[kind], pairs, draw, plus)
+		}
+		addFoldMatches(t, fmt.Sprintf("seed %d, uint64 keys", seed),
+			NewFixedHash[uint64, V](keyRange, HashUint64), NewFixedHash[uint64, V](keyRange, HashUint64), pairs,
+			func() (uint64, V) { k, v := draw(); return uint64(k) << 32, v }, plus)
+		addFoldMatches(t, fmt.Sprintf("seed %d, string keys", seed),
+			NewFixedHash[string, V](keyRange, HashString), NewFixedHash[string, V](keyRange, HashString), pairs,
+			func() (string, V) { k, v := draw(); return fmt.Sprint(k), v }, plus)
+	}
+	for name, mk := range map[string]func() updatable[int, V]{
+		"fixed-hash past its declared keys": func() updatable[int, V] { return NewFixedHash[int, V](4, HashInt) },
+		"fixed-array past its key range":    func() updatable[int, V] { return NewFixedArray[V](4) },
+	} {
+		c, twin := mk(), mk()
+		var n uint64
+		fold := c.Fold(Sum[V](), &n)
+		for k := range 4 {
+			fold(k, 1)
+			twin.Update(k, 1, plus)
+		}
+		got, want := panicText(func() { fold(99, 1) }), panicText(func() { twin.Update(99, 1, plus) })
+		if got == "" || got != want {
+			t.Fatalf("%s: the add fold panicked %q, Update %q", name, got, want)
+		}
+		if n != 5 || c.Len() != 4 {
+			t.Fatalf("%s: the add fold counted %d pairs into %d keys, want 5 into 4", name, n, c.Len())
+		}
+	}
+}
+
+// addFoldMatches folds pairs pairs from draw into c through its fold under
+// Sum and into twin through Update under plus, and requires the add fold,
+// every pair counted, and the same state, each key found where Get looks.
+func addFoldMatches[K comparable, V Number](t *testing.T, name string, c, twin updatable[K, V], pairs int, draw func() (K, V), plus Combine[V]) {
+	t.Helper()
+	var n uint64
+	fold := c.Fold(Sum[V](), &n)
+	if code(fold) == code(c.Fold(plus, new(uint64))) {
+		t.Fatalf("%s: Fold under Sum built the generic fold", name)
+	}
+	for range pairs {
+		k, v := draw()
+		fold(k, v)
+		twin.Update(k, v, plus)
+	}
+	if n != uint64(pairs) {
+		t.Fatalf("%s: the add fold counted %d pairs, want %d", name, n, pairs)
+	}
+	if c.Len() != twin.Len() || !maps.Equal(contents[K, V](c), contents[K, V](twin)) {
+		t.Fatalf("%s: the add fold left %d keys %v, Update %d keys %v", name, c.Len(), contents[K, V](c), twin.Len(), contents[K, V](twin))
+	}
+	for k, want := range contents[K, V](twin) {
+		if got, ok := c.Get(k); !ok || got != want {
+			t.Fatalf("%s: after the add fold Get(%v) = %v, %v; want %v", name, k, got, ok, want)
 		}
 	}
 }

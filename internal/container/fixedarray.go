@@ -43,13 +43,41 @@ func (a *FixedArray[V]) Update(k int, v V, combine Combine[V]) {
 }
 
 // Fold returns the per-pair fold into a: Update's body over the backing
-// arrays it captures, which Reset keeps, counting each pair in *n.
+// arrays it captures, which Reset keeps, counting each pair in *n. Under
+// Sum the fold adds inline.
 func (a *FixedArray[V]) Fold(combine Combine[V], n *uint64) func(int, V) {
+	if is(combine, sums) {
+		switch a := any(a).(type) {
+		case *FixedArray[int]:
+			return any(addArray(a, n)).(func(int, V))
+		case *FixedArray[int64]:
+			return any(addArray(a, n)).(func(int, V))
+		case *FixedArray[uint64]:
+			return any(addArray(a, n)).(func(int, V))
+		case *FixedArray[float64]:
+			return any(addArray(a, n)).(func(int, V))
+		}
+	}
 	vals, present := a.vals, a.present
 	return func(k int, v V) {
 		*n++
 		if present[k] {
 			vals[k] = combine(vals[k], v)
+			return
+		}
+		vals[k], present[k] = v, true
+		a.n++
+	}
+}
+
+// addArray is a's fold under Sum: Fold's body with combine's call made an
+// add.
+func addArray[V Number](a *FixedArray[V], n *uint64) func(int, V) {
+	vals, present := a.vals, a.present
+	return func(k int, v V) {
+		*n++
+		if present[k] {
+			vals[k] += v
 			return
 		}
 		vals[k], present[k] = v, true

@@ -168,8 +168,21 @@ func (h *FixedHash[K, V]) Update(k K, v V, combine Combine[V]) {
 
 // Fold returns the per-pair fold into h: Update's probe loop, written out
 // over the backing arrays it captures, which never change, counting each
-// pair in *n.
+// pair in *n. Under Sum the fold adds inline, and with HashInt or
+// HashUint64 it also probes from the key itself, without the hasher's call.
 func (h *FixedHash[K, V]) Fold(combine Combine[V], n *uint64) func(K, V) {
+	if is(combine, sums) {
+		switch h := any(h).(type) {
+		case *FixedHash[K, int]:
+			return any(addFixedHash(h, n)).(func(K, V))
+		case *FixedHash[K, int64]:
+			return any(addFixedHash(h, n)).(func(K, V))
+		case *FixedHash[K, uint64]:
+			return any(addFixedHash(h, n)).(func(K, V))
+		case *FixedHash[K, float64]:
+			return any(addFixedHash(h, n)).(func(K, V))
+		}
+	}
 	hash, keys, vals, state, mask, shift := h.hash, h.keys, h.vals, h.state, h.mask, h.shift
 	return func(k K, v V) {
 		*n++
@@ -180,6 +193,53 @@ func (h *FixedHash[K, V]) Fold(combine Combine[V], n *uint64) func(K, V) {
 			}
 			if keys[i] == k {
 				vals[i] = combine(vals[i], v)
+				return
+			}
+		}
+	}
+}
+
+// addFixedHash is h's fold under Sum: Fold's body with combine's call made
+// an add, and with the hasher's call made the key itself when the hasher
+// is an identity.
+func addFixedHash[K comparable, V Number](h *FixedHash[K, V], n *uint64) func(K, V) {
+	if is(h.hash, identities) {
+		switch h := any(h).(type) {
+		case *FixedHash[int, V]:
+			return any(addIntHash(h, n)).(func(K, V))
+		case *FixedHash[uint64, V]:
+			return any(addIntHash(h, n)).(func(K, V))
+		}
+	}
+	hash, keys, vals, state, mask, shift := h.hash, h.keys, h.vals, h.state, h.mask, h.shift
+	return func(k K, v V) {
+		*n++
+		for i := hash(k) * fib >> shift; ; i = (i + 1) & mask {
+			if state[i] == 0 {
+				h.put(i, k, v)
+				return
+			}
+			if keys[i] == k {
+				vals[i] += v
+				return
+			}
+		}
+	}
+}
+
+// addIntHash is addFixedHash's fold for an identity hasher: the home slot
+// is uint64(k)·fib >> shift, as the hasher's call would give.
+func addIntHash[K int | uint64, V Number](h *FixedHash[K, V], n *uint64) func(K, V) {
+	keys, vals, state, mask, shift := h.keys, h.vals, h.state, h.mask, h.shift
+	return func(k K, v V) {
+		*n++
+		for i := uint64(k) * fib >> shift; ; i = (i + 1) & mask {
+			if state[i] == 0 {
+				h.put(i, k, v)
+				return
+			}
+			if keys[i] == k {
+				vals[i] += v
 				return
 			}
 		}

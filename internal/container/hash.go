@@ -58,12 +58,38 @@ func (h *Hash[K, V]) Update(k K, v V, combine Combine[V]) {
 }
 
 // Fold returns the per-pair fold into h: Update's body, counting each pair
-// in *n. It reaches the slab through h, because insert regrows it.
+// in *n. It reaches the slab through h, because insert regrows it. Under
+// Sum the fold adds inline.
 func (h *Hash[K, V]) Fold(combine Combine[V], n *uint64) func(K, V) {
+	if is(combine, sums) {
+		switch h := any(h).(type) {
+		case *Hash[K, int]:
+			return any(addHash(h, n)).(func(K, V))
+		case *Hash[K, int64]:
+			return any(addHash(h, n)).(func(K, V))
+		case *Hash[K, uint64]:
+			return any(addHash(h, n)).(func(K, V))
+		case *Hash[K, float64]:
+			return any(addHash(h, n)).(func(K, V))
+		}
+	}
 	return func(k K, v V) {
 		*n++
 		if i, ok := h.index[k]; ok {
 			h.vals[i] = combine(h.vals[i], v)
+			return
+		}
+		h.insert(k, v)
+	}
+}
+
+// addHash is h's fold under Sum: Fold's body with combine's call made an
+// add.
+func addHash[K comparable, V Number](h *Hash[K, V], n *uint64) func(K, V) {
+	return func(k K, v V) {
+		*n++
+		if i, ok := h.index[k]; ok {
+			h.vals[i] += v
 			return
 		}
 		h.insert(k, v)

@@ -51,7 +51,8 @@ type Spec[S any, K comparable, V, R any] struct {
 
 	// Combine folds two intermediate values for the same key. It must
 	// be associative and is applied both inside containers and when
-	// per-worker containers merge.
+	// per-worker containers merge. Use Sum when the combine is
+	// addition; containers fold it inline.
 	Combine container.Combine[V]
 
 	// Reduce finalizes one key's combined value. When nil, V must be
@@ -86,6 +87,12 @@ func (s *Spec[S, K, V, R]) Validate() error {
 // IdentityReduce returns a Reduce that passes the combined value through.
 func IdentityReduce[K comparable, V any]() func(K, V) V {
 	return func(_ K, v V) V { return v }
+}
+
+// Sum returns container.Sum, the additive combine a + b, which the
+// containers fold inline.
+func Sum[V container.Number]() container.Combine[V] {
+	return container.Sum[V]()
 }
 
 // PhaseTimes records wall-clock duration per MapReduce phase, the

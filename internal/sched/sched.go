@@ -151,13 +151,6 @@ type JobSpec struct {
 	MaxCPUs int
 	// Run executes the job. Required.
 	Run RunFunc
-	// Metrics, when non-nil, is invoked once after Run returns to
-	// collect the job's final operation-level metrics (steal counts,
-	// help counts, ...). The map rides on the EventFinished observer
-	// event and in JobStatus, so telemetry taps see per-job balance
-	// figures without reaching into the workload layer. The callback
-	// runs outside the scheduler lock; a panic inside it is swallowed.
-	Metrics func() map[string]float64
 }
 
 // EventKind tags an Event.
@@ -205,10 +198,6 @@ type Event struct {
 	InUse int
 	// Queued is the admission-queue depth after this transition.
 	Queued int
-	// Metrics is the job's final metric map (EventFinished only, and
-	// only when the JobSpec provided a Metrics callback); shared, do not
-	// mutate.
-	Metrics map[string]float64
 }
 
 // Config parameterizes a Scheduler.
@@ -250,14 +239,13 @@ type Job struct {
 	prio Priority
 
 	s *Scheduler
-	// run and metricsFn are dropped (under mu) when the job turns
-	// terminal: a retained handle must not pin whatever the closures
-	// captured — typically the job's whole input.
-	run       RunFunc
-	metricsFn func() map[string]float64
-	runCtx    context.Context
-	cancel    context.CancelFunc
-	done      chan struct{}
+	// run is dropped (under mu) when the job turns terminal: a retained
+	// handle must not pin whatever the closure captured — typically the
+	// job's whole input.
+	run    RunFunc
+	runCtx context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	minCPUs, maxCPUs int
 
@@ -281,7 +269,6 @@ type Job struct {
 	finished time.Time
 	allocDur time.Duration
 	err      error
-	metrics  map[string]float64
 }
 
 // JobStatus is a point-in-time snapshot of a job.
@@ -304,9 +291,6 @@ type JobStatus struct {
 	// Waiters is the job's current waiter count (the submitter plus
 	// coalesced duplicate submissions; see Job.AddWaiter).
 	Waiters int
-	// Metrics is the job's final metric map (copy); nil until finished
-	// or when the JobSpec had no Metrics callback.
-	Metrics map[string]float64
 }
 
 // TraceTo records the scheduler-side spans of a settled job on rec, derived
@@ -474,7 +458,6 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	j.runCtx = ctx
 	j.run = spec.Run
-	j.metricsFn = spec.Metrics
 	j.minCPUs = minCPUs
 	j.maxCPUs = maxCPUs
 	s.accepted++
@@ -716,26 +699,10 @@ func (s *Scheduler) startLocked(j *Job) {
 			"grant", len(grant), "queue_wait", j.started.Sub(j.queuedAt), "alloc", j.allocDur)
 	}
 	s.wg.Add(1)
-	go func(run RunFunc, metricsFn func() map[string]float64) {
+	go func(run RunFunc) {
 		defer s.wg.Done()
-		err := runSafe(j.runCtx, grant, run)
-		// Collect final metrics outside the scheduler lock — the
-		// callback may be slow — but hand them to finish, which assigns
-		// j.metrics under mu: Status() reads the field under the same
-		// lock and may run concurrently with this goroutine.
-		var m map[string]float64
-		if metricsFn != nil {
-			m = metricsSafe(metricsFn)
-		}
-		s.finish(j, err, m)
-	}(j.run, j.metricsFn)
-}
-
-// metricsSafe invokes the metrics callback, swallowing a panic — a bad
-// metrics tap must not turn a finished job into a failed one.
-func metricsSafe(fn func() map[string]float64) (m map[string]float64) {
-	defer func() { recover() }()
-	return fn()
+		s.finish(j, runSafe(j.runCtx, grant, run))
+	}(j.run)
 }
 
 // runSafe invokes run, converting a panic into an error so one bad job
@@ -749,15 +716,14 @@ func runSafe(ctx context.Context, grant []int, run RunFunc) (err error) {
 	return run(ctx, grant)
 }
 
-func (s *Scheduler) finish(j *Job, err error, metrics map[string]float64) {
+func (s *Scheduler) finish(j *Job, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range j.grant {
 		s.free[id] = true
 	}
 	delete(s.running, j.id)
-	j.run, j.metricsFn = nil, nil
-	j.metrics = metrics
+	j.run = nil
 	j.state = StateDone
 	j.finished = time.Now()
 	if err == nil {
@@ -767,7 +733,7 @@ func (s *Scheduler) finish(j *Job, err error, metrics map[string]float64) {
 	s.finished++
 	j.cancel()
 	close(j.done)
-	s.emit(Event{Kind: EventFinished, JobID: j.id, Name: j.name, Grant: j.grant, InUse: s.inUseLocked(), Queued: s.queuedLocked(), Metrics: j.metrics})
+	s.emit(Event{Kind: EventFinished, JobID: j.id, Name: j.name, Grant: j.grant, InUse: s.inUseLocked(), Queued: s.queuedLocked()})
 	if s.log != nil {
 		s.log.Debug("sched: job finished", "job_id", j.id, "name", j.name,
 			"wall", j.finished.Sub(j.started), "err", err)
@@ -787,7 +753,7 @@ func (s *Scheduler) removeQueuedLocked(j *Job, cause error) {
 	if len(q.jobs) == 0 {
 		q.deficit = 0
 	}
-	j.run, j.metricsFn = nil, nil
+	j.run = nil
 	j.state = StateCanceled
 	j.finished = time.Now()
 	if cause == nil {
@@ -944,17 +910,5 @@ func (j *Job) Status() JobStatus {
 		AllocDur: j.allocDur,
 		Err:      j.err,
 		Waiters:  j.waiters,
-		Metrics:  copyMetrics(j.metrics),
 	}
-}
-
-func copyMetrics(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

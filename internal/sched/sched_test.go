@@ -479,73 +479,6 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 }
 
-// TestJobMetrics: a JobSpec.Metrics callback's map rides on the
-// EventFinished observer event and in JobStatus; a panicking callback is
-// swallowed without failing the job.
-func TestJobMetrics(t *testing.T) {
-	var mu sync.Mutex
-	var finished map[string]float64
-	sc, err := New(Config{
-		Machine: testMachine(),
-		Observer: func(e Event) {
-			if e.Kind == EventFinished {
-				mu.Lock()
-				finished = e.Metrics
-				mu.Unlock()
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := sc.Submit(JobSpec{
-		Name:     "metered",
-		Priority: PriorityNormal,
-		Run:      func(ctx context.Context, grant []int) error { return nil },
-		Metrics: func() map[string]float64 {
-			return map[string]float64{"steal_remote_tasks": 7, "queue_imbalance_p90": 2.5}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	got := finished
-	mu.Unlock()
-	if got["steal_remote_tasks"] != 7 || got["queue_imbalance_p90"] != 2.5 {
-		t.Fatalf("EventFinished metrics = %v", got)
-	}
-	st := j.Status()
-	if st.Metrics["steal_remote_tasks"] != 7 {
-		t.Fatalf("JobStatus metrics = %v", st.Metrics)
-	}
-	// The status copy must be detached from the job's map.
-	st.Metrics["steal_remote_tasks"] = 0
-	if j.Status().Metrics["steal_remote_tasks"] != 7 {
-		t.Fatal("JobStatus shares the job's metric map")
-	}
-
-	jp, err := sc.Submit(JobSpec{
-		Name: "panicky-metrics",
-		Run:  func(ctx context.Context, grant []int) error { return nil },
-		Metrics: func() map[string]float64 {
-			panic("metrics tap broke")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jp.Wait(context.Background()); err != nil {
-		t.Fatalf("panicking metrics callback failed the job: %v", err)
-	}
-	if st := jp.Status(); st.State != StateDone || st.Metrics != nil {
-		t.Fatalf("panicky metrics job: %+v", st)
-	}
-}
-
 // TestWaiterFanoutRunning: coalesced waiters on a running job detach one
 // by one; the execution is cancelled only by the last detach.
 func TestWaiterFanoutRunning(t *testing.T) {
@@ -672,25 +605,24 @@ func collected(ch <-chan struct{}) bool {
 	return false
 }
 
-// A terminal job's handle must not pin what its Run and Metrics closures
-// captured: the service tier retains handles of finished jobs, and the
-// closures typically hold the job's whole input.
+// A terminal job's handle must not pin what its Run closure captured: the
+// service tier retains handles of finished jobs, and the closure typically
+// holds the job's whole input.
 func TestTerminalJobReleasesRunClosure(t *testing.T) {
 	sc, err := New(Config{Machine: testMachine(), Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// submit admits a job whose closures capture a fresh 16 MB block and
+	// submit admits a job whose closure captures a fresh 16 MB block and
 	// returns the handle plus a channel closed when the block is freed.
-	// The block is reachable only through the closures.
+	// The block is reachable only through the closure.
 	submit := func(run func(ctx context.Context, buf *[16 << 20]byte) error) (*Job, <-chan struct{}) {
 		buf := new([16 << 20]byte)
 		freed := make(chan struct{})
 		runtime.SetFinalizer(buf, func(*[16 << 20]byte) { close(freed) })
 		j, err := sc.Submit(JobSpec{
 			Name: "pinned-input", Priority: PriorityNormal, MinCPUs: 2,
-			Run:     func(ctx context.Context, _ []int) error { return run(ctx, buf) },
-			Metrics: func() map[string]float64 { return map[string]float64{"first": float64(buf[0])} },
+			Run: func(ctx context.Context, _ []int) error { return run(ctx, buf) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -732,7 +664,7 @@ func TestTerminalJobReleasesRunClosure(t *testing.T) {
 	if !collected(doneFreed) {
 		t.Fatal("a finished job still pins what its Run closure captured")
 	}
-	if st := done.Status(); st.State != StateDone || st.Metrics["first"] != 0 {
+	if st := done.Status(); st.State != StateDone {
 		t.Fatalf("finished job status = %+v", st)
 	}
 	runtime.KeepAlive(queued)

@@ -237,28 +237,6 @@ type cachedRun struct {
 	info     *workloads.RunInfo
 }
 
-// finalMetrics flattens the retained RunInfo into the scheduler's metric
-// map: work-stealing counters by distance class and the help counts. It is
-// the JobSpec.Metrics callback, invoked once when the job finishes, and
-// feeds EventFinished observers and JobStatus.
-func (e *entry) finalMetrics() map[string]float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	info := e.info
-	if info == nil {
-		return nil
-	}
-	return map[string]float64{
-		"steal_local_tasks":     float64(info.Steal.LocalTasks),
-		"steal_socket_tasks":    float64(info.Steal.SocketTasks),
-		"steal_remote_tasks":    float64(info.Steal.RemoteTasks),
-		"steal_remote_executed": float64(info.Steal.RemoteExecuted),
-		"steal_rate":            info.Steal.StealRate(),
-		"help_tasks":            float64(info.Help.Tasks),
-		"help_pairs":            float64(info.Help.Pairs()),
-	}
-}
-
 // New builds a Service.
 func New(cfg Config) (*Service, error) {
 	m := cfg.Machine
@@ -429,7 +407,6 @@ func (s *Service) launchLocked(e *entry, p *Plan, run sched.RunFunc) error {
 		MinCPUs:  p.minCPUs,
 		MaxCPUs:  p.maxCPUs,
 		Run:      run,
-		Metrics:  e.finalMetrics,
 	})
 	if err != nil {
 		return err

@@ -13,9 +13,10 @@ import (
 
 // BenchmarkFusedStep times one fused worker's step over every split of WC
 // (10 MB of text, hash and fixed-hash), of HG (10 MB of pixels,
-// fixed-array and fixed-hash) and of LR (10 MB of points):
-// core.Driver.Step on a one-worker session, so each pair costs what a fused
-// run pays for it — the call into the container's fold, and combine.
+// fixed-array and fixed-hash), of LR (10 MB of points) and of KM (100,000
+// points in 8 dimensions, 100 clusters: float sums): core.Driver.Step on a
+// one-worker session, so each pair costs what a fused run pays for it —
+// the call into the container's fold, and combine's add.
 func BenchmarkFusedStep(b *testing.B) {
 	text, px, pts := GenerateText(10<<20, 1), GeneratePixels(10<<20, 1), GenerateLRPoints(10<<20/8, 1)
 	for _, kind := range []container.Kind{container.KindHash, container.KindFixedHash} {
@@ -25,6 +26,9 @@ func BenchmarkFusedStep(b *testing.B) {
 		b.Run("HG/"+kind.String(), func(b *testing.B) { benchStep(b, HistogramSpec(px, kind)) })
 	}
 	b.Run("LR/array", func(b *testing.B) { benchStep(b, LinRegSpec(pts, container.KindFixedArray)) })
+	b.Run("KM/array", func(b *testing.B) {
+		benchStep(b, KMeansSpec(GenerateKMeans(100_000, 8, 100, 1), container.KindFixedArray))
+	})
 }
 
 func benchStep[S any, K comparable, V, R any](b *testing.B, spec *mr.Spec[S, K, V, R]) {

@@ -74,7 +74,7 @@ func HistogramSpec(splits [][]byte, kind container.Kind) *mr.Spec[[]byte, int, i
 				emit(512+int(px[i+2]), 1)
 			}
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      container.Sum[int](),
 		Reduce:       mr.IdentityReduce[int, int](),
 		NewContainer: hgContainer(kind),
 		Less:         func(a, b int) bool { return a < b },

@@ -104,7 +104,7 @@ func KMeansSpec(in *KMInput, kind container.Kind) *mr.Spec[[2]int, int, float64,
 				emit(base+dims, 1)
 			}
 		},
-		Combine:      func(a, b float64) float64 { return a + b },
+		Combine:      container.Sum[float64](),
 		Reduce:       mr.IdentityReduce[int, float64](),
 		NewContainer: kmContainer(kind, k*stride),
 		Less:         func(a, b int) bool { return a < b },

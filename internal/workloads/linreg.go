@@ -97,7 +97,7 @@ func LinRegSpec(splits [][]LRPoint, kind container.Kind) *mr.Spec[[]LRPoint, int
 				emit(lrKeySXY, x*y)
 			}
 		},
-		Combine:      func(a, b int64) int64 { return a + b },
+		Combine:      container.Sum[int64](),
 		Reduce:       mr.IdentityReduce[int, int64](),
 		NewContainer: lrContainer(kind),
 		Less:         func(a, b int) bool { return a < b },

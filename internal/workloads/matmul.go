@@ -146,7 +146,7 @@ func MatMulSpec(in *MMInput, kind container.Kind) *mr.Spec[MMTile, int, int64, i
 				}
 			}
 		},
-		Combine:      func(a, b int64) int64 { return a + b },
+		Combine:      container.Sum[int64](),
 		Reduce:       mr.IdentityReduce[int, int64](),
 		NewContainer: mmContainer(kind, in.Rows*in.Cols),
 		Less:         func(a, b int) bool { return a < b },

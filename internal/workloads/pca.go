@@ -113,7 +113,7 @@ func PCASpec(in *PCAInput, kind container.Kind) *mr.Spec[[2]int, int, int64, int
 				emit(i*n+j, cov/int64(n-1))
 			}
 		},
-		Combine:      func(a, b int64) int64 { return a + b },
+		Combine:      container.Sum[int64](),
 		Reduce:       mr.IdentityReduce[int, int64](),
 		NewContainer: pcaContainer(kind, n),
 		Less:         func(a, b int) bool { return a < b },

@@ -57,7 +57,7 @@ func StringMatchSpec(splits []string, patterns []string) *mr.Spec[string, string
 				}
 			}
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      container.Sum[int](),
 		Reduce:       mr.IdentityReduce[string, int](),
 		NewContainer: func() container.Container[string, int] { return container.NewHash[string, int]() },
 		Less:         func(a, b string) bool { return a < b },

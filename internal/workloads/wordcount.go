@@ -100,7 +100,7 @@ func WordCountSpec(splits []string, kind container.Kind) *mr.Spec[string, string
 				s = s[i+1:]
 			}
 		},
-		Combine:      func(a, b int) int { return a + b },
+		Combine:      container.Sum[int](),
 		Reduce:       mr.IdentityReduce[string, int](),
 		NewContainer: wcContainer(kind),
 		Less:         func(a, b string) bool { return a < b },
