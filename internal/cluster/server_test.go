@@ -177,6 +177,7 @@ func TestServerRefusesWhatWorkersRefuse(t *testing.T) {
 	for _, body := range []string{
 		`{"workload":"WC","config":{"pin":"sometimes"}}`,
 		`{"workload":"WC","config":{"queue_capacity":1048577}}`,
+		`{"workload":"SYNTH","synth":{"keys":4000000000}}`,
 	} {
 		wantCode, want := post(w.URL, body)
 		if wantCode != http.StatusBadRequest || want == "" {

@@ -471,7 +471,8 @@ func TestResultWait(t *testing.T) {
 }
 
 // TestSizedFieldsBounded400: a request field that sizes an allocation up
-// front — a ring's slots, a session's task channel — is refused with a 400
+// front — a ring's slots, a session's task channel, a SYNTH worker's
+// 9-byte-per-key array — is refused with a 400
 // above maxSized, before anything is allocated: at 4e9 it was a fatal out
 // of memory. A value at the bound still resolves.
 func TestSizedFieldsBounded400(t *testing.T) {
@@ -485,6 +486,9 @@ func TestSizedFieldsBounded400(t *testing.T) {
 		}},
 		{"stream.max_pending", func(n int) string {
 			return fmt.Sprintf(`{"workload":"SYNTH","config":{"pin":"none"},"stream":{"window":1,"max_pending":%d}}`, n)
+		}},
+		{"synth.keys", func(n int) string {
+			return fmt.Sprintf(`{"workload":"SYNTH","config":{"pin":"none"},"synth":{"keys":%d}}`, n)
 		}},
 	} {
 		t.Run(row.field, func(t *testing.T) {

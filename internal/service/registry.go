@@ -64,6 +64,9 @@ func resolveSynthParams(sp SynthParams) (synth.Params, error) {
 	if sp.Elements > 0 {
 		p.Elements = sp.Elements
 	}
+	if sp.Keys > maxSized {
+		return p, fmt.Errorf("synth.keys %d is above the bound %d", sp.Keys, maxSized)
+	}
 	if sp.Keys > 0 {
 		p.Keys = sp.Keys
 	}
@@ -97,7 +100,7 @@ func resolveSynthParams(sp SynthParams) (synth.Params, error) {
 }
 
 // maxSized bounds the request fields that size an allocation up front — a
-// ring's slots, a session's task channel — so a request cannot ask for more
+// ring's slots, a session's task channel, a SYNTH worker's key array — so a request cannot ask for more
 // memory than the process has. It is a fixed ceiling far above any default,
 // not a knob.
 const maxSized = 1 << 20

@@ -229,6 +229,30 @@ func TestStreamBackpressure429(t *testing.T) {
 	checkNoWorkerLeak(t)
 }
 
+// TestStreamOversizedChunk429: a SYNTH chunk more splits long than
+// max_pending is refused with the backpressure 429 before its split list is
+// built — at 10^15 elements, about 2·10^12 splits, the list alone would
+// not fit in any memory — and the session keeps accepting fitting chunks.
+func TestStreamOversizedChunk429(t *testing.T) {
+	_, ts, _ := newTestService(t, 0)
+	id := openStream(t, ts, `{"window":1,"max_pending":2}`)
+	code, doc, hdr := postChunk(t, ts, id, 0, 1_000_000_000_000_000)
+	if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
+		t.Fatalf("10^15-element chunk: HTTP %d (%v), Retry-After %q; want 429 with a Retry-After", code, doc, hdr.Get("Retry-After"))
+	}
+	if doc["limit"].(float64) != 2 {
+		t.Fatalf("429 body limit %v, want 2", doc["limit"])
+	}
+	if code, doc, _ := postChunk(t, ts, id, 0, 1024); code != http.StatusAccepted {
+		t.Fatalf("fitting chunk after the 429: HTTP %d (%v)", code, doc)
+	}
+	if code, doc, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/close", id), `{}`); code != http.StatusOK {
+		t.Fatalf("close: HTTP %d (%v)", code, doc)
+	}
+	waitDone(t, ts, id)
+	checkNoWorkerLeak(t)
+}
+
 // TestStreamChunkTickOutOfRange400: an explicit tick must name a window the
 // session can seal. A negative ts is a client error, not an omitted one (an
 // omitted ts is auto-assigned), and so is a tick whose window would end

@@ -20,26 +20,50 @@ import (
 // round with a guide-table lookup. A u within zipfGuard of a recorded
 // change runs the round itself, so floating-point wobble of Exp and Log
 // next to a change point never decides a draw.
+//
+// A sampler drawing from a *Stream (NewStreamZipf) reads the stream's
+// Int63, Uint64()>>1, itself: the values rand.New(stream) would hand
+// math/rand's Zipf, without the rand.Source interface call per round.
 type Zipf struct {
-	r *rand.Rand
-	c *zipfConsts
-	t *zipfTable // nil: every round runs the arithmetic
+	src *Stream    // non-nil: the rounds draw from it directly
+	r   *rand.Rand // the rounds' source otherwise
+	c   *zipfConsts
+	t   *zipfTable // nil: every round runs the arithmetic
 }
 
 // NewZipf returns a Zipf sampler over [0, n) with exponent s (> 1).
 func NewZipf(r *rand.Rand, s float64, n uint64) *Zipf {
+	z := newZipf(s, n)
+	z.r = r
+	return z
+}
+
+// NewStreamZipf returns the sampler NewZipf(rand.New(src), s, n) is, drawing
+// from src directly: the same values from the same draws of src.
+func NewStreamZipf(src *Stream, s float64, n uint64) *Zipf {
+	z := newZipf(s, n)
+	z.src = src
+	return z
+}
+
+func newZipf(s float64, n uint64) *Zipf {
 	if !(s > 1) {
 		panic("stats: Zipf exponent must be > 1")
 	}
 	n = max(n, 1)
 	c := newZipfConsts(s, n-1)
-	return &Zipf{r: r, c: c, t: zipfTableFor(c, s, n)}
+	return &Zipf{c: c, t: zipfTableFor(c, s, n)}
 }
 
 // Next draws the next index.
 func (z *Zipf) Next() uint64 {
 	for {
-		u := z.r.Int63()
+		var u int64
+		if z.src != nil {
+			u = int64(z.src.Uint64() >> 1)
+		} else {
+			u = z.r.Int63()
+		}
 		if float64(u)/(1<<63) == 1 {
 			continue // rand.Float64 resamples this u too
 		}

@@ -55,6 +55,21 @@ func TestZipfMatchesMathRand(t *testing.T) {
 				t.Fatalf("s=%g n=%d %s: sources out of step after %d draws", c.s, c.n, name, draws)
 			}
 		}
+		// The direct path: NewStreamZipf reads the Stream itself, and
+		// draws what math/rand's Zipf draws over rand.New of its twin.
+		ours, theirs := NewStream(int64(c.n), "zipf-oracle"), NewStream(int64(c.n), "zipf-oracle")
+		ours.Seek(3)
+		theirs.Seek(3)
+		z := NewStreamZipf(ours, c.s, c.n)
+		ref := rand.NewZipf(rand.New(theirs), c.s, 1, c.n-1)
+		for i := 0; i < draws; i++ {
+			if a, b := z.Next(), ref.Uint64(); a != b {
+				t.Fatalf("s=%g n=%d direct: draw %d = %d, math/rand drew %d", c.s, c.n, i, a, b)
+			}
+		}
+		if ours.Uint64() != theirs.Uint64() {
+			t.Fatalf("s=%g n=%d direct: streams out of step after %d draws", c.s, c.n, draws)
+		}
 	}
 }
 
@@ -92,17 +107,22 @@ func TestZipfBoundaryScan(t *testing.T) {
 }
 
 // TestZipfLargeKeyRange: a key range above zipfTableMaxN builds no table
-// and still draws math/rand's values.
+// and still draws math/rand's values, through rand.Rand or the Stream
+// itself.
 func TestZipfLargeKeyRange(t *testing.T) {
 	const n = 1_000_000
-	z := NewZipf(rand.New(NewStream(5, "big")), 1.5, n)
-	if z.t != nil {
-		t.Fatal("a table was built above zipfTableMaxN")
-	}
-	ref := rand.NewZipf(rand.New(NewStream(5, "big")), 1.5, 1, n-1)
-	for i := 0; i < 100_000; i++ {
-		if a, b := z.Next(), ref.Uint64(); a != b {
-			t.Fatalf("draw %d = %d, math/rand drew %d", i, a, b)
+	for name, z := range map[string]*Zipf{
+		"rand":   NewZipf(rand.New(NewStream(5, "big")), 1.5, n),
+		"direct": NewStreamZipf(NewStream(5, "big"), 1.5, n),
+	} {
+		if z.t != nil {
+			t.Fatalf("%s: a table was built above zipfTableMaxN", name)
+		}
+		ref := rand.NewZipf(rand.New(NewStream(5, "big")), 1.5, 1, n-1)
+		for i := 0; i < 100_000; i++ {
+			if a, b := z.Next(), ref.Uint64(); a != b {
+				t.Fatalf("%s: draw %d = %d, math/rand drew %d", name, i, a, b)
+			}
 		}
 	}
 }
@@ -155,13 +175,14 @@ func TestStreamInt31n(t *testing.T) {
 func BenchmarkZipf(b *testing.B) {
 	for _, c := range []struct {
 		name string
-		mk   func(r *rand.Rand) func() uint64
+		mk   func(s *Stream) func() uint64
 	}{
-		{"table", func(r *rand.Rand) func() uint64 { return NewZipf(r, 1.2, 5000).Next }},
-		{"mathrand", func(r *rand.Rand) func() uint64 { return rand.NewZipf(r, 1.2, 1, 4999).Uint64 }},
+		{"table", func(s *Stream) func() uint64 { return NewZipf(rand.New(s), 1.2, 5000).Next }},
+		{"direct", func(s *Stream) func() uint64 { return NewStreamZipf(s, 1.2, 5000).Next }},
+		{"mathrand", func(s *Stream) func() uint64 { return rand.NewZipf(rand.New(s), 1.2, 1, 4999).Uint64 }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			next := c.mk(rand.New(NewStream(1, "bench")))
+			next := c.mk(NewStream(1, "bench"))
 			for i := 0; i < b.N; i++ {
 				next()
 			}

@@ -295,13 +295,8 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 		return 0, &LateChunkError{Ts: ts, Watermark: wm}
 	}
 	n := len(c.Splits)
-	if pend := int(p.pending.Load()); pend+n > p.win.MaxPending {
-		p.backpressured.Add(1)
-		return 0, &BackpressureError{
-			RetryAfter: p.retryAfter(pend),
-			Pending:    pend,
-			Limit:      p.win.MaxPending,
-		}
+	if err := p.admit(n); err != nil {
+		return 0, err
 	}
 	if n > 0 {
 		ps := p.paneFor(pane)
@@ -319,6 +314,31 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 	p.drv.Append(pane, c.Splits)
 	p.kickSealer()
 	return ts, nil
+}
+
+// admit returns the BackpressureError, booked, that refuses a chunk of n
+// splits at the current backlog, or nil if it fits.
+func (p *Pipeline[S, K, V, R]) admit(n int) error {
+	if pend := int(p.pending.Load()); n > p.win.MaxPending-pend {
+		p.backpressured.Add(1)
+		return &BackpressureError{
+			RetryAfter: p.retryAfter(pend),
+			Pending:    pend,
+			Limit:      p.win.MaxPending,
+		}
+	}
+	return nil
+}
+
+// Oversized returns the BackpressureError Append gives a chunk of n
+// splits if no backlog could admit it — n above MaxPending — or nil. A
+// workload's Decode asks before it builds a chunk's splits, so such a
+// chunk builds nothing on its way to the refusal.
+func (p *Pipeline[S, K, V, R]) Oversized(n int) error {
+	if n <= p.win.MaxPending {
+		return nil
+	}
+	return p.admit(n)
 }
 
 // retryAfter derives the backpressure hint: a term growing with the

@@ -71,6 +71,9 @@ func NewStreamSession(p Params, seed int64, cfg mr.Config) (*stream.Session, err
 				return nil, nil
 			}
 			n := rc.Elements
+			if err := pipe.Oversized(n/splitSize + min(n%splitSize, 1)); err != nil {
+				return nil, err
+			}
 			base := int(next.Add(int64(n))) - n
 			var splits [][2]int
 			for lo := base; lo < base+n; lo += splitSize {

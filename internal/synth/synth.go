@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -320,7 +319,7 @@ func keyTable(p Params, seed int64, splits [][2]int, width int) []int32 {
 	keyTab := make([]int32, p.Elements)
 	workloads.FillSplits(p.Elements, width, func(lo, hi int) {
 		src := stats.NewStream(seed, "synth-keys")
-		z := stats.NewZipf(rand.New(src), p.Skew, uint64(p.Keys))
+		z := stats.NewStreamZipf(src, p.Skew, uint64(p.Keys))
 		k := sort.Search(len(splits), func(k int) bool { return splits[k][0] >= lo })
 		for ; k < len(splits) && splits[k][0] < hi; k++ {
 			src.Seek(splits[k][0])

@@ -3,8 +3,8 @@ package workloads
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
+	"unsafe"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
@@ -31,41 +31,58 @@ func GenerateText(n int, seed int64) []string {
 // splits; split i is words drawn from substream i of the seed's "wordcount"
 // stream until its byte quota is met, so a shard pays for its own only. One
 // vocabulary per seed.
+//
+// Each vocabulary word sits with its trailing space in a 16-byte slot, so
+// writing a word is one 16-byte store at the write position, which then
+// advances by the word's length; the store's tail lands past the word, where
+// the next word (or the buffer's slack) goes.
 func generateText(n int, seed int64, sh ShardSpec, width int) []string {
 	rng := stats.Rng(seed, "wordcount")
-	vocab := make([]string, wcVocab)
+	var vocab [wcVocab]wcWord
 	longest := 0
 	const letters = "abcdefghijklmnopqrstuvwxyz"
 	for i := range vocab {
 		l := 3 + rng.Intn(10)
-		b := make([]byte, l)
-		for j := range b {
-			b[j] = letters[rng.Intn(len(letters))]
+		for j := range l {
+			vocab[i].text[j] = letters[rng.Intn(len(letters))]
 		}
-		vocab[i] = string(b)
+		vocab[i].text[l] = ' '
+		vocab[i].len = l + 1
 		longest = max(longest, l)
 	}
 	splits := make([]string, sh.Owned((n+wcSplitBytes-1)/wcSplitBytes))
 	FillSplits(len(splits), width, func(lo, hi int) {
 		src := stats.NewStream(seed, "wordcount")
-		zipf := stats.NewZipf(rand.New(src), 1.2, uint64(wcVocab))
+		zipf := stats.NewStreamZipf(src, 1.2, wcVocab)
 		// A split's last word starts below its quota, so the split ends
-		// within quota+longest bytes: a buffer of that much per split holds
-		// the whole run without regrowing, and each split is a slice of it.
-		var buf strings.Builder
-		buf.Grow((hi - lo) * (wcSplitBytes + longest))
+		// within quota+longest bytes, and its last store within
+		// quota+len(slot): a buffer of that much per split, and one slot
+		// more, holds the whole run, and each split is a slice of it.
+		buf := make([]byte, (hi-lo)*(wcSplitBytes+longest)+len(wcWord{}.text))
+		p := 0
 		for k := lo; k < hi; k++ {
 			i := sh.Index + k*sh.Count
 			src.Seek(i)
-			start := buf.Len()
-			for quota := start + min(wcSplitBytes, n-i*wcSplitBytes); buf.Len() < quota; {
-				buf.WriteString(vocab[zipf.Next()])
-				buf.WriteByte(' ')
+			start := p
+			for quota := start + min(wcSplitBytes, n-i*wcSplitBytes); p < quota; {
+				w := &vocab[zipf.Next()]
+				*(*[16]byte)(buf[p:]) = w.text
+				p += w.len
 			}
-			splits[k] = buf.String()[start:]
+			// The split is a string over its bytes, uncopied, as
+			// strings.Builder.String gives one: every later store lands
+			// at p or past it, so they never change.
+			splits[k] = unsafe.String(&buf[start], p-start)
 		}
 	})
 	return splits
+}
+
+// wcWord is a vocabulary word and its trailing space, in one 16-byte slot
+// (words are 3-12 bytes), and the length of both.
+type wcWord struct {
+	text [16]byte
+	len  int
 }
 
 // wcContainer builds the container factory for the chosen configuration.
