@@ -8,8 +8,7 @@
 //   - FixedHash — an open-addressing hash table of fixed, pre-allocated
 //     capacity; the "fixed-size hash container" used to stress the memory
 //     subsystem in Figs. 8b/9b.
-//   - Hash — a regular dynamically-growing hash table (an open-addressing
-//     index over slabs of keys and accumulators, not a Go map), the
+//   - Hash — a regular dynamically-growing hash table (Go map), the
 //     default for Word Count and the "regular hash container" for MM/PCA
 //     in the memory-intensive configuration.
 //

@@ -116,7 +116,10 @@ func NewFixedHash[K comparable, V any](maxKeys int, hash Hasher[K]) *FixedHash[K
 	if hash == nil {
 		panic("container: FixedHash requires a hash function")
 	}
-	cap := uint64(slotsFor(maxKeys))
+	cap := uint64(8)
+	for cap < 2*uint64(maxKeys) {
+		cap <<= 1
+	}
 	return &FixedHash[K, V]{
 		hash:    hash,
 		keys:    make([]K, cap),

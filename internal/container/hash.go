@@ -1,10 +1,6 @@
 package container
 
-import (
-	"hash/maphash"
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Hash is the regular dynamically-growing hash container, corresponding to
 // Phoenix++'s default Word Count container and to the "regular hash table"
@@ -12,20 +8,16 @@ import (
 // reallocates and rehashes, adding the dynamic allocation cost the paper
 // calls out.
 //
-// It is an open-addressing table of int32 slab positions, not a Go map: a
-// slot holds 0 (empty) or 1 + the position of its key in a slab of keys
-// and of accumulators kept in the same order, so Iterate is a walk over two
-// arrays in first-seen order. A key's probe starts at FixedHash's Fibonacci
-// home slot, hash·fib >> (64 − log2 slots), and runs linearly; the index
-// doubles, and rehashes the slab's keys, when an insert takes it past half
-// full. Folding into a key already present — nearly every update — is one
-// probe and a store into the slab.
+// The Go map holds each key's index into a slab of accumulators, not the
+// accumulator itself: folding into a key already present — nearly every
+// update — is then one map lookup and a store into the slab, where a
+// map[K]V pays a lookup and an assignment (a second hash and probe, and a
+// write to the map header on every pair). The keys are kept in a slab of
+// their own, in the same order, so Iterate is a walk over two arrays.
 type Hash[K comparable, V any] struct {
-	hash  Hasher[K] // picked by K's type: hasherFor
-	index []int32   // 0 empty, else 1 + the slab position of the slot's key
-	shift uint      // 64 − log2(len(index)): the home slot is hash·fib >> shift
-	keys  []K       // keys[i] is the key whose accumulator is vals[i]
-	vals  []V       // isolated; grown by doubling, never by append's own reallocation
+	index map[K]int32
+	keys  []K // keys[i] is the key whose accumulator is vals[i]
+	vals  []V // isolated; grown by doubling, never by append's own reallocation
 }
 
 // NewHash returns an empty regular hash container with a small initial
@@ -34,66 +26,14 @@ func NewHash[K comparable, V any]() *Hash[K, V] { return NewHashSized[K, V](64) 
 
 // NewHashSized returns an empty container pre-reserving room for n keys.
 func NewHashSized[K comparable, V any](n int) *Hash[K, V] {
-	n = max(n, 0)
-	h := &Hash[K, V]{hash: hasherFor[K](), keys: make([]K, 0, n), vals: isolated[V](0, n)}
-	h.setIndex(slotsFor(n))
-	return h
-}
-
-// hasherFor picks K's hasher once: HashString, HashInt or HashUint64 for
-// those key types, the runtime's own map hash (maphash.Comparable, under a
-// seed of the table's) for any other. A hash is a table's, never a format:
-// Iterate's order does not depend on it.
-func hasherFor[K comparable]() Hasher[K] {
-	var h any
-	switch any(*new(K)).(type) {
-	case string:
-		h = Hasher[string](HashString)
-	case int:
-		h = Hasher[int](HashInt)
-	case uint64:
-		h = Hasher[uint64](HashUint64)
-	default:
-		seed := maphash.MakeSeed()
-		return func(k K) uint64 { return maphash.Comparable(seed, k) }
+	if n < 0 {
+		n = 0
 	}
-	return h.(Hasher[K])
+	return &Hash[K, V]{index: make(map[K]int32, n), keys: make([]K, 0, n), vals: isolated[V](0, n)}
 }
 
-// slotsFor is the power-of-two table size, at least 8, that holds n keys at
-// most half full.
-func slotsFor(n int) int {
-	slots := 8
-	for slots < 2*n {
-		slots <<= 1
-	}
-	return slots
-}
-
-// setIndex gives h an empty index of slots slots, a power of two.
-func (h *Hash[K, V]) setIndex(slots int) {
-	h.index = isolated[int32](slots, slots)
-	h.shift = uint(64 - bits.TrailingZeros(uint(slots)))
-}
-
-// find probes linearly from k's home slot: it returns k's slab position
-// and its slot, or -1 and the empty slot where k belongs.
-func (h *Hash[K, V]) find(k K) (int, uint64) {
-	mask := uint64(len(h.index) - 1)
-	for i := h.hash(k) * fib >> h.shift; ; i = (i + 1) & mask {
-		j := h.index[i]
-		if j == 0 {
-			return -1, i
-		}
-		if h.keys[j-1] == k {
-			return int(j - 1), i
-		}
-	}
-}
-
-// insert gives k, absent, a fresh accumulator holding v, k's index entry in
-// the empty slot i; past half full the index doubles.
-func (h *Hash[K, V]) insert(i uint64, k K, v V) {
+// insert gives k a fresh accumulator holding v.
+func (h *Hash[K, V]) insert(k K, v V) {
 	n := len(h.vals)
 	if n == math.MaxInt32 {
 		panic("container: Hash cannot hold more than 2^31-1 distinct keys")
@@ -103,41 +43,23 @@ func (h *Hash[K, V]) insert(i uint64, k K, v V) {
 		copy(grown, h.vals)
 		h.vals = grown
 	}
+	h.index[k] = int32(n)
 	h.keys = append(h.keys, k)
 	h.vals = append(h.vals, v)
-	h.index[i] = int32(n + 1)
-	if 2*(n+1) > len(h.index) {
-		h.rehash()
-	}
-}
-
-// rehash doubles the index and enters every slab key into it afresh.
-func (h *Hash[K, V]) rehash() {
-	h.setIndex(2 * len(h.index))
-	mask := uint64(len(h.index) - 1)
-	for j, k := range h.keys {
-		i := h.hash(k) * fib >> h.shift
-		for h.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		h.index[i] = int32(j + 1)
-	}
 }
 
 // Update folds v into the accumulator for k.
 func (h *Hash[K, V]) Update(k K, v V, combine Combine[V]) {
-	if j, i := h.find(k); j >= 0 {
-		h.vals[j] = combine(h.vals[j], v)
-	} else {
-		h.insert(i, k, v)
+	if i, ok := h.index[k]; ok {
+		h.vals[i] = combine(h.vals[i], v)
+		return
 	}
+	h.insert(k, v)
 }
 
 // Fold returns the per-pair fold into h: Update's body, counting each pair
-// in *n. It reaches the index and the slabs through h, because insert
-// regrows them. Under Sum the fold adds inline, and for int and uint64 keys
-// (whose hasher is the identity) it also probes from the key itself,
-// without the hasher's call.
+// in *n. It reaches the slab through h, because insert regrows it. Under
+// Sum the fold adds inline.
 func (h *Hash[K, V]) Fold(combine Combine[V], n *uint64) func(K, V) {
 	if is(combine, sums) {
 		switch h := any(h).(type) {
@@ -153,70 +75,43 @@ func (h *Hash[K, V]) Fold(combine Combine[V], n *uint64) func(K, V) {
 	}
 	return func(k K, v V) {
 		*n++
-		h.Update(k, v, combine)
+		if i, ok := h.index[k]; ok {
+			h.vals[i] = combine(h.vals[i], v)
+			return
+		}
+		h.insert(k, v)
 	}
 }
 
 // addHash is h's fold under Sum: Fold's body with combine's call made an
-// add, and with the hasher's call made the key itself for int and uint64
-// keys.
+// add.
 func addHash[K comparable, V Number](h *Hash[K, V], n *uint64) func(K, V) {
-	switch h := any(h).(type) {
-	case *Hash[int, V]:
-		return any(addIntKeyHash(h, n)).(func(K, V))
-	case *Hash[uint64, V]:
-		return any(addIntKeyHash(h, n)).(func(K, V))
-	}
-	hash := h.hash
 	return func(k K, v V) {
 		*n++
-		index, mask := h.index, uint64(len(h.index)-1)
-		for i := hash(k) * fib >> h.shift; ; i = (i + 1) & mask {
-			j := index[i]
-			if j == 0 {
-				h.insert(i, k, v)
-				return
-			}
-			if h.keys[j-1] == k {
-				h.vals[j-1] += v
-				return
-			}
+		if i, ok := h.index[k]; ok {
+			h.vals[i] += v
+			return
 		}
+		h.insert(k, v)
 	}
 }
 
-// addIntKeyHash is addHash's fold for int and uint64 keys: the home slot
-// is uint64(k)·fib >> shift, as the identity hasher's call would give.
-func addIntKeyHash[K int | uint64, V Number](h *Hash[K, V], n *uint64) func(K, V) {
-	return func(k K, v V) {
-		*n++
-		index, mask := h.index, uint64(len(h.index)-1)
-		for i := uint64(k) * fib >> h.shift; ; i = (i + 1) & mask {
-			j := index[i]
-			if j == 0 {
-				h.insert(i, k, v)
-				return
-			}
-			if h.keys[j-1] == k {
-				h.vals[j-1] += v
-				return
-			}
-		}
-	}
-}
-
-// UpdateBatch folds each pair of kvs into its accumulator, as Update does;
-// the batch costs one interface dispatch.
+// UpdateBatch folds each pair of kvs into its accumulator, touching the
+// map directly so a batch costs one interface dispatch.
 func (h *Hash[K, V]) UpdateBatch(kvs []KV[K, V], combine Combine[V]) {
 	for _, p := range kvs {
-		h.Update(p.K, p.V, combine)
+		if i, ok := h.index[p.K]; ok {
+			h.vals[i] = combine(h.vals[i], p.V)
+			continue
+		}
+		h.insert(p.K, p.V)
 	}
 }
 
 // Get returns the accumulator for k.
 func (h *Hash[K, V]) Get(k K) (V, bool) {
-	if j, _ := h.find(k); j >= 0 {
-		return h.vals[j], true
+	if i, ok := h.index[k]; ok {
+		return h.vals[i], true
 	}
 	var zero V
 	return zero, false
@@ -234,9 +129,9 @@ func (h *Hash[K, V]) Iterate(f func(K, V) bool) {
 	}
 }
 
-// Reset empties the container. The index is cleared in place and the slabs
-// truncated (zeroed first, so they pin nothing), so all three stay
-// allocated.
+// Reset empties the container. The map is cleared in place and the slabs
+// truncated (zeroed first, so they pin nothing), so the buckets and the
+// slabs stay allocated.
 func (h *Hash[K, V]) Reset() {
 	clear(h.index)
 	clear(h.keys)

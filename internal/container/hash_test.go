@@ -74,13 +74,14 @@ func requireModel[K comparable](t *testing.T, name string, h *Hash[K, int], m *h
 	}
 }
 
-// TestHashMatchesMap: Hash holds what a Go map holds, for every key type
-// the runtimes or a user may give it — string, int and uint64 under their
-// own hashers, int64, float64 (+0 and −0 one key, each NaN a key of its
-// own) and a struct under the runtime's map hash. A seeded stream grows
-// the table from 0 to 2^17 keys, folds a skewed run over them, then resets
-// it and reuses it, through the add fold under Sum, the generic fold under
-// a combine that sees order, and UpdateBatch.
+// TestHashMatchesMap: Hash holds what a Go map holds, in first-seen order,
+// for every key type the runtimes or a user may give it — string, int,
+// int64, uint64, float64 (+0 and −0 one key, each NaN a key of its own)
+// and a struct. A seeded stream grows the table from 0 to 2^17 keys, folds
+// a skewed run over them, then resets it and reuses it, through the add
+// fold under Sum, the generic fold under a combine that sees order, and
+// UpdateBatch. It is the contract any replacement of Hash's index must
+// keep.
 func TestHashMatchesMap(t *testing.T) {
 	t.Run("string", func(t *testing.T) {
 		t.Parallel()
