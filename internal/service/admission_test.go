@@ -273,6 +273,7 @@ var badRequestBodies = []string{
 	`{"workload":"HG","stream":{"window":1}}`,
 	`{"workload":"WC","engine":"phoenix","stream":{"window":1}}`,
 	`{"workload":"WC","stream":{"window":1},"shard":{"index":0,"count":2}}`,
+	`{"workload":"WC","container":"fixed-hash","stream":{"window":1}}`,
 	`{"workload":"PCA","tuner":true}`, // not a request field
 }
 
@@ -467,6 +468,47 @@ func TestResultWait(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("wait on a settled record took %v", d)
+	}
+}
+
+// TestResolveRefusesUnseededStreamTable: a WC stream keys its table by
+// client text, so it may not name the fixed-size table, whose hash secrets
+// are public: Resolve refuses it naming the container field. The seeded
+// growing table stays the stream default, and batch WC and a SYNTH stream
+// still take the fixed-size table.
+func TestResolveRefusesUnseededStreamTable(t *testing.T) {
+	for _, body := range []string{
+		`{"workload":"WC","container":"fixed-hash","stream":{"window":1}}`,
+		`{"workload":"wc","container":"FixedHash","stream":{"window":4,"slide":2}}`,
+	} {
+		if _, err := Resolve(decodeRequest(t, body)); err == nil || !strings.Contains(err.Error(), "container") {
+			t.Errorf("%s: err = %v, want a refusal naming the container field", body, err)
+		}
+	}
+	for _, body := range []string{
+		`{"workload":"WC","stream":{"window":1}}`,
+		`{"workload":"WC","container":"hash","stream":{"window":1}}`,
+		`{"workload":"WC","container":"fixed-hash"}`,
+		`{"workload":"SYNTH","container":"fixed-hash","stream":{"window":1}}`,
+	} {
+		if _, err := Resolve(decodeRequest(t, body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
+	}
+}
+
+// TestJobBodyBounded413: a POST /jobs body one byte over maxBodyBytes is
+// refused with a 413 naming the bound, before it is decoded, and the daemon
+// goes on admitting jobs.
+func TestJobBodyBounded413(t *testing.T) {
+	_, ts, _ := newMemoService(t, Config{Seed: 1})
+	prefix, suffix := `{"workload":"`, `"}`
+	body := prefix + strings.Repeat("x", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	if code, doc := postJob(t, ts, body); code != http.StatusRequestEntityTooLarge || !strings.Contains(fmt.Sprint(doc), fmt.Sprint(maxBodyBytes)) {
+		t.Fatalf("a %d-byte body: HTTP %d (%v), want 413 naming the bound %d", len(body), code, doc, maxBodyBytes)
+	}
+	if code, doc := postJob(t, ts, `{"workload":"SYNTH","config":{"pin":"none"},"synth":{"elements":2000,"keys":16}}`); code != http.StatusCreated {
+		t.Fatalf("POST after the 413: HTTP %d (%v)", code, doc)
 	}
 }
 

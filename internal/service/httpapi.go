@@ -244,6 +244,21 @@ func writeErr(w http.ResponseWriter, lg *slog.Logger, code int, err error) {
 	writeJSON(w, lg, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds what a decode reads of a POST /jobs or POST
+// /jobs/{id}/chunks body; a longer body gets a 413 (writeDecodeErr). It is
+// a fixed ceiling far above any request or chunk the daemons see, not a knob.
+const maxBodyBytes = 8 << 20
+
+// writeDecodeErr answers a body that did not decode: 413, naming the bound,
+// if it ran past maxBodyBytes, else 400 with err.
+func writeDecodeErr(w http.ResponseWriter, lg *slog.Logger, err error) {
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		writeErr(w, lg, http.StatusRequestEntityTooLarge, fmt.Errorf("request body is over the bound of %d bytes", tooBig.Limit))
+		return
+	}
+	writeErr(w, lg, http.StatusBadRequest, err)
+}
+
 // decodeJobRequest is the one decode of a POST /jobs body.
 func decodeJobRequest(r io.Reader) (*JobRequest, error) {
 	var req JobRequest
@@ -260,10 +275,10 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	// root span's opening "receive" segment.
 	rec := obs.New(a.root)
 	endReceive := rec.Span("receive", nil)
-	req, err := decodeJobRequest(r.Body)
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	endReceive()
 	if err != nil {
-		writeErr(w, a.log, http.StatusBadRequest, err)
+		writeDecodeErr(w, a.log, err)
 		return
 	}
 	j, cached, err := a.b.Admit(req, rec)

@@ -264,7 +264,7 @@ func (s *Service) streamEntry(w http.ResponseWriter, r *http.Request) (*entry, b
 // (derived from the pending backlog), 409
 // for late chunks, closed sessions and dead sessions, 400 for malformed
 // payloads and for ticks out of range (negative, or with a window ending
-// past the largest int64).
+// past the largest int64), 413 for a body over maxBodyBytes.
 func (s *Service) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.streamEntry(w, r)
 	if !ok {
@@ -272,10 +272,10 @@ func (s *Service) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	lg := s.jobLog(e)
 	var req chunkRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, lg, http.StatusBadRequest, fmt.Errorf("decoding chunk: %w", err))
+		writeDecodeErr(w, lg, fmt.Errorf("decoding chunk: %w", err))
 		return
 	}
 	if req.Ts != nil && *req.Ts < 0 {

@@ -616,6 +616,40 @@ func TestWordCountStreamOverHTTP(t *testing.T) {
 	checkNoWorkerLeak(t)
 }
 
+// TestStreamChunkBodyBounded413: a chunk body of exactly maxBodyBytes is
+// admitted, one byte more is refused with a 413 naming the bound before it
+// is decoded, and the session stays live: it takes the next chunk and
+// closes with every admitted line.
+func TestStreamChunkBodyBounded413(t *testing.T) {
+	svc, ts, tr := newTestService(t, 0)
+	id := openStreamApp(t, ts, "WC", `{"window":1}`)
+	path := fmt.Sprintf("/jobs/%d/chunks", id)
+	prefix, suffix := `{"ts":0,"lines":["`, `"]}`
+	word := strings.Repeat("x", maxBodyBytes-len(prefix)-len(suffix))
+	if code, doc, _ := postPath(t, ts, path, prefix+word+suffix); code != http.StatusAccepted {
+		t.Fatalf("a chunk of exactly %d bytes: HTTP %d (%v), want 202", maxBodyBytes, code, doc)
+	}
+	if code, doc, _ := postPath(t, ts, path, prefix+word+"x"+suffix); code != http.StatusRequestEntityTooLarge || !strings.Contains(fmt.Sprint(doc), fmt.Sprint(maxBodyBytes)) {
+		t.Fatalf("a chunk of %d bytes: HTTP %d (%v), want 413 naming the bound", maxBodyBytes+1, code, doc)
+	}
+	if code, doc, _ := postPath(t, ts, path, `{"ts":0,"lines":["a b a"]}`); code != http.StatusAccepted {
+		t.Fatalf("chunk after the 413: HTTP %d (%v)", code, doc)
+	}
+	code, final, _ := postPath(t, ts, fmt.Sprintf("/jobs/%d/close", id), `{}`)
+	if code != http.StatusOK {
+		t.Fatalf("close: HTTP %d (%v)", code, final)
+	}
+	ws, _ := final["windows"].([]any)
+	if len(ws) != 1 || ws[0].(map[string]any)["splits"].(float64) != 2 || ws[0].(map[string]any)["pairs"].(float64) != 3 {
+		t.Fatalf("closed session sealed %v, want one window of 2 lines and 3 words", ws)
+	}
+	if doc := waitDone(t, ts, id); doc["state"] != "done" || doc["error"] != nil {
+		t.Fatalf("session settled %v (err %v)", doc["state"], doc["error"])
+	}
+	tr.check(t, svc.Scheduler().Budget())
+	checkNoWorkerLeak(t)
+}
+
 // TestWordCountStreamVocabularyUnbounded: a WC stream without a container
 // counts any vocabulary. The client's text, not a generator, decides how
 // many distinct words a window sees, so one chunk of 10,001 distinct words

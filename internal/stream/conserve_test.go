@@ -427,7 +427,7 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 // grant has CPUs. A one-CPU grant with explicit counts of four mappers and
 // two combiners runs exactly one worker, even on an SMT machine under the
 // paper's pinning: the ledger holds one shard, the Map hooks see only
-// worker 0, no ring is built, the sealer reduces on one goroutine, and
+// worker 0, no ring is built, a seal reduces on one goroutine, and
 // every window equals the serial reference over the same splits.
 func TestFusedPoolFitsGrant(t *testing.T) {
 	before := runtime.NumGoroutine()

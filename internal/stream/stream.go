@@ -9,11 +9,13 @@
 // a closed session; a session keeps its source open instead: Append deals
 // each admitted split to the locality groups' deques, where the workers
 // take, steal and park; each worker folds into per-pane containers keyed by
-// event time, and a sealer goroutine runs the finish — merge, reduce, sort —
-// and publishes each window the moment the watermark passes it. In-node
-// combining is what makes this cheap: a container already is an incremental
-// cache of the window's state, so a seal only merges a few small containers
-// per pane, never replays input.
+// event time. A window is sealed — the finish: merge, reduce, sort — where
+// it becomes sealable, on the goroutine that made it so: the worker that
+// books the last split of one of its panes, or the Append that moves the
+// watermark past it. No goroutine waits to seal. In-node combining is what
+// makes this cheap: a container already is an incremental cache of the
+// window's state, so a seal only merges a few small containers per pane,
+// never replays input.
 //
 // Windowing model (see DESIGN.md §14): every chunk carries an event-time
 // tick; window n covers ticks [n*Slide, n*Slide+Window); state is sliced
@@ -28,7 +30,9 @@
 // whatever its pinning plan; the paper's ring pipeline is a batch mechanism.
 // Each worker takes a split, points its container at the split's pane — its
 // own per-pane containers — and folds every pair there as it is made
-// (in-node combining), so a pane quiesces once its splits are done.
+// (in-node combining), so a pane quiesces once its splits are done. Besides
+// its pool a session runs one goroutine, the janitor, which turns the pool's
+// exit into the final flush and the Done signal.
 package stream
 
 import (
@@ -150,9 +154,11 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	win mr.StreamSpec            // resolved
 	drv *core.Driver[S, K, V, R] // fused: its lanes never stage a pair
 
-	// OnSeal, when set before Start, is invoked from the sealer
-	// goroutine after each window is published (service wires per-window
-	// trace spans and metrics through it).
+	// OnSeal, when set before Start, is invoked after each window is
+	// published, on the goroutine that sealed it, one window at a time and
+	// in order (service wires per-window trace spans and metrics through
+	// it). It runs under the seal's lock, so it must not call Close, whose
+	// final flush waits for that lock.
 	OnSeal func(*Window[K, R])
 
 	pending atomic.Int64
@@ -164,21 +170,25 @@ type Pipeline[S any, K comparable, V, R any] struct {
 	paneMu sync.Mutex
 	panes  map[int64]*paneState
 
-	winMu    sync.Mutex
-	windows  map[int64]*Window[K, R]
-	order    []int64
-	maxPane  int64 // highest pane that ever held data; -1 initially
-	sealWake chan struct{}
+	winMu   sync.Mutex
+	windows map[int64]*Window[K, R]
+	order   []int64
+	maxPane int64 // highest pane that ever held data; -1 initially
+
+	// sealMu is held by whoever seals; next is the lowest window not yet
+	// sealed or skipped. again flags a change that may have made a window
+	// sealable since the holder's last pass (see seal).
+	sealMu sync.Mutex
+	next   int64
+	again  atomic.Bool
 
 	chunks        atomic.Int64
 	splits        atomic.Int64
 	backpressured atomic.Uint64
 	lateRejected  atomic.Uint64
 
-	flushCh    chan struct{} // closed once the session is closed and its pool joined
-	sealerDone chan struct{}
-	stopped    chan struct{} // closed when every goroutine has exited
-	started    bool
+	stopped chan struct{} // closed when every goroutine has exited
+	started bool
 }
 
 // New validates the spec and config and builds an unstarted pipeline.
@@ -199,22 +209,19 @@ func New[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], cfg mr.Config
 		return nil, err
 	}
 	p := &Pipeline[S, K, V, R]{
-		cfg:        cfg,
-		win:        cfg.Stream.Resolved(),
-		drv:        drv,
-		panes:      make(map[int64]*paneState),
-		windows:    make(map[int64]*Window[K, R]),
-		sealWake:   make(chan struct{}, 1),
-		flushCh:    make(chan struct{}),
-		sealerDone: make(chan struct{}),
-		stopped:    make(chan struct{}),
+		cfg:     cfg,
+		win:     cfg.Stream.Resolved(),
+		drv:     drv,
+		panes:   make(map[int64]*paneState),
+		windows: make(map[int64]*Window[K, R]),
+		stopped: make(chan struct{}),
 	}
 	p.maxTs.Store(-1)
 	p.maxPane = -1
 	return p, nil
 }
 
-// Start spawns the resident fused workers and the sealer. The workers live
+// Start spawns the resident fused workers and the janitor. The workers live
 // until Close or Cancel; no per-window restarts.
 func (p *Pipeline[S, K, V, R]) Start() error {
 	p.appendMu.Lock()
@@ -224,20 +231,27 @@ func (p *Pipeline[S, K, V, R]) Start() error {
 	}
 	p.started = true
 	p.drv.Start(context.Background(), nil, p.book)
-	go p.sealLoop()
-	// The janitor turns "every worker exited" into the flush signal, once
-	// the session is closed (the sealer treats flush mode as "everything is
-	// quiescent"), and then into the stopped signal, for both the orderly
-	// Close path and the Cancel/failure path.
+	// The janitor turns "every worker exited" into the final flush, once the
+	// session is closed, and then into the stopped signal, for both the
+	// orderly Close path and the Cancel/failure path. It takes sealMu
+	// blocking: an Append may still be sealing, and no seal may outlast
+	// Done.
 	go func() {
 		p.drv.Wait()
 		p.appendMu.Lock()
 		closed := p.closed
 		p.appendMu.Unlock()
+		p.sealMu.Lock()
 		if closed {
-			close(p.flushCh)
+			// The pool drained the source, so every pane is quiescent,
+			// and every pane with data belongs to some window <= maxPane
+			// (window n's lowest pane is n).
+			p.paneMu.Lock()
+			limit := p.maxPane + 1
+			p.paneMu.Unlock()
+			p.sealThrough(limit)
 		}
-		<-p.sealerDone
+		p.sealMu.Unlock()
 		close(p.stopped)
 	}()
 	return nil
@@ -269,8 +283,15 @@ func (p *Pipeline[S, K, V, R]) watermark() int64 {
 // tick and queued for the resident workers. It returns the tick the
 // chunk was assigned. Errors: BackpressureError when the pending bound
 // is hit, LateChunkError for ticks behind the watermark, ErrClosed
-// after Close, or the session's fatal error.
+// after Close, or the session's fatal error. An Append that moves the
+// watermark seals what that made due, after it releases the admission lock.
 func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
+	moved := false
+	defer func() { // deferred before the unlock, so it runs after it
+		if moved {
+			p.seal()
+		}
+	}()
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
 	if err := p.drv.Err(); err != nil {
@@ -306,13 +327,12 @@ func (p *Pipeline[S, K, V, R]) Append(c Chunk[S]) (int64, error) {
 		p.pending.Add(int64(n))
 	}
 	p.chunks.Add(1)
-	if ts > p.maxTs.Load() {
+	if moved = ts > p.maxTs.Load(); moved {
 		p.maxTs.Store(ts)
 	}
 	// The pending reservation above bounds the queued tasks by MaxPending,
 	// and so each group's deque.
 	p.drv.Append(pane, c.Splits)
-	p.kickSealer()
 	return ts, nil
 }
 
@@ -389,24 +409,18 @@ func (p *Pipeline[S, K, V, R]) lookupPane(pane int64) *paneState {
 	return p.panes[pane]
 }
 
-// kickSealer nudges the sealer without blocking (the channel has one
-// slot; a pending kick already covers this update).
-func (p *Pipeline[S, K, V, R]) kickSealer() {
-	select {
-	case p.sealWake <- struct{}{}:
-	default:
-	}
-}
-
 // book is the step's per-task callback: a split is booked on its pane —
 // what it emitted, strictly before splitsDone: the order the seal's quiesce
-// check relies on.
+// check relies on. The split that quiesces its pane seals what that made
+// due, before its pending slot is released: once Pending reads 0, every
+// booked split's seal has run or been handed on.
 func (p *Pipeline[S, K, V, R]) book(t core.Task[S], emitted uint64) {
 	ps := p.lookupPane(t.Pane)
 	ps.elements.Add(emitted)
-	ps.splitsDone.Add(int64(len(t.Splits)))
+	if ps.splitsDone.Add(int64(len(t.Splits))) == ps.splitsIn.Load() {
+		p.seal()
+	}
 	p.pending.Add(-int64(len(t.Splits)))
-	p.kickSealer()
 }
 
 // HelpStats counts what the session's fused workers folded where they made
@@ -429,109 +443,67 @@ func (p *Pipeline[S, K, V, R]) sealableBefore() int64 {
 	return (wm-p.win.Window)/p.win.Slide + 1
 }
 
-// sealLoop is the watermark-driven sealer: it seals every window the
-// watermark has passed, in order, and blocks — until an append or a finished
-// split kicks it — only when nothing more is sealable; on Close it seals
-// everything that ever held data. The limit is recomputed after every
-// sealed window, not once per wake-up: sealWindow's quiescence wait takes
-// kicks off sealWake too, so a kick that announced a later window may
-// already be spent.
-func (p *Pipeline[S, K, V, R]) sealLoop() {
-	defer close(p.sealerDone)
-	next := int64(0)
-	for {
-		// The flush signal is read BEFORE the limit: if it fires after
-		// this read, the pending flushCh wake re-enters the loop and the
-		// final windows seal then — returning on a signal read after a
-		// stale limit would drop them.
-		flush := false
-		select {
-		case <-p.flushCh:
-			flush = true
-		default:
-		}
-		limit := p.sealableBefore()
-		if flush {
-			// Final flush: every pane with data belongs to some window
-			// <= maxPane (window n's lowest pane is n). Workers are
-			// gone; everything is quiescent by construction.
-			p.paneMu.Lock()
-			limit = p.maxPane + 1
-			p.paneMu.Unlock()
-		}
-		if next < limit {
-			// The windows before the first pane holding data are empty:
-			// skip them in one step, so sealing costs what the panes with
-			// data cost, however far apart their ticks lie.
-			if first := p.firstPane() - p.win.PanesPerWindow() + 1; first > next {
-				next = min(first, limit)
-				continue
-			}
-			if !p.sealWindow(next) {
-				return // session died while waiting for quiescence
-			}
-			next++
+// seal seals every window that is due, on the caller's goroutine. A caller
+// flags its change in again and seals only if it wins sealMu; the holder
+// clears the flag before each pass and reads it again after unlocking, so a
+// change made while another caller seals is looked at before that caller
+// leaves, and nobody waits.
+func (p *Pipeline[S, K, V, R]) seal() {
+	p.again.Store(true)
+	for p.again.Load() && p.sealMu.TryLock() {
+		func() {
+			defer p.sealMu.Unlock() // a panicking OnSeal must not leave it held
+			p.again.Store(false)
+			p.sealThrough(p.sealableBefore())
+		}()
+	}
+}
+
+// sealThrough seals windows from next up to limit (exclusive), in order,
+// under sealMu. It stops at the first window whose panes have not quiesced
+// — the booking that quiesces them seals it — and when the session dies.
+func (p *Pipeline[S, K, V, R]) sealThrough(limit int64) {
+	for p.next < limit && !p.drv.Aborted() {
+		// The windows before the first pane holding data are empty: skip
+		// them in one step, so sealing costs what the panes with data cost,
+		// however far apart their ticks lie.
+		if first := p.firstPane() - p.win.PanesPerWindow() + 1; first > p.next {
+			p.next = min(first, limit)
 			continue
 		}
-		if flush {
+		if !p.sealWindow(p.next) {
 			return
 		}
-		select {
-		case <-p.drv.Dying():
-			return
-		case <-p.sealWake:
-		case <-p.flushCh:
-		}
+		p.next++
 	}
 }
 
-// windowQuiesced reports whether every split routed to window n's panes is
-// done, and so folded.
-func (p *Pipeline[S, K, V, R]) windowQuiesced(n int64) bool {
-	k := p.win.PanesPerWindow()
-	for pane := n; pane < n+k; pane++ {
-		ps := p.lookupPane(pane)
-		if ps != nil && ps.splitsDone.Load() != ps.splitsIn.Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// sealWindow waits for window n's panes to quiesce, runs the finish over
-// them — every worker's pane containers merged, reduced and sorted — and
-// publishes the snapshot. Empty windows (no pane ever held data) are skipped
-// without publishing. Returns false if the session died while waiting.
+// sealWindow seals window n once its panes have quiesced — every split
+// routed to them done, and so folded: it runs the finish over them — every
+// worker's pane containers merged, reduced and sorted — and publishes the
+// snapshot. Empty windows (no pane ever held data) are skipped without
+// publishing. It returns false, sealing nothing, while a pane has not
+// quiesced, and if the finish failed the session.
 func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 	k := p.win.PanesPerWindow()
-	var opened time.Time // zero while no pane of the window holds data
+	w := &Window[K, R]{Index: n, Start: n * p.win.Slide, End: n*p.win.Slide + p.win.Window}
 	for pane := n; pane < n+k; pane++ {
-		if ps := p.lookupPane(pane); ps != nil && ps.splitsIn.Load() > 0 && (opened.IsZero() || ps.firstAppend.Before(opened)) {
-			opened = ps.firstAppend
+		if ps := p.lookupPane(pane); ps != nil { // a pane exists once it holds data
+			// splitsDone first: a split books elements before it.
+			if ps.splitsDone.Load() != ps.splitsIn.Load() {
+				return false
+			}
+			if w.OpenedAt.IsZero() || ps.firstAppend.Before(w.OpenedAt) {
+				w.OpenedAt = ps.firstAppend
+			}
+			w.Splits += ps.splitsIn.Load()
+			w.Chunks += ps.chunks.Load()
+			w.Elements += ps.elements.Load()
 		}
 	}
-	if !opened.IsZero() {
-		// Every counter change that can make the window quiescent is
-		// followed by a kick (a worker after splitsDone), and the kick is
-		// buffered, so one that lands between the check and the wait is not
-		// lost.
-		for !p.windowQuiesced(n) {
-			select {
-			case <-p.drv.Dying():
-				return false
-			case <-p.sealWake:
-			}
-		}
-		w := &Window[K, R]{Index: n, Start: n * p.win.Slide, End: n*p.win.Slide + p.win.Window, OpenedAt: opened}
-		for pane := n; pane < n+k; pane++ {
-			if ps := p.lookupPane(pane); ps != nil {
-				w.Splits += ps.splitsIn.Load()
-				w.Chunks += ps.chunks.Load()
-				w.Elements += ps.elements.Load()
-			}
-		}
+	if !w.OpenedAt.IsZero() {
 		// A panic in user code fails the session as the sealer's, instead
-		// of the process.
+		// of the process or the goroutine that sealed.
 		pairs, err := p.drv.Finish(n, k, new(mr.PhaseTimes))
 		if err != nil {
 			if pe, ok := err.(*mr.PanicError); ok {
@@ -558,7 +530,7 @@ func (p *Pipeline[S, K, V, R]) sealWindow(n int64) bool {
 }
 
 // Close seals the session: no more appends, workers drain the task
-// source and exit, and the sealer flushes every remaining window (the
+// source and exit, and the janitor flushes every remaining window (the
 // final, watermark-incomplete windows included). It returns the session's
 // error state; ctx bounds the wait — on expiry the session is cancelled and
 // ctx's error returned.

@@ -69,6 +69,18 @@ func waitSealed[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V
 	}
 }
 
+// waitIdle polls until no split is pending: every split is booked, and so
+// is its seal (book seals before it releases the split's slot).
+func waitIdle[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R]) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); p.Stats().Pending != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out with %d splits pending", p.Stats().Pending)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // checkNoLeak fails the test if the session's goroutines outlive it.
 func checkNoLeak(t *testing.T, before int) {
 	t.Helper()
@@ -354,7 +366,7 @@ func TestHugeLatenessKeepsWindowsOpen(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	time.Sleep(5 * time.Millisecond) // the kick after the split
+	time.Sleep(5 * time.Millisecond) // the seal after the split
 	if n := p.SealedCount(); n != 0 {
 		t.Fatalf("%d windows sealed at watermark %d", n, p.Stats().Watermark)
 	}
@@ -532,10 +544,10 @@ func TestFixedHashOverflowFailsSession(t *testing.T) {
 	checkNoLeak(t, before)
 }
 
-// TestSealerPanicFailsSession: a Less that panics while the sealer sorts a
-// window fails the session with the sealer's *mr.PanicError, on both
-// plans, instead of taking the process down, and every session
-// goroutine still exits.
+// TestSealerPanicFailsSession: a Less that panics while a seal sorts a
+// window — on whichever goroutine sealed it — fails the session with the
+// sealer's *mr.PanicError, on both plans, instead of taking the process
+// down, and every session goroutine still exits.
 func TestSealerPanicFailsSession(t *testing.T) {
 	for _, arm := range placementArms {
 		before := runtime.NumGoroutine()
@@ -563,6 +575,45 @@ func TestSealerPanicFailsSession(t *testing.T) {
 		var pe *mr.PanicError
 		if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
 			t.Fatalf("%s: err = %v, want the sealer's *mr.PanicError", arm.name, err)
+		}
+		checkNoLeak(t, before)
+	}
+}
+
+// TestSealerPanicOnAppendFailsSession: the panicking seal runs on the Append
+// goroutine that moved the watermark, window 0 being mapped before it moves.
+// That Append still returns the tick it admitted, the session has already
+// failed with the sealer's *mr.PanicError when it returns, and every session
+// goroutine exits.
+func TestSealerPanicOnAppendFailsSession(t *testing.T) {
+	for _, arm := range placementArms {
+		before := runtime.NumGoroutine()
+		cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.sibling)
+		spec := countSpec(8)
+		spec.Less = func(a, b int) bool { panic("less exploded") }
+		p, err := New(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFused(t, p)
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Append(chunkOf(0, 4, 100)); err != nil {
+			t.Fatal(err)
+		}
+		waitIdle(t, p) // nothing was due, so window 0 waits for the next watermark
+		if ts, err := p.Append(chunkOf(1, 0, 0)); err != nil || ts != 1 {
+			t.Fatalf("%s: the sealing Append = %d, %v; want tick 1", arm.name, ts, err)
+		}
+		var pe *mr.PanicError
+		if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
+			t.Fatalf("%s: err = %v after the sealing Append, want the sealer's *mr.PanicError", arm.name, err)
+		}
+		select {
+		case <-p.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: session did not stop after the sealer's panic", arm.name)
 		}
 		checkNoLeak(t, before)
 	}
