@@ -39,7 +39,9 @@ func CheckQueues(reports []QueueReport) error {
 }
 
 // workerSites are the stack substrings that identify a goroutine as
-// belonging to the runtime's worker pools or queue machinery. The list
+// belonging to the runtime's worker pools or queue machinery, or to a
+// fork-join of a finish or a build (mr.ForEach: its own goroutines, and a
+// caller inside its share or its join). The list
 // names functions, not bare package paths, so a test function in the same
 // package (whose own stack mentions the package) never matches itself.
 var workerSites = []string{
@@ -49,9 +51,7 @@ var workerSites = []string{
 	"ramr/internal/sched.runSafe",
 	"ramr/internal/stream.(",
 	"ramr/internal/spsc.(",
-	"ramr/internal/mr.MergeContainers",
-	"ramr/internal/mr.ReduceAll",
-	"ramr/internal/mr.SortPairsParallel",
+	"ramr/internal/mr.ForEach",
 	"ramr/internal/container.Merge",
 }
 

@@ -3,10 +3,11 @@ package faultinject_test
 import (
 	"context"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
@@ -15,26 +16,30 @@ import (
 	"ramr/internal/topology"
 )
 
-// parkInMap holds the Map call that reaches it first until release is
-// closed, announcing it on parked; every later call returns at once.
+// park holds the calls that reach it until release is closed, announcing
+// on parked once n of them are held; every later call returns at once.
 //
 //go:noinline
-func parkInMap(once *sync.Once, parked chan<- struct{}, release <-chan struct{}) {
-	once.Do(func() {
+func park(reached *atomic.Int32, n int32, parked chan<- struct{}, release <-chan struct{}) {
+	switch k := reached.Add(1); {
+	case k == n:
 		close(parked)
 		within(release)
-	})
+	case k < n:
+		within(release)
+	}
 }
 
-// runner runs one job on cfg with mapFn as its Map.
-type runner func(cfg mr.Config, mapFn func(int, func(int, int))) error
+// runner runs one job on cfg, calling hold from the user function it
+// parks in.
+type runner func(cfg mr.Config, hold func()) error
 
-// batch runs a small batch job through run, on a plan that ships pairs when
-// ship is set.
+// batch runs a small batch job through run, holding its Map, on a plan
+// that ships pairs when ship is set.
 func batch(run func(context.Context, *mr.Spec[int, int, int, int], mr.Config) (*mr.Result[int, int], error), ship bool) runner {
-	return func(cfg mr.Config, mapFn func(int, func(int, int))) error {
+	return func(cfg mr.Config, hold func()) error {
 		spec := sweepSpec(8, 50)
-		spec.Map = mapFn
+		spec.Map = holdingMap(hold)
 		if ship {
 			cfg = shipping(cfg)
 		}
@@ -43,10 +48,18 @@ func batch(run func(context.Context, *mr.Spec[int, int, int, int], mr.Config) (*
 	}
 }
 
-// session runs a one-chunk stream session to its Close.
-func session(cfg mr.Config, mapFn func(int, func(int, int))) error {
+// holdingMap is a Map that calls hold, then emits its split once.
+func holdingMap(hold func()) func(int, func(int, int)) {
+	return func(s int, emit func(int, int)) {
+		hold()
+		emit(s, 1)
+	}
+}
+
+// session runs a one-chunk stream session to its Close, holding its Map.
+func session(cfg mr.Config, hold func()) error {
 	spec := sweepSpec(0, 0)
-	spec.Map = mapFn
+	spec.Map = holdingMap(hold)
 	cfg.Stream = &mr.StreamSpec{Window: 1}
 	p, err := stream.New(spec, cfg)
 	if err != nil {
@@ -61,20 +74,44 @@ func session(cfg mr.Config, mapFn func(int, func(int, int))) error {
 	return p.Close(context.Background())
 }
 
+// reduceAboveGrain runs a batch job whose output is two grains of keys, so
+// its reduce runs in two shares, holding its Reduce.
+func reduceAboveGrain(cfg mr.Config, hold func()) error {
+	const splits = 8
+	spec := sweepSpec(splits, 0)
+	spec.Map = func(s int, emit func(int, int)) {
+		for k := s * 2 * mr.Grain / splits; k < (s+1)*2*mr.Grain/splits; k++ {
+			emit(k, 1)
+		}
+	}
+	spec.NewContainer = func() container.Container[int, int] { return container.NewHash[int, int]() }
+	spec.Reduce = func(k, v int) int {
+		hold()
+		return v
+	}
+	_, err := core.RunContext(context.Background(), spec, cfg)
+	return err
+}
+
+// engine is one way of running a job: run holds the first holds calls of
+// its user function, and also names a frame some worker's stack other than
+// the parked one must show.
+type engine struct {
+	name  string
+	run   runner
+	holds int32
+	also  string
+}
+
 // engines are the ways the runtime runs Map: a RAMR run that ships nothing
 // (fused workers), a RAMR run on a plan that ships pairs (ring mappers, and
 // the combiner slot they feed), Phoenix++, and a stream session (fused
-// workers). also names a frame some worker's stack other than the parked
-// one must show.
-var engines = []struct {
-	name string
-	run  runner
-	also string
-}{
-	{"ramr/fused", batch(core.RunContext[int, int, int, int], false), ""},
-	{"ramr/sibling", batch(core.RunContext[int, int, int, int], true), "ramr/internal/core.(*Pool[...]).startSlots"},
-	{"phoenix", batch(core.RunPhoenixContext[int, int, int, int], false), ""},
-	{"stream", session, ""},
+// workers). Each holds its first Map call.
+var engines = []engine{
+	{"ramr/fused", batch(core.RunContext[int, int, int, int], false), 1, ""},
+	{"ramr/sibling", batch(core.RunContext[int, int, int, int], true), 1, "ramr/internal/core.(*Pool[...]).startSlots"},
+	{"phoenix", batch(core.RunPhoenixContext[int, int, int, int], false), 1, ""},
+	{"stream", session, 1, ""},
 }
 
 // stacksConfig is the small unpinned configuration the stack tests run.
@@ -86,17 +123,14 @@ func stacksConfig() mr.Config {
 	return cfg
 }
 
-// whileParked runs run on cfg with the first Map call held, calls look
-// while it is held, then releases it and returns the run's error.
-func whileParked(cfg mr.Config, run runner, look func()) error {
-	var once sync.Once
+// whileParked runs run on cfg until holds of its held calls are parked,
+// calls look while they are, then releases them and returns the run's
+// error.
+func whileParked(cfg mr.Config, run runner, holds int32, look func()) error {
+	var reached atomic.Int32
 	parked, release := make(chan struct{}), make(chan struct{})
-	mapFn := func(s int, emit func(int, int)) {
-		parkInMap(&once, parked, release)
-		emit(s, 1)
-	}
 	done := make(chan error, 1)
-	go func() { done <- run(cfg, mapFn) }()
+	go func() { done <- run(cfg, func() { park(&reached, holds, parked, release) }) }()
 	within(parked)
 	look()
 	close(release)
@@ -105,14 +139,18 @@ func whileParked(cfg mr.Config, run runner, look func()) error {
 
 // TestWorkerStacksSeeEveryEngine: the leak checker is only as good as its
 // list of worker sites, so each way the runtime runs Map (engines) must
-// show up in WorkerStacks while a worker is parked inside it. Once
-// released, each run ends and leaves no worker behind.
+// show up in WorkerStacks while a worker is parked inside it, and so must
+// a reduce that fans out: with both its shares parked in Reduce, the share
+// on a goroutine of mr.ForEach shows too. Once released, each run ends and
+// leaves no worker behind.
 func TestWorkerStacksSeeEveryEngine(t *testing.T) {
-	for _, row := range engines {
+	rows := append(engines[:len(engines):len(engines)],
+		engine{"reduce above the grain", reduceAboveGrain, 2, "created by ramr/internal/mr.ForEach"})
+	for _, row := range rows {
 		found := map[string]bool{}
-		err := whileParked(stacksConfig(), row.run, func() {
+		err := whileParked(stacksConfig(), row.run, row.holds, func() {
 			for _, block := range faultinject.WorkerStacks() {
-				for _, frame := range []string{"faultinject_test.parkInMap", row.also} {
+				for _, frame := range []string{"faultinject_test.park(", row.also} {
 					if frame != "" && strings.Contains(block, frame) {
 						found[frame] = true
 					}
@@ -122,8 +160,8 @@ func TestWorkerStacksSeeEveryEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", row.name, err)
 		}
-		if !found["faultinject_test.parkInMap"] {
-			t.Errorf("%s: the worker parked in Map is not among WorkerStacks", row.name)
+		if !found["faultinject_test.park("] {
+			t.Errorf("%s: the parked worker is not among WorkerStacks", row.name)
 		}
 		if row.also != "" && !found[row.also] {
 			t.Errorf("%s: no worker stack shows %s", row.name, row.also)
@@ -146,7 +184,7 @@ func TestTelemetryStartsNoGoroutine(t *testing.T) {
 		tel := telemetry.New()
 		cfg.Telemetry = tel
 		var running []string
-		err := whileParked(cfg, row.run, func() { running = faultinject.StacksWith("created by ramr/internal/telemetry.") })
+		err := whileParked(cfg, row.run, row.holds, func() { running = faultinject.StacksWith("created by ramr/internal/telemetry.") })
 		if err != nil {
 			t.Fatalf("%s: %v", row.name, err)
 		}

@@ -2,50 +2,45 @@ package mr
 
 import (
 	"sort"
-	"sync"
 
 	"ramr/internal/container"
 )
 
-// MergeContainers folds all containers into cs[0] with a parallel
-// binary-tree merge and returns cs[0]. The slice is clobbered. Both
-// engines use it between the map-combine and reduce phases; the input and
-// merging phases are identical across engines, exactly as the paper keeps
-// them ("the input partitioning and merging phases remain the same as in
-// typical MR libraries").
+// MergeContainers folds all containers into cs[0] with a binary-tree
+// merge, one ForEach per tree level, and returns cs[0]. The slice is
+// clobbered. A level gets a share per Grain keys it folds, at most one per
+// pair (shares): on a 2-CPU pool the tree is one pair, which the caller
+// merges. Both engines use it between the map-combine and
+// reduce phases; the input and merging phases are identical across
+// engines, exactly as the paper keeps them ("the input partitioning and
+// merging phases remain the same as in typical MR libraries").
 // A panicking user Combine is reported as an error rather than crashing
 // the merging goroutines.
 func MergeContainers[K comparable, V any](cs []container.Container[K, V], combine container.Combine[V]) (container.Container[K, V], error) {
 	if len(cs) == 0 {
 		return nil, nil
 	}
-	var firstErr FirstError
 	for stride := 1; stride < len(cs); stride *= 2 {
-		var wg sync.WaitGroup
+		pairs, items := 0, 0
 		for i := 0; i+stride < len(cs); i += 2 * stride {
-			wg.Add(1)
-			go func(dst, src container.Container[K, V]) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						firstErr.Set(&PanicError{Engine: "mr", Worker: "combine (merge)", Value: r})
-					}
-				}()
-				container.Merge(dst, src, combine)
-			}(cs[i], cs[i+stride])
+			pairs, items = pairs+1, items+cs[i+stride].Len()
 		}
-		wg.Wait()
-	}
-	if err := firstErr.Get(); err != nil {
-		return nil, err
+		err := ForEach(pairs, shares(items, pairs), "combine (merge)", func(lo, hi int) {
+			for p := lo; p < hi; p++ {
+				container.Merge(cs[2*stride*p], cs[2*stride*p+stride], combine)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return cs[0], nil
 }
 
-// ReduceAll applies reduce to every key of the merged container using the
-// given number of workers and returns the unordered result pairs. The
-// reduce function may be called concurrently; a panic inside it is
-// returned as an error.
+// ReduceAll applies reduce to every key of the merged container on up to
+// the given number of workers, one per Grain keys (the caller among them),
+// and returns the unordered result pairs. The reduce function may be
+// called concurrently; a panic inside it is returned as an error.
 func ReduceAll[K comparable, V, R any](merged container.Container[K, V], reduce func(K, V) R, workers int) ([]Pair[K, R], error) {
 	if merged == nil || merged.Len() == 0 {
 		return nil, nil
@@ -56,39 +51,12 @@ func ReduceAll[K comparable, V, R any](merged container.Container[K, V], reduce 
 		return true
 	})
 	out := make([]Pair[K, R], len(in))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(in) {
-		workers = len(in)
-	}
-	var wg sync.WaitGroup
-	var firstErr FirstError
-	chunk := (len(in) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(in) {
-			hi = len(in)
+	err := ForEach(len(in), shares(len(in), workers), "reduce", func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = Pair[K, R]{in[i].Key, reduce(in[i].Key, in[i].Value)}
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					firstErr.Set(&PanicError{Engine: "mr", Worker: "reduce", Value: r})
-				}
-			}()
-			for i := lo; i < hi; i++ {
-				out[i] = Pair[K, R]{in[i].Key, reduce(in[i].Key, in[i].Value)}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if err := firstErr.Get(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -7,21 +7,43 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"ramr/internal/container"
 )
 
 func intLess(a, b int) bool { return a < b }
 
+// finishSizes are output sizes around the grain, where a finish step
+// switches from running on its caller to fanning out.
+var finishSizes = []int{0, 1, 2, 100, Grain - 1, Grain, Grain + 1, 3*Grain + 17, 50_000}
+
+// TestSortPairsParallelMatchesSequential: at every size around the grain
+// and every width, each finish step gives its sequential result: the sort
+// orders keys as SortPairs does, ReduceAll reduces every key once, and
+// MergeContainers folds width containers into their sum. At or below the
+// grain each step runs on its caller: every sampled call of Less, Combine
+// and Reduce sees the test's own frame.
 func TestSortPairsParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 2, 100, psortThreshold - 1, psortThreshold, 3*psortThreshold + 17, 50_000} {
+	sum := func(a, b int) int { return a + b }
+	for _, n := range finishSizes {
 		for _, workers := range []int{1, 2, 3, 8} {
+			var calls, off atomic.Int32
+			watch := func() {
+				if n <= Grain && calls.Add(1)%256 == 1 && !onCaller("TestSortPairsParallelMatchesSequential") {
+					off.Add(1)
+				}
+			}
+			less := func(x, y int) bool { watch(); return x < y }
 			a := make([]Pair[int, int], n)
 			for i := range a {
 				a[i] = Pair[int, int]{Key: rng.Intn(n/2 + 1), Value: i}
 			}
 			b := append([]Pair[int, int](nil), a...)
 			SortPairs(a, intLess)
-			SortPairsParallel(b, intLess, workers)
+			if err := SortPairsParallel(b, less, workers); err != nil {
+				t.Fatalf("n=%d w=%d: %v", n, workers, err)
+			}
 			for i := range a {
 				if a[i].Key != b[i].Key {
 					t.Fatalf("n=%d w=%d: key order differs at %d: %d vs %d", n, workers, i, a[i].Key, b[i].Key)
@@ -29,6 +51,49 @@ func TestSortPairsParallelMatchesSequential(t *testing.T) {
 			}
 			if !sort.SliceIsSorted(b, func(i, j int) bool { return b[i].Key < b[j].Key }) {
 				t.Fatalf("n=%d w=%d: not sorted", n, workers)
+			}
+
+			// Key k is in containers k%workers and (k+1)%workers, so every pair of
+			// a merge level folds keys both of its containers hold.
+			hs := make([]*container.Hash[int, int], workers)
+			cs := make([]container.Container[int, int], workers)
+			for c := range cs {
+				hs[c] = container.NewHash[int, int]()
+				cs[c] = hs[c]
+			}
+			want := make([]int, n)
+			for k := 0; k < n; k++ {
+				for _, c := range []int{k % workers, (k + 1) % workers} {
+					hs[c].Update(k, 1, sum)
+					want[k]++
+				}
+			}
+			merged, err := MergeContainers(cs, func(x, y int) int { watch(); return x + y })
+			if err != nil {
+				t.Fatalf("n=%d w=%d: merge: %v", n, workers, err)
+			}
+			if merged.Len() != n {
+				t.Fatalf("n=%d w=%d: merged %d keys", n, workers, merged.Len())
+			}
+			for k := 0; k < n; k++ {
+				if v, _ := merged.Get(k); v != want[k] {
+					t.Fatalf("n=%d w=%d: merged key %d = %d, want %d", n, workers, k, v, want[k])
+				}
+			}
+
+			pairs, err := ReduceAll(merged, func(k, v int) int { watch(); return 10*k + v }, workers)
+			if err != nil || len(pairs) != n {
+				t.Fatalf("n=%d w=%d: reduce gave %d pairs, %v", n, workers, len(pairs), err)
+			}
+			seen := make([]bool, n)
+			for _, p := range pairs {
+				if seen[p.Key] || p.Value != 10*p.Key+want[p.Key] {
+					t.Fatalf("n=%d w=%d: reduce pair %+v (seen before: %v)", n, workers, p, seen[p.Key])
+				}
+				seen[p.Key] = true
+			}
+			if off.Load() > 0 {
+				t.Fatalf("n=%d w=%d: %d sampled calls ran off the caller at or below the grain", n, workers, off.Load())
 			}
 		}
 	}

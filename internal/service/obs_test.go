@@ -267,6 +267,8 @@ func TestDebugEventsRing(t *testing.T) {
 // TestMetricsStrictAndHistograms asserts satellite 4 plus the tentpole
 // histograms: the full /metrics exposition passes the strict checker and
 // carries the lifecycle latency families and build info after jobs ran.
+// Only the end-to-end family has a bucket ladder; the phase, queue-wait and
+// grant-alloc families have the +Inf bucket alone.
 func TestMetricsStrictAndHistograms(t *testing.T) {
 	_, ts, _ := newMemoService(t, Config{Seed: 13})
 	body := `{"workload":"WC","seed":4,"config":{"pin":"none"}}`
@@ -301,6 +303,8 @@ func TestMetricsStrictAndHistograms(t *testing.T) {
 		"# TYPE ramr_job_grant_alloc_seconds histogram",
 		"# TYPE ramr_job_phase_seconds histogram",
 		`ramr_job_phase_seconds_count{workload="WC",engine="RAMR",priority="normal",phase="map-combine"} 1`,
+		`ramr_job_phase_seconds_bucket{workload="WC",engine="RAMR",priority="normal",phase="map-combine",le="+Inf"} 1`,
+		`ramr_job_e2e_seconds_bucket{workload="WC",engine="RAMR",priority="normal",le="60"} 2`,
 		"ramr_build_info{version=",
 		"ramr_service_uptime_seconds",
 		// One executed job, one memo hit: one input built.
@@ -309,6 +313,13 @@ func TestMetricsStrictAndHistograms(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q", want)
+		}
+	}
+	for _, family := range []string{"ramr_job_phase_seconds", "ramr_job_queue_wait_seconds", "ramr_job_grant_alloc_seconds"} {
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, family+"_bucket{") && !strings.Contains(line, `le="+Inf"`) {
+				t.Fatalf("/metrics has a finite bucket of %s: %s", family, line)
+			}
 		}
 	}
 }

@@ -89,7 +89,10 @@ type Config struct {
 // lifecycleHists are the service-lifetime latency histograms exposed on
 // /metrics. They record per-job lifecycle observations — a handful per
 // job, labelled workload/engine/priority — and are never unregistered,
-// so latency distributions survive job retention and deletion.
+// so latency distributions survive job retention and deletion. Only the
+// end-to-end latency, the one an operator alerts on, keeps a bucket
+// ladder; the others hold the +Inf bucket alone, and _sum over _count is
+// their mean. A job's own phase times live in its document and its trace.
 type lifecycleHists struct {
 	e2e       *telemetry.HistogramVec
 	queueWait *telemetry.HistogramVec
@@ -99,17 +102,18 @@ type lifecycleHists struct {
 
 func newLifecycleHists() *lifecycleHists {
 	labels := []string{"workload", "engine", "priority"}
+	inf := []float64{} // the +Inf bucket alone
 	return &lifecycleHists{
 		e2e: telemetry.NewHistogramVec("ramr_job_e2e_seconds",
 			"End-to-end job latency from HTTP receive to terminal state (memo hits included).",
 			labels, nil),
 		queueWait: telemetry.NewHistogramVec("ramr_job_queue_wait_seconds",
-			"Time a job spent admitted but not yet granted CPUs.", labels, nil),
+			"Time a job spent admitted but not yet granted CPUs.", labels, inf),
 		alloc: telemetry.NewHistogramVec("ramr_job_grant_alloc_seconds",
-			"Time the scheduler spent carving the job's CPU grant.", labels, nil),
+			"Time the scheduler spent carving the job's CPU grant.", labels, inf),
 		phase: telemetry.NewHistogramVec("ramr_job_phase_seconds",
 			"Engine phase durations of finished jobs.",
-			[]string{"workload", "engine", "priority", "phase"}, nil),
+			[]string{"workload", "engine", "priority", "phase"}, inf),
 	}
 }
 

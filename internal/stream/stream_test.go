@@ -544,39 +544,56 @@ func TestFixedHashOverflowFailsSession(t *testing.T) {
 	checkNoLeak(t, before)
 }
 
-// TestSealerPanicFailsSession: a Less that panics while a seal sorts a
-// window — on whichever goroutine sealed it — fails the session with the
-// sealer's *mr.PanicError, on both plans, instead of taking the process
-// down, and every session goroutine still exits.
+// sealerPanics are the user functions a seal calls that the tests below
+// make panic: Less in the sort, and Reduce, which on a window below the
+// grain runs on the sealing goroutine itself.
+var sealerPanics = []struct {
+	name   string
+	breaks func(*mr.Spec[int, int, uint64, uint64])
+}{
+	{"less", func(s *mr.Spec[int, int, uint64, uint64]) {
+		s.Less = func(a, b int) bool { panic("less exploded") }
+	}},
+	{"reduce", func(s *mr.Spec[int, int, uint64, uint64]) {
+		s.Reduce = func(k int, v uint64) uint64 { panic("reduce exploded") }
+	}},
+}
+
+// TestSealerPanicFailsSession: a Less or a Reduce that panics while a seal
+// finishes a window — on whichever goroutine sealed it — fails the session
+// with the sealer's *mr.PanicError, on both plans, instead of taking the
+// process down, and every session goroutine still exits.
 func TestSealerPanicFailsSession(t *testing.T) {
 	for _, arm := range placementArms {
-		before := runtime.NumGoroutine()
-		cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.sibling)
-		spec := countSpec(8)
-		spec.Less = func(a, b int) bool { panic("less exploded") }
-		p, err := New(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkFused(t, p)
-		if err := p.Start(); err != nil {
-			t.Fatal(err)
-		}
-		for ts := int64(0); ts < 2; ts++ { // the second chunk's watermark seals window 0
-			if _, err := p.Append(chunkOf(ts, 4, 100)); err != nil {
+		for _, fn := range sealerPanics {
+			before := runtime.NumGoroutine()
+			cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.sibling)
+			spec := countSpec(8)
+			fn.breaks(spec)
+			p, err := New(spec, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			checkFused(t, p)
+			if err := p.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for ts := int64(0); ts < 2; ts++ { // the second chunk's watermark seals window 0
+				if _, err := p.Append(chunkOf(ts, 4, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-p.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, %s: session did not stop after the sealer's panic", arm.name, fn.name)
+			}
+			var pe *mr.PanicError
+			if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
+				t.Fatalf("%s, %s: err = %v, want the sealer's *mr.PanicError", arm.name, fn.name, err)
+			}
+			checkNoLeak(t, before)
 		}
-		select {
-		case <-p.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: session did not stop after the sealer's panic", arm.name)
-		}
-		var pe *mr.PanicError
-		if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
-			t.Fatalf("%s: err = %v, want the sealer's *mr.PanicError", arm.name, err)
-		}
-		checkNoLeak(t, before)
 	}
 }
 
@@ -587,35 +604,37 @@ func TestSealerPanicFailsSession(t *testing.T) {
 // goroutine exits.
 func TestSealerPanicOnAppendFailsSession(t *testing.T) {
 	for _, arm := range placementArms {
-		before := runtime.NumGoroutine()
-		cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.sibling)
-		spec := countSpec(8)
-		spec.Less = func(a, b int) bool { panic("less exploded") }
-		p, err := New(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
+		for _, fn := range sealerPanics {
+			before := runtime.NumGoroutine()
+			cfg := place(testConfig(t, &mr.StreamSpec{Window: 1, MaxPending: 512}), arm.sibling)
+			spec := countSpec(8)
+			fn.breaks(spec)
+			p, err := New(spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFused(t, p)
+			if err := p.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Append(chunkOf(0, 4, 100)); err != nil {
+				t.Fatal(err)
+			}
+			waitIdle(t, p) // nothing was due, so window 0 waits for the next watermark
+			if ts, err := p.Append(chunkOf(1, 0, 0)); err != nil || ts != 1 {
+				t.Fatalf("%s, %s: the sealing Append = %d, %v; want tick 1", arm.name, fn.name, ts, err)
+			}
+			var pe *mr.PanicError
+			if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
+				t.Fatalf("%s, %s: err = %v after the sealing Append, want the sealer's *mr.PanicError", arm.name, fn.name, err)
+			}
+			select {
+			case <-p.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s, %s: session did not stop after the sealer's panic", arm.name, fn.name)
+			}
+			checkNoLeak(t, before)
 		}
-		checkFused(t, p)
-		if err := p.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Append(chunkOf(0, 4, 100)); err != nil {
-			t.Fatal(err)
-		}
-		waitIdle(t, p) // nothing was due, so window 0 waits for the next watermark
-		if ts, err := p.Append(chunkOf(1, 0, 0)); err != nil || ts != 1 {
-			t.Fatalf("%s: the sealing Append = %d, %v; want tick 1", arm.name, ts, err)
-		}
-		var pe *mr.PanicError
-		if err := p.Err(); !errors.As(err, &pe) || pe.Worker != "sealer" {
-			t.Fatalf("%s: err = %v after the sealing Append, want the sealer's *mr.PanicError", arm.name, err)
-		}
-		select {
-		case <-p.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: session did not stop after the sealer's panic", arm.name)
-		}
-		checkNoLeak(t, before)
 	}
 }
 

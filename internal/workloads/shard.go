@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"ramr/internal/container"
@@ -104,26 +103,21 @@ func ShardSplits[T any](splits []T, sh ShardSpec) []T {
 func (sh ShardSpec) Owned(total int) int { return (total - sh.Index + sh.Count - 1) / sh.Count }
 
 // FillSplits builds a pre-sized input of n items — a shard's splits, or a
-// key table's elements — on width goroutines (width < 1: GOMAXPROCS), the
-// caller's among them. Each calls fill once with a contiguous run [lo, hi)
-// and makes its own generator state — stats.Stream, rand.Rand, Zipf —
-// inside it. Split i is a pure function of (seed, stream, i), so the bytes
-// are the serial build's for every width and every shard.
+// key table's elements — as mr.ForEach's shares at width (width < 1:
+// GOMAXPROCS), the caller's among them; the build keeps the width it is
+// given, as the grain sizes the finish only. Each share calls fill once
+// with a contiguous run [lo, hi) and makes its own generator state —
+// stats.Stream, rand.Rand, Zipf — inside it. Split i is a pure function of
+// (seed, stream, i), so the bytes are the serial build's for every width
+// and every shard. A panic in fill is raised again on the caller, as the
+// build's *mr.PanicError.
 func FillSplits(n, width int, fill func(lo, hi int)) {
 	if width < 1 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	width = max(1, min(width, n))
-	var wg sync.WaitGroup
-	for w := 1; w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fill(n*w/width, n*(w+1)/width)
-		}()
+	if err := mr.ForEach(n, width, "build", fill); err != nil {
+		panic(err)
 	}
-	fill(0, n/width)
-	wg.Wait()
 }
 
 // emptyShardInfo is the result of a shard with no splits (more shards
