@@ -427,15 +427,20 @@ func TestSaturatedWorkerReplacement(t *testing.T) {
 // naming the worker, before any shard is dispatched. The generation-2 case
 // is the one that matters since the generators became split-addressable: a
 // generation-2 worker derives different bytes from the same seed, and its
-// partial would merge into a plausible, wrong digest.
+// partial would merge into a plausible, wrong digest. A generation-3 worker
+// ships its partial as a JSON object keyed by the output keys, which a
+// generation-4 coordinator, reading sorted columns, would decode as empty.
 func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	gen2 := `{"capabilities":{"proto":"2","features":["result-wait"],"shard_apps":["HG","SYNTH","WC"]}}`
+	gen3 := `{"capabilities":{"proto":"3","features":["jobs","memo","partial","result-wait","shard","stream"],"shard_apps":["HG","SYNTH","WC"]}}`
 	for _, tc := range []struct {
 		name, header, stats, want string
 	}{
 		{"no header, no capabilities", "", `{"role":"worker"}`, `protocol ""`},
 		{"worker answers proto 2", "2", gen2, `protocol "2"`},
 		{"current header over generation-2 capabilities", service.ProtoVersion, gen2, `capabilities.proto "2"`},
+		{"worker answers proto 3", "3", gen3, `protocol "3"`},
+		{"current header over generation-3 capabilities", service.ProtoVersion, gen3, `capabilities.proto "3"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			healthy := newWorker(t)

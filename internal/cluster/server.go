@@ -31,10 +31,11 @@ type Server struct {
 	log   *slog.Logger
 	start time.Time
 
-	mu     sync.Mutex
-	jobs   map[int]*clusterJob
-	nextID int
-	closed bool
+	mu        sync.Mutex
+	jobs      map[int]*clusterJob
+	retention *service.Retention[*clusterJob] // the settled jobs, past retainJobs removed oldest-first
+	nextID    int
+	closed    bool
 }
 
 // clusterJob is one dispatched job's record. state, finished, res and err
@@ -60,12 +61,14 @@ func NewServer(co *Coordinator, logger *slog.Logger) *Server {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	return &Server{
+	s := &Server{
 		co:    co,
 		log:   logger,
 		start: time.Now(),
 		jobs:  make(map[int]*clusterJob),
 	}
+	s.retention = service.NewRetention(retainJobs, func(j *clusterJob) { delete(s.jobs, j.id) })
+	return s
 }
 
 // Handler returns the coordinator API: the shared job front end over this
@@ -163,8 +166,6 @@ func (s *Server) Admit(req *service.JobRequest, rec *obs.Recorder) (service.Job,
 		cancel:     cancel,
 	}
 	s.jobs[j.id] = j
-	service.Retire(s.jobs, retainJobs, func(r *clusterJob) time.Time { return r.finished },
-		func(r *clusterJob) { delete(s.jobs, r.id) })
 	s.mu.Unlock()
 	rec.SetJob(j.id, j.workload)
 	s.log.Info("cluster job admitted", "job_id", j.id, "workload", j.workload)
@@ -173,7 +174,8 @@ func (s *Server) Admit(req *service.JobRequest, rec *obs.Recorder) (service.Job,
 }
 
 // dispatch runs j across the cluster and settles it: outcome stored and
-// trace closed first, terminal after.
+// trace closed first, terminal after, and in the same critical section as
+// the retention bound, past which the oldest-finished jobs go.
 func (s *Server) dispatch(ctx context.Context, j *clusterJob, req *service.JobRequest) {
 	defer j.cancel()
 	res, err := s.co.Run(ctx, req, j.rec)
@@ -192,7 +194,12 @@ func (s *Server) dispatch(ctx context.Context, j *clusterJob, req *service.JobRe
 		s.log.Warn("cluster job failed", "job_id", j.id, "state", j.state, "err", j.err)
 	}
 	j.rec.Finish(j.state)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.Settle()
+	if s.jobs[j.id] == j {
+		s.retention.Settled(j, j.finished)
+	}
 }
 
 func (s *Server) Job(id int) (service.Job, bool) {
@@ -223,6 +230,7 @@ func (s *Server) Cancel(job service.Job) (state string, wasLive bool) {
 		return "", true
 	}
 	s.mu.Lock()
+	s.retention.Forget(j)
 	delete(s.jobs, j.id)
 	s.mu.Unlock()
 	return j.state, false

@@ -570,3 +570,106 @@ func TestFixedHashLoadAtDeclaredSize(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", h.Len(), keys)
 	}
 }
+
+// nearStrings returns keys of every length 0-40 and, for each, the keys
+// that differ from it in one byte at each position: the keys an inline
+// identity must tell apart. The bytes include spaces and zeros.
+func nearStrings(rng *rand.Rand) []string {
+	seen := map[string]bool{}
+	var keys []string
+	add := func(b []byte) {
+		if k := string(b); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		base := make([]byte, n)
+		for i := range base {
+			base[i] = byte(rng.Intn(4)) * 32 // 0, ' ', '@', '`'
+		}
+		add(base)
+		for i := range base {
+			near := append([]byte(nil), base...)
+			near[i]++
+			add(near)
+		}
+	}
+	return keys
+}
+
+// TestFixedHashStringModel pins a string-keyed FixedHash against a map:
+// Update, UpdateBatch, the Sum fold, another combine's fold and Merge
+// between two tables, over keys of 0-40 bytes that differ in one byte at
+// each position, under HashString and under a hasher that gives every key
+// of a length one hash — where only the inline identity, or for a long key
+// the stored key, tells keys apart.
+func TestFixedHashStringModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := nearStrings(rng)
+	hashers := map[string]Hasher[string]{
+		"HashString": HashString,
+		"length":     func(s string) uint64 { return uint64(len(s)) },
+	}
+	maxOf := func(a, b int) int { return max(a, b) }
+	for name, hash := range hashers {
+		t.Run(name, func(t *testing.T) {
+			model, maxModel := map[string]int{}, map[string]int{}
+			tables := []*FixedHash[string, int]{
+				NewFixedHash[string, int](len(keys), hash),
+				NewFixedHash[string, int](len(keys), hash),
+			}
+			maxTable := NewFixedHash[string, int](len(keys), hash)
+			var n uint64
+			folds := []func(string, int){tables[0].Fold(Sum[int](), &n), tables[1].Fold(Sum[int](), &n)}
+			maxFold := maxTable.Fold(maxOf, &n)
+			var batch []KV[string, int]
+			for i := 0; i < 20*len(keys); i++ {
+				k, v := keys[rng.Intn(len(keys))], rng.Intn(100)
+				model[k] += v
+				if _, ok := maxModel[k]; !ok || v > maxModel[k] {
+					maxModel[k] = v
+				}
+				maxFold(k, v)
+				switch t := tables[i%2]; rng.Intn(3) {
+				case 0:
+					t.Update(k, v, sum)
+				case 1:
+					folds[i%2](k, v)
+				default:
+					batch = append(batch, KV[string, int]{k, v})
+					if len(batch) == 7 {
+						t.UpdateBatch(batch, sum)
+						batch = batch[:0]
+					}
+				}
+			}
+			tables[0].UpdateBatch(batch, sum)
+			Merge[string, int](tables[0], tables[1], sum)
+			for label, c := range map[string]struct {
+				h    *FixedHash[string, int]
+				want map[string]int
+			}{"sum": {tables[0], model}, "max": {maxTable, maxModel}} {
+				got := map[string]int{}
+				c.h.Iterate(func(k string, v int) bool { got[k] = v; return true })
+				if !maps.Equal(got, c.want) || c.h.Len() != len(c.want) {
+					t.Fatalf("%s: table holds %d keys, the model %d; they differ", label, c.h.Len(), len(c.want))
+				}
+				for _, k := range keys {
+					v, ok := c.h.Get(k)
+					if w, in := c.want[k]; ok != in || v != w {
+						t.Fatalf("%s: Get(%q) = %d, %v; the model has %d, %v", label, k, v, ok, w, in)
+					}
+				}
+			}
+			if _, ok := tables[0].Get("absent key of more than sixteen bytes"); ok {
+				t.Fatal("Get found a key never inserted")
+			}
+			tables[0].Reset()
+			if tables[0].Len() != 0 {
+				t.Fatal("Reset left keys")
+			}
+			tables[0].Iterate(func(k string, v int) bool { t.Fatalf("Reset table yields %q", k); return false })
+		})
+	}
+}

@@ -5,8 +5,8 @@ package container
 // distance from there.
 func ProbesPerUpdate[K comparable, V any](h *FixedHash[K, V]) float64 {
 	steps := 0
-	for i, s := range h.state {
-		if s == 1 {
+	for i := range h.keys {
+		if h.occupied(i) {
 			steps += 1 + int((uint64(i)-h.home(h.keys[i]))&h.mask)
 		}
 	}

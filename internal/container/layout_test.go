@@ -105,6 +105,26 @@ func TestContainersShareNoLine(t *testing.T) {
 			}
 		}
 	}
+	// A string table writes its slots on every update, and its keys and
+	// count on an insert.
+	strs := make([]*FixedHash[string, int], k)
+	for i := range strs {
+		strs[i] = NewFixedHash[string, int](5, HashString)
+	}
+	for i, a := range strs {
+		for j, b := range strs {
+			if i == j {
+				continue
+			}
+			for _, w := range []span{spanOf("slots", a.slots), spanOf("keys", a.keys), fieldSpan("n", &a.n)} {
+				for _, o := range []span{spanOf("slots", b.slots), spanOf("keys", b.keys), fieldSpan("n", &b.n), fieldSpan("slots header", &b.slots), fieldSpan("keys header", &b.keys), fieldSpan("hash", &b.hash)} {
+					if sharesLine(w, o) {
+						t.Fatalf("string table %d's %s shares a cache line with string table %d's %s", i, w.what, j, o.what)
+					}
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkContainersSideBySide is the two-writer measurement behind the

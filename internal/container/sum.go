@@ -28,10 +28,11 @@ func Sum[V Number]() Combine[V] {
 func code(f any) uintptr { return reflect.ValueOf(f).Pointer() }
 
 // The code pointers of the functions the folds recognise, taken once: Sum
-// for each Number, and the identity int hashers.
+// for each Number, the identity int hashers and HashString.
 var (
 	sums       = []uintptr{code(Sum[int]()), code(Sum[int64]()), code(Sum[uint64]()), code(Sum[float64]())}
 	identities = []uintptr{code(HashInt), code(HashUint64)}
+	wyhash     = []uintptr{code(HashString)}
 )
 
 // is reports whether f's code is one of fns. A func value's type fixes its

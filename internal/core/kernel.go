@@ -340,7 +340,7 @@ func (p *Pool[E]) combine(s *slot[E]) {
 		}
 	}
 	for len(s.live) > 0 {
-		if p.abort.Load() {
+		if p.Aborted() {
 			p.drainAbort(s.j, s.own, s.tw)
 			return
 		}
@@ -356,7 +356,7 @@ func (p *Pool[E]) combine(s *slot[E]) {
 			}
 		case retired == 0:
 			setState(telemetry.StateIdle)
-			spsc.Park(p.gates[s.j], s.live, p.batch, p.abort.Load)
+			spsc.Park(p.gates[s.j], s.live, p.batch, p.Aborted)
 		}
 	}
 }

@@ -48,9 +48,8 @@ type Pool[E any] struct {
 	batch  int              // the consume batch, within [1, ring capacity]
 	wg     sync.WaitGroup
 
-	firstErr mr.FirstError
-	abort    atomic.Bool
-	dying    chan struct{} // closed on the first failure
+	failed atomic.Pointer[error] // the run's first error: set, it dooms the run
+	dying  chan struct{}         // closed on the first failure
 }
 
 // NewPool validates cfg's grant against its resolved machine and places the
@@ -161,26 +160,34 @@ func (p *Pool[E]) Wait() {
 	}
 }
 
-// Fail records err if it is the run's first error and, on the first call,
-// dooms the run: the OnAbort hook fires, Dying closes, and every parked slot
-// is woken to discard-drain its rings, so producers blocked on full rings
-// can finish.
+// Fail records err if it is the run's first error and, on that call alone,
+// dooms the run: the OnAbort hook fires, Dying closes, and every parked
+// slot is woken to discard-drain its rings, so producers blocked on full
+// rings can finish. The error is the abort latch — one compare-and-swap
+// sets both — so no worker sees an error on a run it may still take tasks
+// for. A nil err is ignored.
 func (p *Pool[E]) Fail(err error) {
-	p.firstErr.Set(err)
-	if p.abort.CompareAndSwap(false, true) {
-		p.cfg.Hooks.FireOnAbort()
-		close(p.dying)
-		for _, g := range p.gates {
-			g.Wake()
-		}
+	if err == nil || !p.failed.CompareAndSwap(nil, &err) {
+		return
+	}
+	p.cfg.Hooks.FireOnAbort()
+	close(p.dying)
+	for _, g := range p.gates {
+		g.Wake()
 	}
 }
 
 // Err returns the run's first error.
-func (p *Pool[E]) Err() error { return p.firstErr.Get() }
+func (p *Pool[E]) Err() error {
+	if e := p.failed.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
 
-// Aborted reports whether the run is doomed; its workers stop taking tasks.
-func (p *Pool[E]) Aborted() bool { return p.abort.Load() }
+// Aborted reports whether the run is doomed, exactly when Err is non-nil;
+// its workers stop taking tasks.
+func (p *Pool[E]) Aborted() bool { return p.failed.Load() != nil }
 
 // Dying is closed once the run is doomed.
 func (p *Pool[E]) Dying() <-chan struct{} { return p.dying }

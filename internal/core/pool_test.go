@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -242,5 +243,65 @@ func TestUntunedRunMirrorsConsumerCounters(t *testing.T) {
 	}
 	if got := res.QueueStats; got != rings || got.Pops != 40*50 || got.BatchCalls == 0 {
 		t.Fatalf("ledger queue stats %+v, rings counted %+v; want %d pops in some batch calls", got, rings, 40*50)
+	}
+}
+
+// TestFailLatchesErrAndAbort: the run's error is its abort latch. While
+// several goroutines Fail at once, a reader that sees Err non-nil always
+// sees Aborted, and the first-call effects — the OnAbort hook, Dying's
+// close — happen once, for the error Err keeps.
+func TestFailLatchesErrAndAbort(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		var aborts atomic.Int32
+		p := shipPool(t, 2, 1, 64, 8, &mr.Hooks{OnAbort: func() { aborts.Add(1) }})
+		var start, readers, failers sync.WaitGroup
+		start.Add(1)
+		stop := make(chan struct{})
+		for range 2 {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				start.Wait()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if p.Err() != nil && !p.Aborted() {
+						t.Error("Err is set but the run is not aborted")
+						return
+					}
+				}
+			}()
+		}
+		errs := []error{errors.New("a"), errors.New("b"), errors.New("c")}
+		for _, err := range errs {
+			failers.Add(1)
+			go func() {
+				defer failers.Done()
+				start.Wait()
+				p.Fail(err)
+			}()
+		}
+		start.Done()
+		failers.Wait()
+		close(stop)
+		readers.Wait()
+		if n := aborts.Load(); n != 1 {
+			t.Fatalf("round %d: OnAbort fired %d times", round, n)
+		}
+		if err := p.Err(); !slices.Contains(errs, err) || !p.Aborted() {
+			t.Fatalf("round %d: Err %v, Aborted %v after three Fails", round, err, p.Aborted())
+		}
+		select {
+		case <-p.Dying():
+		default:
+			t.Fatalf("round %d: Dying still open after Fail", round)
+		}
+		p.Fail(nil)
+		if t.Failed() {
+			return
+		}
 	}
 }

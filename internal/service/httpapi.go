@@ -35,7 +35,11 @@ import (
 // only its own splits), which changed the bytes a seed generates; partials
 // from both sides of that change would merge into a plausible digest of an
 // input no single node ever saw.
-const ProtoVersion = "3"
+//
+// Generation 4: a shard's partial became sorted columns — words and
+// counts, or keys and values — in place of a JSON object keyed by the
+// output keys; a generation-3 partial would decode as an empty one.
+const ProtoVersion = "4"
 
 // ProtoHeader is the response header carrying ProtoVersion.
 const ProtoHeader = "X-RAMR-Proto"
@@ -126,35 +130,107 @@ func closed(latch <-chan struct{}) bool {
 	}
 }
 
-// Retire enforces a retention bound over a backend's records: when more
-// than bound of them are settled, remove is called on the oldest-finished
-// (ties broken by id) until bound remain. Live records are never touched;
-// a negative bound retains everything.
-func Retire[R Job](records map[int]R, bound int, finishedAt func(R) time.Time, remove func(R)) {
-	if bound < 0 {
+// Retention enforces a retention bound over a backend's records: when more
+// than bound of them are settled, the oldest-finished (ties broken by id)
+// are removed until bound remain. Live records are never touched; a
+// negative bound retains everything. It keeps the settled records in a
+// binary heap in that order, filled as they settle, so a settle costs a
+// sift and no allocation once the heap has grown to the bound, and no sort
+// or walk over the registry. Not safe for concurrent use: its backend calls
+// it under the lock that guards the records.
+type Retention[R Job] struct {
+	bound  int
+	remove func(R)
+	heap   []retained[R]
+}
+
+// retained is one settled record in a Retention's heap.
+type retained[R Job] struct {
+	at time.Time
+	id int
+	r  R
+}
+
+// before is the retention order: finished earlier, or at once with a lower id.
+func (a retained[R]) before(b retained[R]) bool {
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
+	}
+	return a.id < b.id
+}
+
+// NewRetention returns a retention of bound settled records, each removed
+// past it by remove.
+func NewRetention[R Job](bound int, remove func(R)) *Retention[R] {
+	return &Retention[R]{bound: bound, remove: remove}
+}
+
+// Settled records that r, a record of the registry, settled at finished,
+// and removes the oldest-finished settled records past the bound.
+func (t *Retention[R]) Settled(r R, finished time.Time) {
+	if t.bound < 0 {
 		return
 	}
-	type settled struct {
-		r  R
-		at time.Time
+	t.heap = append(t.heap, retained[R]{at: finished, id: r.ID(), r: r})
+	t.up(len(t.heap) - 1)
+	for len(t.heap) > t.bound {
+		oldest := t.heap[0]
+		t.drop(0)
+		t.remove(oldest.r)
 	}
-	var done []settled
-	for _, r := range records {
-		if closed(r.Settled()) {
-			done = append(done, settled{r, finishedAt(r)})
+}
+
+// Forget drops r, a record the backend removed itself (a DELETE), from the
+// heap; a record the heap does not hold is ignored.
+func (t *Retention[R]) Forget(r R) {
+	id := r.ID()
+	for i := range t.heap {
+		if t.heap[i].id == id {
+			t.drop(i)
+			return
 		}
 	}
-	if len(done) <= bound {
-		return
+}
+
+// drop removes heap entry i.
+func (t *Retention[R]) drop(i int) {
+	last := len(t.heap) - 1
+	t.heap[i] = t.heap[last]
+	t.heap[last] = retained[R]{} // pins no record
+	t.heap = t.heap[:last]
+	if i < last {
+		t.down(i)
+		t.up(i)
 	}
-	sort.Slice(done, func(i, j int) bool {
-		if !done[i].at.Equal(done[j].at) {
-			return done[i].at.Before(done[j].at)
+}
+
+// up sifts entry i towards the root.
+func (t *Retention[R]) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.heap[i].before(t.heap[parent]) {
+			return
 		}
-		return done[i].r.ID() < done[j].r.ID()
-	})
-	for _, d := range done[:len(done)-bound] {
-		remove(d.r)
+		t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
+		i = parent
+	}
+}
+
+// down sifts entry i towards the leaves.
+func (t *Retention[R]) down(i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(t.heap) && t.heap[l].before(t.heap[least]) {
+			least = l
+		}
+		if r := l + 1; r < len(t.heap) && t.heap[r].before(t.heap[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		t.heap[i], t.heap[least] = t.heap[least], t.heap[i]
+		i = least
 	}
 }
 

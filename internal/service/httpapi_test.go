@@ -306,20 +306,67 @@ func TestWriteJSONEncodeError(t *testing.T) {
 func TestRetire(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	finished := map[int]time.Time{1: t0, 2: t0, 3: t0.Add(time.Second), 4: t0.Add(2 * time.Second)}
-	records := map[int]*fakeJob{5: {Settlement: NewSettlement(), id: 5}} // live: never retired
-	for id := range finished {
-		records[id] = &fakeJob{Settlement: NewSettlement(), id: id}
-		records[id].Settle()
-	}
 	for _, tc := range []struct {
 		bound int
 		want  string
 	}{{-1, "[]"}, {4, "[]"}, {3, "[1]"}, {1, "[1 2 3]"}, {0, "[1 2 3 4]"}} {
 		var removed []int
-		Retire(records, tc.bound, func(j *fakeJob) time.Time { return finished[j.id] },
-			func(j *fakeJob) { removed = append(removed, j.id) })
+		ret := NewRetention(tc.bound, func(j *fakeJob) { removed = append(removed, j.id) })
+		for id := 1; id <= 4; id++ {
+			ret.Settled(&fakeJob{Settlement: NewSettlement(), id: id}, finished[id])
+		}
 		if got := fmt.Sprint(removed); got != tc.want {
 			t.Errorf("bound %d removed %s, want %s", tc.bound, got, tc.want)
 		}
+	}
+}
+
+// TestRetireSettlesOutOfFinishOrder: records settle in another order than
+// they finished — a publication takes longer for one than for the next —
+// and the bound still removes the oldest-finished first, ties by id; a
+// record removed by its backend (a DELETE) is no longer counted or
+// removed again. A settle allocates nothing once the heap reached the
+// bound.
+func TestRetireSettlesOutOfFinishOrder(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	var removed []int
+	ret := NewRetention(3, func(j *fakeJob) { removed = append(removed, j.id) })
+	jobs := map[int]*fakeJob{}
+	settle := func(id int, at time.Duration) {
+		jobs[id] = &fakeJob{Settlement: NewSettlement(), id: id}
+		ret.Settled(jobs[id], t0.Add(at))
+	}
+	settle(5, 5*time.Second)
+	settle(2, 2*time.Second)
+	settle(9, 2*time.Second) // finished with 2, a higher id
+	if len(removed) != 0 {
+		t.Fatalf("removed %v within the bound", removed)
+	}
+	settle(1, 1*time.Second) // the oldest of four: it goes at once
+	settle(7, 7*time.Second) // now 2 goes, then 9
+	settle(6, 6*time.Second)
+	if got := fmt.Sprint(removed); got != "[1 2 9]" {
+		t.Fatalf("removed %s, want [1 2 9]", got)
+	}
+	ret.Forget(jobs[6]) // deleted by its backend: 5 and 7 remain
+	ret.Forget(jobs[1]) // already gone: ignored
+	settle(8, 8*time.Second)
+	if got := fmt.Sprint(removed); got != "[1 2 9]" {
+		t.Fatalf("after a Forget, removed %s, want [1 2 9]", got)
+	}
+	settle(3, 3*time.Second)
+	if got := fmt.Sprint(removed); got != "[1 2 9 3]" {
+		t.Fatalf("removed %s, want [1 2 9 3]", got)
+	}
+
+	next := 100
+	j := &fakeJob{Settlement: NewSettlement()}
+	removed = make([]int, 0, 1000) // the callback's own appends allocate nothing either
+	if allocs := testing.AllocsPerRun(100, func() {
+		next++
+		j.id = next
+		ret.Settled(j, t0.Add(time.Duration(next)*time.Second))
+	}); allocs != 0 {
+		t.Errorf("a settle at the bound allocates %.1f times", allocs)
 	}
 }

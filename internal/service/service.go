@@ -123,7 +123,6 @@ type Service struct {
 	machine *topology.Machine
 	sch     *sched.Scheduler
 	cache   *memo.Cache
-	retain  int
 	log     *slog.Logger
 	ring    *obs.Ring
 	hist    *lifecycleHists
@@ -141,10 +140,11 @@ type Service struct {
 	// waits for them, so a drained service has no unsettled record.
 	watchers sync.WaitGroup
 
-	mu       sync.Mutex
-	entries  map[int]*entry
-	inflight map[string]*entry // content digest → unsettled leader entry
-	closed   bool
+	mu        sync.Mutex
+	entries   map[int]*entry
+	retention *Retention[*entry] // the settled entries, past the retention bound removed oldest-first
+	inflight  map[string]*entry  // content digest → unsettled leader entry
+	closed    bool
 	// settled holds the books of every settled run per rendered label set
 	// (workload, engine, priority: the lifecycle histograms' labels), live
 	// the unsettled leaders whose ledgers a scrape adds on top; settleLocked
@@ -262,7 +262,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		machine:  m,
 		cache:    memo.NewCache(cfg.CacheMaxBytes),
-		retain:   retain,
 		log:      logger,
 		ring:     obs.NewRing(evCap),
 		hist:     newLifecycleHists(),
@@ -272,6 +271,7 @@ func New(cfg Config) (*Service, error) {
 		settled:  make(map[string]telemetry.Totals),
 		live:     make(map[*entry]string),
 	}
+	s.retention = NewRetention(retain, s.removeEntryLocked)
 	sc, err := sched.New(sched.Config{
 		Machine:   m,
 		Budget:    cfg.Budget,
@@ -636,21 +636,25 @@ func (s *Service) watchFollower(f *entry, priority string) {
 
 // resultSize estimates a retained result's memory footprint as its JSON
 // encoding (the same shape /jobs/{id}/result serves) plus a fixed
-// overhead for the surrounding entry bookkeeping.
+// overhead for the surrounding entry bookkeeping; a shard's partial counts
+// its own footprint (Partial.Size), so the columns are not encoded twice.
 func resultSize(info *workloads.RunInfo) int64 {
 	const overhead = 256
-	b, err := json.Marshal(info)
+	summary := *info
+	summary.Partial = nil
+	b, err := json.Marshal(&summary)
 	if err != nil {
 		return 4096
 	}
-	return int64(len(b)) + overhead
+	return int64(len(b)+info.Partial.Size()) + overhead
 }
 
 // settleLocked turns e terminal — its publications are all in place —
 // and, in the same critical section, folds a leader's final books into its
-// label set's settled totals and enforces the retention bound: past
-// s.retain settled entries the oldest-finished go. Whoever sees e terminal
-// sees the registry within bounds.
+// label set's settled totals and enforces the retention bound: past it the
+// oldest-finished settled entries go. Whoever sees e terminal sees the
+// registry within bounds. A follower that detached before it settled is no
+// longer in the registry, and is not retained.
 func (s *Service) settleLocked(e *entry) {
 	if lbl, ok := s.live[e]; ok {
 		t := s.settled[lbl]
@@ -659,7 +663,9 @@ func (s *Service) settleLocked(e *entry) {
 		delete(s.live, e)
 	}
 	e.Settle()
-	Retire(s.entries, s.retain, func(r *entry) time.Time { return r.jobStatus().Finished }, s.removeEntryLocked)
+	if s.entries[e.id] == e {
+		s.retention.Settled(e, e.jobStatus().Finished)
+	}
 }
 
 // removeEntryLocked deletes one job record. Its counts stay in /metrics:
@@ -900,6 +906,7 @@ func (s *Service) Cancel(j Job) (state string, wasLive bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if settled || (!e.job.DropWaiter() && e.job.Waiters() > 0) {
+		s.retention.Forget(e)
 		s.removeEntryLocked(e)
 	}
 	return state, !settled

@@ -270,17 +270,12 @@ func newJob(p Params, seed int64, sh *workloads.ShardSpec, width int) *workloads
 		})
 	}
 	return j.Bind(func(ctx context.Context, eng workloads.Engine, cfg mr.Config) (*workloads.RunInfo, error) {
-		part := &workloads.Partial{App: "SYNTH", Int: make(map[int]uint64)}
 		if len(splits) == 0 {
-			return &workloads.RunInfo{Partial: part}, nil
+			return &workloads.RunInfo{Partial: &workloads.Partial{App: "SYNTH"}}, nil
 		}
-		info, err := workloads.RunTypedExport(ctx, spec, eng, cfg, digest, func(k int, v uint64) {
-			part.Int[k] = v
+		return workloads.RunTypedExport(ctx, spec, eng, cfg, digest, func(pairs []mr.Pair[int, uint64]) *workloads.Partial {
+			return workloads.IntPartial("SYNTH", pairs)
 		})
-		if info != nil {
-			info.Partial = part
-		}
-		return info, err
 	})
 }
 

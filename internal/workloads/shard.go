@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"ramr/internal/container"
@@ -12,7 +11,7 @@ import (
 )
 
 // This file is the worker half of the cluster tier (internal/cluster):
-// shard jobs and the Partial containers they export.
+// shard jobs, which export their output as a Partial (partial.go).
 //
 // A shard job is a normal Table I job over the splits whose index is
 // congruent to ShardSpec.Index modulo ShardSpec.Count, and it builds only
@@ -49,29 +48,6 @@ func (sh ShardSpec) Validate() error {
 
 // String renders the shard as "index/count".
 func (sh ShardSpec) String() string { return fmt.Sprintf("%d/%d", sh.Index, sh.Count) }
-
-// Partial is the type-erased, JSON-serializable partial result of one
-// shard run: the shard's full key→value container. Exactly one of
-// Str/Int is populated, by key type. Values are the app's exact integer
-// aggregates (uint64 addition is associative and commutative, and every
-// shardable app's combine is plain addition — possibly wrapping, which
-// merging reproduces).
-type Partial struct {
-	// App names the workload whose folds apply (WC, HG, SYNTH).
-	App string `json:"app"`
-	// Str holds string-keyed aggregates (WC).
-	Str map[string]int64 `json:"str,omitempty"`
-	// Int holds int-keyed aggregates (HG, SYNTH).
-	Int map[int]uint64 `json:"int,omitempty"`
-}
-
-// Len is the number of distinct keys in the partial.
-func (p *Partial) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.Str) + len(p.Int)
-}
 
 // ShardableApps lists the apps that support shard jobs, sorted.
 func ShardableApps() []string { return []string{"HG", "SYNTH", "WC"} }
@@ -148,20 +124,10 @@ func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec
 		InputDesc: fmt.Sprintf("shard %s: %d splits of ~%d bytes", sh, len(splits), nBytes),
 	}
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		part := &Partial{App: "WC", Str: make(map[string]int64)}
 		if len(splits) == 0 {
-			return emptyShardInfo(part), nil
+			return emptyShardInfo(&Partial{App: "WC"}), nil
 		}
-		info, err := RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, func(k string, v int) {
-			// A word is a slice of the text it was mapped from, and the
-			// partial outlives the job (memo cache, retained records):
-			// copied, it keeps its own bytes and none of the input's.
-			part.Str[strings.Clone(k)] = int64(v)
-		})
-		if info != nil {
-			info.Partial = part
-		}
-		return info, err
+		return RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, wordPartial)
 	})
 }
 
@@ -177,17 +143,12 @@ func histogramShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec
 		InputDesc: fmt.Sprintf("shard %s: %d splits of ~%d bytes", sh, len(splits), nBytes),
 	}
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		part := &Partial{App: "HG", Int: make(map[int]uint64)}
 		if len(splits) == 0 {
-			return emptyShardInfo(part), nil
+			return emptyShardInfo(&Partial{App: "HG"}), nil
 		}
-		info, err := RunTypedExport(ctx, spec, eng, cfg, hgPairDigest, func(k, v int) {
-			part.Int[k] = uint64(v)
+		return RunTypedExport(ctx, spec, eng, cfg, hgPairDigest, func(pairs []mr.Pair[int, int]) *Partial {
+			return IntPartial("HG", pairs)
 		})
-		if info != nil {
-			info.Partial = part
-		}
-		return info, err
 	})
 }
 
@@ -197,76 +158,4 @@ func histogramShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec
 // job's.
 func synthPairDigest(k int, v uint64) uint64 {
 	return (uint64(k)*0x9e3779b97f4a7c15 ^ v) * 0xbf58476d1ce4e5b9
-}
-
-// MergePartials folds shard partials into one: per-key sums with the
-// same (wrapping) integer addition the engines' Combine uses. All
-// partials must belong to the same app; nil entries are skipped.
-func MergePartials(parts []*Partial) (*Partial, error) {
-	var out *Partial
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if p.Str != nil && p.Int != nil {
-			return nil, fmt.Errorf("workloads: partial of app %q populates both key spaces", p.App)
-		}
-		if out == nil {
-			out = &Partial{App: p.App}
-			if p.Str != nil || p.Int == nil {
-				out.Str = make(map[string]int64)
-			}
-			if p.Int != nil {
-				out.Int = make(map[int]uint64)
-			}
-		}
-		if p.App != out.App {
-			return nil, fmt.Errorf("workloads: merging partials of different apps (%q vs %q)", p.App, out.App)
-		}
-		for k, v := range p.Str {
-			if out.Str == nil {
-				return nil, fmt.Errorf("workloads: partial of app %q mixes string and int keys", p.App)
-			}
-			out.Str[k] += v
-		}
-		for k, v := range p.Int {
-			if out.Int == nil {
-				return nil, fmt.Errorf("workloads: partial of app %q mixes string and int keys", p.App)
-			}
-			out.Int[k] += v
-		}
-	}
-	if out == nil {
-		return nil, fmt.Errorf("workloads: no partials to merge")
-	}
-	return out, nil
-}
-
-// Summary derives the merged result's figures: the number of distinct
-// keys and the app's order-independent output digest — the identical
-// fold the unsharded job applies pair by pair, so a fully merged Partial
-// summarizes to the single-node run's exact digest.
-func (p *Partial) Summary() (pairs int, digest uint64, err error) {
-	if p == nil {
-		return 0, 0, fmt.Errorf("workloads: nil partial")
-	}
-	switch p.App {
-	case "WC":
-		for k, v := range p.Str {
-			digest += wcPairDigest(k, int(v))
-		}
-		return len(p.Str), digest, nil
-	case "HG":
-		for k, v := range p.Int {
-			digest += hgPairDigest(k, int(v))
-		}
-		return len(p.Int), digest, nil
-	case "SYNTH":
-		for k, v := range p.Int {
-			digest += synthPairDigest(k, v)
-		}
-		return len(p.Int), digest, nil
-	default:
-		return 0, 0, fmt.Errorf("workloads: app %q has no partial summary", p.App)
-	}
 }

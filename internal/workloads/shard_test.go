@@ -2,8 +2,12 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/json"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -242,38 +246,42 @@ func TestMergePartialsErrors(t *testing.T) {
 		t.Error("merging only nil partials should fail")
 	}
 	_, err := MergePartials([]*Partial{
-		{App: "WC", Str: map[string]int64{"a": 1}},
-		{App: "HG", Int: map[int]uint64{1: 1}},
+		{App: "WC", Words: []string{"a"}, Counts: []int64{1}},
+		{App: "HG", Keys: []int{1}, Values: []uint64{1}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "WC") {
 		t.Errorf("app mismatch should fail naming the apps, got %v", err)
 	}
-	if _, err := MergePartials([]*Partial{
-		{App: "WC", Str: map[string]int64{"a": 1}, Int: map[int]uint64{1: 1}},
-	}); err == nil {
-		t.Error("a partial with both key spaces populated should fail")
+	for name, p := range map[string]*Partial{
+		"both key spaces":  {App: "WC", Words: []string{"a"}, Counts: []int64{1}, Keys: []int{1}, Values: []uint64{1}},
+		"words in HG":      {App: "HG", Words: []string{"a"}, Counts: []int64{1}},
+		"short counts":     {App: "WC", Words: []string{"a", "b"}, Counts: []int64{1}},
+		"unsorted words":   {App: "WC", Words: []string{"b", "a"}, Counts: []int64{1, 1}},
+		"duplicate key":    {App: "SYNTH", Keys: []int{3, 3}, Values: []uint64{1, 1}},
+		"word with space":  {App: "WC", Words: []string{"a b"}, Counts: []int64{1}},
+		"empty word":       {App: "WC", Words: []string{""}, Counts: []int64{1}},
+		"unsorted int key": {App: "HG", Keys: []int{2, 1}, Values: []uint64{1, 1}},
+	} {
+		if _, err := MergePartials([]*Partial{p}); err == nil {
+			t.Errorf("a partial with %s should fail", name)
+		}
 	}
 }
 
 // TestMergePartialsKeySums pins the merge semantics on a hand-checkable
-// case: key-wise sums, absent keys passing through.
+// case: key-wise sums, absent keys passing through, the result sorted.
 func TestMergePartialsKeySums(t *testing.T) {
 	merged, err := MergePartials([]*Partial{
-		{App: "WC", Str: map[string]int64{"a": 2, "b": 1}},
+		{App: "WC", Words: []string{"a", "b"}, Counts: []int64{2, 1}},
 		nil, // a skipped shard slot must not derail the fold
-		{App: "WC", Str: map[string]int64{"a": 3, "c": 7}},
+		{App: "WC", Words: []string{"a", "c"}, Counts: []int64{3, 7}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int64{"a": 5, "b": 1, "c": 7}
-	if len(merged.Str) != len(want) {
-		t.Fatalf("merged %v, want %v", merged.Str, want)
-	}
-	for k, v := range want {
-		if merged.Str[k] != v {
-			t.Errorf("merged[%q] = %d, want %d", k, merged.Str[k], v)
-		}
+	want := &Partial{App: "WC", Words: []string{"a", "b", "c"}, Counts: []int64{5, 1, 7}}
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatalf("merged %+v, want %+v", merged, want)
 	}
 }
 
@@ -294,36 +302,74 @@ func TestShardableApps(t *testing.T) {
 	}
 }
 
-// FuzzMergePartials: MergePartials is associative and commutative over
-// arbitrary well-formed partials — any order and any grouping of the same
-// shards merges to one container, and Summary of it is one digest. That is
-// the property byte-identical sharding rests on: the coordinator merges
-// partials in arrival order, and a reshard changes which worker ran what.
+// modelPartials reads fuzz data as 3-byte records (shard, key, value)
+// into three shards' key→value maps — the model — with values spread over
+// the whole 64-bit range so sums wrap, and returns the maps and the
+// partials holding them as sorted columns. A WC key is one letter of
+// a..p, an int key one byte.
+func modelPartials(app string, data []byte) ([]map[string]uint64, []*Partial) {
+	models := make([]map[string]uint64, 3)
+	for i := range models {
+		models[i] = map[string]uint64{}
+	}
+	key := func(b byte) string {
+		if app == "WC" {
+			return string(rune('a' + b%16))
+		}
+		return strconv.Itoa(int(b))
+	}
+	for ; len(data) >= 3; data = data[3:] {
+		models[int(data[0])%len(models)][key(data[1])] += uint64(data[2]) * 0x9e3779b97f4a7c15
+	}
+	parts := make([]*Partial, len(models))
+	for i, m := range models {
+		parts[i] = columnsOf(app, m)
+	}
+	return models, parts
+}
+
+// columnsOf is the partial holding model m: its keys sorted, WC's as
+// strings, the others' as ints.
+func columnsOf(app string, m map[string]uint64) *Partial {
+	p := &Partial{App: app}
+	if app == "WC" {
+		p.Words = slices.Sorted(maps.Keys(m))
+		for _, w := range p.Words {
+			p.Counts = append(p.Counts, int64(m[w]))
+		}
+		return p
+	}
+	for k := range m {
+		n, _ := strconv.Atoi(k)
+		p.Keys = append(p.Keys, n)
+	}
+	slices.Sort(p.Keys)
+	for _, k := range p.Keys {
+		p.Values = append(p.Values, m[strconv.Itoa(k)])
+	}
+	return p
+}
+
+// FuzzMergePartials: MergePartials of arbitrary well-formed partials is
+// the key-wise sum a map model computes, as sorted columns, in any order
+// and any grouping of the same shards, and Summary of it is one digest.
+// That is the property byte-identical sharding rests on: the coordinator
+// merges partials in arrival order, and a reshard changes which worker ran
+// what.
 func FuzzMergePartials(f *testing.F) {
 	f.Add(uint8(0), []byte("a\x01b\x02a\x03"))
 	f.Add(uint8(1), []byte{0, 0, 1, 255, 2, 7, 0, 9, 1, 1})
 	f.Add(uint8(2), []byte{})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		app := ShardableApps()[int(sel)%len(ShardableApps())]
-		parts := make([]*Partial, 3)
-		for i := range parts {
-			parts[i] = &Partial{App: app}
-			if app == "WC" {
-				parts[i].Str = map[string]int64{}
-			} else {
-				parts[i].Int = map[int]uint64{}
+		models, parts := modelPartials(app, data)
+		sum := map[string]uint64{}
+		for _, m := range models {
+			for k, v := range m {
+				sum[k] += v
 			}
 		}
-		// Each 3-byte record is (shard, key, value); values are spread over
-		// the whole 64-bit range so sums wrap.
-		for ; len(data) >= 3; data = data[3:] {
-			p, v := parts[int(data[0])%len(parts)], uint64(data[2])*0x9e3779b97f4a7c15
-			if app == "WC" {
-				p.Str[string(data[1:2])] += int64(v)
-			} else {
-				p.Int[int(data[1])] += v
-			}
-		}
+		want := columnsOf(app, sum)
 		merge := func(ps ...*Partial) *Partial {
 			m, err := MergePartials(ps)
 			if err != nil {
@@ -332,12 +378,12 @@ func FuzzMergePartials(f *testing.F) {
 			return m
 		}
 		a, b, c := parts[0], parts[1], parts[2]
-		want := merge(a, b, c)
 		wantPairs, wantDigest, err := want.Summary()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, got := range map[string]*Partial{
+			"a,b,c":   merge(a, b, c),
 			"c,b,a":   merge(c, b, a),
 			"b,a,c":   merge(b, a, c),
 			"(a,b),c": merge(merge(a, b), c),
@@ -345,14 +391,68 @@ func FuzzMergePartials(f *testing.F) {
 			"(c,a),b": merge(merge(c, a), b),
 		} {
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s merged %s = %+v, a,b,c = %+v", app, name, got, want)
+				t.Fatalf("%s merged %s = %+v, the model's sum %+v", app, name, got, want)
 			}
 			if pairs, digest, err := got.Summary(); err != nil || pairs != wantPairs || digest != wantDigest {
-				t.Fatalf("%s merged %s summarises to (%d, %016x, %v), a,b,c to (%d, %016x)",
+				t.Fatalf("%s merged %s summarises to (%d, %016x, %v), the model to (%d, %016x)",
 					app, name, pairs, digest, err, wantPairs, wantDigest)
 			}
 		}
 	})
+}
+
+// FuzzPartialWire: decoding arbitrary bytes as a partial never panics and
+// accepts only well-formed columns — of equal length, keys strictly
+// ascending, WC words non-empty and free of spaces — and what it accepts,
+// or any partial a model builds, survives an encode and a decode whole.
+func FuzzPartialWire(f *testing.F) {
+	f.Add(uint8(0), []byte(`{"app":"WC","words":"a b","counts":"2 1"}`))
+	f.Add(uint8(1), []byte(`{"app":"HG","keys":"1 2 9","values":"3 18446744073709551615 0"}`))
+	f.Add(uint8(2), []byte(`{"app":"SYNTH","keys":"2 1","values":"1 1"}`))
+	f.Add(uint8(0), []byte(`{"app":"WC","words":"a  b","counts":"1 1 1"}`))
+	f.Add(uint8(0), []byte(`{"app":"WC","words":"a a","counts":"1 -1"}`))
+	f.Add(uint8(1), []byte(`{"app":"HG","keys":"1","values":"-1"}`))
+	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		var p Partial
+		if json.Unmarshal(data, &p) == nil {
+			if len(p.Words) != len(p.Counts) || len(p.Keys) != len(p.Values) {
+				t.Fatalf("accepted columns of unequal length: %+v", p)
+			}
+			for i, w := range p.Words {
+				if w == "" || strings.Contains(w, " ") || i > 0 && p.Words[i-1] >= w {
+					t.Fatalf("accepted word %d %q of %q", i, w, p.Words)
+				}
+			}
+			for i := 1; i < len(p.Keys); i++ {
+				if p.Keys[i-1] >= p.Keys[i] {
+					t.Fatalf("accepted keys %v", p.Keys)
+				}
+			}
+			roundTrip(t, &p)
+		}
+		app := ShardableApps()[int(sel)%len(ShardableApps())]
+		_, parts := modelPartials(app, data)
+		for _, p := range parts {
+			roundTrip(t, p)
+		}
+	})
+}
+
+// roundTrip encodes p, decodes it and checks the decode is p.
+func roundTrip(t *testing.T, p *Partial) {
+	t.Helper()
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q Partial
+	if err := json.Unmarshal(b, &q); err != nil {
+		t.Fatalf("%+v encodes to %s, which does not decode: %v", p, b, err)
+	}
+	if q.App != p.App || !slices.Equal(q.Words, p.Words) || !slices.Equal(q.Counts, p.Counts) ||
+		!slices.Equal(q.Keys, p.Keys) || !slices.Equal(q.Values, p.Values) {
+		t.Fatalf("%+v round-trips to %+v", p, q)
+	}
 }
 
 // TestShardPartialDoesNotPinInput: a shard's partial outlives its job — the

@@ -141,12 +141,12 @@ func RunTypedContext[S any, K comparable, V, R any](ctx context.Context, spec *m
 	return RunTypedExport(ctx, spec, eng, cfg, digest, nil)
 }
 
-// RunTypedExport is RunTypedContext with an optional per-pair export
-// callback, invoked once for every output pair after the run completes.
-// Shard jobs use it to lift their typed output into the type-erased
-// Partial that crosses the cluster wire (see shard.go); a nil export is
-// the plain batch path.
-func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], eng Engine, cfg mr.Config, digest func(K, R) uint64, export func(K, R)) (*RunInfo, error) {
+// RunTypedExport is RunTypedContext with an optional export, handed the
+// run's output pairs, sorted by spec.Less, once the run completes; what it
+// returns is the RunInfo's Partial. Shard jobs use it to lift their typed
+// output into the type-erased Partial that crosses the cluster wire (see
+// shard.go); a nil export is the plain batch path.
+func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], eng Engine, cfg mr.Config, digest func(K, R) uint64, export func([]mr.Pair[K, R]) *Partial) (*RunInfo, error) {
 	start := time.Now()
 	var (
 		res *mr.Result[K, R]
@@ -182,9 +182,7 @@ func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr
 		info.Digest = d
 	}
 	if export != nil {
-		for _, p := range res.Pairs {
-			export(p.Key, p.Value)
-		}
+		info.Partial = export(res.Pairs)
 	}
 	return info, nil
 }
