@@ -15,21 +15,31 @@
 // failure, reshard after a worker death) is answered from the worker's
 // memo cache when it already ran there.
 //
+// A job asks its workers only for its shards: POST /jobs and GET
+// /jobs/{id}/result. Everything else the coordinator knows about a worker
+// it learns from those exchanges. Each carries the coordinator's protocol
+// generation (service.ProtoHeader), which a current worker checks before
+// admitting a shard, and each answer's generation is read before its
+// status, so no partial from another generation reaches the merge.
+//
 // Failure model: a worker answering 429 (admission queue saturated) is
 // skipped for that attempt and the shard re-places onto the next
 // candidate in link-cost order; a worker that stops answering is marked
-// down and its shards reshard onto the remaining workers; a shard job
-// that *fails on the worker* (as opposed to the worker failing) aborts
-// the cluster job, because every worker would fail it the same way.
+// down, its shards reshard onto the remaining workers, and for
+// RequestTimeout it is every shard's last candidate; a shard job that
+// *fails on the worker* (as opposed to the worker failing) aborts the
+// cluster job, because every worker would fail it the same way, and so
+// does an answer in another generation.
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"ramr/internal/service"
@@ -85,29 +95,33 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// worker is one worker's live state.
+// worker is one worker's live state: downAt is when an exchange with it
+// last failed as errWorkerDown (unix nanoseconds), 0 once any exchange
+// after that came back.
 type worker struct {
-	spec WorkerSpec
-
-	mu   sync.Mutex
-	down bool
+	spec   WorkerSpec
+	downAt atomic.Int64
 }
 
-func (w *worker) isDown() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.down
-}
+func (w *worker) isDown() bool { return w.downAt.Load() != 0 }
 
-func (w *worker) setDown(v bool) {
-	w.mu.Lock()
-	w.down = v
-	w.mu.Unlock()
+// mark books the outcome of one exchange: errWorkerDown marks the worker
+// down as of now, anything the worker answered marks it up.
+func (w *worker) mark(err error) {
+	switch {
+	case errors.Is(err, errWorkerDown):
+		w.downAt.Store(time.Now().UnixNano())
+	case w.downAt.Load() != 0:
+		w.downAt.Store(0)
+	}
 }
 
 // Coordinator shards jobs across ramrd workers and merges their partial
 // results. Safe for concurrent use; worker health is shared across jobs
-// (a worker marked down stays skipped until a probe revives it).
+// and learnt from the dispatch exchanges themselves: a worker marked down
+// goes after every other candidate for RequestTimeout, then takes its
+// place in the order again, and the first exchange it answers clears the
+// mark.
 type Coordinator struct {
 	cfg     Config
 	workers []*worker
@@ -121,6 +135,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers configured")
 	}
+	// Normalise a copy: the caller's slice stays as it was.
+	cfg.Workers = append([]WorkerSpec(nil), cfg.Workers...)
 	seen := map[string]bool{}
 	for i, w := range cfg.Workers {
 		u := strings.TrimRight(strings.TrimSpace(w.URL), "/")
@@ -228,6 +244,25 @@ func (c *Coordinator) placement(shard int) []int {
 		return ring(ia) < ring(ib)
 	})
 	return order
+}
+
+// candidates orders one pass over a shard's placement order: a worker
+// marked down less than RequestTimeout ago goes after every other
+// candidate instead of being skipped, so no shard waits on a known-down
+// worker while another can serve it, and one that came back is tried in
+// its own place again once the mark is RequestTimeout old.
+func (c *Coordinator) candidates(order []int) []int {
+	since := time.Now().Add(-c.cfg.RequestTimeout).UnixNano()
+	out := make([]int, 0, len(order))
+	var late []int
+	for _, wi := range order {
+		if c.workers[wi].downAt.Load() > since {
+			late = append(late, wi)
+		} else {
+			out = append(out, wi)
+		}
+	}
+	return append(out, late...)
 }
 
 // shardSpecs enumerates the job's shard coordinates.

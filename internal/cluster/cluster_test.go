@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,15 +191,8 @@ type flakyWorker struct {
 
 func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f.died.Load() {
-		// A dead process: sever the connection mid-response.
-		hj, ok := w.(http.Hijacker)
-		if ok {
-			if conn, _, err := hj.Hijack(); err == nil {
-				conn.Close()
-				return
-			}
-		}
-		panic("flakyWorker: cannot hijack")
+		sever(w)
+		return
 	}
 	if r.Method == http.MethodPost && r.URL.Path == "/jobs" {
 		// Admit the shard for real, then die before it can be polled.
@@ -205,6 +200,17 @@ func (f *flakyWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		f.died.Store(true)
 	}
 	f.proxy(w, r)
+}
+
+// sever answers as a dead process does: the connection drops mid-request.
+func sever(w http.ResponseWriter) {
+	if hj, ok := w.(http.Hijacker); ok {
+		if conn, _, err := hj.Hijack(); err == nil {
+			conn.Close()
+			return
+		}
+	}
+	panic("sever: cannot hijack")
 }
 
 func (f *flakyWorker) proxy(w http.ResponseWriter, r *http.Request) {
@@ -376,7 +382,7 @@ func TestShardAwaitedByCompletion(t *testing.T) {
 	}
 }
 
-// saturatedWorker answers every admission with 429 but probes honestly.
+// saturatedWorker answers every admission with 429 and proxies the rest.
 type saturatedWorker struct{ backend *httptest.Server }
 
 func (s *saturatedWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -422,57 +428,81 @@ func TestSaturatedWorkerReplacement(t *testing.T) {
 	}
 }
 
-// TestProbeRejectsMismatchedWorker pins the compatibility gate: a worker
-// speaking another protocol generation fails the job with a hard error
-// naming the worker, before any shard is dispatched. The generation-2 case
+// TestProbeRejectsMismatchedWorker pins the compatibility gate, which
+// rides on the dispatch exchanges: an answer naming another protocol
+// generation, or a 2xx answer naming none, fails the job with an error
+// naming the worker and the generation, nothing is merged, and a shard job
+// the mismatched answer admitted is deleted there. The generation-2 case
 // is the one that matters since the generators became split-addressable: a
 // generation-2 worker derives different bytes from the same seed, and its
 // partial would merge into a plausible, wrong digest. A generation-3 worker
 // ships its partial as a JSON object keyed by the output keys, which a
 // generation-4 coordinator, reading sorted columns, would decode as empty.
+// Workers that old cannot refuse the shard themselves (a current one does:
+// TestSubmitRefusesOtherGeneration in internal/service).
 func TestProbeRejectsMismatchedWorker(t *testing.T) {
-	gen2 := `{"capabilities":{"proto":"2","features":["result-wait"],"shard_apps":["HG","SYNTH","WC"]}}`
-	gen3 := `{"capabilities":{"proto":"3","features":["jobs","memo","partial","result-wait","shard","stream"],"shard_apps":["HG","SYNTH","WC"]}}`
 	for _, tc := range []struct {
-		name, header, stats, want string
+		name string
+		// admit and result are the generations the worker names on its
+		// POST /jobs and GET .../result answers.
+		admit, result, want string
 	}{
-		{"no header, no capabilities", "", `{"role":"worker"}`, `protocol ""`},
-		{"worker answers proto 2", "2", gen2, `protocol "2"`},
-		{"current header over generation-2 capabilities", service.ProtoVersion, gen2, `capabilities.proto "2"`},
-		{"worker answers proto 3", "3", gen3, `protocol "3"`},
-		{"current header over generation-3 capabilities", service.ProtoVersion, gen3, `capabilities.proto "3"`},
+		{"no header, no capabilities", "", "", `protocol ""`},
+		{"worker answers proto 2", "2", "2", `protocol "2"`},
+		{"worker answers proto 3", "3", "3", `protocol "3"`},
+		{"result answered in proto 3", service.ProtoVersion, "3", `protocol "3"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			healthy := newWorker(t)
-			var posts atomic.Int32
+			var posts, deletes atomic.Int32
 			old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodPost {
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/jobs":
 					posts.Add(1)
+					setProto(w, tc.admit)
+					w.WriteHeader(http.StatusCreated)
+					fmt.Fprint(w, `{"id":5,"state":"queued"}`)
+				case r.Method == http.MethodDelete && r.URL.Path == "/jobs/5":
+					deletes.Add(1)
+					w.WriteHeader(http.StatusNoContent)
+				default:
+					setProto(w, tc.result)
+					fmt.Fprint(w, `{"id":5,"state":"done","partial":{"app":"WC"}}`)
 				}
-				if tc.header != "" {
-					w.Header().Set(service.ProtoHeader, tc.header)
-				}
-				fmt.Fprint(w, tc.stats)
 			}))
 			t.Cleanup(old.Close)
 
 			co := newCoordinator(t, 2, healthy.URL, old.URL)
-			_, err := co.Run(context.Background(), &service.JobRequest{Workload: "WC"}, nil)
+			res, err := co.Run(context.Background(), &service.JobRequest{Workload: "WC"}, nil)
 			if err == nil {
-				t.Fatal("dispatch through a protocol-mismatched worker should fail")
+				t.Fatalf("dispatch through a protocol-mismatched worker should fail; merged %+v", res)
 			}
 			if !strings.Contains(err.Error(), old.URL) || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("mismatch error should name the worker and contain %q: %v", tc.want, err)
 			}
-			if n := posts.Load(); n != 0 {
-				t.Fatalf("%d shard submissions reached the mismatched worker", n)
+			if n := co.met.merges.Load(); n != 0 {
+				t.Fatalf("%d merges after a mismatch, want none", n)
+			}
+			if posts.Load() != 1 {
+				t.Fatalf("%d shard submissions reached the mismatched worker, want 1", posts.Load())
+			}
+			// A shard job admitted by a mismatched answer is deleted there.
+			if tc.admit != service.ProtoVersion && deletes.Load() != 1 {
+				t.Fatalf("%d DELETEs of the shard job the mismatched answer admitted, want 1", deletes.Load())
 			}
 		})
 	}
 }
 
+// setProto names generation proto on an answer; "" names none.
+func setProto(w http.ResponseWriter, proto string) {
+	if proto != "" {
+		w.Header().Set(service.ProtoHeader, proto)
+	}
+}
+
 // TestProbeSurvivesUnreachableWorker: a worker that is down (vs
-// incompatible) is skipped, and the job completes on the rest.
+// incompatible) is tried, marked down, and the job completes on the rest.
 func TestProbeSurvivesUnreachableWorker(t *testing.T) {
 	healthy := newWorker(t)
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -489,6 +519,210 @@ func TestProbeSurvivesUnreachableWorker(t *testing.T) {
 	for _, sr := range res.PerShard {
 		if sr.Worker != healthy.URL {
 			t.Errorf("shard %s placed on the dead worker", sr.Shard)
+		}
+	}
+	if ws := co.Workers(); ws[0].Down || !ws[1].Down {
+		t.Errorf("worker health after the job: %+v, want only the dead worker down", ws)
+	}
+}
+
+// trafficRecorder fronts a real worker and records every request it
+// passes on: method, path and the generation it names.
+type trafficRecorder struct {
+	proxy *httputil.ReverseProxy
+
+	mu   sync.Mutex
+	seen []string
+}
+
+func newTrafficRecorder(t *testing.T, backend *httptest.Server) (*trafficRecorder, *httptest.Server) {
+	target, err := url.Parse(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trafficRecorder{proxy: httputil.NewSingleHostReverseProxy(target)}
+	ts := httptest.NewServer(tr)
+	t.Cleanup(ts.Close)
+	return tr, ts
+}
+
+func (tr *trafficRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	tr.mu.Lock()
+	tr.seen = append(tr.seen, r.Method+" "+r.URL.Path+" proto="+r.Header.Get(service.ProtoHeader))
+	tr.mu.Unlock()
+	tr.proxy.ServeHTTP(w, r)
+}
+
+// TestHealthyJobAsksOnlyForItsShards: a healthy cluster job sends each
+// worker its shard (POST /jobs) and the wait for its result (GET
+// /jobs/{id}/result), each naming the coordinator's generation, and
+// nothing else — no /stats.
+func TestHealthyJobAsksOnlyForItsShards(t *testing.T) {
+	ra, ta := newTrafficRecorder(t, newWorker(t))
+	rb, tb := newTrafficRecorder(t, newWorker(t))
+	co := newCoordinator(t, 2, ta.URL, tb.URL)
+	req := &service.JobRequest{Workload: "WC", Seed: 17, MaxCPUs: 8,
+		Config: service.ConfigOverlay{Pin: "none"}}
+	if _, err := co.Run(context.Background(), req, nil); err != nil {
+		t.Fatal(err)
+	}
+	proto := " proto=" + service.ProtoVersion
+	shape := regexp.MustCompile(`^(POST /jobs|GET /jobs/[0-9]+/result)` + regexp.QuoteMeta(proto) + `$`)
+	for _, tr := range []*trafficRecorder{ra, rb} {
+		tr.mu.Lock()
+		seen := append([]string(nil), tr.seen...)
+		tr.mu.Unlock()
+		if len(seen) < 2 || seen[0] != "POST /jobs"+proto {
+			t.Fatalf("worker saw %q, want a POST /jobs then its result waits", seen)
+		}
+		for _, s := range seen {
+			if !shape.MatchString(s) {
+				t.Fatalf("a healthy job sent %q; want only POST /jobs and GET /jobs/{id}/result naming generation %s (all: %q)",
+					s, service.ProtoVersion, seen)
+			}
+		}
+	}
+}
+
+// TestSilentWorkerCostsOneExchange: a worker host that accepts
+// connections but never answers costs the first job one RequestTimeout;
+// for RequestTimeout after that it is every shard's last candidate, so the
+// jobs that follow never wait on it while the live worker serves.
+func TestSilentWorkerCostsOneExchange(t *testing.T) {
+	live := newWorker(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	silent := "http://" + ln.Addr().String()
+
+	// Long enough to cover the jobs after the first, which take
+	// milliseconds each.
+	const timeout = 2 * time.Second
+	co, err := New(Config{
+		Workers:        []WorkerSpec{{URL: live.URL}, {URL: silent}},
+		Retries:        3,
+		Backoff:        5 * time.Millisecond,
+		RequestTimeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 4
+	for i := 0; i < jobs; i++ {
+		start := time.Now()
+		req := &service.JobRequest{Workload: "SYNTH", Seed: int64(40 + i), MaxCPUs: 8,
+			Synth: service.SynthParams{Elements: 5_000, Keys: 16}}
+		res, err := co.Run(context.Background(), req, nil)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		for _, sr := range res.PerShard {
+			if sr.Worker != live.URL {
+				t.Fatalf("job %d: shard %s completed on %s", i, sr.Shard, sr.Worker)
+			}
+		}
+		if took := time.Since(start); i > 0 && took >= timeout {
+			t.Fatalf("job %d took %v, at least one RequestTimeout: it waited on the silent worker", i, took)
+		}
+	}
+	mu.Lock()
+	n := len(held)
+	mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d jobs opened %d exchanges with the silent worker, want 1", jobs, n)
+	}
+	if ws := co.Workers(); !ws[1].Down {
+		t.Fatalf("silent worker not marked down: %+v", ws)
+	}
+}
+
+// severableWorker fronts a real worker; while severed it drops every
+// connection, as a dead process does, and once restored it serves again.
+type severableWorker struct {
+	backend *httptest.Server
+	severed atomic.Bool
+}
+
+func (s *severableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.severed.Load() {
+		sever(w)
+		return
+	}
+	(&flakyWorker{backend: s.backend}).proxy(w, r)
+}
+
+// TestDownWorkerRevives: a worker a job found dead is marked down; once it
+// is back, the first job after RequestTimeout places a shard on it again,
+// and the exchange it answers clears the mark.
+func TestDownWorkerRevives(t *testing.T) {
+	live := newWorker(t)
+	sw := &severableWorker{backend: newWorker(t)}
+	sw.severed.Store(true)
+	sts := httptest.NewServer(sw)
+	t.Cleanup(sts.Close)
+
+	const timeout = 300 * time.Millisecond
+	co, err := New(Config{
+		Workers:        []WorkerSpec{{URL: live.URL}, {URL: sts.URL}},
+		Retries:        3,
+		Backoff:        5 * time.Millisecond,
+		RequestTimeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(seed int64) *Result {
+		t.Helper()
+		res, err := co.Run(context.Background(), &service.JobRequest{Workload: "SYNTH", Seed: seed, MaxCPUs: 8,
+			Synth: service.SynthParams{Elements: 5_000, Keys: 16}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, sr := range run(1).PerShard {
+		if sr.Worker != live.URL {
+			t.Fatalf("shard %s completed on the severed worker", sr.Shard)
+		}
+	}
+	if ws := co.Workers(); !ws[1].Down {
+		t.Fatalf("severed worker not marked down: %+v", ws)
+	}
+
+	sw.severed.Store(false)
+	time.Sleep(timeout)
+	revived := false
+	for _, sr := range run(2).PerShard {
+		revived = revived || sr.Worker == sts.URL
+	}
+	if !revived {
+		t.Fatal("the first job after RequestTimeout placed no shard on the restored worker")
+	}
+	for _, ws := range co.Workers() {
+		if ws.Down {
+			t.Fatalf("worker %s still marked down after a shard completed there", ws.URL)
 		}
 	}
 }
@@ -542,6 +776,23 @@ func TestPlacementOrder(t *testing.T) {
 	// Determinism: identical calls agree.
 	if a, b := co.placement(2), co.placement(2); fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("placement not deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestNewLeavesCallerSliceAlone: New normalises its own copy of the worker
+// list, not the caller's backing array.
+func TestNewLeavesCallerSliceAlone(t *testing.T) {
+	const raw = " http://127.0.0.1:1/ "
+	specs := []WorkerSpec{{URL: raw}}
+	co, err := New(Config{Workers: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if specs[0].URL != raw {
+		t.Fatalf("New rewrote the caller's worker URL to %q", specs[0].URL)
+	}
+	if got := co.Workers()[0].URL; got != "http://127.0.0.1:1" {
+		t.Fatalf("normalised worker URL %q", got)
 	}
 }
 

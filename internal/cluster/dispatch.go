@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"ramr/internal/obs"
@@ -73,11 +72,6 @@ type workerDoc struct {
 	Partial *workloads.Partial `json:"partial"`
 }
 
-// statsDoc is the subset of the worker's GET /stats the probe reads.
-type statsDoc struct {
-	Capabilities service.Capabilities `json:"capabilities"`
-}
-
 // errWorkerDown marks a worker that stopped answering; the dispatch loop
 // reshards past it instead of giving up.
 var errWorkerDown = errors.New("worker unreachable")
@@ -85,94 +79,17 @@ var errWorkerDown = errors.New("worker unreachable")
 // errSaturated marks a 429; the dispatch loop re-places immediately.
 var errSaturated = errors.New("worker saturated")
 
-// fatalShardError wraps a worker-side job failure: the shard itself is
-// bad (every worker would fail it identically), so the cluster job
-// aborts instead of retrying.
+// fatalShardError wraps a worker-side job failure — the shard itself is
+// bad (every worker would fail it identically) — or a worker answering in
+// another protocol generation, a misconfiguration that must fail loudly:
+// the cluster job aborts instead of retrying.
 type fatalShardError struct{ err error }
 
 func (e *fatalShardError) Error() string { return e.err.Error() }
 
-// Probe checks every worker's protocol compatibility for the named app:
-// the X-RAMR-Proto response header and the /stats capabilities block
-// must advertise the coordinator's protocol generation and list the app
-// as shardable. A version or capability mismatch is a hard error (a
-// deliberate misconfiguration must fail loudly); an unreachable worker
-// is marked down and skipped, so a cluster missing one machine still
-// serves. Returns the number of live workers.
-func (c *Coordinator) Probe(ctx context.Context, app string) (int, error) {
-	var mu sync.Mutex
-	var mismatches []string
-	live := 0
-	var wg sync.WaitGroup
-	for _, w := range c.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			err := c.probeWorker(ctx, w, app)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				w.setDown(false)
-				live++
-			case errors.Is(err, errWorkerDown):
-				w.setDown(true)
-				c.log.Warn("cluster: worker unreachable at probe", "worker", w.spec.URL)
-			default:
-				mismatches = append(mismatches, err.Error())
-			}
-		}(w)
-	}
-	wg.Wait()
-	if len(mismatches) > 0 {
-		return 0, fmt.Errorf("cluster: incompatible workers: %s", strings.Join(mismatches, "; "))
-	}
-	if live == 0 {
-		return 0, fmt.Errorf("cluster: no reachable workers (all %d down)", len(c.workers))
-	}
-	return live, nil
-}
-
-// probeWorker checks one worker. errWorkerDown for unreachable; any
-// other error is a compatibility mismatch.
-func (c *Coordinator) probeWorker(ctx context.Context, w *worker, app string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.spec.URL+"/stats", nil)
-	if err != nil {
-		return fmt.Errorf("worker %s: %v", w.spec.URL, err)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("%w: %s: %v", errWorkerDown, w.spec.URL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: %s: GET /stats returned %d", errWorkerDown, w.spec.URL, resp.StatusCode)
-	}
-	proto := resp.Header.Get(service.ProtoHeader)
-	if proto != service.ProtoVersion {
-		return fmt.Errorf("worker %s speaks protocol %q, coordinator requires %q (upgrade the worker or the coordinator so generations match)",
-			w.spec.URL, proto, service.ProtoVersion)
-	}
-	var doc statsDoc
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc); err != nil {
-		return fmt.Errorf("worker %s: decoding /stats: %v", w.spec.URL, err)
-	}
-	if doc.Capabilities.Proto != service.ProtoVersion {
-		return fmt.Errorf("worker %s advertises capabilities.proto %q, coordinator requires %q",
-			w.spec.URL, doc.Capabilities.Proto, service.ProtoVersion)
-	}
-	for _, a := range doc.Capabilities.ShardApps {
-		if a == app {
-			return nil
-		}
-	}
-	return fmt.Errorf("worker %s does not accept %s shards (shard_apps=%v)",
-		w.spec.URL, app, doc.Capabilities.ShardApps)
-}
-
-// Run dispatches req across the cluster: probe, shard, place, dispatch
-// with retry/re-placement/reshard, and the final merge. rec, when
-// non-nil, receives the job's dispatch and merge spans.
+// Run dispatches req across the cluster: shard, place, dispatch with
+// retry/re-placement/reshard, and the final merge. rec, when non-nil,
+// receives the job's dispatch and merge spans.
 func (c *Coordinator) Run(ctx context.Context, req *service.JobRequest, rec *obs.Recorder) (*Result, error) {
 	start := time.Now()
 	if err := validateRequest(req); err != nil {
@@ -189,14 +106,8 @@ func (c *Coordinator) Run(ctx context.Context, req *service.JobRequest, rec *obs
 }
 
 func (c *Coordinator) run(ctx context.Context, req *service.JobRequest, app string, rec *obs.Recorder, start time.Time) (*Result, error) {
-	endProbe := rec.Span("probe", nil)
-	live, err := c.Probe(ctx, app)
-	endProbe()
-	if err != nil {
-		return nil, err
-	}
 	c.log.Info("cluster: dispatching job", "app", app,
-		"shards", c.cfg.Shards, "workers", len(c.workers), "live", live)
+		"shards", c.cfg.Shards, "workers", len(c.workers))
 
 	shards := c.shardSpecs()
 	results := make([]ShardResult, len(shards))
@@ -205,7 +116,7 @@ func (c *Coordinator) run(ctx context.Context, req *service.JobRequest, app stri
 	for i, sh := range shards {
 		i, sh := i, sh
 		grp.Go(func() error {
-			sr, part, err := c.dispatchShard(gctx, req, app, sh, rec)
+			sr, part, err := c.dispatchShard(gctx, req, sh, rec)
 			if err != nil {
 				return fmt.Errorf("shard %s: %w", sh, err)
 			}
@@ -250,10 +161,10 @@ func (c *Coordinator) run(ctx context.Context, req *service.JobRequest, app stri
 }
 
 // dispatchShard runs one shard to completion somewhere on the cluster:
-// walk the shard's placement order, skipping down workers, re-placing on
-// saturation, marking workers down (and resharding) when they stop
-// answering, with an exponential backoff between full passes.
-func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest, app string, sh workloads.ShardSpec, rec *obs.Recorder) (ShardResult, *workloads.Partial, error) {
+// walk the shard's placement order, recently failed workers last,
+// re-placing on saturation, marking workers down (and resharding) when
+// they stop answering, with an exponential backoff between full passes.
+func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest, sh workloads.ShardSpec, rec *obs.Recorder) (ShardResult, *workloads.Partial, error) {
 	body, err := shardBody(req, sh)
 	if err != nil {
 		return ShardResult{}, nil, err
@@ -271,11 +182,8 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 				return sr, nil, ctx.Err()
 			}
 		}
-		for _, wi := range order {
+		for _, wi := range c.candidates(order) {
 			w := c.workers[wi]
-			if w.isDown() {
-				continue
-			}
 			if err := ctx.Err(); err != nil {
 				return sr, nil, err
 			}
@@ -290,6 +198,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 				// the exchange: that says nothing about the worker.
 				return sr, nil, ctx.Err()
 			}
+			w.mark(err)
 			switch {
 			case err == nil:
 				sr.Worker = w.spec.URL
@@ -318,7 +227,6 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 				c.log.Info("cluster: shard re-placed off saturated worker",
 					"shard", sh.String(), "worker", w.spec.URL)
 			case errors.Is(err, errWorkerDown):
-				w.setDown(true)
 				if admittedOnce {
 					sr.Resharded = true
 					c.met.reshards.Add(1)
@@ -372,10 +280,11 @@ const minResultTurnaround = 25 * time.Millisecond
 // (429 at admission), errWorkerDown (transport failure or 5xx — the
 // worker, not the shard — which includes a shard job the worker reports
 // canceled: someone cancelled it there, or the worker drained under it),
-// fatalShardError (the worker ran the shard and failed it), or a plain
-// error. A shard job abandoned because ctx ended — the cluster job was
-// cancelled, a sibling shard failed, the shard timed out — is cancelled on
-// the worker, so it stops holding the worker's CPUs.
+// fatalShardError (the worker ran the shard and failed it, or answered in
+// another generation), or a plain error. A shard job abandoned because ctx
+// ended — the cluster job was cancelled, a sibling shard failed, the shard
+// timed out — is cancelled on the worker, so it stops holding the worker's
+// CPUs.
 func (c *Coordinator) runShardOn(ctx context.Context, w *worker, body []byte) (doc *workerDoc, admitted bool, err error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
@@ -423,18 +332,64 @@ func (c *Coordinator) runShardOn(ctx context.Context, w *worker, body []byte) (d
 	}
 }
 
-// postJob submits the shard body to the worker's POST /jobs.
-func (c *Coordinator) postJob(ctx context.Context, w *worker, body []byte) (*workerDoc, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.spec.URL+"/jobs", bytes.NewReader(body))
+// send makes one exchange with w. Every request carries the
+// coordinator's generation (service.ProtoHeader), so a current worker
+// refuses a shard from another one before admitting it; a transport
+// failure is errWorkerDown.
+func (c *Coordinator) send(ctx context.Context, w *worker, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, w.spec.URL+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(service.ProtoHeader, service.ProtoVersion)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", errWorkerDown, w.spec.URL, err)
 	}
+	return resp, nil
+}
+
+// checkGeneration reads an answer's generation before its status is acted
+// on. An answer naming another generation is a mismatch, and so is a 2xx
+// naming none: nothing without a generation may feed the merge. A mismatch
+// fails the job, naming the worker and both generations, and a shard job
+// the answer admitted (201) is cancelled there. A non-2xx answer without
+// the header keeps its status's class, so an intermediary's 502 still
+// reshards.
+func (c *Coordinator) checkGeneration(w *worker, resp *http.Response) error {
+	proto := resp.Header.Get(service.ProtoHeader)
+	if proto == service.ProtoVersion || proto == "" && resp.StatusCode/100 != 2 {
+		return nil
+	}
+	if resp.StatusCode == http.StatusCreated {
+		var doc struct {
+			ID int `json:"id"`
+		}
+		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc) == nil && doc.ID != 0 {
+			c.cancelOnWorker(w, doc.ID)
+		}
+	}
+	return &fatalShardError{fmt.Errorf("worker %s speaks protocol %q, coordinator requires %q (upgrade the worker or the coordinator so generations match)",
+		w.spec.URL, proto, service.ProtoVersion)}
+}
+
+// postJob submits the shard body to the worker's POST /jobs.
+func (c *Coordinator) postJob(ctx context.Context, w *worker, body []byte) (*workerDoc, error) {
+	resp, err := c.send(ctx, w, http.MethodPost, "/jobs", body)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
+	if err := c.checkGeneration(w, resp); err != nil {
+		return nil, err
+	}
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
@@ -457,11 +412,7 @@ func (c *Coordinator) postJob(ctx context.Context, w *worker, body []byte) (*wor
 func (c *Coordinator) cancelOnWorker(w *worker, id int) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, fmt.Sprintf("%s/jobs/%d", w.spec.URL, id), nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client.Do(req)
+	resp, err := c.send(ctx, w, http.MethodDelete, fmt.Sprintf("/jobs/%d", id), nil)
 	if err != nil {
 		c.log.Info("cluster: could not cancel abandoned shard job", "worker", w.spec.URL, "job_id", id, "err", err)
 		return
@@ -475,17 +426,15 @@ func (c *Coordinator) cancelOnWorker(w *worker, id int) {
 // timeout, so a worker that stops answering mid-wait is still noticed
 // within RequestTimeout.
 func (c *Coordinator) getResult(ctx context.Context, w *worker, id int) (*workerDoc, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/jobs/%d/result?wait=%s", w.spec.URL, id,
-			(c.cfg.RequestTimeout/2).Truncate(time.Millisecond)), nil)
+	resp, err := c.send(ctx, w, http.MethodGet, fmt.Sprintf("/jobs/%d/result?wait=%s", id,
+		(c.cfg.RequestTimeout/2).Truncate(time.Millisecond)), nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", errWorkerDown, w.spec.URL, err)
-	}
 	defer resp.Body.Close()
+	if err := c.checkGeneration(w, resp); err != nil {
+		return nil, err
+	}
 	switch resp.StatusCode {
 	case http.StatusAccepted:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))

@@ -43,7 +43,7 @@ func (c *Coordinator) WritePrometheus(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, `# HELP ramr_cluster_jobs_total Cluster jobs accepted for dispatch.
 # TYPE ramr_cluster_jobs_total counter
 ramr_cluster_jobs_total %d
-# HELP ramr_cluster_job_errors_total Cluster jobs that failed (validation, probe, dispatch or merge).
+# HELP ramr_cluster_job_errors_total Cluster jobs that failed (validation, dispatch or merge).
 # TYPE ramr_cluster_job_errors_total counter
 ramr_cluster_job_errors_total %d
 # HELP ramr_cluster_shards_dispatched_total Shards completed on a worker.

@@ -70,9 +70,6 @@ func TestWireParity(t *testing.T) {
 	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(service.ProtoHeader, service.ProtoVersion)
 		switch {
-		case r.URL.Path == "/stats":
-			json.NewEncoder(w).Encode(map[string]any{"capabilities": service.Capabilities{
-				Proto: service.ProtoVersion, ShardApps: []string{"HG", "SYNTH", "WC"}}})
 		case r.Method == http.MethodPost:
 			w.WriteHeader(http.StatusCreated)
 			fmt.Fprint(w, `{"id":1,"state":"queued"}`)

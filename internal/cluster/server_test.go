@@ -109,14 +109,14 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A trace of the run has probe/shard/merge spans.
+	// A trace of the run has shard and merge spans.
 	tresp, err := http.Get(fmt.Sprintf("%s/jobs/%d/trace", ts.URL, id))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb, _ := io.ReadAll(tresp.Body)
 	tresp.Body.Close()
-	for _, want := range []string{"probe", "shard-0/2", "merge"} {
+	for _, want := range []string{"shard-0/2", "shard-1/2", "merge"} {
 		if !strings.Contains(string(tb), want) {
 			t.Errorf("trace missing %q span", want)
 		}
@@ -198,13 +198,6 @@ func TestServerCancelAndDrain(t *testing.T) {
 	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(service.ProtoHeader, service.ProtoVersion)
 		switch {
-		case r.URL.Path == "/stats":
-			json.NewEncoder(w).Encode(map[string]any{
-				"capabilities": service.Capabilities{
-					Proto:     service.ProtoVersion,
-					ShardApps: []string{"HG", "SYNTH", "WC"},
-				},
-			})
 		case r.Method == http.MethodPost && r.URL.Path == "/jobs":
 			w.WriteHeader(http.StatusCreated)
 			fmt.Fprint(w, `{"id":1,"state":"queued"}`)

@@ -285,7 +285,6 @@ func (d *Driver[S, K, V, R]) Start(ctx context.Context, trace *obs.Recorder, don
 			if stolen {
 				endSteal()
 			}
-			tw.SetState(telemetry.StateIdle)
 		}
 	}, func(j int) func([]pair[K, V]) {
 		c := d.pane(j, 0, nil).c

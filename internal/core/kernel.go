@@ -40,12 +40,10 @@ var (
 // runs body; body runs inside the labelled closure so the recover stays in
 // the panicking frame chain. A panic in body — user code or an injected
 // fault — is handed to recovered as the run's typed error after the
-// goroutine has been unpinned; the worker's ledger shard tw is marked done
-// last, whatever happened.
-func runWorker(ctx context.Context, engine string, r role, id, cpu int, tw *telemetry.Worker, body func(), recovered func(*mr.PanicError)) {
+// goroutine has been unpinned.
+func runWorker(ctx context.Context, engine string, r role, id, cpu int, body func(), recovered func(*mr.PanicError)) {
 	labels := pprof.Labels("engine", engine, "role", r.label, "worker", strconv.Itoa(id))
 	pprof.Do(ctx, labels, func(context.Context) {
-		defer tw.SetState(telemetry.StateDone)
 		defer func() {
 			if v := recover(); v != nil {
 				recovered(&mr.PanicError{Engine: engine, Worker: fmt.Sprintf("%s %d", r.name, id), Value: v})
@@ -161,7 +159,6 @@ func Fuse[E any, K comparable, V any](l *Lane[E], c container.Container[K, V], c
 
 // BeginTask marks the start of one map task.
 func (l *Lane[E]) BeginTask() {
-	l.tw.SetState(telemetry.StateWorking)
 	if l.taskHook != nil {
 		l.taskHook(l.id)
 	}
@@ -237,7 +234,7 @@ func (p *Pool[E]) startSlots(ctx context.Context, fold func(int) func([]E)) {
 		go func() {
 			defer p.wg.Done()
 			tw := p.Ledger.Register(combinerRole.label, j)
-			runWorker(ctx, p.engine, combinerRole, j, p.plan.CombinerCPU[j], tw, func() {
+			runWorker(ctx, p.engine, combinerRole, j, p.plan.CombinerCPU[j], func() {
 				p.combine(p.newSlot(j, own, fold(j), tw))
 			}, func(pe *mr.PanicError) {
 				// A failed slot keeps draining (and discarding) so
@@ -331,14 +328,6 @@ func (s *slot[E]) round() (consumed, retired int) {
 func (p *Pool[E]) combine(s *slot[E]) {
 	track := p.cfg.Trace.Worker("combiner", s.j)
 	defer track.Publish()
-	// state stores only on transitions, not once per round.
-	curState := telemetry.StateIdle
-	setState := func(st telemetry.State) {
-		if st != curState {
-			curState = st
-			s.tw.SetState(st)
-		}
-	}
 	for len(s.live) > 0 {
 		if p.Aborted() {
 			p.drainAbort(s.j, s.own, s.tw)
@@ -349,13 +338,7 @@ func (p *Pool[E]) combine(s *slot[E]) {
 		switch {
 		case consumed > 0:
 			end()
-			if s.draining {
-				setState(telemetry.StateDraining)
-			} else {
-				setState(telemetry.StateWorking)
-			}
 		case retired == 0:
-			setState(telemetry.StateIdle)
 			spsc.Park(p.gates[s.j], s.live, p.batch, p.Aborted)
 		}
 	}

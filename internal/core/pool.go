@@ -140,7 +140,7 @@ func (p *Pool[E]) RunWorker(ctx context.Context, w int, work func(w int, lane *L
 			q.Close()
 		}
 	}
-	runWorker(ctx, p.engine, r, id, p.CPUs[w], l.tw, func() {
+	runWorker(ctx, p.engine, r, id, p.CPUs[w], func() {
 		work(w, l, l.tw)
 		exit(false)
 	}, func(pe *mr.PanicError) {

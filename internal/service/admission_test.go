@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -294,6 +295,52 @@ func TestBadRequestsStillRejectedAtPost(t *testing.T) {
 	}
 	if got := builds(t, ts); got != 0 {
 		t.Fatalf("%d inputs built for rejected submissions", got)
+	}
+}
+
+// TestSubmitRefusesOtherGeneration: a POST /jobs naming another protocol
+// generation — a coordinator of another generation dispatching a shard —
+// is refused with 400 before anything is admitted or built; one naming
+// this generation, or none (curl, a load generator), is served.
+func TestSubmitRefusesOtherGeneration(t *testing.T) {
+	_, ts, _ := newMemoService(t, Config{Seed: 4})
+	submit := func(proto string) (int, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/jobs",
+			strings.NewReader(`{"workload":"WC","seed":5,"max_cpus":8,"config":{"pin":"none"},"shard":{"index":0,"count":2}}`))
+		if proto != "" {
+			req.Header.Set(ProtoHeader, proto)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&doc)
+		if got := resp.Header.Get(ProtoHeader); got != ProtoVersion {
+			t.Fatalf("answer names generation %q, want %q", got, ProtoVersion)
+		}
+		return resp.StatusCode, doc.Error
+	}
+	for _, proto := range []string{"2", "3", "5"} {
+		code, msg := submit(proto)
+		if code != http.StatusBadRequest || !strings.Contains(msg, fmt.Sprintf("protocol %q", proto)) {
+			t.Fatalf("POST naming generation %s: HTTP %d %q, want 400 naming the generation", proto, code, msg)
+		}
+	}
+	if _, list := getJSON(t, ts.URL+"/jobs"); len(list["jobs"].([]any)) != 0 {
+		t.Fatalf("refused submissions left job records: %v", list["jobs"])
+	}
+	if got := builds(t, ts); got != 0 {
+		t.Fatalf("%d inputs built for refused submissions", got)
+	}
+	for _, proto := range []string{ProtoVersion, ""} {
+		if code, msg := submit(proto); code != http.StatusCreated && code != http.StatusOK {
+			t.Fatalf("POST naming generation %q: HTTP %d %q, want it served", proto, code, msg)
+		}
 	}
 }
 

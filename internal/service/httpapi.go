@@ -19,17 +19,18 @@ import (
 
 // ProtoVersion is the wire-protocol generation of the job API, served on
 // every response as the X-RAMR-Proto header and inside the /stats
-// capabilities block. A cluster coordinator (internal/cluster) probes it
-// before dispatching shards and refuses workers whose generation
-// differs, so a mixed-version deployment fails loudly at admission
-// instead of corrupting a merge with a partial whose shape it
-// misreads. Bump it on any incompatible change to the shard or partial
-// wire shapes, or to what the coordinator relies on a worker to honour.
+// capabilities block. A cluster coordinator (internal/cluster) sends it on
+// every request to a worker, and a worker refuses a POST /jobs naming
+// another generation before admitting anything; the coordinator reads
+// every answer's generation before its status and fails the job on a
+// mismatch. A mixed-version deployment thus fails loudly instead of
+// corrupting a merge with a partial whose shape it misreads. Bump it on
+// any incompatible change to the shard or partial wire shapes, or to what
+// the coordinator relies on a worker to honour.
 //
 // Generation 2: GET /jobs/{id}/result honours ?wait=<duration>. The
-// coordinator waits on it instead of polling on a timer, so a
-// generation-1 worker — which ignores the parameter and answers 202 at
-// once — is refused at the probe.
+// coordinator waits on it instead of polling on a timer; a generation-1
+// worker ignores the parameter and answers 202 at once.
 //
 // Generation 3: the generators became split-addressable (a shard builds
 // only its own splits), which changed the bytes a seed generates; partials
@@ -41,12 +42,12 @@ import (
 // output keys; a generation-3 partial would decode as an empty one.
 const ProtoVersion = "4"
 
-// ProtoHeader is the response header carrying ProtoVersion.
+// ProtoHeader is the header carrying ProtoVersion: on every response, and
+// on every request a coordinator sends.
 const ProtoHeader = "X-RAMR-Proto"
 
 // Capabilities describes what this worker can do, served in the /stats
-// "capabilities" section. The coordinator reads it (with the header)
-// during its compatibility probe.
+// "capabilities" section for operators.
 type Capabilities struct {
 	// Proto is ProtoVersion.
 	Proto string `json:"proto"`
@@ -347,6 +348,12 @@ func decodeJobRequest(r io.Reader) (*JobRequest, error) {
 }
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
+	// A client naming another generation gets nothing admitted or built; a
+	// request naming none (curl, a load generator) is served.
+	if p := r.Header.Get(ProtoHeader); p != "" && p != ProtoVersion {
+		writeErr(w, a.log, http.StatusBadRequest, fmt.Errorf("request speaks protocol %q, this server speaks %q (upgrade one side so generations match)", p, ProtoVersion))
+		return
+	}
 	// The recorder's epoch is the HTTP receive; the decode rides in the
 	// root span's opening "receive" segment.
 	rec := obs.New(a.root)

@@ -62,11 +62,6 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	stealCounter("ramr_worker_steal_tasks_total", "Map tasks taken by steal distance class.",
 		func(w *Worker, c int) uint64 { return w.stealTasks[c].Load() })
 
-	fmt.Fprintf(bw, "# HELP ramr_worker_state Worker activity state (0=idle 1=working 2=draining 3=done).\n# TYPE ramr_worker_state gauge\n")
-	for _, wk := range workers {
-		fmt.Fprintf(bw, "ramr_worker_state{engine=%q,role=%q,worker=\"%d\"} %d\n",
-			wk.engine, wk.role, wk.id, wk.state.Load())
-	}
 	fmt.Fprintf(bw, "# HELP ramr_run_duration_seconds Elapsed time of the current run, frozen at its end.\n# TYPE ramr_run_duration_seconds gauge\nramr_run_duration_seconds %g\n",
 		elapsed.Seconds())
 	return bw.Flush()

@@ -6,7 +6,7 @@
 //
 // Each pipeline goroutine owns a Worker shard of its run's Ledger (tasks,
 // emitted and folded counts, its rings' producer or consumer counters,
-// steal takes) plus a state word. The worker is its only writer and writes
+// steal takes). The worker is its only writer and writes
 // at task ends, consume rounds and worker exit, never per pair, with
 // uncontended atomics. The ledger is always on, and it is the one set of
 // books: mr.Result's queue/steal/help counts, a stream session's live
@@ -21,45 +21,10 @@
 package telemetry
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// State is a worker's coarse activity phase, read live by the
-// ramr_worker_state gauge.
-type State uint32
-
-const (
-	// StateIdle: registered but not currently executing user code (a
-	// combiner between non-empty polling rounds, a worker before its
-	// first task).
-	StateIdle State = iota
-	// StateWorking: executing map/combine user code.
-	StateWorking
-	// StateDraining: a combiner force-draining closed queues after the
-	// map phase ended.
-	StateDraining
-	// StateDone: the worker has exited.
-	StateDone
-)
-
-// String names the state for reports.
-func (s State) String() string {
-	switch s {
-	case StateIdle:
-		return "idle"
-	case StateWorking:
-		return "working"
-	case StateDraining:
-		return "draining"
-	case StateDone:
-		return "done"
-	default:
-		return fmt.Sprintf("State(%d)", uint32(s))
-	}
-}
 
 // Worker is one pipeline goroutine's shard of its run's Ledger. Only the
 // owning goroutine writes it, and only at coarse boundaries: the engine's
@@ -74,7 +39,6 @@ type Worker struct {
 	role   string
 	id     int
 
-	state   atomic.Uint32
 	emitted atomic.Uint64
 	tasks   atomic.Uint64
 	// folded counts the pairs a worker folded where they were emitted — a
@@ -108,9 +72,6 @@ const NumStealClasses = 3
 
 // StealClassNames are the metric label values, indexed by class.
 var StealClassNames = [NumStealClasses]string{"local", "socket", "remote"}
-
-// SetState publishes the worker's activity phase for the state gauge.
-func (w *Worker) SetState(s State) { w.state.Store(uint32(s)) }
 
 // AddTask books one finished map task and the pairs it emitted.
 func (w *Worker) AddTask(emitted uint64) {

@@ -27,7 +27,6 @@ func TestEndRunBuildsReport(t *testing.T) {
 	tel := New()
 	l := begin(tel, "ramr")
 	w := l.Register("mapper", 0)
-	w.SetState(StateWorking)
 	w.AddTask(60)
 	w.AddTask(40)
 	w.StoreProducer(100, 7, 13)
@@ -179,7 +178,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	l := begin(tel, "ramr")
 	w := l.Register("mapper", 0)
 	w.AddTask(10)
-	w.SetState(StateWorking)
 
 	var buf bytes.Buffer
 	if err := tel.WritePrometheus(&buf); err != nil {
@@ -191,14 +189,13 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 	for _, want := range []string{
 		`ramr_worker_pairs_emitted_total{engine="ramr",role="mapper",worker="0"} 10`,
-		`ramr_worker_state{engine="ramr",role="mapper",worker="0"} 1`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, buf.String())
 		}
 	}
-	// The exposition is the ledger: no sampled gauge is left.
-	for _, gone := range []string{"ramr_queue_depth", "ramr_queue_capacity", "ramr_samples_total", "ramr_queue_imbalance"} {
+	// The exposition is the ledger: no sampled gauge or state word is left.
+	for _, gone := range []string{"ramr_queue_depth", "ramr_queue_capacity", "ramr_samples_total", "ramr_queue_imbalance", "ramr_worker_state"} {
 		if strings.Contains(buf.String(), gone) {
 			t.Fatalf("prometheus output still carries %s:\n%s", gone, buf.String())
 		}
