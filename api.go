@@ -113,7 +113,10 @@ func Sum[V container.Number]() func(a, b V) V {
 }
 
 // HashFactory returns a container factory producing regular (dynamically
-// growing) hash containers — the default Word Count container.
+// growing) hash containers — the default Word Count container. Any
+// comparable K works: string keys hash with a per-table seed, int and
+// uint64 keys from the key itself, any other key with the runtime's own
+// seeded hash (hash/maphash.Comparable).
 func HashFactory[K comparable, V any]() container.Factory[K, V] {
 	return func() Container[K, V] { return container.NewHash[K, V]() }
 }
@@ -134,8 +137,10 @@ func FixedHashFactory[K comparable, V any](maxKeys int, hash func(K) uint64) con
 
 // HashString is a ready-made string hasher for FixedHashFactory. It reads
 // a key a word at a time; its values are a table's business, not a format
-// to store.
-func HashString(s string) uint64 { return container.HashString(s) }
+// to store. It is container.HashString itself, which a table recognises
+// and hashes under a seed of its own, so client keys cannot be chosen to
+// collide; called directly it uses public secrets.
+var HashString = container.HashString
 
 // HashInt is a ready-made int hasher for FixedHashFactory. It returns k
 // itself: the fixed-hash container spreads keys over its slots (Fibonacci

@@ -494,6 +494,70 @@ func TestProbeRejectsMismatchedWorker(t *testing.T) {
 	}
 }
 
+// TestPartialMustHoldTheWorkersPairs: a shard's partial must hold exactly
+// the pairs its worker counted. A current-generation worker answering a
+// column-less partial for a shard of 4,995 pairs (it decodes as empty)
+// fails the job, naming the worker, and nothing is merged; so does one
+// answering no partial at all. An empty shard (pairs 0, a column-less
+// SYNTH partial) still merges, and a repeated job's memo-cached shards
+// still merge into the same digest.
+func TestPartialMustHoldTheWorkersPairs(t *testing.T) {
+	stub := func(done string) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			setProto(w, service.ProtoVersion)
+			if r.Method == http.MethodPost && r.URL.Path == "/jobs" {
+				w.WriteHeader(http.StatusCreated)
+				fmt.Fprint(w, `{"id":5,"state":"queued"}`)
+				return
+			}
+			fmt.Fprint(w, done)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	for name, done := range map[string]string{
+		"column-less partial": `{"id":5,"state":"done","pairs":4995,"partial":{"app":"WC"}}`,
+		"no partial":          `{"id":5,"state":"done","pairs":4995}`,
+	} {
+		bad := stub(done)
+		co := newCoordinator(t, 2, bad.URL, newWorker(t).URL)
+		res, err := co.Run(context.Background(), &service.JobRequest{Workload: "WC", Seed: 5, MaxCPUs: 8,
+			Config: service.ConfigOverlay{Pin: "none"}}, nil)
+		if err == nil || !strings.Contains(err.Error(), bad.URL) {
+			t.Fatalf("%s: err = %v (merged %+v), want a failure naming %s", name, err, res, bad.URL)
+		}
+		if n := co.met.merges.Load(); n != 0 {
+			t.Fatalf("%s: %d merges, want none", name, n)
+		}
+	}
+
+	empty := stub(`{"id":5,"state":"done","partial":{"app":"SYNTH"}}`)
+	co := newCoordinator(t, 2, empty.URL, newWorker(t).URL)
+	req := &service.JobRequest{Workload: "SYNTH", Seed: 4, MaxCPUs: 8, Synth: service.SynthParams{Elements: 5_000, Keys: 16}}
+	if _, err := co.Run(context.Background(), req, nil); err != nil {
+		t.Fatalf("an empty shard: %v", err)
+	}
+
+	co = newCoordinator(t, 2, newWorker(t).URL, newWorker(t).URL)
+	req = &service.JobRequest{Workload: "WC", Seed: 6, MaxCPUs: 8, Config: service.ConfigOverlay{Pin: "none"}}
+	first, err := co.Run(context.Background(), req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := co.Run(context.Background(), req, nil)
+	if err != nil {
+		t.Fatalf("the memo-cached repeat: %v", err)
+	}
+	if again.Digest != first.Digest || again.Pairs != first.Pairs {
+		t.Fatalf("the repeat merged %s (%d pairs), the first run %s (%d)", again.Digest, again.Pairs, first.Digest, first.Pairs)
+	}
+	for _, sr := range again.PerShard {
+		if !sr.Cached || sr.Pairs == 0 {
+			t.Errorf("shard %s of the repeat: %+v, want a memo hit with its pairs", sr.Shard, sr)
+		}
+	}
+}
+
 // setProto names generation proto on an answer; "" names none.
 func setProto(w http.ResponseWriter, proto string) {
 	if proto != "" {

@@ -205,7 +205,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, req *service.JobRequest
 				sr.JobID = doc.ID
 				sr.Cached = doc.Cached
 				sr.WallMS, sr.BuildMS = doc.WallMS, doc.BuildMS
-				sr.Pairs = doc.Partial.Len()
+				sr.Pairs = doc.Pairs
 				c.met.shards.Add(1)
 				if doc.Cached {
 					c.met.memoHits.Add(1)
@@ -293,10 +293,7 @@ func (c *Coordinator) runShardOn(ctx context.Context, w *worker, body []byte) (d
 		return nil, false, err
 	}
 	if doc.Cached {
-		if doc.Partial == nil {
-			return nil, true, &fatalShardError{fmt.Errorf("worker %s served a cached shard without a partial (memo entry from an unsharded run?)", w.spec.URL)}
-		}
-		return doc, true, nil
+		return doc, true, checkPartial(w, doc)
 	}
 	id := doc.ID
 	defer func() {
@@ -320,16 +317,27 @@ func (c *Coordinator) runShardOn(ctx context.Context, w *worker, body []byte) (d
 		}
 		switch doc.State {
 		case "done":
-			if doc.Partial == nil {
-				return nil, true, &fatalShardError{fmt.Errorf("worker %s finished the shard without a partial", w.spec.URL)}
-			}
-			return doc, true, nil
+			return doc, true, checkPartial(w, doc)
 		case "canceled":
 			return nil, true, fmt.Errorf("%w: %s: shard job canceled on worker", errWorkerDown, w.spec.URL)
 		default:
 			return nil, true, &fatalShardError{fmt.Errorf("shard failed on worker %s: %s", w.spec.URL, doc.Error)}
 		}
 	}
+}
+
+// checkPartial fails the shard, naming w, unless doc carries a partial
+// holding exactly the pairs the worker counted. A partial without columns
+// decodes as empty, so one that lost them would merge nothing into a
+// wrong digest.
+func checkPartial(w *worker, doc *workerDoc) error {
+	switch {
+	case doc.Partial == nil:
+		return &fatalShardError{fmt.Errorf("worker %s answered the shard without a partial (cached %v)", w.spec.URL, doc.Cached)}
+	case doc.Partial.Len() != doc.Pairs:
+		return &fatalShardError{fmt.Errorf("worker %s answered a shard of %d pairs with a partial of %d rows", w.spec.URL, doc.Pairs, doc.Partial.Len())}
+	}
+	return nil
 }
 
 // send makes one exchange with w. Every request carries the

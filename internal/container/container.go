@@ -5,10 +5,11 @@
 //   - FixedArray — a dense array indexed directly by key, the default for
 //     every benchmark app whose key range is known a priori (HG, LR, KM,
 //     PCA, MM).
-//   - FixedHash — an open-addressing hash table of fixed, pre-allocated
-//     capacity; the "fixed-size hash container" used to stress the memory
-//     subsystem in Figs. 8b/9b.
-//   - Hash — a regular dynamically-growing hash table (Go map), the
+//   - Hash — one open-addressing (linear probing) hash table in two
+//     modes. NewFixedHash builds it with a fixed, pre-allocated capacity
+//     (KindFixedHash): the "fixed-size hash container" used to stress the
+//     memory subsystem in Figs. 8b/9b. NewHash builds it growing
+//     (KindHash), doubling when half full: the regular hash table, the
 //     default for Word Count and the "regular hash container" for MM/PCA
 //     in the memory-intensive configuration.
 //

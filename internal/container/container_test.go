@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -250,7 +251,7 @@ func TestHashersDisperse(t *testing.T) {
 		h := NewFixedHash[int, int](keys, HashInt) // 2048 slots
 		load := map[uint64]int{}
 		for i := range keys {
-			load[h.home(i*stride)/64]++ // 32 runs of 64 slots
+			load[h.homeOf(i*stride)/64]++ // 32 runs of 64 slots
 		}
 		for run, n := range load {
 			if n > 2*keys/32 {
@@ -439,9 +440,9 @@ func TestFoldMatchesUpdate(t *testing.T) {
 }
 
 // sumFoldMatches checks the add folds for V values drawn by value: on
-// every container kind with int keys (the fixed-hash one under HashInt,
-// probing from the key inline), and on fixed-hash tables with uint64 keys
-// under HashUint64 and string keys under HashString (the hasher called),
+// every container kind with int keys (the hash ones under HashInt,
+// probing from the key inline), on fixed-hash tables with uint64 keys
+// under HashUint64, and on string tables of both kinds under HashString,
 // the fold Fold builds under Sum is not the generic fold, and it leaves the
 // bit-identical state Update leaves under a plain a + b closure, counting
 // every pair; past a declared bound both panic with the same text.
@@ -460,6 +461,9 @@ func sumFoldMatches[V Number](t *testing.T, value func(*rand.Rand) V) {
 			func() (uint64, V) { k, v := draw(); return uint64(k) << 32, v }, plus)
 		addFoldMatches(t, fmt.Sprintf("seed %d, string keys", seed),
 			NewFixedHash[string, V](keyRange, HashString), NewFixedHash[string, V](keyRange, HashString), pairs,
+			func() (string, V) { k, v := draw(); return fmt.Sprint(k), v }, plus)
+		addFoldMatches(t, fmt.Sprintf("seed %d, string keys, growing", seed),
+			NewHash[string, V](), NewHash[string, V](), pairs,
 			func() (string, V) { k, v := draw(); return fmt.Sprint(k), v }, plus)
 	}
 	for name, mk := range map[string]func() updatable[int, V]{
@@ -548,11 +552,11 @@ func TestFixedHashUpdateBatchOverflowPanics(t *testing.T) {
 func TestFixedHashLoadAtDeclaredSize(t *testing.T) {
 	const keys = 768
 	h := NewFixedHash[int, int](keys, HashInt)
-	if got := len(h.state); got != 2048 {
+	if got := len(h.slots); got != 2048 {
 		t.Fatalf("768 keys sized to %d slots, want 2048 (next power of two >= 2x)", got)
 	}
 	for _, n := range []int{1, 7, 8, 100, 768, 1024, 5000} {
-		if slots := len(NewFixedHash[int, int](n, HashInt).state); slots < 2*n || slots&(slots-1) != 0 {
+		if slots := len(NewFixedHash[int, int](n, HashInt).slots); slots < 2*n || slots&(slots-1) != 0 {
 			t.Fatalf("%d keys sized to %d slots, want a power of two >= %d", n, slots, 2*n)
 		}
 	}
@@ -562,7 +566,7 @@ func TestFixedHashLoadAtDeclaredSize(t *testing.T) {
 	}
 	h.UpdateBatch(batch, sum)
 	mean := ProbesPerUpdate(h)
-	t.Logf("768 dense keys in %d slots: %.3f probes per steady-state update", len(h.state), mean)
+	t.Logf("768 dense keys in %d slots: %.3f probes per steady-state update", len(h.slots), mean)
 	if mean > 1.05 {
 		t.Fatalf("mean probes per update at the declared size = %.2f, want <= 1.05", mean)
 	}
@@ -598,12 +602,61 @@ func nearStrings(rng *rand.Rand) []string {
 	return keys
 }
 
-// TestFixedHashStringModel pins a string-keyed FixedHash against a map:
-// Update, UpdateBatch, the Sum fold, another combine's fold and Merge
-// between two tables, over keys of 0-40 bytes that differ in one byte at
-// each position, under HashString and under a hasher that gives every key
-// of a length one hash — where only the inline identity, or for a long key
-// the stored key, tells keys apart.
+// TestStringTableTellsWordsApart: for each key length 1-16, the 256 keys
+// that differ only in their last byte — for a length of 5 or more, only in
+// the second word — share a tag and, past 8 bytes, a first word, so at
+// load 1/2 their probe runs cross one another's slots. Folded under
+// HashString through the Sum fold, Update and UpdateBatch, into tables of
+// both kinds, every key keeps an accumulator of its own: a probe that
+// compared one word less would merge them.
+func TestStringTableTellsWordsApart(t *testing.T) {
+	for n := 1; n <= 16; n++ {
+		keys := make([]string, 256)
+		for c := range keys {
+			b := []byte(strings.Repeat("w", n))
+			b[n-1] = byte(c)
+			keys[c] = string(b)
+		}
+		for _, kind := range []Kind{KindFixedHash, KindHash} {
+			for _, path := range []string{"sum fold", "update", "update batch"} {
+				h := newHash[string, int](kind, len(keys), HashString, uint64(n))
+				if kind == KindHash {
+					h = newHash[string, int](kind, 1, HashString, uint64(n))
+				}
+				var pairs uint64
+				fold := h.Fold(Sum[int](), &pairs)
+				for round := range 2 {
+					for c, k := range keys {
+						switch path {
+						case "sum fold":
+							fold(k, c+round)
+						case "update":
+							h.Update(k, c+round, sum)
+						default:
+							h.UpdateBatch([]KV[string, int]{{k, c + round}}, sum)
+						}
+					}
+				}
+				if h.Len() != len(keys) {
+					t.Fatalf("length %d, %v, %s: %d keys of %d", n, kind, path, h.Len(), len(keys))
+				}
+				for c, k := range keys {
+					if v, ok := h.Get(k); !ok || v != 2*c+1 {
+						t.Fatalf("length %d, %v, %s: Get(%q) = %d, %v; want %d", n, kind, path, k, v, ok, 2*c+1)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFixedHashStringModel pins a string-keyed table of either kind against
+// a map: Update, UpdateBatch, the Sum fold, another combine's fold and
+// Merge between two tables, over keys of 0-40 bytes that differ in one
+// byte at each position, under HashString and under a hasher that gives
+// every key of a length one hash — where only the inline identity, or for
+// a long key the stored key, tells keys apart. A growing table starts at
+// eight slots, so the folds see it double seven times.
 func TestFixedHashStringModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keys := nearStrings(rng)
@@ -614,62 +667,69 @@ func TestFixedHashStringModel(t *testing.T) {
 	maxOf := func(a, b int) int { return max(a, b) }
 	for name, hash := range hashers {
 		t.Run(name, func(t *testing.T) {
-			model, maxModel := map[string]int{}, map[string]int{}
-			tables := []*FixedHash[string, int]{
-				NewFixedHash[string, int](len(keys), hash),
-				NewFixedHash[string, int](len(keys), hash),
-			}
-			maxTable := NewFixedHash[string, int](len(keys), hash)
-			var n uint64
-			folds := []func(string, int){tables[0].Fold(Sum[int](), &n), tables[1].Fold(Sum[int](), &n)}
-			maxFold := maxTable.Fold(maxOf, &n)
-			var batch []KV[string, int]
-			for i := 0; i < 20*len(keys); i++ {
-				k, v := keys[rng.Intn(len(keys))], rng.Intn(100)
-				model[k] += v
-				if _, ok := maxModel[k]; !ok || v > maxModel[k] {
-					maxModel[k] = v
-				}
-				maxFold(k, v)
-				switch t := tables[i%2]; rng.Intn(3) {
-				case 0:
-					t.Update(k, v, sum)
-				case 1:
-					folds[i%2](k, v)
-				default:
-					batch = append(batch, KV[string, int]{k, v})
-					if len(batch) == 7 {
-						t.UpdateBatch(batch, sum)
-						batch = batch[:0]
+			for _, kind := range []Kind{KindFixedHash, KindHash} {
+				t.Run(kind.String(), func(t *testing.T) {
+					mk := func() *Hash[string, int] {
+						if kind == KindFixedHash {
+							return NewFixedHash[string, int](len(keys), hash)
+						}
+						return newHash[string, int](KindHash, 1, hash, rng.Uint64())
 					}
-				}
-			}
-			tables[0].UpdateBatch(batch, sum)
-			Merge[string, int](tables[0], tables[1], sum)
-			for label, c := range map[string]struct {
-				h    *FixedHash[string, int]
-				want map[string]int
-			}{"sum": {tables[0], model}, "max": {maxTable, maxModel}} {
-				got := map[string]int{}
-				c.h.Iterate(func(k string, v int) bool { got[k] = v; return true })
-				if !maps.Equal(got, c.want) || c.h.Len() != len(c.want) {
-					t.Fatalf("%s: table holds %d keys, the model %d; they differ", label, c.h.Len(), len(c.want))
-				}
-				for _, k := range keys {
-					v, ok := c.h.Get(k)
-					if w, in := c.want[k]; ok != in || v != w {
-						t.Fatalf("%s: Get(%q) = %d, %v; the model has %d, %v", label, k, v, ok, w, in)
+					model, maxModel := map[string]int{}, map[string]int{}
+					tables := []*Hash[string, int]{mk(), mk()}
+					maxTable := mk()
+					var n uint64
+					folds := []func(string, int){tables[0].Fold(Sum[int](), &n), tables[1].Fold(Sum[int](), &n)}
+					maxFold := maxTable.Fold(maxOf, &n)
+					var batch []KV[string, int]
+					for i := 0; i < 20*len(keys); i++ {
+						k, v := keys[rng.Intn(len(keys))], rng.Intn(100)
+						model[k] += v
+						if _, ok := maxModel[k]; !ok || v > maxModel[k] {
+							maxModel[k] = v
+						}
+						maxFold(k, v)
+						switch t := tables[i%2]; rng.Intn(3) {
+						case 0:
+							t.Update(k, v, sum)
+						case 1:
+							folds[i%2](k, v)
+						default:
+							batch = append(batch, KV[string, int]{k, v})
+							if len(batch) == 7 {
+								t.UpdateBatch(batch, sum)
+								batch = batch[:0]
+							}
+						}
 					}
-				}
+					tables[0].UpdateBatch(batch, sum)
+					Merge[string, int](tables[0], tables[1], sum)
+					for label, c := range map[string]struct {
+						h    *Hash[string, int]
+						want map[string]int
+					}{"sum": {tables[0], model}, "max": {maxTable, maxModel}} {
+						got := map[string]int{}
+						c.h.Iterate(func(k string, v int) bool { got[k] = v; return true })
+						if !maps.Equal(got, c.want) || c.h.Len() != len(c.want) {
+							t.Fatalf("%s: table holds %d keys, the model %d; they differ", label, c.h.Len(), len(c.want))
+						}
+						for _, k := range keys {
+							v, ok := c.h.Get(k)
+							if w, in := c.want[k]; ok != in || v != w {
+								t.Fatalf("%s: Get(%q) = %d, %v; the model has %d, %v", label, k, v, ok, w, in)
+							}
+						}
+					}
+					if _, ok := tables[0].Get("absent key of more than sixteen bytes"); ok {
+						t.Fatal("Get found a key never inserted")
+					}
+					tables[0].Reset()
+					if tables[0].Len() != 0 {
+						t.Fatal("Reset left keys")
+					}
+					tables[0].Iterate(func(k string, v int) bool { t.Fatalf("Reset table yields %q", k); return false })
+				})
 			}
-			if _, ok := tables[0].Get("absent key of more than sixteen bytes"); ok {
-				t.Fatal("Get found a key never inserted")
-			}
-			tables[0].Reset()
-			if tables[0].Len() != 0 {
-				t.Fatal("Reset left keys")
-			}
-			tables[0].Iterate(func(k string, v int) bool { t.Fatalf("Reset table yields %q", k); return false })
 		})
 	}
 }

@@ -2,6 +2,7 @@ package container
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"unsafe"
@@ -28,20 +29,17 @@ func fieldSpan[T any](what string, p *T) span {
 }
 
 // layoutOf splits a container's memory into what an update writes and what
-// it reads. The regular hash container's Go map is the runtime's to lay
-// out; what is ours are the slabs the keys and the accumulators live in.
-func layoutOf(c Container[int, int]) (written, read []span) {
-	switch c := c.(type) {
+// it reads.
+func layoutOf[K comparable](c Container[K, int]) (written, read []span) {
+	switch c := any(c).(type) {
 	case *FixedArray[int]:
 		written = []span{spanOf("vals", c.vals), spanOf("present", c.present), fieldSpan("n", &c.n)}
 		read = []span{fieldSpan("vals header", &c.vals), fieldSpan("present header", &c.present)}
-	case *FixedHash[int, int]:
-		written = []span{spanOf("vals", c.vals), spanOf("state", c.state), fieldSpan("n", &c.n)}
-		read = []span{spanOf("keys", c.keys), fieldSpan("hash", &c.hash), fieldSpan("keys header", &c.keys),
-			fieldSpan("vals header", &c.vals), fieldSpan("state header", &c.state), fieldSpan("mask", &c.mask), fieldSpan("shift", &c.shift)}
-	case *Hash[int, int]:
-		written = []span{spanOf("vals", c.vals[:cap(c.vals)])}
-		read = []span{spanOf("keys", c.keys), fieldSpan("index", &c.index), fieldSpan("keys header", &c.keys), fieldSpan("vals header", &c.vals)}
+	case *Hash[K, int]:
+		written = []span{spanOf("slots", c.slots), spanOf("strs", c.strs), spanOf("keys", c.keys), fieldSpan("n", &c.n)}
+		read = []span{fieldSpan("hash", &c.hash), fieldSpan("seed", &c.seed), fieldSpan("slots header", &c.slots),
+			fieldSpan("strs header", &c.strs), fieldSpan("keys header", &c.keys), fieldSpan("mask", &c.mask),
+			fieldSpan("shift", &c.shift), fieldSpan("limit", &c.limit)}
 	}
 	return written, read
 }
@@ -62,25 +60,37 @@ func sharesLine(a, b span) bool {
 // each other's lines on every pair (EXPERIMENTS.md, "Work-conserving
 // pipeline": HG/fixed-hash 185 ms against 48, LR 80 against 20, by
 // allocation luck). Small key ranges are the case that bit — LR's whole
-// array is 40 bytes — so they are the ones built here, and the regular hash
-// container is grown past its first slab so the slab it grows into is
-// checked too.
+// array is 40 bytes — so they are the ones built here, and the growing
+// tables are grown past their first slabs so the slabs they grow into are
+// checked too. A string table writes its slots on every update, and its
+// keys and count on an insert.
 func TestContainersShareNoLine(t *testing.T) {
-	const k = 8
-	factories := map[Kind]Factory[int, int]{
+	shareNoLine(t, map[Kind]Factory[int, int]{
 		KindFixedArray: func() Container[int, int] { return NewFixedArray[int](5) },
 		KindFixedHash:  func() Container[int, int] { return NewFixedHash[int, int](5, HashInt) },
 		KindHash:       func() Container[int, int] { return NewHash[int, int]() },
-	}
+	}, func(i int) int { return i })
+	shareNoLine(t, map[Kind]Factory[string, int]{
+		KindFixedHash: func() Container[string, int] { return NewFixedHash[string, int](5, HashString) },
+		KindHash:      func() Container[string, int] { return NewHash[string, int]() },
+	}, strconv.Itoa)
+}
+
+// shareNoLine builds 8 containers of each factory, grows the growing ones
+// to 200 keys, interleaved, so the grown slabs are neighbours too, and
+// fails if any container's written span shares a line with another's.
+func shareNoLine[K comparable](t *testing.T, factories map[Kind]Factory[K, int], key func(int) K) {
+	t.Helper()
+	const k = 8
 	for kind, factory := range factories {
-		cs := make([]Container[int, int], k)
+		cs := make([]Container[K, int], k)
 		for i := range cs {
 			cs[i] = factory()
 		}
 		if kind == KindHash {
-			for key := 0; key < 200; key++ {
-				for _, c := range cs { // interleaved, so the grown slabs are neighbours too
-					c.(*Hash[int, int]).Update(key, 1, sum)
+			for i := 0; i < 200; i++ {
+				for _, c := range cs {
+					c.(*Hash[K, int]).Update(key(i), 1, sum)
 				}
 			}
 		}
@@ -100,26 +110,6 @@ func TestContainersShareNoLine(t *testing.T) {
 							t.Fatalf("%v: container %d's %s [%#x,%#x) shares a cache line with container %d's %s [%#x,%#x)",
 								kind, i, w.what, w.from, w.to, j, o.what, o.from, o.to)
 						}
-					}
-				}
-			}
-		}
-	}
-	// A string table writes its slots on every update, and its keys and
-	// count on an insert.
-	strs := make([]*FixedHash[string, int], k)
-	for i := range strs {
-		strs[i] = NewFixedHash[string, int](5, HashString)
-	}
-	for i, a := range strs {
-		for j, b := range strs {
-			if i == j {
-				continue
-			}
-			for _, w := range []span{spanOf("slots", a.slots), spanOf("keys", a.keys), fieldSpan("n", &a.n)} {
-				for _, o := range []span{spanOf("slots", b.slots), spanOf("keys", b.keys), fieldSpan("n", &b.n), fieldSpan("slots header", &b.slots), fieldSpan("keys header", &b.keys), fieldSpan("hash", &b.hash)} {
-					if sharesLine(w, o) {
-						t.Fatalf("string table %d's %s shares a cache line with string table %d's %s", i, w.what, j, o.what)
 					}
 				}
 			}

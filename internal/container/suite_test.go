@@ -13,7 +13,7 @@ import (
 // requires at most 1.05 probes per steady-state update of the keys it holds.
 func checkLandsHome[S any, V, R any](t *testing.T, spec *mr.Spec[S, int, V, R]) {
 	t.Helper()
-	h, ok := spec.NewContainer().(*container.FixedHash[int, V])
+	h, ok := spec.NewContainer().(*container.Hash[int, V])
 	if !ok {
 		t.Fatalf("%s: the factory builds no fixed-hash container", spec.Name)
 	}

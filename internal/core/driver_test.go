@@ -14,34 +14,41 @@ import (
 
 // TestStepAllocatesNothing: the one step on a batch task — a run of
 // splits — allocates nothing once its pane's container exists, on a worker
-// of each role, with the pane changing on every step. A session's split
-// goes through the same step (stream's
+// of each role, with the pane changing on every step, into each kind of
+// container. A session's split goes through the same step (stream's
 // TestConserveSessionStepAllocatesNothing).
 func TestStepAllocatesNothing(t *testing.T) {
-	spec, cfg := countSpec(4, 8, 16), testConfig()
-	d, err := newDriver(spec, cfg, "ramr", true, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Ship {
-		t.Fatal("a plan without SMT ships pairs")
-	}
-	for _, w := range []int{0, cfg.Mappers} {
-		d.RunWorker(context.Background(), w, func(w int, lane *Lane[pair[int, int]], _ *telemetry.Worker) {
-			step, n := d.Step(w, lane, nil), 0
-			if allocs := testing.AllocsPerRun(100, func() {
-				step(Task[int]{Splits: spec.Splits, Pane: int64(n % 2)})
-				n++
-			}); allocs != 0 {
-				t.Errorf("worker %d's step allocates %.1f times", w, allocs)
-			}
-		})
-	}
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, h := Books(d.Ledger.Totals()); h.Tasks != 101 || h.CombinerPairs != 101*4*8 || h.MapperPairs != 101*4*8 {
-		t.Fatalf("help %+v: want 101 steps of 32 pairs on each worker", h)
+	for kind, factory := range map[container.Kind]container.Factory[int, int]{
+		container.KindFixedArray: func() container.Container[int, int] { return container.NewFixedArray[int](16) },
+		container.KindFixedHash:  func() container.Container[int, int] { return container.NewFixedHash[int, int](16, container.HashInt) },
+		container.KindHash:       func() container.Container[int, int] { return container.NewHash[int, int]() },
+	} {
+		spec, cfg := countSpec(4, 8, 16), testConfig()
+		spec.NewContainer = factory
+		d, err := newDriver(spec, cfg, "ramr", true, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Ship {
+			t.Fatal("a plan without SMT ships pairs")
+		}
+		for _, w := range []int{0, cfg.Mappers} {
+			d.RunWorker(context.Background(), w, func(w int, lane *Lane[pair[int, int]], _ *telemetry.Worker) {
+				step, n := d.Step(w, lane, nil), 0
+				if allocs := testing.AllocsPerRun(100, func() {
+					step(Task[int]{Splits: spec.Splits, Pane: int64(n % 2)})
+					n++
+				}); allocs != 0 {
+					t.Errorf("%v: worker %d's step allocates %.1f times", kind, w, allocs)
+				}
+			})
+		}
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, h := Books(d.Ledger.Totals()); h.Tasks != 101 || h.CombinerPairs != 101*4*8 || h.MapperPairs != 101*4*8 {
+			t.Fatalf("%v: help %+v: want 101 steps of 32 pairs on each worker", kind, h)
+		}
 	}
 }
 

@@ -519,17 +519,18 @@ func TestResultWait(t *testing.T) {
 }
 
 // TestResolveRefusesUnseededStreamTable: a WC stream keys its table by
-// client text, so it may not name the fixed-size table, whose hash secrets
-// are public: Resolve refuses it naming the container field. The seeded
-// growing table stays the stream default, and batch WC and a SYNTH stream
-// still take the fixed-size table.
+// client text, whose vocabulary has no bound, so it may not name the
+// fixed-size table, which holds at most its declared 10,000 keys: Resolve
+// refuses it naming the container field and the bound. The growing table
+// stays the stream default, and batch WC and a SYNTH stream still take the
+// fixed-size table.
 func TestResolveRefusesUnseededStreamTable(t *testing.T) {
 	for _, body := range []string{
 		`{"workload":"WC","container":"fixed-hash","stream":{"window":1}}`,
 		`{"workload":"wc","container":"FixedHash","stream":{"window":4,"slide":2}}`,
 	} {
-		if _, err := Resolve(decodeRequest(t, body)); err == nil || !strings.Contains(err.Error(), "container") {
-			t.Errorf("%s: err = %v, want a refusal naming the container field", body, err)
+		if _, err := Resolve(decodeRequest(t, body)); err == nil || !strings.Contains(err.Error(), "container") || !strings.Contains(err.Error(), "10000 distinct words") {
+			t.Errorf("%s: err = %v, want a refusal naming the container field and the table's bound", body, err)
 		}
 	}
 	for _, body := range []string{

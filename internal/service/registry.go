@@ -268,11 +268,12 @@ func Resolve(req *JobRequest) (*Plan, error) {
 			if p.kind, err = container.ParseKind(req.Container); err != nil {
 				return nil, err
 			}
-			// A WC stream's keys are client text, and the fixed-size table
-			// hashes them with public secrets: a client could post words
-			// that share one probe cluster. The growing table is seeded.
+			// A WC stream's keys are client text: its vocabulary has no
+			// bound, and the fixed-size table holds at most its declared
+			// keys, so a session would fail at the first word past them in
+			// a pane. The growing table has no such bound.
 			if req.Stream != nil && p.app == "WC" && p.kind == container.KindFixedHash {
-				return nil, fmt.Errorf("container %q cannot hold a WC stream's client words: only the seeded growing table, hash, can", req.Container)
+				return nil, fmt.Errorf("container %q holds at most %d distinct words, and a WC stream's vocabulary is unbounded: use the growing table, hash", req.Container, workloads.WCFixedKeys)
 			}
 		}
 		inputKey = fmt.Sprintf("input=%d,%d|container=%d", int(platform), int(class), int(p.kind))

@@ -491,33 +491,43 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 // — core's one step: point its container at the split's pane, map, and the
 // session's booking of the pane — allocates nothing once the pane's
 // container exists, on a worker of each role, with the pane changing on
-// every step.
+// every step, into each kind of container.
 func TestConserveSessionStepAllocatesNothing(t *testing.T) {
-	cfg := testConfig(t, &mr.StreamSpec{Window: 1})
-	p, err := New(countSpec(8), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pane := int64(0); pane < 2; pane++ {
-		p.paneFor(pane).splitsIn.Add(1000)
-	}
-	split := []int{32}
-	for _, w := range []int{0, cfg.Mappers} {
-		p.drv.RunWorker(context.Background(), w, func(w int, lane *core.Lane[container.KV[int, uint64]], _ *telemetry.Worker) {
-			step, n := p.drv.Step(w, lane, p.book), 0
-			if allocs := testing.AllocsPerRun(100, func() {
-				step(core.Task[int]{Splits: split, Pane: int64(n % 2)})
-				n++
-			}); allocs != 0 {
-				t.Errorf("worker %d's step allocates %.1f times", w, allocs)
-			}
-		})
-	}
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if h := p.HelpStats(); h.Tasks != 101 || h.CombinerPairs != 101*32 || h.MapperPairs != 101*32 {
-		t.Fatalf("help %+v: want 101 steps of 32 pairs on each worker", h)
+	for kind, factory := range map[container.Kind]container.Factory[int, uint64]{
+		container.KindFixedArray: func() container.Container[int, uint64] { return container.NewFixedArray[uint64](8) },
+		container.KindFixedHash: func() container.Container[int, uint64] {
+			return container.NewFixedHash[int, uint64](8, container.HashInt)
+		},
+		container.KindHash: func() container.Container[int, uint64] { return container.NewHash[int, uint64]() },
+	} {
+		cfg := testConfig(t, &mr.StreamSpec{Window: 1})
+		spec := countSpec(8)
+		spec.NewContainer = factory
+		p, err := New(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pane := int64(0); pane < 2; pane++ {
+			p.paneFor(pane).splitsIn.Add(1000)
+		}
+		split := []int{32}
+		for _, w := range []int{0, cfg.Mappers} {
+			p.drv.RunWorker(context.Background(), w, func(w int, lane *core.Lane[container.KV[int, uint64]], _ *telemetry.Worker) {
+				step, n := p.drv.Step(w, lane, p.book), 0
+				if allocs := testing.AllocsPerRun(100, func() {
+					step(core.Task[int]{Splits: split, Pane: int64(n % 2)})
+					n++
+				}); allocs != 0 {
+					t.Errorf("%v: worker %d's step allocates %.1f times", kind, w, allocs)
+				}
+			})
+		}
+		if err := p.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if h := p.HelpStats(); h.Tasks != 101 || h.CombinerPairs != 101*32 || h.MapperPairs != 101*32 {
+			t.Fatalf("%v: help %+v: want 101 steps of 32 pairs on each worker", kind, h)
+		}
 	}
 }
 

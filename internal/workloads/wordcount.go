@@ -17,6 +17,10 @@ import (
 // produces on natural language.
 const wcVocab = 5000
 
+// WCFixedKeys is the distinct-key bound WC's fixed-size table declares:
+// twice the generated vocabulary. A table past it panics.
+const WCFixedKeys = 2 * wcVocab
+
 // wcSplitBytes is the target bytes per split (word-boundary aligned).
 const wcSplitBytes = 16 << 10
 
@@ -90,7 +94,7 @@ func wcContainer(kind container.Kind) container.Factory[string, int] {
 	switch kind {
 	case container.KindFixedHash:
 		return func() container.Container[string, int] {
-			return container.NewFixedHash[string, int](wcVocab*2, container.HashString)
+			return container.NewFixedHash[string, int](WCFixedKeys, container.HashString)
 		}
 	default:
 		return func() container.Container[string, int] { return container.NewHash[string, int]() }

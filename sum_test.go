@@ -19,11 +19,12 @@ func foldCode[K comparable, V any](c container.Container[K, V], combine containe
 	return reflect.ValueOf(c.Fold(combine, &n)).Pointer()
 }
 
-// TestSumRecognised: the Sum and HashInt a caller reaches through the
-// public API and the job model are the ones the containers recognise, so
-// a fold built under them is container.Sum's add fold — and, on a
-// fixed-hash table under ramr.HashInt, the fold that probes from the key
-// without calling its hasher. A literal a + b closure and a
+// TestSumRecognised: the Sum, HashInt and HashString a caller reaches
+// through the public API and the job model are the ones the containers
+// recognise, so a fold built under them is container.Sum's add fold — and,
+// on a fixed-hash table under ramr.HashInt, the fold that probes from the
+// key without calling its hasher; a table handed ramr.HashString seeds
+// it. A literal a + b closure and a
 // fault-injection wrapper of Sum take the generic fold, and all three
 // give the same output; the wrapper still fires its PanicCombine.
 func TestSumRecognised(t *testing.T) {
@@ -62,6 +63,9 @@ func TestSumRecognised(t *testing.T) {
 	}
 	if foldCode(ramr.FixedHashFactory[int, int](64, ramr.HashInt)(), ramr.Sum[int]()) != inline {
 		t.Error("ramr.HashInt is not recognised")
+	}
+	if reflect.ValueOf(ramr.HashString).Pointer() != reflect.ValueOf(container.HashString).Pointer() {
+		t.Error("ramr.HashString is not container.HashString, so a table would not seed it")
 	}
 
 	// HG over both of its containers: the output is the same under Sum, a
