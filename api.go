@@ -207,8 +207,10 @@ func NewTelemetryServer(t *Telemetry, addr string) (*TelemetryServer, error) {
 	return telemetry.NewServer(t, addr)
 }
 
-// QueueStats aggregates the SPSC queue counters of one RAMR run; see
-// Result.QueueStats and its String/FailedPushRate/ShortPollRate helpers.
+// QueueStats aggregates the SPSC queue counters of one RAMR run — the queue
+// section of the run's books, the same type a telemetry report's totals and
+// rows carry; see Result.QueueStats and its String/FailedPushRate/
+// ShortPollRate helpers.
 type QueueStats = mr.QueueStats
 
 // StealPolicy selects the map-phase task steering (StealChunked,
@@ -226,7 +228,9 @@ const (
 )
 
 // StealStats aggregates the map phase's work-stealing counters by distance
-// class; see Result.Steal and its StolenTasks/StealRate/Balanced helpers.
+// class — the steal section of the run's books, the same type a telemetry
+// report's totals and rows carry; see Result.Steal and its
+// StolenTasks/StealRate/Balanced helpers.
 type StealStats = mr.StealStats
 
 // TunerProfile is an offline-tuned static configuration produced by the

@@ -112,7 +112,6 @@ func main() {
 		if info.Steal.TotalTasks() > 0 {
 			fmt.Printf("steals: %s\n", info.Steal.String())
 		}
-		fmt.Printf("helped: %s\n", info.Help)
 	}
 	if collector != nil {
 		f, err := os.Create(*traceOut)

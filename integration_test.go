@@ -60,19 +60,22 @@ func TestFullPipelineKnobMatrix(t *testing.T) {
 				cfg.BatchSize = batch
 				cfg.QueueCapacity = qcap
 				cfg.Machine = machine
+				cfg.Telemetry = ramr.NewTelemetry()
 				info, err := job.Run(workloads.EngineRAMR, cfg)
 				if err != nil {
 					t.Fatalf("batch=%d cap=%d %s: %v", batch, qcap, machine.Name, err)
 				}
+				tot := info.Telemetry.Totals
 				if digest == 0 {
-					digest, emitted = info.Digest, info.Queue.Pushes+info.Help.Pairs()
+					digest, emitted = info.Digest, tot.Emitted
 				} else if info.Digest != digest {
 					t.Fatalf("batch=%d cap=%d %s changes the result", batch, qcap, machine.Name)
 				}
-				q := info.Queue
-				if q.Pushes != q.Pops || q.Pushes+info.Help.Pairs() != emitted {
-					t.Fatalf("batch=%d cap=%d %s: %d pushed, %d popped, %d folded in place; want %d emitted",
-						batch, qcap, machine.Name, q.Pushes, q.Pops, info.Help.Pairs(), emitted)
+				// What was combined but never popped was folded in place.
+				q, folded := info.Queue, tot.Combined-info.Queue.Pops
+				if q.Pushes != q.Pops || tot.Emitted != emitted || q.Pushes+folded != emitted {
+					t.Fatalf("batch=%d cap=%d %s: %d emitted, %d pushed, %d popped, %d folded in place; want %d emitted",
+						batch, qcap, machine.Name, tot.Emitted, q.Pushes, q.Pops, folded, emitted)
 				}
 				if (machine.ThreadsPerCore == 1) != (q.Pushes == 0) {
 					t.Fatalf("batch=%d cap=%d %s: %d pushed; want none without SMT and all on a sibling plan",

@@ -35,6 +35,7 @@ func TestConserveMapBound(t *testing.T) {
 	spec := skewedSpec(tasks, tasks, wait) // every split is a heavy one
 	run := func(cfg mr.Config) (*mr.Result[int, int], time.Duration) {
 		t.Helper()
+		cfg.Telemetry = telemetry.New()
 		t0 := time.Now()
 		res, err := Run(spec, cfg)
 		if err != nil {
@@ -44,21 +45,24 @@ func TestConserveMapBound(t *testing.T) {
 			t.Fatalf("total %d, want %d", got, tasks)
 		}
 		if got := res.Steal.TotalTasks(); got != tasks {
-			t.Fatalf("takes cover %d tasks (%d by the combiner), want %d", got, res.Help.Tasks, tasks)
+			t.Fatalf("takes cover %d tasks (%d by the combiner), want %d", got, roleBooks(res.Telemetry, "combiner").Tasks, tasks)
 		}
 		return res, time.Since(t0)
 	}
 	alone, aloneTook := run(parked(oneAndOne()))
-	if alone.Help != (mr.HelpStats{}) {
-		t.Fatalf("1+1 workers on a sibling plan, and work was conserved: %+v", alone.Help)
+	if c := roleBooks(alone.Telemetry, "combiner"); c.Tasks != 0 || alone.QueueStats.Pushes != tasks {
+		t.Fatalf("1+1 workers on a sibling plan, and work was conserved: the combiner mapped %d tasks, %d of %d pairs pushed",
+			c.Tasks, alone.QueueStats.Pushes, tasks)
 	}
 	helped, helpedTook := run(oneAndOne())
-	if helped.Help.Tasks == 0 || helped.Help.CombinerPairs != helped.Help.Tasks {
-		t.Fatalf("idle combiner mapped %d tasks and folded %d pairs in place; want some, one pair each", helped.Help.Tasks, helped.Help.CombinerPairs)
+	c := roleBooks(helped.Telemetry, "combiner")
+	if c.Tasks == 0 || c.Emitted != c.Tasks || c.Combined != c.Emitted {
+		t.Fatalf("idle combiner mapped %d tasks, emitted %d pairs and combined %d; want some tasks, one pair each, folded in place",
+			c.Tasks, c.Emitted, c.Combined)
 	}
 	if helpedTook >= aloneTook*7/10 {
 		t.Fatalf("map-bound run took %v with the combiner helping (%d of %d tasks), %v without: want under 0.7x",
-			helpedTook, helped.Help.Tasks, tasks, aloneTook)
+			helpedTook, c.Tasks, tasks, aloneTook)
 	}
 }
 
@@ -87,6 +91,7 @@ func TestConserveCombineBound(t *testing.T) {
 	cfg := oneAndOne()
 	cfg.QueueCapacity = 256
 	cfg.BatchSize = 64
+	cfg.Telemetry = telemetry.New()
 	mapperStarted := make(chan struct{})
 	cfg.Hooks = &mr.Hooks{MapTask: func(w int) {
 		if w < cfg.Mappers {
@@ -117,16 +122,17 @@ func TestConserveCombineBound(t *testing.T) {
 		conserved(t, res, splits*emits)
 		qs := res.QueueStats
 		if !conserving {
-			if res.Help != (mr.HelpStats{}) || qs.Pushes != splits*emits {
-				t.Fatalf("sibling plan: %d pushed, help %+v; want every pair through the ring", qs.Pushes, res.Help)
+			if qs.Pushes != splits*emits {
+				t.Fatalf("sibling plan: %d pushed; want every pair through the ring", qs.Pushes)
 			}
 			continue
 		}
 		if qs.Pushes != 0 || qs.FailedPush != 0 || qs.SleepMicros != 0 {
 			t.Fatalf("conserving: the mapper used its ring: %+v", qs)
 		}
-		if res.Help.MapperPairs == 0 {
-			t.Fatalf("conserving: the mapper folded nothing where it emitted (%+v)", res.Help)
+		// A mapper's shard pops nothing, so what it combined it folded.
+		if m := roleBooks(res.Telemetry, "mapper"); m.Combined == 0 {
+			t.Fatalf("conserving: the mapper folded nothing where it emitted (%+v)", m)
 		}
 	}
 }
@@ -136,8 +142,7 @@ func TestConserveCombineBound(t *testing.T) {
 // fires and every queue counter is zero; the ledger holds exactly one
 // mapper shard per mapper and one combiner shard per combiner; the Map hooks
 // see worker ids 0..M+C-1; and the books close: every take booked, every
-// pair folded where it was emitted, and the helped tasks are exactly the
-// tasks the combiner shards ran.
+// pair folded where it was emitted, and the shards' tasks are the takes.
 func TestConserveBuildsNoRing(t *testing.T) {
 	const splits, emits, keys = 60, 50, 7
 	cfg := testConfig()
@@ -162,16 +167,14 @@ func TestConserveBuildsNoRing(t *testing.T) {
 	if got := sumValues(res.Pairs); got != splits*emits {
 		t.Fatalf("total %d, want %d", got, splits*emits)
 	}
-	if observed != 0 || res.QueueStats != (mr.QueueStats{}) || res.Telemetry.Totals.Pushes != 0 {
+	if observed != 0 || res.QueueStats != (mr.QueueStats{}) || res.Telemetry.Totals.Queue.Pushes != 0 {
 		t.Fatalf("a conserving run built rings: %d observed, stats %+v, report totals %+v", observed, res.QueueStats, res.Telemetry.Totals)
 	}
 	roles := map[string]int{}
-	var helped uint64
+	var tasks uint64
 	for _, w := range res.Telemetry.Workers {
 		roles[w.Role]++
-		if w.Role == "combiner" {
-			helped += w.Tasks
-		}
+		tasks += w.Tasks
 	}
 	if roles["mapper"] != cfg.Mappers || roles["combiner"] != cfg.Combiners || len(roles) != 2 {
 		t.Fatalf("ledger shards by role %v, want %d mappers and %d combiners", roles, cfg.Mappers, cfg.Combiners)
@@ -181,8 +184,8 @@ func TestConserveBuildsNoRing(t *testing.T) {
 			t.Fatalf("MapTask saw worker %d of %d", w, cfg.Mappers+cfg.Combiners)
 		}
 	}
-	if res.Steal.TotalTasks() != splits || res.Help.Pairs() != splits*emits || res.Help.Tasks != helped {
-		t.Fatalf("books: steal %s, help %+v, combiner shards ran %d tasks", res.Steal.String(), res.Help, helped)
+	if tot := res.Telemetry.Totals; res.Steal.TotalTasks() != splits || tot.Emitted != splits*emits || tot.Combined != tot.Emitted || tasks != splits {
+		t.Fatalf("books: steal %s, totals %+v, shards ran %d tasks", res.Steal.String(), tot, tasks)
 	}
 }
 
@@ -230,9 +233,9 @@ func TestFusedPoolFitsGrant(t *testing.T) {
 				t.Fatalf("%s: MapTask saw worker %d on a one-CPU grant", engine.name, w)
 			}
 		}
-		if observed != 0 || res.QueueStats != (mr.QueueStats{}) || res.Help.MapperPairs != splits*emits {
-			t.Fatalf("%s: %d rings observed, queue stats %+v, help %+v; want no ring and every pair folded by the one worker",
-				engine.name, observed, res.QueueStats, res.Help)
+		if w := res.Telemetry.Workers[0]; observed != 0 || res.QueueStats != (mr.QueueStats{}) || w.Role != "mapper" || w.Combined != splits*emits {
+			t.Fatalf("%s: %d rings observed, queue stats %+v, the one %s row combined %d; want no ring and every pair folded by the one worker",
+				engine.name, observed, res.QueueStats, w.Role, w.Combined)
 		}
 	}
 }

@@ -46,8 +46,9 @@ func TestStepAllocatesNothing(t *testing.T) {
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, h := Books(d.Ledger.Totals()); h.Tasks != 101 || h.CombinerPairs != 101*4*8 || h.MapperPairs != 101*4*8 {
-			t.Fatalf("%v: help %+v: want 101 steps of 32 pairs on each worker", kind, h)
+		// Every pair folded where it was emitted: combined, never pushed.
+		if tot := d.Ledger.Totals(); tot.Tasks != 2*101 || tot.Emitted != 2*101*4*8 || tot.Combined != tot.Emitted || tot.Queue.Pushes != 0 {
+			t.Fatalf("%v: books %+v: want 101 steps of 32 pairs on each worker, folded in place", kind, tot)
 		}
 	}
 }
@@ -80,8 +81,8 @@ func TestFusedStepHandsMapTheFold(t *testing.T) {
 		if (handed == fold) == hooked {
 			t.Fatalf("hooked %v: Map was handed code %#x, the container's fold is %#x", hooked, handed, fold)
 		}
-		if _, _, h := Books(d.Ledger.Totals()); h.MapperPairs != 8 {
-			t.Fatalf("hooked %v: %d pairs folded, want 8", hooked, h.MapperPairs)
+		if tot := d.Ledger.Totals(); tot.Combined != 8 || tot.Queue.Pops != 0 {
+			t.Fatalf("hooked %v: %d pairs combined, %d popped; want 8 folded", hooked, tot.Combined, tot.Queue.Pops)
 		}
 	}
 }

@@ -156,7 +156,8 @@ func run[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K,
 	}
 
 	// Every worker booked its last counts before its pool was joined.
-	res.QueueStats, res.Steal, res.Help = Books(d.Ledger.Totals())
+	books := d.Ledger.Totals()
+	res.QueueStats, res.Steal = books.Queue, books.Steal
 
 	// --- Reduce and merge: the one finish, over pane 0 of the combiners'
 	// containers or, on a fused run, every worker's. ---

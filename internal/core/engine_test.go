@@ -49,7 +49,7 @@ func testConfig() mr.Config {
 // the first core of each socket (firstCores) of cfg's machine, or of the
 // Haswell server preset when that machine has no SMT. Combiner 0 then shares
 // a core with mapper 0 (a pin on a CPU the host lacks is ignored), so
-// mappers ship every pair through their rings and slots get no Help:
+// mappers ship every pair through their rings and slots map no task:
 // producers park on full rings and combiners on empty ones. That is what the
 // tests of the handshake, of ring ownership and of the abort drain are
 // about, and the shape every run had before the pipeline conserved work.
@@ -80,19 +80,37 @@ func firstCores(m *topology.Machine) []int {
 }
 
 // conserved asserts the pair books of a finished run that emitted want
-// pairs: each went through a ring or was folded where it was emitted, and
-// every ring gave back what it took.
+// pairs, read off its report (the run needs a Config.Telemetry): each went
+// through a ring or was folded where it was emitted — combined but never
+// popped — and every ring gave back what it took.
 func conserved(t *testing.T, res *mr.Result[int, int], want int) {
 	t.Helper()
-	qs := res.QueueStats
-	if qs.Pushes+res.Help.Pairs() != uint64(want) || qs.Pushes != qs.Pops {
-		t.Fatalf("%d pairs emitted; queue stats: %+v, help: %+v", want, qs, res.Help)
+	if res.Telemetry == nil {
+		t.Fatal("conserved reads the run's report: set Config.Telemetry")
 	}
+	tot, qs := res.Telemetry.Totals, res.QueueStats
+	folded := tot.Combined - qs.Pops
+	if tot.Emitted != uint64(want) || qs.Pushes+folded != uint64(want) || qs.Pushes != qs.Pops || tot.Queue != qs {
+		t.Fatalf("%d pairs emitted; report totals %+v, queue stats %+v", want, tot, qs)
+	}
+}
+
+// roleBooks sums the rows of a run's report that have the given role.
+func roleBooks(rep *telemetry.Report, role string) telemetry.Totals {
+	var t telemetry.Totals
+	for _, w := range rep.Workers {
+		if w.Role == role {
+			t.Add(w.Totals)
+		}
+	}
+	return t
 }
 
 func TestRunCorrectness(t *testing.T) {
 	spec := countSpec(40, 25, 17)
-	res, err := Run(spec, testConfig())
+	cfg := testConfig()
+	cfg.Telemetry = telemetry.New()
+	res, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +157,7 @@ func TestBatchLargerThanQueue(t *testing.T) {
 	cfg := parked(testConfig())
 	cfg.QueueCapacity = 32
 	cfg.BatchSize = 100_000
+	cfg.Telemetry = telemetry.New()
 	res, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -240,6 +259,7 @@ func TestWaitPolicies(t *testing.T) {
 		spec := countSpec(10, 100, 5)
 		cfg := tc.cfg
 		cfg.QueueCapacity = 16 // force full rings
+		cfg.Telemetry = telemetry.New()
 		res, err := Run(spec, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -252,11 +272,11 @@ func TestWaitPolicies(t *testing.T) {
 			t.Fatalf("%s: total = %d", tc.name, total)
 		}
 		conserved(t, res, 1000)
-		if tc.park && (res.Help != (mr.HelpStats{}) || res.QueueStats.Pushes != 1000) {
-			t.Fatalf("park: %d pushed, help %+v on a plan that parks the mapper", res.QueueStats.Pushes, res.Help)
+		if tc.park && res.QueueStats.Pushes != 1000 {
+			t.Fatalf("park: %d pushed on a plan that parks the mapper, want every pair", res.QueueStats.Pushes)
 		}
-		if !tc.park && (res.QueueStats.Pushes != 0 || res.Help.Pairs() != 1000) {
-			t.Fatalf("fold: %d pushed, help %+v; want every pair folded where it was emitted", res.QueueStats.Pushes, res.Help)
+		if !tc.park && res.QueueStats.Pushes != 0 {
+			t.Fatalf("fold: %d pushed; want every pair folded where it was emitted", res.QueueStats.Pushes)
 		}
 	}
 }
@@ -662,6 +682,7 @@ func TestEmitBatchSweep(t *testing.T) {
 	for _, eb := range []int{0, 1, 3, 64, 100_000} {
 		cfg := parked(testConfig()) // a fused lane stages nothing to batch
 		cfg.EmitBatch = eb
+		cfg.Telemetry = telemetry.New()
 		res, err := Run(spec, cfg)
 		if err != nil {
 			t.Fatalf("EmitBatch=%d: %v", eb, err)

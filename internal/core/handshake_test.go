@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ramr/internal/mr"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -49,6 +50,7 @@ func TestHandshakeTinyRings(t *testing.T) {
 				cfg.QueueCapacity = capacity
 				cfg.BatchSize = 1 + capacity/2
 				cfg.EmitBatch = emit
+				cfg.Telemetry = telemetry.New()
 				rec := recordQueues(&cfg)
 				var res *mr.Result[int, int]
 				err := runWithTimeout(t, func() (err error) {
@@ -63,8 +65,9 @@ func TestHandshakeTinyRings(t *testing.T) {
 					t.Fatalf("cap=%d emit=%d: total %d, want %d", capacity, emit, got, want)
 				}
 				conserved(t, res, want)
-				if res.Help != (mr.HelpStats{}) {
-					t.Fatalf("cap=%d emit=%d: work was conserved on a sibling plan: %+v", capacity, emit, res.Help)
+				if c := roleBooks(res.Telemetry, "combiner"); res.QueueStats.Pushes != uint64(want) || c.Tasks != 0 {
+					t.Fatalf("cap=%d emit=%d: work was conserved on a sibling plan: %d of %d pairs pushed, combiners mapped %d tasks",
+						capacity, emit, res.QueueStats.Pushes, want, c.Tasks)
 				}
 				if res.QueueStats.FailedPush == 0 {
 					t.Fatalf("cap=%d emit=%d: no producer ever found its ring full", capacity, emit)

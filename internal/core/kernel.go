@@ -190,33 +190,6 @@ func (l *Lane[E]) book() (published uint64) {
 	return pushes + l.folded
 }
 
-// Books converts a ledger's totals into the statistics batch runs and
-// stream sessions report: a run's rings' counters, its steal takes and what
-// work conservation moved. It is the one place they are formed.
-func Books(t telemetry.Totals) (mr.QueueStats, mr.StealStats, mr.HelpStats) {
-	return mr.QueueStats{
-			Pushes:      t.Pushes,
-			FailedPush:  t.FailedPush,
-			Pops:        t.Pops,
-			EmptyPolls:  t.EmptyPolls,
-			ShortPolls:  t.ShortPolls,
-			BatchCalls:  t.Batches,
-			SleepMicros: t.SleepMicros,
-		}, mr.StealStats{
-			LocalBatches:   t.LocalBatches,
-			LocalTasks:     t.LocalTakes,
-			SocketBatches:  t.SocketBatches,
-			SocketTasks:    t.SocketSteals,
-			RemoteBatches:  t.RemoteBatches,
-			RemoteTasks:    t.RemoteSteals,
-			RemoteExecuted: t.RemoteExecuted,
-		}, mr.HelpStats{
-			Tasks:         t.TasksHelped,
-			CombinerPairs: t.FoldedByCombiners,
-			MapperPairs:   t.FoldedByMappers,
-		}
-}
-
 // startSlots spawns, on a sibling plan, one goroutine per combiner slot,
 // each on a shard it registers in the ledger and over the run of rings
 // QueueAssignment gives it — the rings of the mappers the plan placed beside

@@ -122,7 +122,7 @@ func TestLedgerCostsNoAllocation(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("a consume round allocates %.1f times", n)
 	}
-	if tot := ledger.Totals(); tot.Tasks != 101 || tot.Emitted != 101*32 || tot.Pops != q.Snapshot().Pops {
+	if tot := ledger.Totals(); tot.Tasks != 101 || tot.Emitted != 101*32 || tot.Queue.Pops != q.Snapshot().Pops {
 		t.Fatalf("books %+v, ring %+v: want 101 tasks of 32 pairs and the ring's pops", tot, q.Snapshot())
 	}
 
@@ -153,7 +153,8 @@ func TestLedgerCostsNoAllocation(t *testing.T) {
 			t.Fatalf("a fused %s task (session step %v) allocates %.1f times", role, session, n)
 		}
 	}
-	if tot := ledger.Totals(); tot.Tasks != 5*101 || tot.FoldedByMappers != 2*101*32 || tot.FoldedByCombiners != 2*101*32 || tot.TasksHelped != 2*101 {
-		t.Fatalf("books %+v: want 101 fused tasks of 32 pairs on each lane, the combiners' helped", tot)
+	// What a shard combined without popping it, it folded where it emitted.
+	if tot := ledger.Totals(); tot.Tasks != 5*101 || tot.Combined-tot.Queue.Pops != 4*101*32 {
+		t.Fatalf("books %+v: want 101 fused tasks of 32 pairs on each of four lanes, folded in place", tot)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ramr/internal/mr"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -31,7 +32,9 @@ func runPhoenix(spec *mr.Spec[int, int, int, int], cfg mr.Config) (*mr.Result[in
 }
 
 func TestPhoenixRunCorrectness(t *testing.T) {
-	res, err := runPhoenix(countSpec(30, 20, 11), phoenixConfig())
+	cfg := phoenixConfig()
+	cfg.Telemetry = telemetry.New()
+	res, err := runPhoenix(countSpec(30, 20, 11), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +52,8 @@ func TestPhoenixRunCorrectness(t *testing.T) {
 		t.Fatalf("total = %d", total)
 	}
 	// The fused engine never touches queues, and folds every pair in place.
-	if res.QueueStats != (mr.QueueStats{}) || res.Help.Pairs() != 600 {
-		t.Fatalf("queue stats %+v, help %+v; want no queue and all 600 pairs folded in place", res.QueueStats, res.Help)
+	if tot := res.Telemetry.Totals; res.QueueStats != (mr.QueueStats{}) || tot.Emitted != 600 || tot.Combined != 600 {
+		t.Fatalf("queue stats %+v, totals %+v; want no queue and all 600 pairs folded in place", res.QueueStats, tot)
 	}
 	if res.Phases.MapCombine <= 0 {
 		t.Fatal("map-combine phase not timed")
@@ -127,6 +130,7 @@ func TestPhoenixDispatch(t *testing.T) {
 		cfg.Pin = mr.PinRAMR // ignored: Phoenix++ runs unpinned
 		cfg.CPUGrant = grant
 		cfg.TaskSize = 1
+		cfg.Telemetry = telemetry.New()
 		res, err := runPhoenix(countSpec(64, 10, 13), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -135,8 +139,8 @@ func TestPhoenixDispatch(t *testing.T) {
 		if st.LocalTasks != 64 || st.LocalBatches != 64 || st.SocketTasks+st.RemoteTasks+st.RemoteExecuted != 0 {
 			t.Fatalf("grant %v: steal books %+v; want 64 single local takes and no steal", grant, st)
 		}
-		if res.QueueStats.Pushes != 0 || res.Help.Pairs() != 640 {
-			t.Fatalf("grant %v: %d pushed, help %+v; want every pair folded in place", grant, res.QueueStats.Pushes, res.Help)
+		if tot := res.Telemetry.Totals; res.QueueStats.Pushes != 0 || tot.Emitted != 640 || tot.Combined != 640 {
+			t.Fatalf("grant %v: %d pushed, totals %+v; want every pair folded in place", grant, res.QueueStats.Pushes, tot)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -63,6 +64,7 @@ func runSkewed(t *testing.T, m *topology.Machine) []mr.StealStats {
 		cfgs = append(cfgs, parked(stealCfg(m)))
 	}
 	for _, cfg := range cfgs {
+		cfg.Telemetry = telemetry.New()
 		res, err := Run(skewedSpec(splits, heavy, 500*time.Microsecond), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +80,7 @@ func runSkewed(t *testing.T, m *topology.Machine) []mr.StealStats {
 		}
 		conserved(t, res, splits)
 		if fused := cfg.Pin == mr.PinNone; fused != (res.QueueStats == mr.QueueStats{}) {
-			t.Fatalf("fused=%v: queue stats %+v, help %+v", fused, res.QueueStats, res.Help)
+			t.Fatalf("fused=%v: queue stats %+v", fused, res.QueueStats)
 		}
 		stats = append(stats, res.Steal)
 	}
@@ -163,6 +165,7 @@ func TestStealOffStaysStatic(t *testing.T) {
 	cfg := stealCfg(topology.Fig3Example())
 	cfg.Steal = mr.StealOff
 	for _, cfg := range []mr.Config{cfg, parked(cfg)} {
+		cfg.Telemetry = telemetry.New()
 		res, err := Run(skewedSpec(splits, heavy, 100*time.Microsecond), cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -75,21 +75,32 @@ func shipping(cfg mr.Config) mr.Config {
 	return cfg
 }
 
-// checkBooks checks a clean RAMR run's books: every task's take booked,
-// every pair through a ring or folded where it was emitted, and nothing of
-// the other arm's: a run without rings ships nothing, a pipeline run folds
-// nothing in place.
+// checkBooks checks a clean RAMR run's books, read off its report (the run
+// has a Config.Telemetry): every task's take booked, every pair through a
+// ring or folded where it was emitted — combined but never popped — and
+// nothing of the other arm's: a run without rings ships nothing, a pipeline
+// run folds nothing in place and its combiners map no task.
 func checkBooks(res *mr.Result[int, int], cfg mr.Config, tasks, pairs int) error {
-	qs, help := res.QueueStats, res.Help
+	if res.Telemetry == nil {
+		return fmt.Errorf("checkBooks reads the run's report: set Config.Telemetry")
+	}
+	tot, qs := res.Telemetry.Totals, res.QueueStats
+	folded := tot.Combined - qs.Pops
+	var combinerTasks uint64
+	for _, w := range res.Telemetry.Workers {
+		if w.Role == "combiner" {
+			combinerTasks += w.Tasks
+		}
+	}
 	switch {
 	case res.Steal.TotalTasks() != uint64(tasks):
 		return fmt.Errorf("takes cover %d tasks, want %d", res.Steal.TotalTasks(), tasks)
-	case qs.Pushes+help.Pairs() != uint64(pairs) || qs.Pushes != qs.Pops:
-		return fmt.Errorf("%d pairs emitted; queue stats %+v, help %+v", pairs, qs, help)
+	case tot.Emitted != uint64(pairs) || qs.Pushes+folded != uint64(pairs) || qs.Pushes != qs.Pops:
+		return fmt.Errorf("%d pairs emitted; queue stats %+v, report totals %+v", pairs, qs, tot)
 	case rings(cfg) == 0 && qs != (mr.QueueStats{}):
 		return fmt.Errorf("a run without rings booked ring traffic: %+v", qs)
-	case rings(cfg) > 0 && help != (mr.HelpStats{}):
-		return fmt.Errorf("a pipeline run conserved work: %+v", help)
+	case rings(cfg) > 0 && (folded != 0 || combinerTasks != 0):
+		return fmt.Errorf("a pipeline run conserved work: %d pairs folded in place, %d tasks mapped by combiners", folded, combinerTasks)
 	}
 	return nil
 }

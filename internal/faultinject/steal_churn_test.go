@@ -12,6 +12,7 @@ import (
 	"ramr/internal/core"
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -94,6 +95,7 @@ func runStealScenario(t *testing.T, seed int64) uint64 {
 		}
 	}
 	sc.cfg.Hooks = hooks
+	sc.cfg.Telemetry = telemetry.New()
 
 	var res *mr.Result[int, int]
 	var err error

@@ -11,6 +11,7 @@ import (
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
 	"ramr/internal/stream"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -33,8 +34,8 @@ var streamArms = []struct {
 // streamConserve starts a session, on a sibling plan or unpinned, with one
 // chunk queued and worker 0's hold in place. worker1 is worker 1's MapEmit hook, given the session and
 // the worker's pair count so far; worker1Tasks counts the splits worker 1
-// began.
-func streamConserve(t *testing.T, sibling bool, worker1 func(*stream.Pipeline[int, int, uint64, uint64], int64), worker1Tasks *atomic.Int64) *stream.Pipeline[int, int, uint64, uint64] {
+// began. The returned Telemetry reads the session's books.
+func streamConserve(t *testing.T, sibling bool, worker1 func(*stream.Pipeline[int, int, uint64, uint64], int64), worker1Tasks *atomic.Int64) (*stream.Pipeline[int, int, uint64, uint64], *telemetry.Telemetry) {
 	t.Helper()
 	cfg := mr.DefaultConfig()
 	cfg.Mappers, cfg.Combiners = 1, 1
@@ -44,6 +45,7 @@ func streamConserve(t *testing.T, sibling bool, worker1 func(*stream.Pipeline[in
 		cfg = shipping(cfg)
 	}
 	cfg.Stream = &mr.StreamSpec{Window: 1, MaxPending: 2 * streamSplits}
+	cfg.Telemetry = telemetry.New()
 	var p *stream.Pipeline[int, int, uint64, uint64]
 	var emits0, emits1 int64
 	var hold sync.Once
@@ -79,7 +81,7 @@ func streamConserve(t *testing.T, sibling bool, worker1 func(*stream.Pipeline[in
 	if _, err := p.Append(chunk); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return p, cfg.Telemetry
 }
 
 // untilDoomed waits, bounded, until p has recorded its first error.
@@ -111,7 +113,7 @@ func TestConserveStreamMapPanicMidSplit(t *testing.T) {
 	for _, arm := range streamArms {
 		t.Run(arm.name, func(t *testing.T) {
 			var tasks atomic.Int64
-			p := streamConserve(t, arm.sibling, func(_ *stream.Pipeline[int, int, uint64, uint64], n int64) {
+			p, _ := streamConserve(t, arm.sibling, func(_ *stream.Pipeline[int, int, uint64, uint64], n int64) {
 				if n == 5 {
 					panic(faultinject.InjectedPanic{})
 				}
@@ -144,7 +146,7 @@ func TestConserveStreamCancelMidHelp(t *testing.T) {
 			inside := make(chan struct{})
 			var once sync.Once
 			var tasks atomic.Int64
-			p := streamConserve(t, arm.sibling, func(p *stream.Pipeline[int, int, uint64, uint64], _ int64) {
+			p, tel := streamConserve(t, arm.sibling, func(p *stream.Pipeline[int, int, uint64, uint64], _ int64) {
 				once.Do(func() {
 					close(inside)
 					untilDoomed(p)
@@ -167,8 +169,14 @@ func TestConserveStreamCancelMidHelp(t *testing.T) {
 			if n := tasks.Load(); n != 1 {
 				t.Fatalf("worker 1 began %d splits; want the one the cancel found it in", n)
 			}
-			if h := p.HelpStats(); h.Tasks != 1 {
-				t.Fatalf("help %+v: want the combine worker's one split booked", h)
+			var combinerTasks uint64
+			for _, w := range tel.EndRun(nil).Workers {
+				if w.Role == "combiner" {
+					combinerTasks += w.Tasks
+				}
+			}
+			if combinerTasks != 1 {
+				t.Fatalf("the combiner rows booked %d splits: want the combine worker's one", combinerTasks)
 			}
 			endStream(t, p)
 		})

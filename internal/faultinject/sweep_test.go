@@ -17,6 +17,7 @@ import (
 	"ramr/internal/faultinject"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -153,6 +154,7 @@ func runScenario(t *testing.T, seed int64) (batchFault bool) {
 		planted(w)
 	}
 	sc.cfg.Hooks = hooks
+	sc.cfg.Telemetry = telemetry.New()
 	timeline := obs.New("")
 	sc.cfg.Trace = timeline
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ramr/internal/mr"
-	"ramr/internal/spsc"
 	"ramr/internal/stats"
 	"ramr/internal/synth"
 	"ramr/internal/workloads"
@@ -220,9 +219,6 @@ func bestHostRatio(job *workloads.Job) int {
 	}
 	return bestR
 }
-
-// QueueDefaults re-exports the default queue capacity for reports.
-const QueueDefaults = spsc.DefaultCapacity
 
 // runTaskSize sweeps the splits-per-task knob on the native engine — the
 // §III trade-off: "large task sizes result in substandard load balancing,

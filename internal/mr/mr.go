@@ -152,97 +152,15 @@ type Result[K comparable, R any] struct {
 	// Steal aggregates map-phase task takes by distance class: every
 	// take of a completed run is booked, and Phoenix++'s are all local.
 	Steal StealStats
-	// Help counts the work a fused pool's workers did in place (all zero
-	// when a RAMR run's CPU grant is too small for the rule to apply, see
-	// HelpStats).
-	Help HelpStats
 	// Telemetry is the structured run report (the ledger's per-worker
 	// counters, their totals, throughput) when Config.Telemetry was set;
 	// nil otherwise.
 	Telemetry *telemetry.Report
 }
 
-// HelpStats counts what work conservation moved in one RAMR run or stream
-// session: map tasks the combine workers ran, and the pairs combine and map
-// workers folded where they emitted them instead of shipping them. A stream
-// session, and a run whose pinning plan puts no combiner on an SMT sibling
-// of its mappers, is one pool of fused workers: it folds every pair in place
-// and pushes none, and Tasks is the share its combine workers ran (none when
-// its grant leaves room only for map workers). A run on a sibling plan never
-// helps and folds none in place. With StealStats and QueueStats it
-// closes the books exactly: a batch run's takes are the job's task count, a
-// session's map-worker takes + Tasks is its split count, and pairs emitted −
-// Pushes is Pairs().
-type HelpStats struct {
-	Tasks         uint64 `json:"tasks"`          // map tasks run by combine workers
-	CombinerPairs uint64 `json:"combiner_pairs"` // pairs those tasks emitted, folded in place
-	MapperPairs   uint64 `json:"mapper_pairs"`   // pairs mappers emitted, folded in place
-}
-
-// Pairs returns the pairs folded where they were emitted, by either pool:
-// the ones that never crossed a ring.
-func (h HelpStats) Pairs() uint64 { return h.CombinerPairs + h.MapperPairs }
-
-// String renders the counters on one line for reports.
-func (h HelpStats) String() string {
-	return fmt.Sprintf("%d tasks mapped by combiners (%d pairs folded in place), %d pairs folded in place by mappers",
-		h.Tasks, h.CombinerPairs, h.MapperPairs)
-}
-
 // QueueStats aggregates the SPSC counters across all mapper queues of one
-// RAMR run. See spsc.Stats for field semantics; in particular EmptyPolls
-// counts polls of a truly empty ring while ShortPolls counts unforced
-// polls that found fewer than a full batch buffered.
-type QueueStats struct {
-	Pushes      uint64
-	FailedPush  uint64 // wait rounds a mapper spent on a full ring
-	Pops        uint64
-	EmptyPolls  uint64
-	ShortPolls  uint64
-	BatchCalls  uint64
-	SleepMicros uint64 // measured wall time producers spent parked on full rings
-}
-
-// Add folds one queue's counters into the aggregate.
-func (q *QueueStats) Add(s spsc.Stats) {
-	q.Pushes += s.Pushes
-	q.FailedPush += s.FailedPush
-	q.Pops += s.Pops
-	q.EmptyPolls += s.EmptyPolls
-	q.ShortPolls += s.ShortPolls
-	q.BatchCalls += s.BatchCalls
-	q.SleepMicros += s.SleepMicros
-}
-
-// FailedPushRate returns the fraction of push attempts whose first trial
-// found the ring full: FailedPush / (Pushes + FailedPush). It is the
-// backpressure signal behind the paper's sleep-on-failed-push policy
-// (§III-A; here the producer parks); zero when no pushes happened.
-func (q QueueStats) FailedPushRate() float64 {
-	total := q.Pushes + q.FailedPush
-	if total == 0 {
-		return 0
-	}
-	return float64(q.FailedPush) / float64(total)
-}
-
-// ShortPollRate returns the fraction of consume polls that found fewer
-// than a full batch buffered (unforced): ShortPolls over all polls
-// (BatchCalls + EmptyPolls + ShortPolls). A high rate means combiners
-// outpace mappers and the batch size may be too large; zero when no polls
-// happened.
-func (q QueueStats) ShortPollRate() float64 {
-	total := q.BatchCalls + q.EmptyPolls + q.ShortPolls
-	if total == 0 {
-		return 0
-	}
-	return float64(q.ShortPolls) / float64(total)
-}
-
-// String renders all seven counters plus the derived rates on one line,
-// the canonical formatting every report path shares.
-func (q QueueStats) String() string {
-	return fmt.Sprintf("%d pushed (%.1f%% failed), %d popped, %d batch calls, %d empty polls, %d short polls (%.1f%%), %dus slept",
-		q.Pushes, q.FailedPushRate()*100, q.Pops, q.BatchCalls,
-		q.EmptyPolls, q.ShortPolls, q.ShortPollRate()*100, q.SleepMicros)
-}
+// RAMR run: the ledger's spsc.Stats, whose field comments give their
+// semantics; in particular EmptyPolls counts polls of a truly empty ring
+// while ShortPolls counts unforced polls that found fewer than a full batch
+// buffered.
+type QueueStats = spsc.Stats

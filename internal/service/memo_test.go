@@ -385,7 +385,6 @@ func jobCounterSums(sum map[string]float64, res map[string]any) {
 	tel := res["telemetry"].(map[string]any)["totals"].(map[string]any)
 	queue := res["queue"].(map[string]any)
 	steal := res["steal"].(map[string]any)
-	help := res["help"].(map[string]any)
 	for family, v := range map[string]any{
 		"pairs_emitted":       tel["pairs_emitted"],
 		"pairs_combined":      tel["pairs_combined"],
@@ -393,8 +392,6 @@ func jobCounterSums(sum map[string]float64, res map[string]any) {
 		"batches":             queue["BatchCalls"],
 		"failed_pushes":       queue["FailedPush"],
 		"sleep_microseconds":  queue["SleepMicros"],
-		"tasks_helped":        help["tasks"],
-		"pairs_folded":        help["combiner_pairs"].(float64) + help["mapper_pairs"].(float64),
 		"remote_executed":     steal["remote_executed"],
 		"steal_batches_local": steal["local_batches"], "steal_tasks_local": steal["local_tasks"],
 		"steal_batches_socket": steal["socket_batches"], "steal_tasks_socket": steal["socket_tasks"],

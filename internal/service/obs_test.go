@@ -494,7 +494,7 @@ func TestLiveTraceRaceFree(t *testing.T) {
 	for _, raw := range workers {
 		w := raw.(map[string]any)
 		name := fmt.Sprintf("%s-%d", w["role"], int(w["id"].(float64)))
-		nTasks, nBatches := uint64(w["tasks"].(float64)), uint64(w["batches"].(float64))
+		nTasks, nBatches := uint64(w["tasks"].(float64)), uint64(w["queue"].(map[string]any)["BatchCalls"].(float64))
 		if (nTasks > 0 || nBatches > 0) && !lanes[name] {
 			t.Errorf("settled trace has no %s lane (worker ran %d tasks, %d batches); lanes %v", name, nTasks, nBatches, lanes)
 		}

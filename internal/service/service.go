@@ -515,13 +515,12 @@ func recordRunDetail(rec *obs.Recorder, start, end time.Time, info *workloads.Ru
 		rec.SpanAt(p.name, t, t.Add(p.d), nil)
 		t = t.Add(p.d)
 	}
-	if st := info.Steal; st.TotalTasks()+info.Help.Tasks > 0 {
+	if st := info.Steal; st.TotalTasks() > 0 {
 		rec.InstantAt("steal-summary", end, map[string]any{
 			"local":           st.LocalTasks,
 			"socket":          st.SocketTasks,
 			"remote":          st.RemoteTasks,
 			"remote_executed": st.RemoteExecuted,
-			"helped":          info.Help.Tasks,
 		})
 	}
 }
@@ -710,7 +709,6 @@ type resultDoc struct {
 	Phases  *mr.PhaseTimes `json:"phases,omitempty"`
 	Queue   *mr.QueueStats `json:"queue,omitempty"`
 	Steal   *mr.StealStats `json:"steal,omitempty"`
-	Help    *mr.HelpStats  `json:"help,omitempty"`
 	Pairs   int            `json:"pairs,omitempty"`
 	// ContentDigest is the canonical identity of the computation (the
 	// memo cache key); two submissions with equal digests compute the
@@ -761,10 +759,8 @@ func (doc *resultDoc) fill(info *workloads.RunInfo, detail bool) {
 	}
 	doc.WallMS = float64(info.Wall) / float64(time.Millisecond)
 	doc.BuildMS = float64(info.Build) / float64(time.Millisecond)
-	ph, q := info.Phases, info.Queue
-	doc.Phases, doc.Queue = &ph, &q
-	steal, help := info.Steal, info.Help
-	doc.Steal, doc.Help = &steal, &help
+	ph, q, steal := info.Phases, info.Queue, info.Steal
+	doc.Phases, doc.Queue, doc.Steal = &ph, &q, &steal
 	doc.Pairs = info.Pairs
 	if !detail {
 		return
@@ -987,47 +983,6 @@ func (s *Service) Stats() any {
 	}
 }
 
-// jobCounterFamilies are the ramr_job_*_total counters: a label set's
-// books, the ledger's Totals summed over its runs.
-var jobCounterFamilies = []struct {
-	name, help string
-	value      func(telemetry.Totals) uint64
-}{
-	{"ramr_job_pairs_emitted_total", "Intermediate pairs emitted by Map.",
-		func(t telemetry.Totals) uint64 { return t.Emitted }},
-	{"ramr_job_pairs_combined_total", "Intermediate pairs folded by Combine.",
-		func(t telemetry.Totals) uint64 { return t.Combined }},
-	{"ramr_job_tasks_total", "Completed map tasks.",
-		func(t telemetry.Totals) uint64 { return t.Tasks }},
-	{"ramr_job_batches_total", "Consumed queue segments.",
-		func(t telemetry.Totals) uint64 { return t.Batches }},
-	{"ramr_job_failed_pushes_total", "Push wait rounds that found the ring full.",
-		func(t telemetry.Totals) uint64 { return t.FailedPush }},
-	{"ramr_job_sleep_microseconds_total", "Microseconds producers spent parked on a full ring.",
-		func(t telemetry.Totals) uint64 { return t.SleepMicros }},
-	{"ramr_job_tasks_helped_total", "Map tasks run by combine workers.",
-		func(t telemetry.Totals) uint64 { return t.TasksHelped }},
-	{"ramr_job_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring.",
-		func(t telemetry.Totals) uint64 { return t.FoldedByCombiners + t.FoldedByMappers }},
-	{"ramr_job_remote_executed_total", "Stolen map tasks completed by a worker of another locality group.",
-		func(t telemetry.Totals) uint64 { return t.RemoteExecuted }},
-}
-
-// jobStealFamilies are the steal counters, one series per class.
-var jobStealFamilies = []struct {
-	name, help string
-	value      func(telemetry.Totals) [telemetry.NumStealClasses]uint64
-}{
-	{"ramr_job_steal_batches_total", "Task-deque takes by steal distance class.",
-		func(t telemetry.Totals) [telemetry.NumStealClasses]uint64 {
-			return [...]uint64{t.LocalBatches, t.SocketBatches, t.RemoteBatches}
-		}},
-	{"ramr_job_steal_tasks_total", "Map tasks taken by steal distance class.",
-		func(t telemetry.Totals) [telemetry.NumStealClasses]uint64 {
-			return [...]uint64{t.LocalTakes, t.SocketSteals, t.RemoteSteals}
-		}},
-}
-
 // writeJobCounters emits the ramr_job_*_total families: per label set, the
 // settled books plus the live ledgers of the unsettled leaders, read in one
 // s.mu critical section with settleLocked's fold, so no counter falls
@@ -1044,22 +999,13 @@ func (s *Service) writeJobCounters(w io.Writer) error {
 	if len(sums) == 0 {
 		return nil // no job admitted yet: no headers without samples
 	}
-	keys := slices.Sorted(maps.Keys(sums))
+	labels := slices.Sorted(maps.Keys(sums))
+	rows := make([]telemetry.Totals, len(labels))
+	for i, lbl := range labels {
+		rows[i] = sums[lbl]
+	}
 	bw := bufio.NewWriter(w)
-	for _, f := range jobCounterFamilies {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name)
-		for _, lbl := range keys {
-			fmt.Fprintf(bw, "%s{%s} %d\n", f.name, lbl, f.value(sums[lbl]))
-		}
-	}
-	for _, f := range jobStealFamilies {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", f.name, f.help, f.name)
-		for _, lbl := range keys {
-			for cls, v := range f.value(sums[lbl]) {
-				fmt.Fprintf(bw, "%s{%s,class=%q} %d\n", f.name, lbl, telemetry.StealClassNames[cls], v)
-			}
-		}
-	}
+	telemetry.WriteCounters(bw, "ramr_job_", labels, rows)
 	return bw.Flush()
 }
 

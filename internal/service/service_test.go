@@ -351,8 +351,8 @@ func TestStatsExposesJobBalance(t *testing.T) {
 
 // TestSkewAndStealOverlay: the API accepts a zipf skew for SYNTH inputs
 // and a steal-policy overlay; a skewed job under "steal":"off" must
-// finish with zero stolen tasks — every task a local take or one a combiner
-// slot ran — and malformed values are rejected at submit.
+// finish with zero stolen tasks — every task a local take, a combine
+// worker's included — and malformed values are rejected at submit.
 func TestSkewAndStealOverlay(t *testing.T) {
 	_, ts, _ := newTestService(t, 0)
 
@@ -383,19 +383,17 @@ func TestSkewAndStealOverlay(t *testing.T) {
 			t.Fatalf("steal-off job has %s = %v: %v", k, v, steal)
 		}
 	}
-	help, ok := st["help"].(map[string]any)
-	if !ok {
-		t.Fatalf("job status missing help counters: %v", st)
+	if steal["local_tasks"].(float64) == 0 {
+		t.Fatalf("steal-off job recorded no local takes: %v", steal)
 	}
-	if steal["local_tasks"].(float64)+help["tasks"].(float64) == 0 {
-		t.Fatalf("steal-off job recorded no local takes and no helped tasks: %v %v", steal, help)
+	if _, ok := st["help"]; ok {
+		t.Fatalf("job status carries a help section: %v", st)
 	}
 }
 
 // TestShippingResultStatesRingCountersOnce: a job document states each
 // count once. Its telemetry report's totals keep only the pair and task
-// counts, and leave the rest to the summary's queue, steal and help
-// sections. This holds on a WC job granted one core's two threads on the
+// counts, and leave the rest to the summary's queue and steal sections. This holds on a WC job granted one core's two threads on the
 // Haswell preset, {0, 28}, which ships every pair through a ring. It also
 // holds on a fused run under pin none, which folds every pair where it was
 // emitted.
@@ -418,15 +416,15 @@ func TestShippingResultStatesRingCountersOnce(t *testing.T) {
 		}
 		queue, _ := res["queue"].(map[string]any)
 		steal, _ := res["steal"].(map[string]any)
-		help, _ := res["help"].(map[string]any)
 		tel, _ := res["telemetry"].(map[string]any)
 		totals, _ := tel["totals"].(map[string]any)
-		if queue == nil || steal == nil || help == nil || totals == nil {
-			t.Fatalf("%s: result has queue %v, steal %v, help %v and telemetry totals %v", run.name, queue, steal, help, totals)
+		if queue == nil || steal == nil || totals == nil || res["help"] != nil {
+			t.Fatalf("%s: result has queue %v, steal %v, telemetry totals %v and help %v", run.name, queue, steal, totals, res["help"])
 		}
 		emitted := totals["pairs_emitted"].(float64)
 		shipped := queue["Pushes"].(float64)
-		folded := help["combiner_pairs"].(float64) + help["mapper_pairs"].(float64)
+		// Combined but never popped: folded where it was emitted.
+		folded := totals["pairs_combined"].(float64) - queue["Pops"].(float64)
 		if emitted == 0 || shipped+folded != emitted || (shipped == emitted) != run.ships {
 			t.Fatalf("%s: %v pairs emitted, %v shipped, %v folded in place", run.name, emitted, shipped, folded)
 		}
@@ -434,7 +432,7 @@ func TestShippingResultStatesRingCountersOnce(t *testing.T) {
 			"pushes", "pops", "empty_polls", "short_polls", // queue
 			"batches", "failed_pushes", "sleep_micros", // queue
 			"steal_local_tasks", "steal_socket_tasks", "steal_remote_tasks", "remote_executed", // steal
-			"tasks_helped", "pairs_folded_by_combiners", "pairs_folded_by_mappers", // help
+			"queue", "steal", // the sections of a report row
 		} {
 			if v, ok := totals[key]; ok {
 				t.Errorf("%s: telemetry totals repeat the summary's %s: %v", run.name, key, v)

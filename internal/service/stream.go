@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ramr/internal/core"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/stream"
@@ -208,11 +207,10 @@ func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *Plan)
 		pairs += w.Pairs
 	}
 	rep := e.telem.EndRun(nil)
-	_, steal, help := core.Books(rep.Totals)
 	info := &workloads.RunInfo{
 		Wall:      time.Since(start),
-		Steal:     steal,
-		Help:      help,
+		Queue:     rep.Totals.Queue,
+		Steal:     rep.Totals.Steal,
 		Pairs:     pairs,
 		Telemetry: rep,
 	}
@@ -450,9 +448,6 @@ type streamStatusDoc struct {
 	// resident workers spawned.
 	Started bool          `json:"started"`
 	Stats   *stream.Stats `json:"stats,omitempty"`
-	// Help counts what the session's fused workers folded in place so far,
-	// and the splits its combine workers ran (see mr.HelpStats).
-	Help *mr.HelpStats `json:"help,omitempty"`
 }
 
 // streamStatus renders e's stream section (nil for batch jobs).
@@ -463,8 +458,8 @@ func (e *entry) streamStatus() *streamStatusDoc {
 	doc := &streamStatusDoc{Spec: specDoc(e.stream.spec)}
 	if sess := e.stream.peek(); sess != nil {
 		doc.Started = true
-		st, help := sess.Stats(), sess.HelpStats()
-		doc.Stats, doc.Help = &st, &help
+		st := sess.Stats()
+		doc.Stats = &st
 	}
 	return doc
 }

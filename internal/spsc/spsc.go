@@ -120,9 +120,10 @@ type consumerCounters struct {
 	batchCalls uint64
 }
 
-// Stats counts queue events; all fields are maintained by the owning sides
-// without synchronization beyond the queue's own, so read them only after
-// both sides have finished (or accept approximate values).
+// Stats counts queue events: one ring's, or a run's summed over its rings
+// (mr.QueueStats). All fields are maintained by the owning sides without
+// synchronization beyond the queue's own, so read them only after both
+// sides have finished (or accept approximate values).
 type Stats struct {
 	Pushes      uint64 // elements successfully pushed
 	FailedPush  uint64 // wait rounds in which a producer found the ring full, plus Offers refused
@@ -131,6 +132,50 @@ type Stats struct {
 	ShortPolls  uint64 // unforced consume attempts that found fewer than a full batch
 	BatchCalls  uint64 // functor invocations by ConsumeBatch
 	SleepMicros uint64 // measured wall time the producer spent parked, in microseconds
+}
+
+// Add folds another ring's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Pushes += o.Pushes
+	s.FailedPush += o.FailedPush
+	s.Pops += o.Pops
+	s.EmptyPolls += o.EmptyPolls
+	s.ShortPolls += o.ShortPolls
+	s.BatchCalls += o.BatchCalls
+	s.SleepMicros += o.SleepMicros
+}
+
+// FailedPushRate returns the fraction of push attempts whose first trial
+// found the ring full: FailedPush / (Pushes + FailedPush). It is the
+// backpressure signal behind the paper's sleep-on-failed-push policy
+// (§III-A; here the producer parks); zero when no pushes happened.
+func (s Stats) FailedPushRate() float64 {
+	total := s.Pushes + s.FailedPush
+	if total == 0 {
+		return 0
+	}
+	return float64(s.FailedPush) / float64(total)
+}
+
+// ShortPollRate returns the fraction of consume polls that found fewer
+// than a full batch buffered (unforced): ShortPolls over all polls
+// (BatchCalls + EmptyPolls + ShortPolls). A high rate means consumers
+// outpace producers and the batch size may be too large; zero when no
+// polls happened.
+func (s Stats) ShortPollRate() float64 {
+	total := s.BatchCalls + s.EmptyPolls + s.ShortPolls
+	if total == 0 {
+		return 0
+	}
+	return float64(s.ShortPolls) / float64(total)
+}
+
+// String renders all seven counters plus the derived rates on one line,
+// the canonical formatting every report path shares.
+func (s Stats) String() string {
+	return fmt.Sprintf("%d pushed (%.1f%% failed), %d popped, %d batch calls, %d empty polls, %d short polls (%.1f%%), %dus slept",
+		s.Pushes, s.FailedPushRate()*100, s.Pops, s.BatchCalls,
+		s.EmptyPolls, s.ShortPolls, s.ShortPollRate()*100, s.SleepMicros)
 }
 
 // New returns a queue with at least the requested capacity (rounded up to

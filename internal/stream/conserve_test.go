@@ -67,21 +67,36 @@ func checkFused[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V
 	}
 }
 
+// roleBooks reads a session's ledger, live or stopped, as a report's rows
+// and sums the rows of the given role.
+func roleBooks[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], role string) telemetry.Totals {
+	tel := telemetry.New()
+	tel.BeginRun(p.drv.Ledger)
+	var t telemetry.Totals
+	for _, w := range tel.EndRun(nil).Workers {
+		if w.Role == role {
+			t.Add(w.Totals)
+		}
+	}
+	return t
+}
+
 // checkBooks checks a stopped session's books against the pairs its windows
 // hold (total) and the splits map workers took (mapperTakes): every split
-// was run once, by a map worker or a combine worker, every pair was folded
-// where it was made, and no ring traffic was booked.
+// was taken and run once, by a map worker or a combine worker, every pair
+// was folded where it was made, and no ring traffic was booked.
 func checkBooks[S any, K comparable, V, R any](t *testing.T, p *Pipeline[S, K, V, R], mapperTakes, total uint64) {
 	t.Helper()
 	checkFused(t, p)
-	qs, _, h := core.Books(p.drv.Ledger.Totals())
-	st := p.Stats()
-	if mapperTakes+h.Tasks != uint64(st.Splits) || st.Elements != total {
-		t.Errorf("map workers took %d + combine workers ran %d splits, want %d; %d elements emitted, windows hold %d",
-			mapperTakes, h.Tasks, st.Splits, st.Elements, total)
+	tot, st := p.drv.Ledger.Totals(), p.Stats()
+	combined := roleBooks(p, "combiner").Tasks
+	if mapperTakes+combined != uint64(st.Splits) || tot.Steal.TotalTasks() != uint64(st.Splits) || st.Elements != total {
+		t.Errorf("map workers took %d + combine workers ran %d splits (%d takes booked), want %d; %d elements emitted, windows hold %d",
+			mapperTakes, combined, tot.Steal.TotalTasks(), st.Splits, st.Elements, total)
 	}
-	if qs != (mr.QueueStats{}) || h.Pairs() != total {
-		t.Errorf("queue %+v, help %+v; want no ring traffic and all %d pairs folded where made", qs, h, total)
+	// Folded where made: combined, never pushed.
+	if tot.Queue != (mr.QueueStats{}) || tot.Emitted != total || tot.Combined != total {
+		t.Errorf("books %+v; want no ring traffic and all %d pairs folded where made", tot, total)
 	}
 }
 
@@ -151,9 +166,9 @@ func TestConserveSiblingPlanSessionFuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qs := res.QueueStats; observed.Load() == 0 || qs.Pushes != total || qs.Pops != total || res.Help.Pairs() != 0 {
-		t.Fatalf("batch run on the sibling plan: %d rings observed, queue %+v, help %+v; want all %d pairs shipped",
-			observed.Load(), qs, res.Help, total)
+	if qs := res.QueueStats; observed.Load() == 0 || qs.Pushes != total || qs.Pops != total {
+		t.Fatalf("batch run on the sibling plan: %d rings observed, queue %+v; want all %d pairs shipped",
+			observed.Load(), qs, total)
 	}
 }
 
@@ -257,7 +272,7 @@ func TestConserveMapBoundSession(t *testing.T) {
 					}
 				}
 				if !helped.Load() {
-					t.Fatalf("the combine worker mapped nothing after the lull (help %+v)", p.HelpStats())
+					t.Fatalf("the combine worker mapped nothing after the lull (combiner books %+v)", roleBooks(p, "combiner"))
 				}
 				checkBooks(t, p, mapperTakes.Load(), total)
 				checkNoLeak(t, before)
@@ -405,8 +420,8 @@ func TestConserveSessionBuildsNoRing(t *testing.T) {
 	for _, w := range rep.Workers {
 		roles[w.Role]++
 	}
-	if len(rep.Workers) != cfg.Mappers+cfg.Combiners || roles["mapper"] != cfg.Mappers || roles["combiner"] != cfg.Combiners || rep.Totals.Pushes+rep.Totals.Pops != 0 {
-		t.Fatalf("ledger shards by role %v, %d pushed, %d popped; want %d mappers, %d combiners and no ring", roles, rep.Totals.Pushes, rep.Totals.Pops, cfg.Mappers, cfg.Combiners)
+	if len(rep.Workers) != cfg.Mappers+cfg.Combiners || roles["mapper"] != cfg.Mappers || roles["combiner"] != cfg.Combiners || rep.Totals.Queue.Pushes+rep.Totals.Queue.Pops != 0 {
+		t.Fatalf("ledger shards by role %v, %d pushed, %d popped; want %d mappers, %d combiners and no ring", roles, rep.Totals.Queue.Pushes, rep.Totals.Queue.Pops, cfg.Mappers, cfg.Combiners)
 	}
 	ws := p.Windows()
 	if len(ws) != len(chunks) {
@@ -525,16 +540,18 @@ func TestConserveSessionStepAllocatesNothing(t *testing.T) {
 		if err := p.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if h := p.HelpStats(); h.Tasks != 101 || h.CombinerPairs != 101*32 || h.MapperPairs != 101*32 {
-			t.Fatalf("%v: help %+v: want 101 steps of 32 pairs on each worker", kind, h)
+		// A fused worker combines what it emits, folded in place.
+		m, c := roleBooks(p, "mapper"), roleBooks(p, "combiner")
+		if c.Tasks != 101 || c.Combined != 101*32 || m.Combined != 101*32 {
+			t.Fatalf("%v: mapper books %+v, combiner books %+v: want 101 steps of 32 pairs on each worker", kind, m, c)
 		}
 	}
 }
 
 // TestUninstrumentedSessionReadsLive: a session started without a Telemetry
 // keeps the same books as one with a Telemetry, and they are live — what its
-// combine worker folded shows in HelpStats while the session still runs,
-// not only once it has stopped.
+// combine worker mapped and folded shows in its ledger's combiner rows while
+// the session still runs, not only once it has stopped.
 func TestUninstrumentedSessionReadsLive(t *testing.T) {
 	for _, arm := range placementArms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -555,10 +572,10 @@ func TestUninstrumentedSessionReadsLive(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			live := func(h mr.HelpStats) bool { return h.Tasks > 0 && h.CombinerPairs > 0 }
-			for deadline := time.Now().Add(10 * time.Second); !live(p.HelpStats()); {
+			live := func(c telemetry.Totals) bool { return c.Tasks > 0 && c.Combined > 0 }
+			for deadline := time.Now().Add(10 * time.Second); !live(roleBooks(p, "combiner")); {
 				if time.Now().After(deadline) {
-					t.Fatalf("live session reads help %+v: want its folds before Close", p.HelpStats())
+					t.Fatalf("live session reads combiner books %+v: want its folds before Close", roleBooks(p, "combiner"))
 				}
 				time.Sleep(100 * time.Microsecond)
 			}

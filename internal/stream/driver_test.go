@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"ramr/internal/core"
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/topology"
@@ -89,7 +88,7 @@ func TestSessionStealsAcrossGroups(t *testing.T) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, s, _ := core.Books(p.drv.Ledger.Totals())
+	s := p.drv.Ledger.Totals().Steal
 	if stolen := s.SocketTasks + s.RemoteTasks; stolen == 0 || stolen != s.RemoteExecuted {
 		t.Fatalf("steal books %+v: want splits stolen, each executed remotely", s)
 	}
@@ -144,7 +143,7 @@ func TestSessionStealOffDrainsOneGroup(t *testing.T) {
 			t.Errorf("window %d pairs %s, the reference over the same splits %s", w.Index, got, want)
 		}
 	}
-	if _, s, _ := core.Books(p.drv.Ledger.Totals()); s.SocketTasks+s.RemoteTasks != 0 {
+	if s := p.drv.Ledger.Totals().Steal; s.SocketTasks+s.RemoteTasks != 0 {
 		t.Fatalf("steal books %+v under StealOff", s)
 	}
 	checkNoLeak(t, before)

@@ -83,7 +83,6 @@ type lifecycle interface {
 	Done() <-chan struct{}
 	Err() error
 	Stats() Stats
-	HelpStats() mr.HelpStats
 }
 
 // Erase wraps a typed pipeline in a Session. Call before Start.

@@ -423,15 +423,6 @@ func (p *Pipeline[S, K, V, R]) book(t core.Task[S], emitted uint64) {
 	p.pending.Add(-int64(len(t.Splits)))
 }
 
-// HelpStats counts what the session's fused workers folded where they made
-// it, by role: the splits combine workers ran (Tasks) and the pairs combine
-// and map workers folded — every pair of the session. It is read from the
-// session's ledger, live or stopped.
-func (p *Pipeline[S, K, V, R]) HelpStats() mr.HelpStats {
-	_, _, help := core.Books(p.drv.Ledger.Totals())
-	return help
-}
-
 // sealableBefore returns the highest window index (exclusive) the current
 // watermark allows sealing: every window n with n*Slide+Window <= wm. The
 // comparison comes first: at a Lateness near MaxInt64, wm-Window would wrap.

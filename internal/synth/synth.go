@@ -266,7 +266,7 @@ func newJob(p Params, seed int64, sh *workloads.ShardSpec, width int) *workloads
 	}
 	if sh == nil {
 		return j.Bind(func(ctx context.Context, eng workloads.Engine, cfg mr.Config) (*workloads.RunInfo, error) {
-			return workloads.RunTypedContext(ctx, spec, eng, cfg, digest)
+			return workloads.RunTypedExport(ctx, spec, eng, cfg, digest, nil)
 		})
 	}
 	return j.Bind(func(ctx context.Context, eng workloads.Engine, cfg mr.Config) (*workloads.RunInfo, error) {

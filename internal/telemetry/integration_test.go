@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -118,15 +119,17 @@ func conservationRAMR(t *testing.T, ship bool) {
 	if rep == nil {
 		t.Fatal("Result.Telemetry is nil with Config.Telemetry set")
 	}
-	qs, help := res.QueueStats, res.Help
+	qs := res.QueueStats
 	if qs != truth.stats {
 		t.Fatalf("queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
 	}
 	if rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
 		t.Fatalf("telemetry emitted %d, combined %d, want both %d", rep.Totals.Emitted, rep.Totals.Combined, emits)
 	}
-	if qs.Pushes+help.Pairs() != emits {
-		t.Fatalf("%d pushed + %d folded in place, want %d emitted", qs.Pushes, help.Pairs(), emits)
+	// A pair combined but never popped was folded where it was emitted.
+	folded := rep.Totals.Combined - qs.Pops
+	if qs.Pushes+folded != emits {
+		t.Fatalf("%d pushed + %d folded in place, want %d emitted", qs.Pushes, folded, emits)
 	}
 	if qs.Pops != qs.Pushes {
 		t.Fatalf("pops %d != pushes %d", qs.Pops, qs.Pushes)
@@ -134,19 +137,19 @@ func conservationRAMR(t *testing.T, ship bool) {
 	if want := len(mr.Tasks(len(spec.Splits), cfg.TaskSize)); rep.Totals.Tasks != uint64(want) {
 		t.Fatalf("telemetry counted %d tasks, want %d", rep.Totals.Tasks, want)
 	}
-	if ship && (help != (mr.HelpStats{}) || qs.BatchCalls == 0 || truth.rings != cfg.Mappers) {
-		t.Fatalf("sibling plan: help %+v, %d batch calls, %d rings; want no help, every pair through a ring and a ring per mapper",
-			help, qs.BatchCalls, truth.rings)
+	if ship && (folded != 0 || qs.BatchCalls == 0 || truth.rings != cfg.Mappers) {
+		t.Fatalf("sibling plan: %d folded in place, %d batch calls, %d rings; want every pair through a ring and a ring per mapper",
+			folded, qs.BatchCalls, truth.rings)
 	}
-	if !ship && (qs != (mr.QueueStats{}) || help.Pairs() != emits || truth.rings != 0) {
-		t.Fatalf("conserving: queue stats %+v, help %+v, %d rings; want no ring and every pair folded in place", qs, help, truth.rings)
+	if !ship && (qs != (mr.QueueStats{}) || folded != emits || truth.rings != 0) {
+		t.Fatalf("conserving: queue stats %+v, %d folded in place, %d rings; want no ring and every pair folded in place", qs, folded, truth.rings)
 	}
 	// The mappers' shards hold their rings' producer side.
 	var fp, sl uint64
 	for _, w := range rep.Workers {
 		if w.Role == "mapper" {
-			fp += w.FailedPush
-			sl += w.SleepMicros
+			fp += w.Queue.FailedPush
+			sl += w.Queue.SleepMicros
 		}
 	}
 	if fp != truth.stats.FailedPush || sl != truth.stats.SleepMicros {
@@ -159,15 +162,15 @@ func conservationRAMR(t *testing.T, ship bool) {
 // Each runs conserving work and on a plan where a RAMR batch run ships
 // pairs, each with and without a Telemetry, on tiny rings (16 slots, slabs
 // of 3) so every wait and fold path is taken. In every case emitted equals
-// the pairs the input holds and the helped tasks are the ones combiners
-// ran. A batch run books every take, so its takes equal the task count, and
-// its queue stats equal the sum of the rings' own snapshots on all eight
-// fields: conserving it folds every pair where it is emitted and builds no
-// ring, on a sibling plan RAMR folds none (Phoenix++ never ships). A stream
-// session's mapper takes plus helped tasks equal the split count, and on
+// the pairs the input holds. A batch run books every take, so its takes
+// equal the task count, and its queue stats equal the sum of the rings' own
+// snapshots on all seven fields: conserving it folds every pair where it is
+// emitted and builds no ring, on a sibling plan RAMR folds none (Phoenix++
+// never ships). A stream session's takes equal its split count, and on
 // either plan it builds no ring and folds every pair where it is emitted.
 // With a Telemetry, the report is exactly a view of the ledger
-// (reportIsLedger).
+// (reportIsLedger), and its combiner rows' tasks are the ones combiners
+// ran.
 func TestLedgerIdentity(t *testing.T) {
 	for _, arm := range []struct {
 		name string
@@ -183,8 +186,7 @@ func TestLedgerIdentity(t *testing.T) {
 }
 
 // reportIsLedger checks that a report is exactly a view of its run's
-// ledger: its totals are the ledger's, and its per-worker counters sum to
-// them on every field a worker entry carries.
+// ledger: its totals are the ledger's, and its rows sum to them.
 func reportIsLedger(t *testing.T, tel *telemetry.Telemetry, rep *telemetry.Report) {
 	t.Helper()
 	want := telemetry.LedgerOf(tel).Totals()
@@ -193,30 +195,23 @@ func reportIsLedger(t *testing.T, tel *telemetry.Telemetry, rep *telemetry.Repor
 	}
 	var sum telemetry.Totals
 	for _, w := range rep.Workers {
-		sum.Emitted += w.Emitted
-		sum.Combined += w.Combined
-		sum.Tasks += w.Tasks
-		sum.Batches += w.Batches
-		sum.FailedPush += w.FailedPush
-		sum.SleepMicros += w.SleepMicros
-		sum.LocalTakes += w.LocalTakes
-		sum.SocketSteals += w.SocketSteals
-		sum.RemoteSteals += w.RemoteSteals
-		sum.RemoteExecuted += w.RemoteExecuted
-		sum.TasksHelped += w.TasksHelped
-		switch w.Role {
-		case "combiner":
-			sum.FoldedByCombiners += w.PairsFolded
-		case "mapper":
-			sum.FoldedByMappers += w.PairsFolded
-		}
+		sum.Add(w.Totals)
 	}
-	// A worker entry carries no ring or steal-batch counters.
-	want.Pushes, want.Pops, want.EmptyPolls, want.ShortPolls = 0, 0, 0, 0
-	want.LocalBatches, want.SocketBatches, want.RemoteBatches = 0, 0, 0
 	if sum != want {
 		t.Fatalf("%d worker entries sum to %+v, ledger totals %+v", len(rep.Workers), sum, want)
 	}
+}
+
+// combinerTasks is the map tasks a report's combiner rows ran: a combine
+// worker's of a fused pool. On a sibling plan a combiner slot runs none.
+func combinerTasks(rep *telemetry.Report) uint64 {
+	var n uint64
+	for _, w := range rep.Workers {
+		if w.Role == "combiner" {
+			n += w.Tasks
+		}
+	}
+	return n
 }
 
 // identityConfig is the tiny-ring configuration of TestLedgerIdentity,
@@ -254,32 +249,36 @@ func ledgerIdentityBatch(t *testing.T, phoenix, ship, instrumented bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, help := res.QueueStats, res.Help
+	qs := res.QueueStats
 	if qs != truth.stats {
 		t.Fatalf("ledger queue stats %+v, the %d rings counted %+v", qs, truth.rings, truth.stats)
 	}
-	if qs.Pushes+help.Pairs() != emits || qs.Pops != qs.Pushes {
-		t.Fatalf("%d pushed (%d popped) + %d folded in place, want %d emitted", qs.Pushes, qs.Pops, help.Pairs(), emits)
+	if qs.Pops != qs.Pushes {
+		t.Fatalf("%d pushed, %d popped", qs.Pushes, qs.Pops)
 	}
 	tasks := uint64(len(mr.Tasks(len(spec.Splits), cfg.TaskSize)))
-	if res.Steal.TotalTasks() != tasks || help.Tasks != slotTasks.Load() || mapperTasks.Load()+slotTasks.Load() != tasks {
-		t.Fatalf("takes %d, mappers ran %d, combiners ran %d (helped %d), want %d tasks",
-			res.Steal.TotalTasks(), mapperTasks.Load(), slotTasks.Load(), help.Tasks, tasks)
+	if res.Steal.TotalTasks() != tasks || mapperTasks.Load()+slotTasks.Load() != tasks {
+		t.Fatalf("takes %d, mappers ran %d, combiners ran %d, want %d tasks",
+			res.Steal.TotalTasks(), mapperTasks.Load(), slotTasks.Load(), tasks)
 	}
-	if ship && (help != (mr.HelpStats{}) || truth.rings != cfg.Mappers) {
-		t.Fatalf("sibling plan helped %+v over %d rings, want no help and a ring per mapper", help, truth.rings)
+	if ship && (qs.Pushes != emits || slotTasks.Load() != 0 || truth.rings != cfg.Mappers) {
+		t.Fatalf("sibling plan pushed %d of %d pairs, combiners ran %d tasks, over %d rings; want every pair pushed, no task on a combiner and a ring per mapper",
+			qs.Pushes, emits, slotTasks.Load(), truth.rings)
 	}
-	if !ship && (qs.Pushes != 0 || help.Pairs() != emits || truth.rings != 0) {
-		t.Fatalf("conserving run pushed %d pairs, folded %d in place over %d rings, want 0, %d and no ring",
-			qs.Pushes, help.Pairs(), truth.rings, emits)
+	if !ship && (qs.Pushes != 0 || truth.rings != 0) {
+		t.Fatalf("conserving run pushed %d pairs over %d rings, want 0 and no ring", qs.Pushes, truth.rings)
 	}
 	if !instrumented {
 		return
 	}
-	if rep := res.Telemetry; rep == nil || rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
+	rep := res.Telemetry
+	if rep == nil || rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
 		t.Fatalf("report %+v, want %d pairs emitted and combined", rep, emits)
 	}
-	reportIsLedger(t, cfg.Telemetry, res.Telemetry)
+	if got := combinerTasks(rep); got != slotTasks.Load() {
+		t.Fatalf("combiner rows ran %d tasks, the combiners ran %d", got, slotTasks.Load())
+	}
+	reportIsLedger(t, cfg.Telemetry, rep)
 }
 
 func ledgerIdentityStream(t *testing.T, ship, instrumented bool) {
@@ -307,29 +306,32 @@ func ledgerIdentityStream(t *testing.T, ship, instrumented bool) {
 	if err := p.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	help := p.HelpStats()
-	if got := p.Stats().Elements; got != emits || help.Pairs() != emits || truth.rings != 0 {
-		t.Fatalf("%d elements, %d folded in place over %d rings, want %d emitted, all folded in place, no ring",
-			got, help.Pairs(), truth.rings, emits)
+	if got := p.Stats().Elements; got != emits || truth.rings != 0 {
+		t.Fatalf("%d elements over %d rings, want %d emitted and no ring", got, truth.rings, emits)
 	}
-	if mapperTasks.Load()+help.Tasks != uint64(len(spec.Splits)) || help.Tasks != slotTasks.Load() {
-		t.Fatalf("mapper takes %d + helped %d (ran %d), want %d splits; help %+v",
-			mapperTasks.Load(), help.Tasks, slotTasks.Load(), len(spec.Splits), help)
+	if mapperTasks.Load()+slotTasks.Load() != uint64(len(spec.Splits)) {
+		t.Fatalf("mappers ran %d splits and combiners %d, want %d splits",
+			mapperTasks.Load(), slotTasks.Load(), len(spec.Splits))
 	}
 	if !instrumented {
 		return
 	}
 	rep := cfg.Telemetry.EndRun(nil)
-	if rep.Totals.Emitted != emits || rep.Totals.Combined != emits {
-		t.Fatalf("report totals %+v, want %d pairs emitted and combined", rep.Totals, emits)
+	// Every pair folded where it was emitted: combined, never pushed.
+	if rep.Totals.Emitted != emits || rep.Totals.Combined != emits || rep.Totals.Queue.Pushes != 0 {
+		t.Fatalf("report totals %+v, want %d pairs emitted and combined, none pushed", rep.Totals, emits)
+	}
+	if got := combinerTasks(rep); got != slotTasks.Load() || rep.Totals.Steal.TotalTasks() != uint64(len(spec.Splits)) {
+		t.Fatalf("combiner rows ran %d splits (the combiners ran %d), %d takes; want %d splits taken",
+			got, slotTasks.Load(), rep.Totals.Steal.TotalTasks(), len(spec.Splits))
 	}
 	reportIsLedger(t, cfg.Telemetry, rep)
 }
 
 // TestReportMarshalsRingCounters: a run that ships pairs (a sibling plan:
 // Haswell preset, the paper's pinning, grant {0, 28}) writes the four ring
-// counters into its report's JSON, and a fused run writes none of them; the
-// ring shares are computed from them. The shipping run has two mappers, one
+// counters into its report's JSON totals, under queue, and a fused run
+// writes them as zeros; the ring shares are computed from them. The shipping run has two mappers, one
 // combiner, slabs of one pair and consume batches of 32 over two map tasks:
 // the first pushes 5 pairs and then holds its ring open, the second waits
 // and then pushes 40. The combiner polls the second ring empty before its
@@ -375,10 +377,16 @@ func TestReportMarshalsRingCounters(t *testing.T) {
 		if err := res.Telemetry.WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []string{`"pushes"`, `"pops"`, `"empty_polls"`, `"short_polls"`} {
-			if strings.Contains(b.String(), k) != ship {
-				t.Fatalf("ships=%v (queue stats %+v): report JSON has %s: %v, want %v\n%s",
-					ship, res.QueueStats, k, !ship, ship, b.String())
+		var doc struct {
+			Totals struct{ Queue map[string]uint64 }
+		}
+		if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"Pushes", "Pops", "EmptyPolls", "ShortPolls"} {
+			if v, ok := doc.Totals.Queue[k]; !ok || (v > 0) != ship {
+				t.Fatalf("ships=%v (queue stats %+v): report JSON's totals.queue has %s = %d (present: %v)\n%s",
+					ship, res.QueueStats, k, v, ok, b.String())
 			}
 		}
 	}

@@ -9,62 +9,86 @@ import (
 	"net/http/pprof"
 )
 
-// WritePrometheus emits the run's ledger as per-worker counters and
-// state gauges, plus the run's duration, in the Prometheus text exposition
-// format (version 0.0.4). Safe to call while a run is in progress: the
-// shards are atomics, so a live scrape reads the books without touching
-// the hot path.
+// WritePrometheus emits the run's ledger as per-worker counters (the
+// ramr_worker_ families of WriteCounters), plus the run's duration, in the
+// Prometheus text exposition format (version 0.0.4). Safe to call while a
+// run is in progress: the shards are atomics, so a live scrape reads the
+// books without touching the hot path.
 func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	t.mu.Lock()
 	workers, elapsed := t.workersLocked(), t.elapsedLocked()
 	t.mu.Unlock()
+	labels, rows := make([]string, len(workers)), make([]Totals, len(workers))
+	for i, wk := range workers {
+		labels[i] = fmt.Sprintf("engine=%q,role=%q,worker=\"%d\"", wk.engine, wk.role, wk.id)
+		rows[i] = wk.books()
+	}
 	bw := bufio.NewWriter(w)
-
-	counter := func(name, help string, value func(*Worker) uint64) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, wk := range workers {
-			fmt.Fprintf(bw, "%s{engine=%q,role=%q,worker=\"%d\"} %d\n",
-				name, wk.engine, wk.role, wk.id, value(wk))
-		}
-	}
-	counter("ramr_worker_pairs_emitted_total", "Intermediate pairs emitted by Map.",
-		func(w *Worker) uint64 { return w.emitted.Load() })
-	counter("ramr_worker_pairs_combined_total", "Intermediate pairs folded by Combine.",
-		(*Worker).combined)
-	counter("ramr_worker_tasks_total", "Completed map tasks.",
-		func(w *Worker) uint64 { return w.tasks.Load() })
-	counter("ramr_worker_batches_total", "Consumed queue segments.",
-		func(w *Worker) uint64 { return w.batchCalls.Load() })
-	counter("ramr_worker_failed_pushes_total", "Push wait rounds that found the ring full.",
-		func(w *Worker) uint64 { return w.failedPush.Load() })
-	counter("ramr_worker_sleep_microseconds_total", "Microseconds producers spent parked on a full ring (measured wall time).",
-		func(w *Worker) uint64 { return w.sleepMicros.Load() })
-	counter("ramr_worker_tasks_helped_total", "Map tasks run by a combiner: a combine worker of a fused pool, in Phoenix++, a stream session or a RAMR run that ships nothing.",
-		(*Worker).combinerTasks)
-	counter("ramr_worker_pairs_folded_total", "Pairs folded where they were emitted instead of crossing a ring: a fused worker's, in a RAMR run whose pinning plan ships no pair, a stream session, and Phoenix++.",
-		func(w *Worker) uint64 { return w.folded.Load() })
-	counter("ramr_worker_remote_executed_total", "Stolen map tasks completed by this worker.",
-		func(w *Worker) uint64 { return w.remoteExecuted.Load() })
-
-	// Steal counters carry an extra class label (local/socket/remote), so
-	// they get their own emitter instead of the fixed-label helper above.
-	stealCounter := func(name, help string, value func(*Worker, int) uint64) {
-		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, wk := range workers {
-			for cls, label := range StealClassNames {
-				fmt.Fprintf(bw, "%s{engine=%q,role=%q,worker=\"%d\",class=%q} %d\n",
-					name, wk.engine, wk.role, wk.id, label, value(wk, cls))
-			}
-		}
-	}
-	stealCounter("ramr_worker_steal_batches_total", "Task-deque takes by steal distance class.",
-		func(w *Worker, c int) uint64 { return w.stealBatches[c].Load() })
-	stealCounter("ramr_worker_steal_tasks_total", "Map tasks taken by steal distance class.",
-		func(w *Worker, c int) uint64 { return w.stealTasks[c].Load() })
-
+	WriteCounters(bw, "ramr_worker_", labels, rows)
 	fmt.Fprintf(bw, "# HELP ramr_run_duration_seconds Elapsed time of the current run, frozen at its end.\n# TYPE ramr_run_duration_seconds gauge\nramr_run_duration_seconds %g\n",
 		elapsed.Seconds())
 	return bw.Flush()
+}
+
+// counterFamilies are the counter families of a run's books, named after
+// their prefix, each a count in a Totals.
+var counterFamilies = []struct {
+	name, help string
+	value      func(Totals) uint64
+}{
+	{"pairs_emitted_total", "Intermediate pairs emitted by Map.",
+		func(t Totals) uint64 { return t.Emitted }},
+	{"pairs_combined_total", "Intermediate pairs folded by Combine.",
+		func(t Totals) uint64 { return t.Combined }},
+	{"tasks_total", "Completed map tasks.",
+		func(t Totals) uint64 { return t.Tasks }},
+	{"batches_total", "Consumed queue segments.",
+		func(t Totals) uint64 { return t.Queue.BatchCalls }},
+	{"failed_pushes_total", "Push wait rounds that found the ring full.",
+		func(t Totals) uint64 { return t.Queue.FailedPush }},
+	{"sleep_microseconds_total", "Microseconds producers spent parked on a full ring (measured wall time).",
+		func(t Totals) uint64 { return t.Queue.SleepMicros }},
+	{"remote_executed_total", "Stolen map tasks completed by a worker of another locality group.",
+		func(t Totals) uint64 { return t.Steal.RemoteExecuted }},
+}
+
+// stealFamilies are the steal counters, one series per steal class.
+var stealFamilies = []struct {
+	name, help string
+	value      func(StealStats) [NumStealClasses]uint64
+}{
+	{"steal_batches_total", "Task-deque takes by steal distance class.",
+		func(s StealStats) [NumStealClasses]uint64 {
+			return [...]uint64{s.LocalBatches, s.SocketBatches, s.RemoteBatches}
+		}},
+	{"steal_tasks_total", "Map tasks taken by steal distance class.",
+		func(s StealStats) [NumStealClasses]uint64 {
+			return [...]uint64{s.LocalTasks, s.SocketTasks, s.RemoteTasks}
+		}},
+}
+
+// WriteCounters writes the counter families of a run's books, each named
+// prefix followed by the family, with one series per row: labels[i] (a
+// rendered label list) over rows[i], and a class label added per steal
+// class. Write errors stick to a bufio.Writer, so w is one and the caller's
+// Flush reports them.
+func WriteCounters(w *bufio.Writer, prefix string, labels []string, rows []Totals) {
+	for _, f := range counterFamilies {
+		name := prefix + f.name
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, f.help, name)
+		for i, t := range rows {
+			fmt.Fprintf(w, "%s{%s} %d\n", name, labels[i], f.value(t))
+		}
+	}
+	for _, f := range stealFamilies {
+		name := prefix + f.name
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, f.help, name)
+		for i, t := range rows {
+			for cls, v := range f.value(t.Steal) {
+				fmt.Fprintf(w, "%s{%s,class=%q} %d\n", name, labels[i], StealClassNames[cls], v)
+			}
+		}
+	}
 }
 
 // Server serves /metrics (Prometheus text format) plus the net/http/pprof

@@ -6,88 +6,98 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"ramr/internal/spsc"
 )
 
-// WorkerReport is one worker's shard of the ledger, as counts. Exact
-// per-worker busy time is not a count: it is the worker's lane in the run's
-// timeline (Config.Trace, internal/obs).
+// WorkerReport is one worker's shard of the ledger: its role and id next to
+// its books. Exact per-worker busy time is not a count: it is the worker's
+// lane in the run's timeline (Config.Trace, internal/obs).
 type WorkerReport struct {
-	Engine      string `json:"engine"`
-	Role        string `json:"role"`
-	ID          int    `json:"id"`
-	Emitted     uint64 `json:"pairs_emitted"`
-	Combined    uint64 `json:"pairs_combined"`
-	Tasks       uint64 `json:"tasks"`
-	Batches     uint64 `json:"batches"`
-	FailedPush  uint64 `json:"failed_pushes"`
-	SleepMicros uint64 `json:"sleep_micros"`
-	// Steal counters (task-taking workers only): takes from the worker's
-	// own group, tasks stolen from cache-sharing and cross-interconnect
-	// groups, and stolen tasks this worker completed.
-	LocalTakes     uint64 `json:"steal_local_tasks,omitempty"`
-	SocketSteals   uint64 `json:"steal_socket_tasks,omitempty"`
-	RemoteSteals   uint64 `json:"steal_remote_tasks,omitempty"`
-	RemoteExecuted uint64 `json:"remote_executed,omitempty"`
-	// Work conservation: map tasks run on a combiner's shard, and pairs
-	// the worker folded where it emitted them.
-	TasksHelped uint64 `json:"tasks_helped,omitempty"`
-	PairsFolded uint64 `json:"pairs_folded,omitempty"`
+	Engine string `json:"engine"`
+	Role   string `json:"role"`
+	ID     int    `json:"id"`
+	Totals
 }
 
-// Totals is a Ledger's sum over its shards: the run's books.
-// mr.Result's QueueStats, Steal and Help are converted from it
-// (core.Books), and a Report carries it as is.
+// Totals is a run's books: a shard's counts, or their sum over a Ledger's
+// shards. mr.Result's QueueStats and Steal are its Queue and Steal, and a
+// Report carries it as is.
 type Totals struct {
-	Emitted        uint64 `json:"pairs_emitted"`
-	Combined       uint64 `json:"pairs_combined"` // popped from a ring, or folded where emitted
-	Tasks          uint64 `json:"tasks"`
-	Batches        uint64 `json:"batches"` // consume batch calls
-	FailedPush     uint64 `json:"failed_pushes"`
-	SleepMicros    uint64 `json:"sleep_micros"`
-	LocalTakes     uint64 `json:"steal_local_tasks"`
-	SocketSteals   uint64 `json:"steal_socket_tasks"`
-	RemoteSteals   uint64 `json:"steal_remote_tasks"`
-	RemoteExecuted uint64 `json:"remote_executed"`
-	// The mr.HelpStats of the run.
-	TasksHelped       uint64 `json:"tasks_helped,omitempty"`
-	FoldedByCombiners uint64 `json:"pairs_folded_by_combiners,omitempty"`
-	FoldedByMappers   uint64 `json:"pairs_folded_by_mappers,omitempty"`
-	// The ring counters, from which the ring shares are computed. Only a
-	// run that ships pairs books them, so a fused run's JSON leaves them
-	// out.
-	Pushes     uint64 `json:"pushes,omitempty"`
-	Pops       uint64 `json:"pops,omitempty"`
-	EmptyPolls uint64 `json:"empty_polls,omitempty"`
-	ShortPolls uint64 `json:"short_polls,omitempty"`
-	// The steal batches. A job document carries them under its steal
-	// section, so the report's JSON leaves them out.
-	LocalBatches  uint64 `json:"-"`
-	SocketBatches uint64 `json:"-"`
-	RemoteBatches uint64 `json:"-"`
+	Emitted  uint64 `json:"pairs_emitted"`
+	Combined uint64 `json:"pairs_combined"` // popped from a ring, or folded where emitted
+	Tasks    uint64 `json:"tasks"`
+	// Queue is the rings' counters: the producer side on a mapper's shard,
+	// the consumer side on a combiner slot's. Only a run that ships pairs
+	// books them.
+	Queue spsc.Stats `json:"queue"`
+	// Steal is the map tasks' takes by steal class.
+	Steal StealStats `json:"steal"`
 }
 
-// Add folds another run's books into t.
+// Add folds another shard's or run's books into t.
 func (t *Totals) Add(o Totals) {
 	t.Emitted += o.Emitted
 	t.Combined += o.Combined
 	t.Tasks += o.Tasks
-	t.Batches += o.Batches
-	t.FailedPush += o.FailedPush
-	t.SleepMicros += o.SleepMicros
-	t.LocalTakes += o.LocalTakes
-	t.SocketSteals += o.SocketSteals
-	t.RemoteSteals += o.RemoteSteals
-	t.RemoteExecuted += o.RemoteExecuted
-	t.TasksHelped += o.TasksHelped
-	t.FoldedByCombiners += o.FoldedByCombiners
-	t.FoldedByMappers += o.FoldedByMappers
-	t.Pushes += o.Pushes
-	t.Pops += o.Pops
-	t.EmptyPolls += o.EmptyPolls
-	t.ShortPolls += o.ShortPolls
-	t.LocalBatches += o.LocalBatches
-	t.SocketBatches += o.SocketBatches
-	t.RemoteBatches += o.RemoteBatches
+	t.Queue.Add(o.Queue)
+	t.Steal.Add(o.Steal)
+}
+
+// StealStats counts the map phase's task takes, bucketed by
+// topology.StealClass. "Local" takes are ordinary dequeues from the
+// worker's own group; "socket" and "remote" count true steals, split by
+// whether a shared cache level still spans thief and victim. Counted at
+// take time; RemoteExecuted is counted at task completion, so for an
+// uncancelled run RemoteExecuted == SocketTasks + RemoteTasks exactly (a
+// stolen batch is executed privately by the thief and never re-enqueued).
+type StealStats struct {
+	LocalBatches   uint64 `json:"local_batches"`
+	LocalTasks     uint64 `json:"local_tasks"`
+	SocketBatches  uint64 `json:"socket_batches"`
+	SocketTasks    uint64 `json:"socket_tasks"`
+	RemoteBatches  uint64 `json:"remote_batches"`
+	RemoteTasks    uint64 `json:"remote_tasks"`
+	RemoteExecuted uint64 `json:"remote_executed"`
+}
+
+// Add folds another run's stats into the aggregate.
+func (s *StealStats) Add(o StealStats) {
+	s.LocalBatches += o.LocalBatches
+	s.LocalTasks += o.LocalTasks
+	s.SocketBatches += o.SocketBatches
+	s.SocketTasks += o.SocketTasks
+	s.RemoteBatches += o.RemoteBatches
+	s.RemoteTasks += o.RemoteTasks
+	s.RemoteExecuted += o.RemoteExecuted
+}
+
+// StolenTasks returns the tasks moved out of their seeded group.
+func (s StealStats) StolenTasks() uint64 { return s.SocketTasks + s.RemoteTasks }
+
+// TotalTasks returns all tasks taken, local and stolen.
+func (s StealStats) TotalTasks() uint64 { return s.LocalTasks + s.StolenTasks() }
+
+// StealRate returns the fraction of tasks that were stolen; zero when no
+// tasks were taken.
+func (s StealStats) StealRate() float64 {
+	t := s.TotalTasks()
+	if t == 0 {
+		return 0
+	}
+	return float64(s.StolenTasks()) / float64(t)
+}
+
+// Balanced reports the conservation invariant: every stolen task was
+// executed by its thief. It holds for every run that completes without
+// cancellation or abort.
+func (s StealStats) Balanced() bool { return s.StolenTasks() == s.RemoteExecuted }
+
+// String renders the counters on one line for reports.
+func (s StealStats) String() string {
+	return fmt.Sprintf("%d local tasks (%d batches), %d socket-stolen (%d), %d remote-stolen (%d), %d executed remotely (%.1f%% steal rate)",
+		s.LocalTasks, s.LocalBatches, s.SocketTasks, s.SocketBatches,
+		s.RemoteTasks, s.RemoteBatches, s.RemoteExecuted, s.StealRate()*100)
 }
 
 // Report is the structured result of one instrumented run, read from its
@@ -112,26 +122,12 @@ func (t *Telemetry) buildReportLocked(phases map[string]float64) *Report {
 		PhaseSeconds:   phases,
 	}
 	for _, w := range t.workersLocked() {
-		rep.Workers = append(rep.Workers, WorkerReport{
-			Engine:         w.engine,
-			Role:           w.role,
-			ID:             w.id,
-			Emitted:        w.emitted.Load(),
-			Combined:       w.combined(),
-			Tasks:          w.tasks.Load(),
-			Batches:        w.batchCalls.Load(),
-			FailedPush:     w.failedPush.Load(),
-			SleepMicros:    w.sleepMicros.Load(),
-			LocalTakes:     w.stealTasks[0].Load(),
-			SocketSteals:   w.stealTasks[1].Load(),
-			RemoteSteals:   w.stealTasks[2].Load(),
-			RemoteExecuted: w.remoteExecuted.Load(),
-			TasksHelped:    w.combinerTasks(),
-			PairsFolded:    w.folded.Load(),
-		})
+		row := WorkerReport{Engine: w.engine, Role: w.role, ID: w.id, Totals: w.books()}
+		rep.Workers = append(rep.Workers, row)
+		rep.Totals.Add(row.Totals)
 	}
 	if t.ledger != nil {
-		rep.Engine, rep.Totals = t.ledger.engine, t.ledger.Totals()
+		rep.Engine = t.ledger.engine
 	}
 	if mc := phases["map-combine"]; mc > 0 {
 		rep.Throughput = map[string]float64{
@@ -158,19 +154,16 @@ func (r *Report) Summary(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	q, st := tot.Queue, tot.Steal
 	fmt.Fprintf(w, "pairs: %d emitted, %d combined; %d tasks, %d batches, %d failed pushes, %dus slept\n",
-		tot.Emitted, tot.Combined, tot.Tasks, tot.Batches, tot.FailedPush, tot.SleepMicros)
-	if tot.Pushes > 0 {
+		tot.Emitted, tot.Combined, tot.Tasks, q.BatchCalls, q.FailedPush, q.SleepMicros)
+	if q.Pushes > 0 {
 		fmt.Fprintf(w, "rings: %d pushed, %d popped; %d empty polls, %d short polls\n",
-			tot.Pushes, tot.Pops, tot.EmptyPolls, tot.ShortPolls)
+			q.Pushes, q.Pops, q.EmptyPolls, q.ShortPolls)
 	}
-	if stolen := tot.SocketSteals + tot.RemoteSteals; stolen > 0 || tot.LocalTakes > 0 {
+	if st.TotalTasks() > 0 {
 		fmt.Fprintf(w, "steals: %d local tasks, %d socket, %d remote (%d executed remotely)\n",
-			tot.LocalTakes, tot.SocketSteals, tot.RemoteSteals, tot.RemoteExecuted)
-	}
-	if folded := tot.FoldedByCombiners + tot.FoldedByMappers; folded > 0 {
-		fmt.Fprintf(w, "helped: %d tasks mapped by combiners (%d pairs folded in place), %d pairs folded in place by mappers\n",
-			tot.TasksHelped, tot.FoldedByCombiners, tot.FoldedByMappers)
+			st.LocalTasks, st.SocketTasks, st.RemoteTasks, st.RemoteExecuted)
 	}
 	for _, name := range sortedKeys(r.Throughput) {
 		fmt.Fprintf(w, "throughput %-8s %.3g pairs/s\n", name, r.Throughput[name])

@@ -21,12 +21,12 @@ func TestWorkerStealCounters(t *testing.T) {
 	w1.AddRemoteExecuted()
 	w1.AddRemoteExecuted()
 	rep := tel.EndRun(nil)
-	tot := rep.Totals
-	if tot.LocalTakes != 5 || tot.SocketSteals != 2 || tot.RemoteSteals != 3 || tot.RemoteExecuted != 5 ||
-		tot.LocalBatches != 1 || tot.SocketBatches != 1 || tot.RemoteBatches != 1 {
-		t.Fatalf("steal totals: %+v", tot)
+	want := StealStats{LocalBatches: 1, LocalTasks: 5, SocketBatches: 1, SocketTasks: 2,
+		RemoteBatches: 1, RemoteTasks: 3, RemoteExecuted: 5}
+	if rep.Totals.Steal != want {
+		t.Fatalf("steal totals: %+v, want %+v", rep.Totals.Steal, want)
 	}
-	if rep.Workers[0].RemoteSteals != 3 || rep.Workers[1].SocketSteals != 2 {
+	if rep.Workers[0].Steal.RemoteTasks != 3 || rep.Workers[1].Steal.SocketTasks != 2 {
 		t.Fatalf("per-worker steal fields: %+v", rep.Workers)
 	}
 }

@@ -9,9 +9,9 @@
 // steal takes). The worker is its only writer and writes
 // at task ends, consume rounds and worker exit, never per pair, with
 // uncontended atomics. The ledger is always on, and it is the one set of
-// books: mr.Result's queue/steal/help counts, a stream session's live
-// stats, a Report and the Prometheus families are all views of it, read
-// when asked for, never sampled.
+// books: every view of a run's counts — mr.Result's queue and steal
+// sections, a Report and its rows, the Prometheus families — is a Totals
+// read off it, when asked for, never sampled.
 //
 // The optional Telemetry is a plain handle on the live run's ledger:
 // BeginRun attaches it, EndRun builds the Report from it, and
@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ramr/internal/spsc"
 )
 
 // Worker is one pipeline goroutine's shard of its run's Ledger. Only the
@@ -111,24 +113,39 @@ func (w *Worker) StoreConsumer(pops, emptyPolls, shortPolls, batchCalls uint64) 
 	w.batchCalls.Store(batchCalls)
 }
 
-// combined is the pairs the worker fed to Combine: popped from its rings,
-// or folded where they were emitted.
-func (w *Worker) combined() uint64 { return w.pops.Load() + w.folded.Load() }
-
-// combinerTasks is the map tasks the worker ran if it is a combiner: a
-// fused pool's combine worker's, in a stream session or a batch run whose
-// plan ships no pair. Only those run tasks on a combiner's shard.
-func (w *Worker) combinerTasks() uint64 {
-	if w.role != "combiner" {
-		return 0
+// books reads the shard into a Totals: the one read behind every view of
+// the ledger — its sum, a report row, a Prometheus series.
+func (w *Worker) books() Totals {
+	return Totals{
+		Emitted: w.emitted.Load(),
+		// Popped from the worker's rings, or folded where emitted.
+		Combined: w.pops.Load() + w.folded.Load(),
+		Tasks:    w.tasks.Load(),
+		Queue: spsc.Stats{
+			Pushes:      w.pushes.Load(),
+			FailedPush:  w.failedPush.Load(),
+			Pops:        w.pops.Load(),
+			EmptyPolls:  w.emptyPolls.Load(),
+			ShortPolls:  w.shortPolls.Load(),
+			BatchCalls:  w.batchCalls.Load(),
+			SleepMicros: w.sleepMicros.Load(),
+		},
+		Steal: StealStats{
+			LocalBatches:   w.stealBatches[0].Load(),
+			LocalTasks:     w.stealTasks[0].Load(),
+			SocketBatches:  w.stealBatches[1].Load(),
+			SocketTasks:    w.stealTasks[1].Load(),
+			RemoteBatches:  w.stealBatches[2].Load(),
+			RemoteTasks:    w.stealTasks[2].Load(),
+			RemoteExecuted: w.remoteExecuted.Load(),
+		},
 	}
-	return w.tasks.Load()
 }
 
 // Ledger is one run's set of books: a Worker shard per pipeline goroutine,
 // registered whether or not a Telemetry reads the run. Every statistic a
-// run reports — its queue, steal and help counts, a stream session's live
-// stats, a Report's Totals, the Prometheus counters — is a view of it.
+// run reports — its queue and steal counts, a Report's Totals and rows, the
+// Prometheus counters — is a view of it.
 type Ledger struct {
 	engine  string
 	mu      sync.Mutex
@@ -161,30 +178,7 @@ func (l *Ledger) shards() []*Worker {
 func (l *Ledger) Totals() Totals {
 	var t Totals
 	for _, w := range l.shards() {
-		t.Emitted += w.emitted.Load()
-		t.Combined += w.combined()
-		t.Tasks += w.tasks.Load()
-		t.Pushes += w.pushes.Load()
-		t.FailedPush += w.failedPush.Load()
-		t.SleepMicros += w.sleepMicros.Load()
-		t.Pops += w.pops.Load()
-		t.EmptyPolls += w.emptyPolls.Load()
-		t.ShortPolls += w.shortPolls.Load()
-		t.Batches += w.batchCalls.Load()
-		t.LocalBatches += w.stealBatches[0].Load()
-		t.SocketBatches += w.stealBatches[1].Load()
-		t.RemoteBatches += w.stealBatches[2].Load()
-		t.LocalTakes += w.stealTasks[0].Load()
-		t.SocketSteals += w.stealTasks[1].Load()
-		t.RemoteSteals += w.stealTasks[2].Load()
-		t.RemoteExecuted += w.remoteExecuted.Load()
-		t.TasksHelped += w.combinerTasks()
-		switch w.role {
-		case "combiner":
-			t.FoldedByCombiners += w.folded.Load()
-		case "mapper":
-			t.FoldedByMappers += w.folded.Load()
-		}
+		t.Add(w.books())
 	}
 	return t
 }

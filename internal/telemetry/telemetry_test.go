@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ramr/internal/spsc"
 )
 
 // begin starts tel's run on a fresh ledger and returns the ledger.
@@ -41,8 +43,8 @@ func TestEndRunBuildsReport(t *testing.T) {
 		t.Fatalf("report totals %+v, ledger totals %+v", rep.Totals, l.Totals())
 	}
 	if rep.Totals.Emitted != 100 || rep.Totals.Combined != 100 ||
-		rep.Totals.Tasks != 2 || rep.Totals.Batches != 4 ||
-		rep.Totals.FailedPush != 7 || rep.Totals.SleepMicros != 13 {
+		rep.Totals.Tasks != 2 || rep.Totals.Queue.BatchCalls != 4 ||
+		rep.Totals.Queue.FailedPush != 7 || rep.Totals.Queue.SleepMicros != 13 {
 		t.Fatalf("totals: %+v", rep.Totals)
 	}
 	if len(rep.Workers) != 2 || rep.Workers[0].Role != "mapper" || rep.Workers[0].Emitted != 100 || rep.Workers[1].Combined != 100 {
@@ -64,7 +66,8 @@ func TestEndRunBuildsReport(t *testing.T) {
 
 // TestLedgerTotalsAggregates: a ledger's totals sum its shards, with no
 // Telemetry attached: the producer side over mappers, the consumer side
-// over slots, and the folds split by the role that made them.
+// over slots, and the pairs folded where they were emitted, by either role,
+// as combined.
 func TestLedgerTotalsAggregates(t *testing.T) {
 	l := NewLedger("ramr")
 	w0 := l.Register("mapper", 0)
@@ -76,14 +79,13 @@ func TestLedgerTotalsAggregates(t *testing.T) {
 	w1.StoreProducer(4, 1, 0)
 	cw := l.Register("combiner", 0)
 	cw.StoreConsumer(12, 4, 3, 2)
-	cw.AddTask(3) // a task on a combiner's shard is a helped one
+	cw.AddTask(3)
 	cw.StoreFolded(3)
 
 	got := l.Totals()
 	want := Totals{
-		Emitted: 17, Combined: 17, Tasks: 3, Pushes: 12, FailedPush: 3, SleepMicros: 5,
-		Pops: 12, EmptyPolls: 4, ShortPolls: 3, Batches: 2,
-		TasksHelped: 1, FoldedByCombiners: 3, FoldedByMappers: 2,
+		Emitted: 17, Combined: 17, Tasks: 3,
+		Queue: spsc.Stats{Pushes: 12, FailedPush: 3, SleepMicros: 5, Pops: 12, EmptyPolls: 4, ShortPolls: 3, BatchCalls: 2},
 	}
 	if got != want {
 		t.Fatalf("Totals = %+v, want %+v", got, want)
@@ -103,7 +105,7 @@ func TestReportJSONAndSummary(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"engine": "ramr"`, `"pairs_emitted": 42`, `"failed_pushes": 3`} {
+	for _, want := range []string{`"engine": "ramr"`, `"pairs_emitted": 42`, `"FailedPush": 3`, `"steal": {`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("JSON missing %q:\n%s", want, buf.String())
 		}

@@ -97,7 +97,7 @@ func HistogramJob(nBytes int, kind container.Kind, seed int64, width int) *Job {
 		InputDesc: fmt.Sprintf("%d pixel-bytes in %d splits", nBytes, len(splits)),
 	}
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedContext(ctx, spec, eng, cfg, hgPairDigest)
+		return RunTypedExport(ctx, spec, eng, cfg, hgPairDigest, nil)
 	})
 }
 

@@ -150,6 +150,6 @@ func KMeansJob(nPoints, dims, k int, kind container.Kind, seed int64) *Job {
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
 		// Float accumulation order differs between engines, so no
 		// exact digest: tests compare outputs with a tolerance.
-		return RunTypedContext(ctx, spec, eng, cfg, nil)
+		return RunTypedExport(ctx, spec, eng, cfg, nil, nil)
 	})
 }

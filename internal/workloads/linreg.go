@@ -129,8 +129,8 @@ func LinRegJob(nPoints int, kind container.Kind, seed int64) *Job {
 		InputDesc: fmt.Sprintf("%d points in %d splits", nPoints, len(splits)),
 	}
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedContext(ctx, spec, eng, cfg, func(k int, v int64) uint64 {
+		return RunTypedExport(ctx, spec, eng, cfg, func(k int, v int64) uint64 {
 			return mix(uint64(k)*0x9e3779b97f4a7c15 ^ uint64(v))
-		})
+		}, nil)
 	})
 }

@@ -75,6 +75,6 @@ func StringMatchJob(nBytes int, seed int64) *Job {
 		InputDesc: fmt.Sprintf("%d bytes, %d patterns", nBytes, len(SMPatterns)),
 	}
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedContext(ctx, spec, eng, cfg, wcPairDigest) // string counts, as WC's
+		return RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, nil) // string counts, as WC's
 	})
 }

@@ -141,7 +141,7 @@ func WordCountJob(nBytes int, kind container.Kind, seed int64, width int) *Job {
 		InputDesc: fmt.Sprintf("%d words-bytes in %d splits", nBytes, len(splits)),
 	}
 	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedContext(ctx, spec, eng, cfg, wcPairDigest)
+		return RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, nil)
 	})
 }
 

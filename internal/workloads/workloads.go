@@ -78,9 +78,6 @@ type RunInfo struct {
 	Queue mr.QueueStats
 	// Steal aggregates the map phase's task takes by distance class.
 	Steal mr.StealStats
-	// Help counts the map tasks combine workers ran and the pairs either
-	// role folded in place (see mr.HelpStats).
-	Help mr.HelpStats
 	// Pairs is the number of distinct output keys.
 	Pairs int
 	// Digest is an order-independent hash of the output for
@@ -127,25 +124,15 @@ func (j *Job) Bind(run func(ctx context.Context, eng Engine, cfg mr.Config) (*Ru
 	return j
 }
 
-// RunTyped executes a typed spec on the chosen engine and erases the
-// types. digest, when non-nil, folds each output pair into an
-// order-independent checksum. Exported so sibling packages (synth) can
-// adapt their own typed specs into Jobs.
-func RunTyped[S any, K comparable, V, R any](spec *mr.Spec[S, K, V, R], eng Engine, cfg mr.Config, digest func(K, R) uint64) (*RunInfo, error) {
-	return RunTypedContext(context.Background(), spec, eng, cfg, digest)
-}
-
-// RunTypedContext is RunTyped with cancellation, the entry point behind
-// Job.RunCtx.
-func RunTypedContext[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], eng Engine, cfg mr.Config, digest func(K, R) uint64) (*RunInfo, error) {
-	return RunTypedExport(ctx, spec, eng, cfg, digest, nil)
-}
-
-// RunTypedExport is RunTypedContext with an optional export, handed the
-// run's output pairs, sorted by spec.Less, once the run completes; what it
-// returns is the RunInfo's Partial. Shard jobs use it to lift their typed
-// output into the type-erased Partial that crosses the cluster wire (see
-// shard.go); a nil export is the plain batch path.
+// RunTypedExport executes a typed spec on the chosen engine, with
+// cancellation, and erases the types: the entry point behind Job.RunCtx.
+// Exported so sibling packages (synth) can adapt their own typed specs into
+// Jobs. digest, when non-nil, folds each output pair into an
+// order-independent checksum. export, when non-nil, is handed the run's
+// output pairs, sorted by spec.Less, once the run completes; what it returns
+// is the RunInfo's Partial. Shard jobs use it to lift their typed output
+// into the type-erased Partial that crosses the cluster wire (see shard.go);
+// a nil export is the plain batch path.
 func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], eng Engine, cfg mr.Config, digest func(K, R) uint64, export func([]mr.Pair[K, R]) *Partial) (*RunInfo, error) {
 	start := time.Now()
 	var (
@@ -170,7 +157,6 @@ func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr
 		Phases:    res.Phases,
 		Queue:     res.QueueStats,
 		Steal:     res.Steal,
-		Help:      res.Help,
 		Pairs:     len(res.Pairs),
 		Telemetry: res.Telemetry,
 	}

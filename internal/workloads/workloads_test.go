@@ -11,6 +11,7 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
+	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
 
@@ -56,11 +57,12 @@ func smallParams(app string) Params {
 // combiners sit on SMT siblings of their mappers (every pair through a
 // ring). Digests are order-independent and Combine associative and
 // commutative, so where a pair was folded cannot show in the output; KM's
-// float centroids agree on the key set only. The books must show which path
-// ran: a shipping run helps nothing and pops every pair it pushed; a
-// conserving run pushes nothing and folds in place exactly the pairs the
-// shipping run pushed. Across the matrix some conserving run's combine workers must have
-// run tasks.
+// float centroids agree on the key set only. The books, read off each RAMR
+// run's report, must show which path ran: a shipping run's combiners map no
+// task, and it pushes every pair it emits and pops every pair it pushed; a
+// conserving run pushes nothing and folds in place (combines, never pops)
+// exactly the pairs the shipping run pushed. Across the matrix some
+// conserving run's combine workers must have run tasks.
 func TestEnginesAgreeExact(t *testing.T) {
 	var helped uint64
 	for _, app := range AppNames() {
@@ -95,24 +97,32 @@ func TestEnginesAgreeExact(t *testing.T) {
 						for _, ship := range []bool{true, false} {
 							c := cfg()
 							c.Mappers, c.Combiners, c.QueueCapacity = mappers, combiners, ring
+							c.Telemetry = telemetry.New()
 							if ship {
 								c.Machine, c.Pin = topology.HaswellServer(), mr.PinRAMR
 							}
 							name := fmt.Sprintf("%s/%v m=%d c=%d ring=%d ship=%v", app, kind, mappers, combiners, ring, ship)
 							ra := agree(name, EngineRAMR, c)
+							tot := ra.Telemetry.Totals
+							var combinerTasks uint64
+							for _, w := range ra.Telemetry.Workers {
+								if w.Role == "combiner" {
+									combinerTasks += w.Tasks
+								}
+							}
 							if ship {
-								if ra.Help != (mr.HelpStats{}) || ra.Queue.Pushes == 0 || ra.Queue.Pushes != ra.Queue.Pops {
-									t.Fatalf("%s: sibling plan: help %+v, %d pushed, %d popped; want no help and every pair through a ring",
-										name, ra.Help, ra.Queue.Pushes, ra.Queue.Pops)
+								if combinerTasks != 0 || ra.Queue.Pushes == 0 || ra.Queue.Pushes != tot.Emitted || ra.Queue.Pushes != ra.Queue.Pops {
+									t.Fatalf("%s: sibling plan: combiners mapped %d tasks, %d emitted, %d pushed, %d popped; want no help and every pair through a ring",
+										name, combinerTasks, tot.Emitted, ra.Queue.Pushes, ra.Queue.Pops)
 								}
 								emitted = ra.Queue.Pushes
 								continue
 							}
-							if ra.Queue.Pushes != 0 || ra.Help.Pairs() != emitted {
-								t.Fatalf("%s: conserving: %d pushed, %d folded in place (%+v); want none pushed and all %d folded",
-									name, ra.Queue.Pushes, ra.Help.Pairs(), ra.Help, emitted)
+							if ra.Queue.Pushes != 0 || tot.Emitted != emitted || tot.Combined != emitted {
+								t.Fatalf("%s: conserving: %d pushed, %d emitted, %d folded in place; want none pushed and all %d folded",
+									name, ra.Queue.Pushes, tot.Emitted, tot.Combined, emitted)
 							}
-							helped += ra.Help.Tasks
+							helped += combinerTasks
 						}
 					}
 				}

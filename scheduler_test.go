@@ -237,8 +237,8 @@ func TestJobHandleLiveTrace(t *testing.T) {
 	}
 	for _, w := range res.Telemetry.Workers {
 		name := fmt.Sprintf("%s-%d", w.Role, w.ID)
-		if (w.Tasks > 0 || w.Batches > 0) && !lanes[name] {
-			t.Errorf("settled trace has no %s lane (worker ran %d tasks, %d batches); lanes %v", name, w.Tasks, w.Batches, lanes)
+		if (w.Tasks > 0 || w.Queue.BatchCalls > 0) && !lanes[name] {
+			t.Errorf("settled trace has no %s lane (worker ran %d tasks, %d batches); lanes %v", name, w.Tasks, w.Queue.BatchCalls, lanes)
 		}
 		if w.Role == "mapper" && tasks[name] != w.Tasks {
 			t.Errorf("%s: %d task spans in the settled trace, telemetry counted %d tasks", name, tasks[name], w.Tasks)
