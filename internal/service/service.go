@@ -739,7 +739,7 @@ type resultDoc struct {
 }
 
 // docReport is the document's telemetry report: the run's Report with its
-// totals cut to what the summary's queue, steal and help sections do not
+// totals cut to what the summary's queue and steal sections do not
 // already state.
 type docReport struct {
 	telemetry.Report
