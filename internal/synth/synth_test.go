@@ -1,9 +1,12 @@
 package synth
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"ramr/internal/mr"
+	"ramr/internal/stream"
 	"ramr/internal/topology"
 	"ramr/internal/workloads"
 )
@@ -316,5 +319,36 @@ func TestSplitAddressable(t *testing.T) {
 			t.Fatalf("width %d: (%d pairs, %016x), serial build (%d pairs, %016x)",
 				width, got.Pairs, got.Digest, want.Pairs, want.Digest)
 		}
+	}
+}
+
+// TestStreamWindowMatchesBatchDigest: a one-window SYNTH stream fed a batch
+// job's whole input, as one chunk of its elements, seals one window that
+// holds the batch run's pairs, and its digest is the batch digest as a
+// window document prints it.
+func TestStreamWindowMatchesBatchDigest(t *testing.T) {
+	p := smallParams()
+	batch, err := NewJob(p, 7).Run(workloads.EngineRAMR, cfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg(2)
+	c.Stream = &mr.StreamSpec{Window: 1}
+	sess, err := NewStreamSession(p, 7, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Append(stream.RawChunk{Ts: 0, Elements: p.Elements}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ws := sess.Windows()
+	if want := fmt.Sprintf("%016x", batch.Digest); len(ws) != 1 || ws[0].Pairs != batch.Pairs || ws[0].Digest != want {
+		t.Fatalf("windows %+v, want one of %d pairs with digest %s", ws, batch.Pairs, want)
 	}
 }

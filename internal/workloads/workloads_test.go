@@ -11,6 +11,7 @@ import (
 	"ramr/internal/container"
 	"ramr/internal/core"
 	"ramr/internal/mr"
+	"ramr/internal/stream"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
@@ -492,5 +493,40 @@ func TestNewJobParamsSM(t *testing.T) {
 	}
 	if info.Pairs == 0 || info.Pairs > len(SMPatterns) {
 		t.Fatalf("SM matched %d patterns", info.Pairs)
+	}
+}
+
+// TestStreamWindowMatchesBatchDigest: a one-window WC stream fed a batch
+// job's whole input, as one chunk of its splits, seals one window that
+// holds the batch run's pairs, and its digest is the batch digest as a
+// window document prints it.
+func TestStreamWindowMatchesBatchDigest(t *testing.T) {
+	p := smallParams("WC")
+	job, err := NewJobParams("WC", p, DefaultContainer("WC"), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := job.Run(EngineRAMR, cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg()
+	c.Stream = &mr.StreamSpec{Window: 1}
+	sess, err := NewWordCountStreamSession(DefaultContainer("WC"), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Append(stream.RawChunk{Ts: 0, Lines: GenerateText(p.Bytes, seed)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ws := sess.Windows()
+	if want := fmt.Sprintf("%016x", batch.Digest); len(ws) != 1 || ws[0].Pairs != batch.Pairs || ws[0].Digest != want {
+		t.Fatalf("windows %+v, want one of %d pairs with digest %s", ws, batch.Pairs, want)
 	}
 }
