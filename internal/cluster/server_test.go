@@ -136,6 +136,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		{"not shardable", `{"workload":"KM"}`},
 		{"client shard", `{"workload":"WC","shard":{"index":0,"count":2}}`},
 		{"stream", `{"workload":"WC","stream":{"window":1}}`},
+		{"skewed stream", `{"workload":"SYNTH","synth":{"skew":1.5},"stream":{"window":1}}`},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -154,7 +155,8 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 
 // TestServerRefusesWhatWorkersRefuse: a body every worker would refuse is
 // refused by the coordinator at admission, with the worker's own 400 text —
-// here an unknown pin policy and a ring above the bound on sized requests.
+// here an unknown pin policy, a ring above the bound on sized requests and
+// negative config fields.
 // Admitting it would answer 201 and fail the job at dispatch.
 func TestServerRefusesWhatWorkersRefuse(t *testing.T) {
 	w := newWorker(t)
@@ -178,6 +180,8 @@ func TestServerRefusesWhatWorkersRefuse(t *testing.T) {
 		`{"workload":"WC","config":{"pin":"sometimes"}}`,
 		`{"workload":"WC","config":{"queue_capacity":1048577}}`,
 		`{"workload":"SYNTH","synth":{"keys":4000000000}}`,
+		`{"workload":"SYNTH","config":{"mappers":-3}}`,
+		`{"workload":"WC","config":{"task_size":-3}}`,
 	} {
 		wantCode, want := post(w.URL, body)
 		if wantCode != http.StatusBadRequest || want == "" {

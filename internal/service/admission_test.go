@@ -276,6 +276,34 @@ var badRequestBodies = []string{
 	`{"workload":"WC","stream":{"window":1},"shard":{"index":0,"count":2}}`,
 	`{"workload":"WC","container":"fixed-hash","stream":{"window":1}}`,
 	`{"workload":"PCA","tuner":true}`, // not a request field
+	`{"workload":"SYNTH","synth":{"skew":1.5},"stream":{"window":1}}`,
+	`{"workload":"SYNTH","config":{"mappers":-3}}`,
+	`{"workload":"WC","config":{"combiners":-1}}`,
+	`{"workload":"WC","config":{"ratio":-2}}`,
+	`{"workload":"SYNTH","config":{"task_size":-3}}`,
+	`{"workload":"HG","config":{"queue_capacity":-1}}`,
+	`{"workload":"HG","config":{"batch_size":-64}}`,
+	`{"workload":"SYNTH","config":{"emit_batch":-1}}`,
+}
+
+// TestResolveNamesTheBadField: a skewed SYNTH stream, which no session can
+// run, and a negative config field, which would run the default while
+// digesting apart from it, are refused by Resolve with the field named.
+func TestResolveNamesTheBadField(t *testing.T) {
+	for _, row := range []struct{ body, field string }{
+		{`{"workload":"SYNTH","synth":{"skew":1.5},"stream":{"window":1}}`, "synth.skew"},
+		{`{"workload":"SYNTH","config":{"mappers":-3}}`, "config.mappers"},
+		{`{"workload":"WC","config":{"combiners":-1}}`, "config.combiners"},
+		{`{"workload":"WC","config":{"ratio":-2}}`, "config.ratio"},
+		{`{"workload":"SYNTH","config":{"task_size":-3}}`, "config.task_size"},
+		{`{"workload":"HG","config":{"queue_capacity":-1}}`, "config.queue_capacity"},
+		{`{"workload":"HG","config":{"batch_size":-64}}`, "config.batch_size"},
+		{`{"workload":"SYNTH","config":{"emit_batch":-1}}`, "config.emit_batch"},
+	} {
+		if _, err := Resolve(decodeRequest(t, row.body)); err == nil || !strings.Contains(err.Error(), row.field) {
+			t.Errorf("%s: Resolve error %v, want one naming %s", row.body, err, row.field)
+		}
+	}
 }
 
 // TestBadRequestsStillRejectedAtPost: everything the eager build used to

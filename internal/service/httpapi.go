@@ -65,7 +65,7 @@ func capabilitiesDoc() Capabilities {
 		Proto:      ProtoVersion,
 		Features:   []string{"jobs", "memo", "partial", "result-wait", "shard", "stream"},
 		ShardApps:  workloads.ShardableApps(),
-		StreamApps: []string{"SYNTH", "WC"},
+		StreamApps: streamApps(),
 	}
 }
 

@@ -292,6 +292,17 @@ func Resolve(req *JobRequest) (*Plan, error) {
 
 	cfg := mr.DefaultConfig()
 	ov := req.Config
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"mappers", ov.Mappers}, {"combiners", ov.Combiners}, {"ratio", ov.Ratio}, {"task_size", ov.TaskSize},
+		{"queue_capacity", ov.QueueCapacity}, {"batch_size", ov.BatchSize}, {"emit_batch", ov.EmitBatch},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("config.%s must be >= 0 (0 keeps the default), got %d", f.name, f.v)
+		}
+	}
 	if ov.Ratio > 0 {
 		cfg.Ratio = ov.Ratio
 	}
@@ -328,8 +339,11 @@ func Resolve(req *JobRequest) (*Plan, error) {
 		if req.Shard != nil {
 			return nil, fmt.Errorf("streaming jobs cannot be sharded")
 		}
-		if p.app != "SYNTH" && p.app != "WC" {
-			return nil, fmt.Errorf("streaming is supported for the SYNTH and WC workloads only, not %s", p.app)
+		if streamSessions[p.app] == nil {
+			return nil, fmt.Errorf("streaming is supported for the %v workloads only, not %s", streamApps(), p.app)
+		}
+		if p.synth.Skew > 1 {
+			return nil, fmt.Errorf("synth.skew must be 0 (uniform) on a stream, got %g: the zipf tables need the whole input up front", p.synth.Skew)
 		}
 		if p.engine != workloads.EngineRAMR {
 			return nil, fmt.Errorf("streaming runs on the ramr engine only")

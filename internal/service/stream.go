@@ -16,8 +16,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -148,6 +150,21 @@ func (s *Service) openStreamLocked(p *Plan, rec *obs.Recorder) (*entry, error) {
 	return e, nil
 }
 
+// streamSessions opens a resident session of each workload a stream spec
+// may name: Resolve refuses every other, and the capability advertisement
+// lists these.
+var streamSessions = map[string]func(p *Plan, c mr.Config) (*stream.Session, error){
+	"SYNTH": func(p *Plan, c mr.Config) (*stream.Session, error) {
+		return synth.NewStreamSession(p.synth, p.seed, c)
+	},
+	"WC": func(p *Plan, c mr.Config) (*stream.Session, error) {
+		return workloads.NewWordCountStreamSession(p.kind, c)
+	},
+}
+
+// streamApps lists the workloads a stream spec may name, sorted.
+func streamApps() []string { return slices.Sorted(maps.Keys(streamSessions)) }
+
 // runStream is the streaming job's Run closure: build the session for
 // the granted worker split, start the resident pipeline, then hold the
 // grant until the session drains (Close), is cancelled (DELETE or
@@ -157,13 +174,7 @@ func (s *Service) runStream(ctx context.Context, grant []int, e *entry, p *Plan)
 	st := e.stream
 	c := p.grantConfig(grant)
 	start := time.Now()
-	var sess *stream.Session
-	var err error
-	if p.app == "WC" {
-		sess, err = workloads.NewWordCountStreamSession(p.kind, c)
-	} else {
-		sess, err = synth.NewStreamSession(p.synth, p.seed, c)
-	}
+	sess, err := streamSessions[p.app](p, c)
 	if err != nil {
 		st.fail(err)
 		return err

@@ -14,8 +14,8 @@ import (
 // numOps is how many operations the fuzz bytes select among: 0 a single
 // push (an Offer of one element), 1 PushBatch, 2 a single pop (a forced
 // ConsumeBatch of one element), 3 ConsumeBatch, 4 forced ConsumeBatch,
-// 5 DiscardBatch, 6 Close, 7 Flush, 8 Offer.
-const numOps = 9
+// 5 DiscardBatch, 6 Close, 7 Offer.
+const numOps = 8
 
 func FuzzSPSC(f *testing.F) {
 	f.Add([]byte{2, 0, 7, 1, 3, 3, 2, 4, 2, 6, 0})                      // push, batch, short poll, forced drain, close
@@ -23,8 +23,8 @@ func FuzzSPSC(f *testing.F) {
 	f.Add([]byte{3, 1, 8, 1, 8, 5, 3, 1, 8, 3, 4, 4, 4, 2, 0, 6, 0})    // wrap-around batches with discards
 	f.Add([]byte{1, 1, 2, 6, 0, 0, 9, 1, 2, 4, 1, 4, 1})                // operations after close
 	f.Add([]byte{2, 1, 200, 1, 200, 3, 4, 1, 200, 5, 2, 4, 3, 1, 9, 6}) // blocks far larger than the ring
-	f.Add([]byte{3, 1, 3, 7, 0, 3, 4, 1, 2, 7, 0, 7, 0, 3, 4, 0, 0})    // flushes: a short tail, an empty ring, a push behind the mark
-	f.Add([]byte{2, 8, 3, 8, 3, 3, 4, 8, 9, 8, 0, 4, 4, 8, 2, 6, 0})    // offers: one that fits, one refused short of a batch, one larger than the ring, an empty one
+	f.Add([]byte{3, 1, 3, 7, 6, 3, 4, 4, 4, 7, 6, 6, 0, 4, 3, 4, 3})    // a refused offer beside a short tail, the tail forced out, the offer again
+	f.Add([]byte{2, 7, 3, 7, 3, 3, 4, 7, 9, 7, 0, 4, 4, 7, 2, 6, 0})    // offers: one that fits, one refused short of a batch, one larger than the ring, an empty one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 512 {
 			return
@@ -39,13 +39,12 @@ func FuzzSPSC(f *testing.F) {
 // fuzzSequential runs ops on one goroutine, so pushes use only forms that
 // cannot block: PushBatch of at most the free space, and Offer of one
 // element or of any size — which must go in whole exactly when it fits, and
-// otherwise leave the ring as it was but for a flush request and one failed
-// push.
+// otherwise leave the ring as it was but for one failed push.
 func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 	q := MustNew[int](capacity, WaitSleep)
 	var model []int
-	next, pushed, popped, mark, closed := 0, 0, 0, 0, false // mark: pushed at the last Flush
-	failed := 0                                             // Offer refusals
+	next, pushed, popped, closed := 0, 0, 0, false
+	failed := 0 // Offer refusals
 	take := func(what string, n int, got []int) {
 		t.Helper()
 		if n != len(got) {
@@ -77,7 +76,6 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 				pushed++
 			} else {
 				failed++
-				mark = pushed
 			}
 		case 1:
 			if closed {
@@ -124,9 +122,6 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 			q.Close()
 			closed = true
 		case 7:
-			q.Flush()
-			mark = pushed
-		case 8:
 			if closed {
 				continue
 			}
@@ -142,12 +137,11 @@ func fuzzSequential(t *testing.T, capacity int, ops []byte) {
 				pushed += len(block)
 			} else {
 				failed++
-				mark = pushed
 			}
 		}
-		if q.Len() != len(model) || q.Closed() != closed || q.Flushing() != (popped < mark) || q.Drained() != (closed && len(model) == 0) {
-			t.Fatalf("after op %d: Len=%d Closed=%v Flushing=%v Drained=%v, model has %d closed=%v popped=%d mark=%d",
-				i/2, q.Len(), q.Closed(), q.Flushing(), q.Drained(), len(model), closed, popped, mark)
+		if q.Len() != len(model) || q.Closed() != closed || q.Drained() != (closed && len(model) == 0) {
+			t.Fatalf("after op %d: Len=%d Closed=%v Drained=%v, model has %d closed=%v",
+				i/2, q.Len(), q.Closed(), q.Drained(), len(model), closed)
 		}
 	}
 	if s := q.Snapshot(); s.Pushes != uint64(pushed) || s.Pops != uint64(popped) || s.FailedPush != uint64(failed) {
@@ -168,7 +162,7 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 		switch ops[i] % numOps {
 		case 0:
 			total++
-		case 1, 8:
+		case 1, 7:
 			total += int(ops[i+1])
 		}
 	}
@@ -180,7 +174,7 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 			case 0:
 				q.PushBatch([]int{next})
 				next++
-			case 1, 8:
+			case 1, 7:
 				block := make([]int, ops[i+1])
 				for j := range block {
 					block[j] = next
@@ -189,8 +183,6 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 				if ops[i]%numOps == 1 || !q.Offer(block) {
 					q.PushBatch(block)
 				}
-			case 7:
-				q.Flush()
 			}
 		}
 	}()
@@ -208,9 +200,9 @@ func fuzzConcurrent(t *testing.T, capacity int, ops []byte) {
 		switch op {
 		case 3, 4:
 			// As in the engines: a batch above the capacity could never
-			// fill, and a closed or flushing ring is force-drained.
+			// fill, and a closed ring is force-drained.
 			need = min(max(int(ops[i+1])%5, 1), capacity)
-			force := op == 4 || q.Closed() || q.Flushing()
+			force := op == 4 || q.Closed()
 			if force {
 				n, need = q.ConsumeBatch(need, true, check), 1
 			} else {

@@ -73,7 +73,7 @@ const WaitSleep WaitPolicy = 0
 type pad [64]byte
 
 // Queue is a bounded single-producer/single-consumer queue of T. Exactly
-// one goroutine may call producer methods (PushBatch, Offer, Flush, Close)
+// one goroutine may call producer methods (PushBatch, Offer, Close)
 // and exactly one may call consumer methods (ConsumeBatch, DiscardBatch,
 // Drained); the two may run concurrently. The zero value is not usable;
 // call New.
@@ -82,8 +82,7 @@ type pad [64]byte
 // tail cache, its counters) and everything the producer writes (tail, its
 // head cache, its counters) live on separate cache-line-padded regions.
 // The last region is read-mostly: done flips once, and the handshake
-// fields change only when a side parks, the producer flushes, or the ring
-// changes owner.
+// fields change only when a side parks or the ring changes owner.
 type Queue[T any] struct {
 	buf  []T
 	mask uint64
@@ -99,7 +98,6 @@ type Queue[T any] struct {
 	prod      producerCounters
 	_         pad
 	done      atomic.Bool          // producer has called Close
-	mark      atomic.Uint64        // tail at the producer's last Flush
 	gate      atomic.Pointer[Gate] // where this ring's consumer parks
 	producer  parker               // where this ring's producer parks
 	_         pad
@@ -264,11 +262,9 @@ func (q *Queue[T]) PushBatch(vs []T) {
 
 // Offer appends all of vs or nothing, and never waits. The runtime never
 // offers; Offer stays for the ring's tests and the spinning producer of the
-// push-policy ablation. A refusal counts one FailedPush, as a wait does, and
-// leaves a flush request behind: a producer that does not wait will not top
-// the ring up, so its consumer must not wait for a full batch. A block
-// larger than the ring is always refused. Producer side; Offer after Close
-// panics.
+// push-policy ablation, whose consumer polls and never parks. A refusal
+// counts one FailedPush, as a wait does. A block larger than the ring is
+// always refused. Producer side; Offer after Close panics.
 func (q *Queue[T]) Offer(vs []T) bool {
 	if q.done.Load() {
 		panic("spsc: Offer after Close")
@@ -278,7 +274,6 @@ func (q *Queue[T]) Offer(vs []T) bool {
 		q.headCache = q.head.Load()
 		if size-(t-q.headCache) < n {
 			q.prod.failedPush++
-			q.Flush()
 			return false
 		}
 	}

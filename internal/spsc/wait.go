@@ -54,7 +54,7 @@ func (p *parker) wake() {
 // Gate is where a consumer parks when none of the rings it owns has work
 // for it: one gate per consumer, shared by all its rings (SetGate), so
 // going idle costs one flag store however many rings it serves. A push
-// that completes a batch, a Close, a Flush, or Wake releases it.
+// that completes a batch, a Close, or Wake releases it.
 type Gate struct {
 	parker
 	need atomic.Int64 // elements one ring must hold to be worth a wake-up
@@ -69,9 +69,8 @@ func NewGate() *Gate { return &Gate{parker: newParker()} }
 func (g *Gate) Wake() { g.wake() }
 
 // Park is what a consumer calls when a polling round over qs consumed
-// nothing. It returns once some ring in qs is closed, holds at least need
-// elements, or holds anything its producer flushed — or stop reports true
-// (stop may be nil). qs must hold only rings the caller owns (their gate
+// nothing. It returns once some ring in qs is closed or holds at least need
+// elements — or stop reports true (stop may be nil). qs must hold only rings the caller owns (their gate
 // is g) and saw undrained on that round; need is the caller's consume
 // batch, or 1 when it will force short consumes. Returning is a hint to
 // poll again, not a promise of work.
@@ -98,45 +97,26 @@ func Park[T any](g *Gate, qs []*Queue[T], need int, stop func() bool) {
 	g.wait(ready())
 }
 
-// SetGate makes g the gate this ring's pushes, Flush and Close wake. The
+// SetGate makes g the gate this ring's pushes and Close wake. The
 // ring's owner calls it before the consumer first polls, and again — with
 // no consumer mid-round on the ring — whenever the ring changes consumer,
 // so that wake-ups follow ownership instead of disturbing the old owner.
 func (q *Queue[T]) SetGate(g *Gate) { q.gate.Store(g) }
 
 // wakeWorthy reports whether a ring whose tail is t holds what a consumer
-// asking for need elements can act on: a full batch (bounded by what the
-// ring can ever hold), or anything at all below the flush mark.
+// asking for need elements can act on: a full batch, bounded by what the
+// ring can ever hold.
 func (q *Queue[T]) wakeWorthy(t uint64, need int) bool {
-	h := q.head.Load()
-	return t-h >= min(uint64(max(need, 1)), uint64(len(q.buf))) || h < q.mark.Load()
+	return t-q.head.Load() >= min(uint64(max(need, 1)), uint64(len(q.buf)))
 }
 
-// published runs after the producer stored tail t (or moved the flush
-// mark up to it): a parked consumer is woken if this ring now holds what
-// it asked for.
+// published runs after the producer stored tail t: a parked consumer is
+// woken if this ring now holds what it asked for.
 func (q *Queue[T]) published(t uint64) {
 	if g := q.gate.Load(); g != nil && g.armed.Load() && q.wakeWorthy(t, int(g.need.Load())) {
 		g.wake()
 	}
 }
-
-// Flush asks the consumer to fold everything pushed so far without waiting
-// for it to grow into a full batch. A resident producer calls it where a
-// tail left in the ring would hold something up — the stream mapper after
-// each task, whose pane cannot seal until its last pair is folded; a
-// consumer honours it by passing Flushing as ConsumeBatch's force. The mark
-// only moves forward and later pushes do not cancel it, so a request is
-// never lost to a producer that is quick to push again. Producer side.
-func (q *Queue[T]) Flush() {
-	t := q.tail.Load()
-	q.mark.Store(t)
-	q.published(t)
-}
-
-// Flushing reports whether the ring still holds elements pushed before the
-// producer's last Flush. Consumer side.
-func (q *Queue[T]) Flushing() bool { return q.head.Load() < q.mark.Load() }
 
 // freed runs after the consumer stored head h: a parked producer is woken
 // once the ring has drained to the low-water mark — half the ring, not the

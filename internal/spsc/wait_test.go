@@ -137,89 +137,6 @@ func TestParkedConsumerWokenByAbort(t *testing.T) {
 	})
 }
 
-func TestParkedConsumerWokenByFlushWithShortTail(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		// Stream mode: the resident producer ends a task with less than a
-		// batch in the ring. Flush must bring the consumer back to fold
-		// that tail.
-		q, g := gated[int](16)
-		for chunk := 0; chunk < 3; chunk++ {
-			done := parkConsumer(t, g, q, 8, nil)
-			q.PushBatch([]int{1, 2, 3})
-			if !g.armed.Load() || q.Flushing() {
-				t.Fatalf("chunk %d: short push woke the consumer (flushing=%v)", chunk, q.Flushing())
-			}
-			q.Flush()
-			released(t, "consumer", done)
-			if n := q.ConsumeBatch(8, q.Flushing(), func([]int) {}); n != 3 || q.Flushing() {
-				t.Fatalf("chunk %d: consumed %d of the flushed tail, want 3 (flushing=%v)", chunk, n, q.Flushing())
-			}
-		}
-		// Flushing an empty ring is not news: there is nothing to fold.
-		done := parkConsumer(t, g, q, 8, nil)
-		q.Flush()
-		if !g.armed.Load() {
-			t.Fatal("flush of an empty ring woke the consumer")
-		}
-		q.Close()
-		released(t, "consumer", done)
-	})
-}
-
-func TestParkedConsumerWokenByRefusedOffer(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		// A producer that folds what its ring refuses never tops the ring
-		// up: a slab that does not fit beside a short tail leaves that tail
-		// short for good. The refusal itself must bring the consumer back
-		// for it — otherwise the consumer sleeps out the run on a ring that
-		// is never full and never empty, and the pipeline runs on one side.
-		q, g := gated[int](8)
-		done := parkConsumer(t, g, q, 8, nil)
-		if !q.Offer([]int{1, 2, 3}) || !g.armed.Load() {
-			t.Fatal("an offer that fits was refused, or its short tail woke the consumer")
-		}
-		if q.Offer([]int{4, 5, 6, 7, 8, 9}) {
-			t.Fatal("six elements went into five free slots")
-		}
-		released(t, "consumer", done)
-		if n := q.ConsumeBatch(8, q.Flushing(), func([]int) {}); n != 3 {
-			t.Fatalf("consumed %d of the tail the refused offer left, want 3", n)
-		}
-		if s := q.Snapshot(); s.Pushes != 3 || s.FailedPush != 1 {
-			t.Fatalf("counters %+v, want 3 pushed and the refusal as one failed push", s)
-		}
-	})
-}
-
-func TestParkedConsumerFlushSurvivesTheNextPush(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
-		// A producer kept fed pushes the head of its next task before the
-		// woken consumer gets to look. The flushed tail must still be
-		// folded, along with whatever arrived behind it, and a consumer
-		// that parks only afterwards must not sleep on it either.
-		q, g := gated[int](16)
-		done := parkConsumer(t, g, q, 8, nil)
-		q.PushBatch([]int{1, 2, 3})
-		q.Flush()
-		push(q, 4)
-		released(t, "consumer", done)
-		late := make(chan struct{})
-		go func() {
-			defer close(late)
-			Park(g, []*Queue[int]{q}, 8, nil)
-		}()
-		released(t, "consumer parking after the flush", late)
-		if n := q.ConsumeBatch(8, q.Flushing(), func([]int) {}); n != 4 || q.Flushing() {
-			t.Fatalf("consumed %d behind a flush mark at 3, want 4 (flushing=%v)", n, q.Flushing())
-		}
-		// What comes after the mark waits for a batch again.
-		q.PushBatch([]int{5, 6})
-		if n := q.ConsumeBatch(8, q.Flushing(), func([]int) {}); n != 0 {
-			t.Fatalf("consumed %d unflushed elements short of a batch", n)
-		}
-	})
-}
-
 func TestParkedProducerWokenAtLowWater(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		q := MustNew[int](8, WaitSleep) // low-water mark 4

@@ -51,15 +51,15 @@ type WindowMeta struct {
 type EraseOpts[S any, K comparable, R any] struct {
 	// Decode turns a raw chunk into typed splits. Required.
 	Decode func(RawChunk) ([]S, error)
-	// Digest fingerprints a sealed window's sorted pairs. Optional.
-	Digest func([]mr.Pair[K, R]) string
-	// Format stringifies one pair for the window sample. Optional;
-	// fmt.Sprint is the fallback.
-	Format func(mr.Pair[K, R]) (key, value string)
-	// SampleLimit bounds the stringified sample (default 10, 0 keeps
-	// the default, negative disables sampling).
-	SampleLimit int
+	// Digest folds one output pair into a window's order-independent
+	// digest — the workload's batch fold, so a window holding a batch
+	// job's whole input prints that job's digest. Required.
+	Digest func(K, R) uint64
 }
+
+// sampleLimit is how many of a sealed window's first pairs its summary
+// carries, stringified by fmt.Sprint.
+const sampleLimit = 10
 
 // Session is a type-erased resident pipeline: the service tier drives
 // Start/Append/Close/Cancel and reads windows without the job's type
@@ -87,12 +87,8 @@ type lifecycle interface {
 
 // Erase wraps a typed pipeline in a Session. Call before Start.
 func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpts[S, K, R]) (*Session, error) {
-	if opts.Decode == nil {
-		return nil, fmt.Errorf("stream: EraseOpts.Decode is required")
-	}
-	limit := opts.SampleLimit
-	if limit == 0 {
-		limit = 10
+	if opts.Decode == nil || opts.Digest == nil {
+		return nil, fmt.Errorf("stream: EraseOpts.Decode and EraseOpts.Digest are required")
 	}
 	meta := func(w *Window[K, R]) WindowMeta {
 		m := WindowMeta{
@@ -106,23 +102,13 @@ func Erase[S any, K comparable, V, R any](p *Pipeline[S, K, V, R], opts EraseOpt
 			OpenedAt: w.OpenedAt,
 			SealedAt: w.SealedAt,
 		}
-		if opts.Digest != nil {
-			m.Digest = opts.Digest(w.Pairs)
+		var d uint64
+		for _, pr := range w.Pairs {
+			d += opts.Digest(pr.Key, pr.Value)
 		}
-		if limit > 0 {
-			n := len(w.Pairs)
-			if n > limit {
-				n = limit
-			}
-			for _, pr := range w.Pairs[:n] {
-				var k, v string
-				if opts.Format != nil {
-					k, v = opts.Format(pr)
-				} else {
-					k, v = fmt.Sprint(pr.Key), fmt.Sprint(pr.Value)
-				}
-				m.Sample = append(m.Sample, SamplePair{Key: k, Value: v})
-			}
+		m.Digest = fmt.Sprintf("%016x", d)
+		for _, pr := range w.Pairs[:min(len(w.Pairs), sampleLimit)] {
+			m.Sample = append(m.Sample, SamplePair{Key: fmt.Sprint(pr.Key), Value: fmt.Sprint(pr.Value)})
 		}
 		return m
 	}

@@ -2,12 +2,11 @@ package synth
 
 import (
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
-	"ramr/internal/container"
 	"ramr/internal/mr"
 	"ramr/internal/stream"
+	"ramr/internal/workloads"
 )
 
 // NewStreamSession builds a resident streaming session over the
@@ -26,32 +25,8 @@ func NewStreamSession(p Params, seed int64, cfg mr.Config) (*stream.Session, err
 	if p.Skew > 1 {
 		return nil, fmt.Errorf("synth: streaming SYNTH does not support skewed input (skew=%g): the Zipf tables need the whole input up front", p.Skew)
 	}
-	if p.SplitElements < 1 {
-		p.SplitElements = 512
-	}
-	if p.Keys < 1 {
-		p.Keys = 1
-	}
-	mk, ck := p.MapKernel, p.CombineKernel
-	keys := p.Keys
-	s64 := uint64(seed)
-	spec := &mr.Spec[[2]int, int, uint64, uint64]{
-		Name: "SYNTH",
-		Map: func(rng [2]int, emit func(int, uint64)) {
-			for e := rng[0]; e < rng[1]; e++ {
-				tok := mk.Run(uint64(e) ^ s64)
-				emit(e%keys, tok+1)
-			}
-		},
-		Combine: func(a, b uint64) uint64 {
-			_ = ck.Run(a ^ b)
-			return a + b
-		},
-		Reduce:       mr.IdentityReduce[int, uint64](),
-		NewContainer: func() container.Container[int, uint64] { return container.NewFixedArray[uint64](keys) },
-		Less:         func(a, b int) bool { return a < b },
-	}
-	pipe, err := stream.New(spec, cfg)
+	p = p.defaulted()
+	pipe, err := stream.New(spec(p, seed, nil, nil), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,15 +60,6 @@ func NewStreamSession(p Params, seed int64, cfg mr.Config) (*stream.Session, err
 			}
 			return splits, nil
 		},
-		Digest: func(pairs []mr.Pair[int, uint64]) string {
-			var d uint64
-			for _, pr := range pairs {
-				d += (uint64(pr.Key)*0x9e3779b97f4a7c15 ^ pr.Value) * 0xbf58476d1ce4e5b9
-			}
-			return fmt.Sprintf("%016x", d)
-		},
-		Format: func(pr mr.Pair[int, uint64]) (string, string) {
-			return strconv.Itoa(pr.Key), strconv.FormatUint(pr.Value, 10)
-		},
+		Digest: workloads.SynthPairDigest,
 	})
 }

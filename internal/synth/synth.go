@@ -12,7 +12,6 @@
 package synth
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -182,19 +181,15 @@ func DefaultParams() Params {
 // engines, but the value algebra is associative and commutative — uint64
 // addition — so outputs agree exactly).
 func NewJob(p Params, seed int64) *workloads.Job {
-	return newJob(p, seed, nil, 0)
+	j, _ := Build(p, seed, nil, 0) // only a shard spec is refused
+	return j
 }
 
-// NewShardJob builds one shard of the synthetic job: the split ranges are
-// derived deterministically from the seed, the skew key table is drawn for
-// the shard's subset only, and the job runs over it, exporting its key→sum
-// container as RunInfo.Partial for the cluster coordinator to merge.
-func NewShardJob(p Params, seed int64, sh workloads.ShardSpec) (*workloads.Job, error) {
-	return Build(p, seed, &sh, 0)
-}
-
-// Build is NewJob — NewShardJob when sh is non-nil — drawing the skew key
-// table on width goroutines (width < 1: GOMAXPROCS; see
+// Build is NewJob — shard sh of it when sh is non-nil: the split ranges
+// are derived deterministically from the seed, the skew key table is drawn
+// for the shard's subset only, and the job exports its key→sum container
+// as RunInfo.Partial for the cluster coordinator to merge — drawing the
+// skew key table on width goroutines (width < 1: GOMAXPROCS; see
 // workloads.FillSplits).
 func Build(p Params, seed int64, sh *workloads.ShardSpec, width int) (*workloads.Job, error) {
 	if sh != nil {
@@ -202,33 +197,53 @@ func Build(p Params, seed int64, sh *workloads.ShardSpec, width int) (*workloads
 			return nil, fmt.Errorf("synth: shard: %v", err)
 		}
 	}
-	return newJob(p, seed, sh, width), nil
+	p = p.defaulted()
+	splits, keyTab := input(p, seed, sh, width)
+	inputDesc := fmt.Sprintf("%d elements, %d keys", p.Elements, p.Keys)
+	if p.Skew > 1 {
+		inputDesc += fmt.Sprintf(", zipf s=%.2f", p.Skew)
+	}
+	j := &workloads.Job{
+		App: "SYNTH",
+		FullName: fmt.Sprintf("synthetic map=%v/%d combine=%v/%d",
+			p.MapKernel.Kind, p.MapKernel.Intensity, p.CombineKernel.Kind, p.CombineKernel.Intensity),
+		Container: container.KindFixedArray,
+		InputDesc: inputDesc,
+	}
+	return workloads.BindSpec(j, spec(p, seed, splits, keyTab), sh, workloads.SynthPairDigest, func(pairs []mr.Pair[int, uint64]) *workloads.Partial {
+		return workloads.IntPartial("SYNTH", pairs)
+	}), nil
 }
 
-func newJob(p Params, seed int64, sh *workloads.ShardSpec, width int) *workloads.Job {
+// defaulted is p with a usable split size and key range.
+func (p Params) defaulted() Params {
 	if p.SplitElements < 1 {
 		p.SplitElements = 512
 	}
 	if p.Keys < 1 {
 		p.Keys = 1
 	}
-	splits, keyTab := input(p, seed, sh, width)
+	return p
+}
+
+// spec is the synthetic algebra over splits, of a batch job or a shard, or
+// of a stream session (splits nil: they arrive in chunks). Element e's key
+// is keyTab[e] on a skewed input and e%Keys on a uniform one (keyTab nil).
+func spec(p Params, seed int64, splits [][2]int, keyTab []int32) *mr.Spec[[2]int, int, uint64, uint64] {
 	mk, ck := p.MapKernel, p.CombineKernel
 	keys := p.Keys
 	s64 := uint64(seed)
-	keyOf := func(e int) int {
-		if keyTab != nil {
-			return int(keyTab[e])
-		}
-		return e % keys
-	}
-	spec := &mr.Spec[[2]int, int, uint64, uint64]{
+	return &mr.Spec[[2]int, int, uint64, uint64]{
 		Name:   "SYNTH",
 		Splits: splits,
 		Map: func(rng [2]int, emit func(int, uint64)) {
 			for e := rng[0]; e < rng[1]; e++ {
 				tok := mk.Run(uint64(e) ^ s64)
-				emit(keyOf(e), tok+1)
+				k := e % keys
+				if keyTab != nil {
+					k = int(keyTab[e])
+				}
+				emit(k, tok+1)
 			}
 		},
 		Combine: func(a, b uint64) uint64 {
@@ -246,37 +261,6 @@ func newJob(p Params, seed int64, sh *workloads.ShardSpec, width int) *workloads
 		NewContainer: func() container.Container[int, uint64] { return container.NewFixedArray[uint64](keys) },
 		Less:         func(a, b int) bool { return a < b },
 	}
-	inputDesc := fmt.Sprintf("%d elements, %d keys", p.Elements, p.Keys)
-	if p.Skew > 1 {
-		inputDesc += fmt.Sprintf(", zipf s=%.2f", p.Skew)
-	}
-	fullName := fmt.Sprintf("synthetic map=%v/%d combine=%v/%d", mk.Kind, mk.Intensity, ck.Kind, ck.Intensity)
-	if sh != nil {
-		fullName += " (shard " + sh.String() + ")"
-		inputDesc = fmt.Sprintf("shard %s: %d of the splits, ", sh, len(splits)) + inputDesc
-	}
-	j := &workloads.Job{
-		App:       "SYNTH",
-		FullName:  fullName,
-		Container: container.KindFixedArray,
-		InputDesc: inputDesc,
-	}
-	digest := func(k int, v uint64) uint64 {
-		return (uint64(k)*0x9e3779b97f4a7c15 ^ v) * 0xbf58476d1ce4e5b9
-	}
-	if sh == nil {
-		return j.Bind(func(ctx context.Context, eng workloads.Engine, cfg mr.Config) (*workloads.RunInfo, error) {
-			return workloads.RunTypedExport(ctx, spec, eng, cfg, digest, nil)
-		})
-	}
-	return j.Bind(func(ctx context.Context, eng workloads.Engine, cfg mr.Config) (*workloads.RunInfo, error) {
-		if len(splits) == 0 {
-			return &workloads.RunInfo{Partial: &workloads.Partial{App: "SYNTH"}}, nil
-		}
-		return workloads.RunTypedExport(ctx, spec, eng, cfg, digest, func(pairs []mr.Pair[int, uint64]) *workloads.Partial {
-			return workloads.IntPartial("SYNTH", pairs)
-		})
-	})
 }
 
 // input is the job's generated input: the split ranges shard sh owns (all

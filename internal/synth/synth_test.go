@@ -214,13 +214,13 @@ func TestSkewedEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestShardMergeMatchesSingleNode pins the cluster contract for SYNTH,
-// and — because the merge digest fold is re-stated in the workloads
-// package (synthPairDigest) while the job digest fold lives here —
-// cross-checks that the two stay in sync: shard partials merged and
-// summarized must reproduce the single-node digest bit for bit, on either
-// engine. The skewed row is the one whose shards draw their own key ranges
-// only (and whose uneven splits exercise the shard partition too).
+// TestShardMergeMatchesSingleNode pins the cluster contract for SYNTH:
+// shard partials merged and summarized must reproduce the single-node
+// digest bit for bit. The job and Partial.Summary fold with the one
+// workloads.SynthPairDigest, so what this checks is the shards' split and
+// key-table partition and the merge, not two copies of a fold. The skewed
+// row is the one whose shards draw their own key ranges only (and whose
+// uneven splits exercise the shard partition too).
 func TestShardMergeMatchesSingleNode(t *testing.T) {
 	for _, skew := range []float64{0, 1.5} {
 		p := smallParams()
@@ -239,7 +239,7 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 		for _, count := range []int{1, 2, 3, 7} {
 			parts := make([]*workloads.Partial, count)
 			for i := 0; i < count; i++ {
-				sj, err := NewShardJob(p, int64(7), workloads.ShardSpec{Index: i, Count: count})
+				sj, err := Build(p, int64(7), &workloads.ShardSpec{Index: i, Count: count}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -269,7 +269,7 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 }
 
 func TestShardJobValidates(t *testing.T) {
-	if _, err := NewShardJob(smallParams(), 1, workloads.ShardSpec{Index: 5, Count: 2}); err == nil {
+	if _, err := Build(smallParams(), 1, &workloads.ShardSpec{Index: 5, Count: 2}, 0); err == nil {
 		t.Error("out-of-range shard should fail")
 	}
 }

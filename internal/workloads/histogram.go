@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 
 	"ramr/internal/container"
@@ -22,7 +21,7 @@ const hgSplitBytes = 12 << 10
 // differently (sky-ish blue bias) so the histogram is non-uniform like a
 // real bitmap.
 func GeneratePixels(n int, seed int64) [][]byte {
-	return generatePixels(n, seed, ShardSpec{Index: 0, Count: 1}, 0)
+	return generatePixels(n, seed, whole, 0)
 }
 
 // generatePixels builds the splits shard sh owns of the n-byte bitmap, in
@@ -81,28 +80,22 @@ func HistogramSpec(splits [][]byte, kind container.Kind) *mr.Spec[[]byte, int, i
 	}
 }
 
-// HistogramJob instantiates Histogram over ~nBytes of synthetic pixels,
-// built on width goroutines. Histogram is the image-processing app and,
-// with LR, one of the two "light" workloads (lowest instructions-per-byte):
-// three emissions per pixel with almost no computation, which is why the
-// paper finds it unsuited to RAMR with default containers (queue overhead
-// dominates).
-func HistogramJob(nBytes int, kind container.Kind, seed int64, width int) *Job {
-	splits := generatePixels(nBytes, seed, ShardSpec{Index: 0, Count: 1}, width)
-	spec := HistogramSpec(splits, kind)
+// HistogramJob instantiates Histogram over ~nBytes of synthetic pixels —
+// shard sh of it when sh is non-nil, exporting its bucket→count container
+// (see BindSpec) — built on width goroutines. Histogram is the
+// image-processing app and, with LR, one of the two "light" workloads
+// (lowest instructions-per-byte): three emissions per pixel with almost no
+// computation, which is why the paper finds it unsuited to RAMR with
+// default containers (queue overhead dominates).
+func HistogramJob(nBytes int, kind container.Kind, seed int64, sh *ShardSpec, width int) *Job {
+	splits := generatePixels(nBytes, seed, sh.orWhole(), width)
 	j := &Job{
 		App:       "HG",
 		FullName:  "Histogram",
 		Container: kind,
 		InputDesc: fmt.Sprintf("%d pixel-bytes in %d splits", nBytes, len(splits)),
 	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedExport(ctx, spec, eng, cfg, hgPairDigest, nil)
+	return BindSpec(j, HistogramSpec(splits, kind), sh, intPairDigest[int], func(pairs []mr.Pair[int, int]) *Partial {
+		return IntPartial("HG", pairs)
 	})
-}
-
-// hgPairDigest folds one HG output pair into the run's order-independent
-// digest; shard merging re-applies it over the merged container.
-func hgPairDigest(k, v int) uint64 {
-	return mix(uint64(k)*0x9e3779b97f4a7c15 ^ uint64(v))
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -147,9 +146,7 @@ func KMeansJob(nPoints, dims, k int, kind container.Kind, seed int64) *Job {
 		Container: kind,
 		InputDesc: fmt.Sprintf("%d points, %d dims, %d clusters", nPoints, dims, k),
 	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		// Float accumulation order differs between engines, so no
-		// exact digest: tests compare outputs with a tolerance.
-		return RunTypedExport(ctx, spec, eng, cfg, nil, nil)
-	})
+	// Float accumulation order differs between engines, so no exact
+	// digest: tests compare outputs with a tolerance.
+	return BindSpec(j, spec, nil, nil, nil)
 }

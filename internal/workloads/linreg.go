@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 
 	"ramr/internal/container"
@@ -128,9 +127,5 @@ func LinRegJob(nPoints int, kind container.Kind, seed int64) *Job {
 		Container: kind,
 		InputDesc: fmt.Sprintf("%d points in %d splits", nPoints, len(splits)),
 	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedExport(ctx, spec, eng, cfg, func(k int, v int64) uint64 {
-			return mix(uint64(k)*0x9e3779b97f4a7c15 ^ uint64(v))
-		}, nil)
-	})
+	return BindSpec(j, spec, nil, intPairDigest[int64], nil)
 }

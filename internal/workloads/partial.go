@@ -307,12 +307,12 @@ func (p *Partial) Summary() (pairs int, digest uint64, err error) {
 		return len(p.Words), digest, nil
 	case "HG":
 		for i, k := range p.Keys {
-			digest += hgPairDigest(k, int(p.Values[i]))
+			digest += intPairDigest(k, p.Values[i])
 		}
 		return len(p.Keys), digest, nil
 	case "SYNTH":
 		for i, k := range p.Keys {
-			digest += synthPairDigest(k, p.Values[i])
+			digest += SynthPairDigest(k, p.Values[i])
 		}
 		return len(p.Keys), digest, nil
 	default:

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 
 	"ramr/internal/container"
@@ -130,9 +129,5 @@ func PCAJob(n int, kind container.Kind, seed int64) *Job {
 		Container: kind,
 		InputDesc: fmt.Sprintf("%dx%d matrix, %d row pairs", n, n, len(in.PairIndex)),
 	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedExport(ctx, spec, eng, cfg, func(k int, v int64) uint64 {
-			return mix(uint64(k)*0x9e3779b97f4a7c15 ^ uint64(v))
-		}, nil)
-	})
+	return BindSpec(j, spec, nil, intPairDigest[int64], nil)
 }

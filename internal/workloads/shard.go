@@ -1,12 +1,9 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"time"
 
-	"ramr/internal/container"
 	"ramr/internal/mr"
 )
 
@@ -22,7 +19,9 @@ import (
 // key→value container as a Partial (the in-node combining of Lee et al.:
 // a node touches its own share and ships aggregates); the coordinator
 // merges Partials with MergePartials and re-derives the app's digest with
-// Summary, which reuses the exact per-pair folds of the unsharded jobs.
+// Summary, which applies the very per-pair fold of the unsharded job. An
+// app has one constructor for its whole job and every shard of it
+// (BindSpec).
 //
 // Only apps with exact (integer) arithmetic and an associative,
 // commutative combine are shardable: WC, HG and SYNTH. Float apps (KM,
@@ -44,6 +43,17 @@ func (sh ShardSpec) Validate() error {
 		return fmt.Errorf("shard index must be in [0, %d), got %d", sh.Count, sh.Index)
 	}
 	return nil
+}
+
+// whole is the one shard that is the whole input.
+var whole = ShardSpec{Index: 0, Count: 1}
+
+// orWhole is sh, or the whole input when sh is nil.
+func (sh *ShardSpec) orWhole() ShardSpec {
+	if sh == nil {
+		return whole
+	}
+	return *sh
 }
 
 // String renders the shard as "index/count".
@@ -94,68 +104,4 @@ func FillSplits(n, width int, fill func(lo, hi int)) {
 	if err := mr.ForEach(n, width, "build", fill); err != nil {
 		panic(err)
 	}
-}
-
-// emptyShardInfo is the result of a shard with no splits (more shards
-// than the input has splits): an instantly-complete empty run.
-func emptyShardInfo(part *Partial) *RunInfo {
-	return &RunInfo{Wall: time.Duration(0), Partial: part, Pairs: 0}
-}
-
-// NewShardJobParams instantiates shard sh of the named app with explicit
-// generator parameters, building its input on GOMAXPROCS goroutines. Only
-// sh's splits are generated — any worker derives the same split i from the
-// seed without building the others — and the job runs over them, exporting
-// its container as RunInfo.Partial. SYNTH shard jobs are built by
-// synth.NewShardJob.
-func NewShardJobParams(app string, pr Params, kind container.Kind, seed int64, sh ShardSpec) (*Job, error) {
-	return Build(app, pr, kind, seed, &sh, 0)
-}
-
-// wordCountShardJob is WordCountJob restricted to one shard, exporting
-// the shard's word→count container.
-func wordCountShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec, width int) *Job {
-	splits := generateText(nBytes, seed, sh, width)
-	spec := WordCountSpec(splits, kind)
-	j := &Job{
-		App:       "WC",
-		FullName:  "Word Count (shard " + sh.String() + ")",
-		Container: kind,
-		InputDesc: fmt.Sprintf("shard %s: %d splits of ~%d bytes", sh, len(splits), nBytes),
-	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		if len(splits) == 0 {
-			return emptyShardInfo(&Partial{App: "WC"}), nil
-		}
-		return RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, wordPartial)
-	})
-}
-
-// histogramShardJob is HistogramJob restricted to one shard, exporting
-// the shard's bucket→count container.
-func histogramShardJob(nBytes int, kind container.Kind, seed int64, sh ShardSpec, width int) *Job {
-	splits := generatePixels(nBytes, seed, sh, width)
-	spec := HistogramSpec(splits, kind)
-	j := &Job{
-		App:       "HG",
-		FullName:  "Histogram (shard " + sh.String() + ")",
-		Container: kind,
-		InputDesc: fmt.Sprintf("shard %s: %d splits of ~%d bytes", sh, len(splits), nBytes),
-	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		if len(splits) == 0 {
-			return emptyShardInfo(&Partial{App: "HG"}), nil
-		}
-		return RunTypedExport(ctx, spec, eng, cfg, hgPairDigest, func(pairs []mr.Pair[int, int]) *Partial {
-			return IntPartial("HG", pairs)
-		})
-	})
-}
-
-// synthPairDigest mirrors the SYNTH job's per-pair digest fold
-// (synth.NewJob). Kept in sync by TestShardMergeMatchesSingleNode, which
-// compares a sharded SYNTH run's merged digest against the unsharded
-// job's.
-func synthPairDigest(k int, v uint64) uint64 {
-	return (uint64(k)*0x9e3779b97f4a7c15 ^ v) * 0xbf58476d1ce4e5b9
 }

@@ -80,8 +80,8 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 		for _, count := range []int{1, 2, 3, 7} {
 			parts := make([]*Partial, count)
 			for i := 0; i < count; i++ {
-				sj, err := NewShardJobParams(app, smallParams(app), DefaultContainer(app), seed,
-					ShardSpec{Index: i, Count: count})
+				sj, err := Build(app, smallParams(app), DefaultContainer(app), seed,
+					&ShardSpec{Index: i, Count: count}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +150,7 @@ func checkSplitAddressable[T any](t *testing.T, app string, splitBytes int, gen 
 					}
 					// A shard that owns nothing still settles: an instant,
 					// empty run with an empty partial to merge.
-					job, err := NewShardJobParams(app, Params{Bytes: n}, DefaultContainer(app), seed, sh)
+					job, err := Build(app, Params{Bytes: n}, DefaultContainer(app), seed, &sh, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -222,7 +222,7 @@ func TestShardBuildIsProportional(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		job, err := NewShardJobParams(app, in.Params, DefaultContainer(app), seed, sh)
+		job, err := Build(app, in.Params, DefaultContainer(app), seed, &sh, 0)
 		runtime.ReadMemStats(&after)
 		if err != nil || job == nil {
 			t.Fatal(err)
@@ -296,8 +296,8 @@ func TestShardableApps(t *testing.T) {
 			t.Errorf("%s must not be shardable (inexact or non-commutative merge)", app)
 		}
 	}
-	if _, err := NewShardJobParams("KM", smallParams("KM"), DefaultContainer("KM"), seed,
-		ShardSpec{Index: 0, Count: 2}); err == nil {
+	if _, err := Build("KM", smallParams("KM"), DefaultContainer("KM"), seed,
+		&ShardSpec{Index: 0, Count: 2}, 0); err == nil {
 		t.Error("sharding KM should fail")
 	}
 }
@@ -473,7 +473,7 @@ func TestShardPartialDoesNotPinInput(t *testing.T) {
 	}
 	before := live()
 	info := func() *RunInfo {
-		job, err := NewShardJobParams("WC", in.Params, DefaultContainer("WC"), seed, ShardSpec{Index: 0, Count: 1})
+		job, err := Build("WC", in.Params, DefaultContainer("WC"), seed, &ShardSpec{Index: 0, Count: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -216,27 +216,23 @@ func NewJobParams(app string, pr Params, kind container.Kind, seed int64) (*Job,
 // Build instantiates the named app with explicit generator parameters —
 // shard sh of it when sh is non-nil — generating the split-addressable
 // inputs (WC text, HG pixels) on width goroutines (width < 1: GOMAXPROCS;
-// see FillSplits). The other apps build theirs serially.
+// see FillSplits). The other apps build theirs serially. SYNTH, shardable
+// too, is built by internal/synth.
 func Build(app string, pr Params, kind container.Kind, seed int64, sh *ShardSpec, width int) (*Job, error) {
 	if sh != nil {
 		if err := sh.Validate(); err != nil {
 			return nil, fmt.Errorf("workloads: shard %s: %v", app, err)
 		}
-		switch app {
-		case "WC":
-			return wordCountShardJob(pr.Bytes, kind, seed, *sh, width), nil
-		case "HG":
-			return histogramShardJob(pr.Bytes, kind, seed, *sh, width), nil
-		default:
+		if !Shardable(app) {
 			return nil, fmt.Errorf("workloads: app %q is not shardable (want one of %v; float-valued apps merge only approximately)",
 				app, ShardableApps())
 		}
 	}
 	switch app {
 	case "WC":
-		return WordCountJob(pr.Bytes, kind, seed, width), nil
+		return WordCountJob(pr.Bytes, kind, seed, sh, width), nil
 	case "HG":
-		return HistogramJob(pr.Bytes, kind, seed, width), nil
+		return HistogramJob(pr.Bytes, kind, seed, sh, width), nil
 	case "LR":
 		return LinRegJob(pr.Points, kind, seed), nil
 	case "KM":

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -74,7 +73,5 @@ func StringMatchJob(nBytes int, seed int64) *Job {
 		Container: container.KindHash,
 		InputDesc: fmt.Sprintf("%d bytes, %d patterns", nBytes, len(SMPatterns)),
 	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, nil) // string counts, as WC's
-	})
+	return BindSpec(j, spec, nil, wcPairDigest, nil) // string counts, as WC's
 }

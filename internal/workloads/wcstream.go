@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"strconv"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
@@ -31,15 +30,6 @@ func NewWordCountStreamSession(kind container.Kind, cfg mr.Config) (*stream.Sess
 			}
 			return rc.Lines, nil
 		},
-		Digest: func(pairs []mr.Pair[string, int]) string {
-			var d uint64
-			for _, pr := range pairs {
-				d += wcPairDigest(pr.Key, pr.Value)
-			}
-			return fmt.Sprintf("%016x", d)
-		},
-		Format: func(pr mr.Pair[string, int]) (string, string) {
-			return pr.Key, strconv.Itoa(pr.Value)
-		},
+		Digest: wcPairDigest,
 	})
 }

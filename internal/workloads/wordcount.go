@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"unsafe"
@@ -27,7 +26,7 @@ const wcSplitBytes = 16 << 10
 // GenerateText builds a deterministic synthetic corpus of about n bytes,
 // pre-partitioned into word-aligned splits.
 func GenerateText(n int, seed int64) []string {
-	return generateText(n, seed, ShardSpec{Index: 0, Count: 1}, 0)
+	return generateText(n, seed, whole, 0)
 }
 
 // generateText builds the splits shard sh owns of the n-byte corpus, in
@@ -128,27 +127,25 @@ func WordCountSpec(splits []string, kind container.Kind) *mr.Spec[string, string
 	}
 }
 
-// WordCountJob instantiates Word Count over ~nBytes of synthetic text,
-// built on width goroutines. Word Count is the enterprise-domain app of the
-// suite: per-word emission into a hash container, arbitrary key set.
-func WordCountJob(nBytes int, kind container.Kind, seed int64, width int) *Job {
-	splits := generateText(nBytes, seed, ShardSpec{Index: 0, Count: 1}, width)
-	spec := WordCountSpec(splits, kind)
+// WordCountJob instantiates Word Count over ~nBytes of synthetic text —
+// shard sh of it when sh is non-nil, exporting its word→count container
+// (see BindSpec) — built on width goroutines. Word Count is the
+// enterprise-domain app of the suite: per-word emission into a hash
+// container, arbitrary key set.
+func WordCountJob(nBytes int, kind container.Kind, seed int64, sh *ShardSpec, width int) *Job {
+	splits := generateText(nBytes, seed, sh.orWhole(), width)
 	j := &Job{
 		App:       "WC",
 		FullName:  "Word Count",
 		Container: kind,
 		InputDesc: fmt.Sprintf("%d words-bytes in %d splits", nBytes, len(splits)),
 	}
-	return j.Bind(func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
-		return RunTypedExport(ctx, spec, eng, cfg, wcPairDigest, nil)
-	})
+	return BindSpec(j, WordCountSpec(splits, kind), sh, wcPairDigest, wordPartial)
 }
 
 // wcPairDigest folds one WC output pair into the run's order-independent
-// digest. Shard merging (shard.go) re-applies the same fold over the
-// merged container, so a sharded run's final digest is byte-identical to
-// the single-node run's.
+// digest; a merged partial's Summary re-applies it, so a sharded run's
+// final digest is byte-identical to the single-node run's.
 func wcPairDigest(k string, v int) uint64 {
 	return mix(fnv1a(k) ^ mix(uint64(v)))
 }

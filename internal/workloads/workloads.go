@@ -110,13 +110,68 @@ type Job struct {
 	// RunCtx is Run with cancellation: once ctx is cancelled the engine
 	// stops taking tasks, drains and returns ctx's error. The job
 	// service's DELETE path runs jobs through it. Constructors set both
-	// fields via Bind.
+	// fields via BindSpec.
 	RunCtx func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error)
 }
 
-// Bind sets both run entry points from one context-aware closure and
-// returns the job, so each constructor defines its execution exactly once.
-func (j *Job) Bind(run func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error)) *Job {
+// BindSpec makes j run spec: it sets j's entry points to execute spec on
+// the chosen engine, with cancellation, and erase its types, and returns j,
+// so each app defines its execution exactly once. digest, when non-nil,
+// folds each output pair into the run's order-independent checksum. When sh
+// is non-nil, j is shard sh of its app: BindSpec names the shard in
+// FullName and InputDesc, and export is handed the run's output pairs,
+// sorted by spec.Less, to lift into the type-erased Partial that crosses
+// the cluster wire (shard.go); a shard that owns no splits settles at once,
+// empty, with an empty partial. Each shardable app — WC, HG and
+// internal/synth's SYNTH — builds its whole job and every shard of it
+// through one constructor that ends here.
+func BindSpec[S any, K comparable, V, R any](j *Job, spec *mr.Spec[S, K, V, R], sh *ShardSpec, digest func(K, R) uint64, export func([]mr.Pair[K, R]) *Partial) *Job {
+	if sh == nil {
+		export = nil
+	} else {
+		j.FullName += " (shard " + sh.String() + ")"
+		j.InputDesc = "shard " + sh.String() + ", " + j.InputDesc
+	}
+	run := func(ctx context.Context, eng Engine, cfg mr.Config) (*RunInfo, error) {
+		if export != nil && len(spec.Splits) == 0 {
+			return &RunInfo{Partial: &Partial{App: j.App}}, nil
+		}
+		start := time.Now()
+		var (
+			res *mr.Result[K, R]
+			err error
+		)
+		switch eng {
+		case EngineRAMR:
+			res, err = core.RunContext(ctx, spec, cfg)
+		case EnginePhoenix:
+			res, err = core.RunPhoenixContext(ctx, spec, cfg)
+		case EngineReference:
+			res = &mr.Result[K, R]{Pairs: mr.Reference(spec)}
+		default:
+			return nil, fmt.Errorf("workloads: unknown engine %v", eng)
+		}
+		if err != nil {
+			return nil, err
+		}
+		info := &RunInfo{
+			Wall:      time.Since(start),
+			Phases:    res.Phases,
+			Queue:     res.QueueStats,
+			Steal:     res.Steal,
+			Pairs:     len(res.Pairs),
+			Telemetry: res.Telemetry,
+		}
+		if digest != nil {
+			for _, p := range res.Pairs {
+				info.Digest += digest(p.Key, p.Value)
+			}
+		}
+		if export != nil {
+			info.Partial = export(res.Pairs)
+		}
+		return info, nil
+	}
 	j.RunCtx = run
 	j.Run = func(eng Engine, cfg mr.Config) (*RunInfo, error) {
 		return run(context.Background(), eng, cfg)
@@ -124,53 +179,18 @@ func (j *Job) Bind(run func(ctx context.Context, eng Engine, cfg mr.Config) (*Ru
 	return j
 }
 
-// RunTypedExport executes a typed spec on the chosen engine, with
-// cancellation, and erases the types: the entry point behind Job.RunCtx.
-// Exported so sibling packages (synth) can adapt their own typed specs into
-// Jobs. digest, when non-nil, folds each output pair into an
-// order-independent checksum. export, when non-nil, is handed the run's
-// output pairs, sorted by spec.Less, once the run completes; what it returns
-// is the RunInfo's Partial. Shard jobs use it to lift their typed output
-// into the type-erased Partial that crosses the cluster wire (see shard.go);
-// a nil export is the plain batch path.
-func RunTypedExport[S any, K comparable, V, R any](ctx context.Context, spec *mr.Spec[S, K, V, R], eng Engine, cfg mr.Config, digest func(K, R) uint64, export func([]mr.Pair[K, R]) *Partial) (*RunInfo, error) {
-	start := time.Now()
-	var (
-		res *mr.Result[K, R]
-		err error
-	)
-	switch eng {
-	case EngineRAMR:
-		res, err = core.RunContext(ctx, spec, cfg)
-	case EnginePhoenix:
-		res, err = core.RunPhoenixContext(ctx, spec, cfg)
-	case EngineReference:
-		res = &mr.Result[K, R]{Pairs: mr.Reference(spec)}
-	default:
-		return nil, fmt.Errorf("workloads: unknown engine %v", eng)
-	}
-	if err != nil {
-		return nil, err
-	}
-	info := &RunInfo{
-		Wall:      time.Since(start),
-		Phases:    res.Phases,
-		Queue:     res.QueueStats,
-		Steal:     res.Steal,
-		Pairs:     len(res.Pairs),
-		Telemetry: res.Telemetry,
-	}
-	if digest != nil {
-		var d uint64
-		for _, p := range res.Pairs {
-			d += digest(p.Key, p.Value)
-		}
-		info.Digest = d
-	}
-	if export != nil {
-		info.Partial = export(res.Pairs)
-	}
-	return info, nil
+// intPairDigest folds one output pair of an int-keyed Table I app (HG, LR,
+// PCA, MM) into the run's order-independent digest; a merged HG partial's
+// Summary re-applies it.
+func intPairDigest[V int | int64 | uint64](k int, v V) uint64 {
+	return mix(uint64(k)*0x9e3779b97f4a7c15 ^ uint64(v))
+}
+
+// SynthPairDigest folds one output pair of the synthetic job
+// (internal/synth) into the order-independent digest of its batch run, of
+// a merged shard partial's Summary and of a stream window.
+func SynthPairDigest(k int, v uint64) uint64 {
+	return (uint64(k)*0x9e3779b97f4a7c15 ^ v) * 0xbf58476d1ce4e5b9
 }
 
 // mix is the 64-bit finalizer used for digests.

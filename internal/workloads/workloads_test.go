@@ -476,7 +476,7 @@ func TestParseEngine(t *testing.T) {
 }
 
 func TestRunTypedUnknownEngine(t *testing.T) {
-	job := HistogramJob(3000, container.KindFixedArray, seed, 0)
+	job := HistogramJob(3000, container.KindFixedArray, seed, nil, 0)
 	if _, err := job.Run(Engine(42), cfg()); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
