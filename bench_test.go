@@ -486,9 +486,8 @@ func BenchmarkAblationTaskSize(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulators compares the closed-form platform model against the
-// discrete-event simulation on the same workload — the DES costs more but
-// captures the queue-blocking transients (see internal/simarch/des.go).
+// BenchmarkSimulators times one evaluation of the closed-form platform
+// model, the estimator behind every modelled figure.
 func BenchmarkSimulators(b *testing.B) {
 	m := topology.HaswellServer()
 	w, err := simarch.WorkloadFor(m, "KM", container.KindFixedArray)
@@ -499,13 +498,6 @@ func BenchmarkSimulators(b *testing.B) {
 	b.Run("analytic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := simarch.SimulateRAMR(m, w, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("discrete-event", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := simarch.SimulateRAMRDES(m, w, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -182,6 +182,8 @@ func TestServerRefusesWhatWorkersRefuse(t *testing.T) {
 		`{"workload":"SYNTH","synth":{"keys":4000000000}}`,
 		`{"workload":"SYNTH","config":{"mappers":-3}}`,
 		`{"workload":"WC","config":{"task_size":-3}}`,
+		`{"workload":"SYNTH","synth":{"elements":-5}}`,
+		`{"workload":"WC","min_cpus":-1}`,
 	} {
 		wantCode, want := post(w.URL, body)
 		if wantCode != http.StatusBadRequest || want == "" {

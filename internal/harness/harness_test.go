@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,8 +11,9 @@ func quickOpts() Options {
 	return Options{Seed: 42, Quick: true, Runs: 1}
 }
 
-// TestAllExperimentsRun executes every registered experiment in quick mode
-// and renders both output formats.
+// TestAllExperimentsRun executes every registered experiment in quick mode,
+// renders both output formats, and holds every modelled experiment's CSV
+// byte for byte to its file under results/.
 func TestAllExperimentsRun(t *testing.T) {
 	if len(List()) < 15 {
 		t.Fatalf("only %d experiments registered", len(List()))
@@ -53,6 +56,18 @@ func TestAllExperimentsRun(t *testing.T) {
 				if len(header) != len(rep.Columns)+1 {
 					t.Fatalf("CSV header %v vs columns %v", header, rep.Columns)
 				}
+			}
+			if e.Native {
+				return
+			}
+			// A modelled figure is deterministic: it must be exactly the
+			// file results/ ships.
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", e.ID+".csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if csv.String() != string(want) {
+				t.Fatalf("results/%s.csv differs from the model:\n got: %s\nwant: %s", e.ID, csv.String(), want)
 			}
 		})
 	}

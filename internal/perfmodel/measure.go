@@ -36,36 +36,6 @@ type PhaseCost struct {
 	MemFrac float64
 }
 
-// Costs measures both phases of an app/container pair on machine m and
-// returns their per-element costs plus the trace metadata. The phases
-// execute interleaved (sharing cache state), exactly as they do in both
-// runtimes.
-func Costs(m *topology.Machine, app string, kind container.Kind) (mapCost, combineCost PhaseCost, tr AppTrace, err error) {
-	tr, err = ForApp(app, kind)
-	if err != nil {
-		return
-	}
-	model, merr := NewModel(m, 1)
-	if merr != nil {
-		err = merr
-		return
-	}
-	mc, cc := model.ExecutePhases(tr.Gen)
-	n := float64(tr.Elements)
-	if n == 0 {
-		n = 1
-	}
-	mapCost = PhaseCost{
-		CyclesPerElem: float64(mc.Cycles) / n,
-		MemFrac:       frac(mc.MemStall, mc.Cycles),
-	}
-	combineCost = PhaseCost{
-		CyclesPerElem: float64(cc.Cycles) / n,
-		MemFrac:       frac(cc.MemStall, cc.Cycles),
-	}
-	return
-}
-
 func frac(num, den uint64) float64 {
 	if den == 0 {
 		return 0

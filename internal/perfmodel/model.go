@@ -253,6 +253,3 @@ func (m *Model) Reset() {
 	m.hier.Reset()
 	m.pendingStores = 0
 }
-
-// CacheStats exposes the underlying hierarchy statistics.
-func (m *Model) CacheStats() []cachesim.LevelStats { return m.hier.Stats() }

@@ -127,10 +127,11 @@ func TestUnknownApp(t *testing.T) {
 func TestCostsPositive(t *testing.T) {
 	m := topology.HaswellServer()
 	for _, app := range AllApps() {
-		mc, cc, tr, err := Costs(m, app, defaultKind(app))
+		jc, err := JobCostsFor(m, app, defaultKind(app))
 		if err != nil {
 			t.Fatal(err)
 		}
+		mc, cc, tr := jc.FusedMap, jc.FusedCombine, jc.Trace
 		if mc.CyclesPerElem <= 0 || cc.CyclesPerElem <= 0 {
 			t.Fatalf("%s: non-positive phase costs %+v %+v", app, mc, cc)
 		}
@@ -266,19 +267,5 @@ func TestBoostSharedLevels(t *testing.T) {
 	// The original machine must be untouched.
 	if m.Caches[2].SizeBytes != topology.HaswellServer().Caches[2].SizeBytes {
 		t.Fatal("boostSharedLevels mutated its input")
-	}
-}
-
-func TestCacheStatsExposed(t *testing.T) {
-	m, err := NewModel(topology.HaswellServer(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.ExecutePhases(func(emitMap, _ func(Op)) {
-		emitMap(Op{Kind: OpLoad, Addr: 0x1234})
-	})
-	st := m.CacheStats()
-	if len(st) == 0 || st[0].Hits+st[0].Misses == 0 {
-		t.Fatal("cache stats empty after an access")
 	}
 }

@@ -284,11 +284,19 @@ var badRequestBodies = []string{
 	`{"workload":"HG","config":{"queue_capacity":-1}}`,
 	`{"workload":"HG","config":{"batch_size":-64}}`,
 	`{"workload":"SYNTH","config":{"emit_batch":-1}}`,
+	`{"workload":"SYNTH","synth":{"elements":-5}}`,
+	`{"workload":"SYNTH","synth":{"keys":-1}}`,
+	`{"workload":"SYNTH","synth":{"map_intensity":-2}}`,
+	`{"workload":"SYNTH","synth":{"combine_intensity":-3}}`,
+	`{"workload":"WC","min_cpus":-1}`,
+	`{"workload":"HG","max_cpus":-2}`,
 }
 
 // TestResolveNamesTheBadField: a skewed SYNTH stream, which no session can
-// run, and a negative config field, which would run the default while
-// digesting apart from it, are refused by Resolve with the field named.
+// run, a negative config field, which would run the default while
+// digesting apart from it, and a negative synth size or CPU bound, which
+// would run the default or be read as 1 or the whole budget, are refused
+// by Resolve with the field named.
 func TestResolveNamesTheBadField(t *testing.T) {
 	for _, row := range []struct{ body, field string }{
 		{`{"workload":"SYNTH","synth":{"skew":1.5},"stream":{"window":1}}`, "synth.skew"},
@@ -299,6 +307,12 @@ func TestResolveNamesTheBadField(t *testing.T) {
 		{`{"workload":"HG","config":{"queue_capacity":-1}}`, "config.queue_capacity"},
 		{`{"workload":"HG","config":{"batch_size":-64}}`, "config.batch_size"},
 		{`{"workload":"SYNTH","config":{"emit_batch":-1}}`, "config.emit_batch"},
+		{`{"workload":"SYNTH","synth":{"elements":-5}}`, "synth.elements"},
+		{`{"workload":"SYNTH","synth":{"keys":-1}}`, "synth.keys"},
+		{`{"workload":"SYNTH","synth":{"map_intensity":-2}}`, "synth.map_intensity"},
+		{`{"workload":"SYNTH","synth":{"combine_intensity":-3}}`, "synth.combine_intensity"},
+		{`{"workload":"WC","min_cpus":-1}`, "min_cpus"},
+		{`{"workload":"HG","max_cpus":-2}`, "max_cpus"},
 	} {
 		if _, err := Resolve(decodeRequest(t, row.body)); err == nil || !strings.Contains(err.Error(), row.field) {
 			t.Errorf("%s: Resolve error %v, want one naming %s", row.body, err, row.field)

@@ -58,9 +58,15 @@ type JobRequest struct {
 }
 
 // resolveSynthParams overlays the request's synth parameters onto the
-// Fig. 4 defaults, validating kernel kinds and the skew exponent.
+// Fig. 4 defaults, validating sizes, kernel kinds and the skew exponent.
 func resolveSynthParams(sp SynthParams) (synth.Params, error) {
 	p := synth.DefaultParams()
+	if err := refuseNegative(
+		intField{"synth.elements", sp.Elements}, intField{"synth.keys", sp.Keys},
+		intField{"synth.map_intensity", sp.MapIntensity}, intField{"synth.combine_intensity", sp.CombineIntensity},
+	); err != nil {
+		return p, err
+	}
 	if sp.Elements > 0 {
 		p.Elements = sp.Elements
 	}
@@ -97,6 +103,24 @@ func resolveSynthParams(sp SynthParams) (synth.Params, error) {
 		p.Skew = sp.Skew
 	}
 	return p, nil
+}
+
+// intField is one integer request field under its JSON path.
+type intField struct {
+	name string
+	v    int
+}
+
+// refuseNegative names the first field below 0. Every counted request
+// field reads 0 as its default, and a negative one would quietly run as
+// that default.
+func refuseNegative(fields ...intField) error {
+	for _, f := range fields {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0 (0 keeps the default), got %d", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // maxSized bounds the request fields that size an allocation up front — a
@@ -211,6 +235,9 @@ type Plan struct {
 // alone, only a job the scheduler granted CPUs to pays for materialise, and
 // a cluster coordinator calls it to refuse what every worker would refuse.
 func Resolve(req *JobRequest) (*Plan, error) {
+	if err := refuseNegative(intField{"min_cpus", req.MinCPUs}, intField{"max_cpus", req.MaxCPUs}); err != nil {
+		return nil, err
+	}
 	p := &Plan{
 		seed:    req.Seed,
 		minCPUs: req.MinCPUs, maxCPUs: req.MaxCPUs,
@@ -292,16 +319,13 @@ func Resolve(req *JobRequest) (*Plan, error) {
 
 	cfg := mr.DefaultConfig()
 	ov := req.Config
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"mappers", ov.Mappers}, {"combiners", ov.Combiners}, {"ratio", ov.Ratio}, {"task_size", ov.TaskSize},
-		{"queue_capacity", ov.QueueCapacity}, {"batch_size", ov.BatchSize}, {"emit_batch", ov.EmitBatch},
-	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("config.%s must be >= 0 (0 keeps the default), got %d", f.name, f.v)
-		}
+	if err := refuseNegative(
+		intField{"config.mappers", ov.Mappers}, intField{"config.combiners", ov.Combiners},
+		intField{"config.ratio", ov.Ratio}, intField{"config.task_size", ov.TaskSize},
+		intField{"config.queue_capacity", ov.QueueCapacity}, intField{"config.batch_size", ov.BatchSize},
+		intField{"config.emit_batch", ov.EmitBatch},
+	); err != nil {
+		return nil, err
 	}
 	if ov.Ratio > 0 {
 		cfg.Ratio = ov.Ratio

@@ -8,8 +8,8 @@
 // share the closest possible cache level. Everything in this package is a
 // pure function of the machine description, so the same policy code runs
 // unchanged against the paper's Haswell and Xeon Phi presets, against the
-// detected host, or against a synthetic machine inside the discrete-event
-// simulator.
+// detected host, or against a synthetic machine inside the platform model
+// (internal/simarch).
 package topology
 
 import (
@@ -63,7 +63,7 @@ type CacheLevel struct {
 	// Scope is the sharing domain of one instance.
 	Scope Scope
 	// LatencyCycles is the approximate load-to-use latency, used by the
-	// cache simulator and the discrete-event cost model.
+	// cache simulator and the platform model.
 	LatencyCycles int
 }
 
@@ -249,7 +249,7 @@ func (m *Machine) SharedCacheLevel(a, b int) int {
 }
 
 // TransferLatency estimates the cycles for one cache line to move from
-// producer CPU a to consumer CPU b, used by the discrete-event model. The
+// producer CPU a to consumer CPU b; VictimOrder ranks steal victims by it. The
 // shape matters more than the absolute value: sibling threads talk through
 // L1/L2, same-socket cores through L3, remote cores through memory plus the
 // interconnect penalty.
@@ -418,33 +418,6 @@ func (m *Machine) CompactOrder() []int {
 			return a.Core < b.Core
 		}
 		return a.SMT < b.SMT
-	})
-	out := make([]int, len(cpus))
-	for i, c := range cpus {
-		out[i] = c.ID
-	}
-	return out
-}
-
-// ScatterOrder returns logical CPU ids in a round-robin order across
-// sockets and cores (first thread of core 0 of socket 0, then core 0 of
-// socket 1, ...). It is the "RR" baseline pinning of §IV-B.
-func (m *Machine) ScatterOrder() []int {
-	cpus := append([]CPU(nil), m.CPUs()...)
-	sort.Slice(cpus, func(i, j int) bool {
-		a, b := cpus[i], cpus[j]
-		if a.SMT != b.SMT {
-			return a.SMT < b.SMT
-		}
-		coreInSocketA := a.Core % m.CoresPerSocket
-		coreInSocketB := b.Core % m.CoresPerSocket
-		if coreInSocketA != coreInSocketB {
-			return coreInSocketA < coreInSocketB
-		}
-		if a.Socket != b.Socket {
-			return a.Socket < b.Socket
-		}
-		return a.ID < b.ID
 	})
 	out := make([]int, len(cpus))
 	for i, c := range cpus {

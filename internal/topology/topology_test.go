@@ -127,24 +127,6 @@ func TestFig3Remap(t *testing.T) {
 	}
 }
 
-func TestScatterOrderSpreadsSockets(t *testing.T) {
-	m := HaswellServer()
-	order := m.ScatterOrder()
-	cpus := m.CPUs()
-	// The first two scatter positions must hit both sockets.
-	if cpus[order[0]].Socket == cpus[order[1]].Socket {
-		t.Fatalf("scatter order does not alternate sockets: %v", order[:4])
-	}
-	// No duplicates.
-	seen := map[int]bool{}
-	for _, c := range order {
-		if seen[c] {
-			t.Fatalf("duplicate cpu %d in scatter order", c)
-		}
-		seen[c] = true
-	}
-}
-
 func TestLocalityGroups(t *testing.T) {
 	m := HaswellServer()
 	groups := m.LocalityGroups()
