@@ -108,3 +108,52 @@ func TestSkewedKeysBeyondTable(t *testing.T) {
 		t.Fatalf("keys 10^6: RAMR %x/%d, reference %x/%d", ra.Digest, ra.Pairs, ref.Digest, ref.Pairs)
 	}
 }
+
+// pinnedMemoryKernel are Kernel{Memory, n}.Run(seed) values, computed while
+// the kernel's wide table was still a Go-heap slice: where the table lives
+// may change, what the kernel reads from it may not.
+var pinnedMemoryKernel = []struct {
+	n    int
+	seed uint64
+	want uint64
+}{
+	{0, 0, 0},
+	{1, 0, 17976034339050859422},
+	{1, 1, 17976034339050859422}, // the walk starts at seed|1
+	{1, 2, 10693704485271719465},
+	{20, 7, 3557571437670192864},
+	{20, 1 << 40, 11946492944256568636},
+	{1000, 12345, 6316567169254146216},
+}
+
+// TestMemoryKernelPinned: the memory kernel's checksums match the pinned
+// values.
+func TestMemoryKernelPinned(t *testing.T) {
+	for _, row := range pinnedMemoryKernel {
+		if got := (Kernel{Memory, row.n}).Run(row.seed); got != row.want {
+			t.Errorf("Kernel{Memory, %d}.Run(%d) = %d, pinned %d", row.n, row.seed, got, row.want)
+		}
+	}
+}
+
+// TestMemoryMapDigestPinned: a SYNTH job whose map kernel is memory:20
+// carries each element's memory-kernel checksum into the output, so its
+// digest reads the wide table; the default job's combine kernel discards
+// its checksum and reads nothing of it. Every engine lands on the pinned
+// digest.
+func TestMemoryMapDigestPinned(t *testing.T) {
+	const wantPairs, wantDigest = 1024, uint64(0x649a0b3d64338884)
+	p := DefaultParams()
+	p.Elements = 20_000
+	p.MapKernel = Kernel{Memory, 20}
+	job := NewJob(p, 11)
+	for _, e := range []workloads.Engine{workloads.EngineRAMR, workloads.EnginePhoenix, workloads.EngineReference} {
+		info, err := job.Run(e, cfg(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Pairs != wantPairs || info.Digest != wantDigest {
+			t.Errorf("%v: %d pairs, digest %#x; pinned %d, %#x", e, info.Pairs, info.Digest, wantPairs, wantDigest)
+		}
+	}
+}
