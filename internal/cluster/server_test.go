@@ -137,6 +137,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		{"client shard", `{"workload":"WC","shard":{"index":0,"count":2}}`},
 		{"stream", `{"workload":"WC","stream":{"window":1}}`},
 		{"skewed stream", `{"workload":"SYNTH","synth":{"skew":1.5},"stream":{"window":1}}`},
+		{"min above max", `{"workload":"WC","min_cpus":2,"max_cpus":1}`},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

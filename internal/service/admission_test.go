@@ -290,6 +290,8 @@ var badRequestBodies = []string{
 	`{"workload":"SYNTH","synth":{"combine_intensity":-3}}`,
 	`{"workload":"WC","min_cpus":-1}`,
 	`{"workload":"HG","max_cpus":-2}`,
+	`{"workload":"KM","seed":77,"min_cpus":2,"max_cpus":1}`,
+	`{"workload":"KM","seed":77,"min_cpus":5}`, // above the budget of 2 the POST test runs with
 }
 
 // TestResolveNamesTheBadField: a skewed SYNTH stream, which no session can
@@ -313,6 +315,7 @@ func TestResolveNamesTheBadField(t *testing.T) {
 		{`{"workload":"SYNTH","synth":{"combine_intensity":-3}}`, "synth.combine_intensity"},
 		{`{"workload":"WC","min_cpus":-1}`, "min_cpus"},
 		{`{"workload":"HG","max_cpus":-2}`, "max_cpus"},
+		{`{"workload":"KM","seed":77,"min_cpus":2,"max_cpus":1}`, "min_cpus"},
 	} {
 		if _, err := Resolve(decodeRequest(t, row.body)); err == nil || !strings.Contains(err.Error(), row.field) {
 			t.Errorf("%s: Resolve error %v, want one naming %s", row.body, err, row.field)
@@ -324,7 +327,7 @@ func TestResolveNamesTheBadField(t *testing.T) {
 // reject with a 400 is still rejected with a 400 at POST — nothing may
 // be admitted and surface as a failed job later.
 func TestBadRequestsStillRejectedAtPost(t *testing.T) {
-	_, ts, _ := newMemoService(t, Config{Seed: 1})
+	_, ts, _ := newMemoService(t, Config{Seed: 1, Budget: 2})
 	for _, body := range badRequestBodies {
 		code, doc := postJob(t, ts, body)
 		if code != http.StatusBadRequest {
@@ -338,6 +341,47 @@ func TestBadRequestsStillRejectedAtPost(t *testing.T) {
 	if got := builds(t, ts); got != 0 {
 		t.Fatalf("%d inputs built for rejected submissions", got)
 	}
+}
+
+// TestBadBoundsRefusedWhateverTheMemo: CPU bounds this daemon could never
+// grant — min_cpus above max_cpus, or above the budget — draw a 400 whether
+// the body's result is cached, being computed, or neither: the memo and the
+// coalescer answer only bodies the scheduler would admit.
+func TestBadBoundsRefusedWhateverTheMemo(t *testing.T) {
+	svc, ts, _ := newMemoService(t, Config{Seed: 3, Budget: 2})
+	bad := []string{
+		`{"workload":"KM","seed":77,"min_cpus":2,"max_cpus":1}`,
+		`{"workload":"KM","seed":77,"min_cpus":5}`,
+	}
+	refused := func(when string) {
+		t.Helper()
+		for _, body := range bad {
+			if code, doc := postJob(t, ts, body); code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(doc["error"]), "min_cpus") {
+				t.Errorf("%s: POST %s: HTTP %d (%v), want 400 naming min_cpus", when, body, code, doc)
+			}
+		}
+	}
+	refused("cold")
+
+	// In flight: the leader parks after its build until released.
+	built, release := make(chan struct{}), make(chan struct{})
+	svc.afterBuild = func() {
+		close(built)
+		<-release
+	}
+	code, doc := postJob(t, ts, `{"workload":"KM","seed":77}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST: HTTP %d (%v)", code, doc)
+	}
+	<-built
+	refused("in flight")
+	close(release)
+	waitDone(t, ts, int(doc["id"].(float64)))
+
+	if code, doc := postJob(t, ts, `{"workload":"KM","seed":77,"min_cpus":2}`); code != http.StatusOK || doc["cached"] != true {
+		t.Fatalf("settled body with bounds the budget grants: HTTP %d (%v), want a memo hit", code, doc)
+	}
+	refused("settled")
 }
 
 // TestSubmitRefusesOtherGeneration: a POST /jobs naming another protocol

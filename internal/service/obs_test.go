@@ -8,11 +8,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ramr/internal/synth"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 )
@@ -344,6 +346,45 @@ func TestStatsRuntimeSection(t *testing.T) {
 	}
 	if u := rt["uptime_seconds"].(float64); u < 0 {
 		t.Fatalf("uptime_seconds = %v", u)
+	}
+}
+
+// TestStatsMemorySection: /stats carries the resident floor — the Go
+// heap's live bytes and goal, the bytes mapped outside the heap and the
+// memo's bytes — and /metrics the three process gauges beside the memo's
+// own. After a SYNTH job, whose default combine kernel is memory-bound, the
+// kernel's table is what is mapped outside the heap on Linux.
+func TestStatsMemorySection(t *testing.T) {
+	_, ts, _ := newMemoService(t, Config{Seed: 17})
+	code, doc := postJob(t, ts, `{"workload":"SYNTH","seed":3,"config":{"pin":"none"},"synth":{"elements":2000}}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST: HTTP %d (%v)", code, doc)
+	}
+	waitDone(t, ts, int(doc["id"].(float64)))
+	_, st := getJSON(t, ts.URL+"/stats")
+	mem, _ := st["memory"].(map[string]any)
+	if mem == nil {
+		t.Fatalf("/stats has no memory section: %v", st)
+	}
+	live, goal := mem["heap_live_bytes"].(float64), mem["heap_goal_bytes"].(float64)
+	if live <= 0 || goal < live {
+		t.Fatalf("heap live %v, goal %v: want 0 < live <= goal", live, goal)
+	}
+	if mb, cached := mem["memo_bytes"].(float64), memoSection(t, ts)["cached_bytes"].(float64); mb <= 0 || mb != cached {
+		t.Fatalf("memo_bytes %v, memo section's cached_bytes %v: want equal and > 0", mb, cached)
+	}
+	off := mem["off_heap_bytes"].(float64)
+	if off != float64(synth.OffHeapBytes()) || (runtime.GOOS == "linux" && off != 32<<20) {
+		t.Fatalf("off_heap_bytes %v after a memory-kernel job, want the table's %d", off, synth.OffHeapBytes())
+	}
+	_, samples := scrapeMetrics(t, ts)
+	for _, name := range []string{"ramr_memory_heap_live_bytes", "ramr_memory_heap_goal_bytes", "ramr_memory_off_heap_bytes"} {
+		if _, ok := samples[name]; !ok {
+			t.Errorf("/metrics has no unlabelled %s", name)
+		}
+	}
+	if got := samples["ramr_memory_off_heap_bytes"]; got != off {
+		t.Errorf("ramr_memory_off_heap_bytes %v, /stats %v", got, off)
 	}
 }
 

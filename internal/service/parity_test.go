@@ -123,7 +123,7 @@ func TestWireParity(t *testing.T) {
 
 	code, doc = getJSON(t, ts.URL+"/stats")
 	record("GET stats", code, doc)
-	for _, key := range []string{"scheduler", "memo", "runtime", "capabilities"} {
+	for _, key := range []string{"scheduler", "memo", "runtime", "memory", "capabilities"} {
 		sub("GET stats", doc, key)
 	}
 	code, doc = deleteJob(t, ts, leader)

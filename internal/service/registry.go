@@ -217,13 +217,14 @@ type Plan struct {
 }
 
 // Resolve validates req — everything a build could reject: workload,
-// platform/class, container, engine, priority, the config overlay, shard
-// spec, SYNTH and stream parameters — applies defaults, assembles the base
-// engine config (before the machine and the grant overlay applied at
-// dispatch) and renders the request's canonical content digest: the full
-// identity of the computation — workload name, the fully-resolved input
-// parameters (Table I platform/class and container, or SYNTH params after
-// defaulting), engine, seed and the whole config overlay. Scheduling hints
+// platform/class, container, engine, priority, CPU bounds that contradict
+// each other, the config overlay, shard spec, SYNTH and stream parameters —
+// applies defaults, assembles the base engine config (before the machine
+// and the grant overlay applied at dispatch) and renders the request's
+// canonical content digest: the full identity of the computation —
+// workload name, the fully-resolved input parameters (Table I
+// platform/class and container, or SYNTH params after defaulting), engine,
+// seed and the whole config overlay. Scheduling hints
 // (priority, CPU bounds) affect placement, not the computed result, so
 // they are excluded: two requests with equal digests compute the same
 // Result and the memo cache may serve one from the other. Defaulting
@@ -237,6 +238,9 @@ type Plan struct {
 func Resolve(req *JobRequest) (*Plan, error) {
 	if err := refuseNegative(intField{"min_cpus", req.MinCPUs}, intField{"max_cpus", req.MaxCPUs}); err != nil {
 		return nil, err
+	}
+	if req.MaxCPUs > 0 && req.MinCPUs > req.MaxCPUs {
+		return nil, fmt.Errorf("min_cpus %d exceeds max_cpus %d", req.MinCPUs, req.MaxCPUs)
 	}
 	p := &Plan{
 		seed:    req.Seed,

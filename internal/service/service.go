@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"sync"
@@ -41,6 +42,7 @@ import (
 	"ramr/internal/mr"
 	"ramr/internal/obs"
 	"ramr/internal/sched"
+	"ramr/internal/synth"
 	"ramr/internal/telemetry"
 	"ramr/internal/topology"
 	"ramr/internal/workloads"
@@ -343,6 +345,11 @@ func (s *Service) Admit(req *JobRequest, rec *obs.Recorder) (j Job, cached bool,
 	p, err := resolve(req, s.machine)
 	if err != nil {
 		return nil, false, err
+	}
+	// Checked ahead of the memo and the coalescer, so a body this daemon
+	// could never run is refused whether or not its result is at hand.
+	if b := s.sch.Budget(); p.minCPUs > b {
+		return nil, false, fmt.Errorf("min_cpus %d exceeds this daemon's budget of %d CPUs", p.minCPUs, b)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -971,14 +978,44 @@ func (s *Service) runtimeStatsDoc() runtimeStats {
 	}
 }
 
+// memoryStats is the /stats resident-floor section: the pieces a daemon's
+// resident set is made of, read from the runtime and the package that
+// holds them rather than from the OS.
+type memoryStats struct {
+	// HeapLiveBytes is the Go heap the last GC cycle marked live;
+	// HeapGoalBytes the heap size at which the next cycle starts, which
+	// bounds the heap's share of the resident set.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	HeapGoalBytes uint64 `json:"heap_goal_bytes"`
+	// OffHeapBytes is memory mapped outside the Go heap, which no heap
+	// figure counts: the memory kernel's table once built
+	// (synth.OffHeapBytes), 0 before.
+	OffHeapBytes int64 `json:"off_heap_bytes"`
+	// MemoBytes is the memo cache's byte-accounted size, part of the live
+	// heap.
+	MemoBytes int64 `json:"memo_bytes"`
+}
+
+func (s *Service) memoryStatsDoc() memoryStats {
+	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(heap)
+	return memoryStats{
+		HeapLiveBytes: heap[0].Value.Uint64(),
+		HeapGoalBytes: heap[1].Value.Uint64(),
+		OffHeapBytes:  synth.OffHeapBytes(),
+		MemoBytes:     s.cache.Bytes(),
+	}
+}
+
 // Stats implements Backend: scheduler occupancy, memo and retention,
-// process health and the capability advertisement. A job's balance is in
-// its own document.
+// process health, the resident floor and the capability advertisement. A
+// job's balance is in its own document.
 func (s *Service) Stats() any {
 	return map[string]any{
 		"scheduler":    s.sch.Stats(),
 		"memo":         s.memoStatsDoc(),
 		"runtime":      s.runtimeStatsDoc(),
+		"memory":       s.memoryStatsDoc(),
 		"capabilities": capabilitiesDoc(),
 	}
 }
@@ -1013,7 +1050,7 @@ func (s *Service) writeJobCounters(w io.Writer) error {
 // series outlives the job records and the label sets stay bounded by the
 // workloads, engines and priorities served.
 func (s *Service) writeServiceProm(w io.Writer) error {
-	m := s.memoStatsDoc()
+	m, mem := s.memoStatsDoc(), s.memoryStatsDoc()
 	v, gv := buildInfo()
 	if _, err := fmt.Fprintf(w, `# HELP ramr_memo_hits_total Submissions answered from the result memo cache.
 # TYPE ramr_memo_hits_total counter
@@ -1048,11 +1085,21 @@ ramr_build_info{version=%q,go_version=%q} 1
 # HELP ramr_service_uptime_seconds Seconds since the service started.
 # TYPE ramr_service_uptime_seconds gauge
 ramr_service_uptime_seconds %g
+# HELP ramr_memory_heap_live_bytes Go heap bytes the last GC cycle marked live.
+# TYPE ramr_memory_heap_live_bytes gauge
+ramr_memory_heap_live_bytes %d
+# HELP ramr_memory_heap_goal_bytes Go heap size at which the next GC cycle starts.
+# TYPE ramr_memory_heap_goal_bytes gauge
+ramr_memory_heap_goal_bytes %d
+# HELP ramr_memory_off_heap_bytes Bytes mapped outside the Go heap (the memory kernel's table once built).
+# TYPE ramr_memory_off_heap_bytes gauge
+ramr_memory_off_heap_bytes %d
 `,
 		m.Hits, m.Misses, m.Coalesced, m.Evictions,
 		m.Bytes, m.Entries, m.MaxBytes,
 		m.Builds, m.RetainedJobs,
-		v, gv, time.Since(s.start).Seconds()); err != nil {
+		v, gv, time.Since(s.start).Seconds(),
+		mem.HeapLiveBytes, mem.HeapGoalBytes, mem.OffHeapBytes); err != nil {
 		return err
 	}
 	if err := s.writeJobCounters(w); err != nil {

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ramr/internal/container"
 	"ramr/internal/mr"
@@ -85,7 +86,7 @@ type Kernel struct {
 }
 
 // wideWords is the size of the shared wide dataset the memory kernel
-// wanders over: 32 Mi x 8 B = far beyond any L2, so almost every dependent
+// wanders over: 4 Mi x 8 B = 32 MB, far beyond any L2, so almost every dependent
 // load misses.
 const wideWords = 1 << 22
 
@@ -93,9 +94,11 @@ const wideWords = 1 << 22
 // use: a process that never runs the kernel, like every one that only links
 // the package, never holds its 32 MB. Read-only sharing across workers is
 // deliberate: it maximizes cache pressure without write contention, like
-// the lookup tables of real combine-heavy workloads.
+// the lookup tables of real combine-heavy workloads. newWide places it
+// (wide_linux.go maps it outside the Go heap, wide_other.go allocates it on
+// the heap); it is never freed.
 var wide = sync.OnceValue(func() []int64 {
-	w := make([]int64, wideWords)
+	w := newWide()
 	var h uint64 = 0x9e3779b97f4a7c15
 	for i := range w {
 		h = h*6364136223846793005 + 1442695040888963407
@@ -103,6 +106,16 @@ var wide = sync.OnceValue(func() []int64 {
 	}
 	return w
 })
+
+// offHeap counts the bytes newWide mapped outside the Go heap.
+var offHeap atomic.Int64
+
+// OffHeapBytes reports the bytes the package holds outside the Go heap:
+// the memory kernel's table once built where it is mapped off the heap, 0
+// before, and 0 where it is a heap slice. The GC neither scans nor counts
+// them, so they appear in the process's resident set but in no heap
+// figure.
+func OffHeapBytes() int64 { return offHeap.Load() }
 
 // runCPU burns iters iterations of trig/exp arithmetic seeded by x and
 // returns a value dependent on all of it, so nothing dead-code eliminates.
